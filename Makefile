@@ -1,7 +1,7 @@
 GO ?= go
 
 # Benchmarks tracked in BENCH_eval.json: the eval/chase hot-path families.
-BENCH_PATTERN ?= BenchmarkE2|BenchmarkE3|BenchmarkE4|BenchmarkE5|BenchmarkE6|BenchmarkE7|BenchmarkE9|BenchmarkAblation_CompiledEval|BenchmarkAblation_ParallelEval|BenchmarkAblation_StreamingEval|BenchmarkAblation_ShardedEval|BenchmarkAblation_PreserveDerive|BenchmarkAblation_IncrementalChurn|BenchmarkAblation_TerminationFastPath|BenchmarkIncrementalVsReEval|BenchmarkServiceWarmVsCold
+BENCH_PATTERN ?= BenchmarkE2|BenchmarkE3|BenchmarkE4|BenchmarkE5|BenchmarkE6|BenchmarkE7|BenchmarkE9|BenchmarkAblation_ShardedEval|BenchmarkAblation_PreserveDerive|BenchmarkAblation_IncrementalChurn|BenchmarkAblation_TerminationFastPath|BenchmarkIncrementalVsReEval|BenchmarkServiceWarmVsCold
 BENCHTIME ?= 0.3s
 
 # staticcheck pin for lint-ci; bump deliberately, not implicitly.
@@ -36,9 +36,9 @@ race-service:
 	$(GO) test -race ./internal/core ./internal/service ./internal/db
 
 # race-shard race-checks the sharded round executor's determinism contract:
-# the byte-identity grid over Shards × Workers × Strategy, goal prefix-cut
-# partial databases, budget agreement, the incremental oracle and the
-# shard-aware stats accounting.
+# the byte-identity grid over Shards × Strategy (shard tasks inline and
+# concurrent), goal prefix-cut partial databases, budget agreement, the
+# incremental oracle and the shard-aware stats accounting.
 race-shard:
 	$(GO) test -race -run 'TestSharded|TestShardOwner|TestShardView' ./internal/eval ./internal/db
 

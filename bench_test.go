@@ -548,42 +548,6 @@ func BenchmarkAblation_SCCOrder(b *testing.B) {
 	})
 }
 
-// BenchmarkAblation_CompiledEval measures the slot-compiled rule evaluator
-// against the generic binding-map matcher.
-func BenchmarkAblation_CompiledEval(b *testing.B) {
-	p := workload.TransitiveClosure()
-	edb := workload.RandomDigraph("A", 60, 120, 7)
-	b.Run("compiled", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, _, err := eval.Eval(p, edb, eval.Options{}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("generic", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, _, err := eval.Eval(p, edb, eval.Options{NoCompile: true}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkAblation_ParallelEval measures round-parallel evaluation.
-func BenchmarkAblation_ParallelEval(b *testing.B) {
-	p := workload.TransitiveClosure()
-	edb := workload.RandomDigraph("A", 90, 180, 7)
-	for _, workers := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, _, err := eval.Eval(p, edb, eval.Options{Workers: workers}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkAblation_ShardedEval measures the sharded round executor against
 // the unsharded kernel at shard counts 1/2/4/8. Arms:
 //
@@ -597,11 +561,11 @@ func BenchmarkAblation_ParallelEval(b *testing.B) {
 //     duplicate-dominated (~159 re-derivations per committed fact), so both
 //     executors are bound by the same dedup probes; sharding is expected to
 //     roughly break even here, and the arm exists to keep that honest.
-//   - wide-join: a wide materialized non-recursive join (NoStream forces the
-//     materializing kernel the shards split).
+//   - wide-join: a wide non-recursive join, one pass whose outer scan the
+//     shards split.
 //
-// Workers tracks the shard count so multicore machines overlap the shard
-// tasks; the single-core win comes from the sharded kernel itself.
+// Shard tasks overlap on multicore machines (min(Shards, GOMAXPROCS)
+// goroutines); the single-core win comes from the delta-first enumeration.
 func BenchmarkAblation_ShardedEval(b *testing.B) {
 	rltc := workload.TransitiveClosureLinear()
 	rltcEDB := workload.RandomDigraph("A", 10000, 10500, 7)
@@ -621,7 +585,7 @@ func BenchmarkAblation_ShardedEval(b *testing.B) {
 		joinEDB.Add(ast.GroundAtom{Pred: "S", Args: []ast.Const{ast.Int(i)}})
 	}
 	for _, shards := range []int{1, 2, 4, 8} {
-		opts := eval.Options{Shards: shards, Workers: shards}
+		opts := eval.Options{Shards: shards}
 		b.Run(fmt.Sprintf("large-tc/shards=%d", shards), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, _, err := eval.Eval(rltc, rltcEDB, opts); err != nil {
@@ -637,81 +601,9 @@ func BenchmarkAblation_ShardedEval(b *testing.B) {
 			}
 		})
 		b.Run(fmt.Sprintf("wide-join/shards=%d", shards), func(b *testing.B) {
-			joinOpts := opts
-			joinOpts.NoStream = true
 			for i := 0; i < b.N; i++ {
-				if _, _, err := eval.Eval(join, joinEDB, joinOpts); err != nil {
+				if _, _, err := eval.Eval(join, joinEDB, opts); err != nil {
 					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// layeredUnfolding returns the full unfolding of workload.Layered(n)'s top
-// predicate down to the EDB: Pn(x0, xn) :- E(x0, x1), ..., E(xn-1, xn).
-// Its frozen body is a pure-EDB chain, so goal-directed evaluation of the
-// layered program over it is the archetypal frozen-body containment query.
-func layeredUnfolding(n int) ast.Rule {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "P%d(x0, x%d) :- ", n, n)
-	for i := 0; i < n; i++ {
-		if i > 0 {
-			sb.WriteString(", ")
-		}
-		fmt.Fprintf(&sb, "E(x%d, x%d)", i, i+1)
-	}
-	sb.WriteString(".")
-	return parser.MustParseProgram(sb.String()).Rules[0]
-}
-
-// BenchmarkAblation_StreamingEval measures the streaming operator pipeline
-// against the materializing kernel on its two target workloads: a wide
-// non-recursive join (one stratum, four body atoms) and a goal-directed
-// frozen-body containment query (many single-rule strata, emit-path early
-// stop). Both programs are non-recursive, so the planner streams them by
-// default; NoStream forces the delta-window materializing kernel.
-func BenchmarkAblation_StreamingEval(b *testing.B) {
-	join := parser.MustParseProgram(`
-		T(x, w) :- A(x, y), B(y, z), C(z, w), S(x).
-	`)
-	joinEDB := db.New()
-	rng := rand.New(rand.NewSource(17))
-	for i := 0; i < 600; i++ {
-		joinEDB.Add(ast.GroundAtom{Pred: "A", Args: []ast.Const{ast.Int(int64(rng.Intn(50))), ast.Int(int64(rng.Intn(50)))}})
-		joinEDB.Add(ast.GroundAtom{Pred: "B", Args: []ast.Const{ast.Int(int64(rng.Intn(50))), ast.Int(int64(rng.Intn(50)))}})
-		joinEDB.Add(ast.GroundAtom{Pred: "C", Args: []ast.Const{ast.Int(int64(rng.Intn(50))), ast.Int(int64(rng.Intn(50)))}})
-	}
-	for i := int64(0); i < 10; i++ {
-		joinEDB.Add(ast.GroundAtom{Pred: "S", Args: []ast.Const{ast.Int(i)}})
-	}
-	layered := workload.Layered(12)
-	goal, frozen := chase.FreezeRule(layeredUnfolding(12))
-	for _, noStream := range []bool{false, true} {
-		name := "stream"
-		if noStream {
-			name = "materialize"
-		}
-		b.Run("wide-join/"+name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, _, err := eval.Eval(join, joinEDB, eval.Options{NoStream: noStream}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run("containment-goal/"+name, func(b *testing.B) {
-			pr, err := eval.Prepare(layered, eval.Options{NoStream: noStream})
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			// EvalGoalProv is what chase.Checker.ContainsRule issues per
-			// verdict: goal-directed, budget-free, provenance-recording.
-			for i := 0; i < b.N; i++ {
-				var prov eval.RuleSet
-				_, reached, _, err := pr.EvalGoalProv(frozen, &goal, 0, &prov)
-				if err != nil || !reached {
-					b.Fatal(reached, err)
 				}
 			}
 		})

@@ -9,7 +9,9 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"runtime"
 	"strconv"
 	"strings"
 )
@@ -28,6 +30,8 @@ type Report struct {
 	Goos       string   `json:"goos,omitempty"`
 	Goarch     string   `json:"goarch,omitempty"`
 	CPU        string   `json:"cpu,omitempty"`
+	GoVersion  string   `json:"go_version"`
+	GoMaxProcs int      `json:"gomaxprocs"`
 	Benchmarks []Result `json:"benchmarks"`
 }
 
@@ -35,28 +39,14 @@ func main() {
 	out := flag.String("o", "", "output file (default stdout)")
 	flag.Parse()
 
-	var rep Report
-	sc := bufio.NewScanner(os.Stdin)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
-	for sc.Scan() {
-		line := sc.Text()
-		switch {
-		case strings.HasPrefix(line, "goos:"):
-			rep.Goos = strings.TrimSpace(strings.TrimPrefix(line, "goos:"))
-		case strings.HasPrefix(line, "goarch:"):
-			rep.Goarch = strings.TrimSpace(strings.TrimPrefix(line, "goarch:"))
-		case strings.HasPrefix(line, "cpu:"):
-			rep.CPU = strings.TrimSpace(strings.TrimPrefix(line, "cpu:"))
-		case strings.HasPrefix(line, "Benchmark"):
-			if r, ok := parseLine(line); ok {
-				rep.Benchmarks = append(rep.Benchmarks, r)
-			}
-		}
-	}
-	if err := sc.Err(); err != nil {
+	rep, err := parse(os.Stdin)
+	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
 	}
+	// benchjson runs in the same `make bench` invocation as the benchmarks,
+	// so its toolchain is theirs.
+	rep.GoVersion = runtime.Version()
 
 	enc, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
@@ -75,24 +65,80 @@ func main() {
 	fmt.Fprintf(os.Stderr, "benchjson: wrote %d benchmarks to %s\n", len(rep.Benchmarks), *out)
 }
 
+// parse reads `go test -bench` output. go test appends -GOMAXPROCS to every
+// benchmark name of a run, and nothing at GOMAXPROCS=1 — so a trailing -N is
+// that suffix only when every line carries the same one; otherwise it is a
+// benchmark's own parameter (layers-4, layers-8) and stays. Two lines with
+// the same name are an error: a report with colliding rows cannot be
+// compared across runs.
+func parse(r io.Reader) (Report, error) {
+	rep := Report{GoMaxProcs: 1}
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	for sc.Scan() {
+		line := sc.Text()
+		switch {
+		case strings.HasPrefix(line, "goos:"):
+			rep.Goos = strings.TrimSpace(strings.TrimPrefix(line, "goos:"))
+		case strings.HasPrefix(line, "goarch:"):
+			rep.Goarch = strings.TrimSpace(strings.TrimPrefix(line, "goarch:"))
+		case strings.HasPrefix(line, "cpu:"):
+			rep.CPU = strings.TrimSpace(strings.TrimPrefix(line, "cpu:"))
+		case strings.HasPrefix(line, "Benchmark"):
+			if r, ok := parseLine(line); ok {
+				rep.Benchmarks = append(rep.Benchmarks, r)
+			}
+		}
+	}
+	if err := sc.Err(); err != nil {
+		return rep, err
+	}
+	if procs, ok := commonProcsSuffix(rep.Benchmarks); ok {
+		rep.GoMaxProcs = procs
+		for i := range rep.Benchmarks {
+			name := rep.Benchmarks[i].Name
+			rep.Benchmarks[i].Name = name[:strings.LastIndex(name, "-")]
+		}
+	}
+	seen := make(map[string]bool, len(rep.Benchmarks))
+	for _, b := range rep.Benchmarks {
+		if seen[b.Name] {
+			return rep, fmt.Errorf("duplicate benchmark name %q", b.Name)
+		}
+		seen[b.Name] = true
+	}
+	return rep, nil
+}
+
+// commonProcsSuffix reports the -N suffix shared by every benchmark name.
+func commonProcsSuffix(bs []Result) (int, bool) {
+	procs := 0
+	for _, b := range bs {
+		i := strings.LastIndex(b.Name, "-")
+		if i <= 0 {
+			return 0, false
+		}
+		n, err := strconv.Atoi(b.Name[i+1:])
+		if err != nil || n <= 0 || (procs != 0 && n != procs) {
+			return 0, false
+		}
+		procs = n
+	}
+	return procs, procs != 0
+}
+
 // parseLine parses one `BenchmarkX-8  100  123 ns/op  45 B/op  6 allocs/op`
-// line. The -N GOMAXPROCS suffix is stripped from the name.
+// line, name verbatim.
 func parseLine(line string) (Result, bool) {
 	fields := strings.Fields(line)
 	if len(fields) < 4 {
 		return Result{}, false
 	}
-	name := fields[0]
-	if i := strings.LastIndex(name, "-"); i > 0 {
-		if _, err := strconv.Atoi(name[i+1:]); err == nil {
-			name = name[:i]
-		}
-	}
 	runs, err := strconv.ParseInt(fields[1], 10, 64)
 	if err != nil {
 		return Result{}, false
 	}
-	r := Result{Name: name, Runs: runs}
+	r := Result{Name: fields[0], Runs: runs}
 	for i := 2; i+1 < len(fields); i += 2 {
 		val, unit := fields[i], fields[i+1]
 		switch unit {

@@ -31,9 +31,8 @@
 //	-v        print cache/session statistics (compare, minimize)
 //	-json     machine-readable vet output
 //	-addr     listen address for serve (default 127.0.0.1:8371)
-//	-workers  parallel rule workers per fixpoint round (0 = sequential)
 //	-shards   hash-partition shards per fixpoint round (0 or 1 = unsharded);
-//	          for serve, both become the server's session defaults
+//	          for serve, the server's session default
 //
 // The command implementations live in sibling files by family: cmd_show.go
 // (parse/fmt/graph/magic/explain), cmd_eval.go (eval/query/tquery/check),
@@ -78,7 +77,6 @@ func run(args []string, out io.Writer) error {
 	verbose := fs.Bool("v", false, "print cache/session statistics")
 	jsonOut := fs.Bool("json", false, "machine-readable vet output")
 	addr := fs.String("addr", "127.0.0.1:8371", "listen address for serve")
-	workers := fs.Int("workers", 0, "parallel rule workers per fixpoint round (0 = sequential)")
 	shards := fs.Int("shards", 0, "hash-partition shards per fixpoint round (0 or 1 = unsharded)")
 	fs.SetOutput(out)
 	if err := fs.Parse(args); err != nil {
@@ -94,7 +92,6 @@ func run(args []string, out io.Writer) error {
 	if *naive {
 		c.opts.Strategy = eval.Naive
 	}
-	c.opts.Workers = *workers
 	c.opts.Shards = *shards
 
 	switch cmd {

@@ -107,7 +107,7 @@ func TestServeCommand(t *testing.T) {
 		t.Fatalf("healthz: %s", s)
 	}
 	post("/v1/programs/authz/facts",
-		`{"tenant":"acme","facts":"Member(\"ann\",\"eng\").\nGrant(\"eng\",\"handbook\")."}`)
+		`{"tenant":"acme","assert":"Member(\"ann\",\"eng\").\nGrant(\"eng\",\"handbook\")."}`)
 	evalOut := post("/v1/programs/authz/eval",
 		`{"tenant":"acme","query":"CanRead(u, d)"}`)
 	if !strings.Contains(evalOut, "ann") || !strings.Contains(evalOut, "handbook") {

@@ -202,14 +202,12 @@ type SessionOptions struct {
 	// built over the same cache share delta-patched plans by content
 	// address.
 	PlanCache *PlanCache
-	// Workers sets the default evaluation parallelism for sessions built
-	// with these options (0 = the library default). Shards sets the default
-	// shard count for the sharded round executor (0 or 1 = unsharded).
-	// Sessions prepare their plan under these values — the plan key includes
-	// both — and per-request overrides (Session.EvalWith) resolve plan
-	// variants through the same cache.
-	Workers int
-	Shards  int
+	// Shards sets the default shard count for the sharded round executor
+	// (0 or 1 = unsharded) for sessions built with these options. Sessions
+	// prepare their plan under this value — the plan key includes it — and
+	// per-request overrides (Session.EvalWith) resolve plan variants through
+	// the same cache.
+	Shards int
 }
 
 // sessionCache resolves the variadic options to a plan cache (nil = the
@@ -224,15 +222,12 @@ func sessionCache(opts []SessionOptions) *PlanCache {
 }
 
 // sessionResolve folds the variadic options into one: the first non-nil
-// plan cache and the first nonzero Workers/Shards win.
+// plan cache and the first nonzero Shards win.
 func sessionResolve(opts []SessionOptions) SessionOptions {
 	var r SessionOptions
 	for _, o := range opts {
 		if r.PlanCache == nil {
 			r.PlanCache = o.PlanCache
-		}
-		if r.Workers == 0 {
-			r.Workers = o.Workers
 		}
 		if r.Shards == 0 {
 			r.Shards = o.Shards

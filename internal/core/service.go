@@ -4,7 +4,6 @@ import (
 	"context"
 	"sync"
 
-	"repro/internal/ast"
 	"repro/internal/chase"
 	"repro/internal/db"
 	"repro/internal/eval"
@@ -62,7 +61,7 @@ var ErrBudget = eval.ErrBudget
 // A Service is safe for concurrent use.
 type Service struct {
 	cache *PlanCache     // nil = process-wide
-	base  SessionOptions // defaults (Workers/Shards) for sessions it opens
+	base  SessionOptions // defaults (Shards) for sessions it opens
 
 	mu       sync.Mutex
 	sessions map[string]*Session
@@ -70,7 +69,7 @@ type Service struct {
 
 // NewService returns an empty session registry. Sessions it opens prepare
 // through the injected plan cache (SessionOptions), or the process-wide one,
-// and inherit the options' Workers/Shards defaults.
+// and inherit the options' Shards default.
 func NewService(sess ...SessionOptions) *Service {
 	o := sessionResolve(sess)
 	return &Service{cache: o.PlanCache, base: o, sessions: make(map[string]*Session)}
@@ -174,7 +173,7 @@ type Session struct {
 // normally go through Service.Open, which dedups by content address).
 func NewSession(p *Program, sess ...SessionOptions) (*Session, error) {
 	o := sessionResolve(sess)
-	base := EvalOptions{Workers: o.Workers, Shards: o.Shards}
+	base := EvalOptions{Shards: o.Shards}
 	prep, err := PrepareEval(p, base, SessionOptions{PlanCache: o.PlanCache})
 	if err != nil {
 		return nil, err
@@ -197,13 +196,12 @@ func (s *Session) Eval(ctx context.Context, input *Database) (*Database, EvalSta
 }
 
 // EvalRequestOptions tunes one evaluation request beyond the session's
-// defaults: zero fields inherit the session's prepared values. Workers and
-// Shards select a plan variant through the session's plan cache (the plan
-// key includes both, so repeated tuned requests are lookups, not
+// defaults: zero fields inherit the session's prepared values. Shards
+// selects a plan variant through the session's plan cache (the plan key
+// includes it, so repeated tuned requests are lookups, not
 // re-preparations); MaxDerived > 0 bounds the facts derived beyond the
 // input, returning an error wrapping ErrBudget when exhausted.
 type EvalRequestOptions struct {
-	Workers    int
 	Shards     int
 	MaxDerived int
 }
@@ -215,15 +213,9 @@ type EvalRequestOptions struct {
 // plan is never replaced.
 func (s *Session) EvalWith(ctx context.Context, input *Database, req EvalRequestOptions) (*Database, EvalStats, error) {
 	prep := s.prep
-	if (req.Workers != 0 && req.Workers != s.base.Workers) ||
-		(req.Shards != 0 && req.Shards != s.base.Shards) {
+	if req.Shards != 0 && req.Shards != s.base.Shards {
 		opts := s.base
-		if req.Workers != 0 {
-			opts.Workers = req.Workers
-		}
-		if req.Shards != 0 {
-			opts.Shards = req.Shards
-		}
+		opts.Shards = req.Shards
 		p, err := PrepareEval(s.prog, opts, SessionOptions{PlanCache: s.cache})
 		if err != nil {
 			return nil, EvalStats{}, err
@@ -242,16 +234,7 @@ func (s *Session) Query(ctx context.Context, input *Database, query Atom) ([][]C
 	if err != nil {
 		return nil, st, err
 	}
-	var rows [][]Const
-	b := ast.Binding{}
-	db.MatchAtom(out, query, db.AllRounds, b, func() bool {
-		g := query.MustGround(b)
-		t := make([]Const, len(g.Args))
-		copy(t, g.Args)
-		rows = append(rows, t)
-		return true
-	})
-	return rows, st, nil
+	return db.Select(out, query), st, nil
 }
 
 // Minimize runs Fig. 2 minimization of the session program under ctx. The

@@ -193,3 +193,16 @@ func OrderPermSized(atoms []ast.Atom, bound map[string]bool, sizeOf func(pred st
 	}
 	return out
 }
+
+// Select returns the tuples of d matching the query atom's pattern
+// (constants filter, repeated variables must agree, every column is
+// returned), in the relation's insertion order. The rows are copies.
+func Select(d *Database, query ast.Atom) [][]ast.Const {
+	var rows [][]ast.Const
+	b := ast.Binding{}
+	MatchAtom(d, query, AllRounds, b, func() bool {
+		rows = append(rows, query.MustGround(b).Args)
+		return true
+	})
+	return rows
+}

@@ -1,6 +1,7 @@
 package db
 
 import (
+	"fmt"
 	"sort"
 	"sync"
 	"testing"
@@ -267,5 +268,33 @@ func TestOrderForJoinSized(t *testing.T) {
 	plain := OrderForJoin(atoms, nil)
 	if plain[0].Pred != "Big" {
 		t.Fatalf("tie-break changed: %v", plain)
+	}
+}
+
+// TestSelect pins the query-projection helper every Query entry point
+// shares: constants filter, repeated variables must agree, rows come back
+// whole, in insertion order, as copies.
+func TestSelect(t *testing.T) {
+	d := New()
+	for _, g := range []ast.GroundAtom{ga("A", 3, 3), ga("A", 1, 2), ga("A", 1, 1), ga("B", 1, 9)} {
+		d.Add(g)
+	}
+	rows := func(q ast.Atom) string { return fmt.Sprint(Select(d, q)) }
+	if got := rows(ast.NewAtom("A", ast.Var("x"), ast.Var("y"))); got != "[[3 3] [1 2] [1 1]]" {
+		t.Fatalf("all of A = %s", got)
+	}
+	if got := rows(ast.NewAtom("A", ast.IntTerm(1), ast.Var("y"))); got != "[[1 2] [1 1]]" {
+		t.Fatalf("A(1, y) = %s", got)
+	}
+	if got := rows(ast.NewAtom("A", ast.Var("x"), ast.Var("x"))); got != "[[3 3] [1 1]]" {
+		t.Fatalf("A(x, x) = %s", got)
+	}
+	if got := Select(d, ast.NewAtom("C", ast.Var("x"))); got != nil {
+		t.Fatalf("missing relation = %v", got)
+	}
+	out := Select(d, ast.NewAtom("B", ast.Var("x"), ast.Var("y")))
+	out[0][1] = 0
+	if !d.Has(ga("B", 1, 9)) {
+		t.Fatal("Select returned a view into the arena, not a copy")
 	}
 }

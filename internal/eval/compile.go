@@ -1,23 +1,11 @@
 package eval
 
-import (
-	"math"
+import "repro/internal/ast"
 
-	"repro/internal/ast"
-	"repro/internal/db"
-)
-
-// The compiled evaluator lowers a rule to integer variable slots before the
-// fixpoint loops run: variables become indexes into a flat []Const frame,
-// atoms become (predicate, slot-or-constant) patterns, and the nested-loops
-// join walks relation ids directly. It computes exactly what the generic
-// path (db.MatchSeq over ast.Binding) computes — a cross-check property
-// test and the NoCompile ablation keep it honest — while avoiding map
-// lookups and per-candidate atom re-verification in the hot loop.
-
-// unset marks an unbound slot in a frame. It lies outside every constant
-// range (integers, symbols, frozen constants, nulls are all > math.MinInt64).
-const unset = ast.Const(math.MinInt64)
+// Slot lowering is the operator pipeline's front end: variables become
+// indexes into a flat []Const frame and atoms become (predicate,
+// slot-or-constant) patterns, so the pipeline (stream.go) never touches a
+// variable name or a binding map.
 
 // compiledAtom is an atom over variable slots: args[i] ≥ 0 is a slot index,
 // args[i] < 0 means constant consts[i].
@@ -75,222 +63,4 @@ func compileRule(r ast.Rule) *compiledRule {
 	cr.head = lower(r.Head)
 	cr.nVars = len(slots)
 	return cr
-}
-
-// frame is the reusable evaluation state for one compiled rule.
-type frame struct {
-	vals []ast.Const
-	// scratch buffers for index lookups and head grounding.
-	cols []int
-	key  []ast.Const
-	out  []ast.Const
-}
-
-func newFrame(cr *compiledRule) *frame {
-	maxArity := len(cr.head.args)
-	for _, a := range cr.body {
-		if len(a.args) > maxArity {
-			maxArity = len(a.args)
-		}
-	}
-	return &frame{
-		vals: make([]ast.Const, cr.nVars),
-		cols: make([]int, 0, maxArity),
-		key:  make([]ast.Const, 0, maxArity),
-		out:  make([]ast.Const, maxArity),
-	}
-}
-
-// fire evaluates the rule against d with per-position round windows,
-// passing each successful head instantiation to emit (which reports
-// whether the fact was new). It mirrors fireConstraints; the emit
-// indirection lets the parallel evaluator collect derivations into local
-// buffers instead of inserting immediately. A non-nil stop is polled after
-// every new emission and aborts the enumeration when it reports true — the
-// hook the derived-fact budget uses to halt mid-round.
-func (cr *compiledRule) fire(d *db.Database, windows []db.RoundWindow, stats *Stats, emit func(pred string, args []ast.Const) bool, stop func() bool) {
-	f := newFrame(cr)
-	for i := range f.vals {
-		f.vals[i] = unset
-	}
-	cr.join(d, windows, 0, f, stats, nil, emit, stop)
-}
-
-// shardScan carries one sharded task's state through the join: the outer
-// atom's ownership view and the task's shard select which position-0 tuples
-// this task enumerates, and the captured ids of the first one or two join
-// positions become the emission's merge key (see roundEnv.runRound), which
-// is how the sharded commit reconstructs the sequential emission order
-// byte for byte.
-type shardScan struct {
-	view  db.ShardView
-	shard uint8
-	// tagInner marks a swapped (delta-first) execution: position 0 is the
-	// delta atom and position 1 the plan's original outer, so the merge key
-	// is (id1, id0) — plan-outer major, delta minor — matching the order the
-	// unswapped sequential join would have emitted in.
-	tagInner bool
-	id0, id1 int32
-}
-
-// fireShard is fire for one shard slice of a variant: position-0 tuples not
-// owned by sc.shard are skipped, and each emission is tagged with its merge
-// key. Rules with empty bodies (ground heads) run on shard 0 only.
-func (cr *compiledRule) fireShard(d *db.Database, windows []db.RoundWindow, stats *Stats, sc *shardScan, emit func(k1, k2 int32, pred string, args []ast.Const) bool, stop func() bool) {
-	if len(cr.body) == 0 && sc.shard != 0 {
-		return
-	}
-	f := newFrame(cr)
-	for i := range f.vals {
-		f.vals[i] = unset
-	}
-	em := func(pred string, args []ast.Const) bool {
-		if sc.tagInner {
-			return emit(sc.id1, sc.id0, pred, args)
-		}
-		return emit(sc.id0, 0, pred, args)
-	}
-	cr.join(d, windows, 0, f, stats, sc, em, stop)
-}
-
-// join returns false when the enumeration was aborted by stop. A non-nil sc
-// restricts position 0 to the tuples owned by sc's shard and records the
-// merge-key ids as the enumeration binds them.
-func (cr *compiledRule) join(d *db.Database, windows []db.RoundWindow, pos int, f *frame, stats *Stats, sc *shardScan, emit func(string, []ast.Const) bool, stop func() bool) bool {
-	if pos == len(cr.body) {
-		// Negated literals: all slots bound by safety.
-		for _, n := range cr.neg {
-			args := f.out[:len(n.args)]
-			for i, s := range n.args {
-				if s < 0 {
-					args[i] = n.consts[i]
-				} else {
-					args[i] = f.vals[s]
-				}
-			}
-			if d.HasTuple(n.pred, args) {
-				return true
-			}
-		}
-		stats.Firings++
-		args := f.out[:len(cr.head.args)]
-		for i, s := range cr.head.args {
-			if s < 0 {
-				args[i] = cr.head.consts[i]
-			} else {
-				args[i] = f.vals[s]
-			}
-		}
-		if emit(cr.head.pred, args) {
-			stats.Added++
-			if stop != nil && stop() {
-				return false
-			}
-		}
-		return true
-	}
-
-	a := cr.body[pos]
-	rel := d.Relation(a.pred)
-	if rel == nil || rel.Arity() != len(a.args) {
-		return true
-	}
-	w := windows[pos]
-
-	// Collect bound columns (constants and already-bound slots). The
-	// shared scratch is only used up to the probe below, so deeper
-	// recursion levels may freely reuse it.
-	f.cols = f.cols[:0]
-	f.key = f.key[:0]
-	for i, s := range a.args {
-		if s < 0 {
-			f.cols = append(f.cols, i)
-			f.key = append(f.key, a.consts[i])
-		} else if f.vals[s] != unset {
-			f.cols = append(f.cols, i)
-			f.key = append(f.key, f.vals[s])
-		}
-	}
-
-	try := func(id int32) bool {
-		if !w.Contains(rel.RoundOf(int(id))) {
-			return true
-		}
-		if sc != nil {
-			// Ownership and merge-key capture, after the window check: ids a
-			// window admits are always covered by the views and assignments
-			// frozen at the round boundary (stamps are non-decreasing).
-			if pos == 0 {
-				if sc.view.Owner(id) != sc.shard {
-					return true
-				}
-				sc.id0 = id
-			} else if pos == 1 && sc.tagInner {
-				sc.id1 = id
-			}
-		}
-		tuple := rel.Tuple(int(id))
-		var boundArr [16]int
-		boundSlots := boundArr[:0]
-		ok := true
-		for i, s := range a.args {
-			if s < 0 {
-				if tuple[i] != a.consts[i] {
-					ok = false
-					break
-				}
-				continue
-			}
-			if v := f.vals[s]; v != unset {
-				if v != tuple[i] {
-					ok = false
-					break
-				}
-				continue
-			}
-			f.vals[s] = tuple[i]
-			boundSlots = append(boundSlots, s)
-		}
-		cont := true
-		if ok {
-			cont = cr.join(d, windows, pos+1, f, stats, sc, emit, stop)
-		}
-		for _, s := range boundSlots {
-			f.vals[s] = unset
-		}
-		return cont
-	}
-
-	switch {
-	case len(f.cols) == 0:
-		// Nothing bound: scan the window's contiguous id-range directly.
-		// Round stamps are non-decreasing with insertion order, so the ids a
-		// window [Min, Max] admits are exactly [LenAt(Min-1), LenAt(Max)) —
-		// a delta window enumerates only the delta instead of scanning the
-		// whole relation and filtering. Bounds are captured once; tuples
-		// inserted mid-scan carry the current round, beyond every window.
-		lo := 0
-		if w.Min > 0 {
-			lo = rel.LenAt(w.Min - 1)
-		}
-		n := rel.LenAt(w.Max)
-		for id := lo; id < n; id++ {
-			if !try(int32(id)) {
-				return false
-			}
-		}
-	case len(f.cols) == len(a.args):
-		// Fully bound: a single dedup-table probe, no index needed.
-		if id, ok := rel.LookupID(f.key); ok {
-			return try(id)
-		}
-	default:
-		it := rel.ProbeIter(f.cols, f.key, w.Max)
-		for id, ok := it.Next(); ok; id, ok = it.Next() {
-			if !try(id) {
-				return false
-			}
-		}
-	}
-	return true
 }

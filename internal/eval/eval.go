@@ -60,8 +60,9 @@ func CtxErr(ctx context.Context) error {
 }
 
 // ctxCheckEvery is the emit-path cancellation cadence: the context is polled
-// once per this many derived facts, keeping the check off the per-tuple hot
-// path while bounding how much work a canceled evaluation can still do.
+// once per this many head emissions (new facts and duplicates alike),
+// keeping the check off the per-tuple hot path while bounding how much work
+// a canceled evaluation can still do.
 const ctxCheckEvery = 128
 
 // Options configures evaluation.
@@ -75,31 +76,16 @@ type Options struct {
 	// NoSCCOrder disables the SCC-ordered schedule and runs all rules in a
 	// single fixpoint; used by ablation benchmarks.
 	NoSCCOrder bool
-	// NoCompile disables the slot-compiled rule evaluator and joins through
-	// the generic binding-map matcher; used by ablation benchmarks and the
-	// cross-check property test.
-	NoCompile bool
-	// NoStream disables the streaming operator pipeline for non-recursive
-	// strata and forces the materializing kernel everywhere; used by ablation
-	// benchmarks and the streaming≡materializing property test. Implied by
-	// NoCompile (the pipeline lowers from the compiled form).
-	NoStream bool
-	// Workers > 1 evaluates each round's rule variants (and, under Shards,
-	// each variant's shard slices) concurrently, collecting derivations into
-	// per-task buffers and merging them after the round (semi-naive windows
-	// never read the current round, so deferring insertion is
-	// observationally identical). Workers ≤ 1 is sequential.
-	Workers int
-	// Shards > 1 enables the sharded round executor: every relation gains a
+	// Shards > 1 runs every round sharded: every relation gains a
 	// hash-partitioned ownership view over a planner-chosen join-key column,
 	// and each round's variants split into per-shard tasks that enumerate
-	// only their owned slice of the outer delta window (delta-first, walking
-	// the contiguous round range directly) while inner probes read the
-	// shared frozen indexes. Buffered derivations are committed in a
-	// deterministic merge order, so the output database — including goal
-	// early-stop partial databases — is byte-identical to Shards ≤ 1 for any
-	// shard count. Shards is capped at 256 and normalized to 1 under
-	// NoCompile (the sharded executor is part of the compiled kernel).
+	// only their owned slice of the outer window (delta-first, walking the
+	// contiguous round range directly) while inner probes read the shared
+	// frozen indexes. Tasks run on up to min(Shards, GOMAXPROCS) goroutines.
+	// Buffered derivations are committed in a deterministic merge order, so
+	// the output database — including goal early-stop partial databases — is
+	// byte-identical to Shards ≤ 1 for any shard count. Shards is capped at
+	// 256.
 	Shards int
 	// MaxDerived bounds the number of new facts; 0 means unlimited. Pure
 	// Datalog always terminates, so the bound exists for callers that embed
@@ -149,20 +135,23 @@ type Stats struct {
 	// the tested rule is θ-subsumed by a rule of the containing program (or
 	// is a tautology), so the chase was skipped entirely.
 	VerdictsSubsumed int
-	// StrataStreamed / StrataMaterialized count fixpoint units executed by
-	// the streaming operator pipeline versus the materializing join kernel —
-	// the planner's per-stratum decision, observable.
+	// StrataStreamed / StrataMaterialized count fixpoint units by how they
+	// converged: StrataStreamed reached their fixpoint in one pass (no rule
+	// reads the unit's own heads, so semi-naive runs one full application
+	// and no confirmation round), StrataMaterialized needed delta rounds
+	// (recursive units, and every unit under the naive strategy). The names
+	// predate the single kernel; both kinds run on the same pipeline.
 	StrataStreamed     int
 	StrataMaterialized int
-	// BindingsPipelined counts tuples successfully bound through a streaming
-	// operator: the pipeline's total intermediate-result size, which the
-	// materializing kernel would have buffered.
+	// BindingsPipelined counts every tuple successfully bound by a pipeline
+	// operator, in every round of every unit: the joins' total
+	// intermediate-result size.
 	BindingsPipelined int
-	// EarlyStopCuts counts streaming passes cut mid-pipeline by a goal hit
-	// or an exhausted derived-fact budget.
+	// EarlyStopCuts counts sequential passes cut mid-pipeline by a goal hit,
+	// an exhausted derived-fact budget or a cancellation.
 	EarlyStopCuts int
-	// ShardRounds counts shard-round executions: a materializing round run
-	// under Shards=N adds N (one per shard slice of the round).
+	// ShardRounds counts shard-round executions: a round run under Shards=N
+	// adds N (one per shard slice of the round).
 	ShardRounds int
 	// DeltaExchanged counts boundary-delta exchanges: facts committed whose
 	// owner shard (by the head predicate's partition column) differs from
@@ -205,9 +194,9 @@ func (s *Stats) AddCache(o Stats) {
 	s.VerdictsSubsumed += o.VerdictsSubsumed
 }
 
-// AddStreaming accumulates o's streaming-executor counters into s. Session
-// layers that run many internal evaluations (the containment chases) use it
-// to surface how much of their work rode the pipeline.
+// AddStreaming accumulates o's pipeline counters into s. Session layers
+// that run many internal evaluations (the containment chases) use it to
+// surface how their strata converged and how much the joins bound.
 func (s *Stats) AddStreaming(o Stats) {
 	s.StrataStreamed += o.StrataStreamed
 	s.StrataMaterialized += o.StrataMaterialized
@@ -305,9 +294,8 @@ type indexNeed struct {
 // nested-loops joins over the given ordered rule bodies will probe: for
 // each body atom, the positions holding constants or variables bound by an
 // earlier atom. Fully-bound atoms probe the dedup table and unbound atoms
-// scan, so neither needs an index. Both the compiled and the generic
-// evaluator bind variables atom-by-atom in exactly this order, so the set
-// is exact — pre-building these indexes at round boundaries is what makes
+// scan, so neither needs an index. The pipeline binds variables
+// atom-by-atom in exactly this order, so the set is exact — pre-building these indexes at round boundaries is what makes
 // every in-round probe a lock-free read.
 func indexNeeds(rules []ast.Rule) []indexNeed {
 	var out []indexNeed
@@ -348,66 +336,6 @@ func checkBudget(d *db.Database, baseLen int, opts Options) error {
 	return nil
 }
 
-// fullWindows gives every body position the window [0, maxRound].
-func fullWindows(n int, maxRound int32) []db.RoundWindow {
-	ws := make([]db.RoundWindow, n)
-	for i := range ws {
-		ws[i] = db.RoundWindow{Min: 0, Max: maxRound}
-	}
-	return ws
-}
-
-// deltaWindows gives position i the last round's delta, earlier positions
-// strictly older facts, later positions anything up to the last round.
-func deltaWindows(n, i int, prev int32) []db.RoundWindow {
-	ws := make([]db.RoundWindow, n)
-	for j := range ws {
-		switch {
-		case j < i:
-			ws[j] = db.RoundWindow{Min: 0, Max: prev - 1}
-		case j == i:
-			ws[j] = db.RoundWindow{Min: prev, Max: prev}
-		default:
-			ws[j] = db.RoundWindow{Min: 0, Max: prev}
-		}
-	}
-	return ws
-}
-
-func fireConstraints(d *db.Database, r ast.Rule, cs []db.Constraint, stats *Stats, emit func(string, []ast.Const) bool, stop func() bool) error {
-	b := ast.Binding{}
-	var firingErr error
-	db.MatchSeq(d, cs, b, func() bool {
-		// Stratified negation: every variable of a negated atom is bound by
-		// safety, so the check is a simple absence test against the
-		// already-complete lower strata.
-		for _, n := range r.NegBody {
-			g, err := n.Ground(b)
-			if err != nil {
-				firingErr = err
-				return false
-			}
-			if d.Has(g) {
-				return true
-			}
-		}
-		stats.Firings++
-		h, err := r.Head.Ground(b)
-		if err != nil {
-			firingErr = err
-			return false
-		}
-		if emit(h.Pred, h.Args) {
-			stats.Added++
-			if stop != nil && stop() {
-				return false
-			}
-		}
-		return true
-	})
-	return firingErr
-}
-
 // anyAddedIn reports whether any fact carries the given round stamp.
 func anyAddedIn(d *db.Database, round int32) bool {
 	for _, p := range d.Preds() {
@@ -424,32 +352,18 @@ func anyAddedIn(d *db.Database, round int32) bool {
 	return false
 }
 
-// NonRecursive computes Pⁿ(d) as defined in Section IX: the set of head
-// instantiations h·θ such that the body of some rule grounds into d. The
-// result does not include d itself (the paper's convention for Pⁿ), and no
-// derived fact feeds back into another derivation. Negated body atoms (the
-// stratified extension) are checked against d.
-func NonRecursive(p *ast.Program, d *db.Database) *db.Database {
-	out := db.New()
-	for _, r := range p.Rules {
-		cs := make([]db.Constraint, len(r.Body))
-		for i, a := range db.OrderForJoin(r.Body, nil) {
-			cs[i] = db.Constraint{Atom: a, Window: db.AllRounds}
-		}
-		b := ast.Binding{}
-		neg := r.NegBody
-		head := r.Head
-		db.MatchSeq(d, cs, b, func() bool {
-			for _, n := range neg {
-				if d.Has(n.MustGround(b)) {
-					return true
-				}
-			}
-			out.Add(head.MustGround(b))
-			return true
-		})
+// onePassOf wraps p for the schedule-free one-step operators; like MustEval
+// it panics on an invalid program.
+func onePassOf(p *ast.Program) *Prepared {
+	if err := p.Validate(); err != nil {
+		panic(err)
 	}
-	return out
+	return &Prepared{prog: p}
+}
+
+// NonRecursive computes Pⁿ(d) (Section IX) — see Prepared.NonRecursive.
+func NonRecursive(p *ast.Program, d *db.Database) *db.Database {
+	return onePassOf(p).NonRecursive(d)
 }
 
 // PreliminaryDB computes the preliminary DB of Section X for an EDB d: the
@@ -467,32 +381,7 @@ func PreliminaryDB(p *ast.Program, edb *db.Database) *db.Database {
 // generates no ground atom outside d. For rules with negation the check uses
 // the same stratified reading as Eval.
 func IsModel(p *ast.Program, d *db.Database) bool {
-	counterexample := false
-	for _, r := range p.Rules {
-		cs := make([]db.Constraint, len(r.Body))
-		for i, a := range db.OrderForJoin(r.Body, nil) {
-			cs[i] = db.Constraint{Atom: a, Window: db.AllRounds}
-		}
-		b := ast.Binding{}
-		neg := r.NegBody
-		head := r.Head
-		db.MatchSeq(d, cs, b, func() bool {
-			for _, n := range neg {
-				if d.Has(n.MustGround(b)) {
-					return true
-				}
-			}
-			if !d.Has(head.MustGround(b)) {
-				counterexample = true
-				return false
-			}
-			return true
-		})
-		if counterexample {
-			return false
-		}
-	}
-	return true
+	return onePassOf(p).IsClosed(d)
 }
 
 // Query evaluates p on input and returns the tuples of the result matching
@@ -503,14 +392,5 @@ func Query(p *ast.Program, input *db.Database, query ast.Atom, opts Options) ([]
 	if err != nil {
 		return nil, err
 	}
-	var tuples [][]ast.Const
-	b := ast.Binding{}
-	db.MatchAtom(out, query, db.AllRounds, b, func() bool {
-		g := query.MustGround(b)
-		t := make([]ast.Const, len(g.Args))
-		copy(t, g.Args)
-		tuples = append(tuples, t)
-		return true
-	})
-	return tuples, nil
+	return db.Select(out, query), nil
 }

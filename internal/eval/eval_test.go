@@ -227,15 +227,7 @@ func TestBudgetEnforcedWithinRound(t *testing.T) {
 	if stats.Added > budget+1 {
 		t.Fatalf("derived %d facts within the round, budget %d: overshoot not bounded", stats.Added, budget)
 	}
-	// Same enforcement through the generic (NoCompile) matcher.
-	_, stats, err = Eval(p, edb, Options{MaxDerived: budget, NoCompile: true})
-	if !errors.Is(err, ErrBudget) {
-		t.Fatalf("NoCompile err = %v, want ErrBudget", err)
-	}
-	if stats.Added > budget+1 {
-		t.Fatalf("NoCompile derived %d facts, budget %d", stats.Added, budget)
-	}
-	// And through Incremental's delta loop: closing over the new A facts
+	// Same enforcement through Incremental's insert loop: closing over the new A facts
 	// derives the same cross product in one delta round.
 	out := MustEval(p, db.New())
 	var facts []ast.GroundAtom
@@ -252,7 +244,7 @@ func TestBudgetEnforcedWithinRound(t *testing.T) {
 }
 
 // TestBudgetParallelStillErrs checks that the budget tripwire also fires on
-// the parallel path (the check there counts tentative derivations, so it
+// the sharded path (the check there counts tentative derivations, so it
 // may stop slightly conservatively but must still return ErrBudget when the
 // budget is genuinely exceeded).
 func TestBudgetParallelStillErrs(t *testing.T) {
@@ -266,12 +258,12 @@ func TestBudgetParallelStillErrs(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		edb.Add(ga("A", int64(i)))
 	}
-	_, stats, err := Eval(p, edb, Options{MaxDerived: 10, Workers: 4})
+	_, stats, err := Eval(p, edb, Options{MaxDerived: 10, Shards: 4})
 	if !errors.Is(err, ErrBudget) {
 		t.Fatalf("err = %v, want ErrBudget", err)
 	}
 	if stats.Added > 20000 {
-		t.Fatalf("parallel budget did not bound the round: %d facts", stats.Added)
+		t.Fatalf("sharded budget did not bound the round: %d facts", stats.Added)
 	}
 }
 
@@ -484,9 +476,9 @@ func TestQuickSCCOrderInvariance(t *testing.T) {
 }
 
 func TestZeroArityPredicates(t *testing.T) {
-	// Zero-arity atoms flow through parsing-free construction, the
-	// compiled evaluator, and the generic matcher identically (the magic
-	// rewriting generates them for all-free queries).
+	// Zero-arity atoms flow through parsing-free construction and the
+	// pipeline like any other (the magic rewriting generates them for
+	// all-free queries).
 	p := ast.NewProgram(
 		ast.Rule{Head: ast.Atom{Pred: "Go"}, Body: []ast.Atom{{Pred: "Ready"}}},
 		ast.NewRule(ast.NewAtom("Out", ast.Var("x")),
@@ -495,46 +487,32 @@ func TestZeroArityPredicates(t *testing.T) {
 	in := db.New()
 	in.AddTuple("Ready", nil)
 	in.AddTuple("In", []ast.Const{ast.Int(7)})
-	for _, noCompile := range []bool{false, true} {
-		out, _, err := Eval(p, in, Options{NoCompile: noCompile})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !out.HasTuple("Go", nil) || !out.Has(ga("Out", 7)) {
-			t.Fatalf("noCompile=%v: %v", noCompile, out)
-		}
+	out := checkAgainstOracle(t, p, in, Options{})
+	if !out.HasTuple("Go", nil) || !out.Has(ga("Out", 7)) {
+		t.Fatalf("zero-arity rule did not fire: %v", out)
 	}
 	// Without Ready, nothing fires.
 	in2 := db.New()
 	in2.AddTuple("In", []ast.Const{ast.Int(7)})
-	out, _, err := Eval(p, in2, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	out = checkAgainstOracle(t, p, in2, Options{})
 	if out.HasTuple("Go", nil) || out.Has(ga("Out", 7)) {
 		t.Fatalf("zero-arity guard ignored: %v", out)
 	}
 }
 
 func TestRepeatedVariableInCompiledRule(t *testing.T) {
-	// Self-loop detection exercises repeated-slot verification in the
-	// compiled matcher.
+	// Self-loop detection exercises the pipeline's repeated-slot check.
 	p := parser.MustParseProgram(`Loop(x) :- E(x, x).`)
 	in := db.FromFacts([]ast.GroundAtom{ga("E", 1, 1), ga("E", 1, 2), ga("E", 3, 3)})
-	for _, noCompile := range []bool{false, true} {
-		out, _, err := Eval(p, in, Options{NoCompile: noCompile})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !out.Has(ga("Loop", 1)) || !out.Has(ga("Loop", 3)) || out.Has(ga("Loop", 2)) {
-			t.Fatalf("noCompile=%v: %v", noCompile, out)
-		}
+	out := checkAgainstOracle(t, p, in, Options{})
+	if !out.Has(ga("Loop", 1)) || !out.Has(ga("Loop", 3)) || out.Has(ga("Loop", 2)) {
+		t.Fatalf("self-loop selection: %v", out)
 	}
 }
 
 func TestWideRuleManyFreshSlots(t *testing.T) {
-	// A 10-ary atom with all-fresh variables stresses the compiled
-	// matcher's slot-undo bookkeeping beyond its small-array fast path.
+	// A 10-ary atom with all-fresh variables: one operator assigning ten
+	// slots.
 	args := make([]ast.Term, 10)
 	for i := range args {
 		args[i] = ast.Var(string(rune('a' + i)))

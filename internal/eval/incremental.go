@@ -40,66 +40,8 @@ func Incremental(p *ast.Program, out *db.Database, newFacts []ast.GroundAtom, op
 	if added == 0 {
 		return cur, stats, nil
 	}
-	if err := deltaLoop(cur, p.Rules, opts, &stats); err != nil {
+	if err := insertLoop(opts.Context, cur, p.Rules, cur.Round(), opts, &stats); err != nil {
 		return nil, stats, err
 	}
 	return cur, stats, nil
-}
-
-// deltaLoop runs semi-naive propagation assuming the latest round already
-// holds a delta (unlike fixpoint, which begins with a full application).
-// Because the pre-existing database is closed under the rules, every new
-// derivation must use at least one delta fact, so delta rules alone are
-// complete. Rounds run through the shared round executor (rounds.go), so
-// the maintenance path honors Workers and Shards — and the derived-fact
-// budget, enforced inside the emit path as in fixpoint — with exactly the
-// evaluator's disciplines.
-func deltaLoop(d *db.Database, rules []ast.Rule, opts Options, stats *Stats) error {
-	opts.Shards = normalizeShards(opts)
-	ordered := make([]ast.Rule, len(rules))
-	compiled := make([]*compiledRule, len(rules))
-	for i, r := range rules {
-		ordered[i] = r.Clone()
-		if !opts.NoReorder {
-			ordered[i].Body = db.OrderForJoin(r.Body, nil)
-		}
-		if !opts.NoCompile {
-			compiled[i] = compileRule(ordered[i])
-		}
-	}
-	needs := indexNeeds(ordered)
-	rr := roundRules{ordered: ordered, compiled: compiled, partCol: partitionCols(rules)}
-	if opts.Shards > 1 {
-		// Every body position can hold the delta here (insertions may be
-		// extensional), so every rule with a shared-variable leading join is
-		// eligible for the delta-first swap.
-		var extra []indexNeed
-		rr.swapped, extra = buildSwapped(ordered, func(string) bool { return true })
-		needs = append(needs, extra...)
-	}
-	env := &roundEnv{ctx: opts.Context, d: d, opts: opts, stats: stats, baseLen: d.Len()}
-	for {
-		prev := d.Round()
-		round := d.BeginRound()
-		stats.Rounds++
-		// Freeze the round's indexes so in-round probes are lock-free reads.
-		for _, n := range needs {
-			d.EnsureIndex(n.pred, n.cols)
-		}
-		var variants []variant
-		for idx := range ordered {
-			// Any atom can match an inserted fact (insertions may be
-			// extensional), so the delta position ranges over the whole
-			// body here rather than only the intentional positions.
-			for i := range ordered[idx].Body {
-				variants = append(variants, variant{idx, i, deltaWindows(len(ordered[idx].Body), i, prev)})
-			}
-		}
-		if err := env.runRound(rr, variants); err != nil {
-			return err
-		}
-		if !anyAddedIn(d, round) {
-			return nil
-		}
-	}
 }

@@ -43,9 +43,9 @@ import (
 // Determinism: retraction-side work is sequential, and every batch of
 // staged facts is committed in canonical (predicate, arguments) order; the
 // insertion side reuses the shared round executor (rounds.go) through
-// maintInsertLoop, so the Workers × Shards byte-identity contract of the
-// evaluator carries over to maintained views — the maintained database is
-// byte-identical across worker and shard counts.
+// insertLoop, so the Shards byte-identity contract of the evaluator carries
+// over to maintained views — the maintained database is byte-identical
+// across shard counts.
 //
 // A Maintained view is not safe for concurrent use; callers serialize
 // Apply (core.Session wraps views behind its own lock). A failed Apply
@@ -461,7 +461,7 @@ func (m *Maintained) dredUnit(ctx context.Context, u *maintUnit, old, cur, input
 	for _, g := range stagedList {
 		cur.Add(g)
 	}
-	if err := maintInsertLoop(ctx, cur, u.rules, deltaMin, m.opts, stats); err != nil {
+	if err := insertLoop(ctx, cur, u.rules, deltaMin, m.opts, stats); err != nil {
 		return err
 	}
 
@@ -606,105 +606,67 @@ func changedFirings(rules []ast.Rule, base, posDelta, negDelta *db.Database, sta
 	}
 }
 
-// maintInsertLoop is the insertion side of maintenance: semi-naive
-// propagation through the shared round executor, with a first round whose
-// delta window spans every round of the current Apply ([deltaMin, prev]) —
-// lower-unit additions, DRed-restored facts and staged asserts all carry
-// stamps in that span — and ordinary single-round delta windows after that.
-// Identical to deltaLoop otherwise, so Workers and Shards keep the
-// evaluator's determinism disciplines.
-func maintInsertLoop(ctx context.Context, d *db.Database, rules []ast.Rule, deltaMin int32, opts Options, stats *Stats) error {
-	opts.Context = ctx
-	opts.Goal = nil
-	opts.MaxDerived = 0
+// insertLoop is semi-naive insert-only propagation over a database that was
+// closed under rules before the facts stamped [deltaMin, d.Round()] arrived:
+// every new derivation must use at least one of those facts, so delta
+// variants alone are complete. It serves both callers that insert into an
+// existing fixpoint — Maintained's assert side, whose first delta spans
+// every round of the current Apply (lower-unit additions, DRed-restored
+// facts and staged asserts all carry stamps in that span), and
+// eval.Incremental, whose batch is the single round deltaMin == d.Round().
+// Later rounds are ordinary single-round deltas. Any body atom can match an
+// inserted fact (insertions may be extensional), so the delta position
+// ranges over the whole body rather than only the intentional positions.
+// Rounds run through the shared round executor, so Shards, the derived-fact
+// budget and cancellation keep the evaluator's disciplines.
+func insertLoop(ctx context.Context, d *db.Database, rules []ast.Rule, deltaMin int32, opts Options, stats *Stats) error {
 	opts.Shards = normalizeShards(opts)
-	ordered := make([]ast.Rule, len(rules))
-	compiled := make([]*compiledRule, len(rules))
-	for i, r := range rules {
-		ordered[i] = r.Clone()
-		if !opts.NoReorder {
-			ordered[i].Body = db.OrderForJoin(r.Body, nil)
-		}
-		if !opts.NoCompile {
-			compiled[i] = compileRule(ordered[i])
-		}
+	var perms [][]int
+	if !opts.NoReorder {
+		perms = staticPerms(rules)
 	}
-	needs := indexNeeds(ordered)
-	rr := roundRules{ordered: ordered, compiled: compiled, partCol: partitionCols(rules)}
-	if opts.Shards > 1 {
-		var extra []indexNeed
-		rr.swapped, extra = buildSwapped(ordered, func(string) bool { return true })
-		needs = append(needs, extra...)
-	}
-	env := &roundEnv{ctx: opts.Context, d: d, opts: opts, stats: stats, baseLen: d.Len()}
-	first := true
+	rs := buildSetup(rules, perms, opts.Shards > 1, func(string) bool { return true })
+	partCol := partitionCols(rules)
+	env := &roundEnv{ctx: ctx, d: d, opts: opts, stats: stats, baseLen: d.Len()}
+	var variants []variant
 	for {
 		prev := d.Round()
 		round := d.BeginRound()
 		stats.Rounds++
-		for _, n := range needs {
+		// Freeze the round's indexes so in-round probes are lock-free reads.
+		for _, n := range rs.needs {
 			d.EnsureIndex(n.pred, n.cols)
 		}
-		var variants []variant
-		for idx := range ordered {
-			for i := range ordered[idx].Body {
-				ws := deltaWindows(len(ordered[idx].Body), i, prev)
-				if first {
-					ws = wideDeltaWindows(len(ordered[idx].Body), i, deltaMin, prev)
+		variants = variants[:0]
+		for idx, r := range rs.ordered {
+			for i, a := range r.Body {
+				win := span{delta: i, min: deltaMin, max: prev}
+				// A variant whose delta is empty cannot fire; dropping it here
+				// lets a round with nothing to propagate skip the executor
+				// (and, sharded, its task fan-out) altogether.
+				if !deltaEmptyAt(d, a.Pred, win.window(i)) {
+					variants = append(variants, variant{idx, win})
 				}
-				if deltaEmptyAt(d, ordered[idx].Body[i].Pred, ws[i]) {
-					continue
-				}
-				variants = append(variants, variant{idx, i, ws})
 			}
 		}
-		if err := env.runRound(rr, variants); err != nil {
+		if err := env.runRound(rs, partCol, variants); err != nil {
 			return err
 		}
-		first = false
 		if !anyAddedIn(d, round) {
 			return nil
 		}
+		deltaMin = round
 	}
 }
 
-// deltaEmptyAt reports whether the window admits no tuple of pred. A variant
-// whose delta position is empty cannot fire, so the insertion loop skips it
-// before join ever scans the variant's earlier (full-window) positions —
-// maintenance deltas are tiny, and without this check every round would pay
-// a full relation scan per trailing-delta variant. Round stamps are
-// non-decreasing with tuple id, so the window's population is an id-range
-// length, O(1) via LenAt.
+// deltaEmptyAt reports whether the window admits no tuple of pred.
 func deltaEmptyAt(d *db.Database, pred string, w db.RoundWindow) bool {
 	rel := d.Relation(pred)
 	if rel == nil {
 		return true
 	}
-	lo := 0
-	if w.Min > 0 {
-		lo = rel.LenAt(w.Min - 1)
-	}
-	return rel.LenAt(w.Max) <= lo
-}
-
-// wideDeltaWindows is deltaWindows with the delta spanning [deltaMin, prev]
-// instead of the single previous round: position i takes the whole span,
-// earlier positions strictly pre-span facts, later positions anything up to
-// prev — the standard least-delta-position discipline over a multi-round
-// delta.
-func wideDeltaWindows(n, i int, deltaMin, prev int32) []db.RoundWindow {
-	ws := make([]db.RoundWindow, n)
-	for j := range ws {
-		switch {
-		case j < i:
-			ws[j] = db.RoundWindow{Min: 0, Max: deltaMin - 1}
-		case j == i:
-			ws[j] = db.RoundWindow{Min: deltaMin, Max: prev}
-		default:
-			ws[j] = db.RoundWindow{Min: 0, Max: prev}
-		}
-	}
-	return ws
+	lo, hi := idRange(rel, w)
+	return hi <= lo
 }
 
 func factLess(a, b ast.GroundAtom) bool {

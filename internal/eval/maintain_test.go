@@ -421,8 +421,9 @@ func runMaintainStream(t *testing.T, p *ast.Program, opts Options, mo MaintainOp
 
 // TestMaintainOracleGrid is the maintenance oracle: randomized mixed
 // insert/delete streams, maintained output compared byte-for-byte against
-// full re-evaluation, across Workers × Shards × {counting, ForceDRed}, on
-// recursive, non-recursive and stratified-negation programs.
+// full re-evaluation, across GOMAXPROCS (w: inline vs concurrent shard
+// tasks) × Shards × {counting, ForceDRed}, on recursive, non-recursive and
+// stratified-negation programs.
 func TestMaintainOracleGrid(t *testing.T) {
 	stratified := mustParseProgram(t, `
 		Reach(x) :- S(x).
@@ -442,8 +443,8 @@ func TestMaintainOracleGrid(t *testing.T) {
 		"stratified": stratified,
 	}
 	grid := []struct {
-		workers, shards int
-		forceDRed       bool
+		procs, shards int
+		forceDRed     bool
 	}{
 		{1, 1, false},
 		{1, 1, true},
@@ -454,11 +455,9 @@ func TestMaintainOracleGrid(t *testing.T) {
 	}
 	for name, p := range programs {
 		for _, cfg := range grid {
-			cfg := cfg
-			p := p
-			t.Run(fmt.Sprintf("%s/w%d_s%d_dred%v", name, cfg.workers, cfg.shards, cfg.forceDRed), func(t *testing.T) {
-				t.Parallel()
-				opts := Options{Workers: cfg.workers, Shards: cfg.shards}
+			t.Run(fmt.Sprintf("%s/w%d_s%d_dred%v", name, cfg.procs, cfg.shards, cfg.forceDRed), func(t *testing.T) {
+				withProcs(t, cfg.procs)
+				opts := Options{Shards: cfg.shards}
 				mo := MaintainOptions{ForceDRed: cfg.forceDRed}
 				for seed := int64(0); seed < 3; seed++ {
 					runMaintainStream(t, p, opts, mo, seed, 9, 10)
@@ -468,10 +467,10 @@ func TestMaintainOracleGrid(t *testing.T) {
 	}
 }
 
-// TestMaintainDeterministicAcrossWorkersShards pins the stronger property:
-// the maintained database itself (arena order included) is identical across
-// worker and shard counts, not just set-equal.
-func TestMaintainDeterministicAcrossWorkersShards(t *testing.T) {
+// TestMaintainDeterministicAcrossShards pins the stronger property: the
+// maintained database itself (arena order included) is identical across
+// shard counts and task schedules, not just set-equal.
+func TestMaintainDeterministicAcrossShards(t *testing.T) {
 	p := workload.TransitiveClosure()
 	mkStream := func(opts Options) string {
 		input := workload.Chain("A", 10)
@@ -498,9 +497,12 @@ func TestMaintainDeterministicAcrossWorkersShards(t *testing.T) {
 		return log.String()
 	}
 	base := mkStream(Options{})
-	for _, o := range []Options{{Workers: 4}, {Shards: 4}, {Workers: 4, Shards: 4}, {Workers: 2, Shards: 8}} {
-		if got := mkStream(o); got != base {
-			t.Fatalf("maintained stream diverged under %+v:\n%s\nwant:\n%s", o, got, base)
+	for _, procs := range []int{1, 4} {
+		withProcs(t, procs)
+		for _, o := range []Options{{Shards: 4}, {Shards: 8}} {
+			if got := mkStream(o); got != base {
+				t.Fatalf("maintained stream diverged under %+v, GOMAXPROCS=%d:\n%s\nwant:\n%s", o, procs, got, base)
+			}
 		}
 	}
 }

@@ -76,9 +76,11 @@ func (pc *PlanCache) Stats() CacheStats {
 // — the containment sessions always prepare under default options.
 var zeroOptsKey = computePlanKey(Options{})
 
-// planKey fingerprints every Options field that shapes a prepared plan.
-// MaxDerived and Goal are baked into a Prepared's run defaults, so they
-// distinguish plans too; per-call EvalGoal arguments do not touch them.
+// planKey fingerprints every Options field except Context (a per-call
+// concern Prepare strips). MaxDerived and Goal are baked into a Prepared's
+// run defaults, so they distinguish plans too; per-call EvalGoal arguments
+// do not touch them. TestPlanKeyCoversEveryOption fails when a field is
+// added to Options but not here.
 func planKey(opts Options) string {
 	if opts == (Options{}) {
 		return zeroOptsKey
@@ -93,10 +95,6 @@ func computePlanKey(opts Options) string {
 	b = strconv.AppendBool(b, opts.NoReorder)
 	b = append(b, '|')
 	b = strconv.AppendBool(b, opts.NoSCCOrder)
-	b = append(b, '|')
-	b = strconv.AppendBool(b, opts.NoCompile)
-	b = append(b, '|')
-	b = strconv.AppendInt(b, int64(opts.Workers), 10)
 	b = append(b, '|')
 	b = strconv.AppendInt(b, int64(opts.Shards), 10)
 	b = append(b, '|')

@@ -2,6 +2,7 @@ package eval
 
 import (
 	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -102,5 +103,76 @@ func TestPlanCacheConcurrent(t *testing.T) {
 	st := pc.Stats()
 	if st.Hits+st.Misses != 8*perG {
 		t.Fatalf("hits+misses = %d, want %d", st.Hits+st.Misses, 8*perG)
+	}
+}
+
+// singleFieldOptions returns, per Options field except Context (a per-call
+// concern Prepare strips), a copy of the zero Options with just that field
+// set. It is reflect-driven so a field added to Options lands in the plan-key
+// tests without anyone remembering to list it.
+func singleFieldOptions(t *testing.T) map[string]Options {
+	t.Helper()
+	goal := ga("P", 1)
+	out := make(map[string]Options)
+	typ := reflect.TypeOf(Options{})
+	for i := 0; i < typ.NumField(); i++ {
+		f := typ.Field(i)
+		if f.Name == "Context" {
+			continue
+		}
+		var o Options
+		v := reflect.ValueOf(&o).Elem().Field(i)
+		switch v.Kind() {
+		case reflect.Bool:
+			v.SetBool(true)
+		case reflect.Int, reflect.Int32, reflect.Int64:
+			v.SetInt(3)
+		case reflect.Pointer:
+			v.Set(reflect.ValueOf(&goal))
+		default:
+			t.Fatalf("Options.%s has kind %s: teach singleFieldOptions to perturb it", f.Name, v.Kind())
+		}
+		out[f.Name] = o
+	}
+	return out
+}
+
+// TestPlanKeyCoversEveryOption: every Options field but Context moves the
+// plan fingerprint (an unfingerprinted field makes a shared cache hand one
+// caller another caller's plan).
+func TestPlanKeyCoversEveryOption(t *testing.T) {
+	zero := planKey(Options{})
+	seen := map[string]string{zero: "zero Options"}
+	for name, o := range singleFieldOptions(t) {
+		key := planKey(o)
+		if other, dup := seen[key]; dup {
+			t.Errorf("setting Options.%s yields the same plan key as %s", name, other)
+		}
+		seen[key] = "Options." + name
+	}
+}
+
+// TestPlanCacheSingleFieldOptionsNeverShare: two option sets differing in
+// any single field never share a *Prepared.
+func TestPlanCacheSingleFieldOptionsNeverShare(t *testing.T) {
+	pc := NewPlanCache(32)
+	p := cacheProgram(t, 1)
+	base, err := pc.Prepare(p, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	owner := map[*Prepared]string{base: "zero Options"}
+	for name, o := range singleFieldOptions(t) {
+		prep, hit, err := pc.PrepareHit(p, o)
+		if err != nil {
+			t.Fatalf("Options.%s: %v", name, err)
+		}
+		if other, shared := owner[prep]; hit || shared {
+			t.Errorf("Options.%s was served the plan of %s (hit=%v)", name, other, hit)
+		}
+		owner[prep] = "Options." + name
+		if again, hit, _ := pc.PrepareHit(p, o); !hit || again != prep {
+			t.Errorf("Options.%s: repeat lookup missed its own plan", name)
+		}
 	}
 }

@@ -9,13 +9,13 @@ import (
 )
 
 // TestGoalPrefixCutDeterministic is the acceptance property of the
-// variant-ordered merge with prefix cut: goal-directed evaluation produces
-// a byte-identical partial database (same facts in the same insertion
-// order, which db.String exposes) regardless of worker count. The goals are
-// drawn from mid-evaluation derivations, so the cut genuinely fires inside
-// rounds, not only at fixpoints.
+// emit-path goal cut: goal-directed evaluation halts on exactly the full
+// run's insertion sequence cut right after the goal (same facts in the same
+// insertion order), so the partial database is a function of the program,
+// the input and the goal alone. The goals are drawn from mid-evaluation
+// derivations, so the cut genuinely fires inside rounds, not only at
+// fixpoints. TestShardedGoalPrefixCut extends it across shard counts.
 func TestGoalPrefixCutDeterministic(t *testing.T) {
-	workers := []int{1, 2, 8}
 	for seed := int64(0); seed < 50; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		p := workload.RandomProgram(rng, 1+rng.Intn(4))
@@ -42,33 +42,16 @@ func TestGoalPrefixCutDeterministic(t *testing.T) {
 		}
 		goals = append(goals, ast.NewGroundAtom("P", ast.Int(9000), ast.Int(9000)))
 
+		prep, err := Prepare(p, Options{})
+		if err != nil {
+			t.Fatalf("seed %d: prepare: %v", seed, err)
+		}
 		for gi := range goals {
-			goal := goals[gi]
-			var wantDump string
-			var wantReached bool
-			for wi, w := range workers {
-				prep, err := Prepare(p, Options{Workers: w})
-				if err != nil {
-					t.Fatalf("seed %d: prepare workers=%d: %v", seed, w, err)
-				}
-				out, reached, _, err := prep.EvalGoal(input, &goal, 0)
-				if err != nil {
-					t.Fatalf("seed %d goal %v workers=%d: %v", seed, goal, w, err)
-				}
-				dump := out.String()
-				if wi == 0 {
-					wantDump, wantReached = dump, reached
-					continue
-				}
-				if reached != wantReached {
-					t.Fatalf("seed %d goal %v: workers=%d reached=%v, workers=1 reached=%v",
-						seed, goal, w, reached, wantReached)
-				}
-				if dump != wantDump {
-					t.Fatalf("seed %d goal %v: workers=%d database differs from sequential\nworkers=%d:\n%s\nworkers=1:\n%s\nprogram:\n%s",
-						seed, goal, w, w, dump, wantDump, p)
-				}
+			out, reached, _, err := prep.EvalGoal(input, &goals[gi], 0)
+			if err != nil {
+				t.Fatalf("seed %d goal %v: %v", seed, goals[gi], err)
 			}
+			checkGoalPrefix(t, out, full, goals[gi], reached)
 		}
 	}
 }

@@ -42,15 +42,10 @@ type Prepared struct {
 	// rule index.
 	unitIdxs [][]int
 
-	// One-step application of the whole program in a fixed order, built on
-	// first use by NonRecursive / IsClosed. A one-step pass never feeds
-	// derivations back, so it is pipeline-shaped for every rule — recursive
-	// or not — and nonrecStreams carries the streaming plans alongside the
-	// materializing fallback.
-	nonrecOnce    sync.Once
-	nonrec        []*compiledRule
-	nonrecNeeds   []indexNeed
-	nonrecStreams []*streamPlan
+	// One-step application of the whole program in the static join order,
+	// built on first use by NonRecursive / IsClosed.
+	nonrecOnce sync.Once
+	nonrec     *roundSetup
 }
 
 // unit is one fixpoint of the evaluation schedule: a stratum (under
@@ -60,9 +55,8 @@ type unit struct {
 	rules   []ast.Rule
 	dynamic map[string]bool
 	// streamable marks a unit none of whose rules read the unit's own head
-	// predicates (positively or under negation): its fixpoint is one full
-	// application, so the planner may run it on the streaming operator
-	// pipeline instead of the materializing kernel.
+	// predicates (positively or under negation): its semi-naive fixpoint is
+	// one full application, with no delta rounds and no confirmation round.
 	streamable bool
 	// partCol is the planner-chosen partition column per predicate of the
 	// unit's rules (see partitionCols), consulted by the sharded executor.
@@ -74,21 +68,18 @@ type unit struct {
 	keyBuf []byte
 }
 
-// roundSetup is everything a round needs for one join order of the unit's
-// rules: the reordered rules, their compiled forms, and the index column
-// sets the round's probes will touch. Setups are immutable once built and
-// shared across rounds, evaluations, and goroutines.
+// roundSetup is everything a round needs for one join order of a rule set:
+// the reordered rules, their pipeline plans, and the index column sets the
+// round's probes will touch. Setups are immutable once built and shared
+// across rounds, evaluations, and goroutines.
 type roundSetup struct {
-	ordered  []ast.Rule
-	compiled []*compiledRule
-	// swapped holds the delta-first compilations the sharded executor
-	// substitutes for delta-at-position-1 variants (see buildSwapped); nil
-	// when the options run unsharded or a rule is ineligible.
-	swapped []*compiledRule
+	ordered []ast.Rule
+	plans   []*streamPlan
+	// swapped holds the delta-first plans the sharded executor substitutes
+	// for delta-at-position-1 variants (see buildSwapped); nil when the
+	// options run unsharded, an entry is nil when its rule is ineligible.
+	swapped []*streamPlan
 	needs   []indexNeed
-	// streams holds the pipeline plans (same order as compiled) when the
-	// unit is streamable and the options permit streaming; nil otherwise.
-	streams []*streamPlan
 }
 
 // Prepare validates p and builds its evaluation schedule under opts. The
@@ -353,114 +344,51 @@ func (pr *Prepared) Query(input *db.Database, query ast.Atom) ([][]ast.Const, er
 	if err != nil {
 		return nil, err
 	}
-	var tuples [][]ast.Const
-	b := ast.Binding{}
-	db.MatchAtom(out, query, db.AllRounds, b, func() bool {
-		g := query.MustGround(b)
-		t := make([]ast.Const, len(g.Args))
-		copy(t, g.Args)
-		tuples = append(tuples, t)
-		return true
-	})
-	return tuples, nil
+	return db.Select(out, query), nil
 }
 
-// ensureNonRec compiles the one-step application of the whole program in
-// the static join order (no live cardinalities exist for a one-shot pass).
-func (pr *Prepared) ensureNonRec() {
+// onePass applies every rule of the program once to d — no derivation feeds
+// back, so each rule is one full-span pipeline run whatever recursion the
+// program has — in the static join order (no live cardinalities exist for a
+// one-shot pass), routing head instantiations to sink until it halts. d
+// gains the hash indexes the joins probe but no facts.
+func (pr *Prepared) onePass(d *db.Database, sink streamSink) {
 	pr.nonrecOnce.Do(func() {
-		ordered := make([]ast.Rule, len(pr.prog.Rules))
-		pr.nonrec = make([]*compiledRule, len(pr.prog.Rules))
-		for i, r := range pr.prog.Rules {
-			or := r.Clone()
-			or.Body = db.OrderForJoin(or.Body, nil)
-			ordered[i] = or
-			pr.nonrec[i] = compileRule(or)
-		}
-		pr.nonrecNeeds = indexNeeds(ordered)
-		if !pr.opts.NoStream {
-			pr.nonrecStreams = make([]*streamPlan, len(pr.nonrec))
-			for i, cr := range pr.nonrec {
-				pr.nonrecStreams[i] = compileStream(cr)
-			}
-		}
+		pr.nonrec = buildSetup(pr.prog.Rules, staticPerms(pr.prog.Rules), false, nil)
 	})
-}
-
-// NonRecursive computes Pⁿ(d) (Section IX) through the prepared compiled
-// rules; it is equivalent to the package-level NonRecursive. d gains the
-// hash indexes the compiled joins probe but no facts.
-func (pr *Prepared) NonRecursive(d *db.Database) *db.Database {
-	if pr.opts.NoCompile {
-		return NonRecursive(pr.prog, d)
-	}
-	pr.ensureNonRec()
-	for _, n := range pr.nonrecNeeds {
+	rs := pr.nonrec
+	for _, n := range rs.needs {
 		d.EnsureIndex(n.pred, n.cols)
 	}
-	out := db.New()
-	var st Stats
-	if pr.nonrecStreams != nil {
-		// A one-step pass never feeds derivations back, so every rule is
-		// pipeline-shaped here regardless of recursion in the program.
-		ss := getStreamState(pr.nonrecStreams)
-		defer putStreamState(ss)
-		sink := &nonrecSink{out: out}
-		top := d.Round()
-		for _, sp := range pr.nonrecStreams {
-			sp.run(d, top, ss, &st, sink)
+	st := getStreamState(rs.plans)
+	defer putStreamState(st)
+	var stats Stats
+	win := fullSpan(d.Round())
+	for _, sp := range rs.plans {
+		if !sp.run(d, win, st, &stats, sink) {
+			return
 		}
-		return out
 	}
-	emit := func(pred string, args []ast.Const) bool { return out.AddTuple(pred, args) }
-	for _, cr := range pr.nonrec {
-		cr.fire(d, fullWindows(len(cr.body), d.Round()), &st, emit, nil)
-	}
+}
+
+// NonRecursive computes Pⁿ(d) as defined in Section IX: the set of head
+// instantiations h·θ such that the body of some rule grounds into d. The
+// result does not include d itself (the paper's convention for Pⁿ), and no
+// derived fact feeds back into another derivation. Negated body atoms (the
+// stratified extension) are checked against d.
+func (pr *Prepared) NonRecursive(d *db.Database) *db.Database {
+	out := db.New()
+	pr.onePass(d, &nonrecSink{out: out})
 	return out
 }
 
 // IsClosed reports whether d is a model of the prepared program
-// (Section IV): no rule application derives an atom outside d. It is
-// IsModel with the compiled one-step pass, aborting at the first
-// counterexample.
+// (Section IV): no rule application derives an atom outside d. The pass
+// aborts at the first counterexample.
 func (pr *Prepared) IsClosed(d *db.Database) bool {
-	if pr.opts.NoCompile {
-		return IsModel(pr.prog, d)
-	}
-	pr.ensureNonRec()
-	for _, n := range pr.nonrecNeeds {
-		d.EnsureIndex(n.pred, n.cols)
-	}
-	var st Stats
-	if pr.nonrecStreams != nil {
-		ss := getStreamState(pr.nonrecStreams)
-		defer putStreamState(ss)
-		sink := &closedSink{d: d}
-		top := d.Round()
-		for _, sp := range pr.nonrecStreams {
-			sp.run(d, top, ss, &st, sink)
-			if sink.open {
-				return false
-			}
-		}
-		return true
-	}
-	closed := true
-	emit := func(pred string, args []ast.Const) bool {
-		if d.HasTuple(pred, args) {
-			return false
-		}
-		closed = false
-		return true // count as "new" so the stop hook fires immediately
-	}
-	stop := func() bool { return !closed }
-	for _, cr := range pr.nonrec {
-		cr.fire(d, fullWindows(len(cr.body), d.Round()), &st, emit, stop)
-		if !closed {
-			return false
-		}
-	}
-	return true
+	sink := closedSink{d: d}
+	pr.onePass(d, &sink)
+	return !sink.open
 }
 
 // setupFor returns the evaluation setup for the unit's rules under the
@@ -512,14 +440,33 @@ func (u *unit) setupFor(d *db.Database, opts Options) *roundSetup {
 	return rs
 }
 
-// build clones the unit's rules into the given join orders (nil perms =
-// source order) and compiles them. The result is immutable.
 func (u *unit) build(perms [][]int, opts Options) *roundSetup {
-	rs := &roundSetup{
-		ordered:  make([]ast.Rule, len(u.rules)),
-		compiled: make([]*compiledRule, len(u.rules)),
+	return buildSetup(u.rules, perms, opts.Shards > 1, func(pred string) bool { return u.dynamic[pred] })
+}
+
+// staticPerms is the greedy join order with no cardinalities to consult:
+// what one-shot passes and the insert loop use, since their databases are
+// either tiny or already closed.
+func staticPerms(rules []ast.Rule) [][]int {
+	perms := make([][]int, len(rules))
+	for i, r := range rules {
+		perms[i] = db.OrderPermSized(r.Body, nil, nil)
 	}
-	for i, r := range u.rules {
+	return perms
+}
+
+// buildSetup clones rules into the given join orders (nil perms = source
+// order) and lowers them to pipeline plans. With sharded set it also lowers
+// the delta-first forms sharded rounds may substitute — deltaAt reports
+// whether a predicate can hold a round's delta — and registers the index
+// columns their displaced probes need, so the round-boundary freeze covers
+// them. The result is immutable.
+func buildSetup(rules []ast.Rule, perms [][]int, sharded bool, deltaAt func(pred string) bool) *roundSetup {
+	rs := &roundSetup{
+		ordered: make([]ast.Rule, len(rules)),
+		plans:   make([]*streamPlan, len(rules)),
+	}
+	for i, r := range rules {
 		or := r.Clone()
 		if perms != nil {
 			body := make([]ast.Atom, len(or.Body))
@@ -529,24 +476,13 @@ func (u *unit) build(perms [][]int, opts Options) *roundSetup {
 			or.Body = body
 		}
 		rs.ordered[i] = or
-		if !opts.NoCompile {
-			rs.compiled[i] = compileRule(or)
-		}
+		rs.plans[i] = lowerRule(or)
 	}
 	rs.needs = indexNeeds(rs.ordered)
-	if opts.Shards > 1 && !opts.NoCompile {
-		// Sharded rounds may run delta-at-position-1 variants delta-first;
-		// compile the swapped forms now and register the index columns their
-		// displaced probes need so the round-boundary freeze covers them.
+	if sharded {
 		var extra []indexNeed
-		rs.swapped, extra = buildSwapped(rs.ordered, func(pred string) bool { return u.dynamic[pred] })
+		rs.swapped, extra = buildSwapped(rs.ordered, deltaAt)
 		rs.needs = append(rs.needs, extra...)
-	}
-	if u.streamable && !opts.NoCompile && !opts.NoStream {
-		rs.streams = make([]*streamPlan, len(rs.compiled))
-		for i, cr := range rs.compiled {
-			rs.streams[i] = compileStream(cr)
-		}
 	}
 	return rs
 }
@@ -556,154 +492,66 @@ func (u *unit) build(perms [][]int, opts Options) *roundSetup {
 // atom is derived. A non-nil prov collects the program rule indexes (via
 // ruleIdxs, the owner Prepared's unit-local → program mapping) of every
 // rule that derived at least one new fact.
+//
+// The fixpoint only decides which variants each round runs; the round
+// executor (rounds.go) owns the sequential / sharded firing disciplines and
+// their shared budget, goal and cancellation semantics.
 func (u *unit) fixpoint(ctx context.Context, d *db.Database, opts Options, stats *Stats, baseLen int, goal *ast.GroundAtom, prov *RuleSet, ruleIdxs []int) error {
-	if err := CtxErr(ctx); err != nil {
-		return err
-	}
-	prevTop := d.Round() // facts present before this stratum: rounds ≤ prevTop
-	round := d.BeginRound()
-	stats.Rounds++
-	// setupFor picks the setup for the current relation sizes; the greedy
-	// join-order heuristic sees live cardinalities at every round boundary,
-	// but recompilation only happens for orders not seen before. The loop
-	// after it builds or extends every index the round's joins will probe.
-	// Tuples inserted mid-round are stamped with the current round, which
-	// every window excludes, so the frozen indexes stay sufficient for the
-	// whole round and in-round probes never lock or mutate.
-	rs := u.setupFor(d, opts)
-	for _, n := range rs.needs {
-		d.EnsureIndex(n.pred, n.cols)
-	}
-
-	// First iteration: full application of every rule. For a streamable unit
-	// under semi-naive this one application IS the fixpoint (no rule reads
-	// the unit's own heads, so later delta rounds have no variants), and the
-	// planner runs it on the operator pipeline; recursive units and the
-	// naive strategy — whose Section III semantics re-fire whole rounds —
-	// keep the materializing kernel. Either way the emission sequence is
-	// identical, so the output database is byte-for-byte the same. The
-	// streamed path returns before the materializing kernel's round
-	// machinery below is even set up — a streamed stratum allocates nothing
-	// beyond the facts it derives.
-	if rs.streams != nil && opts.Strategy == SemiNaive {
-		stats.StrataStreamed++
-		if err := u.streamRound(ctx, d, rs, prevTop, opts, stats, baseLen, goal, prov, ruleIdxs); err != nil {
-			return err
-		}
-		return checkBudget(d, baseLen, opts)
-	}
-	stats.StrataMaterialized++
-
-	// The round executor (rounds.go) owns the sequential / parallel / sharded
-	// firing disciplines and their shared budget, goal and cancellation
-	// semantics; the fixpoint only decides which variants each round runs.
 	env := &roundEnv{
 		ctx: ctx, d: d, opts: opts, stats: stats,
 		baseLen: baseLen, goal: goal, prov: prov, ruleIdxs: ruleIdxs,
 	}
-	rr := roundRules{ordered: rs.ordered, compiled: rs.compiled, swapped: rs.swapped, partCol: u.partCol}
-
-	// First iteration: full application of every rule over everything
-	// present before the stratum.
-	var firstRound []variant
-	for idx := range rs.ordered {
-		firstRound = append(firstRound, variant{idx, -1, fullWindows(len(rs.ordered[idx].Body), prevTop)})
+	// A streamable unit under semi-naive has no delta variants — no rule
+	// reads the unit's own heads — so its first full application IS the
+	// fixpoint and no confirmation round runs. The naive strategy's
+	// Section III semantics re-fire whole rounds until one adds nothing.
+	onePass := u.streamable && opts.Strategy == SemiNaive
+	if onePass {
+		stats.StrataStreamed++
+	} else {
+		stats.StrataMaterialized++
 	}
-	if err := env.runRound(rr, firstRound); err != nil {
-		return err
-	}
-	if err := checkBudget(d, baseLen, opts); err != nil {
-		return err
-	}
-
-	for {
-		if !anyAddedIn(d, round) {
-			return nil
-		}
+	var variants []variant
+	for first := true; ; first = false {
 		if err := CtxErr(ctx); err != nil {
 			return err
 		}
-		prev := round
-		round = d.BeginRound()
+		prev := d.Round() // facts visible to this round: stamps ≤ prev
+		round := d.BeginRound()
 		stats.Rounds++
-		// Re-pick the join order against this round's cardinalities and
-		// re-freeze the indexes the new setup probes.
-		rs = u.setupFor(d, opts)
+		// setupFor picks the setup for the current relation sizes; the greedy
+		// join-order heuristic sees live cardinalities at every round
+		// boundary, but recompilation only happens for orders not seen
+		// before. The loop after it builds or extends every index the round's
+		// joins will probe. Tuples inserted mid-round are stamped with the
+		// current round, which every window excludes, so the frozen indexes
+		// stay sufficient for the whole round and in-round probes never lock
+		// or mutate.
+		rs := u.setupFor(d, opts)
 		for _, n := range rs.needs {
 			d.EnsureIndex(n.pred, n.cols)
 		}
-		rr = roundRules{ordered: rs.ordered, compiled: rs.compiled, swapped: rs.swapped, partCol: u.partCol}
-		var variants []variant
-		for idx := range rs.ordered {
-			r := rs.ordered[idx]
-			if opts.Strategy == Naive {
-				variants = append(variants, variant{idx, -1, fullWindows(len(r.Body), prev)})
+		variants = variants[:0]
+		for idx, r := range rs.ordered {
+			if first || opts.Strategy == Naive {
+				variants = append(variants, variant{idx, fullSpan(prev)})
 				continue
 			}
-			// Semi-naive: one variant per dynamic body position i, with
-			// position i restricted to the last round's delta, earlier
-			// positions to strictly older facts, and later positions to
-			// anything up to the last round. Every new combination has a
-			// unique least delta position, so nothing is derived twice.
+			// Semi-naive: one variant per dynamic body position.
 			for i, a := range r.Body {
-				if !u.dynamic[a.Pred] {
-					continue
+				if u.dynamic[a.Pred] {
+					variants = append(variants, variant{idx, span{delta: i, min: prev, max: prev}})
 				}
-				variants = append(variants, variant{idx, i, deltaWindows(len(r.Body), i, prev)})
 			}
 		}
-		if err := env.runRound(rr, variants); err != nil {
+		if err := env.runRound(rs, u.partCol, variants); err != nil {
 			return err
 		}
 		if err := checkBudget(d, baseLen, opts); err != nil {
 			return err
 		}
-	}
-}
-
-// streamRound runs one full application of a streamable unit's rules on the
-// operator pipeline. It reproduces the sequential materializing round's emit
-// path verbatim — same insertion order, same goal test, same derived-fact
-// budget, same provenance credit — so swapping it in changes cost, never
-// observables. One streamState serves every plan in the pass; nothing else
-// is allocated per rule.
-func (u *unit) streamRound(ctx context.Context, d *db.Database, rs *roundSetup, prevTop int32, opts Options, stats *Stats, baseLen int, goal *ast.GroundAtom, prov *RuleSet, ruleIdxs []int) error {
-	st := getStreamState(rs.streams)
-	defer putStreamState(st)
-	sk := &st.fix
-	*sk = fixpointSink{d: d, goal: goal, prov: prov, ctx: ctx, remaining: -1}
-	if opts.MaxDerived > 0 {
-		sk.remaining = opts.MaxDerived - (d.Len() - baseLen)
-	}
-	for idx, sp := range rs.streams {
-		if prov != nil {
-			sk.ruleIdx = ruleIdxs[idx]
-		}
-		sp.run(d, prevTop, st, stats, sk)
-		if sk.goalHit {
-			stats.EarlyStopCuts++
-			return errGoal
-		}
-		if sk.canceled {
-			stats.EarlyStopCuts++
-			return CtxErr(ctx)
-		}
-		if sk.stop {
-			stats.EarlyStopCuts++
-			return fmt.Errorf("%w: derived %d facts (budget %d)", ErrBudget, d.Len()-baseLen, opts.MaxDerived)
+		if onePass || !anyAddedIn(d, round) {
+			return nil
 		}
 	}
-	return nil
-}
-
-func constsEqual(a, b []ast.Const) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

@@ -26,7 +26,7 @@ func pickDerivedGoal(d, full *db.Database) (ast.GroundAtom, bool) {
 // TestQuickPreparedEqualsOneShot checks that preparing a program once and
 // evaluating through the Prepared is observationally identical to the
 // one-shot Eval — same output database, same Added count — over random
-// programs crossed over {naive, semi-naive} × {sequential, 4 workers} ×
+// programs crossed over {naive, semi-naive} × {sequential, 4 shards} ×
 // {goal unset, goal set}.
 func TestQuickPreparedEqualsOneShot(t *testing.T) {
 	f := func(seed int64) bool {
@@ -37,8 +37,8 @@ func TestQuickPreparedEqualsOneShot(t *testing.T) {
 		}
 		d := workload.RandomDB(rng, p, 4, 4)
 		for _, strat := range []Strategy{SemiNaive, Naive} {
-			for _, workers := range []int{1, 4} {
-				opts := Options{Strategy: strat, Workers: workers}
+			for _, shards := range []int{1, 4} {
+				opts := Options{Strategy: strat, Shards: shards}
 				full, sFull, err := Eval(p, d, opts)
 				if err != nil {
 					return false

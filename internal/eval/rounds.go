@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"context"
 	"fmt"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -13,65 +14,34 @@ import (
 )
 
 // The round executor evaluates one fixpoint round's variants. It is shared
-// by the unit fixpoint (prepare.go) and the incremental delta loop
-// (incremental.go), so both honor the same Options — Workers, Shards, the
-// derived-fact budget, goal-directed early stop, cancellation — through one
-// discipline. Three strategies, all committing byte-identical databases:
+// by the unit fixpoint (prepare.go) and the insert loop (maintain.go), so
+// both honor the same Options — Shards, the derived-fact budget,
+// goal-directed early stop, cancellation — through one discipline. Two
+// strategies over the one pipeline, committing byte-identical databases:
 //
-//   - sequential: fire variants in order, inserting as they emit;
-//   - parallel (Workers > 1): fire variants concurrently into per-variant
-//     buffers, commit in variant order against the frozen window (the
-//     prefix-cut merge);
+//   - sequential: run variants in order into a fixpointSink, inserting as
+//     they emit;
 //   - sharded (Shards > 1): split every variant into per-shard tasks over a
-//     hash-partitioned ownership view of its outer relation. Each task
-//     enumerates only the owned slice of the outer round window — walking
-//     the window's contiguous id-range directly, delta-first when the delta
-//     sits on executed position 1 — and buffers derivations tagged with
-//     merge keys. The commit concatenates a variant's shard buffers and
-//     sorts by (plan-outer id, delta id, buffer order), which reconstructs
-//     exactly the emission order the sequential plan-ordered join produces,
-//     so the committed database (and any goal early-stop prefix of it) is
-//     byte-identical to Shards = 1 for every shard count.
+//     hash-partitioned ownership view of its outer relation. Each task is
+//     the variant's pipeline with an ownership predicate on operator 0 —
+//     delta-first when the delta sits on executed position 1 — and a
+//     shardSink that buffers derivations tagged with merge keys. The commit
+//     arranges a variant's shard buffers by (plan-outer id, delta id, buffer
+//     order), which reconstructs exactly the emission order the sequential
+//     plan-ordered pipeline produces, so the committed database (and any
+//     goal early-stop prefix of it) is byte-identical to Shards = 1 for
+//     every shard count.
 
-// variant is one delta/full application of a rule in a round: idx selects
-// the round's ordered/compiled rule, windows are the executed-order round
-// windows, and delta is the executed body position holding the round's
-// delta (-1 for a full application: first rounds and the naive strategy).
+// variant is one application of a rule in a round: idx selects the round
+// setup's rule, win the rounds each body position may read.
 type variant struct {
-	idx     int
-	delta   int
-	windows []db.RoundWindow
-}
-
-// roundRules bundles what a round's variants fire: the reordered rules,
-// their compiled forms, the delta-first (swapped) compilations the sharded
-// executor substitutes when profitable, and the partition columns the
-// planner chose for the plan's predicates.
-type roundRules struct {
-	ordered  []ast.Rule
-	compiled []*compiledRule
-	swapped  []*compiledRule
-	partCol  map[string]int
-}
-
-// fire evaluates one variant with derivations routed to emit; a non-nil
-// stop aborts the variant's enumeration when it reports true.
-func (rr roundRules) fire(d *db.Database, idx int, windows []db.RoundWindow, st *Stats, emit func(string, []ast.Const) bool, stop func() bool) error {
-	if rr.compiled[idx] != nil {
-		rr.compiled[idx].fire(d, windows, st, emit, stop)
-		return nil
-	}
-	r := rr.ordered[idx]
-	cs := make([]db.Constraint, len(r.Body))
-	for j, b := range r.Body {
-		cs[j] = db.Constraint{Atom: b, Window: windows[j]}
-	}
-	return fireConstraints(d, r, cs, st, emit, stop)
+	idx int
+	win span
 }
 
 // roundEnv is the per-evaluation state the round executor runs under. One
-// env serves every round of a fixpoint (or delta loop); the rules may be
-// re-planned per round, so they travel separately as roundRules.
+// env serves every round of a fixpoint (or insert loop); the rules may be
+// re-planned per round, so the setup travels separately.
 type roundEnv struct {
 	ctx      context.Context
 	d        *db.Database
@@ -85,12 +55,14 @@ type roundEnv struct {
 }
 
 // shardPool is the sharded executor's per-task scratch, owned by the env so
-// consecutive rounds (and re-fires) reuse buffers, dedup tables and copy
-// arenas instead of reallocating them — on deep fixpoints (hundreds of
-// rounds) the per-round zeroing otherwise rivals the join work itself.
-// Slices are indexed by task and only ever touched by that task's goroutine
-// while a round is in flight.
+// consecutive rounds (and re-fires) reuse pipeline states, buffers, dedup
+// tables and copy arenas instead of reallocating them — on deep fixpoints
+// (hundreds of rounds) the per-round zeroing otherwise rivals the join work
+// itself. Slices are indexed by task and only ever touched by that task's
+// goroutine while a round is in flight.
 type shardPool struct {
+	states []streamState
+	sinks  []shardSink
 	bufs   [][]shardPending
 	arenas [][]ast.Const
 	sets   []taskSet
@@ -101,6 +73,8 @@ type shardPool struct {
 // taskReset readies the pool for a round (or re-fire) of n tasks.
 func (sp *shardPool) taskReset(n int) {
 	if len(sp.bufs) < n {
+		sp.states = make([]streamState, n)
+		sp.sinks = make([]shardSink, n)
 		sp.bufs = make([][]shardPending, n)
 		sp.arenas = make([][]ast.Const, n)
 		sp.sets = make([]taskSet, n)
@@ -124,208 +98,51 @@ func (env *roundEnv) budgetErr() error {
 // on a diverging instance, say) is cut off as soon as the budget is
 // exhausted, and a goal-directed evaluation halts the moment the goal is
 // derived rather than at the fixpoint.
-func (env *roundEnv) runRound(rr roundRules, variants []variant) error {
+func (env *roundEnv) runRound(rs *roundSetup, partCol map[string]int, variants []variant) error {
 	if len(variants) == 0 {
 		return nil
 	}
 	if env.opts.Shards > 1 {
-		return env.runSharded(rr, variants)
+		return env.runSharded(rs, partCol, variants)
 	}
-	if env.opts.Workers <= 1 || len(variants) < 2 {
-		return env.runSequential(rr, variants)
-	}
-	return env.runParallel(rr, variants)
+	return env.runSequential(rs, variants)
 }
 
-// runSequential fires variants in order, inserting as they emit.
-func (env *roundEnv) runSequential(rr roundRules, variants []variant) error {
-	d, opts, ctx := env.d, env.opts, env.ctx
-	stop := false
-	goalHit := false
-	canceled := false
-	ctxTick := 0
-	remaining := -1
-	if opts.MaxDerived > 0 {
-		remaining = opts.MaxDerived - (d.Len() - env.baseLen)
-	}
-	goal := env.goal
-	emit := func(pred string, args []ast.Const) bool {
-		if !d.AddTuple(pred, args) {
-			return false
-		}
-		if goal != nil && pred == goal.Pred && constsEqual(args, goal.Args) {
-			goalHit = true
-			stop = true
-		}
-		if remaining >= 0 {
-			remaining--
-			if remaining < 0 {
-				stop = true
-			}
-		}
-		return true
-	}
-	if ctx != nil {
-		// Emit-path cancellation cadence: a long round still stops promptly
-		// after its deadline, like the budget tripwire. The check is layered
-		// on as a wrapper so a context-free Eval pays nothing for it.
-		inner := emit
-		emit = func(pred string, args []ast.Const) bool {
-			if ctxTick++; ctxTick%ctxCheckEvery == 0 && ctx.Err() != nil {
-				canceled = true
-				stop = true
-			}
-			return inner(pred, args)
-		}
-	}
-	var stopFn func() bool
-	if opts.MaxDerived > 0 || goal != nil || ctx != nil {
-		stopFn = func() bool { return stop }
+// runSequential runs variants in order, inserting as they emit. One pooled
+// streamState (with its embedded sink) serves every plan in the round;
+// nothing else is allocated.
+func (env *roundEnv) runSequential(rs *roundSetup, variants []variant) error {
+	d := env.d
+	st := getStreamState(rs.plans)
+	defer putStreamState(st)
+	sk := &st.fix
+	*sk = fixpointSink{d: d, goal: env.goal, prov: env.prov, ctx: env.ctx, remaining: -1}
+	if env.opts.MaxDerived > 0 {
+		sk.remaining = env.opts.MaxDerived - (d.Len() - env.baseLen)
 	}
 	for _, v := range variants {
-		em := emit
 		if env.prov != nil {
-			// Wrap per variant so a successful emission credits the firing
-			// rule's program index.
-			ridx := env.ruleIdxs[v.idx]
-			em = func(pred string, args []ast.Const) bool {
-				if emit(pred, args) {
-					env.prov.Add(ridx)
-					return true
-				}
-				return false
-			}
+			sk.ruleIdx = env.ruleIdxs[v.idx]
 		}
-		if err := rr.fire(d, v.idx, v.windows, env.stats, em, stopFn); err != nil {
-			return err
+		if rs.plans[v.idx].run(d, v.win, st, env.stats, sk) {
+			continue
 		}
-		if goalHit {
+		env.stats.EarlyStopCuts++
+		switch {
+		case sk.goalHit:
 			return errGoal
+		case sk.canceled:
+			return CtxErr(env.ctx)
 		}
-		if canceled {
-			return CtxErr(ctx)
-		}
-		if stop {
-			return env.budgetErr()
-		}
+		return env.budgetErr()
 	}
 	return nil
 }
 
-// runParallel fires variants concurrently into per-variant buffers and
-// merges after the round. The budget tripwire counts tentative emissions
-// (each variant dedups against the frozen database but not against its
-// peers), so it can only overcount; when it trips without the merged total
-// actually exceeding the budget, the truncated round is re-fired —
-// already-merged facts then dedup at emit time, so every re-fire either
-// completes the round or strictly grows the database until the budget
-// genuinely runs out.
-//
-// Goal-directed runs use a variant-ordered merge with prefix cut. In-flight
-// variants are deliberately NOT aborted (cutting peers off mid-enumeration
-// would make the partial database depend on goroutine scheduling); instead
-// the merge commits the buffers in variant order and stops at the first
-// committed goal fact. Each variant's enumeration only probes frozen
-// indexes — tuples inserted mid-round are stamped with the current round,
-// which every window excludes — so a buffer replays exactly the emission
-// sequence the sequential path would produce for that variant, and the
-// committed prefix equals the sequential partial database byte for byte
-// while reclaiming the mid-round abort. A variant's error is surfaced after
-// its buffer commits (the sequential path adds facts up to the failure
-// point too); errors of variants past the cut belong to work a sequential
-// run never starts and are discarded.
-func (env *roundEnv) runParallel(rr roundRules, variants []variant) error {
-	d, opts, stats, goal := env.d, env.opts, env.stats, env.goal
-	type pending struct {
-		pred string
-		args []ast.Const
-	}
-	var tentative atomic.Int64
-	var tripped atomic.Bool
-	var stopFn func() bool
-	if opts.MaxDerived > 0 {
-		stopFn = func() bool { return tripped.Load() }
-	}
-	for {
-		// Parallel rounds observe cancellation at round (and re-fire)
-		// boundaries: aborting in-flight variants mid-enumeration would make
-		// the partial database depend on goroutine scheduling, which the
-		// deterministic merge below exists to prevent.
-		if err := CtxErr(env.ctx); err != nil {
-			return err
-		}
-		tentative.Store(int64(d.Len() - env.baseLen))
-		tripped.Store(false)
-		buffers := make([][]pending, len(variants))
-		statsArr := make([]Stats, len(variants))
-		errs := make([]error, len(variants))
-		sem := make(chan struct{}, opts.Workers)
-		var wg sync.WaitGroup
-		for vi := range variants {
-			wg.Add(1)
-			go func(vi int) {
-				defer wg.Done()
-				sem <- struct{}{}
-				defer func() { <-sem }()
-				v := variants[vi]
-				emit := func(pred string, args []ast.Const) bool {
-					if d.HasTuple(pred, args) {
-						return false
-					}
-					cp := make([]ast.Const, len(args))
-					copy(cp, args)
-					buffers[vi] = append(buffers[vi], pending{pred: pred, args: cp})
-					if opts.MaxDerived > 0 && tentative.Add(1) > int64(opts.MaxDerived) {
-						tripped.Store(true)
-					}
-					return true // tentatively new; merge dedups across variants
-				}
-				errs[vi] = rr.fire(d, v.idx, v.windows, &statsArr[vi], emit, stopFn)
-			}(vi)
-		}
-		wg.Wait()
-		// The merge runs single-threaded after the round's workers join, so
-		// provenance updates need no synchronization.
-		for vi := range variants {
-			stats.Firings += statsArr[vi].Firings
-			merged := 0
-			cut := false
-			for _, pf := range buffers[vi] {
-				if d.AddTuple(pf.pred, pf.args) {
-					stats.Added++
-					merged++
-					if goal != nil && pf.pred == goal.Pred && constsEqual(pf.args, goal.Args) {
-						cut = true
-						break
-					}
-				}
-			}
-			if env.prov != nil && merged > 0 {
-				env.prov.Add(env.ruleIdxs[variants[vi].idx])
-			}
-			if cut {
-				// The goal is ground, so any committed emission of it is the
-				// goal; it precedes any error in this variant's enumeration,
-				// and later variants are past the cut.
-				return errGoal
-			}
-			if errs[vi] != nil {
-				return errs[vi]
-			}
-		}
-		if !tripped.Load() {
-			return nil
-		}
-		if d.Len()-env.baseLen > opts.MaxDerived {
-			return env.budgetErr()
-		}
-	}
-}
-
 // shardPending is one buffered derivation of a sharded task: the merge keys
-// captured by the shardScan, a concatenation sequence number that makes the
-// commit sort total, the deriving shard (for delta-exchange accounting),
-// and the fact itself.
+// its shardSink read off the pipeline's cursors, a concatenation sequence
+// number that makes the commit sort total, the deriving shard (for
+// delta-exchange accounting), and the fact itself.
 type shardPending struct {
 	k1, k2, seq int32
 	shard       uint8
@@ -521,53 +338,131 @@ func commitOrder(bufs [][]shardPending, tagInner bool, aux *mergeAux) []shardPen
 	return out
 }
 
+// shardSink is a shard task's emit path: dedup against the frozen head
+// relation and the task-local set, then buffer the fact under its merge key.
+// The key is read off the pipeline state's cursors: k1 is the plan-outer
+// tuple id; for a delta-first (tagInner) execution position 0 is the delta
+// atom and position 1 the plan's original outer, so the key is
+// (cur[1], cur[0]) — plan-outer major, delta minor — matching the order the
+// unswapped sequential pipeline would have emitted in.
+//
+// On duplicate-heavy workloads almost every firing re-derives a known fact,
+// so the rejection path is the executor's hot loop: the head predicate is
+// fixed per variant, letting the pred→relation map lookup hoist out of it,
+// and the frozen relation's table is probed read-only. Facts new to the
+// round dedup against the task-local set, so only distinct facts are copied,
+// buffered and sorted — duplicate emissions fold into the buffered entry's
+// merge keys (see taskSet) — and cross-task duplicates still resolve at the
+// merge, so byte identity is preserved.
+//
+// The frozen-table probe is itself adaptive: it saves a buffer entry when it
+// hits, but on low-duplicate rounds nearly every probe misses against a
+// table too large to stay in cache, and the commit re-probes at insert
+// anyway. Each task samples its first probeSample emissions and drops the
+// prefilter for the rest of the task when under a quarter of them were
+// duplicates — the merge's insert remains the one authoritative dedup, so
+// the switch cannot change what commits, or in what order.
+type shardSink struct {
+	st       *streamState // the task's pipeline state: cursors and shard
+	tagInner bool
+	headRel  *db.Relation // frozen-table prefilter; nil once dropped
+	probed   int
+	rejected int
+	local    *taskSet
+	buf      []shardPending
+	arena    []ast.Const // chunked copy space; grown slices keep old chunks alive
+	// Budget tripwire shared by the round's tasks; budget 0 = unlimited.
+	budget    int64
+	tentative *atomic.Int64
+	tripped   *atomic.Bool
+}
+
+const probeSample = 512
+
+func (s *shardSink) emit(pred string, args []ast.Const) (bool, bool) {
+	if s.headRel != nil {
+		_, dup := s.headRel.LookupID(args)
+		if dup {
+			s.rejected++
+		}
+		if s.probed++; s.probed == probeSample && 4*s.rejected < probeSample {
+			s.headRel = nil
+		}
+		if dup {
+			return false, false
+		}
+	}
+	k1, k2 := s.st.cur[0], int32(0)
+	if s.tagInner {
+		k1, k2 = s.st.cur[1], s.st.cur[0]
+	}
+	if !s.local.add(s.buf, k1, k2, args) {
+		return false, false
+	}
+	n := len(s.arena)
+	s.arena = append(s.arena, args...)
+	cp := s.arena[n:len(s.arena):len(s.arena)]
+	s.buf = append(s.buf, shardPending{k1: k1, k2: k2, shard: s.st.shard, pred: pred, args: cp})
+	if s.budget == 0 {
+		return true, false // tentatively new; the merge dedups across tasks
+	}
+	if s.tentative.Add(1) > s.budget {
+		s.tripped.Store(true)
+	}
+	return true, s.tripped.Load()
+}
+
 // runSharded splits every variant into Shards ownership-disjoint tasks and
-// merges their buffers deterministically (see the package comment above).
-// It shares runParallel's budget tripwire, re-fire loop and prefix-cut goal
-// discipline; Workers bounds task concurrency, and Workers = 1 runs the
-// tasks inline in task order (still buffered — the merge is what defines
-// the commit order, not the firing schedule).
-func (env *roundEnv) runSharded(rr roundRules, variants []variant) error {
+// merges their buffers deterministically (see the comment at the top of the
+// file). The budget tripwire counts tentative emissions (each task dedups
+// against the frozen database but not against its peers), so it can only
+// overcount; when it trips without the merged total actually exceeding the
+// budget, the truncated round is re-fired — already-merged facts then dedup
+// at emit time, so every re-fire either completes the round or strictly
+// grows the database until the budget genuinely runs out.
+//
+// Goal-directed runs commit with a prefix cut. In-flight tasks are
+// deliberately NOT aborted (cutting peers off mid-enumeration would make the
+// partial database depend on goroutine scheduling); instead the merge
+// commits in variant order and stops at the first committed goal fact. Each
+// task only probes frozen indexes — tuples inserted mid-round are stamped
+// with the current round, which every window excludes — so the committed
+// prefix equals the sequential partial database byte for byte. Cancellation
+// is likewise observed at round (and re-fire) boundaries.
+//
+// Task concurrency is min(Shards, GOMAXPROCS); on one proc the tasks run
+// inline in task order (still buffered — the merge is what defines the
+// commit order, not the firing schedule).
+func (env *roundEnv) runSharded(rs *roundSetup, partCol map[string]int, variants []variant) error {
 	d, opts, stats, goal := env.d, env.opts, env.stats, env.goal
 	shards := opts.Shards
-	// Per-variant execution plans: the rule actually fired (delta-first when
-	// the delta sits on executed position 1 and a swapped compilation
-	// exists), its windows, and the ownership view of its outer predicate
-	// under the planner's partition column. Views are frozen here, before
-	// any task runs, so every in-round ownership test is a lock-free read
-	// covering exactly the ids the round windows admit.
+	// Per-variant execution plans: the pipeline actually run (delta-first
+	// when the delta sits on executed position 1 and a swapped plan exists),
+	// its span, and the ownership view of its outer predicate under the
+	// planner's partition column. Views are frozen here, before any task
+	// runs, so every in-round ownership test is a lock-free read covering
+	// exactly the ids the round windows admit.
 	type shardPlan struct {
-		cr       *compiledRule
-		windows  []db.RoundWindow
-		view     db.ShardView
-		tagInner bool
+		sp   *streamPlan
+		win  span
+		view db.ShardView
 	}
 	plans := make([]shardPlan, len(variants))
 	for vi, v := range variants {
-		p := shardPlan{cr: rr.compiled[v.idx], windows: v.windows}
-		if v.delta == 1 && rr.swapped != nil && rr.swapped[v.idx] != nil {
-			p.cr = rr.swapped[v.idx]
-			w := append([]db.RoundWindow(nil), v.windows...)
-			w[0], w[1] = w[1], w[0]
-			p.windows = w
-			p.tagInner = true
+		p := shardPlan{sp: rs.plans[v.idx], win: v.win}
+		if v.win.delta == 1 && rs.swapped != nil && rs.swapped[v.idx] != nil {
+			p.sp = rs.swapped[v.idx]
+			p.win.swapped = true
 		}
-		if len(p.cr.body) > 0 {
-			pred := p.cr.body[0].pred
-			p.view = d.EnsureShardView(pred, rr.partCol[pred], shards)
+		if len(p.sp.ops) > 0 {
+			pred := p.sp.ops[0].pred
+			p.view = d.EnsureShardView(pred, partCol[pred], shards)
 		}
 		plans[vi] = p
 	}
 	var tentative atomic.Int64
 	var tripped atomic.Bool
-	var stopFn func() bool
-	if opts.MaxDerived > 0 {
-		stopFn = func() bool { return tripped.Load() }
-	}
-	width := opts.Workers
-	if width < 1 {
-		width = 1
-	}
+	width := min(shards, runtime.GOMAXPROCS(0))
 	nTasks := len(variants) * shards
 	pool := &env.pool
 	for {
@@ -577,65 +472,26 @@ func (env *roundEnv) runSharded(rr roundRules, variants []variant) error {
 		tentative.Store(int64(d.Len() - env.baseLen))
 		tripped.Store(false)
 		pool.taskReset(nTasks)
-		buffers, statsArr := pool.bufs, pool.stats
 		run := func(ti int) {
-			vi, s := ti/shards, uint8(ti%shards)
-			p := plans[vi]
-			sc := shardScan{view: p.view, shard: s, tagInner: p.tagInner}
-			// Shard-local dedup. On duplicate-heavy workloads almost every
-			// firing re-derives a known fact, so the rejection path is the
-			// executor's hot loop: the head predicate is fixed per variant,
-			// letting the pred→relation map lookup hoist out of it, and the
-			// frozen relation's table is probed read-only. Facts new to the
-			// round dedup against the task-local set, so only distinct facts
-			// are copied, buffered and sorted — duplicate emissions fold into
-			// the buffered entry's merge keys (see taskSet) — and cross-task
-			// duplicates still resolve at the merge, so byte identity is
-			// preserved.
-			//
-			// The frozen-table probe is itself adaptive: it saves a buffer
-			// entry when it hits, but on low-duplicate rounds nearly every
-			// probe misses against a table too large to stay in cache, and
-			// the commit re-probes at insert anyway. Each task samples its
-			// first probeSample emissions and drops the prefilter for the
-			// rest of the task when under a quarter of them were duplicates
-			// — the merge's insert remains the one authoritative dedup, so
-			// the switch cannot change what commits, or in what order.
-			headRel := d.Relation(p.cr.head.pred)
-			if headRel != nil && headRel.Arity() != len(p.cr.head.args) {
-				headRel = nil
+			p := plans[ti/shards]
+			shard := uint8(ti % shards)
+			if len(p.sp.ops) == 0 && shard != 0 {
+				return // ground heads run on shard 0 only
 			}
-			local := &pool.sets[ti]
-			arena := pool.arenas[ti] // chunked copy space; grown slices keep old chunks alive
-			const probeSample = 512
-			probed, rejected := 0, 0
-			emit := func(k1, k2 int32, pred string, args []ast.Const) bool {
-				if headRel != nil {
-					_, dup := headRel.LookupID(args)
-					if dup {
-						rejected++
-					}
-					if probed++; probed == probeSample && 4*rejected < probeSample {
-						headRel = nil
-					}
-					if dup {
-						return false
-					}
-				}
-				if !local.add(buffers[ti], k1, k2, args) {
-					return false
-				}
-				n := len(arena)
-				arena = append(arena, args...)
-				cp := arena[n:len(arena):len(arena)]
-				buffers[ti] = append(buffers[ti], shardPending{k1: k1, k2: k2, shard: s, pred: pred, args: cp})
-				if opts.MaxDerived > 0 && tentative.Add(1) > int64(opts.MaxDerived) {
-					tripped.Store(true)
-				}
-				return true // tentatively new; the merge dedups across tasks
+			st := &pool.states[ti]
+			st.ensure(p.sp)
+			st.owned, st.view, st.shard = true, p.view, shard
+			sink := &pool.sinks[ti]
+			*sink = shardSink{
+				st: st, tagInner: p.win.swapped,
+				local: &pool.sets[ti], buf: pool.bufs[ti], arena: pool.arenas[ti],
+				budget: int64(opts.MaxDerived), tentative: &tentative, tripped: &tripped,
 			}
-			p.cr.fireShard(d, p.windows, &statsArr[ti], &sc, emit, stopFn)
-			pool.arenas[ti] = arena
+			if rel := d.Relation(p.sp.head.pred); rel != nil && rel.Arity() == len(p.sp.head.args) {
+				sink.headRel = rel
+			}
+			p.sp.run(d, p.win, st, &pool.stats[ti], sink)
+			pool.bufs[ti], pool.arenas[ti] = sink.buf, sink.arena
 		}
 		if width == 1 {
 			for ti := 0; ti < nTasks; ti++ {
@@ -659,18 +515,17 @@ func (env *roundEnv) runSharded(rr roundRules, variants []variant) error {
 		// one variant the shard buffers partition the outer enumeration:
 		// arranging the concatenation by (k1, k2, concat order) — see
 		// commitOrder — restores the sequential plan-ordered emission
-		// sequence: k1 is the plan-outer tuple id, k2 the delta id of a
-		// swapped execution, and emissions sharing both keys come from a
-		// single shard in already-correct relative order (ownership makes
-		// the key spaces disjoint across shards). Variants then commit in
-		// variant order exactly as the parallel merge does, goal prefix cut
-		// included.
+		// sequence, and emissions sharing both keys come from a single shard
+		// in already-correct relative order (ownership makes the key spaces
+		// disjoint across shards). Variants then commit in variant order.
+		buffers, statsArr := pool.bufs, pool.stats
 		for vi := range variants {
 			base := vi * shards
 			for s := 0; s < shards; s++ {
 				stats.Firings += statsArr[base+s].Firings
+				stats.BindingsPipelined += statsArr[base+s].BindingsPipelined
 			}
-			all := commitOrder(buffers[base:base+shards], plans[vi].tagInner, &pool.aux)
+			all := commitOrder(buffers[base:base+shards], plans[vi].win.swapped, &pool.aux)
 			merged := 0
 			cut := false
 			for i := range all {
@@ -683,7 +538,7 @@ func (env *roundEnv) runSharded(rr roundRules, variants []variant) error {
 					// differs from the shard that derived it would cross
 					// shards in a distributed deployment.
 					owner := uint8(0)
-					if col, ok := rr.partCol[pf.pred]; ok {
+					if col, ok := partCol[pf.pred]; ok {
 						owner = db.ShardOwner(pf.args, col, shards)
 					}
 					if owner != pf.shard {
@@ -710,9 +565,7 @@ func (env *roundEnv) runSharded(rr roundRules, variants []variant) error {
 		maxF, totF := 0, 0
 		for _, f := range perShard {
 			totF += f
-			if f > maxF {
-				maxF = f
-			}
+			maxF = max(maxF, f)
 		}
 		stats.ShardImbalance += maxF - totF/shards
 		if !tripped.Load() {
@@ -724,17 +577,10 @@ func (env *roundEnv) runSharded(rr roundRules, variants []variant) error {
 	}
 }
 
-// normalizeShards resolves the effective shard count of opts: the sharded
-// executor is part of the compiled kernel, so NoCompile runs unsharded, and
-// the ownership views store owners in one byte, capping the count at 256.
+// normalizeShards resolves the effective shard count of opts: the
+// ownership views store owners in one byte, capping the count at 256.
 func normalizeShards(opts Options) int {
-	switch {
-	case opts.NoCompile || opts.Shards < 1:
-		return 1
-	case opts.Shards > 256:
-		return 256
-	}
-	return opts.Shards
+	return min(max(opts.Shards, 1), 256)
 }
 
 // partitionCols chooses, per predicate, the column sharded rounds partition
@@ -798,29 +644,29 @@ func partitionCols(rules []ast.Rule) map[string]int {
 	return out
 }
 
-// buildSwapped compiles the delta-first form of each ordered rule whose
-// first two body atoms share a variable: body positions 0 and 1 swapped,
+// buildSwapped lowers the delta-first form of each ordered rule whose first
+// two body atoms share a variable: body positions 0 and 1 swapped,
 // substituted by the sharded executor when the round's delta lands on
 // executed position 1. Enumerating the delta as the outer loop turns a scan
-// of the whole relation (filtered per tuple against the delta window) into
-// a walk of the delta's contiguous id-range; the shared-variable guard
-// keeps the displaced outer atom an index probe rather than a per-delta
-// re-scan. eligible filters by the predicate at position 1 (only dynamic
-// predicates ever hold a delta there). The extra index needs of the swapped
-// probes are returned for the round-boundary freeze.
-func buildSwapped(ordered []ast.Rule, eligible func(pred string) bool) ([]*compiledRule, []indexNeed) {
-	var swapped []*compiledRule
+// of the whole relation into a walk of the delta's contiguous id-range that
+// shard ownership can split; the shared-variable guard keeps the displaced
+// outer atom an index probe rather than a per-delta re-scan. eligible
+// filters by the predicate at position 1 (only predicates that can hold a
+// delta matter). The extra index needs of the swapped probes are returned
+// for the round-boundary freeze.
+func buildSwapped(ordered []ast.Rule, eligible func(pred string) bool) ([]*streamPlan, []indexNeed) {
+	var swapped []*streamPlan
 	var srules []ast.Rule
 	for i, or := range ordered {
 		if len(or.Body) < 2 || !eligible(or.Body[1].Pred) || !atomsShareVar(or.Body[0], or.Body[1]) {
 			continue
 		}
 		if swapped == nil {
-			swapped = make([]*compiledRule, len(ordered))
+			swapped = make([]*streamPlan, len(ordered))
 		}
 		sr := or.Clone()
 		sr.Body[0], sr.Body[1] = sr.Body[1], sr.Body[0]
-		swapped[i] = compileRule(sr)
+		swapped[i] = lowerRule(sr)
 		srules = append(srules, sr)
 	}
 	if swapped == nil {

@@ -2,7 +2,9 @@ package eval
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/ast"
@@ -10,12 +12,31 @@ import (
 	"repro/internal/workload"
 )
 
-// The sharded executor's acceptance property: for every program, strategy
-// and worker count, the output database is byte-identical (same facts in the
+// The sharded executor's acceptance property: for every program and
+// strategy, the output database is byte-identical (same facts in the
 // same insertion order, which db.String exposes) across shard counts —
 // including goal early-stop partial databases and budget-exhausted runs.
 
 var shardGrid = []int{1, 2, 4, 8}
+
+// withProcs sets GOMAXPROCS for the rest of the test. Shard tasks run on
+// min(Shards, GOMAXPROCS) goroutines — inline at 1 — so the grids pin the
+// value to cover both schedules whatever the host's core count.
+func withProcs(t *testing.T, n int) {
+	t.Helper()
+	prev := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+}
+
+// bothSchedules runs body with shard tasks inline and with them concurrent.
+func bothSchedules(t *testing.T, body func(t *testing.T)) {
+	for _, procs := range []int{1, 8} {
+		t.Run(fmt.Sprintf("procs=%d", procs), func(t *testing.T) {
+			withProcs(t, procs)
+			body(t)
+		})
+	}
+}
 
 // MustEval2 evaluates under explicit options and returns the dump, failing
 // the test on error.
@@ -28,8 +49,9 @@ func MustEval2(t *testing.T, p *ast.Program, input *db.Database, o Options) stri
 	return out.String()
 }
 
-func TestShardedByteIdentity(t *testing.T) {
-	workers := []int{1, 8}
+func TestShardedByteIdentity(t *testing.T) { bothSchedules(t, testShardedByteIdentity) }
+
+func testShardedByteIdentity(t *testing.T) {
 	strategies := []Strategy{SemiNaive, Naive}
 	for seed := int64(0); seed < 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -41,25 +63,23 @@ func TestShardedByteIdentity(t *testing.T) {
 		for _, strat := range strategies {
 			var want string
 			first := true
-			for _, w := range workers {
-				for _, s := range shardGrid {
-					prep, err := Prepare(p, Options{Strategy: strat, Workers: w, Shards: s})
-					if err != nil {
-						t.Fatalf("seed %d: prepare shards=%d: %v", seed, s, err)
-					}
-					out, _, err := prep.Eval(input)
-					if err != nil {
-						t.Fatalf("seed %d strat=%v workers=%d shards=%d: %v", seed, strat, w, s, err)
-					}
-					dump := out.String()
-					if first {
-						want, first = dump, false
-						continue
-					}
-					if dump != want {
-						t.Fatalf("seed %d strat=%v workers=%d shards=%d: database differs from shards=1\ngot:\n%s\nwant:\n%s\nprogram:\n%s",
-							seed, strat, w, s, dump, want, p)
-					}
+			for _, s := range shardGrid {
+				prep, err := Prepare(p, Options{Strategy: strat, Shards: s})
+				if err != nil {
+					t.Fatalf("seed %d: prepare shards=%d: %v", seed, s, err)
+				}
+				out, _, err := prep.Eval(input)
+				if err != nil {
+					t.Fatalf("seed %d strat=%v shards=%d: %v", seed, strat, s, err)
+				}
+				dump := out.String()
+				if first {
+					want, first = dump, false
+					continue
+				}
+				if dump != want {
+					t.Fatalf("seed %d strat=%v shards=%d: database differs from shards=1\ngot:\n%s\nwant:\n%s\nprogram:\n%s",
+						seed, strat, s, dump, want, p)
 				}
 			}
 		}
@@ -67,29 +87,31 @@ func TestShardedByteIdentity(t *testing.T) {
 }
 
 func TestShardedTransitiveClosureIdentity(t *testing.T) {
+	bothSchedules(t, testShardedTransitiveClosureIdentity)
+}
+
+func testShardedTransitiveClosureIdentity(t *testing.T) {
 	p := workload.TransitiveClosure()
 	input := workload.RandomDigraph("A", 60, 150, 3)
 	want := MustEval(p, input).String()
-	for _, w := range []int{1, 8} {
-		for _, s := range shardGrid {
-			prep, err := Prepare(p, Options{Workers: w, Shards: s})
-			if err != nil {
-				t.Fatal(err)
+	for _, s := range shardGrid {
+		prep, err := Prepare(p, Options{Shards: s})
+		if err != nil {
+			t.Fatal(err)
+		}
+		out, stats, err := prep.Eval(input)
+		if err != nil {
+			t.Fatalf("shards=%d: %v", s, err)
+		}
+		if out.String() != want {
+			t.Fatalf("shards=%d: output differs from unsharded", s)
+		}
+		if s > 1 {
+			if stats.ShardRounds == 0 {
+				t.Fatalf("shards=%d: sharded executor did not engage", s)
 			}
-			out, stats, err := prep.Eval(input)
-			if err != nil {
-				t.Fatalf("workers=%d shards=%d: %v", w, s, err)
-			}
-			if out.String() != want {
-				t.Fatalf("workers=%d shards=%d: output differs from unsharded", w, s)
-			}
-			if s > 1 {
-				if stats.ShardRounds == 0 {
-					t.Fatalf("workers=%d shards=%d: sharded executor did not engage", w, s)
-				}
-				if stats.ShardRounds%s != 0 {
-					t.Fatalf("shards=%d: ShardRounds=%d not a multiple of the shard count", s, stats.ShardRounds)
-				}
+			if stats.ShardRounds%s != 0 {
+				t.Fatalf("shards=%d: ShardRounds=%d not a multiple of the shard count", s, stats.ShardRounds)
 			}
 		}
 	}
@@ -97,9 +119,11 @@ func TestShardedTransitiveClosureIdentity(t *testing.T) {
 
 // TestShardedGoalPrefixCut extends the prefix-cut determinism property to
 // the sharded merge: a goal-directed run halts on a byte-identical partial
-// database for every (workers, shards) point. Goals are drawn from
+// database for every shard count. Goals are drawn from
 // mid-evaluation derivations so the cut fires inside rounds.
-func TestShardedGoalPrefixCut(t *testing.T) {
+func TestShardedGoalPrefixCut(t *testing.T) { bothSchedules(t, testShardedGoalPrefixCut) }
+
+func testShardedGoalPrefixCut(t *testing.T) {
 	for seed := int64(0); seed < 25; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		p := workload.RandomProgram(rng, 1+rng.Intn(4))
@@ -128,29 +152,27 @@ func TestShardedGoalPrefixCut(t *testing.T) {
 			var wantDump string
 			var wantReached bool
 			first := true
-			for _, w := range []int{1, 8} {
-				for _, s := range shardGrid {
-					prep, err := Prepare(p, Options{Workers: w, Shards: s})
-					if err != nil {
-						t.Fatalf("seed %d: prepare: %v", seed, err)
-					}
-					out, reached, _, err := prep.EvalGoal(input, &goal, 0)
-					if err != nil {
-						t.Fatalf("seed %d goal %v workers=%d shards=%d: %v", seed, goal, w, s, err)
-					}
-					dump := out.String()
-					if first {
-						wantDump, wantReached, first = dump, reached, false
-						continue
-					}
-					if reached != wantReached {
-						t.Fatalf("seed %d goal %v: workers=%d shards=%d reached=%v, want %v",
-							seed, goal, w, s, reached, wantReached)
-					}
-					if dump != wantDump {
-						t.Fatalf("seed %d goal %v: workers=%d shards=%d partial database differs\ngot:\n%s\nwant:\n%s\nprogram:\n%s",
-							seed, goal, w, s, dump, wantDump, p)
-					}
+			for _, s := range shardGrid {
+				prep, err := Prepare(p, Options{Shards: s})
+				if err != nil {
+					t.Fatalf("seed %d: prepare: %v", seed, err)
+				}
+				out, reached, _, err := prep.EvalGoal(input, &goal, 0)
+				if err != nil {
+					t.Fatalf("seed %d goal %v shards=%d: %v", seed, goal, s, err)
+				}
+				dump := out.String()
+				if first {
+					wantDump, wantReached, first = dump, reached, false
+					continue
+				}
+				if reached != wantReached {
+					t.Fatalf("seed %d goal %v: shards=%d reached=%v, want %v",
+						seed, goal, s, reached, wantReached)
+				}
+				if dump != wantDump {
+					t.Fatalf("seed %d goal %v: shards=%d partial database differs\ngot:\n%s\nwant:\n%s\nprogram:\n%s",
+						seed, goal, s, dump, wantDump, p)
 				}
 			}
 		}
@@ -162,7 +184,9 @@ func TestShardedGoalPrefixCut(t *testing.T) {
 // ErrBudget, in agreement with the sequential baseline. (The partial
 // database of a budget-failed run is not an API observable: run returns a
 // nil database alongside the error.)
-func TestShardedBudgetConsistency(t *testing.T) {
+func TestShardedBudgetConsistency(t *testing.T) { bothSchedules(t, testShardedBudgetConsistency) }
+
+func testShardedBudgetConsistency(t *testing.T) {
 	p := workload.TransitiveClosure()
 	input := workload.Chain("A", 30)
 	for _, budget := range []int{1, 25, 1000} {
@@ -171,22 +195,22 @@ func TestShardedBudgetConsistency(t *testing.T) {
 		if err != nil && !wantBudget {
 			t.Fatalf("budget=%d: unexpected baseline error %v", budget, err)
 		}
-		for _, w := range []int{1, 8} {
-			for _, s := range shardGrid {
-				_, _, err := Eval(p, input, Options{MaxDerived: budget, Workers: w, Shards: s})
-				if got := errors.Is(err, ErrBudget); got != wantBudget {
-					t.Fatalf("budget=%d workers=%d shards=%d: budget error %v, baseline %v (err=%v)",
-						budget, w, s, got, wantBudget, err)
-				}
+		for _, s := range shardGrid {
+			_, _, err := Eval(p, input, Options{MaxDerived: budget, Shards: s})
+			if got := errors.Is(err, ErrBudget); got != wantBudget {
+				t.Fatalf("budget=%d shards=%d: budget error %v, baseline %v (err=%v)",
+					budget, s, got, wantBudget, err)
 			}
 		}
 	}
 }
 
-// TestShardedIncrementalOracle: the maintenance path routed through the
-// shared round executor agrees with full re-evaluation at every grid point,
+// TestShardedIncrementalOracle: the insert loop routed through the shared
+// round executor agrees with full re-evaluation at every grid point,
 // and produces byte-identical databases across the grid.
-func TestShardedIncrementalOracle(t *testing.T) {
+func TestShardedIncrementalOracle(t *testing.T) { bothSchedules(t, testShardedIncrementalOracle) }
+
+func testShardedIncrementalOracle(t *testing.T) {
 	p := workload.TransitiveClosure()
 	base := workload.Chain("A", 12)
 	out := MustEval(p, base)
@@ -198,31 +222,32 @@ func TestShardedIncrementalOracle(t *testing.T) {
 	want := MustEval(p, full)
 	var wantDump string
 	first := true
-	for _, w := range []int{1, 8} {
-		for _, s := range shardGrid {
-			inc, stats, err := Incremental(p, out, newFacts, Options{Workers: w, Shards: s})
-			if err != nil {
-				t.Fatalf("workers=%d shards=%d: %v", w, s, err)
-			}
-			if !inc.Equal(want) {
-				t.Fatalf("workers=%d shards=%d: incremental %d facts, full re-eval %d facts",
-					w, s, inc.Len(), want.Len())
-			}
-			if s > 1 && stats.ShardRounds == 0 {
-				t.Fatalf("workers=%d shards=%d: sharded delta loop did not engage", w, s)
-			}
-			dump := inc.String()
-			if first {
-				wantDump, first = dump, false
-			} else if dump != wantDump {
-				t.Fatalf("workers=%d shards=%d: incremental database differs across the grid", w, s)
-			}
+	for _, s := range shardGrid {
+		inc, stats, err := Incremental(p, out, newFacts, Options{Shards: s})
+		if err != nil {
+			t.Fatalf("shards=%d: %v", s, err)
+		}
+		if !inc.Equal(want) {
+			t.Fatalf("shards=%d: incremental %d facts, full re-eval %d facts",
+				s, inc.Len(), want.Len())
+		}
+		if s > 1 && stats.ShardRounds == 0 {
+			t.Fatalf("shards=%d: sharded insert loop did not engage", s)
+		}
+		dump := inc.String()
+		if first {
+			wantDump, first = dump, false
+		} else if dump != wantDump {
+			t.Fatalf("shards=%d: incremental database differs across the grid", s)
 		}
 	}
 }
 
 func TestShardedIncrementalRandomOracle(t *testing.T) {
-	grid := [][2]int{{1, 1}, {1, 4}, {8, 2}, {8, 8}}
+	bothSchedules(t, testShardedIncrementalRandomOracle)
+}
+
+func testShardedIncrementalRandomOracle(t *testing.T) {
 	for seed := int64(0); seed < 30; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		p := workload.RandomProgram(rng, 1+rng.Intn(4))
@@ -241,14 +266,14 @@ func TestShardedIncrementalRandomOracle(t *testing.T) {
 		if err != nil {
 			continue
 		}
-		for _, g := range grid {
-			inc, _, err := Incremental(p, out, extra.Facts(), Options{Workers: g[0], Shards: g[1]})
+		for _, s := range shardGrid {
+			inc, _, err := Incremental(p, out, extra.Facts(), Options{Shards: s})
 			if err != nil {
-				t.Fatalf("seed %d workers=%d shards=%d: %v", seed, g[0], g[1], err)
+				t.Fatalf("seed %d shards=%d: %v", seed, s, err)
 			}
 			if !inc.Equal(want) {
-				t.Fatalf("seed %d workers=%d shards=%d: incremental disagrees with full re-eval\nprogram:\n%s",
-					seed, g[0], g[1], p)
+				t.Fatalf("seed %d shards=%d: incremental disagrees with full re-eval\nprogram:\n%s",
+					seed, s, p)
 			}
 		}
 	}
@@ -289,15 +314,13 @@ func TestShardedStatsAccounting(t *testing.T) {
 }
 
 // TestShardedNormalization: unusable shard counts fall back to the
-// unsharded executor, and NoCompile (which the sharded kernel requires)
-// normalizes to one shard rather than failing.
+// unsharded executor or the cap rather than failing.
 func TestShardedNormalization(t *testing.T) {
 	p := workload.TransitiveClosure()
 	input := workload.Chain("A", 8)
 	for _, o := range []Options{
 		{Shards: 0},
 		{Shards: -3},
-		{Shards: 4, NoCompile: true},
 		{Shards: 100000},
 		{Shards: 3, NoReorder: true},
 		{Shards: 5, Strategy: Naive},
@@ -307,15 +330,12 @@ func TestShardedNormalization(t *testing.T) {
 		base := o
 		base.Shards = 1
 		want := MustEval2(t, p, input, base)
-		out, st, err := Eval(p, input, o)
+		out, _, err := Eval(p, input, o)
 		if err != nil {
 			t.Fatalf("%+v: %v", o, err)
 		}
 		if out.String() != want {
 			t.Fatalf("%+v: output differs", o)
-		}
-		if o.NoCompile && st.ShardRounds != 0 {
-			t.Fatalf("%+v: sharded executor ran under NoCompile", o)
 		}
 	}
 }

@@ -8,14 +8,19 @@ import (
 	"repro/internal/db"
 )
 
-// The streaming executor is the pipelined alternative to the materializing
-// join kernel: a compiled rule is lowered once more, from slot form into a
-// chain of relational operators (index-probe scan, dedup-table lookup,
-// natural-join probe, selection, projection/dedup-emit), and the chain is
-// driven as a pull-based iterator pipeline. Bindings flow through the join
-// one tuple at a time — no intermediate binding set is ever materialized —
-// and the emit path is shared with the materializing kernel, so the goal
-// early stop and the derived-fact budget cut the pipeline mid-stream.
+// The operator pipeline is the one code path that joins a rule body. A
+// slot-compiled rule is lowered once more into a chain of relational
+// operators (index-probe scan, dedup-table lookup, natural-join probe,
+// selection, projection/emit) and driven as a pull-based iterator pipeline:
+// bindings flow through the join one tuple at a time and no intermediate
+// binding set is ever materialized.
+//
+// Every rule application in the package is this pipeline under a different
+// span (which rounds each operator may read) and a different sink (what
+// happens to a head instantiation): a first-round full application, a
+// semi-naive delta variant, a one-pass non-recursive stratum, the one-step
+// Pⁿ / IsClosed pass, a maintenance insert round and a shard task differ in
+// nothing else.
 //
 // The lowering is purely static. Because a plan is compiled for one body
 // order, the set of columns bound at each position is known at compile time:
@@ -27,21 +32,12 @@ import (
 // index exact-matches the key), no dynamic boundness tests, and no unbinding
 // on backtrack (a slot is only ever read by operators downstream of the one
 // that assigns it).
-//
-// Plan selection lives in unit.fixpoint: a unit whose rules never read the
-// unit's own head predicates (a non-recursive stratum) reaches fixpoint in
-// one full application, which is exactly the shape the pipeline executes;
-// recursive units keep the materializing kernel, whose delta windows are
-// what makes semi-naive rounds cheap. The frozen-body containment queries of
-// Section VI are non-recursive by construction once their EDB is frozen, so
-// every chase verdict rides this path.
 
 // opKind classifies how a stream operator enumerates its candidate tuples.
 type opKind uint8
 
 const (
-	// opScan has no bound columns: it walks the round-visible prefix of the
-	// relation, ids ascending.
+	// opScan has no bound columns: it walks its window's id-range ascending.
 	opScan opKind = iota
 	// opLookup has every column bound: a single dedup-table probe.
 	opLookup
@@ -77,8 +73,7 @@ type streamOp struct {
 }
 
 // streamPlan is one rule lowered to a pipeline: the operator chain in body
-// order, plus the negated literals and head shared with the slot-compiled
-// form.
+// order, plus the negated literals and head in slot form.
 type streamPlan struct {
 	nVars int
 	ops   []streamOp
@@ -86,10 +81,11 @@ type streamPlan struct {
 	head  compiledAtom
 }
 
-// compileStream lowers a slot-compiled rule into a pipeline plan. The body
-// order is the compiled rule's order, so the plan probes exactly the indexes
-// indexNeeds declared for that order.
-func compileStream(cr *compiledRule) *streamPlan {
+// lowerRule compiles r (body already in evaluation order) to a pipeline
+// plan. The plan probes exactly the indexes indexNeeds declares for that
+// order.
+func lowerRule(r ast.Rule) *streamPlan {
+	cr := compileRule(r)
 	sp := &streamPlan{nVars: cr.nVars, neg: cr.neg, head: cr.head}
 	bound := make([]bool, cr.nVars)
 	for _, a := range cr.body {
@@ -134,36 +130,83 @@ func compileStream(cr *compiledRule) *streamPlan {
 	return sp
 }
 
-// streamState is the reusable executor state, allocated once per streaming
-// pass and shared by every plan in it — the pipeline's entire working set.
-// Per-position cursors live here so the backtracking loop is allocation-free.
+// span is the round windows of one rule application, as data. A full
+// application (delta < 0: first rounds, the naive strategy, one-step passes)
+// lets every operator read rounds [0, max]. A delta variant aims executed
+// position delta at the rounds [min, max], earlier positions at strictly
+// older facts and later positions at anything up to max — every new
+// combination has a unique least delta position, so nothing is derived
+// twice. min == max is the ordinary semi-naive round; a wider delta is the
+// first round of a maintenance batch. swapped marks a delta-first execution
+// (positions 0 and 1 exchanged by buildSwapped): the window lookup exchanges
+// them back.
+type span struct {
+	delta    int
+	min, max int32
+	swapped  bool
+}
+
+func fullSpan(maxRound int32) span { return span{delta: -1, max: maxRound} }
+
+func (s span) window(pos int) db.RoundWindow {
+	if s.swapped && pos < 2 {
+		pos = 1 - pos
+	}
+	switch {
+	case s.delta < 0 || pos > s.delta:
+		return db.RoundWindow{Min: 0, Max: s.max}
+	case pos == s.delta:
+		return db.RoundWindow{Min: s.min, Max: s.max}
+	default:
+		return db.RoundWindow{Min: 0, Max: s.min - 1}
+	}
+}
+
+// idRange resolves a round window to the id-range [lo, hi) it admits. Round
+// stamps are non-decreasing with insertion order, so a window is always a
+// contiguous range; tuples inserted mid-pass carry the current round, beyond
+// every window, so bounds captured once stay exact for the whole pass.
+func idRange(rel *db.Relation, w db.RoundWindow) (lo, hi int) {
+	if w.Min > 0 {
+		lo = rel.LenAt(w.Min - 1)
+	}
+	return lo, rel.LenAt(w.Max)
+}
+
+// streamState is the reusable executor state, allocated once per pass and
+// shared by every plan in it — the pipeline's entire working set. Per-
+// position cursors live here so the backtracking loop is allocation-free.
 type streamState struct {
 	vals    []ast.Const
 	rels    []*db.Relation
 	probers []db.Prober
 	iters   []db.TupleIter
-	ids     []int
-	limits  []int
+	next    []int   // scan cursor / lookup-consumed flag
+	cur     []int32 // id of the tuple currently bound at each position
+	lo, hi  []int   // the position's window as an id-range
 	key     []ast.Const
 	out     []ast.Const
 	fix     fixpointSink
+
+	// A shard task restricts position 0 to the tuples view assigns to shard;
+	// owned is false everywhere else.
+	owned bool
+	view  db.ShardView
+	shard uint8
 }
 
-// streamSink receives the pipeline's head emissions. emit reports whether
-// the fact was new; halted is polled after each new fact and aborts the
-// pipeline when true. A struct implementation keeps the emit path free of
-// per-pass closure allocations: the fixpoint's sink lives inside the pooled
-// streamState, so a streamed stratum allocates nothing for its emit state.
+// streamSink receives the pipeline's head emissions. added reports whether
+// the fact was new (it feeds Stats.Added); halt aborts the pipeline. Struct
+// implementations keep the emit path free of per-pass closure allocations.
 type streamSink interface {
-	emit(pred string, args []ast.Const) bool
-	halted() bool
+	emit(pred string, args []ast.Const) (added, halt bool)
 }
 
-// fixpointSink is the materializing round's emit path in struct form: add
-// to the database, test the goal, count down the derived-fact budget, and
-// credit provenance. It reproduces unit.fixpoint's runRound emit closure
-// bit for bit — same dedup, same goal equality, same budget trip — which
-// keeps the streamed and materializing executions byte-identical.
+// fixpointSink is the sequential emit discipline: poll the context, add to
+// the database, test the goal, count down the derived-fact budget, credit
+// provenance. The context is polled on every emission — new fact or
+// duplicate — so a pass that mostly re-derives known facts is still cut
+// within ctxCheckEvery firings of a cancellation.
 type fixpointSink struct {
 	d         *db.Database
 	goal      *ast.GroundAtom
@@ -177,9 +220,16 @@ type fixpointSink struct {
 	canceled  bool
 }
 
-func (s *fixpointSink) emit(pred string, args []ast.Const) bool {
+func (s *fixpointSink) emit(pred string, args []ast.Const) (bool, bool) {
+	if s.ctx != nil {
+		if s.ctxTick++; s.ctxTick%ctxCheckEvery == 0 && s.ctx.Err() != nil {
+			s.canceled = true
+			s.stop = true
+			return false, true
+		}
+	}
 	if !s.d.AddTuple(pred, args) {
-		return false
+		return false, false
 	}
 	if s.goal != nil && pred == s.goal.Pred && constsEqual(args, s.goal.Args) {
 		s.goalHit = true
@@ -191,21 +241,11 @@ func (s *fixpointSink) emit(pred string, args []ast.Const) bool {
 			s.stop = true
 		}
 	}
-	if s.ctx != nil {
-		// Same cadence as the materializing emit closure: cancellation cuts
-		// the pipeline mid-stream instead of waiting for the pass to finish.
-		if s.ctxTick++; s.ctxTick%ctxCheckEvery == 0 && s.ctx.Err() != nil {
-			s.canceled = true
-			s.stop = true
-		}
-	}
 	if s.prov != nil {
 		s.prov.Add(s.ruleIdx)
 	}
-	return true
+	return true, s.stop
 }
-
-func (s *fixpointSink) halted() bool { return s.stop }
 
 // nonrecSink materializes a one-step pass into a separate output database
 // (the Section IX Pⁿ operator): derivations never feed back into d.
@@ -213,11 +253,9 @@ type nonrecSink struct {
 	out *db.Database
 }
 
-func (s *nonrecSink) emit(pred string, args []ast.Const) bool {
-	return s.out.AddTuple(pred, args)
+func (s *nonrecSink) emit(pred string, args []ast.Const) (bool, bool) {
+	return s.out.AddTuple(pred, args), false
 }
-
-func (s *nonrecSink) halted() bool { return false }
 
 // closedSink decides IsClosed: the first derivation not already in d is a
 // counterexample and halts every remaining pipeline.
@@ -226,15 +264,13 @@ type closedSink struct {
 	open bool
 }
 
-func (s *closedSink) emit(pred string, args []ast.Const) bool {
+func (s *closedSink) emit(pred string, args []ast.Const) (bool, bool) {
 	if s.d.HasTuple(pred, args) {
-		return false
+		return false, false
 	}
 	s.open = true
-	return true // count as "new" so halted aborts immediately
+	return true, true
 }
-
-func (s *closedSink) halted() bool { return s.open }
 
 var streamStatePool = sync.Pool{New: func() any { return new(streamState) }}
 
@@ -242,52 +278,39 @@ var streamStatePool = sync.Pool{New: func() any { return new(streamState) }}
 // batch; putStreamState recycles it. States carry no values across uses:
 // boundness is static, so every slot, cursor, and key cell is written
 // before anything reads it, and a pass binds its relations and probers up
-// front. Pooling makes a streamed pass allocation-free in the steady state,
-// which is where the streaming path's bytes-per-op advantage over the
-// materializing kernel comes from.
+// front. Pooling makes a sequential pass allocation-free in the steady
+// state.
 func getStreamState(plans []*streamPlan) *streamState {
 	st := streamStatePool.Get().(*streamState)
-	st.ensure(plans)
+	st.ensure(plans...)
 	return st
 }
 
 // putStreamState drops the state's relation pointers (so a pooled state
 // does not pin a dead database in memory) and returns it to the pool.
 func putStreamState(st *streamState) {
-	for i := range st.rels {
-		st.rels[i] = nil
-	}
+	clear(st.rels)
 	st.fix = fixpointSink{}
 	streamStatePool.Put(st)
 }
 
-// ensure grows the state to the largest plan in the batch. Oversized
+// ensure grows the state to the largest of the given plans. Oversized
 // slices are harmless: the pipeline addresses them by operator position and
 // reslices keys to the operator's own width.
-func (st *streamState) ensure(plans []*streamPlan) {
+func (st *streamState) ensure(plans ...*streamPlan) {
 	var nVars, nOps, arity int
 	for _, sp := range plans {
 		if sp == nil {
 			continue
 		}
-		if sp.nVars > nVars {
-			nVars = sp.nVars
-		}
-		if len(sp.ops) > nOps {
-			nOps = len(sp.ops)
-		}
-		if len(sp.head.args) > arity {
-			arity = len(sp.head.args)
-		}
+		nVars = max(nVars, sp.nVars)
+		nOps = max(nOps, len(sp.ops))
+		arity = max(arity, len(sp.head.args))
 		for i := range sp.ops {
-			if sp.ops[i].arity > arity {
-				arity = sp.ops[i].arity
-			}
+			arity = max(arity, sp.ops[i].arity)
 		}
 		for i := range sp.neg {
-			if len(sp.neg[i].args) > arity {
-				arity = len(sp.neg[i].args)
-			}
+			arity = max(arity, len(sp.neg[i].args))
 		}
 	}
 	if len(st.vals) < nVars {
@@ -297,8 +320,10 @@ func (st *streamState) ensure(plans []*streamPlan) {
 		st.rels = make([]*db.Relation, nOps)
 		st.probers = make([]db.Prober, nOps)
 		st.iters = make([]db.TupleIter, nOps)
-		st.ids = make([]int, nOps)
-		st.limits = make([]int, nOps)
+		st.next = make([]int, nOps)
+		st.cur = make([]int32, nOps)
+		st.lo = make([]int, nOps)
+		st.hi = make([]int, nOps)
 	}
 	if len(st.key) < arity {
 		st.key = make([]ast.Const, arity)
@@ -320,45 +345,47 @@ func (op *streamOp) buildKey(dst []ast.Const, vals []ast.Const) []ast.Const {
 	return key
 }
 
-// run drives the pipeline against d over the round window [0, prevTop],
-// emitting each head instantiation exactly as compiledRule.fire would for
-// the same body order: identical enumeration order, identical Firings/Added
-// accounting, identical stop-hook polling. The equivalence is load-bearing —
-// the planner swaps this in for the materializing kernel and the output
-// database must stay byte-identical.
-func (sp *streamPlan) run(d *db.Database, prevTop int32, st *streamState, stats *Stats, sink streamSink) {
+// run drives the pipeline against d with each operator confined to its
+// window of win, handing every head instantiation to sink; it reports false
+// when the sink halted the pass. Windows are resolved to id-ranges once, up
+// front: a scan walks [lo, hi), a probe binds its index at the window's upper
+// round and skips ids below lo, a lookup checks its id is in range. An
+// operator whose window admits nothing ends the run before any enumeration,
+// so a delta variant over an empty delta costs a few LenAt calls.
+func (sp *streamPlan) run(d *db.Database, win span, st *streamState, stats *Stats, sink streamSink) bool {
 	nOps := len(sp.ops)
 	for i := range sp.ops {
 		op := &sp.ops[i]
 		rel := d.Relation(op.pred)
 		if rel == nil || rel.Arity() != op.arity {
-			return // this body atom can never match
+			return true // this body atom can never match
 		}
-		st.rels[i] = rel
-		switch op.kind {
-		case opScan:
-			st.limits[i] = rel.LenAt(prevTop)
-		case opProbe:
-			st.probers[i] = rel.Prober(op.cols, prevTop)
+		w := win.window(i)
+		lo, hi := idRange(rel, w)
+		if lo >= hi {
+			return true
+		}
+		st.rels[i], st.lo[i], st.hi[i] = rel, lo, hi
+		if op.kind == opProbe {
+			st.probers[i] = rel.Prober(op.cols, w.Max)
 		}
 	}
 	if nOps == 0 {
-		sp.fireRow(d, st, stats, sink)
-		return
+		return sp.fireRow(d, st, stats, sink)
 	}
 	sp.open(0, st)
 	pos := 0
 	for {
-		if !sp.advance(pos, st, stats, prevTop) {
+		if !sp.advance(pos, st, stats) {
 			pos--
 			if pos < 0 {
-				return
+				return true
 			}
 			continue
 		}
 		if pos == nOps-1 {
 			if !sp.fireRow(d, st, stats, sink) {
-				return
+				return false
 			}
 			continue
 		}
@@ -371,46 +398,57 @@ func (sp *streamPlan) run(d *db.Database, prevTop int32, st *streamState, stats 
 func (sp *streamPlan) open(pos int, st *streamState) {
 	op := &sp.ops[pos]
 	switch op.kind {
-	case opScan, opLookup:
-		st.ids[pos] = 0
+	case opScan:
+		st.next[pos] = st.lo[pos]
+	case opLookup:
+		st.next[pos] = 0
 	case opProbe:
 		st.iters[pos] = st.probers[pos].Seek(op.buildKey(st.key, st.vals))
 	}
 }
 
-// advance pulls the next candidate at pos that passes the operator's
-// selection actions, binding its free columns into the frame. Slots are
-// never unbound: boundness is static, so a stale value is simply
+// advance pulls the next candidate at pos that lies in the position's
+// id-range, is owned by the running shard task (position 0 only) and passes
+// the operator's selection actions, binding its free columns into the frame.
+// Slots are never unbound: boundness is static, so a stale value is simply
 // overwritten by the next candidate before anything downstream reads it.
-func (sp *streamPlan) advance(pos int, st *streamState, stats *Stats, prevTop int32) bool {
+func (sp *streamPlan) advance(pos int, st *streamState, stats *Stats) bool {
 	op := &sp.ops[pos]
 	rel := st.rels[pos]
 	for {
 		var id int
 		switch op.kind {
 		case opScan:
-			if st.ids[pos] >= st.limits[pos] {
+			if st.next[pos] >= st.hi[pos] {
 				return false
 			}
-			id = st.ids[pos]
-			st.ids[pos]++
+			id = st.next[pos]
+			st.next[pos]++
 		case opLookup:
-			if st.ids[pos] != 0 {
+			if st.next[pos] != 0 {
 				return false // the single probe was consumed
 			}
-			st.ids[pos] = 1
+			st.next[pos] = 1
 			tid, ok := rel.LookupID(op.buildKey(st.key, st.vals))
-			if !ok || rel.RoundOf(int(tid)) > prevTop {
+			if !ok || int(tid) < st.lo[pos] || int(tid) >= st.hi[pos] {
 				return false
 			}
 			id = int(tid)
 		case opProbe:
+			// The prober's limit is the window's hi; chains run oldest first.
 			tid, ok := st.iters[pos].Next()
 			if !ok {
 				return false
 			}
+			if int(tid) < st.lo[pos] {
+				continue
+			}
 			id = int(tid)
 		}
+		if pos == 0 && st.owned && st.view.Owner(int32(id)) != st.shard {
+			continue
+		}
+		st.cur[pos] = int32(id)
 		tuple := rel.Tuple(id)
 		ok := true
 		for _, act := range op.acts {
@@ -431,34 +469,41 @@ func (sp *streamPlan) advance(pos int, st *streamState, stats *Stats, prevTop in
 // fireRow completes one full body instantiation: negated literals are
 // absence-checked against the (complete, lower-stratum) database, the head
 // is grounded from the frame, and the fact is emitted. Returns false when
-// the stop hook aborts the pipeline.
+// the sink halts the pipeline.
 func (sp *streamPlan) fireRow(d *db.Database, st *streamState, stats *Stats, sink streamSink) bool {
 	for i := range sp.neg {
 		n := &sp.neg[i]
-		args := st.out[:len(n.args)]
-		for j, s := range n.args {
-			if s < 0 {
-				args[j] = n.consts[j]
-			} else {
-				args[j] = st.vals[s]
-			}
-		}
-		if d.HasTuple(n.pred, args) {
+		if d.HasTuple(n.pred, n.ground(st.out, st.vals)) {
 			return true
 		}
 	}
 	stats.Firings++
-	args := st.out[:len(sp.head.args)]
-	for j, s := range sp.head.args {
+	added, halt := sink.emit(sp.head.pred, sp.head.ground(st.out, st.vals))
+	if added {
+		stats.Added++
+	}
+	return !halt
+}
+
+// ground instantiates the atom into dst from its constants and the frame.
+func (a *compiledAtom) ground(dst, vals []ast.Const) []ast.Const {
+	args := dst[:len(a.args)]
+	for j, s := range a.args {
 		if s < 0 {
-			args[j] = sp.head.consts[j]
+			args[j] = a.consts[j]
 		} else {
-			args[j] = st.vals[s]
+			args[j] = vals[s]
 		}
 	}
-	if sink.emit(sp.head.pred, args) {
-		stats.Added++
-		if sink.halted() {
+	return args
+}
+
+func constsEqual(a, b []ast.Const) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if a[i] != b[i] {
 			return false
 		}
 	}

@@ -11,15 +11,14 @@ import (
 )
 
 // TestQuickStreamingEqualsMaterializing is the oracle property of the
-// streaming operator pipeline: for random programs × strategy × worker count
-// × goal/no-goal, evaluation with the pipeline enabled must produce a
-// byte-identical database (same facts, same insertion order — db.String
-// exposes both), the same goal verdict, and the same logical work (Firings,
-// Added) as the materializing kernel forced by NoStream. Run under -race in
-// CI alongside the other eval properties.
+// operator pipeline: for random programs × strategy × goal/no-goal, the full
+// fixpoint agrees with the generic-matcher oracle (facts, Firings, Added),
+// and a goal-directed run halts on exactly the full run's insertion sequence
+// cut right after the goal (same facts in the same order — the emit-path cut
+// changes where evaluation stops, never what it did before stopping). Run
+// under -race in CI alongside the other eval properties.
 func TestQuickStreamingEqualsMaterializing(t *testing.T) {
-	workers := []int{1, 2, 8}
-	streamedSomething := false
+	onePass := false
 	for seed := int64(0); seed < 60; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		p := workload.RandomProgram(rng, 1+rng.Intn(4))
@@ -27,86 +26,48 @@ func TestQuickStreamingEqualsMaterializing(t *testing.T) {
 			continue
 		}
 		input := workload.RandomDB(rng, p, 4, 4)
-
-		full, _, err := Eval(p, input, Options{NoStream: true})
-		if err != nil {
-			continue
+		if _, _, err := Eval(p, input, Options{}); err != nil {
+			continue // unstratifiable
 		}
-		// Goal candidates: nil (full fixpoint), a derived fact (cut fires
-		// mid-evaluation), and an unreachable atom (cut never fires).
-		var derived *ast.GroundAtom
-		for _, f := range full.Facts() {
-			if !input.Has(f) {
-				g := f
-				derived = &g
-				break
-			}
-		}
-		unreachable := ast.NewGroundAtom("P", ast.Int(9000), ast.Int(9000))
-		goals := []*ast.GroundAtom{nil, derived, &unreachable}
-
 		for _, strat := range []Strategy{SemiNaive, Naive} {
-			for _, w := range workers {
-				for gi, goal := range goals {
-					if gi == 1 && derived == nil {
-						continue
-					}
-					base := Options{Strategy: strat, Workers: w}
-
-					mat := base
-					mat.NoStream = true
-					prepM, err := Prepare(p, mat)
-					if err != nil {
-						t.Fatalf("seed %d: prepare materializing: %v", seed, err)
-					}
-					wantDB, wantReached, wantStats, err := prepM.EvalGoal(input, goal, 0)
-					if err != nil {
-						t.Fatalf("seed %d: materializing eval: %v", seed, err)
-					}
-					if wantStats.StrataStreamed != 0 {
-						t.Fatalf("seed %d: NoStream evaluation reported %d streamed strata", seed, wantStats.StrataStreamed)
-					}
-
-					prepS, err := Prepare(p, base)
-					if err != nil {
-						t.Fatalf("seed %d: prepare streaming: %v", seed, err)
-					}
-					gotDB, gotReached, gotStats, err := prepS.EvalGoal(input, goal, 0)
-					if err != nil {
-						t.Fatalf("seed %d: streaming eval: %v", seed, err)
-					}
-					if gotStats.StrataStreamed > 0 {
-						streamedSomething = true
-					}
-					if gotReached != wantReached {
-						t.Fatalf("seed %d strat=%v workers=%d goal=%v: streaming reached=%v, materializing reached=%v",
-							seed, strat, w, goal, gotReached, wantReached)
-					}
-					if got, want := gotDB.String(), wantDB.String(); got != want {
-						t.Fatalf("seed %d strat=%v workers=%d goal=%v: streaming database differs\nstreaming:\n%s\nmaterializing:\n%s\nprogram:\n%s",
-							seed, strat, w, goal, got, want, p)
-					}
-					// Firings are only deterministic without a goal cut: the
-					// parallel materializing merge deliberately lets in-flight
-					// variants finish past the cut (prefix-cut design), so its
-					// firing count overcounts the sequential one.
-					if gotStats.Added != wantStats.Added || (goal == nil && gotStats.Firings != wantStats.Firings) {
-						t.Fatalf("seed %d strat=%v workers=%d goal=%v: streaming added=%d firings=%d, materializing added=%d firings=%d",
-							seed, strat, w, goal, gotStats.Added, gotStats.Firings, wantStats.Added, wantStats.Firings)
-					}
+			opts := Options{Strategy: strat}
+			full := checkAgainstOracle(t, p, input, opts)
+			// Goal candidates: a derived fact (cut fires mid-evaluation) and
+			// an unreachable atom (cut never fires).
+			goals := []ast.GroundAtom{ast.NewGroundAtom("P", ast.Int(9000), ast.Int(9000))}
+			if g, ok := pickDerivedGoal(input, full); ok {
+				goals = append(goals, g)
+			}
+			prep, err := Prepare(p, opts)
+			if err != nil {
+				t.Fatalf("seed %d: prepare: %v", seed, err)
+			}
+			for gi := range goals {
+				out, reached, st, err := prep.EvalGoal(input, &goals[gi], 0)
+				if err != nil {
+					t.Fatalf("seed %d strat=%v goal=%v: %v", seed, strat, goals[gi], err)
+				}
+				checkGoalPrefix(t, out, full, goals[gi], reached)
+				if st.Added != out.Len()-input.Len() {
+					t.Fatalf("seed %d strat=%v goal=%v: Added=%d, database grew by %d",
+						seed, strat, goals[gi], st.Added, out.Len()-input.Len())
+				}
+				if st.StrataStreamed > 0 {
+					onePass = true
 				}
 			}
 		}
 	}
-	if !streamedSomething {
-		t.Fatal("no random program ever exercised the streaming path; the oracle is vacuous")
+	if !onePass {
+		t.Fatal("no random program ever had a one-pass stratum; the oracle is vacuous")
 	}
 }
 
-// TestStreamingPlanSelection pins the planner's per-stratum decision: a
-// fully non-recursive program streams every unit under semi-naive, a
-// recursive SCC materializes, and the Naive strategy (whose Section III
-// semantics re-fire whole rounds) never streams.
+// TestStreamingPlanSelection pins how units converge: a fully non-recursive
+// program reaches every unit's fixpoint in one pass under semi-naive (no
+// confirmation round: Rounds equals the unit count), a recursive SCC needs
+// delta rounds, and the Naive strategy (whose Section III semantics re-fire
+// whole rounds) never finishes in one pass.
 func TestStreamingPlanSelection(t *testing.T) {
 	nonrec := workload.Layered(6)
 	input := workload.Chain("E", 8)
@@ -116,7 +77,10 @@ func TestStreamingPlanSelection(t *testing.T) {
 		t.Fatal(err)
 	}
 	if st.StrataMaterialized != 0 || st.StrataStreamed == 0 {
-		t.Fatalf("non-recursive program: streamed=%d materialized=%d, want all streamed", st.StrataStreamed, st.StrataMaterialized)
+		t.Fatalf("non-recursive program: streamed=%d materialized=%d, want all one-pass", st.StrataStreamed, st.StrataMaterialized)
+	}
+	if st.Rounds != st.StrataStreamed {
+		t.Fatalf("non-recursive program: %d rounds for %d one-pass strata", st.Rounds, st.StrataStreamed)
 	}
 	if st.BindingsPipelined == 0 {
 		t.Fatal("non-recursive program: no bindings pipelined")
@@ -130,21 +94,13 @@ func TestStreamingPlanSelection(t *testing.T) {
 		t.Fatalf("naive strategy: streamed=%d, want 0", st.StrataStreamed)
 	}
 
-	_, st, err = Eval(nonrec, input, Options{NoStream: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.StrataStreamed != 0 {
-		t.Fatalf("NoStream: streamed=%d, want 0", st.StrataStreamed)
-	}
-
 	tc := workload.TransitiveClosure()
 	_, st, err = Eval(tc, workload.Chain("A", 10), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st.StrataStreamed != 0 || st.StrataMaterialized == 0 {
-		t.Fatalf("recursive program: streamed=%d materialized=%d, want all materialized", st.StrataStreamed, st.StrataMaterialized)
+		t.Fatalf("recursive program: streamed=%d materialized=%d, want all delta rounds", st.StrataStreamed, st.StrataMaterialized)
 	}
 }
 
@@ -175,9 +131,8 @@ func TestStreamingGoalEarlyStop(t *testing.T) {
 }
 
 // TestStreamingNegation checks the pipeline's stratified-negation path
-// against the materializing kernel: negated strata are themselves
-// streamable (their negated predicates live in lower strata), and the
-// absence checks must agree.
+// against the oracle: negated strata are themselves one-pass (their negated
+// predicates live in lower strata), and the absence checks must agree.
 func TestStreamingNegation(t *testing.T) {
 	p := parser.MustParseProgram(`
 		Big(x, y) :- E(x, y), !Small(x).
@@ -187,52 +142,48 @@ func TestStreamingNegation(t *testing.T) {
 	in := db.FromFacts([]ast.GroundAtom{
 		ga("E", 1, 2), ga("E", 2, 2), ga("E", 3, 4), ga("S", 1), ga("S", 4),
 	})
-	a, sa, err := Eval(p, in, Options{})
+	checkAgainstOracle(t, p, in, Options{})
+	_, st, err := Eval(p, in, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sa.StrataStreamed == 0 {
-		t.Fatalf("negated program did not stream: %+v", sa)
-	}
-	b, _, err := Eval(p, in, Options{NoStream: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.String() != b.String() {
-		t.Fatalf("streaming negation differs:\n%s\nvs\n%s", a, b)
+	if st.StrataStreamed == 0 {
+		t.Fatalf("negated program had no one-pass stratum: %+v", st)
 	}
 }
 
-// TestStreamingNonRecursivePass cross-checks the streamed one-step
-// Pⁿ(d) and IsClosed passes against their materializing twins.
+// TestStreamingNonRecursivePass cross-checks the one-step Pⁿ(d) and
+// IsClosed passes — package-level and prepared — against the oracle.
 func TestStreamingNonRecursivePass(t *testing.T) {
 	for seed := int64(0); seed < 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		p := workload.RandomProgram(rng, 1+rng.Intn(4))
-		if p.Validate() != nil || p.HasNegation() {
+		if p.Validate() != nil {
 			continue
 		}
 		d := workload.RandomDB(rng, p, 4, 4)
-
-		prepS, err := Prepare(p, Options{})
+		prep, err := Prepare(p, Options{})
 		if err != nil {
-			t.Fatal(err)
+			continue // unstratifiable
 		}
-		prepM, err := Prepare(p, Options{NoStream: true})
-		if err != nil {
-			t.Fatal(err)
+		want := oracleNonRecursive(p, d)
+		if got := prep.NonRecursive(d); !got.Equal(want) {
+			t.Fatalf("seed %d: Prepared.NonRecursive differs:\n%s\nvs\n%s\nprogram:\n%s", seed, got, want, p)
 		}
-		gotNR, wantNR := prepS.NonRecursive(d), prepM.NonRecursive(d)
-		if gotNR.String() != wantNR.String() {
-			t.Fatalf("seed %d: streamed NonRecursive differs:\n%s\nvs\n%s\nprogram:\n%s", seed, gotNR, wantNR, p)
+		if got := NonRecursive(p, d); !got.Equal(want) {
+			t.Fatalf("seed %d: NonRecursive differs:\n%s\nvs\n%s\nprogram:\n%s", seed, got, want, p)
 		}
 		full, _, err := Eval(p, d, Options{})
 		if err != nil {
-			continue
+			t.Fatal(err)
 		}
 		for _, probe := range []*db.Database{d, full} {
-			if got, want := prepS.IsClosed(probe), prepM.IsClosed(probe); got != want {
-				t.Fatalf("seed %d: streamed IsClosed=%v, materializing=%v\nprogram:\n%s", seed, got, want, p)
+			closed := probe.Contains(oracleNonRecursive(p, probe))
+			if got := prep.IsClosed(probe); got != closed {
+				t.Fatalf("seed %d: IsClosed=%v, oracle=%v\nprogram:\n%s", seed, got, closed, p)
+			}
+			if got := IsModel(p, probe); got != closed {
+				t.Fatalf("seed %d: IsModel=%v, oracle=%v\nprogram:\n%s", seed, got, closed, p)
 			}
 		}
 	}

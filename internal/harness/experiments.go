@@ -691,8 +691,8 @@ func E12Incremental() Table {
 }
 
 // E13EngineAblations profiles the evaluation-engine design choices on one
-// reference workload (TC over a random digraph): compiled vs generic
-// joins, SCC schedule, join reordering, and worker parallelism.
+// reference workload (TC over a random digraph): SCC schedule, join
+// reordering and fixpoint strategy.
 func E13EngineAblations() Table {
 	t := Table{ID: "E13", Title: "evaluation-engine ablations (TC over random digraph n=60 m=120)",
 		Columns: []string{"configuration", "firings", "facts out", "time"}}
@@ -711,12 +711,10 @@ func E13EngineAblations() Table {
 		})
 		t.AddRow(name, st.Firings, outLen, ms(d))
 	}
-	run("default (compiled, SCC, reorder)", eval.Options{})
-	run("generic matcher", eval.Options{NoCompile: true})
+	run("default (SCC, reorder)", eval.Options{})
 	run("no SCC schedule", eval.Options{NoSCCOrder: true})
 	run("no join reorder", eval.Options{NoReorder: true})
 	run("naive strategy", eval.Options{Strategy: eval.Naive})
-	run("4 workers", eval.Options{Workers: 4})
 	return t
 }
 

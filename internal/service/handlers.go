@@ -44,32 +44,23 @@ func (s *Server) Handler() http.Handler {
 }
 
 // budgetJSON is the per-request resource envelope: a derived-fact cap, a
-// context deadline, and tuning knobs for the evaluation executor (parallel
-// workers and hash-partition shards).
+// context deadline, and the shard count of the evaluation executor.
 type budgetJSON struct {
 	MaxDerived int `json:"max_derived"`
 	TimeoutMS  int `json:"timeout_ms"`
-	Workers    int `json:"workers"`
 	Shards     int `json:"shards"`
 }
 
-// Per-request tuning caps: a tenant may tune its own requests' parallelism
-// and sharding, but not demand unbounded fan-out from a shared process.
-const (
-	maxRequestWorkers = 16
-	maxRequestShards  = 64
-)
+// maxRequestShards caps per-request sharding: a tenant may tune its own
+// requests, but not demand unbounded fan-out from a shared process.
+const maxRequestShards = 64
 
-// tune maps the budget onto per-request eval options, clamping Workers and
-// Shards to the service caps (zero and negative values inherit the session
-// defaults).
+// tune maps the budget onto per-request eval options, clamping Shards to the
+// service cap (zero and negative values inherit the session defaults).
 func (b budgetJSON) tune() core.EvalRequestOptions {
 	req := core.EvalRequestOptions{}
 	if b.MaxDerived > 0 {
 		req.MaxDerived = b.MaxDerived
-	}
-	if b.Workers > 0 {
-		req.Workers = min(b.Workers, maxRequestWorkers)
 	}
 	if b.Shards > 0 {
 		req.Shards = min(b.Shards, maxRequestShards)
@@ -144,16 +135,13 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 }
 
 // handleFacts applies one mutation envelope {"assert": ..., "retract": ...}
-// to a tenant database. The legacy "facts" field remains as an alias for
-// "assert" (the pre-envelope wire format) and earns a deprecation note in
-// the response; setting both is an error.
+// to a tenant database.
 func (s *Server) handleFacts(w http.ResponseWriter, r *http.Request) {
 	s.requests.Add(1)
 	var req struct {
 		Tenant  string `json:"tenant"`
 		Assert  string `json:"assert"`
 		Retract string `json:"retract"`
-		Facts   string `json:"facts"` // deprecated alias for Assert
 	}
 	if err := decodeBody(r, &req); err != nil {
 		s.writeError(w, err)
@@ -163,26 +151,12 @@ func (s *Server) handleFacts(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, &RequestError{Status: 400, Code: "missing_tenant", Err: fmt.Errorf("service: tenant required")})
 		return
 	}
-	deprecated := false
-	if req.Facts != "" {
-		if req.Assert != "" {
-			s.writeError(w, &RequestError{Status: 400, Code: "conflicting_fields",
-				Err: fmt.Errorf(`service: "facts" is a deprecated alias for "assert"; set only one`)})
-			return
-		}
-		req.Assert = req.Facts
-		deprecated = true
-	}
 	version, size, err := s.MutateFacts(r.PathValue("name"), req.Tenant, req.Assert, req.Retract)
 	if err != nil {
 		s.writeError(w, err)
 		return
 	}
-	resp := map[string]any{"tenant": req.Tenant, "db_version": version, "size": size}
-	if deprecated {
-		resp["deprecated"] = `field "facts" is deprecated; use "assert"`
-	}
-	writeJSON(w, 200, resp)
+	writeJSON(w, 200, map[string]any{"tenant": req.Tenant, "db_version": version, "size": size})
 }
 
 func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
@@ -230,7 +204,7 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 			s.writeError(w, err)
 			return
 		}
-		resp["rows"] = e.formatRows(matchRows(out, atom))
+		resp["rows"] = e.formatRows(db.Select(out, atom))
 		resp["stats"] = toStatsJSON(st)
 		writeJSON(w, 200, resp)
 		return
@@ -459,18 +433,4 @@ func (s *Server) handleStatz(w http.ResponseWriter, r *http.Request) {
 			"evals": s.evals.Load(), "canceled": s.canceled.Load(),
 		},
 	})
-}
-
-// matchRows filters the tuples of out matching the query atom.
-func matchRows(out *core.Database, query ast.Atom) [][]ast.Const {
-	var rows [][]ast.Const
-	b := ast.Binding{}
-	db.MatchAtom(out, query, db.AllRounds, b, func() bool {
-		g := query.MustGround(b)
-		t := make([]ast.Const, len(g.Args))
-		copy(t, g.Args)
-		rows = append(rows, t)
-		return true
-	})
-	return rows
 }

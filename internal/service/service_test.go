@@ -167,16 +167,16 @@ func TestServeE2ETwoTenants(t *testing.T) {
 		t.Fatalf("register v2: %d %v", code, resp)
 	}
 
-	if code, resp = post(t, ts, "/v1/programs/authz/facts", map[string]any{"tenant": "acme", "facts": tenantAFacts}); code != 200 {
+	if code, resp = post(t, ts, "/v1/programs/authz/facts", map[string]any{"tenant": "acme", "assert": tenantAFacts}); code != 200 {
 		t.Fatalf("facts acme: %d %v", code, resp)
 	}
-	if code, resp = post(t, ts, "/v1/programs/authz/facts", map[string]any{"tenant": "acme", "facts": tenantAFacts2}); code != 200 {
+	if code, resp = post(t, ts, "/v1/programs/authz/facts", map[string]any{"tenant": "acme", "assert": tenantAFacts2}); code != 200 {
 		t.Fatalf("facts acme v2: %d %v", code, resp)
 	}
 	if v := resp["db_version"].(float64); v != 2 {
 		t.Fatalf("acme db_version = %v, want 2", v)
 	}
-	if code, resp = post(t, ts, "/v1/programs/authz/facts", map[string]any{"tenant": "globex", "facts": tenantBFacts}); code != 200 {
+	if code, resp = post(t, ts, "/v1/programs/authz/facts", map[string]any{"tenant": "globex", "assert": tenantBFacts}); code != 200 {
 		t.Fatalf("facts globex: %d %v", code, resp)
 	}
 
@@ -341,7 +341,7 @@ func TestServeBudgetAndDeadline(t *testing.T) {
 	if code, resp := post(t, ts, "/v1/programs/chain", map[string]any{"source": prog}); code != 200 {
 		t.Fatalf("register: %d %v", code, resp)
 	}
-	if code, resp := post(t, ts, "/v1/programs/chain/facts", map[string]any{"tenant": "t1", "facts": facts.String()}); code != 200 {
+	if code, resp := post(t, ts, "/v1/programs/chain/facts", map[string]any{"tenant": "t1", "assert": facts.String()}); code != 200 {
 		t.Fatalf("facts: %d %v", code, resp)
 	}
 
@@ -388,7 +388,7 @@ func TestStatzReportsInjectedCache(t *testing.T) {
 	if code, resp := post(t, ts, "/v1/programs/authz", map[string]any{"source": authzProgram}); code != 200 {
 		t.Fatalf("register: %d %v", code, resp)
 	}
-	if code, resp := post(t, ts, "/v1/programs/authz/facts", map[string]any{"tenant": "acme", "facts": tenantAFacts}); code != 200 {
+	if code, resp := post(t, ts, "/v1/programs/authz/facts", map[string]any{"tenant": "acme", "assert": tenantAFacts}); code != 200 {
 		t.Fatalf("facts: %d %v", code, resp)
 	}
 	if code, resp := post(t, ts, "/v1/programs/authz/minimize", map[string]any{}); code != 200 {
@@ -434,11 +434,18 @@ func TestServeErrors(t *testing.T) {
 	if code, resp = post(t, ts, "/v1/programs/p", map[string]any{"source": "T(x,y) :- E(x,y)."}); code != 200 {
 		t.Fatalf("register: %d %v", code, resp)
 	}
-	if code, resp = post(t, ts, "/v1/programs/p/facts", map[string]any{"tenant": "t", "facts": "T(x,y) :- E(x,y)."}); code != 400 || resp["error"] != "rules_in_facts" {
+	if code, resp = post(t, ts, "/v1/programs/p/facts", map[string]any{"tenant": "t", "assert": "T(x,y) :- E(x,y)."}); code != 400 || resp["error"] != "rules_in_facts" {
 		t.Fatalf("rules in facts: %d %v", code, resp)
 	}
 	if code, resp = post(t, ts, "/v1/programs/p/eval", map[string]any{"tenant": "ghost"}); code != 404 || resp["error"] != "unknown_tenant" {
 		t.Fatalf("unknown tenant: %d %v", code, resp)
+	}
+	// Removed wire fields are unknown fields, not silently ignored.
+	if code, resp = post(t, ts, "/v1/programs/p/facts", map[string]any{"tenant": "t", "facts": "E(1,2)."}); code != 400 || resp["error"] != "bad_request" {
+		t.Fatalf("removed \"facts\" alias: %d %v", code, resp)
+	}
+	if code, resp = post(t, ts, "/v1/programs/p/eval", map[string]any{"tenant": "t", "budget": map[string]any{"workers": 2}}); code != 400 || resp["error"] != "bad_request" {
+		t.Fatalf("removed budget.workers: %d %v", code, resp)
 	}
 }
 
@@ -451,7 +458,7 @@ func TestServeVetAndExplain(t *testing.T) {
 	if code, resp := post(t, ts, "/v1/programs/authz", map[string]any{"source": authzProgram}); code != 200 {
 		t.Fatalf("register: %d %v", code, resp)
 	}
-	if code, resp := post(t, ts, "/v1/programs/authz/facts", map[string]any{"tenant": "acme", "facts": tenantAFacts}); code != 200 {
+	if code, resp := post(t, ts, "/v1/programs/authz/facts", map[string]any{"tenant": "acme", "assert": tenantAFacts}); code != 200 {
 		t.Fatalf("facts: %d %v", code, resp)
 	}
 
@@ -531,10 +538,10 @@ func TestStatzShardTotalsTwoTenants(t *testing.T) {
 	if code, resp := post(t, ts, "/v1/programs/authz", map[string]any{"source": authzProgram}); code != 200 {
 		t.Fatalf("register: %d %v", code, resp)
 	}
-	if code, resp := post(t, ts, "/v1/programs/authz/facts", map[string]any{"tenant": "acme", "facts": tenantAFacts}); code != 200 {
+	if code, resp := post(t, ts, "/v1/programs/authz/facts", map[string]any{"tenant": "acme", "assert": tenantAFacts}); code != 200 {
 		t.Fatalf("facts acme: %d %v", code, resp)
 	}
-	if code, resp := post(t, ts, "/v1/programs/authz/facts", map[string]any{"tenant": "globex", "facts": tenantBFacts}); code != 200 {
+	if code, resp := post(t, ts, "/v1/programs/authz/facts", map[string]any{"tenant": "globex", "assert": tenantBFacts}); code != 200 {
 		t.Fatalf("facts globex: %d %v", code, resp)
 	}
 
@@ -543,7 +550,7 @@ func TestStatzShardTotalsTwoTenants(t *testing.T) {
 	requests := 0
 	wantRows := oracleRows(t, authzProgram, []string{tenantAFacts}, "CanRead(u, d)")
 	for _, req := range []map[string]any{
-		{"tenant": "acme", "query": "CanRead(u, d)", "budget": map[string]any{"shards": 4, "workers": 2}},
+		{"tenant": "acme", "query": "CanRead(u, d)", "budget": map[string]any{"shards": 4}},
 		{"tenant": "globex", "budget": map[string]any{"shards": 2}},
 		{"tenant": "acme", "query": "CanRead(u, d)"},
 		{"tenant": "globex", "query": "Member(u, g)", "budget": map[string]any{"shards": 8, "max_derived": 1000}},

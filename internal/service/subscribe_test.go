@@ -384,9 +384,8 @@ func TestSubscriptionDropSendsTypedErrorFrame(t *testing.T) {
 	}
 }
 
-// TestFactsEnvelope covers the mutation envelope's edges: the deprecated
-// legacy "facts" alias (accepted, flagged), the assert+facts conflict, and
-// a retract-only batch reaching /eval results.
+// TestFactsEnvelope covers the mutation envelope: an assert batch, and a
+// retract-only batch reaching /eval results.
 func TestFactsEnvelope(t *testing.T) {
 	s := New()
 	ts := httptest.NewServer(s.Handler())
@@ -395,19 +394,9 @@ func TestFactsEnvelope(t *testing.T) {
 		t.Fatalf("register: %v", resp)
 	}
 
-	code, resp := post(t, ts, "/v1/programs/authz/facts", map[string]any{"tenant": "a", "facts": tenantAFacts})
+	code, resp := post(t, ts, "/v1/programs/authz/facts", map[string]any{"tenant": "a", "assert": tenantAFacts})
 	if code != 200 || resp["db_version"].(float64) != 1 {
-		t.Fatalf("legacy facts: %d %v", code, resp)
-	}
-	if dep, _ := resp["deprecated"].(string); dep == "" {
-		t.Fatalf("legacy alias not flagged deprecated: %v", resp)
-	}
-
-	code, resp = post(t, ts, "/v1/programs/authz/facts", map[string]any{
-		"tenant": "a", "facts": tenantAFacts, "assert": tenantAFacts2,
-	})
-	if code != 400 || resp["error"] != "conflicting_fields" {
-		t.Fatalf("facts+assert: %d %v", code, resp)
+		t.Fatalf("assert: %d %v", code, resp)
 	}
 
 	code, resp = post(t, ts, "/v1/programs/authz/facts", map[string]any{
@@ -415,9 +404,6 @@ func TestFactsEnvelope(t *testing.T) {
 	})
 	if code != 200 || resp["db_version"].(float64) != 2 {
 		t.Fatalf("retract-only: %d %v", code, resp)
-	}
-	if _, ok := resp["deprecated"]; ok {
-		t.Fatalf("envelope form flagged deprecated: %v", resp)
 	}
 	code, resp = post(t, ts, "/v1/programs/authz/eval", map[string]any{"tenant": "a", "query": "CanRead(u, d)"})
 	if code != 200 {
