@@ -44,8 +44,9 @@ race-shard:
 
 # race-ivm race-checks the incremental view maintenance stack: the
 # counting/DRed maintenance engine and its randomized oracle grid, the
-# tombstone/compaction machinery in the store, session Apply diffs and the
-# subscription fan-out in the service layer.
+# tombstone/compaction machinery in the store, the facade's View.Apply diffs
+# (TestSessionMaterializeApply) and the subscription fan-out in the service
+# layer.
 race-ivm:
 	$(GO) test -race -run 'TestMaintain|TestCompact|TestRemove|TestFreeze|TestCounts|TestSession|TestSubscri|TestFactsEnvelope' ./internal/eval ./internal/db ./internal/core ./internal/service
 

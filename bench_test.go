@@ -731,7 +731,7 @@ func BenchmarkAblation_PreserveDerive(b *testing.B) {
 		}
 	}
 	b.Run("derive", func(b *testing.B) {
-		base, err := preserve.NewSessionCache(p, eval.NewPlanCache(0))
+		base, err := preserve.NewSessionIn(p, eval.NewLineage(eval.NewPlanCache(0)))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -747,7 +747,7 @@ func BenchmarkAblation_PreserveDerive(b *testing.B) {
 	})
 	b.Run("fresh", func(b *testing.B) {
 		cache := eval.NewPlanCache(0)
-		base, err := preserve.NewSessionCache(p, cache)
+		base, err := preserve.NewSessionIn(p, eval.NewLineage(cache))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -755,7 +755,7 @@ func BenchmarkAblation_PreserveDerive(b *testing.B) {
 		np := p.ReplaceRule(ruleIdx, nr)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			ns, err := preserve.NewSessionCache(np, cache)
+			ns, err := preserve.NewSessionIn(np, eval.NewLineage(cache))
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -27,12 +27,7 @@ func (c *cli) cmdEval(rest []string) error {
 	fmt.Fprint(c.out, outDB.Format(res.Symbols))
 	if c.stats {
 		fmt.Fprintf(c.out, "%% rounds=%d firings=%d added=%d\n", st.Rounds, st.Firings, st.Added)
-		fmt.Fprintf(c.out, "%% strata streamed=%d materialized=%d, bindings pipelined=%d, early-stop cuts=%d\n",
-			st.StrataStreamed, st.StrataMaterialized, st.BindingsPipelined, st.EarlyStopCuts)
-		if st.ShardRounds > 0 {
-			fmt.Fprintf(c.out, "%% shard rounds=%d delta exchanged=%d imbalance=%d\n",
-				st.ShardRounds, st.DeltaExchanged, st.ShardImbalance)
-		}
+		printKernelStats(c.out, "", st)
 	}
 	return nil
 }
@@ -93,7 +88,7 @@ func (c *cli) cmdCheck(rest []string) error {
 	if len(res.TGDs) == 0 {
 		return fmt.Errorf("check: the file declares no tgds")
 	}
-	prep, err := eval.PrepareCached(res.Program, c.opts)
+	prep, err := eval.DefaultPlanCache.Prepare(res.Program, c.opts)
 	if err != nil {
 		return err
 	}

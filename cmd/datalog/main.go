@@ -150,18 +150,24 @@ func run(args []string, out io.Writer) error {
 func printSessionStats(out io.Writer, st eval.Stats) {
 	fmt.Fprintf(out, "%% session: plan hits=%d misses=%d, verdicts reused=%d subsumed=%d recomputed=%d\n",
 		st.PrepareHits, st.PrepareMisses, st.VerdictsReused, st.VerdictsSubsumed, st.VerdictsRecomputed)
-	fmt.Fprintf(out, "%% session: strata streamed=%d materialized=%d, bindings pipelined=%d, early-stop cuts=%d\n",
-		st.StrataStreamed, st.StrataMaterialized, st.BindingsPipelined, st.EarlyStopCuts)
-	if st.ShardRounds > 0 {
-		fmt.Fprintf(out, "%% session: shard rounds=%d delta exchanged=%d imbalance=%d\n",
-			st.ShardRounds, st.DeltaExchanged, st.ShardImbalance)
-	}
+	printKernelStats(out, "session: ", st)
 	cs := eval.DefaultPlanCache.Stats()
 	fmt.Fprintf(out, "%% plan cache: hits=%d misses=%d evictions=%d entries=%d\n",
 		cs.Hits, cs.Misses, cs.Evictions, cs.Entries)
 	vs := core.VerdictStats()
 	fmt.Fprintf(out, "%% verdict store: programs=%d verdicts=%d lookups=%d hits=%d rotations=%d\n",
 		vs.Programs, vs.Verdicts, vs.Lookups, vs.Hits, vs.Rotations)
+}
+
+// printKernelStats renders the stream and shard counter groups — the lines
+// `eval -stats` and the `-v` session report share — each under prefix.
+func printKernelStats(out io.Writer, prefix string, st eval.Stats) {
+	fmt.Fprintf(out, "%% %sstrata streamed=%d materialized=%d, bindings pipelined=%d, early-stop cuts=%d\n",
+		prefix, st.StrataStreamed, st.StrataMaterialized, st.BindingsPipelined, st.EarlyStopCuts)
+	if st.ShardRounds > 0 {
+		fmt.Fprintf(out, "%% %sshard rounds=%d delta exchanged=%d imbalance=%d\n",
+			prefix, st.ShardRounds, st.DeltaExchanged, st.ShardImbalance)
+	}
 }
 
 // load reads and parses the file named by rest[0] ("-" = stdin) and checks

@@ -34,7 +34,7 @@ type session struct {
 // earlier program) a lookup instead of a re-plan.
 func (s *session) prepared() (*eval.Prepared, error) {
 	if s.prep == nil {
-		pr, err := eval.PrepareCached(s.program, eval.Options{})
+		pr, err := eval.DefaultPlanCache.Prepare(s.program, eval.Options{})
 		if err != nil {
 			return nil, err
 		}

@@ -106,6 +106,10 @@ func FreezeRule(r ast.Rule) (ast.GroundAtom, *db.Database) {
 //
 // A Checker is not safe for concurrent use (its memo tables are unlocked).
 type Checker struct {
+	// Lineage is the plan cache the session prepares through and the
+	// cumulative stats, shared by value with every session Derive produces
+	// (and with any session built side by side in the same lineage).
+	eval.Lineage
 	prog *ast.Program
 	// progCanon is the program's canonical form — the session's content
 	// address into the plan and verdict caches. ruleCanon holds its
@@ -127,13 +131,6 @@ type Checker struct {
 	// over-approximate reachability, i.e. drop a verdict it could have kept.
 	graph *depgraph.Graph
 	reach map[string]map[string]bool
-	// stats is shared across the whole Derive lineage (one session, many
-	// derived programs), so work done while probing a candidate that is
-	// then discarded still shows up in the session totals.
-	stats *eval.Stats
-	// cache is the plan cache the lineage prepares through — the process-wide
-	// eval.DefaultPlanCache unless NewCheckerCache injected another.
-	cache *eval.PlanCache
 	// noSyntactic disables the θ-subsumption fast path (an ablation hook for
 	// oracle tests and benchmarks); inherited by derived sessions.
 	noSyntactic bool
@@ -175,29 +172,25 @@ type frozenRule struct {
 // negation are rejected: the chase-based tests are defined for pure Datalog
 // (use StratifiedUniformlyContains for the encoded extension).
 func NewChecker(p *ast.Program) (*Checker, error) {
-	return NewCheckerCache(p, nil)
+	return NewCheckerIn(p, eval.NewLineage(nil))
 }
 
-// NewCheckerCache is NewChecker with an injectable plan cache (nil selects
-// eval.DefaultPlanCache); the cache is inherited by every Checker the
-// session derives. Tests and the harness isolate their cache footprints;
-// servers can shard caches per tenant.
-func NewCheckerCache(p *ast.Program, cache *eval.PlanCache) (*Checker, error) {
+// NewCheckerIn is NewChecker inside an existing lineage: the session
+// prepares through the lineage's plan cache and accumulates into its stats,
+// as does every Checker it derives. Tests, the harness and servers inject a
+// lineage over their own cache to isolate or shard cache footprints.
+func NewCheckerIn(p *ast.Program, lin eval.Lineage) (*Checker, error) {
 	if p.HasNegation() {
 		return nil, fmt.Errorf("chase: uniform containment is defined for pure Datalog; program or rule uses negation")
 	}
-	if cache == nil {
-		cache = eval.DefaultPlanCache
-	}
 	c := &Checker{
+		Lineage: lin,
 		// Keep the caller's rules (cloned against mutation) rather than the
 		// prepared program: a cache hit may return a plan for an
 		// alpha-renamed twin, and Derive's delta indexes and body-subset
 		// checks must be relative to the rules the caller names.
 		prog:   p.Clone(),
 		frozen: make(map[string]frozenRule),
-		stats:  &eval.Stats{},
-		cache:  cache,
 	}
 	c.ruleCanon = make([]string, len(c.prog.Rules))
 	for i, r := range c.prog.Rules {
@@ -205,18 +198,13 @@ func NewCheckerCache(p *ast.Program, cache *eval.PlanCache) (*Checker, error) {
 	}
 	c.progCanon = joinCanon(c.ruleCanon)
 	c.pv = defaultVerdicts.forProgram(c.progCanon)
-	prep, hit, err := c.cache.GetOrBuildCanonical(c.progCanon, eval.Options{}, func() (*eval.Prepared, error) {
+	prep, err := c.Prepare(c.progCanon, func() (*eval.Prepared, error) {
 		return eval.Prepare(p, eval.Options{})
 	})
 	if err != nil {
 		return nil, err
 	}
 	c.prep = prep
-	if hit {
-		c.stats.PrepareHits++
-	} else {
-		c.stats.PrepareMisses++
-	}
 	return c, nil
 }
 
@@ -230,12 +218,6 @@ func (c *Checker) Program() *ast.Program { return c.prog }
 // records nothing, so the session — and the shared verdict store — stay
 // valid for later calls under a fresh context.
 func (c *Checker) SetContext(ctx context.Context) { c.ctx = ctx }
-
-// Stats reports the session's cache behavior: plan-cache hits/misses
-// observed by NewChecker/Derive and verdicts carried across Derive versus
-// decided by a fresh chase. Derived Checkers share their parent's
-// counters, so the totals describe the whole session lineage.
-func (c *Checker) Stats() eval.Stats { return *c.stats }
 
 // frozenFor returns the cached frozen head and body of r. The body database
 // is shared across calls; every consumer clones before mutating (the
@@ -265,11 +247,11 @@ func (c *Checker) ContainsRule(r ast.Rule) (bool, error) {
 	}
 	ckey := r.CanonicalString()
 	if v, ok := c.pv.get(ckey); ok {
-		c.stats.VerdictsReused++
+		c.Tally().VerdictsReused++
 		return v.ok, nil
 	}
 	if idx, forced := c.syntacticVerdict(r); forced {
-		c.stats.VerdictsSubsumed++
+		c.Tally().VerdictsSubsumed++
 		v := verdict{ok: true, goal: r.Head.Pred}
 		if idx >= 0 {
 			v.prov.Add(idx)
@@ -279,12 +261,12 @@ func (c *Checker) ContainsRule(r ast.Rule) (bool, error) {
 	}
 	head, body := c.frozenFor(r)
 	var prov eval.RuleSet
-	_, reached, est, err := c.prep.EvalGoalProvCtx(c.ctx, body, &head, 0, &prov)
+	_, reached, est, err := c.prep.Run(c.ctx, body, &head, 0, &prov)
+	c.Tally().Add(est)
 	if err != nil {
 		return false, err
 	}
-	c.stats.AddStreaming(est)
-	c.stats.VerdictsRecomputed++
+	c.Tally().VerdictsRecomputed++
 	v := verdict{ok: reached, goal: head.Pred}
 	if reached {
 		v.prov = prov
@@ -440,30 +422,24 @@ func (c *Checker) Derive(delta Delta) (*Checker, error) {
 		progCanon: joinCanon(lines), // only the delta rule was re-rendered
 		ruleCanon: lines,
 		frozen:    make(map[string]frozenRule, len(c.frozen)),
-		stats:     c.stats, // shared: the lineage is one session
+		Lineage:   c.Lineage, // shared: the lineage is one session
 		// The graph and reachability memo are shared down the lineage; the
 		// ancestor's edges over-approximate every descendant's, which is the
 		// sound direction for transfer (see the field comment).
 		graph:         c.graph,
 		reach:         c.reach,
-		cache:         c.cache, // the lineage prepares through one cache
 		noSyntactic:   c.noSyntactic,
 		noTermination: c.noTermination,
 		ctx:           c.ctx,
 	}
 	nc.pv = defaultVerdicts.forProgram(nc.progCanon)
-	prep, hit, err := c.cache.GetOrBuildCanonical(nc.progCanon, eval.Options{}, func() (*eval.Prepared, error) {
+	prep, err := nc.Prepare(nc.progCanon, func() (*eval.Prepared, error) {
 		return c.prep.Derive(delta.RuleIndex, delta.NewRule)
 	})
 	if err != nil {
 		return nil, err
 	}
 	nc.prep = prep
-	if hit {
-		nc.stats.PrepareHits++
-	} else {
-		nc.stats.PrepareMisses++
-	}
 	for k, f := range c.frozen {
 		nc.frozen[k] = f
 	}
@@ -684,8 +660,8 @@ func (c *Checker) chaseToGoal(tgds []ast.TGD, d *db.Database, goal *ast.GroundAt
 		if remaining <= 0 {
 			return Result{DB: cur, Complete: false, Rounds: round, Class: cl.Class}, Unknown, nil
 		}
-		out, reached, est, err := c.prep.EvalGoalCtx(c.ctx, cur, goal, remaining)
-		c.stats.AddStreaming(est)
+		out, reached, est, err := c.prep.Run(c.ctx, cur, goal, remaining, nil)
+		c.Tally().Add(est)
 		if err != nil {
 			if isBudgetErr(err) {
 				return Result{DB: cur, Complete: false, Rounds: round, Class: cl.Class}, Unknown, nil
@@ -732,10 +708,10 @@ func (c *Checker) resolveBudget(d *db.Database, budget Budget, cl depgraph.Class
 		} else {
 			atoms += d.Len()
 		}
-		c.stats.ChasesBudgetFree++
+		c.Tally().ChasesBudgetFree++
 		return Budget{MaxAtoms: atoms, MaxRounds: rounds}
 	}
-	c.stats.ChasesBudgetBounded++
+	c.Tally().ChasesBudgetBounded++
 	return budget.orDefault()
 }
 
@@ -789,12 +765,12 @@ func (c *Checker) chaseFull(tgds []ast.TGD, d *db.Database, goal *ast.GroundAtom
 		if maxDerived <= 0 {
 			return Result{DB: d.Clone(), Complete: false, Rounds: 0, Class: cl.Class}, Unknown, nil
 		}
-		c.stats.ChasesBudgetBounded++
+		c.Tally().ChasesBudgetBounded++
 	} else {
-		c.stats.ChasesBudgetFree++
+		c.Tally().ChasesBudgetFree++
 	}
-	out, reached, est, err := prep.EvalGoalCtx(c.ctx, d, goal, maxDerived)
-	c.stats.AddStreaming(est)
+	out, reached, est, err := prep.Run(c.ctx, d, goal, maxDerived, nil)
+	c.Tally().Add(est)
 	if err != nil {
 		if isBudgetErr(err) {
 			return Result{DB: d.Clone(), Complete: false, Rounds: 1, Class: cl.Class}, Unknown, nil
@@ -824,16 +800,11 @@ func (c *Checker) fullPrep(tgds []ast.TGD) (*eval.Prepared, error) {
 			lines = append(lines, r.CanonicalString()+"\n")
 		}
 	}
-	prep, hit, err := c.cache.GetOrBuildCanonical(joinCanon(lines), eval.Options{}, func() (*eval.Prepared, error) {
+	prep, err := c.Prepare(joinCanon(lines), func() (*eval.Prepared, error) {
 		return eval.Prepare(combined, eval.Options{})
 	})
 	if err != nil {
 		return nil, err
-	}
-	if hit {
-		c.stats.PrepareHits++
-	} else {
-		c.stats.PrepareMisses++
 	}
 	if c.fullPreps == nil {
 		c.fullPreps = make(map[string]*eval.Prepared)
@@ -930,7 +901,7 @@ func (c *Checker) SATContainsRule(tgds []ast.TGD, r ast.Rule, budget Budget) (Ve
 	// differ from P in a single rule; every unchanged rule is subsumed by
 	// itself, leaving only the changed rule for the chase.
 	if _, forced := c.syntacticVerdict(r); forced {
-		c.stats.VerdictsSubsumed++
+		c.Tally().VerdictsSubsumed++
 		return Yes, nil
 	}
 	head, d := c.frozenFor(r)

@@ -20,7 +20,7 @@ func groundTruth(t *testing.T, p *ast.Program, r ast.Rule) bool {
 	if err != nil {
 		t.Fatalf("prepare oracle: %v", err)
 	}
-	_, reached, _, err := prep.EvalGoal(body, &head, 0)
+	_, reached, _, err := prep.Run(nil, body, &head, 0, nil)
 	if err != nil {
 		t.Fatalf("oracle chase: %v", err)
 	}

@@ -64,7 +64,7 @@ func TestSyntacticVerdictAgreesWithChase(t *testing.T) {
 		}
 		head, body := c.frozenFor(r)
 		var prov eval.RuleSet
-		_, reached, _, err := c.prep.EvalGoalProv(body, &head, 0, &prov)
+		_, reached, _, err := c.prep.Run(nil, body, &head, 0, &prov)
 		if err != nil {
 			t.Fatal(err)
 		}

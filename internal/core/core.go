@@ -210,19 +210,9 @@ type SessionOptions struct {
 	Shards int
 }
 
-// sessionCache resolves the variadic options to a plan cache (nil = the
-// process-wide default, which each layer substitutes itself).
-func sessionCache(opts []SessionOptions) *PlanCache {
-	for _, o := range opts {
-		if o.PlanCache != nil {
-			return o.PlanCache
-		}
-	}
-	return nil
-}
-
 // sessionResolve folds the variadic options into one: the first non-nil
-// plan cache and the first nonzero Shards win.
+// plan cache (the process-wide one when there is none) and the first
+// nonzero Shards win.
 func sessionResolve(opts []SessionOptions) SessionOptions {
 	var r SessionOptions
 	for _, o := range opts {
@@ -232,6 +222,9 @@ func sessionResolve(opts []SessionOptions) SessionOptions {
 		if r.Shards == 0 {
 			r.Shards = o.Shards
 		}
+	}
+	if r.PlanCache == nil {
+		r.PlanCache = eval.DefaultPlanCache
 	}
 	return r
 }
@@ -247,10 +240,7 @@ func NewPlanCache(max int) *PlanCache { return eval.NewPlanCache(max) }
 // the cache injected via SessionOptions — so preparing a program
 // canonically equal to one seen before is a lookup.
 func PrepareEval(p *Program, opts EvalOptions, sess ...SessionOptions) (*Prepared, error) {
-	if pc := sessionCache(sess); pc != nil {
-		return pc.Prepare(p, opts)
-	}
-	return eval.PrepareCached(p, opts)
+	return sessionResolve(sess).PlanCache.Prepare(p, opts)
 }
 
 // PlanCacheStats reports the process-wide plan cache's hit/miss/eviction
@@ -265,14 +255,14 @@ func PlanCacheStats() eval.CacheStats {
 // frozen bodies and memoized verdicts across calls. Checker.Derive patches
 // the session across a one-rule delta.
 func NewContainmentChecker(p1 *Program, sess ...SessionOptions) (*ContainmentChecker, error) {
-	return chase.NewCheckerCache(p1, sessionCache(sess))
+	return chase.NewCheckerIn(p1, eval.NewLineage(sessionResolve(sess).PlanCache))
 }
 
 // NewPreserveSession opens a preservation-checking session over p for
 // repeated Check / CheckPreliminary tests against different tgd sets;
 // Session.Derive patches the session across an accepted one-rule delta.
 func NewPreserveSession(p *Program, sess ...SessionOptions) (*PreserveSession, error) {
-	return preserve.NewSessionCache(p, sessionCache(sess))
+	return preserve.NewSessionIn(p, eval.NewLineage(sessionResolve(sess).PlanCache))
 }
 
 // NonRecursive computes Pⁿ(d), the one-step application of Section IX.

@@ -18,8 +18,8 @@ import (
 // maintains — the prepared evaluation plan, the uniform-containment checker
 // and the preservation session — behind one concurrency contract:
 //
-//   - Eval / EvalGoal are safe for any number of concurrent callers (the
-//     Prepared plan is immutable);
+//   - Eval / EvalWith / Query are safe for any number of concurrent callers
+//     (the Prepared plan is immutable);
 //   - Minimize / ContainsRule / Contains / Preserve / PreservePreliminary
 //     serialize on the session mutex (checkers and preservation sessions
 //     are single-threaded state machines);
@@ -60,8 +60,7 @@ var ErrBudget = eval.ErrBudget
 // prepared plan, one containment session and one preservation session.
 // A Service is safe for concurrent use.
 type Service struct {
-	cache *PlanCache     // nil = process-wide
-	base  SessionOptions // defaults (Shards) for sessions it opens
+	base SessionOptions // resolved plan cache and Shards default for sessions it opens
 
 	mu       sync.Mutex
 	sessions map[string]*Session
@@ -71,8 +70,7 @@ type Service struct {
 // through the injected plan cache (SessionOptions), or the process-wide one,
 // and inherit the options' Shards default.
 func NewService(sess ...SessionOptions) *Service {
-	o := sessionResolve(sess)
-	return &Service{cache: o.PlanCache, base: o, sessions: make(map[string]*Session)}
+	return &Service{base: sessionResolve(sess), sessions: make(map[string]*Session)}
 }
 
 // Open returns the Session for p, creating it on first use. Programs are
@@ -126,7 +124,7 @@ func (sv *Service) TotalStats() (EvalStats, uint64) {
 	var n uint64
 	for _, s := range sessions {
 		st, evals := s.Stats()
-		addStats(&tot, st)
+		tot.Add(st)
 		n += evals
 	}
 	return tot, n
@@ -135,12 +133,7 @@ func (sv *Service) TotalStats() (EvalStats, uint64) {
 // PlanCacheStats reports the counters of the plan cache this service's
 // sessions actually prepare through: the cache injected at construction, or
 // the process-wide default when none was.
-func (sv *Service) PlanCacheStats() eval.CacheStats {
-	if sv.cache != nil {
-		return sv.cache.Stats()
-	}
-	return eval.DefaultPlanCache.Stats()
-}
+func (sv *Service) PlanCacheStats() eval.CacheStats { return sv.base.PlanCache.Stats() }
 
 // Session is a long-lived handle over one program version: the prepared
 // evaluation plan plus lazily built containment and preservation sessions.
@@ -153,16 +146,12 @@ type Session struct {
 
 	mu sync.Mutex // serializes the single-threaded checker/preserve state
 	ck *ContainmentChecker
-	// ckLast / psLast are the checker's and preserve session's cumulative
-	// counters at the last accounting, so each request folds only its own
-	// delta into the totals. Guarded by s.mu like the sessions themselves.
-	ckLast EvalStats
-	ps     *PreserveSession
-	psLast EvalStats
-
-	// viewMu guards the session's default maintained view (view.go).
-	viewMu sync.Mutex
-	view   *View
+	ps *PreserveSession
+	// lin is the one lineage both lazily built sessions live in; last is its
+	// cumulative Stats at the previous accounting, so each request folds only
+	// its own delta into the totals. Guarded by s.mu like the sessions.
+	lin  eval.Lineage
+	last EvalStats
 
 	statsMu sync.Mutex
 	total   EvalStats
@@ -178,7 +167,7 @@ func NewSession(p *Program, sess ...SessionOptions) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Session{prog: prep.Program(), cache: o.PlanCache, base: base, prep: prep}, nil
+	return &Session{prog: prep.Program(), cache: o.PlanCache, base: base, prep: prep, lin: eval.NewLineage(o.PlanCache)}, nil
 }
 
 // Program returns the session's program (the prepared copy; callers must
@@ -222,7 +211,7 @@ func (s *Session) EvalWith(ctx context.Context, input *Database, req EvalRequest
 		}
 		prep = p
 	}
-	out, _, st, err := prep.EvalGoalCtx(ctx, input, nil, req.MaxDerived)
+	out, _, st, err := prep.Run(ctx, input, nil, req.MaxDerived, nil)
 	s.account(st)
 	return out, st, err
 }
@@ -252,7 +241,7 @@ func (s *Session) Minimize(ctx context.Context, opts MinimizeOptions) (*Program,
 // checker lazily builds the containment session; callers hold s.mu.
 func (s *Session) checker() (*ContainmentChecker, error) {
 	if s.ck == nil {
-		ck, err := chase.NewCheckerCache(s.prog, s.cache)
+		ck, err := chase.NewCheckerIn(s.prog, s.lin)
 		if err != nil {
 			return nil, err
 		}
@@ -272,7 +261,7 @@ func (s *Session) ContainsRule(ctx context.Context, r Rule) (bool, error) {
 	ck.SetContext(ctx)
 	defer ck.SetContext(nil)
 	ok, err := ck.ContainsRule(r)
-	s.accountChecker(ck)
+	s.accountLineage()
 	return ok, err
 }
 
@@ -288,7 +277,7 @@ func (s *Session) Contains(ctx context.Context, p2 *Program) (bool, int, error) 
 	ck.SetContext(ctx)
 	defer ck.SetContext(nil)
 	ok, idx, err := ck.Contains(p2)
-	s.accountChecker(ck)
+	s.accountLineage()
 	return ok, idx, err
 }
 
@@ -308,7 +297,7 @@ func (s *Session) Compare(ctx context.Context, other *Session) (bool, error) {
 // preserveSession lazily builds the preservation session; callers hold s.mu.
 func (s *Session) preserveSession() (*PreserveSession, error) {
 	if s.ps == nil {
-		ps, err := preserve.NewSessionCache(s.prog, s.cache)
+		ps, err := preserve.NewSessionIn(s.prog, s.lin)
 		if err != nil {
 			return nil, err
 		}
@@ -328,7 +317,7 @@ func (s *Session) Preserve(ctx context.Context, tgds []TGD, opts PreserveOptions
 	}
 	opts.Context = ctx
 	v, cex, err := ps.Check(tgds, opts)
-	s.accountPreserve(ps)
+	s.accountLineage()
 	return v, cex, err
 }
 
@@ -343,73 +332,22 @@ func (s *Session) PreservePreliminary(ctx context.Context, tgds []TGD, opts Pres
 	}
 	opts.Context = ctx
 	v, cex, err := ps.CheckPreliminary(tgds, opts)
-	s.accountPreserve(ps)
+	s.accountLineage()
 	return v, cex, err
 }
 
-// accountChecker folds the checker's counters accumulated since the last
-// accounting into the session totals; the caller holds s.mu.
-func (s *Session) accountChecker(ck *ContainmentChecker) {
-	cur := ck.Stats()
-	s.account(statsDelta(cur, s.ckLast))
-	s.ckLast = cur
-}
-
-// accountPreserve folds the preserve session's counters accumulated since
-// the last accounting into the session totals; the caller holds s.mu.
-func (s *Session) accountPreserve(ps *PreserveSession) {
-	cur := ps.Stats()
-	s.account(statsDelta(cur, s.psLast))
-	s.psLast = cur
-}
-
-// statsDelta returns the field-wise difference cur − last of two cumulative
-// counter snapshots.
-func statsDelta(cur, last EvalStats) EvalStats {
-	return EvalStats{
-		Rounds:              cur.Rounds - last.Rounds,
-		Firings:             cur.Firings - last.Firings,
-		Added:               cur.Added - last.Added,
-		PrepareHits:         cur.PrepareHits - last.PrepareHits,
-		PrepareMisses:       cur.PrepareMisses - last.PrepareMisses,
-		VerdictsReused:      cur.VerdictsReused - last.VerdictsReused,
-		VerdictsRecomputed:  cur.VerdictsRecomputed - last.VerdictsRecomputed,
-		VerdictsSubsumed:    cur.VerdictsSubsumed - last.VerdictsSubsumed,
-		StrataStreamed:      cur.StrataStreamed - last.StrataStreamed,
-		StrataMaterialized:  cur.StrataMaterialized - last.StrataMaterialized,
-		BindingsPipelined:   cur.BindingsPipelined - last.BindingsPipelined,
-		EarlyStopCuts:       cur.EarlyStopCuts - last.EarlyStopCuts,
-		ShardRounds:         cur.ShardRounds - last.ShardRounds,
-		DeltaExchanged:      cur.DeltaExchanged - last.DeltaExchanged,
-		ShardImbalance:      cur.ShardImbalance - last.ShardImbalance,
-		Applies:             cur.Applies - last.Applies,
-		CountAdjusted:       cur.CountAdjusted - last.CountAdjusted,
-		Overdeleted:         cur.Overdeleted - last.Overdeleted,
-		Rederived:           cur.Rederived - last.Rederived,
-		RelationsFrozen:     cur.RelationsFrozen - last.RelationsFrozen,
-		FreezeSkipped:       cur.FreezeSkipped - last.FreezeSkipped,
-		ChasesBudgetFree:    cur.ChasesBudgetFree - last.ChasesBudgetFree,
-		ChasesBudgetBounded: cur.ChasesBudgetBounded - last.ChasesBudgetBounded,
-	}
-}
-
-// addStats folds one stats snapshot into a running total, field family by
-// field family (fixpoint, cache, streaming and sharding counters).
-func addStats(dst *EvalStats, st EvalStats) {
-	dst.Rounds += st.Rounds
-	dst.Firings += st.Firings
-	dst.Added += st.Added
-	dst.AddCache(st)
-	dst.AddStreaming(st)
-	dst.AddSharding(st)
-	dst.AddMaintain(st)
-	dst.AddChase(st)
+// accountLineage folds what the checker and preserve session did since the
+// last accounting into the session totals; the caller holds s.mu.
+func (s *Session) accountLineage() {
+	cur := s.lin.Stats()
+	s.account(cur.Sub(s.last))
+	s.last = cur
 }
 
 // account folds one request's stats into the session totals.
 func (s *Session) account(st EvalStats) {
 	s.statsMu.Lock()
-	addStats(&s.total, st)
+	s.total.Add(st)
 	s.evals++
 	s.statsMu.Unlock()
 }

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"sync"
 
 	"repro/internal/eval"
@@ -41,38 +40,16 @@ type View struct {
 }
 
 // Materialize evaluates the session program over input and returns a
-// maintained view of the result. The returned handle is independent —
-// callers maintaining several inputs (tenants) hold one View each — and it
-// also becomes the session's default view, the one Session.Apply addresses.
+// maintained view of the result. Every call returns an independent handle —
+// callers maintaining several inputs (tenants) hold one View each; the
+// session keeps no reference to it.
 func (s *Session) Materialize(ctx context.Context, input *Database, mo MaintainOptions) (*View, EvalStats, error) {
 	m, st, err := s.prep.Materialize(ctx, input, mo)
 	s.account(st)
 	if err != nil {
 		return nil, st, err
 	}
-	v := &View{s: s, m: m, version: 1}
-	s.viewMu.Lock()
-	s.view = v
-	s.viewMu.Unlock()
-	return v, st, nil
-}
-
-// View returns the session's default view: the most recently materialized
-// one, or nil before any Materialize.
-func (s *Session) View() *View {
-	s.viewMu.Lock()
-	defer s.viewMu.Unlock()
-	return s.view
-}
-
-// Apply routes a mutation batch to the session's default view. Sessions
-// maintaining several views apply through the View handles directly.
-func (s *Session) Apply(ctx context.Context, delta DatabaseDelta) (DatabaseDiff, EvalStats, error) {
-	v := s.View()
-	if v == nil {
-		return DatabaseDiff{}, EvalStats{}, fmt.Errorf("core: Session.Apply before Materialize: no maintained view")
-	}
-	return v.Apply(ctx, delta)
+	return &View{s: s, m: m, version: 1}, st, nil
 }
 
 // Apply absorbs one mutation batch into the view's input, maintains the

@@ -27,15 +27,15 @@ func TestSessionMaterializeApply(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if view.Version() != 1 || sess.View() != view {
-		t.Fatalf("version=%d, default view mismatch", view.Version())
+	if view.Version() != 1 || view.Session() != sess {
+		t.Fatalf("version=%d session=%p, want version 1 of %p", view.Version(), view.Session(), sess)
 	}
 	if !view.Output().Has(core.GroundAtom{Pred: "G", Args: []core.Const{1, 3}}) {
 		t.Fatal("missing G(1,3)")
 	}
 
-	// Session.Apply routes to the default view and returns the exact diff.
-	diff, _, err := sess.Apply(context.Background(), core.DatabaseDelta{
+	// Apply returns the exact diff.
+	diff, _, err := view.Apply(context.Background(), core.DatabaseDelta{
 		Retract: []core.GroundAtom{{Pred: "A", Args: []core.Const{2, 3}}},
 	})
 	if err != nil {
@@ -54,19 +54,5 @@ func TestSessionMaterializeApply(t *testing.T) {
 	st, n := sess.Stats()
 	if st.Applies != 1 || n < 2 {
 		t.Fatalf("stats = %+v requests = %d, want Applies=1 and >=2 requests", st, n)
-	}
-}
-
-func TestSessionApplyBeforeMaterialize(t *testing.T) {
-	p, err := core.ParseProgram(`P(x) :- E(x).`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sess, err := core.NewSession(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := sess.Apply(context.Background(), core.DatabaseDelta{}); err == nil {
-		t.Fatal("Apply before Materialize succeeded")
 	}
 }

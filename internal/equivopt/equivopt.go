@@ -254,18 +254,27 @@ func cloneAtoms(body []ast.Atom, idx []int) []ast.Atom {
 // callers probing many candidates against the same program should build
 // the sessions once.
 func TryCandidate(p *ast.Program, ruleIdx int, c Candidate, opts Options) (*ast.Program, error) {
-	ck, err := chase.NewChecker(p)
-	if err != nil {
-		return nil, err
-	}
-	if opts.Context != nil {
-		ck.SetContext(opts.Context)
-	}
-	ps, err := preserve.NewSession(p)
+	ck, ps, err := sessions(p, opts)
 	if err != nil {
 		return nil, err
 	}
 	return tryCandidate(ck, ps, p, ruleIdx, c, opts)
+}
+
+// sessions opens the containment and preservation sessions the Section X
+// pipeline runs over p, side by side in one lineage.
+func sessions(p *ast.Program, opts Options) (*chase.Checker, *preserve.Session, error) {
+	lin := eval.NewLineage(nil)
+	ck, err := chase.NewCheckerIn(p, lin)
+	if err != nil {
+		return nil, nil, err
+	}
+	ck.SetContext(opts.Context)
+	ps, err := preserve.NewSessionIn(p, lin)
+	if err != nil {
+		return nil, nil, err
+	}
+	return ck, ps, nil
 }
 
 // tryCandidate is the Section X pipeline over pre-built sessions for p: ck
@@ -339,14 +348,7 @@ func Optimize(p *ast.Program, opts Options) (*ast.Program, []Removal, error) {
 	// containment session keeps surviving verdicts and frozen bodies, the
 	// preservation session patches its per-depth unfoldings and transfers
 	// combination-option tables across the one-rule weakening.
-	ck, err := chase.NewChecker(cur)
-	if err != nil {
-		return nil, nil, err
-	}
-	if opts.Context != nil {
-		ck.SetContext(opts.Context)
-	}
-	ps, err := preserve.NewSession(cur)
+	ck, ps, err := sessions(cur, opts)
 	if err != nil {
 		return nil, nil, err
 	}

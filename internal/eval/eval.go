@@ -104,129 +104,8 @@ type Options struct {
 	// context is a per-call concern, never part of a plan: Prepare strips it
 	// from the retained options and the plan cache ignores it when
 	// fingerprinting, so a canceled request can never poison a cached plan.
-	// Prepared callers pass per-request contexts through EvalCtx /
-	// EvalGoalCtx / EvalGoalProvCtx instead.
+	// Prepared callers pass per-request contexts to Prepared.Run instead.
 	Context context.Context
-}
-
-// Stats reports work done by an evaluation. The cache fields are filled by
-// session layers (the plan cache, the containment sessions) rather than by a
-// single evaluation; a one-shot Eval leaves them zero.
-type Stats struct {
-	// Rounds is the number of fixpoint iterations (including the final empty
-	// one that detects convergence).
-	Rounds int
-	// Firings is the number of successful body instantiations, i.e. the
-	// joins' output size (including duplicates that derived a known fact).
-	Firings int
-	// Added is the number of new facts derived.
-	Added int
-	// PrepareHits / PrepareMisses count plan-cache lookups made on the
-	// session's behalf: a hit reused an existing *Prepared, a miss had to
-	// build one (by full preparation or by delta-patching an existing plan).
-	PrepareHits   int
-	PrepareMisses int
-	// VerdictsReused / VerdictsRecomputed count memoized containment
-	// verdicts carried across a Checker.Derive versus decided by running a
-	// fresh goal-directed chase.
-	VerdictsReused     int
-	VerdictsRecomputed int
-	// VerdictsSubsumed counts containment verdicts forced syntactically —
-	// the tested rule is θ-subsumed by a rule of the containing program (or
-	// is a tautology), so the chase was skipped entirely.
-	VerdictsSubsumed int
-	// StrataStreamed / StrataMaterialized count fixpoint units by how they
-	// converged: StrataStreamed reached their fixpoint in one pass (no rule
-	// reads the unit's own heads, so semi-naive runs one full application
-	// and no confirmation round), StrataMaterialized needed delta rounds
-	// (recursive units, and every unit under the naive strategy). The names
-	// predate the single kernel; both kinds run on the same pipeline.
-	StrataStreamed     int
-	StrataMaterialized int
-	// BindingsPipelined counts every tuple successfully bound by a pipeline
-	// operator, in every round of every unit: the joins' total
-	// intermediate-result size.
-	BindingsPipelined int
-	// EarlyStopCuts counts sequential passes cut mid-pipeline by a goal hit,
-	// an exhausted derived-fact budget or a cancellation.
-	EarlyStopCuts int
-	// ShardRounds counts shard-round executions: a round run under Shards=N
-	// adds N (one per shard slice of the round).
-	ShardRounds int
-	// DeltaExchanged counts boundary-delta exchanges: facts committed whose
-	// owner shard (by the head predicate's partition column) differs from
-	// the shard that derived them, i.e. tuples that would cross shards in a
-	// distributed deployment.
-	DeltaExchanged int
-	// ShardImbalance accumulates, per sharded round, the gap between the
-	// busiest shard's firings and the round's per-shard mean — a direct
-	// measure of how well the planner's partition columns spread the work.
-	ShardImbalance int
-	// Applies counts Maintained.Apply batches absorbed by a maintained view.
-	Applies int
-	// CountAdjusted counts derivation-count updates made by the counting
-	// maintenance of non-recursive strata (one per tuple whose count moved).
-	CountAdjusted int
-	// Overdeleted / Rederived count the facts the DRed phases of recursive
-	// strata first over-deleted and then restored from surviving support;
-	// their gap is the net deletion work a retraction batch caused.
-	Overdeleted int
-	Rederived   int
-	// RelationsFrozen / FreezeSkipped count, per maintenance batch, the
-	// relations the snapshot layer had to compact-and-share versus those the
-	// dirty-set check proved untouched since the previous freeze.
-	RelationsFrozen int
-	FreezeSkipped   int
-	// ChasesBudgetFree / ChasesBudgetBounded count chase runs whose limits
-	// came from a termination-classification-derived bound (the set provably
-	// reaches a fixpoint) versus runs bounded by a raw caller or default
-	// budget, where exhaustion is indistinguishable from divergence.
-	ChasesBudgetFree    int
-	ChasesBudgetBounded int
-}
-
-// AddCache accumulates o's cache counters into s.
-func (s *Stats) AddCache(o Stats) {
-	s.PrepareHits += o.PrepareHits
-	s.PrepareMisses += o.PrepareMisses
-	s.VerdictsReused += o.VerdictsReused
-	s.VerdictsRecomputed += o.VerdictsRecomputed
-	s.VerdictsSubsumed += o.VerdictsSubsumed
-}
-
-// AddStreaming accumulates o's pipeline counters into s. Session layers
-// that run many internal evaluations (the containment chases) use it to
-// surface how their strata converged and how much the joins bound.
-func (s *Stats) AddStreaming(o Stats) {
-	s.StrataStreamed += o.StrataStreamed
-	s.StrataMaterialized += o.StrataMaterialized
-	s.BindingsPipelined += o.BindingsPipelined
-	s.EarlyStopCuts += o.EarlyStopCuts
-}
-
-// AddSharding accumulates o's sharded-executor counters into s. Accounting
-// layers folding per-request stats into service totals use it so the shard
-// counters merge exactly like the cache and streaming groups.
-func (s *Stats) AddSharding(o Stats) {
-	s.ShardRounds += o.ShardRounds
-	s.DeltaExchanged += o.DeltaExchanged
-	s.ShardImbalance += o.ShardImbalance
-}
-
-// AddMaintain accumulates o's incremental-maintenance counters into s.
-func (s *Stats) AddMaintain(o Stats) {
-	s.Applies += o.Applies
-	s.CountAdjusted += o.CountAdjusted
-	s.Overdeleted += o.Overdeleted
-	s.Rederived += o.Rederived
-	s.RelationsFrozen += o.RelationsFrozen
-	s.FreezeSkipped += o.FreezeSkipped
-}
-
-// AddChase accumulates o's chase-budget counters into s.
-func (s *Stats) AddChase(o Stats) {
-	s.ChasesBudgetFree += o.ChasesBudgetFree
-	s.ChasesBudgetBounded += o.ChasesBudgetBounded
 }
 
 // Eval computes P(input): the least DB containing input and closed under the
@@ -242,7 +121,8 @@ func Eval(p *ast.Program, input *db.Database, opts Options) (*db.Database, Stats
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	return pr.EvalCtx(opts.Context, input)
+	out, _, stats, err := pr.Run(opts.Context, input, pr.opts.Goal, pr.opts.MaxDerived, nil)
+	return out, stats, err
 }
 
 // MustEval is Eval with default options, panicking on error; intended for

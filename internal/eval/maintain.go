@@ -116,7 +116,7 @@ func (pr *Prepared) Materialize(ctx context.Context, input *db.Database, mo Main
 	if pr.opts.NoSCCOrder && pr.prog.HasNegation() {
 		return nil, Stats{}, fmt.Errorf("eval: Materialize with negation requires the stratified schedule (NoSCCOrder is set)")
 	}
-	out, _, stats, err := pr.run(ctx, input, nil, 0, nil)
+	out, _, stats, err := pr.Run(ctx, input, nil, 0, nil)
 	if err != nil {
 		return nil, stats, err
 	}

@@ -45,9 +45,9 @@ type planEntry struct {
 // optimization pipelines while keeping a long-lived REPL's footprint flat.
 const DefaultPlanCacheSize = 256
 
-// DefaultPlanCache is the process-wide shared cache used by PrepareCached —
-// one pool serving the minimization loops, the containment sessions, the
-// CLI/REPL and the harness.
+// DefaultPlanCache is the process-wide shared cache — one pool serving the
+// minimization loops, the containment sessions, the CLI/REPL and the
+// harness.
 var DefaultPlanCache = NewPlanCache(DefaultPlanCacheSize)
 
 // NewPlanCache returns a cache bounded to max entries (max ≤ 0 selects
@@ -78,8 +78,8 @@ var zeroOptsKey = computePlanKey(Options{})
 
 // planKey fingerprints every Options field except Context (a per-call
 // concern Prepare strips). MaxDerived and Goal are baked into a Prepared's
-// run defaults, so they distinguish plans too; per-call EvalGoal arguments
-// do not touch them. TestPlanKeyCoversEveryOption fails when a field is
+// run defaults, so they distinguish plans too; per-call Run arguments do
+// not touch them. TestPlanKeyCoversEveryOption fails when a field is
 // added to Options but not here.
 func planKey(opts Options) string {
 	if opts == (Options{}) {
@@ -107,31 +107,20 @@ func computePlanKey(opts Options) string {
 }
 
 // Prepare returns the cached plan for (p, opts) or prepares, caches and
-// returns a fresh one. It is PrepareHit without the hit report.
+// returns a fresh one.
 func (pc *PlanCache) Prepare(p *ast.Program, opts Options) (*Prepared, error) {
-	prep, _, err := pc.PrepareHit(p, opts)
+	prep, _, err := pc.GetOrBuildCanonical(p.CanonicalString(), opts, func() (*Prepared, error) { return Prepare(p, opts) })
 	return prep, err
 }
 
-// PrepareHit is Prepare reporting whether the plan came from the cache, so
-// session layers can surface hit/miss counts in their own stats.
-func (pc *PlanCache) PrepareHit(p *ast.Program, opts Options) (*Prepared, bool, error) {
-	return pc.GetOrBuild(p, opts, func() (*Prepared, error) { return Prepare(p, opts) })
-}
-
-// GetOrBuild returns the cached plan for (p, opts), or caches and returns
-// the plan produced by build. It is the general entry the containment layer
-// uses to register delta-patched plans (Prepared.Derive products) under
-// their content address: the built plan's program need only be canonically
-// equal to p. The boolean reports a cache hit.
-func (pc *PlanCache) GetOrBuild(p *ast.Program, opts Options, build func() (*Prepared, error)) (*Prepared, bool, error) {
-	return pc.GetOrBuildCanonical(p.CanonicalString(), opts, build)
-}
-
-// GetOrBuildCanonical is GetOrBuild for callers that already hold the
-// program's canonical form — the containment layer maintains it
-// incrementally across one-rule deltas, so re-rendering the whole program
-// per lookup would dominate the very work the cache saves.
+// GetOrBuildCanonical returns the plan cached under a program's canonical
+// form and opts, or caches and returns the plan produced by build; the
+// boolean reports a cache hit. It is the general entry session lineages use
+// (Lineage.Prepare): they maintain the canonical form incrementally across
+// one-rule deltas — re-rendering the whole program per lookup would dominate
+// the very work the cache saves — and register delta-patched plans
+// (Prepared.Derive products) under their content address, so the built
+// plan's program need only be canonically equal to canon.
 func (pc *PlanCache) GetOrBuildCanonical(canon string, opts Options, build func() (*Prepared, error)) (*Prepared, bool, error) {
 	optsKey := planKey(opts)
 	hash := ast.HashString(canon) ^ ast.HashString(optsKey)
@@ -155,16 +144,6 @@ func (pc *PlanCache) GetOrBuildCanonical(canon string, opts Options, build func(
 		return nil, false, err
 	}
 	return pc.insert(&planEntry{hash: hash, canon: canon, optsKey: optsKey, prep: prep}), false, nil
-}
-
-// Put inserts an externally built plan (a Derive product) under its
-// program's content address, so later Prepare calls for the same program
-// reuse it. The prepared options are taken from the plan itself.
-func (pc *PlanCache) Put(prep *Prepared) {
-	canon := prep.Program().CanonicalString()
-	optsKey := planKey(prep.opts)
-	hash := ast.HashString(canon) ^ ast.HashString(optsKey)
-	pc.insert(&planEntry{hash: hash, canon: canon, optsKey: optsKey, prep: prep})
 }
 
 // lookup finds the entry matching hash AND full canonical content; caller
@@ -211,7 +190,51 @@ func (pc *PlanCache) insert(e *planEntry) *Prepared {
 	return e.prep
 }
 
-// PrepareCached is Prepare through the shared DefaultPlanCache.
-func PrepareCached(p *ast.Program, opts Options) (*Prepared, error) {
-	return DefaultPlanCache.Prepare(p, opts)
+// Lineage is the plumbing every session lineage shares: the plan cache the
+// lineage prepares through and one cumulative Stats. The containment and
+// preservation sessions embed it and differ only in what they memoize;
+// sessions derived from one another (Checker.Derive, preserve's
+// Session.Derive), and sessions built side by side over one program
+// (core.Session), copy the Lineage value, so work done while probing a
+// candidate that is then discarded still shows up in the totals. A Lineage
+// is as single-threaded as the sessions sharing it.
+type Lineage struct {
+	cache *PlanCache
+	stats *Stats
 }
+
+// NewLineage starts a lineage preparing through cache (nil selects
+// DefaultPlanCache) with zeroed counters.
+func NewLineage(cache *PlanCache) Lineage {
+	if cache == nil {
+		cache = DefaultPlanCache
+	}
+	return Lineage{cache: cache, stats: new(Stats)}
+}
+
+// Prepare is the lineage's one counted plan lookup: it returns the plan
+// cached under canon (a program's canonical form, default options) or
+// caches the one build produces, and records the hit or miss. build lets
+// callers register delta-patched plans (Prepared.Derive products) under
+// their content address.
+func (l Lineage) Prepare(canon string, build func() (*Prepared, error)) (*Prepared, error) {
+	prep, hit, err := l.cache.GetOrBuildCanonical(canon, Options{}, build)
+	if err != nil {
+		return nil, err
+	}
+	if hit {
+		l.stats.PrepareHits++
+	} else {
+		l.stats.PrepareMisses++
+	}
+	return prep, nil
+}
+
+// Tally is the lineage's live counter block, for the embedding session to
+// bump its own counters and fold its internal evaluations into.
+func (l Lineage) Tally() *Stats { return l.stats }
+
+// Stats snapshots the lineage's cumulative counters: plan lookups, reused
+// and recomputed verdicts, and the whole Stats of every internal evaluation.
+// Not safe to call concurrently with a running session of the lineage.
+func (l Lineage) Stats() Stats { return *l.stats }

@@ -19,6 +19,11 @@ func cacheProgram(t *testing.T, i int) *ast.Program {
 	return res.Program
 }
 
+// prepareHit is PlanCache.Prepare reporting whether the plan was cached.
+func prepareHit(pc *PlanCache, p *ast.Program, opts Options) (*Prepared, bool, error) {
+	return pc.GetOrBuildCanonical(p.CanonicalString(), opts, func() (*Prepared, error) { return Prepare(p, opts) })
+}
+
 // TestPlanCacheEvictionBound checks the LRU bound: a stream of distinct
 // programs never grows the cache past its capacity, evictions are counted,
 // and the most recently used entries survive while the oldest are evicted.
@@ -26,7 +31,7 @@ func TestPlanCacheEvictionBound(t *testing.T) {
 	pc := NewPlanCache(4)
 	const n = 20
 	for i := 0; i < n; i++ {
-		if _, _, err := pc.PrepareHit(cacheProgram(t, i), Options{}); err != nil {
+		if _, _, err := prepareHit(pc, cacheProgram(t, i), Options{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -42,11 +47,11 @@ func TestPlanCacheEvictionBound(t *testing.T) {
 	}
 	// The four most recent programs must hit; the oldest must miss.
 	for i := n - 4; i < n; i++ {
-		if _, hit, err := pc.PrepareHit(cacheProgram(t, i), Options{}); err != nil || !hit {
+		if _, hit, err := prepareHit(pc, cacheProgram(t, i), Options{}); err != nil || !hit {
 			t.Fatalf("program %d evicted though recently used (hit=%v err=%v)", i, hit, err)
 		}
 	}
-	if _, hit, err := pc.PrepareHit(cacheProgram(t, 0), Options{}); err != nil || hit {
+	if _, hit, err := prepareHit(pc, cacheProgram(t, 0), Options{}); err != nil || hit {
 		t.Fatalf("program 0 should have been evicted (hit=%v err=%v)", hit, err)
 	}
 }
@@ -56,20 +61,20 @@ func TestPlanCacheEvictionBound(t *testing.T) {
 func TestPlanCacheHitReturnsSamePlan(t *testing.T) {
 	pc := NewPlanCache(8)
 	p := cacheProgram(t, 1)
-	prep1, hit, err := pc.PrepareHit(p, Options{})
+	prep1, hit, err := prepareHit(pc, p, Options{})
 	if err != nil || hit {
 		t.Fatalf("first prepare: hit=%v err=%v", hit, err)
 	}
 	renamed := p.Clone()
 	renamed.Rules[0] = renamed.Rules[0].Rename(func(v string) string { return v + "_r" })
-	prep2, hit, err := pc.PrepareHit(renamed, Options{})
+	prep2, hit, err := prepareHit(pc, renamed, Options{})
 	if err != nil || !hit {
 		t.Fatalf("alpha-renamed twin missed the cache (hit=%v err=%v)", hit, err)
 	}
 	if prep1 != prep2 {
 		t.Fatal("alpha-renamed twin got a different plan")
 	}
-	_, hit, err = pc.PrepareHit(p, Options{Strategy: Naive})
+	_, hit, err = prepareHit(pc, p, Options{Strategy: Naive})
 	if err != nil || hit {
 		t.Fatalf("different options must not share a plan (hit=%v err=%v)", hit, err)
 	}
@@ -163,7 +168,7 @@ func TestPlanCacheSingleFieldOptionsNeverShare(t *testing.T) {
 	}
 	owner := map[*Prepared]string{base: "zero Options"}
 	for name, o := range singleFieldOptions(t) {
-		prep, hit, err := pc.PrepareHit(p, o)
+		prep, hit, err := prepareHit(pc, p, o)
 		if err != nil {
 			t.Fatalf("Options.%s: %v", name, err)
 		}
@@ -171,7 +176,7 @@ func TestPlanCacheSingleFieldOptionsNeverShare(t *testing.T) {
 			t.Errorf("Options.%s was served the plan of %s (hit=%v)", name, other, hit)
 		}
 		owner[prep] = "Options." + name
-		if again, hit, _ := pc.PrepareHit(p, o); !hit || again != prep {
+		if again, hit, _ := prepareHit(pc, p, o); !hit || again != prep {
 			t.Errorf("Options.%s: repeat lookup missed its own plan", name)
 		}
 	}

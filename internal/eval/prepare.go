@@ -21,7 +21,7 @@ import (
 // analysis they all used to repeat.
 
 // errGoal is the internal sentinel a fixpoint returns when Options.Goal was
-// derived; Prepared.run converts it into a successful early return.
+// derived; Prepared.Run converts it into a successful early return.
 var errGoal = errors.New("eval: goal reached")
 
 // Prepared is a program analyzed and compiled for repeated evaluation:
@@ -261,56 +261,36 @@ func (pr *Prepared) Program() *ast.Program { return pr.prog }
 // Eval computes P(input) exactly like the package-level Eval, reusing the
 // prepared schedule and compile caches. If Options.Goal is set, evaluation
 // stops as soon as the goal atom is derived (it is then present in the
-// returned database).
+// returned database). It is Run with the prepared Options' goal and budget
+// and no context.
 func (pr *Prepared) Eval(input *db.Database) (*db.Database, Stats, error) {
-	out, _, stats, err := pr.run(nil, input, pr.opts.Goal, pr.opts.MaxDerived, nil)
+	out, _, stats, err := pr.Run(nil, input, pr.opts.Goal, pr.opts.MaxDerived, nil)
 	return out, stats, err
 }
 
-// EvalCtx is Eval under a per-call context: cancellation or deadline expiry
-// aborts the evaluation with an error wrapping ErrCanceled, checked at round
-// boundaries and on the emit path. A nil ctx is Eval. The context belongs to
-// the call, not the plan, so one Prepared concurrently serves requests with
-// independent deadlines.
-func (pr *Prepared) EvalCtx(ctx context.Context, input *db.Database) (*db.Database, Stats, error) {
-	out, _, stats, err := pr.run(ctx, input, pr.opts.Goal, pr.opts.MaxDerived, nil)
-	return out, stats, err
-}
-
-// EvalGoal evaluates toward a per-call goal atom under a per-call
-// derived-fact budget (0 = the prepared Options' budget semantics do not
-// apply; unlimited). It reports whether the goal was reached — the moment
-// it is derived, evaluation halts, which is what makes the frozen-body
-// containment test of Section VI cheap: the test only asks whether the
-// frozen head is derivable, never for the full fixpoint. A nil goal
-// saturates fully and reports false.
-func (pr *Prepared) EvalGoal(input *db.Database, goal *ast.GroundAtom, maxDerived int) (*db.Database, bool, Stats, error) {
-	return pr.run(nil, input, goal, maxDerived, nil)
-}
-
-// EvalGoalCtx is EvalGoal under a per-call context (see EvalCtx).
-func (pr *Prepared) EvalGoalCtx(ctx context.Context, input *db.Database, goal *ast.GroundAtom, maxDerived int) (*db.Database, bool, Stats, error) {
-	return pr.run(ctx, input, goal, maxDerived, nil)
-}
-
-// EvalGoalProv is EvalGoal additionally recording rule provenance: every
-// program rule that derived at least one new fact before evaluation halted
-// is added to prov (indexes into Program().Rules). The recorded set is a
-// superset of the rules used by any derivation present in the output — in
-// particular, of some witnessing derivation of the goal when it is reached
-// — which is exactly the conservative guarantee the containment layer needs
-// to keep a memoized verdict across a rule deletion: if a deleted rule is
-// not in prov, no derivation the evaluation produced could have used it.
-func (pr *Prepared) EvalGoalProv(input *db.Database, goal *ast.GroundAtom, maxDerived int, prov *RuleSet) (*db.Database, bool, Stats, error) {
-	return pr.run(nil, input, goal, maxDerived, prov)
-}
-
-// EvalGoalProvCtx is EvalGoalProv under a per-call context (see EvalCtx).
-func (pr *Prepared) EvalGoalProvCtx(ctx context.Context, input *db.Database, goal *ast.GroundAtom, maxDerived int, prov *RuleSet) (*db.Database, bool, Stats, error) {
-	return pr.run(ctx, input, goal, maxDerived, prov)
-}
-
-func (pr *Prepared) run(ctx context.Context, input *db.Database, goal *ast.GroundAtom, maxDerived int, prov *RuleSet) (*db.Database, bool, Stats, error) {
+// Run is the one evaluation entry point every per-call concern goes
+// through; each argument may be its zero value.
+//
+//   - ctx cancels the evaluation: cancellation or deadline expiry aborts
+//     with an error wrapping ErrCanceled, checked at round boundaries and on
+//     the emit path. The context belongs to the call, not the plan, so one
+//     Prepared concurrently serves requests with independent deadlines.
+//   - goal halts evaluation the moment that atom is derived and is reported
+//     by the boolean — what makes the frozen-body containment test of
+//     Section VI cheap: the test only asks whether the frozen head is
+//     derivable, never for the full fixpoint. A nil goal saturates fully
+//     and reports false.
+//   - maxDerived bounds the new facts (0 = unlimited; the prepared Options'
+//     budget does not apply), returning an error wrapping ErrBudget.
+//   - prov, when non-nil, records rule provenance: every program rule that
+//     derived at least one new fact before evaluation halted is added
+//     (indexes into Program().Rules). The recorded set is a superset of the
+//     rules used by any derivation present in the output — in particular,
+//     of some witnessing derivation of the goal when it is reached — which
+//     is exactly the conservative guarantee the containment layer needs to
+//     keep a memoized verdict across a rule deletion: if a deleted rule is
+//     not in prov, no derivation the evaluation produced could have used it.
+func (pr *Prepared) Run(ctx context.Context, input *db.Database, goal *ast.GroundAtom, maxDerived int, prov *RuleSet) (*db.Database, bool, Stats, error) {
 	var stats Stats
 	if err := CtxErr(ctx); err != nil {
 		return nil, false, stats, err

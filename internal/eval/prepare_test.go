@@ -79,7 +79,7 @@ func TestQuickPreparedEqualsOneShot(t *testing.T) {
 				if err != nil {
 					return false
 				}
-				b, reached, sb, err := prG.EvalGoal(d, &goal, 0)
+				b, reached, sb, err := prG.Run(nil, d, &goal, 0, nil)
 				if err != nil {
 					return false
 				}
@@ -117,7 +117,7 @@ func TestQuickGoalUnreachable(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		out, reached, st, err := pr.EvalGoal(d, &goal, 0)
+		out, reached, st, err := pr.Run(nil, d, &goal, 0, nil)
 		if err != nil {
 			return false
 		}
@@ -141,7 +141,7 @@ func TestPreparedGoalStopsMidStratum(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, reached, _, err := pr.EvalGoal(d, &goal, 0)
+	out, reached, _, err := pr.Run(nil, d, &goal, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestPreparedGoalAlreadyInInput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, reached, st, err := pr.EvalGoal(d, &goal, 0)
+	out, reached, st, err := pr.Run(nil, d, &goal, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -157,7 +157,7 @@ func testShardedGoalPrefixCut(t *testing.T) {
 				if err != nil {
 					t.Fatalf("seed %d: prepare: %v", seed, err)
 				}
-				out, reached, _, err := prep.EvalGoal(input, &goal, 0)
+				out, reached, _, err := prep.Run(nil, input, &goal, 0, nil)
 				if err != nil {
 					t.Fatalf("seed %d goal %v shards=%d: %v", seed, goal, s, err)
 				}
@@ -306,10 +306,10 @@ func TestShardedStatsAccounting(t *testing.T) {
 		t.Fatalf("DeltaExchanged = %d out of range (Added = %d)", st.DeltaExchanged, st.Added)
 	}
 	var acc Stats
-	acc.AddSharding(st)
-	acc.AddSharding(st)
+	acc.Add(st)
+	acc.Add(st)
 	if acc.ShardRounds != 2*st.ShardRounds || acc.DeltaExchanged != 2*st.DeltaExchanged || acc.ShardImbalance != 2*st.ShardImbalance {
-		t.Fatal("AddSharding must accumulate all shard counters")
+		t.Fatal("Add must accumulate all shard counters")
 	}
 }
 

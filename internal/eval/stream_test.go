@@ -43,7 +43,7 @@ func TestQuickStreamingEqualsMaterializing(t *testing.T) {
 				t.Fatalf("seed %d: prepare: %v", seed, err)
 			}
 			for gi := range goals {
-				out, reached, st, err := prep.EvalGoal(input, &goals[gi], 0)
+				out, reached, st, err := prep.Run(nil, input, &goals[gi], 0, nil)
 				if err != nil {
 					t.Fatalf("seed %d strat=%v goal=%v: %v", seed, strat, goals[gi], err)
 				}
@@ -115,7 +115,7 @@ func TestStreamingGoalEarlyStop(t *testing.T) {
 		t.Fatal(err)
 	}
 	goal := ast.NewGroundAtom("P3", ast.Int(0), ast.Int(3))
-	out, reached, st, err := prep.EvalGoal(input, &goal, 0)
+	out, reached, st, err := prep.Run(nil, input, &goal, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -68,9 +68,9 @@ type AtomRemoval struct {
 type Trace struct {
 	AtomRemovals []AtomRemoval
 	RuleRemovals []ast.Rule
-	// Stats carries the containment session's cache counters: plan-cache
-	// hits/misses and verdicts reused across accepted deletions versus
-	// decided by a fresh chase.
+	// Stats is the containment session lineage's cumulative work: plan-cache
+	// hits/misses, verdicts reused across accepted deletions versus decided
+	// by a fresh chase, and the folded stats of every chase's evaluation.
 	Stats eval.Stats
 }
 
@@ -128,7 +128,7 @@ func Program(p *ast.Program, opts Options) (*ast.Program, Trace, error) {
 func minimizeAtoms(p *ast.Program, opts Options) (*ast.Program, *chase.Checker, Trace, error) {
 	var trace Trace
 	q := p // both callers pass a program they own; it is mutated in place
-	ck, err := chase.NewCheckerCache(q, opts.PlanCache)
+	ck, err := chase.NewCheckerIn(q, eval.NewLineage(opts.PlanCache))
 	if err != nil {
 		return nil, nil, trace, err
 	}

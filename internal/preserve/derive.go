@@ -28,9 +28,9 @@ import (
 // hypergraphs with no unification), except when the deleted rule was the
 // last one heading its predicate: that shrinks the intentional-predicate
 // set the depth-k machinery keys on, so those deltas — like head changes
-// and introduced negation — fall back to a fresh session (still through
-// the shared plan cache). The receiver is not mutated and both sessions
-// stay usable.
+// and introduced negation — fall back to a fresh session built in the same
+// lineage (same plan cache, same stats). The receiver is not mutated and
+// both sessions stay usable.
 func (s *Session) Derive(ruleIdx int, newRule *ast.Rule) (*Session, error) {
 	if ruleIdx < 0 || ruleIdx >= len(s.p.Rules) {
 		return nil, fmt.Errorf("preserve: Derive: rule index %d out of range (%d rules)", ruleIdx, len(s.p.Rules))
@@ -43,28 +43,12 @@ func (s *Session) Derive(ruleIdx int, newRule *ast.Rule) (*Session, error) {
 		return nil, err
 	}
 	if newRule.Head.Pred != old.Head.Pred || newRule.HasNegation() {
-		return s.adopt(NewSessionCache(s.p.ReplaceRule(ruleIdx, *newRule), s.cache))
+		return NewSessionIn(s.p.ReplaceRule(ruleIdx, *newRule), s.Lineage)
 	}
 
-	np := s.p.ReplaceRule(ruleIdx, *newRule)
-	prep, hit, err := s.cache.GetOrBuild(np, eval.Options{}, func() (*eval.Prepared, error) {
-		return s.prep.Derive(ruleIdx, newRule)
-	})
+	ns, err := s.derived(s.p.ReplaceRule(ruleIdx, *newRule), ruleIdx, newRule)
 	if err != nil {
 		return nil, err
-	}
-	s.countPrepare(hit)
-	ns := &Session{
-		p:       prep.Program(),
-		prep:    prep,
-		idb:     s.idb, // same head predicate: the intentional set is unchanged
-		cache:   s.cache,
-		prelim:  make(map[int]*depthEntry),
-		partial: make(map[int]*depthEntry),
-		stats:   s.stats, // shared: the lineage is one session
-	}
-	if s.opts != nil {
-		ns.opts = transferOptions(s.opts, ns.p, ns.idb, old.Head.Pred)
 	}
 
 	// The depth-1 preliminary entry runs the initialization program (rules
@@ -109,27 +93,12 @@ func (s *Session) deriveDelete(ruleIdx int) (*Session, error) {
 		}
 	}
 	if !stillIDB {
-		return s.adopt(NewSessionCache(np, s.cache))
+		return NewSessionIn(np, s.Lineage)
 	}
 
-	prep, hit, err := s.cache.GetOrBuild(np, eval.Options{}, func() (*eval.Prepared, error) {
-		return s.prep.Derive(ruleIdx, nil)
-	})
+	ns, err := s.derived(np, ruleIdx, nil)
 	if err != nil {
 		return nil, err
-	}
-	s.countPrepare(hit)
-	ns := &Session{
-		p:       prep.Program(),
-		prep:    prep,
-		idb:     s.idb, // head still intentional: the intentional set is unchanged
-		cache:   s.cache,
-		prelim:  make(map[int]*depthEntry),
-		partial: make(map[int]*depthEntry),
-		stats:   s.stats,
-	}
-	if s.opts != nil {
-		ns.opts = transferOptions(s.opts, ns.p, ns.idb, old.Head.Pred)
 	}
 
 	// A deleted rule with an intentional body was never part of the
@@ -153,17 +122,30 @@ func (s *Session) deriveDelete(ruleIdx int) (*Session, error) {
 	return ns, nil
 }
 
-// adopt folds a from-scratch fallback session into the receiver's Derive
-// lineage: the counters it accumulated while being built (its prepare
-// lookup) move into the shared stats block, which the new session then
-// shares like a delta-patched one.
-func (s *Session) adopt(ns *Session, err error) (*Session, error) {
+// derived starts the session for np — s's program with rule ruleIdx deleted
+// (newRule nil) or replaced, its head predicate still intentional — in s's
+// lineage: the one-step evaluator comes from the plan cache or, on a miss,
+// from delta-patching s's plan, and the combination options transfer for
+// every predicate but the changed rule's head. Depth entries are the
+// caller's to carry over.
+func (s *Session) derived(np *ast.Program, ruleIdx int, newRule *ast.Rule) (*Session, error) {
+	prep, err := s.Prepare(np.CanonicalString(), func() (*eval.Prepared, error) {
+		return s.prep.Derive(ruleIdx, newRule)
+	})
 	if err != nil {
 		return nil, err
 	}
-	s.stats.PrepareHits += ns.stats.PrepareHits
-	s.stats.PrepareMisses += ns.stats.PrepareMisses
-	ns.stats = s.stats
+	ns := &Session{
+		Lineage: s.Lineage, // shared: the lineage is one session
+		p:       prep.Program(),
+		prep:    prep,
+		idb:     s.idb, // head still intentional: the intentional set is unchanged
+		prelim:  make(map[int]*depthEntry),
+		partial: make(map[int]*depthEntry),
+	}
+	if s.opts != nil {
+		ns.opts = transferOptions(s.opts, ns.p, ns.idb, s.p.Rules[ruleIdx].Head.Pred)
+	}
 	return ns, nil
 }
 
@@ -197,11 +179,10 @@ func (s *Session) patchEntryDelete(e *depthEntry, ruleIdx int, partial bool) (*d
 
 // entryFromResult assembles a depth entry around a patched unfolding.
 func (s *Session) entryFromResult(pres unfold.Result, partial bool) (*depthEntry, bool) {
-	prep, hit, err := s.cache.PrepareHit(pres.Program, eval.Options{})
+	prep, err := s.prepare(pres.Program)
 	if err != nil {
 		return nil, false
 	}
-	s.countPrepare(hit)
 	ne := &depthEntry{prep: prep, complete: pres.Complete, res: pres}
 	if partial {
 		ne.idb = pres.Program.IDBPredicates()

@@ -88,7 +88,7 @@ func TestDeriveMatchesFreshSession(t *testing.T) {
 		if p.Validate() != nil {
 			continue
 		}
-		s, err := preserve.NewSessionCache(p, eval.NewPlanCache(0))
+		s, err := preserve.NewSessionIn(p, eval.NewLineage(eval.NewPlanCache(0)))
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -104,7 +104,7 @@ func TestDeriveMatchesFreshSession(t *testing.T) {
 				t.Fatalf("seed %d step %d: Derive: %v", seed, step, err)
 			}
 			cur = cur.ReplaceRule(i, nr)
-			fresh, err := preserve.NewSessionCache(cur, eval.NewPlanCache(0))
+			fresh, err := preserve.NewSessionIn(cur, eval.NewLineage(eval.NewPlanCache(0)))
 			if err != nil {
 				t.Fatalf("seed %d step %d: %v", seed, step, err)
 			}
@@ -141,7 +141,7 @@ func TestDeriveLayeredProgram(t *testing.T) {
 			if !nr.WellFormed() {
 				continue
 			}
-			s, err := preserve.NewSessionCache(p, eval.NewPlanCache(0))
+			s, err := preserve.NewSessionIn(p, eval.NewLineage(eval.NewPlanCache(0)))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -150,7 +150,7 @@ func TestDeriveLayeredProgram(t *testing.T) {
 			if err != nil {
 				t.Fatalf("rule %d atom %d: %v", i, k, err)
 			}
-			fresh, err := preserve.NewSessionCache(p.ReplaceRule(i, nr), eval.NewPlanCache(0))
+			fresh, err := preserve.NewSessionIn(p.ReplaceRule(i, nr), eval.NewLineage(eval.NewPlanCache(0)))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -170,7 +170,7 @@ func TestDeriveFallbacks(t *testing.T) {
 		P(x, z) :- P(x, y), P(y, z).
 		Q(x, y) :- P(x, y), B(x, y).
 	`)
-	s, err := preserve.NewSessionCache(p, eval.NewPlanCache(0))
+	s, err := preserve.NewSessionIn(p, eval.NewLineage(eval.NewPlanCache(0)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestDeriveFallbacks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := preserve.NewSessionCache(p.WithoutRule(2), eval.NewPlanCache(0))
+	fresh, err := preserve.NewSessionIn(p.WithoutRule(2), eval.NewLineage(eval.NewPlanCache(0)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestDeriveFallbacks(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh, err = preserve.NewSessionCache(p.ReplaceRule(2, hc), eval.NewPlanCache(0))
+	fresh, err = preserve.NewSessionIn(p.ReplaceRule(2, hc), eval.NewLineage(eval.NewPlanCache(0)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,7 +211,7 @@ func TestDeriveFallbacks(t *testing.T) {
 
 // TestDeriveConcurrentSessions runs independent derive chains over one
 // shared plan cache — the only state sessions share — so the race detector
-// sees the cache's synchronization under concurrent GetOrBuild/Prepare.
+// sees the cache's synchronization under concurrent Lineage.Prepare lookups.
 func TestDeriveConcurrentSessions(t *testing.T) {
 	shared := eval.NewPlanCache(0)
 	var wg sync.WaitGroup
@@ -225,7 +225,7 @@ func TestDeriveConcurrentSessions(t *testing.T) {
 			if p.Validate() != nil {
 				return
 			}
-			s, err := preserve.NewSessionCache(p, shared)
+			s, err := preserve.NewSessionIn(p, eval.NewLineage(shared))
 			if err != nil {
 				errs[g] = err
 				return
@@ -299,7 +299,7 @@ func TestDeriveDeleteMatchesFreshSession(t *testing.T) {
 		parser.MustParseTGD("G(x, y), B(y, z) -> H(x, z)."),
 	}
 	for i := 0; i < len(p.Rules); i++ {
-		s, err := preserve.NewSessionCache(p, eval.NewPlanCache(0))
+		s, err := preserve.NewSessionIn(p, eval.NewLineage(eval.NewPlanCache(0)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -308,7 +308,7 @@ func TestDeriveDeleteMatchesFreshSession(t *testing.T) {
 		if err != nil {
 			t.Fatalf("rule %d: %v", i, err)
 		}
-		fresh, err := preserve.NewSessionCache(p.WithoutRule(i), eval.NewPlanCache(0))
+		fresh, err := preserve.NewSessionIn(p.WithoutRule(i), eval.NewLineage(eval.NewPlanCache(0)))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -324,7 +324,7 @@ func TestDeriveDeleteMatchesFreshSession(t *testing.T) {
 		if q.Validate() != nil {
 			continue
 		}
-		s, err := preserve.NewSessionCache(q, eval.NewPlanCache(0))
+		s, err := preserve.NewSessionIn(q, eval.NewLineage(eval.NewPlanCache(0)))
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
@@ -353,7 +353,7 @@ func TestDeriveDeleteMatchesFreshSession(t *testing.T) {
 				}
 				cur = cur.ReplaceRule(i, nr)
 			}
-			fresh, err := preserve.NewSessionCache(cur, eval.NewPlanCache(0))
+			fresh, err := preserve.NewSessionIn(cur, eval.NewLineage(eval.NewPlanCache(0)))
 			if err != nil {
 				t.Fatalf("seed %d step %d: %v", seed, step, err)
 			}

@@ -37,20 +37,18 @@ func (c *Counterexample) String() string {
 //
 // A Session is not safe for concurrent use.
 type Session struct {
-	p     *ast.Program
-	prep  *eval.Prepared
-	idb   map[string]bool
-	cache *eval.PlanCache
-	opts  map[string][]option // combinationOptions(p, idb), lazily built
+	// Lineage is the plan cache the session prepares through and the
+	// cumulative stats, shared by value down the Derive lineage exactly like
+	// chase.Checker's: plan lookups for the base program and depth entries,
+	// plus the chase rounds run and facts derived by combination checks.
+	eval.Lineage
+	p    *ast.Program
+	prep *eval.Prepared
+	idb  map[string]bool
+	opts map[string][]option // combinationOptions(p, idb), lazily built
 
 	prelim  map[int]*depthEntry // CheckPreliminary entries, by depth
 	partial map[int]*depthEntry // Check (depth ≥ 2) entries, by depth
-
-	// stats is shared across the whole Derive lineage (one session, many
-	// derived variants), mirroring chase.Checker: plan-cache hits/misses
-	// observed preparing the base program and depth entries, plus the chase
-	// rounds run and facts derived by combination checks.
-	stats *eval.Stats
 }
 
 // depthEntry is one prepared depth-k variant: the (unfolded or
@@ -70,51 +68,38 @@ type depthEntry struct {
 // plan cache. Programs using negation are rejected (the Fig. 3 procedure is
 // defined for pure Datalog).
 func NewSession(p *ast.Program) (*Session, error) {
-	return NewSessionCache(p, nil)
+	return NewSessionIn(p, eval.NewLineage(nil))
 }
 
-// NewSessionCache is NewSession with an injectable plan cache (nil selects
-// eval.DefaultPlanCache) — tests and the harness isolate their cache
-// footprints; servers can shard caches per tenant.
-func NewSessionCache(p *ast.Program, cache *eval.PlanCache) (*Session, error) {
+// NewSessionIn is NewSession inside an existing lineage: the session
+// prepares through the lineage's plan cache and accumulates into its stats.
+// Tests, the harness and servers inject a lineage over their own cache to
+// isolate or shard cache footprints; Derive's from-scratch fallbacks use it
+// to stay in the receiver's lineage.
+func NewSessionIn(p *ast.Program, lin eval.Lineage) (*Session, error) {
 	if p.HasNegation() {
 		return nil, fmt.Errorf("preserve: pure Datalog required")
 	}
-	if cache == nil {
-		cache = eval.DefaultPlanCache
+	s := &Session{
+		Lineage: lin,
+		idb:     p.IDBPredicates(),
+		prelim:  make(map[int]*depthEntry),
+		partial: make(map[int]*depthEntry),
 	}
-	prep, hit, err := cache.PrepareHit(p, eval.Options{})
+	prep, err := s.prepare(p)
 	if err != nil {
 		return nil, err
 	}
-	s := &Session{
-		p:       prep.Program(),
-		prep:    prep,
-		idb:     p.IDBPredicates(),
-		cache:   cache,
-		prelim:  make(map[int]*depthEntry),
-		partial: make(map[int]*depthEntry),
-		stats:   &eval.Stats{},
-	}
-	s.countPrepare(hit)
+	s.p, s.prep = prep.Program(), prep
 	return s, nil
 }
 
-// countPrepare records one plan-cache lookup made on the session's behalf.
-func (s *Session) countPrepare(hit bool) {
-	if hit {
-		s.stats.PrepareHits++
-	} else {
-		s.stats.PrepareMisses++
-	}
+// prepare resolves p's plan through the lineage (a counted lookup).
+func (s *Session) prepare(p *ast.Program) (*eval.Prepared, error) {
+	return s.Prepare(p.CanonicalString(), func() (*eval.Prepared, error) {
+		return eval.Prepare(p, eval.Options{})
+	})
 }
-
-// Stats reports the session's accumulated counters: plan-cache lookups made
-// preparing the program and its depth-k variants, and the chase rounds and
-// derived facts of every combination check. Derived Sessions share their
-// parent's counters, so the totals describe the whole session lineage. Not
-// safe to call concurrently with a running check.
-func (s *Session) Stats() eval.Stats { return *s.stats }
 
 // Program returns the session's program.
 func (s *Session) Program() *ast.Program { return s.p }
@@ -192,7 +177,7 @@ func (s *Session) Check(tgds []ast.TGD, opts Options) (chase.Verdict, *Counterex
 		if err := eval.CtxErr(opts.Context); err != nil {
 			return chase.Unknown, nil, err
 		}
-		v, cex, err := checkTGD(opts.Context, prep, idb, tgds, tau, opts.Budget, combo, s.stats)
+		v, cex, err := checkTGD(opts.Context, prep, idb, tgds, tau, opts.Budget, combo, s.Tally())
 		if err != nil {
 			return chase.Unknown, nil, err
 		}
@@ -245,7 +230,7 @@ func (s *Session) CheckPreliminary(tgds []ast.TGD, opts Options) (chase.Verdict,
 		if err := eval.CtxErr(opts.Context); err != nil {
 			return chase.Unknown, nil, err
 		}
-		v, cex, err := checkTGDOnce(opts.Context, e.prep, e.idb, tau, e.opts, s.stats)
+		v, cex, err := checkTGDOnce(opts.Context, e.prep, e.idb, tau, e.opts, s.Tally())
 		if err != nil {
 			return chase.Unknown, nil, err
 		}
@@ -282,11 +267,10 @@ func (s *Session) prelimEntry(depth int) (*depthEntry, error) {
 		init = res.Program
 		complete = res.Complete
 	}
-	prep, hit, err := s.cache.PrepareHit(init, eval.Options{})
+	prep, err := s.prepare(init)
 	if err != nil {
 		return nil, err
 	}
-	s.countPrepare(hit)
 	e := &depthEntry{prep: prep, idb: s.idb, opts: prelimOptions(init), complete: complete, res: res}
 	s.prelim[depth] = e
 	return e, nil
@@ -314,11 +298,10 @@ func (s *Session) partialEntry(depth int) (*depthEntry, error) {
 		return nil, err
 	}
 	q := res.Program
-	prep, hit, err := s.cache.PrepareHit(q, eval.Options{})
+	prep, err := s.prepare(q)
 	if err != nil {
 		return nil, err
 	}
-	s.countPrepare(hit)
 	idb := q.IDBPredicates()
 	e := &depthEntry{prep: prep, idb: idb, opts: combinationOptions(q, idb), complete: res.Complete, res: res}
 	s.partial[depth] = e

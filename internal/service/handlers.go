@@ -205,7 +205,7 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		resp["rows"] = e.formatRows(db.Select(out, atom))
-		resp["stats"] = toStatsJSON(st)
+		resp["stats"] = st
 		writeJSON(w, 200, resp)
 		return
 	}
@@ -215,7 +215,7 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	resp["facts"] = e.formatFacts(out)
-	resp["stats"] = toStatsJSON(st)
+	resp["stats"] = st
 	writeJSON(w, 200, resp)
 }
 
@@ -254,7 +254,7 @@ func (s *Server) handleMinimize(w http.ResponseWriter, r *http.Request) {
 		"program":         rendered,
 		"atoms_removed":   trace.AtomsRemoved(),
 		"rules_removed":   trace.RulesRemoved(),
-		"stats":           toStatsJSON(trace.Stats),
+		"stats":           trace.Stats,
 	})
 }
 
@@ -418,7 +418,7 @@ func (s *Server) handleStatz(w http.ResponseWriter, r *http.Request) {
 		"programs": nprogs,
 		"eval": map[string]any{
 			"requests": ereqs,
-			"totals":   toStatsJSON(est),
+			"totals":   est,
 		},
 		"plan_cache": map[string]any{
 			"entries": pc.Entries, "hits": pc.Hits, "misses": pc.Misses,

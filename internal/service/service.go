@@ -27,7 +27,6 @@ import (
 	"repro/internal/ast"
 	"repro/internal/core"
 	"repro/internal/db"
-	"repro/internal/eval"
 	"repro/internal/parser"
 )
 
@@ -308,62 +307,6 @@ func (e *programEntry) formatFactsLocked(d *db.Database) []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// statsJSON is the wire form of eval.Stats plus the request's resolved
-// versions.
-type statsJSON struct {
-	Rounds             int `json:"rounds"`
-	Firings            int `json:"firings"`
-	Added              int `json:"added"`
-	PrepareHits        int `json:"prepare_hits"`
-	PrepareMisses      int `json:"prepare_misses"`
-	VerdictsReused     int `json:"verdicts_reused"`
-	VerdictsRecomputed int `json:"verdicts_recomputed"`
-	VerdictsSubsumed   int `json:"verdicts_subsumed"`
-	StrataStreamed     int `json:"strata_streamed"`
-	StrataMaterialized int `json:"strata_materialized"`
-	BindingsPipelined  int `json:"bindings_pipelined"`
-	EarlyStopCuts      int `json:"early_stop_cuts"`
-	ShardRounds        int `json:"shard_rounds"`
-	DeltaExchanged     int `json:"delta_exchanged"`
-	ShardImbalance     int `json:"shard_imbalance"`
-	Applies            int `json:"applies"`
-	CountAdjusted      int `json:"count_adjusted"`
-	Overdeleted        int `json:"overdeleted"`
-	Rederived          int `json:"rederived"`
-	RelationsFrozen    int `json:"relations_frozen"`
-	FreezeSkipped      int `json:"freeze_skipped"`
-	ChasesBudgetFree   int `json:"chases_budget_free"`
-	ChasesBudgetBound  int `json:"chases_budget_bounded"`
-}
-
-func toStatsJSON(st eval.Stats) statsJSON {
-	return statsJSON{
-		Rounds:             st.Rounds,
-		Firings:            st.Firings,
-		Added:              st.Added,
-		PrepareHits:        st.PrepareHits,
-		PrepareMisses:      st.PrepareMisses,
-		VerdictsReused:     st.VerdictsReused,
-		VerdictsRecomputed: st.VerdictsRecomputed,
-		VerdictsSubsumed:   st.VerdictsSubsumed,
-		StrataStreamed:     st.StrataStreamed,
-		StrataMaterialized: st.StrataMaterialized,
-		BindingsPipelined:  st.BindingsPipelined,
-		EarlyStopCuts:      st.EarlyStopCuts,
-		ShardRounds:        st.ShardRounds,
-		DeltaExchanged:     st.DeltaExchanged,
-		ShardImbalance:     st.ShardImbalance,
-		Applies:            st.Applies,
-		CountAdjusted:      st.CountAdjusted,
-		Overdeleted:        st.Overdeleted,
-		Rederived:          st.Rederived,
-		RelationsFrozen:    st.RelationsFrozen,
-		FreezeSkipped:      st.FreezeSkipped,
-		ChasesBudgetFree:   st.ChasesBudgetFree,
-		ChasesBudgetBound:  st.ChasesBudgetBounded,
-	}
 }
 
 // RequestError is a typed service error carrying the HTTP status and a

@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/ast"
 	"repro/internal/core"
@@ -447,6 +448,9 @@ func TestServeErrors(t *testing.T) {
 	if code, resp = post(t, ts, "/v1/programs/p/eval", map[string]any{"tenant": "t", "budget": map[string]any{"workers": 2}}); code != 400 || resp["error"] != "bad_request" {
 		t.Fatalf("removed budget.workers: %d %v", code, resp)
 	}
+	if code, resp = post(t, ts, "/v1/programs/p/subscriptions", map[string]any{"tenant": "t", "force_dred": true}); code != 400 || resp["error"] != "bad_request" {
+		t.Fatalf("removed force_dred: %d %v", code, resp)
+	}
 }
 
 // TestServeVetAndExplain covers the two read-side endpoints.
@@ -609,4 +613,77 @@ func sliceEq(a, b []string) bool {
 		}
 	}
 	return true
+}
+
+// statzTotals fetches /v1/statz and returns its eval.totals object.
+func statzTotals(t *testing.T, ts *httptest.Server) map[string]any {
+	t.Helper()
+	code, resp := get(t, ts, "/v1/statz")
+	if code != 200 {
+		t.Fatalf("statz: %d %v", code, resp)
+	}
+	totals, ok := resp["eval"].(map[string]any)["totals"].(map[string]any)
+	if !ok {
+		t.Fatalf("statz has no eval totals: %v", resp)
+	}
+	return totals
+}
+
+// TestStatzEveryGroupMoves: each counter group of eval.Stats moves in
+// /v1/statz when the thing it counts happens — a plain eval (fixpoint and
+// stream groups), a sharded eval (shard group), a minimize (reuse group,
+// and the fixpoint counters of its containment chases, which the totals
+// used to miss), and a mutation batch on a subscribed tenant (maintain
+// group). The chase group needs tgds and is pinned at the library level
+// (internal/chase termination tests).
+func TestStatzEveryGroupMoves(t *testing.T) {
+	s := New()
+	ts := httptest.NewServer(s.Handler())
+	// Cleanup, not defer: the changefeed registers its own cleanup after this
+	// one, so LIFO order disconnects the stream before the server drains.
+	t.Cleanup(ts.Close)
+
+	// Predicate names unique to this run: containment verdicts are memoized
+	// process-wide by program content, and a reused verdict runs no chase.
+	g, a := fmt.Sprintf("G%d", time.Now().UnixNano()), fmt.Sprintf("A%d", time.Now().UnixNano())
+	src := fmt.Sprintf("%[1]s(x, z) :- %[2]s(x, z).\n%[1]s(x, z) :- %[1]s(x, y), %[1]s(y, z), %[2]s(y, w).", g, a)
+	if code, resp := post(t, ts, "/v1/programs/tc", map[string]any{"source": src}); code != 200 {
+		t.Fatalf("register: %d %v", code, resp)
+	}
+	facts := fmt.Sprintf("%[1]s(1, 2). %[1]s(2, 3). %[1]s(3, 4).", a)
+	if code, resp := post(t, ts, "/v1/programs/tc/facts", map[string]any{"tenant": "t", "assert": facts}); code != 200 {
+		t.Fatalf("facts: %d %v", code, resp)
+	}
+
+	before := statzTotals(t, ts)
+	step := func(name string, do func(), moved ...string) {
+		t.Helper()
+		do()
+		after := statzTotals(t, ts)
+		for _, k := range moved {
+			if statField(t, after, k) <= statField(t, before, k) {
+				t.Errorf("%s did not move statz eval.totals.%s (%d → %d)", name, k, statField(t, before, k), statField(t, after, k))
+			}
+		}
+		before = after
+	}
+	ok := func(path string, body map[string]any) func() {
+		return func() {
+			t.Helper()
+			if code, resp := post(t, ts, path, body); code != 200 {
+				t.Fatalf("%s: %d %v", path, code, resp)
+			}
+		}
+	}
+
+	step("eval", ok("/v1/programs/tc/eval", map[string]any{"tenant": "t"}),
+		"rounds", "firings", "added", "strata_materialized", "bindings_pipelined")
+	step("sharded eval", ok("/v1/programs/tc/eval", map[string]any{"tenant": "t", "budget": map[string]any{"shards": 2}}),
+		"shard_rounds")
+	step("minimize", ok("/v1/programs/tc/minimize", map[string]any{}),
+		"rounds", "firings", "prepare_misses", "verdicts_recomputed")
+	f := subscribe(t, ts, "tc", map[string]any{"tenant": "t"})
+	f.next(t) // snapshot frame: the view is materialized and registered
+	step("facts batch on a subscribed tenant", ok("/v1/programs/tc/facts", map[string]any{"tenant": "t", "retract": fmt.Sprintf("%s(2, 3).", a)}),
+		"applies", "overdeleted", "relations_frozen")
 }

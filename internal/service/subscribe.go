@@ -115,16 +115,14 @@ func (e *programEntry) broadcastLocked(t *tenantState, dbVersion int, delta core
 
 // handleSubscribe opens a changefeed: it registers the subscriber on the
 // tenant's live view for the requested program version (materializing the
-// view on first use; force_dred selects delete-rederive for every stratum
-// and applies to the view's first subscriber), writes a snapshot frame, and
-// then streams one diff frame per mutation batch until the client
-// disconnects or the subscriber is dropped.
+// view on first use), writes a snapshot frame, and then streams one diff
+// frame per mutation batch until the client disconnects or the subscriber is
+// dropped.
 func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 	s.requests.Add(1)
 	var req struct {
 		Tenant         string `json:"tenant"`
 		ProgramVersion int    `json:"program_version"`
-		ForceDRed      bool   `json:"force_dred"`
 	}
 	if err := decodeBody(r, &req); err != nil {
 		s.writeError(w, err)
@@ -157,8 +155,7 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 	}
 	lv := t.views[pv.version]
 	if lv == nil {
-		view, _, err := pv.session.Materialize(context.Background(), t.versions[t.latest].DB(),
-			core.MaintainOptions{ForceDRed: req.ForceDRed})
+		view, _, err := pv.session.Materialize(context.Background(), t.versions[t.latest].DB(), core.MaintainOptions{})
 		if err != nil {
 			e.mu.Unlock()
 			s.writeError(w, err)
