@@ -7,7 +7,7 @@ BENCHTIME ?= 0.3s
 # staticcheck pin for lint-ci; bump deliberately, not implicitly.
 STATICCHECK_VERSION ?= 2025.1
 
-.PHONY: all build vet datalog-vet test race race-service race-shard race-ivm serve-smoke bench bench-all experiments examples lint lint-ci clean
+.PHONY: all build vet datalog-vet test race race-service race-shard race-ivm serve-smoke bench bench-all experiments examples guard-one-join lint lint-ci clean
 
 all: build vet test
 
@@ -67,9 +67,18 @@ bench-all:
 experiments:
 	$(GO) run ./cmd/experiments -run all
 
-# lint runs go vet always and staticcheck when the binary is on PATH (the
-# dev container does not bake it in; lint-ci installs the pinned version).
-lint:
+# guard-one-join keeps a second join out of internal/eval: the operator
+# pipeline (stream.go) is the only code there that joins a rule body, so no
+# non-test file may reach for the binding-map matcher.
+guard-one-join:
+	@if grep -nE 'db\.Match(Atom|Seq|Conjunction)|ast\.Binding|MustGround' internal/eval/*.go | grep -v '_test\.go:'; then \
+		echo "internal/eval: binding-map join outside tests (make guard-one-join)" >&2; exit 1; \
+	fi
+
+# lint runs the one-join guard and go vet always, and staticcheck when the
+# binary is on PATH (the dev container does not bake it in; lint-ci installs
+# the pinned version).
+lint: guard-one-join
 	$(GO) vet ./...
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \

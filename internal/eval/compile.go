@@ -24,9 +24,14 @@ type compiledRule struct {
 }
 
 // compileRule lowers r (whose body is already in the desired evaluation
-// order) into slot form.
-func compileRule(r ast.Rule) *compiledRule {
-	slots := map[string]int{}
+// order) into slot form. Slots are numbered by first occurrence, after vars:
+// a non-nil vars claims the leading slots in its order, so reorderings of
+// one rule compiled with the same vars share a slot numbering.
+func compileRule(r ast.Rule, vars []string) *compiledRule {
+	slots := make(map[string]int, len(vars))
+	for i, v := range vars {
+		slots[v] = i
+	}
 	slotOf := func(v string) int {
 		if i, ok := slots[v]; ok {
 			return i

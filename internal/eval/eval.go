@@ -32,12 +32,13 @@ const (
 	Naive
 )
 
-// ErrBudget is returned when evaluation exceeds Options.MaxDerived.
+// ErrBudget is returned when evaluation exceeds the derived-fact budget
+// passed to Prepared.Run.
 var ErrBudget = errors.New("eval: derived-fact budget exhausted")
 
 // ErrCanceled is returned when an evaluation's context is canceled or its
 // deadline expires. Cancellation is checked at round boundaries and — with a
-// small cadence — on the emit path, extending the in-round MaxDerived
+// small cadence — on the emit path, extending the in-round derived-fact budget
 // discipline: a round that would run long past a deadline is cut mid-stream,
 // not at its end. Errors wrap both ErrCanceled and the context's own error,
 // so errors.Is works against ErrCanceled, context.Canceled and
@@ -87,16 +88,6 @@ type Options struct {
 	// byte-identical to Shards ≤ 1 for any shard count. Shards is capped at
 	// 256.
 	Shards int
-	// MaxDerived bounds the number of new facts; 0 means unlimited. Pure
-	// Datalog always terminates, so the bound exists for callers that embed
-	// evaluation in potentially non-terminating chases.
-	MaxDerived int
-	// Goal, when non-nil, halts evaluation the moment this ground atom is
-	// derived (it is enforced on the emit path, not at round boundaries).
-	// The returned database then contains the goal but is generally not the
-	// full fixpoint. Containment sessions use this to stop the frozen-body
-	// test of Section VI as soon as the frozen head appears.
-	Goal *ast.GroundAtom
 	// Context, when non-nil, cancels evaluation when it is done: deadlines
 	// (context.WithTimeout/WithDeadline) and explicit cancellation both
 	// surface as an error wrapping ErrCanceled. Cancellation is observed at
@@ -121,7 +112,7 @@ func Eval(p *ast.Program, input *db.Database, opts Options) (*db.Database, Stats
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	out, _, stats, err := pr.Run(opts.Context, input, pr.opts.Goal, pr.opts.MaxDerived, nil)
+	out, _, stats, err := pr.Run(opts.Context, input, nil, 0, nil)
 	return out, stats, err
 }
 
@@ -207,13 +198,6 @@ func indexNeeds(rules []ast.Rule) []indexNeed {
 		}
 	}
 	return out
-}
-
-func checkBudget(d *db.Database, baseLen int, opts Options) error {
-	if opts.MaxDerived > 0 && d.Len()-baseLen > opts.MaxDerived {
-		return fmt.Errorf("%w: derived %d facts (budget %d)", ErrBudget, d.Len()-baseLen, opts.MaxDerived)
-	}
-	return nil
 }
 
 // anyAddedIn reports whether any fact carries the given round stamp.

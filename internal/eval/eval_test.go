@@ -190,12 +190,23 @@ func TestGroundFactRule(t *testing.T) {
 	}
 }
 
+// evalBudget is Eval under a derived-fact budget, which is a Run argument.
+func evalBudget(t testing.TB, p *ast.Program, input *db.Database, opts Options, budget int) (*db.Database, Stats, error) {
+	t.Helper()
+	pr, err := Prepare(p, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, _, stats, err := pr.Run(nil, input, nil, budget, nil)
+	return out, stats, err
+}
+
 func TestBudgetExceeded(t *testing.T) {
 	edb := db.New()
 	for i := 0; i < 50; i++ {
 		edb.Add(ga("A", int64(i), int64(i+1)))
 	}
-	_, _, err := Eval(tcProgram(), edb, Options{MaxDerived: 10})
+	_, _, err := evalBudget(t, tcProgram(), edb, Options{}, 10)
 	if !errors.Is(err, ErrBudget) {
 		t.Fatalf("err = %v, want ErrBudget", err)
 	}
@@ -204,7 +215,7 @@ func TestBudgetExceeded(t *testing.T) {
 // TestBudgetEnforcedWithinRound is the regression test for the budget
 // overshoot bug: a single round deriving a large cross product used to be
 // checked only after the round completed, so a chase embedding could blow
-// far past MaxDerived before evaluation noticed. The budget is now enforced
+// far past the budget before evaluation noticed. The budget is now enforced
 // inside the emit path, so evaluation stops as soon as it is exhausted.
 func TestBudgetEnforcedWithinRound(t *testing.T) {
 	// P(x, y) :- A(x), A(y) derives n² facts in its first round.
@@ -218,7 +229,7 @@ func TestBudgetEnforcedWithinRound(t *testing.T) {
 		edb.Add(ga("A", int64(i)))
 	}
 	const budget = 10
-	_, stats, err := Eval(p, edb, Options{MaxDerived: budget})
+	_, stats, err := evalBudget(t, p, edb, Options{}, budget)
 	if !errors.Is(err, ErrBudget) {
 		t.Fatalf("err = %v, want ErrBudget", err)
 	}
@@ -226,20 +237,6 @@ func TestBudgetEnforcedWithinRound(t *testing.T) {
 	// stop at the first fact past the budget, not at the end of the round.
 	if stats.Added > budget+1 {
 		t.Fatalf("derived %d facts within the round, budget %d: overshoot not bounded", stats.Added, budget)
-	}
-	// Same enforcement through Incremental's insert loop: closing over the new A facts
-	// derives the same cross product in one delta round.
-	out := MustEval(p, db.New())
-	var facts []ast.GroundAtom
-	for i := 0; i < 100; i++ {
-		facts = append(facts, ga("A", int64(i)))
-	}
-	_, stats, err = Incremental(p, out, facts, Options{MaxDerived: budget})
-	if !errors.Is(err, ErrBudget) {
-		t.Fatalf("Incremental err = %v, want ErrBudget", err)
-	}
-	if stats.Added > budget+1 {
-		t.Fatalf("Incremental derived %d facts, budget %d", stats.Added, budget)
 	}
 }
 
@@ -258,7 +255,7 @@ func TestBudgetParallelStillErrs(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		edb.Add(ga("A", int64(i)))
 	}
-	_, stats, err := Eval(p, edb, Options{MaxDerived: 10, Shards: 4})
+	_, stats, err := evalBudget(t, p, edb, Options{Shards: 4}, 10)
 	if !errors.Is(err, ErrBudget) {
 		t.Fatalf("err = %v, want ErrBudget", err)
 	}

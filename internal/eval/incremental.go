@@ -40,8 +40,19 @@ func Incremental(p *ast.Program, out *db.Database, newFacts []ast.GroundAtom, op
 	if added == 0 {
 		return cur, stats, nil
 	}
-	if err := insertLoop(opts.Context, cur, p.Rules, cur.Round(), opts, &stats); err != nil {
+	opts.Shards = normalizeShards(opts)
+	if err := insertLoop(opts.Context, cur, insertSetup(p.Rules, opts), partitionCols(p.Rules), cur.Round(), opts, &stats); err != nil {
 		return nil, stats, err
 	}
 	return cur, stats, nil
+}
+
+// insertSetup lowers rules for insertLoop: the static join order, every
+// predicate able to hold a round's delta.
+func insertSetup(rules []ast.Rule, opts Options) *roundSetup {
+	var perms [][]int
+	if !opts.NoReorder {
+		perms = staticPerms(rules)
+	}
+	return buildSetup(rules, perms, opts.Shards > 1, func(string) bool { return true })
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"strconv"
 
 	"repro/internal/ast"
 	"repro/internal/db"
@@ -22,8 +23,8 @@ import (
 //     external support when the tuple is an input fact. A batch adjusts
 //     counts by enumerating exactly the lost firings (valid before, invalid
 //     after) and the gained firings (valid after, invalid before) — each
-//     firing counted once via the least-changed-position discipline — and a
-//     tuple leaves the view precisely when its count reaches zero.
+//     firing counted once, by its identity — and a tuple leaves the view
+//     precisely when its count reaches zero.
 //
 //   - DRed (delete-rederive), for the recursive units, where counts would
 //     have to track unbounded derivation multiplicities: over-delete every
@@ -32,6 +33,18 @@ import (
 //     over-deleted facts that keep alternative support (input membership or
 //     a one-step derivation from the surviving view), then run the ordinary
 //     semi-naive insertion loop for the asserted side.
+//
+// Every enumeration above is the operator pipeline (stream.go) running an
+// ordinary rule variant under a change-set span: operator 0 scans a small
+// set of changed facts, the rest of the body and every negated literal read
+// one database. A firing valid in that database that touches the change set
+// is found by the variant led by each changed atom it uses, so exactly-once,
+// where it matters (counting), is the sink's job: a firing is identified by
+// its rule and the values of the rule's variables, and a scratch set drops
+// repeats. The variants are lowered once per schedule unit (maintPlan) and
+// shared by every view of the plan. Sinks only buffer — count adjustments,
+// over-deleted, restored and staged facts land in scratch sets and are
+// committed after the run — so no pipeline reads a database being written.
 //
 // Both phases process schedule units in producer-first order and hand each
 // unit the exact net diff of everything below it, which is what makes
@@ -88,31 +101,126 @@ type MaintainOptions struct {
 // its input database under Apply batches.
 type Maintained struct {
 	pr    *Prepared
-	opts  Options
-	mo    MaintainOptions
 	in    *db.Snapshot // current input EDB
 	snap  *db.Snapshot // current maintained output P(input)
 	units []maintUnit
 	owner map[string]int // head predicate → unit index
 }
 
+// maintUnit is one schedule unit of a view: its head predicates are
+// u.dynamic.
 type maintUnit struct {
-	rules    []ast.Rule
-	heads    map[string]bool
+	u        *unit
+	plan     *maintPlan
 	counting bool
+}
+
+// maintPlan is a unit's rules lowered for view maintenance, built once per
+// unit and immutable afterwards.
+type maintPlan struct {
+	// insert is the rules in the static join order: the insert loop's setup
+	// and — its plans under a full span — the count-seeding pass.
+	insert *roundSetup
+	rules  []ruleVariants
+}
+
+// ruleVariants is one rule reordered to start from each atom a change can
+// enter through. The variants share one slot numbering — the rule's
+// variables in body order — so the first nVars slots of the frame identify a
+// firing whichever variant found it.
+type ruleVariants struct {
+	firing string        // the rule's relation in a firing-identity set
+	nVars  int           // slots in a firing identity
+	pos    []*streamPlan // pos[i]: body atom i leads
+	neg    []*streamPlan // neg[k]: negated literal k leads, as a positive atom
+	// rederive leads with the rule's own head: over a set of deleted facts
+	// it derives the ones the rule still supports.
+	rederive *streamPlan
+}
+
+// maintPlan returns the unit's maintenance plan, lowering it on first use;
+// every view of every plan holding the unit shares it. Change-set variants
+// are delta-first by construction, whatever opts.NoReorder says about the
+// insert side.
+func (u *unit) maintPlan(opts Options) *maintPlan {
+	u.maintOnce.Do(func() {
+		mp := &maintPlan{insert: insertSetup(u.rules, opts), rules: make([]ruleVariants, len(u.rules))}
+		for ri, r := range u.rules {
+			vars := ast.VarsOfAtoms(r.Body)
+			// ledBy is r with lead as operator 0 and rest in the greedy join
+			// order under lead's bindings; negated literals stay negated.
+			ledBy := func(lead ast.Atom, rest []ast.Atom) *streamPlan {
+				bound := make(map[string]bool)
+				lead.CollectVars(bound)
+				body := append([]ast.Atom{lead}, db.OrderForJoin(rest, bound)...)
+				return lowerRule(ast.Rule{Head: r.Head, Body: body, NegBody: r.NegBody}, vars)
+			}
+			rv := ruleVariants{firing: strconv.Itoa(ri), nVars: len(vars), rederive: ledBy(r.Head, r.Body)}
+			for i, a := range r.Body {
+				rv.pos = append(rv.pos, ledBy(a, r.WithoutBodyAtom(i).Body))
+			}
+			for _, a := range r.NegBody {
+				rv.neg = append(rv.neg, ledBy(a, r.Body))
+			}
+			mp.rules[ri] = rv
+		}
+		u.maint = mp
+	})
+	return u.maint
+}
+
+// sinkFunc adapts a buffering callback to the pipeline's sink: maintenance
+// sinks record heads in scratch sets the pipeline does not read, report no
+// additions and never halt.
+type sinkFunc func(pred string, args []ast.Const)
+
+func (f sinkFunc) emit(pred string, args []ast.Const) (bool, bool) {
+	f(pred, args)
+	return false, false
+}
+
+// changed hands emit, at least once each, the rule firings valid against d
+// that touch the change sets: those using a posDelta fact for a positive
+// body atom, and those whose negated literal grounds to a negDelta fact
+// (absent from d, so the negation holds there). Either set may be nil. emit
+// also receives the firing rule's variants; during the call the firing's
+// identity is st.vals[:rv.nVars].
+func (mp *maintPlan) changed(d, posDelta, negDelta *db.Database, st *streamState, stats *Stats, emit func(rv *ruleVariants, pred string, args []ast.Const)) {
+	for ri := range mp.rules {
+		rv := &mp.rules[ri]
+		sink := sinkFunc(func(pred string, args []ast.Const) { emit(rv, pred, args) })
+		if posDelta != nil && posDelta.Len() > 0 {
+			for _, sp := range rv.pos {
+				runChange(sp, d, posDelta, st, stats, sink)
+			}
+		}
+		if negDelta != nil && negDelta.Len() > 0 {
+			for _, sp := range rv.neg {
+				runChange(sp, d, negDelta, st, stats, sink)
+			}
+		}
+	}
+}
+
+// runChange runs one variant with operator 0 over src and the rest of the
+// rule over all of d.
+func runChange(sp *streamPlan, d, src *db.Database, st *streamState, stats *Stats, sink streamSink) {
+	st.ensure(sp)
+	sp.run(d, changeSpan(src, d), st, stats, sink)
+}
+
+// bump adds delta to fact's entry in the count multiset adj.
+func bump(adj *db.Database, pred string, args []ast.Const, delta int32) {
+	adj.AddTuple(pred, args)
+	adj.BumpCount(pred, args, delta)
 }
 
 // Materialize evaluates the prepared program on input and wraps the result
 // as a maintained view. The input is not modified; the view keeps private
-// copy-on-write snapshots of both input and output. Plans prepared with a
-// goal or a derived-fact budget are rejected — a maintained view is by
-// definition the full materialization — as is NoSCCOrder combined with
-// negation (maintenance needs the stratified schedule's producer-first
-// order).
+// copy-on-write snapshots of both input and output. NoSCCOrder combined with
+// negation is rejected: maintenance needs the stratified schedule's
+// producer-first order.
 func (pr *Prepared) Materialize(ctx context.Context, input *db.Database, mo MaintainOptions) (*Maintained, Stats, error) {
-	if pr.opts.Goal != nil || pr.opts.MaxDerived > 0 {
-		return nil, Stats{}, fmt.Errorf("eval: Materialize requires a full-materialization plan (no goal, no derived-fact budget)")
-	}
 	if pr.opts.NoSCCOrder && pr.prog.HasNegation() {
 		return nil, Stats{}, fmt.Errorf("eval: Materialize with negation requires the stratified schedule (NoSCCOrder is set)")
 	}
@@ -120,56 +228,40 @@ func (pr *Prepared) Materialize(ctx context.Context, input *db.Database, mo Main
 	if err != nil {
 		return nil, stats, err
 	}
-	m := &Maintained{
-		pr:    pr,
-		opts:  pr.opts,
-		mo:    mo,
-		owner: make(map[string]int),
-	}
+	m := &Maintained{pr: pr, owner: make(map[string]int)}
 	in := input.Clone()
+	st := getStreamState(nil)
+	defer putStreamState(st)
 	for ui, u := range pr.units {
-		mu := maintUnit{
-			rules:    u.rules,
-			heads:    make(map[string]bool),
-			counting: u.streamable && !mo.ForceDRed,
-		}
-		for _, r := range u.rules {
-			mu.heads[r.Head.Pred] = true
-			m.owner[r.Head.Pred] = ui
+		mu := maintUnit{u: u, plan: u.maintPlan(pr.opts), counting: u.streamable && !mo.ForceDRed}
+		for pred := range u.dynamic {
+			m.owner[pred] = ui
 		}
 		m.units = append(m.units, mu)
-	}
-	// Seed the derivation counts of every counting unit: firings over the
-	// final output (the unit's body predicates are complete there) plus one
-	// external support per input fact of a unit head predicate.
-	for _, u := range m.units {
-		if !u.counting {
+		if !mu.counting {
 			continue
 		}
-		for _, r := range u.rules {
-			cs := make([]matchPos, len(r.Body))
-			for i, a := range r.Body {
-				cs[i] = matchPos{atom: a, src: out}
-			}
-			b := ast.Binding{}
-			matchChain(cs, b, func() bool {
-				for _, na := range r.NegBody {
-					if out.Has(na.MustGround(b)) {
-						return true
-					}
-				}
-				stats.Firings++
-				out.BumpCount(r.Head.Pred, r.Head.MustGround(b).Args, 1)
-				return true
-			})
+		// Seed the unit's derivation counts: one per firing over the final
+		// output (the unit's body predicates are complete there; a full span
+		// enumerates each firing once) plus one external support per input
+		// fact of a head predicate.
+		seed := db.New()
+		sink := sinkFunc(func(pred string, args []ast.Const) { bump(seed, pred, args, 1) })
+		for _, sp := range mu.plan.insert.plans {
+			st.ensure(sp)
+			sp.run(out, fullSpan(out.Round()), st, &stats, sink)
 		}
-		for pred := range u.heads {
-			rel := in.Relation(pred)
-			if rel == nil {
-				continue
+		for pred := range u.dynamic {
+			if rel := in.Relation(pred); rel != nil {
+				for i := 0; i < rel.Len(); i++ {
+					bump(seed, pred, rel.Tuple(i), 1)
+				}
 			}
+		}
+		for _, pred := range seed.Preds() {
+			rel := seed.Relation(pred)
 			for i := 0; i < rel.Len(); i++ {
-				out.BumpCount(pred, rel.Tuple(i), 1)
+				out.BumpCount(pred, rel.Tuple(i), rel.CountOf(int32(i)))
 			}
 		}
 	}
@@ -261,14 +353,16 @@ func (m *Maintained) Apply(ctx context.Context, delta Delta) (Diff, Stats, error
 		}
 	}
 
+	st := getStreamState(nil)
+	defer putStreamState(st)
 	for i := range m.units {
 		if err := CtxErr(ctx); err != nil {
 			return Diff{}, stats, err
 		}
 		u := &m.units[i]
 		if u.counting {
-			m.countingUnit(u, old, cur, input, asserts, retracts, addedDB, remDB, &stats)
-		} else if err := m.dredUnit(ctx, u, old, cur, input, asserts, retracts, addedDB, remDB, deltaMin, &stats); err != nil {
+			m.countingUnit(u, st, old, cur, asserts, retracts, addedDB, remDB, &stats)
+		} else if err := m.dredUnit(ctx, u, st, old, cur, input, asserts, retracts, addedDB, remDB, deltaMin, &stats); err != nil {
 			return Diff{}, stats, err
 		}
 	}
@@ -287,22 +381,16 @@ func (m *Maintained) Apply(ctx context.Context, delta Delta) (Diff, Stats, error
 // validateArities rejects batch facts whose arity contradicts an existing
 // relation — AddTuple would panic deep inside a half-applied batch.
 func (m *Maintained) validateArities(delta Delta) error {
-	check := func(g ast.GroundAtom) error {
-		for _, d := range []*db.Database{m.in.DB(), m.snap.DB()} {
-			if rel := d.Relation(g.Pred); rel != nil && rel.Arity() != len(g.Args) {
+	in, out := m.in.DB(), m.snap.DB()
+	for _, gs := range [2][]ast.GroundAtom{delta.Assert, delta.Retract} {
+		for _, g := range gs {
+			rel := in.Relation(g.Pred)
+			if rel == nil {
+				rel = out.Relation(g.Pred)
+			}
+			if rel != nil && rel.Arity() != len(g.Args) {
 				return fmt.Errorf("eval: Apply: %s has arity %d, relation %s has arity %d", g, len(g.Args), g.Pred, rel.Arity())
 			}
-		}
-		return nil
-	}
-	for _, g := range delta.Assert {
-		if err := check(g); err != nil {
-			return err
-		}
-	}
-	for _, g := range delta.Retract {
-		if err := check(g); err != nil {
-			return err
 		}
 	}
 	return nil
@@ -313,64 +401,56 @@ func (m *Maintained) validateArities(delta Delta) error {
 // lower unit already final; addedDB/remDB hold the exact net diff of the
 // strata below (plus the extensional passthrough) and gain this unit's net
 // diff before returning.
-func (m *Maintained) countingUnit(u *maintUnit, old, cur, input *db.Database, asserts, retracts []ast.GroundAtom, addedDB, remDB *db.Database, stats *Stats) {
-	type countAdj struct {
-		g ast.GroundAtom
-		d int32
-	}
-	adj := make(map[string]*countAdj)
-	bump := func(g ast.GroundAtom, d int32) {
-		k := g.Key()
-		e := adj[k]
-		if e == nil {
-			e = &countAdj{g: g}
-			adj[k] = e
-		}
-		e.d += d
-	}
+func (m *Maintained) countingUnit(mu *maintUnit, st *streamState, old, cur *db.Database, asserts, retracts []ast.GroundAtom, addedDB, remDB *db.Database, stats *Stats) {
+	heads := mu.u.dynamic
+	adj := db.New() // net count adjustment per head fact, in the count column
 	// External support: input facts of this unit's head predicates count as
 	// one derivation.
 	for _, g := range asserts {
-		if u.heads[g.Pred] {
-			bump(g, 1)
+		if heads[g.Pred] {
+			bump(adj, g.Pred, g.Args, 1)
 		}
 	}
 	for _, g := range retracts {
-		if u.heads[g.Pred] {
-			bump(g, -1)
+		if heads[g.Pred] {
+			bump(adj, g.Pred, g.Args, -1)
+		}
+	}
+	// A firing touching two changed facts is found by two variants; seen
+	// counts it once. One set serves both passes: a lost firing is invalid
+	// after the batch and a gained one valid, so they never collide.
+	seen := db.New()
+	count := func(sign int32) func(*ruleVariants, string, []ast.Const) {
+		return func(rv *ruleVariants, pred string, args []ast.Const) {
+			if seen.AddTuple(rv.firing, st.vals[:rv.nVars]) {
+				bump(adj, pred, args, sign)
+			}
 		}
 	}
 	// Lost firings: valid against the old output, invalidated by a removed
 	// positive support or an added negated fact.
-	changedFirings(u.rules, old, remDB, addedDB, stats, func(g ast.GroundAtom) { bump(g, -1) })
+	mu.plan.changed(old, remDB, addedDB, st, stats, count(-1))
 	// Gained firings: valid against the new state of the lower strata,
 	// enabled by an added positive support or a removed negated fact.
-	changedFirings(u.rules, cur, addedDB, remDB, stats, func(g ast.GroundAtom) { bump(g, 1) })
+	mu.plan.changed(cur, addedDB, remDB, st, stats, count(1))
 
-	list := make([]ast.GroundAtom, 0, len(adj))
-	byKey := make(map[string]*countAdj, len(adj))
-	for k, e := range adj {
-		if e.d == 0 {
-			continue
-		}
-		list = append(list, e.g)
-		byKey[k] = e
-	}
-	sortFacts(list)
 	cur.BeginRound()
 	var removals []ast.GroundAtom
-	for _, g := range list {
-		e := byKey[g.Key()]
+	for _, g := range sortedFacts(adj) {
+		d, _ := adj.TupleCount(g.Pred, g.Args)
+		if d == 0 {
+			continue
+		}
 		stats.CountAdjusted++
 		if cur.Has(g) {
-			if n, _ := cur.BumpCount(g.Pred, g.Args, e.d); n <= 0 {
+			if n, _ := cur.BumpCount(g.Pred, g.Args, d); n <= 0 {
 				removals = append(removals, g)
 			}
 			continue
 		}
-		if e.d > 0 {
+		if d > 0 {
 			cur.Add(g)
-			cur.BumpCount(g.Pred, g.Args, e.d)
+			cur.BumpCount(g.Pred, g.Args, d)
 			addedDB.Add(g)
 		}
 	}
@@ -382,63 +462,63 @@ func (m *Maintained) countingUnit(u *maintUnit, old, cur, input *db.Database, as
 }
 
 // dredUnit maintains one recursive unit by delete-rederive.
-func (m *Maintained) dredUnit(ctx context.Context, u *maintUnit, old, cur, input *db.Database, asserts, retracts []ast.GroundAtom, addedDB, remDB *db.Database, deltaMin int32, stats *Stats) error {
+func (m *Maintained) dredUnit(ctx context.Context, mu *maintUnit, st *streamState, old, cur, input *db.Database, asserts, retracts []ast.GroundAtom, addedDB, remDB *db.Database, deltaMin int32, stats *Stats) error {
+	heads, mp := mu.u.dynamic, mu.plan
 	// Over-delete: transitively collect every head fact with a derivation
 	// (against the old output) through a removed support — a retracted or
-	// lower-removed positive atom, an added negated atom, or a fact this
-	// loop already over-deleted.
-	deletedSet := db.New()
-	var deleted []ast.GroundAtom
-	fr := db.New()
-	fr.AddAll(remDB)
+	// lower-removed positive atom, an added negated atom (lower-stratum
+	// additions invalidate negated atoms once, on the first pass), or a fact
+	// this loop already over-deleted.
+	deleted := db.New()
+	frontier := db.New()
+	frontier.AddAll(remDB)
 	for _, g := range retracts {
-		if u.heads[g.Pred] && old.Has(g) {
-			deletedSet.Add(g)
-			deleted = append(deleted, g)
-			fr.Add(g)
+		if heads[g.Pred] && old.Has(g) {
+			deleted.Add(g)
+			frontier.Add(g)
 		}
 	}
-	first := true
-	for {
+	for negDelta := addedDB; ; negDelta = nil {
 		if err := CtxErr(ctx); err != nil {
 			return err
 		}
-		var negD *db.Database
-		if first {
-			negD = addedDB // lower-stratum additions can invalidate negated atoms once
-		}
 		next := db.New()
-		changedFirings(u.rules, old, fr, negD, stats, func(g ast.GroundAtom) {
-			if old.Has(g) && !deletedSet.Has(g) {
-				deletedSet.Add(g)
-				deleted = append(deleted, g)
-				next.Add(g)
+		mp.changed(old, frontier, negDelta, st, stats, func(_ *ruleVariants, pred string, args []ast.Const) {
+			if deleted.AddTuple(pred, args) {
+				next.AddTuple(pred, args)
 			}
 		})
-		first = false
 		if next.Len() == 0 {
 			break
 		}
-		fr = next
+		frontier = next
 	}
 
-	// Remove the over-deletion, then restore candidates with surviving
-	// support: input membership or a one-step derivation from what remains.
-	// Facts only derivable through other restored facts come back in the
-	// insertion loop below — restored facts carry fresh round stamps, so the
-	// delta windows reach them.
-	stats.Overdeleted += len(deleted)
-	sortFacts(deleted)
-	for _, g := range deleted {
+	// Remove the over-deletion, then restore the facts with surviving
+	// support: input membership or a one-step derivation from what remains
+	// (each rule's rederive variant, one pass over the deleted set). Facts
+	// only derivable through other restored facts come back in the insertion
+	// loop below — restored facts carry fresh round stamps, so the delta
+	// windows reach them.
+	deletedFacts := sortedFacts(deleted)
+	stats.Overdeleted += len(deletedFacts)
+	for _, g := range deletedFacts {
 		cur.Remove(g)
 	}
 	cur.Compact()
-	cur.BeginRound()
-	for _, g := range deleted {
-		if input.Has(g) || oneStepDerivable(u, cur, g) {
-			cur.Add(g)
-			stats.Rederived++
+	restored := db.New()
+	for _, g := range deletedFacts {
+		if input.Has(g) {
+			restored.Add(g)
 		}
+	}
+	for ri := range mp.rules {
+		runChange(mp.rules[ri].rederive, cur, deleted, st, stats, &nonrecSink{out: restored})
+	}
+	stats.Rederived += restored.Len()
+	cur.BeginRound()
+	for _, g := range sortedFacts(restored) {
+		cur.Add(g)
 	}
 
 	// Insertion side: stage input asserts of this unit's heads and the
@@ -446,29 +526,27 @@ func (m *Maintained) dredUnit(ctx context.Context, u *maintUnit, old, cur, input
 	// everything stamped in this Apply — lower-unit additions, restored
 	// facts and the staged batch alike — through the shared round executor.
 	staged := db.New()
-	var stagedList []ast.GroundAtom
 	for _, g := range asserts {
-		if u.heads[g.Pred] && !cur.Has(g) && staged.Add(g) {
-			stagedList = append(stagedList, g)
+		if heads[g.Pred] && !cur.Has(g) {
+			staged.Add(g)
 		}
 	}
-	changedFirings(u.rules, cur, nil, remDB, stats, func(g ast.GroundAtom) {
-		if !cur.Has(g) && staged.Add(g) {
-			stagedList = append(stagedList, g)
+	mp.changed(cur, nil, remDB, st, stats, func(_ *ruleVariants, pred string, args []ast.Const) {
+		if !cur.HasTuple(pred, args) {
+			staged.AddTuple(pred, args)
 		}
 	})
-	sortFacts(stagedList)
-	for _, g := range stagedList {
+	for _, g := range sortedFacts(staged) {
 		cur.Add(g)
 	}
-	if err := insertLoop(ctx, cur, u.rules, deltaMin, m.opts, stats); err != nil {
+	if err := insertLoop(ctx, cur, mp.insert, mu.u.partCol, deltaMin, m.pr.opts, stats); err != nil {
 		return err
 	}
 
 	// Net unit diff: everything stamped in this Apply that the old output
 	// lacked entered the view; over-deleted facts that never came back left
 	// it.
-	for pred := range u.heads {
+	for pred := range heads {
 		rel := cur.Relation(pred)
 		if rel == nil {
 			continue
@@ -480,130 +558,12 @@ func (m *Maintained) dredUnit(ctx context.Context, u *maintUnit, old, cur, input
 			}
 		}
 	}
-	for _, g := range deleted {
+	for _, g := range deletedFacts {
 		if !cur.Has(g) {
 			remDB.Add(g)
 		}
 	}
 	return nil
-}
-
-// oneStepDerivable reports whether some unit rule derives g in one step
-// from d.
-func oneStepDerivable(u *maintUnit, d *db.Database, g ast.GroundAtom) bool {
-	for _, r := range u.rules {
-		if r.Head.Pred != g.Pred {
-			continue
-		}
-		b := ast.Binding{}
-		if _, ok := r.Head.MatchGround(g.Pred, g.Args, b); !ok {
-			continue
-		}
-		cs := make([]matchPos, len(r.Body))
-		for i, a := range r.Body {
-			cs[i] = matchPos{atom: a, src: d}
-		}
-		found := false
-		matchChain(cs, b, func() bool {
-			for _, na := range r.NegBody {
-				if d.Has(na.MustGround(b)) {
-					return true
-				}
-			}
-			found = true
-			return false
-		})
-		if found {
-			return true
-		}
-	}
-	return false
-}
-
-// matchPos is one position of a maintenance join: atom matched against src,
-// skipping matches present in excl (nil = no exclusion).
-type matchPos struct {
-	atom ast.Atom
-	src  *db.Database
-	excl *db.Database
-}
-
-// matchChain is the nested-loops join over matchPos constraints; f runs
-// with the shared binding fully extended and may return false to stop.
-func matchChain(cs []matchPos, b ast.Binding, f func() bool) bool {
-	if len(cs) == 0 {
-		return f()
-	}
-	c := cs[0]
-	return db.MatchAtom(c.src, c.atom, db.AllRounds, b, func() bool {
-		if c.excl != nil && c.excl.Has(c.atom.MustGround(b)) {
-			return true
-		}
-		return matchChain(cs[1:], b, f)
-	})
-}
-
-// changedFirings enumerates, exactly once each, the rule firings valid
-// against base that involve the change sets: firings with at least one
-// positive body atom in posDelta (counted at their least such position,
-// earlier positions matching base minus posDelta), plus — for firings with
-// no positive atom in posDelta — those whose least negated atom in negDelta
-// flips the negation. Every emitted firing satisfies the rule's negations
-// against base. Either delta set may be nil.
-func changedFirings(rules []ast.Rule, base, posDelta, negDelta *db.Database, stats *Stats, emit func(ast.GroundAtom)) {
-	for _, r := range rules {
-		if posDelta != nil && posDelta.Len() > 0 {
-			for i := range r.Body {
-				cs := make([]matchPos, 0, len(r.Body))
-				cs = append(cs, matchPos{atom: r.Body[i], src: posDelta})
-				for j, a := range r.Body {
-					if j == i {
-						continue
-					}
-					mp := matchPos{atom: a, src: base}
-					if j < i {
-						mp.excl = posDelta
-					}
-					cs = append(cs, mp)
-				}
-				b := ast.Binding{}
-				matchChain(cs, b, func() bool {
-					for _, na := range r.NegBody {
-						if base.Has(na.MustGround(b)) {
-							return true
-						}
-					}
-					stats.Firings++
-					emit(r.Head.MustGround(b))
-					return true
-				})
-			}
-		}
-		if negDelta != nil && negDelta.Len() > 0 && len(r.NegBody) > 0 {
-			for k := range r.NegBody {
-				cs := make([]matchPos, 0, len(r.Body)+1)
-				cs = append(cs, matchPos{atom: r.NegBody[k], src: negDelta})
-				for _, a := range r.Body {
-					cs = append(cs, matchPos{atom: a, src: base, excl: posDelta})
-				}
-				b := ast.Binding{}
-				matchChain(cs, b, func() bool {
-					for j, na := range r.NegBody {
-						g := na.MustGround(b)
-						if base.Has(g) {
-							return true
-						}
-						if j < k && negDelta.Has(g) {
-							return true // counted at the earlier flipped position
-						}
-					}
-					stats.Firings++
-					emit(r.Head.MustGround(b))
-					return true
-				})
-			}
-		}
-	}
 }
 
 // insertLoop is semi-naive insert-only propagation over a database that was
@@ -617,16 +577,11 @@ func changedFirings(rules []ast.Rule, base, posDelta, negDelta *db.Database, sta
 // Later rounds are ordinary single-round deltas. Any body atom can match an
 // inserted fact (insertions may be extensional), so the delta position
 // ranges over the whole body rather than only the intentional positions.
-// Rounds run through the shared round executor, so Shards, the derived-fact
-// budget and cancellation keep the evaluator's disciplines.
-func insertLoop(ctx context.Context, d *db.Database, rules []ast.Rule, deltaMin int32, opts Options, stats *Stats) error {
-	opts.Shards = normalizeShards(opts)
-	var perms [][]int
-	if !opts.NoReorder {
-		perms = staticPerms(rules)
-	}
-	rs := buildSetup(rules, perms, opts.Shards > 1, func(string) bool { return true })
-	partCol := partitionCols(rules)
+// rs is the rules' insertSetup and partCol their partition columns, built by
+// the caller — once per unit for a view, per call for eval.Incremental.
+// Rounds run through the shared round executor, so Shards and cancellation
+// keep the evaluator's disciplines.
+func insertLoop(ctx context.Context, d *db.Database, rs *roundSetup, partCol map[string]int, deltaMin int32, opts Options, stats *Stats) error {
 	env := &roundEnv{ctx: ctx, d: d, opts: opts, stats: stats, baseLen: d.Len()}
 	var variants []variant
 	for {

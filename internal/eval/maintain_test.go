@@ -155,8 +155,10 @@ func TestMaintainDRedTransitiveClosure(t *testing.T) {
 	if got, want := canonFacts(m.Output()), canonFacts(MustEval(p, ref)); got != want {
 		t.Fatalf("after cut:\n%s\nwant:\n%s", got, want)
 	}
-	if stats.Overdeleted == 0 {
-		t.Fatal("no over-deletions recorded for a recursive retraction")
+	// The 5·4 facts G(i, j) with i ≤ 4 < j are exactly those with a
+	// derivation through the cut edge, and none has another.
+	if stats.Overdeleted != 20 || stats.Rederived != 0 || stats.CountAdjusted != 0 {
+		t.Fatalf("overdeleted/rederived/count_adjusted = %d/%d/%d, want 20/0/0", stats.Overdeleted, stats.Rederived, stats.CountAdjusted)
 	}
 	for _, g := range diff.Added {
 		t.Fatalf("retraction added %v", g)
@@ -184,8 +186,10 @@ func TestMaintainDRedRederivesAlternativePath(t *testing.T) {
 	if !m.Output().Has(ga("G", 0, 3)) {
 		t.Fatal("G(0,3) lost despite alternative path")
 	}
-	if stats.Rederived == 0 {
-		t.Fatal("no rederivations recorded")
+	// G(1,3) and G(0,3) are over-deleted; only G(0,3) keeps a one-step
+	// derivation (A(0,2), G(2,3)).
+	if stats.Overdeleted != 2 || stats.Rederived != 1 || stats.CountAdjusted != 0 {
+		t.Fatalf("overdeleted/rederived/count_adjusted = %d/%d/%d, want 2/1/0", stats.Overdeleted, stats.Rederived, stats.CountAdjusted)
 	}
 	for _, g := range diff.Removed {
 		if g.Key() == ga("G", 0, 3).Key() {
@@ -268,15 +272,43 @@ func TestMaintainBatchSemantics(t *testing.T) {
 	}
 }
 
-func TestMaintainRejectsGoalPlans(t *testing.T) {
-	p := workload.TransitiveClosure()
-	goal := ga("T", 0, 1)
-	pr, err := Prepare(p, Options{Goal: &goal})
+// TestMaintainViewsSharePlans: maintenance variants are lowered once per
+// schedule unit, so every view of one plan — and of a plan derived from it
+// that keeps the unit — runs the same compiled pipelines.
+func TestMaintainViewsSharePlans(t *testing.T) {
+	p := mustParseProgram(t, `
+		G(x, z) :- A(x, z).
+		G(x, z) :- A(x, y), G(y, z).
+		H(x) :- G(x, x).
+		K(x) :- B(x).
+	`)
+	pr, err := Prepare(p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := pr.Materialize(context.Background(), db.New(), MaintainOptions{}); err == nil {
-		t.Fatal("Materialize accepted a goal-directed plan")
+	derived, err := pr.Derive(3, nil) // drop K: the G and H units survive
+	if err != nil {
+		t.Fatal(err)
+	}
+	var views []*Maintained
+	for _, from := range []*Prepared{pr, pr, derived} {
+		m, _, err := from.Materialize(context.Background(), workload.Chain("A", 4), MaintainOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		views = append(views, m)
+	}
+	planOf := func(m *Maintained, head string) *maintPlan { return m.units[m.owner[head]].plan }
+	for _, head := range []string{"G", "H"} {
+		base := planOf(views[0], head)
+		if base == nil || len(base.rules) == 0 || base.rules[0].rederive == nil {
+			t.Fatalf("%s: no maintenance plan", head)
+		}
+		for i, m := range views[1:] {
+			if planOf(m, head) != base {
+				t.Errorf("view %d lowered its own variants for %s", i+1, head)
+			}
+		}
 	}
 }
 
@@ -303,12 +335,56 @@ func predSchema(p *ast.Program) (preds []string, arity map[string]int) {
 	return preds, arity
 }
 
-// runMaintainStream drives one maintained view through a randomized mixed
-// assert/retract stream, checking after every batch that the view is
-// byte-identical to a from-scratch evaluation of the mutated input and that
-// the returned diff is the exact set difference.
-func runMaintainStream(t *testing.T, p *ast.Program, opts Options, mo MaintainOptions, seed int64, domain, steps int) {
+// checkCounts asserts derivation counting's invariant directly: every tuple
+// of a counting unit's head predicates carries exactly the number of distinct
+// body instantiations deriving it over the maintained output (enumerated by
+// the test oracle's binding-map matcher) plus one if it is an input fact.
+func checkCounts(t *testing.T, m *Maintained, step int) {
 	t.Helper()
+	out, in := m.Output(), m.Input()
+	for _, mu := range m.units {
+		if !mu.counting {
+			continue
+		}
+		want := make(map[string]int32)
+		for _, r := range mu.u.rules {
+			oracleFire(out, r, db.AllRounds, func(h ast.GroundAtom) { want[h.Key()]++ })
+		}
+		for pred := range mu.u.dynamic {
+			rel := out.Relation(pred)
+			if rel == nil {
+				continue
+			}
+			for i := 0; i < rel.Len(); i++ {
+				g := ast.GroundAtom{Pred: pred, Args: rel.Tuple(i)}
+				w := want[g.Key()]
+				if in.Has(g) {
+					w++
+				}
+				if got, _ := out.TupleCount(pred, g.Args); got != w {
+					t.Fatalf("step %d: %v carries count %d, has %d derivations", step, g, got, w)
+				}
+			}
+		}
+	}
+}
+
+// maintCase is one program of the maintenance oracle: base facts the input
+// always starts with and scripted batches applied before the random ones.
+type maintCase struct {
+	p      *ast.Program
+	base   []ast.GroundAtom
+	script []Delta
+}
+
+// runMaintainStream drives one maintained view through the case's scripted
+// batches and then a randomized mixed assert/retract stream, checking after
+// every batch that the view is byte-identical to a from-scratch evaluation
+// of the mutated input, that the returned diff is the exact set difference
+// and that every derivation count is exact.
+func runMaintainStream(t *testing.T, c maintCase, opts Options, mo MaintainOptions, seed int64, domain, steps int) {
+	t.Helper()
+	p := c.p
 	rng := rand.New(rand.NewSource(seed))
 	preds, arity := predSchema(p)
 
@@ -323,6 +399,10 @@ func runMaintainStream(t *testing.T, p *ast.Program, opts Options, mo MaintainOp
 
 	ref := db.New() // independent input oracle
 	input := db.New()
+	for _, g := range c.base {
+		ref.Add(g)
+		input.Add(g)
+	}
 	for i := 0; i < domain; i++ {
 		g := randFact()
 		ref.Add(g)
@@ -336,18 +416,25 @@ func runMaintainStream(t *testing.T, p *ast.Program, opts Options, mo MaintainOp
 	if err != nil {
 		t.Fatalf("materialize: %v", err)
 	}
+	checkCounts(t, m, -1)
 
-	for step := 0; step < steps; step++ {
+	for step := 0; step < len(c.script)+steps; step++ {
 		var delta Delta
-		inAssert := make(map[string]bool)
-		for n := 1 + rng.Intn(5); n > 0; n-- {
-			g := randFact()
-			if rng.Intn(2) == 0 {
-				delta.Assert = append(delta.Assert, g)
-				inAssert[g.Key()] = true
-			} else {
-				delta.Retract = append(delta.Retract, g)
+		if step < len(c.script) {
+			delta = c.script[step]
+		} else {
+			for n := 1 + rng.Intn(5); n > 0; n-- {
+				g := randFact()
+				if rng.Intn(2) == 0 {
+					delta.Assert = append(delta.Assert, g)
+				} else {
+					delta.Retract = append(delta.Retract, g)
+				}
 			}
+		}
+		inAssert := make(map[string]bool)
+		for _, g := range delta.Assert {
+			inAssert[g.Key()] = true
 		}
 
 		prev := make(map[string]bool)
@@ -381,6 +468,7 @@ func runMaintainStream(t *testing.T, p *ast.Program, opts Options, mo MaintainOp
 		if got, wantS := canonFacts(m.Input()), canonFacts(ref); got != wantS {
 			t.Fatalf("step %d: maintained input diverged\ngot:\n%s\nwant:\n%s", step, got, wantS)
 		}
+		checkCounts(t, m, step)
 
 		// Diff exactness: prev + Added - Removed == new, with Added fresh and
 		// Removed previously present.
@@ -423,7 +511,10 @@ func runMaintainStream(t *testing.T, p *ast.Program, opts Options, mo MaintainOp
 // insert/delete streams, maintained output compared byte-for-byte against
 // full re-evaluation, across GOMAXPROCS (w: inline vs concurrent shard
 // tasks) × Shards × {counting, ForceDRed}, on recursive, non-recursive and
-// stratified-negation programs.
+// stratified-negation programs. The last three programs open with a batch
+// that breaks a sloppy firing identity — one firing reachable from two
+// changed facts, where counting it twice drops a fact that keeps another
+// support.
 func TestMaintainOracleGrid(t *testing.T) {
 	stratified := mustParseProgram(t, `
 		Reach(x) :- S(x).
@@ -436,11 +527,35 @@ func TestMaintainOracleGrid(t *testing.T) {
 		Q(x, z) :- P(x, y), E(y, z).
 		R(x) :- Q(x, x).
 	`)
-	programs := map[string]*ast.Program{
-		"tc":         workload.TransitiveClosure(),
-		"samegen":    workload.SameGeneration(),
-		"nonrec":     nonrec,
-		"stratified": stratified,
+	programs := map[string]maintCase{
+		"tc":         {p: workload.TransitiveClosure()},
+		"samegen":    {p: workload.SameGeneration()},
+		"nonrec":     {p: nonrec},
+		"stratified": {p: stratified},
+		// A repeated body atom: the lost firing (1, 2) matches the retracted
+		// fact at both positions; D(1) keeps the firing (1, 3).
+		"repeat": {
+			p:      mustParseProgram(t, `D(x) :- E(x, y), E(x, y).`),
+			base:   []ast.GroundAtom{ga("E", 1, 2), ga("E", 1, 3)},
+			script: []Delta{{Retract: []ast.GroundAtom{ga("E", 1, 2)}}},
+		},
+		// A self-join: E(1, 1) sits at both positions of the firing (1, 1, 1);
+		// Q(1, 1) keeps the firing (1, 3, 1).
+		"selfjoin": {
+			p:      mustParseProgram(t, `Q(x, z) :- E(x, y), E(y, z).`),
+			base:   []ast.GroundAtom{ga("E", 1, 1), ga("E", 1, 3), ga("E", 3, 1)},
+			script: []Delta{{Retract: []ast.GroundAtom{ga("E", 1, 1)}}},
+		},
+		// One batch removes the firing's positive support and adds its
+		// negated fact; Dead(1) stays, as an input fact.
+		"negflip": {
+			p: mustParseProgram(t, `
+				Reach(x) :- S(x).
+				Dead(x)  :- N(x), !Reach(x).
+			`),
+			base:   []ast.GroundAtom{ga("N", 1), ga("Dead", 1)},
+			script: []Delta{{Retract: []ast.GroundAtom{ga("N", 1)}, Assert: []ast.GroundAtom{ga("S", 1)}}},
+		},
 	}
 	grid := []struct {
 		procs, shards int
@@ -453,14 +568,14 @@ func TestMaintainOracleGrid(t *testing.T) {
 		{2, 1, false},
 		{1, 4, true},
 	}
-	for name, p := range programs {
+	for name, c := range programs {
 		for _, cfg := range grid {
 			t.Run(fmt.Sprintf("%s/w%d_s%d_dred%v", name, cfg.procs, cfg.shards, cfg.forceDRed), func(t *testing.T) {
 				withProcs(t, cfg.procs)
 				opts := Options{Shards: cfg.shards}
 				mo := MaintainOptions{ForceDRed: cfg.forceDRed}
 				for seed := int64(0); seed < 3; seed++ {
-					runMaintainStream(t, p, opts, mo, seed, 9, 10)
+					runMaintainStream(t, c, opts, mo, seed, 9, 10)
 				}
 			})
 		}

@@ -33,7 +33,7 @@ type PlanCache struct {
 
 // planEntry is one cached plan, addressed by the canonical program string
 // plus the option fingerprint (options change the plan: schedule shape,
-// compilation, goal).
+// compilation).
 type planEntry struct {
 	hash    uint64
 	canon   string
@@ -76,11 +76,10 @@ func (pc *PlanCache) Stats() CacheStats {
 // — the containment sessions always prepare under default options.
 var zeroOptsKey = computePlanKey(Options{})
 
-// planKey fingerprints every Options field except Context (a per-call
-// concern Prepare strips). MaxDerived and Goal are baked into a Prepared's
-// run defaults, so they distinguish plans too; per-call Run arguments do
-// not touch them. TestPlanKeyCoversEveryOption fails when a field is
-// added to Options but not here.
+// planKey fingerprints every Options field except Context, a per-call
+// concern Prepare strips (goal and budget are Run arguments and never reach
+// a plan). TestPlanKeyCoversEveryOption fails when a field is added to
+// Options but not here.
 func planKey(opts Options) string {
 	if opts == (Options{}) {
 		return zeroOptsKey
@@ -89,7 +88,7 @@ func planKey(opts Options) string {
 }
 
 func computePlanKey(opts Options) string {
-	b := make([]byte, 0, 48)
+	b := make([]byte, 0, 24)
 	b = strconv.AppendInt(b, int64(opts.Strategy), 10)
 	b = append(b, '|')
 	b = strconv.AppendBool(b, opts.NoReorder)
@@ -97,12 +96,6 @@ func computePlanKey(opts Options) string {
 	b = strconv.AppendBool(b, opts.NoSCCOrder)
 	b = append(b, '|')
 	b = strconv.AppendInt(b, int64(opts.Shards), 10)
-	b = append(b, '|')
-	b = strconv.AppendInt(b, int64(opts.MaxDerived), 10)
-	b = append(b, '|')
-	if opts.Goal != nil {
-		b = append(b, opts.Goal.String()...)
-	}
 	return string(b)
 }
 

@@ -20,7 +20,7 @@ import (
 // against many small databases; preparing once amortizes the per-call
 // analysis they all used to repeat.
 
-// errGoal is the internal sentinel a fixpoint returns when Options.Goal was
+// errGoal is the internal sentinel a fixpoint returns when Run's goal was
 // derived; Prepared.Run converts it into a successful early return.
 var errGoal = errors.New("eval: goal reached")
 
@@ -61,6 +61,10 @@ type unit struct {
 	// partCol is the planner-chosen partition column per predicate of the
 	// unit's rules (see partitionCols), consulted by the sharded executor.
 	partCol map[string]int
+
+	// maint is the unit's view-maintenance plan (see unit.maintPlan).
+	maintOnce sync.Once
+	maint     *maintPlan
 
 	mu     sync.Mutex
 	static *roundSetup            // NoReorder: the order never changes
@@ -259,12 +263,10 @@ func (pr *Prepared) Derive(ruleIdx int, newRule *ast.Rule) (*Prepared, error) {
 func (pr *Prepared) Program() *ast.Program { return pr.prog }
 
 // Eval computes P(input) exactly like the package-level Eval, reusing the
-// prepared schedule and compile caches. If Options.Goal is set, evaluation
-// stops as soon as the goal atom is derived (it is then present in the
-// returned database). It is Run with the prepared Options' goal and budget
-// and no context.
+// prepared schedule and compile caches. It is Run with no context, goal,
+// budget or provenance.
 func (pr *Prepared) Eval(input *db.Database) (*db.Database, Stats, error) {
-	out, _, stats, err := pr.Run(nil, input, pr.opts.Goal, pr.opts.MaxDerived, nil)
+	out, _, stats, err := pr.Run(nil, input, nil, 0, nil)
 	return out, stats, err
 }
 
@@ -280,8 +282,10 @@ func (pr *Prepared) Eval(input *db.Database) (*db.Database, Stats, error) {
 //     Section VI cheap: the test only asks whether the frozen head is
 //     derivable, never for the full fixpoint. A nil goal saturates fully
 //     and reports false.
-//   - maxDerived bounds the new facts (0 = unlimited; the prepared Options'
-//     budget does not apply), returning an error wrapping ErrBudget.
+//   - maxDerived bounds the new facts (0 = unlimited), returning an error
+//     wrapping ErrBudget. Pure Datalog always terminates, so the bound exists
+//     for callers that embed evaluation in potentially non-terminating
+//     chases.
 //   - prov, when non-nil, records rule provenance: every program rule that
 //     derived at least one new fact before evaluation halted is added
 //     (indexes into Program().Rules). The recorded set is a superset of the
@@ -299,15 +303,15 @@ func (pr *Prepared) Run(ctx context.Context, input *db.Database, goal *ast.Groun
 	if goal != nil && d.Has(*goal) {
 		return d, true, stats, nil
 	}
-	opts := pr.opts
-	opts.MaxDerived = maxDerived
-	baseLen := input.Len()
+	env := &roundEnv{
+		ctx: ctx, d: d, opts: pr.opts, stats: &stats,
+		baseLen: input.Len(), maxDerived: maxDerived, goal: goal, prov: prov,
+	}
 	for ui, u := range pr.units {
-		var ruleIdxs []int
 		if prov != nil {
-			ruleIdxs = pr.unitIdxs[ui]
+			env.ruleIdxs = pr.unitIdxs[ui]
 		}
-		if err := u.fixpoint(ctx, d, opts, &stats, baseLen, goal, prov, ruleIdxs); err != nil {
+		if err := u.fixpoint(env); err != nil {
 			if errors.Is(err, errGoal) {
 				return d, true, stats, nil
 			}
@@ -456,7 +460,7 @@ func buildSetup(rules []ast.Rule, perms [][]int, sharded bool, deltaAt func(pred
 			or.Body = body
 		}
 		rs.ordered[i] = or
-		rs.plans[i] = lowerRule(or)
+		rs.plans[i] = lowerRule(or, nil)
 	}
 	rs.needs = indexNeeds(rs.ordered)
 	if sharded {
@@ -467,8 +471,8 @@ func buildSetup(rules []ast.Rule, perms [][]int, sharded bool, deltaAt func(pred
 	return rs
 }
 
-// fixpoint runs the chosen strategy over the unit's rules, mutating d in
-// place. A non-nil goal halts evaluation via errGoal as soon as the goal
+// fixpoint runs the chosen strategy over the unit's rules, mutating env.d
+// in place. A non-nil goal halts evaluation via errGoal as soon as the goal
 // atom is derived. A non-nil prov collects the program rule indexes (via
 // ruleIdxs, the owner Prepared's unit-local → program mapping) of every
 // rule that derived at least one new fact.
@@ -476,11 +480,8 @@ func buildSetup(rules []ast.Rule, perms [][]int, sharded bool, deltaAt func(pred
 // The fixpoint only decides which variants each round runs; the round
 // executor (rounds.go) owns the sequential / sharded firing disciplines and
 // their shared budget, goal and cancellation semantics.
-func (u *unit) fixpoint(ctx context.Context, d *db.Database, opts Options, stats *Stats, baseLen int, goal *ast.GroundAtom, prov *RuleSet, ruleIdxs []int) error {
-	env := &roundEnv{
-		ctx: ctx, d: d, opts: opts, stats: stats,
-		baseLen: baseLen, goal: goal, prov: prov, ruleIdxs: ruleIdxs,
-	}
+func (u *unit) fixpoint(env *roundEnv) error {
+	ctx, d, opts, stats := env.ctx, env.d, env.opts, env.stats
 	// A streamable unit under semi-naive has no delta variants — no rule
 	// reads the unit's own heads — so its first full application IS the
 	// fixpoint and no confirmation round runs. The naive strategy's
@@ -527,8 +528,8 @@ func (u *unit) fixpoint(ctx context.Context, d *db.Database, opts Options, stats
 		if err := env.runRound(rs, u.partCol, variants); err != nil {
 			return err
 		}
-		if err := checkBudget(d, baseLen, opts); err != nil {
-			return err
+		if env.maxDerived > 0 && d.Len()-env.baseLen > env.maxDerived {
+			return env.budgetErr()
 		}
 		if onePass || !anyAddedIn(d, round) {
 			return nil

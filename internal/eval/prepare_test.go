@@ -61,32 +61,18 @@ func TestQuickPreparedEqualsOneShot(t *testing.T) {
 					return false
 				}
 
-				// Goal set: one-shot and prepared must agree on the partial
-				// database and its Added count, and the early stop must be
-				// sound — the goal is reached iff the fixpoint derives it,
-				// and the partial database never exceeds the fixpoint.
+				// Goal set: the early stop must be sound — the goal is reached
+				// iff the fixpoint derives it, and the partial database never
+				// exceeds the fixpoint.
 				goal, ok := pickDerivedGoal(d, full)
 				if !ok {
 					continue
 				}
-				goalOpts := opts
-				goalOpts.Goal = &goal
-				a, sa, err := Eval(p, d, goalOpts)
+				part, reached, _, err := pr.Run(nil, d, &goal, 0, nil)
 				if err != nil {
 					return false
 				}
-				prG, err := Prepare(p, goalOpts)
-				if err != nil {
-					return false
-				}
-				b, reached, sb, err := prG.Run(nil, d, &goal, 0, nil)
-				if err != nil {
-					return false
-				}
-				if !a.Equal(b) || sa.Added != sb.Added {
-					return false
-				}
-				if !reached || !a.Has(goal) || !full.Contains(a) {
+				if !reached || !part.Has(goal) || !full.Contains(part) {
 					return false
 				}
 			}

@@ -40,18 +40,21 @@ type variant struct {
 }
 
 // roundEnv is the per-evaluation state the round executor runs under. One
-// env serves every round of a fixpoint (or insert loop); the rules may be
-// re-planned per round, so the setup travels separately.
+// env serves every round of every unit of an evaluation (or of an insert
+// loop); the rules may be re-planned per round, so the setup travels
+// separately.
 type roundEnv struct {
-	ctx      context.Context
-	d        *db.Database
-	opts     Options
-	stats    *Stats
-	baseLen  int
-	goal     *ast.GroundAtom
-	prov     *RuleSet
-	ruleIdxs []int
-	pool     shardPool
+	ctx     context.Context
+	d       *db.Database
+	opts    Options
+	stats   *Stats
+	baseLen int
+	// maxDerived bounds the facts derived beyond baseLen; 0 = unlimited.
+	maxDerived int
+	goal       *ast.GroundAtom
+	prov       *RuleSet
+	ruleIdxs   []int
+	pool       shardPool
 }
 
 // shardPool is the sharded executor's per-task scratch, owned by the env so
@@ -89,12 +92,12 @@ func (sp *shardPool) taskReset(n int) {
 }
 
 func (env *roundEnv) budgetErr() error {
-	return fmt.Errorf("%w: derived %d facts (budget %d)", ErrBudget, env.d.Len()-env.baseLen, env.opts.MaxDerived)
+	return fmt.Errorf("%w: derived %d facts (budget %d)", ErrBudget, env.d.Len()-env.baseLen, env.maxDerived)
 }
 
 // runRound evaluates a round's variants under the env's options. The
 // derived-fact budget and the goal test are enforced inside the emit path,
-// so a round that would blow far past Options.MaxDerived (a chase embedding
+// so a round that would blow far past the budget (a chase embedding
 // on a diverging instance, say) is cut off as soon as the budget is
 // exhausted, and a goal-directed evaluation halts the moment the goal is
 // derived rather than at the fixpoint.
@@ -117,8 +120,8 @@ func (env *roundEnv) runSequential(rs *roundSetup, variants []variant) error {
 	defer putStreamState(st)
 	sk := &st.fix
 	*sk = fixpointSink{d: d, goal: env.goal, prov: env.prov, ctx: env.ctx, remaining: -1}
-	if env.opts.MaxDerived > 0 {
-		sk.remaining = env.opts.MaxDerived - (d.Len() - env.baseLen)
+	if env.maxDerived > 0 {
+		sk.remaining = env.maxDerived - (d.Len() - env.baseLen)
 	}
 	for _, v := range variants {
 		if env.prov != nil {
@@ -485,7 +488,7 @@ func (env *roundEnv) runSharded(rs *roundSetup, partCol map[string]int, variants
 			*sink = shardSink{
 				st: st, tagInner: p.win.swapped,
 				local: &pool.sets[ti], buf: pool.bufs[ti], arena: pool.arenas[ti],
-				budget: int64(opts.MaxDerived), tentative: &tentative, tripped: &tripped,
+				budget: int64(env.maxDerived), tentative: &tentative, tripped: &tripped,
 			}
 			if rel := d.Relation(p.sp.head.pred); rel != nil && rel.Arity() == len(p.sp.head.args) {
 				sink.headRel = rel
@@ -571,7 +574,7 @@ func (env *roundEnv) runSharded(rs *roundSetup, partCol map[string]int, variants
 		if !tripped.Load() {
 			return nil
 		}
-		if d.Len()-env.baseLen > opts.MaxDerived {
+		if d.Len()-env.baseLen > env.maxDerived {
 			return env.budgetErr()
 		}
 	}
@@ -666,7 +669,7 @@ func buildSwapped(ordered []ast.Rule, eligible func(pred string) bool) ([]*strea
 		}
 		sr := or.Clone()
 		sr.Body[0], sr.Body[1] = sr.Body[1], sr.Body[0]
-		swapped[i] = lowerRule(sr)
+		swapped[i] = lowerRule(sr, nil)
 		srules = append(srules, sr)
 	}
 	if swapped == nil {

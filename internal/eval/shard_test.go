@@ -190,13 +190,13 @@ func testShardedBudgetConsistency(t *testing.T) {
 	p := workload.TransitiveClosure()
 	input := workload.Chain("A", 30)
 	for _, budget := range []int{1, 25, 1000} {
-		_, _, err := Eval(p, input, Options{MaxDerived: budget})
+		_, _, err := evalBudget(t, p, input, Options{}, budget)
 		wantBudget := errors.Is(err, ErrBudget)
 		if err != nil && !wantBudget {
 			t.Fatalf("budget=%d: unexpected baseline error %v", budget, err)
 		}
 		for _, s := range shardGrid {
-			_, _, err := Eval(p, input, Options{MaxDerived: budget, Shards: s})
+			_, _, err := evalBudget(t, p, input, Options{Shards: s}, budget)
 			if got := errors.Is(err, ErrBudget); got != wantBudget {
 				t.Fatalf("budget=%d shards=%d: budget error %v, baseline %v (err=%v)",
 					budget, s, got, wantBudget, err)

@@ -16,11 +16,11 @@ import (
 // binding set is ever materialized.
 //
 // Every rule application in the package is this pipeline under a different
-// span (which rounds each operator may read) and a different sink (what
-// happens to a head instantiation): a first-round full application, a
-// semi-naive delta variant, a one-pass non-recursive stratum, the one-step
-// Pⁿ / IsClosed pass, a maintenance insert round and a shard task differ in
-// nothing else.
+// span (what each operator may read) and a different sink (what happens to a
+// head instantiation): a first-round full application, a semi-naive delta
+// variant, a one-pass non-recursive stratum, the one-step Pⁿ / IsClosed
+// pass, a maintenance insert round, a shard task and every retraction-side
+// enumeration of view maintenance (maintain.go) differ in nothing else.
 //
 // The lowering is purely static. Because a plan is compiled for one body
 // order, the set of columns bound at each position is known at compile time:
@@ -83,9 +83,10 @@ type streamPlan struct {
 
 // lowerRule compiles r (body already in evaluation order) to a pipeline
 // plan. The plan probes exactly the indexes indexNeeds declares for that
-// order.
-func lowerRule(r ast.Rule) *streamPlan {
-	cr := compileRule(r)
+// order. vars fixes the leading slots (see compileRule); nil numbers them by
+// first occurrence.
+func lowerRule(r ast.Rule, vars []string) *streamPlan {
+	cr := compileRule(r, vars)
 	sp := &streamPlan{nVars: cr.nVars, neg: cr.neg, head: cr.head}
 	bound := make([]bool, cr.nVars)
 	for _, a := range cr.body {
@@ -139,14 +140,21 @@ func lowerRule(r ast.Rule) *streamPlan {
 // twice. min == max is the ordinary semi-naive round; a wider delta is the
 // first round of a maintenance batch. swapped marks a delta-first execution
 // (positions 0 and 1 exchanged by buildSwapped): the window lookup exchanges
-// them back.
+// them back. A non-nil src makes a change-set span: operator 0 scans every
+// tuple of src — a small database of changed facts — instead of d, and the
+// window applies to the later operators only (view maintenance runs rule
+// variants led by the changed atom under full windows this way).
 type span struct {
 	delta    int
 	min, max int32
 	swapped  bool
+	src      *db.Database
 }
 
 func fullSpan(maxRound int32) span { return span{delta: -1, max: maxRound} }
+
+// changeSpan is the change-set span reading all of d behind src.
+func changeSpan(src, d *db.Database) span { return span{delta: -1, max: d.Round(), src: src} }
 
 func (s span) window(pos int) db.RoundWindow {
 	if s.swapped && pos < 2 {
@@ -346,7 +354,8 @@ func (op *streamOp) buildKey(dst []ast.Const, vals []ast.Const) []ast.Const {
 }
 
 // run drives the pipeline against d with each operator confined to its
-// window of win, handing every head instantiation to sink; it reports false
+// window of win (operator 0 reads all of win.src instead when the span has
+// one), handing every head instantiation to sink; it reports false
 // when the sink halted the pass. Windows are resolved to id-ranges once, up
 // front: a scan walks [lo, hi), a probe binds its index at the window's upper
 // round and skips ids below lo, a lookup checks its id is in range. An
@@ -356,11 +365,14 @@ func (sp *streamPlan) run(d *db.Database, win span, st *streamState, stats *Stat
 	nOps := len(sp.ops)
 	for i := range sp.ops {
 		op := &sp.ops[i]
-		rel := d.Relation(op.pred)
+		from, w := d, win.window(i)
+		if i == 0 && win.src != nil {
+			from, w = win.src, db.AllRounds
+		}
+		rel := from.Relation(op.pred)
 		if rel == nil || rel.Arity() != op.arity {
 			return true // this body atom can never match
 		}
-		w := win.window(i)
 		lo, hi := idRange(rel, w)
 		if lo >= hi {
 			return true

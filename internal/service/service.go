@@ -83,8 +83,9 @@ type tenantState struct {
 	latest   int
 
 	// views are the tenant's maintained materializations, keyed by program
-	// version — created by the first subscription against that version and
-	// kept current by every later mutation batch (subscribe.go).
+	// version — created by the first subscription against that version,
+	// kept current by every later mutation batch and dropped with its last
+	// subscriber (subscribe.go).
 	views map[int]*liveView
 }
 

@@ -15,11 +15,12 @@ import (
 // counting/DRed maintenance), streamed as ordered diff frames over chunked
 // NDJSON.
 //
-// One liveView exists per (tenant, program version) with at least one past
-// subscriber: the first subscription materializes the view from the
-// tenant's latest database version, and every later mutation batch applies
+// One liveView exists per (tenant, program version) with at least one
+// current subscriber: the first subscription materializes the view from the
+// tenant's latest database version, every later mutation batch applies
 // through it under the entry lock — so frame order is mutation order, and
-// the seq numbers of one view's frames have no gaps. Subscribers are
+// the seq numbers of one view's frames have no gaps — and the last
+// subscriber to leave takes the view with it. Subscribers are
 // buffered channels; a subscriber whose buffer is full when a frame fans
 // out is dropped with a typed slow_consumer error frame rather than letting
 // one stalled reader block the entry lock or grow queues without bound.
@@ -68,6 +69,18 @@ func (sub *subscriber) failLocked(reason string) {
 	close(sub.ch)
 }
 
+// dropSubLocked unregisters sub from lv and tears the view down with its
+// last subscriber: nobody reads its frames, so later batches must not pay
+// for maintaining it (nor pin its snapshots). The next subscription
+// re-materializes from the tenant's latest version. Callers hold the entry
+// mutex.
+func (t *tenantState) dropSubLocked(lv *liveView, sub *subscriber) {
+	delete(lv.subs, sub)
+	if len(lv.subs) == 0 && t.views[lv.pv.version] == lv {
+		delete(t.views, lv.pv.version)
+	}
+}
+
 // renderDiffLocked renders diff facts under the entry's symbol table,
 // preserving the diff's canonical order; callers hold e.mu.
 func (e *programEntry) renderDiffLocked(gs []ast.GroundAtom) []string {
@@ -107,7 +120,7 @@ func (e *programEntry) broadcastLocked(t *tenantState, dbVersion int, delta core
 			case sub.ch <- f:
 			default:
 				sub.failLocked("slow_consumer")
-				delete(lv.subs, sub)
+				t.dropSubLocked(lv, sub)
 			}
 		}
 	}
@@ -155,7 +168,9 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 	}
 	lv := t.views[pv.version]
 	if lv == nil {
-		view, _, err := pv.session.Materialize(context.Background(), t.versions[t.latest].DB(), core.MaintainOptions{})
+		// Under the request's context: a client that gives up must not leave
+		// an uncancellable evaluation running under the entry lock.
+		view, _, err := pv.session.Materialize(r.Context(), t.versions[t.latest].DB(), core.MaintainOptions{})
 		if err != nil {
 			e.mu.Unlock()
 			s.writeError(w, err)
@@ -179,9 +194,7 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 
 	defer func() {
 		e.mu.Lock()
-		if cur := t.views[pv.version]; cur != nil {
-			delete(cur.subs, sub)
-		}
+		t.dropSubLocked(lv, sub)
 		e.mu.Unlock()
 	}()
 

@@ -269,7 +269,7 @@ func TestSubscriptionsTwoTenantsE2E(t *testing.T) {
 // fan-out layer: a subscriber that stops draining is dropped — its channel
 // closed with reason slow_consumer and its registration removed — after
 // exactly subscriberBuffer undelivered frames, while the view itself stays
-// live for other consumers.
+// live for the other consumer.
 func TestSubscriptionSlowConsumerDrop(t *testing.T) {
 	s := New()
 	if _, _, _, err := s.RegisterProgram("authz", authzProgram); err != nil {
@@ -294,6 +294,9 @@ func TestSubscriptionSlowConsumerDrop(t *testing.T) {
 	ten.views[pv.version] = lv
 	slow := &subscriber{ch: make(chan viewFrame, subscriberBuffer)}
 	lv.subs[slow] = true
+	// A consumer with room for every frame of the test keeps the view alive.
+	other := &subscriber{ch: make(chan viewFrame, subscriberBuffer+1)}
+	lv.subs[other] = true
 	e.mu.Unlock()
 
 	// One more batch than the subscriber can buffer.
@@ -334,6 +337,65 @@ drain:
 	e.mu.Unlock()
 	if !still || seq != uint64(subscriberBuffer+1) {
 		t.Fatalf("view gone or stale: live=%v seq=%d", still, seq)
+	}
+}
+
+// TestSubscriptionLastReaderTearsDownView: a view whose last subscriber left
+// is not maintained any more — a later batch runs no Apply — and the next
+// subscription starts over from the tenant's current facts.
+func TestSubscriptionLastReaderTearsDownView(t *testing.T) {
+	s := New()
+	returned := make(chan struct{}, 1) // one send: the canceled subscription's handler
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		s.Handler().ServeHTTP(w, r)
+		if r.URL.Path == "/v1/programs/authz/subscriptions" {
+			select {
+			case returned <- struct{}{}:
+			default:
+			}
+		}
+	}))
+	t.Cleanup(ts.Close)
+	if code, resp := post(t, ts, "/v1/programs/authz", map[string]any{"source": authzProgram}); code != 200 {
+		t.Fatalf("register: %v", resp)
+	}
+	if code, resp := post(t, ts, "/v1/programs/authz/facts", map[string]any{"tenant": "a", "assert": tenantAFacts}); code != 200 {
+		t.Fatalf("facts: %v", resp)
+	}
+	applies := func() float64 {
+		code, resp := get(t, ts, "/v1/statz")
+		if code != 200 {
+			t.Fatalf("statz: %v", resp)
+		}
+		return resp["eval"].(map[string]any)["totals"].(map[string]any)["applies"].(float64)
+	}
+
+	f := subscribe(t, ts, "authz", map[string]any{"tenant": "a"})
+	if snap := f.next(t); snap["snapshot"] != true {
+		t.Fatalf("want snapshot first, got %v", snap)
+	}
+	f.cancel()
+	select {
+	case <-returned:
+	case <-time.After(10 * time.Second):
+		t.Fatal("subscription handler did not return after the client canceled")
+	}
+
+	before := applies()
+	if code, resp := post(t, ts, "/v1/programs/authz/facts", map[string]any{"tenant": "a", "assert": `Allows("viewer", "wiki").`}); code != 200 {
+		t.Fatalf("mutate: %v", resp)
+	}
+	if after := applies(); after != before {
+		t.Fatalf("applies moved %v -> %v: a view with no subscriber was maintained", before, after)
+	}
+
+	again := subscribe(t, ts, "authz", map[string]any{"tenant": "a"})
+	snap := again.next(t)
+	if snap["snapshot"] != true || snap["seq"].(float64) != 0 || snap["db_version"].(float64) != 2 {
+		t.Fatalf("bad snapshot frame after resubscribe: %v", snap)
+	}
+	if want := evalFacts(t, ts, "authz", "a"); !reflect.DeepEqual(strs(snap["facts"]), want) {
+		t.Fatalf("snapshot after resubscribe = %v\nwant %v", strs(snap["facts"]), want)
 	}
 }
 
