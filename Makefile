@@ -1,13 +1,13 @@
 GO ?= go
 
 # Benchmarks tracked in BENCH_eval.json: the eval/chase hot-path families.
-BENCH_PATTERN ?= BenchmarkE2|BenchmarkE3|BenchmarkE4|BenchmarkE5|BenchmarkE6|BenchmarkE7|BenchmarkE9|BenchmarkAblation_ShardedEval|BenchmarkAblation_PreserveDerive|BenchmarkAblation_IncrementalChurn|BenchmarkAblation_TerminationFastPath|BenchmarkIncrementalVsReEval|BenchmarkServiceWarmVsCold
+BENCH_PATTERN ?= BenchmarkE2|BenchmarkE3|BenchmarkE4|BenchmarkE5|BenchmarkE6|BenchmarkE7|BenchmarkE9|BenchmarkAblation_ShardedEval|BenchmarkAblation_PreserveDerive|BenchmarkAblation_TerminationFastPath
 BENCHTIME ?= 0.3s
 
 # staticcheck pin for lint-ci; bump deliberately, not implicitly.
 STATICCHECK_VERSION ?= 2025.1
 
-.PHONY: all build vet datalog-vet test race race-service race-shard race-ivm serve-smoke bench bench-all experiments examples guard-one-join lint lint-ci clean
+.PHONY: all build vet datalog-vet test race race-service race-shard race-ivm serve-smoke bench bench-all experiments examples guard-one-join guard-ctx-arg lint lint-ci clean
 
 all: build vet test
 
@@ -36,9 +36,10 @@ race-service:
 	$(GO) test -race ./internal/core ./internal/service ./internal/db
 
 # race-shard race-checks the sharded round executor's determinism contract:
-# the byte-identity grid over Shards × Strategy (shard tasks inline and
-# concurrent), goal prefix-cut partial databases, budget agreement, the
-# incremental oracle and the shard-aware stats accounting.
+# the byte-identity grid over Shards (shard tasks inline and concurrent,
+# unsharded output checked against the naive oracle), goal prefix-cut partial
+# databases, budget agreement, the insert-only maintenance oracle and the
+# shard-aware stats accounting.
 race-shard:
 	$(GO) test -race -run 'TestSharded|TestShardOwner|TestShardView' ./internal/eval ./internal/db
 
@@ -75,10 +76,25 @@ guard-one-join:
 		echo "internal/eval: binding-map join outside tests (make guard-one-join)" >&2; exit 1; \
 	fi
 
-# lint runs the one-join guard and go vet always, and staticcheck when the
-# binary is on PATH (the dev container does not bake it in; lint-ci installs
-# the pinned version).
-lint: guard-one-join
+# guard-ctx-arg keeps configuration from growing back. A context is only ever
+# an argument: no SetContext, and no struct field of type context.Context in a
+# non-test file under internal/ other than the per-call roundEnv (rounds.go)
+# and the sink inside streamState (stream.go). And the reference arms deleted
+# from eval.Options and MaintainOptions stay deleted: none of their names may
+# come back as an exported identifier.
+guard-ctx-arg:
+	@if grep -rnE 'SetContext|^[[:space:]]*([A-Za-z_][A-Za-z0-9_, ]*[[:space:]]+)?context\.Context[[:space:]]*(//.*)?$$' --include='*.go' internal \
+		| grep -vE '_test\.go:|^internal/eval/(rounds|stream)\.go:'; then \
+		echo "internal/: a stored context (make guard-ctx-arg): pass ctx as the first argument" >&2; exit 1; \
+	fi
+	@if grep -rnwE 'Strategy|NoReorder|NoSCCOrder|ForceDRed' --include='*.go' internal cmd examples | grep -v '_test\.go:'; then \
+		echo "a deleted evaluation switch is back (make guard-ctx-arg)" >&2; exit 1; \
+	fi
+
+# lint runs the guards and go vet always, and staticcheck when the binary is
+# on PATH (the dev container does not bake it in; lint-ci installs the pinned
+# version).
+lint: guard-one-join guard-ctx-arg
 	$(GO) vet ./...
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \

@@ -9,12 +9,10 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
-	"strings"
 	"testing"
 
 	"repro/internal/ast"
 	"repro/internal/chase"
-	"repro/internal/core"
 	"repro/internal/cq"
 	"repro/internal/db"
 	"repro/internal/equivopt"
@@ -66,7 +64,7 @@ func BenchmarkE3_MinimizeRule(b *testing.B) {
 		r := workload.InjectRedundantAtoms(base, k, rng)
 		b.Run(fmt.Sprintf("k-%d", k), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				_, trace, err := minimize.Rule(r, minimize.Options{})
+				_, trace, err := minimize.Rule(context.Background(), r, minimize.Options{})
 				if err != nil || trace.AtomsRemoved() != k {
 					b.Fatal(trace.AtomsRemoved(), err)
 				}
@@ -83,7 +81,7 @@ func BenchmarkE4_MinimizeProgram(b *testing.B) {
 		p := workload.InjectRedundantRules(workload.TransitiveClosure(), k, rng)
 		b.Run(fmt.Sprintf("rules-%d", k), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				min, _, err := minimize.Program(p, minimize.Options{})
+				min, _, err := minimize.Program(context.Background(), p, minimize.Options{})
 				if err != nil || len(min.Rules) != 2 {
 					b.Fatal(len(min.Rules), err)
 				}
@@ -98,11 +96,11 @@ func BenchmarkE5_EvalSpeedup(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	bloated := workload.TransitiveClosureGuarded()
 	bloated = bloated.ReplaceRule(1, workload.InjectRedundantAtoms(bloated.Rules[1], 2, rng))
-	min, _, err := minimize.Program(bloated, minimize.Options{})
+	min, _, err := minimize.Program(context.Background(), bloated, minimize.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
-	opt, _, err := equivopt.Optimize(min, equivopt.Options{})
+	opt, _, err := equivopt.Optimize(context.Background(), min, equivopt.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -129,21 +127,20 @@ func BenchmarkE5_EvalSpeedup(b *testing.B) {
 	}
 }
 
-// BenchmarkE6_NaiveVsSemiNaive compares the two fixpoint strategies.
+// BenchmarkE6_NaiveVsSemiNaive compares the engine's semi-naive fixpoint with
+// the naive iteration of the one-step operator (harness.NaiveFixpoint).
 func BenchmarkE6_NaiveVsSemiNaive(b *testing.B) {
 	p := workload.TransitiveClosure()
 	for _, n := range []int{16, 32, 64} {
 		edb := workload.Chain("A", n)
 		b.Run(fmt.Sprintf("naive/chain-%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, _, err := eval.Eval(p, edb, eval.Options{Strategy: eval.Naive}); err != nil {
-					b.Fatal(err)
-				}
+				harness.NaiveFixpoint(p, edb)
 			}
 		})
 		b.Run(fmt.Sprintf("seminaive/chain-%d", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, _, err := eval.Eval(p, edb, eval.Options{Strategy: eval.SemiNaive}); err != nil {
+				if _, _, err := eval.Eval(p, edb, eval.Options{}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -160,7 +157,7 @@ func BenchmarkE7_EquivOpt(b *testing.B) {
 	for name, p := range cases {
 		b.Run(name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				_, removals, err := equivopt.Optimize(p, equivopt.Options{})
+				_, removals, err := equivopt.Optimize(context.Background(), p, equivopt.Options{})
 				if err != nil || len(removals) == 0 {
 					b.Fatal(len(removals), err)
 				}
@@ -175,7 +172,7 @@ func BenchmarkE8_MagicComposition(b *testing.B) {
 	rng := rand.New(rand.NewSource(2))
 	p := workload.Ancestor()
 	bloated := p.ReplaceRule(1, workload.InjectRedundantAtoms(p.Rules[1], 2, rng))
-	minimized, _, err := minimize.Program(bloated, minimize.Options{})
+	minimized, _, err := minimize.Program(context.Background(), bloated, minimize.Options{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -257,7 +254,7 @@ func BenchmarkAblation_DeletionOrder(b *testing.B) {
 	p = workload.InjectRedundantAtomsProgram(p, 2, rng)
 	b.Run("source-order", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, _, err := minimize.Program(p, minimize.Options{}); err != nil {
+			if _, _, err := minimize.Program(context.Background(), p, minimize.Options{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -265,40 +262,11 @@ func BenchmarkAblation_DeletionOrder(b *testing.B) {
 	b.Run("shuffled", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			shuffleRng := rand.New(rand.NewSource(int64(i)))
-			if _, _, err := minimize.Program(p, minimize.Options{Rand: shuffleRng}); err != nil {
+			if _, _, err := minimize.Program(context.Background(), p, minimize.Options{Rand: shuffleRng}); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
-}
-
-// BenchmarkAblation_JoinReorder measures the greedy join-order heuristic.
-func BenchmarkAblation_JoinReorder(b *testing.B) {
-	// A body written in a deliberately bad order: the selective atom last.
-	p := parser.MustParseProgram(`
-		T(x, w) :- A(x, y), B(y, z), C(z, w), S(x).
-	`)
-	edb := db.New()
-	rng := rand.New(rand.NewSource(13))
-	for i := 0; i < 400; i++ {
-		edb.Add(ast.GroundAtom{Pred: "A", Args: []ast.Const{ast.Int(int64(rng.Intn(40))), ast.Int(int64(rng.Intn(40)))}})
-		edb.Add(ast.GroundAtom{Pred: "B", Args: []ast.Const{ast.Int(int64(rng.Intn(40))), ast.Int(int64(rng.Intn(40)))}})
-		edb.Add(ast.GroundAtom{Pred: "C", Args: []ast.Const{ast.Int(int64(rng.Intn(40))), ast.Int(int64(rng.Intn(40)))}})
-	}
-	edb.Add(ast.GroundAtom{Pred: "S", Args: []ast.Const{ast.Int(1)}})
-	for _, noReorder := range []bool{false, true} {
-		name := "reorder-on"
-		if noReorder {
-			name = "reorder-off"
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, _, err := eval.Eval(p, edb, eval.Options{NoReorder: noReorder}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }
 
 // randomCQRule mirrors the harness generator for E10.
@@ -352,7 +320,7 @@ func BenchmarkAblation_PrelimDepth(b *testing.B) {
 	for _, depth := range []int{1, 2, 3} {
 		b.Run(fmt.Sprintf("depth-%d", depth), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, _, err := equivopt.Optimize(p, equivopt.Options{PrelimDepth: depth}); err != nil {
+				if _, _, err := equivopt.Optimize(context.Background(), p, equivopt.Options{PrelimDepth: depth}); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -416,132 +384,6 @@ func BenchmarkEngines(b *testing.B) {
 				b.Fatal(err)
 			}
 			if _, _, err := eng.Query(query); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkIncrementalVsReEval measures insertion maintenance against full
-// re-evaluation on a growing chain closure.
-func BenchmarkIncrementalVsReEval(b *testing.B) {
-	p := workload.TransitiveClosure()
-	base := workload.Chain("A", 48)
-	out, _, err := eval.Eval(p, base, eval.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	newFact := ast.GroundAtom{Pred: "A", Args: []ast.Const{ast.Int(200), ast.Int(201)}}
-	b.Run("incremental", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, _, err := eval.Incremental(p, out, []ast.GroundAtom{newFact}, eval.Options{}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("full-re-eval", func(b *testing.B) {
-		full := base.Clone()
-		full.Add(newFact)
-		for i := 0; i < b.N; i++ {
-			if _, _, err := eval.Eval(p, full, eval.Options{}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkAblation_IncrementalChurn measures fact-level maintenance
-// (counting + DRed through eval.Maintained.Apply) against full re-evaluation
-// on an authz-shaped workload: a recursive group-membership hierarchy feeding
-// role grants and document ACLs, churned by small mixed assert/retract
-// batches (a user leaves one group, another joins). The maintained arm
-// materializes once and applies per-batch deltas; the re-eval arm recomputes
-// the whole fixpoint per batch.
-func BenchmarkAblation_IncrementalChurn(b *testing.B) {
-	p := parser.MustParseProgram(`
-		Member(u, g) :- Direct(u, g).
-		Member(u, g) :- Member(u, h), Subgroup(h, g).
-		HasRole(u, r) :- Member(u, g), Grant(g, r).
-		CanRead(u, d) :- HasRole(u, r), Allows(r, d).
-	`)
-	const users, groups, roles, docs = 2000, 48, 3, 8
-	group := func(g int) ast.Const { return ast.Int(int64(1000 + g)) }
-	role := func(r int) ast.Const { return ast.Int(int64(2000 + r)) }
-	doc := func(d int) ast.Const { return ast.Int(int64(3000 + d)) }
-	var facts []ast.GroundAtom
-	for u := 0; u < users; u++ {
-		facts = append(facts, ast.GroundAtom{Pred: "Direct", Args: []ast.Const{ast.Int(int64(u)), group(u % groups)}})
-	}
-	for g := 0; g < groups-1; g++ {
-		facts = append(facts, ast.GroundAtom{Pred: "Subgroup", Args: []ast.Const{group(g), group(g + 1)}})
-	}
-	for r := 0; r < roles; r++ {
-		facts = append(facts, ast.GroundAtom{Pred: "Grant", Args: []ast.Const{group(groups - 1), role(r)}})
-		for d := 0; d < docs; d++ {
-			facts = append(facts, ast.GroundAtom{Pred: "Allows", Args: []ast.Const{role(r), doc(d)}})
-		}
-	}
-	// The churn batch: user 7 leaves its group while a brand-new user joins
-	// group 0; the inverse batch restores the base state, so alternating the
-	// two keeps every iteration's work identical.
-	leave := ast.GroundAtom{Pred: "Direct", Args: []ast.Const{ast.Int(7), group(7 % groups)}}
-	join := ast.GroundAtom{Pred: "Direct", Args: []ast.Const{ast.Int(users), group(0)}}
-	forward := eval.Delta{Assert: []ast.GroundAtom{join}, Retract: []ast.GroundAtom{leave}}
-	backward := eval.Delta{Assert: []ast.GroundAtom{leave}, Retract: []ast.GroundAtom{join}}
-
-	pr, err := eval.Prepare(p, eval.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("maintained", func(b *testing.B) {
-		m, _, err := pr.Materialize(context.Background(), db.FromFacts(facts), eval.MaintainOptions{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			d := forward
-			if i%2 == 1 {
-				d = backward
-			}
-			if _, _, err := m.Apply(context.Background(), d); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("full-re-eval", func(b *testing.B) {
-		base := db.FromFacts(facts)
-		churned := db.FromFacts(append(append([]ast.GroundAtom(nil), facts...), join))
-		churned.Remove(leave)
-		churned.Compact()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			in := churned
-			if i%2 == 1 {
-				in = base
-			}
-			if _, _, err := pr.Eval(in); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkAblation_SCCOrder measures the SCC-ordered schedule against a
-// single global fixpoint on a layered program.
-func BenchmarkAblation_SCCOrder(b *testing.B) {
-	p := workload.Layered(12)
-	edb := workload.Chain("E", 40)
-	b.Run("scc-ordered", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, _, err := eval.Eval(p, edb, eval.Options{}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("single-fixpoint", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, _, err := eval.Eval(p, edb, eval.Options{NoSCCOrder: true}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -723,10 +565,10 @@ func BenchmarkAblation_PreserveDerive(b *testing.B) {
 	tgds := []ast.TGD{parser.MustParseTGD("A(x, y) -> B(x, w).")}
 	probe := func(b *testing.B, s *preserve.Session) {
 		opts := preserve.Options{Depth: 3, Budget: chase.Budget{MaxAtoms: 200, MaxRounds: 6}}
-		if _, _, err := s.Check(tgds, opts); err != nil {
+		if _, _, err := s.Check(context.Background(), tgds, opts); err != nil {
 			b.Fatal(err)
 		}
-		if _, _, err := s.CheckPreliminary(tgds, opts); err != nil {
+		if _, _, err := s.CheckPreliminary(context.Background(), tgds, opts); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -764,51 +606,6 @@ func BenchmarkAblation_PreserveDerive(b *testing.B) {
 	})
 }
 
-// BenchmarkServiceWarmVsCold measures what the session layer buys a long-
-// running server: "warm" reuses one core.Session whose plan was prepared
-// once, "cold" rebuilds a session with an isolated plan cache on every
-// request — the per-request cost an unsessioned server would pay. The
-// program is prepare-heavy (a wide layered rule set) over a small EDB, the
-// shape where session reuse matters most.
-func BenchmarkServiceWarmVsCold(b *testing.B) {
-	var src strings.Builder
-	src.WriteString("T0(x, y) :- E(x, y).\n")
-	for i := 1; i <= 24; i++ {
-		fmt.Fprintf(&src, "T%d(x, z) :- T%d(x, y), T%d(y, z).\n", i, i-1, i-1)
-		fmt.Fprintf(&src, "S%d(x, y) :- T%d(x, y), E(y, y).\n", i, i)
-	}
-	prog, err := core.ParseProgram(src.String())
-	if err != nil {
-		b.Fatal(err)
-	}
-	edb := workload.Chain("E", 8)
-	ctx := context.Background()
-
-	b.Run("warm", func(b *testing.B) {
-		sess, err := core.NewSession(prog, core.SessionOptions{PlanCache: core.NewPlanCache(4)})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, _, err := sess.Eval(ctx, edb); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("cold", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			sess, err := core.NewSession(prog, core.SessionOptions{PlanCache: core.NewPlanCache(4)})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, _, err := sess.Eval(ctx, edb); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 // BenchmarkAblation_TerminationFastPath measures what the termination
 // classifier buys the chase on a full (existential-free) tgd set: the
 // classified arm collapses the rule/tgd round alternation into one prepared
@@ -832,7 +629,7 @@ func BenchmarkAblation_TerminationFastPath(b *testing.B) {
 	run := func(b *testing.B, c *chase.Checker) {
 		b.Helper()
 		for i := 0; i < b.N; i++ {
-			res, err := c.Apply(tgds, snap.Thaw(), chase.Budget{})
+			res, err := c.Apply(context.Background(), tgds, snap.Thaw(), chase.Budget{})
 			if err != nil || !res.Complete {
 				b.Fatalf("chase: complete=%v err=%v", res.Complete, err)
 			}

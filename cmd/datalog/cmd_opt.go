@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/ast"
@@ -75,7 +76,7 @@ func (c *cli) cmdContains(rest []string) error {
 	if err != nil {
 		return err
 	}
-	ok12, _, err := ck1.Contains(p2)
+	ok12, _, err := ck1.Contains(context.Background(), p2)
 	if err != nil {
 		return err
 	}
@@ -83,7 +84,7 @@ func (c *cli) cmdContains(rest []string) error {
 	if err != nil {
 		return err
 	}
-	ok21, _, err := ck2.Contains(p1)
+	ok21, _, err := ck2.Contains(context.Background(), p1)
 	if err != nil {
 		return err
 	}

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math/rand"
@@ -61,7 +62,7 @@ func compareReport(out io.Writer, p1, p2 *ast.Program, verbose bool) error {
 		if p.HasNegation() {
 			continue
 		}
-		min, trace, err := minimize.Program(p, minimize.Options{})
+		min, trace, err := minimize.Program(context.Background(), p, minimize.Options{})
 		if err != nil {
 			return err
 		}

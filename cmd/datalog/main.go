@@ -26,7 +26,6 @@
 //
 // A file argument of "-" reads standard input. Flags:
 //
-//	-naive    use the naive fixpoint strategy for eval/query
 //	-stats    print evaluation statistics
 //	-v        print cache/session statistics (compare, minimize)
 //	-json     machine-readable vet output
@@ -72,7 +71,6 @@ type cli struct {
 
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("datalog", flag.ContinueOnError)
-	naive := fs.Bool("naive", false, "use the naive fixpoint strategy")
 	stats := fs.Bool("stats", false, "print evaluation statistics")
 	verbose := fs.Bool("v", false, "print cache/session statistics")
 	jsonOut := fs.Bool("json", false, "machine-readable vet output")
@@ -88,11 +86,7 @@ func run(args []string, out io.Writer) error {
 	}
 	cmd, rest := rest[0], rest[1:]
 
-	c := &cli{out: out, stats: *stats, verbose: *verbose, jsonOut: *jsonOut, addr: *addr}
-	if *naive {
-		c.opts.Strategy = eval.Naive
-	}
-	c.opts.Shards = *shards
+	c := &cli{out: out, opts: eval.Options{Shards: *shards}, stats: *stats, verbose: *verbose, jsonOut: *jsonOut, addr: *addr}
 
 	switch cmd {
 	case "fmt", "parse":

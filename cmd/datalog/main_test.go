@@ -48,11 +48,6 @@ func TestEvalCommand(t *testing.T) {
 	if !strings.Contains(out, "% rounds=") {
 		t.Fatalf("missing stats:\n%s", out)
 	}
-	// Naive strategy computes the same closure.
-	outNaive := runCLI(t, "-naive", "eval", f)
-	if !strings.Contains(outNaive, "G(1, 3).") {
-		t.Fatalf("naive eval output:\n%s", outNaive)
-	}
 }
 
 func TestQueryCommand(t *testing.T) {

@@ -17,7 +17,7 @@ import (
 )
 
 func main() {
-	runID := flag.String("run", "all", "experiment id to run (E1..E15, or 'all')")
+	runID := flag.String("run", "all", "experiment id to run (E1..E12, E14, E15, or 'all')")
 	format := flag.String("format", "table", "output format: table, csv, or md")
 	flag.Parse()
 
@@ -45,7 +45,6 @@ func main() {
 		"E10": harness.E10CQAblation,
 		"E11": harness.E11Engines,
 		"E12": harness.E12Incremental,
-		"E13": harness.E13EngineAblations,
 		"E14": harness.E14SIPS,
 		"E15": harness.E15DerivationCounts,
 	}
@@ -59,7 +58,7 @@ func main() {
 	}
 	runner, ok := runners[id]
 	if !ok {
-		fmt.Fprintf(os.Stderr, "experiments: unknown id %q (want E1..E15 or all)\n", *runID)
+		fmt.Fprintf(os.Stderr, "experiments: unknown id %q (want E1..E12, E14, E15 or all)\n", *runID)
 		os.Exit(1)
 	}
 	fmt.Println(render(runner()))

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -25,13 +26,18 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Initial graph: a 30-node chain.
-	edb := workload.Chain("Link", 30)
-	view, stats, err := core.Eval(p, edb, core.EvalOptions{})
+	// Initial graph: a 30-node chain, materialized as a maintained view.
+	sess, err := core.NewSession(p)
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("initial view: %d facts (%d firings)\n", view.Len(), stats.Firings)
+	ctx := context.Background()
+	edb := workload.Chain("Link", 30)
+	view, stats, err := sess.Materialize(ctx, edb, core.MaintainOptions{})
+	if err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("initial view: %d facts (%d firings)\n", view.Output().Len(), stats.Firings)
 
 	// Stream in edges one at a time, maintaining the view incrementally.
 	inserts := []core.GroundAtom{
@@ -40,13 +46,12 @@ func main() {
 		{Pred: "Link", Args: []core.Const{ast.Int(101), ast.Int(0)}},   // closes a cycle
 	}
 	for _, ins := range inserts {
-		updated, incStats, err := core.Incremental(p, view, []core.GroundAtom{ins}, core.EvalOptions{})
+		diff, incStats, err := view.Apply(ctx, core.DatabaseDelta{Assert: []core.GroundAtom{ins}})
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("insert %v: +%d facts with %d firings (view now %d facts)\n",
-			ins, updated.Len()-view.Len()-1, incStats.Firings, updated.Len())
-		view = updated
+			ins, len(diff.Added)-1, incStats.Firings, view.Output().Len())
 	}
 
 	// Cross-check against recomputation from scratch.
@@ -59,5 +64,5 @@ func main() {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nfrom-scratch recomputation: %d facts (%d firings)\n", fresh.Len(), freshStats.Firings)
-	fmt.Printf("incremental view matches: %v\n", fresh.Equal(view))
+	fmt.Printf("incremental view matches: %v\n", fresh.Equal(view.Output()))
 }

@@ -9,6 +9,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -49,7 +50,7 @@ func main() {
 	}
 
 	// Minimize with the stratified extension: the redundant E(x,w) goes.
-	min, trace, err := minimize.StratifiedProgram(p, minimize.Options{})
+	min, trace, err := minimize.StratifiedProgram(context.Background(), p, minimize.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

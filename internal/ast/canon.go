@@ -13,9 +13,11 @@ import (
 // probing candidate deletions — resolve to the same plan.
 //
 // Rule order and body-atom order are deliberately NOT canonicalized: rule
-// order determines the prepared schedule's tie-breaking and body order feeds
-// the NoReorder ablation, so two programs that differ only in ordering get
-// distinct (but equally valid) plans.
+// order determines the prepared schedule's tie-breaking, and body order is
+// where the static join orders start from (ties in the greedy order go to the
+// earlier atom) and so decides the order facts are emitted in. Two programs
+// that differ only in ordering get distinct (but equally valid) plans, each
+// byte-identical to its own one-shot evaluation.
 
 // canonicalRule renders r with variables renamed to v0, v1, … in order of
 // first occurrence (head, then body, then negated body). The rendering is

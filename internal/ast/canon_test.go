@@ -36,7 +36,7 @@ func canonCorpus() []*Program {
 			rule(a("Q", v("x")), a("B", v("x"))),
 			rule(a("P", v("x")), a("A", v("x"))),
 		),
-		// Body order matters (it feeds the NoReorder ablation).
+		// Body order matters (join orders and emission order start from it).
 		NewProgram(rule(a("P", v("x")), a("B", v("x")), a("A", v("x")))),
 		// Negation present vs encoded-positive must differ.
 		NewProgram(Rule{Head: a("P", v("x")), Body: []Atom{a("A", v("x"))}, NegBody: []Atom{a("B", v("x"))}}),

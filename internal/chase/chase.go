@@ -104,6 +104,13 @@ func FreezeRule(r ast.Rule) (ast.GroundAtom, *db.Database) {
 // one — carrying over the frozen bodies and every memoized verdict the
 // delta provably cannot flip — instead of starting a fresh session.
 //
+// Every test that can run a chase takes the caller's context first: internal
+// evaluations thread it to the emit path and every chase round checks it, so
+// a deadline cuts a diverging chase promptly with an error wrapping
+// eval.ErrCanceled. Cancellation never poisons shared state: verdicts and
+// plans are only published for completed work, so the session — and the
+// shared verdict store — stay valid for later calls under a live context.
+//
 // A Checker is not safe for concurrent use (its memo tables are unlocked).
 type Checker struct {
 	// Lineage is the plan cache the session prepares through and the
@@ -144,12 +151,6 @@ type Checker struct {
 	// combined prepared program chaseFull evaluates full tgd sets with.
 	termMemo  map[string]depgraph.Classification
 	fullPreps map[string]*eval.Prepared
-	// ctx, when non-nil, cancels the session's chases: every internal
-	// evaluation threads it to the emit path and every chase round checks
-	// it, so a deadline cuts a diverging chase promptly. Set by SetContext,
-	// inherited by derived sessions. Cancellation never poisons shared
-	// state: verdicts and plans are only published for completed work.
-	ctx context.Context
 }
 
 // verdict is one memoized ContainsRule answer plus what Derive needs to
@@ -212,13 +213,6 @@ func NewCheckerIn(p *ast.Program, lin eval.Lineage) (*Checker, error) {
 // mutate it.
 func (c *Checker) Program() *ast.Program { return c.prog }
 
-// SetContext installs a cancellation context for every subsequent chase of
-// this session (nil removes it). The context governs calls, not memoized
-// state: a canceled test returns an error wrapping eval.ErrCanceled and
-// records nothing, so the session — and the shared verdict store — stay
-// valid for later calls under a fresh context.
-func (c *Checker) SetContext(ctx context.Context) { c.ctx = ctx }
-
 // frozenFor returns the cached frozen head and body of r. The body database
 // is shared across calls; every consumer clones before mutating (the
 // prepared evaluator clones its input, and chaseToGoal chases a clone).
@@ -238,8 +232,8 @@ func (c *Checker) frozenFor(r ast.Rule) (ast.GroundAtom, *db.Database) {
 // so any session over a canonically equal program shares it. The deciding
 // evaluation records rule provenance so a later Derive can tell which
 // verdicts a deletion might invalidate.
-func (c *Checker) ContainsRule(r ast.Rule) (bool, error) {
-	if err := eval.CtxErr(c.ctx); err != nil {
+func (c *Checker) ContainsRule(ctx context.Context, r ast.Rule) (bool, error) {
+	if err := eval.CtxErr(ctx); err != nil {
 		return false, err
 	}
 	if r.HasNegation() {
@@ -261,7 +255,7 @@ func (c *Checker) ContainsRule(r ast.Rule) (bool, error) {
 	}
 	head, body := c.frozenFor(r)
 	var prov eval.RuleSet
-	_, reached, est, err := c.prep.Run(c.ctx, body, &head, 0, &prov)
+	_, reached, est, err := c.prep.Run(ctx, body, &head, 0, &prov)
 	c.Tally().Add(est)
 	if err != nil {
 		return false, err
@@ -343,9 +337,9 @@ func (c *Checker) reachableFrom(pred string) map[string]bool {
 
 // Contains decides P₂ ⊑ᵘ P for the session program P, rule by rule, with
 // the same witness convention as UniformlyContains.
-func (c *Checker) Contains(p2 *ast.Program) (bool, int, error) {
+func (c *Checker) Contains(ctx context.Context, p2 *ast.Program) (bool, int, error) {
 	for i, r := range p2.Rules {
-		ok, err := c.ContainsRule(r)
+		ok, err := c.ContainsRule(ctx, r)
 		if err != nil {
 			return false, i, err
 		}
@@ -430,7 +424,6 @@ func (c *Checker) Derive(delta Delta) (*Checker, error) {
 		reach:         c.reach,
 		noSyntactic:   c.noSyntactic,
 		noTermination: c.noTermination,
-		ctx:           c.ctx,
 	}
 	nc.pv = defaultVerdicts.forProgram(nc.progCanon)
 	prep, err := nc.Prepare(nc.progCanon, func() (*eval.Prepared, error) {
@@ -555,7 +548,7 @@ func UniformlyContainsRule(p *ast.Program, r ast.Rule) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	return c.ContainsRule(r)
+	return c.ContainsRule(context.Background(), r)
 }
 
 // UniformlyContains decides P₂ ⊑ᵘ P₁ (p1 uniformly contains p2): for every
@@ -571,7 +564,7 @@ func UniformlyContains(p1, p2 *ast.Program) (bool, int, error) {
 	if err != nil {
 		return false, 0, err
 	}
-	return c.Contains(p2)
+	return c.Contains(context.Background(), p2)
 }
 
 // UniformlyEquivalent decides P₁ ≡ᵘ P₂.
@@ -614,13 +607,13 @@ func Apply(p *ast.Program, tgds []ast.TGD, d *db.Database, budget Budget) (Resul
 	if err != nil {
 		return Result{}, err
 	}
-	return c.Apply(tgds, d, budget)
+	return c.Apply(context.Background(), tgds, d, budget)
 }
 
 // Apply is the session form of the package-level Apply, reusing the
 // prepared program across the chase's Datalog rounds.
-func (c *Checker) Apply(tgds []ast.TGD, d *db.Database, budget Budget) (Result, error) {
-	res, _, err := c.chaseToGoal(tgds, d, nil, budget)
+func (c *Checker) Apply(ctx context.Context, tgds []ast.TGD, d *db.Database, budget Budget) (Result, error) {
+	res, _, err := c.chaseToGoal(ctx, tgds, d, nil, budget)
 	return res, err
 }
 
@@ -632,7 +625,7 @@ func (c *Checker) Apply(tgds []ast.TGD, d *db.Database, budget Budget) (Result, 
 // every Datalog phase — one preparation for the whole chase, not one per
 // round — and pushes the goal into the evaluator's emit path, so a round
 // halts mid-join the moment the goal is derived.
-func (c *Checker) chaseToGoal(tgds []ast.TGD, d *db.Database, goal *ast.GroundAtom, budget Budget) (Result, Verdict, error) {
+func (c *Checker) chaseToGoal(ctx context.Context, tgds []ast.TGD, d *db.Database, goal *ast.GroundAtom, budget Budget) (Result, Verdict, error) {
 	var cl depgraph.Classification
 	if !c.noTermination {
 		cl = c.Classify(tgds)
@@ -640,7 +633,7 @@ func (c *Checker) chaseToGoal(tgds []ast.TGD, d *db.Database, goal *ast.GroundAt
 			// Full tgds create no nulls, so [P, T](d) is the least fixpoint
 			// of P ∪ rules(T) and the round alternation collapses into one
 			// prepared evaluation.
-			return c.chaseFull(tgds, d, goal, budget, cl)
+			return c.chaseFull(ctx, tgds, d, goal, budget, cl)
 		}
 	}
 	budget = c.resolveBudget(d, budget, cl)
@@ -652,7 +645,7 @@ func (c *Checker) chaseToGoal(tgds []ast.TGD, d *db.Database, goal *ast.GroundAt
 		// Chase-round cancellation check, mirroring the evaluator's own
 		// round-boundary discipline (the tgd phase below has no emit path of
 		// its own, so the boundary check also covers it).
-		if err := eval.CtxErr(c.ctx); err != nil {
+		if err := eval.CtxErr(ctx); err != nil {
 			return Result{}, Unknown, err
 		}
 		// Datalog saturation phase, cut short if the goal shows up.
@@ -660,7 +653,7 @@ func (c *Checker) chaseToGoal(tgds []ast.TGD, d *db.Database, goal *ast.GroundAt
 		if remaining <= 0 {
 			return Result{DB: cur, Complete: false, Rounds: round, Class: cl.Class}, Unknown, nil
 		}
-		out, reached, est, err := c.prep.Run(c.ctx, cur, goal, remaining, nil)
+		out, reached, est, err := c.prep.Run(ctx, cur, goal, remaining, nil)
 		c.Tally().Add(est)
 		if err != nil {
 			if isBudgetErr(err) {
@@ -753,7 +746,7 @@ func tgdSetKey(tgds []ast.TGD) string {
 // created and the fixpoint is exactly [P, T](d); closure under the combined
 // program subsumes tgd satisfaction, so Complete needs no separate
 // tgdsSatisfied sweep.
-func (c *Checker) chaseFull(tgds []ast.TGD, d *db.Database, goal *ast.GroundAtom, budget Budget, cl depgraph.Classification) (Result, Verdict, error) {
+func (c *Checker) chaseFull(ctx context.Context, tgds []ast.TGD, d *db.Database, goal *ast.GroundAtom, budget Budget, cl depgraph.Classification) (Result, Verdict, error) {
 	prep, err := c.fullPrep(tgds)
 	if err != nil {
 		return Result{}, Unknown, err
@@ -769,7 +762,7 @@ func (c *Checker) chaseFull(tgds []ast.TGD, d *db.Database, goal *ast.GroundAtom
 	} else {
 		c.Tally().ChasesBudgetFree++
 	}
-	out, reached, est, err := prep.Run(c.ctx, d, goal, maxDerived, nil)
+	out, reached, est, err := prep.Run(ctx, d, goal, maxDerived, nil)
 	c.Tally().Add(est)
 	if err != nil {
 		if isBudgetErr(err) {
@@ -891,7 +884,7 @@ func ApplyTGDRound(tgds []ast.TGD, d *db.Database, nullGen *ast.ConstGen) int {
 // answers are exact; Unknown means the budget ran out (possible only when T
 // has embedded tgds). The verdict is not memoized — it depends on the
 // budget — but the frozen body is reused from the session cache.
-func (c *Checker) SATContainsRule(tgds []ast.TGD, r ast.Rule, budget Budget) (Verdict, error) {
+func (c *Checker) SATContainsRule(ctx context.Context, tgds []ast.TGD, r ast.Rule, budget Budget) (Verdict, error) {
 	if r.HasNegation() {
 		return Unknown, fmt.Errorf("chase: rule %s uses negation", r)
 	}
@@ -905,7 +898,7 @@ func (c *Checker) SATContainsRule(tgds []ast.TGD, r ast.Rule, budget Budget) (Ve
 		return Yes, nil
 	}
 	head, d := c.frozenFor(r)
-	_, verdict, err := c.chaseToGoal(tgds, d, &head, budget)
+	_, verdict, err := c.chaseToGoal(ctx, tgds, d, &head, budget)
 	return verdict, err
 }
 
@@ -918,16 +911,16 @@ func SATContainsRule(p1 *ast.Program, tgds []ast.TGD, r ast.Rule, budget Budget)
 	if err != nil {
 		return Unknown, err
 	}
-	return c.SATContainsRule(tgds, r, budget)
+	return c.SATContainsRule(context.Background(), tgds, r, budget)
 }
 
 // SATModelsContained decides SAT(T) ∩ M(P) ⊆ M(p2) for the session program
 // P, rule by rule. A single refuted rule refutes the whole containment;
 // otherwise any budget-limited rule makes the answer Unknown.
-func (c *Checker) SATModelsContained(tgds []ast.TGD, p2 *ast.Program, budget Budget) (Verdict, error) {
+func (c *Checker) SATModelsContained(ctx context.Context, tgds []ast.TGD, p2 *ast.Program, budget Budget) (Verdict, error) {
 	sawUnknown := false
 	for _, r := range p2.Rules {
-		v, err := c.SATContainsRule(tgds, r, budget)
+		v, err := c.SATContainsRule(ctx, tgds, r, budget)
 		if err != nil {
 			return Unknown, err
 		}
@@ -953,7 +946,7 @@ func SATModelsContained(p1 *ast.Program, tgds []ast.TGD, p2 *ast.Program, budget
 	if err != nil {
 		return Unknown, err
 	}
-	return c.SATModelsContained(tgds, p2, budget)
+	return c.SATModelsContained(context.Background(), tgds, p2, budget)
 }
 
 // Certificate is a checkable witness of a positive uniform-containment
@@ -994,7 +987,7 @@ func StratifiedUniformlyContains(p1, p2 *ast.Program) (bool, int, error) {
 		return false, 0, err
 	}
 	for i, r := range p2.Rules {
-		ok, err := c.ContainsRule(encodeRuleNegation(r))
+		ok, err := c.ContainsRule(context.Background(), encodeRuleNegation(r))
 		if err != nil {
 			return false, i, err
 		}

@@ -1,6 +1,7 @@
 package chase
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/ast"
@@ -23,7 +24,7 @@ func TestGoalStopAtFixpointIsComplete(t *testing.T) {
 	d := db.FromFacts([]ast.GroundAtom{ast.NewGroundAtom("A", ast.Int(1), ast.Int(2))})
 	goal := ast.NewGroundAtom("G", ast.Int(1), ast.Int(2))
 
-	res, v, err := c.chaseToGoal(nil, d, &goal, Budget{})
+	res, v, err := c.chaseToGoal(context.Background(), nil, d, &goal, Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +51,7 @@ func TestGoalStopBeforeFixpointIsIncomplete(t *testing.T) {
 	d := db.FromFacts([]ast.GroundAtom{ast.NewGroundAtom("A", ast.Int(1), ast.Int(2))})
 	goal := ast.NewGroundAtom("G", ast.Int(1), ast.Int(2))
 
-	res, v, err := c.chaseToGoal(nil, d, &goal, Budget{})
+	res, v, err := c.chaseToGoal(context.Background(), nil, d, &goal, Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +78,7 @@ func TestGoalStopWithUnsatisfiedTgdIsIncomplete(t *testing.T) {
 	d := db.FromFacts([]ast.GroundAtom{ast.NewGroundAtom("A", ast.Int(1), ast.Int(2))})
 	goal := ast.NewGroundAtom("G", ast.Int(1), ast.Int(2))
 
-	res, v, err := c.chaseToGoal(tgds, d, &goal, Budget{})
+	res, v, err := c.chaseToGoal(context.Background(), tgds, d, &goal, Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package chase
 
 import (
+	"context"
 	"math/rand"
 	"sync"
 	"testing"
@@ -104,7 +105,7 @@ func TestDeriveMatchesFreshChecker(t *testing.T) {
 		q := p.Clone()
 		// Warm the session's memo so later deltas have verdicts to transfer.
 		for _, r := range probes {
-			if _, err := ck.ContainsRule(r); err != nil {
+			if _, err := ck.ContainsRule(context.Background(), r); err != nil {
 				t.Fatalf("seed %d: warmup: %v", seed, err)
 			}
 		}
@@ -120,7 +121,7 @@ func TestDeriveMatchesFreshChecker(t *testing.T) {
 			ck = nck
 			q = applyDelta(q, d)
 			for pi, r := range probes {
-				got, err := ck.ContainsRule(r)
+				got, err := ck.ContainsRule(context.Background(), r)
 				if err != nil {
 					t.Fatalf("seed %d step %d probe %d: %v", seed, step, pi, err)
 				}
@@ -156,7 +157,7 @@ func TestDeriveMatchesFreshCheckerStratified(t *testing.T) {
 		}
 		q := enc.Clone()
 		for _, r := range probes {
-			if _, err := ck.ContainsRule(r); err != nil {
+			if _, err := ck.ContainsRule(context.Background(), r); err != nil {
 				t.Fatalf("seed %d: warmup: %v", seed, err)
 			}
 		}
@@ -172,7 +173,7 @@ func TestDeriveMatchesFreshCheckerStratified(t *testing.T) {
 			ck = nck
 			q = applyDelta(q, d)
 			for _, r := range probes {
-				got, err := ck.ContainsRule(r)
+				got, err := ck.ContainsRule(context.Background(), r)
 				if err != nil {
 					t.Fatalf("seed %d step %d: %v", seed, step, err)
 				}
@@ -241,7 +242,7 @@ func TestDeriveConcurrentSessions(t *testing.T) {
 			probes := probeRules(p, rng)
 			for step := 0; step < 3; step++ {
 				for _, r := range probes {
-					if _, err := ck.ContainsRule(r); err != nil {
+					if _, err := ck.ContainsRule(context.Background(), r); err != nil {
 						errs <- err
 						return
 					}

@@ -1,6 +1,7 @@
 package chase
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -91,7 +92,7 @@ func TestFastPathSelfContainment(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, r := range p.Rules {
-		ok, err := c.ContainsRule(r)
+		ok, err := c.ContainsRule(context.Background(), r)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -106,7 +107,7 @@ func TestFastPathSelfContainment(t *testing.T) {
 	// A two-step path rule is contained but not θ-subsumed by any single
 	// rule — it must reach the chase even with the fast path on.
 	twoStep := parser.MustParseProgram(`Fsp(x, z) :- Fse(x, y), Fse(y, z).`).Rules[0]
-	ok, err := c.ContainsRule(twoStep)
+	ok, err := c.ContainsRule(context.Background(), twoStep)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +132,7 @@ func TestFastPathTautology(t *testing.T) {
 		t.Fatal(err)
 	}
 	taut := parser.MustParseProgram(`Ftq(x, y) :- Ftq(x, y), Fte(x, x).`).Rules[0]
-	ok, err := c.ContainsRule(taut)
+	ok, err := c.ContainsRule(context.Background(), taut)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -148,7 +149,7 @@ func TestFastPathTautology(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := dc.Stats().VerdictsReused
-	ok, err = dc.ContainsRule(taut)
+	ok, err = dc.ContainsRule(context.Background(), taut)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,7 +176,7 @@ func TestFastPathSATContainsRule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	v, err := c.SATContainsRule([]ast.TGD{tgd}, p.Rules[1], Budget{})
+	v, err := c.SATContainsRule(context.Background(), []ast.TGD{tgd}, p.Rules[1], Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +202,7 @@ func TestFastPathProvenanceSurvivesUnrelatedDeletion(t *testing.T) {
 	}
 	// Subsumed by rule 0 (a specialization of it).
 	spec := parser.MustParseProgram(`Fpg(x, x) :- Fpa(x, x), Fpb(x).`).Rules[0]
-	if ok, err := c.ContainsRule(spec); err != nil || !ok {
+	if ok, err := c.ContainsRule(context.Background(), spec); err != nil || !ok {
 		t.Fatalf("specialization not contained: %v %v", ok, err)
 	}
 	// Deleting the unrelated rule 1 keeps the verdict as a memo hit.
@@ -210,7 +211,7 @@ func TestFastPathProvenanceSurvivesUnrelatedDeletion(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := dc.Stats()
-	if ok, err := dc.ContainsRule(spec); err != nil || !ok {
+	if ok, err := dc.ContainsRule(context.Background(), spec); err != nil || !ok {
 		t.Fatalf("verdict lost under unrelated deletion: %v %v", ok, err)
 	}
 	after := dc.Stats()
@@ -223,7 +224,7 @@ func ExampleChecker_DisableSyntacticFastPath() {
 	p := parser.MustParseProgram(`Feg(x, z) :- Fea(x, z).`)
 	c, _ := NewChecker(p)
 	c.DisableSyntacticFastPath()
-	ok, _ := c.ContainsRule(p.Rules[0])
+	ok, _ := c.ContainsRule(context.Background(), p.Rules[0])
 	fmt.Println(ok, c.Stats().VerdictsSubsumed)
 	// Output: true 0
 }

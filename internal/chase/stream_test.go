@@ -1,6 +1,7 @@
 package chase
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/parser"
@@ -24,7 +25,7 @@ func TestStreamingSelectedForContainment(t *testing.T) {
 		t.Fatal(err)
 	}
 	unfolded := parser.MustParseProgram(`P2(x, z) :- E(x, y), E(y, z).`).Rules[0]
-	contained, err := ck.ContainsRule(unfolded)
+	contained, err := ck.ContainsRule(context.Background(), unfolded)
 	if err != nil {
 		t.Fatal(err)
 	}

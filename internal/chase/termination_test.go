@@ -1,6 +1,7 @@
 package chase
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -66,7 +67,7 @@ func TestWeaklyAcyclicBudgetFreeFixpoint(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.DisableSyntacticFastPath()
-	v, err := c.SATContainsRule(tgds, parser.MustParseProgram("R2(y) :- P(x), Q(x, y).").Rules[0], Budget{})
+	v, err := c.SATContainsRule(context.Background(), tgds, parser.MustParseProgram("R2(y) :- P(x), Q(x, y).").Rules[0], Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +114,7 @@ func TestFullSetFastPathMatchesAlternation(t *testing.T) {
 		t.Fatal(err)
 	}
 	oc.DisableTerminationAnalysis()
-	slow, err := oc.Apply(tgds, d, Budget{})
+	slow, err := oc.Apply(context.Background(), tgds, d, Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,13 +142,13 @@ func TestChaseBudgetCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Apply(tgds, d, Budget{}); err != nil {
+	if _, err := c.Apply(context.Background(), tgds, d, Budget{}); err != nil {
 		t.Fatal(err)
 	}
 	if st := c.Stats(); st.ChasesBudgetFree != 1 || st.ChasesBudgetBounded != 0 {
 		t.Fatalf("after Budget{} run: free=%d bounded=%d", st.ChasesBudgetFree, st.ChasesBudgetBounded)
 	}
-	if _, err := c.Apply(tgds, d, Budget{MaxAtoms: 50}); err != nil {
+	if _, err := c.Apply(context.Background(), tgds, d, Budget{MaxAtoms: 50}); err != nil {
 		t.Fatal(err)
 	}
 	if st := c.Stats(); st.ChasesBudgetFree != 1 || st.ChasesBudgetBounded != 1 {
@@ -160,7 +161,7 @@ func TestChaseBudgetCounters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cj.Apply(div, factDB(t, "R(1, 2)."), Budget{MaxAtoms: 40, MaxRounds: 10}); err != nil {
+	if _, err := cj.Apply(context.Background(), div, factDB(t, "R(1, 2)."), Budget{MaxAtoms: 40, MaxRounds: 10}); err != nil {
 		t.Fatal(err)
 	}
 	if st := cj.Stats(); st.ChasesBudgetBounded < 1 {
@@ -215,7 +216,7 @@ func TestRandomCorpusClassificationAgreesWithChase(t *testing.T) {
 		if !cl.Class.ChaseTerminates() {
 			budget = Budget{MaxAtoms: 3000, MaxRounds: 300}
 		}
-		res, err := c.Apply(tgds, base, budget)
+		res, err := c.Apply(context.Background(), tgds, base, budget)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -237,7 +238,7 @@ func TestRandomCorpusClassificationAgreesWithChase(t *testing.T) {
 			t.Fatal(err)
 		}
 		oc.DisableTerminationAnalysis()
-		oracle, err := oc.Apply(tgds, base, Budget{MaxAtoms: 3000, MaxRounds: 300})
+		oracle, err := oc.Apply(context.Background(), tgds, base, Budget{MaxAtoms: 3000, MaxRounds: 300})
 		if err != nil {
 			t.Fatal(err)
 		}

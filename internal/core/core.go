@@ -37,6 +37,8 @@
 package core
 
 import (
+	"context"
+
 	"repro/internal/analysis"
 	"repro/internal/ast"
 	"repro/internal/chase"
@@ -98,10 +100,6 @@ type (
 	// dependence-graph schedule, compiled rules and index plans are cached
 	// and every Prepared.Eval reuses them.
 	Prepared = eval.Prepared
-	// ContainmentChecker is a uniform-containment session over a fixed
-	// containing program: one prepared program serves every rule test, with
-	// frozen bodies and verdicts memoized.
-	ContainmentChecker = chase.Checker
 	// PreserveSession is a preservation-checking session over a fixed
 	// program, caching the prepared program and per-depth unfoldings.
 	// Session.Derive patches all of that state across an accepted one-rule
@@ -130,6 +128,19 @@ type (
 	// set: class, witnesses for the failed checks, and position ranks.
 	TGDClassification = depgraph.Classification
 )
+
+// ContainmentChecker is a uniform-containment session over a fixed
+// containing program: one prepared program serves every rule test, with
+// frozen bodies and verdicts memoized. It is chase.Checker — whose tests take
+// a context first — plus the one ctx-less spelling bench/ pins.
+type ContainmentChecker struct{ *chase.Checker }
+
+// ContainsRule decides r ⊑ᵘ P with no cancellation. Bench-pinned:
+// bench/optimize.go calls ck.ContainsRule(r), and bench/ may only change in a
+// [benchmark] PR; new code passes a context to the embedded Checker.
+func (c ContainmentChecker) ContainsRule(r Rule) (bool, error) {
+	return c.Checker.ContainsRule(context.Background(), r)
+}
 
 // Verdict values.
 const (
@@ -254,8 +265,9 @@ func PlanCacheStats() eval.CacheStats {
 // decide r ⊑ᵘ P₁ and P₂ ⊑ᵘ P₁ reusing one prepared program, memoized
 // frozen bodies and memoized verdicts across calls. Checker.Derive patches
 // the session across a one-rule delta.
-func NewContainmentChecker(p1 *Program, sess ...SessionOptions) (*ContainmentChecker, error) {
-	return chase.NewCheckerIn(p1, eval.NewLineage(sessionResolve(sess).PlanCache))
+func NewContainmentChecker(p1 *Program, sess ...SessionOptions) (ContainmentChecker, error) {
+	ck, err := chase.NewCheckerIn(p1, eval.NewLineage(sessionResolve(sess).PlanCache))
+	return ContainmentChecker{ck}, err
 }
 
 // NewPreserveSession opens a preservation-checking session over p for
@@ -287,12 +299,12 @@ func UniformlyEquivalent(p1, p2 *Program) (bool, error) {
 
 // MinimizeRule minimizes one rule under uniform equivalence (Fig. 1).
 func MinimizeRule(r Rule, opts MinimizeOptions) (Rule, MinimizeTrace, error) {
-	return minimize.Rule(r, opts)
+	return minimize.Rule(context.Background(), r, opts)
 }
 
 // MinimizeProgram minimizes a program under uniform equivalence (Fig. 2).
 func MinimizeProgram(p *Program, opts MinimizeOptions) (*Program, MinimizeTrace, error) {
-	return minimize.Program(p, opts)
+	return minimize.Program(context.Background(), p, opts)
 }
 
 // ChaseApply computes [P, T](d), the combined program/tgd closure of
@@ -320,7 +332,7 @@ func PreserveCheckPreliminary(p *Program, tgds []TGD, opts PreserveOptions) (Ver
 
 // EquivOptimize runs the Section XI optimization under plain equivalence.
 func EquivOptimize(p *Program, opts EquivOptions) (*Program, []EquivRemoval, error) {
-	return equivopt.Optimize(p, opts)
+	return equivopt.Optimize(context.Background(), p, opts)
 }
 
 // MagicRewrite performs the magic-sets transformation for a query atom.
@@ -344,7 +356,7 @@ func DirectAnswer(p *Program, edb *Database, query Atom, opts EvalOptions) ([][]
 // MinimizeStratified minimizes a program with stratified negation (the
 // Section XII extension) via the encoding documented in internal/minimize.
 func MinimizeStratified(p *Program, opts MinimizeOptions) (*Program, MinimizeTrace, error) {
-	return minimize.StratifiedProgram(p, opts)
+	return minimize.StratifiedProgram(context.Background(), p, opts)
 }
 
 // UniformlyContainsRuleCertified is UniformlyContainsRule returning a
@@ -357,12 +369,6 @@ func UniformlyContainsRuleCertified(p *Program, r Rule) (bool, *chase.Certificat
 // program (Section X's remark; internal/unfold).
 func UnfoldToDepth(p *Program, k, maxRules int) (unfold.Result, error) {
 	return unfold.ToDepth(p, k, maxRules)
-}
-
-// Incremental maintains a computed output under fact insertion
-// (internal/eval; pure Datalog only).
-func Incremental(p *Program, out *Database, newFacts []GroundAtom, opts EvalOptions) (*Database, EvalStats, error) {
-	return eval.Incremental(p, out, newFacts, opts)
 }
 
 // NewTopDown builds a tabled top-down engine over p and edb.
@@ -444,7 +450,7 @@ func OptimizeForQuery(p *Program, query Atom, opts PipelineOptions) (*PipelineRe
 		res.RulesRemoved += before - len(cur.Rules)
 	}
 	if opts.Minimize {
-		min, trace, err := minimize.Program(cur, opts.MinimizeOptions)
+		min, trace, err := minimize.Program(context.Background(), cur, opts.MinimizeOptions)
 		if err != nil {
 			return nil, err
 		}
@@ -453,7 +459,7 @@ func OptimizeForQuery(p *Program, query Atom, opts PipelineOptions) (*PipelineRe
 		res.AtomsRemoved += trace.AtomsRemoved()
 	}
 	if opts.EquivOpt {
-		opt, removals, err := equivopt.Optimize(cur, opts.EquivOptions)
+		opt, removals, err := equivopt.Optimize(context.Background(), cur, opts.EquivOptions)
 		if err != nil {
 			return nil, err
 		}

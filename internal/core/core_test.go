@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/ast"
@@ -205,19 +206,22 @@ func TestFacadeExtensions(t *testing.T) {
 		t.Fatalf("certified containment: %v %v", ok, err)
 	}
 
-	// Incremental + top-down + prover round trip.
+	// Maintained view + top-down + prover round trip.
 	edb := NewDatabase()
 	edb.AddTuple("A", []Const{1, 2})
-	out, _, err := Eval(pruned, edb, EvalOptions{})
+	sess, err := NewSession(pruned)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out2, _, err := Incremental(pruned, out, []GroundAtom{{Pred: "A", Args: []Const{2, 3}}}, EvalOptions{})
+	view, _, err := sess.Materialize(context.Background(), edb, MaintainOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !out2.Has(GroundAtom{Pred: "G", Args: []Const{1, 3}}) {
-		t.Fatalf("Incremental missed G(1,3): %v", out2)
+	if _, _, err := view.Apply(context.Background(), DatabaseDelta{Assert: []GroundAtom{{Pred: "A", Args: []Const{2, 3}}}}); err != nil {
+		t.Fatal(err)
+	}
+	if out2 := view.Output(); !out2.Has(GroundAtom{Pred: "G", Args: []Const{1, 3}}) {
+		t.Fatalf("view missed G(1,3): %v", out2)
 	}
 	eng, err := NewTopDown(pruned, edb)
 	if err != nil {

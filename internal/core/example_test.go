@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -120,14 +121,14 @@ func ExamplePreserveCheck() {
 	fmt.Println("preserves non-recursively:", v)
 
 	s, _ := core.NewPreserveSession(p)
-	v, _, _ = s.CheckPreliminary([]core.TGD{tgd}, core.PreserveOptions{Depth: 2})
+	v, _, _ = s.CheckPreliminary(context.Background(), []core.TGD{tgd}, core.PreserveOptions{Depth: 2})
 	fmt.Println("preliminary DB satisfies at depth 2:", v)
 
 	// Accepting the deletion the tgd justifies yields a one-rule weakening;
 	// Derive patches the session instead of rebuilding it.
 	weak := p.Rules[1].WithoutBodyAtom(2)
 	ds, _ := s.Derive(1, &weak)
-	v, _, _ = ds.Check([]core.TGD{tgd}, core.PreserveOptions{})
+	v, _, _ = ds.Check(context.Background(), []core.TGD{tgd}, core.PreserveOptions{})
 	fmt.Println("weakened program preserves:", v)
 	// Output:
 	// preserves non-recursively: yes

@@ -145,7 +145,7 @@ type Session struct {
 	prep  *Prepared
 
 	mu sync.Mutex // serializes the single-threaded checker/preserve state
-	ck *ContainmentChecker
+	ck *chase.Checker
 	ps *PreserveSession
 	// lin is the one lineage both lazily built sessions live in; last is its
 	// cumulative Stats at the previous accounting, so each request folds only
@@ -229,17 +229,16 @@ func (s *Session) Query(ctx context.Context, input *Database, query Atom) ([][]C
 // Minimize runs Fig. 2 minimization of the session program under ctx. The
 // containment session it builds prepares through the session's plan cache.
 func (s *Session) Minimize(ctx context.Context, opts MinimizeOptions) (*Program, MinimizeTrace, error) {
-	opts.Context = ctx
 	if opts.PlanCache == nil {
 		opts.PlanCache = s.cache
 	}
-	q, trace, err := minimize.Program(s.prog.Clone(), opts)
+	q, trace, err := minimize.Program(ctx, s.prog.Clone(), opts)
 	s.account(trace.Stats)
 	return q, trace, err
 }
 
 // checker lazily builds the containment session; callers hold s.mu.
-func (s *Session) checker() (*ContainmentChecker, error) {
+func (s *Session) checker() (*chase.Checker, error) {
 	if s.ck == nil {
 		ck, err := chase.NewCheckerIn(s.prog, s.lin)
 		if err != nil {
@@ -258,9 +257,7 @@ func (s *Session) ContainsRule(ctx context.Context, r Rule) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	ck.SetContext(ctx)
-	defer ck.SetContext(nil)
-	ok, err := ck.ContainsRule(r)
+	ok, err := ck.ContainsRule(ctx, r)
 	s.accountLineage()
 	return ok, err
 }
@@ -274,9 +271,7 @@ func (s *Session) Contains(ctx context.Context, p2 *Program) (bool, int, error) 
 	if err != nil {
 		return false, -1, err
 	}
-	ck.SetContext(ctx)
-	defer ck.SetContext(nil)
-	ok, idx, err := ck.Contains(p2)
+	ok, idx, err := ck.Contains(ctx, p2)
 	s.accountLineage()
 	return ok, idx, err
 }
@@ -315,8 +310,7 @@ func (s *Session) Preserve(ctx context.Context, tgds []TGD, opts PreserveOptions
 	if err != nil {
 		return Unknown, nil, err
 	}
-	opts.Context = ctx
-	v, cex, err := ps.Check(tgds, opts)
+	v, cex, err := ps.Check(ctx, tgds, opts)
 	s.accountLineage()
 	return v, cex, err
 }
@@ -330,8 +324,7 @@ func (s *Session) PreservePreliminary(ctx context.Context, tgds []TGD, opts Pres
 	if err != nil {
 		return Unknown, nil, err
 	}
-	opts.Context = ctx
-	v, cex, err := ps.CheckPreliminary(tgds, opts)
+	v, cex, err := ps.CheckPreliminary(ctx, tgds, opts)
 	s.accountLineage()
 	return v, cex, err
 }

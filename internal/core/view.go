@@ -23,8 +23,8 @@ type DatabaseDelta = eval.Delta
 // canonical (predicate, arguments) order.
 type DatabaseDiff = eval.Diff
 
-// MaintainOptions configures a maintained view (the ForceDRed ablation
-// knob).
+// MaintainOptions configures a maintained view; it has nothing a caller can
+// set (bench/ constructs the zero value).
 type MaintainOptions = eval.MaintainOptions
 
 // View is a maintained materialization of the session's program over one

@@ -1,6 +1,7 @@
 package cq
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -205,7 +206,7 @@ func TestMinimizeAgreesWithFig1(t *testing.T) {
 		r := parser.MustParseProgram(src).Rules[0]
 		q, _ := FromRule(r)
 		mcq := Minimize(q)
-		mr, _, err := minimize.Rule(r, minimize.Options{})
+		mr, _, err := minimize.Rule(context.Background(), r, minimize.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -47,13 +47,6 @@ type Options struct {
 	// initialization rules — is always tried first; deeper preliminary DBs
 	// are probed only when shallower ones fail. Default 1.
 	PrelimDepth int
-	// Context, when non-nil, cancels the optimization: it is observed
-	// before every candidate pipeline and threaded into all three Section X
-	// condition checks, so a deadline aborts with an error wrapping
-	// eval.ErrCanceled. Cancellation never yields a partially applied
-	// program — Optimize returns the removals accepted so far with the
-	// error.
-	Context context.Context
 }
 
 func (o Options) withDefaults() Options {
@@ -253,23 +246,22 @@ func cloneAtoms(body []ast.Atom, idx []int) []ast.Atom {
 // It is the one-shot form of the session-based pipeline Optimize drives:
 // callers probing many candidates against the same program should build
 // the sessions once.
-func TryCandidate(p *ast.Program, ruleIdx int, c Candidate, opts Options) (*ast.Program, error) {
-	ck, ps, err := sessions(p, opts)
+func TryCandidate(ctx context.Context, p *ast.Program, ruleIdx int, c Candidate, opts Options) (*ast.Program, error) {
+	ck, ps, err := sessions(p)
 	if err != nil {
 		return nil, err
 	}
-	return tryCandidate(ck, ps, p, ruleIdx, c, opts)
+	return tryCandidate(ctx, ck, ps, p, ruleIdx, c, opts)
 }
 
 // sessions opens the containment and preservation sessions the Section X
 // pipeline runs over p, side by side in one lineage.
-func sessions(p *ast.Program, opts Options) (*chase.Checker, *preserve.Session, error) {
+func sessions(p *ast.Program) (*chase.Checker, *preserve.Session, error) {
 	lin := eval.NewLineage(nil)
 	ck, err := chase.NewCheckerIn(p, lin)
 	if err != nil {
 		return nil, nil, err
 	}
-	ck.SetContext(opts.Context)
 	ps, err := preserve.NewSessionIn(p, lin)
 	if err != nil {
 		return nil, nil, err
@@ -280,9 +272,9 @@ func sessions(p *ast.Program, opts Options) (*chase.Checker, *preserve.Session, 
 // tryCandidate is the Section X pipeline over pre-built sessions for p: ck
 // checks condition (1) through the prepared [P,T] chase, ps checks (2) and
 // (3′) through the prepared Pⁿ and its cached unfoldings.
-func tryCandidate(ck *chase.Checker, ps *preserve.Session, p *ast.Program, ruleIdx int, c Candidate, opts Options) (*ast.Program, error) {
+func tryCandidate(ctx context.Context, ck *chase.Checker, ps *preserve.Session, p *ast.Program, ruleIdx int, c Candidate, opts Options) (*ast.Program, error) {
 	opts = opts.withDefaults()
-	if err := eval.CtxErr(opts.Context); err != nil {
+	if err := eval.CtxErr(ctx); err != nil {
 		return nil, err
 	}
 	budget := opts.Budget
@@ -300,7 +292,7 @@ func tryCandidate(ck *chase.Checker, ps *preserve.Session, p *ast.Program, ruleI
 	T := []ast.TGD{c.TGD}
 
 	// (1) SAT(T) ∩ M(P1) ⊆ M(P2).
-	v, err := ck.SATModelsContained(T, p2, budget)
+	v, err := ck.SATModelsContained(ctx, T, p2, budget)
 	if err != nil || v != chase.Yes {
 		return nil, err
 	}
@@ -308,7 +300,7 @@ func tryCandidate(ck *chase.Checker, ps *preserve.Session, p *ast.Program, ruleI
 	// probe increasing depths like condition (3′) below.
 	ok2 := false
 	for depth := 1; depth <= opts.PrelimDepth && !ok2; depth++ {
-		v, _, err = ps.Check(T, preserve.Options{Depth: depth, Budget: budget, Context: opts.Context})
+		v, _, err = ps.Check(ctx, T, preserve.Options{Depth: depth, Budget: budget})
 		if err != nil {
 			return nil, err
 		}
@@ -320,7 +312,7 @@ func tryCandidate(ck *chase.Checker, ps *preserve.Session, p *ast.Program, ruleI
 	// (3′) the preliminary DB of P1 satisfies T; probe increasing
 	// unfolding depths (Section X's closing remark).
 	for depth := 1; depth <= opts.PrelimDepth; depth++ {
-		v, _, err = ps.CheckPreliminary(T, preserve.Options{Depth: depth, Budget: budget, Context: opts.Context})
+		v, _, err = ps.CheckPreliminary(ctx, T, preserve.Options{Depth: depth, Budget: budget})
 		if err != nil {
 			return nil, err
 		}
@@ -335,8 +327,12 @@ func tryCandidate(ck *chase.Checker, ps *preserve.Session, p *ast.Program, ruleI
 // repeatedly generate candidate tgds for each rule and apply the first
 // candidate whose pipeline succeeds, until a sweep makes no progress. The
 // result is equivalent (as a query over EDBs) to p, though generally not
-// uniformly equivalent.
-func Optimize(p *ast.Program, opts Options) (*ast.Program, []Removal, error) {
+// uniformly equivalent. ctx is observed before every candidate pipeline and
+// threaded into all three Section X condition checks, so a deadline aborts
+// with an error wrapping eval.ErrCanceled; cancellation never yields a
+// partially applied program — Optimize returns the removals accepted so far
+// with the error.
+func Optimize(ctx context.Context, p *ast.Program, opts Options) (*ast.Program, []Removal, error) {
 	opts = opts.withDefaults()
 	if p.HasNegation() {
 		return nil, nil, fmt.Errorf("equivopt: pure Datalog required")
@@ -348,7 +344,7 @@ func Optimize(p *ast.Program, opts Options) (*ast.Program, []Removal, error) {
 	// containment session keeps surviving verdicts and frozen bodies, the
 	// preservation session patches its per-depth unfoldings and transfers
 	// combination-option tables across the one-rule weakening.
-	ck, ps, err := sessions(cur, opts)
+	ck, ps, err := sessions(cur)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -359,7 +355,7 @@ func Optimize(p *ast.Program, opts Options) (*ast.Program, []Removal, error) {
 			for {
 				applied := false
 				for _, c := range CandidatesLHS(cur.Rules[i], opts.MaxRHS, opts.MaxLHS) {
-					p2, err := tryCandidate(ck, ps, cur, i, c, opts)
+					p2, err := tryCandidate(ctx, ck, ps, cur, i, c, opts)
 					if err != nil {
 						return nil, removals, err
 					}

@@ -1,6 +1,7 @@
 package equivopt
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -82,7 +83,7 @@ func TestOptimizeExample18(t *testing.T) {
 		G(x, z) :- A(x, z).
 		G(x, z) :- G(x, y), G(y, z), A(y, w).
 	`)
-	opt, removals, err := Optimize(p1, Options{})
+	opt, removals, err := Optimize(context.Background(), p1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,7 +114,7 @@ func TestOptimizeExample19(t *testing.T) {
 		G(x, z) :- A(x, z), C(z).
 		G(x, z) :- A(x, y), G(y, z), G(y, w), C(w).
 	`)
-	opt, removals, err := Optimize(p1, Options{})
+	opt, removals, err := Optimize(context.Background(), p1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +138,7 @@ func TestOptimizeLeavesTightProgramsAlone(t *testing.T) {
 		 G(x, z) :- A(x, y), G(y, z).`,
 	} {
 		p := parser.MustParseProgram(src)
-		opt, removals, err := Optimize(p, Options{})
+		opt, removals, err := Optimize(context.Background(), p, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -185,7 +186,7 @@ func TestOptimizedProgramsEquivalentOnRandomEDBs(t *testing.T) {
 	}
 	for i, src := range cases {
 		p := parser.MustParseProgram(src)
-		opt, _, err := Optimize(p, Options{})
+		opt, _, err := Optimize(context.Background(), p, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -203,7 +204,7 @@ func TestPipelineRejectsWhenPreliminaryFails(t *testing.T) {
 		G(x, z) :- B(x, z).
 		G(x, z) :- G(x, y), G(y, z), A(y, w).
 	`)
-	opt, removals, err := Optimize(p, Options{})
+	opt, removals, err := Optimize(context.Background(), p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,7 +223,7 @@ func TestPipelineRejectsWhenPreservationFails(t *testing.T) {
 		G(x, z) :- D(x, z).
 		G(x, z) :- G(x, y), G(y, z), A(y, w).
 	`)
-	opt, removals, err := Optimize(p, Options{})
+	opt, removals, err := Optimize(context.Background(), p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +249,7 @@ func TestPipelineRejectsWhenPreservationFails(t *testing.T) {
 
 func TestOptimizeNegationRejected(t *testing.T) {
 	p := parser.MustParseProgram(`P(x) :- A(x), !B(x).`)
-	if _, _, err := Optimize(p, Options{}); err == nil {
+	if _, _, err := Optimize(context.Background(), p, Options{}); err == nil {
 		t.Fatal("negation accepted")
 	}
 }
@@ -302,7 +303,7 @@ func TestOptimizeWithTwoAtomLHS(t *testing.T) {
 		G(x, z) :- G(x, y), G(y, z).
 	`)
 	for _, maxLHS := range []int{1, 2} {
-		opt, removals, err := Optimize(p, Options{MaxLHS: maxLHS})
+		opt, removals, err := Optimize(context.Background(), p, Options{MaxLHS: maxLHS})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -323,7 +324,7 @@ func TestTwoAtomLHSStaysSound(t *testing.T) {
 		 G(x, z) :- G(x, y), G(y, z), A(y, y).`,
 	} {
 		p := parser.MustParseProgram(src)
-		opt, removals, err := Optimize(p, Options{MaxLHS: 2})
+		opt, removals, err := Optimize(context.Background(), p, Options{MaxLHS: 2})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -2,12 +2,12 @@
 // program P and an input DB (which, per the paper's uniform semantics, may
 // assign initial relations to intentional as well as extensional
 // predicates), repeatedly instantiate rules until no new ground atoms can be
-// produced. The package provides both the naive strategy the paper describes
-// and the standard semi-naive refinement (each derivation considered once),
-// plus the auxiliary operators the paper's procedures need: the
-// non-recursive application Pⁿ(d) of Section IX, the initialization program
-// Pⁱ and preliminary DB of Section X, and — for the Section XII extension —
-// stratified negation.
+// produced. The fixpoint is computed semi-naively (each derivation
+// considered once); the paper's own reading — apply every rule to everything,
+// until nothing new appears — is the one-step operator Pⁿ(d) of Section IX
+// iterated, which the package exports as NonRecursive alongside the
+// initialization program Pⁱ and preliminary DB of Section X, and — for the
+// Section XII extension — stratified negation.
 package eval
 
 import (
@@ -18,18 +18,6 @@ import (
 	"repro/internal/ast"
 	"repro/internal/db"
 	"repro/internal/depgraph"
-)
-
-// Strategy selects the fixpoint algorithm.
-type Strategy int
-
-const (
-	// SemiNaive derives each new fact from at least one last-round fact,
-	// avoiding rederivation; it is the default.
-	SemiNaive Strategy = iota
-	// Naive re-fires every rule against the whole DB each round, exactly as
-	// Section III describes the computation.
-	Naive
 )
 
 // ErrBudget is returned when evaluation exceeds the derived-fact budget
@@ -66,17 +54,9 @@ func CtxErr(ctx context.Context) error {
 // a canceled evaluation can still do.
 const ctxCheckEvery = 128
 
-// Options configures evaluation.
+// Options configures evaluation. A context, a goal, a budget and provenance
+// are per-call concerns and are arguments of Prepared.Run, never options.
 type Options struct {
-	// Strategy selects naive or semi-naive fixpoint; the default is
-	// semi-naive.
-	Strategy Strategy
-	// NoReorder disables the greedy join-order heuristic and evaluates body
-	// atoms in source order; used by ablation benchmarks.
-	NoReorder bool
-	// NoSCCOrder disables the SCC-ordered schedule and runs all rules in a
-	// single fixpoint; used by ablation benchmarks.
-	NoSCCOrder bool
 	// Shards > 1 runs every round sharded: every relation gains a
 	// hash-partitioned ownership view over a planner-chosen join-key column,
 	// and each round's variants split into per-shard tasks that enumerate
@@ -88,15 +68,6 @@ type Options struct {
 	// byte-identical to Shards ≤ 1 for any shard count. Shards is capped at
 	// 256.
 	Shards int
-	// Context, when non-nil, cancels evaluation when it is done: deadlines
-	// (context.WithTimeout/WithDeadline) and explicit cancellation both
-	// surface as an error wrapping ErrCanceled. Cancellation is observed at
-	// round boundaries and with a small cadence on the emit path. The
-	// context is a per-call concern, never part of a plan: Prepare strips it
-	// from the retained options and the plan cache ignores it when
-	// fingerprinting, so a canceled request can never poison a cached plan.
-	// Prepared callers pass per-request contexts to Prepared.Run instead.
-	Context context.Context
 }
 
 // Eval computes P(input): the least DB containing input and closed under the
@@ -112,8 +83,7 @@ func Eval(p *ast.Program, input *db.Database, opts Options) (*db.Database, Stats
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	out, _, stats, err := pr.Run(opts.Context, input, nil, 0, nil)
-	return out, stats, err
+	return pr.Eval(input)
 }
 
 // MustEval is Eval with default options, panicking on error; intended for

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"testing"
@@ -112,7 +113,8 @@ func TestInitRulesSelection(t *testing.T) {
 }
 
 func TestNaiveEqualsSemiNaive(t *testing.T) {
-	// Random digraphs: both strategies compute the same closure.
+	// Random digraphs: the engine and the naive oracle compute the same
+	// closure.
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 20; trial++ {
 		edb := db.New()
@@ -120,39 +122,30 @@ func TestNaiveEqualsSemiNaive(t *testing.T) {
 		for e := 0; e < n*2; e++ {
 			edb.Add(ga("A", int64(rng.Intn(n)), int64(rng.Intn(n))))
 		}
-		sn, _, err := Eval(tcProgram(), edb, Options{Strategy: SemiNaive})
-		if err != nil {
-			t.Fatal(err)
-		}
-		nv, _, err := Eval(tcProgram(), edb, Options{Strategy: Naive})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !sn.Equal(nv) {
+		sn := MustEval(tcProgram(), edb)
+		if nv, _ := oracleEval(t, tcProgram(), edb); !sn.Equal(nv) {
 			t.Fatalf("trial %d: semi-naive %v != naive %v", trial, sn, nv)
 		}
 	}
 }
 
 func TestSemiNaiveFiringsNoWorse(t *testing.T) {
-	// On a chain, semi-naive performs no more rule firings than naive.
+	// On a chain, semi-naive performs no more rule firings than naive — here
+	// strictly fewer, since the chain needs many rounds.
 	edb := db.New()
 	for i := 0; i < 30; i++ {
 		edb.Add(ga("A", int64(i), int64(i+1)))
 	}
-	_, sn, err := Eval(tcProgram(), edb, Options{Strategy: SemiNaive})
+	_, sn, err := Eval(tcProgram(), edb, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, nv, err := Eval(tcProgram(), edb, Options{Strategy: Naive})
-	if err != nil {
-		t.Fatal(err)
+	nv, naiveFirings := oracleEval(t, tcProgram(), edb)
+	if sn.Firings >= naiveFirings {
+		t.Fatalf("semi-naive fired %d, naive %d", sn.Firings, naiveFirings)
 	}
-	if sn.Firings > nv.Firings {
-		t.Fatalf("semi-naive fired %d > naive %d", sn.Firings, nv.Firings)
-	}
-	if sn.Added != nv.Added {
-		t.Fatalf("different fact counts: %d vs %d", sn.Added, nv.Added)
+	if sn.Added != nv.Len()-edb.Len() {
+		t.Fatalf("different fact counts: %d vs %d", sn.Added, nv.Len()-edb.Len())
 	}
 }
 
@@ -197,7 +190,7 @@ func evalBudget(t testing.TB, p *ast.Program, input *db.Database, opts Options, 
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, _, stats, err := pr.Run(nil, input, nil, budget, nil)
+	out, _, stats, err := pr.Run(context.Background(), input, nil, budget, nil)
 	return out, stats, err
 }
 
@@ -368,25 +361,51 @@ func TestQuery(t *testing.T) {
 }
 
 func TestNoReorderSameResult(t *testing.T) {
+	// The engine joins in its greedy order, the oracle in source order.
 	p := parser.MustParseProgram(`
 		T(x, z) :- A(x, y), B(y, z), C(z).
 	`)
 	in := db.FromFacts([]ast.GroundAtom{
 		ga("A", 1, 2), ga("B", 2, 3), ga("C", 3), ga("B", 2, 4),
 	})
-	a, _, err := Eval(p, in, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, _, err := Eval(p, in, Options{NoReorder: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !a.Equal(b) {
-		t.Fatalf("reorder changed semantics: %v vs %v", a, b)
-	}
+	a := checkAgainstOracle(t, p, in, Options{})
 	if !a.Has(ga("T", 1, 3)) || a.Has(ga("T", 1, 4)) {
 		t.Fatalf("join result wrong: %v", a)
+	}
+}
+
+// TestRunRejectsArityMismatch: an input relation contradicting the program's
+// arity for its predicate is a typed error before evaluation, not a store
+// panic at the first commit — for Run and for Materialize — and a batch
+// contradicting a view's relations, or itself, is refused the same way.
+func TestRunRejectsArityMismatch(t *testing.T) {
+	pr, err := Prepare(parser.MustParseProgram(`T(x, y) :- E(x, y).`), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := db.FromFacts([]ast.GroundAtom{ga("T", 1, 2, 3), ga("E", 1, 2)})
+	if _, _, err := pr.Eval(bad); !errors.Is(err, ErrArity) {
+		t.Fatalf("Eval over T/3: err = %v, want ErrArity", err)
+	}
+	if _, _, err := pr.Materialize(context.Background(), bad, MaintainOptions{}); !errors.Is(err, ErrArity) {
+		t.Fatalf("Materialize over T/3: err = %v, want ErrArity", err)
+	}
+	m, _, err := pr.Materialize(context.Background(), db.FromFacts([]ast.GroundAtom{ga("E", 1, 2)}), MaintainOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, delta := range []Delta{
+		{Assert: []ast.GroundAtom{ga("E", 1, 2, 3)}},
+		{Assert: []ast.GroundAtom{ga("T", 7)}}, // T exists in the output only
+		{Retract: []ast.GroundAtom{ga("E", 1)}},
+		{Assert: []ast.GroundAtom{ga("F", 1), ga("F", 1, 2)}},
+	} {
+		if _, _, err := m.Apply(context.Background(), delta); !errors.Is(err, ErrArity) {
+			t.Fatalf("Apply(%+v): err = %v, want ErrArity", delta, err)
+		}
+	}
+	if !m.Output().Equal(MustEval(pr.Program(), m.Input())) || m.Input().Len() != 1 {
+		t.Fatalf("rejected batches changed the view:\n%s", m.Output())
 	}
 }
 
@@ -422,7 +441,8 @@ func TestMutualRecursionEval(t *testing.T) {
 
 func TestSCCOrderAgreesAndHelps(t *testing.T) {
 	// A layered program: SCC ordering completes each layer before the next,
-	// so the single-fixpoint schedule does strictly more delta work.
+	// so a single fixpoint over all rules does strictly more work — shown on
+	// the oracle, which runs under any schedule.
 	p := parser.MustParseProgram(`
 		P1(x, z) :- E(x, z).
 		P2(x, z) :- P1(x, y), E(y, z).
@@ -433,19 +453,14 @@ func TestSCCOrderAgreesAndHelps(t *testing.T) {
 	for i := 0; i < 20; i++ {
 		edb.Add(ga("E", int64(i), int64(i+1)))
 	}
-	withSCC, sccStats, err := Eval(p, edb, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	without, flatStats, err := Eval(p, edb, Options{NoSCCOrder: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	withSCC := checkAgainstOracle(t, p, edb, Options{})
+	_, sccFirings := oracleEval(t, p, edb)
+	without, flatFirings := oracleRounds(p, edb, [][]int{{0, 1, 2, 3}})
 	if !withSCC.Equal(without) {
 		t.Fatal("SCC schedule changed semantics")
 	}
-	if sccStats.Firings > flatStats.Firings {
-		t.Fatalf("SCC schedule fired more: %d > %d", sccStats.Firings, flatStats.Firings)
+	if sccFirings >= flatFirings {
+		t.Fatalf("SCC schedule fired %d, the flat fixpoint %d", sccFirings, flatFirings)
 	}
 }
 
@@ -461,10 +476,11 @@ func TestQuickSCCOrderInvariance(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		b, _, err := Eval(p, d, Options{NoSCCOrder: true})
-		if err != nil {
-			return false
+		all := make([]int, len(p.Rules))
+		for i := range all {
+			all[i] = i
 		}
+		b, _ := oracleRounds(p, d, [][]int{all})
 		return a.Equal(b)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {

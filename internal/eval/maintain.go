@@ -2,6 +2,7 @@ package eval
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sort"
 	"strconv"
@@ -88,13 +89,14 @@ type Diff struct {
 // Empty reports whether the diff is empty.
 func (d Diff) Empty() bool { return len(d.Added) == 0 && len(d.Removed) == 0 }
 
-// MaintainOptions configures a maintained view.
+// MaintainOptions configures a maintained view. There is nothing for a
+// caller to choose: the algorithm follows from each unit's shape.
 type MaintainOptions struct {
-	// ForceDRed runs delete-rederive on every unit, including the
-	// non-recursive ones counting would normally handle — the ablation knob
-	// the maintenance oracle grid uses to exercise both algorithms on the
+	// forceDRed runs delete-rederive on every unit, including the
+	// non-recursive ones counting would normally handle; only this package's
+	// maintenance oracle grid sets it, to exercise both algorithms on the
 	// same programs.
-	ForceDRed bool
+	forceDRed bool
 }
 
 // Maintained is a materialized output kept incrementally consistent with
@@ -139,12 +141,13 @@ type ruleVariants struct {
 }
 
 // maintPlan returns the unit's maintenance plan, lowering it on first use;
-// every view of every plan holding the unit shares it. Change-set variants
-// are delta-first by construction, whatever opts.NoReorder says about the
-// insert side.
+// every view of every plan holding the unit shares it. The insert side is the
+// static join order with every predicate able to hold a round's delta
+// (insertions may be extensional).
 func (u *unit) maintPlan(opts Options) *maintPlan {
 	u.maintOnce.Do(func() {
-		mp := &maintPlan{insert: insertSetup(u.rules, opts), rules: make([]ruleVariants, len(u.rules))}
+		insert := buildSetup(u.rules, staticPerms(u.rules), opts.Shards > 1, func(string) bool { return true })
+		mp := &maintPlan{insert: insert, rules: make([]ruleVariants, len(u.rules))}
 		for ri, r := range u.rules {
 			vars := ast.VarsOfAtoms(r.Body)
 			// ledBy is r with lead as operator 0 and rest in the greedy join
@@ -217,13 +220,8 @@ func bump(adj *db.Database, pred string, args []ast.Const, delta int32) {
 
 // Materialize evaluates the prepared program on input and wraps the result
 // as a maintained view. The input is not modified; the view keeps private
-// copy-on-write snapshots of both input and output. NoSCCOrder combined with
-// negation is rejected: maintenance needs the stratified schedule's
-// producer-first order.
+// copy-on-write snapshots of both input and output.
 func (pr *Prepared) Materialize(ctx context.Context, input *db.Database, mo MaintainOptions) (*Maintained, Stats, error) {
-	if pr.opts.NoSCCOrder && pr.prog.HasNegation() {
-		return nil, Stats{}, fmt.Errorf("eval: Materialize with negation requires the stratified schedule (NoSCCOrder is set)")
-	}
 	out, _, stats, err := pr.Run(ctx, input, nil, 0, nil)
 	if err != nil {
 		return nil, stats, err
@@ -233,7 +231,7 @@ func (pr *Prepared) Materialize(ctx context.Context, input *db.Database, mo Main
 	st := getStreamState(nil)
 	defer putStreamState(st)
 	for ui, u := range pr.units {
-		mu := maintUnit{u: u, plan: u.maintPlan(pr.opts), counting: u.streamable && !mo.ForceDRed}
+		mu := maintUnit{u: u, plan: u.maintPlan(pr.opts), counting: u.streamable && !mo.forceDRed}
 		for pred := range u.dynamic {
 			m.owner[pred] = ui
 		}
@@ -292,7 +290,7 @@ func (m *Maintained) Apply(ctx context.Context, delta Delta) (Diff, Stats, error
 		return Diff{}, stats, err
 	}
 	old := m.snap.DB()
-	if err := m.validateArities(delta); err != nil {
+	if err := delta.CheckArities(m.in.DB(), old); err != nil {
 		return Diff{}, stats, err
 	}
 
@@ -378,18 +376,35 @@ func (m *Maintained) Apply(ctx context.Context, delta Delta) (Diff, Stats, error
 	return Diff{Added: sortedFacts(addedDB), Removed: sortedFacts(remDB)}, stats, nil
 }
 
-// validateArities rejects batch facts whose arity contradicts an existing
-// relation — AddTuple would panic deep inside a half-applied batch.
-func (m *Maintained) validateArities(delta Delta) error {
-	in, out := m.in.DB(), m.snap.DB()
-	for _, gs := range [2][]ast.GroundAtom{delta.Assert, delta.Retract} {
-		for _, g := range gs {
-			rel := in.Relation(g.Pred)
-			if rel == nil {
-				rel = out.Relation(g.Pred)
+// ErrArity is wrapped by the errors that reject a fact or an input relation
+// whose arity contradicts the one its predicate already has — in a database,
+// in the program evaluated over it, or earlier in the same batch. The store
+// panics on such a tuple (db.AddTuple), so whatever takes facts from outside
+// the process checks before it writes.
+var ErrArity = errors.New("eval: arity mismatch")
+
+// CheckArities rejects a batch holding a fact whose arity contradicts the
+// relation of its predicate in the first of dbs that has one or, for a
+// predicate none has yet, an earlier fact of the same half of the batch (the
+// halves are applied to separate sets, so they cannot clash with each other).
+func (d Delta) CheckArities(dbs ...*db.Database) error {
+	for _, half := range [2][]ast.GroundAtom{d.Assert, d.Retract} {
+		var fresh map[string]int // arities of the predicates the half introduces
+		for _, g := range half {
+			want, known := fresh[g.Pred]
+			for i := 0; i < len(dbs) && !known; i++ {
+				if rel := dbs[i].Relation(g.Pred); rel != nil {
+					want, known = rel.Arity(), true
+				}
 			}
-			if rel != nil && rel.Arity() != len(g.Args) {
-				return fmt.Errorf("eval: Apply: %s has arity %d, relation %s has arity %d", g, len(g.Args), g.Pred, rel.Arity())
+			switch {
+			case !known:
+				if fresh == nil {
+					fresh = make(map[string]int)
+				}
+				fresh[g.Pred] = len(g.Args)
+			case want != len(g.Args):
+				return fmt.Errorf("%w: %s has arity %d, relation %s has arity %d", ErrArity, g, len(g.Args), g.Pred, want)
 			}
 		}
 	}
@@ -569,18 +584,15 @@ func (m *Maintained) dredUnit(ctx context.Context, mu *maintUnit, st *streamStat
 // insertLoop is semi-naive insert-only propagation over a database that was
 // closed under rules before the facts stamped [deltaMin, d.Round()] arrived:
 // every new derivation must use at least one of those facts, so delta
-// variants alone are complete. It serves both callers that insert into an
-// existing fixpoint — Maintained's assert side, whose first delta spans
-// every round of the current Apply (lower-unit additions, DRed-restored
-// facts and staged asserts all carry stamps in that span), and
-// eval.Incremental, whose batch is the single round deltaMin == d.Round().
-// Later rounds are ordinary single-round deltas. Any body atom can match an
-// inserted fact (insertions may be extensional), so the delta position
-// ranges over the whole body rather than only the intentional positions.
-// rs is the rules' insertSetup and partCol their partition columns, built by
-// the caller — once per unit for a view, per call for eval.Incremental.
-// Rounds run through the shared round executor, so Shards and cancellation
-// keep the evaluator's disciplines.
+// variants alone are complete. It is Maintained's assert side: the first
+// delta spans every round of the current Apply (lower-unit additions,
+// DRed-restored facts and staged asserts all carry stamps in that span);
+// later rounds are ordinary single-round deltas. Any body atom can match an inserted fact
+// (insertions may be extensional), so the delta position ranges over the
+// whole body rather than only the intentional positions. rs is the unit's
+// maintPlan.insert and partCol its partition columns. Rounds run through the
+// shared round executor, so Shards and cancellation keep the evaluator's
+// disciplines.
 func insertLoop(ctx context.Context, d *db.Database, rs *roundSetup, partCol map[string]int, deltaMin int32, opts Options, stats *Stats) error {
 	env := &roundEnv{ctx: ctx, d: d, opts: opts, stats: stats, baseLen: d.Len()}
 	var variants []variant

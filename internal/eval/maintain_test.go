@@ -7,6 +7,7 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"testing/quick"
 
 	"repro/internal/ast"
 	"repro/internal/db"
@@ -46,6 +47,107 @@ func applyOrFatal(t *testing.T, m *Maintained, delta Delta) Diff {
 		t.Fatalf("apply: %v", err)
 	}
 	return diff
+}
+
+// insertInto is the insert-only use of a view: materialize P(base), assert
+// facts, and return the maintained output with the Apply's stats.
+func insertInto(t *testing.T, p *ast.Program, base *db.Database, facts []ast.GroundAtom, opts Options) (*db.Database, Stats) {
+	t.Helper()
+	m := mustMaterialize(t, p, base, opts, MaintainOptions{})
+	_, st, err := m.Apply(context.Background(), Delta{Assert: facts})
+	if err != nil {
+		t.Fatalf("apply: %v", err)
+	}
+	return m.Output(), st
+}
+
+func TestIncrementalEqualsFullReEval(t *testing.T) {
+	p := workload.TransitiveClosure()
+	base := workload.Chain("A", 10)
+	// Insert a back edge closing the chain into a cycle.
+	newFacts := []ast.GroundAtom{ga("A", 10, 0)}
+	inc, incStats := insertInto(t, p, base, newFacts, Options{})
+	full := base.Clone()
+	for _, f := range newFacts {
+		full.Add(f)
+	}
+	want := MustEval(p, full)
+	if !inc.Equal(want) {
+		t.Fatalf("incremental %d facts, full %d facts", inc.Len(), want.Len())
+	}
+	if incStats.Added == 0 {
+		t.Fatal("no incremental derivations recorded")
+	}
+}
+
+func TestIncrementalNoOp(t *testing.T) {
+	p := workload.TransitiveClosure()
+	base := workload.Chain("A", 5)
+	// Re-inserting existing facts derives nothing.
+	inc, stats := insertInto(t, p, base, []ast.GroundAtom{ga("A", 0, 1)}, Options{})
+	if !inc.Equal(MustEval(p, base)) || stats.Added != 0 || stats.Firings != 0 {
+		t.Fatalf("no-op insertion changed the DB: %+v", stats)
+	}
+}
+
+func TestIncrementalCheaperThanReEval(t *testing.T) {
+	p := workload.TransitiveClosure()
+	base := workload.Chain("A", 40)
+	newFacts := []ast.GroundAtom{ga("A", 100, 101)} // disconnected edge
+	_, incStats := insertInto(t, p, base, newFacts, Options{})
+	full := base.Clone()
+	full.Add(newFacts[0])
+	_, fullStats, err := Eval(p, full, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if incStats.Firings >= fullStats.Firings {
+		t.Fatalf("incremental fired %d >= full %d", incStats.Firings, fullStats.Firings)
+	}
+}
+
+func TestQuickIncrementalAgreesWithFull(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		p := workload.RandomProgram(rng, 1+rng.Intn(4))
+		if p.Validate() != nil {
+			return true
+		}
+		base := workload.RandomDB(rng, p, 4, 3)
+		extra := workload.RandomDB(rng, p, 4, 2)
+		inc, _ := insertInto(t, p, base, extra.Facts(), Options{})
+		full := base.Clone()
+		full.AddAll(extra)
+		want, _, err := Eval(p, full, Options{})
+		if err != nil {
+			return false
+		}
+		return inc.Equal(want)
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestIncrementalNegationExact: inserting E(1,2) has to retract Unreach(2).
+// A view remembers which of its facts were inputs, so an insertion under
+// negation is maintained exactly rather than refused.
+func TestIncrementalNegationExact(t *testing.T) {
+	p := mustParseProgram(t, `
+		Reach(x) :- Src(x).
+		Reach(y) :- Reach(x), E(x, y).
+		Unreach(x) :- Node(x), !Reach(x).
+	`)
+	base := db.FromFacts([]ast.GroundAtom{ga("Node", 1), ga("Node", 2), ga("Src", 1)})
+	if !MustEval(p, base).Has(ga("Unreach", 2)) {
+		t.Fatal("Unreach(2) not derived before the insertion")
+	}
+	inc, _ := insertInto(t, p, base, []ast.GroundAtom{ga("E", 1, 2)}, Options{})
+	full := base.Clone()
+	full.Add(ga("E", 1, 2))
+	if inc.Has(ga("Unreach", 2)) || !inc.Equal(MustEval(p, full)) {
+		t.Fatalf("insertion under negation left a stale view:\n%s", inc)
+	}
 }
 
 func TestMaintainCountingBasic(t *testing.T) {
@@ -113,7 +215,7 @@ func TestMaintainCountingSharedSupport(t *testing.T) {
 func TestMaintainExternalSupport(t *testing.T) {
 	// An input fact of a derived predicate counts as one external support,
 	// under both counting and delete-rederive.
-	for _, mo := range []MaintainOptions{{}, {ForceDRed: true}} {
+	for _, mo := range []MaintainOptions{{}, {forceDRed: true}} {
 		p := mustParseProgram(t, `P(y) :- E(y).`)
 		input := db.FromFacts([]ast.GroundAtom{ga("E", 3), ga("P", 3), ga("P", 5)})
 		m := mustMaterialize(t, p, input, Options{}, mo)
@@ -121,20 +223,20 @@ func TestMaintainExternalSupport(t *testing.T) {
 		// P(5) is input-only: retracting it removes it.
 		diff := applyOrFatal(t, m, Delta{Retract: []ast.GroundAtom{ga("P", 5)}})
 		if m.Output().Has(ga("P", 5)) || len(diff.Removed) != 1 {
-			t.Fatalf("ForceDRed=%v: input-only P(5) not removed: %+v", mo.ForceDRed, diff)
+			t.Fatalf("forceDRed=%v: input-only P(5) not removed: %+v", mo.forceDRed, diff)
 		}
 		// P(3) is both input and derived: retracting the input keeps it.
 		diff = applyOrFatal(t, m, Delta{Retract: []ast.GroundAtom{ga("P", 3)}})
 		if !m.Output().Has(ga("P", 3)) {
-			t.Fatalf("ForceDRed=%v: P(3) lost despite E(3) derivation", mo.ForceDRed)
+			t.Fatalf("forceDRed=%v: P(3) lost despite E(3) derivation", mo.forceDRed)
 		}
 		if len(diff.Removed) != 0 {
-			t.Fatalf("ForceDRed=%v: spurious removals %v", mo.ForceDRed, diff.Removed)
+			t.Fatalf("forceDRed=%v: spurious removals %v", mo.forceDRed, diff.Removed)
 		}
 		// Now retract the derivation too.
 		applyOrFatal(t, m, Delta{Retract: []ast.GroundAtom{ga("E", 3)}})
 		if m.Output().Has(ga("P", 3)) {
-			t.Fatalf("ForceDRed=%v: P(3) survived with no support", mo.ForceDRed)
+			t.Fatalf("forceDRed=%v: P(3) survived with no support", mo.forceDRed)
 		}
 	}
 }
@@ -510,7 +612,7 @@ func runMaintainStream(t *testing.T, c maintCase, opts Options, mo MaintainOptio
 // TestMaintainOracleGrid is the maintenance oracle: randomized mixed
 // insert/delete streams, maintained output compared byte-for-byte against
 // full re-evaluation, across GOMAXPROCS (w: inline vs concurrent shard
-// tasks) × Shards × {counting, ForceDRed}, on recursive, non-recursive and
+// tasks) × Shards × {counting, forceDRed}, on recursive, non-recursive and
 // stratified-negation programs. The last three programs open with a batch
 // that breaks a sloppy firing identity — one firing reachable from two
 // changed facts, where counting it twice drops a fact that keeps another
@@ -573,7 +675,7 @@ func TestMaintainOracleGrid(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/w%d_s%d_dred%v", name, cfg.procs, cfg.shards, cfg.forceDRed), func(t *testing.T) {
 				withProcs(t, cfg.procs)
 				opts := Options{Shards: cfg.shards}
-				mo := MaintainOptions{ForceDRed: cfg.forceDRed}
+				mo := MaintainOptions{forceDRed: cfg.forceDRed}
 				for seed := int64(0); seed < 3; seed++ {
 					runMaintainStream(t, c, opts, mo, seed, 9, 10)
 				}

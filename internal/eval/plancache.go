@@ -2,7 +2,6 @@ package eval
 
 import (
 	"container/list"
-	"strconv"
 	"sync"
 
 	"repro/internal/ast"
@@ -32,13 +31,13 @@ type PlanCache struct {
 }
 
 // planEntry is one cached plan, addressed by the canonical program string
-// plus the option fingerprint (options change the plan: schedule shape,
-// compilation).
+// plus the options (Shards changes the plan: sharded rounds need the
+// delta-first lowerings).
 type planEntry struct {
-	hash    uint64
-	canon   string
-	optsKey string
-	prep    *Prepared
+	hash  uint64
+	canon string
+	opts  Options
+	prep  *Prepared
 }
 
 // DefaultPlanCacheSize bounds the shared cache; generous for the
@@ -72,32 +71,11 @@ func (pc *PlanCache) Stats() CacheStats {
 	return CacheStats{Hits: pc.hits, Misses: pc.misses, Evictions: pc.evictions, Entries: pc.order.Len()}
 }
 
-// zeroOptsKey serves the by-far most common fingerprint without building it
-// — the containment sessions always prepare under default options.
-var zeroOptsKey = computePlanKey(Options{})
-
-// planKey fingerprints every Options field except Context, a per-call
-// concern Prepare strips (goal and budget are Run arguments and never reach
-// a plan). TestPlanKeyCoversEveryOption fails when a field is added to
-// Options but not here.
-func planKey(opts Options) string {
-	if opts == (Options{}) {
-		return zeroOptsKey
-	}
-	return computePlanKey(opts)
-}
-
-func computePlanKey(opts Options) string {
-	b := make([]byte, 0, 24)
-	b = strconv.AppendInt(b, int64(opts.Strategy), 10)
-	b = append(b, '|')
-	b = strconv.AppendBool(b, opts.NoReorder)
-	b = append(b, '|')
-	b = strconv.AppendBool(b, opts.NoSCCOrder)
-	b = append(b, '|')
-	b = strconv.AppendInt(b, int64(opts.Shards), 10)
-	return string(b)
-}
+// planKey is the part of a plan's address that comes from its options: the
+// shard count, and nothing else (context, goal and budget are Run arguments
+// and never reach a plan). TestPlanKeyCoversEveryOption fails when a field is
+// added to Options but not here.
+func planKey(opts Options) uint64 { return uint64(opts.Shards) }
 
 // Prepare returns the cached plan for (p, opts) or prepares, caches and
 // returns a fresh one.
@@ -115,11 +93,10 @@ func (pc *PlanCache) Prepare(p *ast.Program, opts Options) (*Prepared, error) {
 // (Prepared.Derive products) under their content address, so the built
 // plan's program need only be canonically equal to canon.
 func (pc *PlanCache) GetOrBuildCanonical(canon string, opts Options, build func() (*Prepared, error)) (*Prepared, bool, error) {
-	optsKey := planKey(opts)
-	hash := ast.HashString(canon) ^ ast.HashString(optsKey)
+	hash := ast.HashString(canon) ^ planKey(opts)
 
 	pc.mu.Lock()
-	if el := pc.lookup(hash, canon, optsKey); el != nil {
+	if el := pc.lookup(hash, canon, opts); el != nil {
 		pc.order.MoveToFront(el)
 		pc.hits++
 		prep := el.Value.(*planEntry).prep
@@ -136,15 +113,15 @@ func (pc *PlanCache) GetOrBuildCanonical(canon string, opts Options, build func(
 	if err != nil {
 		return nil, false, err
 	}
-	return pc.insert(&planEntry{hash: hash, canon: canon, optsKey: optsKey, prep: prep}), false, nil
+	return pc.insert(&planEntry{hash: hash, canon: canon, opts: opts, prep: prep}), false, nil
 }
 
 // lookup finds the entry matching hash AND full canonical content; caller
 // holds the lock.
-func (pc *PlanCache) lookup(hash uint64, canon, optsKey string) *list.Element {
+func (pc *PlanCache) lookup(hash uint64, canon string, opts Options) *list.Element {
 	for _, el := range pc.buckets[hash] {
 		e := el.Value.(*planEntry)
-		if e.canon == canon && e.optsKey == optsKey {
+		if e.canon == canon && e.opts == opts {
 			return el
 		}
 	}
@@ -156,7 +133,7 @@ func (pc *PlanCache) lookup(hash uint64, canon, optsKey string) *list.Element {
 func (pc *PlanCache) insert(e *planEntry) *Prepared {
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
-	if el := pc.lookup(e.hash, e.canon, e.optsKey); el != nil {
+	if el := pc.lookup(e.hash, e.canon, e.opts); el != nil {
 		pc.order.MoveToFront(el)
 		return el.Value.(*planEntry).prep
 	}

@@ -74,7 +74,7 @@ func TestPlanCacheHitReturnsSamePlan(t *testing.T) {
 	if prep1 != prep2 {
 		t.Fatal("alpha-renamed twin got a different plan")
 	}
-	_, hit, err = prepareHit(pc, p, Options{Strategy: Naive})
+	_, hit, err = prepareHit(pc, p, Options{Shards: 2})
 	if err != nil || hit {
 		t.Fatalf("different options must not share a plan (hit=%v err=%v)", hit, err)
 	}
@@ -111,9 +111,8 @@ func TestPlanCacheConcurrent(t *testing.T) {
 	}
 }
 
-// singleFieldOptions returns, per Options field except Context (a per-call
-// concern Prepare strips), a copy of the zero Options with just that field
-// set. It is reflect-driven so a field added to Options lands in the plan-key
+// singleFieldOptions returns, per Options field, a copy of the zero Options
+// with just that field set. It is reflect-driven so a field added to Options lands in the plan-key
 // tests without anyone remembering to list it.
 func singleFieldOptions(t *testing.T) map[string]Options {
 	t.Helper()
@@ -121,9 +120,6 @@ func singleFieldOptions(t *testing.T) map[string]Options {
 	typ := reflect.TypeOf(Options{})
 	for i := 0; i < typ.NumField(); i++ {
 		f := typ.Field(i)
-		if f.Name == "Context" {
-			continue
-		}
 		var o Options
 		v := reflect.ValueOf(&o).Elem().Field(i)
 		switch v.Kind() {
@@ -139,12 +135,15 @@ func singleFieldOptions(t *testing.T) map[string]Options {
 	return out
 }
 
-// TestPlanKeyCoversEveryOption: every Options field but Context moves the
-// plan fingerprint (an unfingerprinted field makes a shared cache hand one
-// caller another caller's plan).
+// TestPlanKeyCoversEveryOption: Options is Shards and nothing else, and the
+// field moves the plan fingerprint (an unfingerprinted field makes a shared
+// cache hand one caller another caller's plan).
 func TestPlanKeyCoversEveryOption(t *testing.T) {
+	if typ := reflect.TypeOf(Options{}); typ.NumField() != 1 || typ.Field(0).Name != "Shards" {
+		t.Fatalf("Options = %v, want the one field Shards", typ)
+	}
 	zero := planKey(Options{})
-	seen := map[string]string{zero: "zero Options"}
+	seen := map[uint64]string{zero: "zero Options"}
 	for name, o := range singleFieldOptions(t) {
 		key := planKey(o)
 		if other, dup := seen[key]; dup {

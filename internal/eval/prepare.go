@@ -67,7 +67,6 @@ type unit struct {
 	maint     *maintPlan
 
 	mu     sync.Mutex
-	static *roundSetup            // NoReorder: the order never changes
 	cache  map[string]*roundSetup // keyed by the packed join-order perms
 	keyBuf []byte
 }
@@ -88,17 +87,14 @@ type roundSetup struct {
 
 // Prepare validates p and builds its evaluation schedule under opts. The
 // program is cloned, so later mutation of p (the minimization loops rewrite
-// rules in place) cannot corrupt the prepared state. Options.Context is a
-// per-call concern and is stripped here: a Prepared outlives any request and
-// is shared through the plan cache, so a plan must never retain a context.
+// rules in place) cannot corrupt the prepared state.
 func Prepare(p *ast.Program, opts Options) (*Prepared, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	opts.Context = nil
-	opts.Shards = normalizeShards(opts)
+	opts.Shards = min(max(opts.Shards, 1), 256) // ownership views store owners in one byte
 	pr := &Prepared{prog: p.Clone(), opts: opts}
-	groups, err := scheduleGroups(pr.prog, opts)
+	groups, err := scheduleGroups(pr.prog)
 	if err != nil {
 		return nil, err
 	}
@@ -109,19 +105,12 @@ func Prepare(p *ast.Program, opts Options) (*Prepared, error) {
 	return pr, nil
 }
 
-// scheduleGroups computes the evaluation schedule of p under opts as groups
-// of rule indexes, one group per fixpoint unit, in evaluation order: SCC
-// groups (producer-first) for pure programs, strata for programs with
-// negation, a single group under NoSCCOrder. Empty groups are not emitted.
-func scheduleGroups(p *ast.Program, opts Options) ([][]int, error) {
+// scheduleGroups computes the evaluation schedule of p as groups of rule
+// indexes, one group per fixpoint unit, in evaluation order: SCC groups
+// (producer-first) for pure programs, strata for programs with negation.
+// Empty groups are not emitted.
+func scheduleGroups(p *ast.Program) ([][]int, error) {
 	if !p.HasNegation() {
-		if opts.NoSCCOrder {
-			all := make([]int, len(p.Rules))
-			for i := range all {
-				all[i] = i
-			}
-			return [][]int{all}, nil
-		}
 		return sccRuleGroups(p), nil
 	}
 	// Stratified negation: one unit per stratum; by stratification a negated
@@ -152,8 +141,7 @@ func scheduleGroups(p *ast.Program, opts Options) ([][]int, error) {
 // newUnit builds the fixpoint unit for one schedule group of p. The unit's
 // dynamic set is the head predicates of its own rules: for an SCC group
 // that is the component's mutually recursive predicates, for a stratum the
-// stratum's intentional predicates, and for the NoSCCOrder whole-program
-// group exactly p.IDBPredicates().
+// stratum's intentional predicates.
 func newUnit(p *ast.Program, group []int) *unit {
 	rules := make([]ast.Rule, len(group))
 	dyn := make(map[string]bool)
@@ -215,7 +203,7 @@ func (pr *Prepared) Derive(ruleIdx int, newRule *ast.Rule) (*Prepared, error) {
 	if err := np.Validate(); err != nil {
 		return nil, err
 	}
-	groups, err := scheduleGroups(np, pr.opts)
+	groups, err := scheduleGroups(np)
 	if err != nil {
 		return nil, err
 	}
@@ -263,15 +251,17 @@ func (pr *Prepared) Derive(ruleIdx int, newRule *ast.Rule) (*Prepared, error) {
 func (pr *Prepared) Program() *ast.Program { return pr.prog }
 
 // Eval computes P(input) exactly like the package-level Eval, reusing the
-// prepared schedule and compile caches. It is Run with no context, goal,
-// budget or provenance.
+// prepared schedule and compile caches. It is Run with no cancellation,
+// goal, budget or provenance.
 func (pr *Prepared) Eval(input *db.Database) (*db.Database, Stats, error) {
-	out, _, stats, err := pr.Run(nil, input, nil, 0, nil)
+	out, _, stats, err := pr.Run(context.Background(), input, nil, 0, nil)
 	return out, stats, err
 }
 
 // Run is the one evaluation entry point every per-call concern goes
-// through; each argument may be its zero value.
+// through; each argument after ctx may be its zero value. An input relation
+// whose arity contradicts the program's use of its predicate is rejected
+// with an error wrapping ErrArity before anything is evaluated.
 //
 //   - ctx cancels the evaluation: cancellation or deadline expiry aborts
 //     with an error wrapping ErrCanceled, checked at round boundaries and on
@@ -299,6 +289,9 @@ func (pr *Prepared) Run(ctx context.Context, input *db.Database, goal *ast.Groun
 	if err := CtxErr(ctx); err != nil {
 		return nil, false, stats, err
 	}
+	if err := pr.checkInput(input); err != nil {
+		return nil, false, stats, err
+	}
 	d := input.Clone()
 	if goal != nil && d.Has(*goal) {
 		return d, true, stats, nil
@@ -319,6 +312,23 @@ func (pr *Prepared) Run(ctx context.Context, input *db.Database, goal *ast.Groun
 		}
 	}
 	return d, false, stats, nil
+}
+
+// checkInput rejects an input relation whose arity contradicts an atom of the
+// program: the store panics on the first tuple a rule derives into it. The
+// walk is over the program's atoms, not the input's facts, and precomputes
+// nothing — Derive hands out a plan per candidate deletion.
+func (pr *Prepared) checkInput(input *db.Database) error {
+	for _, r := range pr.prog.Rules {
+		for _, atoms := range [3][]ast.Atom{{r.Head}, r.Body, r.NegBody} {
+			for _, a := range atoms {
+				if rel := input.Relation(a.Pred); rel != nil && rel.Arity() != len(a.Args) {
+					return fmt.Errorf("%w: input relation %s has arity %d, the program uses %s/%d", ErrArity, a.Pred, rel.Arity(), a.Pred, len(a.Args))
+				}
+			}
+		}
+	}
+	return nil
 }
 
 // Query evaluates the prepared program on input and returns the tuples
@@ -384,12 +394,6 @@ func (pr *Prepared) IsClosed(d *db.Database) bool {
 func (u *unit) setupFor(d *db.Database, opts Options) *roundSetup {
 	u.mu.Lock()
 	defer u.mu.Unlock()
-	if opts.NoReorder {
-		if u.static == nil {
-			u.static = u.build(nil, opts)
-		}
-		return u.static
-	}
 	sizeOf := func(pred string) int {
 		if rel := d.Relation(pred); rel != nil {
 			return rel.Len()
@@ -439,12 +443,12 @@ func staticPerms(rules []ast.Rule) [][]int {
 	return perms
 }
 
-// buildSetup clones rules into the given join orders (nil perms = source
-// order) and lowers them to pipeline plans. With sharded set it also lowers
-// the delta-first forms sharded rounds may substitute — deltaAt reports
-// whether a predicate can hold a round's delta — and registers the index
-// columns their displaced probes need, so the round-boundary freeze covers
-// them. The result is immutable.
+// buildSetup clones rules into the given join orders and lowers them to
+// pipeline plans. With sharded set it also lowers the delta-first forms
+// sharded rounds may substitute — deltaAt reports whether a predicate can
+// hold a round's delta — and registers the index columns their displaced
+// probes need, so the round-boundary freeze covers them. The result is
+// immutable.
 func buildSetup(rules []ast.Rule, perms [][]int, sharded bool, deltaAt func(pred string) bool) *roundSetup {
 	rs := &roundSetup{
 		ordered: make([]ast.Rule, len(rules)),
@@ -452,13 +456,11 @@ func buildSetup(rules []ast.Rule, perms [][]int, sharded bool, deltaAt func(pred
 	}
 	for i, r := range rules {
 		or := r.Clone()
-		if perms != nil {
-			body := make([]ast.Atom, len(or.Body))
-			for j, pi := range perms[i] {
-				body[j] = or.Body[pi]
-			}
-			or.Body = body
+		body := make([]ast.Atom, len(or.Body))
+		for j, pi := range perms[i] {
+			body[j] = or.Body[pi]
 		}
+		or.Body = body
 		rs.ordered[i] = or
 		rs.plans[i] = lowerRule(or, nil)
 	}
@@ -471,9 +473,9 @@ func buildSetup(rules []ast.Rule, perms [][]int, sharded bool, deltaAt func(pred
 	return rs
 }
 
-// fixpoint runs the chosen strategy over the unit's rules, mutating env.d
-// in place. A non-nil goal halts evaluation via errGoal as soon as the goal
-// atom is derived. A non-nil prov collects the program rule indexes (via
+// fixpoint runs the unit's rules semi-naively to their fixpoint, mutating
+// env.d in place. A non-nil goal halts evaluation via errGoal as soon as the
+// goal atom is derived. A non-nil prov collects the program rule indexes (via
 // ruleIdxs, the owner Prepared's unit-local → program mapping) of every
 // rule that derived at least one new fact.
 //
@@ -482,12 +484,10 @@ func buildSetup(rules []ast.Rule, perms [][]int, sharded bool, deltaAt func(pred
 // their shared budget, goal and cancellation semantics.
 func (u *unit) fixpoint(env *roundEnv) error {
 	ctx, d, opts, stats := env.ctx, env.d, env.opts, env.stats
-	// A streamable unit under semi-naive has no delta variants — no rule
-	// reads the unit's own heads — so its first full application IS the
-	// fixpoint and no confirmation round runs. The naive strategy's
-	// Section III semantics re-fire whole rounds until one adds nothing.
-	onePass := u.streamable && opts.Strategy == SemiNaive
-	if onePass {
+	// A streamable unit has no delta variants — no rule reads the unit's own
+	// heads — so its first full application IS the fixpoint and no
+	// confirmation round runs.
+	if u.streamable {
 		stats.StrataStreamed++
 	} else {
 		stats.StrataMaterialized++
@@ -514,7 +514,7 @@ func (u *unit) fixpoint(env *roundEnv) error {
 		}
 		variants = variants[:0]
 		for idx, r := range rs.ordered {
-			if first || opts.Strategy == Naive {
+			if first {
 				variants = append(variants, variant{idx, fullSpan(prev)})
 				continue
 			}
@@ -531,7 +531,7 @@ func (u *unit) fixpoint(env *roundEnv) error {
 		if env.maxDerived > 0 && d.Len()-env.baseLen > env.maxDerived {
 			return env.budgetErr()
 		}
-		if onePass || !anyAddedIn(d, round) {
+		if u.streamable || !anyAddedIn(d, round) {
 			return nil
 		}
 	}

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -26,8 +27,8 @@ func pickDerivedGoal(d, full *db.Database) (ast.GroundAtom, bool) {
 // TestQuickPreparedEqualsOneShot checks that preparing a program once and
 // evaluating through the Prepared is observationally identical to the
 // one-shot Eval — same output database, same Added count — over random
-// programs crossed over {naive, semi-naive} × {sequential, 4 shards} ×
-// {goal unset, goal set}.
+// programs crossed over {sequential, 4 shards} × {goal unset, goal set},
+// with the naive oracle as the common reference.
 func TestQuickPreparedEqualsOneShot(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -36,45 +37,46 @@ func TestQuickPreparedEqualsOneShot(t *testing.T) {
 			return true
 		}
 		d := workload.RandomDB(rng, p, 4, 4)
-		for _, strat := range []Strategy{SemiNaive, Naive} {
-			for _, shards := range []int{1, 4} {
-				opts := Options{Strategy: strat, Shards: shards}
-				full, sFull, err := Eval(p, d, opts)
-				if err != nil {
-					return false
-				}
-				pr, err := Prepare(p, opts)
-				if err != nil {
-					return false
-				}
-				out, st, err := pr.Eval(d)
-				if err != nil {
-					return false
-				}
-				if !out.Equal(full) || st.Added != sFull.Added {
-					return false
-				}
-				// The Prepared is reusable: a second evaluation of the same
-				// input repeats the result exactly.
-				again, st2, err := pr.Eval(d)
-				if err != nil || !again.Equal(full) || st2.Added != st.Added {
-					return false
-				}
+		for _, shards := range []int{1, 4} {
+			opts := Options{Shards: shards}
+			full, sFull, err := Eval(p, d, opts)
+			if err != nil {
+				return false
+			}
+			if want, naiveFirings := oracleEval(t, p, d); !full.Equal(want) || sFull.Firings > naiveFirings {
+				return false
+			}
+			pr, err := Prepare(p, opts)
+			if err != nil {
+				return false
+			}
+			out, st, err := pr.Eval(d)
+			if err != nil {
+				return false
+			}
+			if !out.Equal(full) || st.Added != sFull.Added {
+				return false
+			}
+			// The Prepared is reusable: a second evaluation of the same
+			// input repeats the result exactly.
+			again, st2, err := pr.Eval(d)
+			if err != nil || !again.Equal(full) || st2.Added != st.Added {
+				return false
+			}
 
-				// Goal set: the early stop must be sound — the goal is reached
-				// iff the fixpoint derives it, and the partial database never
-				// exceeds the fixpoint.
-				goal, ok := pickDerivedGoal(d, full)
-				if !ok {
-					continue
-				}
-				part, reached, _, err := pr.Run(nil, d, &goal, 0, nil)
-				if err != nil {
-					return false
-				}
-				if !reached || !part.Has(goal) || !full.Contains(part) {
-					return false
-				}
+			// Goal set: the early stop must be sound — the goal is reached
+			// iff the fixpoint derives it, and the partial database never
+			// exceeds the fixpoint.
+			goal, ok := pickDerivedGoal(d, full)
+			if !ok {
+				continue
+			}
+			part, reached, _, err := pr.Run(context.Background(), d, &goal, 0, nil)
+			if err != nil {
+				return false
+			}
+			if !reached || !part.Has(goal) || !full.Contains(part) {
+				return false
 			}
 		}
 		return true
@@ -103,7 +105,7 @@ func TestQuickGoalUnreachable(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		out, reached, st, err := pr.Run(nil, d, &goal, 0, nil)
+		out, reached, st, err := pr.Run(context.Background(), d, &goal, 0, nil)
 		if err != nil {
 			return false
 		}
@@ -127,7 +129,7 @@ func TestPreparedGoalStopsMidStratum(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, reached, _, err := pr.Run(nil, d, &goal, 0, nil)
+	out, reached, _, err := pr.Run(context.Background(), d, &goal, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +151,7 @@ func TestPreparedGoalAlreadyInInput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, reached, st, err := pr.Run(nil, d, &goal, 0, nil)
+	out, reached, st, err := pr.Run(context.Background(), d, &goal, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

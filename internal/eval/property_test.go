@@ -40,8 +40,8 @@ func TestQuickMonotonicity(t *testing.T) {
 	}
 }
 
-// TestQuickNaiveEqualsSemiNaive checks strategy agreement on random
-// programs and databases.
+// TestQuickNaiveEqualsSemiNaive checks the engine against the naive oracle
+// on random programs and databases.
 func TestQuickNaiveEqualsSemiNaive(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -50,15 +50,12 @@ func TestQuickNaiveEqualsSemiNaive(t *testing.T) {
 			return true
 		}
 		d := workload.RandomDB(rng, p, 4, 4)
-		a, _, err := Eval(p, d, Options{Strategy: SemiNaive})
+		a, sa, err := Eval(p, d, Options{})
 		if err != nil {
 			return false
 		}
-		b, _, err := Eval(p, d, Options{Strategy: Naive})
-		if err != nil {
-			return false
-		}
-		return a.Equal(b)
+		b, naiveFirings := oracleEval(t, p, d)
+		return a.Equal(b) && sa.Firings <= naiveFirings
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
@@ -139,7 +136,8 @@ func TestQuickPreliminaryBetweenInputAndOutput(t *testing.T) {
 }
 
 // TestQuickReorderInvariance checks the join-order heuristic never changes
-// semantics.
+// semantics: the engine's greedy order agrees with the oracle's source order,
+// whatever order the source bodies are written in.
 func TestQuickReorderInvariance(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -148,15 +146,13 @@ func TestQuickReorderInvariance(t *testing.T) {
 			return true
 		}
 		d := workload.RandomDB(rng, p, 4, 4)
-		a, _, err := Eval(p, d, Options{})
-		if err != nil {
-			return false
+		want, _ := oracleEval(t, p, d)
+		for i := range p.Rules {
+			body := p.Rules[i].Body
+			rng.Shuffle(len(body), func(j, k int) { body[j], body[k] = body[k], body[j] })
 		}
-		b, _, err := Eval(p, d, Options{NoReorder: true})
-		if err != nil {
-			return false
-		}
-		return a.Equal(b)
+		got, _, err := Eval(p, d, Options{})
+		return err == nil && got.Equal(want)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)
@@ -165,8 +161,7 @@ func TestQuickReorderInvariance(t *testing.T) {
 
 // TestQuickCompiledEqualsGeneric cross-checks the operator pipeline against
 // the generic binding-map oracle (oracle_test.go) on random programs and
-// databases, for both strategies and both schedules: same output, and the
-// same logical work (Firings, Added).
+// databases: same output, and the same logical work (Firings, Added).
 func TestQuickCompiledEqualsGeneric(t *testing.T) {
 	for seed := int64(0); seed < 80; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -178,13 +173,7 @@ func TestQuickCompiledEqualsGeneric(t *testing.T) {
 		if _, _, err := Eval(p, d, Options{}); err != nil {
 			continue // unstratifiable
 		}
-		for _, strat := range []Strategy{SemiNaive, Naive} {
-			checkAgainstOracle(t, p, d, Options{Strategy: strat})
-			checkAgainstOracle(t, p, d, Options{Strategy: strat, NoReorder: true})
-			if !p.HasNegation() {
-				checkAgainstOracle(t, p, d, Options{Strategy: strat, NoSCCOrder: true})
-			}
-		}
+		checkAgainstOracle(t, p, d, Options{})
 	}
 }
 
@@ -204,9 +193,8 @@ func TestCompiledStratifiedNegation(t *testing.T) {
 }
 
 // TestQuickParallelEqualsSequential cross-checks the one parallel executor
-// — sharded rounds — against sequential evaluation on random programs, for
-// both fixpoint strategies: byte-identical output databases and identical
-// Firings and Added (the shard slices partition each variant's outer
+// — sharded rounds — against sequential evaluation on random programs:
+// byte-identical output databases and identical Firings and Added (the shard slices partition each variant's outer
 // enumeration). Run with -race in CI to catch data races — in-round index
 // reads are lock-free and must stay correctly frozen at round boundaries.
 func TestQuickParallelEqualsSequential(t *testing.T) {
@@ -217,20 +205,15 @@ func TestQuickParallelEqualsSequential(t *testing.T) {
 			return true
 		}
 		d := workload.RandomDB(rng, p, 4, 4)
-		for _, strat := range []Strategy{SemiNaive, Naive} {
-			a, sa, err := Eval(p, d, Options{Strategy: strat})
-			if err != nil {
-				return false
-			}
-			b, sb, err := Eval(p, d, Options{Strategy: strat, Shards: 4})
-			if err != nil {
-				return false
-			}
-			if a.String() != b.String() || sa.Added != sb.Added || sa.Firings != sb.Firings {
-				return false
-			}
+		a, sa, err := Eval(p, d, Options{})
+		if err != nil {
+			return false
 		}
-		return true
+		b, sb, err := Eval(p, d, Options{Shards: 4})
+		if err != nil {
+			return false
+		}
+		return a.String() == b.String() && sa.Added == sb.Added && sa.Firings == sb.Firings
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)

@@ -580,12 +580,6 @@ func (env *roundEnv) runSharded(rs *roundSetup, partCol map[string]int, variants
 	}
 }
 
-// normalizeShards resolves the effective shard count of opts: the
-// ownership views store owners in one byte, capping the count at 256.
-func normalizeShards(opts Options) int {
-	return min(max(opts.Shards, 1), 256)
-}
-
 // partitionCols chooses, per predicate, the column sharded rounds partition
 // its tuples by: the position that most often carries a join variable (one
 // occurring more than once in its rule), ties to the lowest position, so

@@ -12,10 +12,10 @@ import (
 	"repro/internal/workload"
 )
 
-// The sharded executor's acceptance property: for every program and
-// strategy, the output database is byte-identical (same facts in the
-// same insertion order, which db.String exposes) across shard counts —
-// including goal early-stop partial databases and budget-exhausted runs.
+// The sharded executor's acceptance property: for every program the output
+// database is byte-identical (same facts in the same insertion order, which
+// db.String exposes) across shard counts — including goal early-stop partial
+// databases and budget-exhausted runs.
 
 var shardGrid = []int{1, 2, 4, 8}
 
@@ -52,7 +52,6 @@ func MustEval2(t *testing.T, p *ast.Program, input *db.Database, o Options) stri
 func TestShardedByteIdentity(t *testing.T) { bothSchedules(t, testShardedByteIdentity) }
 
 func testShardedByteIdentity(t *testing.T) {
-	strategies := []Strategy{SemiNaive, Naive}
 	for seed := int64(0); seed < 40; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		p := workload.RandomProgram(rng, 1+rng.Intn(4))
@@ -60,27 +59,26 @@ func testShardedByteIdentity(t *testing.T) {
 			continue
 		}
 		input := workload.RandomDB(rng, p, 4, 4)
-		for _, strat := range strategies {
-			var want string
-			first := true
-			for _, s := range shardGrid {
-				prep, err := Prepare(p, Options{Strategy: strat, Shards: s})
-				if err != nil {
-					t.Fatalf("seed %d: prepare shards=%d: %v", seed, s, err)
+		want, _ := oracleEval(t, p, input)
+		var wantDump string
+		for _, s := range shardGrid {
+			prep, err := Prepare(p, Options{Shards: s})
+			if err != nil {
+				t.Fatalf("seed %d: prepare shards=%d: %v", seed, s, err)
+			}
+			out, _, err := prep.Eval(input)
+			if err != nil {
+				t.Fatalf("seed %d shards=%d: %v", seed, s, err)
+			}
+			dump := out.String()
+			if s == 1 {
+				if !out.Equal(want) {
+					t.Fatalf("seed %d: unsharded output differs from the oracle\nprogram:\n%s", seed, p)
 				}
-				out, _, err := prep.Eval(input)
-				if err != nil {
-					t.Fatalf("seed %d strat=%v shards=%d: %v", seed, strat, s, err)
-				}
-				dump := out.String()
-				if first {
-					want, first = dump, false
-					continue
-				}
-				if dump != want {
-					t.Fatalf("seed %d strat=%v shards=%d: database differs from shards=1\ngot:\n%s\nwant:\n%s\nprogram:\n%s",
-						seed, strat, s, dump, want, p)
-				}
+				wantDump = dump
+			} else if dump != wantDump {
+				t.Fatalf("seed %d shards=%d: database differs from shards=1\ngot:\n%s\nwant:\n%s\nprogram:\n%s",
+					seed, s, dump, wantDump, p)
 			}
 		}
 	}
@@ -213,7 +211,6 @@ func TestShardedIncrementalOracle(t *testing.T) { bothSchedules(t, testShardedIn
 func testShardedIncrementalOracle(t *testing.T) {
 	p := workload.TransitiveClosure()
 	base := workload.Chain("A", 12)
-	out := MustEval(p, base)
 	newFacts := []ast.GroundAtom{ga("A", 12, 0), ga("A", 5, 20), ga("A", 20, 21)}
 	full := base.Clone()
 	for _, f := range newFacts {
@@ -223,10 +220,7 @@ func testShardedIncrementalOracle(t *testing.T) {
 	var wantDump string
 	first := true
 	for _, s := range shardGrid {
-		inc, stats, err := Incremental(p, out, newFacts, Options{Shards: s})
-		if err != nil {
-			t.Fatalf("shards=%d: %v", s, err)
-		}
+		inc, stats := insertInto(t, p, base, newFacts, Options{Shards: s})
 		if !inc.Equal(want) {
 			t.Fatalf("shards=%d: incremental %d facts, full re-eval %d facts",
 				s, inc.Len(), want.Len())
@@ -255,10 +249,6 @@ func testShardedIncrementalRandomOracle(t *testing.T) {
 			continue
 		}
 		base := workload.RandomDB(rng, p, 4, 3)
-		out, _, err := Eval(p, base, Options{})
-		if err != nil {
-			continue
-		}
 		extra := workload.RandomDB(rng, p, 4, 2)
 		full := base.Clone()
 		full.AddAll(extra)
@@ -267,10 +257,7 @@ func testShardedIncrementalRandomOracle(t *testing.T) {
 			continue
 		}
 		for _, s := range shardGrid {
-			inc, _, err := Incremental(p, out, extra.Facts(), Options{Shards: s})
-			if err != nil {
-				t.Fatalf("seed %d shards=%d: %v", seed, s, err)
-			}
+			inc, _ := insertInto(t, p, base, extra.Facts(), Options{Shards: s})
 			if !inc.Equal(want) {
 				t.Fatalf("seed %d shards=%d: incremental disagrees with full re-eval\nprogram:\n%s",
 					seed, s, p)
@@ -322,14 +309,8 @@ func TestShardedNormalization(t *testing.T) {
 		{Shards: 0},
 		{Shards: -3},
 		{Shards: 100000},
-		{Shards: 3, NoReorder: true},
-		{Shards: 5, Strategy: Naive},
 	} {
-		// Baseline under the same options unsharded (insertion order differs
-		// across strategies, so each option set is its own oracle).
-		base := o
-		base.Shards = 1
-		want := MustEval2(t, p, input, base)
+		want := MustEval2(t, p, input, Options{Shards: 1})
 		out, _, err := Eval(p, input, o)
 		if err != nil {
 			t.Fatalf("%+v: %v", o, err)

@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -11,7 +12,7 @@ import (
 )
 
 // TestQuickStreamingEqualsMaterializing is the oracle property of the
-// operator pipeline: for random programs × strategy × goal/no-goal, the full
+// operator pipeline: for random programs × goal/no-goal, the full
 // fixpoint agrees with the generic-matcher oracle (facts, Firings, Added),
 // and a goal-directed run halts on exactly the full run's insertion sequence
 // cut right after the goal (same facts in the same order — the emit-path cut
@@ -29,32 +30,29 @@ func TestQuickStreamingEqualsMaterializing(t *testing.T) {
 		if _, _, err := Eval(p, input, Options{}); err != nil {
 			continue // unstratifiable
 		}
-		for _, strat := range []Strategy{SemiNaive, Naive} {
-			opts := Options{Strategy: strat}
-			full := checkAgainstOracle(t, p, input, opts)
-			// Goal candidates: a derived fact (cut fires mid-evaluation) and
-			// an unreachable atom (cut never fires).
-			goals := []ast.GroundAtom{ast.NewGroundAtom("P", ast.Int(9000), ast.Int(9000))}
-			if g, ok := pickDerivedGoal(input, full); ok {
-				goals = append(goals, g)
-			}
-			prep, err := Prepare(p, opts)
+		full := checkAgainstOracle(t, p, input, Options{})
+		// Goal candidates: a derived fact (cut fires mid-evaluation) and
+		// an unreachable atom (cut never fires).
+		goals := []ast.GroundAtom{ast.NewGroundAtom("P", ast.Int(9000), ast.Int(9000))}
+		if g, ok := pickDerivedGoal(input, full); ok {
+			goals = append(goals, g)
+		}
+		prep, err := Prepare(p, Options{})
+		if err != nil {
+			t.Fatalf("seed %d: prepare: %v", seed, err)
+		}
+		for gi := range goals {
+			out, reached, st, err := prep.Run(context.Background(), input, &goals[gi], 0, nil)
 			if err != nil {
-				t.Fatalf("seed %d: prepare: %v", seed, err)
+				t.Fatalf("seed %d goal=%v: %v", seed, goals[gi], err)
 			}
-			for gi := range goals {
-				out, reached, st, err := prep.Run(nil, input, &goals[gi], 0, nil)
-				if err != nil {
-					t.Fatalf("seed %d strat=%v goal=%v: %v", seed, strat, goals[gi], err)
-				}
-				checkGoalPrefix(t, out, full, goals[gi], reached)
-				if st.Added != out.Len()-input.Len() {
-					t.Fatalf("seed %d strat=%v goal=%v: Added=%d, database grew by %d",
-						seed, strat, goals[gi], st.Added, out.Len()-input.Len())
-				}
-				if st.StrataStreamed > 0 {
-					onePass = true
-				}
+			checkGoalPrefix(t, out, full, goals[gi], reached)
+			if st.Added != out.Len()-input.Len() {
+				t.Fatalf("seed %d goal=%v: Added=%d, database grew by %d",
+					seed, goals[gi], st.Added, out.Len()-input.Len())
+			}
+			if st.StrataStreamed > 0 {
+				onePass = true
 			}
 		}
 	}
@@ -64,10 +62,8 @@ func TestQuickStreamingEqualsMaterializing(t *testing.T) {
 }
 
 // TestStreamingPlanSelection pins how units converge: a fully non-recursive
-// program reaches every unit's fixpoint in one pass under semi-naive (no
-// confirmation round: Rounds equals the unit count), a recursive SCC needs
-// delta rounds, and the Naive strategy (whose Section III semantics re-fire
-// whole rounds) never finishes in one pass.
+// program reaches every unit's fixpoint in one pass (no confirmation round:
+// Rounds equals the unit count) and a recursive SCC needs delta rounds.
 func TestStreamingPlanSelection(t *testing.T) {
 	nonrec := workload.Layered(6)
 	input := workload.Chain("E", 8)
@@ -84,14 +80,6 @@ func TestStreamingPlanSelection(t *testing.T) {
 	}
 	if st.BindingsPipelined == 0 {
 		t.Fatal("non-recursive program: no bindings pipelined")
-	}
-
-	_, st, err = Eval(nonrec, input, Options{Strategy: Naive})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.StrataStreamed != 0 {
-		t.Fatalf("naive strategy: streamed=%d, want 0", st.StrataStreamed)
 	}
 
 	tc := workload.TransitiveClosure()
@@ -115,7 +103,7 @@ func TestStreamingGoalEarlyStop(t *testing.T) {
 		t.Fatal(err)
 	}
 	goal := ast.NewGroundAtom("P3", ast.Int(0), ast.Int(3))
-	out, reached, st, err := prep.Run(nil, input, &goal, 0, nil)
+	out, reached, st, err := prep.Run(context.Background(), input, &goal, 0, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package explain_test
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/ast"
@@ -103,7 +104,7 @@ func TestRedundancyMultipliesJustifications(t *testing.T) {
 		G(x, z) :- A(x, z).
 		G(x, z) :- G(x, y), G(y, z), G(x, w).
 	`)
-	min, _, err := minimize.Program(bloated, minimize.Options{})
+	min, _, err := minimize.Program(context.Background(), bloated, minimize.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

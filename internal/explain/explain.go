@@ -300,7 +300,7 @@ func NewCountingProver(p *ast.Program, input *db.Database) (*CountingProver, err
 	for _, f := range input.Facts() {
 		cp.input[f.Key()] = true
 	}
-	// Naive rounds, recording every distinct (rule, binding) instantiation
+	// Whole-program rounds, recording every distinct (rule, binding) instantiation
 	// exactly once: iterate until neither facts nor justifications grow.
 	seen := make(map[string]bool) // rule index + premise keys
 	for {

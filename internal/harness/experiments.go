@@ -1,6 +1,7 @@
 package harness
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -37,7 +38,6 @@ func All() []Table {
 		E10CQAblation(),
 		E11Engines(),
 		E12Incremental(),
-		E13EngineAblations(),
 		E14SIPS(),
 		E15DerivationCounts(),
 	}
@@ -102,7 +102,7 @@ func E1WorkedExamples() Table {
 		}},
 		{"Ex. 7/8", "VI-VII", "A(w,y) redundant in the 5-atom rule (Fig. 1)", func() bool {
 			r := parser.MustParseProgram(`G(x, y, z) :- G(x, w, z), A(w, y), A(w, z), A(z, z), A(z, y).`).Rules[0]
-			min, trace, err := minimize.Rule(r, minimize.Options{})
+			min, trace, err := minimize.Rule(context.Background(), r, minimize.Options{})
 			return err == nil && trace.AtomsRemoved() == 1 && len(min.Body) == 4
 		}},
 		{"Ex. 9", "VIII", "tgd satisfaction over the Example 2 DB", func() bool {
@@ -143,11 +143,11 @@ func E1WorkedExamples() Table {
 			return prelim.Len() == 6 && prelim.Has(ga("G", 0, 1)) && !prelim.Has(ga("G", 0, 2))
 		}},
 		{"Ex. 18", "X-XI", "A(y,w) removed under equivalence (full pipeline)", func() bool {
-			opt, removals, err := equivopt.Optimize(tcGuarded, equivopt.Options{})
+			opt, removals, err := equivopt.Optimize(context.Background(), tcGuarded, equivopt.Options{})
 			return err == nil && len(removals) == 1 && opt.Equal(tc)
 		}},
 		{"Ex. 19", "XI", "G(y,w), C(w) removed under equivalence", func() bool {
-			opt, removals, err := equivopt.Optimize(workload.Example19Program(), equivopt.Options{})
+			opt, removals, err := equivopt.Optimize(context.Background(), workload.Example19Program(), equivopt.Options{})
 			want := parser.MustParseProgram(`
 				G(x, z) :- A(x, z), C(z).
 				G(x, z) :- A(x, y), G(y, z).`)
@@ -189,11 +189,11 @@ func E2UniformContainment() Table {
 			if err != nil {
 				panic(err)
 			}
-			ok, _, err = ck.Contains(p)
+			ok, _, err = ck.Contains(context.Background(), p)
 			if err != nil {
 				panic(err)
 			}
-			chased, err := ck.ContainsRule(unfolded)
+			chased, err := ck.ContainsRule(context.Background(), unfolded)
 			if err != nil {
 				panic(err)
 			}
@@ -234,7 +234,7 @@ func E3MinimizeRule() Table {
 		var trace minimize.Trace
 		d := timed(func() {
 			var err error
-			min, trace, err = minimize.Rule(r, minimize.Options{})
+			min, trace, err = minimize.Rule(context.Background(), r, minimize.Options{})
 			if err != nil {
 				panic(err)
 			}
@@ -260,7 +260,7 @@ func E4MinimizeProgram() Table {
 		var trace minimize.Trace
 		d := timed(func() {
 			var err error
-			min, trace, err = minimize.Program(p, minimize.Options{})
+			min, trace, err = minimize.Program(context.Background(), p, minimize.Options{})
 			if err != nil {
 				panic(err)
 			}
@@ -287,11 +287,11 @@ func E5EvalSpeedup() Table {
 	rng := rand.New(rand.NewSource(1))
 	bloated := workload.TransitiveClosureGuarded()
 	bloated = bloated.ReplaceRule(1, workload.InjectRedundantAtoms(bloated.Rules[1], 2, rng))
-	min, _, err := minimize.Program(bloated, minimize.Options{})
+	min, _, err := minimize.Program(context.Background(), bloated, minimize.Options{})
 	if err != nil {
 		panic(err)
 	}
-	opt, _, err := equivopt.Optimize(min, equivopt.Options{})
+	opt, _, err := equivopt.Optimize(context.Background(), min, equivopt.Options{})
 	if err != nil {
 		panic(err)
 	}
@@ -325,11 +325,30 @@ func E5EvalSpeedup() Table {
 	return t
 }
 
-// E6NaiveVsSemiNaive validates the evaluation substrate: semi-naive does
-// strictly less rederivation than the naive strategy of Section III.
+// NaiveFixpoint is the Section III computation read literally: apply the
+// one-step operator Pⁿ (Section IX) to everything derived so far until it
+// yields nothing new. It returns P(d) and the number of applications.
+func NaiveFixpoint(p *ast.Program, d *db.Database) (*db.Database, int) {
+	prep, err := eval.Prepare(p, eval.Options{})
+	if err != nil {
+		panic(err)
+	}
+	out := d.Clone()
+	for rounds := 1; ; rounds++ {
+		before := out.Len()
+		out.AddAll(prep.NonRecursive(out))
+		if out.Len() == before {
+			return out, rounds
+		}
+	}
+}
+
+// E6NaiveVsSemiNaive validates the evaluation substrate: the semi-naive
+// engine computes the closure the naive iteration of Section III computes,
+// without re-deriving everything every round.
 func E6NaiveVsSemiNaive() Table {
 	t := Table{ID: "E6", Title: "naive vs semi-naive fixpoint (Section III substrate)",
-		Columns: []string{"EDB", "facts out", "firings naive", "firings semi", "time naive", "time semi", "speedup"}}
+		Columns: []string{"EDB", "facts out", "rounds naive", "rounds semi", "firings semi", "time naive", "time semi", "speedup"}}
 	p := workload.TransitiveClosure()
 	edbs := []struct {
 		name string
@@ -341,24 +360,21 @@ func E6NaiveVsSemiNaive() Table {
 		{"random n=40 m=80", workload.RandomDigraph("A", 40, 80, 3)},
 	}
 	for _, e := range edbs {
-		var outLen int
-		var sNaive, sSemi eval.Stats
-		dNaive := timed(func() {
-			out, s, err := eval.Eval(p, e.d, eval.Options{Strategy: eval.Naive})
+		var naive *db.Database
+		var naiveRounds int
+		var sSemi eval.Stats
+		dNaive := timed(func() { naive, naiveRounds = NaiveFixpoint(p, e.d) })
+		dSemi := timed(func() {
+			out, s, err := eval.Eval(p, e.d, eval.Options{})
 			if err != nil {
 				panic(err)
 			}
-			sNaive = s
-			outLen = out.Len()
-		})
-		dSemi := timed(func() {
-			_, s, err := eval.Eval(p, e.d, eval.Options{Strategy: eval.SemiNaive})
-			if err != nil {
-				panic(err)
+			if !out.Equal(naive) {
+				panic("E6: semi-naive output differs from the naive iteration")
 			}
 			sSemi = s
 		})
-		t.AddRow(e.name, outLen, sNaive.Firings, sSemi.Firings, ms(dNaive), ms(dSemi),
+		t.AddRow(e.name, naive.Len(), naiveRounds, sSemi.Rounds, sSemi.Firings, ms(dNaive), ms(dSemi),
 			ratio(float64(dNaive.Nanoseconds()), float64(dSemi.Nanoseconds())))
 	}
 	return t
@@ -391,7 +407,7 @@ func E7EquivOpt() Table {
 		var opt *ast.Program
 		d := timed(func() {
 			var err error
-			opt, removals, err = equivopt.Optimize(c.p, equivopt.Options{})
+			opt, removals, err = equivopt.Optimize(context.Background(), c.p, equivopt.Options{})
 			if err != nil {
 				panic(err)
 			}
@@ -441,7 +457,7 @@ func E8MagicComposition() Table {
 	rng := rand.New(rand.NewSource(2))
 	p := workload.Ancestor()
 	bloated := p.ReplaceRule(1, workload.InjectRedundantAtoms(p.Rules[1], 2, rng))
-	minimized, _, err := minimize.Program(bloated, minimize.Options{})
+	minimized, _, err := minimize.Program(context.Background(), bloated, minimize.Options{})
 	if err != nil {
 		panic(err)
 	}
@@ -643,15 +659,15 @@ func E11Engines() Table {
 	return t
 }
 
-// E12Incremental measures insertion maintenance against full
-// re-evaluation.
+// E12Incremental measures insertion maintenance (one Apply on a maintained
+// view) against full re-evaluation.
 func E12Incremental() Table {
 	t := Table{ID: "E12", Title: "incremental insertion maintenance vs full re-evaluation (extension)",
 		Columns: []string{"base chain n", "insertion", "mode", "firings", "time"}}
 	p := workload.TransitiveClosure()
 	for _, n := range []int{32, 64} {
 		base := workload.Chain("A", n)
-		out, _, err := eval.Eval(p, base, eval.Options{})
+		prep, err := eval.Prepare(p, eval.Options{})
 		if err != nil {
 			panic(err)
 		}
@@ -664,9 +680,13 @@ func E12Incremental() Table {
 			{"closing back-edge", ga("A", int64(n), 0)},
 		}
 		for _, c := range cases {
+			view, _, err := prep.Materialize(context.Background(), base, eval.MaintainOptions{})
+			if err != nil {
+				panic(err)
+			}
 			var sInc eval.Stats
 			dInc := timed(func() {
-				_, s, err := eval.Incremental(p, out, []ast.GroundAtom{c.fact}, eval.Options{})
+				_, s, err := view.Apply(context.Background(), eval.Delta{Assert: []ast.GroundAtom{c.fact}})
 				if err != nil {
 					panic(err)
 				}
@@ -687,34 +707,6 @@ func E12Incremental() Table {
 			t.AddRow(n, c.name, "full re-eval", sFull.Firings, ms(dFull))
 		}
 	}
-	return t
-}
-
-// E13EngineAblations profiles the evaluation-engine design choices on one
-// reference workload (TC over a random digraph): SCC schedule, join
-// reordering and fixpoint strategy.
-func E13EngineAblations() Table {
-	t := Table{ID: "E13", Title: "evaluation-engine ablations (TC over random digraph n=60 m=120)",
-		Columns: []string{"configuration", "firings", "facts out", "time"}}
-	p := workload.TransitiveClosure()
-	edb := workload.RandomDigraph("A", 60, 120, 7)
-	run := func(name string, opts eval.Options) {
-		var st eval.Stats
-		var outLen int
-		d := timed(func() {
-			out, s, err := eval.Eval(p, edb, opts)
-			if err != nil {
-				panic(err)
-			}
-			st = s
-			outLen = out.Len()
-		})
-		t.AddRow(name, st.Firings, outLen, ms(d))
-	}
-	run("default (SCC, reorder)", eval.Options{})
-	run("no SCC schedule", eval.Options{NoSCCOrder: true})
-	run("no join reorder", eval.Options{NoReorder: true})
-	run("naive strategy", eval.Options{Strategy: eval.Naive})
 	return t
 }
 
@@ -763,7 +755,7 @@ func E15DerivationCounts() Table {
 		G(x, z) :- A(x, z).
 		G(x, z) :- G(x, y), G(y, z), G(x, w).
 	`)
-	min, _, err := minimize.Program(bloated, minimize.Options{})
+	min, _, err := minimize.Program(context.Background(), bloated, minimize.Options{})
 	if err != nil {
 		panic(err)
 	}

@@ -24,8 +24,8 @@ func TestAllExperimentsRun(t *testing.T) {
 		t.Skip("experiment suite in -short mode")
 	}
 	tables := All()
-	if len(tables) != 15 {
-		t.Fatalf("expected 15 tables, got %d", len(tables))
+	if len(tables) != 14 {
+		t.Fatalf("expected 14 tables, got %d", len(tables))
 	}
 	ids := map[string]bool{}
 	for _, tab := range tables {

@@ -1,6 +1,7 @@
 package minimize
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -25,7 +26,7 @@ func TestSubsumptionFastPathMinimization(t *testing.T) {
 	p := workload.InjectRedundantRules(base, 3, rand.New(rand.NewSource(11)))
 	p = workload.InjectRedundantAtomsProgram(p, 2, rand.New(rand.NewSource(12)))
 
-	fast, fastTrace, err := Program(p, Options{})
+	fast, fastTrace, err := Program(context.Background(), p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -33,7 +34,7 @@ func TestSubsumptionFastPathMinimization(t *testing.T) {
 		t.Fatalf("fast path eliminated %d chase calls, want >= 1 (stats %+v)", got, fastTrace.Stats)
 	}
 
-	slow, slowTrace, err := Program(p, Options{DisableSyntacticFastPath: true})
+	slow, slowTrace, err := Program(context.Background(), p, Options{DisableSyntacticFastPath: true})
 	if err != nil {
 		t.Fatal(err)
 	}

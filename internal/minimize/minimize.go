@@ -16,6 +16,11 @@
 // necessarily unique: it may depend on the order in which atoms and rules
 // are considered. Options.Rand exposes that order for the ablation
 // experiments.
+//
+// Every entry point takes the caller's context first: it is threaded into
+// every containment chase, so a deadline aborts promptly with an error
+// wrapping eval.ErrCanceled. Cancellation leaves the shared plan and verdict
+// caches valid — only completed verdicts are ever published.
 package minimize
 
 import (
@@ -44,12 +49,6 @@ type Options struct {
 	// program rule θ-subsumes. Ablation hook: the minimized program must be
 	// byte-identical either way.
 	DisableSyntacticFastPath bool
-	// Context, when non-nil, cancels minimization: it is checked between
-	// candidate deletions and threaded into every containment chase, so a
-	// deadline aborts promptly with an error wrapping eval.ErrCanceled.
-	// Cancellation leaves the shared plan and verdict caches valid — only
-	// completed verdicts are ever published.
-	Context context.Context
 	// PlanCache selects the plan cache the containment sessions prepare
 	// through; nil selects the process-wide cache. Servers and tests inject
 	// their own to isolate or shard cache footprints.
@@ -82,9 +81,9 @@ func (t Trace) RulesRemoved() int { return len(t.RuleRemovals) }
 
 // Rule minimizes a single rule under uniform equivalence (Fig. 1). The
 // returned rule is uniformly equivalent to r and has no redundant atom.
-func Rule(r ast.Rule, opts Options) (ast.Rule, Trace, error) {
+func Rule(ctx context.Context, r ast.Rule, opts Options) (ast.Rule, Trace, error) {
 	p := ast.NewProgram(r.Clone())
-	q, ck, trace, err := minimizeAtoms(p, opts)
+	q, ck, trace, err := minimizeAtoms(ctx, p, opts)
 	if err != nil {
 		return ast.Rule{}, trace, err
 	}
@@ -95,18 +94,18 @@ func Rule(r ast.Rule, opts Options) (ast.Rule, Trace, error) {
 // Program minimizes a program under uniform equivalence (Fig. 2): all
 // redundant atoms are removed first, then all redundant rules. The result
 // is uniformly equivalent to p.
-func Program(p *ast.Program, opts Options) (*ast.Program, Trace, error) {
+func Program(ctx context.Context, p *ast.Program, opts Options) (*ast.Program, Trace, error) {
 	q := p.Clone()
 	if opts.Rand != nil {
 		shuffleProgram(q, opts.Rand)
 	}
-	q, ck, trace, err := minimizeAtoms(q, opts)
+	q, ck, trace, err := minimizeAtoms(ctx, q, opts)
 	if err != nil {
 		return nil, trace, err
 	}
 	// The atom phase's session carries into the rule phase: its memoized
 	// verdicts and frozen bodies survive each rule deletion via Derive.
-	q, ck, trace2, err := removeRedundantRulesSession(q, ck)
+	q, ck, trace2, err := removeRedundantRulesSession(ctx, q, ck)
 	if err != nil {
 		return nil, trace, err
 	}
@@ -125,7 +124,7 @@ func Program(p *ast.Program, opts Options) (*ast.Program, Trace, error) {
 // carry over wholesale, and every memoized verdict the weakening cannot
 // flip survives. The session is returned so the rule phase can keep
 // deriving from it.
-func minimizeAtoms(p *ast.Program, opts Options) (*ast.Program, *chase.Checker, Trace, error) {
+func minimizeAtoms(ctx context.Context, p *ast.Program, opts Options) (*ast.Program, *chase.Checker, Trace, error) {
 	var trace Trace
 	q := p // both callers pass a program they own; it is mutated in place
 	ck, err := chase.NewCheckerIn(q, eval.NewLineage(opts.PlanCache))
@@ -134,9 +133,6 @@ func minimizeAtoms(p *ast.Program, opts Options) (*ast.Program, *chase.Checker, 
 	}
 	if opts.DisableSyntacticFastPath {
 		ck.DisableSyntacticFastPath()
-	}
-	if opts.Context != nil {
-		ck.SetContext(opts.Context)
 	}
 	for i := range q.Rules {
 		if opts.Rand != nil {
@@ -160,7 +156,7 @@ func minimizeAtoms(p *ast.Program, opts Options) (*ast.Program, *chase.Checker, 
 				k++
 				continue
 			}
-			ok, err := ck.ContainsRule(cand)
+			ok, err := ck.ContainsRule(ctx, cand)
 			if err != nil {
 				return nil, nil, trace, err
 			}
@@ -185,7 +181,7 @@ func minimizeAtoms(p *ast.Program, opts Options) (*ast.Program, *chase.Checker, 
 // is a single-rule deletion from the current program, so its session is
 // derived; when the deletion is accepted the derived session becomes the
 // current one, carrying the surviving verdicts forward.
-func removeRedundantRulesSession(p *ast.Program, ck *chase.Checker) (*ast.Program, *chase.Checker, Trace, error) {
+func removeRedundantRulesSession(ctx context.Context, p *ast.Program, ck *chase.Checker) (*ast.Program, *chase.Checker, Trace, error) {
 	var trace Trace
 	q := p.Clone()
 	i := 0
@@ -195,7 +191,7 @@ func removeRedundantRulesSession(p *ast.Program, ck *chase.Checker) (*ast.Progra
 		if err != nil {
 			return nil, nil, trace, err
 		}
-		ok, err := restCk.ContainsRule(r)
+		ok, err := restCk.ContainsRule(ctx, r)
 		if err != nil {
 			return nil, nil, trace, err
 		}
@@ -215,12 +211,12 @@ func removeRedundantRulesSession(p *ast.Program, ck *chase.Checker) (*ast.Progra
 // RemoveRedundantRules removes only redundant rules (no atom minimization);
 // exposed for the ablation that demonstrates why Fig. 2 must delete atoms
 // first (Theorem 2's proof depends on it).
-func RemoveRedundantRules(p *ast.Program) (*ast.Program, Trace, error) {
+func RemoveRedundantRules(ctx context.Context, p *ast.Program) (*ast.Program, Trace, error) {
 	ck, err := chase.NewChecker(p)
 	if err != nil {
 		return nil, Trace{}, err
 	}
-	q, ck, trace, err := removeRedundantRulesSession(p, ck)
+	q, ck, trace, err := removeRedundantRulesSession(ctx, p, ck)
 	if err != nil {
 		return nil, trace, err
 	}
@@ -232,7 +228,7 @@ func RemoveRedundantRules(p *ast.Program) (*ast.Program, Trace, error) {
 // uniform equivalence — the property Theorem 2 guarantees for the output of
 // Program. All atom tests share one containment session over p, and each
 // rule test derives the rule-deleted session from it.
-func IsMinimal(p *ast.Program) (bool, error) {
+func IsMinimal(ctx context.Context, p *ast.Program) (bool, error) {
 	ck, err := chase.NewChecker(p)
 	if err != nil {
 		return false, err
@@ -243,7 +239,7 @@ func IsMinimal(p *ast.Program) (bool, error) {
 			if !cand.WellFormed() {
 				continue
 			}
-			ok, err := ck.ContainsRule(cand)
+			ok, err := ck.ContainsRule(ctx, cand)
 			if err != nil {
 				return false, err
 			}
@@ -255,7 +251,7 @@ func IsMinimal(p *ast.Program) (bool, error) {
 		if err != nil {
 			return false, err
 		}
-		ok, err := restCk.ContainsRule(r)
+		ok, err := restCk.ContainsRule(ctx, r)
 		if err != nil {
 			return false, err
 		}

@@ -1,6 +1,7 @@
 package minimize
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -15,7 +16,7 @@ func TestExample8MinimizeRule(t *testing.T) {
 	r := parser.MustParseProgram(
 		`G(x, y, z) :- G(x, w, z), A(w, y), A(w, z), A(z, z), A(z, y).`,
 	).Rules[0]
-	min, trace, err := Rule(r, Options{})
+	min, trace, err := Rule(context.Background(), r, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +44,7 @@ func TestMinimalRuleUntouched(t *testing.T) {
 	r := parser.MustParseProgram(
 		`G(x, y, z) :- G(x, w, z), A(w, z), A(z, z), A(z, y).`,
 	).Rules[0]
-	min, trace, err := Rule(r, Options{})
+	min, trace, err := Rule(context.Background(), r, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +55,7 @@ func TestMinimalRuleUntouched(t *testing.T) {
 
 func TestDuplicateAtomRemoved(t *testing.T) {
 	r := parser.MustParseProgram(`G(x, z) :- A(x, z), A(x, z), A(x, w).`).Rules[0]
-	min, trace, err := Rule(r, Options{})
+	min, trace, err := Rule(context.Background(), r, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +73,7 @@ func TestRangeRestrictionGuard(t *testing.T) {
 	// The only body occurrence of head variable z cannot be deleted even
 	// though the atom looks "loose".
 	r := parser.MustParseProgram(`G(x, z) :- A(x, x), B(z).`).Rules[0]
-	min, _, err := Rule(r, Options{})
+	min, _, err := Rule(context.Background(), r, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +91,7 @@ func TestAtomRedundantOnlyInProgram(t *testing.T) {
 		Q(x) :- A(x, y), P(x).
 	`)
 	// Rule alone: not redundant.
-	minRule, traceRule, err := Rule(p.Rules[1], Options{})
+	minRule, traceRule, err := Rule(context.Background(), p.Rules[1], Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +99,7 @@ func TestAtomRedundantOnlyInProgram(t *testing.T) {
 		t.Fatalf("P(x) wrongly redundant in isolation: %v", minRule)
 	}
 	// Whole program: redundant.
-	minProg, trace, err := Program(p, Options{})
+	minProg, trace, err := Program(context.Background(), p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -121,7 +122,7 @@ func TestRedundantRuleRemoved(t *testing.T) {
 		G(x, z) :- G(x, y), G(y, z).
 		G(x, z) :- A(x, y), G(y, z).
 	`)
-	min, trace, err := Program(p, Options{})
+	min, trace, err := Program(context.Background(), p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +146,7 @@ func TestExactDuplicateRuleRemoved(t *testing.T) {
 		G(x, z) :- A(x, z).
 		G(u, w) :- A(u, w).
 	`)
-	min, trace, err := Program(p, Options{})
+	min, trace, err := Program(context.Background(), p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -167,11 +168,11 @@ func TestTheorem2ResultIsMinimal(t *testing.T) {
 	}
 	for _, src := range programs {
 		p := parser.MustParseProgram(src)
-		min, _, err := Program(p, Options{})
+		min, _, err := Program(context.Background(), p, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		minimal, err := IsMinimal(min)
+		minimal, err := IsMinimal(context.Background(), min)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -194,11 +195,11 @@ func TestMinimizeIdempotent(t *testing.T) {
 		G(x, z) :- G(x, y), G(y, z).
 		G(x, z) :- A(x, y), G(y, z).
 	`)
-	min1, _, err := Program(p, Options{})
+	min1, _, err := Program(context.Background(), p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	min2, trace, err := Program(min1, Options{})
+	min2, trace, err := Program(context.Background(), min1, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,11 +220,11 @@ func TestRandomOrderStillMinimalAndEquivalent(t *testing.T) {
 	p := parser.MustParseProgram(src)
 	for seed := int64(0); seed < 8; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		min, _, err := Program(p, Options{Rand: rng})
+		min, _, err := Program(context.Background(), p, Options{Rand: rng})
 		if err != nil {
 			t.Fatal(err)
 		}
-		minimal, err := IsMinimal(min)
+		minimal, err := IsMinimal(context.Background(), min)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -250,7 +251,7 @@ func TestUniformEquivalenceIsLocal(t *testing.T) {
 		G(x, y, z) :- B(x, y, z).
 		G(x, y, z) :- G(x, w, z), A(w, y), A(w, z), A(z, z), A(z, y).
 	`)
-	min, _, err := Program(big, Options{})
+	min, _, err := Program(context.Background(), big, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,7 +275,7 @@ func TestRemoveRedundantRulesOnly(t *testing.T) {
 	`)
 	// Rule-only pass: the second rule is uniformly contained in the first,
 	// so it is removed even without atom minimization.
-	min, trace, err := RemoveRedundantRules(p)
+	min, trace, err := RemoveRedundantRules(context.Background(), p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,14 +286,14 @@ func TestRemoveRedundantRulesOnly(t *testing.T) {
 
 func TestNegationRejected(t *testing.T) {
 	p := parser.MustParseProgram(`P(x) :- A(x), !B(x).`)
-	if _, _, err := Program(p, Options{}); err == nil {
+	if _, _, err := Program(context.Background(), p, Options{}); err == nil {
 		t.Fatal("negation accepted by minimizer")
 	}
 }
 
 func TestEmptyAndTinyPrograms(t *testing.T) {
 	empty := ast.NewProgram()
-	min, trace, err := Program(empty, Options{})
+	min, trace, err := Program(context.Background(), empty, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +301,7 @@ func TestEmptyAndTinyPrograms(t *testing.T) {
 		t.Fatal("empty program mishandled")
 	}
 	single := parser.MustParseProgram(`G(x, z) :- A(x, z).`)
-	min, _, err = Program(single, Options{})
+	min, _, err = Program(context.Background(), single, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

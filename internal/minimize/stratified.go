@@ -1,6 +1,7 @@
 package minimize
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -33,9 +34,9 @@ const negPrefix = "neg@"
 // Deletions that would leave a negated literal's variable unbound in the
 // positive body (breaking the safety condition) are rejected through the
 // validity hook.
-func StratifiedProgram(p *ast.Program, opts Options) (*ast.Program, Trace, error) {
+func StratifiedProgram(ctx context.Context, p *ast.Program, opts Options) (*ast.Program, Trace, error) {
 	if !p.HasNegation() {
-		return Program(p, opts)
+		return Program(ctx, p, opts)
 	}
 	if _, err := depgraph.Strata(p); err != nil {
 		return nil, Trace{}, err
@@ -56,7 +57,7 @@ func StratifiedProgram(p *ast.Program, opts Options) (*ast.Program, Trace, error
 		}
 		return dec.Validate() == nil
 	}
-	minEnc, trace, err := Program(encoded, opts)
+	minEnc, trace, err := Program(ctx, encoded, opts)
 	if err != nil {
 		return nil, trace, err
 	}

@@ -1,6 +1,7 @@
 package minimize
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -16,7 +17,7 @@ func TestStratifiedRemovesRedundantPositiveAtom(t *testing.T) {
 		Reach(y) :- Reach(x), E(x, y), E(x, w).
 		Unreach(x) :- Node(x), !Reach(x).
 	`)
-	min, trace, err := StratifiedProgram(p, Options{})
+	min, trace, err := StratifiedProgram(context.Background(), p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +39,7 @@ func TestStratifiedRemovesDuplicateNegatedLiteral(t *testing.T) {
 		Reach(x) :- Src(x).
 		Unreach(x) :- Node(x), !Reach(x), !Reach(x).
 	`)
-	min, trace, err := StratifiedProgram(p, Options{})
+	min, trace, err := StratifiedProgram(context.Background(), p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +54,7 @@ func TestStratifiedRemovesRedundantRule(t *testing.T) {
 		Ok(y) :- Node(y), !Bad(y), Node(y).
 		Bad(x) :- Flag(x).
 	`)
-	min, trace, err := StratifiedProgram(p, Options{})
+	min, trace, err := StratifiedProgram(context.Background(), p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +77,7 @@ func TestStratifiedSafetyGuard(t *testing.T) {
 		Ok(x) :- Node(x), Node(x), !Bad(x).
 		Bad(x) :- Flag(x).
 	`)
-	min, _, err := StratifiedProgram(p, Options{})
+	min, _, err := StratifiedProgram(context.Background(), p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +97,7 @@ func TestStratifiedNoFalseDeletions(t *testing.T) {
 		Reach(y) :- Reach(x), E(x, y).
 		Unreach(x) :- Node(x), !Reach(x).
 	`)
-	min, trace, err := StratifiedProgram(p, Options{})
+	min, trace, err := StratifiedProgram(context.Background(), p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,7 +110,7 @@ func TestStratifiedFallsBackOnPurePrograms(t *testing.T) {
 	p := parser.MustParseProgram(`
 		G(x, z) :- A(x, z), A(x, w).
 	`)
-	min, trace, err := StratifiedProgram(p, Options{})
+	min, trace, err := StratifiedProgram(context.Background(), p, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +124,7 @@ func TestStratifiedRejectsUnstratifiable(t *testing.T) {
 		P(x) :- A(x), !Q(x).
 		Q(x) :- A(x), !P(x).
 	`)
-	if _, _, err := StratifiedProgram(p, Options{}); err == nil {
+	if _, _, err := StratifiedProgram(context.Background(), p, Options{}); err == nil {
 		t.Fatal("unstratifiable program accepted")
 	}
 }

@@ -1,6 +1,7 @@
 package preserve_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -62,11 +63,11 @@ func verdicts(t *testing.T, s *preserve.Session, tgds []ast.TGD) string {
 	out := ""
 	for _, tau := range tgds {
 		for depth := 1; depth <= 3; depth++ {
-			v, _, err := s.Check([]ast.TGD{tau}, preserve.Options{Depth: depth, Budget: budget})
+			v, _, err := s.Check(context.Background(), []ast.TGD{tau}, preserve.Options{Depth: depth, Budget: budget})
 			if err != nil {
 				t.Fatalf("Check depth %d: %v", depth, err)
 			}
-			w, _, err := s.CheckPreliminary([]ast.TGD{tau}, preserve.Options{Depth: depth, Budget: budget})
+			w, _, err := s.CheckPreliminary(context.Background(), []ast.TGD{tau}, preserve.Options{Depth: depth, Budget: budget})
 			if err != nil {
 				t.Fatalf("CheckPreliminary depth %d: %v", depth, err)
 			}
@@ -234,11 +235,11 @@ func TestDeriveConcurrentSessions(t *testing.T) {
 			cur := p
 			for step := 0; step < 3; step++ {
 				for depth := 1; depth <= 3; depth++ {
-					if _, _, err := s.Check(deriveTGDs[:2], preserve.Options{Depth: depth, Budget: budget}); err != nil {
+					if _, _, err := s.Check(context.Background(), deriveTGDs[:2], preserve.Options{Depth: depth, Budget: budget}); err != nil {
 						errs[g] = err
 						return
 					}
-					if _, _, err := s.CheckPreliminary(deriveTGDs[:2], preserve.Options{Depth: depth, Budget: budget}); err != nil {
+					if _, _, err := s.CheckPreliminary(context.Background(), deriveTGDs[:2], preserve.Options{Depth: depth, Budget: budget}); err != nil {
 						errs[g] = err
 						return
 					}

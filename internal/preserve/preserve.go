@@ -126,11 +126,6 @@ type Options struct {
 	// Budget bounds each internal chase; zero fields take
 	// chase.DefaultBudget.
 	Budget chase.Budget
-	// Context, when non-nil, cancels the check: it is observed between
-	// tgds and between LHS combinations, so a deadline aborts the
-	// combination walk promptly with an error wrapping eval.ErrCanceled.
-	// Cancellation never publishes a partial verdict.
-	Context context.Context
 }
 
 // Check runs the Fig. 3 procedure: it decides whether p preserves T
@@ -153,12 +148,15 @@ func Check(p *ast.Program, tgds []ast.TGD, opts Options) (chase.Verdict, *Counte
 	if err != nil {
 		return chase.Unknown, nil, err
 	}
-	return s.Check(tgds, opts)
+	return s.Check(context.Background(), tgds, opts)
 }
 
 // Check is the session form of the package-level Check; the depth-k
 // unfolding is prepared once per session and reused across candidate tgds.
-func (s *Session) Check(tgds []ast.TGD, opts Options) (chase.Verdict, *Counterexample, error) {
+// ctx is observed between tgds and between LHS combinations, so a deadline
+// aborts the combination walk promptly with an error wrapping
+// eval.ErrCanceled; cancellation never publishes a partial verdict.
+func (s *Session) Check(ctx context.Context, tgds []ast.TGD, opts Options) (chase.Verdict, *Counterexample, error) {
 	// Options for each intentional LHS atom: every rule of p with the
 	// right head predicate, plus the trivial rule Q(x̄) :- Q(x̄)
 	// (Section IX augments the program with trivial rules so that the
@@ -174,10 +172,10 @@ func (s *Session) Check(tgds []ast.TGD, opts Options) (chase.Verdict, *Counterex
 	}
 	sawUnknown := false
 	for _, tau := range tgds {
-		if err := eval.CtxErr(opts.Context); err != nil {
+		if err := eval.CtxErr(ctx); err != nil {
 			return chase.Unknown, nil, err
 		}
-		v, cex, err := checkTGD(opts.Context, prep, idb, tgds, tau, opts.Budget, combo, s.Tally())
+		v, cex, err := checkTGD(ctx, prep, idb, tgds, tau, opts.Budget, combo, s.Tally())
 		if err != nil {
 			return chase.Unknown, nil, err
 		}
@@ -211,13 +209,14 @@ func CheckPreliminary(p *ast.Program, tgds []ast.TGD, opts Options) (chase.Verdi
 	if err != nil {
 		return chase.Unknown, nil, err
 	}
-	return s.CheckPreliminary(tgds, opts)
+	return s.CheckPreliminary(context.Background(), tgds, opts)
 }
 
 // CheckPreliminary is the session form of the package-level
 // CheckPreliminary; the depth-k unfolded preliminary program is prepared
-// once per session and reused across candidate tgds.
-func (s *Session) CheckPreliminary(tgds []ast.TGD, opts Options) (chase.Verdict, *Counterexample, error) {
+// once per session and reused across candidate tgds; ctx cancels it like
+// Check.
+func (s *Session) CheckPreliminary(ctx context.Context, tgds []ast.TGD, opts Options) (chase.Verdict, *Counterexample, error) {
 	depth := opts.Depth
 	if depth < 1 {
 		depth = 1
@@ -227,10 +226,10 @@ func (s *Session) CheckPreliminary(tgds []ast.TGD, opts Options) (chase.Verdict,
 		return chase.Unknown, nil, err
 	}
 	for _, tau := range tgds {
-		if err := eval.CtxErr(opts.Context); err != nil {
+		if err := eval.CtxErr(ctx); err != nil {
 			return chase.Unknown, nil, err
 		}
-		v, cex, err := checkTGDOnce(opts.Context, e.prep, e.idb, tau, e.opts, s.Tally())
+		v, cex, err := checkTGDOnce(ctx, e.prep, e.idb, tau, e.opts, s.Tally())
 		if err != nil {
 			return chase.Unknown, nil, err
 		}

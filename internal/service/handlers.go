@@ -86,7 +86,8 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 
 // writeError maps typed errors onto HTTP statuses and stable codes:
 // RequestError carries its own; a deadline maps to 504, cancellation to
-// 499, an exhausted derived-fact budget to 422.
+// 499, an exhausted derived-fact budget to 422, a fact batch or tenant
+// database contradicting a predicate's arity to 400.
 func (s *Server) writeError(w http.ResponseWriter, err error) {
 	s.errors.Add(1)
 	var re *RequestError
@@ -101,6 +102,8 @@ func (s *Server) writeError(w http.ResponseWriter, err error) {
 		writeJSON(w, 499, map[string]string{"error": "canceled", "message": err.Error()})
 	case errors.Is(err, eval.ErrBudget):
 		writeJSON(w, http.StatusUnprocessableEntity, map[string]string{"error": "budget_exhausted", "message": err.Error()})
+	case errors.Is(err, eval.ErrArity):
+		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "arity_mismatch", "message": err.Error()})
 	default:
 		writeJSON(w, http.StatusInternalServerError, map[string]string{"error": "internal", "message": err.Error()})
 	}

@@ -165,7 +165,10 @@ func (s *Server) LoadFacts(name, tenant, src string) (version, size int, err err
 // asserting a present one is a no-op, and a fact in both halves nets to
 // "present". Every live view of the tenant is maintained under the same
 // lock and its diff fanned out to subscribers, so changefeed frame order is
-// mutation order. Returns the new database version and its total size.
+// mutation order. A batch holding a fact whose arity contradicts the
+// tenant's relation (or an earlier fact of the batch) is rejected with an
+// error wrapping eval.ErrArity and stages nothing. Returns the new database
+// version and its total size.
 func (s *Server) MutateFacts(name, tenant, assertSrc, retractSrc string) (version, size int, err error) {
 	e := s.entry(name)
 	if e == nil {
@@ -182,15 +185,19 @@ func (s *Server) MutateFacts(name, tenant, assertSrc, retractSrc string) (versio
 		return 0, 0, err
 	}
 	t := e.tenants[tenant]
+	w := db.New()
+	if t != nil {
+		w = t.versions[t.latest].Thaw()
+	}
+	// The store panics on a tuple whose arity contradicts its relation, so a
+	// contradicting batch is refused whole, before the version chain moves.
+	delta := core.DatabaseDelta{Assert: asserts, Retract: retracts}
+	if err := delta.CheckArities(w); err != nil {
+		return 0, 0, err
+	}
 	if t == nil {
 		t = &tenantState{versions: make(map[int]*db.Snapshot), views: make(map[int]*liveView)}
 		e.tenants[tenant] = t
-	}
-	var w *db.Database
-	if cur := t.versions[t.latest]; cur != nil {
-		w = cur.Thaw()
-	} else {
-		w = db.New()
 	}
 	inAssert := make(map[string]bool, len(asserts))
 	for _, g := range asserts {
@@ -210,7 +217,7 @@ func (s *Server) MutateFacts(name, tenant, assertSrc, retractSrc string) (versio
 	}
 	t.latest++
 	t.versions[t.latest] = w.Freeze()
-	e.broadcastLocked(t, t.latest, core.DatabaseDelta{Assert: asserts, Retract: retracts})
+	e.broadcastLocked(t, t.latest, delta)
 	return t.latest, w.Len(), nil
 }
 

@@ -453,6 +453,50 @@ func TestServeErrors(t *testing.T) {
 	}
 }
 
+// TestServeArityMismatch pins the two wire-reachable arity contradictions as
+// typed 400s: a /facts batch against the tenant's existing relation, and a
+// loaded relation against the program evaluated over it. Neither may move
+// the tenant's version chain.
+func TestServeArityMismatch(t *testing.T) {
+	s := New()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	if code, resp := post(t, ts, "/v1/programs/p", map[string]any{"source": "T(x,y) :- E(x,y)."}); code != 200 {
+		t.Fatalf("register: %d %v", code, resp)
+	}
+	if code, resp := post(t, ts, "/v1/programs/p/facts", map[string]any{"tenant": "t", "assert": "E(1,2)."}); code != 200 {
+		t.Fatalf("facts: %d %v", code, resp)
+	}
+	for _, body := range []map[string]any{
+		{"tenant": "t", "assert": "E(1,2,3)."},
+		{"tenant": "t", "retract": "E(1)."},
+		{"tenant": "fresh", "assert": "E(1,2). E(1,2,3)."},
+	} {
+		code, resp := post(t, ts, "/v1/programs/p/facts", body)
+		if code != 400 || resp["error"] != "arity_mismatch" {
+			t.Fatalf("%v: %d %v, want 400 arity_mismatch", body, code, resp)
+		}
+	}
+	if code, resp := post(t, ts, "/v1/programs/p/eval", map[string]any{"tenant": "fresh"}); code != 404 {
+		t.Fatalf("rejected batch created a tenant version: %d %v", code, resp)
+	}
+	code, resp := post(t, ts, "/v1/programs/p/facts", map[string]any{"tenant": "t", "assert": "E(2,3)."})
+	if code != 200 || resp["db_version"] != float64(2) {
+		t.Fatalf("version chain moved by rejected batches: %d %v", code, resp)
+	}
+
+	// T/3 loads fine (the tenant has no T yet) but contradicts the head T/2.
+	if code, resp := post(t, ts, "/v1/programs/p/facts", map[string]any{"tenant": "u", "assert": "T(1,2,3). E(1,2)."}); code != 200 {
+		t.Fatalf("facts: %d %v", code, resp)
+	}
+	for _, path := range []string{"/v1/programs/p/eval", "/v1/programs/p/subscriptions"} {
+		code, resp := post(t, ts, path, map[string]any{"tenant": "u"})
+		if code != 400 || resp["error"] != "arity_mismatch" {
+			t.Fatalf("%s over T/3: %d %v, want 400 arity_mismatch", path, code, resp)
+		}
+	}
+}
+
 // TestServeVetAndExplain covers the two read-side endpoints.
 func TestServeVetAndExplain(t *testing.T) {
 	s := New()

@@ -1,6 +1,7 @@
 package unfold_test
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -115,14 +116,14 @@ func TestPipelineNeedsDepth2(t *testing.T) {
 	// End to end: the guard H(x) in R's recursive rule is removable under
 	// plain equivalence, but only a depth-2 pipeline can prove it.
 	p := depth2Program()
-	opt1, removals1, err := equivopt.Optimize(p, equivopt.Options{PrelimDepth: 1})
+	opt1, removals1, err := equivopt.Optimize(context.Background(), p, equivopt.Options{PrelimDepth: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(removals1) != 0 || !opt1.Equal(p) {
 		t.Fatalf("depth-1 pipeline should not fire: %+v", removals1)
 	}
-	opt2, removals2, err := equivopt.Optimize(p, equivopt.Options{PrelimDepth: 2})
+	opt2, removals2, err := equivopt.Optimize(context.Background(), p, equivopt.Options{PrelimDepth: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

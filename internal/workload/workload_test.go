@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -103,7 +104,7 @@ func TestInjectRedundantAtomsAreRedundant(t *testing.T) {
 			t.Fatalf("k=%d: injection changed semantics:\n%v", k, r)
 		}
 		// And the minimizer removes exactly k atoms.
-		min, trace, err := minimize.Rule(r, minimize.Options{})
+		min, trace, err := minimize.Rule(context.Background(), r, minimize.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -128,7 +129,7 @@ func TestInjectRedundantRulesAreRedundant(t *testing.T) {
 		if !eq {
 			t.Fatalf("k=%d: injected rules changed semantics:\n%v", k, p)
 		}
-		min, trace, err := minimize.Program(p, minimize.Options{})
+		min, trace, err := minimize.Program(context.Background(), p, minimize.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
