@@ -7,7 +7,7 @@ BENCHTIME ?= 0.3s
 # staticcheck pin for lint-ci; bump deliberately, not implicitly.
 STATICCHECK_VERSION ?= 2025.1
 
-.PHONY: all build vet datalog-vet test race race-service race-shard race-ivm serve-smoke bench bench-all experiments examples guard-one-join guard-ctx-arg lint lint-ci clean
+.PHONY: all build vet datalog-vet test race race-service race-shard race-ivm serve-smoke bench bench-all experiments examples guard-one-join guard-ctx-arg guard-no-batch-compact lint lint-ci clean
 
 all: build vet test
 
@@ -45,11 +45,13 @@ race-shard:
 
 # race-ivm race-checks the incremental view maintenance stack: the
 # counting/DRed maintenance engine and its randomized oracle grid, the
-# tombstone/compaction machinery in the store, the facade's View.Apply diffs
+# store's version chains (dead bitmaps, shared bases, flatten: the seeded
+# differential scripts of versions_test.go, with goroutines probing frozen
+# versions while the lineage writes), the facade's View.Apply diffs
 # (TestSessionMaterializeApply) and the subscription fan-out in the service
 # layer.
 race-ivm:
-	$(GO) test -race -run 'TestMaintain|TestCompact|TestRemove|TestFreeze|TestCounts|TestSession|TestSubscri|TestFactsEnvelope' ./internal/eval ./internal/db ./internal/core ./internal/service
+	$(GO) test -race -run 'TestMaintain|TestDeltaNet|TestVersions|TestMutationCost|TestReadPaths|TestMaxGenerated|TestCompact|TestRemove|TestFreeze|TestCounts|TestSession|TestSubscri|TestFactsEnvelope' ./internal/eval ./internal/db ./internal/core ./internal/service
 
 # serve-smoke boots `datalog serve` on an ephemeral port with a preloaded
 # program and drives a register/facts/eval/statz round-trip over HTTP.
@@ -91,10 +93,20 @@ guard-ctx-arg:
 		echo "a deleted evaluation switch is back (make guard-ctx-arg)" >&2; exit 1; \
 	fi
 
+# guard-no-batch-compact keeps compaction the store's decision: Freeze
+# flattens a relation when its tail and dead tuples outgrow their share
+# (internal/db/delete.go), and readers skip dead tuples, so nothing above the
+# store has a reason to ask — a Compact() call per batch is how a mutation
+# came to cost O(relation).
+guard-no-batch-compact:
+	@if grep -rnE '\.Compact\(\)' --include='*.go' internal/eval internal/service | grep -v '_test\.go:'; then \
+		echo "a Compact() call outside the store (make guard-no-batch-compact): when to compact is internal/db's decision" >&2; exit 1; \
+	fi
+
 # lint runs the guards and go vet always, and staticcheck when the binary is
 # on PATH (the dev container does not bake it in; lint-ci installs the pinned
 # version).
-lint: guard-one-join guard-ctx-arg
+lint: guard-one-join guard-ctx-arg guard-no-batch-compact
 	$(GO) vet ./...
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \

@@ -483,13 +483,18 @@ func BenchmarkStorageKernel(b *testing.B) {
 		d := mkDB()
 		rel := d.Relation("R")
 		d.EnsureIndex("R", []int{0})
-		cols := []int{0}
+		// As the kernel does: bind once per pass, seek per probe, and take
+		// the flat path on a flat relation.
+		p := rel.Prober([]int{0}, d.Round())
+		if !p.Flat() {
+			b.Fatal("freshly loaded relation is not flat")
+		}
 		key := []ast.Const{0}
 		b.ResetTimer()
 		var total int
 		for i := 0; i < b.N; i++ {
 			key[0] = ast.Int(int64(i % 500))
-			it := rel.ProbeIter(cols, key, d.Round())
+			it := p.SeekFlat(key)
 			for _, ok := it.Next(); ok; _, ok = it.Next() {
 				total++
 			}

@@ -6,6 +6,7 @@
 package db
 
 import (
+	"slices"
 	"sort"
 	"strings"
 
@@ -28,6 +29,8 @@ type Database struct {
 	// relations written since the last freeze instead of the whole map.
 	// Freeze shares every listed relation and resets the list.
 	dirty []string
+	// copied counts the tuples copy-on-write and flatten copied (TuplesCopied).
+	copied int
 }
 
 // New returns an empty database.
@@ -77,13 +80,10 @@ func (d *Database) AddTuple(pred string, args []ast.Const) bool {
 		d.dirty = append(d.dirty, pred)
 	}
 	if r.shared {
-		// Copy-on-write: the relation is shared with a frozen snapshot, so
-		// the first write to this predicate copies it. Shared relations
-		// therefore never grow — the invariant that keeps snapshot readers'
-		// lock-free probes valid.
-		r = r.clone()
-		d.rels[pred] = r
-		d.dirty = append(d.dirty, pred)
+		if _, present := r.lookupID(args); present {
+			return false // a duplicate must not cost a shared relation its copy
+		}
+		r = d.writable(pred, r)
 	}
 	if r.insert(args, d.round) {
 		d.size++
@@ -126,7 +126,7 @@ func (d *Database) Relation(pred string) *Relation { return d.rels[pred] }
 func (d *Database) Preds() []string {
 	preds := make([]string, 0, len(d.rels))
 	for p, r := range d.rels {
-		if r.Len()-r.ndead > 0 {
+		if r.Live() > 0 {
 			preds = append(preds, p)
 		}
 	}
@@ -138,11 +138,11 @@ func (d *Database) Preds() []string {
 func (d *Database) Len() int { return d.size }
 
 // Clone returns a writable copy of the database (round stamps included).
-// Private relations are deep-copied; relations shared with a frozen
-// snapshot are immutable, so the copy shares their storage and defers the
-// deep copy to the first write (copy-on-write via AddTuple). Cloning a
-// frozen database is therefore a map copy — the cheap path every
-// evaluation over a Snapshot takes.
+// Private relations are copied (Relation.clone); relations shared with a
+// frozen snapshot are immutable, so the copy shares them and the first write
+// to one stages its successor (copy-on-write via AddTuple). Cloning a frozen
+// database is therefore a map copy — the cheap path every evaluation over a
+// Snapshot takes.
 func (d *Database) Clone() *Database {
 	c := &Database{rels: make(map[string]*Relation, len(d.rels)), round: d.round, size: d.size}
 	for p, r := range d.rels {
@@ -162,11 +162,11 @@ func (d *Database) Clone() *Database {
 }
 
 // DirtyRelations returns the number of relations written since the last
-// freeze — the relations the next Freeze must compact and share.
+// freeze — the relations the next Freeze must seal and share.
 func (d *Database) DirtyRelations() int { return len(d.dirty) }
 
 // RelationCount returns the number of relations (predicates) held,
-// including tombstone-only ones.
+// including those whose every tuple is dead.
 func (d *Database) RelationCount() int { return len(d.rels) }
 
 // AddAll inserts every fact of other, returning the number of new facts.
@@ -175,7 +175,7 @@ func (d *Database) AddAll(other *Database) int {
 	for _, p := range other.Preds() {
 		r := other.rels[p]
 		for i := 0; i < r.Len(); i++ {
-			if r.alive(i) && d.AddTuple(p, r.Tuple(i)) {
+			if r.Alive(i) && d.AddTuple(p, r.Tuple(i)) {
 				added++
 			}
 		}
@@ -187,7 +187,7 @@ func (d *Database) AddAll(other *Database) int {
 func (d *Database) Contains(other *Database) bool {
 	for p, r := range other.rels {
 		for i := 0; i < r.Len(); i++ {
-			if r.alive(i) && !d.HasTuple(p, r.Tuple(i)) {
+			if r.Alive(i) && !d.HasTuple(p, r.Tuple(i)) {
 				return false
 			}
 		}
@@ -207,7 +207,7 @@ func (d *Database) Facts() []ast.GroundAtom {
 	for _, p := range d.Preds() {
 		r := d.rels[p]
 		for i := 0; i < r.Len(); i++ {
-			if !r.alive(i) {
+			if !r.Alive(i) {
 				continue
 			}
 			t := r.Tuple(i)
@@ -219,12 +219,47 @@ func (d *Database) Facts() []ast.GroundAtom {
 	return out
 }
 
+// SortedIDs appends to buf the ids of r's live tuples in canonical order —
+// ascending by arguments, compared constant by constant — and returns it.
+// The sort moves ids and compares in the arena: no tuple is materialized.
+func (r *Relation) SortedIDs(buf []int32) []int32 {
+	buf = buf[:0]
+	for i := 0; i < r.Len(); i++ {
+		if r.Alive(i) {
+			buf = append(buf, int32(i))
+		}
+	}
+	slices.SortFunc(buf, func(a, b int32) int {
+		return slices.Compare(r.Tuple(int(a)), r.Tuple(int(b)))
+	})
+	return buf
+}
+
+// SortedFacts returns every ground atom in canonical order: by predicate
+// name, then by arguments (SortedIDs). The atoms of one relation share one
+// backing array.
+func (d *Database) SortedFacts() []ast.GroundAtom {
+	out := make([]ast.GroundAtom, 0, d.size)
+	var ids []int32
+	for _, p := range d.Preds() {
+		r := d.rels[p]
+		ids = r.SortedIDs(ids)
+		args := make([]ast.Const, 0, len(ids)*r.arity)
+		for _, id := range ids {
+			n := len(args)
+			args = append(args, r.Tuple(int(id))...)
+			out = append(out, ast.GroundAtom{Pred: p, Args: args[n:len(args):len(args)]})
+		}
+	}
+	return out
+}
+
 // Consts returns the set of constants appearing in the database.
 func (d *Database) Consts() map[ast.Const]bool {
 	set := make(map[ast.Const]bool)
 	for _, r := range d.rels {
 		for i := 0; i < r.Len(); i++ {
-			if !r.alive(i) {
+			if !r.Alive(i) {
 				continue
 			}
 			for _, c := range r.Tuple(i) {
@@ -236,12 +271,15 @@ func (d *Database) Consts() map[ast.Const]bool {
 }
 
 // MaxGeneratedIndexes returns the largest frozen-constant index and labeled-
-// null index occurring in the database, or -1 when none occurs; generators
-// for fresh constants are seeded past these.
+// null index occurring in the database's (live) facts, or -1 when none
+// occurs; generators for fresh constants are seeded past these.
 func (d *Database) MaxGeneratedIndexes() (maxFrozen, maxNull int) {
 	maxFrozen, maxNull = -1, -1
 	for _, r := range d.rels {
 		for i := 0; i < r.Len(); i++ {
+			if !r.Alive(i) {
+				continue
+			}
 			for _, c := range r.Tuple(i) {
 				switch {
 				case ast.IsFrozen(c):
@@ -289,7 +327,7 @@ func (d *Database) Summarize() Summary {
 	s := Summary{Predicates: make(map[string]int), Facts: d.size}
 	for _, p := range d.Preds() {
 		r := d.rels[p]
-		s.Predicates[p] = r.Len() - r.ndead
+		s.Predicates[p] = r.Live()
 	}
 	s.Constants = len(d.Consts())
 	return s

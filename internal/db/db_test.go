@@ -202,7 +202,7 @@ func TestProbeIterInsertionOrderAndWindow(t *testing.T) {
 	rel := d.Relation("A")
 
 	collect := func(maxRound int32) []int32 {
-		it := rel.ProbeIter([]int{0}, []ast.Const{ast.Int(1)}, maxRound)
+		it := rel.Prober([]int{0}, maxRound).Seek([]ast.Const{ast.Int(1)})
 		var ids []int32
 		for id, ok := it.Next(); ok; id, ok = it.Next() {
 			ids = append(ids, id)
@@ -211,7 +211,7 @@ func TestProbeIterInsertionOrderAndWindow(t *testing.T) {
 	}
 	// Full window: all three, oldest first.
 	if got := collect(1); !reflect.DeepEqual(got, []int32{0, 1, 2}) {
-		t.Fatalf("ProbeIter full = %v", got)
+		t.Fatalf("probe, full window = %v", got)
 	}
 	// A probe whose window excludes the newest round must not force an
 	// index extension over it: freeze at round 0 boundary, then insert.
@@ -221,7 +221,7 @@ func TestProbeIterInsertionOrderAndWindow(t *testing.T) {
 	d2.BeginRound()
 	d2.Add(ga("B", 1, 9))
 	rel2 := d2.Relation("B")
-	it := rel2.ProbeIter([]int{0}, []ast.Const{ast.Int(1)}, 0)
+	it := rel2.Prober([]int{0}, 0).Seek([]ast.Const{ast.Int(1)})
 	var ids []int32
 	for id, ok := it.Next(); ok; id, ok = it.Next() {
 		ids = append(ids, id)

@@ -5,192 +5,165 @@ import "repro/internal/ast"
 // Fact-level deletion and derivation-count support for incremental view
 // maintenance (internal/eval's Maintained views).
 //
-// Deletion is two-phased to respect the columnar arena's invariants: a
-// remove tombstones the tuple (dedup slot cleared so Has/LookupID miss it
-// immediately, arena entry marked dead) and the arena is rewritten without
-// the dead tuples by compact — called explicitly or by Freeze, so shared
-// relations are always tombstone-free and round stamps stay non-decreasing.
-// Between the two phases, set-level readers (Has, Facts, Contains, Equal)
-// are exact; positional scans and index probes may still surface dead ids,
-// so evaluation must only run over compacted databases — the maintenance
-// layer compacts after every retraction batch, at the round boundary where
-// indexes are re-frozen anyway.
+// Removing a tuple sets its bit in the relation version's dead bitmap and
+// nothing else: the tuple keeps its id, its arena cells, its dedup slot and
+// its place in every index chain. The contract is on the readers — every one
+// of them skips dead ids: LookupID (and so Has, BumpCount, TupleCount) misses
+// them, the probe iterators step over them, set-level readers (Facts,
+// Contains, Consts, AddAll, MaxGeneratedIndexes) and id-range scans test
+// Relation.Alive. A relation with dead tuples is therefore a valid input to
+// evaluation, frozen or not, and a removed tuple's id is never reused: a
+// value removed and asserted again gets a fresh id at the end, exactly where
+// compaction-then-insert would have put it, so insertion order (Facts) does
+// not depend on when compaction runs.
 //
-// The counts column is the per-tuple derivation count of counting-based
-// maintenance: counts[i] travels with tuple i through clone and compact, so
-// a maintained output survives copy-on-write snapshots without a side table.
+// Compaction is flatten: rebuild one flat segment from the live tuples in id
+// order. When to run it is the store's decision, taken where a version is
+// sealed (Freeze) from the sizes it observes: a relation is flattened once
+// its tail or its dead tuples exceed 1/flattenShare of its ids. The tail
+// bound caps what a later copy-on-write copies, the dead bound the memory
+// removed tuples hold, and either way a flatten's n tuple copies are paid
+// for by the n/flattenShare writes since the last one. Compact is the
+// explicit "now".
+//
+// The counts column (counts.go) is the per-tuple derivation count of
+// counting-based maintenance: a count belongs to an id and travels with the
+// tuple through copy-on-write and flatten, so a maintained output survives
+// snapshots without a side table.
 
-// remove tombstones the tuple equal to args, returning false when absent.
-func (r *Relation) remove(args []ast.Const) bool {
-	if len(args) != r.arity || len(r.dedupSlot) == 0 {
-		return false
+// flattenShare is the inverse of the share of a relation's ids that may sit
+// in the tail, and of the share that may be dead, before the relation is
+// flattened.
+const flattenShare = 16
+
+// crowded is the one flatten inequality: tail ids and dead ids out of n.
+func crowded(tail, dead, n int) bool { return max(tail, dead)*flattenShare > n }
+
+// crowded reports whether the relation is due for a flatten.
+func (r *Relation) crowded() bool {
+	tail := 0
+	if r.base != nil {
+		tail = len(r.seg.rounds)
 	}
-	h := hashValues(args)
-	mask := uint64(len(r.dedupSlot) - 1)
-	for i := h & mask; ; i = (i + 1) & mask {
-		s := r.dedupSlot[i]
-		if s == 0 {
-			return false
-		}
-		if s == tombSlot {
-			continue
-		}
-		if r.dedupHash[i] == h && r.tupleEqual(s-1, args) {
-			r.dedupSlot[i] = tombSlot
-			r.dtombs++
-			if r.dead == nil {
-				r.dead = make([]bool, len(r.rounds))
-			}
-			r.dead[s-1] = true
-			r.ndead++
-			return true
-		}
-	}
+	return crowded(tail, r.ndead, r.Len())
 }
 
-// alive reports whether tuple i is not tombstoned.
-func (r *Relation) alive(i int) bool { return r.ndead == 0 || !r.dead[i] }
+// remove marks the live tuple id dead.
+func (r *Relation) remove(id int32) {
+	if r.dead == nil {
+		r.dead = make([]uint64, (r.Len()+63)>>6)
+	}
+	r.dead[id>>6] |= 1 << (uint(id) & 63)
+	r.ndead++
+}
 
-// Dead returns the number of tombstoned tuples awaiting compaction.
+// Dead returns the number of removed tuples still holding an id.
 func (r *Relation) Dead() int { return r.ndead }
 
-// compact rewrites the arena without the dead tuples: round stamps keep
-// their values (removing elements preserves the non-decreasing order), the
-// shard views are dropped, and the dedup table and column indexes are
-// repaired rather than rebuilt — slot positions depend only on tuple
-// hashes, not ids, so surviving entries just renumber to the shifted ids
-// (removal's tombstones already cleared the dead dedup slots, and emptied
-// index chains leave probe tombstones). The arena is shifted in place, in
-// bulk spans, with no reallocation. A maintenance Apply that retracts a
-// handful of facts from a large relation therefore pays a few memmoves and
-// two table sweeps instead of a full rehash of everything. Tables are only
-// rebuilt from scratch when accumulated tombstones would degrade probes.
-func (r *Relation) compact() {
-	if r.ndead == 0 {
-		return
-	}
+// flatten rebuilds the relation as one flat segment holding the live tuples
+// in id order, renumbered densely: round stamps keep their values (dropping
+// elements preserves the non-decreasing order), counts follow their tuples,
+// the dedup table and every column index either tier had are built afresh,
+// and the shard views are dropped. The relation must be private. It returns
+// the number of tuples copied.
+func (r *Relation) flatten() int {
 	if r.shared {
-		panic("db: compact on a shared relation")
+		panic("db: flatten of a shared relation")
 	}
-	deadIDs := make([]int32, 0, r.ndead)
-	// shiftOf[id] = number of dead tuples below id: the id renumbering every
-	// table repair below applies, precomputed once as a flat array so the
-	// per-entry sweeps are pure reads.
-	shiftOf := make([]int32, len(r.rounds)+1)
-	for i, dd := range r.dead {
-		shiftOf[i+1] = shiftOf[i]
-		if dd {
-			deadIDs = append(deadIDs, int32(i))
-			shiftOf[i+1]++
+	live := r.Live()
+	data := make([]ast.Const, 0, live*r.arity)
+	rounds := make([]int32, 0, live)
+	size := 16
+	for 4*(live+1) > 3*size {
+		size *= 2
+	}
+	hashes, slots := make([]uint64, size), make([]int32, size)
+	mask := uint64(size - 1)
+	var counts countCol
+	if r.counts.on() {
+		counts.enable(live)
+	}
+	for id, n := 0, r.Len(); id < n; id++ {
+		if !r.Alive(id) {
+			continue
 		}
-	}
-	dead := r.dead
-	// Shift the live spans between dead tuples down in bulk: a retraction
-	// batch kills a handful of tuples, so this is a few large memmoves, not
-	// one copy per surviving tuple.
-	n := len(r.rounds)
-	w := int(deadIDs[0])
-	for k, di := range deadIDs {
-		lo := int(di) + 1
-		hi := n
-		if k+1 < len(deadIDs) {
-			hi = int(deadIDs[k+1])
+		t := r.Tuple(id)
+		nid := int32(len(rounds))
+		data = append(data, t...)
+		rounds = append(rounds, r.RoundOf(id))
+		if counts.on() {
+			counts.pages[nid>>countPageBits][nid&countPageMask] = r.counts.get(int32(id))
 		}
-		if lo < hi {
-			copy(r.data[w*r.arity:], r.data[lo*r.arity:hi*r.arity])
-			copy(r.rounds[w:], r.rounds[lo:hi])
-			if r.counts != nil {
-				copy(r.counts[w:], r.counts[lo:hi])
-			}
-			w += hi - lo
-		}
-	}
-	r.data = r.data[:w*r.arity]
-	r.rounds = r.rounds[:w]
-	if r.counts != nil {
-		r.counts = r.counts[:w]
-	}
-	r.dead, r.ndead = nil, 0
-	if 4*r.dtombs > len(r.dedupSlot) {
-		r.rebuildDedup()
-	} else {
-		// Renumber live slots: id+1 minus the dead count below id. Ids below
-		// the first dead tuple keep their value and ids above the last shift
-		// by the full batch — register compares that skip the shiftOf load
-		// for every slot outside the dead span.
-		first, last := deadIDs[0], deadIDs[len(deadIDs)-1]
-		all := int32(len(deadIDs))
-		for j, s := range r.dedupSlot {
-			switch {
-			case s <= 0 || s-1 < first: // empty, tombstone, or below the span
-			case s-1 > last:
-				r.dedupSlot[j] = s - all
-			default:
-				r.dedupSlot[j] = s - shiftOf[s-1]
-			}
-		}
-	}
-	// Repair the column indexes in place (ids shifted, key hashes
-	// unchanged) instead of dropping them: rebuilding an index over a large
-	// maintained relation would re-hash every tuple on every small
-	// retraction batch. The relation is private (unshared), so no concurrent
-	// reader holds the index set.
-	if set := r.indexes.Load(); set != nil {
-		for _, ix := range set.idxs {
-			ix.compactIDs(dead, shiftOf, deadIDs[0], deadIDs[len(deadIDs)-1])
-		}
-	}
-	r.shardViews.Store(nil)
-}
-
-func (r *Relation) rebuildDedup() {
-	n := 16
-	for 4*(len(r.rounds)+1) > 3*n {
-		n *= 2
-	}
-	r.dedupHash = make([]uint64, n)
-	r.dedupSlot = make([]int32, n)
-	r.dtombs = 0
-	mask := uint64(n - 1)
-	for id := range r.rounds {
-		h := hashValues(r.Tuple(id))
+		// Live tuples are pairwise distinct: the first free slot is the tuple's.
+		h := hashValues(t)
 		i := h & mask
-		for r.dedupSlot[i] != 0 {
+		for slots[i] != 0 {
 			i = (i + 1) & mask
 		}
-		r.dedupHash[i] = h
-		r.dedupSlot[i] = int32(id) + 1
+		hashes[i], slots[i] = h, nid+1
 	}
+	var indexed [][]int
+	for _, s := range [2]*segment{r.base, &r.seg} {
+		if s == nil {
+			continue
+		}
+		if set := s.indexes.Load(); set != nil {
+			for _, ix := range set.idxs {
+				indexed = append(indexed, ix.cols)
+			}
+		}
+	}
+	r.base = nil
+	s := &r.seg
+	s.off, s.data, s.rounds, s.dedupHash, s.dedupSlot = 0, data, rounds, hashes, slots
+	s.indexes.Store(nil)
+	for _, cols := range indexed {
+		s.ensureIndexLocked(ColMask(cols), cols, false) // a repeat finds it built
+	}
+	r.dead, r.ndead = nil, 0
+	r.counts = counts
+	r.shardViews.Store(nil)
+	return live
 }
 
 // EnableCounts materializes the derivation-count column (all zeros when
 // first enabled). Idempotent.
 func (r *Relation) EnableCounts() {
-	if r.counts == nil {
-		r.counts = make([]int32, len(r.rounds))
+	if !r.counts.on() {
+		r.counts.enable(r.Len())
 	}
 }
 
 // HasCounts reports whether the derivation-count column is materialized.
-func (r *Relation) HasCounts() bool { return r.counts != nil }
+func (r *Relation) HasCounts() bool { return r.counts.on() }
 
 // CountOf returns tuple id's derivation count (0 when counts are disabled).
 func (r *Relation) CountOf(id int32) int32 {
-	if r.counts == nil {
+	if !r.counts.on() {
 		return 0
 	}
-	return r.counts[id]
+	return r.counts.get(id)
 }
 
-func (r *Relation) bumpCount(id int32, delta int32) int32 {
-	r.counts[id] += delta
-	return r.counts[id]
+// writable returns pred's relation ready for a write: a relation shared with
+// a frozen snapshot is replaced by its private successor first
+// (copy-on-write), which puts the predicate on the dirty list. Shared
+// relations therefore never change — the invariant that keeps snapshot
+// readers' lock-free probes valid.
+func (d *Database) writable(pred string, r *Relation) *Relation {
+	if !r.shared {
+		return r
+	}
+	r, copied := r.successor()
+	d.copied += copied
+	d.rels[pred] = r
+	d.dirty = append(d.dirty, pred)
+	return r
 }
 
 // Remove deletes a ground atom, returning true if it was present. Like
-// AddTuple, the first write to a relation shared with a frozen snapshot
-// copies it (copy-on-write); the tuple is tombstoned until the next Compact
-// or Freeze.
+// AddTuple, the first write to a relation shared with a frozen snapshot goes
+// to a private successor (copy-on-write).
 func (d *Database) Remove(g ast.GroundAtom) bool {
 	return d.RemoveTuple(g.Pred, g.Args)
 }
@@ -204,41 +177,39 @@ func (d *Database) RemoveTuple(pred string, args []ast.Const) bool {
 	if !ok || r.arity != len(args) {
 		return false
 	}
-	if r.shared {
-		if _, present := r.lookupID(args); !present {
-			return false
-		}
-		r = r.clone()
-		d.rels[pred] = r
-		d.dirty = append(d.dirty, pred)
+	id, present := r.lookupID(args)
+	if !present {
+		return false // before writable: an absent tuple must not cost a shared relation its copy
 	}
-	if r.remove(args) {
-		d.size--
-		return true
-	}
-	return false
+	d.writable(pred, r).remove(id) // a successor keeps every id
+	d.size--
+	return true
 }
 
-// Compact rewrites every relation with pending tombstones (see
-// Relation.compact). Call at a round boundary, before the next evaluation
-// probes or scans the database. Only dirty relations are visited: a shared
-// relation is tombstone-free by construction (RemoveTuple copies before the
-// first tombstone, putting the predicate on the dirty list).
+// Compact flattens, now, every relation written since the last freeze that
+// has a tail or dead tuples (see Relation.flatten); Freeze does the same
+// only to the relations past the flatten threshold. Nothing requires a call
+// — readers skip dead tuples — it trades a rebuild for the memory they hold.
 func (d *Database) Compact() {
 	if d.frozen {
-		return // frozen relations are tombstone-free by construction
+		return // a frozen database is immutable, its dead tuples included
 	}
 	for _, p := range d.dirty {
-		if r := d.rels[p]; !r.shared {
-			r.compact()
+		if r := d.rels[p]; !r.shared && (r.base != nil || r.ndead > 0) {
+			d.copied += r.flatten()
 		}
 	}
 }
+
+// TuplesCopied returns how many tuples the store physically copied on this
+// database's behalf since it was created or cloned: the tails duplicated by
+// copy-on-write and the live tuples rebuilt by flatten.
+func (d *Database) TuplesCopied() int { return d.copied }
 
 // BumpCount adjusts the derivation count of an existing tuple by delta and
 // returns the new count, materializing the count column on first use and
-// copying a shared relation first (copy-on-write). ok=false when the tuple
-// is absent.
+// staging a shared relation's successor first (copy-on-write). ok=false when
+// the tuple is absent.
 func (d *Database) BumpCount(pred string, args []ast.Const, delta int32) (int32, bool) {
 	if d.frozen {
 		panic("db: write to a frozen database (stage changes through Snapshot.Thaw)")
@@ -251,13 +222,9 @@ func (d *Database) BumpCount(pred string, args []ast.Const, delta int32) (int32,
 	if !present {
 		return 0, false
 	}
-	if r.shared {
-		r = r.clone()
-		d.rels[pred] = r
-		d.dirty = append(d.dirty, pred)
-	}
+	r = d.writable(pred, r)
 	r.EnableCounts()
-	return r.bumpCount(id, delta), true
+	return r.counts.add(id, delta), true
 }
 
 // TupleCount returns the derivation count of a tuple; ok=false when absent.

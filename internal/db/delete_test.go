@@ -163,10 +163,10 @@ func TestCountsColumn(t *testing.T) {
 	}
 }
 
-// TestCompactRepairsIndexes pins the in-place compaction repair: column
-// indexes and the dedup table built before a removal batch stay exact after
-// Compact (ids renumbered, dead tuples unlinked, emptied keys tombstoned)
-// with no rebuild, and keep extending correctly afterwards.
+// TestCompactRepairsIndexes pins compaction's effect on the tables: column
+// indexes and the dedup table built before a removal batch are exact after
+// Compact (ids renumbered densely, dead tuples gone, emptied keys absent) on
+// the same *Relation, and keep extending correctly afterwards.
 func TestCompactRepairsIndexes(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	d := New()
@@ -214,7 +214,7 @@ func TestCompactRepairsIndexes(t *testing.T) {
 			ref[key] = true
 		}
 		if op == 100 {
-			// Build the index early so every later compaction repairs it.
+			// Build the index early so every later compaction rebuilds it.
 			d.Relation("e").EnsureIndex([]int{0})
 		}
 		if rng.Intn(40) == 0 {
@@ -224,8 +224,8 @@ func TestCompactRepairsIndexes(t *testing.T) {
 	}
 	d.Compact()
 	check(-1)
-	// Kill every tuple of one key: its slot must tombstone, probes for the
-	// other keys keep working, and re-adding the key finds a fresh slot.
+	// Kill every tuple of one key: probes for it come back empty, probes for
+	// the other keys keep working, and re-adding the key finds it again.
 	rel := d.Relation("e")
 	for key := range ref {
 		if key[0] == 3 {

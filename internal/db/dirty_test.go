@@ -107,8 +107,8 @@ func TestCloneCarriesDirtySet(t *testing.T) {
 	}
 }
 
-// TestCompactWalksDirtyOnly: tombstones only ever live in dirty relations,
-// so the dirty-walking Compact must still sweep them all.
+// TestCompactWalksDirtyOnly: Compact flattens the relations written since the
+// last freeze, which is where a staged batch's removals are.
 func TestCompactWalksDirtyOnly(t *testing.T) {
 	d := New()
 	d.Add(gat("A", 1))

@@ -53,7 +53,7 @@ func MatchAtom(d *Database, atom ast.Atom, w RoundWindow, b ast.Binding, f func(
 		}
 	}
 	try := func(id int32) bool {
-		if !w.Contains(rel.rounds[id]) {
+		if !w.Contains(rel.RoundOf(int(id))) {
 			return true
 		}
 		added, ok := atom.MatchGround(atom.Pred, rel.Tuple(int(id)), b)
@@ -68,7 +68,7 @@ func MatchAtom(d *Database, atom ast.Atom, w RoundWindow, b ast.Binding, f func(
 	}
 	if len(cols) == 0 {
 		for id := 0; id < rel.Len(); id++ {
-			if !try(int32(id)) {
+			if rel.Alive(id) && !try(int32(id)) {
 				return false
 			}
 		}
@@ -82,7 +82,7 @@ func MatchAtom(d *Database, atom ast.Atom, w RoundWindow, b ast.Binding, f func(
 		}
 		return try(id)
 	}
-	it := rel.ProbeIter(cols, key, w.Max)
+	it := rel.Prober(cols, w.Max).Seek(key)
 	for id, ok := it.Next(); ok; id, ok = it.Next() {
 		if !try(id) {
 			return false

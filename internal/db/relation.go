@@ -9,69 +9,94 @@ import (
 	"repro/internal/ast"
 )
 
-// Relation stores the tuples of one predicate in a flat columnar arena:
-// tuple i occupies data[i*arity : (i+1)*arity], stamped with the round it
-// was inserted in. Deduplication and the per-column-set join indexes are
-// open-addressing hash tables keyed by a 64-bit hash of the ast.Const
-// values, with collisions resolved by comparing directly against the arena
-// — no string keys are materialized anywhere on the insert or probe path.
+// Relation stores the tuples of one predicate in flat columnar arenas: a
+// tuple is a run of arity constants, stamped with the round it was inserted
+// in. Deduplication and the per-column-set join indexes are open-addressing
+// hash tables keyed by a 64-bit hash of the ast.Const values, with collisions
+// resolved by comparing directly against the arena — no string keys are
+// materialized anywhere on the insert or probe path.
 //
-// Concurrency model: mutation (insert) is single-threaded. Index reads are
-// lock-free; indexes are built or extended either explicitly at round
-// boundaries (EnsureIndex, driven by eval's freeze step) or lazily under mu
-// when a probe's round window can actually see unindexed tuples. During a
-// parallel evaluation round the freeze step guarantees every index a probe
-// will touch is complete, so probes never take the lock. On a shared
-// relation a published index is never mutated: lazy extension clones it and
-// republishes the index set (copy-on-extend), so concurrent snapshot
-// readers can keep probing the old copy lock-free.
+// A relation version has up to two tiers. A flat relation keeps everything
+// in seg. The first write to a large relation shared with a frozen snapshot
+// does not copy it: the successor version points at the frozen version's
+// segment as its immutable base and collects its own inserts in a fresh seg
+// — the tail, holding the ids from seg.off up — so versions share the base by pointer and a
+// later copy-on-write copies the tail only. Removal never touches a tier: it
+// sets the tuple's bit in the version's dead bitmap, and every reader skips
+// dead ids (Alive). Each tier's dedup table holds one slot per distinct
+// tuple value, pointing at the value's newest id in that tier; older ids of
+// the same value are dead. flatten rebuilds one flat segment from the live
+// tuples in id order — insertion order — which is the only compaction there
+// is (see delete.go for when it runs).
+//
+// Concurrency model: mutation (insert, remove) is single-threaded. Index
+// reads are lock-free; indexes are built or extended either explicitly at
+// round boundaries (EnsureIndex, driven by eval's freeze step) or lazily
+// under the segment's mutex when a probe's round window can actually see
+// unindexed tuples. During a parallel evaluation round the freeze step
+// guarantees every index a probe will touch is complete, so probes never
+// take the lock. On a shared segment — a frozen version's seg, and every
+// base — a published index is never mutated: lazy extension clones it and
+// republishes the index set (copy-on-extend), so concurrent snapshot readers
+// can keep probing the old copy lock-free.
 type Relation struct {
-	arity  int
-	data   []ast.Const // arena: tuple i at [i*arity : (i+1)*arity]
-	rounds []int32     // round stamp per tuple; non-decreasing
+	arity int
+	seg   segment  // the whole relation when flat, the tail over base otherwise
+	base  *segment // immutable lower tier, holding the ids below seg.off, shared between versions; nil when flat
 
-	// counts, when non-nil, is the per-tuple derivation-count column used by
-	// the counting maintenance of internal/eval: counts[i] belongs to tuple i
-	// and moves with it through clone and compact. nil for relations no
-	// maintained view tracks.
-	counts []int32
+	// counts is the per-tuple derivation-count column used by the counting
+	// maintenance of internal/eval (see counts.go): one count per id, shared
+	// page-wise between versions. Disabled for relations no maintained view
+	// tracks.
+	counts countCol
 
-	// Tombstone state between a remove and the next compact: dead[i] marks
-	// tuple i deleted (len(dead) == len(rounds) while ndead > 0). Deleted
-	// tuples stay in the arena — scans over Facts/Contains skip them — until
-	// compact rewrites the arena without them at the next round boundary.
-	dead  []bool
+	// dead is the version's tombstone bitmap over the ids of both tiers, nil
+	// while no tuple is dead and always private to the version (a
+	// copy-on-write copies it); ndead counts its set bits.
+	dead  []uint64
 	ndead int
 
+	// shardViews is the immutable set of shard-ownership assignments built
+	// over the ids (see shard.go), swapped atomically so the sharded
+	// evaluator's in-round ownership tests are lock-free reads. A new version
+	// starts with none and rebuilds on demand; mu serializes the builds.
+	shardViews atomic.Pointer[shardSet]
+	mu         sync.Mutex
+
+	// shared marks a relation referenced by a frozen Snapshot: its tuple
+	// set is immutable (Database.AddTuple stages a successor before the
+	// first write), so any number of goroutines may scan, probe and build
+	// indexes on it concurrently. Set under Freeze's happens-before edge; a
+	// successor is born private.
+	shared bool
+}
+
+// segment is one tier of a relation: an arena with its round stamps, dedup
+// table and column indexes. Ids are relation-wide, so a tail segment starts
+// at off = len(base); tables store ids, per-tuple columns are indexed by
+// id - off.
+type segment struct {
+	arity  int
+	off    int32       // id of the segment's first tuple
+	data   []ast.Const // arena: tuple id at [(id-off)*arity : (id-off+1)*arity]
+	rounds []int32     // round stamp per tuple; non-decreasing
+
 	// Dedup table: open addressing, power-of-two sized. dedupSlot holds
-	// tuple id + 1 (0 = empty, tombSlot = deleted; dtombs counts the
-	// latter); dedupHash caches the full-tuple hash for cheap rejects and
-	// rehashing.
+	// tuple id + 1 (0 = empty); dedupHash caches the full-tuple hash for
+	// cheap rejects and rehashing.
 	dedupHash []uint64
 	dedupSlot []int32
-	dtombs    int
 
 	// indexes is an immutable snapshot of the column indexes, swapped
 	// atomically when an index is added so lock-free readers never observe
 	// a map mutation. The set is tiny (one entry per distinct bound-column
 	// mask), so lookup is a linear scan.
 	indexes atomic.Pointer[indexSet]
-	// shardViews is the immutable set of shard-ownership assignments built
-	// over the arena (see shard.go), swapped atomically like indexes so the
-	// sharded evaluator's in-round ownership tests are lock-free reads. A
-	// clone starts with none and rebuilds on demand.
-	shardViews atomic.Pointer[shardSet]
 	// mu serializes index creation and lazy extension for out-of-band
 	// callers (MatchIDs on a stale relation); the evaluation hot path never
-	// takes it.
+	// takes it. It lives in the segment because versions sharing a base
+	// build its indexes for each other.
 	mu sync.Mutex
-
-	// shared marks a relation referenced by a frozen Snapshot: its tuple
-	// set is immutable (Database.AddTuple copies it before the first
-	// write), so any number of goroutines may scan, probe and build
-	// indexes on it concurrently. Set under Freeze's happens-before edge,
-	// cleared implicitly by clone (a fresh copy is private).
-	shared bool
 }
 
 // indexSet is an immutable (mask → index) association list.
@@ -89,61 +114,89 @@ func (s *indexSet) find(mask uint64) *colIndex {
 	return nil
 }
 
-// colIndex is a hash index over a fixed set of columns. Each distinct
-// projected key owns one table slot holding the first and last tuple id
-// carrying that key; tuples sharing a key are chained in insertion order
-// through next. built records how many tuples have been incorporated, so
-// the index extends incrementally as the relation grows. Compaction repairs
-// the index in place (compactIDs); a key whose every tuple died leaves a
-// headTomb slot that probes walk past — the probe-chain tombstone that keeps
-// open addressing sound without rehashing the table.
+// colIndex is a hash index over a fixed set of columns of one segment. Each
+// distinct projected key owns one table slot holding the first and last
+// tuple id carrying that key; tuples sharing a key are chained in insertion
+// order through next. built records how many of the segment's tuples have
+// been incorporated, so the index extends incrementally as the segment
+// grows. Dead tuples stay chained; iterators skip them.
 type colIndex struct {
 	cols   []int
 	hashes []uint64
-	heads  []int32 // tuple id + 1; 0 = empty slot, headTomb = emptied key
+	heads  []int32 // tuple id + 1; 0 = empty slot
 	tails  []int32 // tuple id + 1 of the chain tail
 	keys   int     // number of distinct keys
-	tombs  int     // headTomb slots awaiting the next grow
-	next   []int32 // next[id] = next tuple id with the same key, -1 = end
+	next   []int32 // next[id-off] = next tuple id with the same key, -1 = end
 	built  int
 }
 
-// headTomb marks a slot whose key lost its last tuple to compaction: probes
-// walk past it (the slot may sit mid-chain for other keys) and grow drops
-// it.
-const headTomb = int32(-1)
-
 func newRelation(arity int) *Relation {
-	return &Relation{arity: arity}
+	r := &Relation{arity: arity}
+	r.seg.arity = arity
+	return r
 }
 
 // Arity returns the number of columns.
 func (r *Relation) Arity() int { return r.arity }
 
-// Len returns the number of tuples.
-func (r *Relation) Len() int { return len(r.rounds) }
+// Len returns the number of tuple ids, dead ones included: ids run over
+// [0, Len()) and Alive tells which still hold a tuple.
+func (r *Relation) Len() int { return int(r.seg.off) + len(r.seg.rounds) }
 
-// LenAt returns the length of the prefix of tuples whose round stamp is
-// ≤ maxRound. Round stamps are non-decreasing with insertion order, so this
-// prefix is exactly the set of tuples a round window [0, maxRound] can see;
-// the streaming executor's scans iterate [0, LenAt) with no per-tuple round
-// check.
-func (r *Relation) LenAt(maxRound int32) int {
-	n := len(r.rounds)
-	if n == 0 || r.rounds[n-1] <= maxRound {
+// Live returns the number of tuples.
+func (r *Relation) Live() int { return r.Len() - r.ndead }
+
+// Alive reports whether id i holds a tuple (it was not removed). Positional
+// readers — id-range scans — must skip the ids it rejects; LookupID and the
+// probe iterators already do.
+func (r *Relation) Alive(i int) bool {
+	return r.dead == nil || r.dead[i>>6]&(1<<(uint(i)&63)) == 0
+}
+
+func (s *segment) lenAt(maxRound int32) int {
+	n := len(s.rounds)
+	if n == 0 || s.rounds[n-1] <= maxRound {
 		return n
 	}
-	return sort.Search(n, func(i int) bool { return r.rounds[i] > maxRound })
+	return sort.Search(n, func(i int) bool { return s.rounds[i] > maxRound })
+}
+
+// LenAt returns the length of the prefix of ids whose round stamp is
+// ≤ maxRound. Round stamps are non-decreasing with insertion order (across
+// the tiers too: a tail is written at or after its base's last round), so
+// this prefix is exactly the set of tuples a round window [0, maxRound] can
+// see; the streaming executor's scans iterate [0, LenAt) with no per-tuple
+// round check.
+func (r *Relation) LenAt(maxRound int32) int {
+	k := r.seg.lenAt(maxRound)
+	if k == 0 && r.base != nil {
+		return r.base.lenAt(maxRound)
+	}
+	return int(r.seg.off) + k
+}
+
+func (s *segment) tuple(id int) []ast.Const {
+	i := id - int(s.off)
+	return s.data[i*s.arity : (i+1)*s.arity : (i+1)*s.arity]
 }
 
 // Tuple returns the i-th tuple as a view into the arena. The returned slice
 // is owned by the relation and must not be modified.
 func (r *Relation) Tuple(i int) []ast.Const {
-	return r.data[i*r.arity : (i+1)*r.arity : (i+1)*r.arity]
+	if i < int(r.seg.off) {
+		return r.base.tuple(i)
+	}
+	i -= int(r.seg.off)
+	return r.seg.data[i*r.arity : (i+1)*r.arity : (i+1)*r.arity]
 }
 
 // RoundOf returns the round stamp of the i-th tuple.
-func (r *Relation) RoundOf(i int) int32 { return r.rounds[i] }
+func (r *Relation) RoundOf(i int) int32 {
+	if i < int(r.seg.off) {
+		return r.base.rounds[i]
+	}
+	return r.seg.rounds[i-int(r.seg.off)]
+}
 
 // Tuple hashing: one multiply-xorshift mix per constant (splitmix64-style),
 // finalized with a single avalanche. hashValues over a projected key and
@@ -172,65 +225,77 @@ func hashValues(vals []ast.Const) uint64 {
 // hash function with the relation tables.
 func HashTuple(vals []ast.Const) uint64 { return hashValues(vals) }
 
-func (r *Relation) hashProj(id int32, cols []int) uint64 {
-	base := int(id) * r.arity
+func (s *segment) hashProj(id int32, cols []int) uint64 {
+	base := int(id-s.off) * s.arity
 	h := uint64(hashSeed)
 	for _, c := range cols {
-		h = mixConst(h, r.data[base+c])
+		h = mixConst(h, s.data[base+c])
 	}
 	return h ^ h>>32
 }
 
-func (r *Relation) tupleEqual(id int32, args []ast.Const) bool {
-	base := int(id) * r.arity
+func (s *segment) tupleEqual(id int32, args []ast.Const) bool {
+	base := int(id-s.off) * s.arity
 	for j, v := range args {
-		if r.data[base+j] != v {
+		if s.data[base+j] != v {
 			return false
 		}
 	}
 	return true
 }
 
-func (r *Relation) projEqual(id int32, cols []int, key []ast.Const) bool {
-	base := int(id) * r.arity
+func (s *segment) projEqual(id int32, cols []int, key []ast.Const) bool {
+	base := int(id-s.off) * s.arity
 	for j, c := range cols {
-		if r.data[base+c] != key[j] {
+		if s.data[base+c] != key[j] {
 			return false
 		}
 	}
 	return true
 }
 
-func (r *Relation) projEqualTuples(a, b int32, cols []int) bool {
-	ba, bb := int(a)*r.arity, int(b)*r.arity
+func (s *segment) projEqualTuples(a, b int32, cols []int) bool {
+	ba, bb := int(a-s.off)*s.arity, int(b-s.off)*s.arity
 	for _, c := range cols {
-		if r.data[ba+c] != r.data[bb+c] {
+		if s.data[ba+c] != s.data[bb+c] {
 			return false
 		}
 	}
 	return true
 }
 
-// tombSlot marks a dedup slot whose tuple was deleted: probes walk past it,
-// inserts may reuse it.
-const tombSlot = int32(-1)
-
-// lookupID probes the dedup table for a tuple equal to args.
-func (r *Relation) lookupID(args []ast.Const) (int32, bool) {
-	if len(r.dedupSlot) == 0 {
-		return 0, false
+// find probes the segment's dedup table for the tuple equal to args, whose
+// hash is h: the id the value's slot points at (dead or alive), or -1.
+func (s *segment) find(h uint64, args []ast.Const) int32 {
+	if len(s.dedupSlot) == 0 {
+		return -1
 	}
-	h := hashValues(args)
-	mask := uint64(len(r.dedupSlot) - 1)
+	mask := uint64(len(s.dedupSlot) - 1)
 	for i := h & mask; ; i = (i + 1) & mask {
-		s := r.dedupSlot[i]
-		if s == 0 {
-			return 0, false
+		id := s.dedupSlot[i] - 1
+		if id < 0 {
+			return -1
 		}
-		if s != tombSlot && r.dedupHash[i] == h && r.tupleEqual(s-1, args) {
-			return s - 1, true
+		if s.dedupHash[i] == h && s.tupleEqual(id, args) {
+			return id
 		}
 	}
+}
+
+// lookupID probes for a live tuple equal to args. A value removed from the
+// base and asserted again lives in the tail, so a dead base hit falls
+// through.
+func (r *Relation) lookupID(args []ast.Const) (int32, bool) {
+	h := hashValues(args)
+	if r.base != nil {
+		if id := r.base.find(h, args); id >= 0 && r.Alive(int(id)) {
+			return id, true
+		}
+	}
+	if id := r.seg.find(h, args); id >= 0 && r.Alive(int(id)) {
+		return id, true
+	}
+	return 0, false
 }
 
 // LookupID returns the id of the tuple equal to args, if present. It is the
@@ -246,95 +311,115 @@ func (r *Relation) insert(args []ast.Const, round int32) bool {
 	if len(args) != r.arity {
 		panic("db: tuple arity mismatch")
 	}
-	if 4*(len(r.rounds)-r.ndead+r.dtombs+1) > 3*len(r.dedupSlot) {
-		r.growDedup()
-	}
 	h := hashValues(args)
-	mask := uint64(len(r.dedupSlot) - 1)
+	if r.base != nil {
+		if id := r.base.find(h, args); id >= 0 && r.Alive(int(id)) {
+			return false
+		}
+	}
+	s := &r.seg
+	// Every insert claims at most one slot, so the tuple count bounds the load.
+	if 4*(len(s.rounds)+1) > 3*len(s.dedupSlot) {
+		s.growDedup()
+	}
+	mask := uint64(len(s.dedupSlot) - 1)
 	i := h & mask
-	free := int64(-1)
 	for {
-		s := r.dedupSlot[i]
-		if s == 0 {
+		slot := s.dedupSlot[i]
+		if slot == 0 {
 			break
 		}
-		if s == tombSlot {
-			if free < 0 {
-				free = int64(i)
+		if s.dedupHash[i] == h && s.tupleEqual(slot-1, args) {
+			if r.Alive(int(slot - 1)) {
+				return false
 			}
-		} else if r.dedupHash[i] == h && r.tupleEqual(s-1, args) {
-			return false
+			break // a removed copy of the value: its slot moves to the new id
 		}
 		i = (i + 1) & mask
 	}
-	if free >= 0 {
-		i = uint64(free)
-		r.dtombs--
+	id := r.Len()
+	s.data = append(s.data, args...)
+	s.rounds = append(s.rounds, round)
+	if r.counts.on() {
+		r.counts.push(id)
 	}
-	id := int32(len(r.rounds))
-	r.data = append(r.data, args...)
-	r.rounds = append(r.rounds, round)
-	if r.counts != nil {
-		r.counts = append(r.counts, 0)
+	if r.dead != nil && id>>6 >= len(r.dead) {
+		r.dead = append(r.dead, 0)
 	}
-	if r.dead != nil {
-		r.dead = append(r.dead, false)
-	}
-	r.dedupHash[i] = h
-	r.dedupSlot[i] = id + 1
+	s.dedupHash[i] = h
+	s.dedupSlot[i] = int32(id) + 1
 	return true
 }
 
-func (r *Relation) growDedup() {
-	n := 2 * len(r.dedupSlot)
+func (s *segment) growDedup() {
+	n := 2 * len(s.dedupSlot)
 	if n < 16 {
 		n = 16
 	}
 	hashes := make([]uint64, n)
 	slots := make([]int32, n)
 	mask := uint64(n - 1)
-	for i, s := range r.dedupSlot {
-		if s <= 0 {
+	for i, slot := range s.dedupSlot {
+		if slot == 0 {
 			continue
 		}
-		h := r.dedupHash[i]
+		h := s.dedupHash[i]
 		j := h & mask
 		for slots[j] != 0 {
 			j = (j + 1) & mask
 		}
 		hashes[j] = h
-		slots[j] = s
+		slots[j] = slot
 	}
-	r.dedupHash = hashes
-	r.dedupSlot = slots
-	r.dtombs = 0
+	s.dedupHash = hashes
+	s.dedupSlot = slots
 }
 
-// clone deep-copies the relation, index state included: the arena, round
-// stamps and dedup table are flat slices (one memcpy each), and carrying the
-// column indexes over spares clone-heavy callers (minimize, chase, equivopt)
-// from rebuilding them on the first probe of every copy.
-func (r *Relation) clone() *Relation {
-	c := &Relation{arity: r.arity, ndead: r.ndead, dtombs: r.dtombs}
-	c.data = append([]ast.Const(nil), r.data...)
-	c.rounds = append([]int32(nil), r.rounds...)
-	if r.counts != nil {
-		c.counts = append([]int32(nil), r.counts...)
-	}
-	if r.dead != nil {
-		c.dead = append([]bool(nil), r.dead...)
-	}
-	c.dedupHash = append([]uint64(nil), r.dedupHash...)
-	c.dedupSlot = append([]int32(nil), r.dedupSlot...)
-	if set := r.indexes.Load(); set != nil {
+// cloneInto deep-copies the segment into dst, index state included: the
+// arena, round stamps and dedup table are flat slices (one memcpy each), and
+// carrying the column indexes over spares clone-heavy callers (minimize,
+// chase, equivopt) from rebuilding them on the first probe of every copy.
+func (s *segment) cloneInto(dst *segment) {
+	dst.arity, dst.off = s.arity, s.off
+	dst.data = append([]ast.Const(nil), s.data...)
+	dst.rounds = append([]int32(nil), s.rounds...)
+	dst.dedupHash = append([]uint64(nil), s.dedupHash...)
+	dst.dedupSlot = append([]int32(nil), s.dedupSlot...)
+	if set := s.indexes.Load(); set != nil {
 		ns := &indexSet{masks: append([]uint64(nil), set.masks...)}
 		ns.idxs = make([]*colIndex, len(set.idxs))
 		for i, ix := range set.idxs {
 			ns.idxs[i] = ix.clone()
 		}
-		c.indexes.Store(ns)
+		dst.indexes.Store(ns)
 	}
+}
+
+// clone returns a private copy of the relation: the base is shared, seg —
+// all of a flat relation, the tail of a two-tier one — and the dead bitmap
+// are copied.
+func (r *Relation) clone() *Relation {
+	c := &Relation{arity: r.arity, base: r.base, ndead: r.ndead}
+	r.seg.cloneInto(&c.seg)
+	c.dead = append([]uint64(nil), r.dead...)
+	c.counts = r.counts.clone(r.shared)
 	return c
+}
+
+// successor returns the private relation a write to shared r goes to, and
+// how many tuples making it copied. A flat relation becomes the base of an
+// empty tail, copying no tuple, unless it is so small that this first write
+// already makes it due for a flatten (crowded): then, as for a relation that
+// has a tail, the copy is clone's.
+func (r *Relation) successor() (*Relation, int) {
+	if r.base != nil || crowded(1, r.ndead+1, r.Len()) {
+		return r.clone(), len(r.seg.rounds)
+	}
+	c := &Relation{arity: r.arity, base: &r.seg, ndead: r.ndead}
+	c.seg.arity, c.seg.off = r.arity, int32(r.Len())
+	c.dead = append([]uint64(nil), r.dead...)
+	c.counts = r.counts.clone(true)
+	return c, 0
 }
 
 func (ix *colIndex) clone() *colIndex {
@@ -344,7 +429,6 @@ func (ix *colIndex) clone() *colIndex {
 		heads:  append([]int32(nil), ix.heads...),
 		tails:  append([]int32(nil), ix.tails...),
 		keys:   ix.keys,
-		tombs:  ix.tombs,
 		next:   append([]int32(nil), ix.next...),
 		built:  ix.built,
 	}
@@ -359,15 +443,15 @@ func ColMask(cols []int) uint64 {
 	return mask
 }
 
-// extend incorporates tuples [built, r.Len()) into the index.
-func (ix *colIndex) extend(r *Relation) {
-	n := r.Len()
+// extend incorporates the segment's tuples [built, len) into the index.
+func (ix *colIndex) extend(s *segment) {
+	n := len(s.rounds)
 	for ix.built < n {
-		if 4*(ix.keys+ix.tombs+1) > 3*len(ix.heads) {
+		if 4*(ix.keys+1) > 3*len(ix.heads) {
 			ix.grow()
 		}
-		id := int32(ix.built)
-		h := r.hashProj(id, ix.cols)
+		id := s.off + int32(ix.built)
+		h := s.hashProj(id, ix.cols)
 		mask := uint64(len(ix.heads) - 1)
 		i := h & mask
 		for {
@@ -379,8 +463,8 @@ func (ix *colIndex) extend(r *Relation) {
 				ix.keys++
 				break
 			}
-			if head != headTomb && ix.hashes[i] == h && r.projEqualTuples(head-1, id, ix.cols) {
-				ix.next[ix.tails[i]-1] = id
+			if ix.hashes[i] == h && s.projEqualTuples(head-1, id, ix.cols) {
+				ix.next[ix.tails[i]-1-s.off] = id
 				ix.tails[i] = id + 1
 				break
 			}
@@ -401,7 +485,7 @@ func (ix *colIndex) grow() {
 	tails := make([]int32, n)
 	mask := uint64(n - 1)
 	for i, hd := range ix.heads {
-		if hd <= 0 { // empty or headTomb: rehash drops probe tombstones
+		if hd == 0 {
 			continue
 		}
 		h := ix.hashes[i]
@@ -414,70 +498,11 @@ func (ix *colIndex) grow() {
 		tails[j] = ix.tails[i]
 	}
 	ix.hashes, ix.heads, ix.tails = hashes, heads, tails
-	ix.tombs = 0
 }
 
-// compactIDs repairs the index across an arena compaction: dead flags the
-// removed tuple ids, shiftOf[id] counts the dead ids below id — every
-// surviving id shifts down by that amount — and first/last bound the dead
-// span so ids outside it renumber with register compares alone. Chains are
-// walked once, dead members unlinked and survivors renumbered; key hashes
-// don't change, so the table layout is untouched and nothing is rehashed. A
-// chain losing every member leaves a headTomb so probes for other keys keep
-// walking.
-func (ix *colIndex) compactIDs(dead []bool, shiftOf []int32, first, last int32) {
-	nb := int32(ix.built) - shiftOf[ix.built]
-	all := shiftOf[len(shiftOf)-1]
-	next := make([]int32, nb)
-	for i := range next {
-		next[i] = -1
-	}
-	for si, hd := range ix.heads {
-		if hd <= 0 {
-			continue
-		}
-		var nh, nt int32
-		id := hd - 1
-		for {
-			nxt := ix.next[id]
-			if id < first || id > last || !dead[id] {
-				nid := id
-				switch {
-				case id < first: // below the dead span: unshifted
-				case id > last:
-					nid = id - all
-				default:
-					nid = id - shiftOf[id]
-				}
-				if nh == 0 {
-					nh = nid + 1
-				} else {
-					next[nt-1] = nid
-				}
-				nt = nid + 1
-			}
-			if nxt < 0 {
-				break
-			}
-			id = nxt
-		}
-		if nh == 0 {
-			ix.heads[si] = headTomb
-			ix.tails[si] = 0
-			ix.keys--
-			ix.tombs++
-		} else {
-			ix.heads[si] = nh
-			ix.tails[si] = nt
-		}
-	}
-	ix.next = next
-	ix.built = int(nb)
-}
-
-// findHead returns the id of the first tuple whose projection onto ix.cols
-// equals key, or -1.
-func (ix *colIndex) findHead(r *Relation, key []ast.Const) int32 {
+// findHead returns the id of the segment's first tuple whose projection onto
+// ix.cols equals key, or -1.
+func (ix *colIndex) findHead(s *segment, key []ast.Const) int32 {
 	if ix.keys == 0 {
 		return -1
 	}
@@ -488,22 +513,55 @@ func (ix *colIndex) findHead(r *Relation, key []ast.Const) int32 {
 		if head == 0 {
 			return -1
 		}
-		if head != headTomb && ix.hashes[i] == h && r.projEqual(head-1, ix.cols, key) {
+		if ix.hashes[i] == h && s.projEqual(head-1, ix.cols, key) {
 			return head - 1
 		}
 	}
 }
 
-// TupleIter walks the ids of tuples sharing one projected key, oldest
-// first. It is a value type: probing allocates nothing.
+// TupleIter walks the ids of the live tuples sharing one projected key,
+// oldest first: the base tier's chain, then the tail's. It is a value type:
+// probing allocates nothing.
 type TupleIter struct {
-	next  []int32
-	cur   int32
-	limit int32 // ids ≥ limit were inserted after the probe; excluded
+	next    []int32 // chain links of the tier being walked, indexed by id - off
+	cur     int32
+	limit   int32 // ids ≥ limit were inserted after the probe; excluded
+	off     int32
+	tail    int32 // head of the tail tier's chain, walked after the base's; -1 = none
+	tailOff int32
+	tailIx  *colIndex
+	dead    []uint64 // the relation's dead bitmap as of the Seek
 }
 
 // Next returns the next matching tuple id.
 func (it *TupleIter) Next() (int32, bool) {
+	for {
+		id := it.cur
+		if id < 0 || id >= it.limit {
+			if it.tail < 0 {
+				return 0, false
+			}
+			it.next, it.off, it.cur, it.tail = it.tailIx.next, it.tailOff, it.tail, -1
+			continue
+		}
+		it.cur = it.next[id-it.off]
+		if it.dead == nil || it.dead[id>>6]&(1<<(uint32(id)&63)) == 0 {
+			return id, true
+		}
+	}
+}
+
+// FlatIter is TupleIter for a flat relation without dead tuples (see
+// Prober.Flat): one chain, nothing to skip, small enough that seeking and
+// stepping inline into the join's inner loop.
+type FlatIter struct {
+	next  []int32
+	cur   int32
+	limit int32
+}
+
+// Next returns the next matching tuple id.
+func (it *FlatIter) Next() (int32, bool) {
 	id := it.cur
 	if id < 0 || id >= it.limit {
 		return 0, false
@@ -513,19 +571,27 @@ func (it *TupleIter) Next() (int32, bool) {
 }
 
 // EnsureIndex builds (or extends to cover all current tuples) the hash
-// index over the given column set. eval's round-boundary freeze step calls
-// this so that every probe during the round is a pure lock-free read.
+// index over the given column set, on both tiers. eval's round-boundary
+// freeze step calls this so that every probe during the round is a pure
+// lock-free read.
 func (r *Relation) EnsureIndex(cols []int) {
 	if len(cols) == 0 {
 		return
 	}
-	r.ensureIndexLocked(ColMask(cols), cols)
+	mask := ColMask(cols)
+	if r.base != nil {
+		r.base.ensureIndexLocked(mask, cols, true)
+	}
+	r.seg.ensureIndexLocked(mask, cols, r.shared)
 }
 
-func (r *Relation) ensureIndexLocked(mask uint64, cols []int) *colIndex {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	set := r.indexes.Load()
+// ensureIndexLocked returns the segment's index over cols covering every
+// current tuple. shared says other goroutines may be probing the segment's
+// published indexes.
+func (s *segment) ensureIndexLocked(mask uint64, cols []int, shared bool) *colIndex {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	set := s.indexes.Load()
 	var ix *colIndex
 	if set != nil {
 		ix = set.find(mask)
@@ -534,7 +600,7 @@ func (r *Relation) ensureIndexLocked(mask uint64, cols []int) *colIndex {
 		cc := make([]int, len(cols))
 		copy(cc, cols)
 		ix = &colIndex{cols: cc}
-		ix.extend(r)
+		ix.extend(s)
 		ns := &indexSet{}
 		if set != nil {
 			ns.masks = append(ns.masks, set.masks...)
@@ -542,21 +608,21 @@ func (r *Relation) ensureIndexLocked(mask uint64, cols []int) *colIndex {
 		}
 		ns.masks = append(ns.masks, mask)
 		ns.idxs = append(ns.idxs, ix)
-		r.indexes.Store(ns)
+		s.indexes.Store(ns)
 		return ix
 	}
-	if ix.built == len(r.rounds) {
+	if ix.built == len(s.rounds) {
 		return ix
 	}
-	if r.shared {
-		// Copy-on-extend: a published index on a shared relation is probed
+	if shared {
+		// Copy-on-extend: a published index on a shared segment is probed
 		// lock-free by any number of snapshot readers, so it must stay
 		// immutable. Extend a private clone and republish the index set;
 		// readers holding the old set keep a consistent (merely shorter)
-		// view, and the relation never grows again once shared, so this
+		// view, and the segment never grows again once shared, so this
 		// happens at most once per stale index.
 		nix := ix.clone()
-		nix.extend(r)
+		nix.extend(s)
 		ns := &indexSet{
 			masks: append([]uint64(nil), set.masks...),
 			idxs:  append([]*colIndex(nil), set.idxs...),
@@ -566,89 +632,98 @@ func (r *Relation) ensureIndexLocked(mask uint64, cols []int) *colIndex {
 				ns.idxs[i] = nix
 			}
 		}
-		r.indexes.Store(ns)
+		s.indexes.Store(ns)
 		return nix
 	}
-	ix.extend(r)
+	ix.extend(s)
 	return ix
 }
 
-// ProbeIter returns an iterator over the ids of tuples whose value at each
-// position cols[i] equals key[i], oldest first. cols must be sorted and
-// duplicate-free. maxRound is the upper bound of the caller's round window:
-// when every unindexed tuple is newer than maxRound (the invariant eval's
-// freeze step establishes for in-round probes, since round stamps are
-// non-decreasing) the probe is a lock-free read; otherwise the index is
-// extended under the relation lock first.
-func (r *Relation) ProbeIter(cols []int, key []ast.Const, maxRound int32) TupleIter {
-	mask := ColMask(cols)
+// indexFor returns the segment's index over cols, complete for the round
+// window [0, maxRound]: when every unindexed tuple is newer than maxRound
+// (the invariant eval's freeze step establishes for in-round probes, since
+// round stamps are non-decreasing) it is a lock-free read; otherwise the
+// index is built or extended under the segment lock first.
+func (s *segment) indexFor(mask uint64, cols []int, maxRound int32, shared bool) *colIndex {
 	var ix *colIndex
-	if set := r.indexes.Load(); set != nil {
+	if set := s.indexes.Load(); set != nil {
 		ix = set.find(mask)
 	}
-	if ix == nil || (ix.built < len(r.rounds) && r.rounds[ix.built] <= maxRound) {
-		ix = r.ensureIndexLocked(mask, cols)
+	if ix == nil || (ix.built < len(s.rounds) && s.rounds[ix.built] <= maxRound) {
+		ix = s.ensureIndexLocked(mask, cols, shared)
 	}
-	head := ix.findHead(r, key)
-	return TupleIter{next: ix.next, cur: head, limit: int32(ix.built)}
+	return ix
 }
 
 // Prober is a probe cursor bound once to one relation's column index: the
-// index pointer and the visible-tuple limit are resolved at bind time, so
-// each Seek is a pure hash probe with no atomic snapshot load, mask search,
-// or staleness check. It is the iterator-friendly probe API the streaming
-// executor binds per body atom per pass — one Prober, many Seeks — where
-// ProbeIter would repeat the index resolution on every probe. A Prober is a
-// value; binding and seeking allocate nothing.
+// index pointers and the visible-tuple limit are resolved at bind time, so
+// each Seek is a pure hash probe per tier with no atomic snapshot load, mask
+// search, or staleness check. It is the iterator-friendly probe API the
+// streaming executor binds per body atom per pass — one Prober, many Seeks.
+// A Prober is a value; binding and seeking allocate nothing.
 //
-// The bound snapshot stays sufficient for the same reason ProbeIter's does:
-// tuples inserted after the bind carry a round stamp greater than maxRound,
-// which the caller's window excludes, so the limit captured at bind time is
-// exactly the window's horizon.
+// The bound snapshot stays sufficient for a whole pass: tuples inserted
+// after the bind carry a round stamp greater than maxRound, which the
+// caller's window excludes, so the limit captured at bind time is exactly
+// the window's horizon.
 type Prober struct {
 	rel   *Relation
-	ix    *colIndex
+	ix    *colIndex // seg's index
+	bix   *colIndex // base's index; nil when flat
 	limit int32
 }
 
 // Prober binds a probe cursor over the given column set. cols must be
 // sorted and duplicate-free; maxRound is the upper bound of the caller's
-// round window, with the same lazy-extension contract as ProbeIter.
+// round window (see indexFor for the lazy-extension contract).
 func (r *Relation) Prober(cols []int, maxRound int32) Prober {
 	mask := ColMask(cols)
-	var ix *colIndex
-	if set := r.indexes.Load(); set != nil {
-		ix = set.find(mask)
+	// The indexes may cover tuples newer than the window (they always extend
+	// to the full segment); clamping to the window's id prefix is what lets
+	// Seek's consumers skip per-tuple round checks entirely.
+	p := Prober{rel: r, limit: int32(r.LenAt(maxRound))}
+	if r.base != nil {
+		p.bix = r.base.indexFor(mask, cols, maxRound, true)
 	}
-	if ix == nil || (ix.built < len(r.rounds) && r.rounds[ix.built] <= maxRound) {
-		ix = r.ensureIndexLocked(mask, cols)
-	}
-	limit := ix.built
-	if n := r.LenAt(maxRound); n < limit {
-		// The index may cover tuples newer than the window (it always extends
-		// to the full relation); clamping here is what lets Seek's consumers
-		// skip per-tuple round checks entirely.
-		limit = n
-	}
-	return Prober{rel: r, ix: ix, limit: int32(limit)}
+	p.ix = r.seg.indexFor(mask, cols, maxRound, r.shared)
+	return p
 }
 
-// Seek returns an iterator over the ids of tuples whose projection onto the
-// bound column set equals key, oldest first.
+// Flat reports whether the bound relation was flat and free of dead tuples
+// at bind time — every relation an evaluation derives into or reads from an
+// unmutated input. The executor tests it once per operator per pass and
+// takes SeekFlat on that side of the branch; Seek serves every relation.
+func (p Prober) Flat() bool { return p.bix == nil && p.rel.dead == nil }
+
+// SeekFlat is Seek on a Flat prober.
+func (p Prober) SeekFlat(key []ast.Const) FlatIter {
+	return FlatIter{next: p.ix.next, cur: p.ix.findHead(&p.rel.seg, key), limit: p.limit}
+}
+
+// Seek returns an iterator over the ids of live tuples whose projection onto
+// the bound column set equals key, oldest first.
 func (p Prober) Seek(key []ast.Const) TupleIter {
-	head := p.ix.findHead(p.rel, key)
-	return TupleIter{next: p.ix.next, cur: head, limit: p.limit}
+	r := p.rel
+	it := TupleIter{next: p.ix.next, cur: p.ix.findHead(&r.seg, key), limit: p.limit,
+		off: r.seg.off, tail: -1, dead: r.dead}
+	if p.bix != nil {
+		if b := p.bix.findHead(r.base, key); b >= 0 {
+			it.tail, it.tailOff, it.tailIx = it.cur, it.off, p.ix
+			it.next, it.cur, it.off = p.bix.next, b, 0
+		}
+	}
+	return it
 }
 
 // MatchIDs returns the ids of tuples whose value at each position cols[i]
 // equals key[i]. cols must be sorted and contain no duplicates. With empty
 // cols it returns nil and the caller should scan all tuples. It allocates
-// the result slice; the join kernel uses ProbeIter/LookupID instead.
+// the result slice; the join kernel uses Prober/LookupID instead.
 func (r *Relation) MatchIDs(cols []int, key []ast.Const) []int32 {
 	if len(cols) == 0 {
 		return nil
 	}
-	it := r.ProbeIter(cols, key, math.MaxInt32)
+	it := r.Prober(cols, math.MaxInt32).Seek(key)
 	var ids []int32
 	for id, ok := it.Next(); ok; id, ok = it.Next() {
 		ids = append(ids, id)

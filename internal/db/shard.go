@@ -123,7 +123,7 @@ func (r *Relation) ensureShardLocked(col, n int) ShardView {
 		start = copy(of, sa.of)
 	}
 	for id := start; id < ln; id++ {
-		of[id] = ShardOf(r.data[id*r.arity+col], n)
+		of[id] = ShardOf(r.Tuple(id)[col], n)
 	}
 	ns := &shardSet{}
 	if set != nil {

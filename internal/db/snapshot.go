@@ -5,13 +5,14 @@ package db
 // Deep-cloning per request would copy every arena; locking per probe would
 // serialize the hot path. Freeze gives the third option: mark the database
 // and its relations immutable, hand out a Snapshot, and make every later
-// Clone a map-copy of shared relation pointers. Shared relations never grow
-// (AddTuple copies a relation before its first write), so the lock-free
-// index probes of the evaluation hot path stay valid for every reader, and
-// index building on a shared relation never mutates published state: new
-// and extended indexes are built privately under the relation mutex and
-// published atomically (copy-on-extend) — readers of one snapshot even
-// share lazily built warm indexes.
+// Clone a map-copy of shared relation pointers. Shared relations never change
+// (a write goes to a private successor: Relation.successor), so the
+// lock-free index probes of the evaluation hot path stay valid for every
+// reader, and index building on a shared relation never mutates published
+// state: new and extended indexes are built privately under the segment
+// mutex and published atomically (copy-on-extend) — readers of one snapshot,
+// and of every later version sharing its segment as a base, even share
+// lazily built warm indexes.
 //
 // Concurrency contract: Freeze must happen-before the snapshot is shared
 // with other goroutines (publish it through a channel, mutex, or atomic —
@@ -27,8 +28,8 @@ type Snapshot struct {
 
 // Freeze makes d immutable and returns its snapshot handle. Every relation
 // is marked shared, so all subsequent Clone/Thaw copies are shallow: they
-// share relation storage until a write to a specific predicate copies that
-// one relation. Mutating d after Freeze panics.
+// share relation storage until a write to a specific predicate stages that
+// one relation's successor. Mutating d after Freeze panics.
 //
 // Relations already marked shared are inherited from a frozen predecessor
 // and skipped: readers of the older snapshot read r.shared concurrently
@@ -45,10 +46,13 @@ func (d *Database) Freeze() *Snapshot {
 	// touches a handful of predicates).
 	for _, p := range d.dirty {
 		if r := d.rels[p]; !r.shared {
-			// Round boundary: sweep any tombstones left by RemoveTuple so a
-			// shared relation is always dead-tuple-free — snapshot readers
-			// scan and probe the arena positionally.
-			r.compact()
+			// Sealing a version is where compaction is decided: flatten the
+			// relation if its tail and dead tuples outgrew their share, so
+			// what the next version copies, and what dead tuples hold, stay
+			// bounded.
+			if r.crowded() {
+				d.copied += r.flatten()
+			}
 			r.shared = true
 		}
 	}
@@ -70,6 +74,7 @@ func (s *Snapshot) Len() int { return s.d.Len() }
 
 // Thaw returns a writable database staging the snapshot's successor: it
 // shares every relation with the snapshot until a write touches that
-// relation, which copies it first (copy-on-write). The snapshot itself is
-// unaffected; concurrent readers keep their view.
+// relation, which stages the relation's successor first (copy-on-write: the
+// snapshot's segment becomes the shared base of a private tail). The
+// snapshot itself is unaffected; concurrent readers keep their view.
 func (s *Snapshot) Thaw() *Database { return s.d.Clone() }

@@ -44,7 +44,7 @@ func TestFrozenStaleIndexConcurrentProbes(t *testing.T) {
 			rel := s.DB().Relation("E")
 			for iter := 0; iter < 20; iter++ {
 				got := 0
-				it := rel.ProbeIter([]int{0}, []ast.Const{ast.Int(int64(g % keys))}, s.DB().Round())
+				it := rel.Prober([]int{0}, s.DB().Round()).Seek([]ast.Const{ast.Int(int64(g % keys))})
 				for {
 					if _, ok := it.Next(); !ok {
 						break

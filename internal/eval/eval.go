@@ -170,16 +170,15 @@ func indexNeeds(rules []ast.Rule) []indexNeed {
 	return out
 }
 
-// anyAddedIn reports whether any fact carries the given round stamp.
+// anyAddedIn reports whether any fact carries the given round stamp, the
+// database's latest.
 func anyAddedIn(d *db.Database, round int32) bool {
 	for _, p := range d.Preds() {
 		r := d.Relation(p)
-		for i := r.Len() - 1; i >= 0; i-- {
-			if r.RoundOf(i) == round {
+		// Stamps are non-decreasing with insertion order.
+		for i := r.LenAt(round - 1); i < r.Len(); i++ {
+			if r.Alive(i) {
 				return true
-			}
-			if r.RoundOf(i) < round {
-				break // stamps are non-decreasing with insertion order
 			}
 		}
 	}

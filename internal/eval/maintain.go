@@ -4,8 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
+	"strings"
 
 	"repro/internal/ast"
 	"repro/internal/db"
@@ -77,6 +78,41 @@ type Delta struct {
 
 // Empty reports whether the delta carries no mutations.
 func (d Delta) Empty() bool { return len(d.Assert) == 0 && len(d.Retract) == 0 }
+
+// Net reduces the batch to its net effect on prev, the database it is about
+// to be applied to: each fact at most once (in batch order), an assert
+// winning over a retract of the same fact, asserts restricted to absent
+// facts and retracts to present ones. Applying the result — in either order
+// of its halves — is applying the batch.
+//
+// The batch must have passed CheckArities against prev. That check lets a
+// retract of a predicate prev does not have disagree in arity with an assert
+// introducing it (retracting from an absent relation is a no-op whatever the
+// arity), so a retract only enters the scratch set once prev is known to
+// hold it — at which point its arity is prev's, and so is every assert's.
+func (d Delta) Net(prev *db.Database) Delta {
+	var net Delta
+	seen := db.New() // the batch's facts already decided
+	for _, g := range d.Assert {
+		if seen.Add(g) && !prev.Has(g) {
+			net.Assert = append(net.Assert, g)
+		}
+	}
+	for _, g := range d.Retract {
+		if prev.Has(g) && seen.Add(g) {
+			net.Retract = append(net.Retract, g)
+		}
+	}
+	return net
+}
+
+// compareFacts is the canonical (predicate, arguments) order.
+func compareFacts(a, b ast.GroundAtom) int {
+	if c := strings.Compare(a.Pred, b.Pred); c != 0 {
+		return c
+	}
+	return slices.Compare(a.Args, b.Args)
+}
 
 // Diff is the exact net output change of one Apply: facts that entered and
 // left the materialized view, each in canonical (predicate, arguments)
@@ -252,16 +288,15 @@ func (pr *Prepared) Materialize(ctx context.Context, input *db.Database, mo Main
 		for pred := range u.dynamic {
 			if rel := in.Relation(pred); rel != nil {
 				for i := 0; i < rel.Len(); i++ {
-					bump(seed, pred, rel.Tuple(i), 1)
+					if rel.Alive(i) {
+						bump(seed, pred, rel.Tuple(i), 1)
+					}
 				}
 			}
 		}
-		for _, pred := range seed.Preds() {
-			rel := seed.Relation(pred)
-			for i := 0; i < rel.Len(); i++ {
-				out.BumpCount(pred, rel.Tuple(i), rel.CountOf(int32(i)))
-			}
-		}
+		eachFact(seed, func(pred string, rel *db.Relation, id int32) {
+			out.BumpCount(pred, rel.Tuple(int(id)), rel.CountOf(id))
+		})
 	}
 	m.in = in.Freeze()
 	m.snap = out.Freeze()
@@ -294,41 +329,19 @@ func (m *Maintained) Apply(ctx context.Context, delta Delta) (Diff, Stats, error
 		return Diff{}, stats, err
 	}
 
-	// Normalize to net set mutations: batch-dedup, assert wins over retract
-	// of the same fact, retracts restricted to present input facts, asserts
-	// to absent ones.
-	inPrev := m.in.DB()
-	aSet, rSet := db.New(), db.New()
-	for _, g := range delta.Assert {
-		aSet.Add(g)
-	}
-	for _, g := range delta.Retract {
-		if !aSet.Has(g) {
-			rSet.Add(g)
-		}
-	}
-	var asserts, retracts []ast.GroundAtom
-	for _, g := range delta.Assert {
-		if !inPrev.Has(g) && aSet.Remove(g) {
-			asserts = append(asserts, g)
-		}
-	}
-	for _, g := range delta.Retract {
-		if inPrev.Has(g) && rSet.Remove(g) {
-			retracts = append(retracts, g)
-		}
-	}
-	if len(asserts) == 0 && len(retracts) == 0 {
+	net := delta.Net(m.in.DB())
+	if net.Empty() {
 		return Diff{}, stats, nil
 	}
-	sortFacts(asserts)
-	sortFacts(retracts)
+	// Canonical order: the batch's own order must not show in the view.
+	asserts, retracts := net.Assert, net.Retract
+	slices.SortFunc(asserts, compareFacts)
+	slices.SortFunc(retracts, compareFacts)
 
 	input := m.in.Thaw()
 	for _, g := range retracts {
 		input.Remove(g)
 	}
-	input.Compact()
 	for _, g := range asserts {
 		input.Add(g)
 	}
@@ -344,7 +357,6 @@ func (m *Maintained) Apply(ctx context.Context, delta Delta) (Diff, Stats, error
 			remDB.Add(g)
 		}
 	}
-	cur.Compact()
 	for _, g := range asserts {
 		if _, owned := m.owner[g.Pred]; !owned && cur.Add(g) {
 			addedDB.Add(g)
@@ -365,15 +377,17 @@ func (m *Maintained) Apply(ctx context.Context, delta Delta) (Diff, Stats, error
 		}
 	}
 
-	// The dirty-set freeze only compacts-and-shares relations the batch
-	// actually wrote; count both sides so maintenance stats prove how much
-	// re-freeze work the write-epoch check skipped for untouched relations.
+	// The dirty-set freeze only seals relations the batch actually wrote;
+	// count both sides so maintenance stats prove how much re-freeze work the
+	// write-epoch check skipped for untouched relations, and how many tuples
+	// the written ones cost in copies (copy-on-write tails, flattens).
 	stats.RelationsFrozen += input.DirtyRelations() + cur.DirtyRelations()
 	stats.FreezeSkipped += (input.RelationCount() - input.DirtyRelations()) +
 		(cur.RelationCount() - cur.DirtyRelations())
 	m.in = input.Freeze()
 	m.snap = cur.Freeze()
-	return Diff{Added: sortedFacts(addedDB), Removed: sortedFacts(remDB)}, stats, nil
+	stats.TuplesCopied += input.TuplesCopied() + cur.TuplesCopied()
+	return Diff{Added: addedDB.SortedFacts(), Removed: remDB.SortedFacts()}, stats, nil
 }
 
 // ErrArity is wrapped by the errors that reject a fact or an input relation
@@ -385,8 +399,10 @@ var ErrArity = errors.New("eval: arity mismatch")
 
 // CheckArities rejects a batch holding a fact whose arity contradicts the
 // relation of its predicate in the first of dbs that has one or, for a
-// predicate none has yet, an earlier fact of the same half of the batch (the
-// halves are applied to separate sets, so they cannot clash with each other).
+// predicate none has yet, an earlier fact of the same half of the batch. The
+// halves are not checked against each other: a retract of a predicate no
+// database has is a no-op at any arity, and Net drops it before it can meet
+// an assert of the same predicate.
 func (d Delta) CheckArities(dbs ...*db.Database) error {
 	for _, half := range [2][]ast.GroundAtom{d.Assert, d.Retract} {
 		var fresh map[string]int // arities of the predicates the half introduces
@@ -449,31 +465,34 @@ func (m *Maintained) countingUnit(mu *maintUnit, st *streamState, old, cur *db.D
 	// enabled by an added positive support or a removed negated fact.
 	mu.plan.changed(cur, addedDB, remDB, st, stats, count(1))
 
+	// Commit. Adjusting or removing a fact of the view leaves every id where
+	// it was, so those go in adj's own order; the facts entering the view get
+	// their ids — their insertion order — here, so they are set aside and
+	// committed in canonical order.
 	cur.BeginRound()
-	var removals []ast.GroundAtom
-	for _, g := range sortedFacts(adj) {
-		d, _ := adj.TupleCount(g.Pred, g.Args)
+	fresh := db.New()
+	eachFact(adj, func(pred string, rel *db.Relation, id int32) {
+		d := rel.CountOf(id)
 		if d == 0 {
-			continue
+			return
 		}
 		stats.CountAdjusted++
-		if cur.Has(g) {
-			if n, _ := cur.BumpCount(g.Pred, g.Args, d); n <= 0 {
-				removals = append(removals, g)
+		t := rel.Tuple(int(id))
+		if n, present := cur.BumpCount(pred, t, d); present {
+			if n <= 0 {
+				cur.RemoveTuple(pred, t)
+				remDB.AddTuple(pred, t)
 			}
-			continue
+		} else if d > 0 {
+			bump(fresh, pred, t, d)
 		}
-		if d > 0 {
-			cur.Add(g)
-			cur.BumpCount(g.Pred, g.Args, d)
-			addedDB.Add(g)
-		}
-	}
-	for _, g := range removals {
-		cur.Remove(g)
-		remDB.Add(g)
-	}
-	cur.Compact()
+	})
+	eachSorted(fresh, func(pred string, rel *db.Relation, id int32) {
+		t := rel.Tuple(int(id))
+		cur.AddTuple(pred, t)
+		cur.BumpCount(pred, t, rel.CountOf(id))
+		addedDB.AddTuple(pred, t)
+	})
 }
 
 // dredUnit maintains one recursive unit by delete-rederive.
@@ -515,26 +534,22 @@ func (m *Maintained) dredUnit(ctx context.Context, mu *maintUnit, st *streamStat
 	// only derivable through other restored facts come back in the insertion
 	// loop below — restored facts carry fresh round stamps, so the delta
 	// windows reach them.
-	deletedFacts := sortedFacts(deleted)
-	stats.Overdeleted += len(deletedFacts)
-	for _, g := range deletedFacts {
-		cur.Remove(g)
-	}
-	cur.Compact()
+	stats.Overdeleted += deleted.Len()
 	restored := db.New()
-	for _, g := range deletedFacts {
-		if input.Has(g) {
-			restored.Add(g)
+	eachFact(deleted, func(pred string, rel *db.Relation, id int32) {
+		t := rel.Tuple(int(id))
+		cur.RemoveTuple(pred, t)
+		if input.HasTuple(pred, t) {
+			restored.AddTuple(pred, t)
 		}
-	}
+	})
 	for ri := range mp.rules {
 		runChange(mp.rules[ri].rederive, cur, deleted, st, stats, &nonrecSink{out: restored})
 	}
 	stats.Rederived += restored.Len()
 	cur.BeginRound()
-	for _, g := range sortedFacts(restored) {
-		cur.Add(g)
-	}
+	commit := func(pred string, rel *db.Relation, id int32) { cur.AddTuple(pred, rel.Tuple(int(id))) }
+	eachSorted(restored, commit)
 
 	// Insertion side: stage input asserts of this unit's heads and the
 	// firings a removed negated fact enabled, then close semi-naively over
@@ -551,9 +566,7 @@ func (m *Maintained) dredUnit(ctx context.Context, mu *maintUnit, st *streamStat
 			staged.AddTuple(pred, args)
 		}
 	})
-	for _, g := range sortedFacts(staged) {
-		cur.Add(g)
-	}
+	eachSorted(staged, commit)
 	if err := insertLoop(ctx, cur, mp.insert, mu.u.partCol, deltaMin, m.pr.opts, stats); err != nil {
 		return err
 	}
@@ -567,17 +580,16 @@ func (m *Maintained) dredUnit(ctx context.Context, mu *maintUnit, st *streamStat
 			continue
 		}
 		for i := rel.LenAt(deltaMin - 1); i < rel.Len(); i++ {
-			t := rel.Tuple(i)
-			if !old.HasTuple(pred, t) {
+			if t := rel.Tuple(i); rel.Alive(i) && !old.HasTuple(pred, t) {
 				addedDB.AddTuple(pred, t)
 			}
 		}
 	}
-	for _, g := range deletedFacts {
-		if !cur.Has(g) {
-			remDB.Add(g)
+	eachFact(deleted, func(pred string, rel *db.Relation, id int32) {
+		if t := rel.Tuple(int(id)); !cur.HasTuple(pred, t) {
+			remDB.AddTuple(pred, t)
 		}
-	}
+	})
 	return nil
 }
 
@@ -636,27 +648,29 @@ func deltaEmptyAt(d *db.Database, pred string, w db.RoundWindow) bool {
 	return hi <= lo
 }
 
-func factLess(a, b ast.GroundAtom) bool {
-	if a.Pred != b.Pred {
-		return a.Pred < b.Pred
-	}
-	for i := range a.Args {
-		if i >= len(b.Args) {
-			return false
+// eachFact calls f on every fact of the scratch set d, predicates by name
+// and a relation's tuples in id (insertion) order, handing f the tuple's id
+// so it reads the arena and the count column directly.
+func eachFact(d *db.Database, f func(pred string, rel *db.Relation, id int32)) {
+	for _, pred := range d.Preds() {
+		rel := d.Relation(pred)
+		for i := 0; i < rel.Len(); i++ {
+			if rel.Alive(i) {
+				f(pred, rel, int32(i))
+			}
 		}
-		if a.Args[i] != b.Args[i] {
-			return a.Args[i] < b.Args[i]
-		}
 	}
-	return len(a.Args) < len(b.Args)
 }
 
-func sortFacts(fs []ast.GroundAtom) {
-	sort.Slice(fs, func(i, j int) bool { return factLess(fs[i], fs[j]) })
-}
-
-func sortedFacts(d *db.Database) []ast.GroundAtom {
-	fs := d.Facts()
-	sortFacts(fs)
-	return fs
+// eachSorted is eachFact in canonical order: a relation's tuples ascending by
+// arguments, by sorting ids against the arena.
+func eachSorted(d *db.Database, f func(pred string, rel *db.Relation, id int32)) {
+	var ids []int32
+	for _, pred := range d.Preds() {
+		rel := d.Relation(pred)
+		ids = rel.SortedIDs(ids)
+		for _, id := range ids {
+			f(pred, rel, id)
+		}
+	}
 }

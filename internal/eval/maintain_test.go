@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -17,10 +18,8 @@ import (
 // canonFacts renders a database as one sorted canonical fact per line — the
 // byte-identity form the maintenance oracle compares.
 func canonFacts(d *db.Database) string {
-	fs := d.Facts()
-	sortFacts(fs)
 	var sb strings.Builder
-	for _, g := range fs {
+	for _, g := range d.SortedFacts() {
 		sb.WriteString(g.String())
 		sb.WriteString("\n")
 	}
@@ -458,6 +457,9 @@ func checkCounts(t *testing.T, m *Maintained, step int) {
 				continue
 			}
 			for i := 0; i < rel.Len(); i++ {
+				if !rel.Alive(i) {
+					continue
+				}
 				g := ast.GroundAtom{Pred: pred, Args: rel.Tuple(i)}
 				w := want[g.Key()]
 				if in.Has(g) {
@@ -597,12 +599,12 @@ func runMaintainStream(t *testing.T, c maintCase, opts Options, mo MaintainOptio
 			t.Fatalf("step %d: diff accounts for %d facts, view has %d", step, len(prev), len(now))
 		}
 		for i := 1; i < len(diff.Added); i++ {
-			if !factLess(diff.Added[i-1], diff.Added[i]) {
+			if compareFacts(diff.Added[i-1], diff.Added[i]) >= 0 {
 				t.Fatalf("step %d: Added not in canonical order", step)
 			}
 		}
 		for i := 1; i < len(diff.Removed); i++ {
-			if !factLess(diff.Removed[i-1], diff.Removed[i]) {
+			if compareFacts(diff.Removed[i-1], diff.Removed[i]) >= 0 {
 				t.Fatalf("step %d: Removed not in canonical order", step)
 			}
 		}
@@ -721,6 +723,118 @@ func TestMaintainDeterministicAcrossShards(t *testing.T) {
 				t.Fatalf("maintained stream diverged under %+v, GOMAXPROCS=%d:\n%s\nwant:\n%s", o, procs, got, base)
 			}
 		}
+	}
+}
+
+// TestDeltaNet pins the one batch normalisation Maintained.Apply and the
+// service's /facts share.
+func TestDeltaNet(t *testing.T) {
+	prev := db.FromFacts([]ast.GroundAtom{ga("A", 1, 2), ga("A", 2, 3), ga("B", 7)})
+	net := Delta{
+		Assert:  []ast.GroundAtom{ga("A", 9, 9), ga("A", 1, 2), ga("A", 9, 9), ga("A", 2, 3), ga("C", 1)},
+		Retract: []ast.GroundAtom{ga("A", 2, 3), ga("B", 7), ga("B", 7), ga("B", 8), ga("A", 9, 9)},
+	}.Net(prev)
+	want := Delta{
+		Assert:  []ast.GroundAtom{ga("A", 9, 9), ga("C", 1)}, // present facts and the repeat dropped, batch order kept
+		Retract: []ast.GroundAtom{ga("B", 7)},                // assert wins for A(2,3) and A(9,9); B(8) is absent
+	}
+	same := func(a, b []ast.GroundAtom) bool {
+		return slices.EqualFunc(a, b, func(x, y ast.GroundAtom) bool { return compareFacts(x, y) == 0 })
+	}
+	if !same(net.Assert, want.Assert) || !same(net.Retract, want.Retract) {
+		t.Fatalf("Net = %+v, want %+v", net, want)
+	}
+	if !(Delta{Retract: []ast.GroundAtom{ga("B", 8)}}).Net(prev).Empty() {
+		t.Fatal("retracting an absent fact is not a no-op")
+	}
+
+	// A retract of a predicate prev lacks may disagree in arity with the
+	// assert that introduces it (CheckArities checks each half on its own):
+	// it is a no-op, and must not meet the assert in the scratch set.
+	cross := Delta{
+		Assert:  []ast.GroundAtom{ga("E", 1, 2)},
+		Retract: []ast.GroundAtom{ga("E", 1, 2, 3)},
+	}
+	if err := cross.CheckArities(prev); err != nil {
+		t.Fatalf("CheckArities rejected a no-op retract: %v", err)
+	}
+	net = cross.Net(prev)
+	if !same(net.Assert, cross.Assert) || len(net.Retract) != 0 {
+		t.Fatalf("Net = %+v, want the assert alone", net)
+	}
+}
+
+// TestMaintainApplyCrossHalfArity drives the same batch through a view: neither the
+// input nor the output has E yet, so the E/3 retract is a no-op and the E/2
+// assert lands.
+func TestMaintainApplyCrossHalfArity(t *testing.T) {
+	p := mustParseProgram(t, `P(x, y) :- A(x, y).`)
+	m := mustMaterialize(t, p, db.FromFacts([]ast.GroundAtom{ga("A", 1, 2)}), Options{}, MaintainOptions{})
+	diff, _, err := m.Apply(context.Background(), Delta{
+		Assert:  []ast.GroundAtom{ga("E", 1, 2)},
+		Retract: []ast.GroundAtom{ga("E", 1, 2, 3)},
+	})
+	if err != nil || len(diff.Added) != 1 || len(diff.Removed) != 0 || !m.Output().Has(ga("E", 1, 2)) {
+		t.Fatalf("diff %+v, err %v", diff, err)
+	}
+}
+
+// TestMaintainApplyCopiesBatchNotRelation: small batches against a large
+// maintained relation must cost the store copies in proportion to what the
+// batches wrote — the versions share the big segment — and TuplesCopied is
+// the counter that shows it.
+func TestMaintainApplyCopiesBatchNotRelation(t *testing.T) {
+	p := mustParseProgram(t, `P(x, y) :- A(x, y).`)
+	const n = 20_000
+	input := db.New()
+	for i := int64(0); i < n; i++ {
+		input.Add(ga("A", i, i+1))
+	}
+	m := mustMaterialize(t, p, input, Options{}, MaintainOptions{})
+	total := 0
+	for b := int64(0); b < 10; b++ {
+		delta := Delta{
+			Assert:  []ast.GroundAtom{ga("A", n+2*b, 0), ga("A", n+2*b+1, 0)},
+			Retract: []ast.GroundAtom{ga("A", 2*b, 2*b+1), ga("A", 2*b+1, 2*b+2)},
+		}
+		diff, stats, err := m.Apply(context.Background(), delta)
+		if err != nil || len(diff.Added) != 4 || len(diff.Removed) != 4 {
+			t.Fatalf("batch %d: diff %+v, err %v", b, diff, err)
+		}
+		// Each version's tail holds what the earlier batches asserted: 2 facts
+		// per batch on each of A (input), A and P (output).
+		if limit := 3 * 2 * int(b+1); stats.TuplesCopied > limit {
+			t.Fatalf("batch %d copied %d tuples (limit %d) on %d-tuple relations", b, stats.TuplesCopied, limit, n)
+		}
+		total += stats.TuplesCopied
+	}
+	if total == 0 {
+		t.Fatal("TuplesCopied never moved: ten batches copied no tail")
+	}
+	if out, _, err := Eval(p, m.Input(), Options{}); err != nil || !out.Equal(m.Output()) {
+		t.Fatalf("maintained view differs from a from-scratch evaluation (err %v)", err)
+	}
+}
+
+// TestMaterializeSkipsDeadInputTuples: an input relation may carry dead
+// tuples (the store compacts lazily); one whose value was asserted again
+// must not be seeded as a second external support.
+func TestMaterializeSkipsDeadInputTuples(t *testing.T) {
+	p := mustParseProgram(t, `P(x, y) :- A(x, y).`)
+	input := db.New()
+	for i := int64(0); i < 64; i++ {
+		input.Add(ga("P", i, i))
+	}
+	w := input.Freeze().Thaw()
+	w.Remove(ga("P", 3, 3))
+	w.Add(ga("P", 3, 3))
+	if rel := w.Relation("P"); rel.Dead() != 1 {
+		t.Fatalf("dead = %d: the input no longer carries the dead copy this test is about", rel.Dead())
+	}
+	m := mustMaterialize(t, p, w, Options{}, MaintainOptions{})
+	diff, _, err := m.Apply(context.Background(), Delta{Retract: []ast.GroundAtom{ga("P", 3, 3)}})
+	if err != nil || len(diff.Removed) != 1 || m.Output().Has(ga("P", 3, 3)) {
+		t.Fatalf("retracting the only support of P(3, 3): diff %+v, err %v, still present %v", diff, err, m.Output().Has(ga("P", 3, 3)))
 	}
 }
 

@@ -396,7 +396,7 @@ func (u *unit) setupFor(d *db.Database, opts Options) *roundSetup {
 	defer u.mu.Unlock()
 	sizeOf := func(pred string) int {
 		if rel := d.Relation(pred); rel != nil {
-			return rel.Len()
+			return rel.Live()
 		}
 		return 0
 	}

@@ -103,10 +103,16 @@ type MaintainStats struct {
 	Overdeleted int `json:"overdeleted"`
 	Rederived   int `json:"rederived"`
 	// RelationsFrozen / FreezeSkipped count, per maintenance batch, the
-	// relations the snapshot layer had to compact-and-share versus those the
-	// dirty-set check proved untouched since the previous freeze.
+	// relations the snapshot layer had to seal and share as a new version
+	// (the batch wrote them) versus those the dirty-set check proved
+	// untouched since the previous freeze.
 	RelationsFrozen int `json:"relations_frozen"`
 	FreezeSkipped   int `json:"freeze_skipped"`
+	// TuplesCopied counts the tuples the store physically copied for the
+	// batches: the tails copy-on-write duplicated and the live tuples flatten
+	// rebuilt (db.Database.TuplesCopied). Against the size of the written
+	// relations it says whether mutation cost followed the batch or the data.
+	TuplesCopied int `json:"tuples_copied"`
 }
 
 // ChaseStats counts how the [P, T] chases of a containment session were
@@ -123,13 +129,13 @@ type ChaseStats struct {
 // leaves is the single enumeration of the counter set, in declaration
 // order: Add and Sub walk it, so a counter listed here is summed and
 // differenced everywhere stats flow.
-func (s *Stats) leaves() [23]*int {
+func (s *Stats) leaves() [24]*int {
 	return [...]*int{
 		&s.Rounds, &s.Firings, &s.Added,
 		&s.PrepareHits, &s.PrepareMisses, &s.VerdictsReused, &s.VerdictsRecomputed, &s.VerdictsSubsumed,
 		&s.StrataStreamed, &s.StrataMaterialized, &s.BindingsPipelined, &s.EarlyStopCuts,
 		&s.ShardRounds, &s.DeltaExchanged, &s.ShardImbalance,
-		&s.Applies, &s.CountAdjusted, &s.Overdeleted, &s.Rederived, &s.RelationsFrozen, &s.FreezeSkipped,
+		&s.Applies, &s.CountAdjusted, &s.Overdeleted, &s.Rederived, &s.RelationsFrozen, &s.FreezeSkipped, &s.TuplesCopied,
 		&s.ChasesBudgetFree, &s.ChasesBudgetBounded,
 	}
 }

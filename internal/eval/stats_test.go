@@ -37,8 +37,8 @@ func statLeaves(t *testing.T, s *Stats) (vals []reflect.Value, names, tags []str
 func TestStatsAddSubCoverEveryField(t *testing.T) {
 	var s Stats
 	vals, names, tags := statLeaves(t, &s)
-	if len(vals) != 23 {
-		t.Fatalf("Stats has %d leaf counters, want 23 (update the wire golden and TUTORIAL's counters table with the new one)", len(vals))
+	if len(vals) != 24 {
+		t.Fatalf("Stats has %d leaf counters, want 24 (update the wire golden and TUTORIAL's counters table with the new one)", len(vals))
 	}
 	seen := make(map[string]string)
 	for i, v := range vals {
@@ -71,8 +71,9 @@ func TestStatsAddSubCoverEveryField(t *testing.T) {
 }
 
 // TestStatsWireGolden pins the stats object of /eval, /minimize and
-// /v1/statz: the 23 keys, in this order, that the hand-written wire struct
-// emitted before Stats carried its own tags.
+// /v1/statz: the 24 keys, in this order — the 23 the hand-written wire
+// struct emitted before Stats carried its own tags, plus tuples_copied at the
+// end of its group.
 func TestStatsWireGolden(t *testing.T) {
 	var s Stats
 	vals, _, _ := statLeaves(t, &s)
@@ -87,8 +88,8 @@ func TestStatsWireGolden(t *testing.T) {
 		`"prepare_hits":4,"prepare_misses":5,"verdicts_reused":6,"verdicts_recomputed":7,"verdicts_subsumed":8,` +
 		`"strata_streamed":9,"strata_materialized":10,"bindings_pipelined":11,"early_stop_cuts":12,` +
 		`"shard_rounds":13,"delta_exchanged":14,"shard_imbalance":15,` +
-		`"applies":16,"count_adjusted":17,"overdeleted":18,"rederived":19,"relations_frozen":20,"freeze_skipped":21,` +
-		`"chases_budget_free":22,"chases_budget_bounded":23}`
+		`"applies":16,"count_adjusted":17,"overdeleted":18,"rederived":19,"relations_frozen":20,"freeze_skipped":21,"tuples_copied":22,` +
+		`"chases_budget_free":23,"chases_budget_bounded":24}`
 	if string(got) != want {
 		t.Fatalf("stats wire object changed:\n got %s\nwant %s", got, want)
 	}

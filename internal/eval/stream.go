@@ -188,6 +188,8 @@ type streamState struct {
 	vals    []ast.Const
 	rels    []*db.Relation
 	probers []db.Prober
+	flat    []bool // probers[i].Flat(): the position's cursor is flats[i], not iters[i]
+	flats   []db.FlatIter
 	iters   []db.TupleIter
 	next    []int   // scan cursor / lookup-consumed flag
 	cur     []int32 // id of the tuple currently bound at each position
@@ -327,6 +329,8 @@ func (st *streamState) ensure(plans ...*streamPlan) {
 	if len(st.rels) < nOps {
 		st.rels = make([]*db.Relation, nOps)
 		st.probers = make([]db.Prober, nOps)
+		st.flat = make([]bool, nOps)
+		st.flats = make([]db.FlatIter, nOps)
 		st.iters = make([]db.TupleIter, nOps)
 		st.next = make([]int, nOps)
 		st.cur = make([]int32, nOps)
@@ -380,6 +384,7 @@ func (sp *streamPlan) run(d *db.Database, win span, st *streamState, stats *Stat
 		st.rels[i], st.lo[i], st.hi[i] = rel, lo, hi
 		if op.kind == opProbe {
 			st.probers[i] = rel.Prober(op.cols, w.Max)
+			st.flat[i] = st.probers[i].Flat()
 		}
 	}
 	if nOps == 0 {
@@ -415,13 +420,19 @@ func (sp *streamPlan) open(pos int, st *streamState) {
 	case opLookup:
 		st.next[pos] = 0
 	case opProbe:
-		st.iters[pos] = st.probers[pos].Seek(op.buildKey(st.key, st.vals))
+		if key := op.buildKey(st.key, st.vals); st.flat[pos] {
+			st.flats[pos] = st.probers[pos].SeekFlat(key)
+		} else {
+			st.iters[pos] = st.probers[pos].Seek(key)
+		}
 	}
 }
 
 // advance pulls the next candidate at pos that lies in the position's
-// id-range, is owned by the running shard task (position 0 only) and passes
-// the operator's selection actions, binding its free columns into the frame.
+// id-range, is alive (a scan skips dead ids itself; lookups and probes only
+// ever return live ones), is owned by the running shard task (position 0
+// only) and passes the operator's selection actions, binding its free
+// columns into the frame.
 // Slots are never unbound: boundness is static, so a stale value is simply
 // overwritten by the next candidate before anything downstream reads it.
 func (sp *streamPlan) advance(pos int, st *streamState, stats *Stats) bool {
@@ -436,6 +447,9 @@ func (sp *streamPlan) advance(pos int, st *streamState, stats *Stats) bool {
 			}
 			id = st.next[pos]
 			st.next[pos]++
+			if !rel.Alive(id) {
+				continue
+			}
 		case opLookup:
 			if st.next[pos] != 0 {
 				return false // the single probe was consumed
@@ -448,7 +462,13 @@ func (sp *streamPlan) advance(pos int, st *streamState, stats *Stats) bool {
 			id = int(tid)
 		case opProbe:
 			// The prober's limit is the window's hi; chains run oldest first.
-			tid, ok := st.iters[pos].Next()
+			var tid int32
+			var ok bool
+			if st.flat[pos] {
+				tid, ok = st.flats[pos].Next()
+			} else {
+				tid, ok = st.iters[pos].Next()
+			}
 			if !ok {
 				return false
 			}

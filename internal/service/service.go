@@ -199,20 +199,11 @@ func (s *Server) MutateFacts(name, tenant, assertSrc, retractSrc string) (versio
 		t = &tenantState{versions: make(map[int]*db.Snapshot), views: make(map[int]*liveView)}
 		e.tenants[tenant] = t
 	}
-	inAssert := make(map[string]bool, len(asserts))
-	for _, g := range asserts {
-		inAssert[g.Key()] = true
+	net := delta.Net(w)
+	for _, g := range net.Retract {
+		w.Remove(g)
 	}
-	removed := false
-	for _, g := range retracts {
-		if !inAssert[g.Key()] && w.Remove(g) {
-			removed = true
-		}
-	}
-	if removed {
-		w.Compact()
-	}
-	for _, g := range asserts {
+	for _, g := range net.Assert {
 		w.Add(g)
 	}
 	t.latest++

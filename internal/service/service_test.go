@@ -485,6 +485,16 @@ func TestServeArityMismatch(t *testing.T) {
 		t.Fatalf("version chain moved by rejected batches: %d %v", code, resp)
 	}
 
+	// The halves of a batch are checked separately: retracting E/3 from a
+	// tenant with no E is a no-op at any arity, beside an assert of E/2 too.
+	code, resp = post(t, ts, "/v1/programs/p/facts", map[string]any{"tenant": "cross", "assert": "E(1,2).", "retract": "E(1,2,3)."})
+	if code != 200 || resp["db_version"] != float64(1) {
+		t.Fatalf("cross-half batch: %d %v, want 200 at version 1", code, resp)
+	}
+	if code, resp := post(t, ts, "/v1/programs/p/eval", map[string]any{"tenant": "cross", "query": "T(1, y)"}); code != 200 {
+		t.Fatalf("eval after cross-half batch: %d %v", code, resp)
+	}
+
 	// T/3 loads fine (the tenant has no T yet) but contradicts the head T/2.
 	if code, resp := post(t, ts, "/v1/programs/p/facts", map[string]any{"tenant": "u", "assert": "T(1,2,3). E(1,2)."}); code != 200 {
 		t.Fatalf("facts: %d %v", code, resp)
@@ -729,5 +739,5 @@ func TestStatzEveryGroupMoves(t *testing.T) {
 	f := subscribe(t, ts, "tc", map[string]any{"tenant": "t"})
 	f.next(t) // snapshot frame: the view is materialized and registered
 	step("facts batch on a subscribed tenant", ok("/v1/programs/tc/facts", map[string]any{"tenant": "t", "retract": fmt.Sprintf("%s(2, 3).", a)}),
-		"applies", "overdeleted", "relations_frozen")
+		"applies", "overdeleted", "relations_frozen", "tuples_copied")
 }
