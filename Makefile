@@ -72,10 +72,16 @@ experiments:
 
 # guard-one-join keeps a second join out of internal/eval: the operator
 # pipeline (stream.go) is the only code there that joins a rule body, so no
-# non-test file may reach for the binding-map matcher.
+# non-test file may reach for the binding-map matcher. And it keeps the
+# reference matcher (internal/db/match.go, DESIGN §6.5) out of the layers that
+# evaluate through internal/eval: a proof is read back from an evaluation
+# (internal/explain), a query answer is a db.Select.
 guard-one-join:
 	@if grep -nE 'db\.Match(Atom|Seq|Conjunction)|ast\.Binding|MustGround' internal/eval/*.go | grep -v '_test\.go:'; then \
 		echo "internal/eval: binding-map join outside tests (make guard-one-join)" >&2; exit 1; \
+	fi
+	@if grep -rnE 'db\.Match(Atom|Seq|Conjunction)' --include='*.go' internal/explain internal/magic internal/core internal/service cmd | grep -v '_test\.go:'; then \
+		echo "the reference matcher above internal/eval (make guard-one-join): evaluate, then db.Select or explain" >&2; exit 1; \
 	fi
 
 # guard-ctx-arg keeps configuration from growing back. A context is only ever

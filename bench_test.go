@@ -328,25 +328,34 @@ func BenchmarkAblation_PrelimDepth(b *testing.B) {
 	}
 }
 
-// BenchmarkExplainProver measures provenance-tracking evaluation against
-// plain evaluation.
+// BenchmarkExplainProver measures what a proof costs on top of the
+// evaluation it is read back from: plain evaluation against evaluation plus
+// the derivation tree of the deepest fact (the chain's end-to-end pair, whose
+// tree has every input edge as a leaf).
 func BenchmarkExplainProver(b *testing.B) {
 	p := workload.TransitiveClosure()
-	edb := workload.Chain("A", 32)
-	b.Run("plain-eval", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, _, err := eval.Eval(p, edb, eval.Options{}); err != nil {
-				b.Fatal(err)
+	for _, n := range []int{32, 256} {
+		edb := workload.Chain("A", n)
+		deepest := ast.NewGroundAtom("G", ast.Int(0), ast.Int(int64(n)))
+		b.Run(fmt.Sprintf("n=%d/eval", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, _, err := eval.Eval(p, edb, eval.Options{}); err != nil {
+					b.Fatal(err)
+				}
 			}
-		}
-	})
-	b.Run("prover", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, err := explain.NewProver(p, edb); err != nil {
-				b.Fatal(err)
+		})
+		b.Run(fmt.Sprintf("n=%d/eval+explain", n), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				pr, err := explain.NewProver(p, edb)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, ok := pr.Explain(deepest); !ok {
+					b.Fatal("deepest fact not explained")
+				}
 			}
-		}
-	})
+		})
+	}
 }
 
 // BenchmarkEngines compares the four query-answering strategies on a bound

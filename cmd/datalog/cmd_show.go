@@ -1,12 +1,12 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/core"
 	"repro/internal/db"
 	"repro/internal/dot"
-	"repro/internal/explain"
 	"repro/internal/magic"
 	"repro/internal/parser"
 )
@@ -46,11 +46,14 @@ func (c *cli) cmdExplain(rest []string) error {
 	if !goalAtom.IsGround() {
 		return fmt.Errorf("explain: goal %s must be a ground fact", goalAtom)
 	}
-	prover, err := explain.NewProver(res.Program, db.FromFacts(res.Facts))
+	sess, err := core.NewSession(res.Program, core.SessionOptions{Shards: c.opts.Shards})
 	if err != nil {
 		return err
 	}
-	deriv, ok := prover.Explain(goalAtom.MustGround(nil))
+	deriv, ok, err := sess.Explain(context.Background(), db.FromFacts(res.Facts), goalAtom.MustGround(nil))
+	if err != nil {
+		return err
+	}
 	if !ok {
 		return fmt.Errorf("explain: %s is not in the program's output", goalAtom)
 	}

@@ -1,10 +1,13 @@
 package main
 
 import (
+	"errors"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/eval"
 )
 
 func writeFile(t *testing.T, name, content string) string {
@@ -156,6 +159,13 @@ func TestExplainCommand(t *testing.T) {
 	}
 	if err := run([]string{"explain", f, "G(x, y)"}, &sb); err == nil {
 		t.Fatal("non-ground goal accepted")
+	}
+	// Facts contradicting a rule's arity are the evaluator's typed error, as
+	// for eval — the naive prover this command used to run panicked in the
+	// store.
+	bad := writeFile(t, "arity.dl", "T(x, y) :- E(x, y).\nE(1, 2). T(1, 2, 3).\n")
+	if err := run([]string{"explain", bad, "T(1, 2)"}, &sb); !errors.Is(err, eval.ErrArity) {
+		t.Fatalf("explain over T/3 facts: %v, want an error wrapping eval.ErrArity", err)
 	}
 }
 

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bufio"
+	"context"
 	"fmt"
 	"io"
 	"os"
@@ -12,7 +13,6 @@ import (
 	"repro/internal/db"
 	"repro/internal/dot"
 	"repro/internal/eval"
-	"repro/internal/explain"
 	"repro/internal/parser"
 )
 
@@ -247,11 +247,14 @@ commands:     :show                   print the session's program/facts/tgds
 		if !goal.IsGround() {
 			return fmt.Errorf("goal must be ground")
 		}
-		prover, err := explain.NewProver(s.program, db.FromFacts(s.facts))
+		sess, err := core.NewSession(s.program)
 		if err != nil {
 			return err
 		}
-		d, ok := prover.Explain(goal.MustGround(nil))
+		d, ok, err := sess.Explain(context.Background(), db.FromFacts(s.facts), goal.MustGround(nil))
+		if err != nil {
+			return err
+		}
 		if !ok {
 			return fmt.Errorf("%s is not derivable", goal)
 		}

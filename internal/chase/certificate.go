@@ -1,6 +1,7 @@
 package chase
 
 import (
+	"context"
 	"fmt"
 
 	"repro/internal/ast"
@@ -10,22 +11,25 @@ import (
 // UniformlyContainsRuleCertified decides r ⊑ᵘ p and, on success, returns a
 // machine-checkable derivation tree proving the frozen head from the
 // frozen body — a certificate a skeptical caller can re-verify with
-// explain.Verify without trusting the chase. On a negative answer the
+// explain.Verify without trusting the chase. Verdict and certificate come
+// from one run: the goal-directed evaluation of Corollary 2's test, whose
+// partial database the proof is read back from. On a negative answer the
 // certificate is nil and the frozen body itself is the counterexample
 // (see Certificate and TestChaseNoHasCanonicalWitness).
 func UniformlyContainsRuleCertified(p *ast.Program, r ast.Rule) (bool, *Certificate, *explain.Derivation, error) {
 	if p.HasNegation() || r.HasNegation() {
 		return false, nil, nil, fmt.Errorf("chase: uniform containment is defined for pure Datalog")
 	}
-	head, body := FreezeRule(r)
-	prover, err := explain.NewProver(p, body)
+	c, err := NewChecker(p)
 	if err != nil {
 		return false, nil, nil, err
 	}
-	deriv, ok := prover.Explain(head)
-	if !ok {
-		return false, nil, nil, nil
+	head, body := FreezeRule(r)
+	out, reached, _, err := c.prep.Run(context.Background(), body, &head, 0, nil)
+	if err != nil || !reached {
+		return false, nil, nil, err
 	}
+	deriv, _ := explain.Over(p, c.prep, body, out).Explain(head)
 	cert := &Certificate{Rule: r.Clone(), Head: head, Body: body}
 	return true, cert, deriv, nil
 }

@@ -70,3 +70,22 @@ func TestCertificateRejectsNegation(t *testing.T) {
 		t.Fatal("negation accepted")
 	}
 }
+
+// TestCertificateNamesCallersVariables: the plan a Checker evaluates on may be
+// a cached one prepared from a per-rule variable renaming of its program; the
+// certificate's bindings name the variables of the program the caller passed,
+// so it verifies against that program.
+func TestCertificateNamesCallersVariables(t *testing.T) {
+	if _, err := NewChecker(parser.MustParseProgram("Cert(a, c) :- CertE(a, c).\nCert(a, c) :- Cert(a, b), Cert(b, c).")); err != nil {
+		t.Fatal(err)
+	}
+	p := parser.MustParseProgram("Cert(x, z) :- CertE(x, z).\nCert(x, z) :- Cert(x, y), Cert(y, z).")
+	r := parser.MustParseProgram("Cert(u, w) :- CertE(u, v), Cert(v, t), CertE(t, w).").Rules[0]
+	ok, cert, deriv, err := UniformlyContainsRuleCertified(p, r)
+	if err != nil || !ok {
+		t.Fatalf("contained rule: ok=%v err=%v", ok, err)
+	}
+	if err := VerifyCertificate(p, cert, deriv); err != nil {
+		t.Fatalf("certificate does not verify against the caller's program: %v\n%s", err, deriv)
+	}
+}

@@ -745,7 +745,7 @@ func tgdSetKey(tgds []ast.TGD) string {
 // emit path. Full tgds have no existential variables, so no nulls are ever
 // created and the fixpoint is exactly [P, T](d); closure under the combined
 // program subsumes tgd satisfaction, so Complete needs no separate
-// tgdsSatisfied sweep.
+// Satisfies sweep.
 func (c *Checker) chaseFull(ctx context.Context, tgds []ast.TGD, d *db.Database, goal *ast.GroundAtom, budget Budget, cl depgraph.Classification) (Result, Verdict, error) {
 	prep, err := c.fullPrep(tgds)
 	if err != nil {
@@ -814,23 +814,28 @@ func (c *Checker) isFixpoint(cur *db.Database, tgds []ast.TGD) bool {
 	if !c.prep.IsClosed(cur) {
 		return false
 	}
-	return tgdsSatisfied(cur, tgds)
+	return Satisfies(cur, tgds)
 }
 
-// tgdsSatisfied reports whether every tgd holds in d: each grounding of a
-// LHS extends to a grounding of its RHS.
-func tgdsSatisfied(d *db.Database, tgds []ast.TGD) bool {
+// EachViolation hands f every violated instantiation of t in d (Section
+// VIII): an instantiation θ of the universally quantified variables that
+// grounds the LHS into d while no extension of θ grounds the RHS there. It is
+// the one enumeration behind tgd satisfaction, the violation report and a
+// chase round, on the reference matcher, in its order. θ is the matcher's
+// live binding — Clone to keep it. f returning false ends the enumeration,
+// which EachViolation then reports.
+func EachViolation(d *db.Database, t ast.TGD, f func(theta ast.Binding) bool) bool {
+	b := ast.Binding{}
+	return db.MatchConjunction(d, t.Lhs, b, func() bool {
+		return db.Satisfiable(d, t.Rhs, b) || f(b)
+	})
+}
+
+// Satisfies reports whether every tgd holds in d: each grounding of a LHS
+// extends to a grounding of its RHS.
+func Satisfies(d *db.Database, tgds []ast.TGD) bool {
 	for _, t := range tgds {
-		ok := true
-		b := ast.Binding{}
-		db.MatchConjunction(d, t.Lhs, b, func() bool {
-			if !db.Satisfiable(d, t.Rhs, b) {
-				ok = false
-				return false
-			}
-			return true
-		})
-		if !ok {
+		if !EachViolation(d, t, func(ast.Binding) bool { return false }) {
 			return false
 		}
 	}
@@ -851,11 +856,8 @@ func ApplyTGDRound(tgds []ast.TGD, d *db.Database, nullGen *ast.ConstGen) int {
 	for _, t := range tgds {
 		exist := t.ExistentialVars()
 		var pending []ast.Binding
-		b := ast.Binding{}
-		db.MatchConjunction(d, t.Lhs, b, func() bool {
-			if !db.Satisfiable(d, t.Rhs, b) {
-				pending = append(pending, b.Clone())
-			}
+		EachViolation(d, t, func(theta ast.Binding) bool {
+			pending = append(pending, theta.Clone())
 			return true
 		})
 		for _, theta := range pending {

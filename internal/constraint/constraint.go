@@ -37,14 +37,7 @@ func (v Violation) String() string {
 }
 
 // Satisfies reports whether d satisfies every tgd of T.
-func Satisfies(d *db.Database, tgds []ast.TGD) bool {
-	for _, tau := range tgds {
-		if v := firstViolation(d, tau); v != nil {
-			return false
-		}
-	}
-	return true
-}
+func Satisfies(d *db.Database, tgds []ast.TGD) bool { return chase.Satisfies(d, tgds) }
 
 // Violations returns every violation of the tgds in d, up to max (0 means
 // unlimited). Violations of the same tgd with different instantiations are
@@ -52,36 +45,19 @@ func Satisfies(d *db.Database, tgds []ast.TGD) bool {
 func Violations(d *db.Database, tgds []ast.TGD, max int) []Violation {
 	var out []Violation
 	for _, tau := range tgds {
-		b := ast.Binding{}
-		stop := false
-		db.MatchConjunction(d, tau.Lhs, b, func() bool {
-			if db.Satisfiable(d, tau.Rhs, b) {
-				return true
-			}
-			lhs, err := ast.GroundAtoms(tau.Lhs, b)
+		more := chase.EachViolation(d, tau, func(theta ast.Binding) bool {
+			lhs, err := ast.GroundAtoms(tau.Lhs, theta)
 			if err != nil {
 				return true // unreachable: the match bound every variable
 			}
-			out = append(out, Violation{TGD: tau.Clone(), LHS: lhs, Binding: b.Clone()})
-			if max > 0 && len(out) >= max {
-				stop = true
-				return false
-			}
-			return true
+			out = append(out, Violation{TGD: tau.Clone(), LHS: lhs, Binding: theta.Clone()})
+			return max <= 0 || len(out) < max
 		})
-		if stop {
+		if !more {
 			break
 		}
 	}
 	return out
-}
-
-func firstViolation(d *db.Database, tau ast.TGD) *Violation {
-	vs := Violations(d, []ast.TGD{tau}, 1)
-	if len(vs) == 0 {
-		return nil
-	}
-	return &vs[0]
 }
 
 // Repair closes d under the tgds (no program rules), adding facts — with

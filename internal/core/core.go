@@ -376,8 +376,10 @@ func NewTopDown(p *Program, edb *Database) (*topdown.Engine, error) {
 	return topdown.New(p, edb)
 }
 
-// NewProver evaluates p on input while recording provenance; use
-// Prover.Explain for derivation trees.
+// NewProver evaluates p on input and returns the provenance reader over the
+// result: Prover.Explain for derivation trees, Prover.Justifications /
+// TotalJustifications / CountProofs for derivation counting. A server
+// explaining one fact goes through Session.Explain instead.
 func NewProver(p *Program, input *Database) (*explain.Prover, error) {
 	return explain.NewProver(p, input)
 }
@@ -486,12 +488,6 @@ func OptimizeForQuery(p *Program, query Atom, opts PipelineOptions) (*PipelineRe
 // internal/chase for the encoding and its soundness argument).
 func StratifiedUniformlyContains(p1, p2 *Program) (bool, int, error) {
 	return chase.StratifiedUniformlyContains(p1, p2)
-}
-
-// NewCountingProver evaluates p on input recording every justification,
-// for derivation counting (why-provenance); see internal/explain.
-func NewCountingProver(p *Program, input *Database) (*explain.CountingProver, error) {
-	return explain.NewCountingProver(p, input)
 }
 
 // MagicAnswerStratified answers a query through the magic rewriting for

@@ -7,6 +7,7 @@ import (
 	"repro/internal/chase"
 	"repro/internal/db"
 	"repro/internal/eval"
+	"repro/internal/explain"
 	"repro/internal/minimize"
 	"repro/internal/preserve"
 )
@@ -18,8 +19,8 @@ import (
 // maintains — the prepared evaluation plan, the uniform-containment checker
 // and the preservation session — behind one concurrency contract:
 //
-//   - Eval / EvalWith / Query are safe for any number of concurrent callers
-//     (the Prepared plan is immutable);
+//   - Eval / EvalWith / Query / Explain are safe for any number of concurrent
+//     callers (the Prepared plan is immutable);
 //   - Minimize / ContainsRule / Contains / Preserve / PreservePreliminary
 //     serialize on the session mutex (checkers and preservation sessions
 //     are single-threaded state machines);
@@ -224,6 +225,24 @@ func (s *Session) Query(ctx context.Context, input *Database, query Atom) ([][]C
 		return nil, st, err
 	}
 	return db.Select(out, query), st, nil
+}
+
+// Explain returns a derivation tree for goal over P(input), or false when
+// goal is not derivable. The evaluation is goal-directed — it halts the
+// moment goal is derived — and the proof is read back from its round stamps
+// (internal/explain), so an explanation costs an evaluation cut short plus
+// one backwards join per node of the tree. Rule indexes and variable names
+// in the tree are those of Program(). Safe for concurrent callers.
+func (s *Session) Explain(ctx context.Context, input *Database, goal GroundAtom) (*explain.Derivation, bool, error) {
+	out, reached, st, err := s.prep.Run(ctx, input, &goal, 0, nil)
+	var d *explain.Derivation
+	if reached {
+		pr := explain.Over(s.prog, s.prep, input, out)
+		d, reached = pr.Explain(goal)
+		st.Add(pr.Stats())
+	}
+	s.account(st)
+	return d, reached, err
 }
 
 // Minimize runs Fig. 2 minimization of the session program under ctx. The

@@ -12,6 +12,8 @@ import (
 
 	"repro/internal/ast"
 	"repro/internal/core"
+	"repro/internal/eval"
+	"repro/internal/explain"
 )
 
 // serviceProgram has recursion, a redundant atom (for minimize) and several
@@ -332,5 +334,67 @@ func TestSessionCompareConcurrent(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
+	}
+}
+
+// TestSessionExplain: Explain is a session request like Eval — it runs on the
+// session's (possibly shared, alpha-renamed) plan, names rules and variables
+// after Program() so the tree verifies against it, is accounted in Stats, and
+// fails with the evaluator's typed errors.
+func TestSessionExplain(t *testing.T) {
+	ctx := context.Background()
+	svc := core.NewService(core.SessionOptions{PlanCache: core.NewPlanCache(8)})
+	first, err := core.ParseProgram("T(a,b) :- E(a,b).\nT(a,c) :- E(a,b), T(b,c).\nIso(a) :- Src(a), !T(a,a).")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := svc.Open(first); err != nil {
+		t.Fatal(err)
+	}
+	renamed, err := core.ParseProgram("T(x,y) :- E(x,y).\nT(x,z) :- E(x,y), T(y,z).\nIso(x) :- Src(x), !T(x,x).")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := svc.Open(renamed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := core.NewDatabase()
+	for i := 0; i < 6; i++ {
+		in.AddTuple("E", []core.Const{intc(i), intc(i + 1)})
+	}
+	in.AddTuple("Src", []core.Const{intc(2)})
+
+	_, reqs := sess.Stats()
+	for _, goal := range []core.GroundAtom{
+		{Pred: "T", Args: []core.Const{intc(0), intc(6)}},
+		{Pred: "Iso", Args: []core.Const{intc(2)}},
+		{Pred: "E", Args: []core.Const{intc(0), intc(1)}},
+	} {
+		d, ok, err := sess.Explain(ctx, in, goal)
+		if err != nil || !ok {
+			t.Fatalf("Explain(%v): ok=%v err=%v", goal, ok, err)
+		}
+		if err := explain.Verify(sess.Program(), in, d); err != nil {
+			t.Fatalf("proof of %v does not verify against the session program: %v\n%s", goal, err, d)
+		}
+	}
+	if d, ok, err := sess.Explain(ctx, in, core.GroundAtom{Pred: "T", Args: []core.Const{intc(6), intc(0)}}); d != nil || ok || err != nil {
+		t.Fatalf("absent fact: %v %v %v", d, ok, err)
+	}
+	st, after := sess.Stats()
+	if after != reqs+4 || st.Firings == 0 || st.BindingsPipelined == 0 {
+		t.Fatalf("4 explains accounted as %d requests, stats %+v", after-reqs, st)
+	}
+
+	bad := in.Clone()
+	bad.AddTuple("T", []core.Const{intc(1), intc(2), intc(3)})
+	if _, _, err := sess.Explain(ctx, bad, core.GroundAtom{Pred: "T", Args: []core.Const{intc(0), intc(6)}}); !errors.Is(err, eval.ErrArity) {
+		t.Fatalf("T/3 input: %v, want ErrArity", err)
+	}
+	gone, cancel := context.WithCancel(ctx)
+	cancel()
+	if _, _, err := sess.Explain(gone, in, core.GroundAtom{Pred: "T", Args: []core.Const{intc(0), intc(6)}}); !errors.Is(err, core.ErrCanceled) {
+		t.Fatalf("canceled context: %v, want ErrCanceled", err)
 	}
 }

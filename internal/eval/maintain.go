@@ -245,7 +245,7 @@ func (mp *maintPlan) changed(d, posDelta, negDelta *db.Database, st *streamState
 // rule over all of d.
 func runChange(sp *streamPlan, d, src *db.Database, st *streamState, stats *Stats, sink streamSink) {
 	st.ensure(sp)
-	sp.run(d, changeSpan(src, d), st, stats, sink)
+	sp.run(d, changeSpan(src, d.Round()), st, stats, sink)
 }
 
 // bump adds delta to fact's entry in the count multiset adj.
@@ -281,10 +281,7 @@ func (pr *Prepared) Materialize(ctx context.Context, input *db.Database, mo Main
 		// fact of a head predicate.
 		seed := db.New()
 		sink := sinkFunc(func(pred string, args []ast.Const) { bump(seed, pred, args, 1) })
-		for _, sp := range mu.plan.insert.plans {
-			st.ensure(sp)
-			sp.run(out, fullSpan(out.Round()), st, &stats, sink)
-		}
+		mu.plan.insert.applyOnce(out, st, &stats, sink)
 		for pred := range u.dynamic {
 			if rel := in.Relation(pred); rel != nil {
 				for i := 0; i < rel.Len(); i++ {

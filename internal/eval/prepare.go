@@ -341,12 +341,25 @@ func (pr *Prepared) Query(input *db.Database, query ast.Atom) ([][]ast.Const, er
 	return db.Select(out, query), nil
 }
 
+// applyOnce runs each of the setup's rules once over all of d — a full span,
+// so every firing valid in d reaches sink exactly once — until sink halts.
+func (rs *roundSetup) applyOnce(d *db.Database, st *streamState, stats *Stats, sink streamSink) {
+	win := fullSpan(d.Round())
+	for _, sp := range rs.plans {
+		st.ensure(sp)
+		if !sp.run(d, win, st, stats, sink) {
+			return
+		}
+	}
+}
+
 // onePass applies every rule of the program once to d — no derivation feeds
 // back, so each rule is one full-span pipeline run whatever recursion the
 // program has — in the static join order (no live cardinalities exist for a
 // one-shot pass), routing head instantiations to sink until it halts. d
-// gains the hash indexes the joins probe but no facts.
-func (pr *Prepared) onePass(d *db.Database, sink streamSink) {
+// gains the hash indexes the joins probe but no facts. The returned stats
+// are the pass's own.
+func (pr *Prepared) onePass(d *db.Database, sink streamSink) Stats {
 	pr.nonrecOnce.Do(func() {
 		pr.nonrec = buildSetup(pr.prog.Rules, staticPerms(pr.prog.Rules), false, nil)
 	})
@@ -354,15 +367,11 @@ func (pr *Prepared) onePass(d *db.Database, sink streamSink) {
 	for _, n := range rs.needs {
 		d.EnsureIndex(n.pred, n.cols)
 	}
-	st := getStreamState(rs.plans)
+	st := getStreamState(nil)
 	defer putStreamState(st)
 	var stats Stats
-	win := fullSpan(d.Round())
-	for _, sp := range rs.plans {
-		if !sp.run(d, win, st, &stats, sink) {
-			return
-		}
-	}
+	rs.applyOnce(d, st, &stats, sink)
+	return stats
 }
 
 // NonRecursive computes Pⁿ(d) as defined in Section IX: the set of head

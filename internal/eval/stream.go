@@ -143,7 +143,9 @@ func lowerRule(r ast.Rule, vars []string) *streamPlan {
 // them back. A non-nil src makes a change-set span: operator 0 scans every
 // tuple of src — a small database of changed facts — instead of d, and the
 // window applies to the later operators only (view maintenance runs rule
-// variants led by the changed atom under full windows this way).
+// variants led by the changed atom under full windows this way; proof
+// read-back runs the head-led variant over one fact under the rounds below
+// it).
 type span struct {
 	delta    int
 	min, max int32
@@ -153,8 +155,11 @@ type span struct {
 
 func fullSpan(maxRound int32) span { return span{delta: -1, max: maxRound} }
 
-// changeSpan is the change-set span reading all of d behind src.
-func changeSpan(src, d *db.Database) span { return span{delta: -1, max: d.Round(), src: src} }
+// changeSpan is the change-set span: operator 0 over src, the later
+// operators over rounds [0, maxRound].
+func changeSpan(src *db.Database, maxRound int32) span {
+	return span{delta: -1, max: maxRound, src: src}
+}
 
 func (s span) window(pos int) db.RoundWindow {
 	if s.swapped && pos < 2 {

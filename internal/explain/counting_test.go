@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"repro/internal/ast"
-	"repro/internal/db"
 	"repro/internal/eval"
 	"repro/internal/explain"
 	"repro/internal/minimize"
@@ -16,7 +15,7 @@ import (
 func TestCountingProverOutputMatchesEval(t *testing.T) {
 	p := workload.TransitiveClosure()
 	in := workload.Chain("A", 6)
-	cp, err := explain.NewCountingProver(p, in)
+	cp, err := explain.NewProver(p, in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -31,7 +30,7 @@ func TestJustificationCounts(t *testing.T) {
 	// (y=1 and y=2).
 	p := workload.TransitiveClosure()
 	in := workload.Chain("A", 3)
-	cp, err := explain.NewCountingProver(p, in)
+	cp, err := explain.NewProver(p, in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +55,7 @@ func TestJustificationCounts(t *testing.T) {
 func TestCountProofs(t *testing.T) {
 	p := workload.TransitiveClosure()
 	in := workload.Chain("A", 4)
-	cp, err := explain.NewCountingProver(p, in)
+	cp, err := explain.NewProver(p, in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +81,7 @@ func TestCountProofsCap(t *testing.T) {
 	// A cycle explodes the proof count; the cap must bound the traversal.
 	p := workload.TransitiveClosure()
 	in := workload.Cycle("A", 6)
-	cp, err := explain.NewCountingProver(p, in)
+	cp, err := explain.NewProver(p, in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,11 +108,11 @@ func TestRedundancyMultipliesJustifications(t *testing.T) {
 		t.Fatal(err)
 	}
 	in := workload.Chain("A", 5)
-	cpBloat, err := explain.NewCountingProver(bloated, in)
+	cpBloat, err := explain.NewProver(bloated, in)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cpMin, err := explain.NewCountingProver(min, in)
+	cpMin, err := explain.NewProver(min, in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,12 +122,5 @@ func TestRedundancyMultipliesJustifications(t *testing.T) {
 	if cpBloat.TotalJustifications() <= cpMin.TotalJustifications() {
 		t.Fatalf("redundant atom did not multiply justifications: %d vs %d",
 			cpBloat.TotalJustifications(), cpMin.TotalJustifications())
-	}
-}
-
-func TestCountingProverRejectsNegation(t *testing.T) {
-	p := parser.MustParseProgram(`P(x) :- A(x), !B(x).`)
-	if _, err := explain.NewCountingProver(p, db.New()); err == nil {
-		t.Fatal("negation accepted")
 	}
 }

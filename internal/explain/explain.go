@@ -1,9 +1,14 @@
-// Package explain records provenance during bottom-up evaluation and
-// reconstructs derivation trees: for any fact of P(d), a proof tree whose
-// leaves are input facts and whose internal nodes are rule instantiations
-// (the "deductions" of Section III). Besides being a practical debugging
-// aid for optimized programs, a derivation tree is a machine-checkable
-// certificate that a fact really belongs to the least model.
+// Package explain reads derivation trees back out of a bottom-up evaluation:
+// for any fact of P(d), a proof tree whose leaves are input facts and whose
+// internal nodes are rule instantiations (the "deductions" of Section III).
+// Nothing is recorded while the program runs. The evaluator stamps every
+// derived fact with a round above every fact its firing read, so a firing
+// whose premises are strictly older than its conclusion exists for each
+// derived fact and is found by running the rules backwards from the fact
+// (eval.Prepared.Firings); following premises is well-founded by the stamps.
+// Besides being a practical debugging aid for optimized programs, a
+// derivation tree is a machine-checkable certificate that a fact really
+// belongs to the least model.
 package explain
 
 import (
@@ -12,7 +17,7 @@ import (
 
 	"repro/internal/ast"
 	"repro/internal/db"
-	"repro/internal/depgraph"
+	"repro/internal/eval"
 )
 
 // Derivation is a proof tree: Fact is derived by instantiating rule
@@ -90,141 +95,110 @@ func (d *Derivation) String() string {
 	return sb.String()
 }
 
-// justification records how a fact was first derived.
-type justification struct {
-	ruleIndex int
-	binding   ast.Binding
-	premises  []ast.GroundAtom
-}
-
-// Prover evaluates a program once, recording one justification per derived
-// fact, and then answers Explain queries without re-evaluation.
+// Prover answers provenance questions about one evaluation: derivation trees
+// (Explain) and derivation counting (Justifications, TotalJustifications,
+// CountProofs) — the "how much duplicate work do redundant atoms cause"
+// measure behind the paper's join-reduction claim: a redundant body atom with
+// k matches multiplies a rule's derivations of the same fact by k. A Prover
+// is not safe for concurrent use.
 type Prover struct {
-	program *ast.Program
-	output  *db.Database
-	just    map[string]justification
-	input   map[string]bool
+	prog          *ast.Program
+	prep          *eval.Prepared
+	input, output *db.Database
+	vars          [][]string // per rule, its body's variables in ast.VarsOfAtoms order
+	stats         eval.Stats
 }
 
 // NewProver evaluates p on input (stratified semantics if negation is
-// present) while recording provenance.
+// present) and returns the reader over the result.
 func NewProver(p *ast.Program, input *db.Database) (*Prover, error) {
-	if err := p.Validate(); err != nil {
+	prep, err := eval.Prepare(p, eval.Options{})
+	if err != nil {
 		return nil, err
 	}
-	pr := &Prover{
-		program: p,
-		output:  input.Clone(),
-		just:    make(map[string]justification),
-		input:   make(map[string]bool),
+	out, st, err := prep.Eval(input)
+	if err != nil {
+		return nil, err
 	}
-	for _, f := range input.Facts() {
-		pr.input[f.Key()] = true
-	}
-
-	// Group rules by stratum so negation reads completed relations only.
-	var ruleGroups [][]int
-	if p.HasNegation() {
-		strata, err := depgraph.Strata(p)
-		if err != nil {
-			return nil, err
-		}
-		for _, stratum := range strata {
-			in := make(map[string]bool)
-			for _, pred := range stratum {
-				in[pred] = true
-			}
-			var idxs []int
-			for i, r := range p.Rules {
-				if in[r.Head.Pred] {
-					idxs = append(idxs, i)
-				}
-			}
-			if len(idxs) > 0 {
-				ruleGroups = append(ruleGroups, idxs)
-			}
-		}
-	} else {
-		all := make([]int, len(p.Rules))
-		for i := range all {
-			all[i] = i
-		}
-		ruleGroups = [][]int{all}
-	}
-
-	for _, group := range ruleGroups {
-		pr.fixpoint(group)
-	}
+	pr := Over(p, prep, input, out)
+	pr.stats = st
 	return pr, nil
 }
 
-// fixpoint saturates one rule group, recording the first justification of
-// each new fact. Premises always precede the facts they justify in
-// insertion order, so recorded provenance is acyclic by construction.
-func (pr *Prover) fixpoint(ruleIdxs []int) {
-	for {
-		added := false
-		for _, ri := range ruleIdxs {
-			r := pr.program.Rules[ri]
-			cs := make([]db.Constraint, len(r.Body))
-			for i, a := range db.OrderForJoin(r.Body, nil) {
-				cs[i] = db.Constraint{Atom: a, Window: db.AllRounds}
-			}
-			b := ast.Binding{}
-			db.MatchSeq(pr.output, cs, b, func() bool {
-				for _, n := range r.NegBody {
-					if pr.output.Has(n.MustGround(b)) {
-						return true
-					}
-				}
-				head := r.Head.MustGround(b)
-				if pr.output.Has(head) {
-					return true
-				}
-				prems := make([]ast.GroundAtom, len(r.Body))
-				for i, a := range r.Body {
-					prems[i] = a.MustGround(b)
-				}
-				pr.output.Add(head)
-				pr.just[head.Key()] = justification{
-					ruleIndex: ri,
-					binding:   b.Clone(),
-					premises:  prems,
-				}
-				added = true
-				return true
-			})
-		}
-		if !added {
-			return
-		}
+// Over reads proofs from an evaluation that already happened: output is what
+// prep.Run computed from input, fully or cut at a goal (a partial database
+// explains every fact it holds; the counts want the full one). p names the
+// rules and variables in the trees: the program prep was prepared from or a
+// per-rule variable renaming of it, which is what a plan cache may hand out.
+func Over(p *ast.Program, prep *eval.Prepared, input, output *db.Database) *Prover {
+	pr := &Prover{prog: p, prep: prep, input: input, output: output, vars: make([][]string, len(p.Rules))}
+	for i, r := range p.Rules {
+		pr.vars[i] = ast.VarsOfAtoms(r.Body)
 	}
+	return pr
 }
 
-// Output returns the computed database P(input).
+// Output returns the evaluated database.
 func (pr *Prover) Output() *db.Database { return pr.output }
 
-// Explain returns a derivation tree for the goal fact, or false when the
-// fact is not in P(input).
-func (pr *Prover) Explain(goal ast.GroundAtom) (*Derivation, bool) {
-	if !pr.output.Has(goal) {
-		return nil, false
+// Stats returns the work done so far: NewProver's evaluation plus every
+// read-back pass since.
+func (pr *Prover) Stats() eval.Stats { return pr.stats }
+
+// ground returns the binding of one firing — vals are the values of the
+// rule's body variables in ast.VarsOfAtoms order — and its body grounded in
+// source order.
+func (pr *Prover) ground(rule int, vals []ast.Const) (ast.Binding, []ast.GroundAtom) {
+	body := pr.prog.Rules[rule].Body
+	b := make(ast.Binding, len(vals))
+	for i, v := range pr.vars[rule] {
+		b[v] = vals[i]
 	}
-	return pr.build(goal), true
+	prems := make([]ast.GroundAtom, len(body))
+	for i, a := range body {
+		prems[i] = a.MustGround(b)
+	}
+	return b, prems
 }
 
+// Explain returns a derivation tree for the goal fact, or false when the
+// fact is not in the output. Input facts are leaves; a derived fact is
+// explained by its first firing — lowest rule index, then pipeline order —
+// whose premises are all stamped below it.
+func (pr *Prover) Explain(goal ast.GroundAtom) (*Derivation, bool) {
+	d := pr.build(goal)
+	return d, d != nil
+}
+
+// build returns nil when fact is not in the output, or is there with no
+// firing below its round — an output this plan did not compute from input.
 func (pr *Prover) build(fact ast.GroundAtom) *Derivation {
-	if pr.input[fact.Key()] {
+	if pr.input.Has(fact) {
 		return &Derivation{Fact: fact, RuleIndex: -1}
 	}
-	j, ok := pr.just[fact.Key()]
+	rel := pr.output.Relation(fact.Pred)
+	if rel == nil {
+		return nil
+	}
+	id, ok := rel.LookupID(fact.Args)
 	if !ok {
-		// Defensive: a fact in the output is either input or justified.
-		return &Derivation{Fact: fact, RuleIndex: -1}
+		return nil
 	}
-	node := &Derivation{Fact: fact, RuleIndex: j.ruleIndex, Binding: j.binding}
-	for _, prem := range j.premises {
-		node.Premises = append(node.Premises, pr.build(prem))
+	var node *Derivation
+	var prems []ast.GroundAtom
+	pr.prep.Firings(pr.output, fact, rel.RoundOf(int(id))-1, &pr.stats, func(rule int, vals []ast.Const) bool {
+		node = &Derivation{Fact: fact, RuleIndex: rule}
+		node.Binding, prems = pr.ground(rule, vals)
+		return false
+	})
+	if node == nil {
+		return nil
+	}
+	node.Premises = make([]*Derivation, len(prems))
+	for i, prem := range prems {
+		if node.Premises[i] = pr.build(prem); node.Premises[i] == nil {
+			return nil
+		}
 	}
 	return node
 }
@@ -269,95 +243,23 @@ func Verify(p *ast.Program, input *db.Database, d *Derivation) error {
 	return nil
 }
 
-// CountingProver is a Prover variant that records EVERY justification of
-// every derived fact (not just the first), enabling derivation counting —
-// the "how much duplicate work do redundant atoms cause" measure behind
-// the paper's join-reduction claim: a redundant body atom with k matches
-// multiplies a rule's derivations of the same fact by k.
-type CountingProver struct {
-	program *ast.Program
-	output  *db.Database
-	justs   map[string][]justification
-	input   map[string]bool
-}
-
-// NewCountingProver evaluates p on input recording all justifications.
-// Negation is rejected (counting under stratified semantics would need
-// per-stratum bookkeeping this analysis does not require).
-func NewCountingProver(p *ast.Program, input *db.Database) (*CountingProver, error) {
-	if err := p.Validate(); err != nil {
-		return nil, err
-	}
-	if p.HasNegation() {
-		return nil, fmt.Errorf("explain: counting requires pure Datalog")
-	}
-	cp := &CountingProver{
-		program: p,
-		output:  input.Clone(),
-		justs:   make(map[string][]justification),
-		input:   make(map[string]bool),
-	}
-	for _, f := range input.Facts() {
-		cp.input[f.Key()] = true
-	}
-	// Whole-program rounds, recording every distinct (rule, binding) instantiation
-	// exactly once: iterate until neither facts nor justifications grow.
-	seen := make(map[string]bool) // rule index + premise keys
-	for {
-		grew := false
-		for ri, r := range p.Rules {
-			cs := make([]db.Constraint, len(r.Body))
-			for i, a := range db.OrderForJoin(r.Body, nil) {
-				cs[i] = db.Constraint{Atom: a, Window: db.AllRounds}
-			}
-			b := ast.Binding{}
-			rule := r
-			db.MatchSeq(cp.output, cs, b, func() bool {
-				head := rule.Head.MustGround(b)
-				prems := make([]ast.GroundAtom, len(rule.Body))
-				sig := fmt.Sprintf("r%d", ri)
-				for i, a := range rule.Body {
-					prems[i] = a.MustGround(b)
-					sig += "|" + prems[i].Key()
-				}
-				if seen[sig] {
-					return true
-				}
-				seen[sig] = true
-				cp.output.Add(head)
-				cp.justs[head.Key()] = append(cp.justs[head.Key()], justification{
-					ruleIndex: ri,
-					binding:   b.Clone(),
-					premises:  prems,
-				})
-				grew = true
-				return true
-			})
-		}
-		if !grew {
-			return cp, nil
-		}
-	}
-}
-
-// Output returns the computed database.
-func (cp *CountingProver) Output() *db.Database { return cp.output }
-
 // Justifications returns how many distinct rule instantiations derive the
-// fact (0 for pure input facts and absent facts).
-func (cp *CountingProver) Justifications(fact ast.GroundAtom) int {
-	return len(cp.justs[fact.Key()])
+// fact in the output (0 for pure input facts and absent facts); negated
+// literals are read against the output.
+func (pr *Prover) Justifications(fact ast.GroundAtom) int {
+	n := 0
+	pr.prep.Firings(pr.output, fact, pr.output.Round(), &pr.stats, func(int, []ast.Const) bool {
+		n++
+		return true
+	})
+	return n
 }
 
-// TotalJustifications sums distinct rule instantiations over all derived
-// facts — the total join output the evaluation must consider, duplicates
-// included. Removing a redundant atom shrinks exactly this number.
-func (cp *CountingProver) TotalJustifications() int {
-	n := 0
-	for _, js := range cp.justs {
-		n += len(js)
-	}
-	return n
+// TotalJustifications is Justifications summed over every fact — the total
+// join output the evaluation must consider, duplicates included. Removing a
+// redundant atom shrinks exactly this number.
+func (pr *Prover) TotalJustifications() int {
+	return pr.prep.FiringCount(pr.output)
 }
 
 // CountProofs counts the distinct proof trees of a fact, capped at max
@@ -369,51 +271,45 @@ func (cp *CountingProver) TotalJustifications() int {
 // a premise). The traversal carries a work budget proportional to max, so
 // dense cyclic databases saturate quickly instead of exploring an
 // exponential DFS.
-func (cp *CountingProver) CountProofs(fact ast.GroundAtom, max int) int {
+func (pr *Prover) CountProofs(fact ast.GroundAtom, max int) int {
 	if max <= 0 {
 		max = 1 << 20
 	}
 	steps := 0
 	budget := 200 * max
-	onPath := make(map[string]bool)
+	onPath := db.New()
 	var count func(f ast.GroundAtom) int
 	count = func(f ast.GroundAtom) int {
 		steps++
 		if steps > budget {
 			return max // saturate: the caller reports "at least max"
 		}
-		key := f.Key()
-		if onPath[key] {
+		if !onPath.Add(f) {
 			return 0 // cyclic support contributes no finite proof
 		}
 		total := 0
-		if cp.input[key] {
+		if pr.input.Has(f) {
 			total = 1
 		}
-		onPath[key] = true
-		for _, j := range cp.justs[key] {
+		// count re-enters Firings from inside the callback: every call runs
+		// on its own pipeline state, so enumerations nest.
+		pr.prep.Firings(pr.output, f, pr.output.Round(), &pr.stats, func(rule int, vals []ast.Const) bool {
 			prod := 1
-			for _, prem := range j.premises {
+			_, prems := pr.ground(rule, vals)
+			for _, prem := range prems {
 				prod *= count(prem)
 				if prod == 0 || prod >= max {
 					break
 				}
 			}
-			total += prod
-			if total >= max {
-				total = max
-				break
-			}
-		}
-		delete(onPath, key)
+			total = min(total+prod, max)
+			return total < max
+		})
+		onPath.Remove(f)
 		return total
 	}
-	if !cp.output.Has(fact) {
+	if !pr.output.Has(fact) {
 		return 0
 	}
-	n := count(fact)
-	if n > max {
-		return max
-	}
-	return n
+	return min(count(fact), max)
 }

@@ -768,11 +768,11 @@ func E15DerivationCounts() Table {
 		{"random n=12 m=18", workload.RandomDigraph("A", 12, 18, 9)},
 	}
 	for _, e := range edbs {
-		cpB, err := explain.NewCountingProver(bloated, e.d)
+		cpB, err := explain.NewProver(bloated, e.d)
 		if err != nil {
 			panic(err)
 		}
-		cpM, err := explain.NewCountingProver(min, e.d)
+		cpM, err := explain.NewProver(min, e.d)
 		if err != nil {
 			panic(err)
 		}

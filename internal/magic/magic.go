@@ -235,41 +235,30 @@ func Answer(p *ast.Program, edb *db.Database, query ast.Atom, opts eval.Options)
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	in := edb.Clone()
-	in.Add(rw.Seed)
-	out, st, err := eval.Eval(rw.Program, in, opts)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	var tuples [][]ast.Const
-	b := ast.Binding{}
-	db.MatchAtom(out, rw.Query, db.AllRounds, b, func() bool {
-		g := rw.Query.MustGround(b)
-		t := make([]ast.Const, len(g.Args))
-		copy(t, g.Args)
-		tuples = append(tuples, t)
-		return true
-	})
-	return tuples, Stats{Eval: st, DerivedFacts: out.Len() - in.Len()}, nil
+	return rw.answer(rw.seeded(edb), opts)
 }
 
 // DirectAnswer answers the query by full bottom-up evaluation followed by
 // filtering — the baseline the magic rewriting is compared against.
 func DirectAnswer(p *ast.Program, edb *db.Database, query ast.Atom, opts eval.Options) ([][]ast.Const, Stats, error) {
-	out, st, err := eval.Eval(p, edb, opts)
+	return (&Rewritten{Program: p, Query: query}).answer(edb, opts)
+}
+
+// seeded returns the input of the rewritten program: edb plus the magic seed.
+func (rw *Rewritten) seeded(edb *db.Database) *db.Database {
+	in := edb.Clone()
+	in.Add(rw.Seed)
+	return in
+}
+
+// answer evaluates rw.Program over in and selects the tuples of rw.Query —
+// the tail every answering entry point shares.
+func (rw *Rewritten) answer(in *db.Database, opts eval.Options) ([][]ast.Const, Stats, error) {
+	out, st, err := eval.Eval(rw.Program, in, opts)
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	var tuples [][]ast.Const
-	b := ast.Binding{}
-	db.MatchAtom(out, query, db.AllRounds, b, func() bool {
-		g := query.MustGround(b)
-		t := make([]ast.Const, len(g.Args))
-		copy(t, g.Args)
-		tuples = append(tuples, t)
-		return true
-	})
-	return tuples, Stats{Eval: st, DerivedFacts: out.Len() - edb.Len()}, nil
+	return db.Select(out, rw.Query), Stats{Eval: st, DerivedFacts: out.Len() - in.Len()}, nil
 }
 
 // FormatAdornment is a debugging helper rendering the rewritten program

@@ -86,20 +86,5 @@ func AnswerWithOptions(p *ast.Program, edb *db.Database, query ast.Atom, opts Op
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	in := edb.Clone()
-	in.Add(rw.Seed)
-	out, st, err := eval.Eval(rw.Program, in, evalOpts)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	var tuples [][]ast.Const
-	b := ast.Binding{}
-	db.MatchAtom(out, rw.Query, db.AllRounds, b, func() bool {
-		g := rw.Query.MustGround(b)
-		t := make([]ast.Const, len(g.Args))
-		copy(t, g.Args)
-		tuples = append(tuples, t)
-		return true
-	})
-	return tuples, Stats{Eval: st, DerivedFacts: out.Len() - in.Len()}, nil
+	return rw.answer(rw.seeded(edb), evalOpts)
 }

@@ -88,24 +88,15 @@ func AnswerStratified(p *ast.Program, edb *db.Database, query ast.Atom, opts eva
 		reattached.Rules = append(reattached.Rules, rr)
 	}
 
-	in := base.Clone()
-	in.Add(rw.Seed)
-	out, st, err := eval.Eval(reattached, in, opts)
+	rw.Program = reattached
+	tuples, st, err := rw.answer(rw.seeded(base), opts)
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	var tuples [][]ast.Const
-	b := ast.Binding{}
-	db.MatchAtom(out, rw.Query, db.AllRounds, b, func() bool {
-		g := rw.Query.MustGround(b)
-		t := make([]ast.Const, len(g.Args))
-		copy(t, g.Args)
-		tuples = append(tuples, t)
-		return true
-	})
-	st.Firings += lowerStats.Firings
-	st.Added += lowerStats.Added
-	return tuples, Stats{Eval: st, DerivedFacts: out.Len() - in.Len() + (base.Len() - edb.Len())}, nil
+	st.Eval.Firings += lowerStats.Firings
+	st.Eval.Added += lowerStats.Added
+	st.DerivedFacts += base.Len() - edb.Len()
+	return tuples, st, nil
 }
 
 // sourceRuleIndex identifies which upper-stratum rule a guarded rewritten

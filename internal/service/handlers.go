@@ -391,12 +391,11 @@ func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
 			Err: fmt.Errorf("service: explain needs a ground fact: %w", err)})
 		return
 	}
-	prover, err := core.NewProver(pv.prog, snap.DB())
+	d, found, err := pv.session.Explain(r.Context(), snap.DB(), goal)
 	if err != nil {
 		s.writeError(w, err)
 		return
 	}
-	d, found := prover.Explain(goal)
 	resp := map[string]any{"program_version": pv.version, "db_version": dbv, "found": found}
 	if found {
 		e.mu.RLock()

@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"net/http/httptest"
@@ -499,11 +500,81 @@ func TestServeArityMismatch(t *testing.T) {
 	if code, resp := post(t, ts, "/v1/programs/p/facts", map[string]any{"tenant": "u", "assert": "T(1,2,3). E(1,2)."}); code != 200 {
 		t.Fatalf("facts: %d %v", code, resp)
 	}
-	for _, path := range []string{"/v1/programs/p/eval", "/v1/programs/p/subscriptions"} {
-		code, resp := post(t, ts, path, map[string]any{"tenant": "u"})
+	for path, body := range map[string]map[string]any{
+		"/v1/programs/p/eval":          {"tenant": "u"},
+		"/v1/programs/p/subscriptions": {"tenant": "u"},
+		"/v1/programs/p/explain":       {"tenant": "u", "fact": "T(1, 2)"},
+	} {
+		code, resp := post(t, ts, path, body)
 		if code != 400 || resp["error"] != "arity_mismatch" {
 			t.Fatalf("%s over T/3: %d %v, want 400 arity_mismatch", path, code, resp)
 		}
+	}
+}
+
+// TestServeExplainCanceled: /explain evaluates under the request's context.
+// A request whose client is already gone is a 499 that evaluated nothing, one
+// canceled mid-fixpoint stops there — the handler returns, so no goroutine is
+// left evaluating — and neither leaves anything behind: the same explanation
+// asked again is served in full.
+func TestServeExplainCanceled(t *testing.T) {
+	s := New()
+	h := s.Handler()
+	do := func(ctx context.Context, path string, body map[string]any) (int, map[string]any) {
+		t.Helper()
+		raw, err := json.Marshal(body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("POST", path, bytes.NewReader(raw)).WithContext(ctx))
+		var resp map[string]any
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+			t.Fatalf("%s: %v in %q", path, err, rec.Body.String())
+		}
+		return rec.Code, resp
+	}
+	bg := context.Background()
+	var facts strings.Builder
+	for i := 0; i < 220; i++ {
+		fmt.Fprintf(&facts, "E(%d,%d).\n", i, i+1)
+	}
+	if code, resp := do(bg, "/v1/programs/chain", map[string]any{"source": "T(x,y) :- E(x,y).\nT(x,z) :- E(x,y), T(y,z).\n"}); code != 200 {
+		t.Fatalf("register: %d %v", code, resp)
+	}
+	if code, resp := do(bg, "/v1/programs/chain/facts", map[string]any{"tenant": "t", "assert": facts.String()}); code != 200 {
+		t.Fatalf("facts: %d %v", code, resp)
+	}
+	explain := map[string]any{"tenant": "t", "fact": "T(0, 220)"}
+	firings := func() int {
+		st, _ := s.svc.TotalStats()
+		return st.Firings
+	}
+
+	gone, cancel := context.WithCancel(bg)
+	cancel()
+	before := firings()
+	if code, resp := do(gone, "/v1/programs/chain/explain", explain); code != 499 || resp["error"] != "canceled" {
+		t.Fatalf("explain for a departed client: %d %v, want 499 canceled", code, resp)
+	}
+	if after := firings(); after != before {
+		t.Fatalf("a request canceled before it started fired %d rules", after-before)
+	}
+
+	// T(0, 220) is derived in the closure's last round: ~24k facts in, far
+	// beyond a millisecond.
+	short, cancel := context.WithTimeout(bg, time.Millisecond)
+	defer cancel()
+	if code, resp := do(short, "/v1/programs/chain/explain", explain); code != 504 && code != 499 {
+		t.Fatalf("explain past its deadline: %d %v, want 504/499", code, resp)
+	}
+
+	code, resp := do(bg, "/v1/programs/chain/explain", explain)
+	if code != 200 || resp["found"] != true {
+		t.Fatalf("clean explain after cancellation: %d %v", code, resp)
+	}
+	if tree := resp["derivation"].(string); strings.Count(tree, "[input]") != 220 {
+		t.Fatalf("proof of T(0, 220) has %d leaves, want the 220 edges:\n%s", strings.Count(tree, "[input]"), tree)
 	}
 }
 
@@ -687,7 +758,9 @@ func statzTotals(t *testing.T, ts *httptest.Server) map[string]any {
 // /v1/statz when the thing it counts happens — a plain eval (fixpoint and
 // stream groups), a sharded eval (shard group), a minimize (reuse group,
 // and the fixpoint counters of its containment chases, which the totals
-// used to miss), and a mutation batch on a subscribed tenant (maintain
+// used to miss), an explain (a session request like any other: its
+// goal-directed evaluation and proof read-back are counted), and a mutation
+// batch on a subscribed tenant (maintain
 // group). The chase group needs tgds and is pinned at the library level
 // (internal/chase termination tests).
 func TestStatzEveryGroupMoves(t *testing.T) {
@@ -736,6 +809,16 @@ func TestStatzEveryGroupMoves(t *testing.T) {
 		"shard_rounds")
 	step("minimize", ok("/v1/programs/tc/minimize", map[string]any{}),
 		"rounds", "firings", "prepare_misses", "verdicts_recomputed")
+	requests := func() float64 {
+		_, resp := get(t, ts, "/v1/statz")
+		return resp["eval"].(map[string]any)["requests"].(float64)
+	}
+	reqs := requests()
+	step("explain", ok("/v1/programs/tc/explain", map[string]any{"tenant": "t", "fact": fmt.Sprintf("%s(1, 4)", g)}),
+		"rounds", "firings", "added", "bindings_pipelined")
+	if after := requests(); after != reqs+1 {
+		t.Errorf("explain moved statz eval.requests %v → %v, want one more", reqs, after)
+	}
 	f := subscribe(t, ts, "tc", map[string]any{"tenant": "t"})
 	f.next(t) // snapshot frame: the view is materialized and registered
 	step("facts batch on a subscribed tenant", ok("/v1/programs/tc/facts", map[string]any{"tenant": "t", "retract": fmt.Sprintf("%s(2, 3).", a)}),
