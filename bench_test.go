@@ -87,6 +87,38 @@ func BenchmarkE4_MinimizeProgram(b *testing.B) {
 				}
 			}
 		})
+		if k == 8 {
+			b.Run("rules-8-cold", func(b *testing.B) { benchMinimizeCold(b, p) })
+		}
+	}
+}
+
+// BenchmarkE4_MinimizeProgram/rules-8-cold is what the warm rows above cannot
+// show: after their first iteration every plan and verdict comes out of the
+// process-wide caches, so they time lookups. Here each iteration minimizes a
+// copy with freshly renamed predicates — no canonical form repeats — through
+// an empty plan cache, so every Prepare, every Derive and every lowering the
+// Fig. 2 loop asks for is paid.
+func benchMinimizeCold(b *testing.B, p *ast.Program) {
+	copies := make([]*ast.Program, b.N)
+	for i := range copies {
+		q := p.Clone()
+		rename := func(a *ast.Atom) { a.Pred = fmt.Sprintf("%s_%d", a.Pred, i) }
+		for ri := range q.Rules {
+			rename(&q.Rules[ri].Head)
+			for k := range q.Rules[ri].Body {
+				rename(&q.Rules[ri].Body[k])
+			}
+		}
+		copies[i] = q
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for _, q := range copies {
+		min, _, err := minimize.Program(context.Background(), q, minimize.Options{PlanCache: eval.NewPlanCache(0)})
+		if err != nil || len(min.Rules) != 2 {
+			b.Fatal(len(min.Rules), err)
+		}
 	}
 }
 

@@ -40,35 +40,22 @@ func (p *Program) Equal(q *Program) bool {
 }
 
 // Validate checks every rule and the consistency of predicate arities across
-// the whole program (a predicate is a relation scheme and has one arity).
+// the whole program (a predicate is a relation scheme and has one arity). It
+// runs on every Prepare, so a valid program costs the arity table and nothing
+// per rule: an error is only rendered once there is one to report.
 func (p *Program) Validate() error {
 	arity := make(map[string]int)
-	check := func(a Atom, where string) error {
-		if n, ok := arity[a.Pred]; ok {
-			if n != a.Arity() {
-				return fmt.Errorf("ast: predicate %s used with arities %d and %d (%s)", a.Pred, n, a.Arity(), where)
-			}
-		} else {
-			arity[a.Pred] = a.Arity()
-		}
-		return nil
-	}
 	for i, r := range p.Rules {
-		if err := r.Validate(); err != nil {
-			return fmt.Errorf("rule %d: %w", i, err)
+		if !r.WellFormed() {
+			return fmt.Errorf("rule %d: %w", i, r.Validate())
 		}
-		where := fmt.Sprintf("rule %d", i)
-		if err := check(r.Head, where); err != nil {
-			return err
-		}
-		for _, a := range r.Body {
-			if err := check(a, where); err != nil {
-				return err
-			}
-		}
-		for _, a := range r.NegBody {
-			if err := check(a, where); err != nil {
-				return err
+		for _, atoms := range r.Atoms() {
+			for _, a := range atoms {
+				if n, ok := arity[a.Pred]; !ok {
+					arity[a.Pred] = a.Arity()
+				} else if n != a.Arity() {
+					return fmt.Errorf("ast: predicate %s used with arities %d and %d (rule %d)", a.Pred, n, a.Arity(), i)
+				}
 			}
 		}
 	}

@@ -31,6 +31,41 @@ func TestProgramValidateArity(t *testing.T) {
 	}
 }
 
+// TestProgramValidateErrorsNameTheRule pins the messages: the failing rule's
+// position is part of both kinds of error.
+func TestProgramValidateErrorsNameTheRule(t *testing.T) {
+	clash := NewProgram(
+		NewRule(atomGxz(), NewAtom("A", Var("x"), Var("z"))),
+		NewRule(atomGxz(), NewAtom("A", Var("x"), Var("z")), NewAtom("A", Var("x"))),
+	)
+	if err := clash.Validate(); err == nil || err.Error() != "ast: predicate A used with arities 2 and 1 (rule 1)" {
+		t.Fatalf("arity clash reported as %v", err)
+	}
+	unsafe := NewProgram(
+		NewRule(atomGxz(), NewAtom("A", Var("x"), Var("z"))),
+		NewRule(atomGxz(), NewAtom("A", Var("x"), Var("y"))),
+	)
+	want := "rule 1: " + unsafe.Rules[1].Validate().Error()
+	if err := unsafe.Validate(); err == nil || err.Error() != want {
+		t.Fatalf("ill-formed rule reported as %v, want %s", err, want)
+	}
+}
+
+// TestProgramValidateAllocs: validating a valid program allocates its arity
+// table and nothing per rule — no rendered position, no per-rule variable set.
+func TestProgramValidateAllocs(t *testing.T) {
+	p := NewProgram()
+	for i := 0; i < 6; i++ {
+		p.Rules = append(p.Rules, tcProgram().Rules...)
+	}
+	if len(p.Rules) != 12 || p.Validate() != nil {
+		t.Fatalf("want a valid 12-rule program, have %d rules, err %v", len(p.Rules), p.Validate())
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _ = p.Validate() }); allocs > 2 {
+		t.Fatalf("Validate allocates %.0f times on a valid 12-rule program; the success path should cost the arity table only", allocs)
+	}
+}
+
 func TestProgramPredicates(t *testing.T) {
 	p := tcProgram()
 	sigs := p.Predicates()

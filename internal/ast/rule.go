@@ -41,6 +41,10 @@ func (r Rule) Clone() Rule {
 	return Rule{Head: r.Head.Clone(), Body: body, NegBody: neg, Pos: r.Pos}
 }
 
+// Atoms is the rule's head, positive body and negated body, for walks that
+// treat every atom alike.
+func (r Rule) Atoms() [3][]Atom { return [3][]Atom{{r.Head}, r.Body, r.NegBody} }
+
 // Equal reports whether two rules are syntactically identical (same head,
 // same body atoms in the same order).
 func (r Rule) Equal(s Rule) bool {

@@ -127,7 +127,11 @@ type Checker struct {
 	prep      *eval.Prepared
 	// pv is the shared verdict table for this program content address,
 	// resolved once so each test keys only by the rule's canonical form.
-	pv     *progVerdicts
+	pv *progVerdicts
+	// frozen memoizes the frozen head and body per tested rule. They depend
+	// on that rule alone, never on the session program, so the one table is
+	// shared — not copied — down the Derive lineage, like graph and reach
+	// below: an entry any session of the lineage froze serves them all.
 	frozen map[string]frozenRule
 	// graph is the lazily built dependence graph used by the reachability
 	// tests of every candidate delta probed from this session, and reach
@@ -365,9 +369,9 @@ type Delta struct {
 // and without re-deciding every memoized verdict. The prepared plan comes
 // from the shared plan cache or, on a miss, from delta-patching this
 // session's plan (eval.Prepared.Derive). Frozen heads and bodies depend
-// only on the tested rule, never on the session program, so they all carry
-// over. Memoized verdicts carry over exactly when the delta provably
-// cannot flip them:
+// only on the tested rule, never on the session program, so the derived
+// session shares the table. Memoized verdicts carry over exactly when the
+// delta provably cannot flip them:
 //
 //   - Rule deletion shrinks derivability, so every negative verdict stays
 //     negative. A positive verdict survives if its witnessing derivation
@@ -388,7 +392,9 @@ type Delta struct {
 //   - A replacement that is not a weakening transfers no verdicts (the
 //     plan and frozen bodies still carry over).
 //
-// The original Checker remains fully usable; nothing is shared mutably.
+// The original Checker remains fully usable. The two sessions share their
+// program-independent memos (frozen rules, reachability), so — like any two
+// sessions of one lineage — they are not to be used concurrently.
 func (c *Checker) Derive(delta Delta) (*Checker, error) {
 	if delta.RuleIndex < 0 || delta.RuleIndex >= len(c.prog.Rules) {
 		return nil, fmt.Errorf("chase: Derive: rule index %d out of range (%d rules)", delta.RuleIndex, len(c.prog.Rules))
@@ -415,11 +421,12 @@ func (c *Checker) Derive(delta Delta) (*Checker, error) {
 		prog:      np,
 		progCanon: joinCanon(lines), // only the delta rule was re-rendered
 		ruleCanon: lines,
-		frozen:    make(map[string]frozenRule, len(c.frozen)),
 		Lineage:   c.Lineage, // shared: the lineage is one session
-		// The graph and reachability memo are shared down the lineage; the
-		// ancestor's edges over-approximate every descendant's, which is the
-		// sound direction for transfer (see the field comment).
+		// Frozen rules, the graph and the reachability memo are shared down
+		// the lineage (see the field comments): frozen bodies do not depend on
+		// the program, and the ancestor's edges over-approximate every
+		// descendant's, which is the sound direction for transfer.
+		frozen:        c.frozen,
 		graph:         c.graph,
 		reach:         c.reach,
 		noSyntactic:   c.noSyntactic,
@@ -433,9 +440,6 @@ func (c *Checker) Derive(delta Delta) (*Checker, error) {
 		return nil, err
 	}
 	nc.prep = prep
-	for k, f := range c.frozen {
-		nc.frozen[k] = f
-	}
 
 	// Transfer surviving verdicts into the new program's shared table (they
 	// are correct verdicts for its content address, so publishing them lets

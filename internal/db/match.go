@@ -154,6 +154,9 @@ func OrderForJoinSized(atoms []ast.Atom, bound map[string]bool, sizeOf func(pred
 // cardinalities induce the same order can share one compiled rule set.
 func OrderPermSized(atoms []ast.Atom, bound map[string]bool, sizeOf func(pred string) int) []int {
 	n := len(atoms)
+	if n <= 1 {
+		return make([]int, n) // nothing to order
+	}
 	out := make([]int, 0, n)
 	used := make([]bool, n)
 	boundVars := make(map[string]bool, len(bound))

@@ -124,52 +124,6 @@ func sccRuleGroups(p *ast.Program) [][]int {
 	return out
 }
 
-// indexNeed names one hash index a round's joins will probe: the bound
-// column set of one body atom under the rule's evaluation order.
-type indexNeed struct {
-	pred string
-	cols []int
-}
-
-// indexNeeds statically computes the (predicate, bound-column) pairs the
-// nested-loops joins over the given ordered rule bodies will probe: for
-// each body atom, the positions holding constants or variables bound by an
-// earlier atom. Fully-bound atoms probe the dedup table and unbound atoms
-// scan, so neither needs an index. The pipeline binds variables
-// atom-by-atom in exactly this order, so the set is exact — pre-building these indexes at round boundaries is what makes
-// every in-round probe a lock-free read.
-func indexNeeds(rules []ast.Rule) []indexNeed {
-	var out []indexNeed
-	seen := make(map[string]map[uint64]bool)
-	for _, r := range rules {
-		bound := make(map[string]bool)
-		for _, a := range r.Body {
-			var cols []int
-			for i, t := range a.Args {
-				if !t.IsVar || bound[t.Name] {
-					cols = append(cols, i)
-				}
-			}
-			if len(cols) > 0 && len(cols) < len(a.Args) {
-				mask := db.ColMask(cols)
-				if seen[a.Pred] == nil {
-					seen[a.Pred] = make(map[uint64]bool)
-				}
-				if !seen[a.Pred][mask] {
-					seen[a.Pred][mask] = true
-					out = append(out, indexNeed{pred: a.Pred, cols: cols})
-				}
-			}
-			for _, t := range a.Args {
-				if t.IsVar {
-					bound[t.Name] = true
-				}
-			}
-		}
-	}
-	return out
-}
-
 // anyAddedIn reports whether any fact carries the given round stamp, the
 // database's latest.
 func anyAddedIn(d *db.Database, round int32) bool {
@@ -191,7 +145,7 @@ func onePassOf(p *ast.Program) *Prepared {
 	if err := p.Validate(); err != nil {
 		panic(err)
 	}
-	return &Prepared{prog: p}
+	return &Prepared{prog: p, memos: newMemos(p.Rules, false)}
 }
 
 // NonRecursive computes Pⁿ(d) (Section IX) — see Prepared.NonRecursive.

@@ -158,7 +158,7 @@ type maintUnit struct {
 type maintPlan struct {
 	// insert is the rules in the static join order: the insert loop's setup
 	// and — its plans under a full span — the count-seeding pass.
-	insert *roundSetup
+	insert roundSetup
 	rules  []ruleVariants
 }
 
@@ -177,14 +177,13 @@ type ruleVariants struct {
 }
 
 // maintPlan returns the unit's maintenance plan, lowering it on first use;
-// every view of every plan holding the unit shares it. The insert side is the
-// static join order with every predicate able to hold a round's delta
-// (insertions may be extensional).
-func (u *unit) maintPlan(opts Options) *maintPlan {
+// every view of every plan holding the unit shares it. The insert side is
+// the rules' memo entries for the static join order.
+func (u *unit) maintPlan() *maintPlan {
 	u.maintOnce.Do(func() {
-		insert := buildSetup(u.rules, staticPerms(u.rules), opts.Shards > 1, func(string) bool { return true })
-		mp := &maintPlan{insert: insert, rules: make([]ruleVariants, len(u.rules))}
-		for ri, r := range u.rules {
+		mp := &maintPlan{insert: staticSetup(u.rules), rules: make([]ruleVariants, len(u.rules))}
+		for ri, m := range u.rules {
+			r := m.rule
 			vars := ast.VarsOfAtoms(r.Body)
 			// ledBy is r with lead as operator 0 and rest in the greedy join
 			// order under lead's bindings; negated literals stay negated.
@@ -244,7 +243,6 @@ func (mp *maintPlan) changed(d, posDelta, negDelta *db.Database, st *streamState
 // runChange runs one variant with operator 0 over src and the rest of the
 // rule over all of d.
 func runChange(sp *streamPlan, d, src *db.Database, st *streamState, stats *Stats, sink streamSink) {
-	st.ensure(sp)
 	sp.run(d, changeSpan(src, d.Round()), st, stats, sink)
 }
 
@@ -264,10 +262,10 @@ func (pr *Prepared) Materialize(ctx context.Context, input *db.Database, mo Main
 	}
 	m := &Maintained{pr: pr, owner: make(map[string]int)}
 	in := input.Clone()
-	st := getStreamState(nil)
+	st := getStreamState()
 	defer putStreamState(st)
 	for ui, u := range pr.units {
-		mu := maintUnit{u: u, plan: u.maintPlan(pr.opts), counting: u.streamable && !mo.forceDRed}
+		mu := maintUnit{u: u, plan: u.maintPlan(), counting: u.streamable && !mo.forceDRed}
 		for pred := range u.dynamic {
 			m.owner[pred] = ui
 		}
@@ -360,7 +358,7 @@ func (m *Maintained) Apply(ctx context.Context, delta Delta) (Diff, Stats, error
 		}
 	}
 
-	st := getStreamState(nil)
+	st := getStreamState()
 	defer putStreamState(st)
 	for i := range m.units {
 		if err := CtxErr(ctx); err != nil {
@@ -564,7 +562,7 @@ func (m *Maintained) dredUnit(ctx context.Context, mu *maintUnit, st *streamStat
 		}
 	})
 	eachSorted(staged, commit)
-	if err := insertLoop(ctx, cur, mp.insert, mu.u.partCol, deltaMin, m.pr.opts, stats); err != nil {
+	if err := insertLoop(ctx, cur, mu.u, deltaMin, m.pr.opts, stats); err != nil {
 		return err
 	}
 
@@ -598,34 +596,33 @@ func (m *Maintained) dredUnit(ctx context.Context, mu *maintUnit, st *streamStat
 // DRed-restored facts and staged asserts all carry stamps in that span);
 // later rounds are ordinary single-round deltas. Any body atom can match an inserted fact
 // (insertions may be extensional), so the delta position ranges over the
-// whole body rather than only the intentional positions. rs is the unit's
-// maintPlan.insert and partCol its partition columns. Rounds run through the
-// shared round executor, so Shards and cancellation keep the evaluator's
+// whole body rather than only the intentional positions. The rules run in
+// the static join order (u's maintPlan.insert). Rounds run through the shared
+// round executor, so Shards and cancellation keep the evaluator's
 // disciplines.
-func insertLoop(ctx context.Context, d *db.Database, rs *roundSetup, partCol map[string]int, deltaMin int32, opts Options, stats *Stats) error {
+func insertLoop(ctx context.Context, d *db.Database, u *unit, deltaMin int32, opts Options, stats *Stats) error {
 	env := &roundEnv{ctx: ctx, d: d, opts: opts, stats: stats, baseLen: d.Len()}
+	rs := u.maintPlan().insert
 	var variants []variant
 	for {
 		prev := d.Round()
 		round := d.BeginRound()
 		stats.Rounds++
 		// Freeze the round's indexes so in-round probes are lock-free reads.
-		for _, n := range rs.needs {
-			d.EnsureIndex(n.pred, n.cols)
-		}
+		rs.ensureIndexes(d)
 		variants = variants[:0]
-		for idx, r := range rs.ordered {
-			for i, a := range r.Body {
+		for idx, lr := range rs {
+			for i := range lr.plan.ops {
 				win := span{delta: i, min: deltaMin, max: prev}
 				// A variant whose delta is empty cannot fire; dropping it here
 				// lets a round with nothing to propagate skip the executor
 				// (and, sharded, its task fan-out) altogether.
-				if !deltaEmptyAt(d, a.Pred, win.window(i)) {
+				if !deltaEmptyAt(d, lr.plan.ops[i].pred, win.window(i)) {
 					variants = append(variants, variant{idx, win})
 				}
 			}
 		}
-		if err := env.runRound(rs, partCol, variants); err != nil {
+		if err := env.runRound(rs, u, variants); err != nil {
 			return err
 		}
 		if !anyAddedIn(d, round) {

@@ -448,8 +448,8 @@ func checkCounts(t *testing.T, m *Maintained, step int) {
 			continue
 		}
 		want := make(map[string]int32)
-		for _, r := range mu.u.rules {
-			oracleFire(out, r, db.AllRounds, func(h ast.GroundAtom) { want[h.Key()]++ })
+		for _, rm := range mu.u.rules {
+			oracleFire(out, rm.rule, db.AllRounds, func(h ast.GroundAtom) { want[h.Key()]++ })
 		}
 		for pred := range mu.u.dynamic {
 			rel := out.Relation(pred)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/ast"
@@ -12,13 +13,13 @@ import (
 )
 
 // The prepared layer caches everything about a program that does not depend
-// on the input database: validation, the dependence graph, the stratum/SCC
-// schedule, and — per join order actually encountered — the compiled rules
-// and the index column sets their probes need. Every decision procedure in
-// the paper (the frozen-body containment test of Section VI, the Fig. 1/2
-// minimization loops, the Section X–XI pipeline) evaluates the same program
-// against many small databases; preparing once amortizes the per-call
-// analysis they all used to repeat.
+// on the input database: validation, the stratum/SCC schedule, and — per rule
+// and per join order actually encountered — the lowered pipeline and the
+// index column sets its probes need. Every decision procedure in the paper
+// (the frozen-body containment test of Section VI, the Fig. 1/2 minimization
+// loops, the Section X–XI pipeline) evaluates the same program, or a program
+// one rule away from it, against many small databases; preparing once and
+// patching (Derive) amortizes the per-call analysis they all used to repeat.
 
 // errGoal is the internal sentinel a fixpoint returns when Run's goal was
 // derived; Prepared.Run converts it into a successful early return.
@@ -27,13 +28,20 @@ var errGoal = errors.New("eval: goal reached")
 // Prepared is a program analyzed and compiled for repeated evaluation:
 // Prepare once, then Eval against many input databases. The schedule
 // (strata / strongly connected components) is computed at Prepare time; the
-// compiled form of each rule is cached per join order, so steady-state
-// rounds and repeat evaluations skip recompilation entirely. A Prepared is
-// safe for concurrent use.
+// lowered form of each rule is memoized per join order (ruleMemo), so
+// steady-state rounds and repeat evaluations skip recompilation entirely. A
+// Prepared is safe for concurrent use.
 type Prepared struct {
-	prog  *ast.Program
-	opts  Options
-	units []*unit
+	prog *ast.Program
+	opts Options
+	// memos[i] compiles prog.Rules[i]. Derive hands a rule's memo to the
+	// derived plan by pointer unless the delta replaces that rule, so a
+	// lineage of one-rule deltas lowers each (rule, join order) once.
+	memos []*ruleMemo
+	// negation records prog.HasNegation(): Derive patches the schedule of a
+	// pure program only.
+	negation bool
+	units    []*unit
 	// unitIdxs[i] lists the program rule indexes of units[i].rules, in the
 	// same order. It belongs to this Prepared, not to the unit: Derive
 	// shares unchanged units between plans whose programs index the same
@@ -45,44 +53,111 @@ type Prepared struct {
 	// One-step application of the whole program in the static join order,
 	// built on first use by NonRecursive / IsClosed.
 	nonrecOnce sync.Once
-	nonrec     *roundSetup
+	nonrec     roundSetup
+}
+
+// ruleMemo is the compile memo of one rule: its lowered pipeline per join
+// order encountered. A lowering depends on the rule and the order and on
+// nothing else — not on the sibling rules of its unit, not on the program —
+// which is what lets every plan of a Derive lineage that holds the rule share
+// one memo. Entries are immutable once built; the list only grows, by at most
+// one entry per permutation of the body.
+type ruleMemo struct {
+	rule ast.Rule
+	// sharded plans (Options.Shards > 1) also lower the delta-first form. A
+	// memo lives inside one plan lineage, and a lineage has one Options.
+	sharded bool
+
+	mu      sync.Mutex
+	lowered []*loweredRule
+}
+
+// loweredRule is one rule under one join order: perm[j] is the body index of
+// the atom evaluated j-th. The index column sets a round must freeze are read
+// off the plan's probe operators (roundSetup.ensureIndexes), so the plan is
+// the whole of it.
+type loweredRule struct {
+	perm []int
+	plan *streamPlan
+	// swapped is the delta-first form the sharded executor substitutes for a
+	// delta-at-position-1 variant (see lowerSwapped); nil on unsharded plans
+	// and for rules whose shape makes it useless.
+	swapped *streamPlan
+}
+
+func newMemos(rules []ast.Rule, sharded bool) []*ruleMemo {
+	memos := make([]*ruleMemo, len(rules))
+	for i, r := range rules {
+		memos[i] = &ruleMemo{rule: r, sharded: sharded}
+	}
+	return memos
+}
+
+// under returns the rule lowered for the join order perm, lowering it on the
+// order's first use. The reordered rule shares its atoms with m.rule: rules
+// are immutable once a plan holds them.
+func (m *ruleMemo) under(perm []int) *loweredRule {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for _, lr := range m.lowered {
+		if slices.Equal(lr.perm, perm) {
+			return lr
+		}
+	}
+	or := ast.Rule{Head: m.rule.Head, Body: make([]ast.Atom, len(perm)), NegBody: m.rule.NegBody}
+	for j, pi := range perm {
+		or.Body[j] = m.rule.Body[pi]
+	}
+	lr := &loweredRule{perm: perm, plan: lowerRule(or, nil)}
+	if m.sharded {
+		lr.swapped = lowerSwapped(or)
+	}
+	m.lowered = append(m.lowered, lr)
+	return lr
+}
+
+// static is the rule under the greedy join order with no cardinalities to
+// consult: what one-shot passes and the insert loop use, since their
+// databases are either tiny or already closed.
+func (m *ruleMemo) static() *loweredRule {
+	return m.under(db.OrderPermSized(m.rule.Body, nil, nil))
 }
 
 // unit is one fixpoint of the evaluation schedule: a stratum (under
 // negation) or one group of mutually recursive rules (SCC schedule), with
-// the dynamic predicates its delta machinery tracks.
+// the dynamic predicates its delta machinery tracks. A unit is immutable
+// apart from its two lazily built plans.
 type unit struct {
-	rules   []ast.Rule
+	rules   []*ruleMemo
 	dynamic map[string]bool
 	// streamable marks a unit none of whose rules read the unit's own head
 	// predicates (positively or under negation): its semi-naive fixpoint is
 	// one full application, with no delta rounds and no confirmation round.
 	streamable bool
+
 	// partCol is the planner-chosen partition column per predicate of the
-	// unit's rules (see partitionCols), consulted by the sharded executor.
-	partCol map[string]int
+	// unit's rules (see partitionCols), chosen on the first sharded round.
+	partOnce sync.Once
+	partCol  map[string]int
 
 	// maint is the unit's view-maintenance plan (see unit.maintPlan).
 	maintOnce sync.Once
 	maint     *maintPlan
-
-	mu     sync.Mutex
-	cache  map[string]*roundSetup // keyed by the packed join-order perms
-	keyBuf []byte
 }
 
-// roundSetup is everything a round needs for one join order of a rule set:
-// the reordered rules, their pipeline plans, and the index column sets the
-// round's probes will touch. Setups are immutable once built and shared
-// across rounds, evaluations, and goroutines.
-type roundSetup struct {
-	ordered []ast.Rule
-	plans   []*streamPlan
-	// swapped holds the delta-first plans the sharded executor substitutes
-	// for delta-at-position-1 variants (see buildSwapped); nil when the
-	// options run unsharded, an entry is nil when its rule is ineligible.
-	swapped []*streamPlan
-	needs   []indexNeed
+// roundSetup is what a round runs: each rule of a unit (or of the program,
+// for a one-step pass) under the join order chosen for the round, an assembly
+// of memo entries in rule order.
+type roundSetup []*loweredRule
+
+// ensureIndexes builds or extends every index the setup's plans will probe.
+// Tuples inserted mid-round are stamped with the current round, which every
+// window excludes, so the indexes frozen here stay sufficient for the whole
+// round and in-round probes never lock or mutate.
+func (rs roundSetup) ensureIndexes(d *db.Database) {
+	for _, lr := range rs {
+		lr.plan.ensureIndexes(d)
+	}
 }
 
 // Prepare validates p and builds its evaluation schedule under opts. The
@@ -93,13 +168,20 @@ func Prepare(p *ast.Program, opts Options) (*Prepared, error) {
 		return nil, err
 	}
 	opts.Shards = min(max(opts.Shards, 1), 256) // ownership views store owners in one byte
-	pr := &Prepared{prog: p.Clone(), opts: opts}
-	groups, err := scheduleGroups(pr.prog)
+	prog := p.Clone()
+	return schedule(prog, opts, newMemos(prog.Rules, opts.Shards > 1))
+}
+
+// schedule builds the plan of a validated program whose rules compile
+// through memos (one per rule, in rule order).
+func schedule(prog *ast.Program, opts Options, memos []*ruleMemo) (*Prepared, error) {
+	pr := &Prepared{prog: prog, opts: opts, memos: memos, negation: prog.HasNegation()}
+	groups, err := scheduleGroups(prog)
 	if err != nil {
 		return nil, err
 	}
 	for _, group := range groups {
-		pr.units = append(pr.units, newUnit(pr.prog, group))
+		pr.units = append(pr.units, newUnit(memos, group))
 		pr.unitIdxs = append(pr.unitIdxs, group)
 	}
 	return pr, nil
@@ -138,27 +220,24 @@ func scheduleGroups(p *ast.Program) ([][]int, error) {
 	return groups, nil
 }
 
-// newUnit builds the fixpoint unit for one schedule group of p. The unit's
-// dynamic set is the head predicates of its own rules: for an SCC group
-// that is the component's mutually recursive predicates, for a stratum the
-// stratum's intentional predicates.
-func newUnit(p *ast.Program, group []int) *unit {
-	rules := make([]ast.Rule, len(group))
-	dyn := make(map[string]bool)
+// newUnit builds the fixpoint unit for one schedule group, memos being the
+// program's. The unit's dynamic set is the head predicates of its own rules:
+// for an SCC group that is the component's mutually recursive predicates, for
+// a stratum the stratum's intentional predicates.
+func newUnit(memos []*ruleMemo, group []int) *unit {
+	u := &unit{rules: make([]*ruleMemo, len(group)), dynamic: make(map[string]bool), streamable: true}
 	for j, ri := range group {
-		rules[j] = p.Rules[ri]
-		dyn[p.Rules[ri].Head.Pred] = true
+		u.rules[j] = memos[ri]
+		u.dynamic[memos[ri].rule.Head.Pred] = true
 	}
-	u := &unit{rules: rules, dynamic: dyn, partCol: partitionCols(rules)}
-	u.streamable = true
-	for _, r := range rules {
-		for _, a := range r.Body {
-			if dyn[a.Pred] {
+	for _, m := range u.rules {
+		for _, a := range m.rule.Body {
+			if u.dynamic[a.Pred] {
 				u.streamable = false
 			}
 		}
-		for _, a := range r.NegBody {
-			if dyn[a.Pred] {
+		for _, a := range m.rule.NegBody {
+			if u.dynamic[a.Pred] {
 				u.streamable = false
 			}
 		}
@@ -166,84 +245,165 @@ func newUnit(p *ast.Program, group []int) *unit {
 	return u
 }
 
-// idxKey packs a rule-index list into a map key.
-func idxKey(idxs []int) string {
-	b := make([]byte, 0, 4*len(idxs))
-	for _, i := range idxs {
-		b = append(b, byte(i), byte(i>>8), byte(i>>16), byte(i>>24))
-	}
-	return string(b)
-}
-
 // Derive builds the plan for the program obtained from the prepared one by
 // a single-rule delta — deleting rule ruleIdx (newRule nil) or replacing it
-// (newRule non-nil) — without re-running the full preparation. A one-rule
-// change only perturbs the schedule units whose rule sets actually change:
-// the schedule is recomputed (cheap graph work), but every group that maps
-// onto an identical group of the old plan shares the old unit pointer, and
-// with it the unit's compiled rules and join-order caches. Units are
-// internally synchronized, so sharing them between plans is safe; the
-// rules inside are treated as immutable by the whole package.
+// (newRule non-nil) — doing work proportional to the delta, not the program.
+//
+// Every rule the delta does not touch keeps its compile memo, so no join
+// order any plan of the lineage already ran is lowered again. Only the new
+// rule is validated: the other rules are a subset of a valid program, so a
+// deletion validates nothing and a replacement checks its own
+// well-formedness and its atoms' arities against the rest.
+//
+// On a pure program whose delta only removes dependence edges — a deletion,
+// or a replacement that keeps the head predicate and reads no predicate the
+// old body did not (the Fig. 1 weakening) — the schedule is patched in place:
+// removing edges cannot merge components and can split only the one holding
+// an edge that went away, so every unit but the changed rule's is shared with
+// the parent by pointer (with its maintenance plan), and that one group is
+// re-grouped among its own rules only — a cycle through its predicates uses
+// rules with those heads and no others, so their components are the
+// program's. Any other delta re-runs the schedule, memos still carried.
+// Shared units and memos are internally synchronized; the rules inside are
+// treated as immutable by the whole package.
 func (pr *Prepared) Derive(ruleIdx int, newRule *ast.Rule) (*Prepared, error) {
-	if ruleIdx < 0 || ruleIdx >= len(pr.prog.Rules) {
-		return nil, fmt.Errorf("eval: Derive: rule index %d out of range (%d rules)", ruleIdx, len(pr.prog.Rules))
+	n := len(pr.prog.Rules)
+	if ruleIdx < 0 || ruleIdx >= n {
+		return nil, fmt.Errorf("eval: Derive: rule index %d out of range (%d rules)", ruleIdx, n)
 	}
+	old := pr.prog.Rules[ruleIdx]
 	np := ast.NewProgram()
-	np.Rules = make([]ast.Rule, 0, len(pr.prog.Rules))
-	for i, r := range pr.prog.Rules {
-		switch {
-		case i == ruleIdx && newRule == nil:
-			continue
-		case i == ruleIdx:
-			np.Rules = append(np.Rules, newRule.Clone())
-		default:
-			np.Rules = append(np.Rules, r)
+	var memos []*ruleMemo
+	if newRule == nil {
+		np.Rules = slices.Delete(slices.Clone(pr.prog.Rules), ruleIdx, ruleIdx+1)
+		memos = slices.Delete(slices.Clone(pr.memos), ruleIdx, ruleIdx+1)
+	} else {
+		np.Rules = slices.Clone(pr.prog.Rules)
+		np.Rules[ruleIdx] = newRule.Clone()
+		if err := validateReplacement(np, ruleIdx); err != nil {
+			return nil, err
 		}
+		memos = slices.Clone(pr.memos)
+		memos[ruleIdx] = &ruleMemo{rule: np.Rules[ruleIdx], sharded: pr.opts.Shards > 1}
 	}
-	if err := np.Validate(); err != nil {
-		return nil, err
+	if pr.negation || (newRule != nil && !removesEdgesOnly(old, *newRule)) {
+		return schedule(np, pr.opts, memos)
 	}
-	groups, err := scheduleGroups(np)
-	if err != nil {
-		return nil, err
-	}
-	// Old units by their rule-index lists; a new group is the same unit iff
-	// its rules map to exactly that list (same rules, same order).
-	oldUnits := make(map[string]*unit, len(pr.units))
+
+	out := &Prepared{prog: np, opts: pr.opts, memos: memos}
+	out.units = make([]*unit, 0, len(pr.units)+1)
+	out.unitIdxs = make([][]int, 0, len(pr.units)+1)
 	for ui, idxs := range pr.unitIdxs {
-		oldUnits[idxKey(idxs)] = pr.units[ui]
-	}
-	toOld := func(newIdx int) int {
-		if newRule == nil && newIdx >= ruleIdx {
-			return newIdx + 1
-		}
-		return newIdx
-	}
-	out := &Prepared{prog: np, opts: pr.opts}
-	mapped := make([]int, 0, len(np.Rules))
-	for _, group := range groups {
-		reuse := true
-		mapped = mapped[:0]
-		for _, ni := range group {
-			oi := toOld(ni)
-			mapped = append(mapped, oi)
-			if newRule != nil && oi == ruleIdx {
-				// The replaced rule lives in this group; its unit holds the
-				// old rule's compiled form and must be rebuilt.
-				reuse = false
+		// Group lists ascend, so one comparison tells whether the deletion
+		// shifts any index of this one.
+		shifted := idxs
+		if newRule == nil && idxs[len(idxs)-1] >= ruleIdx {
+			shifted = make([]int, 0, len(idxs))
+			for _, ri := range idxs {
+				if ri < ruleIdx {
+					shifted = append(shifted, ri)
+				} else if ri > ruleIdx {
+					shifted = append(shifted, ri-1)
+				}
 			}
 		}
-		var u *unit
-		if reuse {
-			u = oldUnits[idxKey(mapped)]
+		if !slices.Contains(idxs, ruleIdx) {
+			out.units = append(out.units, pr.units[ui])
+			out.unitIdxs = append(out.unitIdxs, shifted)
+			continue
 		}
-		if u == nil {
-			u = newUnit(np, group)
+		for _, group := range regroup(pr.units[ui], np, shifted, old, newRule) {
+			out.units = append(out.units, newUnit(memos, group))
+			out.unitIdxs = append(out.unitIdxs, group)
 		}
-		out.units = append(out.units, u)
-		out.unitIdxs = append(out.unitIdxs, group)
 	}
 	return out, nil
+}
+
+// validateReplacement checks rule ruleIdx of np, the one rule a replacement
+// brought in: its own well-formedness, and each of its predicates' arity
+// against every use in np — what Program.Validate would find wrong with np,
+// given that its other rules come from a valid program.
+func validateReplacement(np *ast.Program, ruleIdx int) error {
+	nr := np.Rules[ruleIdx]
+	if !nr.WellFormed() {
+		return fmt.Errorf("rule %d: %w", ruleIdx, nr.Validate())
+	}
+	clash := func(a ast.Atom) error {
+		for _, r := range np.Rules {
+			for _, atoms := range r.Atoms() {
+				for _, b := range atoms {
+					if b.Pred == a.Pred && len(b.Args) != len(a.Args) {
+						return fmt.Errorf("ast: predicate %s used with arities %d and %d (rule %d)", a.Pred, len(b.Args), len(a.Args), ruleIdx)
+					}
+				}
+			}
+		}
+		return nil
+	}
+	for _, atoms := range nr.Atoms() {
+		for _, a := range atoms {
+			if err := clash(a); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// removesEdgesOnly reports whether replacing old by nr can only remove edges
+// of a pure program's dependence graph: same head predicate, no negation, and
+// no body predicate old's body lacks.
+func removesEdgesOnly(old, nr ast.Rule) bool {
+	if nr.Head.Pred != old.Head.Pred || nr.HasNegation() {
+		return false
+	}
+	for _, a := range nr.Body {
+		if !bodyReads(old.Body, a.Pred) {
+			return false
+		}
+	}
+	return true
+}
+
+func bodyReads(body []ast.Atom, pred string) bool {
+	for _, a := range body {
+		if a.Pred == pred {
+			return true
+		}
+	}
+	return false
+}
+
+// regroup is Derive's schedule patch: the groups, producer-first, that the
+// rules of unit u — np's rules idxs — form once old has been deleted (nr nil)
+// or replaced by nr, a delta that only removes edges. The unit splits only if
+// an edge between its own predicates went away; otherwise it is one group
+// still, or none when its last rule was deleted.
+func regroup(u *unit, np *ast.Program, idxs []int, old ast.Rule, nr *ast.Rule) [][]int {
+	if len(idxs) == 0 {
+		return nil
+	}
+	split := false
+	for _, a := range old.Body {
+		if u.dynamic[a.Pred] && (nr == nil || !bodyReads(nr.Body, a.Pred)) {
+			split = true
+		}
+	}
+	if !split {
+		return [][]int{idxs}
+	}
+	sub := ast.NewProgram()
+	for _, ri := range idxs {
+		sub.Rules = append(sub.Rules, np.Rules[ri])
+	}
+	groups := sccRuleGroups(sub)
+	for _, group := range groups {
+		for j, si := range group {
+			group[j] = idxs[si]
+		}
+	}
+	return groups
 }
 
 // Program returns the prepared program (the clone taken at Prepare time).
@@ -320,7 +480,7 @@ func (pr *Prepared) Run(ctx context.Context, input *db.Database, goal *ast.Groun
 // nothing — Derive hands out a plan per candidate deletion.
 func (pr *Prepared) checkInput(input *db.Database) error {
 	for _, r := range pr.prog.Rules {
-		for _, atoms := range [3][]ast.Atom{{r.Head}, r.Body, r.NegBody} {
+		for _, atoms := range r.Atoms() {
 			for _, a := range atoms {
 				if rel := input.Relation(a.Pred); rel != nil && rel.Arity() != len(a.Args) {
 					return fmt.Errorf("%w: input relation %s has arity %d, the program uses %s/%d", ErrArity, a.Pred, rel.Arity(), a.Pred, len(a.Args))
@@ -343,14 +503,22 @@ func (pr *Prepared) Query(input *db.Database, query ast.Atom) ([][]ast.Const, er
 
 // applyOnce runs each of the setup's rules once over all of d — a full span,
 // so every firing valid in d reaches sink exactly once — until sink halts.
-func (rs *roundSetup) applyOnce(d *db.Database, st *streamState, stats *Stats, sink streamSink) {
+func (rs roundSetup) applyOnce(d *db.Database, st *streamState, stats *Stats, sink streamSink) {
 	win := fullSpan(d.Round())
-	for _, sp := range rs.plans {
-		st.ensure(sp)
-		if !sp.run(d, win, st, stats, sink) {
+	for _, lr := range rs {
+		if !lr.plan.run(d, win, st, stats, sink) {
 			return
 		}
 	}
+}
+
+// staticSetup is the rules of memos, each in its static join order.
+func staticSetup(memos []*ruleMemo) roundSetup {
+	rs := make(roundSetup, len(memos))
+	for i, m := range memos {
+		rs[i] = m.static()
+	}
+	return rs
 }
 
 // onePass applies every rule of the program once to d — no derivation feeds
@@ -360,14 +528,10 @@ func (rs *roundSetup) applyOnce(d *db.Database, st *streamState, stats *Stats, s
 // gains the hash indexes the joins probe but no facts. The returned stats
 // are the pass's own.
 func (pr *Prepared) onePass(d *db.Database, sink streamSink) Stats {
-	pr.nonrecOnce.Do(func() {
-		pr.nonrec = buildSetup(pr.prog.Rules, staticPerms(pr.prog.Rules), false, nil)
-	})
+	pr.nonrecOnce.Do(func() { pr.nonrec = staticSetup(pr.memos) })
 	rs := pr.nonrec
-	for _, n := range rs.needs {
-		d.EnsureIndex(n.pred, n.cols)
-	}
-	st := getStreamState(nil)
+	rs.ensureIndexes(d)
+	st := getStreamState()
 	defer putStreamState(st)
 	var stats Stats
 	rs.applyOnce(d, st, &stats, sink)
@@ -394,92 +558,23 @@ func (pr *Prepared) IsClosed(d *db.Database) bool {
 	return !sink.open
 }
 
-// setupFor returns the evaluation setup for the unit's rules under the
-// current relation sizes, reusing a cached compilation when some earlier
-// round already saw the same greedy join order. The cache is the heart of
-// the prepared layer: steady-state fixpoint rounds and repeat evaluations
-// hit it, so rule cloning and compilation happen once per distinct order
-// rather than once per round.
-func (u *unit) setupFor(d *db.Database, opts Options) *roundSetup {
-	u.mu.Lock()
-	defer u.mu.Unlock()
+// setupFor assembles into buf the round's setup: each of the unit's rules
+// under the greedy join order the current relation sizes induce, read
+// through the rule's memo — so a rule is lowered once per distinct order it
+// ever meets, whatever its siblings' orders do and whichever plan of the
+// lineage runs it.
+func (u *unit) setupFor(d *db.Database, buf roundSetup) roundSetup {
 	sizeOf := func(pred string) int {
 		if rel := d.Relation(pred); rel != nil {
 			return rel.Live()
 		}
 		return 0
 	}
-	perms := make([][]int, len(u.rules))
-	key := u.keyBuf[:0]
-	cacheable := true
-	for i, r := range u.rules {
-		perms[i] = db.OrderPermSized(r.Body, nil, sizeOf)
-		if len(perms[i]) > 255 {
-			cacheable = false // a body this large cannot pack into bytes
-		}
-		key = append(key, byte(len(perms[i])))
-		for _, p := range perms[i] {
-			key = append(key, byte(p))
-		}
+	buf = buf[:0]
+	for _, m := range u.rules {
+		buf = append(buf, m.under(db.OrderPermSized(m.rule.Body, nil, sizeOf)))
 	}
-	u.keyBuf = key
-	if !cacheable {
-		return u.build(perms, opts)
-	}
-	if rs, ok := u.cache[string(key)]; ok {
-		return rs
-	}
-	rs := u.build(perms, opts)
-	if u.cache == nil {
-		u.cache = make(map[string]*roundSetup)
-	}
-	u.cache[string(key)] = rs
-	return rs
-}
-
-func (u *unit) build(perms [][]int, opts Options) *roundSetup {
-	return buildSetup(u.rules, perms, opts.Shards > 1, func(pred string) bool { return u.dynamic[pred] })
-}
-
-// staticPerms is the greedy join order with no cardinalities to consult:
-// what one-shot passes and the insert loop use, since their databases are
-// either tiny or already closed.
-func staticPerms(rules []ast.Rule) [][]int {
-	perms := make([][]int, len(rules))
-	for i, r := range rules {
-		perms[i] = db.OrderPermSized(r.Body, nil, nil)
-	}
-	return perms
-}
-
-// buildSetup clones rules into the given join orders and lowers them to
-// pipeline plans. With sharded set it also lowers the delta-first forms
-// sharded rounds may substitute — deltaAt reports whether a predicate can
-// hold a round's delta — and registers the index columns their displaced
-// probes need, so the round-boundary freeze covers them. The result is
-// immutable.
-func buildSetup(rules []ast.Rule, perms [][]int, sharded bool, deltaAt func(pred string) bool) *roundSetup {
-	rs := &roundSetup{
-		ordered: make([]ast.Rule, len(rules)),
-		plans:   make([]*streamPlan, len(rules)),
-	}
-	for i, r := range rules {
-		or := r.Clone()
-		body := make([]ast.Atom, len(or.Body))
-		for j, pi := range perms[i] {
-			body[j] = or.Body[pi]
-		}
-		or.Body = body
-		rs.ordered[i] = or
-		rs.plans[i] = lowerRule(or, nil)
-	}
-	rs.needs = indexNeeds(rs.ordered)
-	if sharded {
-		var extra []indexNeed
-		rs.swapped, extra = buildSwapped(rs.ordered, deltaAt)
-		rs.needs = append(rs.needs, extra...)
-	}
-	return rs
+	return buf
 }
 
 // fixpoint runs the unit's rules semi-naively to their fixpoint, mutating
@@ -492,7 +587,7 @@ func buildSetup(rules []ast.Rule, perms [][]int, sharded bool, deltaAt func(pred
 // executor (rounds.go) owns the sequential / sharded firing disciplines and
 // their shared budget, goal and cancellation semantics.
 func (u *unit) fixpoint(env *roundEnv) error {
-	ctx, d, opts, stats := env.ctx, env.d, env.opts, env.stats
+	ctx, d, stats := env.ctx, env.d, env.stats
 	// A streamable unit has no delta variants — no rule reads the unit's own
 	// heads — so its first full application IS the fixpoint and no
 	// confirmation round runs.
@@ -509,32 +604,26 @@ func (u *unit) fixpoint(env *roundEnv) error {
 		prev := d.Round() // facts visible to this round: stamps ≤ prev
 		round := d.BeginRound()
 		stats.Rounds++
-		// setupFor picks the setup for the current relation sizes; the greedy
-		// join-order heuristic sees live cardinalities at every round
-		// boundary, but recompilation only happens for orders not seen
-		// before. The loop after it builds or extends every index the round's
-		// joins will probe. Tuples inserted mid-round are stamped with the
-		// current round, which every window excludes, so the frozen indexes
-		// stay sufficient for the whole round and in-round probes never lock
-		// or mutate.
-		rs := u.setupFor(d, opts)
-		for _, n := range rs.needs {
-			d.EnsureIndex(n.pred, n.cols)
-		}
+		// The greedy join-order heuristic sees live cardinalities at every
+		// round boundary, but lowering only happens for orders a rule has not
+		// met before.
+		rs := u.setupFor(d, env.setup)
+		env.setup = rs
+		rs.ensureIndexes(d)
 		variants = variants[:0]
-		for idx, r := range rs.ordered {
+		for idx, lr := range rs {
 			if first {
 				variants = append(variants, variant{idx, fullSpan(prev)})
 				continue
 			}
 			// Semi-naive: one variant per dynamic body position.
-			for i, a := range r.Body {
-				if u.dynamic[a.Pred] {
+			for i := range lr.plan.ops {
+				if u.dynamic[lr.plan.ops[i].pred] {
 					variants = append(variants, variant{idx, span{delta: i, min: prev, max: prev}})
 				}
 			}
 		}
-		if err := env.runRound(rs, u.partCol, variants); err != nil {
+		if err := env.runRound(rs, u, variants); err != nil {
 			return err
 		}
 		if env.maxDerived > 0 && d.Len()-env.baseLen > env.maxDerived {

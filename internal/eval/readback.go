@@ -32,16 +32,15 @@ func (f yieldSink) emit(string, []ast.Const) (bool, bool) { return false, !f() }
 func (pr *Prepared) Firings(out *db.Database, fact ast.GroundAtom, maxRound int32, stats *Stats, yield func(rule int, vals []ast.Const) bool) {
 	src := db.New()
 	src.Add(fact)
-	st := getStreamState(nil)
+	st := getStreamState()
 	defer putStreamState(st)
 	for ui, u := range pr.units {
 		if !u.dynamic[fact.Pred] {
 			continue
 		}
-		for ri, rv := range u.maintPlan(pr.opts).rules {
+		for ri, rv := range u.maintPlan().rules {
 			sp, rule := rv.rederive, pr.unitIdxs[ui][ri]
 			sink := yieldSink(func() bool { return yield(rule, st.vals[:rv.nVars]) })
-			st.ensure(sp)
 			if !sp.run(out, changeSpan(src, maxRound), st, stats, sink) {
 				return
 			}

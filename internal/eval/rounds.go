@@ -54,6 +54,7 @@ type roundEnv struct {
 	goal       *ast.GroundAtom
 	prov       *RuleSet
 	ruleIdxs   []int
+	setup      roundSetup // the round assembly's backing store, reused round to round
 	pool       shardPool
 }
 
@@ -101,12 +102,12 @@ func (env *roundEnv) budgetErr() error {
 // on a diverging instance, say) is cut off as soon as the budget is
 // exhausted, and a goal-directed evaluation halts the moment the goal is
 // derived rather than at the fixpoint.
-func (env *roundEnv) runRound(rs *roundSetup, partCol map[string]int, variants []variant) error {
+func (env *roundEnv) runRound(rs roundSetup, u *unit, variants []variant) error {
 	if len(variants) == 0 {
 		return nil
 	}
 	if env.opts.Shards > 1 {
-		return env.runSharded(rs, partCol, variants)
+		return env.runSharded(rs, u.partitionCols(), variants)
 	}
 	return env.runSequential(rs, variants)
 }
@@ -114,9 +115,9 @@ func (env *roundEnv) runRound(rs *roundSetup, partCol map[string]int, variants [
 // runSequential runs variants in order, inserting as they emit. One pooled
 // streamState (with its embedded sink) serves every plan in the round;
 // nothing else is allocated.
-func (env *roundEnv) runSequential(rs *roundSetup, variants []variant) error {
+func (env *roundEnv) runSequential(rs roundSetup, variants []variant) error {
 	d := env.d
-	st := getStreamState(rs.plans)
+	st := getStreamState()
 	defer putStreamState(st)
 	sk := &st.fix
 	*sk = fixpointSink{d: d, goal: env.goal, prov: env.prov, ctx: env.ctx, remaining: -1}
@@ -127,7 +128,7 @@ func (env *roundEnv) runSequential(rs *roundSetup, variants []variant) error {
 		if env.prov != nil {
 			sk.ruleIdx = env.ruleIdxs[v.idx]
 		}
-		if rs.plans[v.idx].run(d, v.win, st, env.stats, sk) {
+		if rs[v.idx].plan.run(d, v.win, st, env.stats, sk) {
 			continue
 		}
 		env.stats.EarlyStopCuts++
@@ -436,15 +437,16 @@ func (s *shardSink) emit(pred string, args []ast.Const) (bool, bool) {
 // Task concurrency is min(Shards, GOMAXPROCS); on one proc the tasks run
 // inline in task order (still buffered — the merge is what defines the
 // commit order, not the firing schedule).
-func (env *roundEnv) runSharded(rs *roundSetup, partCol map[string]int, variants []variant) error {
+func (env *roundEnv) runSharded(rs roundSetup, partCol map[string]int, variants []variant) error {
 	d, opts, stats, goal := env.d, env.opts, env.stats, env.goal
 	shards := opts.Shards
 	// Per-variant execution plans: the pipeline actually run (delta-first
 	// when the delta sits on executed position 1 and a swapped plan exists),
 	// its span, and the ownership view of its outer predicate under the
-	// planner's partition column. Views are frozen here, before any task
-	// runs, so every in-round ownership test is a lock-free read covering
-	// exactly the ids the round windows admit.
+	// planner's partition column. Views — and the indexes a delta-first
+	// plan's displaced probes need beyond the round setup's — are frozen
+	// here, before any task runs, so every in-round ownership test and probe
+	// is a lock-free read covering exactly the ids the round windows admit.
 	type shardPlan struct {
 		sp   *streamPlan
 		win  span
@@ -452,10 +454,11 @@ func (env *roundEnv) runSharded(rs *roundSetup, partCol map[string]int, variants
 	}
 	plans := make([]shardPlan, len(variants))
 	for vi, v := range variants {
-		p := shardPlan{sp: rs.plans[v.idx], win: v.win}
-		if v.win.delta == 1 && rs.swapped != nil && rs.swapped[v.idx] != nil {
-			p.sp = rs.swapped[v.idx]
+		p := shardPlan{sp: rs[v.idx].plan, win: v.win}
+		if v.win.delta == 1 && rs[v.idx].swapped != nil {
+			p.sp = rs[v.idx].swapped
 			p.win.swapped = true
+			p.sp.ensureIndexes(d)
 		}
 		if len(p.sp.ops) > 0 {
 			pred := p.sp.ops[0].pred
@@ -482,7 +485,6 @@ func (env *roundEnv) runSharded(rs *roundSetup, partCol map[string]int, variants
 				return // ground heads run on shard 0 only
 			}
 			st := &pool.states[ti]
-			st.ensure(p.sp)
 			st.owned, st.view, st.shard = true, p.view, shard
 			sink := &pool.sinks[ti]
 			*sink = shardSink{
@@ -587,11 +589,18 @@ func (env *roundEnv) runSharded(rs *roundSetup, partCol map[string]int, variants
 // allows. The choice affects only load balance and the delta-exchange
 // accounting, never results — inner probes always read the full frozen
 // store. Predicates with no scoring position partition on column 0; nullary
-// predicates get -1, the home-shard fallback.
-func partitionCols(rules []ast.Rule) map[string]int {
+// predicates get -1, the home-shard fallback. Only sharded rounds read the
+// choice, so it is made on the first one.
+func (u *unit) partitionCols() map[string]int {
+	u.partOnce.Do(func() { u.partCol = partitionCols(u.rules) })
+	return u.partCol
+}
+
+func partitionCols(rules []*ruleMemo) map[string]int {
 	arity := map[string]int{}
 	score := map[string][]int{}
-	for _, r := range rules {
+	for _, m := range rules {
+		r := m.rule
 		counts := map[string]int{}
 		tally := func(a ast.Atom) {
 			for _, t := range a.Args {
@@ -641,35 +650,20 @@ func partitionCols(rules []ast.Rule) map[string]int {
 	return out
 }
 
-// buildSwapped lowers the delta-first form of each ordered rule whose first
+// lowerSwapped lowers the delta-first form of an ordered rule whose first
 // two body atoms share a variable: body positions 0 and 1 swapped,
-// substituted by the sharded executor when the round's delta lands on
-// executed position 1. Enumerating the delta as the outer loop turns a scan
-// of the whole relation into a walk of the delta's contiguous id-range that
-// shard ownership can split; the shared-variable guard keeps the displaced
-// outer atom an index probe rather than a per-delta re-scan. eligible
-// filters by the predicate at position 1 (only predicates that can hold a
-// delta matter). The extra index needs of the swapped probes are returned
-// for the round-boundary freeze.
-func buildSwapped(ordered []ast.Rule, eligible func(pred string) bool) ([]*streamPlan, []indexNeed) {
-	var swapped []*streamPlan
-	var srules []ast.Rule
-	for i, or := range ordered {
-		if len(or.Body) < 2 || !eligible(or.Body[1].Pred) || !atomsShareVar(or.Body[0], or.Body[1]) {
-			continue
-		}
-		if swapped == nil {
-			swapped = make([]*streamPlan, len(ordered))
-		}
-		sr := or.Clone()
-		sr.Body[0], sr.Body[1] = sr.Body[1], sr.Body[0]
-		swapped[i] = lowerRule(sr, nil)
-		srules = append(srules, sr)
+// substituted by the sharded executor when a round's delta lands on executed
+// position 1. Enumerating the delta as the outer loop turns a scan of the
+// whole relation into a walk of the delta's contiguous id-range that shard
+// ownership can split; the shared-variable guard keeps the displaced outer
+// atom an index probe rather than a per-delta re-scan. Other rules get nil.
+func lowerSwapped(or ast.Rule) *streamPlan {
+	if len(or.Body) < 2 || !atomsShareVar(or.Body[0], or.Body[1]) {
+		return nil
 	}
-	if swapped == nil {
-		return nil, nil
-	}
-	return swapped, indexNeeds(srules)
+	or.Body = slices.Clone(or.Body)
+	or.Body[0], or.Body[1] = or.Body[1], or.Body[0]
+	return lowerRule(or, nil)
 }
 
 func atomsShareVar(a, b ast.Atom) bool {

@@ -76,20 +76,36 @@ type streamOp struct {
 // order, plus the negated literals and head in slot form.
 type streamPlan struct {
 	nVars int
+	arity int // the widest atom: head, body or negated
 	ops   []streamOp
 	neg   []compiledAtom
 	head  compiledAtom
 }
 
+// ensureIndexes builds or extends the indexes the plan's probe operators
+// seek: for each, the columns holding constants or variables bound by an
+// earlier operator. Lookups probe the dedup table and scans walk ids, so
+// neither needs one.
+func (sp *streamPlan) ensureIndexes(d *db.Database) {
+	for i := range sp.ops {
+		if op := &sp.ops[i]; op.kind == opProbe {
+			d.EnsureIndex(op.pred, op.cols)
+		}
+	}
+}
+
 // lowerRule compiles r (body already in evaluation order) to a pipeline
-// plan. The plan probes exactly the indexes indexNeeds declares for that
-// order. vars fixes the leading slots (see compileRule); nil numbers them by
+// plan. vars fixes the leading slots (see compileRule); nil numbers them by
 // first occurrence.
 func lowerRule(r ast.Rule, vars []string) *streamPlan {
 	cr := compileRule(r, vars)
-	sp := &streamPlan{nVars: cr.nVars, neg: cr.neg, head: cr.head}
+	sp := &streamPlan{nVars: cr.nVars, arity: len(cr.head.args), neg: cr.neg, head: cr.head}
+	for _, a := range cr.neg {
+		sp.arity = max(sp.arity, len(a.args))
+	}
 	bound := make([]bool, cr.nVars)
 	for _, a := range cr.body {
+		sp.arity = max(sp.arity, len(a.args))
 		op := streamOp{pred: a.pred, arity: len(a.args)}
 		for i, s := range a.args {
 			switch {
@@ -289,17 +305,13 @@ func (s *closedSink) emit(pred string, args []ast.Const) (bool, bool) {
 
 var streamStatePool = sync.Pool{New: func() any { return new(streamState) }}
 
-// getStreamState returns a pooled state grown to fit every plan in the
-// batch; putStreamState recycles it. States carry no values across uses:
+// getStreamState returns a pooled state, which run grows to each plan it is
+// handed; putStreamState recycles it. States carry no values across uses:
 // boundness is static, so every slot, cursor, and key cell is written
 // before anything reads it, and a pass binds its relations and probers up
 // front. Pooling makes a sequential pass allocation-free in the steady
 // state.
-func getStreamState(plans []*streamPlan) *streamState {
-	st := streamStatePool.Get().(*streamState)
-	st.ensure(plans...)
-	return st
-}
+func getStreamState() *streamState { return streamStatePool.Get().(*streamState) }
 
 // putStreamState drops the state's relation pointers (so a pooled state
 // does not pin a dead database in memory) and returns it to the pool.
@@ -309,27 +321,13 @@ func putStreamState(st *streamState) {
 	streamStatePool.Put(st)
 }
 
-// ensure grows the state to the largest of the given plans. Oversized
-// slices are harmless: the pipeline addresses them by operator position and
-// reslices keys to the operator's own width.
-func (st *streamState) ensure(plans ...*streamPlan) {
-	var nVars, nOps, arity int
-	for _, sp := range plans {
-		if sp == nil {
-			continue
-		}
-		nVars = max(nVars, sp.nVars)
-		nOps = max(nOps, len(sp.ops))
-		arity = max(arity, len(sp.head.args))
-		for i := range sp.ops {
-			arity = max(arity, sp.ops[i].arity)
-		}
-		for i := range sp.neg {
-			arity = max(arity, len(sp.neg[i].args))
-		}
-	}
-	if len(st.vals) < nVars {
-		st.vals = make([]ast.Const, nVars)
+// ensure grows the state to fit sp. Oversized slices are harmless: the
+// pipeline addresses them by operator position and reslices keys to the
+// operator's own width.
+func (st *streamState) ensure(sp *streamPlan) {
+	nOps := len(sp.ops)
+	if len(st.vals) < sp.nVars {
+		st.vals = make([]ast.Const, sp.nVars)
 	}
 	if len(st.rels) < nOps {
 		st.rels = make([]*db.Relation, nOps)
@@ -342,9 +340,9 @@ func (st *streamState) ensure(plans ...*streamPlan) {
 		st.lo = make([]int, nOps)
 		st.hi = make([]int, nOps)
 	}
-	if len(st.key) < arity {
-		st.key = make([]ast.Const, arity)
-		st.out = make([]ast.Const, arity)
+	if len(st.key) < sp.arity {
+		st.key = make([]ast.Const, sp.arity)
+		st.out = make([]ast.Const, sp.arity)
 	}
 }
 
@@ -371,6 +369,7 @@ func (op *streamOp) buildKey(dst []ast.Const, vals []ast.Const) []ast.Const {
 // operator whose window admits nothing ends the run before any enumeration,
 // so a delta variant over an empty delta costs a few LenAt calls.
 func (sp *streamPlan) run(d *db.Database, win span, st *streamState, stats *Stats, sink streamSink) bool {
+	st.ensure(sp)
 	nOps := len(sp.ops)
 	for i := range sp.ops {
 		op := &sp.ops[i]
