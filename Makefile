@@ -1,7 +1,7 @@
 GO ?= go
 
 # Benchmarks tracked in BENCH_eval.json: the eval/chase hot-path families.
-BENCH_PATTERN ?= BenchmarkE2|BenchmarkE3|BenchmarkE4|BenchmarkE5|BenchmarkE6|BenchmarkE7|BenchmarkE9|BenchmarkAblation_ShardedEval|BenchmarkAblation_PreserveDerive|BenchmarkAblation_TerminationFastPath
+BENCH_PATTERN ?= BenchmarkE2|BenchmarkE3|BenchmarkE4|BenchmarkE5|BenchmarkE6|BenchmarkE7|BenchmarkE9|BenchmarkE10|BenchmarkEngines|BenchmarkAblation_ShardedEval|BenchmarkAblation_PreserveDerive|BenchmarkAblation_TerminationFastPath
 BENCHTIME ?= 0.3s
 
 # staticcheck pin for lint-ci; bump deliberately, not implicitly.
@@ -70,18 +70,32 @@ bench-all:
 experiments:
 	$(GO) run ./cmd/experiments -run all
 
-# guard-one-join keeps a second join out of internal/eval: the operator
-# pipeline (stream.go) is the only code there that joins a rule body, so no
-# non-test file may reach for the binding-map matcher. And it keeps the
-# reference matcher (internal/db/match.go, DESIGN §6.5) out of the layers that
-# evaluate through internal/eval: a proof is read back from an evaluation
-# (internal/explain), a query answer is a db.Select.
+# guard-one-join keeps the operator pipeline (internal/eval/stream.go) the
+# only join that ships. The binding-map matcher and the tabled engine live in
+# internal/oracle as references for tests: nothing the binaries, the examples,
+# the facade, the server or the harness link may depend on it, no non-test
+# file outside it may import it, and internal/db exports no matcher for a
+# second join to grow back on. Inside the packages that once joined through
+# ast.Binding maps, a Binding may only report a result the kernel found:
+# internal/eval never names one, and the tgd, preservation, constraint and
+# conjunctive-query code never matches into one (MatchGround / Unify).
+ONE_JOIN_ROOTS = ./cmd/... ./examples/... ./internal/core ./internal/service ./internal/harness
 guard-one-join:
-	@if grep -nE 'db\.Match(Atom|Seq|Conjunction)|ast\.Binding|MustGround' internal/eval/*.go | grep -v '_test\.go:'; then \
+	@if $(GO) list -deps $(ONE_JOIN_ROOTS) | grep '^repro/internal/oracle'; then \
+		echo "internal/oracle is linked into shipped code (make guard-one-join): only _test.go files may import it" >&2; exit 1; \
+	fi
+	@if grep -rl '"repro/internal/oracle' --include='*.go' internal cmd examples | grep -v '_test\.go$$' | grep -v '^internal/oracle/'; then \
+		echo "a non-test file imports internal/oracle (make guard-one-join)" >&2; exit 1; \
+	fi
+	@if test -e internal/db/match.go || test -e internal/topdown || \
+		grep -nE '^func (Match[A-Za-z]*|Satisfiable|OrderForJoin[A-Za-z]*)\(' internal/db/*.go | grep -v '_test\.go:'; then \
+		echo "internal/db exports a matcher again (make guard-one-join): joins run on eval.Conj, references live in internal/oracle" >&2; exit 1; \
+	fi
+	@if grep -nE 'ast\.Binding|MustGround' internal/eval/*.go | grep -v '_test\.go:'; then \
 		echo "internal/eval: binding-map join outside tests (make guard-one-join)" >&2; exit 1; \
 	fi
-	@if grep -rnE 'db\.Match(Atom|Seq|Conjunction)' --include='*.go' internal/explain internal/magic internal/core internal/service cmd | grep -v '_test\.go:'; then \
-		echo "the reference matcher above internal/eval (make guard-one-join): evaluate, then db.Select or explain" >&2; exit 1; \
+	@if grep -nE 'MatchGround|\.Unify\(' internal/chase/*.go internal/preserve/*.go internal/constraint/*.go internal/cq/*.go | grep -v '_test\.go:'; then \
+		echo "a join through an ast.Binding outside tests (make guard-one-join): lower the conjunction with eval.LowerConj" >&2; exit 1; \
 	fi
 
 # guard-ctx-arg keeps configuration from growing back. A context is only ever

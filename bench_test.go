@@ -21,9 +21,9 @@ import (
 	"repro/internal/harness"
 	"repro/internal/magic"
 	"repro/internal/minimize"
+	"repro/internal/oracle/topdown"
 	"repro/internal/parser"
 	"repro/internal/preserve"
-	"repro/internal/topdown"
 	"repro/internal/workload"
 )
 

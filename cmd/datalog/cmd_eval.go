@@ -8,11 +8,10 @@ import (
 	"repro/internal/db"
 	"repro/internal/eval"
 	"repro/internal/parser"
-	"repro/internal/topdown"
 )
 
 // This file holds the evaluation family: commands that run the program's
-// fixpoint (bottom-up or tabled top-down) over the facts in the file.
+// fixpoint over the facts in the file.
 
 // cmdEval evaluates the file's facts and prints the full output database.
 func (c *cli) cmdEval(rest []string) error {
@@ -48,33 +47,6 @@ func (c *cli) cmdQuery(rest []string) error {
 	}
 	for _, t := range tuples {
 		fmt.Fprintln(c.out, ast.GroundAtom{Pred: q.Pred, Args: t}.Format(res.Symbols))
-	}
-	return nil
-}
-
-// cmdTQuery answers a query atom via the tabled top-down engine.
-func (c *cli) cmdTQuery(rest []string) error {
-	res, err := load(rest, 1)
-	if err != nil {
-		return err
-	}
-	q, err := parser.ParseAtomWithSymbols(rest[1], res.Symbols)
-	if err != nil {
-		return fmt.Errorf("query atom: %w", err)
-	}
-	eng, err := topdown.New(res.Program, db.FromFacts(res.Facts))
-	if err != nil {
-		return err
-	}
-	tuples, tstats, err := eng.Query(q)
-	if err != nil {
-		return err
-	}
-	for _, t := range tuples {
-		fmt.Fprintln(c.out, ast.GroundAtom{Pred: q.Pred, Args: t}.Format(res.Symbols))
-	}
-	if c.stats {
-		fmt.Fprintf(c.out, "%% subgoals=%d answers=%d passes=%d\n", tstats.Subgoals, tstats.Answers, tstats.Passes)
 	}
 	return nil
 }

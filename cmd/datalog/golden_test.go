@@ -69,21 +69,12 @@ func TestGoldenNegativeChecks(t *testing.T) {
 	}
 }
 
-func TestTQueryAndOptimizeCommands(t *testing.T) {
+func TestOptimizeCommand(t *testing.T) {
 	var sb strings.Builder
-	if err := run([]string{"-stats", "tquery", testdataPath("ancestor.dl"), `Anc("ann", y)`}, &sb); err != nil {
-		t.Fatal(err)
-	}
-	out := sb.String()
-	if !strings.Contains(out, `Anc("ann", "dave")`) || !strings.Contains(out, "% subgoals=") {
-		t.Fatalf("tquery output:\n%s", out)
-	}
-
-	sb.Reset()
 	if err := run([]string{"optimize", testdataPath("ex11.dl"), "G(1, y)"}, &sb); err != nil {
 		t.Fatal(err)
 	}
-	out = sb.String()
+	out := sb.String()
 	if !strings.Contains(out, "m@G@bf") || !strings.Contains(out, "removed 0 rules, 1 atoms") {
 		t.Fatalf("optimize output:\n%s", out)
 	}
@@ -164,13 +155,14 @@ Par("bob", "carol").
 			t.Fatalf("missing %s in:\n%s", want, sb.String())
 		}
 	}
-	// Same identity guarantee through the top-down engine.
+	// Same identity guarantee with every column bound (a dedup-table lookup,
+	// not an index probe).
 	sb.Reset()
-	if err := run([]string{"tquery", f, `Anc(x, "carol")`}, &sb); err != nil {
+	if err := run([]string{"query", f, `Anc("ann", "carol")`}, &sb); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(sb.String(), `Anc("ann", "carol")`) {
-		t.Fatalf("tquery missed interned constant:\n%s", sb.String())
+		t.Fatalf("fully bound query missed interned constant:\n%s", sb.String())
 	}
 }
 

@@ -19,7 +19,6 @@
 //	datalog explain   <file> <fact>    print a derivation tree for a fact
 //	datalog graph     <file>           dependence graph in Graphviz DOT
 //	datalog repl                       interactive session
-//	datalog tquery    <file> <atom>    answer via the tabled top-down engine
 //	datalog optimize  <file> <atom>    full pipeline: prune+minimize+equivopt+magic
 //	datalog vet       <file...>        static analysis; exit 1 on error findings
 //	datalog serve     [name=file ...]  HTTP/JSON query server (see -addr)
@@ -34,7 +33,7 @@
 //	          for serve, the server's session default
 //
 // The command implementations live in sibling files by family: cmd_show.go
-// (parse/fmt/graph/magic/explain), cmd_eval.go (eval/query/tquery/check),
+// (parse/fmt/graph/magic/explain), cmd_eval.go (eval/query/check),
 // cmd_opt.go (minimize/equivopt/contains/preserve/optimize), compare.go,
 // vet.go, repl.go and serve.go. They all hang off the cli struct below,
 // which carries the parsed global flags and the output writer.
@@ -82,7 +81,7 @@ func run(args []string, out io.Writer) error {
 	}
 	rest := fs.Args()
 	if len(rest) == 0 {
-		return fmt.Errorf("usage: datalog <parse|eval|query|tquery|optimize|minimize|equivopt|contains|compare|check|preserve|magic|explain|graph|fmt|vet|repl|serve> ...")
+		return fmt.Errorf("usage: datalog <parse|eval|query|optimize|minimize|equivopt|contains|compare|check|preserve|magic|explain|graph|fmt|vet|repl|serve> ...")
 	}
 	cmd, rest := rest[0], rest[1:]
 
@@ -95,8 +94,6 @@ func run(args []string, out io.Writer) error {
 		return c.cmdEval(rest)
 	case "query":
 		return c.cmdQuery(rest)
-	case "tquery":
-		return c.cmdTQuery(rest)
 	case "check":
 		return c.cmdCheck(rest)
 	case "minimize":

@@ -66,7 +66,8 @@ type Budget struct {
 // workload in the experiment suite.
 var DefaultBudget = Budget{MaxAtoms: 100000, MaxRounds: 10000}
 
-func (b Budget) orDefault() Budget {
+// OrDefault fills zero fields from DefaultBudget.
+func (b Budget) OrDefault() Budget {
 	if b.MaxAtoms == 0 {
 		b.MaxAtoms = DefaultBudget.MaxAtoms
 	}
@@ -155,6 +156,9 @@ type Checker struct {
 	// combined prepared program chaseFull evaluates full tgd sets with.
 	termMemo  map[string]depgraph.Classification
 	fullPreps map[string]*eval.Prepared
+	// tgdMemo caches LowerTGDs per tgd-set key. A lowering depends on the
+	// tgds alone, so the table is shared down the Derive lineage like frozen.
+	tgdMemo map[string]*TGDs
 }
 
 // verdict is one memoized ContainsRule answer plus what Derive needs to
@@ -194,8 +198,9 @@ func NewCheckerIn(p *ast.Program, lin eval.Lineage) (*Checker, error) {
 		// prepared program: a cache hit may return a plan for an
 		// alpha-renamed twin, and Derive's delta indexes and body-subset
 		// checks must be relative to the rules the caller names.
-		prog:   p.Clone(),
-		frozen: make(map[string]frozenRule),
+		prog:    p.Clone(),
+		frozen:  make(map[string]frozenRule),
+		tgdMemo: make(map[string]*TGDs),
 	}
 	c.ruleCanon = make([]string, len(c.prog.Rules))
 	for i, r := range c.prog.Rules {
@@ -422,11 +427,13 @@ func (c *Checker) Derive(delta Delta) (*Checker, error) {
 		progCanon: joinCanon(lines), // only the delta rule was re-rendered
 		ruleCanon: lines,
 		Lineage:   c.Lineage, // shared: the lineage is one session
-		// Frozen rules, the graph and the reachability memo are shared down
-		// the lineage (see the field comments): frozen bodies do not depend on
-		// the program, and the ancestor's edges over-approximate every
-		// descendant's, which is the sound direction for transfer.
+		// Frozen rules, lowered tgd sets, the graph and the reachability memo
+		// are shared down the lineage (see the field comments): frozen bodies
+		// and tgd plans do not depend on the program, and the ancestor's edges
+		// over-approximate every descendant's, which is the sound direction
+		// for transfer.
 		frozen:        c.frozen,
+		tgdMemo:       c.tgdMemo,
 		graph:         c.graph,
 		reach:         c.reach,
 		noSyntactic:   c.noSyntactic,
@@ -641,14 +648,14 @@ func (c *Checker) chaseToGoal(ctx context.Context, tgds []ast.TGD, d *db.Databas
 		}
 	}
 	budget = c.resolveBudget(d, budget, cl)
+	ts := c.lowered(tgds)
 	cur := d.Clone()
 	_, maxNull := cur.MaxGeneratedIndexes()
 	nullGen := ast.NewNullGen(maxNull + 1)
 
 	for round := 0; round < budget.MaxRounds; round++ {
 		// Chase-round cancellation check, mirroring the evaluator's own
-		// round-boundary discipline (the tgd phase below has no emit path of
-		// its own, so the boundary check also covers it).
+		// round-boundary discipline; both phases below also poll mid-round.
 		if err := eval.CtxErr(ctx); err != nil {
 			return Result{}, Unknown, err
 		}
@@ -667,14 +674,17 @@ func (c *Checker) chaseToGoal(ctx context.Context, tgds []ast.TGD, d *db.Databas
 		}
 		cur = out
 		if reached {
-			return Result{DB: cur, Complete: c.isFixpoint(cur, tgds), Rounds: round + 1, Class: cl.Class}, Yes, nil
+			return Result{DB: cur, Complete: c.isFixpoint(cur, ts), Rounds: round + 1, Class: cl.Class}, Yes, nil
 		}
 
 		// Tgd phase: fire every violated instantiation found against the
 		// snapshot, re-checking before each firing (the restricted chase).
-		added := ApplyTGDRound(tgds, cur, nullGen)
+		added, err := ts.ApplyRound(ctx, cur, nullGen, c.Tally())
+		if err != nil {
+			return Result{}, Unknown, err
+		}
 		if goal != nil && cur.Has(*goal) {
-			return Result{DB: cur, Complete: c.isFixpoint(cur, tgds), Rounds: round + 1, Class: cl.Class}, Yes, nil
+			return Result{DB: cur, Complete: c.isFixpoint(cur, ts), Rounds: round + 1, Class: cl.Class}, Yes, nil
 		}
 		if added == 0 {
 			return Result{DB: cur, Complete: true, Rounds: round + 1, Class: cl.Class}, No, nil
@@ -709,7 +719,7 @@ func (c *Checker) resolveBudget(d *db.Database, budget Budget, cl depgraph.Class
 		return Budget{MaxAtoms: atoms, MaxRounds: rounds}
 	}
 	c.Tally().ChasesBudgetBounded++
-	return budget.orDefault()
+	return budget.OrDefault()
 }
 
 // Classify returns the chase-termination classification of running the
@@ -727,6 +737,19 @@ func (c *Checker) Classify(tgds []ast.TGD) depgraph.Classification {
 	}
 	c.termMemo[key] = cl
 	return cl
+}
+
+// lowered returns tgds lowered onto the join kernel (LowerTGDs), memoized
+// per tgd set like the classification: a [P, T] chase lowers T once, however
+// many rounds and candidate rules it is run for.
+func (c *Checker) lowered(tgds []ast.TGD) *TGDs {
+	key := tgdSetKey(tgds)
+	ts, ok := c.tgdMemo[key]
+	if !ok {
+		ts = LowerTGDs(tgds)
+		c.tgdMemo[key] = ts
+	}
+	return ts
 }
 
 // DisableTerminationAnalysis turns off the termination classifier for this
@@ -757,7 +780,7 @@ func (c *Checker) chaseFull(ctx context.Context, tgds []ast.TGD, d *db.Database,
 	}
 	maxDerived := 0 // unbounded: a full set always terminates
 	if budget != (Budget{}) {
-		b := budget.orDefault()
+		b := budget.OrDefault()
 		maxDerived = b.MaxAtoms - d.Len()
 		if maxDerived <= 0 {
 			return Result{DB: d.Clone(), Complete: false, Rounds: 0, Class: cl.Class}, Unknown, nil
@@ -814,75 +837,11 @@ func (c *Checker) fullPrep(tgds []ast.TGD) (*eval.Prepared, error) {
 // under the session program's rules and satisfying every tgd. A chase that
 // found its goal stops with a partial database; this is what makes the
 // reported Complete flag truthful rather than a blanket false.
-func (c *Checker) isFixpoint(cur *db.Database, tgds []ast.TGD) bool {
-	if !c.prep.IsClosed(cur) {
-		return false
-	}
-	return Satisfies(cur, tgds)
-}
-
-// EachViolation hands f every violated instantiation of t in d (Section
-// VIII): an instantiation θ of the universally quantified variables that
-// grounds the LHS into d while no extension of θ grounds the RHS there. It is
-// the one enumeration behind tgd satisfaction, the violation report and a
-// chase round, on the reference matcher, in its order. θ is the matcher's
-// live binding — Clone to keep it. f returning false ends the enumeration,
-// which EachViolation then reports.
-func EachViolation(d *db.Database, t ast.TGD, f func(theta ast.Binding) bool) bool {
-	b := ast.Binding{}
-	return db.MatchConjunction(d, t.Lhs, b, func() bool {
-		return db.Satisfiable(d, t.Rhs, b) || f(b)
-	})
-}
-
-// Satisfies reports whether every tgd holds in d: each grounding of a LHS
-// extends to a grounding of its RHS.
-func Satisfies(d *db.Database, tgds []ast.TGD) bool {
-	for _, t := range tgds {
-		if !EachViolation(d, t, func(ast.Binding) bool { return false }) {
-			return false
-		}
-	}
-	return true
+func (c *Checker) isFixpoint(cur *db.Database, ts *TGDs) bool {
+	return c.prep.IsClosed(cur) && ts.satisfies(cur, c.Tally())
 }
 
 func isBudgetErr(err error) bool { return errors.Is(err, eval.ErrBudget) }
-
-// ApplyTGDRound applies every tgd of T once to each violated instantiation
-// of its universally quantified variables (Section VIII: an instantiation θ
-// fires when the LHS grounds into d and no extension of θ grounds the RHS
-// into d; existential variables then take fresh nulls). It mutates d and
-// returns the number of facts added. It is one round of the restricted
-// chase; the Fig. 3 preservation procedure interleaves it with Pⁿ(d)
-// computations.
-func ApplyTGDRound(tgds []ast.TGD, d *db.Database, nullGen *ast.ConstGen) int {
-	added := 0
-	for _, t := range tgds {
-		exist := t.ExistentialVars()
-		var pending []ast.Binding
-		EachViolation(d, t, func(theta ast.Binding) bool {
-			pending = append(pending, theta.Clone())
-			return true
-		})
-		for _, theta := range pending {
-			// An earlier firing in this round may have satisfied this
-			// instantiation; the restricted chase re-checks before firing.
-			if db.Satisfiable(d, t.Rhs, theta) {
-				continue
-			}
-			ext := theta.Clone()
-			for _, v := range exist {
-				ext[v] = nullGen.Fresh()
-			}
-			for _, a := range t.Rhs {
-				if d.Add(a.MustGround(ext)) {
-					added++
-				}
-			}
-		}
-	}
-	return added
-}
 
 // SATContainsRule decides SAT(T) ∩ M(P) ⊆ M(r) for the session program P
 // and a single rule r by the extended chase of Section VIII: freeze r's

@@ -41,11 +41,11 @@ func TestChaseApplyWithProgramAndTgds(t *testing.T) {
 }
 
 func TestDefaultBudgetNormalization(t *testing.T) {
-	b := Budget{}.orDefault()
+	b := Budget{}.OrDefault()
 	if b.MaxAtoms != DefaultBudget.MaxAtoms || b.MaxRounds != DefaultBudget.MaxRounds {
 		t.Fatalf("orDefault = %+v", b)
 	}
-	b = Budget{MaxAtoms: 5}.orDefault()
+	b = Budget{MaxAtoms: 5}.OrDefault()
 	if b.MaxAtoms != 5 || b.MaxRounds != DefaultBudget.MaxRounds {
 		t.Fatalf("partial orDefault = %+v", b)
 	}

@@ -8,12 +8,14 @@
 package constraint
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
 	"repro/internal/ast"
 	"repro/internal/chase"
 	"repro/internal/db"
+	"repro/internal/eval"
 )
 
 // Violation is one witnessed failure: the instantiation of the tgd's
@@ -44,19 +46,19 @@ func Satisfies(d *db.Database, tgds []ast.TGD) bool { return chase.Satisfies(d, 
 // reported separately.
 func Violations(d *db.Database, tgds []ast.TGD, max int) []Violation {
 	var out []Violation
-	for _, tau := range tgds {
-		more := chase.EachViolation(d, tau, func(theta ast.Binding) bool {
-			lhs, err := ast.GroundAtoms(tau.Lhs, theta)
-			if err != nil {
-				return true // unreachable: the match bound every variable
-			}
-			out = append(out, Violation{TGD: tau.Clone(), LHS: lhs, Binding: theta.Clone()})
-			return max <= 0 || len(out) < max
-		})
-		if !more {
-			break
+	// A standalone check belongs to no lineage: its join counts are dropped.
+	chase.LowerTGDs(tgds).EachViolation(context.Background(), d, new(eval.Stats), func(t int, vals []ast.Const) bool {
+		theta := make(ast.Binding, len(vals))
+		for i, v := range tgds[t].UniversalVars() {
+			theta[v] = vals[i]
 		}
-	}
+		lhs, err := ast.GroundAtoms(tgds[t].Lhs, theta)
+		if err != nil {
+			return true // unreachable: the match bound every variable
+		}
+		out = append(out, Violation{TGD: tgds[t].Clone(), LHS: lhs, Binding: theta})
+		return max <= 0 || len(out) < max
+	})
 	return out
 }
 

@@ -52,7 +52,6 @@ import (
 	"repro/internal/parser"
 	"repro/internal/preserve"
 	"repro/internal/rewrite"
-	"repro/internal/topdown"
 	"repro/internal/unfold"
 )
 
@@ -369,11 +368,6 @@ func UniformlyContainsRuleCertified(p *Program, r Rule) (bool, *chase.Certificat
 // program (Section X's remark; internal/unfold).
 func UnfoldToDepth(p *Program, k, maxRules int) (unfold.Result, error) {
 	return unfold.ToDepth(p, k, maxRules)
-}
-
-// NewTopDown builds a tabled top-down engine over p and edb.
-func NewTopDown(p *Program, edb *Database) (*topdown.Engine, error) {
-	return topdown.New(p, edb)
 }
 
 // NewProver evaluates p on input and returns the provenance reader over the

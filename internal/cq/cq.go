@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/ast"
 	"repro/internal/db"
+	"repro/internal/eval"
 )
 
 // CQ is a conjunctive query: a head atom over a body conjunction, i.e. a
@@ -50,7 +51,7 @@ func cloneBody(body []ast.Atom) []ast.Atom {
 // distinct frozen constants, plus the frozen head and the binding used.
 func freeze(q CQ) (ast.GroundAtom, *db.Database, ast.Binding) {
 	gen := ast.NewFrozenGen(0)
-	theta := ast.FreezeVars(q.Rule().Vars(), gen)
+	theta := ast.FreezeVars(ast.Rule{Head: q.Head, Body: q.Body}.Vars(), gen)
 	head := q.Head.MustGround(theta)
 	d := db.New()
 	for _, a := range q.Body {
@@ -58,6 +59,10 @@ func freeze(q CQ) (ast.GroundAtom, *db.Database, ast.Binding) {
 	}
 	return head, d, theta
 }
+
+// headPred holds the frozen head in a canonical database; no parsed
+// predicate contains '@'.
+const headPred = "cq@head"
 
 // Homomorphism searches for a containment mapping h from `from` onto `to`:
 // h maps from's variables to to's terms such that h(from.Head) = to.Head
@@ -68,8 +73,17 @@ func Homomorphism(from, to CQ) (ast.Subst, bool) {
 		return nil, false
 	}
 	// Freeze `to` into its canonical DB; a homomorphism is then exactly a
-	// match of from's head+body into the canonical head+DB.
+	// match of from's head+body into the canonical head+DB. The frozen head
+	// joins the DB under a reserved predicate, so from's head is one more
+	// atom of the conjunction.
 	toHead, d, theta := freeze(to)
+	d.AddTuple(headPred, toHead.Args)
+	atoms := append([]ast.Atom{{Pred: headPred, Args: from.Head.Args}}, from.Body...)
+	conj := eval.LowerConj(atoms, nil)
+	vars, frame := conj.Vars(), make([]ast.Const, len(conj.Vars()))
+	if conj.Each(d, frame, new(eval.Stats), func() bool { return false }) {
+		return nil, false // ran dry without a row
+	}
 
 	// Invert theta so matched frozen constants translate back to to's
 	// variables.
@@ -77,25 +91,12 @@ func Homomorphism(from, to CQ) (ast.Subst, bool) {
 	for v, c := range theta {
 		inv[c] = v
 	}
-
-	b := ast.Binding{}
-	if _, ok := from.Head.MatchGround(toHead.Pred, toHead.Args, b); !ok {
-		return nil, false
-	}
-	var found ast.Binding
-	db.MatchConjunction(d, from.Body, b, func() bool {
-		found = b.Clone()
-		return false
-	})
-	if found == nil {
-		return nil, false
-	}
-	h := make(ast.Subst, len(found))
-	for v, c := range found {
-		if name, ok := inv[c]; ok {
+	h := make(ast.Subst, len(vars))
+	for i, v := range vars {
+		if name, ok := inv[frame[i]]; ok {
 			h[v] = ast.Var(name)
 		} else {
-			h[v] = ast.Con(c)
+			h[v] = ast.Con(frame[i])
 		}
 	}
 	return h, true

@@ -8,6 +8,7 @@ import (
 	"repro/internal/ast"
 	"repro/internal/chase"
 	"repro/internal/minimize"
+	"repro/internal/oracle"
 	"repro/internal/parser"
 )
 
@@ -255,5 +256,74 @@ func TestMinimizeUnionSingletonAndEmpty(t *testing.T) {
 	min := MinimizeUnion([]CQ{q})
 	if len(min) != 1 || len(min[0].Body) != 1 {
 		t.Fatalf("singleton union: %v", min)
+	}
+}
+
+// randomWideCQ draws a query like randomCQ and the harness's randomCQRule — k
+// binary atoms over A and B and a small variable pool — with the odd constant,
+// and a head of one or two terms (a repeated variable or a constant among them
+// at times): what the head pre-binding of Homomorphism has to get right.
+func randomWideCQ(rng *rand.Rand, k int) CQ {
+	vars := []string{"x", "y", "z", "u", "v", "w"}
+	term := func() ast.Term {
+		if rng.Intn(8) == 0 {
+			return ast.IntTerm(int64(rng.Intn(2)))
+		}
+		return ast.Var(vars[rng.Intn(len(vars))])
+	}
+	q := CQ{Body: make([]ast.Atom, k)}
+	for i := range q.Body {
+		q.Body[i] = ast.NewAtom([]string{"A", "B"}[rng.Intn(2)], term(), term())
+	}
+	head := make([]ast.Term, 1+rng.Intn(2))
+	for i := range head {
+		if bv := ast.VarsOfAtoms(q.Body); len(bv) > 0 && rng.Intn(6) > 0 {
+			head[i] = ast.Var(bv[rng.Intn(len(bv))])
+		} else {
+			head[i] = ast.IntTerm(int64(rng.Intn(2)))
+		}
+	}
+	q.Head = ast.NewAtom("Q", head...)
+	return q
+}
+
+// TestHomomorphismMatchesOracle: a containment mapping exists exactly when
+// the oracle matcher grounds from's head and body into to's frozen head and
+// body, and a mapping returned really is one. The seed names the failing
+// pair.
+func TestHomomorphismMatchesOracle(t *testing.T) {
+	for seed := int64(1); seed <= 400; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		from, to := randomWideCQ(rng, 1+rng.Intn(4)), randomWideCQ(rng, 1+rng.Intn(5))
+		if rng.Intn(4) == 0 { // a weakening of to always maps into it
+			from = CQ{Head: to.Head, Body: to.Body[:1+rng.Intn(len(to.Body))]}
+		}
+		want := false
+		if from.Head.Arity() == to.Head.Arity() {
+			toHead, d, _ := freeze(to)
+			b := ast.Binding{}
+			if _, ok := from.Head.MatchGround(toHead.Pred, toHead.Args, b); ok {
+				want = !oracle.MatchConjunction(d, from.Body, b, func() bool { return false })
+			}
+		}
+		h, got := Homomorphism(from, to)
+		if got != want {
+			t.Fatalf("seed %d: Homomorphism(%v, %v) = %v, oracle %v", seed, from, to, got, want)
+		}
+		if !got {
+			continue
+		}
+		if !from.Head.Apply(h).Equal(to.Head) {
+			t.Fatalf("seed %d: h = %v maps head %v to %v, not %v", seed, h, from.Head, from.Head.Apply(h), to.Head)
+		}
+		for _, a := range from.Body {
+			img, found := a.Apply(h), false
+			for _, b := range to.Body {
+				found = found || img.Equal(b)
+			}
+			if !found {
+				t.Fatalf("seed %d: h = %v maps %v to %v, not an atom of %v", seed, h, a, img, to)
+			}
+		}
 	}
 }

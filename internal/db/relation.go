@@ -2,6 +2,7 @@ package db
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -729,4 +730,65 @@ func (r *Relation) MatchIDs(cols []int, key []ast.Const) []int32 {
 		ids = append(ids, id)
 	}
 	return ids
+}
+
+// RoundWindow restricts a read to tuples whose round stamp falls within
+// [Min, Max]. Semi-naive evaluation uses windows to aim one body atom at the
+// newest facts (the Δ of the last round) and the remaining atoms at older
+// strata.
+type RoundWindow struct {
+	Min, Max int32
+}
+
+// AllRounds is a round window accepting every tuple.
+var AllRounds = RoundWindow{Min: 0, Max: math.MaxInt32}
+
+// Select returns the tuples of d matching the query atom's pattern
+// (constants filter, repeated variables must agree, every column is
+// returned), in the relation's insertion order. The rows are copies.
+func Select(d *Database, query ast.Atom) [][]ast.Const {
+	rel := d.rels[query.Pred]
+	if rel == nil || rel.arity != len(query.Args) {
+		return nil
+	}
+	// The constant columns key the read; eq pairs each repeat of a variable
+	// with the column of its first occurrence.
+	var cols []int
+	var key []ast.Const
+	var eq [][2]int
+	for i, t := range query.Args {
+		if !t.IsVar {
+			cols, key = append(cols, i), append(key, t.Val)
+		} else if j := slices.Index(query.Args[:i], t); j >= 0 {
+			eq = append(eq, [2]int{i, j})
+		}
+	}
+	var rows [][]ast.Const
+	take := func(id int) {
+		tuple := rel.Tuple(id)
+		for _, e := range eq {
+			if tuple[e[0]] != tuple[e[1]] {
+				return
+			}
+		}
+		rows = append(rows, slices.Clone(tuple))
+	}
+	switch len(cols) {
+	case 0:
+		for id := 0; id < rel.Len(); id++ {
+			if rel.Alive(id) {
+				take(id)
+			}
+		}
+	case rel.arity:
+		if id, ok := rel.lookupID(key); ok {
+			take(int(id))
+		}
+	default:
+		it := rel.Prober(cols, math.MaxInt32).Seek(key)
+		for id, ok := it.Next(); ok; id, ok = it.Next() {
+			take(int(id))
+		}
+	}
+	return rows
 }

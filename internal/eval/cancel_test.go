@@ -28,7 +28,7 @@ func (c *tripCtx) Err() error {
 // cancellation cadence: the emit path must poll the context on every
 // emission, not only after a successful insert, so a pass that re-derives
 // nothing but known facts — here an input that already contains its own
-// output — is still cut mid-stream, within ctxCheckEvery firings of the
+// output — is still cut mid-stream, within CtxCheckEvery firings of the
 // poll that sees the cancellation. Both fixpoint shapes are covered: a
 // one-pass stratum and a recursive unit.
 func TestCancelCutsDuplicateHeavyPass(t *testing.T) {
@@ -52,7 +52,7 @@ func TestCancelCutsDuplicateHeavyPass(t *testing.T) {
 				t.Fatal(err)
 			}
 			const trip = 5
-			if full.Firings < 4*trip*ctxCheckEvery {
+			if full.Firings < 4*trip*CtxCheckEvery {
 				t.Fatalf("workload too small to tell a cut from completion: %d firings", full.Firings)
 			}
 			ctx := &tripCtx{Context: context.Background(), trip: trip}
@@ -63,10 +63,10 @@ func TestCancelCutsDuplicateHeavyPass(t *testing.T) {
 			if st.Added != 0 {
 				t.Fatalf("closed input derived %d new facts", st.Added)
 			}
-			// Every poll is either a boundary check or ctxCheckEvery firings
+			// Every poll is either a boundary check or CtxCheckEvery firings
 			// after the previous one, so trip polls bound the work done.
-			if st.Firings > trip*ctxCheckEvery {
-				t.Fatalf("canceled at poll %d but %d firings ran (cadence %d)", trip, st.Firings, ctxCheckEvery)
+			if st.Firings > trip*CtxCheckEvery {
+				t.Fatalf("canceled at poll %d but %d firings ran (cadence %d)", trip, st.Firings, CtxCheckEvery)
 			}
 		})
 	}

@@ -48,11 +48,12 @@ func CtxErr(ctx context.Context) error {
 	return nil
 }
 
-// ctxCheckEvery is the emit-path cancellation cadence: the context is polled
+// CtxCheckEvery is the emit-path cancellation cadence: the context is polled
 // once per this many head emissions (new facts and duplicates alike),
 // keeping the check off the per-tuple hot path while bounding how much work
-// a canceled evaluation can still do.
-const ctxCheckEvery = 128
+// a canceled evaluation can still do. A caller of Conj.Each that enumerates
+// under a context (the chase's tgd phase) polls CtxErr at the same cadence.
+const CtxCheckEvery = 128
 
 // Options configures evaluation. A context, a goal, a budget and provenance
 // are per-call concerns and are arguments of Prepared.Run, never options.

@@ -190,8 +190,11 @@ func (u *unit) maintPlan() *maintPlan {
 			ledBy := func(lead ast.Atom, rest []ast.Atom) *streamPlan {
 				bound := make(map[string]bool)
 				lead.CollectVars(bound)
-				body := append([]ast.Atom{lead}, db.OrderForJoin(rest, bound)...)
-				return lowerRule(ast.Rule{Head: r.Head, Body: body, NegBody: r.NegBody}, vars)
+				body := []ast.Atom{lead}
+				for _, i := range orderPermSized(rest, bound, nil) {
+					body = append(body, rest[i])
+				}
+				return lowerRule(ast.Rule{Head: r.Head, Body: body, NegBody: r.NegBody}, vars, 0)
 			}
 			rv := ruleVariants{firing: strconv.Itoa(ri), nVars: len(vars), rederive: ledBy(r.Head, r.Body)}
 			for i, a := range r.Body {

@@ -5,11 +5,12 @@ import (
 
 	"repro/internal/ast"
 	"repro/internal/db"
+	"repro/internal/oracle"
 )
 
 // The reference the operator pipeline is compared against. It is Section III
 // read literally — "repeatedly instantiate rules until no new ground atoms
-// can be produced" — over the generic binding-map matcher db.MatchSeq, in
+// can be produced" — over the generic binding-map matcher oracle.MatchSeq, in
 // source body order. It shares nothing with stream.go or its slot lowering;
 // the only engine code it borrows is the schedule (which rules form a
 // fixpoint unit), because naive firing counts are defined per unit.
@@ -18,13 +19,13 @@ import (
 // stamped within w that passes r's negated atoms, handing each head to emit;
 // it returns the number of instantiations.
 func oracleFire(d *db.Database, r ast.Rule, w db.RoundWindow, emit func(ast.GroundAtom)) int {
-	cs := make([]db.Constraint, len(r.Body))
+	cs := make([]oracle.Constraint, len(r.Body))
 	for i, a := range r.Body {
-		cs[i] = db.Constraint{Atom: a, Window: w}
+		cs[i] = oracle.Constraint{Atom: a, Window: w}
 	}
 	n := 0
 	b := ast.Binding{}
-	db.MatchSeq(d, cs, b, func() bool {
+	oracle.MatchSeq(d, cs, b, func() bool {
 		for _, na := range r.NegBody {
 			if d.Has(na.MustGround(b)) {
 				return true

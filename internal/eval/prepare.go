@@ -108,7 +108,7 @@ func (m *ruleMemo) under(perm []int) *loweredRule {
 	for j, pi := range perm {
 		or.Body[j] = m.rule.Body[pi]
 	}
-	lr := &loweredRule{perm: perm, plan: lowerRule(or, nil)}
+	lr := &loweredRule{perm: perm, plan: lowerRule(or, nil, 0)}
 	if m.sharded {
 		lr.swapped = lowerSwapped(or)
 	}
@@ -120,7 +120,54 @@ func (m *ruleMemo) under(perm []int) *loweredRule {
 // consult: what one-shot passes and the insert loop use, since their
 // databases are either tiny or already closed.
 func (m *ruleMemo) static() *loweredRule {
-	return m.under(db.OrderPermSized(m.rule.Body, nil, nil))
+	return m.under(orderPermSized(m.rule.Body, nil, nil))
+}
+
+// orderPermSized is the planner's join order: a permutation of atom indexes
+// (out[j] = source index of the atom evaluated j-th) chosen greedily so that
+// each next atom has as many columns bound — by a constant, a variable of
+// bound, or a variable of the prefix — as possible; among equals the atom over
+// the smaller relation goes first when sizeOf is given, and source order
+// breaks the remaining ties. A heuristic, not an optimizer. The permutation
+// doubles as the memo key: rounds whose live cardinalities induce the same
+// order share one lowered rule (ruleMemo.under).
+func orderPermSized(atoms []ast.Atom, bound map[string]bool, sizeOf func(pred string) int) []int {
+	n := len(atoms)
+	if n <= 1 {
+		return make([]int, n) // nothing to order
+	}
+	out := make([]int, 0, n)
+	used := make([]bool, n)
+	boundVars := make(map[string]bool, len(bound))
+	for v := range bound {
+		boundVars[v] = true
+	}
+	for len(out) < n {
+		best, bestScore, bestSize := -1, -1, 0
+		for i, a := range atoms {
+			if used[i] {
+				continue
+			}
+			score := 0
+			for _, t := range a.Args {
+				if !t.IsVar || boundVars[t.Name] {
+					score += 2
+				}
+			}
+			size := 0
+			if sizeOf != nil {
+				size = sizeOf(a.Pred)
+			}
+			// Strict > / < keep the earliest best.
+			if score > bestScore || (score == bestScore && sizeOf != nil && size < bestSize) {
+				best, bestScore, bestSize = i, score, size
+			}
+		}
+		used[best] = true
+		out = append(out, best)
+		atoms[best].CollectVars(boundVars)
+	}
+	return out
 }
 
 // unit is one fixpoint of the evaluation schedule: a stratum (under
@@ -572,7 +619,7 @@ func (u *unit) setupFor(d *db.Database, buf roundSetup) roundSetup {
 	}
 	buf = buf[:0]
 	for _, m := range u.rules {
-		buf = append(buf, m.under(db.OrderPermSized(m.rule.Body, nil, sizeOf)))
+		buf = append(buf, m.under(orderPermSized(m.rule.Body, nil, sizeOf)))
 	}
 	return buf
 }

@@ -162,3 +162,31 @@ func TestPreparedGoalAlreadyInInput(t *testing.T) {
 		t.Fatal("rules fired despite the goal being in the input")
 	}
 }
+
+// TestOrderPermPrefersBound: an atom with more columns bound — by a constant
+// or a variable the caller already bound — goes first.
+func TestOrderPermPrefersBound(t *testing.T) {
+	atoms := []ast.Atom{
+		ast.NewAtom("B", ast.Var("u"), ast.Var("v")),
+		ast.NewAtom("A", ast.Var("x"), ast.IntTerm(1)),
+	}
+	if got := orderPermSized(atoms, map[string]bool{"x": true}, nil); len(got) != 2 || got[0] != 1 || got[1] != 0 {
+		t.Fatalf("orderPermSized = %v, want [1 0]", got)
+	}
+}
+
+// TestOrderPermSized: among equally bound atoms the smaller relation leads;
+// without sizes, source order breaks the tie.
+func TestOrderPermSized(t *testing.T) {
+	sizes := map[string]int{"Big": 50, "Small": 1}
+	atoms := []ast.Atom{
+		ast.NewAtom("Big", ast.Var("x"), ast.Var("y")),
+		ast.NewAtom("Small", ast.Var("x"), ast.Var("z")),
+	}
+	if got := orderPermSized(atoms, nil, func(pred string) int { return sizes[pred] }); got[0] != 1 {
+		t.Fatalf("size-aware ordering failed: %v", got)
+	}
+	if got := orderPermSized(atoms, nil, nil); got[0] != 0 {
+		t.Fatalf("tie-break changed: %v", got)
+	}
+}

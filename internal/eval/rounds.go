@@ -663,7 +663,7 @@ func lowerSwapped(or ast.Rule) *streamPlan {
 	}
 	or.Body = slices.Clone(or.Body)
 	or.Body[0], or.Body[1] = or.Body[1], or.Body[0]
-	return lowerRule(or, nil)
+	return lowerRule(or, nil, 0)
 }
 
 func atomsShareVar(a, b ast.Atom) bool {

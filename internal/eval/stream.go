@@ -2,18 +2,20 @@ package eval
 
 import (
 	"context"
+	"slices"
 	"sync"
 
 	"repro/internal/ast"
 	"repro/internal/db"
 )
 
-// The operator pipeline is the one code path that joins a rule body. A
-// slot-compiled rule is lowered once more into a chain of relational
-// operators (index-probe scan, dedup-table lookup, natural-join probe,
-// selection, projection/emit) and driven as a pull-based iterator pipeline:
-// bindings flow through the join one tuple at a time and no intermediate
-// binding set is ever materialized.
+// The operator pipeline is the one code path that joins a rule body. A rule
+// is lowered — variables to indexes into a flat []Const slot frame, so the
+// pipeline never touches a variable name or a binding map — into a chain of
+// relational operators (index-probe scan, dedup-table lookup, natural-join
+// probe, selection, projection/emit) and driven as a pull-based iterator
+// pipeline: bindings flow through the join one tuple at a time and no
+// intermediate binding set is ever materialized.
 //
 // Every rule application in the package is this pipeline under a different
 // span (what each operator may read) and a different sink (what happens to a
@@ -72,11 +74,19 @@ type streamOp struct {
 	acts     []argAct
 }
 
+// compiledAtom is an atom over variable slots: args[i] ≥ 0 is a slot index,
+// args[i] < 0 means constant consts[i].
+type compiledAtom struct {
+	pred   string
+	args   []int
+	consts []ast.Const
+}
+
 // streamPlan is one rule lowered to a pipeline: the operator chain in body
 // order, plus the negated literals and head in slot form.
 type streamPlan struct {
-	nVars int
-	arity int // the widest atom: head, body or negated
+	vars  []string // the slot names
+	arity int      // the widest atom: head, body or negated
 	ops   []streamOp
 	neg   []compiledAtom
 	head  compiledAtom
@@ -95,37 +105,54 @@ func (sp *streamPlan) ensureIndexes(d *db.Database) {
 }
 
 // lowerRule compiles r (body already in evaluation order) to a pipeline
-// plan. vars fixes the leading slots (see compileRule); nil numbers them by
-// first occurrence.
-func lowerRule(r ast.Rule, vars []string) *streamPlan {
-	cr := compileRule(r, vars)
-	sp := &streamPlan{nVars: cr.nVars, arity: len(cr.head.args), neg: cr.neg, head: cr.head}
-	for _, a := range cr.neg {
-		sp.arity = max(sp.arity, len(a.args))
+// plan in one pass over its atoms. Slots are numbered by first occurrence,
+// after vars: a non-nil vars claims the leading slots in its order, so
+// reorderings of one rule lowered with the same vars share a slot numbering.
+// The first nBound of them are bound before the plan runs — the caller fills
+// them in the frame — so their first occurrence keys a probe like any later
+// one instead of assigning.
+func lowerRule(r ast.Rule, vars []string, nBound int) *streamPlan {
+	sp := &streamPlan{vars: slices.Clip(vars), ops: make([]streamOp, 0, len(r.Body))}
+	slots := make(map[string]int, len(vars))
+	bound := make(map[string]bool, len(vars))
+	for i, v := range vars {
+		slots[v], bound[v] = i, i < nBound
 	}
-	bound := make([]bool, cr.nVars)
-	for _, a := range cr.body {
-		sp.arity = max(sp.arity, len(a.args))
-		op := streamOp{pred: a.pred, arity: len(a.args)}
-		for i, s := range a.args {
+	slotOf := func(v string) int {
+		s, ok := slots[v]
+		if !ok {
+			s = len(slots)
+			slots[v] = s
+			sp.vars = append(sp.vars, v)
+		}
+		return s
+	}
+	// The operators' key recipes and actions are carved from three backing
+	// arrays (each column of each atom lands in exactly one of them), so a
+	// lowering costs a handful of allocations however long the body.
+	n := 0
+	for _, a := range r.Body {
+		n += len(a.Args)
+	}
+	ints, consts, acts := make([]int, 2*n), make([]ast.Const, n), make([]argAct, n)
+	for _, a := range r.Body {
+		k := len(a.Args)
+		op := streamOp{pred: a.Pred, arity: k, cols: ints[:0:k], keySrc: ints[k : k : 2*k], keyConst: consts[:0:k], acts: acts[:0:k]}
+		ints, consts, acts = ints[2*k:], consts[k:], acts[k:]
+		for i, t := range a.Args {
 			switch {
-			case s < 0:
+			case !t.IsVar:
 				op.cols = append(op.cols, i)
 				op.keySrc = append(op.keySrc, -1)
-				op.keyConst = append(op.keyConst, a.consts[i])
-			case bound[s]:
+				op.keyConst = append(op.keyConst, t.Val)
+			case bound[t.Name]:
 				op.cols = append(op.cols, i)
-				op.keySrc = append(op.keySrc, s)
+				op.keySrc = append(op.keySrc, slotOf(t.Name))
 				op.keyConst = append(op.keyConst, 0)
 			default:
 				// First occurrence in this atom assigns; repeats check.
-				check := false
-				for _, act := range op.acts {
-					if act.slot == s {
-						check = true
-						break
-					}
-				}
+				s := slotOf(t.Name)
+				check := slices.ContainsFunc(op.acts, func(act argAct) bool { return act.slot == s })
 				op.acts = append(op.acts, argAct{col: i, slot: s, check: check})
 			}
 		}
@@ -137,13 +164,28 @@ func lowerRule(r ast.Rule, vars []string) *streamPlan {
 		default:
 			op.kind = opProbe
 		}
-		for _, act := range op.acts {
-			if !act.check {
-				bound[act.slot] = true
+		a.CollectVars(bound)
+		sp.ops = append(sp.ops, op)
+		sp.arity = max(sp.arity, op.arity)
+	}
+	// Body first, so every variable of the negated literals and the head is
+	// already slotted (range restriction guarantees it appears there).
+	lower := func(a ast.Atom) compiledAtom {
+		ca := compiledAtom{pred: a.Pred, args: make([]int, len(a.Args)), consts: make([]ast.Const, len(a.Args))}
+		for i, t := range a.Args {
+			if t.IsVar {
+				ca.args[i] = slotOf(t.Name)
+			} else {
+				ca.args[i], ca.consts[i] = -1, t.Val
 			}
 		}
-		sp.ops = append(sp.ops, op)
+		sp.arity = max(sp.arity, len(a.Args))
+		return ca
 	}
+	for _, a := range r.NegBody {
+		sp.neg = append(sp.neg, lower(a))
+	}
+	sp.head = lower(r.Head)
 	return sp
 }
 
@@ -237,7 +279,7 @@ type streamSink interface {
 // the database, test the goal, count down the derived-fact budget, credit
 // provenance. The context is polled on every emission — new fact or
 // duplicate — so a pass that mostly re-derives known facts is still cut
-// within ctxCheckEvery firings of a cancellation.
+// within CtxCheckEvery firings of a cancellation.
 type fixpointSink struct {
 	d         *db.Database
 	goal      *ast.GroundAtom
@@ -253,7 +295,7 @@ type fixpointSink struct {
 
 func (s *fixpointSink) emit(pred string, args []ast.Const) (bool, bool) {
 	if s.ctx != nil {
-		if s.ctxTick++; s.ctxTick%ctxCheckEvery == 0 && s.ctx.Err() != nil {
+		if s.ctxTick++; s.ctxTick%CtxCheckEvery == 0 && s.ctx.Err() != nil {
 			s.canceled = true
 			s.stop = true
 			return false, true
@@ -326,8 +368,8 @@ func putStreamState(st *streamState) {
 // operator's own width.
 func (st *streamState) ensure(sp *streamPlan) {
 	nOps := len(sp.ops)
-	if len(st.vals) < sp.nVars {
-		st.vals = make([]ast.Const, sp.nVars)
+	if len(st.vals) < len(sp.vars) {
+		st.vals = make([]ast.Const, len(sp.vars))
 	}
 	if len(st.rels) < nOps {
 		st.rels = make([]*db.Relation, nOps)

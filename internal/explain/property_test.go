@@ -9,6 +9,7 @@ import (
 	"repro/internal/db"
 	"repro/internal/eval"
 	"repro/internal/explain"
+	"repro/internal/oracle"
 	"repro/internal/workload"
 )
 
@@ -51,7 +52,7 @@ func oracleCounts(p *ast.Program, out *db.Database) map[string]int {
 	counts := make(map[string]int)
 	for _, r := range p.Rules {
 		b := ast.Binding{}
-		db.MatchConjunction(out, r.Body, b, func() bool {
+		oracle.MatchConjunction(out, r.Body, b, func() bool {
 			for _, n := range r.NegBody {
 				if out.Has(n.MustGround(b)) {
 					return true

@@ -19,7 +19,6 @@ import (
 	"repro/internal/minimize"
 	"repro/internal/parser"
 	"repro/internal/preserve"
-	"repro/internal/topdown"
 	"repro/internal/workload"
 )
 
@@ -603,9 +602,9 @@ func randomCQRule(rng *rand.Rand, k int) ast.Rule {
 	return ast.NewRule(ast.NewAtom("Q", hv), body...)
 }
 
-// E11Engines compares the four query-answering strategies on bound
-// ancestor queries: full bottom-up + filter, basic magic, supplementary
-// magic, and tabled top-down (QSQ-style).
+// E11Engines compares the three query-answering strategies on bound
+// ancestor queries: full bottom-up + filter, basic magic and supplementary
+// magic.
 func E11Engines() Table {
 	t := Table{ID: "E11", Title: "query engines on bound ancestor queries (extension)",
 		Columns: []string{"chain n", "engine", "answers", "work (facts/answers)", "time"}}
@@ -614,47 +613,24 @@ func E11Engines() Table {
 		edb := workload.Chain("Par", n)
 		query := ast.NewAtom("Anc", ast.IntTerm(int64(n-6)), ast.Var("y"))
 
-		var nAns int
-		var work int
-		d := timed(func() {
-			ans, s, err := magic.DirectAnswer(p, edb, query, eval.Options{})
-			if err != nil {
-				panic(err)
-			}
-			nAns, work = len(ans), s.DerivedFacts
-		})
-		t.AddRow(n, "bottom-up + filter", nAns, work, ms(d))
-
-		d = timed(func() {
-			ans, s, err := magic.Answer(p, edb, query, eval.Options{})
-			if err != nil {
-				panic(err)
-			}
-			nAns, work = len(ans), s.DerivedFacts
-		})
-		t.AddRow(n, "magic sets", nAns, work, ms(d))
-
-		d = timed(func() {
-			ans, s, err := magic.AnswerSupplementary(p, edb, query, eval.Options{})
-			if err != nil {
-				panic(err)
-			}
-			nAns, work = len(ans), s.DerivedFacts
-		})
-		t.AddRow(n, "supplementary magic", nAns, work, ms(d))
-
-		d = timed(func() {
-			eng, err := topdown.New(p, edb)
-			if err != nil {
-				panic(err)
-			}
-			ans, s, err := eng.Query(query)
-			if err != nil {
-				panic(err)
-			}
-			nAns, work = len(ans), s.Answers
-		})
-		t.AddRow(n, "top-down tabled", nAns, work, ms(d))
+		for _, e := range []struct {
+			name   string
+			answer func(*ast.Program, *db.Database, ast.Atom, eval.Options) ([][]ast.Const, magic.Stats, error)
+		}{
+			{"bottom-up + filter", magic.DirectAnswer},
+			{"magic sets", magic.Answer},
+			{"supplementary magic", magic.AnswerSupplementary},
+		} {
+			var nAns, work int
+			d := timed(func() {
+				ans, s, err := e.answer(p, edb, query, eval.Options{})
+				if err != nil {
+					panic(err)
+				}
+				nAns, work = len(ans), s.DerivedFacts
+			})
+			t.AddRow(n, e.name, nAns, work, ms(d))
+		}
 	}
 	return t
 }

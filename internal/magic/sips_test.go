@@ -8,6 +8,7 @@ import (
 	"repro/internal/ast"
 	"repro/internal/db"
 	"repro/internal/eval"
+	"repro/internal/oracle"
 	"repro/internal/parser"
 )
 
@@ -26,7 +27,7 @@ func answerWith(t *testing.T, p *ast.Program, edb *db.Database, query ast.Atom, 
 	}
 	var tuples [][]ast.Const
 	b := ast.Binding{}
-	db.MatchAtom(out, rw.Query, db.AllRounds, b, func() bool {
+	oracle.MatchAtom(out, rw.Query, db.AllRounds, b, func() bool {
 		g := rw.Query.MustGround(b)
 		tp := make([]ast.Const, len(g.Args))
 		copy(tp, g.Args)

@@ -7,17 +7,22 @@
 // through the same subgoal is handled by iterating passes until no table
 // grows, which terminates because Datalog generates finitely many subgoals
 // and answers over a finite constant domain.
+//
+// It is a test oracle, not a shipped engine (E11 recorded it as never the
+// fastest arm): a second, independent way to answer a query that bottom-up
+// evaluation + db.Select and the magic rewritings are checked against. Only
+// _test.go files import it (make guard-one-join).
 package topdown
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/ast"
 	"repro/internal/db"
 	"repro/internal/depgraph"
 	"repro/internal/eval"
+	"repro/internal/oracle"
 )
 
 // Stats reports the work a query performed.
@@ -87,12 +92,8 @@ func New(p *ast.Program, edb *db.Database) (*Engine, error) {
 	materialized := map[string]bool{}
 	for _, r := range p.Rules {
 		if lastStratum[r.Head.Pred] {
-			if r.HasNegation() {
-				// Negated predicates are strictly lower-stratum, hence
-				// materialized; the solver checks absence directly.
-				upper.Rules = append(upper.Rules, r.Clone())
-				continue
-			}
+			// Negated predicates are strictly lower-stratum, hence
+			// materialized; the solver checks absence directly.
 			upper.Rules = append(upper.Rules, r.Clone())
 			continue
 		}
@@ -161,16 +162,7 @@ func (e *Engine) ensureTable(pred string, cols []int, vals []ast.Const) (*table,
 func (e *Engine) Query(q ast.Atom) ([][]ast.Const, Stats, error) {
 	if !e.idb[q.Pred] {
 		// Extensional query: read the EDB directly.
-		var out [][]ast.Const
-		b := ast.Binding{}
-		db.MatchAtom(e.edb, q, db.AllRounds, b, func() bool {
-			g := q.MustGround(b)
-			t := make([]ast.Const, len(g.Args))
-			copy(t, g.Args)
-			out = append(out, t)
-			return true
-		})
-		return out, e.stats(0), nil
+		return matches(e.edb, q), e.stats(0), nil
 	}
 
 	cols, vals := subgoalFor(q, nil)
@@ -193,16 +185,18 @@ func (e *Engine) Query(q ast.Atom) ([][]ast.Const, Stats, error) {
 		}
 	}
 
+	return matches(root.answers, q), e.stats(passes), nil
+}
+
+// matches returns the tuples of d matching q.
+func matches(d *db.Database, q ast.Atom) [][]ast.Const {
 	var out [][]ast.Const
 	b := ast.Binding{}
-	db.MatchAtom(root.answers, q, db.AllRounds, b, func() bool {
-		g := q.MustGround(b)
-		t := make([]ast.Const, len(g.Args))
-		copy(t, g.Args)
-		out = append(out, t)
+	oracle.MatchAtom(d, q, db.AllRounds, b, func() bool {
+		out = append(out, q.MustGround(b).Args)
 		return true
 	})
-	return out, e.stats(passes), nil
+	return out
 }
 
 func (e *Engine) stats(passes int) Stats {
@@ -270,43 +264,21 @@ func (e *Engine) fillTable(t *table) bool {
 // (registering missing tables) and extensional or materialized atoms from
 // the base. It reports whether any new subgoal table was registered.
 func (e *Engine) solveBody(body []ast.Atom, b ast.Binding, yield func(ast.Binding)) bool {
-	registered := false
 	if len(body) == 0 {
 		yield(b)
 		return false
 	}
-	atom := body[0]
-	if !e.idb[atom.Pred] || e.materialized[atom.Pred] {
-		db.MatchAtom(e.edb, atom, db.AllRounds, b, func() bool {
-			if e.solveBody(body[1:], b, yield) {
-				registered = true
-			}
-			return true
-		})
-		return registered
+	atom, from, registered := body[0], e.edb, false
+	if e.idb[atom.Pred] && !e.materialized[atom.Pred] {
+		cols, vals := subgoalFor(atom, b)
+		tbl, isNew := e.ensureTable(atom.Pred, cols, vals)
+		from, registered = tbl.answers, isNew
 	}
-	cols, vals := subgoalFor(atom, b)
-	tbl, isNew := e.ensureTable(atom.Pred, cols, vals)
-	if isNew {
-		registered = true
-	}
-	db.MatchAtom(tbl.answers, atom, db.AllRounds, b, func() bool {
+	oracle.MatchAtom(from, atom, db.AllRounds, b, func() bool {
 		if e.solveBody(body[1:], b, yield) {
 			registered = true
 		}
 		return true
 	})
 	return registered
-}
-
-// Tables returns a human-readable summary of the subgoal tables, sorted by
-// key, for debugging and tests.
-func (e *Engine) Tables() []string {
-	keys := append([]string(nil), e.order...)
-	sort.Strings(keys)
-	out := make([]string, 0, len(keys))
-	for _, k := range keys {
-		out = append(out, fmt.Sprintf("%s: %d answers", k, e.tables[k].answers.Len()))
-	}
-	return out
 }

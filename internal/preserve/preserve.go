@@ -153,9 +153,9 @@ func Check(p *ast.Program, tgds []ast.TGD, opts Options) (chase.Verdict, *Counte
 
 // Check is the session form of the package-level Check; the depth-k
 // unfolding is prepared once per session and reused across candidate tgds.
-// ctx is observed between tgds and between LHS combinations, so a deadline
-// aborts the combination walk promptly with an error wrapping
-// eval.ErrCanceled; cancellation never publishes a partial verdict.
+// ctx is observed between tgds, between LHS combinations and inside each
+// tgd round, so a deadline aborts the combination walk promptly with an error
+// wrapping eval.ErrCanceled; cancellation never publishes a partial verdict.
 func (s *Session) Check(ctx context.Context, tgds []ast.TGD, opts Options) (chase.Verdict, *Counterexample, error) {
 	// Options for each intentional LHS atom: every rule of p with the
 	// right head predicate, plus the trivial rule Q(x̄) :- Q(x̄)
@@ -171,11 +171,12 @@ func (s *Session) Check(ctx context.Context, tgds []ast.TGD, opts Options) (chas
 		prep, idb, combo, complete = e.prep, e.idb, e.opts, e.complete
 	}
 	sawUnknown := false
+	lowered := chase.LowerTGDs(tgds) // once per check, not per combination per round
 	for _, tau := range tgds {
 		if err := eval.CtxErr(ctx); err != nil {
 			return chase.Unknown, nil, err
 		}
-		v, cex, err := checkTGD(ctx, prep, idb, tgds, tau, opts.Budget, combo, s.Tally())
+		v, cex, err := checkTGD(ctx, prep, idb, lowered, tau, opts.Budget, combo, s.Tally())
 		if err != nil {
 			return chase.Unknown, nil, err
 		}
@@ -229,7 +230,7 @@ func (s *Session) CheckPreliminary(ctx context.Context, tgds []ast.TGD, opts Opt
 		if err := eval.CtxErr(ctx); err != nil {
 			return chase.Unknown, nil, err
 		}
-		v, cex, err := checkTGDOnce(ctx, e.prep, e.idb, tau, e.opts, s.Tally())
+		v, cex, err := checkTGD(ctx, e.prep, e.idb, nil, tau, chase.Budget{}, e.opts, s.Tally())
 		if err != nil {
 			return chase.Unknown, nil, err
 		}
@@ -328,14 +329,18 @@ func combinationOptions(p *ast.Program, idb map[string]bool) map[string][]option
 }
 
 // checkTGD enumerates all combinations for tau against the prepared
-// program and runs the interleaved chase-and-check loop on each.
-func checkTGD(ctx context.Context, prep *eval.Prepared, idb map[string]bool, tgds []ast.TGD, tau ast.TGD, budget chase.Budget, opts map[string][]option, st *eval.Stats) (chase.Verdict, *Counterexample, error) {
+// program and runs the interleaved chase-and-check loop on each; with nil
+// tgds (the preliminary-DB variant) the first check decides each.
+func checkTGD(ctx context.Context, prep *eval.Prepared, idb map[string]bool, tgds *chase.TGDs, tau ast.TGD, budget chase.Budget, opts map[string][]option, st *eval.Stats) (chase.Verdict, *Counterexample, error) {
 	sawUnknown := false
 	err := forEachCombination(idb, tau, opts, func(c *combination) error {
 		if err := eval.CtxErr(ctx); err != nil {
 			return err
 		}
-		v, cex := runCombination(prep, tgds, tau, c, budget, true, st)
+		v, cex, err := runCombination(ctx, prep, tgds, tau, c, budget, st)
+		if err != nil {
+			return err
+		}
 		switch v {
 		case chase.No:
 			return &foundViolation{cex}
@@ -357,29 +362,6 @@ func checkTGD(ctx context.Context, prep *eval.Prepared, idb map[string]bool, tgd
 	return chase.Yes, nil, nil
 }
 
-// checkTGDOnce is the preliminary-DB variant: no tgd application to d, so a
-// single Pⁿ(d) check decides each combination.
-func checkTGDOnce(ctx context.Context, init *eval.Prepared, idb map[string]bool, tau ast.TGD, opts map[string][]option, st *eval.Stats) (chase.Verdict, *Counterexample, error) {
-	err := forEachCombination(idb, tau, opts, func(c *combination) error {
-		if err := eval.CtxErr(ctx); err != nil {
-			return err
-		}
-		v, cex := runCombination(init, nil, tau, c, chase.Budget{MaxAtoms: 1 << 30, MaxRounds: 1}, false, st)
-		if v == chase.No {
-			return &foundViolation{cex}
-		}
-		return nil
-	})
-	if err != nil {
-		var fv *foundViolation
-		if asViolation(err, &fv) {
-			return chase.No, fv.cex, nil
-		}
-		return chase.Unknown, nil, err
-	}
-	return chase.Yes, nil, nil
-}
-
 // foundViolation threads a counterexample out of the combination walk.
 type foundViolation struct{ cex *Counterexample }
 
@@ -395,13 +377,12 @@ func asViolation(err error, out **foundViolation) bool {
 
 // combination is one fully unified and frozen scenario: the database d of
 // atoms known to be in the input, the instantiated LHS of the tgd, and the
-// RHS with universal variables bound by theta (existential variables left
-// free for the satisfaction search).
+// RHS — universal variables frozen, existential variables left free for the
+// satisfaction search — lowered onto the join kernel.
 type combination struct {
-	d     *db.Database
-	lhs   []ast.GroundAtom
-	rhs   []ast.Atom
-	theta ast.Binding
+	d   *db.Database
+	lhs []ast.GroundAtom
+	rhs *eval.Conj
 }
 
 // forEachCombination enumerates every way of assigning an option to each
@@ -530,48 +511,43 @@ func visitCombination(tau ast.TGD, intAtoms, extAtoms []ast.Atom, opts map[strin
 		}
 	}
 
-	return visit(&combination{d: d, lhs: lhs, rhs: rhsAtoms, theta: theta})
+	rhs := eval.LowerConj(ast.ApplyAtoms(rhsAtoms, theta.Subst()), nil)
+	return visit(&combination{d: d, lhs: lhs, rhs: rhs})
 }
 
 // runCombination executes the interleaved loop of Section IX on one
 // combination: check whether the instantiated LHS exhibits a violation in
 // ⟨d, Pⁿ(d)⟩; if it does, apply one round of T to d (inferences implied by
 // d ∈ SAT(T)) and re-check; conclude a genuine violation only when d has
-// reached its T-fixpoint. With chaseD=false (the preliminary-DB variant) no
-// tgds are applied and the first check decides.
-func runCombination(prep *eval.Prepared, tgds []ast.TGD, tau ast.TGD, c *combination, budget chase.Budget, chaseD bool, st *eval.Stats) (chase.Verdict, *Counterexample) {
-	budget = normalize(budget)
+// reached its T-fixpoint. With nil tgds (the preliminary-DB variant) none
+// are applied and the first check decides.
+func runCombination(ctx context.Context, prep *eval.Prepared, tgds *chase.TGDs, tau ast.TGD, c *combination, budget chase.Budget, st *eval.Stats) (chase.Verdict, *Counterexample, error) {
+	budget = budget.OrDefault()
 	_, maxNull := c.d.MaxGeneratedIndexes()
 	nullGen := ast.NewNullGen(maxNull + 1)
 	d := c.d
+	frame := make([]ast.Const, len(c.rhs.Vars()))
 	for round := 0; round < budget.MaxRounds; round++ {
 		st.Rounds++
 		full := d.Clone()
 		st.Added += full.AddAll(prep.NonRecursive(d))
-		if db.Satisfiable(full, c.rhs, c.theta) {
-			return chase.Yes, nil
+		if !c.rhs.Each(full, frame, st, func() bool { return false }) {
+			return chase.Yes, nil, nil // the first row satisfies the RHS
 		}
-		if !chaseD {
-			return chase.No, &Counterexample{TGD: tau, DB: d.Clone(), LHS: c.lhs}
+		if tgds == nil {
+			return chase.No, &Counterexample{TGD: tau, DB: d.Clone(), LHS: c.lhs}, nil
 		}
-		added := chase.ApplyTGDRound(tgds, d, nullGen)
+		added, err := tgds.ApplyRound(ctx, d, nullGen, st)
+		if err != nil {
+			return chase.Unknown, nil, err
+		}
 		st.Added += added
 		if added == 0 {
-			return chase.No, &Counterexample{TGD: tau, DB: d.Clone(), LHS: c.lhs}
+			return chase.No, &Counterexample{TGD: tau, DB: d.Clone(), LHS: c.lhs}, nil
 		}
 		if d.Len() > budget.MaxAtoms {
-			return chase.Unknown, nil
+			return chase.Unknown, nil, nil
 		}
 	}
-	return chase.Unknown, nil
-}
-
-func normalize(b chase.Budget) chase.Budget {
-	if b.MaxAtoms == 0 {
-		b.MaxAtoms = chase.DefaultBudget.MaxAtoms
-	}
-	if b.MaxRounds == 0 {
-		b.MaxRounds = chase.DefaultBudget.MaxRounds
-	}
-	return b
+	return chase.Unknown, nil, nil
 }
