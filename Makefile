@@ -7,7 +7,7 @@ BENCHTIME ?= 0.3s
 # staticcheck pin for lint-ci; bump deliberately, not implicitly.
 STATICCHECK_VERSION ?= 2025.1
 
-.PHONY: all build vet datalog-vet test race race-service race-shard race-ivm serve-smoke bench bench-all experiments examples guard-one-join guard-ctx-arg guard-no-batch-compact lint lint-ci clean
+.PHONY: all build vet datalog-vet test race race-service race-shard race-ivm serve-smoke bench bench-all experiments examples guard-one-join guard-ctx-arg guard-no-batch-compact guard-request-path lint lint-ci clean
 
 all: build vet test
 
@@ -31,9 +31,10 @@ race:
 	$(GO) test -race ./...
 
 # race-service race-checks the multi-tenant service stack: the session
-# facade, the HTTP layer and the copy-on-freeze snapshots they evaluate.
+# facade, the HTTP layer, the copy-on-freeze snapshots they evaluate and the
+# self-locking symbol table every parse and render of a program name shares.
 race-service:
-	$(GO) test -race ./internal/core ./internal/service ./internal/db
+	$(GO) test -race ./internal/ast ./internal/core ./internal/service ./internal/db
 
 # race-shard race-checks the sharded round executor's determinism contract:
 # the byte-identity grid over Shards (shard tasks inline and concurrent,
@@ -123,10 +124,39 @@ guard-no-batch-compact:
 		echo "a Compact() call outside the store (make guard-no-batch-compact): when to compact is internal/db's decision" >&2; exit 1; \
 	fi
 
+# guard-request-path keeps each request-path decision in one place. Every
+# request is counted and its body bounded and decoded by the one wrapper
+# (verb / admit in internal/service/handlers.go); the verb functions behind it
+# see no http.ResponseWriter — only the subscription stream is a handler of
+# its own — and take no lock (handlers.go names no mutex: map reads and
+# writes are programEntry / Server methods in service.go); nothing parses or
+# renders under the entry lock, the symbol table synchronises itself; and a
+# request cannot pick its plan.
+SERVICE_SRC = $(filter-out %_test.go,$(wildcard internal/service/*.go))
+guard-request-path:
+	@for pat in 'requests\.Add\(' 'DisallowUnknownFields\(' 'MaxBytesReader\('; do \
+		n=$$(cat $(SERVICE_SRC) | grep -cE "$$pat"); \
+		if [ "$$n" != 1 ]; then \
+			echo "internal/service: $$n call sites of $$pat, want 1 (make guard-request-path): requests enter through admit" >&2; exit 1; \
+		fi; \
+	done
+	@if grep -nE '\.mu\.' internal/service/handlers.go; then \
+		echo "internal/service/handlers.go takes a lock (make guard-request-path): go through a programEntry / Server method in service.go" >&2; exit 1; \
+	fi
+	@if grep -nE '^func .*\bverb[A-Z][A-Za-z]*\(.*ResponseWriter|^func .*\bhandle[A-Z][A-Za-z]*\(' $(SERVICE_SRC) | grep -v 'handleSubscribe('; then \
+		echo "internal/service: a verb that writes its own response (make guard-request-path): return (any, error) to the wrapper" >&2; exit 1; \
+	fi
+	@if grep -nE '\b(parse|format|render)[A-Za-z]*Locked\b' $(SERVICE_SRC); then \
+		echo "internal/service: parsing or rendering under the entry lock (make guard-request-path)" >&2; exit 1; \
+	fi
+	@if grep -rnE 'EvalRequestOptions|maxRequestShards' --include='*.go' .; then \
+		echo "a request can pick its plan again (make guard-request-path): Shards is core.SessionOptions only" >&2; exit 1; \
+	fi
+
 # lint runs the guards and go vet always, and staticcheck when the binary is
 # on PATH (the dev container does not bake it in; lint-ci installs the pinned
 # version).
-lint: guard-one-join guard-ctx-arg guard-no-batch-compact
+lint: guard-one-join guard-ctx-arg guard-no-batch-compact guard-request-path
 	$(GO) vet ./...
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \

@@ -446,6 +446,13 @@ func BenchmarkEngines(b *testing.B) {
 //     roughly break even here, and the arm exists to keep that honest.
 //   - wide-join: a wide non-recursive join, one pass whose outer scan the
 //     shards split.
+//   - sparse-tc, same-gen, wide-join-4k (shards 1 and 2 only): three of the
+//     shapes of bench/'s eval-bulk workload at its sizes — right-linear TC
+//     over 2,500 nodes / 2,800 edges, same-generation over a 3-ary tree of
+//     depth 5, a four-way join of 4,000-row relations. They are here because
+//     the sharded executor loses on them: the record has to show both sides
+//     of the choice SessionOptions.Shards leaves to the deployment (DESIGN
+//     §5, "Sharded vs unsharded").
 //
 // Shard tasks overlap on multicore machines (min(Shards, GOMAXPROCS)
 // goroutines); the single-core win comes from the delta-first enumeration.
@@ -467,8 +474,39 @@ func BenchmarkAblation_ShardedEval(b *testing.B) {
 	for i := int64(0); i < 12; i++ {
 		joinEDB.Add(ast.GroundAtom{Pred: "S", Args: []ast.Const{ast.Int(i)}})
 	}
+	sparseEDB := workload.RandomDigraph("A", 2500, 2800, 7)
+	sg := workload.SameGeneration()
+	sgEDB := workload.Tree("Down", 3, 5)
+	for _, f := range sgEDB.Facts() {
+		sgEDB.Add(ast.GroundAtom{Pred: "Up", Args: []ast.Const{f.Args[1], f.Args[0]}})
+	}
+	sgEDB.Add(ast.GroundAtom{Pred: "Flat", Args: []ast.Const{ast.Int(0), ast.Int(0)}})
+	join4 := parser.MustParseProgram(`
+		W(a, e) :- R(a, b), S(b, c), T(c, d), U(d, e).
+	`)
+	join4EDB := db.New()
+	for i, pred := range []string{"R", "S", "T", "U"} {
+		for _, f := range workload.RandomDigraph(pred, 1000, 4000, int64(31+i)).Facts() {
+			join4EDB.Add(f)
+		}
+	}
 	for _, shards := range []int{1, 2, 4, 8} {
 		opts := eval.Options{Shards: shards}
+		if shards <= 2 {
+			for _, arm := range []struct {
+				name string
+				p    *ast.Program
+				edb  *db.Database
+			}{{"sparse-tc", rltc, sparseEDB}, {"same-gen", sg, sgEDB}, {"wide-join-4k", join4, join4EDB}} {
+				b.Run(fmt.Sprintf("%s/shards=%d", arm.name, shards), func(b *testing.B) {
+					for i := 0; i < b.N; i++ {
+						if _, _, err := eval.Eval(arm.p, arm.edb, opts); err != nil {
+							b.Fatal(err)
+						}
+					}
+				})
+			}
+		}
 		b.Run(fmt.Sprintf("large-tc/shards=%d", shards), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, _, err := eval.Eval(rltc, rltcEDB, opts); err != nil {

@@ -20,6 +20,7 @@ package ast
 import (
 	"fmt"
 	"strconv"
+	"sync"
 )
 
 // Const is a constant value. Plain integers occupy the low range; interned
@@ -117,9 +118,12 @@ func (g *ConstGen) Fresh() Const {
 func (g *ConstGen) Issued() int { return int(g.next - g.base) }
 
 // SymbolTable interns symbolic constant names (and remembers them for
-// printing). It is not safe for concurrent mutation; share a frozen table or
-// guard it externally if needed.
+// printing). It is safe for concurrent use: a server shares one table between
+// every parse and every render under a program name, and the table — not its
+// callers — is what knows that interning mutates it. Constants are dense
+// (the i-th distinct name interned is symBase+i) and never change or go away.
 type SymbolTable struct {
+	mu     sync.RWMutex
 	byName map[string]Const
 	names  []string
 }
@@ -132,6 +136,11 @@ func NewSymbolTable() *SymbolTable {
 // Intern returns the Const for name, allocating a new symbolic constant on
 // first use.
 func (t *SymbolTable) Intern(name string) Const {
+	if c, ok := t.Lookup(name); ok {
+		return c
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
 	if c, ok := t.byName[name]; ok {
 		return c
 	}
@@ -143,6 +152,8 @@ func (t *SymbolTable) Intern(name string) Const {
 
 // Lookup returns the Const for name if it has been interned.
 func (t *SymbolTable) Lookup(name string) (Const, bool) {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
 	c, ok := t.byName[name]
 	return c, ok
 }
@@ -153,6 +164,8 @@ func (t *SymbolTable) Name(c Const) (string, bool) {
 	if !IsSym(c) {
 		return "", false
 	}
+	t.mu.RLock()
+	defer t.mu.RUnlock()
 	i := int(c - symBase)
 	if i >= len(t.names) {
 		return "", false
@@ -161,7 +174,11 @@ func (t *SymbolTable) Name(c Const) (string, bool) {
 }
 
 // Len reports how many symbols have been interned.
-func (t *SymbolTable) Len() int { return len(t.names) }
+func (t *SymbolTable) Len() int {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return len(t.names)
+}
 
 // FormatConst renders c for display. Plain integers print as themselves;
 // symbolic constants print their interned name in quotes (so the output

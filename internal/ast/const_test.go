@@ -1,6 +1,8 @@
 package ast
 
 import (
+	"strconv"
+	"sync"
 	"testing"
 	"testing/quick"
 )
@@ -129,6 +131,55 @@ func TestSymbolTable(t *testing.T) {
 	}
 	if tab.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", tab.Len())
+	}
+}
+
+// TestSymbolTableConcurrentIntern: goroutines interning overlapping name sets
+// (run under -race by make race-service) agree on every constant, and the
+// table stays a dense bijection — equal names get equal constants, n distinct
+// names get the first n symbolic constants, Name inverts Intern.
+func TestSymbolTableConcurrentIntern(t *testing.T) {
+	const workers, names = 8, 200
+	tab := NewSymbolTable()
+	got := make([][]Const, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		got[w] = make([]Const, names)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			// Each worker walks the shared names from its own offset, so
+			// first interns of one name collide from different goroutines.
+			for k := 0; k < names; k++ {
+				i := (k + w*names/workers) % names
+				name := "n" + strconv.Itoa(i)
+				c := tab.Intern(name)
+				got[w][i] = c
+				if back, ok := tab.Name(c); !ok || back != name {
+					t.Errorf("Name(Intern(%q)) = %q, %v", name, back, ok)
+				}
+				if l, ok := tab.Lookup(name); !ok || l != c {
+					t.Errorf("Lookup(%q) = %v, %v after Intern gave %v", name, l, ok, c)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if tab.Len() != names {
+		t.Fatalf("Len = %d, want %d", tab.Len(), names)
+	}
+	seen := make(map[Const]bool)
+	for i := 0; i < names; i++ {
+		c := got[0][i]
+		for w := 1; w < workers; w++ {
+			if got[w][i] != c {
+				t.Fatalf("name %d interned to %v by worker 0 and %v by worker %d", i, c, got[w][i], w)
+			}
+		}
+		if c < symBase || c >= symBase+names || seen[c] {
+			t.Fatalf("name %d got constant %v: not dense or not distinct", i, c)
+		}
+		seen[c] = true
 	}
 }
 

@@ -930,15 +930,15 @@ type Certificate struct {
 // StratifiedUniformlyContainsRule extends the Section VI test to rules with
 // stratified negation, in the conservative style of the paper's announced
 // extension (Section XII): negated literals are encoded as positive atoms
-// over fresh extensional predicates (the same encoding
-// minimize.StratifiedProgram uses), and the pure-Datalog test runs on the
+// over fresh extensional predicates (EncodeNegation, the encoding
+// minimize.StratifiedProgram uses too), and the pure-Datalog test runs on the
 // encoding. A positive answer is sound for stratified semantics — the
 // witnessing derivation relies only on negation checks the contained
 // rule's own firing already guarantees — but the test is incomplete:
 // containments that need reasoning about negation (e.g. Q ∨ ¬Q case
 // splits) are not found.
 func StratifiedUniformlyContainsRule(p *ast.Program, r ast.Rule) (bool, error) {
-	return UniformlyContainsRule(encodeNegation(p), encodeRuleNegation(r))
+	return UniformlyContainsRule(EncodeNegation(p), EncodeRuleNegation(r))
 }
 
 // StratifiedUniformlyContains applies StratifiedUniformlyContainsRule to
@@ -947,12 +947,12 @@ func StratifiedUniformlyContains(p1, p2 *ast.Program) (bool, int, error) {
 	if len(p2.Rules) == 0 {
 		return true, -1, nil
 	}
-	c, err := NewChecker(encodeNegation(p1))
+	c, err := NewChecker(EncodeNegation(p1))
 	if err != nil {
 		return false, 0, err
 	}
 	for i, r := range p2.Rules {
-		ok, err := c.ContainsRule(context.Background(), encodeRuleNegation(r))
+		ok, err := c.ContainsRule(context.Background(), EncodeRuleNegation(r))
 		if err != nil {
 			return false, i, err
 		}
@@ -963,25 +963,50 @@ func StratifiedUniformlyContains(p1, p2 *ast.Program) (bool, int, error) {
 	return true, -1, nil
 }
 
-const negEncodingPrefix = "neg@"
+// NegPrefix marks the encoded positive stand-ins for negated literals. The
+// '@' cannot appear in parsed predicate names, so encodings never collide
+// with user predicates.
+const NegPrefix = "neg@"
 
-func encodeRuleNegation(r ast.Rule) ast.Rule {
+// EncodeRuleNegation rewrites every negated literal !Q(t̄) of r into a
+// positive atom over the fresh extensional predicate neg@Q(t̄).
+func EncodeRuleNegation(r ast.Rule) ast.Rule {
 	enc := ast.Rule{Head: r.Head.Clone()}
 	for _, a := range r.Body {
 		enc.Body = append(enc.Body, a.Clone())
 	}
 	for _, a := range r.NegBody {
 		n := a.Clone()
-		n.Pred = negEncodingPrefix + n.Pred
+		n.Pred = NegPrefix + n.Pred
 		enc.Body = append(enc.Body, n)
 	}
 	return enc
 }
 
-func encodeNegation(p *ast.Program) *ast.Program {
+// EncodeNegation is EncodeRuleNegation over every rule of p.
+func EncodeNegation(p *ast.Program) *ast.Program {
 	out := ast.NewProgram()
 	for _, r := range p.Rules {
-		out.Rules = append(out.Rules, encodeRuleNegation(r))
+		out.Rules = append(out.Rules, EncodeRuleNegation(r))
 	}
 	return out
+}
+
+// DecodeRuleNegation inverts EncodeRuleNegation; an encoded predicate in the
+// head has no decoding.
+func DecodeRuleNegation(r ast.Rule) (ast.Rule, error) {
+	dec := ast.Rule{Head: r.Head.Clone()}
+	for _, a := range r.Body {
+		n := a.Clone()
+		if strings.HasPrefix(a.Pred, NegPrefix) {
+			n.Pred = strings.TrimPrefix(n.Pred, NegPrefix)
+			dec.NegBody = append(dec.NegBody, n)
+			continue
+		}
+		dec.Body = append(dec.Body, n)
+	}
+	if strings.HasPrefix(dec.Head.Pred, NegPrefix) {
+		return ast.Rule{}, fmt.Errorf("chase: encoded predicate %s in head", dec.Head.Pred)
+	}
+	return dec, nil
 }

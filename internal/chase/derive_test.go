@@ -146,7 +146,7 @@ func TestDeriveMatchesFreshCheckerStratified(t *testing.T) {
 		if p == nil {
 			continue
 		}
-		enc := encodeNegation(p)
+		enc := EncodeNegation(p)
 		if enc.Validate() != nil {
 			continue
 		}

@@ -212,11 +212,11 @@ type SessionOptions struct {
 	// built over the same cache share delta-patched plans by content
 	// address.
 	PlanCache *PlanCache
-	// Shards sets the default shard count for the sharded round executor
-	// (0 or 1 = unsharded) for sessions built with these options. Sessions
-	// prepare their plan under this value — the plan key includes it — and
-	// per-request overrides (Session.EvalWith) resolve plan variants through
-	// the same cache.
+	// Shards is the shard count of the sharded round executor (0 or 1 =
+	// unsharded) for sessions built with these options: a deployment
+	// setting. A session prepares its one plan under it and no request can
+	// ask for another (DESIGN §5 records why neither a tenant nor the
+	// planner can choose it well).
 	Shards int
 }
 

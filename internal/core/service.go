@@ -141,8 +141,7 @@ func (sv *Service) PlanCacheStats() eval.CacheStats { return sv.base.PlanCache.S
 // See the file comment for the concurrency contract.
 type Session struct {
 	prog  *Program
-	cache *PlanCache
-	base  EvalOptions // the options the session's default plan was prepared under
+	cache *PlanCache // what Minimize's containment sessions prepare through
 	prep  *Prepared
 
 	mu sync.Mutex // serializes the single-threaded checker/preserve state
@@ -163,12 +162,11 @@ type Session struct {
 // normally go through Service.Open, which dedups by content address).
 func NewSession(p *Program, sess ...SessionOptions) (*Session, error) {
 	o := sessionResolve(sess)
-	base := EvalOptions{Shards: o.Shards}
-	prep, err := PrepareEval(p, base, SessionOptions{PlanCache: o.PlanCache})
+	prep, err := o.PlanCache.Prepare(p, EvalOptions{Shards: o.Shards})
 	if err != nil {
 		return nil, err
 	}
-	return &Session{prog: prep.Program(), cache: o.PlanCache, base: base, prep: prep, lin: eval.NewLineage(o.PlanCache)}, nil
+	return &Session{prog: prep.Program(), cache: o.PlanCache, prep: prep, lin: eval.NewLineage(o.PlanCache)}, nil
 }
 
 // Program returns the session's program (the prepared copy; callers must
@@ -178,41 +176,20 @@ func (s *Session) Program() *Program { return s.prog }
 // Prepared returns the session's prepared plan for direct use.
 func (s *Session) Prepared() *Prepared { return s.prep }
 
-// Eval computes P(input) under ctx — EvalWith with zero options, the
-// common case spelled short. Safe for concurrent callers; input is not
-// modified (evaluate frozen snapshots via Snapshot.Thaw).
+// Eval computes P(input) under ctx: EvalWith without a budget. Safe for
+// concurrent callers; input is not modified (evaluate frozen snapshots via
+// Snapshot.Thaw).
 func (s *Session) Eval(ctx context.Context, input *Database) (*Database, EvalStats, error) {
-	return s.EvalWith(ctx, input, EvalRequestOptions{})
+	return s.EvalWith(ctx, input, 0)
 }
 
-// EvalRequestOptions tunes one evaluation request beyond the session's
-// defaults: zero fields inherit the session's prepared values. Shards
-// selects a plan variant through the session's plan cache (the plan key
-// includes it, so repeated tuned requests are lookups, not
-// re-preparations); MaxDerived > 0 bounds the facts derived beyond the
-// input, returning an error wrapping ErrBudget when exhausted.
-type EvalRequestOptions struct {
-	Shards     int
-	MaxDerived int
-}
-
-// EvalWith is the canonical evaluation request: every option-driven
-// variation of Eval goes through here (the former Eval/EvalBudget/EvalWith
-// triple collapsed to one entry point plus the Eval shorthand). Safe for
-// concurrent callers: plan variants are immutable and the session's default
-// plan is never replaced.
-func (s *Session) EvalWith(ctx context.Context, input *Database, req EvalRequestOptions) (*Database, EvalStats, error) {
-	prep := s.prep
-	if req.Shards != 0 && req.Shards != s.base.Shards {
-		opts := s.base
-		opts.Shards = req.Shards
-		p, err := PrepareEval(s.prog, opts, SessionOptions{PlanCache: s.cache})
-		if err != nil {
-			return nil, EvalStats{}, err
-		}
-		prep = p
-	}
-	out, _, st, err := prep.Run(ctx, input, nil, req.MaxDerived, nil)
+// EvalWith is Eval under a derived-fact budget: maxDerived > 0 bounds the
+// facts derived beyond the input, returning an error wrapping ErrBudget when
+// exhausted. Every evaluation of a session runs the one plan it was opened
+// with — how rounds execute (SessionOptions.Shards) is a deployment setting,
+// not something a request selects.
+func (s *Session) EvalWith(ctx context.Context, input *Database, maxDerived int) (*Database, EvalStats, error) {
+	out, _, st, err := s.prep.Run(ctx, input, nil, maxDerived, nil)
 	s.account(st)
 	return out, st, err
 }

@@ -131,7 +131,7 @@ func runStrategy(sess *core.Session, strat, w, i int) (string, error) {
 		return factsKey(out), nil
 	case 1:
 		// A generous budget: results must still be the full model.
-		out, _, err := sess.EvalWith(ctx, input, core.EvalRequestOptions{MaxDerived: 1 << 20})
+		out, _, err := sess.EvalWith(ctx, input, 1<<20)
 		if err != nil {
 			return "", err
 		}
@@ -206,7 +206,7 @@ func TestSessionDeadlineTypedErrors(t *testing.T) {
 	}
 
 	// A MaxDerived request still returns the typed budget error.
-	if _, _, err := sess.EvalWith(context.Background(), serviceDB(64, 1), core.EvalRequestOptions{MaxDerived: 3}); !errors.Is(err, core.ErrBudget) {
+	if _, _, err := sess.EvalWith(context.Background(), serviceDB(64, 1), 3); !errors.Is(err, core.ErrBudget) {
 		t.Fatalf("EvalWith: err = %v, want ErrBudget", err)
 	}
 }

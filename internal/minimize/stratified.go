@@ -6,13 +6,9 @@ import (
 	"strings"
 
 	"repro/internal/ast"
+	"repro/internal/chase"
 	"repro/internal/depgraph"
 )
-
-// negPrefix marks the encoded positive stand-ins for negated literals. The
-// '@' cannot appear in parsed predicate names, so encodings never collide
-// with user predicates.
-const negPrefix = "neg@"
 
 // StratifiedProgram extends the Fig. 2 minimizer to Datalog with stratified
 // negation — the direction the paper's conclusion announces ("the results
@@ -43,15 +39,15 @@ func StratifiedProgram(ctx context.Context, p *ast.Program, opts Options) (*ast.
 	}
 	for _, r := range p.Rules {
 		for _, a := range r.Body {
-			if strings.HasPrefix(a.Pred, negPrefix) {
+			if strings.HasPrefix(a.Pred, chase.NegPrefix) {
 				return nil, Trace{}, fmt.Errorf("minimize: predicate %s collides with the negation encoding", a.Pred)
 			}
 		}
 	}
 
-	encoded := encodeNegation(p)
+	encoded := chase.EncodeNegation(p)
 	opts.Valid = func(r ast.Rule) bool {
-		dec, err := decodeRule(r)
+		dec, err := chase.DecodeRuleNegation(r)
 		if err != nil {
 			return false
 		}
@@ -76,30 +72,11 @@ func StratifiedProgram(ctx context.Context, p *ast.Program, opts Options) (*ast.
 	return out, trace, nil
 }
 
-// encodeNegation rewrites every negated literal into a positive atom over
-// the neg@ predicate space.
-func encodeNegation(p *ast.Program) *ast.Program {
-	out := ast.NewProgram()
-	for _, r := range p.Rules {
-		enc := ast.Rule{Head: r.Head.Clone()}
-		for _, a := range r.Body {
-			enc.Body = append(enc.Body, a.Clone())
-		}
-		for _, a := range r.NegBody {
-			n := a.Clone()
-			n.Pred = negPrefix + n.Pred
-			enc.Body = append(enc.Body, n)
-		}
-		out.Rules = append(out.Rules, enc)
-	}
-	return out
-}
-
-// decodeNegation inverts encodeNegation.
+// decodeNegation inverts chase.EncodeNegation.
 func decodeNegation(p *ast.Program) (*ast.Program, error) {
 	out := ast.NewProgram()
 	for _, r := range p.Rules {
-		dec, err := decodeRule(r)
+		dec, err := chase.DecodeRuleNegation(r)
 		if err != nil {
 			return nil, err
 		}
@@ -108,25 +85,8 @@ func decodeNegation(p *ast.Program) (*ast.Program, error) {
 	return out, nil
 }
 
-func decodeRule(r ast.Rule) (ast.Rule, error) {
-	dec := ast.Rule{Head: r.Head.Clone()}
-	for _, a := range r.Body {
-		if strings.HasPrefix(a.Pred, negPrefix) {
-			n := a.Clone()
-			n.Pred = strings.TrimPrefix(n.Pred, negPrefix)
-			dec.NegBody = append(dec.NegBody, n)
-			continue
-		}
-		dec.Body = append(dec.Body, a.Clone())
-	}
-	if strings.HasPrefix(dec.Head.Pred, negPrefix) {
-		return ast.Rule{}, fmt.Errorf("minimize: encoded predicate %s in head", dec.Head.Pred)
-	}
-	return dec, nil
-}
-
 func mustDecodeRule(r ast.Rule) ast.Rule {
-	dec, err := decodeRule(r)
+	dec, err := chase.DecodeRuleNegation(r)
 	if err != nil {
 		panic(err)
 	}
@@ -134,9 +94,9 @@ func mustDecodeRule(r ast.Rule) ast.Rule {
 }
 
 func decodeAtom(a ast.Atom) ast.Atom {
-	if strings.HasPrefix(a.Pred, negPrefix) {
+	if strings.HasPrefix(a.Pred, chase.NegPrefix) {
 		n := a.Clone()
-		n.Pred = strings.TrimPrefix(n.Pred, negPrefix)
+		n.Pred = strings.TrimPrefix(n.Pred, chase.NegPrefix)
 		return n
 	}
 	return a

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"time"
 
@@ -28,44 +29,83 @@ import (
 //	GET  /v1/healthz                   liveness
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/programs/{name}", s.handleRegister)
-	mux.HandleFunc("POST /v1/programs/{name}/facts", s.handleFacts)
-	mux.HandleFunc("POST /v1/programs/{name}/subscriptions", s.handleSubscribe)
-	mux.HandleFunc("POST /v1/programs/{name}/eval", s.handleEval)
-	mux.HandleFunc("POST /v1/programs/{name}/minimize", s.handleMinimize)
-	mux.HandleFunc("POST /v1/programs/{name}/compare", s.handleCompare)
-	mux.HandleFunc("POST /v1/programs/{name}/vet", s.handleVet)
-	mux.HandleFunc("POST /v1/programs/{name}/explain", s.handleExplain)
-	mux.HandleFunc("GET /v1/statz", s.handleStatz)
+	mux.HandleFunc("POST /v1/programs/{name}", verb(s, s.knownOrFresh, s.verbRegister))
+	mux.HandleFunc("POST /v1/programs/{name}/facts", verb(s, s.known, s.verbFacts))
+	mux.HandleFunc("POST /v1/programs/{name}/subscriptions", verb(s, s.known, s.verbSubscribe))
+	mux.HandleFunc("POST /v1/programs/{name}/eval", verb(s, s.known, s.verbEval))
+	mux.HandleFunc("POST /v1/programs/{name}/minimize", verb(s, s.known, s.verbMinimize))
+	mux.HandleFunc("POST /v1/programs/{name}/compare", verb(s, s.known, s.verbCompare))
+	mux.HandleFunc("POST /v1/programs/{name}/vet", verb(s, s.known, s.verbVet))
+	mux.HandleFunc("POST /v1/programs/{name}/explain", verb(s, s.known, s.verbExplain))
+	mux.HandleFunc("GET /v1/statz", verb(s, nil, s.verbStatz))
 	mux.HandleFunc("GET /v1/healthz", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, 200, map[string]string{"status": "ok"})
 	})
 	return mux
 }
 
-// budgetJSON is the per-request resource envelope: a derived-fact cap, a
-// context deadline, and the shard count of the evaluation executor.
+// verb is the one request path: count the request, bound and decode its body
+// into the verb's own request struct, resolve {name} (a nil resolve: the
+// route has none), run the verb, and write the body it returns — stream it,
+// for the verb that returns a changefeed — or the typed error. Verb functions
+// see no http.ResponseWriter and take no lock.
+func verb[Req any](s *Server, resolve func(name string) (*programEntry, error), run func(context.Context, *programEntry, *Req) (any, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		s.requests.Add(1)
+		var req Req
+		var e *programEntry
+		err := decodeBody(w, r, &req)
+		if err == nil && resolve != nil {
+			e, err = resolve(r.PathValue("name"))
+		}
+		var body any
+		if err == nil {
+			body, err = run(r.Context(), e, &req)
+		}
+		if err != nil {
+			s.writeError(w, err)
+		} else if feed, ok := body.(*changefeed); ok {
+			feed.stream(s, w, r)
+		} else {
+			writeJSON(w, 200, body)
+		}
+	}
+}
+
+// maxBodyBytes bounds a request body; the largest any client in the tree
+// sends is under 64 KiB.
+const maxBodyBytes = 16 << 20
+
+// decodeBody reads a POST's body, under maxBodyBytes, as exactly one JSON
+// value with no unknown field.
+func decodeBody(w http.ResponseWriter, r *http.Request, req any) error {
+	if r.Method != http.MethodPost {
+		return nil
+	}
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	dec.DisallowUnknownFields()
+	err := dec.Decode(req)
+	if err == nil {
+		if _, err = dec.Token(); err == io.EOF {
+			return nil
+		}
+		if err == nil {
+			err = errors.New("data after the JSON value")
+		}
+	}
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return &RequestError{Status: http.StatusRequestEntityTooLarge, Code: "body_too_large",
+			Err: fmt.Errorf("service: request body exceeds %d bytes", tooLarge.Limit)}
+	}
+	return &RequestError{Status: 400, Code: "bad_request", Err: fmt.Errorf("service: decoding body: %w", err)}
+}
+
+// budgetJSON is the per-request resource envelope: a derived-fact cap and a
+// context deadline.
 type budgetJSON struct {
 	MaxDerived int `json:"max_derived"`
 	TimeoutMS  int `json:"timeout_ms"`
-	Shards     int `json:"shards"`
-}
-
-// maxRequestShards caps per-request sharding: a tenant may tune its own
-// requests, but not demand unbounded fan-out from a shared process.
-const maxRequestShards = 64
-
-// tune maps the budget onto per-request eval options, clamping Shards to the
-// service cap (zero and negative values inherit the session defaults).
-func (b budgetJSON) tune() core.EvalRequestOptions {
-	req := core.EvalRequestOptions{}
-	if b.MaxDerived > 0 {
-		req.MaxDerived = b.MaxDerived
-	}
-	if b.Shards > 0 {
-		req.Shards = min(b.Shards, maxRequestShards)
-	}
-	return req
 }
 
 // ctx derives the request context bounded by the budget's deadline.
@@ -90,240 +130,150 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 // database contradicting a predicate's arity to 400.
 func (s *Server) writeError(w http.ResponseWriter, err error) {
 	s.errors.Add(1)
+	status, code := http.StatusInternalServerError, "internal"
 	var re *RequestError
 	switch {
 	case errors.As(err, &re):
-		writeJSON(w, re.Status, map[string]string{"error": re.Code, "message": re.Error()})
+		status, code = re.Status, re.Code
 	case errors.Is(err, context.DeadlineExceeded):
 		s.canceled.Add(1)
-		writeJSON(w, http.StatusGatewayTimeout, map[string]string{"error": "deadline_exceeded", "message": err.Error()})
+		status, code = http.StatusGatewayTimeout, "deadline_exceeded"
 	case errors.Is(err, eval.ErrCanceled):
 		s.canceled.Add(1)
-		writeJSON(w, 499, map[string]string{"error": "canceled", "message": err.Error()})
+		status, code = 499, "canceled"
 	case errors.Is(err, eval.ErrBudget):
-		writeJSON(w, http.StatusUnprocessableEntity, map[string]string{"error": "budget_exhausted", "message": err.Error()})
+		status, code = http.StatusUnprocessableEntity, "budget_exhausted"
 	case errors.Is(err, eval.ErrArity):
-		writeJSON(w, http.StatusBadRequest, map[string]string{"error": "arity_mismatch", "message": err.Error()})
-	default:
-		writeJSON(w, http.StatusInternalServerError, map[string]string{"error": "internal", "message": err.Error()})
+		status, code = http.StatusBadRequest, "arity_mismatch"
 	}
+	writeJSON(w, status, map[string]string{"error": code, "message": err.Error()})
 }
 
-func decodeBody(r *http.Request, v any) error {
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(v); err != nil {
-		return &RequestError{Status: 400, Code: "bad_request", Err: fmt.Errorf("service: decoding body: %w", err)}
-	}
-	return nil
-}
-
-func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
-	s.requests.Add(1)
-	var req struct {
-		Source string `json:"source"`
-	}
-	if err := decodeBody(r, &req); err != nil {
-		s.writeError(w, err)
-		return
-	}
-	version, rules, tgds, err := s.RegisterProgram(r.PathValue("name"), req.Source)
+func (s *Server) verbRegister(_ context.Context, e *programEntry, req *struct {
+	Source string `json:"source"`
+}) (any, error) {
+	pv, err := s.register(e, req.Source)
 	if err != nil {
-		s.writeError(w, err)
-		return
+		return nil, err
 	}
-	writeJSON(w, 200, map[string]any{
-		"name": r.PathValue("name"), "version": version, "rules": rules, "tgds": tgds,
-	})
+	return map[string]any{
+		"name": e.name, "version": pv.version, "rules": len(pv.prog.Rules), "tgds": len(pv.tgds),
+	}, nil
 }
 
-// handleFacts applies one mutation envelope {"assert": ..., "retract": ...}
+// verbFacts applies one mutation envelope {"assert": ..., "retract": ...}
 // to a tenant database.
-func (s *Server) handleFacts(w http.ResponseWriter, r *http.Request) {
-	s.requests.Add(1)
-	var req struct {
-		Tenant  string `json:"tenant"`
-		Assert  string `json:"assert"`
-		Retract string `json:"retract"`
-	}
-	if err := decodeBody(r, &req); err != nil {
-		s.writeError(w, err)
-		return
-	}
+func (s *Server) verbFacts(_ context.Context, e *programEntry, req *struct {
+	Tenant  string `json:"tenant"`
+	Assert  string `json:"assert"`
+	Retract string `json:"retract"`
+}) (any, error) {
 	if req.Tenant == "" {
-		s.writeError(w, &RequestError{Status: 400, Code: "missing_tenant", Err: fmt.Errorf("service: tenant required")})
-		return
+		return nil, &RequestError{Status: 400, Code: "missing_tenant", Err: fmt.Errorf("service: tenant required")}
 	}
-	version, size, err := s.MutateFacts(r.PathValue("name"), req.Tenant, req.Assert, req.Retract)
+	version, size, err := e.mutate(req.Tenant, req.Assert, req.Retract)
 	if err != nil {
-		s.writeError(w, err)
-		return
+		return nil, err
 	}
-	writeJSON(w, 200, map[string]any{"tenant": req.Tenant, "db_version": version, "size": size})
+	return map[string]any{"tenant": req.Tenant, "db_version": version, "size": size}, nil
 }
 
-func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
-	s.requests.Add(1)
-	var req struct {
-		Tenant         string     `json:"tenant"`
-		Query          string     `json:"query"`
-		ProgramVersion int        `json:"program_version"`
-		DBVersion      int        `json:"db_version"`
-		Budget         budgetJSON `json:"budget"`
-	}
-	if err := decodeBody(r, &req); err != nil {
-		s.writeError(w, err)
-		return
-	}
-	name := r.PathValue("name")
-	e := s.entry(name)
-	if e == nil {
-		s.writeError(w, errUnknownProgram(name))
-		return
-	}
+func (s *Server) verbEval(ctx context.Context, e *programEntry, req *struct {
+	Tenant         string     `json:"tenant"`
+	Query          string     `json:"query"`
+	ProgramVersion int        `json:"program_version"`
+	DBVersion      int        `json:"db_version"`
+	Budget         budgetJSON `json:"budget"`
+}) (any, error) {
 	pv, err := e.versionEntry(req.ProgramVersion)
 	if err != nil {
-		s.writeError(w, err)
-		return
+		return nil, err
 	}
-	snap, dbv, err := s.snapshot(name, req.Tenant, req.DBVersion)
+	snap, dbv, err := e.snapshot(req.Tenant, req.DBVersion)
 	if err != nil {
-		s.writeError(w, err)
-		return
+		return nil, err
 	}
-	ctx, cancel := req.Budget.ctx(r.Context())
+	ctx, cancel := req.Budget.ctx(ctx)
 	defer cancel()
 	s.evals.Add(1)
-
-	resp := map[string]any{"program_version": pv.version, "db_version": dbv}
+	var atom ast.Atom
 	if req.Query != "" {
-		atom, err := e.parseQueryAtom(req.Query)
-		if err != nil {
-			s.writeError(w, err)
-			return
+		if atom, err = e.parseAtom(req.Query); err != nil {
+			return nil, err
 		}
-		out, st, err := pv.session.EvalWith(ctx, snap.DB(), req.Budget.tune())
-		if err != nil {
-			s.writeError(w, err)
-			return
-		}
-		resp["rows"] = e.formatRows(db.Select(out, atom))
-		resp["stats"] = st
-		writeJSON(w, 200, resp)
-		return
 	}
-	out, st, err := pv.session.EvalWith(ctx, snap.DB(), req.Budget.tune())
+	out, st, err := pv.session.EvalWith(ctx, snap.DB(), max(req.Budget.MaxDerived, 0))
 	if err != nil {
-		s.writeError(w, err)
-		return
+		return nil, err
 	}
-	resp["facts"] = e.formatFacts(out)
-	resp["stats"] = st
-	writeJSON(w, 200, resp)
+	resp := map[string]any{"program_version": pv.version, "db_version": dbv, "stats": st}
+	if req.Query != "" {
+		resp["rows"] = e.renderRows(db.Select(out, atom))
+	} else {
+		resp["facts"] = e.renderFacts(out.Facts(), true)
+	}
+	return resp, nil
 }
 
-func (s *Server) handleMinimize(w http.ResponseWriter, r *http.Request) {
-	s.requests.Add(1)
-	var req struct {
-		ProgramVersion int        `json:"program_version"`
-		Budget         budgetJSON `json:"budget"`
-	}
-	if err := decodeBody(r, &req); err != nil {
-		s.writeError(w, err)
-		return
-	}
-	e := s.entry(r.PathValue("name"))
-	if e == nil {
-		s.writeError(w, errUnknownProgram(r.PathValue("name")))
-		return
-	}
+func (s *Server) verbMinimize(ctx context.Context, e *programEntry, req *struct {
+	ProgramVersion int        `json:"program_version"`
+	Budget         budgetJSON `json:"budget"`
+}) (any, error) {
 	pv, err := e.versionEntry(req.ProgramVersion)
 	if err != nil {
-		s.writeError(w, err)
-		return
+		return nil, err
 	}
-	ctx, cancel := req.Budget.ctx(r.Context())
+	ctx, cancel := req.Budget.ctx(ctx)
 	defer cancel()
 	q, trace, err := pv.session.Minimize(ctx, core.MinimizeOptions{})
 	if err != nil {
-		s.writeError(w, err)
-		return
+		return nil, err
 	}
-	e.mu.RLock()
-	rendered := q.Format(e.syms)
-	e.mu.RUnlock()
-	writeJSON(w, 200, map[string]any{
+	return map[string]any{
 		"program_version": pv.version,
-		"program":         rendered,
+		"program":         q.Format(e.syms),
 		"atoms_removed":   trace.AtomsRemoved(),
 		"rules_removed":   trace.RulesRemoved(),
 		"stats":           trace.Stats,
-	})
+	}, nil
 }
 
-func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
-	s.requests.Add(1)
-	var req struct {
-		VersionA int        `json:"version_a"`
-		VersionB int        `json:"version_b"`
-		Budget   budgetJSON `json:"budget"`
-	}
-	if err := decodeBody(r, &req); err != nil {
-		s.writeError(w, err)
-		return
-	}
-	e := s.entry(r.PathValue("name"))
-	if e == nil {
-		s.writeError(w, errUnknownProgram(r.PathValue("name")))
-		return
-	}
+func (s *Server) verbCompare(ctx context.Context, e *programEntry, req *struct {
+	VersionA int        `json:"version_a"`
+	VersionB int        `json:"version_b"`
+	Budget   budgetJSON `json:"budget"`
+}) (any, error) {
 	pa, err := e.versionEntry(req.VersionA)
 	if err != nil {
-		s.writeError(w, err)
-		return
+		return nil, err
 	}
 	pb, err := e.versionEntry(req.VersionB)
 	if err != nil {
-		s.writeError(w, err)
-		return
+		return nil, err
 	}
-	ctx, cancel := req.Budget.ctx(r.Context())
+	ctx, cancel := req.Budget.ctx(ctx)
 	defer cancel()
 	equivalent, err := pa.session.Compare(ctx, pb.session)
 	if err != nil {
-		s.writeError(w, err)
-		return
+		return nil, err
 	}
-	writeJSON(w, 200, map[string]any{
+	return map[string]any{
 		"version_a": pa.version, "version_b": pb.version, "equivalent": equivalent,
-	})
+	}, nil
 }
 
-func (s *Server) handleVet(w http.ResponseWriter, r *http.Request) {
-	s.requests.Add(1)
-	var req struct {
-		ProgramVersion int `json:"program_version"`
-	}
-	if err := decodeBody(r, &req); err != nil {
-		s.writeError(w, err)
-		return
-	}
-	e := s.entry(r.PathValue("name"))
-	if e == nil {
-		s.writeError(w, errUnknownProgram(r.PathValue("name")))
-		return
-	}
+func (s *Server) verbVet(_ context.Context, e *programEntry, req *struct {
+	ProgramVersion int `json:"program_version"`
+}) (any, error) {
 	pv, err := e.versionEntry(req.ProgramVersion)
 	if err != nil {
-		s.writeError(w, err)
-		return
+		return nil, err
 	}
 	// Vet re-parses the stored source loosely (its own symbol table) so
 	// ill-formedness reaches the analyzer instead of a parse rejection.
 	res, err := core.ParseLoose(pv.source)
 	if err != nil {
-		s.writeError(w, &RequestError{Status: 400, Code: "parse_error", Err: err})
-		return
+		return nil, &RequestError{Status: 400, Code: "parse_error", Err: err}
 	}
 	diags := core.Analyze(res)
 	type diagJSON struct {
@@ -349,75 +299,52 @@ func (s *Server) handleVet(w http.ResponseWriter, r *http.Request) {
 	if len(res.TGDs) > 0 {
 		resp["termination_class"] = core.ClassifyTGDs(res.Program, res.TGDs).Class.String()
 	}
-	writeJSON(w, 200, resp)
+	return resp, nil
 }
 
-func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
-	s.requests.Add(1)
-	var req struct {
-		Tenant         string `json:"tenant"`
-		Fact           string `json:"fact"`
-		ProgramVersion int    `json:"program_version"`
-		DBVersion      int    `json:"db_version"`
-	}
-	if err := decodeBody(r, &req); err != nil {
-		s.writeError(w, err)
-		return
-	}
-	name := r.PathValue("name")
-	e := s.entry(name)
-	if e == nil {
-		s.writeError(w, errUnknownProgram(name))
-		return
-	}
+func (s *Server) verbExplain(ctx context.Context, e *programEntry, req *struct {
+	Tenant         string `json:"tenant"`
+	Fact           string `json:"fact"`
+	ProgramVersion int    `json:"program_version"`
+	DBVersion      int    `json:"db_version"`
+}) (any, error) {
 	pv, err := e.versionEntry(req.ProgramVersion)
 	if err != nil {
-		s.writeError(w, err)
-		return
+		return nil, err
 	}
-	snap, dbv, err := s.snapshot(name, req.Tenant, req.DBVersion)
+	snap, dbv, err := e.snapshot(req.Tenant, req.DBVersion)
 	if err != nil {
-		s.writeError(w, err)
-		return
+		return nil, err
 	}
-	atom, err := e.parseQueryAtom(req.Fact)
+	atom, err := e.parseAtom(req.Fact)
 	if err != nil {
-		s.writeError(w, err)
-		return
+		return nil, err
 	}
 	goal, err := atom.Ground(ast.Binding{})
 	if err != nil {
-		s.writeError(w, &RequestError{Status: 400, Code: "fact_not_ground",
-			Err: fmt.Errorf("service: explain needs a ground fact: %w", err)})
-		return
+		return nil, &RequestError{Status: 400, Code: "fact_not_ground",
+			Err: fmt.Errorf("service: explain needs a ground fact: %w", err)}
 	}
-	d, found, err := pv.session.Explain(r.Context(), snap.DB(), goal)
+	d, found, err := pv.session.Explain(ctx, snap.DB(), goal)
 	if err != nil {
-		s.writeError(w, err)
-		return
+		return nil, err
 	}
 	resp := map[string]any{"program_version": pv.version, "db_version": dbv, "found": found}
 	if found {
-		e.mu.RLock()
 		resp["derivation"] = d.Format(pv.prog, e.syms)
-		e.mu.RUnlock()
 	}
-	writeJSON(w, 200, resp)
+	return resp, nil
 }
 
-// handleStatz surfaces the plan cache the server's sessions prepare through
+// verbStatz surfaces the plan cache the server's sessions prepare through
 // (injected or process-wide), the process-wide verdict store, and the
 // server's request counters — all read race-free.
-func (s *Server) handleStatz(w http.ResponseWriter, r *http.Request) {
-	s.requests.Add(1)
+func (s *Server) verbStatz(context.Context, *programEntry, *struct{}) (any, error) {
 	pc := s.svc.PlanCacheStats()
 	vs := core.VerdictStats()
 	est, ereqs := s.svc.TotalStats()
-	s.mu.RLock()
-	nprogs := len(s.programs)
-	s.mu.RUnlock()
-	writeJSON(w, 200, map[string]any{
-		"programs": nprogs,
+	return map[string]any{
+		"programs": s.programCount(),
 		"eval": map[string]any{
 			"requests": ereqs,
 			"totals":   est,
@@ -434,5 +361,5 @@ func (s *Server) handleStatz(w http.ResponseWriter, r *http.Request) {
 			"total": s.requests.Load(), "errors": s.errors.Load(),
 			"evals": s.evals.Load(), "canceled": s.canceled.Load(),
 		},
-	})
+	}, nil
 }

@@ -11,16 +11,24 @@
 // every program version and every tenant fact set under that name, so the
 // same symbol parses to the same constant everywhere — the invariant that
 // makes tenant facts and query atoms mean the same thing the program text
-// does. Symbol tables are mutated by interning, so every parse takes the
-// entry's write lock and every render takes its read lock. Evaluation
-// itself runs lock-free: inputs are frozen snapshots (immutable by
-// construction), plans are immutable, and the session layer (core.Session)
-// serializes only the single-threaded checker state.
+// does. The table synchronises itself (ast.SymbolTable): parsing and
+// rendering take no lock of this package. programEntry.mu guards the version
+// and tenant maps and orders a mutation batch with its fan-out. It is
+// write-locked only to append a program version, to stage a batch and
+// maintain the tenant's live views over it, and to register or drop a
+// subscriber; it is never held across a parse or a render, and across an
+// evaluation only where frame order needs it (a view's first materialisation
+// and its maintenance in a fan-out). Evaluation itself runs lock-free:
+// inputs are frozen snapshots (immutable by construction), plans are
+// immutable, and the session layer (core.Session) serializes only the
+// single-threaded checker state. Every request enters through one wrapper
+// (verb, handlers.go); the verb functions behind it take no lock and reach
+// the maps only through the methods in this file.
 package service
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -52,14 +60,13 @@ func New(opts ...core.SessionOptions) *Server {
 }
 
 // programEntry is one registered name: a shared symbol table, the version
-// chain of programs, and the per-tenant snapshot chains.
+// chain of programs, and the per-tenant snapshot chains. An entry is in
+// Server.programs only once it holds an accepted version.
 type programEntry struct {
 	name string
+	syms *ast.SymbolTable
 
-	// mu guards the symbol table (interning mutates it, so parses write-
-	// lock and renders read-lock) and the version/tenant maps.
-	mu       sync.RWMutex
-	syms     *ast.SymbolTable
+	mu       sync.RWMutex // the maps below, and batch → fan-out order
 	versions map[int]*programVersion
 	latest   int
 	tenants  map[string]*tenantState
@@ -89,55 +96,101 @@ type tenantState struct {
 	views map[int]*liveView
 }
 
-// entry returns the registered entry for name, or nil.
-func (s *Server) entry(name string) *programEntry {
+// known resolves a registered name, or answers the typed 404.
+func (s *Server) known(name string) (*programEntry, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.programs[name]
+	if e := s.programs[name]; e != nil {
+		return e, nil
+	}
+	return nil, &RequestError{Status: 404, Code: "unknown_program",
+		Err: fmt.Errorf("service: no program named %q", name)}
 }
 
-// RegisterProgram parses src under name's symbol table and registers it as
-// the next program version. The source must contain rules (and optionally
-// tgds) only: facts belong to tenant databases.
-func (s *Server) RegisterProgram(name, src string) (version, rules, tgds int, err error) {
-	s.mu.Lock()
-	e := s.programs[name]
-	if e == nil {
+// knownOrFresh is known for registration, the one verb a new name is legal
+// for: it resolves to a fresh entry nothing else can reach yet.
+func (s *Server) knownOrFresh(name string) (*programEntry, error) {
+	e, err := s.known(name)
+	if err != nil {
 		e = &programEntry{
 			name:     name,
 			syms:     ast.NewSymbolTable(),
 			versions: make(map[int]*programVersion),
 			tenants:  make(map[string]*tenantState),
 		}
-		s.programs[name] = e
+	}
+	return e, nil
+}
+
+// programCount reports how many names are registered.
+func (s *Server) programCount() int {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return len(s.programs)
+}
+
+// RegisterProgram parses src under name's symbol table and registers it as
+// the next program version. The source must contain rules (and optionally
+// tgds) only: facts belong to tenant databases.
+func (s *Server) RegisterProgram(name, src string) (version, rules, tgds int, err error) {
+	e, _ := s.knownOrFresh(name)
+	pv, err := s.register(e, src)
+	if err != nil {
+		return 0, 0, 0, err
+	}
+	return pv.version, len(pv.prog.Rules), len(pv.tgds), nil
+}
+
+// register appends src to e as its next version and makes sure e is the
+// entry its name resolves to. A rejected source inserts nothing: a fresh
+// entry enters the registry only holding its first accepted version.
+func (s *Server) register(e *programEntry, src string) (*programVersion, error) {
+	pv, err := e.addVersion(s.svc, src)
+	if err != nil {
+		return nil, err
+	}
+	s.mu.Lock()
+	cur := s.programs[e.name]
+	if cur == nil {
+		s.programs[e.name] = e
 	}
 	s.mu.Unlock()
+	if cur != nil && cur != e {
+		// e was fresh and a concurrent first registration of its name won:
+		// the constants of src must come from the winner's table.
+		return cur.addVersion(s.svc, src)
+	}
+	return pv, nil
+}
 
-	e.mu.Lock()
-	defer e.mu.Unlock()
+// addVersion parses src under the entry's symbol table, opens its session and
+// appends it as the entry's next version.
+func (e *programEntry) addVersion(svc *core.Service, src string) (*programVersion, error) {
 	res, err := parser.ParseWithSymbols(src, e.syms)
 	if err != nil {
-		return 0, 0, 0, &RequestError{Status: 400, Code: "parse_error", Err: err}
+		return nil, &RequestError{Status: 400, Code: "parse_error", Err: err}
 	}
 	if len(res.Facts) > 0 {
-		return 0, 0, 0, &RequestError{Status: 400, Code: "facts_in_program",
+		return nil, &RequestError{Status: 400, Code: "facts_in_program",
 			Err: fmt.Errorf("service: program source carries %d facts; load them per tenant via /facts", len(res.Facts))}
 	}
 	if len(res.Program.Rules) == 0 {
-		return 0, 0, 0, &RequestError{Status: 400, Code: "empty_program", Err: fmt.Errorf("service: no rules in source")}
+		return nil, &RequestError{Status: 400, Code: "empty_program", Err: fmt.Errorf("service: no rules in source")}
 	}
-	sess, err := s.svc.Open(res.Program)
+	sess, err := svc.Open(res.Program)
 	if err != nil {
-		return 0, 0, 0, &RequestError{Status: 400, Code: "invalid_program", Err: err}
+		return nil, &RequestError{Status: 400, Code: "invalid_program", Err: err}
 	}
+	pv := &programVersion{source: src, prog: res.Program, tgds: res.TGDs, session: sess}
+	e.mu.Lock()
+	defer e.mu.Unlock()
 	e.latest++
-	pv := &programVersion{version: e.latest, source: src, prog: res.Program, tgds: res.TGDs, session: sess}
+	pv.version = e.latest
 	e.versions[pv.version] = pv
-	return pv.version, len(res.Program.Rules), len(res.TGDs), nil
+	return pv, nil
 }
 
-// version resolves a program version under e (0 = latest); callers must
-// not hold e.mu.
+// versionEntry resolves a program version under e (0 = latest).
 func (e *programEntry) versionEntry(v int) (*programVersion, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
@@ -170,20 +223,26 @@ func (s *Server) LoadFacts(name, tenant, src string) (version, size int, err err
 // error wrapping eval.ErrArity and stages nothing. Returns the new database
 // version and its total size.
 func (s *Server) MutateFacts(name, tenant, assertSrc, retractSrc string) (version, size int, err error) {
-	e := s.entry(name)
-	if e == nil {
-		return 0, 0, errUnknownProgram(name)
+	e, err := s.known(name)
+	if err != nil {
+		return 0, 0, err
+	}
+	return e.mutate(tenant, assertSrc, retractSrc)
+}
+
+// mutate is MutateFacts on a resolved entry: both halves are parsed before
+// the entry lock is taken, the batch is staged and fanned out under it.
+func (e *programEntry) mutate(tenant, assertSrc, retractSrc string) (version, size int, err error) {
+	asserts, err := e.parseFacts(assertSrc)
+	if err != nil {
+		return 0, 0, err
+	}
+	retracts, err := e.parseFacts(retractSrc)
+	if err != nil {
+		return 0, 0, err
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	asserts, err := e.parseFactsLocked(assertSrc)
-	if err != nil {
-		return 0, 0, err
-	}
-	retracts, err := e.parseFactsLocked(retractSrc)
-	if err != nil {
-		return 0, 0, err
-	}
 	t := e.tenants[tenant]
 	w := db.New()
 	if t != nil {
@@ -208,13 +267,13 @@ func (s *Server) MutateFacts(name, tenant, assertSrc, retractSrc string) (versio
 	}
 	t.latest++
 	t.versions[t.latest] = w.Freeze()
-	e.broadcastLocked(t, t.latest, delta)
+	t.broadcastLocked(t.latest, delta)
 	return t.latest, w.Len(), nil
 }
 
-// parseFactsLocked parses a fact source under the entry's symbol table;
-// callers hold e.mu. An empty source parses to no facts.
-func (e *programEntry) parseFactsLocked(src string) ([]ast.GroundAtom, error) {
+// parseFacts parses a fact source under the entry's symbol table. An empty
+// source parses to no facts.
+func (e *programEntry) parseFacts(src string) ([]ast.GroundAtom, error) {
 	if src == "" {
 		return nil, nil
 	}
@@ -230,17 +289,13 @@ func (e *programEntry) parseFactsLocked(src string) ([]ast.GroundAtom, error) {
 }
 
 // snapshot resolves a tenant's database version (0 = latest).
-func (s *Server) snapshot(name, tenant string, v int) (*db.Snapshot, int, error) {
-	e := s.entry(name)
-	if e == nil {
-		return nil, 0, errUnknownProgram(name)
-	}
+func (e *programEntry) snapshot(tenant string, v int) (*db.Snapshot, int, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	t := e.tenants[tenant]
 	if t == nil {
 		return nil, 0, &RequestError{Status: 404, Code: "unknown_tenant",
-			Err: fmt.Errorf("service: program %q has no tenant %q", name, tenant)}
+			Err: fmt.Errorf("service: program %q has no tenant %q", e.name, tenant)}
 	}
 	if v == 0 {
 		v = t.latest
@@ -253,10 +308,8 @@ func (s *Server) snapshot(name, tenant string, v int) (*db.Snapshot, int, error)
 	return snap, v, nil
 }
 
-// parseQueryAtom interns a query atom under the entry's symbol table.
-func (e *programEntry) parseQueryAtom(src string) (ast.Atom, error) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
+// parseAtom interns a query atom under the entry's symbol table.
+func (e *programEntry) parseAtom(src string) (ast.Atom, error) {
 	a, err := parser.ParseAtomWithSymbols(src, e.syms)
 	if err != nil {
 		return ast.Atom{}, &RequestError{Status: 400, Code: "parse_error", Err: err}
@@ -264,11 +317,9 @@ func (e *programEntry) parseQueryAtom(src string) (ast.Atom, error) {
 	return a, nil
 }
 
-// formatRows renders result tuples under the entry's symbol table, sorted
+// renderRows renders result tuples under the entry's symbol table, sorted
 // lexicographically for a deterministic wire format.
-func (e *programEntry) formatRows(rows [][]ast.Const) [][]string {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
+func (e *programEntry) renderRows(rows [][]ast.Const) [][]string {
 	out := make([][]string, len(rows))
 	for i, row := range rows {
 		r := make([]string, len(row))
@@ -277,34 +328,21 @@ func (e *programEntry) formatRows(rows [][]ast.Const) [][]string {
 		}
 		out[i] = r
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		for k := 0; k < len(a) && k < len(b); k++ {
-			if a[k] != b[k] {
-				return a[k] < b[k]
-			}
-		}
-		return len(a) < len(b)
-	})
+	slices.SortFunc(out, slices.Compare[[]string])
 	return out
 }
 
-// formatFacts renders a database's facts under the entry's symbol table,
-// sorted for a deterministic wire format.
-func (e *programEntry) formatFacts(d *db.Database) []string {
-	e.mu.RLock()
-	defer e.mu.RUnlock()
-	return e.formatFactsLocked(d)
-}
-
-// formatFactsLocked is formatFacts for callers already holding e.mu.
-func (e *programEntry) formatFactsLocked(d *db.Database) []string {
-	facts := d.Facts()
+// renderFacts renders facts under the entry's symbol table: a whole database
+// sorted for a deterministic wire format, a diff in the canonical order it
+// came in.
+func (e *programEntry) renderFacts(facts []ast.GroundAtom, sorted bool) []string {
 	out := make([]string, len(facts))
 	for i, f := range facts {
 		out[i] = f.Format(e.syms)
 	}
-	sort.Strings(out)
+	if sorted {
+		slices.Sort(out)
+	}
 	return out
 }
 
@@ -318,8 +356,3 @@ type RequestError struct {
 
 func (e *RequestError) Error() string { return e.Err.Error() }
 func (e *RequestError) Unwrap() error { return e.Err }
-
-func errUnknownProgram(name string) error {
-	return &RequestError{Status: 404, Code: "unknown_program",
-		Err: fmt.Errorf("service: no program named %q", name)}
-}

@@ -58,16 +58,32 @@ func post(t *testing.T, ts *httptest.Server, path string, body any) (int, map[st
 	if err != nil {
 		t.Fatal(err)
 	}
+	return postRaw(t, ts, path, buf)
+}
+
+// postRaw is post for a body sent byte for byte.
+func postRaw(t *testing.T, ts *httptest.Server, path string, buf []byte) (int, map[string]any) {
+	t.Helper()
+	code, out, err := postErr(ts, path, buf)
+	if err != nil {
+		t.Fatalf("%s: %v", path, err)
+	}
+	return code, out
+}
+
+// postErr is postRaw for goroutines other than the test's own: failures come
+// back as an error instead of through t.Fatal.
+func postErr(ts *httptest.Server, path string, buf []byte) (int, map[string]any, error) {
 	resp, err := ts.Client().Post(ts.URL+path, "application/json", bytes.NewReader(buf))
 	if err != nil {
-		t.Fatal(err)
+		return 0, nil, err
 	}
 	defer resp.Body.Close()
 	var out map[string]any
 	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
-		t.Fatalf("decoding %s response: %v", path, err)
+		return resp.StatusCode, nil, fmt.Errorf("decoding response: %w", err)
 	}
-	return resp.StatusCode, out
+	return resp.StatusCode, out, nil
 }
 
 func get(t *testing.T, ts *httptest.Server, path string) (int, map[string]any) {
@@ -452,6 +468,26 @@ func TestServeErrors(t *testing.T) {
 	if code, resp = post(t, ts, "/v1/programs/p/subscriptions", map[string]any{"tenant": "t", "force_dred": true}); code != 400 || resp["error"] != "bad_request" {
 		t.Fatalf("removed force_dred: %d %v", code, resp)
 	}
+	if code, resp = post(t, ts, "/v1/programs/p/eval", map[string]any{"tenant": "t", "budget": map[string]any{"shards": 2}}); code != 400 || resp["error"] != "bad_request" {
+		t.Fatalf("removed budget.shards: %d %v", code, resp)
+	}
+	// The body is one JSON value, read to its end and under a bound.
+	if code, resp = postRaw(t, ts, "/v1/programs/p/facts", []byte(`{"tenant":"t"} trailing`)); code != 400 || resp["error"] != "bad_request" {
+		t.Fatalf("data after the JSON value: %d %v", code, resp)
+	}
+	if code, resp = postRaw(t, ts, "/v1/programs/p/facts", []byte(`{"tenant":"t"}{"tenant":"u"}`)); code != 400 || resp["error"] != "bad_request" {
+		t.Fatalf("second JSON value: %d %v", code, resp)
+	}
+	if code, resp = postRaw(t, ts, "/v1/programs/p/facts", []byte("{\"tenant\":\"t\"} \n\t")); code != 200 {
+		t.Fatalf("trailing whitespace: %d %v", code, resp)
+	}
+	big := []byte(`{"tenant":"t","assert":"` + strings.Repeat(" ", maxBodyBytes) + `"}`)
+	if code, resp = postRaw(t, ts, "/v1/programs/p/facts", big); code != 413 || resp["error"] != "body_too_large" {
+		t.Fatalf("oversized body: %d %v", code, resp["error"])
+	}
+	if code, resp = postRaw(t, ts, "/v1/programs/p/subscriptions", big); code != 413 || resp["error"] != "body_too_large" {
+		t.Fatalf("oversized subscription body: %d %v", code, resp["error"])
+	}
 }
 
 // TestServeArityMismatch pins the two wire-reachable arity contradictions as
@@ -653,14 +689,14 @@ func statField(t *testing.T, stats map[string]any, key string) int {
 	return int(v)
 }
 
-// TestStatzShardTotalsTwoTenants drives sharded and unsharded eval requests
-// from two tenants, sums the per-request stats payloads, and asserts the
-// /v1/statz eval totals match the sum exactly — the shard counters
-// (shard_rounds, delta_exchanged, shard_imbalance) included. Run under
-// -race in CI: the per-session accounting and the statz read race against
-// each other in production.
+// TestStatzShardTotalsTwoTenants drives eval requests from two tenants on a
+// server deployed with the sharded executor, sums the per-request stats
+// payloads, and asserts the /v1/statz eval totals match the sum exactly — the
+// shard counters (shard_rounds, delta_exchanged, shard_imbalance) included.
+// Run under -race in CI: the per-session accounting and the statz read race
+// against each other in production.
 func TestStatzShardTotalsTwoTenants(t *testing.T) {
-	s := New()
+	s := New(core.SessionOptions{Shards: 2})
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -679,10 +715,10 @@ func TestStatzShardTotalsTwoTenants(t *testing.T) {
 	requests := 0
 	wantRows := oracleRows(t, authzProgram, []string{tenantAFacts}, "CanRead(u, d)")
 	for _, req := range []map[string]any{
-		{"tenant": "acme", "query": "CanRead(u, d)", "budget": map[string]any{"shards": 4}},
-		{"tenant": "globex", "budget": map[string]any{"shards": 2}},
 		{"tenant": "acme", "query": "CanRead(u, d)"},
-		{"tenant": "globex", "query": "Member(u, g)", "budget": map[string]any{"shards": 8, "max_derived": 1000}},
+		{"tenant": "globex"},
+		{"tenant": "acme", "query": "CanRead(u, d)", "budget": map[string]any{"timeout_ms": 60000}},
+		{"tenant": "globex", "query": "Member(u, g)", "budget": map[string]any{"max_derived": 1000}},
 	} {
 		code, resp := post(t, ts, "/v1/programs/authz/eval", req)
 		if code != 200 {
@@ -755,8 +791,9 @@ func statzTotals(t *testing.T, ts *httptest.Server) map[string]any {
 }
 
 // TestStatzEveryGroupMoves: each counter group of eval.Stats moves in
-// /v1/statz when the thing it counts happens — a plain eval (fixpoint and
-// stream groups), a sharded eval (shard group), a minimize (reuse group,
+// /v1/statz when the thing it counts happens — an eval (fixpoint and stream
+// groups, and, the server being deployed sharded, the shard group), a
+// minimize (reuse group,
 // and the fixpoint counters of its containment chases, which the totals
 // used to miss), an explain (a session request like any other: its
 // goal-directed evaluation and proof read-back are counted), and a mutation
@@ -764,7 +801,7 @@ func statzTotals(t *testing.T, ts *httptest.Server) map[string]any {
 // group). The chase group needs tgds and is pinned at the library level
 // (internal/chase termination tests).
 func TestStatzEveryGroupMoves(t *testing.T) {
-	s := New()
+	s := New(core.SessionOptions{Shards: 2})
 	ts := httptest.NewServer(s.Handler())
 	// Cleanup, not defer: the changefeed registers its own cleanup after this
 	// one, so LIFO order disconnects the stream before the server drains.
@@ -805,7 +842,7 @@ func TestStatzEveryGroupMoves(t *testing.T) {
 
 	step("eval", ok("/v1/programs/tc/eval", map[string]any{"tenant": "t"}),
 		"rounds", "firings", "added", "strata_materialized", "bindings_pipelined")
-	step("sharded eval", ok("/v1/programs/tc/eval", map[string]any{"tenant": "t", "budget": map[string]any{"shards": 2}}),
+	step("sharded eval", ok("/v1/programs/tc/eval", map[string]any{"tenant": "t"}),
 		"shard_rounds")
 	step("minimize", ok("/v1/programs/tc/minimize", map[string]any{}),
 		"rounds", "firings", "prepare_misses", "verdicts_recomputed")

@@ -6,8 +6,8 @@ import (
 	"fmt"
 	"net/http"
 
-	"repro/internal/ast"
 	"repro/internal/core"
+	"repro/internal/db"
 )
 
 // Changefeed subscriptions: a tenant's materialized output, maintained
@@ -20,10 +20,12 @@ import (
 // tenant's latest database version, every later mutation batch applies
 // through it under the entry lock — so frame order is mutation order, and
 // the seq numbers of one view's frames have no gaps — and the last
-// subscriber to leave takes the view with it. Subscribers are
-// buffered channels; a subscriber whose buffer is full when a frame fans
-// out is dropped with a typed slow_consumer error frame rather than letting
-// one stalled reader block the entry lock or grow queues without bound.
+// subscriber to leave takes the view with it. What fans out under the lock
+// is the unrendered diff; each subscriber's own stream renders its frames.
+// Subscribers are buffered channels; a subscriber whose buffer is full when
+// a diff fans out is dropped with a typed slow_consumer error frame rather
+// than letting one stalled reader block the entry lock or grow queues
+// without bound.
 
 // subscriberBuffer is the per-subscriber frame buffer: how many undelivered
 // diff frames a consumer may fall behind before it is dropped.
@@ -43,6 +45,27 @@ type viewFrame struct {
 	Removed   []string `json:"removed,omitempty"`
 }
 
+// viewUpdate is what a subscriber's stream renders into one frame: an applied
+// batch as it fanned out — the frame's numbers and its unrendered diff — or,
+// first, the view's whole output at registration (snapshot non-nil).
+type viewUpdate struct {
+	seq       uint64
+	dbVersion int
+	diff      core.DatabaseDiff
+	snapshot  *db.Database
+}
+
+// frame renders u under the entry's symbol table.
+func (e *programEntry) frame(u viewUpdate) viewFrame {
+	f := viewFrame{Seq: u.seq, DBVersion: u.dbVersion}
+	if u.snapshot != nil {
+		f.Snapshot, f.Facts = true, e.renderFacts(u.snapshot.Facts(), true)
+	} else {
+		f.Added, f.Removed = e.renderFacts(u.diff.Added, false), e.renderFacts(u.diff.Removed, false)
+	}
+	return f
+}
+
 // liveView is one maintained materialization feeding subscribers: the
 // per-tenant incremental counterpart of a programVersion. Guarded by the
 // entry mutex.
@@ -58,7 +81,7 @@ type liveView struct {
 // by the fan-out path under the entry mutex — the close is the
 // happens-before edge that lets the handler read reason safely.
 type subscriber struct {
-	ch     chan viewFrame
+	ch     chan viewUpdate
 	reason string // "" = live; "slow_consumer" / "view_error" after close
 }
 
@@ -81,23 +104,13 @@ func (t *tenantState) dropSubLocked(lv *liveView, sub *subscriber) {
 	}
 }
 
-// renderDiffLocked renders diff facts under the entry's symbol table,
-// preserving the diff's canonical order; callers hold e.mu.
-func (e *programEntry) renderDiffLocked(gs []ast.GroundAtom) []string {
-	out := make([]string, len(gs))
-	for i, g := range gs {
-		out[i] = g.Format(e.syms)
-	}
-	return out
-}
-
 // broadcastLocked applies one mutation batch to every live view of the
-// tenant and fans the resulting diff frames out to their subscribers;
-// callers hold e.mu. A view that fails to apply (cancellation cannot happen
+// tenant and fans the resulting diffs out to their subscribers; callers hold
+// the entry mutex. A view that fails to apply (cancellation cannot happen
 // here — maintenance runs under the background context — so this is a
 // genuine error) tears down with view_error frames to its subscribers. A
 // subscriber with no buffer space left is dropped with slow_consumer.
-func (e *programEntry) broadcastLocked(t *tenantState, dbVersion int, delta core.DatabaseDelta) {
+func (t *tenantState) broadcastLocked(dbVersion int, delta core.DatabaseDelta) {
 	for ver, lv := range t.views {
 		diff, _, err := lv.view.Apply(context.Background(), delta)
 		if err != nil {
@@ -109,15 +122,10 @@ func (e *programEntry) broadcastLocked(t *tenantState, dbVersion int, delta core
 		}
 		lv.seq++
 		lv.dbVersion = dbVersion
-		f := viewFrame{
-			Seq:       lv.seq,
-			DBVersion: dbVersion,
-			Added:     e.renderDiffLocked(diff.Added),
-			Removed:   e.renderDiffLocked(diff.Removed),
-		}
+		u := viewUpdate{seq: lv.seq, dbVersion: dbVersion, diff: diff}
 		for sub := range lv.subs {
 			select {
-			case sub.ch <- f:
+			case sub.ch <- u:
 			default:
 				sub.failLocked("slow_consumer")
 				t.dropSubLocked(lv, sub)
@@ -126,83 +134,80 @@ func (e *programEntry) broadcastLocked(t *tenantState, dbVersion int, delta core
 	}
 }
 
-// handleSubscribe opens a changefeed: it registers the subscriber on the
-// tenant's live view for the requested program version (materializing the
-// view on first use), writes a snapshot frame, and then streams one diff
-// frame per mutation batch until the client disconnects or the subscriber is
-// dropped.
-func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
-	s.requests.Add(1)
-	var req struct {
-		Tenant         string `json:"tenant"`
-		ProgramVersion int    `json:"program_version"`
-	}
-	if err := decodeBody(r, &req); err != nil {
-		s.writeError(w, err)
-		return
-	}
-	name := r.PathValue("name")
-	e := s.entry(name)
-	if e == nil {
-		s.writeError(w, errUnknownProgram(name))
-		return
-	}
-	pv, err := e.versionEntry(req.ProgramVersion)
-	if err != nil {
-		s.writeError(w, err)
-		return
-	}
-	flusher, ok := w.(http.Flusher)
-	if !ok {
-		s.writeError(w, fmt.Errorf("service: streaming unsupported by connection"))
-		return
-	}
+// changefeed is what the subscription verb returns in place of a body: a
+// subscriber registered on a live view, and the snapshot its stream opens
+// with.
+type changefeed struct {
+	e     *programEntry
+	t     *tenantState
+	lv    *liveView
+	sub   *subscriber
+	first viewUpdate
+}
 
+// drop unregisters the subscriber again.
+func (f *changefeed) drop() {
+	f.e.mu.Lock()
+	defer f.e.mu.Unlock()
+	f.t.dropSubLocked(f.lv, f.sub)
+}
+
+// subscribe registers a new subscriber on the tenant's live view of pv,
+// materializing the view on first use. The view's output is read under the
+// lock that registered the subscriber, so the stream has no gap: every batch
+// after the snapshot arrives on sub.ch with a consecutive seq.
+func (e *programEntry) subscribe(ctx context.Context, tenant string, pv *programVersion) (*changefeed, error) {
 	e.mu.Lock()
-	t := e.tenants[req.Tenant]
-	if t == nil || t.versions[t.latest] == nil {
-		e.mu.Unlock()
-		s.writeError(w, &RequestError{Status: 404, Code: "unknown_tenant",
-			Err: fmt.Errorf("service: program %q has no tenant %q", name, req.Tenant)})
-		return
+	defer e.mu.Unlock()
+	t := e.tenants[tenant]
+	if t == nil {
+		return nil, &RequestError{Status: 404, Code: "unknown_tenant",
+			Err: fmt.Errorf("service: program %q has no tenant %q", e.name, tenant)}
 	}
 	lv := t.views[pv.version]
 	if lv == nil {
 		// Under the request's context: a client that gives up must not leave
 		// an uncancellable evaluation running under the entry lock.
-		view, _, err := pv.session.Materialize(r.Context(), t.versions[t.latest].DB(), core.MaintainOptions{})
+		view, _, err := pv.session.Materialize(ctx, t.versions[t.latest].DB(), core.MaintainOptions{})
 		if err != nil {
-			e.mu.Unlock()
-			s.writeError(w, err)
-			return
+			return nil, err
 		}
 		lv = &liveView{pv: pv, view: view, dbVersion: t.latest, subs: make(map[*subscriber]bool)}
 		t.views[pv.version] = lv
 	}
-	sub := &subscriber{ch: make(chan viewFrame, subscriberBuffer)}
+	sub := &subscriber{ch: make(chan viewUpdate, subscriberBuffer)}
 	lv.subs[sub] = true
-	// The snapshot frame is built under the same lock that registered the
-	// subscriber, so the stream has no gap: every batch after this snapshot
-	// arrives as a frame with a consecutive seq.
-	snap := viewFrame{
-		Seq:       lv.seq,
-		DBVersion: lv.dbVersion,
-		Snapshot:  true,
-		Facts:     e.formatFactsLocked(lv.view.Output()),
+	first := viewUpdate{seq: lv.seq, dbVersion: lv.dbVersion, snapshot: lv.view.Output()}
+	return &changefeed{e: e, t: t, lv: lv, sub: sub, first: first}, nil
+}
+
+// verbSubscribe opens a changefeed on the tenant's live view of a program
+// version; the wrapper streams what it returns.
+func (s *Server) verbSubscribe(ctx context.Context, e *programEntry, req *struct {
+	Tenant         string `json:"tenant"`
+	ProgramVersion int    `json:"program_version"`
+}) (any, error) {
+	pv, err := e.versionEntry(req.ProgramVersion)
+	if err != nil {
+		return nil, err
 	}
-	e.mu.Unlock()
+	return e.subscribe(ctx, req.Tenant, pv)
+}
 
-	defer func() {
-		e.mu.Lock()
-		t.dropSubLocked(lv, sub)
-		e.mu.Unlock()
-	}()
-
+// stream writes the snapshot frame and then one diff frame per mutation batch
+// until the client disconnects or the subscriber is dropped.
+func (f *changefeed) stream(s *Server, w http.ResponseWriter, r *http.Request) {
+	defer f.drop()
+	flusher, ok := w.(http.Flusher)
+	if !ok {
+		s.writeError(w, fmt.Errorf("service: streaming unsupported by connection"))
+		return
+	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	enc := json.NewEncoder(w)
 	enc.SetEscapeHTML(false)
-	_ = enc.Encode(snap)
+	_ = enc.Encode(f.e.frame(f.first))
 	flusher.Flush()
 
 	ctx := r.Context()
@@ -210,18 +215,18 @@ func (s *Server) handleSubscribe(w http.ResponseWriter, r *http.Request) {
 		select {
 		case <-ctx.Done():
 			return
-		case f, open := <-sub.ch:
+		case u, open := <-f.sub.ch:
 			if !open {
 				// Dropped under the entry lock; reason is safe to read after
 				// the close.
 				_ = enc.Encode(map[string]string{
-					"error":   sub.reason,
-					"message": fmt.Sprintf("service: subscription dropped: %s", sub.reason),
+					"error":   f.sub.reason,
+					"message": fmt.Sprintf("service: subscription dropped: %s", f.sub.reason),
 				})
 				flusher.Flush()
 				return
 			}
-			_ = enc.Encode(f)
+			_ = enc.Encode(f.e.frame(u))
 			flusher.Flush()
 		}
 	}

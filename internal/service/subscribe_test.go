@@ -278,7 +278,10 @@ func TestSubscriptionSlowConsumerDrop(t *testing.T) {
 	if _, _, err := s.MutateFacts("authz", "a", tenantAFacts, ""); err != nil {
 		t.Fatal(err)
 	}
-	e := s.entry("authz")
+	e, err := s.known("authz")
+	if err != nil {
+		t.Fatal(err)
+	}
 	pv, err := e.versionEntry(0)
 	if err != nil {
 		t.Fatal(err)
@@ -292,10 +295,10 @@ func TestSubscriptionSlowConsumerDrop(t *testing.T) {
 	}
 	lv := &liveView{pv: pv, view: view, dbVersion: ten.latest, subs: make(map[*subscriber]bool)}
 	ten.views[pv.version] = lv
-	slow := &subscriber{ch: make(chan viewFrame, subscriberBuffer)}
+	slow := &subscriber{ch: make(chan viewUpdate, subscriberBuffer)}
 	lv.subs[slow] = true
 	// A consumer with room for every frame of the test keeps the view alive.
-	other := &subscriber{ch: make(chan viewFrame, subscriberBuffer+1)}
+	other := &subscriber{ch: make(chan viewUpdate, subscriberBuffer+1)}
 	lv.subs[other] = true
 	e.mu.Unlock()
 
@@ -314,8 +317,8 @@ drain:
 			if !ok {
 				break drain
 			}
-			if f.Seq != uint64(n+1) {
-				t.Fatalf("frame seq = %d, want %d", f.Seq, n+1)
+			if f.seq != uint64(n+1) {
+				t.Fatalf("frame seq = %d, want %d", f.seq, n+1)
 			}
 			n++
 		case <-time.After(5 * time.Second):
@@ -419,7 +422,10 @@ func TestSubscriptionDropSendsTypedErrorFrame(t *testing.T) {
 
 	// Drop the subscriber under the entry lock exactly as the fan-out path
 	// does when its buffer overflows.
-	e := s.entry("authz")
+	e, err := s.known("authz")
+	if err != nil {
+		t.Fatal(err)
+	}
 	e.mu.Lock()
 	lv := e.tenants["a"].views[1]
 	if lv == nil || len(lv.subs) != 1 {
