@@ -7,7 +7,7 @@ BENCHTIME ?= 0.3s
 # staticcheck pin for lint-ci; bump deliberately, not implicitly.
 STATICCHECK_VERSION ?= 2025.1
 
-.PHONY: all build vet datalog-vet test race race-service race-shard race-ivm serve-smoke bench bench-all experiments examples guard-one-join guard-ctx-arg guard-no-batch-compact guard-request-path lint lint-ci clean
+.PHONY: all build vet datalog-vet test race race-service race-shard race-ivm serve-smoke bench bench-all experiments examples guard-one-join guard-ctx-arg guard-no-batch-compact guard-delta-first guard-request-path lint lint-ci clean
 
 all: build vet test
 
@@ -124,6 +124,19 @@ guard-no-batch-compact:
 		echo "a Compact() call outside the store (make guard-no-batch-compact): when to compact is internal/db's decision" >&2; exit 1; \
 	fi
 
+# guard-delta-first keeps one way to run a delta. Every delta variant — of a
+# fixpoint, of an insert loop, of a shard task — runs a plan led by its delta
+# atom (roundEnv.deltaVariants in internal/eval/prepare.go), so the sharded
+# executor's second copy of the idea (swapped plans, a two-part merge key)
+# stays deleted and the join's inner loop never skips up to a lower bound.
+guard-delta-first:
+	@if grep -nwE 'swapped|lowerSwapped|atomsShareVar|tagInner|k2' internal/eval/*.go | grep -v '_test\.go:'; then \
+		echo "internal/eval: a swapped plan or a second merge key is back (make guard-delta-first): a delta variant is led by its delta atom" >&2; exit 1; \
+	fi
+	@if grep -nE 'tid\) *< *st\.lo' internal/eval/stream.go; then \
+		echo "internal/eval/stream.go: a probe or lookup skips ids below a lower bound (make guard-delta-first): only a led plan's position-0 scan has one" >&2; exit 1; \
+	fi
+
 # guard-request-path keeps each request-path decision in one place. Every
 # request is counted and its body bounded and decoded by the one wrapper
 # (verb / admit in internal/service/handlers.go); the verb functions behind it
@@ -156,7 +169,7 @@ guard-request-path:
 # lint runs the guards and go vet always, and staticcheck when the binary is
 # on PATH (the dev container does not bake it in; lint-ci installs the pinned
 # version).
-lint: guard-one-join guard-ctx-arg guard-no-batch-compact guard-request-path
+lint: guard-one-join guard-ctx-arg guard-no-batch-compact guard-delta-first guard-request-path
 	$(GO) vet ./...
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \

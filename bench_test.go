@@ -435,11 +435,11 @@ func BenchmarkEngines(b *testing.B) {
 // the unsharded kernel at shard counts 1/2/4/8. Arms:
 //
 //   - large-tc: right-linear transitive closure (the paper's Example 4) of a
-//     large sparse random digraph — a deep recursion (~90 rounds) whose
-//     per-round deltas the sharded executor enumerates delta-first over the
-//     partition slices, where the sequential plan order rescans the outer
-//     relation against the delta window every round. This is the arm the
-//     sharded kernel targets.
+//     large sparse random digraph — a deep recursion (~90 rounds) of small
+//     per-round deltas. Until every delta variant became delta-first this
+//     was the arm sharding won, because only shard tasks walked the delta
+//     instead of rescanning the outer relation every round; it now records
+//     what splitting that walk across shards costs.
 //   - dense-tc: doubled-rule transitive closure of a dense random digraph —
 //     duplicate-dominated (~159 re-derivations per committed fact), so both
 //     executors are bound by the same dedup probes; sharding is expected to
@@ -455,7 +455,8 @@ func BenchmarkEngines(b *testing.B) {
 //     §5, "Sharded vs unsharded").
 //
 // Shard tasks overlap on multicore machines (min(Shards, GOMAXPROCS)
-// goroutines); the single-core win comes from the delta-first enumeration.
+// goroutines); there is no single-core win left to have — the unsharded
+// kernel enumerates delta-first too.
 func BenchmarkAblation_ShardedEval(b *testing.B) {
 	rltc := workload.TransitiveClosureLinear()
 	rltcEDB := workload.RandomDigraph("A", 10000, 10500, 7)

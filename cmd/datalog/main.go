@@ -31,6 +31,7 @@
 //	-addr     listen address for serve (default 127.0.0.1:8371)
 //	-shards   hash-partition shards per fixpoint round (0 or 1 = unsharded);
 //	          for serve, the server's session default
+//	-cpuprofile  write a CPU profile of the subcommand to the named file
 //
 // The command implementations live in sibling files by family: cmd_show.go
 // (parse/fmt/graph/magic/explain), cmd_eval.go (eval/query/check),
@@ -44,6 +45,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"runtime/pprof"
 
 	"repro/internal/ast"
 	"repro/internal/core"
@@ -75,6 +77,7 @@ func run(args []string, out io.Writer) error {
 	jsonOut := fs.Bool("json", false, "machine-readable vet output")
 	addr := fs.String("addr", "127.0.0.1:8371", "listen address for serve")
 	shards := fs.Int("shards", 0, "hash-partition shards per fixpoint round (0 or 1 = unsharded)")
+	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the subcommand to this file")
 	fs.SetOutput(out)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -87,6 +90,17 @@ func run(args []string, out io.Writer) error {
 
 	c := &cli{out: out, opts: eval.Options{Shards: *shards}, stats: *stats, verbose: *verbose, jsonOut: *jsonOut, addr: *addr}
 
+	if *cpuprofile != "" {
+		f, err := os.Create(*cpuprofile)
+		if err != nil {
+			return err
+		}
+		defer f.Close()
+		if err := pprof.StartCPUProfile(f); err != nil {
+			return err
+		}
+		defer pprof.StopCPUProfile()
+	}
 	switch cmd {
 	case "fmt", "parse":
 		return c.cmdFmt(rest)

@@ -53,6 +53,19 @@ func TestEvalCommand(t *testing.T) {
 	}
 }
 
+// TestCPUProfileFlag: -cpuprofile wraps the subcommand in a runtime/pprof CPU
+// profile, complete (non-empty) by the time run returns.
+func TestCPUProfileFlag(t *testing.T) {
+	f := writeFile(t, "tc.dl", tcSource)
+	prof := filepath.Join(t.TempDir(), "cpu.prof")
+	if out := runCLI(t, "-cpuprofile", prof, "eval", f); !strings.Contains(out, "G(1, 3).") {
+		t.Fatalf("eval output:\n%s", out)
+	}
+	if st, err := os.Stat(prof); err != nil || st.Size() == 0 {
+		t.Fatalf("-cpuprofile wrote no profile: %v", err)
+	}
+}
+
 func TestQueryCommand(t *testing.T) {
 	f := writeFile(t, "tc.dl", tcSource)
 	out := runCLI(t, "query", f, "G(1, y)")

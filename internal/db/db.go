@@ -31,6 +31,12 @@ type Database struct {
 	dirty []string
 	// copied counts the tuples copy-on-write and flatten copied (TuplesCopied).
 	copied int
+	// lastPred / last memoize AddTuple's resolution of its predicate: a rule
+	// application emits one head predicate, so the string-keyed map lookup is
+	// paid once per run of emissions, not once per emission. writable — the one
+	// place that replaces an entry of rels — drops the memo.
+	lastPred string
+	last     *Relation
 }
 
 // New returns an empty database.
@@ -73,11 +79,15 @@ func (d *Database) AddTuple(pred string, args []ast.Const) bool {
 	if d.frozen {
 		panic("db: write to a frozen database (stage changes through Snapshot.Thaw)")
 	}
-	r, ok := d.rels[pred]
-	if !ok {
-		r = newRelation(len(args))
-		d.rels[pred] = r
-		d.dirty = append(d.dirty, pred)
+	r := d.last
+	if r == nil || pred != d.lastPred {
+		var ok bool
+		if r, ok = d.rels[pred]; !ok {
+			r = newRelation(len(args))
+			d.rels[pred] = r
+			d.dirty = append(d.dirty, pred)
+		}
+		d.lastPred, d.last = pred, r
 	}
 	if r.shared {
 		if _, present := r.lookupID(args); present {

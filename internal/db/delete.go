@@ -156,7 +156,7 @@ func (d *Database) writable(pred string, r *Relation) *Relation {
 	}
 	r, copied := r.successor()
 	d.copied += copied
-	d.rels[pred] = r
+	d.rels[pred], d.last = r, nil
 	d.dirty = append(d.dirty, pred)
 	return r
 }

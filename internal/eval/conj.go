@@ -24,7 +24,7 @@ type Conj struct{ sp *streamPlan }
 // ascending and a probe its chain oldest first, so rows arrive in the order a
 // nested-loops join over the atoms as written produces them.
 func LowerConj(atoms []ast.Atom, bound []string) *Conj {
-	return &Conj{sp: lowerRule(ast.Rule{Body: atoms}, bound, len(bound))}
+	return &Conj{sp: lowerRule(ast.Rule{Body: atoms}, bound, len(bound), false)}
 }
 
 // Vars names the frame's slots. Callers must not modify it.

@@ -169,8 +169,11 @@ func TestPreparedDeriveChainPure(t *testing.T) {
 // TestDeriveLowersOnlyTheChangedRule: a lowered pipeline depends on one rule
 // and one join order, so a plan derived by a one-rule delta runs every rule
 // the delta did not touch on its parent's lowered plans — pointer-identical,
-// no new memo entry — and only the replaced rule is lowered. The deltas are
-// the Fig. 1/2 ones, inside one recursive group; parent and children then run
+// no new memo entry — and only the replaced rule is lowered. That covers the
+// delta-led entries too: every run here goes through delta rounds, whose led
+// orders are planned from live sizes per fixpoint, and an untouched rule still
+// finds each of them in the memo its parent filled. The deltas are the
+// Fig. 1/2 ones, inside one recursive group; parent and children then run
 // concurrently, sharing those memos (run under -race).
 func TestDeriveLowersOnlyTheChangedRule(t *testing.T) {
 	p := mustParseProgram(t, `
@@ -222,12 +225,15 @@ func TestDeriveLowersOnlyTheChangedRule(t *testing.T) {
 		{"weakening", weakened, []int{0, -1, 2}},
 		{"deletion", deleted, []int{0, 1}},
 	} {
-		got, _, err := c.child.Eval(input)
+		got, st, err := c.child.Eval(input)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !got.Equal(want) {
 			t.Errorf("%s: the derived plan's output differs from its (equivalent) parent's", c.name)
+		}
+		if st.Rounds < 3 {
+			t.Errorf("%s: %d rounds: the derived plan ran no delta round, so no led entry was asked for", c.name, st.Rounds)
 		}
 		for i, from := range c.fromOf {
 			m := c.child.memos[i]

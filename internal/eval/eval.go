@@ -61,9 +61,9 @@ type Options struct {
 	// Shards > 1 runs every round sharded: every relation gains a
 	// hash-partitioned ownership view over a planner-chosen join-key column,
 	// and each round's variants split into per-shard tasks that enumerate
-	// only their owned slice of the outer window (delta-first, walking the
-	// contiguous round range directly) while inner probes read the shared
-	// frozen indexes. Tasks run on up to min(Shards, GOMAXPROCS) goroutines.
+	// only their owned slice of the outer window (the delta's contiguous
+	// id-range, in a delta round) while inner probes read the shared frozen
+	// indexes. Tasks run on up to min(Shards, GOMAXPROCS) goroutines.
 	// Buffered derivations are committed in a deterministic merge order, so
 	// the output database — including goal early-stop partial databases — is
 	// byte-identical to Shards ≤ 1 for any shard count. Shards is capped at
@@ -146,7 +146,7 @@ func onePassOf(p *ast.Program) *Prepared {
 	if err := p.Validate(); err != nil {
 		panic(err)
 	}
-	return &Prepared{prog: p, memos: newMemos(p.Rules, false)}
+	return &Prepared{prog: p, memos: newMemos(p.Rules)}
 }
 
 // NonRecursive computes Pⁿ(d) (Section IX) — see Prepared.NonRecursive.

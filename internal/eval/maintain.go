@@ -156,10 +156,9 @@ type maintUnit struct {
 // maintPlan is a unit's rules lowered for view maintenance, built once per
 // unit and immutable afterwards.
 type maintPlan struct {
-	// insert is the rules in the static join order: the insert loop's setup
-	// and — its plans under a full span — the count-seeding pass.
-	insert roundSetup
-	rules  []ruleVariants
+	// seed is the rules in the static join order: the count-seeding pass.
+	seed  roundSetup
+	rules []ruleVariants
 }
 
 // ruleVariants is one rule reordered to start from each atom a change can
@@ -177,31 +176,30 @@ type ruleVariants struct {
 }
 
 // maintPlan returns the unit's maintenance plan, lowering it on first use;
-// every view of every plan holding the unit shares it. The insert side is
-// the rules' memo entries for the static join order.
+// every view of every plan holding the unit shares it.
 func (u *unit) maintPlan() *maintPlan {
 	u.maintOnce.Do(func() {
-		mp := &maintPlan{insert: staticSetup(u.rules), rules: make([]ruleVariants, len(u.rules))}
+		mp := &maintPlan{seed: staticSetup(u.rules), rules: make([]ruleVariants, len(u.rules))}
 		for ri, m := range u.rules {
 			r := m.rule
 			vars := ast.VarsOfAtoms(r.Body)
-			// ledBy is r with lead as operator 0 and rest in the greedy join
-			// order under lead's bindings; negated literals stay negated.
-			ledBy := func(lead ast.Atom, rest []ast.Atom) *streamPlan {
-				bound := make(map[string]bool)
-				lead.CollectVars(bound)
-				body := []ast.Atom{lead}
-				for _, i := range orderPermSized(rest, bound, nil) {
-					body = append(body, rest[i])
+			// ledBy is r over atoms with atom lead as operator 0 and the rest in
+			// the greedy join order under its bindings (orderPermSized, the
+			// order a delta variant runs); negated literals stay negated.
+			ledBy := func(atoms []ast.Atom, lead int) *streamPlan {
+				body := make([]ast.Atom, 0, len(atoms))
+				for _, i := range orderPermSized(atoms, lead, nil) {
+					body = append(body, atoms[i])
 				}
-				return lowerRule(ast.Rule{Head: r.Head, Body: body, NegBody: r.NegBody}, vars, 0)
+				return lowerRule(ast.Rule{Head: r.Head, Body: body, NegBody: r.NegBody}, vars, 0, false)
 			}
-			rv := ruleVariants{firing: strconv.Itoa(ri), nVars: len(vars), rederive: ledBy(r.Head, r.Body)}
-			for i, a := range r.Body {
-				rv.pos = append(rv.pos, ledBy(a, r.WithoutBodyAtom(i).Body))
+			ahead := func(a ast.Atom) []ast.Atom { return append([]ast.Atom{a}, r.Body...) }
+			rv := ruleVariants{firing: strconv.Itoa(ri), nVars: len(vars), rederive: ledBy(ahead(r.Head), 0)}
+			for i := range r.Body {
+				rv.pos = append(rv.pos, ledBy(r.Body, i))
 			}
 			for _, a := range r.NegBody {
-				rv.neg = append(rv.neg, ledBy(a, r.Body))
+				rv.neg = append(rv.neg, ledBy(ahead(a), 0))
 			}
 			mp.rules[ri] = rv
 		}
@@ -282,7 +280,7 @@ func (pr *Prepared) Materialize(ctx context.Context, input *db.Database, mo Main
 		// fact of a head predicate.
 		seed := db.New()
 		sink := sinkFunc(func(pred string, args []ast.Const) { bump(seed, pred, args, 1) })
-		mu.plan.insert.applyOnce(out, st, &stats, sink)
+		mu.plan.seed.applyOnce(out, st, &stats, sink)
 		for pred := range u.dynamic {
 			if rel := in.Relation(pred); rel != nil {
 				for i := 0; i < rel.Len(); i++ {
@@ -597,35 +595,24 @@ func (m *Maintained) dredUnit(ctx context.Context, mu *maintUnit, st *streamStat
 // variants alone are complete. It is Maintained's assert side: the first
 // delta spans every round of the current Apply (lower-unit additions,
 // DRed-restored facts and staged asserts all carry stamps in that span);
-// later rounds are ordinary single-round deltas. Any body atom can match an inserted fact
-// (insertions may be extensional), so the delta position ranges over the
-// whole body rather than only the intentional positions. The rules run in
-// the static join order (u's maintPlan.insert). Rounds run through the shared
-// round executor, so Shards and cancellation keep the evaluator's
-// disciplines.
+// later rounds are ordinary single-round deltas. Any body atom can match an
+// inserted fact (insertions may be extensional), so the delta atom ranges
+// over the whole body rather than only the intentional atoms. Each variant
+// is the one a fixpoint's delta round runs (roundEnv.deltaVariants): led by
+// its delta atom, in an order chosen once per loop from the live sizes, and
+// dropped while its delta is empty, so a batch costs what its facts fan out
+// to, not a pass over the view, and a round with nothing to propagate skips
+// the executor (and, sharded, its task fan-out) altogether. Rounds run
+// through the shared round executor, so Shards and cancellation keep the
+// evaluator's disciplines.
 func insertLoop(ctx context.Context, d *db.Database, u *unit, deltaMin int32, opts Options, stats *Stats) error {
 	env := &roundEnv{ctx: ctx, d: d, opts: opts, stats: stats, baseLen: d.Len()}
-	rs := u.maintPlan().insert
-	var variants []variant
 	for {
 		prev := d.Round()
 		round := d.BeginRound()
 		stats.Rounds++
-		// Freeze the round's indexes so in-round probes are lock-free reads.
-		rs.ensureIndexes(d)
-		variants = variants[:0]
-		for idx, lr := range rs {
-			for i := range lr.plan.ops {
-				win := span{delta: i, min: deltaMin, max: prev}
-				// A variant whose delta is empty cannot fire; dropping it here
-				// lets a round with nothing to propagate skip the executor
-				// (and, sharded, its task fan-out) altogether.
-				if !deltaEmptyAt(d, lr.plan.ops[i].pred, win.window(i)) {
-					variants = append(variants, variant{idx, win})
-				}
-			}
-		}
-		if err := env.runRound(rs, u, variants); err != nil {
+		env.variants = env.deltaVariants(u, true, deltaMin, prev, env.variants[:0])
+		if err := env.runRound(u, env.variants); err != nil {
 			return err
 		}
 		if !anyAddedIn(d, round) {
@@ -633,16 +620,6 @@ func insertLoop(ctx context.Context, d *db.Database, u *unit, deltaMin int32, op
 		}
 		deltaMin = round
 	}
-}
-
-// deltaEmptyAt reports whether the window admits no tuple of pred.
-func deltaEmptyAt(d *db.Database, pred string, w db.RoundWindow) bool {
-	rel := d.Relation(pred)
-	if rel == nil {
-		return true
-	}
-	lo, hi := idRange(rel, w)
-	return hi <= lo
 }
 
 // eachFact calls f on every fact of the scratch set d, predicates by name

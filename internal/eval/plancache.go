@@ -31,8 +31,7 @@ type PlanCache struct {
 }
 
 // planEntry is one cached plan, addressed by the canonical program string
-// plus the options (Shards changes the plan: sharded rounds need the
-// delta-first lowerings).
+// plus the options (a Prepared runs under the Options it was prepared with).
 type planEntry struct {
 	hash  uint64
 	canon string

@@ -61,12 +61,9 @@ type Prepared struct {
 // nothing else — not on the sibling rules of its unit, not on the program —
 // which is what lets every plan of a Derive lineage that holds the rule share
 // one memo. Entries are immutable once built; the list only grows, by at most
-// one entry per permutation of the body.
+// two entries per permutation of the body.
 type ruleMemo struct {
 	rule ast.Rule
-	// sharded plans (Options.Shards > 1) also lower the delta-first form. A
-	// memo lives inside one plan lineage, and a lineage has one Options.
-	sharded bool
 
 	mu      sync.Mutex
 	lowered []*loweredRule
@@ -74,33 +71,34 @@ type ruleMemo struct {
 
 // loweredRule is one rule under one join order: perm[j] is the body index of
 // the atom evaluated j-th. The index column sets a round must freeze are read
-// off the plan's probe operators (roundSetup.ensureIndexes), so the plan is
-// the whole of it.
+// off the plan's probe operators (streamPlan.ensureIndexes), so the plan is
+// the whole of it. scan0 marks the entry a delta variant needs when the lead
+// atom holds a constant: operator 0 lowered as a scan all the same.
 type loweredRule struct {
-	perm []int
-	plan *streamPlan
-	// swapped is the delta-first form the sharded executor substitutes for a
-	// delta-at-position-1 variant (see lowerSwapped); nil on unsharded plans
-	// and for rules whose shape makes it useless.
-	swapped *streamPlan
+	perm  []int
+	scan0 bool
+	plan  *streamPlan
 }
 
-func newMemos(rules []ast.Rule, sharded bool) []*ruleMemo {
+func newMemos(rules []ast.Rule) []*ruleMemo {
 	memos := make([]*ruleMemo, len(rules))
 	for i, r := range rules {
-		memos[i] = &ruleMemo{rule: r, sharded: sharded}
+		memos[i] = &ruleMemo{rule: r}
 	}
 	return memos
 }
 
 // under returns the rule lowered for the join order perm, lowering it on the
-// order's first use. The reordered rule shares its atoms with m.rule: rules
+// order's first use; led asks for the form a delta variant runs, whose
+// operator 0 walks the delta's id-range (the same entry unless the lead atom
+// holds a constant). The reordered rule shares its atoms with m.rule: rules
 // are immutable once a plan holds them.
-func (m *ruleMemo) under(perm []int) *loweredRule {
+func (m *ruleMemo) under(perm []int, led bool) *loweredRule {
+	scan0 := led && slices.ContainsFunc(m.rule.Body[perm[0]].Args, func(t ast.Term) bool { return !t.IsVar })
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for _, lr := range m.lowered {
-		if slices.Equal(lr.perm, perm) {
+		if lr.scan0 == scan0 && slices.Equal(lr.perm, perm) {
 			return lr
 		}
 	}
@@ -108,39 +106,40 @@ func (m *ruleMemo) under(perm []int) *loweredRule {
 	for j, pi := range perm {
 		or.Body[j] = m.rule.Body[pi]
 	}
-	lr := &loweredRule{perm: perm, plan: lowerRule(or, nil, 0)}
-	if m.sharded {
-		lr.swapped = lowerSwapped(or)
-	}
+	lr := &loweredRule{perm: perm, scan0: scan0, plan: lowerRule(or, nil, 0, scan0)}
 	m.lowered = append(m.lowered, lr)
 	return lr
 }
 
 // static is the rule under the greedy join order with no cardinalities to
-// consult: what one-shot passes and the insert loop use, since their
-// databases are either tiny or already closed.
+// consult: what one-shot passes use, since their databases are either tiny or
+// already closed.
 func (m *ruleMemo) static() *loweredRule {
-	return m.under(orderPermSized(m.rule.Body, nil, nil))
+	return m.under(orderPermSized(m.rule.Body, -1, nil), false)
 }
 
 // orderPermSized is the planner's join order: a permutation of atom indexes
-// (out[j] = source index of the atom evaluated j-th) chosen greedily so that
-// each next atom has as many columns bound — by a constant, a variable of
-// bound, or a variable of the prefix — as possible; among equals the atom over
-// the smaller relation goes first when sizeOf is given, and source order
-// breaks the remaining ties. A heuristic, not an optimizer. The permutation
-// doubles as the memo key: rounds whose live cardinalities induce the same
-// order share one lowered rule (ruleMemo.under).
-func orderPermSized(atoms []ast.Atom, bound map[string]bool, sizeOf func(pred string) int) []int {
+// (out[j] = source index of the atom evaluated j-th) that starts with atom
+// lead when lead ≥ 0 — the one "atom i leads" order the delta variants of a
+// fixpoint, of an insert loop and of view maintenance all run — and is
+// otherwise chosen greedily so that each next atom has as many columns bound
+// — by a constant or a variable of the prefix — as possible; among equals the
+// atom over the smaller relation goes first when sizeOf is given, and source
+// order breaks the remaining ties. A heuristic, not an optimizer. The
+// permutation doubles as the memo key: rounds whose live cardinalities induce
+// the same order share one lowered rule (ruleMemo.under).
+func orderPermSized(atoms []ast.Atom, lead int, sizeOf func(pred string) int) []int {
 	n := len(atoms)
 	if n <= 1 {
 		return make([]int, n) // nothing to order
 	}
 	out := make([]int, 0, n)
 	used := make([]bool, n)
-	boundVars := make(map[string]bool, len(bound))
-	for v := range bound {
-		boundVars[v] = true
+	boundVars := make(map[string]bool)
+	if lead >= 0 {
+		used[lead] = true
+		out = append(out, lead)
+		atoms[lead].CollectVars(boundVars)
 	}
 	for len(out) < n {
 		best, bestScore, bestSize := -1, -1, 0
@@ -192,20 +191,10 @@ type unit struct {
 	maint     *maintPlan
 }
 
-// roundSetup is what a round runs: each rule of a unit (or of the program,
-// for a one-step pass) under the join order chosen for the round, an assembly
-// of memo entries in rule order.
+// roundSetup is what a one-step pass runs: each rule of a unit (or of the
+// program) in its static join order, an assembly of memo entries in rule
+// order.
 type roundSetup []*loweredRule
-
-// ensureIndexes builds or extends every index the setup's plans will probe.
-// Tuples inserted mid-round are stamped with the current round, which every
-// window excludes, so the indexes frozen here stay sufficient for the whole
-// round and in-round probes never lock or mutate.
-func (rs roundSetup) ensureIndexes(d *db.Database) {
-	for _, lr := range rs {
-		lr.plan.ensureIndexes(d)
-	}
-}
 
 // Prepare validates p and builds its evaluation schedule under opts. The
 // program is cloned, so later mutation of p (the minimization loops rewrite
@@ -216,7 +205,7 @@ func Prepare(p *ast.Program, opts Options) (*Prepared, error) {
 	}
 	opts.Shards = min(max(opts.Shards, 1), 256) // ownership views store owners in one byte
 	prog := p.Clone()
-	return schedule(prog, opts, newMemos(prog.Rules, opts.Shards > 1))
+	return schedule(prog, opts, newMemos(prog.Rules))
 }
 
 // schedule builds the plan of a validated program whose rules compile
@@ -331,7 +320,7 @@ func (pr *Prepared) Derive(ruleIdx int, newRule *ast.Rule) (*Prepared, error) {
 			return nil, err
 		}
 		memos = slices.Clone(pr.memos)
-		memos[ruleIdx] = &ruleMemo{rule: np.Rules[ruleIdx], sharded: pr.opts.Shards > 1}
+		memos[ruleIdx] = &ruleMemo{rule: np.Rules[ruleIdx]}
 	}
 	if pr.negation || (newRule != nil && !removesEdgesOnly(old, *newRule)) {
 		return schedule(np, pr.opts, memos)
@@ -577,7 +566,9 @@ func staticSetup(memos []*ruleMemo) roundSetup {
 func (pr *Prepared) onePass(d *db.Database, sink streamSink) Stats {
 	pr.nonrecOnce.Do(func() { pr.nonrec = staticSetup(pr.memos) })
 	rs := pr.nonrec
-	rs.ensureIndexes(d)
+	for _, lr := range rs {
+		lr.plan.ensureIndexes(d)
+	}
 	st := getStreamState()
 	defer putStreamState(st)
 	var stats Stats
@@ -605,23 +596,78 @@ func (pr *Prepared) IsClosed(d *db.Database) bool {
 	return !sink.open
 }
 
-// setupFor assembles into buf the round's setup: each of the unit's rules
-// under the greedy join order the current relation sizes induce, read
-// through the rule's memo — so a rule is lowered once per distinct order it
-// ever meets, whatever its siblings' orders do and whichever plan of the
-// lineage runs it.
-func (u *unit) setupFor(d *db.Database, buf roundSetup) roundSetup {
-	sizeOf := func(pred string) int {
+// liveSizes is the planner's cardinality source: a predicate's live tuple
+// count in d, doubled so that a led order can break a tie between equally
+// sized relations towards the one the unit does not write — it stays that
+// size while the other grows round by round.
+func (u *unit) liveSizes(d *db.Database, led bool) func(pred string) int {
+	return func(pred string) int {
+		n := 0
 		if rel := d.Relation(pred); rel != nil {
-			return rel.Live()
+			n = 2 * rel.Live()
 		}
-		return 0
+		if led && u.dynamic[pred] {
+			n++
+		}
+		return n
 	}
-	buf = buf[:0]
-	for _, m := range u.rules {
-		buf = append(buf, m.under(orderPermSized(m.rule.Body, nil, sizeOf)))
+}
+
+// firstVariants appends a unit's first round: each rule once over everything
+// visible, under the greedy join order the current relation sizes induce, read
+// through the rule's memo — so a rule is lowered once per distinct order it
+// ever meets, whichever plan of the lineage runs it.
+func (env *roundEnv) firstVariants(u *unit, prev int32, variants []variant) []variant {
+	sizeOf := u.liveSizes(env.d, false)
+	for idx, m := range u.rules {
+		lr := m.under(orderPermSized(m.rule.Body, -1, sizeOf), false)
+		variants = append(variants, variant{idx, lr.plan, fullSpan(prev)})
 	}
-	return buf
+	return variants
+}
+
+// deltaVariants appends a delta round's variants: for each rule of u and each
+// body atom whose delta — the rounds [min, max] of its relation — holds a
+// tuple, the rule led by that atom (span.led): position 0 walks the delta's
+// id-range and every other position is a probe or lookup from round 0, so the
+// round costs O(|Δ| · fan-out) whatever the relations' sizes. A fixpoint
+// tracks the atoms over the unit's own heads; an insert loop (all) every atom,
+// since an insertion may be extensional. The order behind a lead is chosen
+// once per fixpoint, from the live sizes at the first round that needs it
+// (env.led), and lowered through the rule's memo: an atom whose delta stays
+// empty costs neither.
+func (env *roundEnv) deltaVariants(u *unit, all bool, min, max int32, variants []variant) []variant {
+	d := env.d
+	if env.led == nil {
+		n := 0
+		for _, m := range u.rules {
+			n += len(m.rule.Body)
+		}
+		env.led = make([]*loweredRule, n)
+	}
+	off := 0
+	for idx, m := range u.rules {
+		for i, a := range m.rule.Body {
+			if !all && !u.dynamic[a.Pred] {
+				continue
+			}
+			rel := d.Relation(a.Pred)
+			if rel == nil {
+				continue
+			}
+			if lo, hi := idRange(rel, db.RoundWindow{Min: min, Max: max}); lo >= hi {
+				continue
+			}
+			lr := env.led[off+i]
+			if lr == nil {
+				lr = m.under(orderPermSized(m.rule.Body, i, u.liveSizes(d, true)), true)
+				env.led[off+i] = lr
+			}
+			variants = append(variants, variant{idx, lr.plan, span{led: lr.perm, min: min, max: max}})
+		}
+		off += len(m.rule.Body)
+	}
+	return variants
 }
 
 // fixpoint runs the unit's rules semi-naively to their fixpoint, mutating
@@ -643,7 +689,7 @@ func (u *unit) fixpoint(env *roundEnv) error {
 	} else {
 		stats.StrataMaterialized++
 	}
-	var variants []variant
+	env.led = nil
 	for first := true; ; first = false {
 		if err := CtxErr(ctx); err != nil {
 			return err
@@ -651,26 +697,15 @@ func (u *unit) fixpoint(env *roundEnv) error {
 		prev := d.Round() // facts visible to this round: stamps ≤ prev
 		round := d.BeginRound()
 		stats.Rounds++
-		// The greedy join-order heuristic sees live cardinalities at every
-		// round boundary, but lowering only happens for orders a rule has not
-		// met before.
-		rs := u.setupFor(d, env.setup)
-		env.setup = rs
-		rs.ensureIndexes(d)
-		variants = variants[:0]
-		for idx, lr := range rs {
-			if first {
-				variants = append(variants, variant{idx, fullSpan(prev)})
-				continue
-			}
-			// Semi-naive: one variant per dynamic body position.
-			for i := range lr.plan.ops {
-				if u.dynamic[lr.plan.ops[i].pred] {
-					variants = append(variants, variant{idx, span{delta: i, min: prev, max: prev}})
-				}
-			}
+		// The planner sees live cardinalities once per rule here and once per
+		// delta atom at the first round its delta holds a tuple; every later
+		// round reuses those orders.
+		if first {
+			env.variants = env.firstVariants(u, prev, env.variants[:0])
+		} else {
+			env.variants = env.deltaVariants(u, false, prev, prev, env.variants[:0])
 		}
-		if err := env.runRound(rs, u, variants); err != nil {
+		if err := env.runRound(u, env.variants); err != nil {
 			return err
 		}
 		if env.maxDerived > 0 && d.Len()-env.baseLen > env.maxDerived {

@@ -3,6 +3,7 @@ package eval
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -164,14 +165,21 @@ func TestPreparedGoalAlreadyInInput(t *testing.T) {
 }
 
 // TestOrderPermPrefersBound: an atom with more columns bound — by a constant
-// or a variable the caller already bound — goes first.
+// or a variable of the prefix — goes first, behind the lead when one is named.
 func TestOrderPermPrefersBound(t *testing.T) {
 	atoms := []ast.Atom{
 		ast.NewAtom("B", ast.Var("u"), ast.Var("v")),
 		ast.NewAtom("A", ast.Var("x"), ast.IntTerm(1)),
+		ast.NewAtom("C", ast.Var("u"), ast.Var("x")),
 	}
-	if got := orderPermSized(atoms, map[string]bool{"x": true}, nil); len(got) != 2 || got[0] != 1 || got[1] != 0 {
-		t.Fatalf("orderPermSized = %v, want [1 0]", got)
+	if got := orderPermSized(atoms, -1, nil); !slices.Equal(got, []int{1, 2, 0}) {
+		t.Fatalf("orderPermSized = %v, want [1 2 0]", got)
+	}
+	if got := orderPermSized(atoms, 0, nil); !slices.Equal(got, []int{0, 1, 2}) {
+		t.Fatalf("orderPermSized led by 0 = %v, want [0 1 2]", got)
+	}
+	if got := orderPermSized(atoms, 2, nil); !slices.Equal(got, []int{2, 1, 0}) {
+		t.Fatalf("orderPermSized led by 2 = %v, want [2 1 0]", got)
 	}
 }
 
@@ -183,10 +191,10 @@ func TestOrderPermSized(t *testing.T) {
 		ast.NewAtom("Big", ast.Var("x"), ast.Var("y")),
 		ast.NewAtom("Small", ast.Var("x"), ast.Var("z")),
 	}
-	if got := orderPermSized(atoms, nil, func(pred string) int { return sizes[pred] }); got[0] != 1 {
+	if got := orderPermSized(atoms, -1, func(pred string) int { return sizes[pred] }); got[0] != 1 {
 		t.Fatalf("size-aware ordering failed: %v", got)
 	}
-	if got := orderPermSized(atoms, nil, nil); got[0] != 0 {
+	if got := orderPermSized(atoms, -1, nil); got[0] != 0 {
 		t.Fatalf("tie-break changed: %v", got)
 	}
 }

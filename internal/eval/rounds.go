@@ -23,26 +23,26 @@ import (
 //     they emit;
 //   - sharded (Shards > 1): split every variant into per-shard tasks over a
 //     hash-partitioned ownership view of its outer relation. Each task is
-//     the variant's pipeline with an ownership predicate on operator 0 —
-//     delta-first when the delta sits on executed position 1 — and a
-//     shardSink that buffers derivations tagged with merge keys. The commit
-//     arranges a variant's shard buffers by (plan-outer id, delta id, buffer
-//     order), which reconstructs exactly the emission order the sequential
-//     plan-ordered pipeline produces, so the committed database (and any
-//     goal early-stop prefix of it) is byte-identical to Shards = 1 for
-//     every shard count.
+//     the variant's pipeline with an ownership predicate on operator 0 — the
+//     delta atom, in a delta round — and a shardSink that buffers derivations
+//     tagged with the outer tuple's id. The commit arranges a variant's shard
+//     buffers by (outer id, buffer order), which reconstructs exactly the
+//     emission order the sequential pipeline produces, so the committed
+//     database (and any goal early-stop prefix of it) is byte-identical to
+//     Shards = 1 for every shard count.
 
-// variant is one application of a rule in a round: idx selects the round
-// setup's rule, win the rounds each body position may read.
+// variant is one application of a rule in a round: idx is the rule's index
+// in its unit, plan the rule lowered under the variant's join order, win the
+// rounds each body position may read.
 type variant struct {
-	idx int
-	win span
+	idx  int
+	plan *streamPlan
+	win  span
 }
 
 // roundEnv is the per-evaluation state the round executor runs under. One
 // env serves every round of every unit of an evaluation (or of an insert
-// loop); the rules may be re-planned per round, so the setup travels
-// separately.
+// loop).
 type roundEnv struct {
 	ctx     context.Context
 	d       *db.Database
@@ -54,8 +54,12 @@ type roundEnv struct {
 	goal       *ast.GroundAtom
 	prov       *RuleSet
 	ruleIdxs   []int
-	setup      roundSetup // the round assembly's backing store, reused round to round
-	pool       shardPool
+	variants   []variant // the round's variants, a backing store reused round to round
+	// led[k] is the running fixpoint's plan for its k-th body atom (rules in
+	// unit order) leading a delta variant; nil until that atom's delta first
+	// holds a tuple (deltaVariants).
+	led  []*loweredRule
+	pool shardPool
 }
 
 // shardPool is the sharded executor's per-task scratch, owned by the env so
@@ -102,20 +106,28 @@ func (env *roundEnv) budgetErr() error {
 // on a diverging instance, say) is cut off as soon as the budget is
 // exhausted, and a goal-directed evaluation halts the moment the goal is
 // derived rather than at the fixpoint.
-func (env *roundEnv) runRound(rs roundSetup, u *unit, variants []variant) error {
+//
+// Every index the round's plans probe is built or extended first: tuples
+// inserted mid-round are stamped with the current round, which every window
+// excludes, so the indexes frozen here stay sufficient for the whole round and
+// in-round probes never lock or mutate.
+func (env *roundEnv) runRound(u *unit, variants []variant) error {
 	if len(variants) == 0 {
 		return nil
 	}
-	if env.opts.Shards > 1 {
-		return env.runSharded(rs, u.partitionCols(), variants)
+	for _, v := range variants {
+		v.plan.ensureIndexes(env.d)
 	}
-	return env.runSequential(rs, variants)
+	if env.opts.Shards > 1 {
+		return env.runSharded(u.partitionCols(), variants)
+	}
+	return env.runSequential(variants)
 }
 
 // runSequential runs variants in order, inserting as they emit. One pooled
 // streamState (with its embedded sink) serves every plan in the round;
 // nothing else is allocated.
-func (env *roundEnv) runSequential(rs roundSetup, variants []variant) error {
+func (env *roundEnv) runSequential(variants []variant) error {
 	d := env.d
 	st := getStreamState()
 	defer putStreamState(st)
@@ -128,7 +140,7 @@ func (env *roundEnv) runSequential(rs roundSetup, variants []variant) error {
 		if env.prov != nil {
 			sk.ruleIdx = env.ruleIdxs[v.idx]
 		}
-		if rs[v.idx].plan.run(d, v.win, st, env.stats, sk) {
+		if v.plan.run(d, v.win, st, env.stats, sk) {
 			continue
 		}
 		env.stats.EarlyStopCuts++
@@ -143,25 +155,20 @@ func (env *roundEnv) runSequential(rs roundSetup, variants []variant) error {
 	return nil
 }
 
-// shardPending is one buffered derivation of a sharded task: the merge keys
-// its shardSink read off the pipeline's cursors, a concatenation sequence
-// number that makes the commit sort total, the deriving shard (for
-// delta-exchange accounting), and the fact itself.
+// shardPending is one buffered derivation of a sharded task: the merge key
+// its shardSink read off the pipeline's cursor — the outer tuple's id — the
+// deriving shard (for delta-exchange accounting), and the fact itself.
 type shardPending struct {
-	k1, k2, seq int32
-	shard       uint8
-	pred        string
-	args        []ast.Const
+	k1    int32
+	shard uint8
+	pred  string
+	args  []ast.Const
 }
 
 // taskSet is a task-local open-addressed dedup set over the task's pending
-// buffer, sharing the store's tuple hash. A duplicate emission of a buffered
-// fact is folded into its entry by LOWERING the entry's merge keys to the
-// minimum (k1, k2) seen — a swapped (delta-first) task enumerates in
-// (k2, k1) order, so its first emission of a fact is not necessarily the
-// occurrence the sequential plan order commits first; keeping the minimum
-// key is what keeps the merge's commit position, and with it byte identity,
-// independent of which duplicate a task happened to hit first.
+// buffer, sharing the store's tuple hash. A task walks its outer ids
+// ascending, so the first emission of a fact carries the least merge key any
+// of its duplicates would: a duplicate is simply dropped.
 //
 // Entries are epoch-stamped so the executor's task pools reset the set in
 // O(1) between rounds instead of re-zeroing (or reallocating) the tables.
@@ -177,11 +184,9 @@ type taskSet struct {
 // reset empties the set, keeping its tables for the next round.
 func (ts *taskSet) reset() { ts.cur++; ts.n = 0 }
 
-// add dedups (k1, k2, args) against buf: it returns false after folding the
-// keys of a duplicate, or true when the fact is new to the task — the caller
-// must then append it to the buffer (whose new length add already accounted
-// for).
-func (ts *taskSet) add(buf []shardPending, k1, k2 int32, args []ast.Const) bool {
+// add reports whether args is new to the task; the caller must then append
+// the fact to buf (whose new length add already accounted for).
+func (ts *taskSet) add(buf []shardPending, args []ast.Const) bool {
 	if 4*(ts.n+1) > 3*len(ts.slot) {
 		ts.grow(buf)
 	}
@@ -194,11 +199,7 @@ func (ts *taskSet) add(buf []shardPending, k1, k2 int32, args []ast.Const) bool 
 			ts.n++
 			return true
 		}
-		if s := ts.slot[i]; ts.hash[i] == h && constsEqual(buf[s-1].args, args) {
-			p := &buf[s-1]
-			if k1 < p.k1 || (k1 == p.k1 && k2 < p.k2) {
-				p.k1, p.k2 = k1, k2
-			}
+		if ts.hash[i] == h && constsEqual(buf[ts.slot[i]-1].args, args) {
 			return false
 		}
 	}
@@ -236,19 +237,15 @@ type mergeAux struct {
 }
 
 // commitOrder arranges one variant's task buffers (bufs, in shard order)
-// into the sequential commit order (k1 asc, then k2, then concatenation
-// order). Ownership makes the merge keys hash-disjoint across a variant's
-// shards, so the order is recovered with a stable counting scatter over k1
-// — linear in the emissions, against the comparison sort's B·log B, and
-// reading the shard buffers in place, so the merge never materializes a
-// concatenation — refined per k1 bucket by (k2, seq) only for delta-first
-// executions (tagInner), where the inner probe order interleaves k2 across
-// a bucket; plan-ordered tasks emit k2 = 0 and the scatter's stability
-// already preserves their order. Rounds whose k1 range is far wider than
-// their population (sparse late-round deltas probing a large outer
-// relation) fall back to the comparison sort rather than paying a
-// near-empty histogram.
-func commitOrder(bufs [][]shardPending, tagInner bool, aux *mergeAux) []shardPending {
+// into the sequential commit order (k1 asc, then concatenation order).
+// Ownership makes the merge keys hash-disjoint across a variant's shards, so
+// the order is recovered with a stable counting scatter over k1 — linear in
+// the emissions, against the comparison sort's B·log B, and reading the shard
+// buffers in place, so the merge never materializes a concatenation. Rounds
+// whose k1 range is far wider than their population (sparse late-round
+// deltas of a large relation) fall back to the comparison sort rather than
+// paying a near-empty histogram.
+func commitOrder(bufs [][]shardPending, aux *mergeAux) []shardPending {
 	total := 0
 	for _, b := range bufs {
 		total += len(b)
@@ -277,23 +274,10 @@ func commitOrder(bufs [][]shardPending, tagInner bool, aux *mergeAux) []shardPen
 	width := int(maxK1-minK1) + 1
 	if width > 4*total+1024 {
 		out = out[:0]
-		var seq int32
 		for _, b := range bufs {
-			for i := range b {
-				b[i].seq = seq
-				seq++
-			}
 			out = append(out, b...)
 		}
-		slices.SortFunc(out, func(a, b shardPending) int {
-			if c := cmp.Compare(a.k1, b.k1); c != 0 {
-				return c
-			}
-			if c := cmp.Compare(a.k2, b.k2); c != 0 {
-				return c
-			}
-			return cmp.Compare(a.seq, b.seq)
-		})
+		slices.SortStableFunc(out, func(a, b shardPending) int { return cmp.Compare(a.k1, b.k1) })
 		return out
 	}
 	if cap(aux.counts) < width {
@@ -312,52 +296,27 @@ func commitOrder(bufs [][]shardPending, tagInner bool, aux *mergeAux) []shardPen
 		counts[i] = sum
 		sum += c
 	}
-	var seq int32
 	for _, b := range bufs {
 		for i := range b {
 			pos := counts[b[i].k1-minK1]
 			counts[b[i].k1-minK1] = pos + 1
 			out[pos] = b[i]
-			out[pos].seq = seq
-			seq++
-		}
-	}
-	if tagInner {
-		// counts[b] now marks each bucket's end; its start is the previous
-		// bucket's end.
-		var start int32
-		for b := 0; b < width; b++ {
-			end := counts[b]
-			if end-start > 1 {
-				slices.SortFunc(out[start:end], func(a, b shardPending) int {
-					if c := cmp.Compare(a.k2, b.k2); c != 0 {
-						return c
-					}
-					return cmp.Compare(a.seq, b.seq)
-				})
-			}
-			start = end
 		}
 	}
 	return out
 }
 
 // shardSink is a shard task's emit path: dedup against the frozen head
-// relation and the task-local set, then buffer the fact under its merge key.
-// The key is read off the pipeline state's cursors: k1 is the plan-outer
-// tuple id; for a delta-first (tagInner) execution position 0 is the delta
-// atom and position 1 the plan's original outer, so the key is
-// (cur[1], cur[0]) — plan-outer major, delta minor — matching the order the
-// unswapped sequential pipeline would have emitted in.
+// relation and the task-local set, then buffer the fact under its merge key,
+// the id of the outer tuple the pipeline's position-0 cursor is on.
 //
 // On duplicate-heavy workloads almost every firing re-derives a known fact,
 // so the rejection path is the executor's hot loop: the head predicate is
 // fixed per variant, letting the pred→relation map lookup hoist out of it,
 // and the frozen relation's table is probed read-only. Facts new to the
 // round dedup against the task-local set, so only distinct facts are copied,
-// buffered and sorted — duplicate emissions fold into the buffered entry's
-// merge keys (see taskSet) — and cross-task duplicates still resolve at the
-// merge, so byte identity is preserved.
+// buffered and sorted, and cross-task duplicates still resolve at the merge,
+// so byte identity is preserved.
 //
 // The frozen-table probe is itself adaptive: it saves a buffer entry when it
 // hits, but on low-duplicate rounds nearly every probe misses against a
@@ -368,7 +327,6 @@ func commitOrder(bufs [][]shardPending, tagInner bool, aux *mergeAux) []shardPen
 // the switch cannot change what commits, or in what order.
 type shardSink struct {
 	st       *streamState // the task's pipeline state: cursors and shard
-	tagInner bool
 	headRel  *db.Relation // frozen-table prefilter; nil once dropped
 	probed   int
 	rejected int
@@ -396,17 +354,13 @@ func (s *shardSink) emit(pred string, args []ast.Const) (bool, bool) {
 			return false, false
 		}
 	}
-	k1, k2 := s.st.cur[0], int32(0)
-	if s.tagInner {
-		k1, k2 = s.st.cur[1], s.st.cur[0]
-	}
-	if !s.local.add(s.buf, k1, k2, args) {
+	if !s.local.add(s.buf, args) {
 		return false, false
 	}
 	n := len(s.arena)
 	s.arena = append(s.arena, args...)
 	cp := s.arena[n:len(s.arena):len(s.arena)]
-	s.buf = append(s.buf, shardPending{k1: k1, k2: k2, shard: s.st.shard, pred: pred, args: cp})
+	s.buf = append(s.buf, shardPending{k1: s.st.cur[0], shard: s.st.shard, pred: pred, args: cp})
 	if s.budget == 0 {
 		return true, false // tentatively new; the merge dedups across tasks
 	}
@@ -437,34 +391,19 @@ func (s *shardSink) emit(pred string, args []ast.Const) (bool, bool) {
 // Task concurrency is min(Shards, GOMAXPROCS); on one proc the tasks run
 // inline in task order (still buffered — the merge is what defines the
 // commit order, not the firing schedule).
-func (env *roundEnv) runSharded(rs roundSetup, partCol map[string]int, variants []variant) error {
+func (env *roundEnv) runSharded(partCol map[string]int, variants []variant) error {
 	d, opts, stats, goal := env.d, env.opts, env.stats, env.goal
 	shards := opts.Shards
-	// Per-variant execution plans: the pipeline actually run (delta-first
-	// when the delta sits on executed position 1 and a swapped plan exists),
-	// its span, and the ownership view of its outer predicate under the
-	// planner's partition column. Views — and the indexes a delta-first
-	// plan's displaced probes need beyond the round setup's — are frozen
-	// here, before any task runs, so every in-round ownership test and probe
-	// is a lock-free read covering exactly the ids the round windows admit.
-	type shardPlan struct {
-		sp   *streamPlan
-		win  span
-		view db.ShardView
-	}
-	plans := make([]shardPlan, len(variants))
+	// The ownership view of each variant's outer predicate under the planner's
+	// partition column, frozen here, before any task runs, so every in-round
+	// ownership test is a lock-free read covering exactly the ids the round
+	// windows admit.
+	views := make([]db.ShardView, len(variants))
 	for vi, v := range variants {
-		p := shardPlan{sp: rs[v.idx].plan, win: v.win}
-		if v.win.delta == 1 && rs[v.idx].swapped != nil {
-			p.sp = rs[v.idx].swapped
-			p.win.swapped = true
-			p.sp.ensureIndexes(d)
+		if len(v.plan.ops) > 0 {
+			pred := v.plan.ops[0].pred
+			views[vi] = d.EnsureShardView(pred, partCol[pred], shards)
 		}
-		if len(p.sp.ops) > 0 {
-			pred := p.sp.ops[0].pred
-			p.view = d.EnsureShardView(pred, partCol[pred], shards)
-		}
-		plans[vi] = p
 	}
 	var tentative atomic.Int64
 	var tripped atomic.Bool
@@ -479,23 +418,23 @@ func (env *roundEnv) runSharded(rs roundSetup, partCol map[string]int, variants 
 		tripped.Store(false)
 		pool.taskReset(nTasks)
 		run := func(ti int) {
-			p := plans[ti/shards]
-			shard := uint8(ti % shards)
-			if len(p.sp.ops) == 0 && shard != 0 {
+			v := variants[ti/shards]
+			sp, shard := v.plan, uint8(ti%shards)
+			if len(sp.ops) == 0 && shard != 0 {
 				return // ground heads run on shard 0 only
 			}
 			st := &pool.states[ti]
-			st.owned, st.view, st.shard = true, p.view, shard
+			st.owned, st.view, st.shard = true, views[ti/shards], shard
 			sink := &pool.sinks[ti]
 			*sink = shardSink{
-				st: st, tagInner: p.win.swapped,
+				st:    st,
 				local: &pool.sets[ti], buf: pool.bufs[ti], arena: pool.arenas[ti],
 				budget: int64(env.maxDerived), tentative: &tentative, tripped: &tripped,
 			}
-			if rel := d.Relation(p.sp.head.pred); rel != nil && rel.Arity() == len(p.sp.head.args) {
+			if rel := d.Relation(sp.head.pred); rel != nil && rel.Arity() == len(sp.head.args) {
 				sink.headRel = rel
 			}
-			p.sp.run(d, p.win, st, &pool.stats[ti], sink)
+			sp.run(d, v.win, st, &pool.stats[ti], sink)
 			pool.bufs[ti], pool.arenas[ti] = sink.buf, sink.arena
 		}
 		if width == 1 {
@@ -518,11 +457,11 @@ func (env *roundEnv) runSharded(rs roundSetup, partCol map[string]int, variants 
 		}
 		// Deterministic merge, single-threaded after the tasks join. Within
 		// one variant the shard buffers partition the outer enumeration:
-		// arranging the concatenation by (k1, k2, concat order) — see
-		// commitOrder — restores the sequential plan-ordered emission
-		// sequence, and emissions sharing both keys come from a single shard
-		// in already-correct relative order (ownership makes the key spaces
-		// disjoint across shards). Variants then commit in variant order.
+		// arranging the concatenation by (k1, concat order) — see commitOrder
+		// — restores the sequential emission sequence, and emissions sharing a
+		// key come from a single shard in already-correct relative order
+		// (ownership makes the key spaces disjoint across shards). Variants
+		// then commit in variant order.
 		buffers, statsArr := pool.bufs, pool.stats
 		for vi := range variants {
 			base := vi * shards
@@ -530,7 +469,7 @@ func (env *roundEnv) runSharded(rs roundSetup, partCol map[string]int, variants 
 				stats.Firings += statsArr[base+s].Firings
 				stats.BindingsPipelined += statsArr[base+s].BindingsPipelined
 			}
-			all := commitOrder(buffers[base:base+shards], plans[vi].win.swapped, &pool.aux)
+			all := commitOrder(buffers[base:base+shards], &pool.aux)
 			merged := 0
 			cut := false
 			for i := range all {
@@ -648,34 +587,4 @@ func partitionCols(rules []*ruleMemo) map[string]int {
 		out[pred] = best
 	}
 	return out
-}
-
-// lowerSwapped lowers the delta-first form of an ordered rule whose first
-// two body atoms share a variable: body positions 0 and 1 swapped,
-// substituted by the sharded executor when a round's delta lands on executed
-// position 1. Enumerating the delta as the outer loop turns a scan of the
-// whole relation into a walk of the delta's contiguous id-range that shard
-// ownership can split; the shared-variable guard keeps the displaced outer
-// atom an index probe rather than a per-delta re-scan. Other rules get nil.
-func lowerSwapped(or ast.Rule) *streamPlan {
-	if len(or.Body) < 2 || !atomsShareVar(or.Body[0], or.Body[1]) {
-		return nil
-	}
-	or.Body = slices.Clone(or.Body)
-	or.Body[0], or.Body[1] = or.Body[1], or.Body[0]
-	return lowerRule(or, nil, 0)
-}
-
-func atomsShareVar(a, b ast.Atom) bool {
-	for _, t := range a.Args {
-		if !t.IsVar {
-			continue
-		}
-		for _, u := range b.Args {
-			if u.IsVar && u.Name == t.Name {
-				return true
-			}
-		}
-	}
-	return false
 }

@@ -51,7 +51,9 @@ const (
 // argAct is one selection/binding action on a candidate tuple's column:
 // assign the column value into a slot (first occurrence of a variable), or
 // check it against an already-assigned slot (repeat occurrence within the
-// same atom). Columns covered by the probe key need no action — the index
+// same atom) or, slot < 0, against the constant keyConst[^slot] (a delta-led
+// plan's lead atom: it walks the delta, so its constants select instead of
+// keying). Columns covered by the probe key need no action — the index
 // exact-matches them.
 type argAct struct {
 	col   int
@@ -110,8 +112,9 @@ func (sp *streamPlan) ensureIndexes(d *db.Database) {
 // reorderings of one rule lowered with the same vars share a slot numbering.
 // The first nBound of them are bound before the plan runs — the caller fills
 // them in the frame — so their first occurrence keys a probe like any later
-// one instead of assigning.
-func lowerRule(r ast.Rule, vars []string, nBound int) *streamPlan {
+// one instead of assigning. scanFirst lowers the first atom as a scan whatever
+// constants it holds, which is what a delta-led plan needs of its lead.
+func lowerRule(r ast.Rule, vars []string, nBound int, scanFirst bool) *streamPlan {
 	sp := &streamPlan{vars: slices.Clip(vars), ops: make([]streamOp, 0, len(r.Body))}
 	slots := make(map[string]int, len(vars))
 	bound := make(map[string]bool, len(vars))
@@ -135,12 +138,15 @@ func lowerRule(r ast.Rule, vars []string, nBound int) *streamPlan {
 		n += len(a.Args)
 	}
 	ints, consts, acts := make([]int, 2*n), make([]ast.Const, n), make([]argAct, n)
-	for _, a := range r.Body {
+	for bi, a := range r.Body {
 		k := len(a.Args)
 		op := streamOp{pred: a.Pred, arity: k, cols: ints[:0:k], keySrc: ints[k : k : 2*k], keyConst: consts[:0:k], acts: acts[:0:k]}
 		ints, consts, acts = ints[2*k:], consts[k:], acts[k:]
 		for i, t := range a.Args {
 			switch {
+			case !t.IsVar && scanFirst && bi == 0:
+				op.keyConst = append(op.keyConst, t.Val)
+				op.acts = append(op.acts, argAct{col: i, slot: -len(op.keyConst), check: true})
 			case !t.IsVar:
 				op.cols = append(op.cols, i)
 				op.keySrc = append(op.keySrc, -1)
@@ -190,43 +196,39 @@ func lowerRule(r ast.Rule, vars []string, nBound int) *streamPlan {
 }
 
 // span is the round windows of one rule application, as data. A full
-// application (delta < 0: first rounds, the naive strategy, one-step passes)
-// lets every operator read rounds [0, max]. A delta variant aims executed
-// position delta at the rounds [min, max], earlier positions at strictly
-// older facts and later positions at anything up to max — every new
-// combination has a unique least delta position, so nothing is derived
-// twice. min == max is the ordinary semi-naive round; a wider delta is the
-// first round of a maintenance batch. swapped marks a delta-first execution
-// (positions 0 and 1 exchanged by buildSwapped): the window lookup exchanges
-// them back. A non-nil src makes a change-set span: operator 0 scans every
-// tuple of src — a small database of changed facts — instead of d, and the
-// window applies to the later operators only (view maintenance runs rule
-// variants led by the changed atom under full windows this way; proof
-// read-back runs the head-led variant over one fact under the rounds below
-// it).
+// application (led nil: first rounds, one-step passes, conjunctions) lets
+// every operator read rounds [0, max]. A delta variant runs a plan led by its
+// delta atom — led is the plan's join order, led[p] the source body index of
+// the atom at position p — and aims position 0 at the rounds [min, max], the
+// atoms that precede the lead in the source body at strictly older facts and
+// the rest at anything up to max: every new combination has a unique least
+// delta atom, so nothing is derived twice, and only position 0 ever has a
+// lower bound. min == max is the ordinary semi-naive round; a wider delta is
+// the first round of a maintenance batch. A non-nil src makes a change-set
+// span: operator 0 scans every tuple of src — a small database of changed
+// facts — instead of d, and the window applies to the later operators only
+// (view maintenance runs rule variants led by the changed atom under full
+// windows this way; proof read-back runs the head-led variant over one fact
+// under the rounds below it).
 type span struct {
-	delta    int
+	led      []int
 	min, max int32
-	swapped  bool
 	src      *db.Database
 }
 
-func fullSpan(maxRound int32) span { return span{delta: -1, max: maxRound} }
+func fullSpan(maxRound int32) span { return span{max: maxRound} }
 
 // changeSpan is the change-set span: operator 0 over src, the later
 // operators over rounds [0, maxRound].
 func changeSpan(src *db.Database, maxRound int32) span {
-	return span{delta: -1, max: maxRound, src: src}
+	return span{max: maxRound, src: src}
 }
 
 func (s span) window(pos int) db.RoundWindow {
-	if s.swapped && pos < 2 {
-		pos = 1 - pos
-	}
 	switch {
-	case s.delta < 0 || pos > s.delta:
+	case s.led == nil || s.led[pos] > s.led[0]:
 		return db.RoundWindow{Min: 0, Max: s.max}
-	case pos == s.delta:
+	case pos == 0:
 		return db.RoundWindow{Min: s.min, Max: s.max}
 	default:
 		return db.RoundWindow{Min: 0, Max: s.min - 1}
@@ -256,7 +258,7 @@ type streamState struct {
 	iters   []db.TupleIter
 	next    []int   // scan cursor / lookup-consumed flag
 	cur     []int32 // id of the tuple currently bound at each position
-	lo, hi  []int   // the position's window as an id-range
+	lo, hi  []int   // the position's window as an id-range; lo > 0 at a delta scan only
 	key     []ast.Const
 	out     []ast.Const
 	fix     fixpointSink
@@ -407,8 +409,8 @@ func (op *streamOp) buildKey(dst []ast.Const, vals []ast.Const) []ast.Const {
 // one), handing every head instantiation to sink; it reports false
 // when the sink halted the pass. Windows are resolved to id-ranges once, up
 // front: a scan walks [lo, hi), a probe binds its index at the window's upper
-// round and skips ids below lo, a lookup checks its id is in range. An
-// operator whose window admits nothing ends the run before any enumeration,
+// round, a lookup checks its id is below hi (only a delta-led plan's scan has
+// a lower bound). An operator whose window admits nothing ends the run before any enumeration,
 // so a delta variant over an empty delta costs a few LenAt calls.
 func (sp *streamPlan) run(d *db.Database, win span, st *streamState, stats *Stats, sink streamSink) bool {
 	st.ensure(sp)
@@ -502,7 +504,7 @@ func (sp *streamPlan) advance(pos int, st *streamState, stats *Stats) bool {
 			}
 			st.next[pos] = 1
 			tid, ok := rel.LookupID(op.buildKey(st.key, st.vals))
-			if !ok || int(tid) < st.lo[pos] || int(tid) >= st.hi[pos] {
+			if !ok || int(tid) >= st.hi[pos] {
 				return false
 			}
 			id = int(tid)
@@ -518,9 +520,6 @@ func (sp *streamPlan) advance(pos int, st *streamState, stats *Stats) bool {
 			if !ok {
 				return false
 			}
-			if int(tid) < st.lo[pos] {
-				continue
-			}
 			id = int(tid)
 		}
 		if pos == 0 && st.owned && st.view.Owner(int32(id)) != st.shard {
@@ -530,10 +529,15 @@ func (sp *streamPlan) advance(pos int, st *streamState, stats *Stats) bool {
 		tuple := rel.Tuple(id)
 		ok := true
 		for _, act := range op.acts {
-			if !act.check {
+			switch {
+			case !act.check:
 				st.vals[act.slot] = tuple[act.col]
-			} else if st.vals[act.slot] != tuple[act.col] {
-				ok = false
+			case act.slot < 0:
+				ok = op.keyConst[^act.slot] == tuple[act.col]
+			default:
+				ok = st.vals[act.slot] == tuple[act.col]
+			}
+			if !ok {
 				break
 			}
 		}
