@@ -1,7 +1,7 @@
 GO ?= go
 
 # Benchmarks tracked in BENCH_eval.json: the eval/chase hot-path families.
-BENCH_PATTERN ?= BenchmarkE2|BenchmarkE3|BenchmarkE4|BenchmarkE5|BenchmarkE6|BenchmarkE7|BenchmarkE9|BenchmarkE10|BenchmarkEngines|BenchmarkAblation_ShardedEval|BenchmarkAblation_PreserveDerive|BenchmarkAblation_TerminationFastPath
+BENCH_PATTERN ?= BenchmarkE2|BenchmarkE3|BenchmarkE4|BenchmarkE5|BenchmarkE6|BenchmarkE7|BenchmarkE9|BenchmarkE10|BenchmarkEngines|BenchmarkAblation_ShardedEval|BenchmarkAblation_PreserveDerive|BenchmarkAblation_TerminationFastPath|BenchmarkMaintain_DRed
 BENCHTIME ?= 0.3s
 
 # staticcheck pin for lint-ci; bump deliberately, not implicitly.
@@ -45,14 +45,15 @@ race-shard:
 	$(GO) test -race -run 'TestSharded|TestShardOwner|TestShardView' ./internal/eval ./internal/db
 
 # race-ivm race-checks the incremental view maintenance stack: the
-# counting/DRed maintenance engine and its randomized oracle grid, the
+# counting/DRed maintenance engine, its randomized oracle grid and the stamp
+# invariant DRed's support check rests on, the scratch sets' Reset, the
 # store's version chains (dead bitmaps, shared bases, flatten: the seeded
 # differential scripts of versions_test.go, with goroutines probing frozen
 # versions while the lineage writes), the facade's View.Apply diffs
 # (TestSessionMaterializeApply) and the subscription fan-out in the service
 # layer.
 race-ivm:
-	$(GO) test -race -run 'TestMaintain|TestDeltaNet|TestVersions|TestMutationCost|TestReadPaths|TestMaxGenerated|TestCompact|TestRemove|TestFreeze|TestCounts|TestSession|TestSubscri|TestFactsEnvelope' ./internal/eval ./internal/db ./internal/core ./internal/service
+	$(GO) test -race -run 'TestMaintain|TestDRedOverdeletionIsLocal|TestMaintainedStampsCertify|TestDeltaNet|TestReset|TestVersions|TestMutationCost|TestReadPaths|TestMaxGenerated|TestCompact|TestRemove|TestFreeze|TestCounts|TestSession|TestSubscri|TestFactsEnvelope' ./internal/eval ./internal/db ./internal/core ./internal/service
 
 # serve-smoke boots `datalog serve` on an ephemeral port with a preloaded
 # program and drives a register/facts/eval/statz round-trip over HTTP.

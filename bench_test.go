@@ -736,3 +736,88 @@ func BenchmarkAblation_TerminationFastPath(b *testing.B) {
 		run(b, c)
 	})
 }
+
+// BenchmarkMaintain_DRed measures delete-rederive on maintained views; one op
+// is a retract batch plus the batch re-asserting it, and overdeleted/op is
+// what the two over-deleted. scc-retract-reassert churns one edge of a random
+// digraph's giant strongly connected component (every closure fact of the
+// component has a firing through it; almost all keep an older proof);
+// chain-retract cuts a chain in the middle, where everything over-deleted
+// really goes — the support check can only cost there; authz-batch is a
+// membership closure (delete-rederive) under two counting strata.
+func BenchmarkMaintain_DRed(b *testing.B) {
+	rltc := workload.TransitiveClosureLinear()
+	edge := func(pred string, x, y int64) ast.GroundAtom {
+		return ast.NewGroundAtom(pred, ast.Int(x), ast.Int(y))
+	}
+	scc := workload.RandomDigraph("A", 500, 750, 7)
+	closure := eval.MustEval(rltc, scc)
+	var churn []ast.GroundAtom // edges on a cycle: inside the giant component
+	for _, f := range scc.Facts() {
+		if len(churn) < 16 && closure.Has(ast.NewGroundAtom("G", f.Args[1], f.Args[0])) {
+			churn = append(churn, f)
+		}
+	}
+	const chain = 600
+	authz := parser.MustParseProgram(`
+		Member(u, g) :- Direct(u, g).
+		Member(u, g) :- Member(u, h), Subgroup(h, g).
+		HasRole(u, r) :- Member(u, g), Grant(g, r).
+		CanRead(u, d) :- HasRole(u, r), Allows(r, d).
+	`)
+	rng := rand.New(rand.NewSource(11))
+	org := db.New()
+	var orgChurn []ast.GroundAtom // memberships and subgroup links, alternating
+	for u := int64(0); u < 400; u++ {
+		org.Add(edge("Direct", u, 1000+rng.Int63n(24)))
+	}
+	for g := int64(1); g < 24; g++ {
+		sub, direct := edge("Subgroup", 1000+g, 1000+rng.Int63n(g)), edge("Direct", g, 1000+rng.Int63n(24))
+		org.Add(sub)
+		org.Add(direct)
+		orgChurn = append(orgChurn, direct, sub)
+	}
+	for g := int64(0); g < 24; g++ {
+		org.Add(edge("Grant", 1000+g, 2000+rng.Int63n(8)))
+	}
+	for r := int64(0); r < 8; r++ {
+		for k := 0; k < 6; k++ {
+			org.Add(edge("Allows", 2000+r, 3000+rng.Int63n(60)))
+		}
+	}
+	for _, arm := range []struct {
+		name  string
+		p     *ast.Program
+		edb   *db.Database
+		batch []ast.GroundAtom // op i retracts and re-asserts batch[i%len(batch)]
+	}{
+		{"scc-retract-reassert", rltc, scc, churn},
+		{"chain-retract", rltc, workload.Chain("A", chain), []ast.GroundAtom{edge("A", chain/2, chain/2+1)}},
+		{"authz-batch", authz, org, orgChurn},
+	} {
+		b.Run(arm.name, func(b *testing.B) {
+			pr, err := eval.Prepare(arm.p, eval.Options{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			m, _, err := pr.Materialize(context.Background(), arm.edb, eval.MaintainOptions{})
+			if err != nil {
+				b.Fatal(err)
+			}
+			overdeleted := 0
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				f := arm.batch[i%len(arm.batch) : i%len(arm.batch)+1]
+				for _, delta := range []eval.Delta{{Retract: f}, {Assert: f}} {
+					_, stats, err := m.Apply(context.Background(), delta)
+					if err != nil {
+						b.Fatal(err)
+					}
+					overdeleted += stats.Overdeleted
+				}
+			}
+			b.ReportMetric(float64(overdeleted)/float64(b.N), "overdeleted/op")
+		})
+	}
+}

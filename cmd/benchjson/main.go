@@ -23,6 +23,8 @@ type Result struct {
 	NsPerOp     float64 `json:"ns_per_op"`
 	BytesPerOp  int64   `json:"bytes_per_op,omitempty"`
 	AllocsPerOp int64   `json:"allocs_per_op,omitempty"`
+	// Extra holds the metrics a benchmark reported itself (b.ReportMetric), by unit.
+	Extra map[string]float64 `json:"extra,omitempty"`
 }
 
 // Report is the full bench run.
@@ -138,7 +140,7 @@ func parseLine(line string) (Result, bool) {
 	if err != nil {
 		return Result{}, false
 	}
-	r := Result{Name: fields[0], Runs: runs}
+	r := Result{Name: fields[0], Runs: runs, Extra: make(map[string]float64)}
 	for i := 2; i+1 < len(fields); i += 2 {
 		val, unit := fields[i], fields[i+1]
 		switch unit {
@@ -148,6 +150,8 @@ func parseLine(line string) (Result, bool) {
 			r.BytesPerOp, _ = strconv.ParseInt(val, 10, 64)
 		case "allocs/op":
 			r.AllocsPerOp, _ = strconv.ParseInt(val, 10, 64)
+		default:
+			r.Extra[unit], _ = strconv.ParseFloat(val, 64)
 		}
 	}
 	return r, true

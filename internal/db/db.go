@@ -66,6 +66,30 @@ func (d *Database) BeginRound() int32 {
 	return d.round
 }
 
+// Reset empties a scratch database — never frozen, so every relation is
+// private — for reuse from round 0. A relation of at most one count page of
+// ids keeps its arena, dedup table and that page; a larger one is replaced:
+// its tables cost more to clear, and to keep alive, than to allocate again.
+func (d *Database) Reset() {
+	for pred, r := range d.rels {
+		if r.Len() > 1<<countPageBits {
+			d.rels[pred] = newRelation(r.arity)
+			continue
+		}
+		s := &r.seg
+		s.data, s.rounds = s.data[:0], s.rounds[:0]
+		clear(s.dedupSlot)
+		s.indexes.Store(nil)
+		r.dead, r.ndead = nil, 0
+		r.shardViews.Store(nil)
+		if r.counts.on() {
+			r.counts.pages, r.counts.own = r.counts.pages[:1], r.counts.own[:1]
+			r.counts.pages[0] = r.counts.pages[0][:0]
+		}
+	}
+	d.round, d.size, d.copied, d.last = 0, 0, 0, nil
+}
+
 // Add inserts a ground atom, returning true if it was new. Newly created
 // relations take their arity from the first atom inserted; inserting a tuple
 // of a different arity for an existing predicate panics, since programs are
@@ -86,6 +110,8 @@ func (d *Database) AddTuple(pred string, args []ast.Const) bool {
 			r = newRelation(len(args))
 			d.rels[pred] = r
 			d.dirty = append(d.dirty, pred)
+		} else if r.Len() == 0 {
+			r.arity, r.seg.arity = len(args), len(args) // emptied by Reset: the name may serve another arity
 		}
 		d.lastPred, d.last = pred, r
 	}

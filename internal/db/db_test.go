@@ -332,3 +332,47 @@ func TestSummarize(t *testing.T) {
 		t.Fatalf("Constants = %d", s.Constants)
 	}
 }
+
+// TestResetReusesStorage: Reset empties a scratch database in place — small
+// relations keep their arena, dedup table and count page, so refilling one
+// allocates nothing; a large relation is replaced; an emptied name may come
+// back at another arity; round, size and counts start over.
+func TestResetReusesStorage(t *testing.T) {
+	d := New()
+	fill := func(n int64) {
+		for i := int64(0); i < n; i++ {
+			d.AddTuple("P", []ast.Const{ast.Const(i), ast.Const(i + 1)})
+			d.BumpCount("P", []ast.Const{ast.Const(i), ast.Const(i + 1)}, 3)
+		}
+	}
+	fill(40)
+	d.BeginRound()
+	d.RemoveTuple("P", []ast.Const{5, 6})
+	d.EnsureIndex("P", []int{0})
+	d.Reset()
+	if d.Len() != 0 || d.Round() != 0 || len(d.Facts()) != 0 || len(d.Preds()) != 0 || d.HasTuple("P", []ast.Const{1, 2}) {
+		t.Fatalf("after Reset: len %d, round %d, facts %v", d.Len(), d.Round(), d.Facts())
+	}
+	if n := testing.AllocsPerRun(10, func() { d.Reset(); fill(40) }); n != 0 {
+		t.Fatalf("refilling a reset relation allocated %v times", n)
+	}
+	if c, ok := d.TupleCount("P", []ast.Const{5, 6}); !ok || c != 3 {
+		t.Fatalf("count of a re-added tuple = %d, %v; want 3 (counts start over)", c, ok)
+	}
+	if rel := d.Relation("P"); rel.Dead() != 0 || len(rel.MatchIDs([]int{0}, []ast.Const{7})) != 1 {
+		t.Fatalf("dead %d, probe %v", rel.Dead(), rel.MatchIDs([]int{0}, []ast.Const{7}))
+	}
+
+	d.Reset()
+	if !d.AddTuple("P", []ast.Const{1, 2, 3}) || !d.HasTuple("P", []ast.Const{1, 2, 3}) || d.HasTuple("P", []ast.Const{1, 2}) {
+		t.Fatal("an emptied relation did not take the new arity")
+	}
+	d.Reset()
+	fill(1000)
+	big := d.Relation("P")
+	d.Reset()
+	if d.Relation("P") == big || d.Relation("P").Len() != 0 {
+		t.Fatal("a large relation kept its tables through Reset")
+	}
+	d.Freeze() // every relation, replaced ones included, is still on the dirty list
+}

@@ -73,39 +73,48 @@ func (r *Relation) flatten() int {
 	live := r.Live()
 	data := make([]ast.Const, 0, live*r.arity)
 	rounds := make([]int32, 0, live)
+	var counts countCol
+	if r.counts.on() {
+		counts.enable(live)
+	}
+	// renum[id] is live id's new id: id less the dead ids below it.
+	renum := make([]int32, r.Len())
+	for id := range renum {
+		if !r.Alive(id) {
+			continue
+		}
+		nid := int32(len(rounds))
+		renum[id] = nid
+		data = append(data, r.Tuple(id)...)
+		rounds = append(rounds, r.RoundOf(id))
+		if counts.on() {
+			counts.pages[nid>>countPageBits][nid&countPageMask] = r.counts.get(int32(id))
+		}
+	}
+	// The dedup table is refilled from the old ones in slot order, base then
+	// tail: they hold every live tuple's hash, and a walk by slot visits the
+	// new table near-sequentially where a walk by id probes it at random.
 	size := 16
 	for 4*(live+1) > 3*size {
 		size *= 2
 	}
 	hashes, slots := make([]uint64, size), make([]int32, size)
 	mask := uint64(size - 1)
-	var counts countCol
-	if r.counts.on() {
-		counts.enable(live)
-	}
-	for id, n := 0, r.Len(); id < n; id++ {
-		if !r.Alive(id) {
-			continue
-		}
-		t := r.Tuple(id)
-		nid := int32(len(rounds))
-		data = append(data, t...)
-		rounds = append(rounds, r.RoundOf(id))
-		if counts.on() {
-			counts.pages[nid>>countPageBits][nid&countPageMask] = r.counts.get(int32(id))
-		}
-		// Live tuples are pairwise distinct: the first free slot is the tuple's.
-		h := hashValues(t)
-		i := h & mask
-		for slots[i] != 0 {
-			i = (i + 1) & mask
-		}
-		hashes[i], slots[i] = h, nid+1
-	}
 	var indexed [][]int
 	for _, s := range [2]*segment{r.base, &r.seg} {
 		if s == nil {
 			continue
+		}
+		for i, slot := range s.dedupSlot {
+			if slot == 0 || !r.Alive(int(slot-1)) {
+				continue
+			}
+			// Live tuples are pairwise distinct: the first free slot is the tuple's.
+			j := s.dedupHash[i] & mask
+			for slots[j] != 0 {
+				j = (j + 1) & mask
+			}
+			hashes[j], slots[j] = s.dedupHash[i], renum[slot-1]+1
 		}
 		if set := s.indexes.Load(); set != nil {
 			for _, ix := range set.idxs {

@@ -29,12 +29,13 @@ import (
 //     precisely when its count reaches zero.
 //
 //   - DRed (delete-rederive), for the recursive units, where counts would
-//     have to track unbounded derivation multiplicities: over-delete every
-//     fact with a derivation through a retracted support (transitively, to
-//     fixpoint, joined against the old frozen output), restore the
-//     over-deleted facts that keep alternative support (input membership or
-//     a one-step derivation from the surviving view), then run the ordinary
-//     semi-naive insertion loop for the asserted side.
+//     have to track unbounded derivation multiplicities: a fact with a
+//     derivation through a retracted support (transitively, to fixpoint,
+//     joined against the old frozen output) is over-deleted unless it is an
+//     input fact or keeps a proof its round stamp certifies — a firing over
+//     surviving facts stamped strictly below it (supported, in dredUnit); the
+//     over-deleted facts the surviving view derives in one step are restored
+//     and the ordinary semi-naive insertion loop closes over the asserted side.
 //
 // Every enumeration above is the operator pipeline (stream.go) running an
 // ordinary rule variant under a change-set span: operator 0 scans a small
@@ -54,6 +55,16 @@ import (
 // (lost firings / over-deletions driven by the negated atom's delta) and a
 // retraction below can assert facts above (gained firings driven by the
 // negated atom's removal).
+//
+// Stamps: every fact of a delete-rederive unit that is not an input fact has
+// a firing, valid in the output, whose premises of the unit's own predicates
+// are stamped strictly below it — what makes the support check sound, by
+// induction on stamps. Fixpoint and insertion rounds stamp a fact above all
+// its firing read, restored facts are committed a round above the view they
+// were rederived from and staged facts a round above those; a survivor keeps
+// its stamp, whatever comes back gets a fresh one. A premise from a unit below
+// may be newer than the fact (a later batch brought it back): the check bounds
+// every premise, so the fact is then deleted and returns restamped.
 //
 // Determinism: retraction-side work is sequential, and every batch of
 // staged facts is committed in canonical (predicate, arguments) order; the
@@ -90,9 +101,11 @@ func (d Delta) Empty() bool { return len(d.Assert) == 0 && len(d.Retract) == 0 }
 // introducing it (retracting from an absent relation is a no-op whatever the
 // arity), so a retract only enters the scratch set once prev is known to
 // hold it — at which point its arity is prev's, and so is every assert's.
-func (d Delta) Net(prev *db.Database) Delta {
+func (d Delta) Net(prev *db.Database) Delta { return d.net(prev, db.New()) }
+
+// net is Net deciding each fact once through seen, an empty scratch set.
+func (d Delta) net(prev, seen *db.Database) Delta {
 	var net Delta
-	seen := db.New() // the batch's facts already decided
 	for _, g := range d.Assert {
 		if seen.Add(g) && !prev.Has(g) {
 			net.Assert = append(net.Assert, g)
@@ -142,7 +155,19 @@ type Maintained struct {
 	in    *db.Snapshot // current input EDB
 	snap  *db.Snapshot // current maintained output P(input)
 	units []maintUnit
-	owner map[string]int // head predicate → unit index
+	owner map[string]int  // head predicate → unit index
+	sets  [4]*db.Database // scratch
+}
+
+// scratch returns the i-th of the working sets the view keeps from batch to
+// batch (it has one writer), emptied — on the way in, so a cancelled Apply
+// leaves nothing to clean up.
+func (m *Maintained) scratch(i int) *db.Database {
+	if m.sets[i] == nil {
+		m.sets[i] = db.New()
+	}
+	m.sets[i].Reset()
+	return m.sets[i]
 }
 
 // maintUnit is one schedule unit of a view: its head predicates are
@@ -325,7 +350,7 @@ func (m *Maintained) Apply(ctx context.Context, delta Delta) (Diff, Stats, error
 		return Diff{}, stats, err
 	}
 
-	net := delta.Net(m.in.DB())
+	net := delta.net(m.in.DB(), m.scratch(0))
 	if net.Empty() {
 		return Diff{}, stats, nil
 	}
@@ -430,7 +455,8 @@ func (d Delta) CheckArities(dbs ...*db.Database) error {
 // diff before returning.
 func (m *Maintained) countingUnit(mu *maintUnit, st *streamState, old, cur *db.Database, asserts, retracts []ast.GroundAtom, addedDB, remDB *db.Database, stats *Stats) {
 	heads := mu.u.dynamic
-	adj := db.New() // net count adjustment per head fact, in the count column
+	// adj is the net count adjustment per head fact, in the count column.
+	adj, seen, fresh := m.scratch(0), m.scratch(1), m.scratch(2)
 	// External support: input facts of this unit's head predicates count as
 	// one derivation.
 	for _, g := range asserts {
@@ -446,7 +472,6 @@ func (m *Maintained) countingUnit(mu *maintUnit, st *streamState, old, cur *db.D
 	// A firing touching two changed facts is found by two variants; seen
 	// counts it once. One set serves both passes: a lost firing is invalid
 	// after the batch and a gained one valid, so they never collide.
-	seen := db.New()
 	count := func(sign int32) func(*ruleVariants, string, []ast.Const) {
 		return func(rv *ruleVariants, pred string, args []ast.Const) {
 			if seen.AddTuple(rv.firing, st.vals[:rv.nVars]) {
@@ -466,7 +491,6 @@ func (m *Maintained) countingUnit(mu *maintUnit, st *streamState, old, cur *db.D
 	// their ids — their insertion order — here, so they are set aside and
 	// committed in canonical order.
 	cur.BeginRound()
-	fresh := db.New()
 	eachFact(adj, func(pred string, rel *db.Relation, id int32) {
 		d := rel.CountOf(id)
 		if d == 0 {
@@ -494,64 +518,86 @@ func (m *Maintained) countingUnit(mu *maintUnit, st *streamState, old, cur *db.D
 // dredUnit maintains one recursive unit by delete-rederive.
 func (m *Maintained) dredUnit(ctx context.Context, mu *maintUnit, st *streamState, old, cur, input *db.Database, asserts, retracts []ast.GroundAtom, addedDB, remDB *db.Database, deltaMin int32, stats *Stats) error {
 	heads, mp := mu.u.dynamic, mu.plan
-	// Over-delete: transitively collect every head fact with a derivation
-	// (against the old output) through a removed support — a retracted or
-	// lower-removed positive atom, an added negated atom (lower-stratum
-	// additions invalidate negated atoms once, on the first pass), or a fact
-	// this loop already over-deleted.
-	deleted := db.New()
-	frontier := db.New()
+	// Over-delete: a head fact is a candidate once it lost its place in the
+	// input or a derivation (against the old output) lost a support — a removed
+	// positive atom, an added negated atom (lower additions, first pass only) or
+	// a fact an earlier pass deleted — and is deleted unless it is an input fact
+	// or supported. Propagation joins the frozen old output along every firing:
+	// a survivor is checked again the pass after a premise certifying it went.
+	deleted, frontier, cand, ok := m.scratch(0), m.scratch(1), m.scratch(2), m.scratch(3)
 	frontier.AddAll(remDB)
 	for _, g := range retracts {
-		if heads[g.Pred] && old.Has(g) {
-			deleted.Add(g)
-			frontier.Add(g)
+		if heads[g.Pred] {
+			cand.Add(g)
 		}
 	}
+	// supported is the check, the sink of a rederive variant sp run over the
+	// candidates: ok gains the heads with a firing over facts of cur all stamped
+	// strictly below the head's own stamp that was valid in old too. A firing a
+	// removed negated fact has only now enabled is not re-checked when a premise
+	// of it goes, so it is left for staging to find.
+	var sp *streamPlan
+	supported := sinkFunc(func(pred string, args []ast.Const) {
+		rel := cur.Relation(pred)
+		id, alive := rel.LookupID(args)
+		for pos := 1; pos < len(sp.ops); pos++ {
+			if !alive || st.rels[pos].RoundOf(int(st.cur[pos])) >= rel.RoundOf(int(id)) {
+				return
+			}
+		}
+		for i := range sp.neg {
+			if n := &sp.neg[i]; old.HasTuple(n.pred, n.ground(st.key, st.vals)) {
+				return
+			}
+		}
+		ok.AddTuple(pred, args)
+	})
 	for negDelta := addedDB; ; negDelta = nil {
 		if err := CtxErr(ctx); err != nil {
 			return err
 		}
-		next := db.New()
 		mp.changed(old, frontier, negDelta, st, stats, func(_ *ruleVariants, pred string, args []ast.Const) {
-			if deleted.AddTuple(pred, args) {
-				next.AddTuple(pred, args)
+			cand.AddTuple(pred, args)
+		})
+		for ri := range mp.rules {
+			sp = mp.rules[ri].rederive
+			runChange(sp, cur, cand, st, stats, supported)
+		}
+		frontier.Reset() // the next pass's: what this one deletes
+		eachFact(cand, func(pred string, rel *db.Relation, id int32) {
+			if t := rel.Tuple(int(id)); !ok.HasTuple(pred, t) && !input.HasTuple(pred, t) && cur.RemoveTuple(pred, t) {
+				deleted.AddTuple(pred, t)
+				frontier.AddTuple(pred, t)
 			}
 		})
-		if next.Len() == 0 {
+		if frontier.Len() == 0 {
 			break
 		}
-		frontier = next
+		cand.Reset()
+		ok.Reset()
 	}
 
-	// Remove the over-deletion, then restore the facts with surviving
-	// support: input membership or a one-step derivation from what remains
-	// (each rule's rederive variant, one pass over the deleted set). Facts
-	// only derivable through other restored facts come back in the insertion
-	// loop below — restored facts carry fresh round stamps, so the delta
-	// windows reach them.
+	// Restore the over-deleted facts the surviving view derives in one step
+	// (each rule's rederive variant, one pass over the deleted set). The rest
+	// come back in the insertion loop below: restored facts carry fresh round
+	// stamps, so the delta windows reach them.
 	stats.Overdeleted += deleted.Len()
-	restored := db.New()
-	eachFact(deleted, func(pred string, rel *db.Relation, id int32) {
-		t := rel.Tuple(int(id))
-		cur.RemoveTuple(pred, t)
-		if input.HasTuple(pred, t) {
-			restored.AddTuple(pred, t)
-		}
-	})
+	survivors := cur.Len()
+	restored := m.scratch(1)
 	for ri := range mp.rules {
 		runChange(mp.rules[ri].rederive, cur, deleted, st, stats, &nonrecSink{out: restored})
 	}
 	stats.Rederived += restored.Len()
-	cur.BeginRound()
 	commit := func(pred string, rel *db.Relation, id int32) { cur.AddTuple(pred, rel.Tuple(int(id))) }
+	cur.BeginRound()
 	eachSorted(restored, commit)
+	cur.BeginRound() // a staged fact may rest on a restored one
 
 	// Insertion side: stage input asserts of this unit's heads and the
 	// firings a removed negated fact enabled, then close semi-naively over
 	// everything stamped in this Apply — lower-unit additions, restored
 	// facts and the staged batch alike — through the shared round executor.
-	staged := db.New()
+	staged := m.scratch(2)
 	for _, g := range asserts {
 		if heads[g.Pred] && !cur.Has(g) {
 			staged.Add(g)
@@ -568,8 +614,8 @@ func (m *Maintained) dredUnit(ctx context.Context, mu *maintUnit, st *streamStat
 	}
 
 	// Net unit diff: everything stamped in this Apply that the old output
-	// lacked entered the view; over-deleted facts that never came back left
-	// it.
+	// lacked entered the view; over-deleted facts that never came back — all
+	// of them, if cur has not grown since — left it.
 	for pred := range heads {
 		rel := cur.Relation(pred)
 		if rel == nil {
@@ -582,7 +628,7 @@ func (m *Maintained) dredUnit(ctx context.Context, mu *maintUnit, st *streamStat
 		}
 	}
 	eachFact(deleted, func(pred string, rel *db.Relation, id int32) {
-		if t := rel.Tuple(int(id)); !cur.HasTuple(pred, t) {
+		if t := rel.Tuple(int(id)); cur.Len() == survivors || !cur.HasTuple(pred, t) {
 			remDB.AddTuple(pred, t)
 		}
 	})

@@ -12,7 +12,9 @@ import (
 // a proof is read back afterwards, one fact at a time, by running the rules
 // deriving that fact backwards from it — each rule's head-led variant, the
 // one view maintenance rederives with (maintPlan), over a one-fact change
-// set — with the body confined to the rounds a premise may come from.
+// set — with the body confined to the rounds a premise may come from. A
+// maintained output keeps that order per unit (maintain.go, "Stamps"): a
+// premise from a unit below may be newer than the fact it derives.
 
 // yieldSink adapts a halting callback to the pipeline's sink: the firing is
 // read off the state's frame, nothing is added, false halts the run.
@@ -30,10 +32,13 @@ func (f yieldSink) emit(string, []ast.Const) (bool, bool) { return false, !f() }
 // admits every firing; one below fact's own stamp admits exactly those whose
 // premises are strictly older, of which a derived fact has at least one.
 func (pr *Prepared) Firings(out *db.Database, fact ast.GroundAtom, maxRound int32, stats *Stats, yield func(rule int, vals []ast.Const) bool) {
-	src := db.New()
-	src.Add(fact)
 	st := getStreamState()
 	defer putStreamState(st)
+	if st.one == nil || st.one.Relation(fact.Pred) == nil {
+		st.one = db.New() // one predicate per set: its relation is reused fact after fact
+	}
+	st.one.Reset()
+	st.one.Add(fact)
 	for ui, u := range pr.units {
 		if !u.dynamic[fact.Pred] {
 			continue
@@ -41,7 +46,7 @@ func (pr *Prepared) Firings(out *db.Database, fact ast.GroundAtom, maxRound int3
 		for ri, rv := range u.maintPlan().rules {
 			sp, rule := rv.rederive, pr.unitIdxs[ui][ri]
 			sink := yieldSink(func() bool { return yield(rule, st.vals[:rv.nVars]) })
-			if !sp.run(out, changeSpan(src, maxRound), st, stats, sink) {
+			if !sp.run(out, changeSpan(st.one, maxRound), st, stats, sink) {
 				return
 			}
 		}

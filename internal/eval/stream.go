@@ -262,6 +262,7 @@ type streamState struct {
 	key     []ast.Const
 	out     []ast.Const
 	fix     fixpointSink
+	one     *db.Database // Firings' one-fact change set
 
 	// A shard task restricts position 0 to the tuples view assigns to shard;
 	// owned is false everywhere else.
