@@ -144,14 +144,16 @@ guard-delta-first:
 # see no http.ResponseWriter — only the subscription stream is a handler of
 # its own — and take no lock (handlers.go names no mutex: map reads and
 # writes are programEntry / Server methods in service.go); nothing parses or
-# renders under the entry lock, the symbol table synchronises itself; and a
-# request cannot pick its plan.
+# renders under the entry lock, the symbol table synchronises itself; a
+# request cannot pick its plan; and /eval reaches the kernel through one
+# EvalWith call, the miss of the memoized output (evalMemo, service.go), so no
+# second, unmemoized eval path grows beside it.
 SERVICE_SRC = $(filter-out %_test.go,$(wildcard internal/service/*.go))
 guard-request-path:
-	@for pat in 'requests\.Add\(' 'DisallowUnknownFields\(' 'MaxBytesReader\('; do \
+	@for pat in 'requests\.Add\(' 'DisallowUnknownFields\(' 'MaxBytesReader\(' 'EvalWith\('; do \
 		n=$$(cat $(SERVICE_SRC) | grep -cE "$$pat"); \
 		if [ "$$n" != 1 ]; then \
-			echo "internal/service: $$n call sites of $$pat, want 1 (make guard-request-path): requests enter through admit" >&2; exit 1; \
+			echo "internal/service: $$n call sites of $$pat, want 1 (make guard-request-path): requests enter through verb, evaluations through verbEval's memo miss" >&2; exit 1; \
 		fi; \
 	done
 	@if grep -nE '\.mu\.' internal/service/handlers.go; then \

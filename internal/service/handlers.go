@@ -6,7 +6,9 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log"
 	"net/http"
+	"runtime/debug"
 	"time"
 
 	"repro/internal/ast"
@@ -52,6 +54,16 @@ func (s *Server) Handler() http.Handler {
 func verb[Req any](s *Server, resolve func(name string) (*programEntry, error), run func(context.Context, *programEntry, *Req) (any, error)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		s.requests.Add(1)
+		// A verb that panics answers a typed 500, leaves its stack in the log
+		// and the server keeps serving; it has published nothing — an output
+		// is memoized only once its evaluation has returned without error.
+		defer func() {
+			if p := recover(); p != nil {
+				s.panics.Add(1)
+				log.Printf("service: panic serving %s %s: %v\n%s", r.Method, r.URL.Path, p, debug.Stack())
+				s.writeError(w, fmt.Errorf("service: %s %s panicked: %v", r.Method, r.URL.Path, p))
+			}
+		}()
 		var req Req
 		var e *programEntry
 		err := decodeBody(w, r, &req)
@@ -189,7 +201,7 @@ func (s *Server) verbEval(ctx context.Context, e *programEntry, req *struct {
 	if err != nil {
 		return nil, err
 	}
-	snap, dbv, err := e.snapshot(req.Tenant, req.DBVersion)
+	t, snap, dbv, err := e.snapshot(req.Tenant, req.DBVersion)
 	if err != nil {
 		return nil, err
 	}
@@ -202,9 +214,21 @@ func (s *Server) verbEval(ctx context.Context, e *programEntry, req *struct {
 			return nil, err
 		}
 	}
-	out, st, err := pv.session.EvalWith(ctx, snap.DB(), max(req.Budget.MaxDerived, 0))
-	if err != nil {
-		return nil, err
+	// A snapshot the tenant has already evaluated is answered from that
+	// output, and st stays zero: stats are the work this request ran. Whatever
+	// the memoized output cannot answer as a fresh evaluation would — another
+	// database version, a budget it exceeds, a dead context — is evaluated.
+	maxDerived := max(req.Budget.MaxDerived, 0)
+	var out *db.Database
+	var st core.EvalStats
+	if m := t.memoized(pv.version, dbv); m != nil && (maxDerived == 0 || m.derived <= maxDerived) && ctx.Err() == nil {
+		s.evalsMemoized.Add(1)
+		out = m.out
+	} else {
+		if out, st, err = pv.session.EvalWith(ctx, snap.DB(), maxDerived); err != nil {
+			return nil, err
+		}
+		e.memoize(t, pv.version, dbv, out)
 	}
 	resp := map[string]any{"program_version": pv.version, "db_version": dbv, "stats": st}
 	if req.Query != "" {
@@ -312,7 +336,7 @@ func (s *Server) verbExplain(ctx context.Context, e *programEntry, req *struct {
 	if err != nil {
 		return nil, err
 	}
-	snap, dbv, err := e.snapshot(req.Tenant, req.DBVersion)
+	_, snap, dbv, err := e.snapshot(req.Tenant, req.DBVersion)
 	if err != nil {
 		return nil, err
 	}
@@ -359,7 +383,8 @@ func (s *Server) verbStatz(context.Context, *programEntry, *struct{}) (any, erro
 		},
 		"requests": map[string]any{
 			"total": s.requests.Load(), "errors": s.errors.Load(),
-			"evals": s.evals.Load(), "canceled": s.canceled.Load(),
+			"evals": s.evals.Load(), "evals_memoized": s.evalsMemoized.Load(),
+			"canceled": s.canceled.Load(), "panics": s.panics.Load(),
 		},
 	}, nil
 }

@@ -155,6 +155,13 @@ func TestMixedVerbHammer(t *testing.T) {
 	}
 
 	const clients, rounds = 4, 8
+	// A batch needs a credit and a frame read off the feed returns one, so
+	// the feed never has more undelivered frames than its buffer holds: the
+	// hammer is not a slow consumer however the scheduler treats its stream.
+	credits := make(chan struct{}, subscriberBuffer)
+	for i := 0; i < subscriberBuffer; i++ {
+		credits <- struct{}{}
+	}
 	var wg sync.WaitGroup
 	for c := 0; c < clients; c++ {
 		wg.Add(1)
@@ -173,6 +180,9 @@ func TestMixedVerbHammer(t *testing.T) {
 					{"/facts", map[string]any{"tenant": "acme", "retract": fmt.Sprintf(`Direct(%s, "eng").`, who)}},
 				}
 				for _, st := range steps {
+					if st.path == "/facts" {
+						<-credits
+					}
 					buf, _ := json.Marshal(st.body)
 					code, resp, err := postErr(ts, "/v1/programs/authz"+st.path, buf)
 					if err != nil || code != 200 {
@@ -198,6 +208,7 @@ func TestMixedVerbHammer(t *testing.T) {
 			t.Fatalf("frame seq = %d, want %d", got, want)
 		}
 		want++
+		credits <- struct{}{}
 	}
 	wg.Wait()
 

@@ -24,6 +24,13 @@
 // single-threaded checker state. Every request enters through one wrapper
 // (verb, handlers.go); the verb functions behind it take no lock and reach
 // the maps only through the methods in this file.
+//
+// A fixpoint is a function of two immutable values, so a tenant keeps the
+// one it last computed: per program version, the frozen output of its latest
+// database version (evalMemo). The first /eval of a snapshot fills the slot,
+// a live view refills it with what it maintained, and the next mutation batch
+// drops it. The slots have their own mutex; reading or filling one never
+// write-locks the entry.
 package service
 
 import (
@@ -47,10 +54,12 @@ type Server struct {
 	programs map[string]*programEntry
 
 	// Race-clean request counters, surfaced by /statz.
-	requests atomic.Uint64
-	errors   atomic.Uint64
-	evals    atomic.Uint64
-	canceled atomic.Uint64
+	requests      atomic.Uint64
+	errors        atomic.Uint64
+	evals         atomic.Uint64
+	evalsMemoized atomic.Uint64 // of evals, the ones answered from a memoized output
+	canceled      atomic.Uint64
+	panics        atomic.Uint64
 }
 
 // New returns an empty server. Sessions prepare through the process-wide
@@ -94,6 +103,23 @@ type tenantState struct {
 	// kept current by every later mutation batch and dropped with its last
 	// subscriber (subscribe.go).
 	views map[int]*liveView
+
+	// memo holds, per program version, the fixpoint output of the tenant's
+	// latest database version — at most one slot per program version, each
+	// sharing its input relations with the snapshot by pointer. Guarded by
+	// memoMu alone, so a reader holding the entry lock stalls no /eval.
+	memoMu sync.Mutex
+	memo   map[int]*evalMemo
+}
+
+// evalMemo is P(d) for one program version and one tenant database version:
+// the frozen output, which concurrent requests select from and render (and
+// whose lazily built column indexes they share), and how many facts it holds
+// beyond its input — what a request's max_derived is held against.
+type evalMemo struct {
+	dbVersion int
+	out       *db.Database
+	derived   int
 }
 
 // known resolves a registered name, or answers the typed 404.
@@ -255,7 +281,7 @@ func (e *programEntry) mutate(tenant, assertSrc, retractSrc string) (version, si
 		return 0, 0, err
 	}
 	if t == nil {
-		t = &tenantState{versions: make(map[int]*db.Snapshot), views: make(map[int]*liveView)}
+		t = &tenantState{versions: make(map[int]*db.Snapshot), views: make(map[int]*liveView), memo: make(map[int]*evalMemo)}
 		e.tenants[tenant] = t
 	}
 	net := delta.Net(w)
@@ -267,6 +293,7 @@ func (e *programEntry) mutate(tenant, assertSrc, retractSrc string) (version, si
 	}
 	t.latest++
 	t.versions[t.latest] = w.Freeze()
+	t.dropMemo()
 	t.broadcastLocked(t.latest, delta)
 	return t.latest, w.Len(), nil
 }
@@ -288,13 +315,13 @@ func (e *programEntry) parseFacts(src string) ([]ast.GroundAtom, error) {
 	return res.Facts, nil
 }
 
-// snapshot resolves a tenant's database version (0 = latest).
-func (e *programEntry) snapshot(tenant string, v int) (*db.Snapshot, int, error) {
+// snapshot resolves a tenant and one of its database versions (0 = latest).
+func (e *programEntry) snapshot(tenant string, v int) (*tenantState, *db.Snapshot, int, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
 	t := e.tenants[tenant]
 	if t == nil {
-		return nil, 0, &RequestError{Status: 404, Code: "unknown_tenant",
+		return nil, nil, 0, &RequestError{Status: 404, Code: "unknown_tenant",
 			Err: fmt.Errorf("service: program %q has no tenant %q", e.name, tenant)}
 	}
 	if v == 0 {
@@ -302,10 +329,54 @@ func (e *programEntry) snapshot(tenant string, v int) (*db.Snapshot, int, error)
 	}
 	snap := t.versions[v]
 	if snap == nil {
-		return nil, 0, &RequestError{Status: 404, Code: "unknown_db_version",
+		return nil, nil, 0, &RequestError{Status: 404, Code: "unknown_db_version",
 			Err: fmt.Errorf("service: tenant %q has no database version %d", tenant, v)}
 	}
-	return snap, v, nil
+	return t, snap, v, nil
+}
+
+// memoized returns the tenant's memoized output of program version pv over
+// database version dbv, or nil: a pinned older version never matches, the
+// slots hold the latest only.
+func (t *tenantState) memoized(pv, dbv int) *evalMemo {
+	t.memoMu.Lock()
+	defer t.memoMu.Unlock()
+	if m := t.memo[pv]; m != nil && m.dbVersion == dbv {
+		return m
+	}
+	return nil
+}
+
+// setMemoLocked makes out — frozen, and P(d) for program version pv and the
+// tenant's latest database version d — the tenant's slot for pv. Callers hold
+// the entry mutex, read or write: latest does not move under them.
+func (t *tenantState) setMemoLocked(pv int, out *db.Database) {
+	m := &evalMemo{dbVersion: t.latest, out: out, derived: out.Len() - t.versions[t.latest].Len()}
+	t.memoMu.Lock()
+	defer t.memoMu.Unlock()
+	t.memo[pv] = m
+}
+
+// dropMemo empties the tenant's slots: its latest database version moved.
+func (t *tenantState) dropMemo() {
+	t.memoMu.Lock()
+	defer t.memoMu.Unlock()
+	clear(t.memo)
+}
+
+// memoize freezes out, the output a request just computed for program version
+// pv over the tenant's database version dbv, and keeps it as the tenant's
+// slot unless the tenant has moved on: a pinned older version, or a batch
+// that landed meanwhile, is answered and not stored. The read lock orders the
+// check with mutate, which moves latest and drops the slots under the write
+// lock.
+func (e *programEntry) memoize(t *tenantState, pv, dbv int, out *db.Database) {
+	out.Freeze()
+	e.mu.RLock()
+	defer e.mu.RUnlock()
+	if t.latest == dbv {
+		t.setMemoLocked(pv, out)
+	}
 }
 
 // parseAtom interns a query atom under the entry's symbol table.

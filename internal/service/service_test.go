@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http/httptest"
+	"reflect"
 	"sort"
 	"strings"
 	"sync"
@@ -597,11 +598,19 @@ func TestServeExplainCanceled(t *testing.T) {
 		t.Fatalf("a request canceled before it started fired %d rules", after-before)
 	}
 
-	// T(0, 220) is derived in the closure's last round: ~24k facts in, far
-	// beyond a millisecond.
+	// T(0, 1500) is derived in the closure's last round: over a million facts
+	// in, far beyond a millisecond (the 220 chain's 24k facts are not, on a
+	// warm process).
+	facts.Reset()
+	for i := 0; i < 1500; i++ {
+		fmt.Fprintf(&facts, "E(%d,%d).\n", i, i+1)
+	}
+	if code, resp := do(bg, "/v1/programs/chain/facts", map[string]any{"tenant": "long", "assert": facts.String()}); code != 200 {
+		t.Fatalf("facts: %d %v", code, resp)
+	}
 	short, cancel := context.WithTimeout(bg, time.Millisecond)
 	defer cancel()
-	if code, resp := do(short, "/v1/programs/chain/explain", explain); code != 504 && code != 499 {
+	if code, resp := do(short, "/v1/programs/chain/explain", map[string]any{"tenant": "long", "fact": "T(0, 1500)"}); code != 504 && code != 499 {
 		t.Fatalf("explain past its deadline: %d %v, want 504/499", code, resp)
 	}
 
@@ -693,6 +702,8 @@ func statField(t *testing.T, stats map[string]any, key string) int {
 // server deployed with the sharded executor, sums the per-request stats
 // payloads, and asserts the /v1/statz eval totals match the sum exactly — the
 // shard counters (shard_rounds, delta_exchanged, shard_imbalance) included.
+// Each tenant is read twice and evaluated once: the second read is answered
+// from the memoized output, reports zero stats and is no eval.requests.
 // Run under -race in CI: the per-session accounting and the statz read race
 // against each other in production.
 func TestStatzShardTotalsTwoTenants(t *testing.T) {
@@ -712,29 +723,38 @@ func TestStatzShardTotalsTwoTenants(t *testing.T) {
 
 	keys := []string{"rounds", "firings", "added", "shard_rounds", "delta_exchanged", "shard_imbalance"}
 	sum := make(map[string]int)
-	requests := 0
 	wantRows := oracleRows(t, authzProgram, []string{tenantAFacts}, "CanRead(u, d)")
-	for _, req := range []map[string]any{
-		{"tenant": "acme", "query": "CanRead(u, d)"},
-		{"tenant": "globex"},
-		{"tenant": "acme", "query": "CanRead(u, d)", "budget": map[string]any{"timeout_ms": 60000}},
-		{"tenant": "globex", "query": "Member(u, g)", "budget": map[string]any{"max_derived": 1000}},
-	} {
-		code, resp := post(t, ts, "/v1/programs/authz/eval", req)
+	reqs := []struct {
+		body     map[string]any
+		memoized bool
+	}{
+		{map[string]any{"tenant": "acme", "query": "CanRead(u, d)"}, false},
+		{map[string]any{"tenant": "globex"}, false},
+		{map[string]any{"tenant": "acme", "query": "CanRead(u, d)", "budget": map[string]any{"timeout_ms": 60000}}, true},
+		{map[string]any{"tenant": "globex", "query": "Member(u, g)", "budget": map[string]any{"max_derived": 1000}}, true},
+	}
+	evaluated := 0
+	for _, req := range reqs {
+		code, resp := post(t, ts, "/v1/programs/authz/eval", req.body)
 		if code != 200 {
-			t.Fatalf("eval %v: %d %v", req, code, resp)
+			t.Fatalf("eval %v: %d %v", req.body, code, resp)
 		}
 		stats, ok := resp["stats"].(map[string]any)
 		if !ok {
-			t.Fatalf("eval %v: no stats in %v", req, resp)
+			t.Fatalf("eval %v: no stats in %v", req.body, resp)
 		}
 		for _, k := range keys {
 			sum[k] += statField(t, stats, k)
 		}
-		requests++
-		if req["tenant"] == "acme" && req["query"] == "CanRead(u, d)" {
+		if ran := statField(t, stats, "rounds") > 0; ran == req.memoized {
+			t.Fatalf("eval %v: stats %v, want memoized = %v", req.body, stats, req.memoized)
+		}
+		if !req.memoized {
+			evaluated++
+		}
+		if req.body["tenant"] == "acme" {
 			if got := respRows(t, resp); !sliceEq(got, wantRows) {
-				t.Fatalf("sharded rows diverge from oracle: got %v want %v", got, wantRows)
+				t.Fatalf("sharded rows diverge from oracle (memoized %v): got %v want %v", req.memoized, got, wantRows)
 			}
 		}
 	}
@@ -750,8 +770,12 @@ func TestStatzShardTotalsTwoTenants(t *testing.T) {
 	if !ok {
 		t.Fatalf("statz has no eval section: %v", resp)
 	}
-	if got := int(ev["requests"].(float64)); got != requests {
-		t.Fatalf("statz eval requests = %d, want %d", got, requests)
+	if got := int(ev["requests"].(float64)); got != evaluated {
+		t.Fatalf("statz eval requests = %d, want the %d evaluations that ran", got, evaluated)
+	}
+	counters := resp["requests"].(map[string]any)
+	if counters["evals"] != float64(len(reqs)) || counters["evals_memoized"] != float64(len(reqs)-evaluated) {
+		t.Fatalf("statz requests = %v, want %d evals, %d of them memoized", counters, len(reqs), len(reqs)-evaluated)
 	}
 	totals, ok := ev["totals"].(map[string]any)
 	if !ok {
@@ -792,7 +816,8 @@ func statzTotals(t *testing.T, ts *httptest.Server) map[string]any {
 
 // TestStatzEveryGroupMoves: each counter group of eval.Stats moves in
 // /v1/statz when the thing it counts happens — an eval (fixpoint and stream
-// groups, and, the server being deployed sharded, the shard group), a
+// groups, and, the server being deployed sharded, the shard group; the same
+// eval asked again moves requests.evals_memoized and none of them), a
 // minimize (reuse group,
 // and the fixpoint counters of its containment chases, which the totals
 // used to miss), an explain (a session request like any other: its
@@ -842,6 +867,20 @@ func TestStatzEveryGroupMoves(t *testing.T) {
 
 	step("eval", ok("/v1/programs/tc/eval", map[string]any{"tenant": "t"}),
 		"rounds", "firings", "added", "strata_materialized", "bindings_pipelined")
+	memoized := func() float64 {
+		_, resp := get(t, ts, "/v1/statz")
+		return resp["requests"].(map[string]any)["evals_memoized"].(float64)
+	}
+	hits, unmoved := memoized(), before
+	step("memoized eval", ok("/v1/programs/tc/eval", map[string]any{"tenant": "t"}))
+	if after := memoized(); after != hits+1 {
+		t.Errorf("a repeated eval moved requests.evals_memoized %v → %v, want one more", hits, after)
+	}
+	if !reflect.DeepEqual(before, unmoved) {
+		t.Errorf("a memoized eval moved statz eval.totals:\n%v\n%v", unmoved, before)
+	}
+	// A batch drops the memoized output: the next eval runs the kernel again.
+	ok("/v1/programs/tc/facts", map[string]any{"tenant": "t", "assert": fmt.Sprintf("%s(4, 5).", a)})()
 	step("sharded eval", ok("/v1/programs/tc/eval", map[string]any{"tenant": "t"}),
 		"shard_rounds")
 	step("minimize", ok("/v1/programs/tc/minimize", map[string]any{}),

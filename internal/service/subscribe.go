@@ -122,6 +122,9 @@ func (t *tenantState) broadcastLocked(dbVersion int, delta core.DatabaseDelta) {
 		}
 		lv.seq++
 		lv.dbVersion = dbVersion
+		// The view holds the output of exactly the version /eval would now
+		// evaluate: it refills the slot the batch just emptied.
+		t.setMemoLocked(ver, lv.view.Output())
 		u := viewUpdate{seq: lv.seq, dbVersion: dbVersion, diff: diff}
 		for sub := range lv.subs {
 			select {
@@ -174,6 +177,7 @@ func (e *programEntry) subscribe(ctx context.Context, tenant string, pv *program
 		}
 		lv = &liveView{pv: pv, view: view, dbVersion: t.latest, subs: make(map[*subscriber]bool)}
 		t.views[pv.version] = lv
+		t.setMemoLocked(pv.version, view.Output())
 	}
 	sub := &subscriber{ch: make(chan viewUpdate, subscriberBuffer)}
 	lv.subs[sub] = true

@@ -106,14 +106,21 @@ func strs(v any) []string {
 	return out
 }
 
-// evalFacts fetches a tenant's full materialized output through /eval.
-func evalFacts(t *testing.T, ts *httptest.Server, program, tenant string) []string {
+// evalFacts fetches a tenant's full materialized output through /eval — which
+// on a subscribed tenant answers from the view's own output, so the body is
+// first held against a fresh evaluation of the same snapshot (checkEval): the
+// feed's oracle stays independent of the feed.
+func evalFacts(t *testing.T, s *Server, ts *httptest.Server, program, tenant string) []string {
 	t.Helper()
-	code, resp := post(t, ts, "/v1/programs/"+program+"/eval", map[string]any{"tenant": tenant})
-	if code != 200 {
-		t.Fatalf("eval: status %d: %v", code, resp)
+	resp, err := checkEval(s, ts, program, map[string]any{"tenant": tenant})
+	if err != nil {
+		t.Fatal(err)
 	}
-	return strs(resp["facts"])
+	var facts []string
+	if err := json.Unmarshal(resp.Facts, &facts); err != nil {
+		t.Fatalf("eval facts %s: %v", resp.Facts, err)
+	}
+	return facts
 }
 
 // diffStrings returns after∖before and before∖after, sorted.
@@ -164,8 +171,8 @@ func TestSubscriptionsTwoTenantsE2E(t *testing.T) {
 		t.Fatalf("facts b: %v", resp)
 	}
 
-	beforeA := evalFacts(t, ts, "authz", "a")
-	beforeB := evalFacts(t, ts, "authz", "b")
+	beforeA := evalFacts(t, s, ts, "authz", "a")
+	beforeB := evalFacts(t, s, ts, "authz", "b")
 
 	subA1 := subscribe(t, ts, "authz", map[string]any{"tenant": "a"})
 	subA2 := subscribe(t, ts, "authz", map[string]any{"tenant": "a"})
@@ -197,7 +204,7 @@ func TestSubscriptionsTwoTenantsE2E(t *testing.T) {
 	if code != 200 || resp["db_version"].(float64) != 2 {
 		t.Fatalf("mutate a: %d %v", code, resp)
 	}
-	afterA := evalFacts(t, ts, "authz", "a")
+	afterA := evalFacts(t, s, ts, "authz", "a")
 	wantAdded, wantRemoved := diffStrings(beforeA, afterA)
 
 	fA1, fA2 := subA1.next(t), subA2.next(t)
@@ -227,7 +234,7 @@ func TestSubscriptionsTwoTenantsE2E(t *testing.T) {
 	if code != 200 || resp["db_version"].(float64) != 2 {
 		t.Fatalf("mutate b: %d %v", code, resp)
 	}
-	afterB := evalFacts(t, ts, "authz", "b")
+	afterB := evalFacts(t, s, ts, "authz", "b")
 	wantAddedB, wantRemovedB := diffStrings(beforeB, afterB)
 	fB := subB.next(t)
 	if fB["seq"].(float64) != 1 || fB["db_version"].(float64) != 2 {
@@ -397,7 +404,7 @@ func TestSubscriptionLastReaderTearsDownView(t *testing.T) {
 	if snap["snapshot"] != true || snap["seq"].(float64) != 0 || snap["db_version"].(float64) != 2 {
 		t.Fatalf("bad snapshot frame after resubscribe: %v", snap)
 	}
-	if want := evalFacts(t, ts, "authz", "a"); !reflect.DeepEqual(strs(snap["facts"]), want) {
+	if want := evalFacts(t, s, ts, "authz", "a"); !reflect.DeepEqual(strs(snap["facts"]), want) {
 		t.Fatalf("snapshot after resubscribe = %v\nwant %v", strs(snap["facts"]), want)
 	}
 }
