@@ -1,13 +1,13 @@
 GO ?= go
 
 # Benchmarks tracked in BENCH_eval.json: the eval/chase hot-path families.
-BENCH_PATTERN ?= BenchmarkE2|BenchmarkE3|BenchmarkE4|BenchmarkE5|BenchmarkE6|BenchmarkE7|BenchmarkE9|BenchmarkE10|BenchmarkEngines|BenchmarkAblation_ShardedEval|BenchmarkAblation_PreserveDerive|BenchmarkAblation_TerminationFastPath|BenchmarkMaintain_DRed
+BENCH_PATTERN ?= BenchmarkE2|BenchmarkE3|BenchmarkE4|BenchmarkE5|BenchmarkE6|BenchmarkE7|BenchmarkE9|BenchmarkE10|BenchmarkEngines|BenchmarkEvalShapes|BenchmarkAblation_PreserveDerive|BenchmarkAblation_TerminationFastPath|BenchmarkMaintain_DRed
 BENCHTIME ?= 0.3s
 
 # staticcheck pin for lint-ci; bump deliberately, not implicitly.
 STATICCHECK_VERSION ?= 2025.1
 
-.PHONY: all build vet datalog-vet test race race-service race-shard race-ivm serve-smoke bench bench-all experiments examples guard-one-join guard-ctx-arg guard-no-batch-compact guard-delta-first guard-request-path lint lint-ci clean
+.PHONY: all build vet datalog-vet test race race-service race-ivm serve-smoke bench bench-all experiments examples guard-one-join guard-ctx-arg guard-no-batch-compact guard-delta-first guard-request-path lint lint-ci clean
 
 all: build vet test
 
@@ -35,14 +35,6 @@ race:
 # self-locking symbol table every parse and render of a program name shares.
 race-service:
 	$(GO) test -race ./internal/ast ./internal/core ./internal/service ./internal/db
-
-# race-shard race-checks the sharded round executor's determinism contract:
-# the byte-identity grid over Shards (shard tasks inline and concurrent,
-# unsharded output checked against the naive oracle), goal prefix-cut partial
-# databases, budget agreement, the insert-only maintenance oracle and the
-# shard-aware stats accounting.
-race-shard:
-	$(GO) test -race -run 'TestSharded|TestShardOwner|TestShardView' ./internal/eval ./internal/db
 
 # race-ivm race-checks the incremental view maintenance stack: the
 # counting/DRed maintenance engine, its randomized oracle grid and the stamp
@@ -103,16 +95,22 @@ guard-one-join:
 # guard-ctx-arg keeps configuration from growing back. A context is only ever
 # an argument: no SetContext, and no struct field of type context.Context in a
 # non-test file under internal/ other than the per-call roundEnv (rounds.go)
-# and the sink inside streamState (stream.go). And the reference arms deleted
-# from eval.Options and MaintainOptions stay deleted: none of their names may
-# come back as an exported identifier.
+# and the sink inside streamState (stream.go). The reference arms deleted
+# from eval.Options and MaintainOptions and the sharded round executor stay
+# deleted: none of their names may come back as an identifier in non-test
+# code. And the evaluator stays single-threaded per Run — concurrency belongs
+# to its callers — so no non-test internal/eval file starts a goroutine or
+# sets GOMAXPROCS.
 guard-ctx-arg:
 	@if grep -rnE 'SetContext|^[[:space:]]*([A-Za-z_][A-Za-z0-9_, ]*[[:space:]]+)?context\.Context[[:space:]]*(//.*)?$$' --include='*.go' internal \
 		| grep -vE '_test\.go:|^internal/eval/(rounds|stream)\.go:'; then \
 		echo "internal/: a stored context (make guard-ctx-arg): pass ctx as the first argument" >&2; exit 1; \
 	fi
-	@if grep -rnwE 'Strategy|NoReorder|NoSCCOrder|ForceDRed' --include='*.go' internal cmd examples | grep -v '_test\.go:'; then \
+	@if grep -rnwE 'Strategy|NoReorder|NoSCCOrder|ForceDRed|Shards|ShardView|EnsureShardView|runSharded|shardSink|partitionCols|HashTuple' --include='*.go' internal cmd examples | grep -v '_test\.go:'; then \
 		echo "a deleted evaluation switch is back (make guard-ctx-arg)" >&2; exit 1; \
+	fi
+	@if grep -nE '(^|[^A-Za-z0-9_.])go[[:space:]]+(func\b|[A-Za-z_][A-Za-z0-9_.]*\()|runtime\.GOMAXPROCS' internal/eval/*.go | grep -v '_test\.go:'; then \
+		echo "internal/eval starts a goroutine or sets GOMAXPROCS (make guard-ctx-arg): the evaluator is single-threaded per Run, concurrency is its callers'" >&2; exit 1; \
 	fi
 
 # guard-no-batch-compact keeps compaction the store's decision: Freeze
@@ -126,10 +124,10 @@ guard-no-batch-compact:
 	fi
 
 # guard-delta-first keeps one way to run a delta. Every delta variant — of a
-# fixpoint, of an insert loop, of a shard task — runs a plan led by its delta
-# atom (roundEnv.deltaVariants in internal/eval/prepare.go), so the sharded
-# executor's second copy of the idea (swapped plans, a two-part merge key)
-# stays deleted and the join's inner loop never skips up to a lower bound.
+# fixpoint or of an insert loop — runs a plan led by its delta atom
+# (roundEnv.deltaVariants in internal/eval/prepare.go), so a second copy of
+# the idea (swapped plans, a two-part merge key) stays deleted and the join's
+# inner loop never skips up to a lower bound.
 guard-delta-first:
 	@if grep -nwE 'swapped|lowerSwapped|atomsShareVar|tagInner|k2' internal/eval/*.go | grep -v '_test\.go:'; then \
 		echo "internal/eval: a swapped plan or a second merge key is back (make guard-delta-first): a delta variant is led by its delta atom" >&2; exit 1; \
@@ -166,7 +164,7 @@ guard-request-path:
 		echo "internal/service: parsing or rendering under the entry lock (make guard-request-path)" >&2; exit 1; \
 	fi
 	@if grep -rnE 'EvalRequestOptions|maxRequestShards' --include='*.go' .; then \
-		echo "a request can pick its plan again (make guard-request-path): Shards is core.SessionOptions only" >&2; exit 1; \
+		echo "a request can pick its plan again (make guard-request-path): a session runs the one plan it was opened with" >&2; exit 1; \
 	fi
 
 # lint runs the guards and go vet always, and staticcheck when the binary is

@@ -431,37 +431,26 @@ func BenchmarkEngines(b *testing.B) {
 	})
 }
 
-// BenchmarkAblation_ShardedEval measures the sharded round executor against
-// the unsharded kernel at shard counts 1/2/4/8. Arms:
+// BenchmarkEvalShapes records the kernel on six fixpoint shapes, one
+// one-shot Eval per iteration:
 //
 //   - large-tc: right-linear transitive closure (the paper's Example 4) of a
-//     large sparse random digraph — a deep recursion (~90 rounds) of small
-//     per-round deltas. Until every delta variant became delta-first this
-//     was the arm sharding won, because only shard tasks walked the delta
-//     instead of rescanning the outer relation every round; it now records
-//     what splitting that walk across shards costs.
+//     10,000-node sparse random digraph — a deep recursion (~90 rounds) of
+//     small per-round deltas, each walked delta-first.
 //   - dense-tc: doubled-rule transitive closure of a dense random digraph —
-//     duplicate-dominated (~159 re-derivations per committed fact), so both
-//     executors are bound by the same dedup probes; sharding is expected to
-//     roughly break even here, and the arm exists to keep that honest.
-//   - wide-join: a wide non-recursive join, one pass whose outer scan the
-//     shards split.
-//   - sparse-tc, same-gen, wide-join-4k (shards 1 and 2 only): three of the
-//     shapes of bench/'s eval-bulk workload at its sizes — right-linear TC
-//     over 2,500 nodes / 2,800 edges, same-generation over a 3-ary tree of
-//     depth 5, a four-way join of 4,000-row relations. They are here because
-//     the sharded executor loses on them: the record has to show both sides
-//     of the choice SessionOptions.Shards leaves to the deployment (DESIGN
-//     §5, "Sharded vs unsharded").
+//     duplicate-dominated (~159 re-derivations per committed fact), so bound
+//     by the dedup probes.
+//   - wide-join: a wide non-recursive join of 900-row relations, one pass.
+//   - sparse-tc, same-gen, wide-join-4k: three of the shapes of bench/'s
+//     eval-bulk workload at its sizes — right-linear TC over 2,500 nodes /
+//     2,800 edges, same-generation over a 3-ary tree of depth 5, a four-way
+//     join of 4,000-row relations.
 //
-// Shard tasks overlap on multicore machines (min(Shards, GOMAXPROCS)
-// goroutines); there is no single-core win left to have — the unsharded
-// kernel enumerates delta-first too.
-func BenchmarkAblation_ShardedEval(b *testing.B) {
+// Until PR 29 these were the rows of the sharded executor's ablation; DESIGN
+// §5 records what its deletion gave up on them.
+func BenchmarkEvalShapes(b *testing.B) {
 	rltc := workload.TransitiveClosureLinear()
-	rltcEDB := workload.RandomDigraph("A", 10000, 10500, 7)
 	tc := workload.TransitiveClosure()
-	tcEDB := workload.RandomDigraph("A", 220, 500, 7)
 	join := parser.MustParseProgram(`
 		T(x, w) :- A(x, y), B(y, z), C(z, w), S(x).
 	`)
@@ -475,8 +464,6 @@ func BenchmarkAblation_ShardedEval(b *testing.B) {
 	for i := int64(0); i < 12; i++ {
 		joinEDB.Add(ast.GroundAtom{Pred: "S", Args: []ast.Const{ast.Int(i)}})
 	}
-	sparseEDB := workload.RandomDigraph("A", 2500, 2800, 7)
-	sg := workload.SameGeneration()
 	sgEDB := workload.Tree("Down", 3, 5)
 	for _, f := range sgEDB.Facts() {
 		sgEDB.Add(ast.GroundAtom{Pred: "Up", Args: []ast.Const{f.Args[1], f.Args[0]}})
@@ -491,40 +478,21 @@ func BenchmarkAblation_ShardedEval(b *testing.B) {
 			join4EDB.Add(f)
 		}
 	}
-	for _, shards := range []int{1, 2, 4, 8} {
-		opts := eval.Options{Shards: shards}
-		if shards <= 2 {
-			for _, arm := range []struct {
-				name string
-				p    *ast.Program
-				edb  *db.Database
-			}{{"sparse-tc", rltc, sparseEDB}, {"same-gen", sg, sgEDB}, {"wide-join-4k", join4, join4EDB}} {
-				b.Run(fmt.Sprintf("%s/shards=%d", arm.name, shards), func(b *testing.B) {
-					for i := 0; i < b.N; i++ {
-						if _, _, err := eval.Eval(arm.p, arm.edb, opts); err != nil {
-							b.Fatal(err)
-						}
-					}
-				})
-			}
-		}
-		b.Run(fmt.Sprintf("large-tc/shards=%d", shards), func(b *testing.B) {
+	for _, arm := range []struct {
+		name string
+		p    *ast.Program
+		edb  *db.Database
+	}{
+		{"sparse-tc", rltc, workload.RandomDigraph("A", 2500, 2800, 7)},
+		{"same-gen", workload.SameGeneration(), sgEDB},
+		{"wide-join-4k", join4, join4EDB},
+		{"large-tc", rltc, workload.RandomDigraph("A", 10000, 10500, 7)},
+		{"dense-tc", tc, workload.RandomDigraph("A", 220, 500, 7)},
+		{"wide-join", join, joinEDB},
+	} {
+		b.Run(arm.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, _, err := eval.Eval(rltc, rltcEDB, opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("dense-tc/shards=%d", shards), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, _, err := eval.Eval(tc, tcEDB, opts); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("wide-join/shards=%d", shards), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, _, err := eval.Eval(join, joinEDB, opts); err != nil {
+				if _, _, err := eval.Eval(arm.p, arm.edb, eval.Options{}); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -19,7 +19,7 @@ func (c *cli) cmdEval(rest []string) error {
 	if err != nil {
 		return err
 	}
-	outDB, st, err := eval.Eval(res.Program, db.FromFacts(res.Facts), c.opts)
+	outDB, st, err := eval.Eval(res.Program, db.FromFacts(res.Facts), eval.Options{})
 	if err != nil {
 		return err
 	}
@@ -41,7 +41,7 @@ func (c *cli) cmdQuery(rest []string) error {
 	if err != nil {
 		return fmt.Errorf("query atom: %w", err)
 	}
-	tuples, err := eval.Query(res.Program, db.FromFacts(res.Facts), q, c.opts)
+	tuples, err := eval.Query(res.Program, db.FromFacts(res.Facts), q, eval.Options{})
 	if err != nil {
 		return err
 	}
@@ -60,7 +60,7 @@ func (c *cli) cmdCheck(rest []string) error {
 	if len(res.TGDs) == 0 {
 		return fmt.Errorf("check: the file declares no tgds")
 	}
-	prep, err := eval.DefaultPlanCache.Prepare(res.Program, c.opts)
+	prep, err := eval.DefaultPlanCache.Prepare(res.Program, eval.Options{})
 	if err != nil {
 		return err
 	}

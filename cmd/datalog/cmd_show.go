@@ -46,7 +46,7 @@ func (c *cli) cmdExplain(rest []string) error {
 	if !goalAtom.IsGround() {
 		return fmt.Errorf("explain: goal %s must be a ground fact", goalAtom)
 	}
-	sess, err := core.NewSession(res.Program, core.SessionOptions{Shards: c.opts.Shards})
+	sess, err := core.NewSession(res.Program)
 	if err != nil {
 		return err
 	}

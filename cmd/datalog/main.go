@@ -29,8 +29,6 @@
 //	-v        print cache/session statistics (compare, minimize)
 //	-json     machine-readable vet output
 //	-addr     listen address for serve (default 127.0.0.1:8371)
-//	-shards   hash-partition shards per fixpoint round (0 or 1 = unsharded);
-//	          for serve, the server's session default
 //	-cpuprofile  write a CPU profile of the subcommand to the named file
 //
 // The command implementations live in sibling files by family: cmd_show.go
@@ -63,7 +61,6 @@ func main() {
 // cli carries the global flags and output sink shared by every subcommand.
 type cli struct {
 	out     io.Writer
-	opts    eval.Options
 	stats   bool
 	verbose bool
 	jsonOut bool
@@ -76,7 +73,6 @@ func run(args []string, out io.Writer) error {
 	verbose := fs.Bool("v", false, "print cache/session statistics")
 	jsonOut := fs.Bool("json", false, "machine-readable vet output")
 	addr := fs.String("addr", "127.0.0.1:8371", "listen address for serve")
-	shards := fs.Int("shards", 0, "hash-partition shards per fixpoint round (0 or 1 = unsharded)")
 	cpuprofile := fs.String("cpuprofile", "", "write a CPU profile of the subcommand to this file")
 	fs.SetOutput(out)
 	if err := fs.Parse(args); err != nil {
@@ -88,7 +84,7 @@ func run(args []string, out io.Writer) error {
 	}
 	cmd, rest := rest[0], rest[1:]
 
-	c := &cli{out: out, opts: eval.Options{Shards: *shards}, stats: *stats, verbose: *verbose, jsonOut: *jsonOut, addr: *addr}
+	c := &cli{out: out, stats: *stats, verbose: *verbose, jsonOut: *jsonOut, addr: *addr}
 
 	if *cpuprofile != "" {
 		f, err := os.Create(*cpuprofile)
@@ -164,15 +160,11 @@ func printSessionStats(out io.Writer, st eval.Stats) {
 		vs.Programs, vs.Verdicts, vs.Lookups, vs.Hits, vs.Rotations)
 }
 
-// printKernelStats renders the stream and shard counter groups — the lines
-// `eval -stats` and the `-v` session report share — each under prefix.
+// printKernelStats renders the stream counter group — the line `eval
+// -stats` and the `-v` session report share — under prefix.
 func printKernelStats(out io.Writer, prefix string, st eval.Stats) {
 	fmt.Fprintf(out, "%% %sstrata streamed=%d materialized=%d, bindings pipelined=%d, early-stop cuts=%d\n",
 		prefix, st.StrataStreamed, st.StrataMaterialized, st.BindingsPipelined, st.EarlyStopCuts)
-	if st.ShardRounds > 0 {
-		fmt.Fprintf(out, "%% %sshard rounds=%d delta exchanged=%d imbalance=%d\n",
-			prefix, st.ShardRounds, st.DeltaExchanged, st.ShardImbalance)
-	}
 }
 
 // load reads and parses the file named by rest[0] ("-" = stdin) and checks

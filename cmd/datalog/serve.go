@@ -7,7 +7,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/service"
 )
 
@@ -20,10 +19,8 @@ import (
 // Positional arguments of the form name=file preload
 // program versions before the listener opens, so a deployment can ship its
 // programs on the command line and tenants only push facts and queries.
-// The -shards flag becomes the server's session default; requests can still
-// tune a (capped) value per call through the budget.
 func (c *cli) cmdServe(rest []string) error {
-	srv := service.New(core.SessionOptions{Shards: c.opts.Shards})
+	srv := service.New()
 	for _, arg := range rest {
 		name, file, ok := strings.Cut(arg, "=")
 		if !ok || name == "" || file == "" {

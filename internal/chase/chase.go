@@ -187,7 +187,7 @@ func NewChecker(p *ast.Program) (*Checker, error) {
 // NewCheckerIn is NewChecker inside an existing lineage: the session
 // prepares through the lineage's plan cache and accumulates into its stats,
 // as does every Checker it derives. Tests, the harness and servers inject a
-// lineage over their own cache to isolate or shard cache footprints.
+// lineage over their own cache to isolate or partition cache footprints.
 func NewCheckerIn(p *ast.Program, lin eval.Lineage) (*Checker, error) {
 	if p.HasNegation() {
 		return nil, fmt.Errorf("chase: uniform containment is defined for pure Datalog; program or rule uses negation")

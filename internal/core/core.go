@@ -208,29 +208,19 @@ func Eval(p *Program, input *Database, opts EvalOptions) (*Database, EvalStats, 
 type SessionOptions struct {
 	// PlanCache selects the cache that prepared plans are served from and
 	// registered in; nil selects the process-wide cache. Tests and servers
-	// isolate or shard cache footprints by injecting their own — sessions
+	// isolate or partition cache footprints by injecting their own — sessions
 	// built over the same cache share delta-patched plans by content
 	// address.
 	PlanCache *PlanCache
-	// Shards is the shard count of the sharded round executor (0 or 1 =
-	// unsharded) for sessions built with these options: a deployment
-	// setting. A session prepares its one plan under it and no request can
-	// ask for another (DESIGN §5 records why neither a tenant nor the
-	// planner can choose it well).
-	Shards int
 }
 
 // sessionResolve folds the variadic options into one: the first non-nil
-// plan cache (the process-wide one when there is none) and the first
-// nonzero Shards win.
+// plan cache wins, the process-wide one when there is none.
 func sessionResolve(opts []SessionOptions) SessionOptions {
 	var r SessionOptions
 	for _, o := range opts {
 		if r.PlanCache == nil {
 			r.PlanCache = o.PlanCache
-		}
-		if r.Shards == 0 {
-			r.Shards = o.Shards
 		}
 	}
 	if r.PlanCache == nil {

@@ -61,15 +61,14 @@ var ErrBudget = eval.ErrBudget
 // prepared plan, one containment session and one preservation session.
 // A Service is safe for concurrent use.
 type Service struct {
-	base SessionOptions // resolved plan cache and Shards default for sessions it opens
+	base SessionOptions // resolved plan cache for sessions it opens
 
 	mu       sync.Mutex
 	sessions map[string]*Session
 }
 
 // NewService returns an empty session registry. Sessions it opens prepare
-// through the injected plan cache (SessionOptions), or the process-wide one,
-// and inherit the options' Shards default.
+// through the injected plan cache (SessionOptions), or the process-wide one.
 func NewService(sess ...SessionOptions) *Service {
 	return &Service{base: sessionResolve(sess), sessions: make(map[string]*Session)}
 }
@@ -162,7 +161,7 @@ type Session struct {
 // normally go through Service.Open, which dedups by content address).
 func NewSession(p *Program, sess ...SessionOptions) (*Session, error) {
 	o := sessionResolve(sess)
-	prep, err := o.PlanCache.Prepare(p, EvalOptions{Shards: o.Shards})
+	prep, err := o.PlanCache.Prepare(p, EvalOptions{})
 	if err != nil {
 		return nil, err
 	}
@@ -186,8 +185,7 @@ func (s *Session) Eval(ctx context.Context, input *Database) (*Database, EvalSta
 // EvalWith is Eval under a derived-fact budget: maxDerived > 0 bounds the
 // facts derived beyond the input, returning an error wrapping ErrBudget when
 // exhausted. Every evaluation of a session runs the one plan it was opened
-// with — how rounds execute (SessionOptions.Shards) is a deployment setting,
-// not something a request selects.
+// with; a request cannot select another.
 func (s *Session) EvalWith(ctx context.Context, input *Database, maxDerived int) (*Database, EvalStats, error) {
 	out, _, st, err := s.prep.Run(ctx, input, nil, maxDerived, nil)
 	s.account(st)

@@ -81,7 +81,6 @@ func (d *Database) Reset() {
 		clear(s.dedupSlot)
 		s.indexes.Store(nil)
 		r.dead, r.ndead = nil, 0
-		r.shardViews.Store(nil)
 		if r.counts.on() {
 			r.counts.pages, r.counts.own = r.counts.pages[:1], r.counts.own[:1]
 			r.counts.pages[0] = r.counts.pages[0][:0]

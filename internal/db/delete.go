@@ -63,9 +63,9 @@ func (r *Relation) Dead() int { return r.ndead }
 // flatten rebuilds the relation as one flat segment holding the live tuples
 // in id order, renumbered densely: round stamps keep their values (dropping
 // elements preserves the non-decreasing order), counts follow their tuples,
-// the dedup table and every column index either tier had are built afresh,
-// and the shard views are dropped. The relation must be private. It returns
-// the number of tuples copied.
+// and the dedup table and every column index either tier had are built
+// afresh. The relation must be private. It returns the number of tuples
+// copied.
 func (r *Relation) flatten() int {
 	if r.shared {
 		panic("db: flatten of a shared relation")
@@ -131,7 +131,6 @@ func (r *Relation) flatten() int {
 	}
 	r.dead, r.ndead = nil, 0
 	r.counts = counts
-	r.shardViews.Store(nil)
 	return live
 }
 

@@ -34,9 +34,8 @@ import (
 // reads are lock-free; indexes are built or extended either explicitly at
 // round boundaries (EnsureIndex, driven by eval's freeze step) or lazily
 // under the segment's mutex when a probe's round window can actually see
-// unindexed tuples. During a parallel evaluation round the freeze step
-// guarantees every index a probe will touch is complete, so probes never
-// take the lock. On a shared segment — a frozen version's seg, and every
+// unindexed tuples. During an evaluation round the freeze step guarantees
+// every index a probe will touch is complete, so probes never take the lock. On a shared segment — a frozen version's seg, and every
 // base — a published index is never mutated: lazy extension clones it and
 // republishes the index set (copy-on-extend), so concurrent snapshot readers
 // can keep probing the old copy lock-free.
@@ -56,13 +55,6 @@ type Relation struct {
 	// copy-on-write copies it); ndead counts its set bits.
 	dead  []uint64
 	ndead int
-
-	// shardViews is the immutable set of shard-ownership assignments built
-	// over the ids (see shard.go), swapped atomically so the sharded
-	// evaluator's in-round ownership tests are lock-free reads. A new version
-	// starts with none and rebuilds on demand; mu serializes the builds.
-	shardViews atomic.Pointer[shardSet]
-	mu         sync.Mutex
 
 	// shared marks a relation referenced by a frozen Snapshot: its tuple
 	// set is immutable (Database.AddTuple stages a successor before the
@@ -220,11 +212,6 @@ func hashValues(vals []ast.Const) uint64 {
 	}
 	return h ^ h>>32
 }
-
-// HashTuple exposes the store's tuple hash so evaluator-side staging
-// structures (the sharded executor's task-local dedup set) can share one
-// hash function with the relation tables.
-func HashTuple(vals []ast.Const) uint64 { return hashValues(vals) }
 
 func (s *segment) hashProj(id int32, cols []int) uint64 {
 	base := int(id-s.off) * s.arity

@@ -14,29 +14,27 @@ import (
 
 // Delta rounds run every variant led by its delta atom (roundEnv.
 // deltaVariants). These tests pin what that must not change — each firing
-// happens exactly once, at any body width, under every shard count — and the
+// happens exactly once, at any body width — and the
 // shape itself: operator 0 is the delta, a scan, the only position with a
 // lower bound, and an order is planned and lowered only once a delta has
 // something in it.
 
-// checkFiringsExactlyOnce evaluates p on input at Shards 1, 2, 3 and fails
-// unless every run fires each instantiation valid in its output exactly once.
-// A wrong old/new window fires some instantiation twice (or never) without
-// necessarily changing the output, so only the count catches it.
+// checkFiringsExactlyOnce evaluates p on input and fails unless the run
+// fires each instantiation valid in its output exactly once. A wrong old/new
+// window fires some instantiation twice (or never) without necessarily
+// changing the output, so only the count catches it.
 func checkFiringsExactlyOnce(t *testing.T, name string, p *ast.Program, input *db.Database) {
 	t.Helper()
-	for _, shards := range []int{1, 2, 3} {
-		pr, err := Prepare(p, Options{Shards: shards})
-		if err != nil {
-			return // unstratifiable draw
-		}
-		out, st, err := pr.Eval(input)
-		if err != nil {
-			t.Fatalf("%s shards=%d: %v", name, shards, err)
-		}
-		if want := pr.FiringCount(out); st.Firings != want {
-			t.Fatalf("%s shards=%d: %d firings, %d instantiations are valid in the output\nprogram:\n%s", name, shards, st.Firings, want, p)
-		}
+	pr, err := Prepare(p, Options{})
+	if err != nil {
+		return // unstratifiable draw
+	}
+	out, st, err := pr.Eval(input)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	if want := pr.FiringCount(out); st.Firings != want {
+		t.Fatalf("%s: %d firings, %d instantiations are valid in the output\nprogram:\n%s", name, st.Firings, want, p)
 	}
 }
 
@@ -95,19 +93,17 @@ func wideRecursiveProgram(width int) *ast.Program {
 
 // TestWideBodyDeltaRound: nothing caps the body width a delta variant's
 // windows cover. A recursive rule of 72 atoms, delta atoms first and last,
-// agrees with the naive oracle in output and firing count, sharded or not,
-// and an insert loop over it agrees with re-evaluation.
+// agrees with the naive oracle in output and firing count, and an insert
+// loop over it agrees with re-evaluation.
 func TestWideBodyDeltaRound(t *testing.T) {
 	p := wideRecursiveProgram(70)
 	in := workload.Chain("A", 7)
 	for n := int64(0); n < 7; n++ {
 		in.Add(ga("N", n))
 	}
-	for _, shards := range []int{1, 3} {
-		checkAgainstOracle(t, p, in, Options{Shards: shards})
-	}
+	checkAgainstOracle(t, p, in)
 	extra := []ast.GroundAtom{ga("A", 7, 8), ga("A", 8, 1), ga("N", 7), ga("N", 8)}
-	got, _ := insertInto(t, p, in, extra, Options{})
+	got, _ := insertInto(t, p, in, extra)
 	grown := in.Clone()
 	for _, g := range extra {
 		grown.Add(g)

@@ -55,21 +55,12 @@ func CtxErr(ctx context.Context) error {
 // under a context (the chase's tgd phase) polls CtxErr at the same cadence.
 const CtxCheckEvery = 128
 
-// Options configures evaluation. A context, a goal, a budget and provenance
-// are per-call concerns and are arguments of Prepared.Run, never options.
-type Options struct {
-	// Shards > 1 runs every round sharded: every relation gains a
-	// hash-partitioned ownership view over a planner-chosen join-key column,
-	// and each round's variants split into per-shard tasks that enumerate
-	// only their owned slice of the outer window (the delta's contiguous
-	// id-range, in a delta round) while inner probes read the shared frozen
-	// indexes. Tasks run on up to min(Shards, GOMAXPROCS) goroutines.
-	// Buffered derivations are committed in a deterministic merge order, so
-	// the output database — including goal early-stop partial databases — is
-	// byte-identical to Shards ≤ 1 for any shard count. Shards is capped at
-	// 256.
-	Shards int
-}
+// Options carries no setting: evaluation has none. A context, a goal, a
+// budget and provenance are per-call concerns and are arguments of
+// Prepared.Run. The type stays so the exported signatures taking it keep
+// compiling; a field added here must join the plan cache's address
+// (TestPlanKeyCoversEveryOption).
+type Options struct{}
 
 // Eval computes P(input): the least DB containing input and closed under the
 // rules of p (Section III). The input database is not modified; the returned

@@ -69,9 +69,7 @@ import (
 // Determinism: retraction-side work is sequential, and every batch of
 // staged facts is committed in canonical (predicate, arguments) order; the
 // insertion side reuses the shared round executor (rounds.go) through
-// insertLoop, so the Shards byte-identity contract of the evaluator carries
-// over to maintained views — the maintained database is byte-identical
-// across shard counts.
+// insertLoop, so it fires in the evaluator's order.
 //
 // A Maintained view is not safe for concurrent use; callers serialize
 // Apply (core.Session wraps views behind its own lock). A failed Apply
@@ -609,7 +607,7 @@ func (m *Maintained) dredUnit(ctx context.Context, mu *maintUnit, st *streamStat
 		}
 	})
 	eachSorted(staged, commit)
-	if err := insertLoop(ctx, cur, mu.u, deltaMin, m.pr.opts, stats); err != nil {
+	if err := insertLoop(ctx, cur, mu.u, deltaMin, stats); err != nil {
 		return err
 	}
 
@@ -648,17 +646,16 @@ func (m *Maintained) dredUnit(ctx context.Context, mu *maintUnit, st *streamStat
 // its delta atom, in an order chosen once per loop from the live sizes, and
 // dropped while its delta is empty, so a batch costs what its facts fan out
 // to, not a pass over the view, and a round with nothing to propagate skips
-// the executor (and, sharded, its task fan-out) altogether. Rounds run
-// through the shared round executor, so Shards and cancellation keep the
-// evaluator's disciplines.
-func insertLoop(ctx context.Context, d *db.Database, u *unit, deltaMin int32, opts Options, stats *Stats) error {
-	env := &roundEnv{ctx: ctx, d: d, opts: opts, stats: stats, baseLen: d.Len()}
+// the executor altogether. Rounds run through the shared round executor, so
+// cancellation keeps the evaluator's discipline.
+func insertLoop(ctx context.Context, d *db.Database, u *unit, deltaMin int32, stats *Stats) error {
+	env := &roundEnv{ctx: ctx, d: d, stats: stats, baseLen: d.Len()}
 	for {
 		prev := d.Round()
 		round := d.BeginRound()
 		stats.Rounds++
 		env.variants = env.deltaVariants(u, true, deltaMin, prev, env.variants[:0])
-		if err := env.runRound(u, env.variants); err != nil {
+		if err := env.runRound(env.variants); err != nil {
 			return err
 		}
 		if !anyAddedIn(d, round) {

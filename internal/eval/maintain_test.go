@@ -27,9 +27,9 @@ func canonFacts(d *db.Database) string {
 	return sb.String()
 }
 
-func mustMaterialize(t *testing.T, p *ast.Program, input *db.Database, opts Options, mo MaintainOptions) *Maintained {
+func mustMaterialize(t *testing.T, p *ast.Program, input *db.Database, mo MaintainOptions) *Maintained {
 	t.Helper()
-	pr, err := Prepare(p, opts)
+	pr, err := Prepare(p, Options{})
 	if err != nil {
 		t.Fatalf("prepare: %v", err)
 	}
@@ -51,9 +51,9 @@ func applyOrFatal(t *testing.T, m *Maintained, delta Delta) Diff {
 
 // insertInto is the insert-only use of a view: materialize P(base), assert
 // facts, and return the maintained output with the Apply's stats.
-func insertInto(t *testing.T, p *ast.Program, base *db.Database, facts []ast.GroundAtom, opts Options) (*db.Database, Stats) {
+func insertInto(t *testing.T, p *ast.Program, base *db.Database, facts []ast.GroundAtom) (*db.Database, Stats) {
 	t.Helper()
-	m := mustMaterialize(t, p, base, opts, MaintainOptions{})
+	m := mustMaterialize(t, p, base, MaintainOptions{})
 	_, st, err := m.Apply(context.Background(), Delta{Assert: facts})
 	if err != nil {
 		t.Fatalf("apply: %v", err)
@@ -66,7 +66,7 @@ func TestIncrementalEqualsFullReEval(t *testing.T) {
 	base := workload.Chain("A", 10)
 	// Insert a back edge closing the chain into a cycle.
 	newFacts := []ast.GroundAtom{ga("A", 10, 0)}
-	inc, incStats := insertInto(t, p, base, newFacts, Options{})
+	inc, incStats := insertInto(t, p, base, newFacts)
 	full := base.Clone()
 	for _, f := range newFacts {
 		full.Add(f)
@@ -84,7 +84,7 @@ func TestIncrementalNoOp(t *testing.T) {
 	p := workload.TransitiveClosure()
 	base := workload.Chain("A", 5)
 	// Re-inserting existing facts derives nothing.
-	inc, stats := insertInto(t, p, base, []ast.GroundAtom{ga("A", 0, 1)}, Options{})
+	inc, stats := insertInto(t, p, base, []ast.GroundAtom{ga("A", 0, 1)})
 	if !inc.Equal(MustEval(p, base)) || stats.Added != 0 || stats.Firings != 0 {
 		t.Fatalf("no-op insertion changed the DB: %+v", stats)
 	}
@@ -94,7 +94,7 @@ func TestIncrementalCheaperThanReEval(t *testing.T) {
 	p := workload.TransitiveClosure()
 	base := workload.Chain("A", 40)
 	newFacts := []ast.GroundAtom{ga("A", 100, 101)} // disconnected edge
-	_, incStats := insertInto(t, p, base, newFacts, Options{})
+	_, incStats := insertInto(t, p, base, newFacts)
 	full := base.Clone()
 	full.Add(newFacts[0])
 	_, fullStats, err := Eval(p, full, Options{})
@@ -115,7 +115,7 @@ func TestQuickIncrementalAgreesWithFull(t *testing.T) {
 		}
 		base := workload.RandomDB(rng, p, 4, 3)
 		extra := workload.RandomDB(rng, p, 4, 2)
-		inc, _ := insertInto(t, p, base, extra.Facts(), Options{})
+		inc, _ := insertInto(t, p, base, extra.Facts())
 		full := base.Clone()
 		full.AddAll(extra)
 		want, _, err := Eval(p, full, Options{})
@@ -142,7 +142,7 @@ func TestIncrementalNegationExact(t *testing.T) {
 	if !MustEval(p, base).Has(ga("Unreach", 2)) {
 		t.Fatal("Unreach(2) not derived before the insertion")
 	}
-	inc, _ := insertInto(t, p, base, []ast.GroundAtom{ga("E", 1, 2)}, Options{})
+	inc, _ := insertInto(t, p, base, []ast.GroundAtom{ga("E", 1, 2)})
 	full := base.Clone()
 	full.Add(ga("E", 1, 2))
 	if inc.Has(ga("Unreach", 2)) || !inc.Equal(MustEval(p, full)) {
@@ -158,7 +158,7 @@ func TestMaintainCountingBasic(t *testing.T) {
 	input := db.New()
 	input.Add(ga("E", 1, 2))
 	input.Add(ga("E", 2, 3))
-	m := mustMaterialize(t, p, input, Options{}, MaintainOptions{})
+	m := mustMaterialize(t, p, input, MaintainOptions{})
 	if !m.Output().Has(ga("Q", 1, 3)) {
 		t.Fatal("missing Q(1,3) in the materialized view")
 	}
@@ -195,7 +195,7 @@ func TestMaintainCountingSharedSupport(t *testing.T) {
 	// P(5) has two derivations; retracting one support keeps it alive.
 	p := mustParseProgram(t, `P(y) :- A(y). P(y) :- B(y).`)
 	input := db.FromFacts([]ast.GroundAtom{ga("A", 5), ga("B", 5)})
-	m := mustMaterialize(t, p, input, Options{}, MaintainOptions{})
+	m := mustMaterialize(t, p, input, MaintainOptions{})
 	diff := applyOrFatal(t, m, Delta{Retract: []ast.GroundAtom{ga("A", 5)}})
 	if len(diff.Removed) != 1 || diff.Removed[0].Pred != "A" {
 		t.Fatalf("diff = %+v, want only A(5) removed", diff)
@@ -218,7 +218,7 @@ func TestMaintainExternalSupport(t *testing.T) {
 	for _, mo := range []MaintainOptions{{}, {forceDRed: true}} {
 		p := mustParseProgram(t, `P(y) :- E(y).`)
 		input := db.FromFacts([]ast.GroundAtom{ga("E", 3), ga("P", 3), ga("P", 5)})
-		m := mustMaterialize(t, p, input, Options{}, mo)
+		m := mustMaterialize(t, p, input, mo)
 
 		// P(5) is input-only: retracting it removes it.
 		diff := applyOrFatal(t, m, Delta{Retract: []ast.GroundAtom{ga("P", 5)}})
@@ -244,7 +244,7 @@ func TestMaintainExternalSupport(t *testing.T) {
 func TestMaintainDRedTransitiveClosure(t *testing.T) {
 	p := workload.TransitiveClosure()
 	input := workload.Chain("A", 8)
-	m := mustMaterialize(t, p, input, Options{}, MaintainOptions{})
+	m := mustMaterialize(t, p, input, MaintainOptions{})
 
 	// Cutting the chain in the middle halves the closure.
 	diff, stats, err := m.Apply(context.Background(), Delta{Retract: []ast.GroundAtom{ga("A", 4, 5)}})
@@ -280,7 +280,7 @@ func TestMaintainDRedRederivesAlternativePath(t *testing.T) {
 	input := db.FromFacts([]ast.GroundAtom{
 		ga("A", 0, 1), ga("A", 1, 3), ga("A", 0, 2), ga("A", 2, 3),
 	})
-	m := mustMaterialize(t, p, input, Options{}, MaintainOptions{})
+	m := mustMaterialize(t, p, input, MaintainOptions{})
 	diff, stats, err := m.Apply(context.Background(), Delta{Retract: []ast.GroundAtom{ga("A", 1, 3)}})
 	if err != nil {
 		t.Fatal(err)
@@ -316,7 +316,7 @@ func TestDRedOverdeletionIsLocal(t *testing.T) {
 			}
 		}
 	}
-	m := mustMaterialize(t, workload.TransitiveClosureLinear(), input, Options{}, MaintainOptions{})
+	m := mustMaterialize(t, workload.TransitiveClosureLinear(), input, MaintainOptions{})
 	view := m.Output().Len()
 	if view < n*n {
 		t.Fatalf("view has %d facts: the graph is not strongly connected", view)
@@ -338,7 +338,7 @@ func TestDRedOverdeletionIsLocal(t *testing.T) {
 
 	// K₁₂: every G(x, y) but the retracted edge's own keeps its edge, and
 	// every G(x, x) a two-step proof through a third node.
-	m = mustMaterialize(t, workload.TransitiveClosure(), workload.Complete("A", 12), Options{}, MaintainOptions{})
+	m = mustMaterialize(t, workload.TransitiveClosure(), workload.Complete("A", 12), MaintainOptions{})
 	diff, stats, err := m.Apply(context.Background(), Delta{Retract: []ast.GroundAtom{ga("A", 3, 7)}})
 	if err != nil || stats.Overdeleted != 1 || stats.Rederived != 1 || len(diff.Removed) != 1 {
 		t.Fatalf("K12: overdeleted/rederived = %d/%d, diff %+v, err %v; want 1/1 and only the edge removed", stats.Overdeleted, stats.Rederived, diff, err)
@@ -351,7 +351,7 @@ func TestDRedOverdeletionIsLocal(t *testing.T) {
 func TestMaintainDRedInputFactOfHead(t *testing.T) {
 	p := workload.TransitiveClosureLinear()
 	input := db.FromFacts([]ast.GroundAtom{ga("A", 1, 2), ga("A", 2, 3), ga("G", 1, 3), ga("G", 5, 6)})
-	m := mustMaterialize(t, p, input, Options{}, MaintainOptions{})
+	m := mustMaterialize(t, p, input, MaintainOptions{})
 
 	diff, stats, err := m.Apply(context.Background(), Delta{Retract: []ast.GroundAtom{ga("G", 1, 3)}})
 	if err != nil || !diff.Empty() || !m.Output().Has(ga("G", 1, 3)) {
@@ -379,7 +379,7 @@ func TestMaintainDRedInputFactOfHead(t *testing.T) {
 // cut batch introduced a predicate at an arity the next one contradicts.
 func TestMaintainApplyCancelledLeavesSetsReusable(t *testing.T) {
 	p := workload.TransitiveClosureLinear()
-	m := mustMaterialize(t, p, workload.Chain("A", 12), Options{}, MaintainOptions{})
+	m := mustMaterialize(t, p, workload.Chain("A", 12), MaintainOptions{})
 	before := canonFacts(m.Output())
 	cut := Delta{Retract: []ast.GroundAtom{ga("A", 5, 6)}, Assert: []ast.GroundAtom{ga("E", 1, 2)}}
 	for trip := 2; ; trip++ {
@@ -393,7 +393,7 @@ func TestMaintainApplyCancelledLeavesSetsReusable(t *testing.T) {
 		if !errors.Is(err, ErrCanceled) || canonFacts(m.Output()) != before {
 			t.Fatalf("trip %d: err %v, view changed %v", trip, err, canonFacts(m.Output()) != before)
 		}
-		m2 := mustMaterialize(t, p, m.Input(), Options{}, MaintainOptions{})
+		m2 := mustMaterialize(t, p, m.Input(), MaintainOptions{})
 		m2.sets = m.sets // the cut Apply's leftovers, E/2 in the batch's scratch set included
 		applyOrFatal(t, m2, Delta{Retract: []ast.GroundAtom{ga("A", 3, 4)}, Assert: []ast.GroundAtom{ga("E", 1, 2, 3)}})
 		if got, want := canonFacts(m2.Output()), canonFacts(MustEval(p, m2.Input())); got != want {
@@ -460,7 +460,7 @@ func TestMaintainedStampsCertify(t *testing.T) {
 	input := db.FromFacts([]ast.GroundAtom{
 		ga("E", 1, 2), ga("E", 2, 3), ga("E", 1, 4), ga("E", 4, 2), ga("Mark", 2),
 	})
-	m := mustMaterialize(t, c.p, input, Options{}, MaintainOptions{})
+	m := mustMaterialize(t, c.p, input, MaintainOptions{})
 	if m.Output().Has(ga("R", 1, 3)) {
 		t.Fatal("R(1,3) derived through the marked node")
 	}
@@ -482,7 +482,7 @@ func TestMaintainDRedEnabledFiringIsNoSupport(t *testing.T) {
 	input := db.FromFacts([]ast.GroundAtom{
 		ga("E", 1, 6), ga("E", 6, 3), ga("E", 3, 5), ga("E", 1, 2), ga("E", 2, 7), ga("E", 7, 5), ga("Mark", 3),
 	})
-	m := mustMaterialize(t, p, input, Options{}, MaintainOptions{})
+	m := mustMaterialize(t, p, input, MaintainOptions{})
 	applyOrFatal(t, m, Delta{Retract: []ast.GroundAtom{ga("E", 1, 6), ga("E", 7, 5), ga("Mark", 3)}})
 	if got, want := canonFacts(m.Output()), canonFacts(MustEval(p, m.Input())); got != want {
 		t.Fatalf("maintained view diverged:\n%s\nwant:\n%s", got, want)
@@ -500,7 +500,7 @@ func TestMaintainStratifiedNegation(t *testing.T) {
 		ga("S", 0), ga("E", 0, 1),
 		ga("N", 0), ga("N", 1), ga("N", 2),
 	})
-	m := mustMaterialize(t, p, input, Options{}, MaintainOptions{})
+	m := mustMaterialize(t, p, input, MaintainOptions{})
 	if !m.Output().Has(ga("Dead", 2)) || m.Output().Has(ga("Dead", 1)) {
 		t.Fatalf("bad initial view:\n%s", canonFacts(m.Output()))
 	}
@@ -537,7 +537,7 @@ func TestMaintainStratifiedNegation(t *testing.T) {
 func TestMaintainBatchSemantics(t *testing.T) {
 	p := mustParseProgram(t, `P(x) :- E(x).`)
 	input := db.FromFacts([]ast.GroundAtom{ga("E", 1)})
-	m := mustMaterialize(t, p, input, Options{}, MaintainOptions{})
+	m := mustMaterialize(t, p, input, MaintainOptions{})
 
 	// No-ops: retract absent, assert present, retract a derived-only fact.
 	diff := applyOrFatal(t, m, Delta{
@@ -676,8 +676,9 @@ type maintCase struct {
 // batches and then a randomized mixed assert/retract stream, checking after
 // every batch that the view is byte-identical to a from-scratch evaluation
 // of the mutated input, that the returned diff is the exact set difference
-// and that every derivation count is exact.
-func runMaintainStream(t *testing.T, c maintCase, opts Options, mo MaintainOptions, seed int64, domain, steps int) {
+// and that every derivation count is exact. A random batch holds 1 to
+// maxBatch facts.
+func runMaintainStream(t *testing.T, c maintCase, mo MaintainOptions, seed int64, domain, steps, maxBatch int) {
 	t.Helper()
 	p := c.p
 	rng := rand.New(rand.NewSource(seed))
@@ -703,14 +704,7 @@ func runMaintainStream(t *testing.T, c maintCase, opts Options, mo MaintainOptio
 		ref.Add(g)
 		input.Add(g)
 	}
-	pr, err := Prepare(p, opts)
-	if err != nil {
-		t.Fatalf("prepare: %v", err)
-	}
-	m, _, err := pr.Materialize(context.Background(), input, mo)
-	if err != nil {
-		t.Fatalf("materialize: %v", err)
-	}
+	m := mustMaterialize(t, p, input, mo)
 	checkCounts(t, m, -1)
 
 	for step := 0; step < len(c.script)+steps; step++ {
@@ -718,7 +712,7 @@ func runMaintainStream(t *testing.T, c maintCase, opts Options, mo MaintainOptio
 		if step < len(c.script) {
 			delta = c.script[step]
 		} else {
-			for n := 1 + rng.Intn(5); n > 0; n-- {
+			for n := 1 + rng.Intn(maxBatch); n > 0; n-- {
 				g := randFact()
 				if rng.Intn(2) == 0 {
 					delta.Assert = append(delta.Assert, g)
@@ -752,7 +746,7 @@ func runMaintainStream(t *testing.T, c maintCase, opts Options, mo MaintainOptio
 			ref.Add(g)
 		}
 
-		want, _, err := Eval(p, ref, opts)
+		want, _, err := Eval(p, ref, Options{})
 		if err != nil {
 			t.Fatalf("step %d: full eval: %v", step, err)
 		}
@@ -805,16 +799,18 @@ func runMaintainStream(t *testing.T, c maintCase, opts Options, mo MaintainOptio
 
 // TestMaintainOracleGrid is the maintenance oracle: randomized mixed
 // insert/delete streams, maintained output compared byte-for-byte against
-// full re-evaluation, across GOMAXPROCS (w: inline vs concurrent shard
-// tasks) × Shards × {counting, forceDRed}, on recursive, non-recursive and
-// stratified-negation programs. The last three programs open with a batch
-// that breaks a sloppy firing identity — one firing reachable from two
-// changed facts, where counting it twice drops a fact that keeps another
+// full re-evaluation, across GOMAXPROCS (w) × batch scale (s: a random batch
+// holds up to 5·s facts) × {counting, forceDRed}, on recursive, non-recursive
+// and stratified-negation programs. GOMAXPROCS must change nothing — the
+// evaluator starts no goroutine — and the rows keep the IDs of the grid that
+// crossed it with the deleted shard count. The last three programs open with
+// a batch that breaks a sloppy firing identity — one firing reachable from
+// two changed facts, where counting it twice drops a fact that keeps another
 // support.
 func TestMaintainOracleGrid(t *testing.T) {
 	grid := []struct {
-		procs, shards int
-		forceDRed     bool
+		procs, scale int
+		forceDRed    bool
 	}{
 		{1, 1, false},
 		{1, 1, true},
@@ -825,18 +821,17 @@ func TestMaintainOracleGrid(t *testing.T) {
 	}
 	for name, c := range maintPrograms(t) {
 		for _, cfg := range grid {
-			t.Run(fmt.Sprintf("%s/w%d_s%d_dred%v", name, cfg.procs, cfg.shards, cfg.forceDRed), func(t *testing.T) {
+			t.Run(fmt.Sprintf("%s/w%d_s%d_dred%v", name, cfg.procs, cfg.scale, cfg.forceDRed), func(t *testing.T) {
 				withProcs(t, cfg.procs)
-				opts := Options{Shards: cfg.shards}
 				mo := MaintainOptions{forceDRed: cfg.forceDRed}
-				// The unsharded rows carry the long random tails: delete-rederive
-				// goes wrong a few batches after the batch that mis-stamped a fact.
+				// Small batches carry the long random tails: delete-rederive goes
+				// wrong a few batches after the batch that mis-stamped a fact.
 				seeds, steps := int64(3), 10
-				if cfg.shards == 1 {
+				if cfg.scale == 1 {
 					seeds, steps = 8, 40
 				}
 				for seed := int64(0); seed < seeds; seed++ {
-					runMaintainStream(t, c, opts, mo, seed, 9, steps)
+					runMaintainStream(t, c, mo, seed, 9, steps, 5*cfg.scale)
 				}
 			})
 		}
@@ -903,46 +898,6 @@ func maintPrograms(t *testing.T) map[string]maintCase {
 	}
 }
 
-// TestMaintainDeterministicAcrossShards pins the stronger property: the
-// maintained database itself (arena order included) is identical across
-// shard counts and task schedules, not just set-equal.
-func TestMaintainDeterministicAcrossShards(t *testing.T) {
-	p := workload.TransitiveClosure()
-	mkStream := func(opts Options) string {
-		input := workload.Chain("A", 10)
-		m := mustMaterialize(t, p, input, opts, MaintainOptions{})
-		var log strings.Builder
-		batches := []Delta{
-			{Retract: []ast.GroundAtom{ga("A", 4, 5)}},
-			{Assert: []ast.GroundAtom{ga("A", 4, 5), ga("A", 10, 0)}},
-			{Retract: []ast.GroundAtom{ga("A", 0, 1), ga("A", 9, 10)}, Assert: []ast.GroundAtom{ga("A", 2, 7)}},
-		}
-		for _, d := range batches {
-			diff := applyOrFatal(t, m, d)
-			for _, g := range diff.Added {
-				fmt.Fprintf(&log, "+%s\n", g)
-			}
-			for _, g := range diff.Removed {
-				fmt.Fprintf(&log, "-%s\n", g)
-			}
-		}
-		// Raw arena order, not canonicalized: Facts() walks insertion order.
-		for _, g := range m.Output().Facts() {
-			fmt.Fprintf(&log, "%s\n", g)
-		}
-		return log.String()
-	}
-	base := mkStream(Options{})
-	for _, procs := range []int{1, 4} {
-		withProcs(t, procs)
-		for _, o := range []Options{{Shards: 4}, {Shards: 8}} {
-			if got := mkStream(o); got != base {
-				t.Fatalf("maintained stream diverged under %+v, GOMAXPROCS=%d:\n%s\nwant:\n%s", o, procs, got, base)
-			}
-		}
-	}
-}
-
 // TestDeltaNet pins the one batch normalisation Maintained.Apply and the
 // service's /facts share.
 func TestDeltaNet(t *testing.T) {
@@ -986,7 +941,7 @@ func TestDeltaNet(t *testing.T) {
 // assert lands.
 func TestMaintainApplyCrossHalfArity(t *testing.T) {
 	p := mustParseProgram(t, `P(x, y) :- A(x, y).`)
-	m := mustMaterialize(t, p, db.FromFacts([]ast.GroundAtom{ga("A", 1, 2)}), Options{}, MaintainOptions{})
+	m := mustMaterialize(t, p, db.FromFacts([]ast.GroundAtom{ga("A", 1, 2)}), MaintainOptions{})
 	diff, _, err := m.Apply(context.Background(), Delta{
 		Assert:  []ast.GroundAtom{ga("E", 1, 2)},
 		Retract: []ast.GroundAtom{ga("E", 1, 2, 3)},
@@ -1007,7 +962,7 @@ func TestMaintainApplyCopiesBatchNotRelation(t *testing.T) {
 	for i := int64(0); i < n; i++ {
 		input.Add(ga("A", i, i+1))
 	}
-	m := mustMaterialize(t, p, input, Options{}, MaintainOptions{})
+	m := mustMaterialize(t, p, input, MaintainOptions{})
 	total := 0
 	for b := int64(0); b < 10; b++ {
 		delta := Delta{
@@ -1048,7 +1003,7 @@ func TestMaterializeSkipsDeadInputTuples(t *testing.T) {
 	if rel := w.Relation("P"); rel.Dead() != 1 {
 		t.Fatalf("dead = %d: the input no longer carries the dead copy this test is about", rel.Dead())
 	}
-	m := mustMaterialize(t, p, w, Options{}, MaintainOptions{})
+	m := mustMaterialize(t, p, w, MaintainOptions{})
 	diff, _, err := m.Apply(context.Background(), Delta{Retract: []ast.GroundAtom{ga("P", 3, 3)}})
 	if err != nil || len(diff.Removed) != 1 || m.Output().Has(ga("P", 3, 3)) {
 		t.Fatalf("retracting the only support of P(3, 3): diff %+v, err %v, still present %v", diff, err, m.Output().Has(ga("P", 3, 3)))
@@ -1070,7 +1025,7 @@ func TestMaintainFreezeSkipsUntouchedRelations(t *testing.T) {
 	for i, pred := range []string{"A", "B", "C", "D"} {
 		input.Add(ga(pred, int64(i), int64(i)+1))
 	}
-	m := mustMaterialize(t, p, input, Options{}, MaintainOptions{})
+	m := mustMaterialize(t, p, input, MaintainOptions{})
 
 	diff, stats, err := m.Apply(context.Background(), Delta{Assert: []ast.GroundAtom{ga("A", 10, 11)}})
 	if err != nil {

@@ -90,26 +90,26 @@ func oracleNonRecursive(p *ast.Program, d *db.Database) *db.Database {
 	return out
 }
 
-// checkAgainstOracle evaluates p on input under opts and fails unless the
+// checkAgainstOracle evaluates p on input and fails unless the
 // output equals the oracle's and the work counters are the ones semi-naive
 // evaluation defines: Added is the number of facts beyond the input, and
 // Firings the number of distinct instantiations — never more than the
 // oracle's naive count. It returns the engine's output.
-func checkAgainstOracle(t testing.TB, p *ast.Program, input *db.Database, opts Options) *db.Database {
+func checkAgainstOracle(t testing.TB, p *ast.Program, input *db.Database) *db.Database {
 	t.Helper()
-	got, st, err := Eval(p, input, opts)
+	got, st, err := Eval(p, input, Options{})
 	if err != nil {
-		t.Fatalf("%+v: %v", opts, err)
+		t.Fatal(err)
 	}
 	want, naiveFirings := oracleEval(t, p, input)
 	if !got.Equal(want) {
-		t.Fatalf("%+v: output differs from oracle\ngot:\n%s\nwant:\n%s\nprogram:\n%s", opts, got, want, p)
+		t.Fatalf("output differs from oracle\ngot:\n%s\nwant:\n%s\nprogram:\n%s", got, want, p)
 	}
 	if st.Added != want.Len()-input.Len() {
-		t.Fatalf("%+v: Added = %d, oracle derived %d\nprogram:\n%s", opts, st.Added, want.Len()-input.Len(), p)
+		t.Fatalf("Added = %d, oracle derived %d\nprogram:\n%s", st.Added, want.Len()-input.Len(), p)
 	}
 	if wantFirings := oracleInstantiations(p, want); st.Firings != wantFirings || st.Firings > naiveFirings {
-		t.Fatalf("%+v: Firings = %d, oracle %d distinct instantiations, %d naive\nprogram:\n%s", opts, st.Firings, wantFirings, naiveFirings, p)
+		t.Fatalf("Firings = %d, oracle %d distinct instantiations, %d naive\nprogram:\n%s", st.Firings, wantFirings, naiveFirings, p)
 	}
 	return got
 }

@@ -8,7 +8,7 @@ import (
 )
 
 // PlanCache is a content-addressed cache of prepared evaluation plans:
-// canonical-form hash of (ast.Program, Options) → *Prepared. The
+// canonical-form hash of an ast.Program → *Prepared. The
 // minimization loops, the CLI/REPL and the harness all evaluate streams of
 // programs that repeat — candidate deletions revisit identical subprograms,
 // a long-lived server sees the same program across requests — and preparing
@@ -30,12 +30,10 @@ type PlanCache struct {
 	hits, misses, evictions uint64
 }
 
-// planEntry is one cached plan, addressed by the canonical program string
-// plus the options (a Prepared runs under the Options it was prepared with).
+// planEntry is one cached plan, addressed by the canonical program string.
 type planEntry struct {
 	hash  uint64
 	canon string
-	opts  Options
 	prep  *Prepared
 }
 
@@ -70,32 +68,27 @@ func (pc *PlanCache) Stats() CacheStats {
 	return CacheStats{Hits: pc.hits, Misses: pc.misses, Evictions: pc.evictions, Entries: pc.order.Len()}
 }
 
-// planKey is the part of a plan's address that comes from its options: the
-// shard count, and nothing else (context, goal and budget are Run arguments
-// and never reach a plan). TestPlanKeyCoversEveryOption fails when a field is
-// added to Options but not here.
-func planKey(opts Options) uint64 { return uint64(opts.Shards) }
-
-// Prepare returns the cached plan for (p, opts) or prepares, caches and
-// returns a fresh one.
+// Prepare returns the cached plan for p or prepares, caches and returns a
+// fresh one. Options carries no setting, so the canonical program is the
+// whole address (TestPlanKeyCoversEveryOption).
 func (pc *PlanCache) Prepare(p *ast.Program, opts Options) (*Prepared, error) {
-	prep, _, err := pc.GetOrBuildCanonical(p.CanonicalString(), opts, func() (*Prepared, error) { return Prepare(p, opts) })
+	prep, _, err := pc.GetOrBuildCanonical(p.CanonicalString(), func() (*Prepared, error) { return Prepare(p, opts) })
 	return prep, err
 }
 
 // GetOrBuildCanonical returns the plan cached under a program's canonical
-// form and opts, or caches and returns the plan produced by build; the
+// form, or caches and returns the plan produced by build; the
 // boolean reports a cache hit. It is the general entry session lineages use
 // (Lineage.Prepare): they maintain the canonical form incrementally across
 // one-rule deltas — re-rendering the whole program per lookup would dominate
 // the very work the cache saves — and register delta-patched plans
 // (Prepared.Derive products) under their content address, so the built
 // plan's program need only be canonically equal to canon.
-func (pc *PlanCache) GetOrBuildCanonical(canon string, opts Options, build func() (*Prepared, error)) (*Prepared, bool, error) {
-	hash := ast.HashString(canon) ^ planKey(opts)
+func (pc *PlanCache) GetOrBuildCanonical(canon string, build func() (*Prepared, error)) (*Prepared, bool, error) {
+	hash := ast.HashString(canon)
 
 	pc.mu.Lock()
-	if el := pc.lookup(hash, canon, opts); el != nil {
+	if el := pc.lookup(hash, canon); el != nil {
 		pc.order.MoveToFront(el)
 		pc.hits++
 		prep := el.Value.(*planEntry).prep
@@ -112,15 +105,15 @@ func (pc *PlanCache) GetOrBuildCanonical(canon string, opts Options, build func(
 	if err != nil {
 		return nil, false, err
 	}
-	return pc.insert(&planEntry{hash: hash, canon: canon, opts: opts, prep: prep}), false, nil
+	return pc.insert(&planEntry{hash: hash, canon: canon, prep: prep}), false, nil
 }
 
 // lookup finds the entry matching hash AND full canonical content; caller
 // holds the lock.
-func (pc *PlanCache) lookup(hash uint64, canon string, opts Options) *list.Element {
+func (pc *PlanCache) lookup(hash uint64, canon string) *list.Element {
 	for _, el := range pc.buckets[hash] {
 		e := el.Value.(*planEntry)
-		if e.canon == canon && e.opts == opts {
+		if e.canon == canon {
 			return el
 		}
 	}
@@ -132,7 +125,7 @@ func (pc *PlanCache) lookup(hash uint64, canon string, opts Options) *list.Eleme
 func (pc *PlanCache) insert(e *planEntry) *Prepared {
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
-	if el := pc.lookup(e.hash, e.canon, e.opts); el != nil {
+	if el := pc.lookup(e.hash, e.canon); el != nil {
 		pc.order.MoveToFront(el)
 		return el.Value.(*planEntry).prep
 	}
@@ -182,12 +175,12 @@ func NewLineage(cache *PlanCache) Lineage {
 }
 
 // Prepare is the lineage's one counted plan lookup: it returns the plan
-// cached under canon (a program's canonical form, default options) or
+// cached under canon (a program's canonical form) or
 // caches the one build produces, and records the hit or miss. build lets
 // callers register delta-patched plans (Prepared.Derive products) under
 // their content address.
 func (l Lineage) Prepare(canon string, build func() (*Prepared, error)) (*Prepared, error) {
-	prep, hit, err := l.cache.GetOrBuildCanonical(canon, Options{}, build)
+	prep, hit, err := l.cache.GetOrBuildCanonical(canon, build)
 	if err != nil {
 		return nil, err
 	}

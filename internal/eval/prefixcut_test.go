@@ -14,7 +14,7 @@ import (
 // insertion order), so the partial database is a function of the program,
 // the input and the goal alone. The goals are drawn from mid-evaluation
 // derivations, so the cut genuinely fires inside rounds, not only at
-// fixpoints. TestShardedGoalPrefixCut extends it across shard counts.
+// fixpoints. TestShardedGoalPrefixCut repeats it at GOMAXPROCS 1 and 8.
 func TestGoalPrefixCutDeterministic(t *testing.T) {
 	for seed := int64(0); seed < 50; seed++ {
 		rng := rand.New(rand.NewSource(seed))

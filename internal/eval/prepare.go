@@ -33,7 +33,6 @@ var errGoal = errors.New("eval: goal reached")
 // Prepared is safe for concurrent use.
 type Prepared struct {
 	prog *ast.Program
-	opts Options
 	// memos[i] compiles prog.Rules[i]. Derive hands a rule's memo to the
 	// derived plan by pointer unless the delta replaces that rule, so a
 	// lineage of one-rule deltas lowers each (rule, join order) once.
@@ -181,11 +180,6 @@ type unit struct {
 	// one full application, with no delta rounds and no confirmation round.
 	streamable bool
 
-	// partCol is the planner-chosen partition column per predicate of the
-	// unit's rules (see partitionCols), chosen on the first sharded round.
-	partOnce sync.Once
-	partCol  map[string]int
-
 	// maint is the unit's view-maintenance plan (see unit.maintPlan).
 	maintOnce sync.Once
 	maint     *maintPlan
@@ -196,22 +190,21 @@ type unit struct {
 // order.
 type roundSetup []*loweredRule
 
-// Prepare validates p and builds its evaluation schedule under opts. The
-// program is cloned, so later mutation of p (the minimization loops rewrite
-// rules in place) cannot corrupt the prepared state.
-func Prepare(p *ast.Program, opts Options) (*Prepared, error) {
+// Prepare validates p and builds its evaluation schedule (Options carries no
+// setting). The program is cloned, so later mutation of p (the minimization
+// loops rewrite rules in place) cannot corrupt the prepared state.
+func Prepare(p *ast.Program, _ Options) (*Prepared, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	opts.Shards = min(max(opts.Shards, 1), 256) // ownership views store owners in one byte
 	prog := p.Clone()
-	return schedule(prog, opts, newMemos(prog.Rules))
+	return schedule(prog, newMemos(prog.Rules))
 }
 
 // schedule builds the plan of a validated program whose rules compile
 // through memos (one per rule, in rule order).
-func schedule(prog *ast.Program, opts Options, memos []*ruleMemo) (*Prepared, error) {
-	pr := &Prepared{prog: prog, opts: opts, memos: memos, negation: prog.HasNegation()}
+func schedule(prog *ast.Program, memos []*ruleMemo) (*Prepared, error) {
+	pr := &Prepared{prog: prog, memos: memos, negation: prog.HasNegation()}
 	groups, err := scheduleGroups(prog)
 	if err != nil {
 		return nil, err
@@ -323,10 +316,10 @@ func (pr *Prepared) Derive(ruleIdx int, newRule *ast.Rule) (*Prepared, error) {
 		memos[ruleIdx] = &ruleMemo{rule: np.Rules[ruleIdx]}
 	}
 	if pr.negation || (newRule != nil && !removesEdgesOnly(old, *newRule)) {
-		return schedule(np, pr.opts, memos)
+		return schedule(np, memos)
 	}
 
-	out := &Prepared{prog: np, opts: pr.opts, memos: memos}
+	out := &Prepared{prog: np, memos: memos}
 	out.units = make([]*unit, 0, len(pr.units)+1)
 	out.unitIdxs = make([][]int, 0, len(pr.units)+1)
 	for ui, idxs := range pr.unitIdxs {
@@ -493,7 +486,7 @@ func (pr *Prepared) Run(ctx context.Context, input *db.Database, goal *ast.Groun
 		return d, true, stats, nil
 	}
 	env := &roundEnv{
-		ctx: ctx, d: d, opts: pr.opts, stats: &stats,
+		ctx: ctx, d: d, stats: &stats,
 		baseLen: input.Len(), maxDerived: maxDerived, goal: goal, prov: prov,
 	}
 	for ui, u := range pr.units {
@@ -677,8 +670,8 @@ func (env *roundEnv) deltaVariants(u *unit, all bool, min, max int32, variants [
 // rule that derived at least one new fact.
 //
 // The fixpoint only decides which variants each round runs; the round
-// executor (rounds.go) owns the sequential / sharded firing disciplines and
-// their shared budget, goal and cancellation semantics.
+// executor (rounds.go) fires them under the budget, goal and cancellation
+// semantics it shares with the insert loop.
 func (u *unit) fixpoint(env *roundEnv) error {
 	ctx, d, stats := env.ctx, env.d, env.stats
 	// A streamable unit has no delta variants — no rule reads the unit's own
@@ -705,7 +698,7 @@ func (u *unit) fixpoint(env *roundEnv) error {
 		} else {
 			env.variants = env.deltaVariants(u, false, prev, prev, env.variants[:0])
 		}
-		if err := env.runRound(u, env.variants); err != nil {
+		if err := env.runRound(env.variants); err != nil {
 			return err
 		}
 		if env.maxDerived > 0 && d.Len()-env.baseLen > env.maxDerived {

@@ -28,8 +28,8 @@ func pickDerivedGoal(d, full *db.Database) (ast.GroundAtom, bool) {
 // TestQuickPreparedEqualsOneShot checks that preparing a program once and
 // evaluating through the Prepared is observationally identical to the
 // one-shot Eval — same output database, same Added count — over random
-// programs crossed over {sequential, 4 shards} × {goal unset, goal set},
-// with the naive oracle as the common reference.
+// programs crossed over {goal unset, goal set}, with the naive oracle as the
+// common reference.
 func TestQuickPreparedEqualsOneShot(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -38,49 +38,43 @@ func TestQuickPreparedEqualsOneShot(t *testing.T) {
 			return true
 		}
 		d := workload.RandomDB(rng, p, 4, 4)
-		for _, shards := range []int{1, 4} {
-			opts := Options{Shards: shards}
-			full, sFull, err := Eval(p, d, opts)
-			if err != nil {
-				return false
-			}
-			if want, naiveFirings := oracleEval(t, p, d); !full.Equal(want) || sFull.Firings > naiveFirings {
-				return false
-			}
-			pr, err := Prepare(p, opts)
-			if err != nil {
-				return false
-			}
-			out, st, err := pr.Eval(d)
-			if err != nil {
-				return false
-			}
-			if !out.Equal(full) || st.Added != sFull.Added {
-				return false
-			}
-			// The Prepared is reusable: a second evaluation of the same
-			// input repeats the result exactly.
-			again, st2, err := pr.Eval(d)
-			if err != nil || !again.Equal(full) || st2.Added != st.Added {
-				return false
-			}
-
-			// Goal set: the early stop must be sound — the goal is reached
-			// iff the fixpoint derives it, and the partial database never
-			// exceeds the fixpoint.
-			goal, ok := pickDerivedGoal(d, full)
-			if !ok {
-				continue
-			}
-			part, reached, _, err := pr.Run(context.Background(), d, &goal, 0, nil)
-			if err != nil {
-				return false
-			}
-			if !reached || !part.Has(goal) || !full.Contains(part) {
-				return false
-			}
+		full, sFull, err := Eval(p, d, Options{})
+		if err != nil {
+			return false
 		}
-		return true
+		if want, naiveFirings := oracleEval(t, p, d); !full.Equal(want) || sFull.Firings > naiveFirings {
+			return false
+		}
+		pr, err := Prepare(p, Options{})
+		if err != nil {
+			return false
+		}
+		out, st, err := pr.Eval(d)
+		if err != nil {
+			return false
+		}
+		if !out.Equal(full) || st.Added != sFull.Added {
+			return false
+		}
+		// The Prepared is reusable: a second evaluation of the same input
+		// repeats the result exactly.
+		again, st2, err := pr.Eval(d)
+		if err != nil || !again.Equal(full) || st2.Added != st.Added {
+			return false
+		}
+
+		// Goal set: the early stop must be sound — the goal is reached iff
+		// the fixpoint derives it, and the partial database never exceeds
+		// the fixpoint.
+		goal, ok := pickDerivedGoal(d, full)
+		if !ok {
+			return true
+		}
+		part, reached, _, err := pr.Run(context.Background(), d, &goal, 0, nil)
+		if err != nil {
+			return false
+		}
+		return reached && part.Has(goal) && full.Contains(part)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Error(err)

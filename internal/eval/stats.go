@@ -10,14 +10,13 @@ package eval
 // plus one entry in leaves; TestStatsAddSubCoverEveryField fails when the
 // two disagree. TUTORIAL.md's counters table documents every leaf.
 //
-// A single evaluation fills the fixpoint, stream and shard groups and leaves
+// A single evaluation fills the fixpoint and stream groups and leaves
 // the rest zero; sessions fill the reuse and chase groups and fold their
 // internal evaluations in whole (Add).
 type Stats struct {
 	FixpointStats
 	ReuseStats
 	StreamStats
-	ShardStats
 	MaintainStats
 	ChaseStats
 }
@@ -69,25 +68,9 @@ type StreamStats struct {
 	// operator, in every round of every unit: the joins' total
 	// intermediate-result size.
 	BindingsPipelined int `json:"bindings_pipelined"`
-	// EarlyStopCuts counts sequential passes cut mid-pipeline by a goal hit,
+	// EarlyStopCuts counts rounds cut mid-pipeline by a goal hit,
 	// an exhausted derived-fact budget or a cancellation.
 	EarlyStopCuts int `json:"early_stop_cuts"`
-}
-
-// ShardStats counts the sharded round executor's work (zero under Shards ≤ 1).
-type ShardStats struct {
-	// ShardRounds counts shard-round executions: a round run under Shards=N
-	// adds N (one per shard slice of the round).
-	ShardRounds int `json:"shard_rounds"`
-	// DeltaExchanged counts boundary-delta exchanges: facts committed whose
-	// owner shard (by the head predicate's partition column) differs from
-	// the shard that derived them, i.e. tuples that would cross shards in a
-	// distributed deployment.
-	DeltaExchanged int `json:"delta_exchanged"`
-	// ShardImbalance accumulates, per sharded round, the gap between the
-	// busiest shard's firings and the round's per-shard mean — a direct
-	// measure of how well the planner's partition columns spread the work.
-	ShardImbalance int `json:"shard_imbalance"`
 }
 
 // MaintainStats counts incremental view maintenance (Maintained.Apply).
@@ -129,12 +112,11 @@ type ChaseStats struct {
 // leaves is the single enumeration of the counter set, in declaration
 // order: Add and Sub walk it, so a counter listed here is summed and
 // differenced everywhere stats flow.
-func (s *Stats) leaves() [24]*int {
+func (s *Stats) leaves() [21]*int {
 	return [...]*int{
 		&s.Rounds, &s.Firings, &s.Added,
 		&s.PrepareHits, &s.PrepareMisses, &s.VerdictsReused, &s.VerdictsRecomputed, &s.VerdictsSubsumed,
 		&s.StrataStreamed, &s.StrataMaterialized, &s.BindingsPipelined, &s.EarlyStopCuts,
-		&s.ShardRounds, &s.DeltaExchanged, &s.ShardImbalance,
 		&s.Applies, &s.CountAdjusted, &s.Overdeleted, &s.Rederived, &s.RelationsFrozen, &s.FreezeSkipped, &s.TuplesCopied,
 		&s.ChasesBudgetFree, &s.ChasesBudgetBounded,
 	}

@@ -21,7 +21,7 @@ import (
 // span (what each operator may read) and a different sink (what happens to a
 // head instantiation): a first-round full application, a semi-naive delta
 // variant, a one-pass non-recursive stratum, the one-step Pⁿ / IsClosed
-// pass, a maintenance insert round, a shard task and every retraction-side
+// pass, a maintenance insert round and every retraction-side
 // enumeration of view maintenance (maintain.go) differ in nothing else.
 //
 // The lowering is purely static. Because a plan is compiled for one body
@@ -263,12 +263,6 @@ type streamState struct {
 	out     []ast.Const
 	fix     fixpointSink
 	one     *db.Database // Firings' one-fact change set
-
-	// A shard task restricts position 0 to the tuples view assigns to shard;
-	// owned is false everywhere else.
-	owned bool
-	view  db.ShardView
-	shard uint8
 }
 
 // streamSink receives the pipeline's head emissions. added reports whether
@@ -479,9 +473,8 @@ func (sp *streamPlan) open(pos int, st *streamState) {
 
 // advance pulls the next candidate at pos that lies in the position's
 // id-range, is alive (a scan skips dead ids itself; lookups and probes only
-// ever return live ones), is owned by the running shard task (position 0
-// only) and passes the operator's selection actions, binding its free
-// columns into the frame.
+// ever return live ones) and passes the operator's selection actions,
+// binding its free columns into the frame.
 // Slots are never unbound: boundness is static, so a stale value is simply
 // overwritten by the next candidate before anything downstream reads it.
 func (sp *streamPlan) advance(pos int, st *streamState, stats *Stats) bool {
@@ -522,9 +515,6 @@ func (sp *streamPlan) advance(pos int, st *streamState, stats *Stats) bool {
 				return false
 			}
 			id = int(tid)
-		}
-		if pos == 0 && st.owned && st.view.Owner(int32(id)) != st.shard {
-			continue
 		}
 		st.cur[pos] = int32(id)
 		tuple := rel.Tuple(id)

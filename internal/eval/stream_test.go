@@ -30,7 +30,7 @@ func TestQuickStreamingEqualsMaterializing(t *testing.T) {
 		if _, _, err := Eval(p, input, Options{}); err != nil {
 			continue // unstratifiable
 		}
-		full := checkAgainstOracle(t, p, input, Options{})
+		full := checkAgainstOracle(t, p, input)
 		// Goal candidates: a derived fact (cut fires mid-evaluation) and
 		// an unreachable atom (cut never fires).
 		goals := []ast.GroundAtom{ast.NewGroundAtom("P", ast.Int(9000), ast.Int(9000))}
@@ -130,7 +130,7 @@ func TestStreamingNegation(t *testing.T) {
 	in := db.FromFacts([]ast.GroundAtom{
 		ga("E", 1, 2), ga("E", 2, 2), ga("E", 3, 4), ga("S", 1), ga("S", 4),
 	})
-	checkAgainstOracle(t, p, in, Options{})
+	checkAgainstOracle(t, p, in)
 	_, st, err := Eval(p, in, Options{})
 	if err != nil {
 		t.Fatal(err)

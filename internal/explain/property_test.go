@@ -95,11 +95,10 @@ func checkTree(t *testing.T, p *ast.Program, out *db.Database, d *explain.Deriva
 }
 
 // TestProofReadBackProperty: over seeded random stratified programs and
-// inputs (intentional input facts included), sharded and not, every fact of
-// the output has a proof that verifies, descends strictly in round stamps
-// and respects negation; the tree does not depend on the shard count; a
-// goal-cut partial database explains its goal; and the derivation counts are
-// the reference matcher's, negation included.
+// inputs (intentional input facts included), every fact of the output has a
+// proof that verifies, descends strictly in round stamps and respects
+// negation; a goal-cut partial database explains its goal; and the
+// derivation counts are the reference matcher's, negation included.
 func TestProofReadBackProperty(t *testing.T) {
 	ctx := context.Background()
 	for seed := int64(0); seed < 40; seed++ {
@@ -112,62 +111,48 @@ func TestProofReadBackProperty(t *testing.T) {
 		for _, pred := range []string{"P", "R"} {
 			in.AddTuple(pred, []ast.Const{ast.Int(int64(rng.Intn(5))), ast.Int(int64(rng.Intn(5)))})
 		}
-		var trees map[string]string
-		for _, shards := range []int{1, 4} {
-			prep, err := eval.Prepare(p, eval.Options{Shards: shards})
-			if err != nil {
-				t.Fatalf("seed %d: %v\n%s", seed, err, p)
+		prep, err := eval.Prepare(p, eval.Options{})
+		if err != nil {
+			t.Fatalf("seed %d: %v\n%s", seed, err, p)
+		}
+		out, _, _, err := prep.Run(ctx, in, nil, 0, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pr := explain.Over(p, prep, in, out)
+		want, sum := oracleCounts(p, out), 0
+		for _, f := range out.Facts() {
+			d, ok := pr.Explain(f)
+			if !ok {
+				t.Fatalf("seed %d: no proof of %v\n%s", seed, f, p)
 			}
-			out, _, _, err := prep.Run(ctx, in, nil, 0, nil)
-			if err != nil {
-				t.Fatal(err)
+			if err := explain.Verify(p, in, d); err != nil {
+				t.Fatalf("seed %d: proof of %v: %v\n%s", seed, f, err, p)
 			}
-			pr := explain.Over(p, prep, in, out)
-			want, sum := oracleCounts(p, out), 0
-			got := make(map[string]string)
-			for _, f := range out.Facts() {
-				d, ok := pr.Explain(f)
-				if !ok {
-					t.Fatalf("seed %d shards %d: no proof of %v\n%s", seed, shards, f, p)
-				}
-				if err := explain.Verify(p, in, d); err != nil {
-					t.Fatalf("seed %d shards %d: proof of %v: %v\n%s", seed, shards, f, err, p)
-				}
-				checkTree(t, p, out, d)
-				got[f.Key()] = d.String()
-				if n := pr.Justifications(f); n != want[f.Key()] {
-					t.Fatalf("seed %d shards %d: %v has %d justifications, the oracle counts %d\n%s", seed, shards, f, n, want[f.Key()], p)
-				}
-				sum += want[f.Key()]
+			checkTree(t, p, out, d)
+			if n := pr.Justifications(f); n != want[f.Key()] {
+				t.Fatalf("seed %d: %v has %d justifications, the oracle counts %d\n%s", seed, f, n, want[f.Key()], p)
+			}
+			sum += want[f.Key()]
 
-				if in.Has(f) || rng.Intn(4) > 0 {
-					continue
-				}
-				cut, reached, _, err := prep.Run(ctx, in, &f, 0, nil)
-				if err != nil || !reached {
-					t.Fatalf("seed %d shards %d: goal %v: reached=%v err=%v", seed, shards, f, reached, err)
-				}
-				d, ok = explain.Over(p, prep, in, cut).Explain(f)
-				if !ok {
-					t.Fatalf("seed %d shards %d: the database cut at %v does not explain it\n%s", seed, shards, f, p)
-				}
-				if err := explain.Verify(p, in, d); err != nil {
-					t.Fatalf("seed %d shards %d: goal-cut proof of %v: %v", seed, shards, f, err)
-				}
-				checkTree(t, p, cut, d)
-			}
-			if n := pr.TotalJustifications(); n != sum {
-				t.Fatalf("seed %d shards %d: TotalJustifications = %d, the per-fact counts sum to %d\n%s", seed, shards, n, sum, p)
-			}
-			if trees == nil {
-				trees = got
+			if in.Has(f) || rng.Intn(4) > 0 {
 				continue
 			}
-			for k, tree := range got {
-				if trees[k] != tree {
-					t.Fatalf("seed %d: proof differs between Shards 1 and %d:\n%s\nvs\n%s", seed, shards, trees[k], tree)
-				}
+			cut, reached, _, err := prep.Run(ctx, in, &f, 0, nil)
+			if err != nil || !reached {
+				t.Fatalf("seed %d: goal %v: reached=%v err=%v", seed, f, reached, err)
 			}
+			d, ok = explain.Over(p, prep, in, cut).Explain(f)
+			if !ok {
+				t.Fatalf("seed %d: the database cut at %v does not explain it\n%s", seed, f, p)
+			}
+			if err := explain.Verify(p, in, d); err != nil {
+				t.Fatalf("seed %d: goal-cut proof of %v: %v", seed, f, err)
+			}
+			checkTree(t, p, cut, d)
+		}
+		if n := pr.TotalJustifications(); n != sum {
+			t.Fatalf("seed %d: TotalJustifications = %d, the per-fact counts sum to %d\n%s", seed, n, sum, p)
 		}
 	}
 }

@@ -51,7 +51,7 @@ type Options struct {
 	DisableSyntacticFastPath bool
 	// PlanCache selects the plan cache the containment sessions prepare
 	// through; nil selects the process-wide cache. Servers and tests inject
-	// their own to isolate or shard cache footprints.
+	// their own to isolate or partition cache footprints.
 	PlanCache *eval.PlanCache
 }
 

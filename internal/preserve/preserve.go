@@ -74,7 +74,7 @@ func NewSession(p *ast.Program) (*Session, error) {
 // NewSessionIn is NewSession inside an existing lineage: the session
 // prepares through the lineage's plan cache and accumulates into its stats.
 // Tests, the harness and servers inject a lineage over their own cache to
-// isolate or shard cache footprints; Derive's from-scratch fallbacks use it
+// isolate or partition cache footprints; Derive's from-scratch fallbacks use it
 // to stay in the receiver's lineage.
 func NewSessionIn(p *ast.Program, lin eval.Lineage) (*Session, error) {
 	if p.HasNegation() {

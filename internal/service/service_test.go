@@ -698,16 +698,14 @@ func statField(t *testing.T, stats map[string]any, key string) int {
 	return int(v)
 }
 
-// TestStatzShardTotalsTwoTenants drives eval requests from two tenants on a
-// server deployed with the sharded executor, sums the per-request stats
-// payloads, and asserts the /v1/statz eval totals match the sum exactly — the
-// shard counters (shard_rounds, delta_exchanged, shard_imbalance) included.
-// Each tenant is read twice and evaluated once: the second read is answered
-// from the memoized output, reports zero stats and is no eval.requests.
-// Run under -race in CI: the per-session accounting and the statz read race
-// against each other in production.
-func TestStatzShardTotalsTwoTenants(t *testing.T) {
-	s := New(core.SessionOptions{Shards: 2})
+// TestStatzTotalsTwoTenants drives eval requests from two tenants, sums the
+// per-request stats payloads, and asserts the /v1/statz eval totals match the
+// sum exactly, key by key. Each tenant is read twice and evaluated once: the
+// second read is answered from the memoized output, reports zero stats and is
+// no eval.requests. Run under -race in CI: the per-session accounting and the
+// statz read race against each other in production.
+func TestStatzTotalsTwoTenants(t *testing.T) {
+	s := New()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -721,7 +719,6 @@ func TestStatzShardTotalsTwoTenants(t *testing.T) {
 		t.Fatalf("facts globex: %d %v", code, resp)
 	}
 
-	keys := []string{"rounds", "firings", "added", "shard_rounds", "delta_exchanged", "shard_imbalance"}
 	sum := make(map[string]int)
 	wantRows := oracleRows(t, authzProgram, []string{tenantAFacts}, "CanRead(u, d)")
 	reqs := []struct {
@@ -743,7 +740,7 @@ func TestStatzShardTotalsTwoTenants(t *testing.T) {
 		if !ok {
 			t.Fatalf("eval %v: no stats in %v", req.body, resp)
 		}
-		for _, k := range keys {
+		for k := range stats {
 			sum[k] += statField(t, stats, k)
 		}
 		if ran := statField(t, stats, "rounds") > 0; ran == req.memoized {
@@ -754,12 +751,12 @@ func TestStatzShardTotalsTwoTenants(t *testing.T) {
 		}
 		if req.body["tenant"] == "acme" {
 			if got := respRows(t, resp); !sliceEq(got, wantRows) {
-				t.Fatalf("sharded rows diverge from oracle (memoized %v): got %v want %v", req.memoized, got, wantRows)
+				t.Fatalf("rows diverge from oracle (memoized %v): got %v want %v", req.memoized, got, wantRows)
 			}
 		}
 	}
-	if sum["shard_rounds"] == 0 {
-		t.Fatal("no request exercised the sharded executor")
+	if sum["rounds"] == 0 {
+		t.Fatal("no request ran the kernel")
 	}
 
 	code, resp := get(t, ts, "/v1/statz")
@@ -781,7 +778,10 @@ func TestStatzShardTotalsTwoTenants(t *testing.T) {
 	if !ok {
 		t.Fatalf("statz eval has no totals: %v", ev)
 	}
-	for _, k := range keys {
+	if len(totals) != len(sum) {
+		t.Fatalf("statz totals has %d keys, the stats payloads %d", len(totals), len(sum))
+	}
+	for k := range sum {
 		if got := statField(t, totals, k); got != sum[k] {
 			t.Fatalf("statz totals[%q] = %d, want the per-request sum %d", k, got, sum[k])
 		}
@@ -816,9 +816,8 @@ func statzTotals(t *testing.T, ts *httptest.Server) map[string]any {
 
 // TestStatzEveryGroupMoves: each counter group of eval.Stats moves in
 // /v1/statz when the thing it counts happens — an eval (fixpoint and stream
-// groups, and, the server being deployed sharded, the shard group; the same
-// eval asked again moves requests.evals_memoized and none of them), a
-// minimize (reuse group,
+// groups; the same eval asked again moves requests.evals_memoized and none of
+// them, the first after a batch moves them again), a minimize (reuse group,
 // and the fixpoint counters of its containment chases, which the totals
 // used to miss), an explain (a session request like any other: its
 // goal-directed evaluation and proof read-back are counted), and a mutation
@@ -826,7 +825,7 @@ func statzTotals(t *testing.T, ts *httptest.Server) map[string]any {
 // group). The chase group needs tgds and is pinned at the library level
 // (internal/chase termination tests).
 func TestStatzEveryGroupMoves(t *testing.T) {
-	s := New(core.SessionOptions{Shards: 2})
+	s := New()
 	ts := httptest.NewServer(s.Handler())
 	// Cleanup, not defer: the changefeed registers its own cleanup after this
 	// one, so LIFO order disconnects the stream before the server drains.
@@ -881,8 +880,8 @@ func TestStatzEveryGroupMoves(t *testing.T) {
 	}
 	// A batch drops the memoized output: the next eval runs the kernel again.
 	ok("/v1/programs/tc/facts", map[string]any{"tenant": "t", "assert": fmt.Sprintf("%s(4, 5).", a)})()
-	step("sharded eval", ok("/v1/programs/tc/eval", map[string]any{"tenant": "t"}),
-		"shard_rounds")
+	step("eval after a batch", ok("/v1/programs/tc/eval", map[string]any{"tenant": "t"}),
+		"rounds", "firings", "added")
 	step("minimize", ok("/v1/programs/tc/minimize", map[string]any{}),
 		"rounds", "firings", "prepare_misses", "verdicts_recomputed")
 	requests := func() float64 {
