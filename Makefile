@@ -1,13 +1,13 @@
 GO ?= go
 
 # Benchmarks tracked in BENCH_eval.json: the eval/chase hot-path families.
-BENCH_PATTERN ?= BenchmarkE2|BenchmarkE3|BenchmarkE4|BenchmarkE5|BenchmarkE6|BenchmarkE7|BenchmarkE9|BenchmarkE10|BenchmarkEngines|BenchmarkEvalShapes|BenchmarkAblation_TerminationFastPath|BenchmarkMaintain_DRed
+BENCH_PATTERN ?= BenchmarkE2|BenchmarkE3|BenchmarkE4|BenchmarkE5|BenchmarkE6|BenchmarkE7|BenchmarkE9|BenchmarkEngines|BenchmarkEvalShapes|BenchmarkAblation_TerminationFastPath|BenchmarkMaintain_DRed
 BENCHTIME ?= 0.3s
 
 # staticcheck pin for lint-ci; bump deliberately, not implicitly.
 STATICCHECK_VERSION ?= 2025.1
 
-.PHONY: all build vet datalog-vet test race race-service race-ivm serve-smoke bench bench-all experiments examples guard-one-join guard-ctx-arg guard-no-batch-compact guard-delta-first guard-request-path guard-one-unfold lint lint-ci clean
+.PHONY: all build vet datalog-vet test race race-service race-ivm serve-smoke bench bench-all experiments examples guard-one-join guard-ctx-arg guard-no-batch-compact guard-delta-first guard-request-path guard-one-unfold guard-no-ablation-arm lint lint-ci clean
 
 all: build vet test
 
@@ -54,9 +54,10 @@ serve-smoke:
 
 # bench runs the eval/chase benchmark families and records ns/op, B/op and
 # allocs/op per benchmark in BENCH_eval.json so the perf trajectory is
-# tracked from PR to PR.
+# tracked from PR to PR. The termination ablation sets an unexported switch,
+# so it lives in internal/chase.
 bench:
-	$(GO) test -run='^$$' -bench='$(BENCH_PATTERN)' -benchmem -benchtime=$(BENCHTIME) . | tee /dev/stderr | $(GO) run ./cmd/benchjson -o BENCH_eval.json
+	$(GO) test -run='^$$' -bench='$(BENCH_PATTERN)' -benchmem -benchtime=$(BENCHTIME) . ./internal/chase | tee /dev/stderr | $(GO) run ./cmd/benchjson -o BENCH_eval.json
 
 bench-all:
 	$(GO) test -bench=. -benchmem .
@@ -71,8 +72,8 @@ experiments:
 # file outside it may import it, and internal/db exports no matcher for a
 # second join to grow back on. Inside the packages that once joined through
 # ast.Binding maps, a Binding may only report a result the kernel found:
-# internal/eval never names one, and the tgd, preservation, constraint and
-# conjunctive-query code never matches into one (MatchGround / Unify).
+# internal/eval never names one, and the tgd, preservation and constraint
+# code never matches into one (MatchGround / Unify).
 ONE_JOIN_ROOTS = ./cmd/... ./examples/... ./internal/core ./internal/service ./internal/harness
 guard-one-join:
 	@if $(GO) list -deps $(ONE_JOIN_ROOTS) | grep '^repro/internal/oracle'; then \
@@ -88,7 +89,7 @@ guard-one-join:
 	@if grep -nE 'ast\.Binding|MustGround' internal/eval/*.go | grep -v '_test\.go:'; then \
 		echo "internal/eval: binding-map join outside tests (make guard-one-join)" >&2; exit 1; \
 	fi
-	@if grep -nE 'MatchGround|\.Unify\(' internal/chase/*.go internal/preserve/*.go internal/constraint/*.go internal/cq/*.go | grep -v '_test\.go:'; then \
+	@if grep -nE 'MatchGround|\.Unify\(' internal/chase/*.go internal/preserve/*.go internal/constraint/*.go | grep -v '_test\.go:'; then \
 		echo "a join through an ast.Binding outside tests (make guard-one-join): lower the conjunction with eval.LowerConj" >&2; exit 1; \
 	fi
 
@@ -183,10 +184,30 @@ guard-one-unfold:
 		echo "internal/preserve defines a Derive method (make guard-one-unfold): open the weakened program's session with NewSessionIn in the same lineage" >&2; exit 1; \
 	fi
 
+# guard-no-ablation-arm keeps the paths that lost their own benchmark out of
+# the shipped tree: supplementary magic (slower than basic magic on every
+# recorded row), the conjunctive-query "fast path" (slower than a warm chase;
+# it lives on as the test oracle internal/oracle/cq) and the chase's public
+# ablation switches (the oracle arms are unexported fields its own tests
+# set). minimize has no switch of its own to reach them through.
+guard-no-ablation-arm:
+	@if test -e internal/cq; then \
+		echo "internal/cq is back (make guard-no-ablation-arm): the Chandra–Merlin oracle lives in internal/oracle/cq, for tests" >&2; exit 1; \
+	fi
+	@if grep -nE 'Supplementary|sup@' internal/magic/*.go | grep -v '_test\.go:'; then \
+		echo "internal/magic: supplementary magic is back (make guard-no-ablation-arm): it lost to basic magic on every recorded row" >&2; exit 1; \
+	fi
+	@if grep -nE '^func \([^)]*\*Checker\) Disable' internal/chase/*.go | grep -v '_test\.go:'; then \
+		echo "internal/chase: an exported ablation switch is back (make guard-no-ablation-arm): tests set noSyntactic / noTermination directly" >&2; exit 1; \
+	fi
+	@if grep -rn 'noFastPath' internal/minimize; then \
+		echo "internal/minimize: noFastPath is back (make guard-no-ablation-arm): the chase's own tests check each forced verdict" >&2; exit 1; \
+	fi
+
 # lint runs the guards and go vet always, and staticcheck when the binary is
 # on PATH (the dev container does not bake it in; lint-ci installs the pinned
 # version).
-lint: guard-one-join guard-ctx-arg guard-no-batch-compact guard-delta-first guard-request-path guard-one-unfold
+lint: guard-one-join guard-ctx-arg guard-no-batch-compact guard-delta-first guard-request-path guard-one-unfold guard-no-ablation-arm
 	$(GO) vet ./...
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \

@@ -1,6 +1,7 @@
-// Benchmarks regenerating the experiment suite E1–E10 of DESIGN.md, one
-// bench family per experiment, plus the ablation benches for the design
-// choices DESIGN.md §5 calls out. Run with:
+// Benchmarks regenerating the experiment suite of DESIGN.md, one bench
+// family per experiment, plus the ablation benches for the design choices
+// DESIGN.md §5 calls out (the chase's termination ablation lives in
+// internal/chase, beside the switch it flips). Run with:
 //
 //	go test -bench=. -benchmem .
 package repro
@@ -13,7 +14,6 @@ import (
 
 	"repro/internal/ast"
 	"repro/internal/chase"
-	"repro/internal/cq"
 	"repro/internal/db"
 	"repro/internal/equivopt"
 	"repro/internal/eval"
@@ -251,31 +251,6 @@ func BenchmarkE9_EmbeddedChase(b *testing.B) {
 	}
 }
 
-// BenchmarkE10_CQAblation compares the CQ homomorphism fast path against
-// the frozen-body chase on non-recursive containment.
-func BenchmarkE10_CQAblation(b *testing.B) {
-	for _, k := range []int{2, 4, 8} {
-		rng := rand.New(rand.NewSource(int64(k)))
-		r1 := randomCQRule(rng, k)
-		r2 := randomCQRule(rng, k)
-		q1, _ := cq.FromRule(r1)
-		q2, _ := cq.FromRule(r2)
-		b.Run(fmt.Sprintf("cq/k-%d", k), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				cq.Contained(q1, q2)
-			}
-		})
-		b.Run(fmt.Sprintf("chase/k-%d", k), func(b *testing.B) {
-			p := ast.NewProgram(r2)
-			for i := 0; i < b.N; i++ {
-				if _, err := chase.UniformlyContainsRule(p, r1); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkAblation_DeletionOrder measures Fig. 2 under source order vs
 // shuffled consideration order (the paper: results may differ; cost may
 // too).
@@ -294,45 +269,6 @@ func BenchmarkAblation_DeletionOrder(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			shuffleRng := rand.New(rand.NewSource(int64(i)))
 			if _, _, err := minimize.Program(context.Background(), p, minimize.Options{Rand: shuffleRng}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// randomCQRule mirrors the harness generator for E10.
-func randomCQRule(rng *rand.Rand, k int) ast.Rule {
-	vars := []string{"x", "y", "z", "u", "v", "w"}
-	preds := []string{"A", "B"}
-	body := make([]ast.Atom, k)
-	for i := range body {
-		body[i] = ast.NewAtom(preds[rng.Intn(len(preds))],
-			ast.Var(vars[rng.Intn(len(vars))]),
-			ast.Var(vars[rng.Intn(len(vars))]))
-	}
-	return ast.NewRule(ast.NewAtom("Q", body[0].Args[0]), body...)
-}
-
-// BenchmarkAblation_SupplementaryMagic compares the basic and supplementary
-// magic rewritings on a long-bodied recursive rule, where supplementary
-// predicates avoid recomputing shared body prefixes.
-func BenchmarkAblation_SupplementaryMagic(b *testing.B) {
-	p := parser.MustParseProgram(`
-		P(x, z) :- E(x, z).
-		P(x, z) :- P(x, a), E(a, b), E(b, c), E(c, d), P(d, z).
-	`)
-	edb := workload.Chain("E", 48)
-	query := parser.MustParseAtom("P(0, y)")
-	b.Run("basic", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, _, err := magic.Answer(p, edb, query, eval.Options{}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("supplementary", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, _, err := magic.AnswerSupplementary(p, edb, query, eval.Options{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -389,9 +325,8 @@ func BenchmarkExplainProver(b *testing.B) {
 	}
 }
 
-// BenchmarkEngines compares the four query-answering strategies on a bound
-// ancestor query: full bottom-up + filter, basic magic, supplementary
-// magic, and tabled top-down.
+// BenchmarkEngines compares the three query-answering strategies on a bound
+// ancestor query: full bottom-up + filter, magic sets, and tabled top-down.
 func BenchmarkEngines(b *testing.B) {
 	p := workload.Ancestor()
 	edb := workload.Chain("Par", 96)
@@ -406,13 +341,6 @@ func BenchmarkEngines(b *testing.B) {
 	b.Run("magic", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			if _, _, err := magic.Answer(p, edb, query, eval.Options{}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("supplementary-magic", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, _, err := magic.AnswerSupplementary(p, edb, query, eval.Options{}); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -591,52 +519,6 @@ func BenchmarkStratifiedMagic(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-	})
-}
-
-// BenchmarkAblation_TerminationFastPath measures what the termination
-// classifier buys the chase on a full (existential-free) tgd set: the
-// classified arm collapses the rule/tgd round alternation into one prepared
-// fixpoint, while the raw-budget arm (classification disabled) replays the
-// staged pipeline round by round under the default budget.
-func BenchmarkAblation_TerminationFastPath(b *testing.B) {
-	const stages = 6
-	p := parser.MustParseProgram(fmt.Sprintf(`T(x, z) :- S%d(x, y), S%d(y, z).`, stages, stages))
-	var tgds []ast.TGD
-	for i := 0; i < stages; i++ {
-		tgds = append(tgds, parser.MustParseTGD(fmt.Sprintf("S%d(x, y) -> S%d(x, y).", i, i+1)))
-	}
-	rng := rand.New(rand.NewSource(11))
-	base := db.New()
-	for i := 0; i < 400; i++ {
-		base.Add(ast.GroundAtom{Pred: "S0", Args: []ast.Const{
-			ast.Int(int64(rng.Intn(80))), ast.Int(int64(rng.Intn(80)))}})
-	}
-	snap := base.Freeze()
-
-	run := func(b *testing.B, c *chase.Checker) {
-		b.Helper()
-		for i := 0; i < b.N; i++ {
-			res, err := c.Apply(context.Background(), tgds, snap.Thaw(), chase.Budget{})
-			if err != nil || !res.Complete {
-				b.Fatalf("chase: complete=%v err=%v", res.Complete, err)
-			}
-		}
-	}
-	b.Run("classified", func(b *testing.B) {
-		c, err := chase.NewChecker(p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		run(b, c)
-	})
-	b.Run("raw-budget", func(b *testing.B) {
-		c, err := chase.NewChecker(p)
-		if err != nil {
-			b.Fatal(err)
-		}
-		c.DisableTerminationAnalysis()
-		run(b, c)
 	})
 }
 

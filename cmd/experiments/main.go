@@ -1,5 +1,5 @@
-// Command experiments regenerates the experiment tables E1–E10 described in
-// DESIGN.md and recorded in EXPERIMENTS.md.
+// Command experiments regenerates the experiment tables E1–E9, E11, E12, E14
+// and E15 described in DESIGN.md and recorded in EXPERIMENTS.md.
 //
 // Usage:
 //
@@ -17,7 +17,7 @@ import (
 )
 
 func main() {
-	runID := flag.String("run", "all", "experiment id to run (E1..E12, E14, E15, or 'all')")
+	runID := flag.String("run", "all", "experiment id to run (E1..E9, E11, E12, E14, E15, or 'all')")
 	format := flag.String("format", "table", "output format: table, csv, or md")
 	flag.Parse()
 
@@ -42,7 +42,6 @@ func main() {
 		"E7":  harness.E7EquivOpt,
 		"E8":  harness.E8MagicComposition,
 		"E9":  harness.E9EmbeddedChase,
-		"E10": harness.E10CQAblation,
 		"E11": harness.E11Engines,
 		"E12": harness.E12Incremental,
 		"E14": harness.E14SIPS,
@@ -58,7 +57,7 @@ func main() {
 	}
 	runner, ok := runners[id]
 	if !ok {
-		fmt.Fprintf(os.Stderr, "experiments: unknown id %q (want E1..E12, E14, E15 or all)\n", *runID)
+		fmt.Fprintf(os.Stderr, "experiments: unknown id %q (want E1..E9, E11, E12, E14, E15 or all)\n", *runID)
 		os.Exit(1)
 	}
 	fmt.Println(render(runner()))

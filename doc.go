@@ -4,11 +4,12 @@
 // minimization under uniform equivalence (the paper's Figs. 1–2),
 // tgd-preservation testing (Fig. 3), and optimization under plain
 // equivalence (Sections X–XI), together with the substrates they need — a
-// Datalog parser, a naive/semi-naive bottom-up evaluator, a conjunctive-
-// query toolkit, and a magic-sets rewriter.
+// Datalog parser, a naive/semi-naive bottom-up evaluator and a magic-sets
+// rewriter. The conjunctive-query procedures Section V cites for the
+// non-recursive case live in internal/oracle/cq, as a test oracle.
 //
 // See README.md for a guided tour, DESIGN.md for the system inventory, and
-// EXPERIMENTS.md for the experiment suite E1–E10. The public API lives in
+// EXPERIMENTS.md for the experiment suite E1–E15. The public API lives in
 // internal/core; bench_test.go in this directory regenerates every
 // experiment as a Go benchmark.
 package repro

@@ -143,14 +143,15 @@ type Checker struct {
 	// over-approximate reachability, i.e. drop a verdict it could have kept.
 	graph *depgraph.Graph
 	reach map[string]map[string]bool
-	// noSyntactic disables the θ-subsumption fast path (an ablation hook for
-	// oracle tests and benchmarks); inherited by derived sessions.
-	noSyntactic bool
+	// noSyntactic disables the θ-subsumption fast path, forcing each fresh
+	// verdict through the chase (memoized verdicts are still reused).
 	// noTermination disables the termination classifier: no derived budgets,
 	// no full-set fixpoint collapse, every chase pays the raw round
-	// alternation under the caller's (or default) budget. An ablation hook
-	// for oracle tests and benchmarks; inherited by derived sessions.
-	noTermination bool
+	// alternation under the caller's (or default) budget. Both are the oracle
+	// arms of this package's tests and ablation benchmark, which set them
+	// directly; nothing outside the package can, and derived sessions inherit
+	// them.
+	noSyntactic, noTermination bool
 	// termMemo caches the termination classification per tgd-set key (the
 	// session program is fixed, so the key omits it); fullPreps caches the
 	// combined prepared program chaseFull evaluates full tgd sets with.
@@ -313,13 +314,6 @@ func (c *Checker) syntacticVerdict(r ast.Rule) (ruleIdx int, forced bool) {
 	}
 	return 0, false
 }
-
-// DisableSyntacticFastPath turns off the θ-subsumption short-circuit for
-// this session and every session it derives, forcing each fresh verdict
-// through the chase. It exists for ablation benchmarks and oracle tests;
-// verdicts already memoized (by any session over a canonically equal
-// program) are still reused.
-func (c *Checker) DisableSyntacticFastPath() { c.noSyntactic = true }
 
 // depGraph returns the dependence graph of the session program, built once.
 func (c *Checker) depGraph() *depgraph.Graph {
@@ -751,12 +745,6 @@ func (c *Checker) lowered(tgds []ast.TGD) *TGDs {
 	}
 	return ts
 }
-
-// DisableTerminationAnalysis turns off the termination classifier for this
-// session and every session it derives: chases fall back to raw budgets and
-// the full-set fixpoint collapse is skipped. It exists as the oracle arm of
-// ablation benchmarks and the corpus property tests.
-func (c *Checker) DisableTerminationAnalysis() { c.noTermination = true }
 
 func tgdSetKey(tgds []ast.TGD) string {
 	var sb strings.Builder

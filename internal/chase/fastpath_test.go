@@ -2,7 +2,6 @@ package chase
 
 import (
 	"context"
-	"fmt"
 	"math/rand"
 	"testing"
 
@@ -218,13 +217,4 @@ func TestFastPathProvenanceSurvivesUnrelatedDeletion(t *testing.T) {
 	if after.VerdictsReused != before.VerdictsReused+1 {
 		t.Fatalf("expected memo hit after unrelated deletion: %+v -> %+v", before, after)
 	}
-}
-
-func ExampleChecker_DisableSyntacticFastPath() {
-	p := parser.MustParseProgram(`Feg(x, z) :- Fea(x, z).`)
-	c, _ := NewChecker(p)
-	c.DisableSyntacticFastPath()
-	ok, _ := c.ContainsRule(context.Background(), p.Rules[0])
-	fmt.Println(ok, c.Stats().VerdictsSubsumed)
-	// Output: true 0
 }

@@ -2,6 +2,7 @@ package chase
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -66,7 +67,7 @@ func TestWeaklyAcyclicBudgetFreeFixpoint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.DisableSyntacticFastPath()
+	c.noSyntactic = true
 	v, err := c.SATContainsRule(context.Background(), tgds, parser.MustParseProgram("R2(y) :- P(x), Q(x, y).").Rules[0], Budget{})
 	if err != nil {
 		t.Fatal(err)
@@ -113,7 +114,7 @@ func TestFullSetFastPathMatchesAlternation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oc.DisableTerminationAnalysis()
+	oc.noTermination = true
 	slow, err := oc.Apply(context.Background(), tgds, d, Budget{})
 	if err != nil {
 		t.Fatal(err)
@@ -237,7 +238,7 @@ func TestRandomCorpusClassificationAgreesWithChase(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		oc.DisableTerminationAnalysis()
+		oc.noTermination = true
 		oracle, err := oc.Apply(context.Background(), tgds, base, Budget{MaxAtoms: 3000, MaxRounds: 300})
 		if err != nil {
 			t.Fatal(err)
@@ -251,5 +252,45 @@ func TestRandomCorpusClassificationAgreesWithChase(t *testing.T) {
 	}
 	if terminating == 0 {
 		t.Fatal("corpus generated no terminating sets; pool is miscalibrated")
+	}
+}
+
+// BenchmarkAblation_TerminationFastPath measures what the termination
+// classifier buys the chase on a full (existential-free) tgd set: the
+// classified arm collapses the rule/tgd round alternation into one prepared
+// fixpoint, while the raw-budget arm (classification disabled) replays the
+// staged pipeline round by round under the default budget.
+func BenchmarkAblation_TerminationFastPath(b *testing.B) {
+	const stages = 6
+	p := parser.MustParseProgram(fmt.Sprintf(`T(x, z) :- S%d(x, y), S%d(y, z).`, stages, stages))
+	var tgds []ast.TGD
+	for i := 0; i < stages; i++ {
+		tgds = append(tgds, parser.MustParseTGD(fmt.Sprintf("S%d(x, y) -> S%d(x, y).", i, i+1)))
+	}
+	rng := rand.New(rand.NewSource(11))
+	base := db.New()
+	for i := 0; i < 400; i++ {
+		base.Add(ast.GroundAtom{Pred: "S0", Args: []ast.Const{
+			ast.Int(int64(rng.Intn(80))), ast.Int(int64(rng.Intn(80)))}})
+	}
+	snap := base.Freeze()
+
+	for _, arm := range []struct {
+		name          string
+		noTermination bool
+	}{{"classified", false}, {"raw-budget", true}} {
+		b.Run(arm.name, func(b *testing.B) {
+			c, err := NewChecker(p)
+			if err != nil {
+				b.Fatal(err)
+			}
+			c.noTermination = arm.noTermination
+			for i := 0; i < b.N; i++ {
+				res, err := c.Apply(context.Background(), tgds, snap.Thaw(), Budget{})
+				if err != nil || !res.Complete {
+					b.Fatalf("chase: complete=%v err=%v", res.Complete, err)
+				}
+			}
+		})
 	}
 }

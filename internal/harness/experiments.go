@@ -5,12 +5,10 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
-	"time"
 
 	"repro/internal/ast"
 	"repro/internal/chase"
 	"repro/internal/constraint"
-	"repro/internal/cq"
 	"repro/internal/db"
 	"repro/internal/equivopt"
 	"repro/internal/eval"
@@ -34,7 +32,6 @@ func All() []Table {
 		E7EquivOpt(),
 		E8MagicComposition(),
 		E9EmbeddedChase(),
-		E10CQAblation(),
 		E11Engines(),
 		E12Incremental(),
 		E14SIPS(),
@@ -551,60 +548,8 @@ func E9EmbeddedChase() Table {
 	return t
 }
 
-// E10CQAblation cross-checks the CQ fast path against the frozen-body
-// chase on random non-recursive rules and compares their costs.
-func E10CQAblation() Table {
-	t := Table{ID: "E10", Title: "CQ homomorphism vs frozen-body chase on non-recursive rules (ablation)",
-		Columns: []string{"body atoms", "pairs", "agreement", "time cq", "time chase"}}
-	for _, k := range []int{2, 4, 6, 8} {
-		rng := rand.New(rand.NewSource(int64(k)))
-		type pair struct{ r1, r2 ast.Rule }
-		var pairs []pair
-		for i := 0; i < 30; i++ {
-			pairs = append(pairs, pair{randomCQRule(rng, k), randomCQRule(rng, k)})
-		}
-		agree := 0
-		var dCQ, dChase time.Duration
-		for _, pr := range pairs {
-			q1, _ := cq.FromRule(pr.r1)
-			q2, _ := cq.FromRule(pr.r2)
-			var a, b bool
-			dCQ += timed(func() { a = cq.Contained(q1, q2) })
-			dChase += timed(func() {
-				var err error
-				b, err = chase.UniformlyContainsRule(ast.NewProgram(pr.r2), pr.r1)
-				if err != nil {
-					panic(err)
-				}
-			})
-			if a == b {
-				agree++
-			}
-		}
-		t.AddRow(k, len(pairs), fmt.Sprintf("%d/%d", agree, len(pairs)), ms(dCQ), ms(dChase))
-	}
-	return t
-}
-
-// randomCQRule builds a random non-recursive rule with k binary atoms over
-// a small variable pool.
-func randomCQRule(rng *rand.Rand, k int) ast.Rule {
-	vars := []string{"x", "y", "z", "u", "v", "w"}
-	preds := []string{"A", "B"}
-	body := make([]ast.Atom, k)
-	for i := range body {
-		body[i] = ast.NewAtom(preds[rng.Intn(len(preds))],
-			ast.Var(vars[rng.Intn(len(vars))]),
-			ast.Var(vars[rng.Intn(len(vars))]))
-	}
-	// Head over a variable present in the body.
-	hv := body[rng.Intn(k)].Args[0]
-	return ast.NewRule(ast.NewAtom("Q", hv), body...)
-}
-
-// E11Engines compares the three query-answering strategies on bound
-// ancestor queries: full bottom-up + filter, basic magic and supplementary
-// magic.
+// E11Engines compares the two query-answering strategies on bound ancestor
+// queries: full bottom-up + filter and magic sets.
 func E11Engines() Table {
 	t := Table{ID: "E11", Title: "query engines on bound ancestor queries (extension)",
 		Columns: []string{"chain n", "engine", "answers", "work (facts/answers)", "time"}}
@@ -619,7 +564,6 @@ func E11Engines() Table {
 		}{
 			{"bottom-up + filter", magic.DirectAnswer},
 			{"magic sets", magic.Answer},
-			{"supplementary magic", magic.AnswerSupplementary},
 		} {
 			var nAns, work int
 			d := timed(func() {

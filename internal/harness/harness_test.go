@@ -24,8 +24,8 @@ func TestAllExperimentsRun(t *testing.T) {
 		t.Skip("experiment suite in -short mode")
 	}
 	tables := All()
-	if len(tables) != 14 {
-		t.Fatalf("expected 14 tables, got %d", len(tables))
+	if len(tables) != 13 {
+		t.Fatalf("expected 13 tables, got %d", len(tables))
 	}
 	ids := map[string]bool{}
 	for _, tab := range tables {
@@ -55,16 +55,6 @@ func TestE5ShowsSpeedup(t *testing.T) {
 		}
 		if bloat < opt {
 			t.Errorf("%s: bloated fired %d < optimized %d", row[0], bloat, opt)
-		}
-	}
-}
-
-func TestE10FullAgreement(t *testing.T) {
-	tab := E10CQAblation()
-	for _, row := range tab.Rows {
-		parts := strings.Split(row[2], "/")
-		if len(parts) != 2 || parts[0] != parts[1] {
-			t.Errorf("CQ/chase disagreement at k=%s: %s", row[0], row[2])
 		}
 	}
 }

@@ -1,4 +1,4 @@
-// Package harness runs the experiment suite E1–E10 defined in DESIGN.md and
+// Package harness runs the experiment suite E1–E15 defined in DESIGN.md and
 // renders each as an aligned text table. The paper (PODS 1987) has no
 // empirical section; these experiments operationalize its worked examples
 // and prose claims — see DESIGN.md §3 for the substitution rationale and

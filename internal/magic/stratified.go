@@ -106,7 +106,7 @@ func AnswerStratified(p *ast.Program, edb *db.Database, query ast.Atom, opts eva
 func sourceRuleIndex(upper *ast.Program, guarded ast.Rule) (int, bool) {
 	headPred, ok := unadorn(guarded.Head.Pred)
 	if !ok {
-		return 0, false // magic or supplementary predicate
+		return 0, false // magic predicate
 	}
 	for i, r := range upper.Rules {
 		if r.Head.Pred != headPred || len(guarded.Body) != len(r.Body)+1 || len(r.Head.Args) != len(guarded.Head.Args) {
@@ -150,12 +150,11 @@ func sourceRuleIndex(upper *ast.Program, guarded ast.Rule) (int, bool) {
 }
 
 // unadorn strips the adornment suffix from P@bf…-style names; it returns
-// false for magic (m@…) and supplementary (sup@…) predicates and for
-// names without an adornment.
+// false for magic (m@…) predicates and for names without an adornment.
 func unadorn(pred string) (string, bool) {
 	for i := 0; i < len(pred); i++ {
 		if pred[i] == '@' {
-			if i == 0 || pred[:i] == "m" || pred[:i] == "sup" {
+			if i == 0 || pred[:i] == "m" {
 				return "", false
 			}
 			return pred[:i], true

@@ -103,7 +103,6 @@ func TestUnadorn(t *testing.T) {
 	}{
 		{"Anc@bf", "Anc", true},
 		{"m@Anc@bf", "", false},
-		{"sup@0@1", "", false},
 		{"Par", "", false},
 	}
 	for _, tc := range cases {

@@ -10,10 +10,12 @@ import (
 
 // The subsumption fast path must eliminate chase calls on the redundancy
 // workloads the harness measures (every injected atom/rule is a
-// specialization of something already in the program) while leaving the
-// minimized program byte-identical to the ablated run. Predicate names are
-// renamed apart from the shared workloads so the process-wide verdict store
-// cannot hand either run a verdict decided elsewhere.
+// specialization of something already in the program). That each verdict it
+// forces is one the chase would reach is TestSyntacticVerdictAgreesWithChase's
+// job (internal/chase), which bypasses the verdict memo; a second run here
+// with the fast path off would only reread the verdicts this one published.
+// Predicate names are renamed apart from the shared workloads so the
+// process-wide verdict store cannot hand the run a verdict decided elsewhere.
 func TestSubsumptionFastPathMinimization(t *testing.T) {
 	base := workload.TransitiveClosure()
 	for i := range base.Rules {
@@ -32,18 +34,6 @@ func TestSubsumptionFastPathMinimization(t *testing.T) {
 	}
 	if got := fastTrace.Stats.VerdictsSubsumed; got < 1 {
 		t.Fatalf("fast path eliminated %d chase calls, want >= 1 (stats %+v)", got, fastTrace.Stats)
-	}
-
-	slow, slowTrace, err := Program(context.Background(), p, Options{noFastPath: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := slowTrace.Stats.VerdictsSubsumed; got != 0 {
-		t.Fatalf("ablated run still took the fast path %d times", got)
-	}
-	if fast.Format(nil) != slow.Format(nil) {
-		t.Fatalf("minimization output differs with fast path on/off:\nfast:\n%s\nslow:\n%s",
-			fast.Format(nil), slow.Format(nil))
 	}
 
 	// The workloads' redundancy is wholly syntactic, so minimization must

@@ -48,11 +48,6 @@ type Options struct {
 	// through; nil selects the process-wide cache. Servers and tests inject
 	// their own to isolate or partition cache footprints.
 	PlanCache *eval.PlanCache
-	// noFastPath forces every containment verdict through the chase instead
-	// of letting the session short-circuit candidates that a program rule
-	// θ-subsumes — the tests' oracle arm: the minimized program must be
-	// byte-identical either way.
-	noFastPath bool
 }
 
 // AtomRemoval records one Fig. 1/Fig. 2 atom deletion.
@@ -130,9 +125,6 @@ func minimizeAtoms(ctx context.Context, p *ast.Program, opts Options) (*ast.Prog
 	ck, err := chase.NewCheckerIn(q, eval.NewLineage(opts.PlanCache))
 	if err != nil {
 		return nil, nil, trace, err
-	}
-	if opts.noFastPath {
-		ck.DisableSyntacticFastPath()
 	}
 	for i := range q.Rules {
 		if opts.Rand != nil {

@@ -1,7 +1,8 @@
 // Package oracle holds the reference implementations the engine is tested
 // against and ships none of: the nested-loops matcher over ast.Binding maps
-// that every join in the tree once ran on and, in oracle/topdown, a tabled
-// top-down evaluator joined through it. The matcher uses internal/db's
+// that every join in the tree once ran on and, searching through it, a tabled
+// top-down evaluator (oracle/topdown) and the Chandra–Merlin homomorphism
+// test for conjunctive queries (oracle/cq). The matcher uses internal/db's
 // exported API only and shares no code with the operator pipeline of
 // internal/eval, so the two cannot agree by sharing a bug. Only _test.go
 // files may import this package or anything below it (make guard-one-join).

@@ -309,9 +309,8 @@ func randomQuery(rng *rand.Rand, pred string, domain int) ast.Atom {
 
 // TestEnginesAgreeOnRandomPrograms is the differential the tabled engine is
 // kept for. On random pure programs and random (bound, free, repeated-
-// variable) queries, four ways of answering agree: bottom-up evaluation read
-// with db.Select, magic sets, supplementary magic sets, and tabling through
-// the oracle matcher. With a negating stratum R on top — read by a query on R
+// variable) queries, three ways of answering agree: bottom-up evaluation read
+// with db.Select, magic sets, and tabling through the oracle matcher. With a negating stratum R on top — read by a query on R
 // — the three that support negation agree: bottom-up, stratified magic and
 // tabling. The seed names the failing case.
 func TestEnginesAgreeOnRandomPrograms(t *testing.T) {
@@ -354,9 +353,8 @@ func TestEnginesAgreeOnRandomPrograms(t *testing.T) {
 			}
 			want := answers("bottom-up", p, q, func() ([][]ast.Const, error) { return eval.Query(p, edb, q, eval.Options{}) })
 			for name, f := range map[string]func() ([][]ast.Const, error){
-				"magic":               drop(magic.Answer, p, q),
-				"supplementary magic": drop(magic.AnswerSupplementary, p, q),
-				"tabled":              tabled(p, q),
+				"magic":  drop(magic.Answer, p, q),
+				"tabled": tabled(p, q),
 			} {
 				if got := answers(name, p, q, f); !sameTuples(got, want) {
 					t.Fatalf("seed %d: %v over\n%s%s%s answers %v, bottom-up %v", seed, q, p, edb, name, got, want)

@@ -1,5 +1,5 @@
 // Package workload generates the synthetic programs and extensional
-// databases used by the experiment suite (DESIGN.md, experiments E1–E10).
+// databases used by the experiment suite (DESIGN.md, experiments E1–E15).
 // The paper has no empirical section, so these workloads operationalize its
 // prose claims: programs with a controlled amount of injected redundancy
 // (for measuring the Figs. 1–2 minimizer), graph EDBs of controlled shape
