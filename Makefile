@@ -7,7 +7,7 @@ BENCHTIME ?= 0.3s
 # staticcheck pin for lint-ci; bump deliberately, not implicitly.
 STATICCHECK_VERSION ?= 2025.1
 
-.PHONY: all build vet datalog-vet test race race-service race-ivm serve-smoke bench bench-all experiments examples guard-one-join guard-ctx-arg guard-no-batch-compact guard-delta-first guard-request-path guard-one-unfold guard-no-ablation-arm lint lint-ci clean
+.PHONY: all build vet datalog-vet test race race-service race-ivm serve-smoke bench bench-all experiments examples guard-one-join guard-ctx-arg guard-no-batch-compact guard-delta-first guard-request-path guard-one-unfold guard-no-ablation-arm guard-no-transfer lint lint-ci clean
 
 all: build vet test
 
@@ -204,10 +204,24 @@ guard-no-ablation-arm:
 		echo "internal/minimize: noFastPath is back (make guard-no-ablation-arm): the chase's own tests check each forced verdict" >&2; exit 1; \
 	fi
 
+# guard-no-transfer keeps every verdict in the store one that a run on its
+# own program computed. Checker.Derive hands a weakened program its plan
+# (Prepared.Derive) and the program-independent memos, nothing else: no
+# verdict is copied across a delta, so the evaluator records no rule
+# provenance for one to be judged by. Transfer lost its own workload — most
+# transferred verdicts were never read (DESIGN §6.5).
+guard-no-transfer:
+	@if grep -nwE 'RuleSet|WithoutShifted|prov|ruleIdxs' internal/eval/*.go | grep -v '_test\.go:'; then \
+		echo "internal/eval records rule provenance again (make guard-no-transfer): Prepared.Run takes no prov argument" >&2; exit 1; \
+	fi
+	@if grep -nE '\b(putAbsent|isWeakening|subMultiset|reachableFrom)\b|\.entries\(\)' internal/chase/*.go | grep -v '_test\.go:'; then \
+		echo "internal/chase transfers verdicts again (make guard-no-transfer): a derived session decides its own program's verdicts" >&2; exit 1; \
+	fi
+
 # lint runs the guards and go vet always, and staticcheck when the binary is
 # on PATH (the dev container does not bake it in; lint-ci installs the pinned
 # version).
-lint: guard-one-join guard-ctx-arg guard-no-batch-compact guard-delta-first guard-request-path guard-one-unfold guard-no-ablation-arm
+lint: guard-one-join guard-ctx-arg guard-no-batch-compact guard-delta-first guard-request-path guard-one-unfold guard-no-ablation-arm guard-no-transfer
 	$(GO) vet ./...
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \

@@ -25,7 +25,7 @@ func UniformlyContainsRuleCertified(p *ast.Program, r ast.Rule) (bool, *Certific
 		return false, nil, nil, err
 	}
 	head, body := FreezeRule(r)
-	out, reached, _, err := c.prep.Run(context.Background(), body, &head, 0, nil)
+	out, reached, _, err := c.prep.Run(context.Background(), body, &head, 0)
 	if err != nil || !reached {
 		return false, nil, nil, err
 	}

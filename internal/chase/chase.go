@@ -101,9 +101,10 @@ func FreezeRule(r ast.Rule) (ast.GroundAtom, *db.Database) {
 // whether the head is derivable).
 //
 // Prepared plans come from the shared content-addressed plan cache, and
-// Derive produces the Checker for a one-rule-delta program by patching this
-// one — carrying over the frozen bodies and every memoized verdict the
-// delta provably cannot flip — instead of starting a fresh session.
+// Derive produces the Checker for a one-rule-delta program by handing it a
+// plan patched from this one and the program-independent memos, instead of
+// starting a fresh session. Verdicts are never carried across a delta: every
+// verdict in the store was computed by a run on its own program.
 //
 // Every test that can run a chase takes the caller's context first: internal
 // evaluations thread it to the emit path and every chase round checks it, so
@@ -131,18 +132,9 @@ type Checker struct {
 	pv *progVerdicts
 	// frozen memoizes the frozen head and body per tested rule. They depend
 	// on that rule alone, never on the session program, so the one table is
-	// shared — not copied — down the Derive lineage, like graph and reach
-	// below: an entry any session of the lineage froze serves them all.
+	// shared — not copied — down the Derive lineage: an entry any session of
+	// the lineage froze serves them all.
 	frozen map[string]frozenRule
-	// graph is the lazily built dependence graph used by the reachability
-	// tests of every candidate delta probed from this session, and reach
-	// memoizes its ReachableFrom sets per source predicate. Both are handed
-	// down to derived sessions: a delta only ever removes atoms or rules, so
-	// an ancestor's graph has a superset of the descendant's edges, and
-	// testing reachability on it is sound for verdict transfer — it can only
-	// over-approximate reachability, i.e. drop a verdict it could have kept.
-	graph *depgraph.Graph
-	reach map[string]map[string]bool
 	// noSyntactic disables the θ-subsumption fast path, forcing each fresh
 	// verdict through the chase (memoized verdicts are still reused).
 	// noTermination disables the termination classifier: no derived budgets,
@@ -160,16 +152,6 @@ type Checker struct {
 	// tgdMemo caches LowerTGDs per tgd-set key. A lowering depends on the
 	// tgds alone, so the table is shared down the Derive lineage like frozen.
 	tgdMemo map[string]*TGDs
-}
-
-// verdict is one memoized ContainsRule answer plus what Derive needs to
-// decide whether a rule delta can flip it: the goal (frozen-head)
-// predicate, and — for positive answers — a superset of the program rules
-// used by the witnessing derivation.
-type verdict struct {
-	ok   bool
-	goal string
-	prov eval.RuleSet
 }
 
 type frozenRule struct {
@@ -197,8 +179,8 @@ func NewCheckerIn(p *ast.Program, lin eval.Lineage) (*Checker, error) {
 		Lineage: lin,
 		// Keep the caller's rules (cloned against mutation) rather than the
 		// prepared program: a cache hit may return a plan for an
-		// alpha-renamed twin, and Derive's delta indexes and body-subset
-		// checks must be relative to the rules the caller names.
+		// alpha-renamed twin, and Derive's delta indexes must be relative to
+		// the rules the caller names.
 		prog:    p.Clone(),
 		frozen:  make(map[string]frozenRule),
 		tgdMemo: make(map[string]*TGDs),
@@ -239,9 +221,7 @@ func (c *Checker) frozenFor(r ast.Rule) (ast.GroundAtom, *db.Database) {
 // ContainsRule decides r ⊑ᵘ P for the session program P (Corollary 2),
 // memoizing the verdict per rule in the program's content-addressed table —
 // the verdict is semantic, invariant under variable renaming on both sides,
-// so any session over a canonically equal program shares it. The deciding
-// evaluation records rule provenance so a later Derive can tell which
-// verdicts a deletion might invalidate.
+// so any session over a canonically equal program shares it.
 func (c *Checker) ContainsRule(ctx context.Context, r ast.Rule) (bool, error) {
 	if err := eval.CtxErr(ctx); err != nil {
 		return false, err
@@ -250,32 +230,23 @@ func (c *Checker) ContainsRule(ctx context.Context, r ast.Rule) (bool, error) {
 		return false, fmt.Errorf("chase: uniform containment is defined for pure Datalog; program or rule uses negation")
 	}
 	ckey := r.CanonicalString()
-	if v, ok := c.pv.get(ckey); ok {
+	if contained, hit := c.pv.get(ckey); hit {
 		c.Tally().VerdictsReused++
-		return v.ok, nil
+		return contained, nil
 	}
-	if idx, forced := c.syntacticVerdict(r); forced {
+	if c.syntacticVerdict(r) {
 		c.Tally().VerdictsSubsumed++
-		v := verdict{ok: true, goal: r.Head.Pred}
-		if idx >= 0 {
-			v.prov.Add(idx)
-		}
-		c.pv.put(ckey, v)
+		c.pv.put(ckey, true)
 		return true, nil
 	}
 	head, body := c.frozenFor(r)
-	var prov eval.RuleSet
-	_, reached, est, err := c.prep.Run(ctx, body, &head, 0, &prov)
+	_, reached, est, err := c.prep.Run(ctx, body, &head, 0)
 	c.Tally().Add(est)
 	if err != nil {
 		return false, err
 	}
 	c.Tally().VerdictsRecomputed++
-	v := verdict{ok: reached, goal: head.Pred}
-	if reached {
-		v.prov = prov
-	}
-	c.pv.put(ckey, v)
+	c.pv.put(ckey, reached)
 	return reached, nil
 }
 
@@ -285,57 +256,29 @@ func (c *Checker) ContainsRule(ctx context.Context, r ast.Rule) (bool, error) {
 // shapes force a positive verdict:
 //
 //   - r's head occurs among its own body atoms: the frozen head is in the
-//     frozen body, and every program's output contains its input. The
-//     witnessing "derivation" uses no rules, so the provenance is empty
-//     (idx -1).
+//     frozen body, and every program's output contains its input.
 //   - some rule s of P θ-subsumes r: the frozen body of r contains
 //     s.Body·θ frozen, so one application of s derives r's frozen head —
 //     exactly Corollary 2's test, decided in the affirmative by a
-//     single-step derivation whose provenance is {s}.
+//     single-step derivation.
 //
 // A miss means nothing: uniform containment is semantic, so the caller
-// falls through to the chase. The returned provenance obeys the same
-// soundness contract as chased verdicts ("a superset of the rules used by
-// some witnessing derivation"), which is what lets Derive transfer these
-// verdicts across deltas.
-func (c *Checker) syntacticVerdict(r ast.Rule) (ruleIdx int, forced bool) {
+// falls through to the chase.
+func (c *Checker) syntacticVerdict(r ast.Rule) (forced bool) {
 	if c.noSyntactic {
-		return 0, false
+		return false
 	}
 	for _, a := range r.Body {
 		if a.Equal(r.Head) {
-			return -1, true
+			return true
 		}
 	}
-	for i, s := range c.prog.Rules {
+	for _, s := range c.prog.Rules {
 		if ast.SubsumesRule(s, r) {
-			return i, true
+			return true
 		}
 	}
-	return 0, false
-}
-
-// depGraph returns the dependence graph of the session program, built once.
-func (c *Checker) depGraph() *depgraph.Graph {
-	if c.graph == nil {
-		c.graph = depgraph.Build(c.prog)
-	}
-	return c.graph
-}
-
-// reachableFrom memoizes depGraph().ReachableFrom per source predicate: the
-// minimization loops probe many deltas whose changed rules share head
-// predicates, and the memo travels down the Derive lineage with the graph.
-func (c *Checker) reachableFrom(pred string) map[string]bool {
-	if r, ok := c.reach[pred]; ok {
-		return r
-	}
-	r := c.depGraph().ReachableFrom(pred)
-	if c.reach == nil {
-		c.reach = make(map[string]map[string]bool)
-	}
-	c.reach[pred] = r
-	return r
+	return false
 }
 
 // Contains decides P₂ ⊑ᵘ P for the session program P, rule by rule, with
@@ -357,43 +300,26 @@ func (c *Checker) Contains(ctx context.Context, p2 *ast.Program) (bool, int, err
 // kinds the Fig. 1/2 minimization loops produce: RuleIndex names a rule of
 // Program(); a nil NewRule deletes it (Fig. 2 rule removal), a non-nil
 // NewRule replaces it (Fig. 1 atom removal — a body-subset weakening of the
-// old rule, which is what makes verdict transfer possible).
+// old rule).
 type Delta struct {
 	RuleIndex int
 	NewRule   *ast.Rule
 }
 
 // Derive returns the Checker session for the program obtained by applying
-// delta to this session's program — without re-running the full preparation
-// and without re-deciding every memoized verdict. The prepared plan comes
-// from the shared plan cache or, on a miss, from delta-patching this
-// session's plan (eval.Prepared.Derive). Frozen heads and bodies depend
-// only on the tested rule, never on the session program, so the derived
-// session shares the table. Memoized verdicts carry over exactly when the
-// delta provably cannot flip them:
-//
-//   - Rule deletion shrinks derivability, so every negative verdict stays
-//     negative. A positive verdict survives if its witnessing derivation
-//     avoided the deleted rule — either the recorded provenance excludes it
-//     (O(1) bitset test) or the goal predicate is unreachable from the
-//     deleted rule's head in the old dependence graph, in which case no
-//     derivation of the goal could have used it. Kept provenance sets are
-//     reindexed for the shortened rule list.
-//   - Replacing a rule by a weakening of itself (same head, body a
-//     sub-multiset of the old body) grows derivability — every firing of
-//     the old rule is replicated by the new one under the restricted
-//     substitution — so every positive verdict stays positive, with its
-//     provenance intact (rule indexes are unchanged). A negative verdict
-//     survives if the goal predicate is unreachable from the changed rule's
-//     head in the new dependence graph: any derivation that exists now but
-//     not before must use the new rule, hence reach the goal through its
-//     head predicate.
-//   - A replacement that is not a weakening transfers no verdicts (the
-//     plan and frozen bodies still carry over).
+// delta to this session's program, without re-running the full preparation.
+// The prepared plan comes from the shared plan cache or, on a miss, from
+// delta-patching this session's plan (eval.Prepared.Derive), which hands
+// every unchanged rule's compile memo to the derived plan. Frozen heads and
+// bodies and lowered tgd sets depend only on what they were built from,
+// never on the session program, so the derived session shares those tables.
+// Verdicts do not carry over: the derived session answers from the store of
+// its own program's content address, which holds only verdicts some run on
+// that program computed.
 //
 // The original Checker remains fully usable. The two sessions share their
-// program-independent memos (frozen rules, reachability), so — like any two
-// sessions of one lineage — they are not to be used concurrently.
+// program-independent memos, so — like any two sessions of one lineage —
+// they are not to be used concurrently.
 func (c *Checker) Derive(delta Delta) (*Checker, error) {
 	if delta.RuleIndex < 0 || delta.RuleIndex >= len(c.prog.Rules) {
 		return nil, fmt.Errorf("chase: Derive: rule index %d out of range (%d rules)", delta.RuleIndex, len(c.prog.Rules))
@@ -421,15 +347,10 @@ func (c *Checker) Derive(delta Delta) (*Checker, error) {
 		progCanon: joinCanon(lines), // only the delta rule was re-rendered
 		ruleCanon: lines,
 		Lineage:   c.Lineage, // shared: the lineage is one session
-		// Frozen rules, lowered tgd sets, the graph and the reachability memo
-		// are shared down the lineage (see the field comments): frozen bodies
-		// and tgd plans do not depend on the program, and the ancestor's edges
-		// over-approximate every descendant's, which is the sound direction
-		// for transfer.
+		// Frozen rules and lowered tgd sets do not depend on the program, so
+		// they are shared down the lineage (see the field comments).
 		frozen:        c.frozen,
 		tgdMemo:       c.tgdMemo,
-		graph:         c.graph,
-		reach:         c.reach,
 		noSyntactic:   c.noSyntactic,
 		noTermination: c.noTermination,
 	}
@@ -441,61 +362,7 @@ func (c *Checker) Derive(delta Delta) (*Checker, error) {
 		return nil, err
 	}
 	nc.prep = prep
-
-	// Transfer surviving verdicts into the new program's shared table (they
-	// are correct verdicts for its content address, so publishing them lets
-	// every future session over that program benefit). Reachability is
-	// computed lazily — many transfers are decided by the provenance bitset
-	// or the verdict's sign alone — and on the session's cached graph, so
-	// probing many candidate deltas from one session builds it once.
-	if delta.NewRule == nil {
-		var reach map[string]bool
-		reachable := func(pred string) bool {
-			if reach == nil {
-				reach = c.reachableFrom(c.prog.Rules[delta.RuleIndex].Head.Pred)
-			}
-			return reach[pred]
-		}
-		for _, e := range c.pv.entries() {
-			switch {
-			case !e.v.ok:
-				nc.pv.putAbsent(e.k, e.v)
-			case !e.v.prov.Has(delta.RuleIndex) || !reachable(e.v.goal):
-				nc.pv.putAbsent(e.k, verdict{ok: true, goal: e.v.goal, prov: e.v.prov.WithoutShifted(delta.RuleIndex)})
-			}
-		}
-		return nc, nil
-	}
-	if !isWeakening(c.prog.Rules[delta.RuleIndex], *delta.NewRule) {
-		return nc, nil
-	}
-	// A negative verdict survives if the goal is unreachable from the
-	// changed rule's head in the NEW graph. The old graph's edges are a
-	// superset (the delta only removes body atoms), so testing on the old —
-	// already cached — graph is a sound, slightly conservative stand-in:
-	// unreachable-in-old implies unreachable-in-new.
-	var reach map[string]bool
-	reachable := func(pred string) bool {
-		if reach == nil {
-			reach = c.reachableFrom(delta.NewRule.Head.Pred)
-		}
-		return reach[pred]
-	}
-	for _, e := range c.pv.entries() {
-		if e.v.ok || !reachable(e.v.goal) {
-			nc.pv.putAbsent(e.k, e.v)
-		}
-	}
 	return nc, nil
-}
-
-// isWeakening reports whether nr is old with zero or more body atoms
-// removed: identical head, positive and negated bodies sub-multisets of
-// old's. Replacing a rule by a weakening can only grow derivability.
-func isWeakening(old, nr ast.Rule) bool {
-	return nr.Head.Equal(old.Head) &&
-		subMultiset(nr.Body, old.Body) &&
-		subMultiset(nr.NegBody, old.NegBody)
 }
 
 // joinCanon concatenates per-rule canonical lines into the program's
@@ -511,34 +378,6 @@ func joinCanon(lines []string) string {
 		sb.WriteString(l)
 	}
 	return sb.String()
-}
-
-// subMultiset reports whether sub is a sub-multiset of sup under syntactic
-// atom equality. Bodies are short, so quadratic matching with a used mask
-// beats building keyed maps.
-func subMultiset(sub, sup []ast.Atom) bool {
-	if len(sub) > len(sup) {
-		return false
-	}
-	var used [32]bool
-	usedSlice := used[:]
-	if len(sup) > len(usedSlice) {
-		usedSlice = make([]bool, len(sup))
-	}
-	for _, a := range sub {
-		found := false
-		for j := range sup {
-			if !usedSlice[j] && a.Equal(sup[j]) {
-				usedSlice[j] = true
-				found = true
-				break
-			}
-		}
-		if !found {
-			return false
-		}
-	}
-	return true
 }
 
 // UniformlyContainsRule decides r ⊑ᵘ p for a single rule r: whether every
@@ -658,7 +497,7 @@ func (c *Checker) chaseToGoal(ctx context.Context, tgds []ast.TGD, d *db.Databas
 		if remaining <= 0 {
 			return Result{DB: cur, Complete: false, Rounds: round, Class: cl.Class}, Unknown, nil
 		}
-		out, reached, est, err := c.prep.Run(ctx, cur, goal, remaining, nil)
+		out, reached, est, err := c.prep.Run(ctx, cur, goal, remaining)
 		c.Tally().Add(est)
 		if err != nil {
 			if isBudgetErr(err) {
@@ -777,7 +616,7 @@ func (c *Checker) chaseFull(ctx context.Context, tgds []ast.TGD, d *db.Database,
 	} else {
 		c.Tally().ChasesBudgetFree++
 	}
-	out, reached, est, err := prep.Run(ctx, d, goal, maxDerived, nil)
+	out, reached, est, err := prep.Run(ctx, d, goal, maxDerived)
 	c.Tally().Add(est)
 	if err != nil {
 		if isBudgetErr(err) {
@@ -846,7 +685,7 @@ func (c *Checker) SATContainsRule(ctx context.Context, tgds []ast.TGD, r ast.Rul
 	// chase too. The Section XI search probes many candidate programs that
 	// differ from P in a single rule; every unchanged rule is subsumed by
 	// itself, leaving only the changed rule for the chase.
-	if _, forced := c.syntacticVerdict(r); forced {
+	if c.syntacticVerdict(r) {
 		c.Tally().VerdictsSubsumed++
 		return Yes, nil
 	}

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/ast"
 	"repro/internal/eval"
+	"repro/internal/parser"
 	"repro/internal/workload"
 )
 
@@ -21,7 +22,7 @@ func groundTruth(t *testing.T, p *ast.Program, r ast.Rule) bool {
 	if err != nil {
 		t.Fatalf("prepare oracle: %v", err)
 	}
-	_, reached, _, err := prep.Run(nil, body, &head, 0, nil)
+	_, reached, _, err := prep.Run(nil, body, &head, 0)
 	if err != nil {
 		t.Fatalf("oracle chase: %v", err)
 	}
@@ -86,9 +87,9 @@ func applyDelta(q *ast.Program, d Delta) *ast.Program {
 // TestDeriveMatchesFreshChecker is the core property of the incremental
 // containment layer: a session reached through any chain of Derive deltas
 // answers ContainsRule exactly like a fresh uncached chase over the final
-// program. Probing the same rules before and after each delta forces the
-// verdict-transfer path (memoized verdicts with provenance must survive or
-// be dropped correctly), not just the plan-patching path.
+// program. Probing the same rules before and after each delta checks that a
+// warmed parent's verdicts never answer for the derived program, not just
+// the plan-patching path.
 func TestDeriveMatchesFreshChecker(t *testing.T) {
 	for seed := int64(0); seed < 60; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -103,7 +104,7 @@ func TestDeriveMatchesFreshChecker(t *testing.T) {
 			t.Fatalf("seed %d: NewChecker: %v", seed, err)
 		}
 		q := p.Clone()
-		// Warm the session's memo so later deltas have verdicts to transfer.
+		// Warm the session's memo: a derived session must not answer from it.
 		for _, r := range probes {
 			if _, err := ck.ContainsRule(context.Background(), r); err != nil {
 				t.Fatalf("seed %d: warmup: %v", seed, err)
@@ -263,5 +264,53 @@ func TestDeriveConcurrentSessions(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
+	}
+}
+
+// A verdict is stored only by a run on its own program: a session derived
+// from a warmed parent answers a rule the parent already decided by deciding
+// it again — by the θ-subsumption test or by a chase — never from the
+// parent's memo. Both delta kinds are checked, against a private verdict
+// store so the derived programs are never seen before, whatever -count.
+func TestDeriveDoesNotInheritVerdicts(t *testing.T) {
+	saved := defaultVerdicts
+	t.Cleanup(func() { defaultVerdicts = saved })
+	p := parser.MustParseProgram(`
+		Dvg(x, z) :- Dva(x, z).
+		Dvh(x) :- Dvb(x), Dvc(x).
+	`)
+	probes := parser.MustParseProgram(`
+		Dvg(x, z) :- Dva(x, y), Dva(y, z).
+		Dvg(x, x) :- Dva(x, x), Dvb(x).
+	`).Rules
+	weakened := p.Rules[1].WithoutBodyAtom(1)
+	for _, d := range []Delta{{RuleIndex: 1}, {RuleIndex: 1, NewRule: &weakened}} {
+		defaultVerdicts = &verdictStore{max: defaultVerdictStoreSize, cur: make(map[string]*progVerdicts)}
+		ck, err := NewChecker(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range probes {
+			if _, err := ck.ContainsRule(context.Background(), r); err != nil {
+				t.Fatal(err)
+			}
+		}
+		dc, err := ck.Derive(d)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range probes {
+			before := dc.Stats()
+			if _, err := dc.ContainsRule(context.Background(), r); err != nil {
+				t.Fatal(err)
+			}
+			after := dc.Stats()
+			if after.VerdictsReused != before.VerdictsReused {
+				t.Fatalf("delta %+v: %s answered from a memo the derived program never filled", d, r)
+			}
+			if after.VerdictsRecomputed+after.VerdictsSubsumed != before.VerdictsRecomputed+before.VerdictsSubsumed+1 {
+				t.Fatalf("delta %+v: %s: stats %+v -> %+v, want one fresh decision", d, r, before, after)
+			}
+		}
 	}
 }

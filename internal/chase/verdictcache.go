@@ -11,9 +11,8 @@ import (
 // the variables of either side, so it can be shared across sessions, across
 // the Fig. 1/2 loops, and across repeated requests that revisit the same
 // programs — a new Checker over an already-seen program answers without
-// chasing at all. Provenance sets stored with positive verdicts transfer
-// too: canonical form preserves rule order, so rule indexes mean the same
-// thing in every program sharing the address.
+// chasing at all. Every entry was stored by a ContainsRule run on a session
+// over the table's own program: nothing copies verdicts between programs.
 //
 // The two-level shape is deliberate: a Checker resolves its program's inner
 // table once at construction, so the per-test key is just the rule's
@@ -47,7 +46,7 @@ type verdictStore struct {
 type progVerdicts struct {
 	store *verdictStore // owning store, for race-clean hit accounting
 	mu    sync.Mutex
-	m     map[string]verdict
+	m     map[string]bool
 }
 
 // defaultVerdictStoreSize bounds each generation of program tables; two
@@ -68,7 +67,7 @@ func (vs *verdictStore) forProgram(progCanon string) *progVerdicts {
 		vs.insertLocked(progCanon, pv) // promote so reuse keeps it alive
 		return pv
 	}
-	pv := &progVerdicts{store: vs, m: make(map[string]verdict)}
+	pv := &progVerdicts{store: vs, m: make(map[string]bool)}
 	vs.insertLocked(progCanon, pv)
 	return pv
 }
@@ -130,9 +129,10 @@ func (vs *verdictStore) stats() StoreStats {
 	return st
 }
 
-func (pv *progVerdicts) get(ruleCanon string) (verdict, bool) {
+// get returns the memoized verdict of ruleCanon and whether there is one.
+func (pv *progVerdicts) get(ruleCanon string) (contained, ok bool) {
 	pv.mu.Lock()
-	v, ok := pv.m[ruleCanon]
+	contained, ok = pv.m[ruleCanon]
 	pv.mu.Unlock()
 	if pv.store != nil {
 		pv.store.lookups.Add(1)
@@ -140,37 +140,11 @@ func (pv *progVerdicts) get(ruleCanon string) (verdict, bool) {
 			pv.store.hits.Add(1)
 		}
 	}
-	return v, ok
+	return contained, ok
 }
 
-func (pv *progVerdicts) put(ruleCanon string, v verdict) {
+func (pv *progVerdicts) put(ruleCanon string, contained bool) {
 	pv.mu.Lock()
 	defer pv.mu.Unlock()
-	pv.m[ruleCanon] = v
-}
-
-// putAbsent stores v unless an entry exists (transfer must not clobber an
-// entry another session computed — both are correct, the first one wins).
-func (pv *progVerdicts) putAbsent(ruleCanon string, v verdict) {
-	pv.mu.Lock()
-	defer pv.mu.Unlock()
-	if _, ok := pv.m[ruleCanon]; !ok {
-		pv.m[ruleCanon] = v
-	}
-}
-
-// entries copies the table for iteration outside the lock.
-func (pv *progVerdicts) entries() []verdictEntry {
-	pv.mu.Lock()
-	defer pv.mu.Unlock()
-	out := make([]verdictEntry, 0, len(pv.m))
-	for k, v := range pv.m {
-		out = append(out, verdictEntry{k: k, v: v})
-	}
-	return out
-}
-
-type verdictEntry struct {
-	k string
-	v verdict
+	pv.m[ruleCanon] = contained
 }

@@ -187,7 +187,7 @@ func (s *Session) Eval(ctx context.Context, input *Database) (*Database, EvalSta
 // exhausted. Every evaluation of a session runs the one plan it was opened
 // with; a request cannot select another.
 func (s *Session) EvalWith(ctx context.Context, input *Database, maxDerived int) (*Database, EvalStats, error) {
-	out, _, st, err := s.prep.Run(ctx, input, nil, maxDerived, nil)
+	out, _, st, err := s.prep.Run(ctx, input, nil, maxDerived)
 	s.account(st)
 	return out, st, err
 }
@@ -209,7 +209,7 @@ func (s *Session) Query(ctx context.Context, input *Database, query Atom) ([][]C
 // one backwards join per node of the tree. Rule indexes and variable names
 // in the tree are those of Program(). Safe for concurrent callers.
 func (s *Session) Explain(ctx context.Context, input *Database, goal GroundAtom) (*explain.Derivation, bool, error) {
-	out, reached, st, err := s.prep.Run(ctx, input, &goal, 0, nil)
+	out, reached, st, err := s.prep.Run(ctx, input, &goal, 0)
 	var d *explain.Derivation
 	if reached {
 		pr := explain.Over(s.prog, s.prep, input, out)

@@ -80,35 +80,6 @@ func (g *Graph) HasEdge(from, to string) bool {
 	return false
 }
 
-// ReachableFrom returns the predicates reachable from pred along dependence
-// edges (body → head), including pred itself — the length-0 path counts.
-// The containment layer uses it to bound the blast radius of a rule change:
-// a derivation that uses a rule with head predicate H can only produce
-// facts whose predicates are reachable from H, so goal predicates outside
-// ReachableFrom(H) keep their verdicts when that rule changes.
-func (g *Graph) ReachableFrom(pred string) map[string]bool {
-	out := map[string]bool{pred: true}
-	start, ok := g.index[pred]
-	if !ok {
-		return out
-	}
-	seen := make([]bool, len(g.preds))
-	seen[start] = true
-	queue := []int{start}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		for _, e := range g.adj[v] {
-			if !seen[e.to] {
-				seen[e.to] = true
-				out[g.preds[e.to]] = true
-				queue = append(queue, e.to)
-			}
-		}
-	}
-	return out
-}
-
 // SCCs returns the strongly connected components in reverse topological
 // order (every edge goes from an earlier or same component to a later or
 // same one is NOT guaranteed; Tarjan yields components such that each edge

@@ -341,8 +341,8 @@ func Optimize(ctx context.Context, p *ast.Program, opts Options) (*ast.Program, 
 	cur := p.Clone()
 	// One containment session and one preservation session serve every
 	// candidate probed against the current program. When a candidate is
-	// applied the containment session is delta-derived — it keeps surviving
-	// verdicts and frozen bodies — and a fresh preservation session is opened
+	// applied the containment session is delta-derived — it keeps its plan
+	// lineage and frozen bodies — and a fresh preservation session is opened
 	// in the same lineage: its Pⁿ is the plan Derive just registered in the
 	// plan cache, and its per-depth entries are rebuilt when first probed.
 	ck, ps, err := sessions(cur)
@@ -371,8 +371,8 @@ func Optimize(ctx context.Context, p *ast.Program, opts Options) (*ast.Program, 
 					cur = p2
 					// The applied candidate replaced rule i by a body-subset
 					// of itself — exactly the weakening delta the containment
-					// layer can patch: the session keeps its plan, frozen
-					// bodies and every verdict the weakening cannot flip.
+					// layer can patch: the session keeps its plan and frozen
+					// bodies, and decides the new program's verdicts afresh.
 					nr := cur.Rules[i]
 					if ck, err = ck.Derive(chase.Delta{RuleIndex: i, NewRule: &nr}); err != nil {
 						return nil, removals, err

@@ -56,7 +56,7 @@ func TestCancelCutsDuplicateHeavyPass(t *testing.T) {
 				t.Fatalf("workload too small to tell a cut from completion: %d firings", full.Firings)
 			}
 			ctx := &tripCtx{Context: context.Background(), trip: trip}
-			_, _, st, err := pr.Run(ctx, closed, nil, 0, nil)
+			_, _, st, err := pr.Run(ctx, closed, nil, 0)
 			if !errors.Is(err, ErrCanceled) || !errors.Is(err, context.Canceled) {
 				t.Fatalf("err = %v, want ErrCanceled wrapping context.Canceled", err)
 			}

@@ -381,7 +381,7 @@ func TestDeriveScheduleMatchesFresh(t *testing.T) {
 			wg.Add(1)
 			go func(parent *Prepared) {
 				defer wg.Done()
-				_, _, _, parentErr = parent.Run(context.Background(), input, nil, 0, nil)
+				_, _, _, parentErr = parent.Run(context.Background(), input, nil, 0)
 			}(pr)
 			got, _, err := child.Eval(input)
 			wg.Wait()

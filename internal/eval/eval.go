@@ -55,9 +55,8 @@ func CtxErr(ctx context.Context) error {
 // under a context (the chase's tgd phase) polls CtxErr at the same cadence.
 const CtxCheckEvery = 128
 
-// Options carries no setting: evaluation has none. A context, a goal, a
-// budget and provenance are per-call concerns and are arguments of
-// Prepared.Run. The type stays so the exported signatures taking it keep
+// Options carries no setting: evaluation has none. A context, a goal and a
+// budget are per-call concerns and are arguments of Prepared.Run. The type stays so the exported signatures taking it keep
 // compiling; a field added here must join the plan cache's address
 // (TestPlanKeyCoversEveryOption).
 type Options struct{}

@@ -191,7 +191,7 @@ func evalBudget(t testing.TB, p *ast.Program, input *db.Database, budget int) (*
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, _, stats, err := pr.Run(context.Background(), input, nil, budget, nil)
+	out, _, stats, err := pr.Run(context.Background(), input, nil, budget)
 	return out, stats, err
 }
 

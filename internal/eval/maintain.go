@@ -280,7 +280,7 @@ func bump(adj *db.Database, pred string, args []ast.Const, delta int32) {
 // as a maintained view. The input is not modified; the view keeps private
 // copy-on-write snapshots of both input and output.
 func (pr *Prepared) Materialize(ctx context.Context, input *db.Database, mo MaintainOptions) (*Maintained, Stats, error) {
-	out, _, stats, err := pr.Run(ctx, input, nil, 0, nil)
+	out, _, stats, err := pr.Run(ctx, input, nil, 0)
 	if err != nil {
 		return nil, stats, err
 	}

@@ -47,7 +47,7 @@ func TestGoalPrefixCutDeterministic(t *testing.T) {
 			t.Fatalf("seed %d: prepare: %v", seed, err)
 		}
 		for gi := range goals {
-			out, reached, _, err := prep.Run(nil, input, &goals[gi], 0, nil)
+			out, reached, _, err := prep.Run(nil, input, &goals[gi], 0)
 			if err != nil {
 				t.Fatalf("seed %d goal %v: %v", seed, goals[gi], err)
 			}

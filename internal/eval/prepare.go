@@ -45,8 +45,8 @@ type Prepared struct {
 	// same order. It belongs to this Prepared, not to the unit: Derive
 	// shares unchanged units between plans whose programs index the same
 	// rules differently, so each owner keeps its own mapping. It is what
-	// lets the provenance path translate a unit-local firing into a program
-	// rule index.
+	// lets the proof read-back (readback.go) translate a unit-local firing
+	// into a program rule index.
 	unitIdxs [][]int
 
 	// One-step application of the whole program in the static join order,
@@ -441,9 +441,9 @@ func (pr *Prepared) Program() *ast.Program { return pr.prog }
 
 // Eval computes P(input) exactly like the package-level Eval, reusing the
 // prepared schedule and compile caches. It is Run with no cancellation,
-// goal, budget or provenance.
+// goal or budget.
 func (pr *Prepared) Eval(input *db.Database) (*db.Database, Stats, error) {
-	out, _, stats, err := pr.Run(context.Background(), input, nil, 0, nil)
+	out, _, stats, err := pr.Run(context.Background(), input, nil, 0)
 	return out, stats, err
 }
 
@@ -465,15 +465,7 @@ func (pr *Prepared) Eval(input *db.Database) (*db.Database, Stats, error) {
 //     wrapping ErrBudget. Pure Datalog always terminates, so the bound exists
 //     for callers that embed evaluation in potentially non-terminating
 //     chases.
-//   - prov, when non-nil, records rule provenance: every program rule that
-//     derived at least one new fact before evaluation halted is added
-//     (indexes into Program().Rules). The recorded set is a superset of the
-//     rules used by any derivation present in the output — in particular,
-//     of some witnessing derivation of the goal when it is reached — which
-//     is exactly the conservative guarantee the containment layer needs to
-//     keep a memoized verdict across a rule deletion: if a deleted rule is
-//     not in prov, no derivation the evaluation produced could have used it.
-func (pr *Prepared) Run(ctx context.Context, input *db.Database, goal *ast.GroundAtom, maxDerived int, prov *RuleSet) (*db.Database, bool, Stats, error) {
+func (pr *Prepared) Run(ctx context.Context, input *db.Database, goal *ast.GroundAtom, maxDerived int) (*db.Database, bool, Stats, error) {
 	var stats Stats
 	if err := CtxErr(ctx); err != nil {
 		return nil, false, stats, err
@@ -487,12 +479,9 @@ func (pr *Prepared) Run(ctx context.Context, input *db.Database, goal *ast.Groun
 	}
 	env := &roundEnv{
 		ctx: ctx, d: d, stats: &stats,
-		baseLen: input.Len(), maxDerived: maxDerived, goal: goal, prov: prov,
+		baseLen: input.Len(), maxDerived: maxDerived, goal: goal,
 	}
-	for ui, u := range pr.units {
-		if prov != nil {
-			env.ruleIdxs = pr.unitIdxs[ui]
-		}
+	for _, u := range pr.units {
 		if err := u.fixpoint(env); err != nil {
 			if errors.Is(err, errGoal) {
 				return d, true, stats, nil
@@ -665,9 +654,7 @@ func (env *roundEnv) deltaVariants(u *unit, all bool, min, max int32, variants [
 
 // fixpoint runs the unit's rules semi-naively to their fixpoint, mutating
 // env.d in place. A non-nil goal halts evaluation via errGoal as soon as the
-// goal atom is derived. A non-nil prov collects the program rule indexes (via
-// ruleIdxs, the owner Prepared's unit-local → program mapping) of every
-// rule that derived at least one new fact.
+// goal atom is derived.
 //
 // The fixpoint only decides which variants each round runs; the round
 // executor (rounds.go) fires them under the budget, goal and cancellation

@@ -70,7 +70,7 @@ func TestQuickPreparedEqualsOneShot(t *testing.T) {
 		if !ok {
 			return true
 		}
-		part, reached, _, err := pr.Run(context.Background(), d, &goal, 0, nil)
+		part, reached, _, err := pr.Run(context.Background(), d, &goal, 0)
 		if err != nil {
 			return false
 		}
@@ -100,7 +100,7 @@ func TestQuickGoalUnreachable(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		out, reached, st, err := pr.Run(context.Background(), d, &goal, 0, nil)
+		out, reached, st, err := pr.Run(context.Background(), d, &goal, 0)
 		if err != nil {
 			return false
 		}
@@ -124,7 +124,7 @@ func TestPreparedGoalStopsMidStratum(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, reached, _, err := pr.Run(context.Background(), d, &goal, 0, nil)
+	out, reached, _, err := pr.Run(context.Background(), d, &goal, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +146,7 @@ func TestPreparedGoalAlreadyInInput(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, reached, st, err := pr.Run(context.Background(), d, &goal, 0, nil)
+	out, reached, st, err := pr.Run(context.Background(), d, &goal, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -35,8 +35,6 @@ type roundEnv struct {
 	// maxDerived bounds the facts derived beyond baseLen; 0 = unlimited.
 	maxDerived int
 	goal       *ast.GroundAtom
-	prov       *RuleSet
-	ruleIdxs   []int
 	variants   []variant // the round's variants, a backing store reused round to round
 	// led[k] is the running fixpoint's plan for its k-th body atom (rules in
 	// unit order) leading a delta variant; nil until that atom's delta first
@@ -71,14 +69,11 @@ func (env *roundEnv) runRound(variants []variant) error {
 	st := getStreamState()
 	defer putStreamState(st)
 	sk := &st.fix
-	*sk = fixpointSink{d: d, goal: env.goal, prov: env.prov, ctx: env.ctx, remaining: -1}
+	*sk = fixpointSink{d: d, goal: env.goal, ctx: env.ctx, remaining: -1}
 	if env.maxDerived > 0 {
 		sk.remaining = env.maxDerived - (d.Len() - env.baseLen)
 	}
 	for _, v := range variants {
-		if env.prov != nil {
-			sk.ruleIdx = env.ruleIdxs[v.idx]
-		}
 		if v.plan.run(d, v.win, st, env.stats, sk) {
 			continue
 		}

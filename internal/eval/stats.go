@@ -43,9 +43,9 @@ type ReuseStats struct {
 	// delta-patching an existing plan).
 	PrepareHits   int `json:"prepare_hits"`
 	PrepareMisses int `json:"prepare_misses"`
-	// VerdictsReused / VerdictsRecomputed count memoized containment
-	// verdicts carried across a Checker.Derive versus decided by running a
-	// fresh goal-directed chase.
+	// VerdictsReused / VerdictsRecomputed count containment verdicts
+	// answered from the verdict store of the session's own program versus
+	// decided by running a fresh goal-directed chase.
 	VerdictsReused     int `json:"verdicts_reused"`
 	VerdictsRecomputed int `json:"verdicts_recomputed"`
 	// VerdictsSubsumed counts containment verdicts forced syntactically —

@@ -273,16 +273,14 @@ type streamSink interface {
 }
 
 // fixpointSink is the sequential emit discipline: poll the context, add to
-// the database, test the goal, count down the derived-fact budget, credit
-// provenance. The context is polled on every emission — new fact or
-// duplicate — so a pass that mostly re-derives known facts is still cut
-// within CtxCheckEvery firings of a cancellation.
+// the database, test the goal, count down the derived-fact budget. The
+// context is polled on every emission — new fact or duplicate — so a pass
+// that mostly re-derives known facts is still cut within CtxCheckEvery
+// firings of a cancellation.
 type fixpointSink struct {
 	d         *db.Database
 	goal      *ast.GroundAtom
-	prov      *RuleSet
 	ctx       context.Context // per-call cancellation; nil = never canceled
-	ruleIdx   int             // program index of the rule currently running, for prov
 	remaining int             // derived-fact budget countdown; -1 = unlimited
 	ctxTick   int             // emit counter for the cancellation cadence
 	stop      bool
@@ -310,9 +308,6 @@ func (s *fixpointSink) emit(pred string, args []ast.Const) (bool, bool) {
 		if s.remaining < 0 {
 			s.stop = true
 		}
-	}
-	if s.prov != nil {
-		s.prov.Add(s.ruleIdx)
 	}
 	return true, s.stop
 }

@@ -42,7 +42,7 @@ func TestQuickStreamingEqualsMaterializing(t *testing.T) {
 			t.Fatalf("seed %d: prepare: %v", seed, err)
 		}
 		for gi := range goals {
-			out, reached, st, err := prep.Run(context.Background(), input, &goals[gi], 0, nil)
+			out, reached, st, err := prep.Run(context.Background(), input, &goals[gi], 0)
 			if err != nil {
 				t.Fatalf("seed %d goal=%v: %v", seed, goals[gi], err)
 			}
@@ -103,7 +103,7 @@ func TestStreamingGoalEarlyStop(t *testing.T) {
 		t.Fatal(err)
 	}
 	goal := ast.NewGroundAtom("P3", ast.Int(0), ast.Int(3))
-	out, reached, st, err := prep.Run(context.Background(), input, &goal, 0, nil)
+	out, reached, st, err := prep.Run(context.Background(), input, &goal, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

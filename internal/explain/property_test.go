@@ -115,7 +115,7 @@ func TestProofReadBackProperty(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v\n%s", seed, err, p)
 		}
-		out, _, _, err := prep.Run(ctx, in, nil, 0, nil)
+		out, _, _, err := prep.Run(ctx, in, nil, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -138,7 +138,7 @@ func TestProofReadBackProperty(t *testing.T) {
 			if in.Has(f) || rng.Intn(4) > 0 {
 				continue
 			}
-			cut, reached, _, err := prep.Run(ctx, in, &f, 0, nil)
+			cut, reached, _, err := prep.Run(ctx, in, &f, 0)
 			if err != nil || !reached {
 				t.Fatalf("seed %d: goal %v: reached=%v err=%v", seed, f, reached, err)
 			}

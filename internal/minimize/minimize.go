@@ -63,8 +63,8 @@ type Trace struct {
 	AtomRemovals []AtomRemoval
 	RuleRemovals []ast.Rule
 	// Stats is the containment session lineage's cumulative work: plan-cache
-	// hits/misses, verdicts reused across accepted deletions versus decided
-	// by a fresh chase, and the folded stats of every chase's evaluation.
+	// hits/misses, verdicts answered from the store, by θ-subsumption or by
+	// a fresh chase, and the folded stats of every chase's evaluation.
 	Stats eval.Stats
 }
 
@@ -98,8 +98,8 @@ func Program(ctx context.Context, p *ast.Program, opts Options) (*ast.Program, T
 	if err != nil {
 		return nil, trace, err
 	}
-	// The atom phase's session carries into the rule phase: its memoized
-	// verdicts and frozen bodies survive each rule deletion via Derive.
+	// The atom phase's session carries into the rule phase: its plan and
+	// frozen bodies are handed to each rule deletion via Derive.
 	q, ck, trace2, err := removeRedundantRulesSession(ctx, q, ck)
 	if err != nil {
 		return nil, trace, err
@@ -115,10 +115,9 @@ func Program(ctx context.Context, p *ast.Program, opts Options) (*ast.Program, T
 // current program. One containment session serves the whole phase: an
 // accepted deletion replaces a rule by a body-subset of itself, so the
 // session for the shortened program is derived from the current one —
-// the prepared schedule is patched rather than rebuilt, frozen bodies
-// carry over wholesale, and every memoized verdict the weakening cannot
-// flip survives. The session is returned so the rule phase can keep
-// deriving from it.
+// the prepared schedule is patched rather than rebuilt and frozen bodies
+// carry over wholesale; verdicts are decided afresh for the new program.
+// The session is returned so the rule phase can keep deriving from it.
 func minimizeAtoms(ctx context.Context, p *ast.Program, opts Options) (*ast.Program, *chase.Checker, Trace, error) {
 	var trace Trace
 	q := p // both callers pass a program they own; it is mutated in place
@@ -172,7 +171,7 @@ func minimizeAtoms(ctx context.Context, p *ast.Program, opts Options) (*ast.Prog
 // the program. ck must be a session over p. Every candidate "rest" program
 // is a single-rule deletion from the current program, so its session is
 // derived; when the deletion is accepted the derived session becomes the
-// current one, carrying the surviving verdicts forward.
+// current one, and the verdicts it decided stay in its program's store.
 func removeRedundantRulesSession(ctx context.Context, p *ast.Program, ck *chase.Checker) (*ast.Program, *chase.Checker, Trace, error) {
 	var trace Trace
 	q := p.Clone()
@@ -219,7 +218,8 @@ func RemoveRedundantRules(ctx context.Context, p *ast.Program) (*ast.Program, Tr
 // IsMinimal reports whether p has no atom and no rule deletable under
 // uniform equivalence — the property Theorem 2 guarantees for the output of
 // Program. All atom tests share one containment session over p, and each
-// rule test derives the rule-deleted session from it.
+// rule test derives the rule-deleted session from it, which inherits the
+// plan but none of the verdicts.
 func IsMinimal(ctx context.Context, p *ast.Program) (bool, error) {
 	ck, err := chase.NewChecker(p)
 	if err != nil {
