@@ -31,8 +31,10 @@ race:
 	$(GO) test -race ./...
 
 # race-service race-checks the multi-tenant service stack: the session
-# facade, the HTTP layer, the copy-on-freeze snapshots they evaluate and the
-# self-locking symbol table every parse and render of a program name shares.
+# facade, the HTTP layer, the copy-on-freeze snapshots they evaluate, the
+# retention window that frees them (TestVersionRetentionBound: 10,000 batches
+# under pinned readers) and the self-locking symbol table every parse and
+# render of a program name shares.
 race-service:
 	$(GO) test -race ./internal/ast ./internal/core ./internal/service ./internal/db
 
@@ -146,7 +148,10 @@ guard-delta-first:
 # renders under the entry lock, the symbol table synchronises itself; a
 # request cannot pick its plan; and /eval reaches the kernel through one
 # EvalWith call, the miss of the memoized output (evalMemo, service.go), so no
-# second, unmemoized eval path grows beside it.
+# second, unmemoized eval path grows beside it. A tenant's database versions
+# leave its map at one place, mutate's slide of the retention window, and the
+# window's width (retainDBVersions) is named nowhere else in shipped code: no
+# flag, option or request field sets it.
 SERVICE_SRC = $(filter-out %_test.go,$(wildcard internal/service/*.go))
 guard-request-path:
 	@for pat in 'requests\.Add\(' 'DisallowUnknownFields\(' 'MaxBytesReader\(' 'EvalWith\('; do \
@@ -166,6 +171,13 @@ guard-request-path:
 	fi
 	@if grep -rnE 'EvalRequestOptions|maxRequestShards' --include='*.go' .; then \
 		echo "a request can pick its plan again (make guard-request-path): a session runs the one plan it was opened with" >&2; exit 1; \
+	fi
+	@n=$$(cat $(SERVICE_SRC) | grep -c 'delete(t\.versions'); \
+	if [ "$$n" != 1 ]; then \
+		echo "internal/service: $$n call sites of delete(t.versions, want 1 (make guard-request-path): a database version leaves only by mutate's slide of the retention window" >&2; exit 1; \
+	fi
+	@if grep -rn --include='*.go' 'retainDBVersions' . | grep -v '_test\.go:' | grep -v '^\./internal/service/service\.go:'; then \
+		echo "retainDBVersions is referenced outside internal/service/service.go (make guard-request-path): the retention window is one constant, not a knob" >&2; exit 1; \
 	fi
 
 # guard-one-unfold keeps a fresh build the only way an unfolding or a

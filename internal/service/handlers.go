@@ -139,7 +139,8 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 // writeError maps typed errors onto HTTP statuses and stable codes:
 // RequestError carries its own; a deadline maps to 504, cancellation to
 // 499, an exhausted derived-fact budget to 422, a fact batch or tenant
-// database contradicting a predicate's arity to 400.
+// database contradicting a predicate's arity to 400. A 410 (a db_version pin
+// below the tenant's retention window) is counted in requests.gone_versions.
 func (s *Server) writeError(w http.ResponseWriter, err error) {
 	s.errors.Add(1)
 	status, code := http.StatusInternalServerError, "internal"
@@ -147,6 +148,9 @@ func (s *Server) writeError(w http.ResponseWriter, err error) {
 	switch {
 	case errors.As(err, &re):
 		status, code = re.Status, re.Code
+		if status == http.StatusGone {
+			s.goneVersions.Add(1)
+		}
 	case errors.Is(err, context.DeadlineExceeded):
 		s.canceled.Add(1)
 		status, code = http.StatusGatewayTimeout, "deadline_exceeded"
@@ -385,6 +389,7 @@ func (s *Server) verbStatz(context.Context, *programEntry, *struct{}) (any, erro
 			"total": s.requests.Load(), "errors": s.errors.Load(),
 			"evals": s.evals.Load(), "evals_memoized": s.evalsMemoized.Load(),
 			"canceled": s.canceled.Load(), "panics": s.panics.Load(),
+			"gone_versions": s.goneVersions.Load(),
 		},
 	}, nil
 }

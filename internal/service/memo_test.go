@@ -201,9 +201,11 @@ func randomAuthzBatch(rng *rand.Rand, tenant string) map[string]any {
 // randomAuthzEval draws an /eval body for tenant: either program version, the
 // whole output or a query (unbound, half bound, fully bound, or over a
 // predicate only version 2 derives), and with latest > 0 a pinned database
-// version in [1, latest].
-func randomAuthzEval(rng *rand.Rand, tenant string, latest int) map[string]any {
-	body := map[string]any{"tenant": tenant, "program_version": 1 + rng.Intn(2)}
+// version. The pin is in [oldest, latest], or — one in ten, once latest's
+// retention window has slid past version 1 — below that window, and gone
+// reports the latter.
+func randomAuthzEval(rng *rand.Rand, tenant string, oldest, latest int) (body map[string]any, gone bool) {
+	body = map[string]any{"tenant": tenant, "program_version": 1 + rng.Intn(2)}
 	switch rng.Intn(5) {
 	case 0:
 		body["query"] = "CanRead(u, d)"
@@ -215,16 +217,37 @@ func randomAuthzEval(rng *rand.Rand, tenant string, latest int) map[string]any {
 		body["query"] = "Reader(u)"
 	}
 	if latest > 0 {
-		body["db_version"] = 1 + rng.Intn(latest)
+		if below := latest - retainDBVersions; below > 0 && rng.Intn(10) == 0 {
+			body["db_version"] = 1 + rng.Intn(below)
+			return body, true
+		}
+		body["db_version"] = oldest + rng.Intn(latest-oldest+1)
 	}
-	return body
+	return body, false
+}
+
+// oldestRetained is the oldest database version a tenant whose latest is
+// latest still keeps.
+func oldestRetained(latest int) int { return max(latest-retainDBVersions+1, 1) }
+
+// checkGone posts one /eval whose db_version pin fell out of the tenant's
+// retention window: it must be the typed 410 and carry no result.
+func checkGone(ts *httptest.Server, program string, body map[string]any) error {
+	code, resp, err := evalRaw(ts, program, body)
+	if err != nil || code != 410 || resp.Error != "gone_version" || resp.Rows != nil || resp.Facts != nil {
+		return fmt.Errorf("eval %v pinned below the retention window: %d %s %s rows=%s facts=%s %v",
+			body, code, resp.Error, resp.Message, resp.Rows, resp.Facts, err)
+	}
+	return nil
 }
 
 // TestMemoDifferential: a seeded random interleaving of mutation batches,
 // latest and pinned evals (whole output and queries) and subscriptions coming
 // and going, on 3 tenants × 2 program versions — then concurrent readers
 // while a writer mutates — answers every /eval exactly as a server without a
-// memo would. Run under -race by make race-service.
+// memo would: a pin inside the tenant's retention window byte-identically, one
+// below it with the typed 410 and no body. Run under -race by make
+// race-service.
 func TestMemoDifferential(t *testing.T) {
 	s := New()
 	ts := httptest.NewServer(s.Handler())
@@ -263,7 +286,7 @@ func TestMemoDifferential(t *testing.T) {
 		mutate(rng, tenant)
 	}
 
-	hits := 0
+	hits, gones := 0, 0
 	for i := 0; i < 400; i++ {
 		tenant := tenants[rng.Intn(len(tenants))]
 		switch op := rng.Intn(10); {
@@ -274,7 +297,14 @@ func TestMemoDifferential(t *testing.T) {
 			if op >= 7 {
 				pinned = latest[tenant]
 			}
-			body := randomAuthzEval(rng, tenant, pinned)
+			body, gone := randomAuthzEval(rng, tenant, oldestRetained(pinned), pinned)
+			if gone {
+				if err := checkGone(ts, "authz", body); err != nil {
+					t.Fatalf("step %d: %v", i, err)
+				}
+				gones++
+				continue
+			}
 			resp, err := checkEval(s, ts, "authz", body)
 			if err != nil {
 				t.Fatalf("step %d: %v", i, err)
@@ -303,15 +333,25 @@ func TestMemoDifferential(t *testing.T) {
 			feeds[k] = f
 		}
 	}
-	if hits == 0 {
-		t.Fatal("no eval of the interleaving was answered from a memoized output")
+	if hits == 0 || gones == 0 {
+		t.Fatalf("of the interleaving's evals %d were answered from a memoized output and %d pinned below the window, want both", hits, gones)
 	}
 	if n, stale := memoSlots(t, s, "authz", ""); n > len(tenants)*2 || stale != 0 {
 		t.Fatalf("%d memoized outputs (%d stale) for %d tenants × 2 program versions", n, stale, len(tenants))
 	}
 
 	// Readers race one writer. A response names the versions it answered, so
-	// whichever side of a batch a read landed on, its oracle is exact.
+	// whichever side of a batch a read landed on, its oracle is exact. The
+	// writer stages retainDBVersions−1 batches per tenant, so each tenant's
+	// latest version at the start, the one readers pin, stays in the window
+	// to the end; what readers pin below the window is gone already.
+	start := make(map[string]int, len(tenants))
+	for _, tenant := range tenants {
+		if latest[tenant] <= retainDBVersions {
+			t.Fatalf("tenant %s saw %d batches, the readers pin below a window of %d", tenant, latest[tenant], retainDBVersions)
+		}
+		start[tenant] = latest[tenant]
+	}
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for r := 0; r < 4; r++ {
@@ -325,25 +365,24 @@ func TestMemoDifferential(t *testing.T) {
 					return
 				default:
 				}
-				// Versions 1–3 exist for every tenant by now: pin among those.
+				tenant := tenants[rng.Intn(len(tenants))]
 				pinned := 0
 				if rng.Intn(4) == 0 {
-					pinned = 3
+					pinned = start[tenant]
 				}
-				body := randomAuthzEval(rng, tenants[rng.Intn(len(tenants))], pinned)
-				if _, err := checkEval(s, ts, "authz", body); err != nil {
+				body, gone := randomAuthzEval(rng, tenant, pinned, pinned)
+				err := checkGone(ts, "authz", body)
+				if !gone {
+					_, err = checkEval(s, ts, "authz", body)
+				}
+				if err != nil {
 					t.Errorf("reader %d: %v", r, err)
 					return
 				}
 			}
 		}()
 	}
-	for _, tenant := range tenants {
-		if latest[tenant] < 3 {
-			t.Fatalf("tenant %s saw %d batches, the readers pin up to version 3", tenant, latest[tenant])
-		}
-	}
-	for i := 0; i < 60; i++ {
+	for i := 0; i < len(tenants)*(retainDBVersions-1); i++ {
 		mutate(rng, tenants[i%len(tenants)])
 	}
 	close(stop)
@@ -353,7 +392,8 @@ func TestMemoDifferential(t *testing.T) {
 // TestMemoRetentionBound: after any number of mutate/eval rounds a program
 // name holds at most tenants × program versions memoized outputs, every one
 // of them of its tenant's latest database version; a batch leaves a tenant
-// none but what its live views refilled.
+// none but what its live views refilled. Pins read the oldest version the
+// window keeps, and version 1, once the window has slid past it, is a 410.
 func TestMemoRetentionBound(t *testing.T) {
 	s := New()
 	ts := httptest.NewServer(s.Handler())
@@ -396,11 +436,16 @@ func TestMemoRetentionBound(t *testing.T) {
 			{"tenant": tenant, "program_version": 1},
 			{"tenant": tenant, "program_version": 2, "query": "Reader(u)"},
 			{"tenant": tenant, "program_version": 1, "db_version": max(dbv-1, 1)},
-			{"tenant": tenant, "program_version": 2, "db_version": 1, "query": "CanRead(u, d)"},
+			{"tenant": tenant, "program_version": 2, "db_version": oldestRetained(dbv), "query": "CanRead(u, d)"},
 			{"tenant": tenant, "program_version": 2},
 		} {
 			if code, resp, err := evalRaw(ts, "authz", eval); err != nil || code != 200 {
 				t.Fatalf("round %d eval %v: %d %v %v", i, eval, code, resp, err)
+			}
+		}
+		if dbv > retainDBVersions {
+			if err := checkGone(ts, "authz", map[string]any{"tenant": tenant, "db_version": 1}); err != nil {
+				t.Fatalf("round %d: %v", i, err)
 			}
 		}
 		if n, stale := memoSlots(t, s, "authz", ""); n > len(tenants)*2 || stale != 0 {

@@ -31,6 +31,12 @@
 // a live view refills it with what it maintained, and the next mutation batch
 // drops it. The slots have their own mutex; reading or filling one never
 // write-locks the entry.
+//
+// A tenant keeps its latest retainDBVersions database versions: mutate
+// deletes the one that falls out of the window, and a db_version pin below it
+// is a typed 410 gone_version. Nothing else needs an older one — a memo slot
+// or a live view holds the latest only, and a request that resolved a
+// snapshot holds it by pointer until it is done.
 package service
 
 import (
@@ -60,7 +66,12 @@ type Server struct {
 	evalsMemoized atomic.Uint64 // of evals, the ones answered from a memoized output
 	canceled      atomic.Uint64
 	panics        atomic.Uint64
+	goneVersions  atomic.Uint64 // of errors, db_version pins below the retention window
 }
+
+// retainDBVersions is how many database versions a tenant keeps: its latest
+// and the 15 before it.
+const retainDBVersions = 16
 
 // New returns an empty server. Sessions prepare through the process-wide
 // plan cache unless opts injects another.
@@ -293,6 +304,7 @@ func (e *programEntry) mutate(tenant, assertSrc, retractSrc string) (version, si
 	}
 	t.latest++
 	t.versions[t.latest] = w.Freeze()
+	delete(t.versions, t.latest-retainDBVersions)
 	t.dropMemo()
 	t.broadcastLocked(t.latest, delta)
 	return t.latest, w.Len(), nil
@@ -315,7 +327,8 @@ func (e *programEntry) parseFacts(src string) ([]ast.GroundAtom, error) {
 	return res.Facts, nil
 }
 
-// snapshot resolves a tenant and one of its database versions (0 = latest).
+// snapshot resolves a tenant and one of its database versions (0 = latest):
+// one it never had is a 404, one that fell out of its retention window a 410.
 func (e *programEntry) snapshot(tenant string, v int) (*tenantState, *db.Snapshot, int, error) {
 	e.mu.RLock()
 	defer e.mu.RUnlock()
@@ -328,6 +341,10 @@ func (e *programEntry) snapshot(tenant string, v int) (*tenantState, *db.Snapsho
 		v = t.latest
 	}
 	snap := t.versions[v]
+	if snap == nil && v >= 1 && v <= t.latest {
+		return nil, nil, 0, &RequestError{Status: 410, Code: "gone_version",
+			Err: fmt.Errorf("service: tenant %q keeps database versions %d–%d, not %d", tenant, t.latest-retainDBVersions+1, t.latest, v)}
+	}
 	if snap == nil {
 		return nil, nil, 0, &RequestError{Status: 404, Code: "unknown_db_version",
 			Err: fmt.Errorf("service: tenant %q has no database version %d", tenant, v)}
