@@ -1,7 +1,7 @@
 GO ?= go
 
 # Benchmarks tracked in BENCH_eval.json: the eval/chase hot-path families.
-BENCH_PATTERN ?= BenchmarkE2|BenchmarkE3|BenchmarkE4|BenchmarkE5|BenchmarkE6|BenchmarkE7|BenchmarkE9|BenchmarkEngines|BenchmarkEvalShapes|BenchmarkAblation_TerminationFastPath|BenchmarkMaintain_DRed
+BENCH_PATTERN ?= BenchmarkE2|BenchmarkE3|BenchmarkE4|BenchmarkE5|BenchmarkE6|BenchmarkE7|BenchmarkE9|BenchmarkEngines|BenchmarkEvalShapes|BenchmarkAblation_TerminationFastPath|BenchmarkMaintain_DRed|BenchmarkSmallTenantEvalVsApply
 BENCHTIME ?= 0.3s
 
 # staticcheck pin for lint-ci; bump deliberately, not implicitly.

@@ -14,6 +14,7 @@ import (
 
 	"repro/internal/ast"
 	"repro/internal/chase"
+	"repro/internal/core"
 	"repro/internal/db"
 	"repro/internal/equivopt"
 	"repro/internal/eval"
@@ -522,6 +523,15 @@ func BenchmarkStratifiedMagic(b *testing.B) {
 	})
 }
 
+// authzProgram is the access-control program of the maintenance benches:
+// a membership closure (delete-rederive) under two counting strata.
+const authzProgram = `
+	Member(u, g) :- Direct(u, g).
+	Member(u, g) :- Member(u, h), Subgroup(h, g).
+	HasRole(u, r) :- Member(u, g), Grant(g, r).
+	CanRead(u, d) :- HasRole(u, r), Allows(r, d).
+`
+
 // BenchmarkMaintain_DRed measures delete-rederive on maintained views; one op
 // is a retract batch plus the batch re-asserting it, and overdeleted/op is
 // what the two over-deleted. scc-retract-reassert churns one edge of a random
@@ -544,12 +554,7 @@ func BenchmarkMaintain_DRed(b *testing.B) {
 		}
 	}
 	const chain = 600
-	authz := parser.MustParseProgram(`
-		Member(u, g) :- Direct(u, g).
-		Member(u, g) :- Member(u, h), Subgroup(h, g).
-		HasRole(u, r) :- Member(u, g), Grant(g, r).
-		CanRead(u, d) :- HasRole(u, r), Allows(r, d).
-	`)
+	authz := parser.MustParseProgram(authzProgram)
 	rng := rand.New(rand.NewSource(11))
 	org := db.New()
 	var orgChurn []ast.GroundAtom // memberships and subgroup links, alternating
@@ -605,4 +610,77 @@ func BenchmarkMaintain_DRed(b *testing.B) {
 			b.ReportMetric(float64(overdeleted)/float64(b.N), "overdeleted/op")
 		})
 	}
+}
+
+// BenchmarkSmallTenantEvalVsApply prices the two ways a server can keep a
+// small tenant's output current after a write of one assert and one retract:
+// evaluate the new version from scratch (Session.EvalWith, what a memo miss
+// runs) or apply the batch to a maintained view (View.Apply, what a live view
+// runs per batch). The tenant is authz at the size of a serve-mixed tenant:
+// 20 users, 5 groups, 4 roles, 16 documents — 53 base facts and 178 derived
+// ones. Apply alternates two batches that swap one membership for another,
+// so the view stays the same size.
+func BenchmarkSmallTenantEvalVsApply(b *testing.B) {
+	ctx := context.Background()
+	sess, err := core.NewSession(parser.MustParseProgram(authzProgram))
+	if err != nil {
+		b.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(5))
+	edge := func(pred string, x, y int64) ast.GroundAtom {
+		return ast.NewGroundAtom(pred, ast.Int(x), ast.Int(y))
+	}
+	const users, groups, roles, docs = 20, 5, 4, 16
+	tenant := db.New()
+	for u := int64(0); u < users; u++ {
+		for k := 0; k <= rng.Intn(2); k++ {
+			tenant.Add(edge("Direct", 100000+u, 1000+rng.Int63n(groups)))
+		}
+	}
+	for g := int64(1); g < groups; g++ {
+		tenant.Add(edge("Subgroup", 1000+g, 1000+(g-1)/3))
+	}
+	for g := int64(0); g < groups; g++ {
+		for k := 0; k <= rng.Intn(2); k++ {
+			tenant.Add(edge("Grant", 1000+g, 2000+rng.Int63n(roles)))
+		}
+	}
+	for r := int64(0); r < roles; r++ {
+		for k := 0; k < 4; k++ {
+			tenant.Add(edge("Allows", 2000+r, 10000+rng.Int63n(docs)))
+		}
+	}
+	// present is a membership of the tenant, absent one it lacks.
+	present := ast.NewGroundAtom("Direct", tenant.Relation("Direct").Tuple(0)...)
+	absent := edge("Direct", 100000, 1000)
+	for g := int64(1001); tenant.Has(absent); g++ {
+		absent = edge("Direct", 100000, g)
+	}
+	snap := tenant.Freeze()
+
+	b.Run("eval", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, _, err := sess.EvalWith(ctx, snap.DB(), 0); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("apply", func(b *testing.B) {
+		view, _, err := sess.Materialize(ctx, snap.DB(), core.MaintainOptions{})
+		if err != nil {
+			b.Fatal(err)
+		}
+		swap := [2]core.DatabaseDelta{
+			{Assert: []ast.GroundAtom{absent}, Retract: []ast.GroundAtom{present}},
+			{Assert: []ast.GroundAtom{present}, Retract: []ast.GroundAtom{absent}},
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, _, err := view.Apply(ctx, swap[i%2]); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }

@@ -77,8 +77,8 @@ func (d *Database) Reset() {
 			continue
 		}
 		s := &r.seg
-		s.data, s.rounds = s.data[:0], s.rounds[:0]
-		clear(s.dedupSlot)
+		s.n, s.data, s.runs = 0, s.data[:0], s.runs[:0]
+		clear(s.dedup)
 		s.indexes.Store(nil)
 		r.dead, r.ndead = nil, 0
 		if r.counts.on() {

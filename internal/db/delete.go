@@ -43,7 +43,7 @@ func crowded(tail, dead, n int) bool { return max(tail, dead)*flattenShare > n }
 func (r *Relation) crowded() bool {
 	tail := 0
 	if r.base != nil {
-		tail = len(r.seg.rounds)
+		tail = r.seg.n
 	}
 	return crowded(tail, r.ndead, r.Len())
 }
@@ -72,49 +72,63 @@ func (r *Relation) flatten() int {
 	}
 	live := r.Live()
 	data := make([]ast.Const, 0, live*r.arity)
-	rounds := make([]int32, 0, live)
+	var runs []run
 	var counts countCol
 	if r.counts.on() {
 		counts.enable(live)
 	}
-	// renum[id] is live id's new id: id less the dead ids below it.
+	tiers := [2]*segment{r.base, &r.seg}
+	// renum[id] is live id's new id: id less the dead ids below it. The
+	// stamps are copied run by run; a run of dead ids leaves nothing, and the
+	// base's last run merges with the tail's first when their rounds agree.
 	renum := make([]int32, r.Len())
-	for id := range renum {
-		if !r.Alive(id) {
+	nid := int32(0)
+	for _, s := range tiers {
+		if s == nil {
 			continue
 		}
-		nid := int32(len(rounds))
-		renum[id] = nid
-		data = append(data, r.Tuple(id)...)
-		rounds = append(rounds, r.RoundOf(id))
-		if counts.on() {
-			counts.pages[nid>>countPageBits][nid&countPageMask] = r.counts.get(int32(id))
+		for k, ru := range s.runs {
+			end := int32(s.n)
+			if k+1 < len(s.runs) {
+				end = s.runs[k+1].first
+			}
+			for id := s.off + ru.first; id < s.off+end; id++ {
+				if !r.Alive(int(id)) {
+					continue
+				}
+				if n := len(runs); n == 0 || runs[n-1].round != ru.round {
+					runs = append(runs, run{nid, ru.round})
+				}
+				renum[id] = nid
+				data = append(data, s.tuple(int(id))...)
+				if counts.on() {
+					counts.pages[nid>>countPageBits][nid&countPageMask] = r.counts.get(id)
+				}
+				nid++
+			}
 		}
 	}
 	// The dedup table is refilled from the old ones in slot order, base then
-	// tail: they hold every live tuple's hash, and a walk by slot visits the
-	// new table near-sequentially where a walk by id probes it at random.
+	// tail: a word keeps its tag under the renumbered id, and a walk by slot
+	// visits the new table near-sequentially where a walk by id probes it at
+	// random.
 	size := 16
 	for 4*(live+1) > 3*size {
 		size *= 2
 	}
-	hashes, slots := make([]uint64, size), make([]int32, size)
-	mask := uint64(size - 1)
+	dedup := make([]uint64, size)
 	var indexed [][]int
-	for _, s := range [2]*segment{r.base, &r.seg} {
+	for _, s := range tiers {
 		if s == nil {
 			continue
 		}
-		for i, slot := range s.dedupSlot {
-			if slot == 0 || !r.Alive(int(slot-1)) {
+		for _, w := range s.dedup {
+			if w == 0 || !r.Alive(int(slotID(w))) {
 				continue
 			}
 			// Live tuples are pairwise distinct: the first free slot is the tuple's.
-			j := s.dedupHash[i] & mask
-			for slots[j] != 0 {
-				j = (j + 1) & mask
-			}
-			hashes[j], slots[j] = s.dedupHash[i], renum[slot-1]+1
+			nw := slotWord(w, renum[slotID(w)])
+			dedup[place(dedup, nw)] = nw
 		}
 		if set := s.indexes.Load(); set != nil {
 			for _, ix := range set.idxs {
@@ -124,7 +138,7 @@ func (r *Relation) flatten() int {
 	}
 	r.base = nil
 	s := &r.seg
-	s.off, s.data, s.rounds, s.dedupHash, s.dedupSlot = 0, data, rounds, hashes, slots
+	s.off, s.n, s.data, s.runs, s.dedup = 0, live, data, runs, dedup
 	s.indexes.Store(nil)
 	for _, cols := range indexed {
 		s.ensureIndexLocked(ColMask(cols), cols, false) // a repeat finds it built

@@ -13,9 +13,10 @@ import (
 // Relation stores the tuples of one predicate in flat columnar arenas: a
 // tuple is a run of arity constants, stamped with the round it was inserted
 // in. Deduplication and the per-column-set join indexes are open-addressing
-// hash tables keyed by a 64-bit hash of the ast.Const values, with collisions
-// resolved by comparing directly against the arena — no string keys are
-// materialized anywhere on the insert or probe path.
+// hash tables of one word per slot (see slotWord), keyed by a 64-bit hash of
+// the ast.Const values, with collisions resolved by comparing directly
+// against the arena — no string keys are materialized anywhere on the insert
+// or probe path.
 //
 // A relation version has up to two tiers. A flat relation keeps everything
 // in seg. The first write to a large relation shared with a frozen snapshot
@@ -69,16 +70,18 @@ type Relation struct {
 // at off = len(base); tables store ids, per-tuple columns are indexed by
 // id - off.
 type segment struct {
-	arity  int
-	off    int32       // id of the segment's first tuple
-	data   []ast.Const // arena: tuple id at [(id-off)*arity : (id-off+1)*arity]
-	rounds []int32     // round stamp per tuple; non-decreasing
+	arity int
+	off   int32       // id of the segment's first tuple
+	n     int         // number of tuples
+	data  []ast.Const // arena: tuple id at [(id-off)*arity : (id-off+1)*arity]
+	// runs holds the round stamps, one entry per run of equal stamps: tuples
+	// [runs[k].first, runs[k+1].first) carry runs[k].round. Stamps never
+	// decrease, so an EDB loaded in one batch is one run.
+	runs []run
 
-	// Dedup table: open addressing, power-of-two sized. dedupSlot holds
-	// tuple id + 1 (0 = empty); dedupHash caches the full-tuple hash for
-	// cheap rejects and rehashing.
-	dedupHash []uint64
-	dedupSlot []int32
+	// Dedup table: open addressing, power-of-two sized, one slotWord per
+	// slot.
+	dedup []uint64
 
 	// indexes is an immutable snapshot of the column indexes, swapped
 	// atomically when an index is added so lock-free readers never observe
@@ -107,20 +110,24 @@ func (s *indexSet) find(mask uint64) *colIndex {
 	return nil
 }
 
+// run is a stretch of a segment's tuples sharing one round stamp, from
+// segment position first (id - off) to the next run's.
+type run struct{ first, round int32 }
+
 // colIndex is a hash index over a fixed set of columns of one segment. Each
-// distinct projected key owns one table slot holding the first and last
-// tuple id carrying that key; tuples sharing a key are chained in insertion
-// order through next. built records how many of the segment's tuples have
-// been incorporated, so the index extends incrementally as the segment
-// grows. Dead tuples stay chained; iterators skip them.
+// distinct projected key owns one table slot: a slotWord naming the first
+// tuple id carrying that key, and the chain's last in tails; tuples sharing a
+// key are chained in insertion order through next. built records how many of
+// the segment's tuples have been incorporated, so the index extends
+// incrementally as the segment grows. Dead tuples stay chained; iterators
+// skip them.
 type colIndex struct {
-	cols   []int
-	hashes []uint64
-	heads  []int32 // tuple id + 1; 0 = empty slot
-	tails  []int32 // tuple id + 1 of the chain tail
-	keys   int     // number of distinct keys
-	next   []int32 // next[id-off] = next tuple id with the same key, -1 = end
-	built  int
+	cols  []int
+	slots []uint64 // slotWord of the key's hash and chain head
+	tails []int32  // tuple id + 1 of the chain tail
+	keys  int      // number of distinct keys
+	next  []int32  // next[id-off] = next tuple id with the same key, -1 = end
+	built int
 }
 
 func newRelation(arity int) *Relation {
@@ -134,7 +141,7 @@ func (r *Relation) Arity() int { return r.arity }
 
 // Len returns the number of tuple ids, dead ones included: ids run over
 // [0, Len()) and Alive tells which still hold a tuple.
-func (r *Relation) Len() int { return int(r.seg.off) + len(r.seg.rounds) }
+func (r *Relation) Len() int { return int(r.seg.off) + r.seg.n }
 
 // Live returns the number of tuples.
 func (r *Relation) Live() int { return r.Len() - r.ndead }
@@ -146,12 +153,20 @@ func (r *Relation) Alive(i int) bool {
 	return r.dead == nil || r.dead[i>>6]&(1<<(uint(i)&63)) == 0
 }
 
+// lenAt returns the number of the segment's tuples stamped ≤ maxRound: the
+// first position of the first run past it.
 func (s *segment) lenAt(maxRound int32) int {
-	n := len(s.rounds)
-	if n == 0 || s.rounds[n-1] <= maxRound {
-		return n
+	k := len(s.runs)
+	if k == 0 || s.runs[k-1].round <= maxRound {
+		return s.n
 	}
-	return sort.Search(n, func(i int) bool { return s.rounds[i] > maxRound })
+	return int(s.runs[sort.Search(k, func(j int) bool { return s.runs[j].round > maxRound })].first)
+}
+
+// roundOf returns the stamp of the tuple at segment position i: the round
+// of the last run starting at or before it.
+func (s *segment) roundOf(i int32) int32 {
+	return s.runs[sort.Search(len(s.runs), func(j int) bool { return s.runs[j].first > i })-1].round
 }
 
 // LenAt returns the length of the prefix of ids whose round stamp is
@@ -186,9 +201,9 @@ func (r *Relation) Tuple(i int) []ast.Const {
 // RoundOf returns the round stamp of the i-th tuple.
 func (r *Relation) RoundOf(i int) int32 {
 	if i < int(r.seg.off) {
-		return r.base.rounds[i]
+		return r.base.roundOf(int32(i))
 	}
-	return r.seg.rounds[i-int(r.seg.off)]
+	return r.seg.roundOf(int32(i) - r.seg.off)
 }
 
 // Tuple hashing: one multiply-xorshift mix per constant (splitmix64-style),
@@ -252,19 +267,67 @@ func (s *segment) projEqualTuples(a, b int32, cols []int) bool {
 	return true
 }
 
+// A hash table slot — of the dedup table and of a column index alike — is
+// one word: the high 32 bits of the key's hash (its tag), then id + 1, 0
+// being the empty slot. The tag places the slot too (home), so a table is
+// regrown, and flatten refills one, from the words alone: no key is rehashed
+// and the arena is not read. A probe rejects a slot of another tag before
+// comparing against the arena.
+const idMask = 1<<32 - 1
+
+func slotWord(h uint64, id int32) uint64 { return h&^idMask | uint64(id+1) }
+
+func slotID(w uint64) int32 { return int32(w&idMask) - 1 }
+
+func sameTag(w, h uint64) bool { return (w^h)&^idMask == 0 }
+
+func home(h, mask uint64) uint64 { return h >> 32 & mask }
+
+// place returns the first free slot of table at or after w's home.
+func place(table []uint64, w uint64) uint64 {
+	mask := uint64(len(table) - 1)
+	j := home(w, mask)
+	for table[j] != 0 {
+		j = (j + 1) & mask
+	}
+	return j
+}
+
+// regrow returns table's words in a table twice its size (16 slots at
+// least). A column index sets withTails, and its tails move with their
+// words; the dedup table has no tails and gets nil back.
+func regrow(table []uint64, tails []int32, withTails bool) ([]uint64, []int32) {
+	grown := make([]uint64, max(2*len(table), 16))
+	var moved []int32
+	if withTails {
+		moved = make([]int32, len(grown))
+	}
+	for i, w := range table {
+		if w == 0 {
+			continue
+		}
+		j := place(grown, w)
+		grown[j] = w
+		if withTails {
+			moved[j] = tails[i]
+		}
+	}
+	return grown, moved
+}
+
 // find probes the segment's dedup table for the tuple equal to args, whose
 // hash is h: the id the value's slot points at (dead or alive), or -1.
 func (s *segment) find(h uint64, args []ast.Const) int32 {
-	if len(s.dedupSlot) == 0 {
+	if len(s.dedup) == 0 {
 		return -1
 	}
-	mask := uint64(len(s.dedupSlot) - 1)
-	for i := h & mask; ; i = (i + 1) & mask {
-		id := s.dedupSlot[i] - 1
-		if id < 0 {
+	mask := uint64(len(s.dedup) - 1)
+	for i := home(h, mask); ; i = (i + 1) & mask {
+		w := s.dedup[i]
+		if w == 0 {
 			return -1
 		}
-		if s.dedupHash[i] == h && s.tupleEqual(id, args) {
+		if id := slotID(w); sameTag(w, h) && s.tupleEqual(id, args) {
 			return id
 		}
 	}
@@ -307,18 +370,18 @@ func (r *Relation) insert(args []ast.Const, round int32) bool {
 	}
 	s := &r.seg
 	// Every insert claims at most one slot, so the tuple count bounds the load.
-	if 4*(len(s.rounds)+1) > 3*len(s.dedupSlot) {
-		s.growDedup()
+	if 4*(s.n+1) > 3*len(s.dedup) {
+		s.dedup, _ = regrow(s.dedup, nil, false)
 	}
-	mask := uint64(len(s.dedupSlot) - 1)
-	i := h & mask
+	mask := uint64(len(s.dedup) - 1)
+	i := home(h, mask)
 	for {
-		slot := s.dedupSlot[i]
-		if slot == 0 {
+		w := s.dedup[i]
+		if w == 0 {
 			break
 		}
-		if s.dedupHash[i] == h && s.tupleEqual(slot-1, args) {
-			if r.Alive(int(slot - 1)) {
+		if sameTag(w, h) && s.tupleEqual(slotID(w), args) {
+			if r.Alive(int(slotID(w))) {
 				return false
 			}
 			break // a removed copy of the value: its slot moves to the new id
@@ -327,40 +390,18 @@ func (r *Relation) insert(args []ast.Const, round int32) bool {
 	}
 	id := r.Len()
 	s.data = append(s.data, args...)
-	s.rounds = append(s.rounds, round)
+	if k := len(s.runs); k == 0 || s.runs[k-1].round != round {
+		s.runs = append(s.runs, run{int32(s.n), round})
+	}
+	s.n++
 	if r.counts.on() {
 		r.counts.push(id)
 	}
 	if r.dead != nil && id>>6 >= len(r.dead) {
 		r.dead = append(r.dead, 0)
 	}
-	s.dedupHash[i] = h
-	s.dedupSlot[i] = int32(id) + 1
+	s.dedup[i] = slotWord(h, int32(id))
 	return true
-}
-
-func (s *segment) growDedup() {
-	n := 2 * len(s.dedupSlot)
-	if n < 16 {
-		n = 16
-	}
-	hashes := make([]uint64, n)
-	slots := make([]int32, n)
-	mask := uint64(n - 1)
-	for i, slot := range s.dedupSlot {
-		if slot == 0 {
-			continue
-		}
-		h := s.dedupHash[i]
-		j := h & mask
-		for slots[j] != 0 {
-			j = (j + 1) & mask
-		}
-		hashes[j] = h
-		slots[j] = slot
-	}
-	s.dedupHash = hashes
-	s.dedupSlot = slots
 }
 
 // cloneInto deep-copies the segment into dst, index state included: the
@@ -368,11 +409,10 @@ func (s *segment) growDedup() {
 // carrying the column indexes over spares clone-heavy callers (minimize,
 // chase, equivopt) from rebuilding them on the first probe of every copy.
 func (s *segment) cloneInto(dst *segment) {
-	dst.arity, dst.off = s.arity, s.off
+	dst.arity, dst.off, dst.n = s.arity, s.off, s.n
 	dst.data = append([]ast.Const(nil), s.data...)
-	dst.rounds = append([]int32(nil), s.rounds...)
-	dst.dedupHash = append([]uint64(nil), s.dedupHash...)
-	dst.dedupSlot = append([]int32(nil), s.dedupSlot...)
+	dst.runs = append([]run(nil), s.runs...)
+	dst.dedup = append([]uint64(nil), s.dedup...)
 	if set := s.indexes.Load(); set != nil {
 		ns := &indexSet{masks: append([]uint64(nil), set.masks...)}
 		ns.idxs = make([]*colIndex, len(set.idxs))
@@ -401,7 +441,7 @@ func (r *Relation) clone() *Relation {
 // has a tail, the copy is clone's.
 func (r *Relation) successor() (*Relation, int) {
 	if r.base != nil || crowded(1, r.ndead+1, r.Len()) {
-		return r.clone(), len(r.seg.rounds)
+		return r.clone(), r.seg.n
 	}
 	c := &Relation{arity: r.arity, base: &r.seg, ndead: r.ndead}
 	c.seg.arity, c.seg.off = r.arity, int32(r.Len())
@@ -412,13 +452,12 @@ func (r *Relation) successor() (*Relation, int) {
 
 func (ix *colIndex) clone() *colIndex {
 	return &colIndex{
-		cols:   append([]int(nil), ix.cols...),
-		hashes: append([]uint64(nil), ix.hashes...),
-		heads:  append([]int32(nil), ix.heads...),
-		tails:  append([]int32(nil), ix.tails...),
-		keys:   ix.keys,
-		next:   append([]int32(nil), ix.next...),
-		built:  ix.built,
+		cols:  append([]int(nil), ix.cols...),
+		slots: append([]uint64(nil), ix.slots...),
+		tails: append([]int32(nil), ix.tails...),
+		keys:  ix.keys,
+		next:  append([]int32(nil), ix.next...),
+		built: ix.built,
 	}
 }
 
@@ -433,25 +472,23 @@ func ColMask(cols []int) uint64 {
 
 // extend incorporates the segment's tuples [built, len) into the index.
 func (ix *colIndex) extend(s *segment) {
-	n := len(s.rounds)
-	for ix.built < n {
-		if 4*(ix.keys+1) > 3*len(ix.heads) {
-			ix.grow()
+	for ix.built < s.n {
+		if 4*(ix.keys+1) > 3*len(ix.slots) {
+			ix.slots, ix.tails = regrow(ix.slots, ix.tails, true)
 		}
 		id := s.off + int32(ix.built)
 		h := s.hashProj(id, ix.cols)
-		mask := uint64(len(ix.heads) - 1)
-		i := h & mask
+		mask := uint64(len(ix.slots) - 1)
+		i := home(h, mask)
 		for {
-			head := ix.heads[i]
-			if head == 0 {
-				ix.hashes[i] = h
-				ix.heads[i] = id + 1
+			w := ix.slots[i]
+			if w == 0 {
+				ix.slots[i] = slotWord(h, id)
 				ix.tails[i] = id + 1
 				ix.keys++
 				break
 			}
-			if ix.hashes[i] == h && s.projEqualTuples(head-1, id, ix.cols) {
+			if sameTag(w, h) && s.projEqualTuples(slotID(w), id, ix.cols) {
 				ix.next[ix.tails[i]-1-s.off] = id
 				ix.tails[i] = id + 1
 				break
@@ -463,31 +500,6 @@ func (ix *colIndex) extend(s *segment) {
 	}
 }
 
-func (ix *colIndex) grow() {
-	n := 2 * len(ix.heads)
-	if n < 16 {
-		n = 16
-	}
-	hashes := make([]uint64, n)
-	heads := make([]int32, n)
-	tails := make([]int32, n)
-	mask := uint64(n - 1)
-	for i, hd := range ix.heads {
-		if hd == 0 {
-			continue
-		}
-		h := ix.hashes[i]
-		j := h & mask
-		for heads[j] != 0 {
-			j = (j + 1) & mask
-		}
-		hashes[j] = h
-		heads[j] = hd
-		tails[j] = ix.tails[i]
-	}
-	ix.hashes, ix.heads, ix.tails = hashes, heads, tails
-}
-
 // findHead returns the id of the segment's first tuple whose projection onto
 // ix.cols equals key, or -1.
 func (ix *colIndex) findHead(s *segment, key []ast.Const) int32 {
@@ -495,14 +507,14 @@ func (ix *colIndex) findHead(s *segment, key []ast.Const) int32 {
 		return -1
 	}
 	h := hashValues(key)
-	mask := uint64(len(ix.heads) - 1)
-	for i := h & mask; ; i = (i + 1) & mask {
-		head := ix.heads[i]
-		if head == 0 {
+	mask := uint64(len(ix.slots) - 1)
+	for i := home(h, mask); ; i = (i + 1) & mask {
+		w := ix.slots[i]
+		if w == 0 {
 			return -1
 		}
-		if ix.hashes[i] == h && s.projEqual(head-1, ix.cols, key) {
-			return head - 1
+		if head := slotID(w); sameTag(w, h) && s.projEqual(head, ix.cols, key) {
+			return head
 		}
 	}
 }
@@ -599,7 +611,7 @@ func (s *segment) ensureIndexLocked(mask uint64, cols []int, shared bool) *colIn
 		s.indexes.Store(ns)
 		return ix
 	}
-	if ix.built == len(s.rounds) {
+	if ix.built == s.n {
 		return ix
 	}
 	if shared {
@@ -637,7 +649,7 @@ func (s *segment) indexFor(mask uint64, cols []int, maxRound int32, shared bool)
 	if set := s.indexes.Load(); set != nil {
 		ix = set.find(mask)
 	}
-	if ix == nil || (ix.built < len(s.rounds) && s.rounds[ix.built] <= maxRound) {
+	if ix == nil || ix.built < s.lenAt(maxRound) {
 		ix = s.ensureIndexLocked(mask, cols, shared)
 	}
 	return ix
