@@ -7,7 +7,7 @@ BENCHTIME ?= 0.3s
 # staticcheck pin for lint-ci; bump deliberately, not implicitly.
 STATICCHECK_VERSION ?= 2025.1
 
-.PHONY: all build vet datalog-vet test race race-service race-ivm serve-smoke bench bench-all experiments examples guard-one-join guard-ctx-arg guard-no-batch-compact guard-delta-first guard-request-path guard-one-unfold guard-no-ablation-arm guard-no-transfer lint lint-ci clean
+.PHONY: all build vet datalog-vet test race race-service race-ivm serve-smoke bench bench-all experiments examples guard-one-join guard-ctx-arg guard-no-batch-compact guard-delta-first guard-request-path guard-one-unfold guard-no-ablation-arm guard-no-transfer guard-one-plan lint lint-ci clean
 
 all: build vet test
 
@@ -217,11 +217,11 @@ guard-no-ablation-arm:
 	fi
 
 # guard-no-transfer keeps every verdict in the store one that a run on its
-# own program computed. Checker.Derive hands a weakened program its plan
-# (Prepared.Derive) and the program-independent memos, nothing else: no
-# verdict is copied across a delta, so the evaluator records no rule
-# provenance for one to be judged by. Transfer lost its own workload — most
-# transferred verdicts were never read (DESIGN §6.5).
+# own program computed. A masked containment test (Checker.ContainsRuleMasked)
+# stores its verdict under the canonical form of the program it ran, P − S;
+# nothing copies a verdict from one program's table to another's, so the
+# evaluator records no rule provenance for one to be judged by. Transfer lost
+# its own workload — most transferred verdicts were never read (DESIGN §6.5).
 guard-no-transfer:
 	@if grep -nwE 'RuleSet|WithoutShifted|prov|ruleIdxs' internal/eval/*.go | grep -v '_test\.go:'; then \
 		echo "internal/eval records rule provenance again (make guard-no-transfer): Prepared.Run takes no prov argument" >&2; exit 1; \
@@ -230,10 +230,25 @@ guard-no-transfer:
 		echo "internal/chase transfers verdicts again (make guard-no-transfer): a derived session decides its own program's verdicts" >&2; exit 1; \
 	fi
 
+# guard-one-plan keeps each minimization phase on one prepared plan. The atom
+# phase tests every candidate against the input program's session (every
+# accepted deletion keeps the program uniformly equivalent to it), and the
+# rule phase tests r against P − S − {r} by running P's plan with S ∪ {r}
+# masked (eval.Prepared.RunMasked). Nothing derives a plan or a session for a
+# program one rule away: no Derive method in non-test internal/chase or
+# internal/eval, and no chase.Delta outside tests (DESIGN §6.5).
+guard-one-plan:
+	@if grep -nE '^func \([^)]*\) Derive\(' internal/chase/*.go internal/eval/*.go | grep -v '_test\.go:'; then \
+		echo "a Derive method is back in internal/chase or internal/eval (make guard-one-plan): mask rules out of the one plan with RunMasked / ContainsRuleMasked" >&2; exit 1; \
+	fi
+	@if { grep -rnE '\bchase\.Delta\b' --include='*.go' . ; grep -nE '^type Delta\b' internal/chase/*.go; } | grep -v '_test\.go:'; then \
+		echo "chase.Delta is back (make guard-one-plan): a minimization phase runs on one plan" >&2; exit 1; \
+	fi
+
 # lint runs the guards and go vet always, and staticcheck when the binary is
 # on PATH (the dev container does not bake it in; lint-ci installs the pinned
 # version).
-lint: guard-one-join guard-ctx-arg guard-no-batch-compact guard-delta-first guard-request-path guard-one-unfold guard-no-ablation-arm guard-no-transfer
+lint: guard-one-join guard-ctx-arg guard-no-batch-compact guard-delta-first guard-request-path guard-one-unfold guard-no-ablation-arm guard-no-transfer guard-one-plan
 	$(GO) vet ./...
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \

@@ -94,17 +94,17 @@ func FreezeRule(r ast.Rule) (ast.GroundAtom, *db.Database) {
 // serving many chase-based tests against it. It caches the prepared
 // evaluation schedule, the frozen head/body of every rule it has tested,
 // and — for the exact uniform-containment test — the per-rule verdicts, so
-// the Fig. 1/2 minimization loops pay for program analysis once per
-// candidate program instead of once per candidate atom. Every test
-// evaluates toward the frozen head as a goal and halts the moment it is
-// derived, rather than saturating the full fixpoint (Corollary 2 only asks
-// whether the head is derivable).
+// the Fig. 1/2 minimization loops pay for program analysis once per phase
+// instead of once per candidate. Every test evaluates toward the frozen head
+// as a goal and halts the moment it is derived, rather than saturating the
+// full fixpoint (Corollary 2 only asks whether the head is derivable).
 //
-// Prepared plans come from the shared content-addressed plan cache, and
-// Derive produces the Checker for a one-rule-delta program by handing it a
-// plan patched from this one and the program-independent memos, instead of
-// starting a fresh session. Verdicts are never carried across a delta: every
-// verdict in the store was computed by a run on its own program.
+// Prepared plans come from the shared content-addressed plan cache.
+// ContainsRuleMasked decides a rule against the session program with some of
+// its rules switched off, on the same plan, so the Fig. 2 rule phase tests
+// every candidate P − S − {r} in one session. Its verdict is stored under
+// the subprogram's own content address: every verdict in the store was
+// computed by a run on its own program.
 //
 // Every test that can run a chase takes the caller's context first: internal
 // evaluations thread it to the emit path and every chase round checks it, so
@@ -116,14 +116,15 @@ func FreezeRule(r ast.Rule) (ast.GroundAtom, *db.Database) {
 // A Checker is not safe for concurrent use (its memo tables are unlocked).
 type Checker struct {
 	// Lineage is the plan cache the session prepares through and the
-	// cumulative stats, shared by value with every session Derive produces
-	// (and with any session built side by side in the same lineage).
+	// cumulative stats, shared by value with any session built in the same
+	// lineage.
 	eval.Lineage
 	prog *ast.Program
 	// progCanon is the program's canonical form — the session's content
 	// address into the plan and verdict caches. ruleCanon holds its
 	// per-rule lines (each newline-terminated; their concatenation is
-	// progCanon), so Derive re-renders only the one rule a delta touches.
+	// progCanon), so a masked test addresses its subprogram without
+	// re-rendering a rule.
 	progCanon string
 	ruleCanon []string
 	prep      *eval.Prepared
@@ -131,9 +132,7 @@ type Checker struct {
 	// resolved once so each test keys only by the rule's canonical form.
 	pv *progVerdicts
 	// frozen memoizes the frozen head and body per tested rule. They depend
-	// on that rule alone, never on the session program, so the one table is
-	// shared — not copied — down the Derive lineage: an entry any session of
-	// the lineage froze serves them all.
+	// on that rule alone, never on the session program or a mask.
 	frozen map[string]frozenRule
 	// noSyntactic disables the θ-subsumption fast path, forcing each fresh
 	// verdict through the chase (memoized verdicts are still reused).
@@ -141,16 +140,14 @@ type Checker struct {
 	// no full-set fixpoint collapse, every chase pays the raw round
 	// alternation under the caller's (or default) budget. Both are the oracle
 	// arms of this package's tests and ablation benchmark, which set them
-	// directly; nothing outside the package can, and derived sessions inherit
-	// them.
+	// directly; nothing outside the package can.
 	noSyntactic, noTermination bool
 	// termMemo caches the termination classification per tgd-set key (the
 	// session program is fixed, so the key omits it); fullPreps caches the
 	// combined prepared program chaseFull evaluates full tgd sets with.
 	termMemo  map[string]depgraph.Classification
 	fullPreps map[string]*eval.Prepared
-	// tgdMemo caches LowerTGDs per tgd-set key. A lowering depends on the
-	// tgds alone, so the table is shared down the Derive lineage like frozen.
+	// tgdMemo caches LowerTGDs per tgd-set key.
 	tgdMemo map[string]*TGDs
 }
 
@@ -168,8 +165,8 @@ func NewChecker(p *ast.Program) (*Checker, error) {
 }
 
 // NewCheckerIn is NewChecker inside an existing lineage: the session
-// prepares through the lineage's plan cache and accumulates into its stats,
-// as does every Checker it derives. Tests, the harness and servers inject a
+// prepares through the lineage's plan cache and accumulates into its stats.
+// Tests, the harness and servers inject a
 // lineage over their own cache to isolate or partition cache footprints.
 func NewCheckerIn(p *ast.Program, lin eval.Lineage) (*Checker, error) {
 	if p.HasNegation() {
@@ -179,8 +176,8 @@ func NewCheckerIn(p *ast.Program, lin eval.Lineage) (*Checker, error) {
 		Lineage: lin,
 		// Keep the caller's rules (cloned against mutation) rather than the
 		// prepared program: a cache hit may return a plan for an
-		// alpha-renamed twin, and Derive's delta indexes must be relative to
-		// the rules the caller names.
+		// alpha-renamed twin, and ContainsRuleMasked's mask indexes the rules
+		// the caller names.
 		prog:    p.Clone(),
 		frozen:  make(map[string]frozenRule),
 		tgdMemo: make(map[string]*TGDs),
@@ -189,7 +186,7 @@ func NewCheckerIn(p *ast.Program, lin eval.Lineage) (*Checker, error) {
 	for i, r := range c.prog.Rules {
 		c.ruleCanon[i] = r.CanonicalString() + "\n"
 	}
-	c.progCanon = joinCanon(c.ruleCanon)
+	c.progCanon = joinCanon(c.ruleCanon, nil)
 	c.pv = defaultVerdicts.forProgram(c.progCanon)
 	prep, err := c.Prepare(c.progCanon, func() (*eval.Prepared, error) {
 		return eval.Prepare(p, eval.Options{})
@@ -223,34 +220,52 @@ func (c *Checker) frozenFor(r ast.Rule) (ast.GroundAtom, *db.Database) {
 // the verdict is semantic, invariant under variable renaming on both sides,
 // so any session over a canonically equal program shares it.
 func (c *Checker) ContainsRule(ctx context.Context, r ast.Rule) (bool, error) {
+	return c.ContainsRuleMasked(ctx, r, nil)
+}
+
+// ContainsRuleMasked decides r ⊑ᵘ P − S, where S is the rules i of
+// Program() with skip[i] set (skip is nil, masking nothing, or has one entry
+// per rule). The chase is the session plan run with S switched off
+// (eval.Prepared.RunMasked), and the verdict is looked up and stored under
+// the canonical form of P − S, so it lands where a session opened over P − S
+// would find it.
+func (c *Checker) ContainsRuleMasked(ctx context.Context, r ast.Rule, skip []bool) (bool, error) {
 	if err := eval.CtxErr(ctx); err != nil {
 		return false, err
 	}
 	if r.HasNegation() {
 		return false, fmt.Errorf("chase: uniform containment is defined for pure Datalog; program or rule uses negation")
 	}
+	pv := c.pv
+	if skip != nil {
+		if len(skip) != len(c.prog.Rules) {
+			return false, fmt.Errorf("chase: mask of %d entries for %d rules", len(skip), len(c.prog.Rules))
+		}
+		pv = defaultVerdicts.forProgram(joinCanon(c.ruleCanon, skip))
+	}
 	ckey := r.CanonicalString()
-	if contained, hit := c.pv.get(ckey); hit {
+	if contained, hit := pv.get(ckey); hit {
 		c.Tally().VerdictsReused++
 		return contained, nil
 	}
-	if c.syntacticVerdict(r) {
+	if c.syntacticVerdict(r, skip) {
 		c.Tally().VerdictsSubsumed++
-		c.pv.put(ckey, true)
+		pv.put(ckey, true)
 		return true, nil
 	}
 	head, body := c.frozenFor(r)
-	_, reached, est, err := c.prep.Run(ctx, body, &head, 0)
+	_, reached, est, err := c.prep.RunMasked(ctx, body, &head, 0, skip)
 	c.Tally().Add(est)
 	if err != nil {
 		return false, err
 	}
 	c.Tally().VerdictsRecomputed++
-	c.pv.put(ckey, reached)
+	pv.put(ckey, reached)
 	return reached, nil
 }
 
-// syntacticVerdict decides r ⊑ᵘ P without a chase when the verdict is
+// syntacticVerdict decides r ⊑ᵘ P − S (S masked by skip, as in
+// ContainsRuleMasked) without a chase when the verdict is
 // forced by the syntax alone — the move sticky-Datalog± optimizers make by
 // classifying programs syntactically before running semantic tests. Two
 // shapes force a positive verdict:
@@ -264,7 +279,7 @@ func (c *Checker) ContainsRule(ctx context.Context, r ast.Rule) (bool, error) {
 //
 // A miss means nothing: uniform containment is semantic, so the caller
 // falls through to the chase.
-func (c *Checker) syntacticVerdict(r ast.Rule) (forced bool) {
+func (c *Checker) syntacticVerdict(r ast.Rule, skip []bool) (forced bool) {
 	if c.noSyntactic {
 		return false
 	}
@@ -273,8 +288,8 @@ func (c *Checker) syntacticVerdict(r ast.Rule) (forced bool) {
 			return true
 		}
 	}
-	for _, s := range c.prog.Rules {
-		if ast.SubsumesRule(s, r) {
+	for i, s := range c.prog.Rules {
+		if (skip == nil || !skip[i]) && ast.SubsumesRule(s, r) {
 			return true
 		}
 	}
@@ -296,86 +311,22 @@ func (c *Checker) Contains(ctx context.Context, p2 *ast.Program) (bool, int, err
 	return true, -1, nil
 }
 
-// Delta describes one accepted mutation of the session program, of the two
-// kinds the Fig. 1/2 minimization loops produce: RuleIndex names a rule of
-// Program(); a nil NewRule deletes it (Fig. 2 rule removal), a non-nil
-// NewRule replaces it (Fig. 1 atom removal — a body-subset weakening of the
-// old rule).
-type Delta struct {
-	RuleIndex int
-	NewRule   *ast.Rule
-}
-
-// Derive returns the Checker session for the program obtained by applying
-// delta to this session's program, without re-running the full preparation.
-// The prepared plan comes from the shared plan cache or, on a miss, from
-// delta-patching this session's plan (eval.Prepared.Derive), which hands
-// every unchanged rule's compile memo to the derived plan. Frozen heads and
-// bodies and lowered tgd sets depend only on what they were built from,
-// never on the session program, so the derived session shares those tables.
-// Verdicts do not carry over: the derived session answers from the store of
-// its own program's content address, which holds only verdicts some run on
-// that program computed.
-//
-// The original Checker remains fully usable. The two sessions share their
-// program-independent memos, so — like any two sessions of one lineage —
-// they are not to be used concurrently.
-func (c *Checker) Derive(delta Delta) (*Checker, error) {
-	if delta.RuleIndex < 0 || delta.RuleIndex >= len(c.prog.Rules) {
-		return nil, fmt.Errorf("chase: Derive: rule index %d out of range (%d rules)", delta.RuleIndex, len(c.prog.Rules))
-	}
-	if delta.NewRule != nil && delta.NewRule.HasNegation() {
-		return nil, fmt.Errorf("chase: uniform containment is defined for pure Datalog; program or rule uses negation")
-	}
-	np := ast.NewProgram()
-	np.Rules = make([]ast.Rule, 0, len(c.prog.Rules))
-	lines := make([]string, 0, len(c.prog.Rules))
-	for i, r := range c.prog.Rules {
-		switch {
-		case i == delta.RuleIndex && delta.NewRule == nil:
-			continue
-		case i == delta.RuleIndex:
-			np.Rules = append(np.Rules, delta.NewRule.Clone())
-			lines = append(lines, delta.NewRule.CanonicalString()+"\n")
-		default:
-			np.Rules = append(np.Rules, r)
-			lines = append(lines, c.ruleCanon[i])
-		}
-	}
-	nc := &Checker{
-		prog:      np,
-		progCanon: joinCanon(lines), // only the delta rule was re-rendered
-		ruleCanon: lines,
-		Lineage:   c.Lineage, // shared: the lineage is one session
-		// Frozen rules and lowered tgd sets do not depend on the program, so
-		// they are shared down the lineage (see the field comments).
-		frozen:        c.frozen,
-		tgdMemo:       c.tgdMemo,
-		noSyntactic:   c.noSyntactic,
-		noTermination: c.noTermination,
-	}
-	nc.pv = defaultVerdicts.forProgram(nc.progCanon)
-	prep, err := nc.Prepare(nc.progCanon, func() (*eval.Prepared, error) {
-		return c.prep.Derive(delta.RuleIndex, delta.NewRule)
-	})
-	if err != nil {
-		return nil, err
-	}
-	nc.prep = prep
-	return nc, nil
-}
-
-// joinCanon concatenates per-rule canonical lines into the program's
-// canonical form (each line is newline-terminated).
-func joinCanon(lines []string) string {
+// joinCanon concatenates per-rule canonical lines (each newline-terminated)
+// into the program's canonical form, leaving out line i where skip[i] is set
+// (skip may be nil).
+func joinCanon(lines []string, skip []bool) string {
 	n := 0
-	for _, l := range lines {
-		n += len(l)
+	for i, l := range lines {
+		if skip == nil || !skip[i] {
+			n += len(l)
+		}
 	}
 	var sb strings.Builder
 	sb.Grow(n)
-	for _, l := range lines {
-		sb.WriteString(l)
+	for i, l := range lines {
+		if skip == nil || !skip[i] {
+			sb.WriteString(l)
+		}
 	}
 	return sb.String()
 }
@@ -647,7 +598,7 @@ func (c *Checker) fullPrep(tgds []ast.TGD) (*eval.Prepared, error) {
 			lines = append(lines, r.CanonicalString()+"\n")
 		}
 	}
-	prep, err := c.Prepare(joinCanon(lines), func() (*eval.Prepared, error) {
+	prep, err := c.Prepare(joinCanon(lines, nil), func() (*eval.Prepared, error) {
 		return eval.Prepare(combined, eval.Options{})
 	})
 	if err != nil {
@@ -685,7 +636,7 @@ func (c *Checker) SATContainsRule(ctx context.Context, tgds []ast.TGD, r ast.Rul
 	// chase too. The Section XI search probes many candidate programs that
 	// differ from P in a single rule; every unchanged rule is subsumed by
 	// itself, leaving only the changed rule for the chase.
-	if c.syntacticVerdict(r) {
+	if c.syntacticVerdict(r, nil) {
 		c.Tally().VerdictsSubsumed++
 		return Yes, nil
 	}

@@ -53,7 +53,7 @@ func TestSyntacticVerdictAgreesWithChase(t *testing.T) {
 			t.Fatal(err)
 		}
 		cases++
-		if !c.syntacticVerdict(r) {
+		if !c.syntacticVerdict(r, nil) {
 			continue
 		}
 		forced++

@@ -252,8 +252,9 @@ func PlanCacheStats() eval.CacheStats {
 // NewContainmentChecker opens a uniform-containment session whose
 // containing program is p1: Checker.ContainsRule and Checker.Contains
 // decide r ⊑ᵘ P₁ and P₂ ⊑ᵘ P₁ reusing one prepared program, memoized
-// frozen bodies and memoized verdicts across calls. Checker.Derive patches
-// the session across a one-rule delta.
+// frozen bodies and memoized verdicts across calls;
+// Checker.ContainsRuleMasked tests against P₁ minus some of its rules on the
+// same plan.
 func NewContainmentChecker(p1 *Program, sess ...SessionOptions) (ContainmentChecker, error) {
 	ck, err := chase.NewCheckerIn(p1, eval.NewLineage(sessionResolve(sess).PlanCache))
 	return ContainmentChecker{ck}, err

@@ -341,10 +341,10 @@ func Optimize(ctx context.Context, p *ast.Program, opts Options) (*ast.Program, 
 	cur := p.Clone()
 	// One containment session and one preservation session serve every
 	// candidate probed against the current program. When a candidate is
-	// applied the containment session is delta-derived — it keeps its plan
-	// lineage and frozen bodies — and a fresh preservation session is opened
-	// in the same lineage: its Pⁿ is the plan Derive just registered in the
-	// plan cache, and its per-depth entries are rebuilt when first probed.
+	// applied both are opened afresh over the weakened program in the same
+	// lineage: the preservation session's Pⁿ is the plan the checker just
+	// registered in the plan cache, and its per-depth entries are rebuilt
+	// when first probed.
 	ck, ps, err := sessions(cur)
 	if err != nil {
 		return nil, nil, err
@@ -369,12 +369,7 @@ func Optimize(ctx context.Context, p *ast.Program, opts Options) (*ast.Program, 
 						TGD:       c.TGD,
 					})
 					cur = p2
-					// The applied candidate replaced rule i by a body-subset
-					// of itself — exactly the weakening delta the containment
-					// layer can patch: the session keeps its plan and frozen
-					// bodies, and decides the new program's verdicts afresh.
-					nr := cur.Rules[i]
-					if ck, err = ck.Derive(chase.Delta{RuleIndex: i, NewRule: &nr}); err != nil {
+					if ck, err = chase.NewCheckerIn(cur, ck.Lineage); err != nil {
 						return nil, removals, err
 					}
 					if ps, err = preserve.NewSessionIn(cur, ps.Lineage); err != nil {

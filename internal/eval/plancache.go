@@ -79,11 +79,9 @@ func (pc *PlanCache) Prepare(p *ast.Program, opts Options) (*Prepared, error) {
 // GetOrBuildCanonical returns the plan cached under a program's canonical
 // form, or caches and returns the plan produced by build; the
 // boolean reports a cache hit. It is the general entry session lineages use
-// (Lineage.Prepare): they maintain the canonical form incrementally across
-// one-rule deltas — re-rendering the whole program per lookup would dominate
-// the very work the cache saves — and register delta-patched plans
-// (Prepared.Derive products) under their content address, so the built
-// plan's program need only be canonically equal to canon.
+// (Lineage.Prepare): a session renders the canonical form once from per-rule
+// lines it keeps for its verdict tables as well, so the built plan's program
+// need only be canonically equal to canon.
 func (pc *PlanCache) GetOrBuildCanonical(canon string, build func() (*Prepared, error)) (*Prepared, bool, error) {
 	hash := ast.HashString(canon)
 
@@ -155,12 +153,11 @@ func (pc *PlanCache) insert(e *planEntry) *Prepared {
 // Lineage is the plumbing every session lineage shares: the plan cache the
 // lineage prepares through and one cumulative Stats. The containment and
 // preservation sessions embed it and differ only in what they memoize;
-// sessions derived from one another (Checker.Derive), sessions opened in a
-// lineage for another program (equivopt's per-weakening preservation
-// session) and sessions built side by side over one program (core.Session)
-// copy the Lineage value, so work done while probing a
-// candidate that is then discarded still shows up in the totals. A Lineage
-// is as single-threaded as the sessions sharing it.
+// sessions opened in a lineage for another program (the minimizer's
+// rule-phase session, equivopt's per-weakening sessions) and sessions built
+// side by side over one program (core.Session) copy the Lineage value, so
+// work done while probing a candidate that is then discarded still shows up
+// in the totals. A Lineage is as single-threaded as the sessions sharing it.
 type Lineage struct {
 	cache *PlanCache
 	stats *Stats
@@ -176,10 +173,8 @@ func NewLineage(cache *PlanCache) Lineage {
 }
 
 // Prepare is the lineage's one counted plan lookup: it returns the plan
-// cached under canon (a program's canonical form) or
-// caches the one build produces, and records the hit or miss. build lets
-// callers register delta-patched plans (Prepared.Derive products) under
-// their content address.
+// cached under canon (a program's canonical form) or caches the one build
+// produces, and records the hit or miss.
 func (l Lineage) Prepare(canon string, build func() (*Prepared, error)) (*Prepared, error) {
 	prep, hit, err := l.cache.GetOrBuildCanonical(canon, build)
 	if err != nil {

@@ -17,9 +17,10 @@ import (
 // and per join order actually encountered — the lowered pipeline and the
 // index column sets its probes need. Every decision procedure in the paper
 // (the frozen-body containment test of Section VI, the Fig. 1/2 minimization
-// loops, the Section X–XI pipeline) evaluates the same program, or a program
-// one rule away from it, against many small databases; preparing once and
-// patching (Derive) amortizes the per-call analysis they all used to repeat.
+// loops, the Section X–XI pipeline) evaluates the same program, or the same
+// program with some rules switched off (RunMasked), against many small
+// databases; preparing once amortizes the per-call analysis they all used to
+// repeat.
 
 // errGoal is the internal sentinel a fixpoint returns when Run's goal was
 // derived; Prepared.Run converts it into a successful early return.
@@ -33,21 +34,10 @@ var errGoal = errors.New("eval: goal reached")
 // Prepared is safe for concurrent use.
 type Prepared struct {
 	prog *ast.Program
-	// memos[i] compiles prog.Rules[i]. Derive hands a rule's memo to the
-	// derived plan by pointer unless the delta replaces that rule, so a
-	// lineage of one-rule deltas lowers each (rule, join order) once.
+	// memos[i] compiles prog.Rules[i]; a masked run lowers through the same
+	// memos, so every subprogram a mask selects shares the plan's lowerings.
 	memos []*ruleMemo
-	// negation records prog.HasNegation(): Derive patches the schedule of a
-	// pure program only.
-	negation bool
-	units    []*unit
-	// unitIdxs[i] lists the program rule indexes of units[i].rules, in the
-	// same order. It belongs to this Prepared, not to the unit: Derive
-	// shares unchanged units between plans whose programs index the same
-	// rules differently, so each owner keeps its own mapping. It is what
-	// lets the proof read-back (readback.go) translate a unit-local firing
-	// into a program rule index.
-	unitIdxs [][]int
+	units []*unit
 
 	// One-step application of the whole program in the static join order,
 	// built on first use by NonRecursive / IsClosed.
@@ -58,9 +48,9 @@ type Prepared struct {
 // ruleMemo is the compile memo of one rule: its lowered pipeline per join
 // order encountered. A lowering depends on the rule and the order and on
 // nothing else — not on the sibling rules of its unit, not on the program —
-// which is what lets every plan of a Derive lineage that holds the rule share
-// one memo. Entries are immutable once built; the list only grows, by at most
-// two entries per permutation of the body.
+// which is what lets every masked run of the plan share one memo. Entries
+// are immutable once built; the list only grows, by at most two entries per
+// permutation of the body.
 type ruleMemo struct {
 	rule ast.Rule
 
@@ -173,7 +163,10 @@ func orderPermSized(atoms []ast.Atom, lead int, sizeOf func(pred string) int) []
 // the dynamic predicates its delta machinery tracks. A unit is immutable
 // apart from its two lazily built plans.
 type unit struct {
-	rules   []*ruleMemo
+	rules []*ruleMemo
+	// idxs[j] is the program rule index of rules[j]: what a mask is keyed
+	// by and what the proof read-back (readback.go) reports a firing as.
+	idxs    []int
 	dynamic map[string]bool
 	// streamable marks a unit none of whose rules read the unit's own head
 	// predicates (positively or under negation): its semi-naive fixpoint is
@@ -198,20 +191,13 @@ func Prepare(p *ast.Program, _ Options) (*Prepared, error) {
 		return nil, err
 	}
 	prog := p.Clone()
-	return schedule(prog, newMemos(prog.Rules))
-}
-
-// schedule builds the plan of a validated program whose rules compile
-// through memos (one per rule, in rule order).
-func schedule(prog *ast.Program, memos []*ruleMemo) (*Prepared, error) {
-	pr := &Prepared{prog: prog, memos: memos, negation: prog.HasNegation()}
 	groups, err := scheduleGroups(prog)
 	if err != nil {
 		return nil, err
 	}
+	pr := &Prepared{prog: prog, memos: newMemos(prog.Rules)}
 	for _, group := range groups {
-		pr.units = append(pr.units, newUnit(memos, group))
-		pr.unitIdxs = append(pr.unitIdxs, group)
+		pr.units = append(pr.units, newUnit(pr.memos, group))
 	}
 	return pr, nil
 }
@@ -254,7 +240,7 @@ func scheduleGroups(p *ast.Program) ([][]int, error) {
 // for an SCC group that is the component's mutually recursive predicates, for
 // a stratum the stratum's intentional predicates.
 func newUnit(memos []*ruleMemo, group []int) *unit {
-	u := &unit{rules: make([]*ruleMemo, len(group)), dynamic: make(map[string]bool), streamable: true}
+	u := &unit{rules: make([]*ruleMemo, len(group)), idxs: group, dynamic: make(map[string]bool), streamable: true}
 	for j, ri := range group {
 		u.rules[j] = memos[ri]
 		u.dynamic[memos[ri].rule.Head.Pred] = true
@@ -274,167 +260,6 @@ func newUnit(memos []*ruleMemo, group []int) *unit {
 	return u
 }
 
-// Derive builds the plan for the program obtained from the prepared one by
-// a single-rule delta — deleting rule ruleIdx (newRule nil) or replacing it
-// (newRule non-nil) — doing work proportional to the delta, not the program.
-//
-// Every rule the delta does not touch keeps its compile memo, so no join
-// order any plan of the lineage already ran is lowered again. Only the new
-// rule is validated: the other rules are a subset of a valid program, so a
-// deletion validates nothing and a replacement checks its own
-// well-formedness and its atoms' arities against the rest.
-//
-// On a pure program whose delta only removes dependence edges — a deletion,
-// or a replacement that keeps the head predicate and reads no predicate the
-// old body did not (the Fig. 1 weakening) — the schedule is patched in place:
-// removing edges cannot merge components and can split only the one holding
-// an edge that went away, so every unit but the changed rule's is shared with
-// the parent by pointer (with its maintenance plan), and that one group is
-// re-grouped among its own rules only — a cycle through its predicates uses
-// rules with those heads and no others, so their components are the
-// program's. Any other delta re-runs the schedule, memos still carried.
-// Shared units and memos are internally synchronized; the rules inside are
-// treated as immutable by the whole package.
-func (pr *Prepared) Derive(ruleIdx int, newRule *ast.Rule) (*Prepared, error) {
-	n := len(pr.prog.Rules)
-	if ruleIdx < 0 || ruleIdx >= n {
-		return nil, fmt.Errorf("eval: Derive: rule index %d out of range (%d rules)", ruleIdx, n)
-	}
-	old := pr.prog.Rules[ruleIdx]
-	np := ast.NewProgram()
-	var memos []*ruleMemo
-	if newRule == nil {
-		np.Rules = slices.Delete(slices.Clone(pr.prog.Rules), ruleIdx, ruleIdx+1)
-		memos = slices.Delete(slices.Clone(pr.memos), ruleIdx, ruleIdx+1)
-	} else {
-		np.Rules = slices.Clone(pr.prog.Rules)
-		np.Rules[ruleIdx] = newRule.Clone()
-		if err := validateReplacement(np, ruleIdx); err != nil {
-			return nil, err
-		}
-		memos = slices.Clone(pr.memos)
-		memos[ruleIdx] = &ruleMemo{rule: np.Rules[ruleIdx]}
-	}
-	if pr.negation || (newRule != nil && !removesEdgesOnly(old, *newRule)) {
-		return schedule(np, memos)
-	}
-
-	out := &Prepared{prog: np, memos: memos}
-	out.units = make([]*unit, 0, len(pr.units)+1)
-	out.unitIdxs = make([][]int, 0, len(pr.units)+1)
-	for ui, idxs := range pr.unitIdxs {
-		// Group lists ascend, so one comparison tells whether the deletion
-		// shifts any index of this one.
-		shifted := idxs
-		if newRule == nil && idxs[len(idxs)-1] >= ruleIdx {
-			shifted = make([]int, 0, len(idxs))
-			for _, ri := range idxs {
-				if ri < ruleIdx {
-					shifted = append(shifted, ri)
-				} else if ri > ruleIdx {
-					shifted = append(shifted, ri-1)
-				}
-			}
-		}
-		if !slices.Contains(idxs, ruleIdx) {
-			out.units = append(out.units, pr.units[ui])
-			out.unitIdxs = append(out.unitIdxs, shifted)
-			continue
-		}
-		for _, group := range regroup(pr.units[ui], np, shifted, old, newRule) {
-			out.units = append(out.units, newUnit(memos, group))
-			out.unitIdxs = append(out.unitIdxs, group)
-		}
-	}
-	return out, nil
-}
-
-// validateReplacement checks rule ruleIdx of np, the one rule a replacement
-// brought in: its own well-formedness, and each of its predicates' arity
-// against every use in np — what Program.Validate would find wrong with np,
-// given that its other rules come from a valid program.
-func validateReplacement(np *ast.Program, ruleIdx int) error {
-	nr := np.Rules[ruleIdx]
-	if !nr.WellFormed() {
-		return fmt.Errorf("rule %d: %w", ruleIdx, nr.Validate())
-	}
-	clash := func(a ast.Atom) error {
-		for _, r := range np.Rules {
-			for _, atoms := range r.Atoms() {
-				for _, b := range atoms {
-					if b.Pred == a.Pred && len(b.Args) != len(a.Args) {
-						return fmt.Errorf("ast: predicate %s used with arities %d and %d (rule %d)", a.Pred, len(b.Args), len(a.Args), ruleIdx)
-					}
-				}
-			}
-		}
-		return nil
-	}
-	for _, atoms := range nr.Atoms() {
-		for _, a := range atoms {
-			if err := clash(a); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// removesEdgesOnly reports whether replacing old by nr can only remove edges
-// of a pure program's dependence graph: same head predicate, no negation, and
-// no body predicate old's body lacks.
-func removesEdgesOnly(old, nr ast.Rule) bool {
-	if nr.Head.Pred != old.Head.Pred || nr.HasNegation() {
-		return false
-	}
-	for _, a := range nr.Body {
-		if !bodyReads(old.Body, a.Pred) {
-			return false
-		}
-	}
-	return true
-}
-
-func bodyReads(body []ast.Atom, pred string) bool {
-	for _, a := range body {
-		if a.Pred == pred {
-			return true
-		}
-	}
-	return false
-}
-
-// regroup is Derive's schedule patch: the groups, producer-first, that the
-// rules of unit u — np's rules idxs — form once old has been deleted (nr nil)
-// or replaced by nr, a delta that only removes edges. The unit splits only if
-// an edge between its own predicates went away; otherwise it is one group
-// still, or none when its last rule was deleted.
-func regroup(u *unit, np *ast.Program, idxs []int, old ast.Rule, nr *ast.Rule) [][]int {
-	if len(idxs) == 0 {
-		return nil
-	}
-	split := false
-	for _, a := range old.Body {
-		if u.dynamic[a.Pred] && (nr == nil || !bodyReads(nr.Body, a.Pred)) {
-			split = true
-		}
-	}
-	if !split {
-		return [][]int{idxs}
-	}
-	sub := ast.NewProgram()
-	for _, ri := range idxs {
-		sub.Rules = append(sub.Rules, np.Rules[ri])
-	}
-	groups := sccRuleGroups(sub)
-	for _, group := range groups {
-		for j, si := range group {
-			group[j] = idxs[si]
-		}
-	}
-	return groups
-}
-
 // Program returns the prepared program (the clone taken at Prepare time).
 // Callers must not mutate it.
 func (pr *Prepared) Program() *ast.Program { return pr.prog }
@@ -447,8 +272,9 @@ func (pr *Prepared) Eval(input *db.Database) (*db.Database, Stats, error) {
 	return out, stats, err
 }
 
-// Run is the one evaluation entry point every per-call concern goes
-// through; each argument after ctx may be its zero value. An input relation
+// Run evaluates the whole program: it is RunMasked with no mask, the one
+// evaluation entry point every per-call concern goes through. Each argument
+// after ctx may be its zero value. An input relation
 // whose arity contradicts the program's use of its predicate is rejected
 // with an error wrapping ErrArity before anything is evaluated.
 //
@@ -466,9 +292,27 @@ func (pr *Prepared) Eval(input *db.Database) (*db.Database, Stats, error) {
 //     for callers that embed evaluation in potentially non-terminating
 //     chases.
 func (pr *Prepared) Run(ctx context.Context, input *db.Database, goal *ast.GroundAtom, maxDerived int) (*db.Database, bool, Stats, error) {
+	return pr.RunMasked(ctx, input, goal, maxDerived, nil)
+}
+
+// RunMasked is Run over the program Program() − S, where S is the rules i
+// with skip[i] set (skip is nil, masking nothing, or has one entry per rule
+// of Program()). The plan's schedule serves every such subprogram, because
+// deleting rules only removes dependence edges: components can split but
+// never merge, so each unit of the schedule holds whole components of the
+// subprogram, and everything a unit reads from outside itself is still
+// produced by earlier units. One semi-naive fixpoint over several components
+// reaches their least fixpoint all the same, and a stratification of the
+// program stratifies the subprogram. A masked rule contributes no variant to
+// any round; the others run through the plan's own compile memos. This is
+// how the Fig. 2 rule phase tests r ⊑ᵘ P − S − {r} against one prepared P.
+func (pr *Prepared) RunMasked(ctx context.Context, input *db.Database, goal *ast.GroundAtom, maxDerived int, skip []bool) (*db.Database, bool, Stats, error) {
 	var stats Stats
 	if err := CtxErr(ctx); err != nil {
 		return nil, false, stats, err
+	}
+	if skip != nil && len(skip) != len(pr.prog.Rules) {
+		return nil, false, stats, fmt.Errorf("eval: mask of %d entries for %d rules", len(skip), len(pr.prog.Rules))
 	}
 	if err := pr.checkInput(input); err != nil {
 		return nil, false, stats, err
@@ -479,7 +323,7 @@ func (pr *Prepared) Run(ctx context.Context, input *db.Database, goal *ast.Groun
 	}
 	env := &roundEnv{
 		ctx: ctx, d: d, stats: &stats,
-		baseLen: input.Len(), maxDerived: maxDerived, goal: goal,
+		baseLen: input.Len(), maxDerived: maxDerived, goal: goal, skip: skip,
 	}
 	for _, u := range pr.units {
 		if err := u.fixpoint(env); err != nil {
@@ -494,8 +338,7 @@ func (pr *Prepared) Run(ctx context.Context, input *db.Database, goal *ast.Groun
 
 // checkInput rejects an input relation whose arity contradicts an atom of the
 // program: the store panics on the first tuple a rule derives into it. The
-// walk is over the program's atoms, not the input's facts, and precomputes
-// nothing — Derive hands out a plan per candidate deletion.
+// walk is over the program's atoms, not the input's facts.
 func (pr *Prepared) checkInput(input *db.Database) error {
 	for _, r := range pr.prog.Rules {
 		for _, atoms := range r.Atoms() {
@@ -602,6 +445,9 @@ func (u *unit) liveSizes(d *db.Database, led bool) func(pred string) int {
 func (env *roundEnv) firstVariants(u *unit, prev int32, variants []variant) []variant {
 	sizeOf := u.liveSizes(env.d, false)
 	for idx, m := range u.rules {
+		if env.masked(u, idx) {
+			continue
+		}
 		lr := m.under(orderPermSized(m.rule.Body, -1, sizeOf), false)
 		variants = append(variants, variant{idx, lr.plan, fullSpan(prev)})
 	}
@@ -629,6 +475,10 @@ func (env *roundEnv) deltaVariants(u *unit, all bool, min, max int32, variants [
 	}
 	off := 0
 	for idx, m := range u.rules {
+		if env.masked(u, idx) {
+			off += len(m.rule.Body)
+			continue
+		}
 		for i, a := range m.rule.Body {
 			if !all && !u.dynamic[a.Pred] {
 				continue

@@ -39,12 +39,12 @@ func (pr *Prepared) Firings(out *db.Database, fact ast.GroundAtom, maxRound int3
 	}
 	st.one.Reset()
 	st.one.Add(fact)
-	for ui, u := range pr.units {
+	for _, u := range pr.units {
 		if !u.dynamic[fact.Pred] {
 			continue
 		}
 		for ri, rv := range u.maintPlan().rules {
-			sp, rule := rv.rederive, pr.unitIdxs[ui][ri]
+			sp, rule := rv.rederive, u.idxs[ri]
 			sink := yieldSink(func() bool { return yield(rule, st.vals[:rv.nVars]) })
 			if !sp.run(out, changeSpan(st.one, maxRound), st, stats, sink) {
 				return

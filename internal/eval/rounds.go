@@ -40,6 +40,14 @@ type roundEnv struct {
 	// unit order) leading a delta variant; nil until that atom's delta first
 	// holds a tuple (deltaVariants).
 	led []*loweredRule
+	// skip masks program rules out of the run (Prepared.RunMasked): skip[i]
+	// set means rule i contributes no variant. Nil masks nothing.
+	skip []bool
+}
+
+// masked reports whether rule idx of unit u is switched off for this run.
+func (env *roundEnv) masked(u *unit, idx int) bool {
+	return env.skip != nil && env.skip[u.idxs[idx]]
 }
 
 func (env *roundEnv) budgetErr() error {

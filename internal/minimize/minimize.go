@@ -11,6 +11,13 @@
 // once suffices, provided atoms are removed before rules — which is exactly
 // the order enforced here.
 //
+// Each phase runs on one containment session, whatever it deletes. The atom
+// phase tests every candidate against the input P₀: an accepted deletion
+// keeps P ≡ᵘ P₀, that is M(P) = M(P₀) by Proposition 2, so r̂ ⊑ᵘ P has the
+// answer of r̂ ⊑ᵘ P₀. The rule phase opens one session over the atom phase's
+// output and tests r ⊑ᵘ P − S − {r} by masking S ∪ {r} out of its plan
+// (chase.Checker.ContainsRuleMasked).
+//
 // The final result is uniformly equivalent to the input and has neither a
 // redundant atom nor a redundant rule, but — as the paper notes — it is not
 // necessarily unique: it may depend on the order in which atoms and rules
@@ -26,6 +33,7 @@ package minimize
 import (
 	"context"
 	"math/rand"
+	"slices"
 
 	"repro/internal/ast"
 	"repro/internal/chase"
@@ -78,12 +86,16 @@ func (t Trace) RulesRemoved() int { return len(t.RuleRemovals) }
 // returned rule is uniformly equivalent to r and has no redundant atom.
 func Rule(ctx context.Context, r ast.Rule, opts Options) (ast.Rule, Trace, error) {
 	p := ast.NewProgram(r.Clone())
-	q, ck, trace, err := minimizeAtoms(ctx, p, opts)
+	ck, err := chase.NewCheckerIn(p, eval.NewLineage(opts.PlanCache))
+	if err != nil {
+		return ast.Rule{}, Trace{}, err
+	}
+	trace, err := minimizeAtoms(ctx, p, ck, opts)
 	if err != nil {
 		return ast.Rule{}, trace, err
 	}
 	trace.Stats = ck.Stats()
-	return q.Rules[0], trace, nil
+	return p.Rules[0], trace, nil
 }
 
 // Program minimizes a program under uniform equivalence (Fig. 2): all
@@ -94,48 +106,54 @@ func Program(ctx context.Context, p *ast.Program, opts Options) (*ast.Program, T
 	if opts.Rand != nil {
 		shuffleProgram(q, opts.Rand)
 	}
-	q, ck, trace, err := minimizeAtoms(ctx, q, opts)
+	ck, err := chase.NewCheckerIn(q, eval.NewLineage(opts.PlanCache))
+	if err != nil {
+		return nil, Trace{}, err
+	}
+	trace, err := minimizeAtoms(ctx, q, ck, opts)
 	if err != nil {
 		return nil, trace, err
 	}
-	// The atom phase's session carries into the rule phase: its plan and
-	// frozen bodies are handed to each rule deletion via Derive.
-	q, ck, trace2, err := removeRedundantRulesSession(ctx, q, ck)
+	// The rule phase runs on the atom phase's output P₁, one session for the
+	// whole phase. When no atom went, P₁ is P₀ — up to the order of body
+	// atoms Rand drew, which no verdict depends on — and its session serves.
+	if trace.AtomsRemoved() > 0 {
+		if ck, err = chase.NewCheckerIn(q, ck.Lineage); err != nil {
+			return nil, trace, err
+		}
+	}
+	gone, err := redundantRules(ctx, ck, false)
 	if err != nil {
 		return nil, trace, err
 	}
-	trace.RuleRemovals = trace2.RuleRemovals
+	out, removed := splitRules(q.Rules, gone)
+	trace.RuleRemovals = removed
 	trace.Stats = ck.Stats()
-	return q, trace, nil
+	return out, trace, nil
 }
 
 // minimizeAtoms runs the first phase of Fig. 2 on every rule of p (which,
-// for a single-rule program, is exactly Fig. 1). Each atom is considered
-// once; the test for deleting atom α from rule r is r̂ ⊑ᵘ P with P the
-// current program. One containment session serves the whole phase: an
-// accepted deletion replaces a rule by a body-subset of itself, so the
-// session for the shortened program is derived from the current one —
-// the prepared schedule is patched rather than rebuilt and frozen bodies
-// carry over wholesale; verdicts are decided afresh for the new program.
-// The session is returned so the rule phase can keep deriving from it.
-func minimizeAtoms(ctx context.Context, p *ast.Program, opts Options) (*ast.Program, *chase.Checker, Trace, error) {
+// for a single-rule program, is exactly Fig. 1), rewriting p in place. Each
+// atom is considered once, and deleting atom α from rule r is accepted when
+// r̂ ⊑ᵘ P for the current program P. Every accepted deletion keeps
+// P ≡ᵘ P₀, the input, and by Prop. 2 that is M(P) = M(P₀), so r̂ ⊑ᵘ P and
+// r̂ ⊑ᵘ P₀ have one answer: every candidate is tested on ck, the session
+// over P₀, whatever was deleted before it. An accepted deletion changes p and
+// nothing else — no new plan, no new canonical form — and every verdict
+// lands in P₀'s table, decided by a run on P₀.
+func minimizeAtoms(ctx context.Context, p *ast.Program, ck *chase.Checker, opts Options) (Trace, error) {
 	var trace Trace
-	q := p // both callers pass a program they own; it is mutated in place
-	ck, err := chase.NewCheckerIn(q, eval.NewLineage(opts.PlanCache))
-	if err != nil {
-		return nil, nil, trace, err
-	}
-	for i := range q.Rules {
+	for i := range p.Rules {
 		if opts.Rand != nil {
-			shuffleBody(&q.Rules[i], opts.Rand)
+			shuffleBody(&p.Rules[i], opts.Rand)
 		}
 		// k indexes the next unconsidered atom of the current body. When a
 		// deletion succeeds the atom that slides into position k is itself
 		// unconsidered, so k stays put; otherwise k advances. Every atom is
 		// therefore considered exactly once.
 		k := 0
-		for k < len(q.Rules[i].Body) {
-			r := q.Rules[i]
+		for k < len(p.Rules[i].Body) {
+			r := p.Rules[i]
 			cand := withoutBodyAtom(r, k)
 			if !cand.WellFormed() {
 				// Deleting the atom breaks range restriction, so the
@@ -149,54 +167,54 @@ func minimizeAtoms(ctx context.Context, p *ast.Program, opts Options) (*ast.Prog
 			}
 			ok, err := ck.ContainsRule(ctx, cand)
 			if err != nil {
-				return nil, nil, trace, err
+				return trace, err
 			}
 			if ok {
 				trace.AtomRemovals = append(trace.AtomRemovals, AtomRemoval{Rule: r.Clone(), Atom: r.Body[k].Clone()})
-				q.Rules[i] = cand
-				ck, err = ck.Derive(chase.Delta{RuleIndex: i, NewRule: &cand})
-				if err != nil {
-					return nil, nil, trace, err
-				}
+				p.Rules[i] = cand
 			} else {
 				k++
 			}
 		}
 	}
-	return q, ck, trace, nil
+	return trace, nil
 }
 
-// removeRedundantRulesSession runs the second phase of Fig. 2: each rule is
-// considered once and deleted when it is uniformly contained in the rest of
-// the program. ck must be a session over p. Every candidate "rest" program
-// is a single-rule deletion from the current program, so its session is
-// derived; when the deletion is accepted the derived session becomes the
-// current one, and the verdicts it decided stay in its program's store.
-func removeRedundantRulesSession(ctx context.Context, p *ast.Program, ck *chase.Checker) (*ast.Program, *chase.Checker, Trace, error) {
-	var trace Trace
-	q := p.Clone()
-	i := 0
-	for i < len(q.Rules) {
-		r := q.Rules[i]
-		restCk, err := ck.Derive(chase.Delta{RuleIndex: i})
+// redundantRules runs the second phase of Fig. 2 over ck's program P: each
+// rule r is considered once and deleted when r ⊑ᵘ P − S − {r}, S being the
+// rules deleted before it. Every test runs P's plan with S ∪ {r} masked, so
+// the phase prepares nothing. The returned mask marks the deleted rules; with
+// first set the phase stops at the first deletion.
+func redundantRules(ctx context.Context, ck *chase.Checker, first bool) ([]bool, error) {
+	rules := ck.Program().Rules
+	skip := make([]bool, len(rules))
+	for i, r := range rules {
+		skip[i] = true
+		ok, err := ck.ContainsRuleMasked(ctx, r, skip)
 		if err != nil {
-			return nil, nil, trace, err
+			return nil, err
 		}
-		ok, err := restCk.ContainsRule(ctx, r)
-		if err != nil {
-			return nil, nil, trace, err
-		}
-		if ok {
-			trace.RuleRemovals = append(trace.RuleRemovals, r.Clone())
-			// q is our clone, so the deletion can splice in place instead of
-			// re-cloning the whole program per accepted rule.
-			q.Rules = append(q.Rules[:i], q.Rules[i+1:]...)
-			ck = restCk
-		} else {
-			i++
+		skip[i] = ok
+		if ok && first {
+			break
 		}
 	}
-	return q, ck, trace, nil
+	return skip, nil
+}
+
+// splitRules returns the rules gone does not mark, as a program, and the
+// rules it marks, each cloned.
+func splitRules(rules []ast.Rule, gone []bool) (*ast.Program, []ast.Rule) {
+	out := ast.NewProgram()
+	var removed []ast.Rule
+	for i, r := range rules {
+		if gone[i] {
+			removed = append(removed, r.Clone())
+		} else {
+			out.Rules = append(out.Rules, r.Clone())
+		}
+	}
+	return out, removed
 }
 
 // RemoveRedundantRules removes only redundant rules (no atom minimization);
@@ -207,25 +225,24 @@ func RemoveRedundantRules(ctx context.Context, p *ast.Program) (*ast.Program, Tr
 	if err != nil {
 		return nil, Trace{}, err
 	}
-	q, ck, trace, err := removeRedundantRulesSession(ctx, p, ck)
+	gone, err := redundantRules(ctx, ck, false)
 	if err != nil {
-		return nil, trace, err
+		return nil, Trace{}, err
 	}
-	trace.Stats = ck.Stats()
-	return q, trace, nil
+	out, removed := splitRules(p.Rules, gone)
+	return out, Trace{RuleRemovals: removed, Stats: ck.Stats()}, nil
 }
 
 // IsMinimal reports whether p has no atom and no rule deletable under
 // uniform equivalence — the property Theorem 2 guarantees for the output of
-// Program. All atom tests share one containment session over p, and each
-// rule test derives the rule-deleted session from it, which inherits the
-// plan but none of the verdicts.
+// Program. Every atom test and, through masks, every rule test runs on one
+// containment session over p.
 func IsMinimal(ctx context.Context, p *ast.Program) (bool, error) {
 	ck, err := chase.NewChecker(p)
 	if err != nil {
 		return false, err
 	}
-	for i, r := range p.Rules {
+	for _, r := range p.Rules {
 		for k := range r.Body {
 			cand := withoutBodyAtom(r, k)
 			if !cand.WellFormed() {
@@ -239,19 +256,12 @@ func IsMinimal(ctx context.Context, p *ast.Program) (bool, error) {
 				return false, nil
 			}
 		}
-		restCk, err := ck.Derive(chase.Delta{RuleIndex: i})
-		if err != nil {
-			return false, err
-		}
-		ok, err := restCk.ContainsRule(ctx, r)
-		if err != nil {
-			return false, err
-		}
-		if ok {
-			return false, nil
-		}
 	}
-	return true, nil
+	gone, err := redundantRules(ctx, ck, true)
+	if err != nil {
+		return false, err
+	}
+	return !slices.Contains(gone, true), nil
 }
 
 // withoutBodyAtom is ast.Rule.WithoutBodyAtom without the deep clone: the

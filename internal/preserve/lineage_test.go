@@ -77,11 +77,11 @@ func verdicts(t *testing.T, s *preserve.Session, tgds []ast.TGD) string {
 
 // TestSessionAfterCheckerDeriveHitsPlanCache walks the equivopt pattern: a
 // containment checker and a preservation session side by side in one
-// lineage, and after each accepted weakening the checker derives while the
-// session is opened afresh over the weakened program in the same lineage.
-// The new session's Pⁿ must be the plan Checker.Derive just registered — a
-// plan-cache hit, no miss — and the session must answer every preservation
-// question as one opened over an isolated cache does.
+// lineage, and after each accepted weakening both are opened afresh over the
+// weakened program in the same lineage, the checker first. The new session's
+// Pⁿ must be the plan the new checker just registered — a plan-cache hit, no
+// miss — and the session must answer every preservation question as one
+// opened over an isolated cache does.
 func TestSessionAfterCheckerDeriveHitsPlanCache(t *testing.T) {
 	steps := 0
 	for seed := int64(0); seed < 25; seed++ {
@@ -106,10 +106,10 @@ func TestSessionAfterCheckerDeriveHitsPlanCache(t *testing.T) {
 			if !ok {
 				break
 			}
-			if ck, err = ck.Derive(chase.Delta{RuleIndex: i, NewRule: &nr}); err != nil {
-				t.Fatalf("seed %d step %d: Derive: %v", seed, step, err)
-			}
 			cur = cur.ReplaceRule(i, nr)
+			if ck, err = chase.NewCheckerIn(cur, ck.Lineage); err != nil {
+				t.Fatalf("seed %d step %d: %v", seed, step, err)
+			}
 			before := lin.Stats()
 			if s, err = preserve.NewSessionIn(cur, s.Lineage); err != nil {
 				t.Fatalf("seed %d step %d: %v", seed, step, err)

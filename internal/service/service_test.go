@@ -817,9 +817,10 @@ func statzTotals(t *testing.T, ts *httptest.Server) map[string]any {
 // TestStatzEveryGroupMoves: each counter group of eval.Stats moves in
 // /v1/statz when the thing it counts happens — an eval (fixpoint and stream
 // groups; the same eval asked again moves requests.evals_memoized and none of
-// them, the first after a batch moves them again), a minimize (reuse group,
-// and the fixpoint counters of its containment chases, which the totals
-// used to miss), an explain (a session request like any other: its
+// them, the first after a batch moves them again), a minimize (reuse group:
+// the program is already prepared, and each minimization phase runs on one
+// plan, so its lookup is a hit; and the fixpoint counters of its containment
+// chases, which the totals used to miss), an explain (a session request like any other: its
 // goal-directed evaluation and proof read-back are counted), and a mutation
 // batch on a subscribed tenant (maintain
 // group). The chase group needs tgds and is pinned at the library level
@@ -883,7 +884,7 @@ func TestStatzEveryGroupMoves(t *testing.T) {
 	step("eval after a batch", ok("/v1/programs/tc/eval", map[string]any{"tenant": "t"}),
 		"rounds", "firings", "added")
 	step("minimize", ok("/v1/programs/tc/minimize", map[string]any{}),
-		"rounds", "firings", "prepare_misses", "verdicts_recomputed")
+		"rounds", "firings", "prepare_hits", "verdicts_recomputed")
 	requests := func() float64 {
 		_, resp := get(t, ts, "/v1/statz")
 		return resp["eval"].(map[string]any)["requests"].(float64)
