@@ -21,7 +21,8 @@ const subsumeBudget = 10000
 // match only negated atoms, so the test remains sound for the
 // stratified-negation extension (a model of s still satisfies r).
 func SubsumesRule(s, r Rule) bool {
-	if s.Head.Pred != r.Head.Pred || len(s.Head.Args) != len(r.Head.Args) {
+	if s.Head.Pred != r.Head.Pred || len(s.Head.Args) != len(r.Head.Args) ||
+		!predsWithin(s.Body, r.Body) || !predsWithin(s.NegBody, r.NegBody) {
 		return false
 	}
 	m := &matcher{theta: make(Subst), steps: subsumeBudget}
@@ -34,6 +35,25 @@ func SubsumesRule(s, r Rule) bool {
 	}
 	m.undo(added)
 	return false
+}
+
+// predsWithin reports whether every atom of pattern has an atom of target
+// with its predicate and arity: without one no θ carries pattern into
+// target, so the search need not start.
+func predsWithin(pattern, target []Atom) bool {
+	for _, a := range pattern {
+		found := false
+		for _, b := range target {
+			if a.Pred == b.Pred && len(a.Args) == len(b.Args) {
+				found = true
+				break
+			}
+		}
+		if !found {
+			return false
+		}
+	}
+	return true
 }
 
 // MatchAtomInto extends theta — a one-way matching substitution over the

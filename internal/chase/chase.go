@@ -17,6 +17,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 
 	"repro/internal/ast"
@@ -79,25 +80,59 @@ func (b Budget) OrDefault() Budget {
 
 // FreezeRule instantiates the variables of r to distinct frozen constants
 // and returns the frozen head and the frozen body as a database — the
-// canonical DB of Section VI.
+// canonical DB of Section VI. The constants are r.Freeze's (variables
+// numbered in first-occurrence order, head first), but no binding map or
+// ground atom is built on the way: every containment test freezes its
+// candidate afresh, so the body goes straight from one buffer into the
+// database.
 func FreezeRule(r ast.Rule) (ast.GroundAtom, *db.Database) {
+	n := len(r.Head.Args)
+	for _, a := range r.Body {
+		n += len(a.Args)
+	}
+	// names[i] freezes to consts[i]; buf holds the head's arguments, then
+	// each body tuple in turn.
+	names := make([]string, 0, n)
+	consts := make([]ast.Const, 0, n)
+	buf := make([]ast.Const, n)
 	gen := ast.NewFrozenGen(0)
-	head, body, _ := r.Freeze(gen)
+	freeze := func(a ast.Atom, args []ast.Const) []ast.Const {
+		for j, t := range a.Args {
+			if !t.IsVar {
+				args[j] = t.Val
+				continue
+			}
+			i := slices.Index(names, t.Name)
+			if i < 0 {
+				i = len(names)
+				names = append(names, t.Name)
+				consts = append(consts, gen.Fresh())
+			}
+			args[j] = consts[i]
+		}
+		return args[:len(a.Args)]
+	}
+	head := ast.GroundAtom{Pred: r.Head.Pred, Args: freeze(r.Head, buf)}
 	d := db.New()
-	for _, g := range body {
-		d.Add(g)
+	off := len(head.Args)
+	for _, a := range r.Body {
+		d.AddTuple(a.Pred, freeze(a, buf[off:]))
+		off += len(a.Args)
 	}
 	return head, d
 }
 
 // Checker is a containment session: one containing program, prepared once,
 // serving many chase-based tests against it. It caches the prepared
-// evaluation schedule, the frozen head/body of every rule it has tested,
-// and — for the exact uniform-containment test — the per-rule verdicts, so
-// the Fig. 1/2 minimization loops pay for program analysis once per phase
-// instead of once per candidate. Every test evaluates toward the frozen head
-// as a goal and halts the moment it is derived, rather than saturating the
-// full fixpoint (Corollary 2 only asks whether the head is derivable).
+// evaluation schedule, the goal cone of every head predicate it has been
+// asked about, and — for the exact uniform-containment test — the per-rule
+// verdicts, so the Fig. 1/2 minimization loops pay for program analysis once
+// per phase instead of once per candidate. Each test freezes its own rule.
+// Every test evaluates toward the frozen head as a goal and halts the moment
+// it is derived, rather than saturating the full fixpoint (Corollary 2 only
+// asks whether the head is derivable); the uniform-containment test also
+// runs only the rules that can take part in a derivation of that head (see
+// coneMask).
 //
 // Prepared plans come from the shared content-addressed plan cache.
 // ContainsRuleMasked decides a rule against the session program with some of
@@ -131,9 +166,14 @@ type Checker struct {
 	// pv is the shared verdict table for this program content address,
 	// resolved once so each test keys only by the rule's canonical form.
 	pv *progVerdicts
-	// frozen memoizes the frozen head and body per tested rule. They depend
-	// on that rule alone, never on the session program or a mask.
-	frozen map[string]frozenRule
+	// cones memoizes, per head predicate, the mask of the rules outside its
+	// goal cone (nil when every rule is inside); coneBuf is the scratch a
+	// caller's mask is ORed into (coneMask).
+	cones   map[string][]bool
+	coneBuf []bool
+	// byHead lists the rule indexes per head predicate, built with the first
+	// cone.
+	byHead map[string][]int
 	// noSyntactic disables the θ-subsumption fast path, forcing each fresh
 	// verdict through the chase (memoized verdicts are still reused).
 	// noTermination disables the termination classifier: no derived budgets,
@@ -149,11 +189,6 @@ type Checker struct {
 	fullPreps map[string]*eval.Prepared
 	// tgdMemo caches LowerTGDs per tgd-set key.
 	tgdMemo map[string]*TGDs
-}
-
-type frozenRule struct {
-	head ast.GroundAtom
-	body *db.Database
 }
 
 // NewChecker prepares p as the containing program of a session, reusing a
@@ -179,7 +214,7 @@ func NewCheckerIn(p *ast.Program, lin eval.Lineage) (*Checker, error) {
 		// alpha-renamed twin, and ContainsRuleMasked's mask indexes the rules
 		// the caller names.
 		prog:    p.Clone(),
-		frozen:  make(map[string]frozenRule),
+		cones:   make(map[string][]bool),
 		tgdMemo: make(map[string]*TGDs),
 	}
 	c.ruleCanon = make([]string, len(c.prog.Rules))
@@ -202,17 +237,67 @@ func NewCheckerIn(p *ast.Program, lin eval.Lineage) (*Checker, error) {
 // mutate it.
 func (c *Checker) Program() *ast.Program { return c.prog }
 
-// frozenFor returns the cached frozen head and body of r. The body database
-// is shared across calls; every consumer clones before mutating (the
-// prepared evaluator clones its input, and chaseToGoal chases a clone).
-func (c *Checker) frozenFor(r ast.Rule) (ast.GroundAtom, *db.Database) {
-	key := r.String()
-	if f, ok := c.frozen[key]; ok {
-		return f.head, f.body
+// coneMask is skip (nil or one entry per rule of Program()) with every rule
+// outside the goal cone of pred switched off as well. The goal cone of a
+// predicate is the rules whose head it depends on in the program's dependence
+// graph, its own rules included: a derivation of a pred fact uses no other
+// rule, so a goal run toward a pred atom reaches its goal under the wider mask
+// exactly when it does under skip. The cone is computed over the whole
+// program, so it holds the cone of every subprogram a mask selects. The
+// result may be the session's scratch buffer, valid until the next call.
+func (c *Checker) coneMask(pred string, skip []bool) []bool {
+	out, ok := c.cones[pred]
+	if !ok {
+		out = c.outsideCone(pred)
+		c.cones[pred] = out
 	}
-	head, body := FreezeRule(r)
-	c.frozen[key] = frozenRule{head: head, body: body}
-	return head, body
+	switch {
+	case out == nil:
+		return skip
+	case skip == nil:
+		return out
+	}
+	c.coneBuf = append(c.coneBuf[:0], skip...)
+	for i, off := range out {
+		c.coneBuf[i] = c.coneBuf[i] || off
+	}
+	return c.coneBuf
+}
+
+// outsideCone is the mask of the rules whose head pred does not depend on,
+// nil when there is none. The rules inside are found backwards from pred: a
+// rule whose head is pred or a body predicate of a rule inside is inside.
+func (c *Checker) outsideCone(pred string) []bool {
+	rules := c.prog.Rules
+	if c.byHead == nil {
+		c.byHead = make(map[string][]int)
+		for i := range rules {
+			h := rules[i].Head.Pred
+			c.byHead[h] = append(c.byHead[h], i)
+		}
+	}
+	inside := make([]bool, len(rules))
+	seen := map[string]bool{pred: true}
+	for stack := []string{pred}; len(stack) > 0; {
+		q := stack[len(stack)-1]
+		stack = stack[:len(stack)-1]
+		for _, i := range c.byHead[q] {
+			inside[i] = true
+			for _, a := range rules[i].Body {
+				if !seen[a.Pred] {
+					seen[a.Pred] = true
+					stack = append(stack, a.Pred)
+				}
+			}
+		}
+	}
+	for i := range inside {
+		inside[i] = !inside[i]
+	}
+	if !slices.Contains(inside, true) {
+		return nil
+	}
+	return inside
 }
 
 // ContainsRule decides r ⊑ᵘ P for the session program P (Corollary 2),
@@ -225,10 +310,12 @@ func (c *Checker) ContainsRule(ctx context.Context, r ast.Rule) (bool, error) {
 
 // ContainsRuleMasked decides r ⊑ᵘ P − S, where S is the rules i of
 // Program() with skip[i] set (skip is nil, masking nothing, or has one entry
-// per rule). The chase is the session plan run with S switched off
+// per rule). The chase is the session plan run with S — and every rule
+// outside the goal cone of r's head predicate (coneMask) — switched off
 // (eval.Prepared.RunMasked), and the verdict is looked up and stored under
 // the canonical form of P − S, so it lands where a session opened over P − S
-// would find it.
+// would find it. The cone never enters the key: it changes which rules run,
+// not the answer.
 func (c *Checker) ContainsRuleMasked(ctx context.Context, r ast.Rule, skip []bool) (bool, error) {
 	if err := eval.CtxErr(ctx); err != nil {
 		return false, err
@@ -253,8 +340,8 @@ func (c *Checker) ContainsRuleMasked(ctx context.Context, r ast.Rule, skip []boo
 		pv.put(ckey, true)
 		return true, nil
 	}
-	head, body := c.frozenFor(r)
-	_, reached, est, err := c.prep.RunMasked(ctx, body, &head, 0, skip)
+	head, body := FreezeRule(r)
+	_, reached, est, err := c.prep.RunMasked(ctx, body, &head, 0, c.coneMask(r.Head.Pred, skip))
 	c.Tally().Add(est)
 	if err != nil {
 		return false, err
@@ -626,7 +713,8 @@ func isBudgetErr(err error) bool { return errors.Is(err, eval.ErrBudget) }
 // body, close it under [P, T], and look for the frozen head. Yes and No
 // answers are exact; Unknown means the budget ran out (possible only when T
 // has embedded tgds). The verdict is not memoized — it depends on the
-// budget — but the frozen body is reused from the session cache.
+// budget. The chase runs every rule of P: a tgd can produce facts of any
+// predicate, so no goal cone of P alone bounds it.
 func (c *Checker) SATContainsRule(ctx context.Context, tgds []ast.TGD, r ast.Rule, budget Budget) (Verdict, error) {
 	if r.HasNegation() {
 		return Unknown, fmt.Errorf("chase: rule %s uses negation", r)
@@ -640,7 +728,7 @@ func (c *Checker) SATContainsRule(ctx context.Context, tgds []ast.TGD, r ast.Rul
 		c.Tally().VerdictsSubsumed++
 		return Yes, nil
 	}
-	head, d := c.frozenFor(r)
+	head, d := FreezeRule(r)
 	_, verdict, err := c.chaseToGoal(ctx, tgds, d, &head, budget)
 	return verdict, err
 }

@@ -117,6 +117,21 @@ func TestFreezeRule(t *testing.T) {
 	if d.Has(head) {
 		t.Fatal("frozen head already in frozen body")
 	}
+	// The frozen head and body are Rule.Freeze's, constant for constant and
+	// in fact order, with repeated atoms, constants and a ground head among
+	// the inputs.
+	for _, src := range []string{
+		`G(x, z) :- A(x, y), G(y, z), A(x, y), B(z, 3).`,
+		`G(z, z) :- A(y, 1), B(x, z).`,
+		`G(1) :- A(1, 2).`,
+	} {
+		r := parser.MustParseProgram(src).Rules[0]
+		head, d := FreezeRule(r)
+		wantHead, body, _ := r.Freeze(ast.NewFrozenGen(0))
+		if !head.Equal(wantHead) || d.String() != db.FromFacts(body).String() {
+			t.Fatalf("%s: FreezeRule gave %v / %s, Rule.Freeze %v / %v", src, head, d, wantHead, body)
+		}
+	}
 }
 
 func TestUniformContainmentRejectsNegation(t *testing.T) {

@@ -57,7 +57,7 @@ func TestSyntacticVerdictAgreesWithChase(t *testing.T) {
 			continue
 		}
 		forced++
-		head, body := c.frozenFor(r)
+		head, body := FreezeRule(r)
 		_, reached, _, err := c.prep.Run(nil, body, &head, 0)
 		if err != nil {
 			t.Fatal(err)

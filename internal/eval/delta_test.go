@@ -195,10 +195,11 @@ func memoEntries(pr *Prepared) []int {
 }
 
 // TestDeltaRoundLowersLazily: led orders are planned and lowered when a delta
-// first holds a tuple, not at Prepare and not with the first round. A
-// fixpoint that ends after its first round leaves each rule with the one
-// entry that round ran; a fixpoint that goes on adds at most one entry per
-// atom over the unit's own heads, and none for the extensional atoms.
+// first holds a tuple, not at Prepare and not with the first round. A rule
+// over an empty relation is not even planned for the first round, and a unit
+// with no rule that can fire begins no round; a fixpoint that goes on adds at
+// most one entry per atom over the unit's own heads, and none for the
+// extensional atoms.
 func TestDeltaRoundLowersLazily(t *testing.T) {
 	p := parser.MustParseProgram(`
 		G(x, z) :- A(x, z).
@@ -212,14 +213,14 @@ func TestDeltaRoundLowersLazily(t *testing.T) {
 	if n := memoEntries(pr); n[0]+n[1]+n[2] != 0 {
 		t.Fatalf("Prepare lowered %v entries", n)
 	}
-	// B alone: the recursive unit's first round derives nothing, the
-	// streamable one never has a second.
+	// B alone: every rule reads the absent A or G, so no rule can fire, no
+	// unit begins a round and nothing is lowered.
 	_, st, err := pr.Eval(db.FromFacts([]ast.GroundAtom{ga("B", 1, 1)}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := memoEntries(pr); st.Rounds != 2 || n[0] != 1 || n[1] != 1 || n[2] != 1 {
-		t.Fatalf("one round per unit (%d rounds) left %v entries, want one per rule", st.Rounds, n)
+	if n := memoEntries(pr); st.Rounds != 0 || n[0]+n[1]+n[2] != 0 {
+		t.Fatalf("a run where no rule can fire took %d rounds and left %v entries, want none", st.Rounds, n)
 	}
 	in := workload.Chain("A", 6)
 	for i := int64(0); i < 6; i++ {
@@ -236,6 +237,45 @@ func TestDeltaRoundLowersLazily(t *testing.T) {
 	for _, lr := range pr.memos[1].lowered {
 		if lr.perm[0] == 2 {
 			t.Fatalf("a plan led by the extensional B(z, z) was lowered: %v", lr.perm)
+		}
+	}
+}
+
+// TestFirstRoundSkipsRulesThatCannotFire: a rule with a positive atom over an
+// empty relation gets no first-round variant. When that atom is over one of
+// the unit's own heads, a later delta leads the rule all the same, so the
+// model is the naive oracle's; a rule over a relation nothing ever fills is
+// never lowered, in the first round or led by a delta.
+func TestFirstRoundSkipsRulesThatCannotFire(t *testing.T) {
+	p := parser.MustParseProgram(`
+		T(x, y) :- E(x, y).
+		T(x, z) :- T(x, y), E(y, z).
+		T(x, z) :- T(x, y), F(y, z).
+		T(x, y) :- F(x, y), E(y, y).
+	`)
+	pr, err := Prepare(p, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	in := workload.Chain("E", 5)
+	got, st, err := pr.Eval(in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, _ := oracleEval(t, p, in)
+	if !got.Equal(want) {
+		t.Fatalf("output differs from oracle\ngot:\n%s\nwant:\n%s", got, want)
+	}
+	if wantFirings := oracleInstantiations(p, want); st.Firings != wantFirings {
+		t.Fatalf("Firings = %d, oracle %d distinct instantiations", st.Firings, wantFirings)
+	}
+	n := memoEntries(pr)
+	if n[0] != 1 || n[1] == 0 || n[2] != 0 || n[3] != 0 {
+		t.Fatalf("memo entries %v: want the base rule once, the recursive rule led by its delta, and no lowering of a rule over F", n)
+	}
+	for _, lr := range pr.memos[1].lowered {
+		if lr.perm[0] != 0 {
+			t.Fatalf("the recursive rule was lowered in an order not led by T: %v", lr.perm)
 		}
 	}
 }

@@ -390,6 +390,28 @@ func TestRunRejectsArityMismatch(t *testing.T) {
 	}
 }
 
+// TestArityCheckFindsTheOneWrongRelation: an input whose relations the
+// program uses at the right arity except one — a negated atom's, listed
+// last in the program — is rejected, and the error names that relation; a
+// relation the program never mentions may have any arity.
+func TestArityCheckFindsTheOneWrongRelation(t *testing.T) {
+	pr, err := Prepare(parser.MustParseProgram(`
+		T(x, y) :- E(x, y), !N(x).
+		U(x) :- T(x, x).
+	`), Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := []ast.GroundAtom{ga("E", 1, 1), ga("T", 2, 2), ga("U", 3), ga("Z", 1, 2, 3)}
+	if _, _, err := pr.Eval(db.FromFacts(append(good, ga("N", 4)))); err != nil {
+		t.Fatalf("right arities rejected: %v", err)
+	}
+	_, _, err = pr.Eval(db.FromFacts(append(good, ga("N", 4, 5))))
+	if !errors.Is(err, ErrArity) || !strings.Contains(err.Error(), "input relation N has arity 2, the program uses N/1") {
+		t.Fatalf("N/2 beside right-arity E, T, U: err = %v, want ErrArity naming N", err)
+	}
+}
+
 func TestEvalRejectsInvalidProgram(t *testing.T) {
 	bad := ast.NewProgram(ast.NewRule(
 		ast.NewAtom("G", ast.Var("q")),

@@ -264,3 +264,58 @@ func TestRunMaskedRejectsAMaskOfTheWrongLength(t *testing.T) {
 		}
 	}
 }
+
+// sameRun fails unless a and b hold the same facts in the same insertion
+// order with the same round stamps.
+func sameRun(t *testing.T, a, b *db.Database) {
+	t.Helper()
+	if a.String() != b.String() || a.Round() != b.Round() {
+		t.Fatalf("databases differ:\n%s\nvs\n%s", a, b)
+	}
+	for _, pred := range a.Preds() {
+		ra, rb := a.Relation(pred), b.Relation(pred)
+		for i := 0; i < ra.Len(); i++ {
+			if ra.RoundOf(i) != rb.RoundOf(i) {
+				t.Fatalf("%s tuple %d: round %d vs %d", pred, i, ra.RoundOf(i), rb.RoundOf(i))
+			}
+		}
+	}
+}
+
+// TestGoalRunSaturatesWhenGoalMissed: a goal-directed run whose goal is not
+// derivable returns exactly the database of the same run without a goal —
+// every relation, insertion order and round stamp — masked or not. The
+// evaluator restricts nothing to what can reach the goal: callers that read
+// the returned database (the chase's tgd phase, Session.Explain) see the
+// whole fixpoint of what the mask leaves on.
+func TestGoalRunSaturatesWhenGoalMissed(t *testing.T) {
+	for seed := int64(0); seed < 200; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		p := workload.RandomProgram(rng, 2+rng.Intn(4))
+		if p.Validate() != nil {
+			continue
+		}
+		pr := mustPrepare(p)
+		in := workload.RandomDB(rng, p, 4, 3)
+		skip := make([]bool, len(p.Rules))
+		if seed%2 == 1 {
+			skip[rng.Intn(len(skip))] = true
+		}
+		full, reachedNil, _, err := pr.RunMasked(context.Background(), in, nil, 0, skip)
+		if err != nil || reachedNil {
+			t.Fatalf("seed %d: goal-less run: reached=%v err=%v", seed, reachedNil, err)
+		}
+		for _, r := range p.Rules {
+			// A constant outside the database's domain: never derivable.
+			goal := ast.GroundAtom{Pred: r.Head.Pred, Args: make([]ast.Const, len(r.Head.Args))}
+			for i := range goal.Args {
+				goal.Args[i] = ast.Int(99)
+			}
+			got, reached, _, err := pr.RunMasked(context.Background(), in, &goal, 0, skip)
+			if err != nil || reached {
+				t.Fatalf("seed %d: goal %v: reached=%v err=%v", seed, goal, reached, err)
+			}
+			sameRun(t, got, full)
+		}
+	}
+}

@@ -38,6 +38,9 @@ type Prepared struct {
 	// memos, so every subprogram a mask selects shares the plan's lowerings.
 	memos []*ruleMemo
 	units []*unit
+	// arities is every predicate of prog with the arity its atoms use, in
+	// first-occurrence order: what Run checks an input's relations against.
+	arities []predArity
 
 	// One-step application of the whole program in the static join order,
 	// built on first use by NonRecursive / IsClosed.
@@ -67,6 +70,12 @@ type loweredRule struct {
 	perm  []int
 	scan0 bool
 	plan  *streamPlan
+}
+
+// predArity is one predicate of a program and the arity its atoms use.
+type predArity struct {
+	pred  string
+	arity int
 }
 
 func newMemos(rules []ast.Rule) []*ruleMemo {
@@ -195,11 +204,29 @@ func Prepare(p *ast.Program, _ Options) (*Prepared, error) {
 	if err != nil {
 		return nil, err
 	}
-	pr := &Prepared{prog: prog, memos: newMemos(prog.Rules)}
+	pr := &Prepared{prog: prog, memos: newMemos(prog.Rules), arities: arityTable(prog)}
 	for _, group := range groups {
 		pr.units = append(pr.units, newUnit(pr.memos, group))
 	}
 	return pr, nil
+}
+
+// arityTable lists p's predicates with their arities, in first-occurrence
+// order; p is valid, so every atom of a predicate has the one arity.
+func arityTable(p *ast.Program) []predArity {
+	var out []predArity
+	seen := make(map[string]bool)
+	for _, r := range p.Rules {
+		for _, atoms := range r.Atoms() {
+			for _, a := range atoms {
+				if !seen[a.Pred] {
+					seen[a.Pred] = true
+					out = append(out, predArity{a.Pred, len(a.Args)})
+				}
+			}
+		}
+	}
+	return out
 }
 
 // scheduleGroups computes the evaluation schedule of p as groups of rule
@@ -338,15 +365,11 @@ func (pr *Prepared) RunMasked(ctx context.Context, input *db.Database, goal *ast
 
 // checkInput rejects an input relation whose arity contradicts an atom of the
 // program: the store panics on the first tuple a rule derives into it. The
-// walk is over the program's atoms, not the input's facts.
+// walk is over the arity table Prepare built, not the input's facts.
 func (pr *Prepared) checkInput(input *db.Database) error {
-	for _, r := range pr.prog.Rules {
-		for _, atoms := range r.Atoms() {
-			for _, a := range atoms {
-				if rel := input.Relation(a.Pred); rel != nil && rel.Arity() != len(a.Args) {
-					return fmt.Errorf("%w: input relation %s has arity %d, the program uses %s/%d", ErrArity, a.Pred, rel.Arity(), a.Pred, len(a.Args))
-				}
-			}
+	for _, pa := range pr.arities {
+		if rel := input.Relation(pa.pred); rel != nil && rel.Arity() != pa.arity {
+			return fmt.Errorf("%w: input relation %s has arity %d, the program uses %s/%d", ErrArity, pa.pred, rel.Arity(), pa.pred, pa.arity)
 		}
 	}
 	return nil
@@ -441,17 +464,32 @@ func (u *unit) liveSizes(d *db.Database, led bool) func(pred string) int {
 // firstVariants appends a unit's first round: each rule once over everything
 // visible, under the greedy join order the current relation sizes induce, read
 // through the rule's memo — so a rule is lowered once per distinct order it
-// ever meets, whichever plan of the lineage runs it.
+// ever meets, whichever plan of the lineage runs it. A rule that cannot fire
+// (canFire) gets no variant: its application would derive nothing, so it is
+// neither planned nor lowered nor indexed. If the empty atom is over one of
+// the unit's heads, a later round's delta leads the rule all the same
+// (deltaVariants).
 func (env *roundEnv) firstVariants(u *unit, prev int32, variants []variant) []variant {
 	sizeOf := u.liveSizes(env.d, false)
 	for idx, m := range u.rules {
-		if env.masked(u, idx) {
+		if env.masked(u, idx) || !canFire(env.d, m.rule) {
 			continue
 		}
 		lr := m.under(orderPermSized(m.rule.Body, -1, sizeOf), false)
 		variants = append(variants, variant{idx, lr.plan, fullSpan(prev)})
 	}
 	return variants
+}
+
+// canFire reports whether every positive body atom of r reads a relation of
+// d holding a live tuple: without one, no instantiation of r's body exists.
+func canFire(d *db.Database, r ast.Rule) bool {
+	for _, a := range r.Body {
+		if rel := d.Relation(a.Pred); rel == nil || rel.Live() == 0 {
+			return false
+		}
+	}
+	return true
 }
 
 // deltaVariants appends a delta round's variants: for each rule of u and each
@@ -463,7 +501,9 @@ func (env *roundEnv) firstVariants(u *unit, prev int32, variants []variant) []va
 // since an insertion may be extensional. The order behind a lead is chosen
 // once per fixpoint, from the live sizes at the first round that needs it
 // (env.led), and lowered through the rule's memo: an atom whose delta stays
-// empty costs neither.
+// empty costs neither, and neither does a rule that cannot fire (canFire) —
+// the delta of its lead holds tuples, but another of its atoms reads an empty
+// relation.
 func (env *roundEnv) deltaVariants(u *unit, all bool, min, max int32, variants []variant) []variant {
 	d := env.d
 	if env.led == nil {
@@ -475,7 +515,7 @@ func (env *roundEnv) deltaVariants(u *unit, all bool, min, max int32, variants [
 	}
 	off := 0
 	for idx, m := range u.rules {
-		if env.masked(u, idx) {
+		if env.masked(u, idx) || !canFire(d, m.rule) {
 			off += len(m.rule.Body)
 			continue
 		}
@@ -525,16 +565,21 @@ func (u *unit) fixpoint(env *roundEnv) error {
 			return err
 		}
 		prev := d.Round() // facts visible to this round: stamps ≤ prev
-		round := d.BeginRound()
-		stats.Rounds++
 		// The planner sees live cardinalities once per rule here and once per
 		// delta atom at the first round its delta holds a tuple; every later
 		// round reuses those orders.
 		if first {
 			env.variants = env.firstVariants(u, prev, env.variants[:0])
+			if len(env.variants) == 0 {
+				// No live rule: every rule is masked or cannot fire, so the
+				// unit derives nothing and begins no round.
+				return nil
+			}
 		} else {
 			env.variants = env.deltaVariants(u, false, prev, prev, env.variants[:0])
 		}
+		round := d.BeginRound()
+		stats.Rounds++
 		if err := env.runRound(env.variants); err != nil {
 			return err
 		}

@@ -24,7 +24,8 @@ type Stats struct {
 // FixpointStats counts the fixpoint iteration itself.
 type FixpointStats struct {
 	// Rounds is the number of fixpoint iterations (including the final empty
-	// one that detects convergence). Session totals sum the rounds of every
+	// one that detects convergence; a unit with no rule that can fire runs
+	// none). Session totals sum the rounds of every
 	// internal evaluation plus, for preservation sessions, one per
 	// chase-and-check round of the Fig. 3 combination loop.
 	Rounds int `json:"rounds"`
