@@ -7,7 +7,7 @@ BENCHTIME ?= 0.3s
 # staticcheck pin for lint-ci; bump deliberately, not implicitly.
 STATICCHECK_VERSION ?= 2025.1
 
-.PHONY: all build vet datalog-vet test race race-service race-ivm serve-smoke bench bench-all experiments examples guard-one-join guard-ctx-arg guard-no-batch-compact guard-delta-first guard-request-path guard-one-unfold guard-no-ablation-arm guard-no-transfer guard-one-plan lint lint-ci clean
+.PHONY: all build vet datalog-vet test race race-service race-ivm serve-smoke bench bench-all experiments examples guard-one-join guard-ctx-arg guard-no-batch-compact guard-delta-first guard-request-path guard-one-unfold guard-no-ablation-arm guard-no-transfer guard-one-plan guard-one-maintenance lint lint-ci clean
 
 all: build vet test
 
@@ -38,16 +38,16 @@ race:
 race-service:
 	$(GO) test -race ./internal/ast ./internal/core ./internal/service ./internal/db
 
-# race-ivm race-checks the incremental view maintenance stack: the
-# counting/DRed maintenance engine, its randomized oracle grid and the stamp
-# invariant DRed's support check rests on, the scratch sets' Reset, the
-# store's version chains (dead bitmaps, shared bases, flatten: the seeded
-# differential scripts of versions_test.go, with goroutines probing frozen
-# versions while the lineage writes), the facade's View.Apply diffs
-# (TestSessionMaterializeApply) and the subscription fan-out in the service
-# layer.
+# race-ivm race-checks the incremental view maintenance stack: the DRed
+# maintenance engine, its randomized oracle grid, the stamp invariant its
+# support check rests on in recursive strata and the stamp-free check of
+# non-recursive ones, the scratch sets' Reset, the store's version chains
+# (dead bitmaps, shared bases, flatten: the seeded differential scripts of
+# versions_test.go, with goroutines probing frozen versions while the lineage
+# writes), the facade's View.Apply diffs (TestSessionMaterializeApply) and the
+# subscription fan-out in the service layer.
 race-ivm:
-	$(GO) test -race -run 'TestMaintain|TestDRedOverdeletionIsLocal|TestMaintainedStampsCertify|TestDeltaNet|TestReset|TestVersions|TestMutationCost|TestReadPaths|TestMaxGenerated|TestCompact|TestRemove|TestFreeze|TestCounts|TestSession|TestSubscri|TestFactsEnvelope' ./internal/eval ./internal/db ./internal/core ./internal/service
+	$(GO) test -race -run 'TestMaintain|TestDRedOverdeletionIsLocal|TestMaintainedStampsCertify|TestNonRecursiveSupport|TestDeltaNet|TestReset|TestVersions|TestMutationCost|TestReadPaths|TestMaxGenerated|TestCompact|TestRemove|TestFreeze|TestSession|TestSubscri|TestFactsEnvelope' ./internal/eval ./internal/db ./internal/core ./internal/service
 
 # serve-smoke boots `datalog serve` on an ephemeral port with a preloaded
 # program and drives a register/facts/eval/statz round-trip over HTTP.
@@ -245,10 +245,21 @@ guard-one-plan:
 		echo "chase.Delta is back (make guard-one-plan): a minimization phase runs on one plan" >&2; exit 1; \
 	fi
 
+# guard-one-maintenance keeps one maintenance algorithm: every unit of a
+# maintained view runs DRed (internal/eval/maintain.go), which on a unit that
+# reads none of its own heads is one pass with no stamp walk and no restore.
+# Derivation counting, the per-tuple count column it kept in the store and
+# the switch that chose between the two stay deleted: none of their names
+# may come back in non-test code under internal/.
+guard-one-maintenance:
+	@if grep -rnwE 'countCol|BumpCount|CountOf|TupleCount|EnableCounts|countingUnit|forceDRed' --include='*.go' internal | grep -v '_test\.go:'; then \
+		echo "derivation counting is back (make guard-one-maintenance): every unit is maintained by DRed, and the store keeps no count column" >&2; exit 1; \
+	fi
+
 # lint runs the guards and go vet always, and staticcheck when the binary is
 # on PATH (the dev container does not bake it in; lint-ci installs the pinned
 # version).
-lint: guard-one-join guard-ctx-arg guard-no-batch-compact guard-delta-first guard-request-path guard-one-unfold guard-no-ablation-arm guard-no-transfer guard-one-plan
+lint: guard-one-join guard-ctx-arg guard-no-batch-compact guard-delta-first guard-request-path guard-one-unfold guard-no-ablation-arm guard-no-transfer guard-one-plan guard-one-maintenance
 	$(GO) vet ./...
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \

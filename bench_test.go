@@ -524,7 +524,7 @@ func BenchmarkStratifiedMagic(b *testing.B) {
 }
 
 // authzProgram is the access-control program of the maintenance benches:
-// a membership closure (delete-rederive) under two counting strata.
+// a recursive membership closure under two non-recursive strata.
 const authzProgram = `
 	Member(u, g) :- Direct(u, g).
 	Member(u, g) :- Member(u, h), Subgroup(h, g).
@@ -539,7 +539,9 @@ const authzProgram = `
 // component has a firing through it; almost all keep an older proof);
 // chain-retract cuts a chain in the middle, where everything over-deleted
 // really goes — the support check can only cost there; authz-batch is a
-// membership closure (delete-rederive) under two counting strata.
+// recursive membership closure under two non-recursive strata, whose
+// deletions are over-deletions too: ≈ 244 an op, of which ≈ 65 are the
+// closure's (all there was when counting maintained the upper strata).
 func BenchmarkMaintain_DRed(b *testing.B) {
 	rltc := workload.TransitiveClosureLinear()
 	edge := func(pred string, x, y int64) ast.GroundAtom {
@@ -616,49 +618,73 @@ func BenchmarkMaintain_DRed(b *testing.B) {
 // small tenant's output current after a write of one assert and one retract:
 // evaluate the new version from scratch (Session.EvalWith, what a memo miss
 // runs) or apply the batch to a maintained view (View.Apply, what a live view
-// runs per batch). The tenant is authz at the size of a serve-mixed tenant:
-// 20 users, 5 groups, 4 roles, 16 documents — 53 base facts and 178 derived
-// ones. Apply alternates two batches that swap one membership for another,
-// so the view stays the same size.
+// runs per batch). It prices both serve-mixed programs at the size of a
+// serve-mixed tenant. authz (eval, apply): 20 users, 5 groups, 4 roles, 16
+// documents — 53 base facts and 178 derived ones; the batch swaps one
+// membership for another. reach (reach-eval, reach-apply): a transitive
+// closure under a non-recursive view over a random digraph of 20 nodes and
+// 28 edges with 4 sinks; the batch swaps one edge for another. Apply
+// alternates the swap and its inverse, so the view stays the same size.
 func BenchmarkSmallTenantEvalVsApply(b *testing.B) {
-	ctx := context.Background()
-	sess, err := core.NewSession(parser.MustParseProgram(authzProgram))
-	if err != nil {
-		b.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(5))
 	edge := func(pred string, x, y int64) ast.GroundAtom {
 		return ast.NewGroundAtom(pred, ast.Int(x), ast.Int(y))
 	}
+	rng := rand.New(rand.NewSource(5))
 	const users, groups, roles, docs = 20, 5, 4, 16
-	tenant := db.New()
+	authz := db.New()
 	for u := int64(0); u < users; u++ {
 		for k := 0; k <= rng.Intn(2); k++ {
-			tenant.Add(edge("Direct", 100000+u, 1000+rng.Int63n(groups)))
+			authz.Add(edge("Direct", 100000+u, 1000+rng.Int63n(groups)))
 		}
 	}
 	for g := int64(1); g < groups; g++ {
-		tenant.Add(edge("Subgroup", 1000+g, 1000+(g-1)/3))
+		authz.Add(edge("Subgroup", 1000+g, 1000+(g-1)/3))
 	}
 	for g := int64(0); g < groups; g++ {
 		for k := 0; k <= rng.Intn(2); k++ {
-			tenant.Add(edge("Grant", 1000+g, 2000+rng.Int63n(roles)))
+			authz.Add(edge("Grant", 1000+g, 2000+rng.Int63n(roles)))
 		}
 	}
 	for r := int64(0); r < roles; r++ {
 		for k := 0; k < 4; k++ {
-			tenant.Add(edge("Allows", 2000+r, 10000+rng.Int63n(docs)))
+			authz.Add(edge("Allows", 2000+r, 10000+rng.Int63n(docs)))
 		}
 	}
 	// present is a membership of the tenant, absent one it lacks.
-	present := ast.NewGroundAtom("Direct", tenant.Relation("Direct").Tuple(0)...)
+	present := ast.NewGroundAtom("Direct", authz.Relation("Direct").Tuple(0)...)
 	absent := edge("Direct", 100000, 1000)
-	for g := int64(1001); tenant.Has(absent); g++ {
+	for g := int64(1001); authz.Has(absent); g++ {
 		absent = edge("Direct", 100000, g)
 	}
-	snap := tenant.Freeze()
+	smallTenantArms(b, "", authzProgram, authz, present, absent)
 
-	b.Run("eval", func(b *testing.B) {
+	const nodes = 20
+	reach := workload.RandomDigraph("Edge", nodes, 28, 5)
+	for _, s := range rand.New(rand.NewSource(5)).Perm(nodes)[:4] {
+		reach.Add(ast.NewGroundAtom("Sink", ast.Int(int64(s))))
+	}
+	present = ast.NewGroundAtom("Edge", reach.Relation("Edge").Tuple(0)...)
+	absent = edge("Edge", 0, 0)
+	for y := int64(1); reach.Has(absent); y++ {
+		absent = edge("Edge", 0, y)
+	}
+	smallTenantArms(b, "reach-", `
+	Reach(x, y) :- Edge(x, y).
+	Reach(x, y) :- Edge(x, z), Reach(z, y).
+	Hot(x) :- Reach(x, y), Sink(y).
+`, reach, present, absent)
+}
+
+// smallTenantArms runs BenchmarkSmallTenantEvalVsApply's eval and apply arms
+// of one tenant: present is a fact of tenant, absent one it lacks.
+func smallTenantArms(b *testing.B, prefix, src string, tenant *db.Database, present, absent ast.GroundAtom) {
+	ctx := context.Background()
+	sess, err := core.NewSession(parser.MustParseProgram(src))
+	if err != nil {
+		b.Fatal(err)
+	}
+	snap := tenant.Freeze()
+	b.Run(prefix+"eval", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			if _, _, err := sess.EvalWith(ctx, snap.DB(), 0); err != nil {
@@ -666,7 +692,7 @@ func BenchmarkSmallTenantEvalVsApply(b *testing.B) {
 			}
 		}
 	})
-	b.Run("apply", func(b *testing.B) {
+	b.Run(prefix+"apply", func(b *testing.B) {
 		view, _, err := sess.Materialize(ctx, snap.DB(), core.MaintainOptions{})
 		if err != nil {
 			b.Fatal(err)

@@ -9,8 +9,7 @@ import (
 
 // Incremental view maintenance at the facade: a View is a materialized
 // output kept consistent with its input under fact-level mutation batches
-// (counting for non-recursive strata, delete-rederive for recursive ones —
-// internal/eval/maintain.go). Sessions hand out views via Materialize and
+// (delete-rederive for every stratum — internal/eval/maintain.go). Sessions hand out views via Materialize and
 // fold every Apply's work into their accounted totals, so /statz-style
 // aggregation covers maintenance exactly like evaluation.
 
@@ -23,8 +22,8 @@ type DatabaseDelta = eval.Delta
 // canonical (predicate, arguments) order.
 type DatabaseDiff = eval.Diff
 
-// MaintainOptions configures a maintained view; it has nothing a caller can
-// set (bench/ constructs the zero value).
+// MaintainOptions configures a maintained view; it is empty, kept for the
+// signatures that take it (bench/ constructs the zero value).
 type MaintainOptions = eval.MaintainOptions
 
 // View is a maintained materialization of the session's program over one

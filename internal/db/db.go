@@ -66,13 +66,17 @@ func (d *Database) BeginRound() int32 {
 	return d.round
 }
 
+// resetKeep is the most ids a relation may hold for Reset to keep its
+// tables.
+const resetKeep = 256
+
 // Reset empties a scratch database — never frozen, so every relation is
-// private — for reuse from round 0. A relation of at most one count page of
-// ids keeps its arena, dedup table and that page; a larger one is replaced:
-// its tables cost more to clear, and to keep alive, than to allocate again.
+// private — for reuse from round 0. A relation of at most resetKeep ids keeps
+// its arena and dedup table; a larger one is replaced: its tables cost more
+// to clear, and to keep alive, than to allocate again.
 func (d *Database) Reset() {
 	for pred, r := range d.rels {
-		if r.Len() > 1<<countPageBits {
+		if r.Len() > resetKeep {
 			d.rels[pred] = newRelation(r.arity)
 			continue
 		}
@@ -81,10 +85,6 @@ func (d *Database) Reset() {
 		clear(s.dedup)
 		s.indexes.Store(nil)
 		r.dead, r.ndead = nil, 0
-		if r.counts.on() {
-			r.counts.pages, r.counts.own = r.counts.pages[:1], r.counts.own[:1]
-			r.counts.pages[0] = r.counts.pages[0][:0]
-		}
 	}
 	d.round, d.size, d.copied, d.last = 0, 0, 0, nil
 }

@@ -2,14 +2,13 @@ package db
 
 import "repro/internal/ast"
 
-// Fact-level deletion and derivation-count support for incremental view
-// maintenance (internal/eval's Maintained views).
+// Fact-level deletion for incremental view maintenance (internal/eval's
+// Maintained views).
 //
 // Removing a tuple sets its bit in the relation version's dead bitmap and
 // nothing else: the tuple keeps its id, its arena cells, its dedup slot and
 // its place in every index chain. The contract is on the readers — every one
-// of them skips dead ids: LookupID (and so Has, BumpCount, TupleCount) misses
-// them, the probe iterators step over them, set-level readers (Facts,
+// of them skips dead ids: LookupID (and so Has) misses them, the probe iterators step over them, set-level readers (Facts,
 // Contains, Consts, AddAll, MaxGeneratedIndexes) and id-range scans test
 // Relation.Alive. A relation with dead tuples is therefore a valid input to
 // evaluation, frozen or not, and a removed tuple's id is never reused: a
@@ -25,11 +24,6 @@ import "repro/internal/ast"
 // removed tuples hold, and either way a flatten's n tuple copies are paid
 // for by the n/flattenShare writes since the last one. Compact is the
 // explicit "now".
-//
-// The counts column (counts.go) is the per-tuple derivation count of
-// counting-based maintenance: a count belongs to an id and travels with the
-// tuple through copy-on-write and flatten, so a maintained output survives
-// snapshots without a side table.
 
 // flattenShare is the inverse of the share of a relation's ids that may sit
 // in the tail, and of the share that may be dead, before the relation is
@@ -62,8 +56,7 @@ func (r *Relation) Dead() int { return r.ndead }
 
 // flatten rebuilds the relation as one flat segment holding the live tuples
 // in id order, renumbered densely: round stamps keep their values (dropping
-// elements preserves the non-decreasing order), counts follow their tuples,
-// and the dedup table and every column index either tier had are built
+// elements preserves the non-decreasing order), and the dedup table and every column index either tier had are built
 // afresh. The relation must be private. It returns the number of tuples
 // copied.
 func (r *Relation) flatten() int {
@@ -73,10 +66,6 @@ func (r *Relation) flatten() int {
 	live := r.Live()
 	data := make([]ast.Const, 0, live*r.arity)
 	var runs []run
-	var counts countCol
-	if r.counts.on() {
-		counts.enable(live)
-	}
 	tiers := [2]*segment{r.base, &r.seg}
 	// renum[id] is live id's new id: id less the dead ids below it. The
 	// stamps are copied run by run; a run of dead ids leaves nothing, and the
@@ -101,9 +90,6 @@ func (r *Relation) flatten() int {
 				}
 				renum[id] = nid
 				data = append(data, s.tuple(int(id))...)
-				if counts.on() {
-					counts.pages[nid>>countPageBits][nid&countPageMask] = r.counts.get(id)
-				}
 				nid++
 			}
 		}
@@ -144,27 +130,7 @@ func (r *Relation) flatten() int {
 		s.ensureIndexLocked(ColMask(cols), cols, false) // a repeat finds it built
 	}
 	r.dead, r.ndead = nil, 0
-	r.counts = counts
 	return live
-}
-
-// EnableCounts materializes the derivation-count column (all zeros when
-// first enabled). Idempotent.
-func (r *Relation) EnableCounts() {
-	if !r.counts.on() {
-		r.counts.enable(r.Len())
-	}
-}
-
-// HasCounts reports whether the derivation-count column is materialized.
-func (r *Relation) HasCounts() bool { return r.counts.on() }
-
-// CountOf returns tuple id's derivation count (0 when counts are disabled).
-func (r *Relation) CountOf(id int32) int32 {
-	if !r.counts.on() {
-		return 0
-	}
-	return r.counts.get(id)
 }
 
 // writable returns pred's relation ready for a write: a relation shared with
@@ -227,37 +193,3 @@ func (d *Database) Compact() {
 // database's behalf since it was created or cloned: the tails duplicated by
 // copy-on-write and the live tuples rebuilt by flatten.
 func (d *Database) TuplesCopied() int { return d.copied }
-
-// BumpCount adjusts the derivation count of an existing tuple by delta and
-// returns the new count, materializing the count column on first use and
-// staging a shared relation's successor first (copy-on-write). ok=false when
-// the tuple is absent.
-func (d *Database) BumpCount(pred string, args []ast.Const, delta int32) (int32, bool) {
-	if d.frozen {
-		panic("db: write to a frozen database (stage changes through Snapshot.Thaw)")
-	}
-	r, ok := d.rels[pred]
-	if !ok || r.arity != len(args) {
-		return 0, false
-	}
-	id, present := r.lookupID(args)
-	if !present {
-		return 0, false
-	}
-	r = d.writable(pred, r)
-	r.EnableCounts()
-	return r.counts.add(id, delta), true
-}
-
-// TupleCount returns the derivation count of a tuple; ok=false when absent.
-func (d *Database) TupleCount(pred string, args []ast.Const) (int32, bool) {
-	r, ok := d.rels[pred]
-	if !ok || r.arity != len(args) {
-		return 0, false
-	}
-	id, present := r.lookupID(args)
-	if !present {
-		return 0, false
-	}
-	return r.CountOf(id), true
-}

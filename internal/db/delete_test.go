@@ -130,39 +130,6 @@ func TestFreezeCompacts(t *testing.T) {
 	}
 }
 
-func TestCountsColumn(t *testing.T) {
-	d := New()
-	d.AddTuple("p", tup(1))
-	d.AddTuple("p", tup(2))
-	if n, ok := d.BumpCount("p", tup(1), 2); !ok || n != 2 {
-		t.Fatalf("BumpCount = %d,%v want 2,true", n, ok)
-	}
-	if n, ok := d.BumpCount("p", tup(1), -1); !ok || n != 1 {
-		t.Fatalf("BumpCount = %d,%v want 1,true", n, ok)
-	}
-	if n, ok := d.TupleCount("p", tup(2)); !ok || n != 0 {
-		t.Fatalf("TupleCount = %d,%v want 0,true", n, ok)
-	}
-	if _, ok := d.TupleCount("p", tup(9)); ok {
-		t.Fatal("TupleCount of absent tuple ok")
-	}
-	// Counts move with compaction and survive clone + copy-on-write.
-	d.BumpCount("p", tup(2), 5)
-	d.RemoveTuple("p", tup(1))
-	d.Compact()
-	if n, ok := d.TupleCount("p", tup(2)); !ok || n != 5 {
-		t.Fatalf("post-compact TupleCount = %d,%v want 5,true", n, ok)
-	}
-	snap := d.Freeze()
-	w := snap.Thaw()
-	if n, ok := w.BumpCount("p", tup(2), 1); !ok || n != 6 {
-		t.Fatalf("COW BumpCount = %d,%v want 6,true", n, ok)
-	}
-	if n, _ := snap.DB().TupleCount("p", tup(2)); n != 5 {
-		t.Fatalf("BumpCount leaked into snapshot: %d", n)
-	}
-}
-
 // TestCompactRepairsIndexes pins compaction's effect on the tables: column
 // indexes and the dedup table built before a removal batch are exact after
 // Compact (ids renumbered densely, dead tuples gone, emptied keys absent) on

@@ -44,16 +44,11 @@ func TestDirtyTracksWrites(t *testing.T) {
 		t.Fatalf("repeat write re-listed the relation: dirty=%d", w.DirtyRelations())
 	}
 
-	// Remove and BumpCount must also mark their copy-on-write transitions.
+	// Remove must also mark its copy-on-write transition.
 	w2 := snap.Thaw()
 	w2.Remove(gat("B", 1, 2))
 	if w2.DirtyRelations() != 1 {
 		t.Fatalf("CoW remove: dirty=%d, want 1", w2.DirtyRelations())
-	}
-	w3 := snap.Thaw()
-	w3.BumpCount("A", []ast.Const{ast.Int(1)}, 1)
-	if w3.DirtyRelations() != 1 {
-		t.Fatalf("CoW bump: dirty=%d, want 1", w3.DirtyRelations())
 	}
 }
 

@@ -277,8 +277,8 @@ func TestFrozenRelationFootprint(t *testing.T) {
 		d.AddTuple("e", []ast.Const{ast.Const(i % 1000), ast.Const(i)})
 	}
 	rel := d.Freeze().DB().Relation("e")
-	if rel.base != nil || rel.counts.on() || rel.seg.indexes.Load() != nil {
-		t.Fatal("the relation is not one flat segment without counts or indexes")
+	if rel.base != nil || rel.seg.indexes.Load() != nil {
+		t.Fatal("the relation is not one flat segment without indexes")
 	}
 	if len(rel.seg.runs) != 1 {
 		t.Fatalf("%d stamp runs, want 1", len(rel.seg.runs))

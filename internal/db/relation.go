@@ -45,12 +45,6 @@ type Relation struct {
 	seg   segment  // the whole relation when flat, the tail over base otherwise
 	base  *segment // immutable lower tier, holding the ids below seg.off, shared between versions; nil when flat
 
-	// counts is the per-tuple derivation-count column used by the counting
-	// maintenance of internal/eval (see counts.go): one count per id, shared
-	// page-wise between versions. Disabled for relations no maintained view
-	// tracks.
-	counts countCol
-
 	// dead is the version's tombstone bitmap over the ids of both tiers, nil
 	// while no tuple is dead and always private to the version (a
 	// copy-on-write copies it); ndead counts its set bits.
@@ -394,9 +388,6 @@ func (r *Relation) insert(args []ast.Const, round int32) bool {
 		s.runs = append(s.runs, run{int32(s.n), round})
 	}
 	s.n++
-	if r.counts.on() {
-		r.counts.push(id)
-	}
 	if r.dead != nil && id>>6 >= len(r.dead) {
 		r.dead = append(r.dead, 0)
 	}
@@ -430,7 +421,6 @@ func (r *Relation) clone() *Relation {
 	c := &Relation{arity: r.arity, base: r.base, ndead: r.ndead}
 	r.seg.cloneInto(&c.seg)
 	c.dead = append([]uint64(nil), r.dead...)
-	c.counts = r.counts.clone(r.shared)
 	return c
 }
 
@@ -446,7 +436,6 @@ func (r *Relation) successor() (*Relation, int) {
 	c := &Relation{arity: r.arity, base: &r.seg, ndead: r.ndead}
 	c.seg.arity, c.seg.off = r.arity, int32(r.Len())
 	c.dead = append([]uint64(nil), r.dead...)
-	c.counts = r.counts.clone(true)
 	return c, 0
 }
 

@@ -115,11 +115,14 @@ func sccRuleGroups(p *ast.Program) [][]int {
 	return out
 }
 
-// anyAddedIn reports whether any fact carries the given round stamp, the
-// database's latest.
-func anyAddedIn(d *db.Database, round int32) bool {
-	for _, p := range d.Preds() {
+// anyAddedIn reports whether any fact of u's heads carries the given round
+// stamp, the database's latest: a round of u adds only u's heads.
+func anyAddedIn(d *db.Database, u *unit, round int32) bool {
+	for p := range u.dynamic {
 		r := d.Relation(p)
+		if r == nil {
+			continue
+		}
 		// Stamps are non-decreasing with insertion order.
 		for i := r.LenAt(round - 1); i < r.Len(); i++ {
 			if r.Alive(i) {

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"strconv"
 	"strings"
 
 	"repro/internal/ast"
@@ -16,48 +15,51 @@ import (
 // out = P(input) up to date under mixed assert/retract batches without
 // re-evaluating from scratch.
 //
-// The planner's per-unit streamable/recursive split picks the algorithm:
+// One algorithm maintains every schedule unit: DRed (delete-rederive). A head
+// fact becomes a candidate once it lost its place in the input or a
+// derivation of it (against the old frozen output) lost a support — a
+// removed positive premise, an added negated fact or a fact an earlier pass
+// deleted — and is over-deleted unless it is an input fact or keeps a
+// supporting firing (supported, in dredUnit). The over-deleted facts the
+// surviving view derives in one step are restored, and the ordinary
+// semi-naive insertion loop closes over the asserted side.
 //
-//   - Counting, for streamable units (no rule reads the unit's own heads —
-//     the non-recursive strata): every tuple of a unit head predicate
-//     carries a derivation count in the relation's count column
-//     (db.Relation counts): the number of rule firings deriving it plus one
-//     external support when the tuple is an input fact. A batch adjusts
-//     counts by enumerating exactly the lost firings (valid before, invalid
-//     after) and the gained firings (valid after, invalid before) — each
-//     firing counted once, by its identity — and a tuple leaves the view
-//     precisely when its count reaches zero.
+// How much of that runs follows from the unit's shape, the planner's
+// streamable flag:
 //
-//   - DRed (delete-rederive), for the recursive units, where counts would
-//     have to track unbounded derivation multiplicities: a fact with a
-//     derivation through a retracted support (transitively, to fixpoint,
-//     joined against the old frozen output) is over-deleted unless it is an
-//     input fact or keeps a proof its round stamp certifies — a firing over
-//     surviving facts stamped strictly below it (supported, in dredUnit); the
-//     over-deleted facts the surviving view derives in one step are restored
-//     and the ordinary semi-naive insertion loop closes over the asserted side.
+//   - A recursive unit reads its own heads. A firing supports a fact only if
+//     the round stamps certify it: every premise survives and is stamped
+//     strictly below the fact ("Stamps" below). Over-deletion repeats over
+//     each pass's deletions until a pass deletes nothing; then restore runs.
+//   - A non-recursive unit reads none of its heads, so every premise comes
+//     from a lower unit that is already final. Any firing valid in the new
+//     state supports the fact: no stamp walk. The unit's deletions are no
+//     premise of its own firings: over-deletion is one pass. A deleted fact
+//     has no firing valid in the new state: nothing is restored. The only
+//     firings that can bring it back are those a removed negated fact
+//     enabled, and staging finds them. Staging also runs the variants led by
+//     the lower additions, so it is the unit's whole insertion side: there
+//     is no insertion loop.
 //
 // Every enumeration above is the operator pipeline (stream.go) running an
 // ordinary rule variant under a change-set span: operator 0 scans a small
 // set of changed facts, the rest of the body and every negated literal read
 // one database. A firing valid in that database that touches the change set
-// is found by the variant led by each changed atom it uses, so exactly-once,
-// where it matters (counting), is the sink's job: a firing is identified by
-// its rule and the values of the rule's variables, and a scratch set drops
-// repeats. The variants are lowered once per schedule unit (maintPlan) and
-// shared by every view of the plan. Sinks only buffer — count adjustments,
-// over-deleted, restored and staged facts land in scratch sets and are
-// committed after the run — so no pipeline reads a database being written.
+// is found by the variant led by each changed atom it uses; every sink
+// records heads in a set, so a firing found twice counts once. The variants
+// are lowered once per schedule unit (maintPlan) and shared by every view of
+// the plan. Sinks only buffer — over-deleted, restored and staged facts land
+// in scratch sets and are committed after the run — so no pipeline reads a
+// database being written.
 //
-// Both phases process schedule units in producer-first order and hand each
-// unit the exact net diff of everything below it, which is what makes
-// stratified negation work: an assertion below can retract facts above
-// (lost firings / over-deletions driven by the negated atom's delta) and a
-// retraction below can assert facts above (gained firings driven by the
-// negated atom's removal).
+// Units run in producer-first order, and each is handed the exact net diff
+// of everything below it, which is what makes stratified negation work: an
+// assertion below can retract facts above (candidates driven by the negated
+// atom's delta) and a retraction below can assert facts above (staged
+// firings driven by the negated atom's removal).
 //
-// Stamps: every fact of a delete-rederive unit that is not an input fact has
-// a firing, valid in the output, whose premises of the unit's own predicates
+// Stamps: every fact of a recursive unit that is not an input fact has a
+// firing, valid in the output, whose premises of the unit's own predicates
 // are stamped strictly below it — what makes the support check sound, by
 // induction on stamps. Fixpoint and insertion rounds stamp a fact above all
 // its firing read, restored facts are committed a round above the view they
@@ -137,14 +139,9 @@ type Diff struct {
 func (d Diff) Empty() bool { return len(d.Added) == 0 && len(d.Removed) == 0 }
 
 // MaintainOptions configures a maintained view. There is nothing for a
-// caller to choose: the algorithm follows from each unit's shape.
-type MaintainOptions struct {
-	// forceDRed runs delete-rederive on every unit, including the
-	// non-recursive ones counting would normally handle; only this package's
-	// maintenance oracle grid sets it, to exercise both algorithms on the
-	// same programs.
-	forceDRed bool
-}
+// caller to choose: how much of the algorithm runs follows from each unit's
+// shape.
+type MaintainOptions struct{}
 
 // Maintained is a materialized output kept incrementally consistent with
 // its input database under Apply batches.
@@ -171,28 +168,24 @@ func (m *Maintained) scratch(i int) *db.Database {
 // maintUnit is one schedule unit of a view: its head predicates are
 // u.dynamic.
 type maintUnit struct {
-	u        *unit
-	plan     *maintPlan
-	counting bool
+	u    *unit
+	plan *maintPlan
 }
 
 // maintPlan is a unit's rules lowered for view maintenance, built once per
 // unit and immutable afterwards.
 type maintPlan struct {
-	// seed is the rules in the static join order: the count-seeding pass.
-	seed  roundSetup
 	rules []ruleVariants
 }
 
 // ruleVariants is one rule reordered to start from each atom a change can
 // enter through. The variants share one slot numbering — the rule's
-// variables in body order — so the first nVars slots of the frame identify a
-// firing whichever variant found it.
+// variables in body order — so the first nVars slots of the frame are the
+// firing whichever variant found it (what Prepared.Firings reports).
 type ruleVariants struct {
-	firing string        // the rule's relation in a firing-identity set
-	nVars  int           // slots in a firing identity
-	pos    []*streamPlan // pos[i]: body atom i leads
-	neg    []*streamPlan // neg[k]: negated literal k leads, as a positive atom
+	nVars int           // the rule's variables
+	pos   []*streamPlan // pos[i]: body atom i leads
+	neg   []*streamPlan // neg[k]: negated literal k leads, as a positive atom
 	// rederive leads with the rule's own head: over a set of deleted facts
 	// it derives the ones the rule still supports.
 	rederive *streamPlan
@@ -202,7 +195,7 @@ type ruleVariants struct {
 // every view of every plan holding the unit shares it.
 func (u *unit) maintPlan() *maintPlan {
 	u.maintOnce.Do(func() {
-		mp := &maintPlan{seed: staticSetup(u.rules), rules: make([]ruleVariants, len(u.rules))}
+		mp := &maintPlan{rules: make([]ruleVariants, len(u.rules))}
 		for ri, m := range u.rules {
 			r := m.rule
 			vars := ast.VarsOfAtoms(r.Body)
@@ -217,7 +210,7 @@ func (u *unit) maintPlan() *maintPlan {
 				return lowerRule(ast.Rule{Head: r.Head, Body: body, NegBody: r.NegBody}, vars, 0, false)
 			}
 			ahead := func(a ast.Atom) []ast.Atom { return append([]ast.Atom{a}, r.Body...) }
-			rv := ruleVariants{firing: strconv.Itoa(ri), nVars: len(vars), rederive: ledBy(ahead(r.Head), 0)}
+			rv := ruleVariants{nVars: len(vars), rederive: ledBy(ahead(r.Head), 0)}
 			for i := range r.Body {
 				rv.pos = append(rv.pos, ledBy(r.Body, i))
 			}
@@ -241,16 +234,14 @@ func (f sinkFunc) emit(pred string, args []ast.Const) (bool, bool) {
 	return false, false
 }
 
-// changed hands emit, at least once each, the rule firings valid against d
-// that touch the change sets: those using a posDelta fact for a positive
-// body atom, and those whose negated literal grounds to a negDelta fact
-// (absent from d, so the negation holds there). Either set may be nil. emit
-// also receives the firing rule's variants; during the call the firing's
-// identity is st.vals[:rv.nVars].
-func (mp *maintPlan) changed(d, posDelta, negDelta *db.Database, st *streamState, stats *Stats, emit func(rv *ruleVariants, pred string, args []ast.Const)) {
+// changed hands sink, at least once each, the heads of the rule firings
+// valid against d that touch the change sets: those using a posDelta fact
+// for a positive body atom, and those whose negated literal grounds to a
+// negDelta fact (absent from d, so the negation holds there). Either set may
+// be nil.
+func (mp *maintPlan) changed(d, posDelta, negDelta *db.Database, st *streamState, stats *Stats, sink sinkFunc) {
 	for ri := range mp.rules {
 		rv := &mp.rules[ri]
-		sink := sinkFunc(func(pred string, args []ast.Const) { emit(rv, pred, args) })
 		if posDelta != nil && posDelta.Len() > 0 {
 			for _, sp := range rv.pos {
 				runChange(sp, d, posDelta, st, stats, sink)
@@ -270,54 +261,22 @@ func runChange(sp *streamPlan, d, src *db.Database, st *streamState, stats *Stat
 	sp.run(d, changeSpan(src, d.Round()), st, stats, sink)
 }
 
-// bump adds delta to fact's entry in the count multiset adj.
-func bump(adj *db.Database, pred string, args []ast.Const, delta int32) {
-	adj.AddTuple(pred, args)
-	adj.BumpCount(pred, args, delta)
-}
-
 // Materialize evaluates the prepared program on input and wraps the result
 // as a maintained view. The input is not modified; the view keeps private
 // copy-on-write snapshots of both input and output.
-func (pr *Prepared) Materialize(ctx context.Context, input *db.Database, mo MaintainOptions) (*Maintained, Stats, error) {
+func (pr *Prepared) Materialize(ctx context.Context, input *db.Database, _ MaintainOptions) (*Maintained, Stats, error) {
 	out, _, stats, err := pr.Run(ctx, input, nil, 0)
 	if err != nil {
 		return nil, stats, err
 	}
 	m := &Maintained{pr: pr, owner: make(map[string]int)}
-	in := input.Clone()
-	st := getStreamState()
-	defer putStreamState(st)
 	for ui, u := range pr.units {
-		mu := maintUnit{u: u, plan: u.maintPlan(), counting: u.streamable && !mo.forceDRed}
 		for pred := range u.dynamic {
 			m.owner[pred] = ui
 		}
-		m.units = append(m.units, mu)
-		if !mu.counting {
-			continue
-		}
-		// Seed the unit's derivation counts: one per firing over the final
-		// output (the unit's body predicates are complete there; a full span
-		// enumerates each firing once) plus one external support per input
-		// fact of a head predicate.
-		seed := db.New()
-		sink := sinkFunc(func(pred string, args []ast.Const) { bump(seed, pred, args, 1) })
-		mu.plan.seed.applyOnce(out, st, &stats, sink)
-		for pred := range u.dynamic {
-			if rel := in.Relation(pred); rel != nil {
-				for i := 0; i < rel.Len(); i++ {
-					if rel.Alive(i) {
-						bump(seed, pred, rel.Tuple(i), 1)
-					}
-				}
-			}
-		}
-		eachFact(seed, func(pred string, rel *db.Relation, id int32) {
-			out.BumpCount(pred, rel.Tuple(int(id)), rel.CountOf(id))
-		})
+		m.units = append(m.units, maintUnit{u: u, plan: u.maintPlan()})
 	}
-	m.in = in.Freeze()
+	m.in = input.Clone().Freeze()
 	m.snap = out.Freeze()
 	return m, stats, nil
 }
@@ -388,10 +347,7 @@ func (m *Maintained) Apply(ctx context.Context, delta Delta) (Diff, Stats, error
 		if err := CtxErr(ctx); err != nil {
 			return Diff{}, stats, err
 		}
-		u := &m.units[i]
-		if u.counting {
-			m.countingUnit(u, st, old, cur, asserts, retracts, addedDB, remDB, &stats)
-		} else if err := m.dredUnit(ctx, u, st, old, cur, input, asserts, retracts, addedDB, remDB, deltaMin, &stats); err != nil {
+		if err := m.dredUnit(ctx, &m.units[i], st, old, cur, input, asserts, retracts, addedDB, remDB, deltaMin, &stats); err != nil {
 			return Diff{}, stats, err
 		}
 	}
@@ -446,82 +402,20 @@ func (d Delta) CheckArities(dbs ...*db.Database) error {
 	return nil
 }
 
-// countingUnit maintains one streamable unit by derivation counting. old is
-// the pre-Apply output (frozen), cur the in-progress successor with every
-// lower unit already final; addedDB/remDB hold the exact net diff of the
-// strata below (plus the extensional passthrough) and gain this unit's net
-// diff before returning.
-func (m *Maintained) countingUnit(mu *maintUnit, st *streamState, old, cur *db.Database, asserts, retracts []ast.GroundAtom, addedDB, remDB *db.Database, stats *Stats) {
-	heads := mu.u.dynamic
-	// adj is the net count adjustment per head fact, in the count column.
-	adj, seen, fresh := m.scratch(0), m.scratch(1), m.scratch(2)
-	// External support: input facts of this unit's head predicates count as
-	// one derivation.
-	for _, g := range asserts {
-		if heads[g.Pred] {
-			bump(adj, g.Pred, g.Args, 1)
-		}
-	}
-	for _, g := range retracts {
-		if heads[g.Pred] {
-			bump(adj, g.Pred, g.Args, -1)
-		}
-	}
-	// A firing touching two changed facts is found by two variants; seen
-	// counts it once. One set serves both passes: a lost firing is invalid
-	// after the batch and a gained one valid, so they never collide.
-	count := func(sign int32) func(*ruleVariants, string, []ast.Const) {
-		return func(rv *ruleVariants, pred string, args []ast.Const) {
-			if seen.AddTuple(rv.firing, st.vals[:rv.nVars]) {
-				bump(adj, pred, args, sign)
-			}
-		}
-	}
-	// Lost firings: valid against the old output, invalidated by a removed
-	// positive support or an added negated fact.
-	mu.plan.changed(old, remDB, addedDB, st, stats, count(-1))
-	// Gained firings: valid against the new state of the lower strata,
-	// enabled by an added positive support or a removed negated fact.
-	mu.plan.changed(cur, addedDB, remDB, st, stats, count(1))
-
-	// Commit. Adjusting or removing a fact of the view leaves every id where
-	// it was, so those go in adj's own order; the facts entering the view get
-	// their ids — their insertion order — here, so they are set aside and
-	// committed in canonical order.
-	cur.BeginRound()
-	eachFact(adj, func(pred string, rel *db.Relation, id int32) {
-		d := rel.CountOf(id)
-		if d == 0 {
-			return
-		}
-		stats.CountAdjusted++
-		t := rel.Tuple(int(id))
-		if n, present := cur.BumpCount(pred, t, d); present {
-			if n <= 0 {
-				cur.RemoveTuple(pred, t)
-				remDB.AddTuple(pred, t)
-			}
-		} else if d > 0 {
-			bump(fresh, pred, t, d)
-		}
-	})
-	eachSorted(fresh, func(pred string, rel *db.Relation, id int32) {
-		t := rel.Tuple(int(id))
-		cur.AddTuple(pred, t)
-		cur.BumpCount(pred, t, rel.CountOf(id))
-		addedDB.AddTuple(pred, t)
-	})
-}
-
-// dredUnit maintains one recursive unit by delete-rederive.
+// dredUnit maintains one unit by delete-rederive. old is the pre-Apply output
+// (frozen), cur the in-progress successor with every lower unit already
+// final; addedDB/remDB hold the exact net diff of the units below (plus the
+// extensional passthrough) and gain this unit's net diff before returning.
 func (m *Maintained) dredUnit(ctx context.Context, mu *maintUnit, st *streamState, old, cur, input *db.Database, asserts, retracts []ast.GroundAtom, addedDB, remDB *db.Database, deltaMin int32, stats *Stats) error {
-	heads, mp := mu.u.dynamic, mu.plan
+	heads, mp, nonrec := mu.u.dynamic, mu.plan, mu.u.streamable
 	// Over-delete: a head fact is a candidate once it lost its place in the
 	// input or a derivation (against the old output) lost a support — a removed
 	// positive atom, an added negated atom (lower additions, first pass only) or
 	// a fact an earlier pass deleted — and is deleted unless it is an input fact
 	// or supported. Propagation joins the frozen old output along every firing:
 	// a survivor is checked again the pass after a premise certifying it went.
+	// A non-recursive unit's deletions are no premise of its firings: they join
+	// no frontier, so its first pass is its last.
 	deleted, frontier, cand, ok := m.scratch(0), m.scratch(1), m.scratch(2), m.scratch(3)
 	frontier.AddAll(remDB)
 	for _, g := range retracts {
@@ -530,17 +424,21 @@ func (m *Maintained) dredUnit(ctx context.Context, mu *maintUnit, st *streamStat
 		}
 	}
 	// supported is the check, the sink of a rederive variant sp run over the
-	// candidates: ok gains the heads with a firing over facts of cur all stamped
-	// strictly below the head's own stamp that was valid in old too. A firing a
-	// removed negated fact has only now enabled is not re-checked when a premise
-	// of it goes, so it is left for staging to find.
+	// candidates: ok gains the heads with a firing over facts of cur that was
+	// valid in old too and, in a recursive unit, whose premises are all stamped
+	// strictly below the head's own stamp. A non-recursive unit's premises are
+	// final, so any such firing is well-founded. A firing a removed negated
+	// fact has only now enabled is not re-checked when a premise of it goes, so
+	// it is left for staging to find.
 	var sp *streamPlan
 	supported := sinkFunc(func(pred string, args []ast.Const) {
-		rel := cur.Relation(pred)
-		id, alive := rel.LookupID(args)
-		for pos := 1; pos < len(sp.ops); pos++ {
-			if !alive || st.rels[pos].RoundOf(int(st.cur[pos])) >= rel.RoundOf(int(id)) {
-				return
+		if !nonrec {
+			rel := cur.Relation(pred)
+			id, alive := rel.LookupID(args)
+			for pos := 1; pos < len(sp.ops); pos++ {
+				if !alive || st.rels[pos].RoundOf(int(st.cur[pos])) >= rel.RoundOf(int(id)) {
+					return
+				}
 			}
 		}
 		for i := range sp.neg {
@@ -549,12 +447,13 @@ func (m *Maintained) dredUnit(ctx context.Context, mu *maintUnit, st *streamStat
 			}
 		}
 		ok.AddTuple(pred, args)
+		st.cut = true // one supporting firing is enough
 	})
 	for negDelta := addedDB; ; negDelta = nil {
 		if err := CtxErr(ctx); err != nil {
 			return err
 		}
-		mp.changed(old, frontier, negDelta, st, stats, func(_ *ruleVariants, pred string, args []ast.Const) {
+		mp.changed(old, frontier, negDelta, st, stats, func(pred string, args []ast.Const) {
 			cand.AddTuple(pred, args)
 		})
 		for ri := range mp.rules {
@@ -565,7 +464,9 @@ func (m *Maintained) dredUnit(ctx context.Context, mu *maintUnit, st *streamStat
 		eachFact(cand, func(pred string, rel *db.Relation, id int32) {
 			if t := rel.Tuple(int(id)); !ok.HasTuple(pred, t) && !input.HasTuple(pred, t) && cur.RemoveTuple(pred, t) {
 				deleted.AddTuple(pred, t)
-				frontier.AddTuple(pred, t)
+				if !nonrec {
+					frontier.AddTuple(pred, t)
+				}
 			}
 		})
 		if frontier.Len() == 0 {
@@ -578,49 +479,62 @@ func (m *Maintained) dredUnit(ctx context.Context, mu *maintUnit, st *streamStat
 	// Restore the over-deleted facts the surviving view derives in one step
 	// (each rule's rederive variant, one pass over the deleted set). The rest
 	// come back in the insertion loop below: restored facts carry fresh round
-	// stamps, so the delta windows reach them.
+	// stamps, so the delta windows reach them. A non-recursive unit deleted
+	// only facts with no firing in cur: it has none to restore.
 	stats.Overdeleted += deleted.Len()
 	survivors := cur.Len()
-	restored := m.scratch(1)
-	for ri := range mp.rules {
-		runChange(mp.rules[ri].rederive, cur, deleted, st, stats, &nonrecSink{out: restored})
-	}
-	stats.Rederived += restored.Len()
 	commit := func(pred string, rel *db.Relation, id int32) { cur.AddTuple(pred, rel.Tuple(int(id))) }
-	cur.BeginRound()
-	eachSorted(restored, commit)
+	if !nonrec {
+		restored := m.scratch(1)
+		for ri := range mp.rules {
+			runChange(mp.rules[ri].rederive, cur, deleted, st, stats, &nonrecSink{out: restored})
+		}
+		stats.Rederived += restored.Len()
+		cur.BeginRound()
+		eachSorted(restored, commit)
+	}
 	cur.BeginRound() // a staged fact may rest on a restored one
 
 	// Insertion side: stage input asserts of this unit's heads and the
 	// firings a removed negated fact enabled, then close semi-naively over
 	// everything stamped in this Apply — lower-unit additions, restored
 	// facts and the staged batch alike — through the shared round executor.
+	// A non-recursive unit stages its lower additions' firings too: every new
+	// firing of it touches the diff below and none feeds another, so staging
+	// is its whole insertion side.
 	staged := m.scratch(2)
 	for _, g := range asserts {
 		if heads[g.Pred] && !cur.Has(g) {
 			staged.Add(g)
 		}
 	}
-	mp.changed(cur, nil, remDB, st, stats, func(_ *ruleVariants, pred string, args []ast.Const) {
+	var gained *db.Database
+	if nonrec {
+		gained = addedDB
+	}
+	mp.changed(cur, gained, remDB, st, stats, func(pred string, args []ast.Const) {
 		if !cur.HasTuple(pred, args) {
 			staged.AddTuple(pred, args)
 		}
 	})
 	eachSorted(staged, commit)
-	if err := insertLoop(ctx, cur, mu.u, deltaMin, stats); err != nil {
-		return err
+	if !nonrec {
+		if err := insertLoop(ctx, cur, mu.u, deltaMin, stats); err != nil {
+			return err
+		}
 	}
 
 	// Net unit diff: everything stamped in this Apply that the old output
-	// lacked entered the view; over-deleted facts that never came back — all
-	// of them, if cur has not grown since — left it.
+	// lacked entered the view — the old facts among them are the over-deleted
+	// ones that came back; over-deleted facts that never came back — all of
+	// them, if cur has not grown since — left it.
 	for pred := range heads {
 		rel := cur.Relation(pred)
 		if rel == nil {
 			continue
 		}
 		for i := rel.LenAt(deltaMin - 1); i < rel.Len(); i++ {
-			if t := rel.Tuple(i); rel.Alive(i) && !old.HasTuple(pred, t) {
+			if t := rel.Tuple(i); rel.Alive(i) && !deleted.HasTuple(pred, t) {
 				addedDB.AddTuple(pred, t)
 			}
 		}
@@ -658,7 +572,7 @@ func insertLoop(ctx context.Context, d *db.Database, u *unit, deltaMin int32, st
 		if err := env.runRound(env.variants); err != nil {
 			return err
 		}
-		if !anyAddedIn(d, round) {
+		if !anyAddedIn(d, u, round) {
 			return nil
 		}
 		deltaMin = round
@@ -667,8 +581,11 @@ func insertLoop(ctx context.Context, d *db.Database, u *unit, deltaMin int32, st
 
 // eachFact calls f on every fact of the scratch set d, predicates by name
 // and a relation's tuples in id (insertion) order, handing f the tuple's id
-// so it reads the arena and the count column directly.
+// so it reads the arena directly.
 func eachFact(d *db.Database, f func(pred string, rel *db.Relation, id int32)) {
+	if d.Len() == 0 {
+		return
+	}
 	for _, pred := range d.Preds() {
 		rel := d.Relation(pred)
 		for i := 0; i < rel.Len(); i++ {
@@ -682,6 +599,9 @@ func eachFact(d *db.Database, f func(pred string, rel *db.Relation, id int32)) {
 // eachSorted is eachFact in canonical order: a relation's tuples ascending by
 // arguments, by sorting ids against the arena.
 func eachSorted(d *db.Database, f func(pred string, rel *db.Relation, id int32)) {
+	if d.Len() == 0 {
+		return
+	}
 	var ids []int32
 	for _, pred := range d.Preds() {
 		rel := d.Relation(pred)

@@ -213,32 +213,72 @@ func TestMaintainCountingSharedSupport(t *testing.T) {
 }
 
 func TestMaintainExternalSupport(t *testing.T) {
-	// An input fact of a derived predicate counts as one external support,
-	// under both counting and delete-rederive.
-	for _, mo := range []MaintainOptions{{}, {forceDRed: true}} {
-		p := mustParseProgram(t, `P(y) :- E(y).`)
-		input := db.FromFacts([]ast.GroundAtom{ga("E", 3), ga("P", 3), ga("P", 5)})
-		m := mustMaterialize(t, p, input, mo)
+	// An input fact of a derived predicate is its own support.
+	p := mustParseProgram(t, `P(y) :- E(y).`)
+	input := db.FromFacts([]ast.GroundAtom{ga("E", 3), ga("P", 3), ga("P", 5)})
+	m := mustMaterialize(t, p, input, MaintainOptions{})
 
-		// P(5) is input-only: retracting it removes it.
-		diff := applyOrFatal(t, m, Delta{Retract: []ast.GroundAtom{ga("P", 5)}})
-		if m.Output().Has(ga("P", 5)) || len(diff.Removed) != 1 {
-			t.Fatalf("forceDRed=%v: input-only P(5) not removed: %+v", mo.forceDRed, diff)
-		}
-		// P(3) is both input and derived: retracting the input keeps it.
-		diff = applyOrFatal(t, m, Delta{Retract: []ast.GroundAtom{ga("P", 3)}})
-		if !m.Output().Has(ga("P", 3)) {
-			t.Fatalf("forceDRed=%v: P(3) lost despite E(3) derivation", mo.forceDRed)
-		}
-		if len(diff.Removed) != 0 {
-			t.Fatalf("forceDRed=%v: spurious removals %v", mo.forceDRed, diff.Removed)
-		}
-		// Now retract the derivation too.
-		applyOrFatal(t, m, Delta{Retract: []ast.GroundAtom{ga("E", 3)}})
-		if m.Output().Has(ga("P", 3)) {
-			t.Fatalf("forceDRed=%v: P(3) survived with no support", mo.forceDRed)
-		}
+	// P(5) is input-only: retracting it removes it.
+	diff := applyOrFatal(t, m, Delta{Retract: []ast.GroundAtom{ga("P", 5)}})
+	if m.Output().Has(ga("P", 5)) || len(diff.Removed) != 1 {
+		t.Fatalf("input-only P(5) not removed: %+v", diff)
 	}
+	// P(3) is both input and derived: retracting the input keeps it.
+	diff = applyOrFatal(t, m, Delta{Retract: []ast.GroundAtom{ga("P", 3)}})
+	if !m.Output().Has(ga("P", 3)) {
+		t.Fatal("P(3) lost despite E(3) derivation")
+	}
+	if len(diff.Removed) != 0 {
+		t.Fatalf("spurious removals %v", diff.Removed)
+	}
+	// Now retract the derivation too.
+	applyOrFatal(t, m, Delta{Retract: []ast.GroundAtom{ga("E", 3)}})
+	if m.Output().Has(ga("P", 3)) {
+		t.Fatal("P(3) survived with no support")
+	}
+}
+
+// TestNonRecursiveSupportIgnoresStamps: HasRole(1, 7) keeps two firings, and
+// the one through Member(1, 20) rests on a fact a later batch brought back,
+// stamped above HasRole(1, 7). Retracting Grant(10, 7) takes the older firing
+// away. HasRole's unit reads none of its own heads, so the newer firing is
+// support enough: the fact stays where it is — same id, same stamp — nothing
+// is over-deleted, and the diff is the retracted fact alone.
+func TestNonRecursiveSupportIgnoresStamps(t *testing.T) {
+	p := mustParseProgram(t, `
+		Member(u, g) :- Direct(u, g).
+		Member(u, g) :- Member(u, h), Subgroup(h, g).
+		HasRole(u, r) :- Member(u, g), Grant(g, r).
+	`)
+	input := db.FromFacts([]ast.GroundAtom{ga("Direct", 1, 10), ga("Direct", 1, 20), ga("Grant", 10, 7), ga("Grant", 20, 7)})
+	m := mustMaterialize(t, p, input, MaintainOptions{})
+	applyOrFatal(t, m, Delta{Retract: []ast.GroundAtom{ga("Direct", 1, 20)}})
+	applyOrFatal(t, m, Delta{Assert: []ast.GroundAtom{ga("Direct", 1, 20)}})
+
+	stamp := func(g ast.GroundAtom) (int32, int32) {
+		rel := m.Output().Relation(g.Pred)
+		id, ok := rel.LookupID(g.Args)
+		if !ok {
+			t.Fatalf("%v is not in the view", g)
+		}
+		return id, rel.RoundOf(int(id))
+	}
+	role := ga("HasRole", 1, 7)
+	id, round := stamp(role)
+	if _, member := stamp(ga("Member", 1, 20)); member <= round {
+		t.Fatalf("Member(1, 20) is stamped %d, not above HasRole(1, 7)'s %d: the test no longer has a newer premise", member, round)
+	}
+	diff, stats, err := m.Apply(context.Background(), Delta{Retract: []ast.GroundAtom{ga("Grant", 10, 7)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gotID, gotRound := stamp(role); gotID != id || gotRound != round {
+		t.Fatalf("HasRole(1, 7) moved from id %d round %d to id %d round %d", id, round, gotID, gotRound)
+	}
+	if stats.Overdeleted != 0 || len(diff.Added) != 0 || len(diff.Removed) != 1 || diff.Removed[0].Key() != ga("Grant", 10, 7).Key() {
+		t.Fatalf("overdeleted %d, diff %+v; want 0 and only Grant(10, 7) removed", stats.Overdeleted, diff)
+	}
+	checkSupport(t, m, 0)
 }
 
 func TestMaintainDRedTransitiveClosure(t *testing.T) {
@@ -259,8 +299,8 @@ func TestMaintainDRedTransitiveClosure(t *testing.T) {
 	}
 	// The 5·4 facts G(i, j) with i ≤ 4 < j are exactly those with a
 	// derivation through the cut edge, and none has another.
-	if stats.Overdeleted != 20 || stats.Rederived != 0 || stats.CountAdjusted != 0 {
-		t.Fatalf("overdeleted/rederived/count_adjusted = %d/%d/%d, want 20/0/0", stats.Overdeleted, stats.Rederived, stats.CountAdjusted)
+	if stats.Overdeleted != 20 || stats.Rederived != 0 {
+		t.Fatalf("overdeleted/rederived = %d/%d, want 20/0", stats.Overdeleted, stats.Rederived)
 	}
 	for _, g := range diff.Added {
 		t.Fatalf("retraction added %v", g)
@@ -291,8 +331,8 @@ func TestMaintainDRedRederivesAlternativePath(t *testing.T) {
 	// Only G(1,3) is over-deleted. G(0,3) is a candidate — G(0,1), G(1,3) derived
 	// it too — but G(0,2) and G(2,3) are stamped a round below it, so the
 	// alternative path certifies it where it stands and nothing is rederived.
-	if stats.Overdeleted != 1 || stats.Rederived != 0 || stats.CountAdjusted != 0 {
-		t.Fatalf("overdeleted/rederived/count_adjusted = %d/%d/%d, want 1/0/0", stats.Overdeleted, stats.Rederived, stats.CountAdjusted)
+	if stats.Overdeleted != 1 || stats.Rederived != 0 {
+		t.Fatalf("overdeleted/rederived = %d/%d, want 1/0", stats.Overdeleted, stats.Rederived)
 	}
 	for _, g := range diff.Removed {
 		if g.Key() == ga("G", 0, 3).Key() {
@@ -403,8 +443,8 @@ func TestMaintainApplyCancelledLeavesSetsReusable(t *testing.T) {
 }
 
 // checkStamps asserts the stamp invariant of maintain.go's header: every fact
-// of a delete-rederive unit that is not an input fact has a firing, valid in
-// the output, whose premises of the unit's own predicates are stamped strictly
+// of a recursive unit that is not an input fact has a firing, valid in the
+// output, whose premises of the unit's own predicates are stamped strictly
 // below it.
 func checkStamps(t *testing.T, m *Maintained, step int) {
 	t.Helper()
@@ -417,7 +457,7 @@ func checkStamps(t *testing.T, m *Maintained, step int) {
 		return out.Relation(g.Pred).RoundOf(int(id))
 	}
 	for _, mu := range m.units {
-		if mu.counting {
+		if mu.u.streamable {
 			continue
 		}
 		for pred := range mu.u.dynamic {
@@ -622,37 +662,24 @@ func predSchema(p *ast.Program) (preds []string, arity map[string]int) {
 	return preds, arity
 }
 
-// checkCounts asserts derivation counting's invariant directly: every tuple
-// of a counting unit's head predicates carries exactly the number of distinct
-// body instantiations deriving it over the maintained output (enumerated by
-// the test oracle's binding-map matcher) plus one if it is an input fact.
-func checkCounts(t *testing.T, m *Maintained, step int) {
+// checkSupport asserts the support invariant of every unit: each fact of
+// the unit's head predicates that is not an input fact has a firing valid in
+// the maintained output, enumerated by the test oracle's binding-map matcher.
+// For a non-recursive unit that is the whole of what keeps a fact; a
+// recursive unit's firing must also be stamp-older (checkStamps).
+func checkSupport(t *testing.T, m *Maintained, step int) {
 	t.Helper()
 	out, in := m.Output(), m.Input()
 	for _, mu := range m.units {
-		if !mu.counting {
-			continue
-		}
-		want := make(map[string]int32)
+		derived := make(map[string]bool)
 		for _, rm := range mu.u.rules {
-			oracleFire(out, rm.rule, db.AllRounds, func(h ast.GroundAtom) { want[h.Key()]++ })
+			oracleFire(out, rm.rule, db.AllRounds, func(h ast.GroundAtom) { derived[h.Key()] = true })
 		}
 		for pred := range mu.u.dynamic {
 			rel := out.Relation(pred)
-			if rel == nil {
-				continue
-			}
-			for i := 0; i < rel.Len(); i++ {
-				if !rel.Alive(i) {
-					continue
-				}
-				g := ast.GroundAtom{Pred: pred, Args: rel.Tuple(i)}
-				w := want[g.Key()]
-				if in.Has(g) {
-					w++
-				}
-				if got, _ := out.TupleCount(pred, g.Args); got != w {
-					t.Fatalf("step %d: %v carries count %d, has %d derivations", step, g, got, w)
+			for i := 0; rel != nil && i < rel.Len(); i++ {
+				if g := (ast.GroundAtom{Pred: pred, Args: rel.Tuple(i)}); rel.Alive(i) && !in.Has(g) && !derived[g.Key()] {
+					t.Fatalf("step %d: %v is neither an input fact nor derived by a firing in the output", step, g)
 				}
 			}
 		}
@@ -671,9 +698,9 @@ type maintCase struct {
 // batches and then a randomized mixed assert/retract stream, checking after
 // every batch that the view is byte-identical to a from-scratch evaluation
 // of the mutated input, that the returned diff is the exact set difference
-// and that every derivation count is exact. A random batch holds 1 to
-// maxBatch facts.
-func runMaintainStream(t *testing.T, c maintCase, mo MaintainOptions, seed int64, domain, steps, maxBatch int) {
+// and that every fact keeps its support. A random batch holds 1 to maxBatch
+// facts.
+func runMaintainStream(t *testing.T, c maintCase, seed int64, domain, steps, maxBatch int) {
 	t.Helper()
 	p := c.p
 	rng := rand.New(rand.NewSource(seed))
@@ -699,8 +726,8 @@ func runMaintainStream(t *testing.T, c maintCase, mo MaintainOptions, seed int64
 		ref.Add(g)
 		input.Add(g)
 	}
-	m := mustMaterialize(t, p, input, mo)
-	checkCounts(t, m, -1)
+	m := mustMaterialize(t, p, input, MaintainOptions{})
+	checkSupport(t, m, -1)
 
 	for step := 0; step < len(c.script)+steps; step++ {
 		var delta Delta
@@ -752,7 +779,7 @@ func runMaintainStream(t *testing.T, c maintCase, mo MaintainOptions, seed int64
 		if got, wantS := canonFacts(m.Input()), canonFacts(ref); got != wantS {
 			t.Fatalf("step %d: maintained input diverged\ngot:\n%s\nwant:\n%s", step, got, wantS)
 		}
-		checkCounts(t, m, step)
+		checkSupport(t, m, step)
 		checkStamps(t, m, step)
 
 		// Diff exactness: prev + Added - Removed == new, with Added fresh and
@@ -795,38 +822,39 @@ func runMaintainStream(t *testing.T, c maintCase, mo MaintainOptions, seed int64
 // TestMaintainOracleGrid is the maintenance oracle: randomized mixed
 // insert/delete streams, maintained output compared byte-for-byte against
 // full re-evaluation, across GOMAXPROCS (w) × batch scale (s: a random batch
-// holds up to 5·s facts) × {counting, forceDRed}, on recursive, non-recursive
-// and stratified-negation programs. GOMAXPROCS must change nothing — the
-// evaluator starts no goroutine — and the rows keep the IDs of the grid that
-// crossed it with the deleted shard count. The last three programs open with
-// a batch that breaks a sloppy firing identity — one firing reachable from
-// two changed facts, where counting it twice drops a fact that keeps another
-// support.
+// holds up to 5·s facts), on recursive, non-recursive and stratified-negation
+// programs. GOMAXPROCS must change nothing — the evaluator starts no
+// goroutine. The rows keep the IDs of the grids that crossed them with the
+// deleted shard count and with the deleted switch between derivation
+// counting and DRed (dredfalse / dredtrue): both arms of a row now run the
+// one algorithm, each on seeds of its own. The last three programs open with
+// a batch where one firing is reachable from two changed facts, and the fact
+// it derives keeps another support.
 func TestMaintainOracleGrid(t *testing.T) {
 	grid := []struct {
 		procs, scale int
-		forceDRed    bool
+		arm          string
+		firstSeed    int64
 	}{
-		{1, 1, false},
-		{1, 1, true},
-		{4, 4, false},
-		{4, 4, true},
-		{2, 1, false},
-		{1, 4, true},
+		{1, 1, "dredfalse", 0},
+		{1, 1, "dredtrue", 100},
+		{4, 4, "dredfalse", 0},
+		{4, 4, "dredtrue", 100},
+		{2, 1, "dredfalse", 200},
+		{1, 4, "dredtrue", 200},
 	}
 	for name, c := range maintPrograms(t) {
 		for _, cfg := range grid {
-			t.Run(fmt.Sprintf("%s/w%d_s%d_dred%v", name, cfg.procs, cfg.scale, cfg.forceDRed), func(t *testing.T) {
+			t.Run(fmt.Sprintf("%s/w%d_s%d_%s", name, cfg.procs, cfg.scale, cfg.arm), func(t *testing.T) {
 				withProcs(t, cfg.procs)
-				mo := MaintainOptions{forceDRed: cfg.forceDRed}
 				// Small batches carry the long random tails: delete-rederive goes
 				// wrong a few batches after the batch that mis-stamped a fact.
 				seeds, steps := int64(3), 10
 				if cfg.scale == 1 {
 					seeds, steps = 8, 40
 				}
-				for seed := int64(0); seed < seeds; seed++ {
-					runMaintainStream(t, c, mo, seed, 9, steps, 5*cfg.scale)
+				for seed := cfg.firstSeed; seed < cfg.firstSeed+seeds; seed++ {
+					runMaintainStream(t, c, seed, 9, steps, 5*cfg.scale)
 				}
 			})
 		}
@@ -984,8 +1012,8 @@ func TestMaintainApplyCopiesBatchNotRelation(t *testing.T) {
 }
 
 // TestMaterializeSkipsDeadInputTuples: an input relation may carry dead
-// tuples (the store compacts lazily); one whose value was asserted again
-// must not be seeded as a second external support.
+// tuples (the store compacts lazily); one whose value was asserted again is
+// one input fact, and retracting it leaves no dead copy behind as support.
 func TestMaterializeSkipsDeadInputTuples(t *testing.T) {
 	p := mustParseProgram(t, `P(x, y) :- A(x, y).`)
 	input := db.New()

@@ -586,7 +586,7 @@ func (u *unit) fixpoint(env *roundEnv) error {
 		if env.maxDerived > 0 && d.Len()-env.baseLen > env.maxDerived {
 			return env.budgetErr()
 		}
-		if u.streamable || !anyAddedIn(d, round) {
+		if u.streamable || !anyAddedIn(d, u, round) {
 			return nil
 		}
 	}

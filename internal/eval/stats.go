@@ -78,12 +78,13 @@ type StreamStats struct {
 type MaintainStats struct {
 	// Applies counts Maintained.Apply batches absorbed by a maintained view.
 	Applies int `json:"applies"`
-	// CountAdjusted counts derivation-count updates made by the counting
-	// maintenance of non-recursive strata (one per tuple whose count moved).
+	// CountAdjusted is always 0. It counted the derivation-count updates of
+	// the deleted counting maintenance; the field and its wire key stay until
+	// bench/ stops reading them.
 	CountAdjusted int `json:"count_adjusted"`
-	// Overdeleted / Rederived count the facts the DRed phases of recursive
-	// strata first over-deleted and then restored from surviving support;
-	// their gap is the net deletion work a retraction batch caused.
+	// Overdeleted / Rederived count the facts DRed first over-deleted (in
+	// every stratum) and then restored from surviving support (recursive
+	// strata only: a non-recursive one deletes only what has no firing left).
 	Overdeleted int `json:"overdeleted"`
 	Rederived   int `json:"rederived"`
 	// RelationsFrozen / FreezeSkipped count, per maintenance batch, the

@@ -263,6 +263,10 @@ type streamState struct {
 	out     []ast.Const
 	fix     fixpointSink
 	one     *db.Database // Firings' one-fact change set
+	// cut, set by a sink, skips the rest of operator 0's current tuple: the
+	// pipeline goes on with the next tuple at position 0 (a semi-join on the
+	// lead).
+	cut bool
 }
 
 // streamSink receives the pipeline's head emissions. added reports whether
@@ -404,6 +408,7 @@ func (op *streamOp) buildKey(dst []ast.Const, vals []ast.Const) []ast.Const {
 // so a delta variant over an empty delta costs a few LenAt calls.
 func (sp *streamPlan) run(d *db.Database, win span, st *streamState, stats *Stats, sink streamSink) bool {
 	st.ensure(sp)
+	st.cut = false
 	nOps := len(sp.ops)
 	for i := range sp.ops {
 		op := &sp.ops[i]
@@ -441,6 +446,9 @@ func (sp *streamPlan) run(d *db.Database, win span, st *streamState, stats *Stat
 		if pos == nOps-1 {
 			if !sp.fireRow(d, st, stats, sink) {
 				return false
+			}
+			if st.cut {
+				st.cut, pos = false, 0
 			}
 			continue
 		}

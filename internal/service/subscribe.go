@@ -11,9 +11,8 @@ import (
 )
 
 // Changefeed subscriptions: a tenant's materialized output, maintained
-// incrementally across mutation batches (core.View over eval's
-// counting/DRed maintenance), streamed as ordered diff frames over chunked
-// NDJSON.
+// incrementally across mutation batches (core.View over eval's DRed
+// maintenance), streamed as ordered diff frames over chunked NDJSON.
 //
 // One liveView exists per (tenant, program version) with at least one
 // current subscriber: the first subscription materializes the view from the
