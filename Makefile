@@ -7,7 +7,7 @@ BENCHTIME ?= 0.3s
 # staticcheck pin for lint-ci; bump deliberately, not implicitly.
 STATICCHECK_VERSION ?= 2025.1
 
-.PHONY: all build vet datalog-vet test race race-service race-ivm serve-smoke bench bench-all experiments examples guard-one-join guard-ctx-arg guard-no-batch-compact guard-delta-first guard-request-path guard-one-unfold guard-no-ablation-arm guard-no-transfer guard-one-plan guard-one-maintenance lint lint-ci clean
+.PHONY: all build vet datalog-vet test race race-service race-ivm serve-smoke bench bench-all experiments examples guard-one-join guard-ctx-arg guard-no-batch-compact guard-delta-first guard-request-path guard-one-unfold guard-no-ablation-arm guard-no-transfer guard-one-plan guard-one-maintenance guard-one-graph lint lint-ci clean
 
 all: build vet test
 
@@ -256,10 +256,40 @@ guard-one-maintenance:
 		echo "derivation counting is back (make guard-one-maintenance): every unit is maintained by DRed, and the store keeps no count column" >&2; exit 1; \
 	fi
 
+# guard-one-graph keeps every graph question about a program on the one
+# kernel of internal/depgraph (kernel.go): one Tarjan that assigns component
+# ids and one shortest path inside a component serve the dependence graph,
+# the position graph and the existential-dependency graph alike. No Tarjan
+# grows outside internal/depgraph or a second one inside it. Every program is
+# scheduled by depgraph's producer-first SCC groups (Graph.RuleGroups), so
+# internal/eval neither groups rules by component itself nor schedules by
+# strata, and a containment test's goal cone is the graph's (Graph.Cone), not
+# a walk of the Checker's own.
+DEPGRAPH_SRC = $(filter-out %_test.go,$(wildcard internal/depgraph/*.go))
+guard-one-graph:
+	@if grep -rniE 'strongconnect|lowlink|onStack|tarjan' --include='*.go' internal cmd examples | grep -v '_test\.go:' | grep -v '^internal/depgraph/'; then \
+		echo "a Tarjan outside internal/depgraph (make guard-one-graph): ask depgraph.Graph for components" >&2; exit 1; \
+	fi
+	@for pat in 'lowlink := ' 'strongconnect = func' 'queue := '; do \
+		n=$$(cat $(DEPGRAPH_SRC) | grep -c "$$pat"); \
+		if [ "$$n" != 1 ]; then \
+			echo "internal/depgraph: $$n copies of '$$pat', want 1 (make guard-one-graph): one Tarjan and one in-component path search, in kernel.go" >&2; exit 1; \
+		fi; \
+	done
+	@if grep -rnwE 'sccRuleGroups|scheduleGroups' --include='*.go' internal | grep -v '_test\.go:'; then \
+		echo "a second rule-to-component grouping (make guard-one-graph): schedule by depgraph.Graph.RuleGroups" >&2; exit 1; \
+	fi
+	@if grep -nE 'depgraph\.Strata\(' internal/eval/*.go | grep -v '_test\.go:'; then \
+		echo "internal/eval schedules by strata again (make guard-one-graph): every program runs on SCC groups" >&2; exit 1; \
+	fi
+	@if grep -nwE 'outsideCone|byHead|stack' internal/chase/*.go | grep -v '_test\.go:'; then \
+		echo "internal/chase walks a goal cone itself again (make guard-one-graph): ask depgraph.Graph.Cone" >&2; exit 1; \
+	fi
+
 # lint runs the guards and go vet always, and staticcheck when the binary is
 # on PATH (the dev container does not bake it in; lint-ci installs the pinned
 # version).
-lint: guard-one-join guard-ctx-arg guard-no-batch-compact guard-delta-first guard-request-path guard-one-unfold guard-no-ablation-arm guard-no-transfer guard-one-plan guard-one-maintenance
+lint: guard-one-join guard-ctx-arg guard-no-batch-compact guard-delta-first guard-request-path guard-one-unfold guard-no-ablation-arm guard-no-transfer guard-one-plan guard-one-maintenance guard-one-graph
 	$(GO) vet ./...
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \

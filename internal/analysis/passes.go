@@ -174,36 +174,16 @@ func runArity(c *Context) []Diagnostic {
 // tell apart).
 func runReachability(c *Context) []Diagnostic {
 	preds := c.Preds()
-	derivable := make(map[string]bool)
+	seeds := make(map[string]bool)
 	for name, u := range preds {
 		// Extensional predicates (no rules) may receive facts at evaluation
 		// time even when this source gives none; predicates with source
 		// facts are populated outright.
 		if len(u.HeadRules) == 0 || u.FactCount > 0 {
-			derivable[name] = true
+			seeds[name] = true
 		}
 	}
-	for changed := true; changed; {
-		changed = false
-		for _, r := range c.Program.Rules {
-			if derivable[r.Head.Pred] {
-				continue
-			}
-			ok := true
-			for _, a := range r.Body {
-				if !derivable[a.Pred] {
-					ok = false
-					break
-				}
-			}
-			// Negated atoms never block derivability: absence is what fires
-			// them.
-			if ok {
-				derivable[r.Head.Pred] = true
-				changed = true
-			}
-		}
-	}
+	derivable := c.Graph().Derivable(seeds)
 	var out []Diagnostic
 	for _, name := range c.PredNames() {
 		u := preds[name]

@@ -171,9 +171,8 @@ type Checker struct {
 	// caller's mask is ORed into (coneMask).
 	cones   map[string][]bool
 	coneBuf []bool
-	// byHead lists the rule indexes per head predicate, built with the first
-	// cone.
-	byHead map[string][]int
+	// graph is the program's dependence graph, built with the first cone.
+	graph *depgraph.Graph
 	// noSyntactic disables the θ-subsumption fast path, forcing each fresh
 	// verdict through the chase (memoized verdicts are still reused).
 	// noTermination disables the termination classifier: no derived budgets,
@@ -239,16 +238,25 @@ func (c *Checker) Program() *ast.Program { return c.prog }
 
 // coneMask is skip (nil or one entry per rule of Program()) with every rule
 // outside the goal cone of pred switched off as well. The goal cone of a
-// predicate is the rules whose head it depends on in the program's dependence
-// graph, its own rules included: a derivation of a pred fact uses no other
-// rule, so a goal run toward a pred atom reaches its goal under the wider mask
-// exactly when it does under skip. The cone is computed over the whole
+// predicate (depgraph.Graph.Cone) is the rules whose head it depends on in
+// the program's dependence graph, its own rules included: a derivation of a
+// pred fact uses no other rule, so a goal run toward a pred atom reaches its
+// goal under the wider mask exactly when it does under skip. The cone is computed over the whole
 // program, so it holds the cone of every subprogram a mask selects. The
 // result may be the session's scratch buffer, valid until the next call.
 func (c *Checker) coneMask(pred string, skip []bool) []bool {
 	out, ok := c.cones[pred]
 	if !ok {
-		out = c.outsideCone(pred)
+		if c.graph == nil {
+			c.graph = depgraph.Build(c.prog)
+		}
+		out = c.graph.Cone(pred)
+		for i := range out {
+			out[i] = !out[i]
+		}
+		if !slices.Contains(out, true) {
+			out = nil
+		}
 		c.cones[pred] = out
 	}
 	switch {
@@ -262,42 +270,6 @@ func (c *Checker) coneMask(pred string, skip []bool) []bool {
 		c.coneBuf[i] = c.coneBuf[i] || off
 	}
 	return c.coneBuf
-}
-
-// outsideCone is the mask of the rules whose head pred does not depend on,
-// nil when there is none. The rules inside are found backwards from pred: a
-// rule whose head is pred or a body predicate of a rule inside is inside.
-func (c *Checker) outsideCone(pred string) []bool {
-	rules := c.prog.Rules
-	if c.byHead == nil {
-		c.byHead = make(map[string][]int)
-		for i := range rules {
-			h := rules[i].Head.Pred
-			c.byHead[h] = append(c.byHead[h], i)
-		}
-	}
-	inside := make([]bool, len(rules))
-	seen := map[string]bool{pred: true}
-	for stack := []string{pred}; len(stack) > 0; {
-		q := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		for _, i := range c.byHead[q] {
-			inside[i] = true
-			for _, a := range rules[i].Body {
-				if !seen[a.Pred] {
-					seen[a.Pred] = true
-					stack = append(stack, a.Pred)
-				}
-			}
-		}
-	}
-	for i := range inside {
-		inside[i] = !inside[i]
-	}
-	if !slices.Contains(inside, true) {
-		return nil
-	}
-	return inside
 }
 
 // ContainsRule decides r ⊑ᵘ P for the session program P (Corollary 2),

@@ -233,7 +233,7 @@ func sessionResolve(opts []SessionOptions) SessionOptions {
 // (max ≤ 0 selects the default capacity), for injection via SessionOptions.
 func NewPlanCache(max int) *PlanCache { return eval.NewPlanCache(max) }
 
-// PrepareEval validates p once and caches its evaluation plan (strata/SCC
+// PrepareEval validates p once and caches its evaluation plan (SCC
 // schedule, compiled rules, index needs); the returned Prepared evaluates
 // any number of databases without re-planning and is safe for concurrent
 // use. Plans are served from the process-wide content-addressed cache — or

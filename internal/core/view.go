@@ -9,7 +9,7 @@ import (
 
 // Incremental view maintenance at the facade: a View is a materialized
 // output kept consistent with its input under fact-level mutation batches
-// (delete-rederive for every stratum — internal/eval/maintain.go). Sessions hand out views via Materialize and
+// (delete-rederive for every schedule unit — internal/eval/maintain.go). Sessions hand out views via Materialize and
 // fold every Apply's work into their accounted totals, so /statz-style
 // aggregation covers maintenance exactly like evaluation.
 

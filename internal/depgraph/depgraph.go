@@ -4,6 +4,9 @@
 // provides strongly connected components, the paper's notions of recursive
 // program / predicate / rule and linear program, and — for the
 // stratified-negation extension announced in Section XII — stratification.
+// The graph questions the rest of the tree asks about a program are answered
+// here too: the producer-first rule groups an evaluation runs, the rules in
+// a predicate's goal cone, and the predicates derivable from a seed set.
 package depgraph
 
 import (
@@ -13,23 +16,21 @@ import (
 	"repro/internal/ast"
 )
 
-// Graph is the dependence graph of a program. Edges with Negative set come
-// from negated body atoms and only matter for stratification.
+// Graph is the dependence graph of a program. Edges from negated body atoms
+// are negative and only matter for stratification.
 type Graph struct {
 	preds []string
 	index map[string]int
-	// adj[i] lists edges leaving predicate i (body pred -> head pred).
-	adj [][]edge
-}
-
-type edge struct {
-	to       int
-	negative bool
+	// adj has an arc body pred → head pred per body atom of every rule,
+	// labelled with the rule's index and marked when the atom is negated.
+	adj digraph
+	// heads[i] is the node of rule i's head predicate.
+	heads []int
 }
 
 // Build constructs the dependence graph of p.
 func Build(p *ast.Program) *Graph {
-	g := &Graph{index: make(map[string]int)}
+	g := &Graph{index: make(map[string]int), heads: make([]int, len(p.Rules))}
 	node := func(pred string) int {
 		if i, ok := g.index[pred]; ok {
 			return i
@@ -40,15 +41,18 @@ func Build(p *ast.Program) *Graph {
 		g.adj = append(g.adj, nil)
 		return i
 	}
-	for _, r := range p.Rules {
+	add := func(body string, h, rule int, negative bool) {
+		b := node(body)
+		g.adj[b] = append(g.adj[b], arc{to: h, label: rule, marked: negative})
+	}
+	for i, r := range p.Rules {
 		h := node(r.Head.Pred)
+		g.heads[i] = h
 		for _, a := range r.Body {
-			b := node(a.Pred)
-			g.adj[b] = append(g.adj[b], edge{to: h})
+			add(a.Pred, h, i, false)
 		}
 		for _, a := range r.NegBody {
-			b := node(a.Pred)
-			g.adj[b] = append(g.adj[b], edge{to: h, negative: true})
+			add(a.Pred, h, i, true)
 		}
 	}
 	return g
@@ -58,6 +62,15 @@ func Build(p *ast.Program) *Graph {
 func (g *Graph) Preds() []string {
 	out := make([]string, len(g.preds))
 	copy(out, g.preds)
+	return out
+}
+
+// names maps node ids to their predicates.
+func (g *Graph) names(nodes []int) []string {
+	out := make([]string, len(nodes))
+	for i, v := range nodes {
+		out[i] = g.preds[v]
+	}
 	return out
 }
 
@@ -72,106 +85,48 @@ func (g *Graph) HasEdge(from, to string) bool {
 	if !ok {
 		return false
 	}
-	for _, e := range g.adj[i] {
-		if e.to == j {
+	for _, a := range g.adj[i] {
+		if a.to == j {
 			return true
 		}
 	}
 	return false
 }
 
-// SCCs returns the strongly connected components in reverse topological
-// order (every edge goes from an earlier or same component to a later or
-// same one is NOT guaranteed; Tarjan yields components such that each edge
-// leads from a later-emitted component to an earlier-emitted one or stays
-// inside). Predicates within a component are sorted for determinism.
+// SCCs returns the strongly connected components in the order Tarjan's
+// algorithm completes them: every edge stays inside its component or leads
+// to an earlier one, so the list is reverse topological — consumers before
+// their producers — and reversed it is the producer-first order RuleGroups
+// runs. Predicates within a component are sorted.
 func (g *Graph) SCCs() [][]string {
-	n := len(g.preds)
-	indexOf := make([]int, n)
-	low := make([]int, n)
-	onStack := make([]bool, n)
-	for i := range indexOf {
-		indexOf[i] = -1
+	comp, n := g.adj.components()
+	comps := make([][]string, n)
+	for v, c := range comp {
+		comps[c] = append(comps[c], g.preds[v])
 	}
-	var stack []int
-	var comps [][]string
-	counter := 0
-
-	var strongconnect func(v int)
-	strongconnect = func(v int) {
-		indexOf[v] = counter
-		low[v] = counter
-		counter++
-		stack = append(stack, v)
-		onStack[v] = true
-		for _, e := range g.adj[v] {
-			w := e.to
-			if indexOf[w] == -1 {
-				strongconnect(w)
-				if low[w] < low[v] {
-					low[v] = low[w]
-				}
-			} else if onStack[w] && indexOf[w] < low[v] {
-				low[v] = indexOf[w]
-			}
-		}
-		if low[v] == indexOf[v] {
-			var comp []string
-			for {
-				w := stack[len(stack)-1]
-				stack = stack[:len(stack)-1]
-				onStack[w] = false
-				comp = append(comp, g.preds[w])
-				if w == v {
-					break
-				}
-			}
-			sort.Strings(comp)
-			comps = append(comps, comp)
-		}
-	}
-	for v := 0; v < n; v++ {
-		if indexOf[v] == -1 {
-			strongconnect(v)
-		}
+	for _, c := range comps {
+		sort.Strings(c)
 	}
 	return comps
 }
 
-// sccOf maps each predicate to the id of its component.
-func (g *Graph) sccOf() map[string]int {
-	comps := g.SCCs()
-	m := make(map[string]int)
-	for i, comp := range comps {
-		for _, p := range comp {
-			m[p] = i
-		}
-	}
-	return m
-}
-
 // RecursivePreds returns the predicates lying on a cycle of the dependence
 // graph (Section III: "a predicate Q is recursive if there is a path from Q
-// to itself").
+// to itself"): those whose component holds an edge.
 func (g *Graph) RecursivePreds() map[string]bool {
-	scc := g.sccOf()
-	sizes := make(map[int]int)
-	for _, id := range scc {
-		sizes[id]++
+	comp, n := g.adj.components()
+	cyclic := make([]bool, n)
+	for u, arcs := range g.adj {
+		for _, a := range arcs {
+			if comp[u] == comp[a.to] {
+				cyclic[comp[u]] = true
+			}
+		}
 	}
 	rec := make(map[string]bool)
-	for pred, id := range scc {
-		if sizes[id] > 1 {
-			rec[pred] = true
-			continue
-		}
-		// Singleton component: recursive only with a self-loop.
-		i := g.index[pred]
-		for _, e := range g.adj[i] {
-			if e.to == i {
-				rec[pred] = true
-				break
-			}
+	for v, c := range comp {
+		if cyclic[c] {
+			rec[g.preds[v]] = true
 		}
 	}
 	return rec
@@ -185,22 +140,22 @@ func IsRecursive(p *ast.Program) bool {
 // RecursiveRuleIndexes returns the indices of the recursive rules of p: a
 // rule is recursive if the dependence graph has a cycle that includes the
 // head predicate and some body predicate (Section III) — equivalently, if
-// some body predicate lies in the same strongly connected component as the
-// head and that component is cyclic.
+// one of its edges stays inside a strongly connected component.
 func RecursiveRuleIndexes(p *ast.Program) []int {
 	g := Build(p)
-	scc := g.sccOf()
-	rec := g.RecursivePreds()
-	var out []int
-	for i, r := range p.Rules {
-		if !rec[r.Head.Pred] {
-			continue
-		}
-		for _, a := range append(append([]ast.Atom{}, r.Body...), r.NegBody...) {
-			if scc[a.Pred] == scc[r.Head.Pred] {
-				out = append(out, i)
-				break
+	comp, _ := g.adj.components()
+	rec := make([]bool, len(p.Rules))
+	for u, arcs := range g.adj {
+		for _, a := range arcs {
+			if comp[u] == comp[a.to] {
+				rec[a.label] = true
 			}
+		}
+	}
+	var out []int
+	for i, ok := range rec {
+		if ok {
+			out = append(out, i)
 		}
 	}
 	return out
@@ -237,18 +192,12 @@ func IsLinear(p *ast.Program) bool {
 // (first-seen predicate order, shortest return path), so diagnostics built
 // from it are stable.
 func (g *Graph) NegativeCycle() (path []string, ok bool) {
-	scc := g.sccOf()
-	for u := range g.adj {
-		for _, e := range g.adj[u] {
-			if !e.negative || scc[g.preds[u]] != scc[g.preds[e.to]] {
-				continue
-			}
-			// u -!-> e.to, both in one component: close the cycle with a
-			// shortest path e.to →* u inside that component.
-			return append([]string{g.preds[u]}, g.pathWithin(e.to, u, scc)...), true
-		}
+	comp, _ := g.adj.components()
+	nodes, _, ok := g.adj.cycle(comp, marked)
+	if !ok {
+		return nil, false
 	}
-	return nil, false
+	return g.names(nodes), true
 }
 
 // Cycle returns a shortest cycle closed by the dependence edge from → to:
@@ -262,111 +211,124 @@ func (g *Graph) Cycle(from, to string) (path []string, ok bool) {
 	if !okF || !okT {
 		return nil, false
 	}
-	scc := g.sccOf()
-	if scc[from] != scc[to] {
+	comp, _ := g.adj.components()
+	if comp[i] != comp[j] {
 		return nil, false
 	}
-	return append([]string{from}, g.pathWithin(j, i, scc)...), true
+	back, _ := g.adj.path(j, i, comp)
+	return append([]string{from}, g.names(back)...), true
 }
 
-// pathWithin returns the predicates of a shortest path from → ... → to using
-// only nodes of from's strongly connected component (from and to included).
-func (g *Graph) pathWithin(from, to int, scc map[string]int) []string {
-	comp := scc[g.preds[from]]
-	parent := make([]int, len(g.preds))
-	for i := range parent {
-		parent[i] = -1
+// Stratified is the one stratifiability decision: nil when every negative
+// edge leaves its strongly connected component, otherwise the error every
+// stratified entry point reports, naming the negative edge NegativeCycle
+// closes into its witness.
+func (g *Graph) Stratified() error {
+	comp, _ := g.adj.components()
+	return g.stratified(comp)
+}
+
+// stratified is Stratified over the components comp.
+func (g *Graph) stratified(comp []int) error {
+	if cycle, _, ok := g.adj.cycle(comp, marked); ok {
+		return fmt.Errorf("depgraph: program is not stratifiable: negation through recursion between %s and %s", g.preds[cycle[0]], g.preds[cycle[1]])
 	}
-	parent[from] = from
-	queue := []int{from}
-	for len(queue) > 0 && parent[to] == -1 {
-		v := queue[0]
-		queue = queue[1:]
-		for _, e := range g.adj[v] {
-			if parent[e.to] == -1 && scc[g.preds[e.to]] == comp {
-				parent[e.to] = v
-				queue = append(queue, e.to)
-			}
-		}
-	}
-	if parent[to] == -1 {
-		// Unreachable within the component — cannot happen for nodes of one
-		// SCC, but degrade to the two endpoints rather than panic.
-		return []string{g.preds[from], g.preds[to]}
-	}
-	var rev []int
-	for v := to; ; v = parent[v] {
-		rev = append(rev, v)
-		if v == from {
-			break
-		}
-	}
-	out := make([]string, 0, len(rev))
-	for i := len(rev) - 1; i >= 0; i-- {
-		out = append(out, g.preds[rev[i]])
-	}
-	return out
+	return nil
 }
 
 // Strata partitions the program's predicates into strata for stratified
 // negation: predicates in the same SCC share a stratum, negative edges must
-// cross strictly upward, and positive edges never go downward. It returns
-// an error when the program is not stratifiable (a negative edge inside a
+// cross strictly upward, and positive edges never go downward. Each
+// predicate gets the least stratum those constraints allow. It returns an
+// error when the program is not stratifiable (a negative edge inside a
 // cycle).
 func Strata(p *ast.Program) ([][]string, error) {
 	g := Build(p)
-	scc := g.sccOf()
-
-	// Detect negative edges within a component.
-	for from, i := range g.index {
-		for _, e := range g.adj[i] {
-			if e.negative && scc[from] == scc[g.preds[e.to]] {
-				return nil, fmt.Errorf("depgraph: program is not stratifiable: negation through recursion between %s and %s", from, g.preds[e.to])
-			}
-		}
+	comp, n := g.adj.components()
+	if err := g.stratified(comp); err != nil {
+		return nil, err
 	}
-
-	// Longest-path layering over the condensation: stratum(head) ≥
-	// stratum(body) for positive edges and > for negative edges.
-	nComp := 0
-	for _, id := range scc {
-		if id+1 > nComp {
-			nComp = id + 1
-		}
-	}
-	level := make([]int, nComp)
-	changed := true
-	for iter := 0; changed; iter++ {
-		if iter > nComp+1 {
-			return nil, fmt.Errorf("depgraph: stratification did not converge")
-		}
-		changed = false
-		for from, i := range g.index {
-			for _, e := range g.adj[i] {
-				cf, ct := scc[from], scc[g.preds[e.to]]
-				min := level[cf]
-				if e.negative {
-					min++
-				}
-				if level[ct] < min {
-					level[ct] = min
-					changed = true
-				}
-			}
-		}
-	}
-	maxLevel := 0
+	level := g.adj.longest(comp, n)
+	top := 0
 	for _, l := range level {
-		if l > maxLevel {
-			maxLevel = l
-		}
+		top = max(top, l)
 	}
-	strata := make([][]string, maxLevel+1)
-	for pred, id := range scc {
-		strata[level[id]] = append(strata[level[id]], pred)
+	strata := make([][]string, top+1)
+	for v, c := range comp {
+		strata[level[c]] = append(strata[level[c]], g.preds[v])
 	}
 	for _, s := range strata {
 		sort.Strings(s)
 	}
 	return strata, nil
+}
+
+// RuleGroups partitions the rule indexes by the strongly connected component
+// of their head predicate, producer-first: every edge stays inside its group
+// or leads to a later one, so a group's body predicates — negated ones
+// included — are complete once the groups before it have run. Rules keep
+// program order within a group, and a component with no rule has no group.
+// A program that is not Stratified has no such schedule: RuleGroups returns
+// Stratified's error.
+func (g *Graph) RuleGroups() ([][]int, error) {
+	comp, n := g.adj.components()
+	if err := g.stratified(comp); err != nil {
+		return nil, err
+	}
+	groups := make([][]int, n)
+	for i, h := range g.heads {
+		groups[comp[h]] = append(groups[comp[h]], i)
+	}
+	var out [][]int
+	for c := n - 1; c >= 0; c-- {
+		if len(groups[c]) > 0 {
+			out = append(out, groups[c])
+		}
+	}
+	return out, nil
+}
+
+// Cone reports, per rule, whether the rule lies in the goal cone of pred:
+// its head is pred or a predicate pred depends on. A derivation of a pred
+// fact uses no rule outside the cone.
+func (g *Graph) Cone(pred string) []bool {
+	in := make([]bool, len(g.heads))
+	v, ok := g.index[pred]
+	if !ok {
+		return in
+	}
+	up := g.adj.reverse().reach([]int{v})
+	for i, h := range g.heads {
+		in[i] = up[h]
+	}
+	return in
+}
+
+// Derivable returns the predicates derivable from seeds: the least set
+// holding the seeds that are nodes of the graph and the head of every rule
+// all of whose positive body predicates it holds. Negated atoms never block a
+// rule — absence is what fires them.
+func (g *Graph) Derivable(seeds map[string]bool) map[string]bool {
+	need := make([]int, len(g.heads))
+	for _, arcs := range g.adj {
+		for _, a := range arcs {
+			if !a.marked {
+				need[a.label]++
+			}
+		}
+	}
+	var from []int
+	for v, pred := range g.preds {
+		if seeds[pred] {
+			from = append(from, v)
+		}
+	}
+	in := g.adj.saturate(from, need, func(rule int) []int { return g.heads[rule : rule+1] })
+	out := make(map[string]bool)
+	for v, ok := range in {
+		if ok {
+			out[g.preds[v]] = true
+		}
+	}
+	return out
 }

@@ -1,6 +1,7 @@
 package depgraph
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -121,5 +122,28 @@ func TestSingleRuleNonlinearRecursion(t *testing.T) {
 	}
 	if IsLinear(p) {
 		t.Fatal("doubly recursive rule reported linear")
+	}
+}
+
+// Three independent P :- E, !Q / Q :- E, P cycles: stratification fails on
+// each, and every call names the same one — the first negative edge inside a
+// component in first-seen order, NegativeCycle's — through Strata and
+// Stratified alike.
+func TestStratifyErrorIsDeterministic(t *testing.T) {
+	p := ast.NewProgram()
+	for i := 1; i <= 3; i++ {
+		P, Q := fmt.Sprintf("P%d", i), fmt.Sprintf("Q%d", i)
+		p.Rules = append(p.Rules,
+			rule(at(P, "x"), []ast.Atom{at("E", "x")}, at(Q, "x")),
+			rule(at(Q, "x"), []ast.Atom{at("E", "x"), at(P, "x")}))
+	}
+	const want = "depgraph: program is not stratifiable: negation through recursion between Q1 and P1"
+	for i := 0; i < 200; i++ {
+		if _, err := Strata(p); err == nil || err.Error() != want {
+			t.Fatalf("call %d: Strata error %v, want %q", i, err, want)
+		}
+		if err := Build(p).Stratified(); err == nil || err.Error() != want {
+			t.Fatalf("call %d: Stratified() = %v, want %q", i, err, want)
+		}
 	}
 }

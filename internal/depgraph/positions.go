@@ -38,6 +38,7 @@ package depgraph
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -265,19 +266,14 @@ type posDep struct {
 	exist    []string         // right-hand-only variables, first-occurrence order
 }
 
-// posEdge is one position-graph edge, annotated with its source dependency.
-type posEdge struct {
-	to      int
-	special bool
-	dep     int
-}
-
 // PositionGraph is the position dependency graph of a rule + tgd set.
 type PositionGraph struct {
 	nodes []Position
 	index map[Position]int
-	adj   [][]posEdge
-	deps  []posDep
+	// adj is the graph over node ids: each arc is labelled with the index of
+	// its dependency in deps and marked when it is special.
+	adj  digraph
+	deps []posDep
 
 	preds    map[string]bool
 	maxArity int
@@ -365,7 +361,7 @@ func (g *PositionGraph) addDep(ref DepRef, lhs, rhs []ast.Atom) {
 			return
 		}
 		seen[k] = true
-		g.adj[from] = append(g.adj[from], posEdge{to: to, special: special, dep: di})
+		g.adj[from] = append(g.adj[from], arc{to: to, label: di, marked: special})
 	}
 	var existPos []int
 	for _, y := range d.exist {
@@ -394,246 +390,76 @@ func (g *PositionGraph) Positions() []Position {
 	return out
 }
 
-// sccIDs runs Tarjan over the position nodes; as in Graph.SCCs, every edge
-// leads from a later-assigned component to an earlier-assigned one or stays
-// inside, so increasing component id is reverse topological order.
-func (g *PositionGraph) sccIDs() []int {
-	n := len(g.nodes)
-	indexOf := make([]int, n)
-	low := make([]int, n)
-	onStack := make([]bool, n)
-	id := make([]int, n)
-	for i := range indexOf {
-		indexOf[i] = -1
-	}
-	var stack []int
-	counter, comps := 0, 0
-	var strongconnect func(v int)
-	strongconnect = func(v int) {
-		indexOf[v] = counter
-		low[v] = counter
-		counter++
-		stack = append(stack, v)
-		onStack[v] = true
-		for _, e := range g.adj[v] {
-			w := e.to
-			if indexOf[w] == -1 {
-				strongconnect(w)
-				if low[w] < low[v] {
-					low[v] = low[w]
-				}
-			} else if onStack[w] && indexOf[w] < low[v] {
-				low[v] = indexOf[w]
-			}
-		}
-		if low[v] == indexOf[v] {
-			for {
-				w := stack[len(stack)-1]
-				stack = stack[:len(stack)-1]
-				onStack[w] = false
-				id[w] = comps
-				if w == v {
-					break
-				}
-			}
-			comps++
-		}
-	}
-	for v := 0; v < n; v++ {
-		if indexOf[v] == -1 {
-			strongconnect(v)
-		}
-	}
-	return id
-}
-
 // specialCycle returns the witness cycle of the first special edge lying
 // inside a strongly connected component, or nil when none does (weak
 // acyclicity). Deterministic: first-seen node order, first matching edge,
 // shortest return path — the NegativeCycle discipline, with edge origins
 // carried along for diagnostics.
 func (g *PositionGraph) specialCycle(scc []int) *WACycle {
-	for u := range g.adj {
-		for _, e := range g.adj[u] {
-			if !e.special || scc[u] != scc[e.to] {
-				continue
-			}
-			w := &WACycle{
-				Cycle:   []Position{g.nodes[u]},
-				Origins: []DepRef{g.deps[e.dep].ref},
-			}
-			nodes, origins := g.pathWithin(e.to, u, scc)
-			for _, v := range nodes {
-				w.Cycle = append(w.Cycle, g.nodes[v])
-			}
-			w.Origins = append(w.Origins, origins...)
-			return w
-		}
+	nodes, deps, ok := g.adj.cycle(scc, marked)
+	if !ok {
+		return nil
 	}
-	return nil
-}
-
-// pathWithin returns a shortest node path from → … → to inside from's
-// strongly connected component, plus the origin of each edge taken.
-func (g *PositionGraph) pathWithin(from, to int, scc []int) ([]int, []DepRef) {
-	if from == to {
-		return []int{from}, nil
+	w := &WACycle{}
+	for _, v := range nodes {
+		w.Cycle = append(w.Cycle, g.nodes[v])
 	}
-	comp := scc[from]
-	parent := make([]int, len(g.nodes))
-	parentDep := make([]int, len(g.nodes))
-	for i := range parent {
-		parent[i] = -1
+	for _, d := range deps {
+		w.Origins = append(w.Origins, g.deps[d].ref)
 	}
-	parent[from] = from
-	queue := []int{from}
-	for len(queue) > 0 && parent[to] == -1 {
-		v := queue[0]
-		queue = queue[1:]
-		for _, e := range g.adj[v] {
-			if parent[e.to] == -1 && scc[e.to] == comp {
-				parent[e.to] = v
-				parentDep[e.to] = e.dep
-				queue = append(queue, e.to)
-			}
-		}
-	}
-	if parent[to] == -1 {
-		// Cannot happen for two nodes of one component; degrade rather than
-		// panic.
-		return []int{from, to}, []DepRef{g.deps[0].ref}
-	}
-	var nodes []int
-	var origins []DepRef
-	for v := to; v != from; v = parent[v] {
-		nodes = append(nodes, v)
-		origins = append(origins, g.deps[parentDep[v]].ref)
-	}
-	nodes = append(nodes, from)
-	for i, j := 0, len(nodes)-1; i < j; i, j = i+1, j-1 {
-		nodes[i], nodes[j] = nodes[j], nodes[i]
-	}
-	for i, j := 0, len(origins)-1; i < j; i, j = i+1, j-1 {
-		origins[i], origins[j] = origins[j], origins[i]
-	}
-	return nodes, origins
+	return w
 }
 
 // ranks computes the per-position rank: the maximum number of special edges
 // on any path ending at the position, or -1 when unbounded (the position is
-// reachable from a component containing an internal special edge). The DP
-// runs over the condensation in topological order: Tarjan assigns smaller
-// component ids to successors, so decreasing id order visits predecessors
-// first.
-func (g *PositionGraph) ranks(scc []int) []int {
-	nComp := 0
-	for _, c := range scc {
-		if c+1 > nComp {
-			nComp = c + 1
-		}
-	}
-	infinite := make([]bool, nComp)
-	rankC := make([]int, nComp)
-	for u := range g.adj {
-		for _, e := range g.adj[u] {
-			if e.special && scc[u] == scc[e.to] {
-				infinite[scc[u]] = true
+// reachable from a component containing an internal special edge).
+func (g *PositionGraph) ranks(scc []int, n int) []int {
+	var cyclic []int // tails of the special edges inside a component
+	for u, arcs := range g.adj {
+		for _, a := range arcs {
+			if a.marked && scc[u] == scc[a.to] {
+				cyclic = append(cyclic, u)
 			}
 		}
 	}
-	// Group edges by source component, then sweep components predecessors
-	// first, relaxing each outgoing edge into its target component.
-	bySrc := make([][]posEdge, nComp)
-	for u := range g.adj {
-		bySrc[scc[u]] = append(bySrc[scc[u]], g.adj[u]...)
-	}
-	for c := nComp - 1; c >= 0; c-- {
-		for _, e := range bySrc[c] {
-			tc := scc[e.to]
-			if infinite[c] {
-				infinite[tc] = true
-				continue
-			}
-			w := rankC[c]
-			if e.special {
-				w++
-			}
-			if tc != c && w > rankC[tc] {
-				rankC[tc] = w
-			}
-			if tc == c && e.special {
-				infinite[tc] = true // defensive; caught above
-			}
-		}
-	}
+	unbounded := g.adj.reach(cyclic)
+	rank := g.adj.longest(scc, n)
 	out := make([]int, len(g.nodes))
 	for v := range out {
-		if infinite[scc[v]] {
+		out[v] = rank[scc[v]]
+		if unbounded[v] {
 			out[v] = -1
-		} else {
-			out[v] = rankC[scc[v]]
 		}
 	}
 	return out
-}
-
-// existVars lists every existential variable of the set in dependency
-// order, paired with its right-hand-side positions.
-func (g *PositionGraph) existVars() []ExistVar {
-	var out []ExistVar
-	for _, d := range g.deps {
-		for _, y := range d.exist {
-			out = append(out, ExistVar{Dep: d.ref, Var: y})
-		}
-	}
-	return out
-}
-
-// omega computes Ω(y) for existential variable y of dependency dy: the set
-// of positions (node ids) its nulls can reach, by the standard closure —
-// seed with y's own positions, then repeatedly add the right-hand positions
-// of any frontier variable all of whose left-hand positions already lie in
-// the set.
-func (g *PositionGraph) omega(dy int, y string) []bool {
-	in := make([]bool, len(g.nodes))
-	for _, p := range g.deps[dy].rhsPos[y] {
-		in[p] = true
-	}
-	for changed := true; changed; {
-		changed = false
-		for _, d := range g.deps {
-			for _, x := range d.lhsOrder {
-				rpos, frontier := d.rhsPos[x]
-				if !frontier {
-					continue
-				}
-				all := true
-				for _, p := range d.lhsPos[x] {
-					if !in[p] {
-						all = false
-						break
-					}
-				}
-				if !all {
-					continue
-				}
-				for _, p := range rpos {
-					if !in[p] {
-						in[p] = true
-						changed = true
-					}
-				}
-			}
-		}
-	}
-	return in
 }
 
 // jaCycle builds the existential-dependency graph — an edge y → y' when
 // the dependency of y' has a frontier variable whose every left-hand
-// position lies in Ω(y) — and returns a cycle as witness, or nil when the
-// graph is acyclic (joint acyclicity).
+// position lies in Ω(y), the positions y's nulls can reach — and returns the
+// cycle closed by its first edge inside a strongly connected component as
+// witness, or nil when the graph is acyclic (joint acyclicity).
 func (g *PositionGraph) jaCycle() []ExistVar {
+	// Ω(y) is the saturation of y's own positions under one hyperedge per
+	// frontier variable x of a dependency: once every left-hand position of x
+	// holds y's nulls, so do x's right-hand positions.
+	feeds := make(digraph, len(g.nodes))
+	var sources, targets [][]int
+	frontier := make([][]int, len(g.deps)) // hyperedge ids per dependency
+	for di, d := range g.deps {
+		for _, x := range d.lhsOrder {
+			rpos, ok := d.rhsPos[x]
+			if !ok {
+				continue
+			}
+			for _, p := range d.lhsPos[x] {
+				feeds[p] = append(feeds[p], arc{label: len(sources)})
+			}
+			frontier[di] = append(frontier[di], len(sources))
+			sources = append(sources, d.lhsPos[x])
+			targets = append(targets, rpos)
+		}
+	}
 	type ev struct {
 		dep int
 		v   string
@@ -644,64 +470,25 @@ func (g *PositionGraph) jaCycle() []ExistVar {
 			evs = append(evs, ev{dep: di, v: y})
 		}
 	}
-	n := len(evs)
-	if n == 0 {
-		return nil
-	}
-	adj := make([][]int, n)
+	adj := make(digraph, len(evs))
+	need := make([]int, len(sources))
 	for i, e := range evs {
-		om := g.omega(e.dep, e.v)
+		for h := range need {
+			need[h] = len(sources[h])
+		}
+		omega := feeds.saturate(g.deps[e.dep].rhsPos[e.v], need, func(h int) []int { return targets[h] })
+		covered := func(h int) bool {
+			return !slices.ContainsFunc(sources[h], func(p int) bool { return !omega[p] })
+		}
 		for j, t := range evs {
-			d := g.deps[t.dep]
-			for _, x := range d.lhsOrder {
-				if _, frontier := d.rhsPos[x]; !frontier {
-					continue
-				}
-				all := true
-				for _, p := range d.lhsPos[x] {
-					if !om[p] {
-						all = false
-						break
-					}
-				}
-				if all {
-					adj[i] = append(adj[i], j)
-					break
-				}
+			if slices.ContainsFunc(frontier[t.dep], covered) {
+				adj[i] = append(adj[i], arc{to: j})
 			}
 		}
 	}
-	// DFS cycle detection with the gray stack as witness.
-	color := make([]int, n)
-	var stack []int
-	var cycle []int
-	var dfs func(v int) bool
-	dfs = func(v int) bool {
-		color[v] = 1
-		stack = append(stack, v)
-		for _, w := range adj[v] {
-			if color[w] == 1 {
-				for i, s := range stack {
-					if s == w {
-						cycle = append(append([]int(nil), stack[i:]...), w)
-						return true
-					}
-				}
-			}
-			if color[w] == 0 && dfs(w) {
-				return true
-			}
-		}
-		color[v] = 2
-		stack = stack[:len(stack)-1]
-		return false
-	}
-	for v := 0; v < n; v++ {
-		if color[v] == 0 && dfs(v) {
-			break
-		}
-	}
-	if cycle == nil {
+	comp, _ := adj.components()
+	cycle, _, ok := adj.cycle(comp, func(arc) bool { return true })
+	if !ok {
 		return nil
 	}
 	out := make([]ExistVar, len(cycle))
@@ -803,8 +590,8 @@ func (g *PositionGraph) Classify() Classification {
 		}
 	}
 
-	scc := g.sccIDs()
-	rank := g.ranks(scc)
+	scc, n := g.adj.components()
+	rank := g.ranks(scc, n)
 	cl.Ranks = make(map[Position]int, len(rank))
 	for v, r := range rank {
 		if r >= 0 {

@@ -17,7 +17,6 @@ import (
 
 	"repro/internal/ast"
 	"repro/internal/db"
-	"repro/internal/depgraph"
 )
 
 // ErrBudget is returned when evaluation exceeds the derived-fact budget
@@ -83,34 +82,6 @@ func MustEval(p *ast.Program, input *db.Database) *db.Database {
 	out, _, err := Eval(p, input, Options{})
 	if err != nil {
 		panic(err)
-	}
-	return out
-}
-
-// sccRuleGroups partitions the rule indexes of p by the strongly connected
-// component of their head predicate, ordered so that a component's body
-// predicates belong to the same or an earlier group. Tarjan (as used by
-// depgraph.SCCs, with body→head edges) emits every consumer component
-// before its producers, so the producer-first evaluation order is the
-// REVERSE of the emission order.
-func sccRuleGroups(p *ast.Program) [][]int {
-	comps := depgraph.Build(p).SCCs()
-	compOf := make(map[string]int)
-	for i, comp := range comps {
-		for _, pred := range comp {
-			compOf[pred] = i
-		}
-	}
-	groups := make([][]int, len(comps))
-	for ri, r := range p.Rules {
-		c := compOf[r.Head.Pred]
-		groups[c] = append(groups[c], ri)
-	}
-	var out [][]int
-	for i := len(groups) - 1; i >= 0; i-- {
-		if len(groups[i]) > 0 {
-			out = append(out, groups[i])
-		}
 	}
 	return out
 }

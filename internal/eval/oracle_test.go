@@ -1,19 +1,23 @@
 package eval
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/ast"
 	"repro/internal/db"
+	"repro/internal/depgraph"
 	"repro/internal/oracle"
 )
 
 // The reference the operator pipeline is compared against. It is Section III
 // read literally — "repeatedly instantiate rules until no new ground atoms
 // can be produced" — over the generic binding-map matcher oracle.MatchSeq, in
-// source body order. It shares nothing with stream.go or its slot lowering;
-// the only engine code it borrows is the schedule (which rules form a
-// fixpoint unit), because naive firing counts are defined per unit.
+// source body order. It shares nothing with stream.go or its slot lowering.
+// A program with negation runs stratum by stratum (depgraph.Strata), not on
+// the engine's SCC schedule, so the schedule is checked too; a pure program
+// runs the engine's SCC groups, because naive firing counts are defined per
+// unit.
 
 // oracleFire enumerates every instantiation of r's body among the facts of d
 // stamped within w that passes r's negated atoms, handing each head to emit;
@@ -39,14 +43,32 @@ func oracleFire(d *db.Database, r ast.Rule, w db.RoundWindow, emit func(ast.Grou
 }
 
 // oracleEval computes P(input) by naive rounds — the Section III computation
-// the engine has no switch for — one fixpoint per schedule unit, and reports
-// the naive firing count: every round instantiates every rule of the unit
-// against the facts present when the round began, until a round adds nothing.
+// the engine has no switch for — one fixpoint per stratum (under negation) or
+// per SCC group, and reports the naive firing count: every round
+// instantiates every rule of the unit against the facts present when the
+// round began, until a round adds nothing.
 func oracleEval(t testing.TB, p *ast.Program, input *db.Database) (*db.Database, int) {
 	t.Helper()
-	groups, err := scheduleGroups(p)
+	if !p.HasNegation() {
+		groups, err := depgraph.Build(p).RuleGroups()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return oracleRounds(p, input, groups)
+	}
+	strata, err := depgraph.Strata(p)
 	if err != nil {
 		t.Fatal(err)
+	}
+	var groups [][]int
+	for _, stratum := range strata {
+		var group []int
+		for ri, r := range p.Rules {
+			if slices.Contains(stratum, r.Head.Pred) {
+				group = append(group, ri)
+			}
+		}
+		groups = append(groups, group)
 	}
 	return oracleRounds(p, input, groups)
 }

@@ -13,7 +13,7 @@ import (
 )
 
 // The prepared layer caches everything about a program that does not depend
-// on the input database: validation, the stratum/SCC schedule, and — per rule
+// on the input database: validation, the SCC schedule, and — per rule
 // and per join order actually encountered — the lowered pipeline and the
 // index column sets its probes need. Every decision procedure in the paper
 // (the frozen-body containment test of Section VI, the Fig. 1/2 minimization
@@ -28,7 +28,7 @@ var errGoal = errors.New("eval: goal reached")
 
 // Prepared is a program analyzed and compiled for repeated evaluation:
 // Prepare once, then Eval against many input databases. The schedule
-// (strata / strongly connected components) is computed at Prepare time; the
+// (strongly connected components) is computed at Prepare time; the
 // lowered form of each rule is memoized per join order (ruleMemo), so
 // steady-state rounds and repeat evaluations skip recompilation entirely. A
 // Prepared is safe for concurrent use.
@@ -167,10 +167,10 @@ func orderPermSized(atoms []ast.Atom, lead int, sizeOf func(pred string) int) []
 	return out
 }
 
-// unit is one fixpoint of the evaluation schedule: a stratum (under
-// negation) or one group of mutually recursive rules (SCC schedule), with
-// the dynamic predicates its delta machinery tracks. A unit is immutable
-// apart from its two lazily built plans.
+// unit is one fixpoint of the evaluation schedule: the rules of one strongly
+// connected component of the dependence graph, with the dynamic predicates
+// its delta machinery tracks. A unit is immutable apart from its two lazily
+// built plans.
 type unit struct {
 	rules []*ruleMemo
 	// idxs[j] is the program rule index of rules[j]: what a mask is keyed
@@ -193,14 +193,17 @@ type unit struct {
 type roundSetup []*loweredRule
 
 // Prepare validates p and builds its evaluation schedule (Options carries no
-// setting). The program is cloned, so later mutation of p (the minimization
+// setting): one unit per producer-first SCC group (Graph.RuleGroups),
+// negation or not — a stratifiable program has no negative edge inside a
+// component, so every predicate a unit negates is complete before the unit
+// runs. The program is cloned, so later mutation of p (the minimization
 // loops rewrite rules in place) cannot corrupt the prepared state.
 func Prepare(p *ast.Program, _ Options) (*Prepared, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
 	prog := p.Clone()
-	groups, err := scheduleGroups(prog)
+	groups, err := depgraph.Build(prog).RuleGroups()
 	if err != nil {
 		return nil, err
 	}
@@ -229,43 +232,9 @@ func arityTable(p *ast.Program) []predArity {
 	return out
 }
 
-// scheduleGroups computes the evaluation schedule of p as groups of rule
-// indexes, one group per fixpoint unit, in evaluation order: SCC groups
-// (producer-first) for pure programs, strata for programs with negation.
-// Empty groups are not emitted.
-func scheduleGroups(p *ast.Program) ([][]int, error) {
-	if !p.HasNegation() {
-		return sccRuleGroups(p), nil
-	}
-	// Stratified negation: one unit per stratum; by stratification a negated
-	// predicate is complete before any rule reading it runs.
-	strata, err := depgraph.Strata(p)
-	if err != nil {
-		return nil, err
-	}
-	var groups [][]int
-	for _, stratum := range strata {
-		inStratum := make(map[string]bool, len(stratum))
-		for _, pred := range stratum {
-			inStratum[pred] = true
-		}
-		var group []int
-		for ri, r := range p.Rules {
-			if inStratum[r.Head.Pred] {
-				group = append(group, ri)
-			}
-		}
-		if len(group) > 0 {
-			groups = append(groups, group)
-		}
-	}
-	return groups, nil
-}
-
 // newUnit builds the fixpoint unit for one schedule group, memos being the
-// program's. The unit's dynamic set is the head predicates of its own rules:
-// for an SCC group that is the component's mutually recursive predicates, for
-// a stratum the stratum's intentional predicates.
+// program's. The unit's dynamic set is the head predicates of its own rules,
+// the component's predicates that have rules.
 func newUnit(memos []*ruleMemo, group []int) *unit {
 	u := &unit{rules: make([]*ruleMemo, len(group)), idxs: group, dynamic: make(map[string]bool), streamable: true}
 	for j, ri := range group {
@@ -329,10 +298,11 @@ func (pr *Prepared) Run(ctx context.Context, input *db.Database, goal *ast.Groun
 // never merge, so each unit of the schedule holds whole components of the
 // subprogram, and everything a unit reads from outside itself is still
 // produced by earlier units. One semi-naive fixpoint over several components
-// reaches their least fixpoint all the same, and a stratification of the
-// program stratifies the subprogram. A masked rule contributes no variant to
-// any round; the others run through the plan's own compile memos. This is
-// how the Fig. 2 rule phase tests r ⊑ᵘ P − S − {r} against one prepared P.
+// reaches their least fixpoint all the same, and a predicate a unit negates
+// is still complete before the unit runs. A masked rule contributes no
+// variant to any round; the others run through the plan's own compile memos.
+// This is how the Fig. 2 rule phase tests r ⊑ᵘ P − S − {r} against one
+// prepared P.
 func (pr *Prepared) RunMasked(ctx context.Context, input *db.Database, goal *ast.GroundAtom, maxDerived int, skip []bool) (*db.Database, bool, Stats, error) {
 	var stats Stats
 	if err := CtxErr(ctx); err != nil {

@@ -57,12 +57,13 @@ type ReuseStats struct {
 
 // StreamStats counts the operator pipeline's work.
 type StreamStats struct {
-	// StrataStreamed / StrataMaterialized count fixpoint units by how they
+	// StrataStreamed / StrataMaterialized count fixpoint units — one per
+	// strongly connected component with rules, negation or not — by how they
 	// converged: StrataStreamed reached their fixpoint in one pass (no rule
 	// reads the unit's own heads, so semi-naive runs one full application
 	// and no confirmation round), StrataMaterialized needed delta rounds
-	// (recursive units, and every unit under the naive strategy). The names
-	// predate the single kernel; both kinds run on the same pipeline.
+	// (recursive units). The names predate the single kernel and the one
+	// SCC schedule; both kinds run on the same pipeline.
 	StrataStreamed     int `json:"strata_streamed"`
 	StrataMaterialized int `json:"strata_materialized"`
 	// BindingsPipelined counts every tuple successfully bound by a pipeline
@@ -83,8 +84,8 @@ type MaintainStats struct {
 	// bench/ stops reading them.
 	CountAdjusted int `json:"count_adjusted"`
 	// Overdeleted / Rederived count the facts DRed first over-deleted (in
-	// every stratum) and then restored from surviving support (recursive
-	// strata only: a non-recursive one deletes only what has no firing left).
+	// every unit) and then restored from surviving support (recursive units
+	// only: a non-recursive one deletes only what has no firing left).
 	Overdeleted int `json:"overdeleted"`
 	Rederived   int `json:"rederived"`
 	// RelationsFrozen / FreezeSkipped count, per maintenance batch, the

@@ -20,7 +20,7 @@ import (
 // Every rule application in the package is this pipeline under a different
 // span (what each operator may read) and a different sink (what happens to a
 // head instantiation): a first-round full application, a semi-naive delta
-// variant, a one-pass non-recursive stratum, the one-step Pⁿ / IsClosed
+// variant, a one-pass non-recursive unit, the one-step Pⁿ / IsClosed
 // pass, a maintenance insert round and every retraction-side
 // enumeration of view maintenance (maintain.go) differ in nothing else.
 //
@@ -543,7 +543,7 @@ func (sp *streamPlan) advance(pos int, st *streamState, stats *Stats) bool {
 }
 
 // fireRow completes one full body instantiation: negated literals are
-// absence-checked against the (complete, lower-stratum) database, the head
+// absence-checked against the (complete, lower-unit) database, the head
 // is grounded from the frame, and the fact is emitted. Returns false when
 // the sink halts the pipeline.
 func (sp *streamPlan) fireRow(d *db.Database, st *streamState, stats *Stats, sink streamSink) bool {

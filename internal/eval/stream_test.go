@@ -140,6 +140,53 @@ func TestStreamingNegation(t *testing.T) {
 	}
 }
 
+// TestNegationStratumSplitsIntoSCCUnits pins the one schedule on a program
+// with negation: Reach and Out share stratum 0, but they are two components,
+// so Out — non-recursive, reading the recursive Reach — runs as a one-pass
+// unit of its own after Reach's fixpoint instead of inside it, and so does
+// Unreach above them. The output is the stratum-by-stratum oracle's.
+func TestNegationStratumSplitsIntoSCCUnits(t *testing.T) {
+	p := parser.MustParseProgram(`
+		Reach(x) :- Src(x).
+		Reach(y) :- Reach(x), E(x, y).
+		Out(x, y) :- Reach(x), E(x, y).
+		Unreach(x) :- Node(x), !Reach(x).
+	`)
+	in := db.FromFacts([]ast.GroundAtom{
+		ga("Src", 1), ga("E", 1, 2), ga("E", 2, 3), ga("E", 3, 1), ga("E", 4, 5),
+		ga("Node", 1), ga("Node", 2), ga("Node", 4), ga("Node", 5),
+	})
+	checkAgainstOracle(t, p, in)
+	_, st, err := Eval(p, in, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.StrataStreamed != 2 || st.StrataMaterialized != 1 {
+		t.Fatalf("streamed=%d materialized=%d, want Out and Unreach one-pass, Reach alone in delta rounds", st.StrataStreamed, st.StrataMaterialized)
+	}
+}
+
+// TestUnstratifiableErrorIsStable: a program with three independent
+// negation-through-recursion cycles is rejected with the same error on every
+// call, naming the first negative edge inside a component in first-seen
+// order.
+func TestUnstratifiableErrorIsStable(t *testing.T) {
+	p := parser.MustParseProgram(`
+		P1(x) :- E(x), !Q1(x).
+		Q1(x) :- E(x), P1(x).
+		P2(x) :- E(x), !Q2(x).
+		Q2(x) :- E(x), P2(x).
+		P3(x) :- E(x), !Q3(x).
+		Q3(x) :- E(x), P3(x).
+	`)
+	const want = "depgraph: program is not stratifiable: negation through recursion between Q1 and P1"
+	for i := 0; i < 200; i++ {
+		if _, _, err := Eval(p, db.New(), Options{}); err == nil || err.Error() != want {
+			t.Fatalf("call %d: Eval error %v, want %q", i, err, want)
+		}
+	}
+}
+
 // TestStreamingNonRecursivePass cross-checks the one-step Pⁿ(d) and
 // IsClosed passes — package-level and prepared — against the oracle.
 func TestStreamingNonRecursivePass(t *testing.T) {

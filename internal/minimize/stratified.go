@@ -34,7 +34,7 @@ func StratifiedProgram(ctx context.Context, p *ast.Program, opts Options) (*ast.
 	if !p.HasNegation() {
 		return Program(ctx, p, opts)
 	}
-	if _, err := depgraph.Strata(p); err != nil {
+	if err := depgraph.Build(p).Stratified(); err != nil {
 		return nil, Trace{}, err
 	}
 	for _, r := range p.Rules {

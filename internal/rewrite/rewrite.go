@@ -11,9 +11,11 @@ package rewrite
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/ast"
+	"repro/internal/depgraph"
 )
 
 // UnfoldAtom replaces rule ruleIdx of p by its unfoldings through body
@@ -78,26 +80,13 @@ func UnfoldAtom(p *ast.Program, ruleIdx, atomIdx int) (*ast.Program, error) {
 // RemoveUnreachable deletes rules that cannot contribute to the query
 // predicate: a rule is kept iff its head predicate is needed, where the
 // needed set is the least set containing queryPred and closed under
-// "if a head is needed, its body predicates are needed".
+// "if a head is needed, its body predicates are needed" — the rules of
+// queryPred's goal cone (depgraph.Graph.Cone).
 func RemoveUnreachable(p *ast.Program, queryPred string) *ast.Program {
-	needed := map[string]bool{queryPred: true}
-	for changed := true; changed; {
-		changed = false
-		for _, r := range p.Rules {
-			if !needed[r.Head.Pred] {
-				continue
-			}
-			for _, a := range append(append([]ast.Atom{}, r.Body...), r.NegBody...) {
-				if !needed[a.Pred] {
-					needed[a.Pred] = true
-					changed = true
-				}
-			}
-		}
-	}
+	in := depgraph.Build(p).Cone(queryPred)
 	out := ast.NewProgram()
-	for _, r := range p.Rules {
-		if needed[r.Head.Pred] {
+	for i, r := range p.Rules {
+		if in[i] {
 			out.Rules = append(out.Rules, r.Clone())
 		}
 	}
@@ -106,47 +95,15 @@ func RemoveUnreachable(p *ast.Program, queryPred string) *ast.Program {
 
 // RemoveUnfounded deletes rules that can never fire on any EDB input: a
 // predicate is productive when it is extensional or some rule for it has
-// an all-productive positive body; a rule mentioning a non-productive
-// positive body atom is dead. (Negated atoms never block productivity —
-// absence is satisfiable.) The result is equivalent over EDB inputs.
+// an all-productive positive body (depgraph.Graph.Derivable from the
+// extensional predicates); a rule mentioning a non-productive positive body
+// atom is dead. (Negated atoms never block productivity — absence is
+// satisfiable.) The result is equivalent over EDB inputs.
 func RemoveUnfounded(p *ast.Program) *ast.Program {
-	idb := p.IDBPredicates()
-	productive := map[string]bool{}
-	for pred := range p.EDBPredicates() {
-		productive[pred] = true
-	}
-	for changed := true; changed; {
-		changed = false
-		for _, r := range p.Rules {
-			if productive[r.Head.Pred] {
-				continue
-			}
-			ok := true
-			for _, a := range r.Body {
-				if idb[a.Pred] && !productive[a.Pred] {
-					ok = false
-					break
-				}
-				if !idb[a.Pred] {
-					productive[a.Pred] = true
-				}
-			}
-			if ok {
-				productive[r.Head.Pred] = true
-				changed = true
-			}
-		}
-	}
+	productive := depgraph.Build(p).Derivable(p.EDBPredicates())
 	out := ast.NewProgram()
 	for _, r := range p.Rules {
-		dead := false
-		for _, a := range r.Body {
-			if idb[a.Pred] && !productive[a.Pred] {
-				dead = true
-				break
-			}
-		}
-		if !dead {
+		if !slices.ContainsFunc(r.Body, func(a ast.Atom) bool { return !productive[a.Pred] }) {
 			out.Rules = append(out.Rules, r.Clone())
 		}
 	}
