@@ -7,7 +7,7 @@ BENCHTIME ?= 0.3s
 # staticcheck pin for lint-ci; bump deliberately, not implicitly.
 STATICCHECK_VERSION ?= 2025.1
 
-.PHONY: all build vet datalog-vet test race race-service race-ivm serve-smoke bench bench-all experiments examples guard-one-join guard-ctx-arg guard-no-batch-compact guard-delta-first guard-request-path guard-one-unfold guard-no-ablation-arm guard-no-transfer guard-one-plan guard-one-maintenance guard-one-graph lint lint-ci clean
+.PHONY: all build vet datalog-vet test race race-service race-ivm serve-smoke bench bench-all experiments examples guard-one-join guard-ctx-arg guard-no-batch-compact guard-delta-first guard-request-path guard-one-unfold guard-no-ablation-arm guard-no-transfer guard-one-plan guard-one-maintenance guard-one-graph guard-one-magic lint lint-ci clean
 
 all: build vet test
 
@@ -286,10 +286,26 @@ guard-one-graph:
 		echo "internal/chase walks a goal cone itself again (make guard-one-graph): ask depgraph.Graph.Cone" >&2; exit 1; \
 	fi
 
+# guard-one-magic keeps one magic-sets rewrite for every stratifiable
+# program: magic.Rewrite copies the strata below the query's unchanged and
+# keeps each negated literal on its guarded rule, so one evaluation of the
+# rewritten program answers the query. The fork that evaluated the lower
+# strata apart, stripped the negated literals off the rules it rewrote and
+# matched the rewritten rules back to their sources to reattach them stays
+# deleted: none of its names may come back in non-test code under internal/,
+# and internal/magic strips no NegBody.
+guard-one-magic:
+	@if grep -rnE 'AnswerStratified|sourceRuleIndex|\bunadorn\b' --include='*.go' internal | grep -v '_test\.go:'; then \
+		echo "the strip-and-reattach magic fork is back (make guard-one-magic): magic.Rewrite adorns the query's stratum with its negated literals in place" >&2; exit 1; \
+	fi
+	@if grep -nE 'NegBody *= *nil' internal/magic/*.go | grep -v '_test\.go:'; then \
+		echo "internal/magic strips negated literals (make guard-one-magic): adornRule keeps NegBody on the guarded rule" >&2; exit 1; \
+	fi
+
 # lint runs the guards and go vet always, and staticcheck when the binary is
 # on PATH (the dev container does not bake it in; lint-ci installs the pinned
 # version).
-lint: guard-one-join guard-ctx-arg guard-no-batch-compact guard-delta-first guard-request-path guard-one-unfold guard-no-ablation-arm guard-no-transfer guard-one-plan guard-one-maintenance guard-one-graph
+lint: guard-one-join guard-ctx-arg guard-no-batch-compact guard-delta-first guard-request-path guard-one-unfold guard-no-ablation-arm guard-no-transfer guard-one-plan guard-one-maintenance guard-one-graph guard-one-magic
 	$(GO) vet ./...
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \

@@ -20,35 +20,33 @@ import (
 // verbose additionally reports each minimization session's cache counters
 // and the process-wide plan cache state.
 func compareReport(out io.Writer, p1, p2 *ast.Program, verbose bool) error {
-	contains := chase.UniformlyContains
-	if p1.HasNegation() || p2.HasNegation() {
-		contains = chase.StratifiedUniformlyContains
+	negation := p1.HasNegation() || p2.HasNegation()
+	if negation {
 		fmt.Fprintln(out, "note: stratified negation present; using the conservative encoding")
 	}
 
-	ok12, w12, err := contains(p1, p2)
+	v12, w12, err := containment(p1, p2, negation)
 	if err != nil {
 		return err
 	}
-	ok21, w21, err := contains(p2, p1)
+	v21, w21, err := containment(p2, p1, negation)
 	if err != nil {
 		return err
 	}
-	fmt.Fprintf(out, "P2 ⊑ᵘ P1: %v", ok12)
-	if !ok12 {
-		fmt.Fprintf(out, "   (witness: %s)", p2.Rules[w12])
+	printContainment(out, "P2 ⊑ᵘ P1", v12, p2, w12)
+	printContainment(out, "P1 ⊑ᵘ P2", v21, p1, w21)
+	eq := chase.Unknown
+	switch {
+	case v12 == chase.Yes && v21 == chase.Yes:
+		eq = chase.Yes
+	case v12 == chase.No || v21 == chase.No:
+		eq = chase.No
 	}
-	fmt.Fprintln(out)
-	fmt.Fprintf(out, "P1 ⊑ᵘ P2: %v", ok21)
-	if !ok21 {
-		fmt.Fprintf(out, "   (witness: %s)", p1.Rules[w21])
-	}
-	fmt.Fprintln(out)
-	fmt.Fprintf(out, "P1 ≡ᵘ P2: %v\n", ok12 && ok21)
+	fmt.Fprintf(out, "P1 ≡ᵘ P2: %s\n", verdictText(eq))
 
 	// Equivalence over EDBs is undecidable; sample it. Agreement on every
 	// sample is evidence, not proof — disagreement is a counterexample.
-	if !p1.HasNegation() && !p2.HasNegation() {
+	if !negation {
 		verdict, cex := sampleEquivalence(p1, p2, 40)
 		if cex != "" {
 			fmt.Fprintf(out, "P1 ≡ P2 (sampled): NO — counterexample EDB:\n%s", cex)
@@ -85,6 +83,47 @@ func compareReport(out io.Writer, p1, p2 *ast.Program, verbose bool) error {
 			cs.Hits, cs.Misses, cs.Evictions, cs.Entries)
 	}
 	return nil
+}
+
+// containment decides P_b ⊑ᵘ P_a: exactly (Yes or No) on pure Datalog, by
+// the conservative encoding (Yes or Unknown) under negation. The int is the
+// first rule of b not shown contained.
+func containment(a, b *ast.Program, negation bool) (chase.Verdict, int, error) {
+	if negation {
+		return chase.StratifiedUniformlyContains(a, b)
+	}
+	ok, w, err := chase.UniformlyContains(a, b)
+	if !ok {
+		return chase.No, w, err
+	}
+	return chase.Yes, w, err
+}
+
+// printContainment prints one containment line; a rule of p that is not
+// contained (No) is a witness, one not shown contained (Unknown) is named as
+// such.
+func printContainment(out io.Writer, label string, v chase.Verdict, p *ast.Program, w int) {
+	fmt.Fprintf(out, "%s: %s", label, verdictText(v))
+	switch v {
+	case chase.No:
+		fmt.Fprintf(out, "   (witness: %s)", p.Rules[w])
+	case chase.Unknown:
+		fmt.Fprintf(out, "   (not shown for: %s)", p.Rules[w])
+	}
+	fmt.Fprintln(out)
+}
+
+// verdictText renders a decided verdict as true / false, and Unknown as
+// unknown.
+func verdictText(v chase.Verdict) string {
+	switch v {
+	case chase.Yes:
+		return "true"
+	case chase.No:
+		return "false"
+	default:
+		return "unknown"
+	}
 }
 
 // sampleEquivalence compares outputs on random EDBs over the union of both

@@ -206,4 +206,27 @@ func TestCompareCommand(t *testing.T) {
 	if !strings.Contains(sb.String(), "NOT minimal") {
 		t.Fatalf("non-minimality not reported:\n%s", sb.String())
 	}
+
+	// Under negation the encoded test proves containment or says nothing:
+	// P2 ⊑ᵘ P1 holds by a case split on C the encoding cannot make, so it is
+	// unknown, and so is ≡ᵘ — never false.
+	n1 := writeFile(t, "n1.dl", "A(x) :- B(x), !C(x).\nA(x) :- B(x), C(x).\n")
+	n2 := writeFile(t, "n2.dl", "A(x) :- B(x).\n")
+	sb.Reset()
+	if err := run([]string{"compare", n1, n2}, &sb); err != nil {
+		t.Fatal(err)
+	}
+	out = sb.String()
+	for _, want := range []string{
+		"P2 ⊑ᵘ P1: unknown   (not shown for: A(x) :- B(x).)",
+		"P1 ⊑ᵘ P2: true",
+		"P1 ≡ᵘ P2: unknown",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("compare output missing %q:\n%s", want, out)
+		}
+	}
+	if strings.Contains(out, "false") {
+		t.Errorf("a conservative failure printed as false:\n%s", out)
+	}
 }

@@ -21,6 +21,8 @@ var goldenCases = []struct {
 	{"ex7.minimize.golden", []string{"minimize", testdataPath("ex7.dl")}},
 	{"ex11.equivopt.golden", []string{"equivopt", testdataPath("ex11.dl")}},
 	{"ex19.equivopt.golden", []string{"equivopt", testdataPath("ex19.dl")}},
+	{"ancestor.magic.golden", []string{"magic", testdataPath("ancestor.dl"), `Anc("ann", y)`}},
+	{"dead.magic.golden", []string{"magic", testdataPath("dead.dl"), "Dead(3)"}},
 }
 
 // TestGoldenFiles compares CLI output byte-for-byte against the stored

@@ -31,7 +31,8 @@ import (
 type Verdict int
 
 const (
-	// Unknown means the budget was exhausted before the test resolved.
+	// Unknown means the test did not resolve: a budget was exhausted, or an
+	// incomplete test (StratifiedUniformlyContains) found no proof.
 	Unknown Verdict = iota
 	// Yes means the property was proved.
 	Yes
@@ -765,40 +766,27 @@ type Certificate struct {
 	Body *db.Database
 }
 
-// StratifiedUniformlyContainsRule extends the Section VI test to rules with
-// stratified negation, in the conservative style of the paper's announced
-// extension (Section XII): negated literals are encoded as positive atoms
-// over fresh extensional predicates (EncodeNegation, the encoding
-// minimize.StratifiedProgram uses too), and the pure-Datalog test runs on the
-// encoding. A positive answer is sound for stratified semantics — the
-// witnessing derivation relies only on negation checks the contained
-// rule's own firing already guarantees — but the test is incomplete:
-// containments that need reasoning about negation (e.g. Q ∨ ¬Q case
-// splits) are not found.
-func StratifiedUniformlyContainsRule(p *ast.Program, r ast.Rule) (bool, error) {
-	return UniformlyContainsRule(EncodeNegation(p), EncodeRuleNegation(r))
-}
-
-// StratifiedUniformlyContains applies StratifiedUniformlyContainsRule to
-// every rule of p2, sharing one session over the encoded p1.
-func StratifiedUniformlyContains(p1, p2 *ast.Program) (bool, int, error) {
-	if len(p2.Rules) == 0 {
-		return true, -1, nil
-	}
+// StratifiedUniformlyContains extends the Section VI test P₂ ⊑ᵘ P₁ to
+// programs with stratified negation, in the conservative style of the
+// paper's announced extension (Section XII): negated literals are encoded as
+// positive atoms over fresh extensional predicates (EncodeNegation, the
+// encoding minimize.StratifiedProgram uses too), and the pure-Datalog test
+// runs on the encoding. Yes is sound for stratified semantics — the
+// witnessing derivation relies only on negation checks the contained rule's
+// own firing already guarantees — but the test is incomplete: containments
+// that need reasoning about negation (e.g. Q ∨ ¬Q case splits) are not
+// found, so a failed encoded test is Unknown, never No. With Unknown comes
+// the index of the first rule of p2 not shown contained (-1 with Yes).
+func StratifiedUniformlyContains(p1, p2 *ast.Program) (Verdict, int, error) {
 	c, err := NewChecker(EncodeNegation(p1))
 	if err != nil {
-		return false, 0, err
+		return Unknown, 0, err
 	}
-	for i, r := range p2.Rules {
-		ok, err := c.ContainsRule(context.Background(), EncodeRuleNegation(r))
-		if err != nil {
-			return false, i, err
-		}
-		if !ok {
-			return false, i, nil
-		}
+	ok, i, err := c.Contains(context.Background(), EncodeNegation(p2))
+	if err != nil || !ok {
+		return Unknown, i, err
 	}
-	return true, -1, nil
+	return Yes, -1, nil
 }
 
 // NegPrefix marks the encoded positive stand-ins for negated literals. The

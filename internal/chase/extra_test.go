@@ -62,37 +62,49 @@ func TestStratifiedUniformContainment(t *testing.T) {
 		Dead(x) :- Node(x), !Reach(x), !Reach(x).
 		Reach(x) :- Src(x).
 	`)
-	ok, _, err := StratifiedUniformlyContains(p1, p2)
-	if err != nil || !ok {
-		t.Fatalf("duplicate-literal containment: %v %v", ok, err)
+	v, _, err := StratifiedUniformlyContains(p1, p2)
+	if err != nil || v != Yes {
+		t.Fatalf("duplicate-literal containment: %v %v", v, err)
 	}
-	ok, _, err = StratifiedUniformlyContains(p2, p1)
-	if err != nil || !ok {
-		t.Fatalf("converse containment: %v %v", ok, err)
+	v, _, err = StratifiedUniformlyContains(p2, p1)
+	if err != nil || v != Yes {
+		t.Fatalf("converse containment: %v %v", v, err)
 	}
 
 	// Dropping the negated literal is NOT uniformly sound: the rule without
-	// the check derives more.
+	// the check derives more. The encoded test cannot refute it, so it
+	// answers Unknown, never No.
 	p3 := parser.MustParseProgram(`
 		Dead(x) :- Node(x).
 		Reach(x) :- Src(x).
 	`)
-	ok, witness, err := StratifiedUniformlyContains(p2, p3)
+	v, witness, err := StratifiedUniformlyContains(p2, p3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ok {
-		t.Fatal("negation check dropped soundly?!")
+	if v != Unknown {
+		t.Fatalf("negation check dropped: verdict %v, want unknown", v)
 	}
 	if witness != 0 {
 		t.Fatalf("witness = %d", witness)
 	}
 
+	// A containment that needs a case split on C is true but not shown:
+	// Unknown again, not No.
+	split := parser.MustParseProgram(`
+		A(x) :- B(x), !C(x).
+		A(x) :- B(x), C(x).
+	`)
+	v, _, err = StratifiedUniformlyContains(split, parser.MustParseProgram(`A(x) :- B(x).`))
+	if err != nil || v != Unknown {
+		t.Fatalf("case split: %v %v, want unknown", v, err)
+	}
+
 	// Pure programs agree with the plain test.
 	tc1 := p1d()
-	ok, _, err = StratifiedUniformlyContains(tc1, tc1.Clone())
-	if err != nil || !ok {
-		t.Fatalf("pure fallback: %v %v", ok, err)
+	v, _, err = StratifiedUniformlyContains(tc1, tc1.Clone())
+	if err != nil || v != Yes {
+		t.Fatalf("pure fallback: %v %v", v, err)
 	}
 }
 

@@ -329,7 +329,8 @@ func MagicRewrite(p *Program, query Atom) (*MagicRewritten, error) {
 	return magic.Rewrite(p, query)
 }
 
-// MagicAnswer answers a query via the magic-sets rewriting.
+// MagicAnswer answers a query via the magic-sets rewriting, for pure and
+// stratified programs alike.
 func MagicAnswer(p *Program, edb *Database, query Atom, opts EvalOptions) ([][]Const, magic.Stats, error) {
 	return magic.Answer(p, edb, query, opts)
 }
@@ -469,15 +470,8 @@ func OptimizeForQuery(p *Program, query Atom, opts PipelineOptions) (*PipelineRe
 
 // StratifiedUniformlyContains is the conservative stratified-negation
 // extension of UniformlyContains (Section XII direction; see
-// internal/chase for the encoding and its soundness argument).
-func StratifiedUniformlyContains(p1, p2 *Program) (bool, int, error) {
+// internal/chase for the encoding and its soundness argument): Yes or
+// Unknown, never No.
+func StratifiedUniformlyContains(p1, p2 *Program) (Verdict, int, error) {
 	return chase.StratifiedUniformlyContains(p1, p2)
-}
-
-// MagicAnswerStratified answers a query through the magic rewriting for
-// programs with stratified negation: strata below the query are
-// materialized bottom-up, the query's stratum is magic-rewritten with its
-// negation checks kept against the complete lower relations.
-func MagicAnswerStratified(p *Program, edb *Database, query Atom, opts EvalOptions) ([][]Const, magic.Stats, error) {
-	return magic.AnswerStratified(p, edb, query, opts)
 }

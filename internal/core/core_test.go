@@ -337,7 +337,7 @@ func TestFacadeStratifiedMagic(t *testing.T) {
 	}
 	edb := FromFacts(res.Facts)
 	query := ast.NewAtom("Dead", ast.Var("x"))
-	got, _, err := MagicAnswerStratified(res.Program, edb, query, EvalOptions{})
+	got, _, err := MagicAnswer(res.Program, edb, query, EvalOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}

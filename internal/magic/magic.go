@@ -20,6 +20,7 @@ import (
 
 	"repro/internal/ast"
 	"repro/internal/db"
+	"repro/internal/depgraph"
 	"repro/internal/eval"
 )
 
@@ -77,7 +78,14 @@ type Rewritten struct {
 
 // Rewrite performs the magic-sets transformation of p for the given query
 // atom with the default left-to-right SIPS. The query predicate must be
-// intentional in p, and p must be pure Datalog.
+// intentional in p, and p must be stratifiable.
+//
+// Under stratified negation only the query's stratum is adorned: the rules
+// of the strata below it are copied unchanged, so every negated literal —
+// which stays on its guarded rule — reads a relation that is complete before
+// the adorned rules run, and the rules of the strata above it cannot
+// contribute to the query. The rewritten program is stratified again: its
+// adorned and magic predicates read the lower ones only.
 func Rewrite(p *ast.Program, query ast.Atom) (*Rewritten, error) {
 	return rewrite(p, query, LeftToRight)
 }
@@ -86,9 +94,6 @@ func rewrite(p *ast.Program, query ast.Atom, strategy SIPS) (*Rewritten, error) 
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	if p.HasNegation() {
-		return nil, fmt.Errorf("magic: pure Datalog required")
-	}
 	idb := p.IDBPredicates()
 	if !idb[query.Pred] {
 		return nil, fmt.Errorf("magic: query predicate %s is extensional; query the EDB directly", query.Pred)
@@ -96,6 +101,30 @@ func rewrite(p *ast.Program, query ast.Atom, strategy SIPS) (*Rewritten, error) 
 
 	queryAd := AdornmentForQuery(query)
 	out := ast.NewProgram()
+	rules := p.Rules
+	if p.HasNegation() {
+		strata, err := depgraph.Strata(p)
+		if err != nil {
+			return nil, err
+		}
+		level := map[string]int{}
+		for i, s := range strata {
+			for _, pred := range s {
+				level[pred] = i
+			}
+		}
+		top := level[query.Pred]
+		idb, rules = map[string]bool{}, nil
+		for _, r := range p.Rules {
+			switch l := level[r.Head.Pred]; {
+			case l < top:
+				out.Rules = append(out.Rules, r.Clone())
+			case l == top:
+				idb[r.Head.Pred] = true
+				rules = append(rules, r)
+			}
+		}
+	}
 	type job struct {
 		pred string
 		ad   Adornment
@@ -115,7 +144,7 @@ func rewrite(p *ast.Program, query ast.Atom, strategy SIPS) (*Rewritten, error) 
 	for len(work) > 0 {
 		j := work[0]
 		work = work[1:]
-		for _, r := range p.Rules {
+		for _, r := range rules {
 			if r.Head.Pred != j.pred {
 				continue
 			}
@@ -141,7 +170,9 @@ func rewrite(p *ast.Program, query ast.Atom, strategy SIPS) (*Rewritten, error) 
 // adornRule adorns one rule for a head adornment, producing the guarded
 // rule and the magic rules for its intentional body atoms. enqueue is
 // called for every (predicate, adornment) pair the body demands. The SIPS
-// decides the visiting order, which becomes the rewritten body order.
+// decides the visiting order, which becomes the rewritten body order. The
+// rule's negated literals, all over lower strata, stay on the guarded rule;
+// the magic rules are positive.
 func adornRule(r ast.Rule, headAd Adornment, idb map[string]bool, strategy SIPS, enqueue func(string, Adornment)) (ast.Rule, []ast.Rule) {
 	bound := map[string]bool{}
 	for _, i := range headAd.BoundPositions() {
@@ -197,6 +228,9 @@ func adornRule(r ast.Rule, headAd Adornment, idb map[string]bool, strategy SIPS,
 	guarded := ast.Rule{
 		Head: ast.Atom{Pred: adornedName(r.Head.Pred, headAd), Args: append([]ast.Term(nil), r.Head.Args...)},
 		Body: newBody,
+	}
+	for _, a := range r.NegBody {
+		guarded.NegBody = append(guarded.NegBody, a.Clone())
 	}
 	return guarded, magicRules
 }

@@ -37,7 +37,7 @@ func TestStratifiedMagicAgreesWithBottomUp(t *testing.T) {
 		edb := deadEDB(4+rng.Intn(6), rng)
 		for _, q := range []string{"Dead(x)", "Dead(3)"} {
 			query := parser.MustParseAtom(q)
-			got, _, err := AnswerStratified(p, edb, query, eval.Options{})
+			got, _, err := Answer(p, edb, query, eval.Options{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -59,7 +59,7 @@ func TestStratifiedMagicLowerStratumQuery(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	edb := deadEDB(8, rng)
 	query := parser.MustParseAtom("Reach(x)")
-	got, _, err := AnswerStratified(p, edb, query, eval.Options{})
+	got, _, err := Answer(p, edb, query, eval.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,7 +76,7 @@ func TestStratifiedMagicPureFallback(t *testing.T) {
 	p := ancestor()
 	edb := chainEDB("Par", 12)
 	query := parser.MustParseAtom("Anc(3, y)")
-	got, _, err := AnswerStratified(p, edb, query, eval.Options{})
+	got, _, err := Answer(p, edb, query, eval.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,25 +90,7 @@ func TestStratifiedMagicPureFallback(t *testing.T) {
 }
 
 func TestStratifiedMagicUnknownQueryPred(t *testing.T) {
-	if _, _, err := AnswerStratified(deadProgram(), db.New(), parser.MustParseAtom("Zzz(x)"), eval.Options{}); err == nil {
+	if _, _, err := Answer(deadProgram(), db.New(), parser.MustParseAtom("Zzz(x)"), eval.Options{}); err == nil {
 		t.Fatal("unknown predicate accepted")
-	}
-}
-
-func TestUnadorn(t *testing.T) {
-	cases := []struct {
-		in   string
-		want string
-		ok   bool
-	}{
-		{"Anc@bf", "Anc", true},
-		{"m@Anc@bf", "", false},
-		{"Par", "", false},
-	}
-	for _, tc := range cases {
-		got, ok := unadorn(tc.in)
-		if got != tc.want || ok != tc.ok {
-			t.Errorf("unadorn(%q) = %q, %v", tc.in, got, ok)
-		}
 	}
 }

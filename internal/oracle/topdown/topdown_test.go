@@ -376,7 +376,7 @@ func TestEnginesAgreeOnRandomPrograms(t *testing.T) {
 		}
 		q := randomQuery(rng, "R", domain)
 		want := answers("bottom-up", sp, q, func() ([][]ast.Const, error) { return eval.Query(sp, edb, q, eval.Options{}) })
-		if got := answers("stratified magic", sp, q, drop(magic.AnswerStratified, sp, q)); !sameTuples(got, want) {
+		if got := answers("stratified magic", sp, q, drop(magic.Answer, sp, q)); !sameTuples(got, want) {
 			t.Fatalf("seed %d: %v over\n%s%sstratified magic answers %v, bottom-up %v", seed, q, sp, edb, got, want)
 		}
 		if got := answers("tabled", sp, q, tabled(sp, q)); !sameTuples(got, want) {
