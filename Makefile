@@ -7,7 +7,7 @@ BENCHTIME ?= 0.3s
 # staticcheck pin for lint-ci; bump deliberately, not implicitly.
 STATICCHECK_VERSION ?= 2025.1
 
-.PHONY: all build vet datalog-vet test race race-service race-ivm serve-smoke bench bench-all experiments examples guard-one-join guard-ctx-arg guard-no-batch-compact guard-delta-first guard-request-path guard-one-unfold guard-no-ablation-arm guard-no-transfer guard-one-plan guard-one-maintenance guard-one-graph guard-one-magic lint lint-ci clean
+.PHONY: all build vet datalog-vet test race race-service race-ivm serve-smoke bench bench-all experiments examples guard-one-join guard-ctx-arg guard-no-batch-compact guard-delta-first guard-request-path guard-one-unfold guard-no-ablation-arm guard-no-transfer guard-one-plan guard-one-maintenance guard-one-graph guard-one-magic guard-one-cache lint lint-ci clean
 
 all: build vet test
 
@@ -302,10 +302,29 @@ guard-one-magic:
 		echo "internal/magic strips negated literals (make guard-one-magic): adornRule keeps NegBody on the guarded rule" >&2; exit 1; \
 	fi
 
+# guard-one-cache keeps one plan cache and one session per program version.
+# Every plan lookup goes through eval.DefaultPlanCache: no constructor,
+# options struct or lineage takes another cache, so no struct carries a
+# PlanCache field and eval.NewLineage takes no argument. A server program
+# version owns the core.Session it opened; the registry that handed one
+# session to every canonically equal program (and with it the first
+# program's variable names) stays deleted, with the options it was built from.
+guard-one-cache:
+	@if grep -rnwE 'SessionOptions|sessionResolve|NewService' --include='*.go' internal cmd | grep -v '_test\.go:' || \
+		grep -rnE '\bcore\.(Service|NewPlanCache)\b' --include='*.go' internal cmd | grep -v '_test\.go:'; then \
+		echo "the session registry or the session options are back (make guard-one-cache): a program version owns the session it opened with core.NewSession" >&2; exit 1; \
+	fi
+	@if grep -rnE '^[[:space:]]+(PlanCache[[:space:]]+[^=]|[A-Za-z_][A-Za-z0-9_]*[[:space:]]+\*?(eval\.)?PlanCache[[:space:]]*(//.*)?$$)' --include='*.go' internal cmd | grep -v '_test\.go:'; then \
+		echo "a struct carries a plan cache (make guard-one-cache): every lookup goes through eval.DefaultPlanCache" >&2; exit 1; \
+	fi
+	@if grep -rnE '\bNewLineage\([^)]' --include='*.go' internal cmd | grep -v '_test\.go:'; then \
+		echo "eval.NewLineage takes an argument again (make guard-one-cache): a lineage is its stats, the cache is eval.DefaultPlanCache" >&2; exit 1; \
+	fi
+
 # lint runs the guards and go vet always, and staticcheck when the binary is
 # on PATH (the dev container does not bake it in; lint-ci installs the pinned
 # version).
-lint: guard-one-join guard-ctx-arg guard-no-batch-compact guard-delta-first guard-request-path guard-one-unfold guard-no-ablation-arm guard-no-transfer guard-one-plan guard-one-maintenance guard-one-graph guard-one-magic
+lint: guard-one-join guard-ctx-arg guard-no-batch-compact guard-delta-first guard-request-path guard-one-unfold guard-no-ablation-arm guard-no-transfer guard-one-plan guard-one-maintenance guard-one-graph guard-one-magic guard-one-cache
 	$(GO) vet ./...
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \

@@ -93,17 +93,22 @@ func BenchmarkE4_MinimizeProgram(b *testing.B) {
 	}
 }
 
+// coldCopies numbers benchMinimizeCold's renamed copies across its runs.
+var coldCopies int
+
 // BenchmarkE4_MinimizeProgram/rules-8-cold is what the warm rows above cannot
 // show: after their first iteration every plan and verdict comes out of the
 // process-wide caches, so they time lookups. Here each iteration minimizes a
-// copy with freshly renamed predicates — no canonical form repeats — through
-// an empty plan cache, so every Prepare, every Derive and every lowering the
-// Fig. 2 loop asks for is paid.
+// copy with freshly renamed predicates — no canonical form repeats, in this
+// run or an earlier one of the process — so every Prepare misses the plan
+// cache, and every verdict and every lowering the Fig. 2 loop asks for is
+// paid.
 func benchMinimizeCold(b *testing.B, p *ast.Program) {
 	copies := make([]*ast.Program, b.N)
 	for i := range copies {
 		q := p.Clone()
-		rename := func(a *ast.Atom) { a.Pred = fmt.Sprintf("%s_%d", a.Pred, i) }
+		coldCopies++
+		rename := func(a *ast.Atom) { a.Pred = fmt.Sprintf("%s_%d", a.Pred, coldCopies) }
 		for ri := range q.Rules {
 			rename(&q.Rules[ri].Head)
 			for k := range q.Rules[ri].Body {
@@ -115,7 +120,7 @@ func benchMinimizeCold(b *testing.B, p *ast.Program) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for _, q := range copies {
-		min, _, err := minimize.Program(context.Background(), q, minimize.Options{PlanCache: eval.NewPlanCache(0)})
+		min, _, err := minimize.Program(context.Background(), q, minimize.Options{})
 		if err != nil || len(min.Rules) != 2 {
 			b.Fatal(len(min.Rules), err)
 		}

@@ -151,9 +151,8 @@ func FreezeRule(r ast.Rule) (ast.GroundAtom, *db.Database) {
 //
 // A Checker is not safe for concurrent use (its memo tables are unlocked).
 type Checker struct {
-	// Lineage is the plan cache the session prepares through and the
-	// cumulative stats, shared by value with any session built in the same
-	// lineage.
+	// Lineage is the cumulative stats, shared by value with any session
+	// built in the same lineage.
 	eval.Lineage
 	prog *ast.Program
 	// progCanon is the program's canonical form — the session's content
@@ -196,13 +195,11 @@ type Checker struct {
 // negation are rejected: the chase-based tests are defined for pure Datalog
 // (use StratifiedUniformlyContains for the encoded extension).
 func NewChecker(p *ast.Program) (*Checker, error) {
-	return NewCheckerIn(p, eval.NewLineage(nil))
+	return NewCheckerIn(p, eval.NewLineage())
 }
 
 // NewCheckerIn is NewChecker inside an existing lineage: the session
-// prepares through the lineage's plan cache and accumulates into its stats.
-// Tests, the harness and servers inject a
-// lineage over their own cache to isolate or partition cache footprints.
+// accumulates into the lineage's stats.
 func NewCheckerIn(p *ast.Program, lin eval.Lineage) (*Checker, error) {
 	if p.HasNegation() {
 		return nil, fmt.Errorf("chase: uniform containment is defined for pure Datalog; program or rule uses negation")

@@ -201,7 +201,6 @@ func TestDeriveConcurrentSessions(t *testing.T) {
 	if p.Validate() != nil {
 		t.Skip("unlucky seed")
 	}
-	cache := eval.NewPlanCache(0)
 	var wg sync.WaitGroup
 	errs := make(chan error, 8)
 	plans := make([]*eval.Prepared, 8)
@@ -210,7 +209,7 @@ func TestDeriveConcurrentSessions(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(int64(g)))
-			ck, err := NewCheckerIn(p, eval.NewLineage(cache))
+			ck, err := NewChecker(p)
 			if err != nil {
 				errs <- err
 				return

@@ -101,15 +101,13 @@ type (
 	Prepared = eval.Prepared
 	// PreserveSession is a preservation-checking session over a fixed
 	// program, caching the prepared program and per-depth unfoldings. A
-	// weakened program gets a session of its own; opened over the same plan
-	// cache, it finds the plans both programs share by content address.
+	// weakened program gets a session of its own, which finds the plans
+	// both programs share by content address.
 	PreserveSession = preserve.Session
 	// PreserveOptions configures one preservation check (depth and chase
 	// budget) — the consolidated form of the former
 	// PreservesNonRecursively/…AtDepth entry-point pairs.
 	PreserveOptions = preserve.Options
-	// PlanCache is a content-addressed cache of prepared evaluation plans.
-	PlanCache = eval.PlanCache
 	// Diagnostic is one static-analysis finding: a stable code, a severity,
 	// a source position and a message (internal/analysis).
 	Diagnostic = analysis.Diagnostic
@@ -202,45 +200,13 @@ func Eval(p *Program, input *Database, opts EvalOptions) (*Database, EvalStats, 
 	return eval.Eval(p, input, opts)
 }
 
-// SessionOptions configures session construction across the facade:
-// PrepareEval, NewContainmentChecker and NewPreserveSession all take the
-// same (optional, variadic for compatibility) options.
-type SessionOptions struct {
-	// PlanCache selects the cache that prepared plans are served from and
-	// registered in; nil selects the process-wide cache. Tests and servers
-	// isolate or partition cache footprints by injecting their own — sessions
-	// built over the same cache share delta-patched plans by content
-	// address.
-	PlanCache *PlanCache
-}
-
-// sessionResolve folds the variadic options into one: the first non-nil
-// plan cache wins, the process-wide one when there is none.
-func sessionResolve(opts []SessionOptions) SessionOptions {
-	var r SessionOptions
-	for _, o := range opts {
-		if r.PlanCache == nil {
-			r.PlanCache = o.PlanCache
-		}
-	}
-	if r.PlanCache == nil {
-		r.PlanCache = eval.DefaultPlanCache
-	}
-	return r
-}
-
-// NewPlanCache returns an isolated plan cache holding at most max plans
-// (max ≤ 0 selects the default capacity), for injection via SessionOptions.
-func NewPlanCache(max int) *PlanCache { return eval.NewPlanCache(max) }
-
 // PrepareEval validates p once and caches its evaluation plan (SCC
 // schedule, compiled rules, index needs); the returned Prepared evaluates
 // any number of databases without re-planning and is safe for concurrent
-// use. Plans are served from the process-wide content-addressed cache — or
-// the cache injected via SessionOptions — so preparing a program
-// canonically equal to one seen before is a lookup.
-func PrepareEval(p *Program, opts EvalOptions, sess ...SessionOptions) (*Prepared, error) {
-	return sessionResolve(sess).PlanCache.Prepare(p, opts)
+// use. Plans are served from the process-wide content-addressed cache, so
+// preparing a program canonically equal to one seen before is a lookup.
+func PrepareEval(p *Program, opts EvalOptions) (*Prepared, error) {
+	return eval.DefaultPlanCache.Prepare(p, opts)
 }
 
 // PlanCacheStats reports the process-wide plan cache's hit/miss/eviction
@@ -255,16 +221,14 @@ func PlanCacheStats() eval.CacheStats {
 // frozen bodies and memoized verdicts across calls;
 // Checker.ContainsRuleMasked tests against P₁ minus some of its rules on the
 // same plan.
-func NewContainmentChecker(p1 *Program, sess ...SessionOptions) (ContainmentChecker, error) {
-	ck, err := chase.NewCheckerIn(p1, eval.NewLineage(sessionResolve(sess).PlanCache))
+func NewContainmentChecker(p1 *Program) (ContainmentChecker, error) {
+	ck, err := chase.NewChecker(p1)
 	return ContainmentChecker{ck}, err
 }
 
 // NewPreserveSession opens a preservation-checking session over p for
 // repeated Check / CheckPreliminary tests against different tgd sets.
-func NewPreserveSession(p *Program, sess ...SessionOptions) (*PreserveSession, error) {
-	return preserve.NewSessionIn(p, eval.NewLineage(sessionResolve(sess).PlanCache))
-}
+func NewPreserveSession(p *Program) (*PreserveSession, error) { return preserve.NewSession(p) }
 
 // NonRecursive computes Pⁿ(d), the one-step application of Section IX.
 func NonRecursive(p *Program, d *Database) *Database { return eval.NonRecursive(p, d) }

@@ -14,10 +14,10 @@ import (
 
 // This file is the session-oriented service layer of the facade: long-lived
 // handles over program versions, built for servers that answer many requests
-// against the same programs. A Service is a content-addressed registry of
-// Sessions; a Session bundles the three per-program caches the library
-// maintains — the prepared evaluation plan, the uniform-containment checker
-// and the preservation session — behind one concurrency contract:
+// against the same programs. A Session bundles the three per-program caches
+// the library maintains — the prepared evaluation plan, the
+// uniform-containment checker and the preservation session — behind one
+// concurrency contract:
 //
 //   - Eval / EvalWith / Query / Explain are safe for any number of concurrent
 //     callers (the Prepared plan is immutable);
@@ -55,93 +55,14 @@ var ErrCanceled = eval.ErrCanceled
 // MaxDerived budget.
 var ErrBudget = eval.ErrBudget
 
-// Service is a registry of Sessions keyed by program content address:
-// opening a program canonically equal to one already open returns the same
-// Session, so every tenant querying the same program version shares one
-// prepared plan, one containment session and one preservation session.
-// A Service is safe for concurrent use.
-type Service struct {
-	base SessionOptions // resolved plan cache for sessions it opens
-
-	mu       sync.Mutex
-	sessions map[string]*Session
-}
-
-// NewService returns an empty session registry. Sessions it opens prepare
-// through the injected plan cache (SessionOptions), or the process-wide one.
-func NewService(sess ...SessionOptions) *Service {
-	return &Service{base: sessionResolve(sess), sessions: make(map[string]*Session)}
-}
-
-// Open returns the Session for p, creating it on first use. Programs are
-// identified by canonical form, so alpha-renamed or rule-reordered copies
-// share a session.
-func (sv *Service) Open(p *Program) (*Session, error) {
-	key := p.CanonicalString()
-	sv.mu.Lock()
-	if s, ok := sv.sessions[key]; ok {
-		sv.mu.Unlock()
-		return s, nil
-	}
-	sv.mu.Unlock()
-	// Prepare outside the registry lock: preparation can be expensive and
-	// other programs' lookups must not wait on it. A racing Open of the
-	// same program at worst prepares twice; the plan cache dedups the plan
-	// and the registry keeps the first session inserted.
-	s, err := NewSession(p, sv.base)
-	if err != nil {
-		return nil, err
-	}
-	sv.mu.Lock()
-	defer sv.mu.Unlock()
-	if prior, ok := sv.sessions[key]; ok {
-		return prior, nil
-	}
-	sv.sessions[key] = s
-	return s, nil
-}
-
-// Len reports the number of open sessions.
-func (sv *Service) Len() int {
-	sv.mu.Lock()
-	defer sv.mu.Unlock()
-	return len(sv.sessions)
-}
-
-// TotalStats sums the accumulated evaluation statistics and accounted
-// request counts of every open session — the service-wide counters a
-// server's /statz endpoint reports. Each session's snapshot is read under
-// its own stats lock, so the sum is race-free though not an atomic
-// cross-session cut.
-func (sv *Service) TotalStats() (EvalStats, uint64) {
-	sv.mu.Lock()
-	sessions := make([]*Session, 0, len(sv.sessions))
-	for _, s := range sv.sessions {
-		sessions = append(sessions, s)
-	}
-	sv.mu.Unlock()
-	var tot EvalStats
-	var n uint64
-	for _, s := range sessions {
-		st, evals := s.Stats()
-		tot.Add(st)
-		n += evals
-	}
-	return tot, n
-}
-
-// PlanCacheStats reports the counters of the plan cache this service's
-// sessions actually prepare through: the cache injected at construction, or
-// the process-wide default when none was.
-func (sv *Service) PlanCacheStats() eval.CacheStats { return sv.base.PlanCache.Stats() }
-
 // Session is a long-lived handle over one program version: the prepared
 // evaluation plan plus lazily built containment and preservation sessions.
-// See the file comment for the concurrency contract.
+// The plan comes from the process-wide plan cache, so sessions over
+// canonically equal programs share it, while each session keeps its caller's
+// program. See the file comment for the concurrency contract.
 type Session struct {
-	prog  *Program
-	cache *PlanCache // what Minimize's containment sessions prepare through
-	prep  *Prepared
+	prog *Program
+	prep *Prepared
 
 	mu sync.Mutex // serializes the single-threaded checker/preserve state
 	ck *chase.Checker
@@ -157,19 +78,20 @@ type Session struct {
 	evals   uint64
 }
 
-// NewSession prepares p and returns a standalone session handle (servers
-// normally go through Service.Open, which dedups by content address).
-func NewSession(p *Program, sess ...SessionOptions) (*Session, error) {
-	o := sessionResolve(sess)
-	prep, err := o.PlanCache.Prepare(p, EvalOptions{})
+// NewSession prepares p and returns a session handle over it.
+func NewSession(p *Program) (*Session, error) {
+	prep, err := PrepareEval(p, EvalOptions{})
 	if err != nil {
 		return nil, err
 	}
-	return &Session{prog: prep.Program(), cache: o.PlanCache, prep: prep, lin: eval.NewLineage(o.PlanCache)}, nil
+	// Keep the caller's rules (cloned against mutation) rather than the
+	// prepared program: a cache hit may return the plan of an alpha-renamed
+	// twin, whose variable names Minimize and Explain would otherwise print.
+	return &Session{prog: p.Clone(), prep: prep, lin: eval.NewLineage()}, nil
 }
 
-// Program returns the session's program (the prepared copy; callers must
-// not mutate it).
+// Program returns the session's program: a copy of the one it was opened
+// with (callers must not mutate it).
 func (s *Session) Program() *Program { return s.prog }
 
 // Prepared returns the session's prepared plan for direct use.
@@ -220,13 +142,9 @@ func (s *Session) Explain(ctx context.Context, input *Database, goal GroundAtom)
 	return d, reached, err
 }
 
-// Minimize runs Fig. 2 minimization of the session program under ctx. The
-// containment session it builds prepares through the session's plan cache.
+// Minimize runs Fig. 2 minimization of the session program under ctx.
 func (s *Session) Minimize(ctx context.Context, opts MinimizeOptions) (*Program, MinimizeTrace, error) {
-	if opts.PlanCache == nil {
-		opts.PlanCache = s.cache
-	}
-	q, trace, err := minimize.Program(ctx, s.prog.Clone(), opts)
+	q, trace, err := minimize.Program(ctx, s.prog, opts)
 	s.account(trace.Stats)
 	return q, trace, err
 }

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/ast"
 	"repro/internal/core"
+	"repro/internal/db"
 	"repro/internal/eval"
 	"repro/internal/explain"
 )
@@ -51,9 +52,10 @@ func factsKey(d *core.Database) string {
 }
 
 // TestSharedPlanCachePropertyMatchesIsolated is the satellite property
-// test: N concurrent tenants sharing one PlanCache must produce results
-// byte-identical to isolated-cache runs, across the strategy (Eval /
-// EvalWith / Query) × worker × goal grid. Run under -race in CI.
+// test: N concurrent tenants sharing one session over the process-wide plan
+// cache must produce results byte-identical to isolated runs, across the
+// strategy (Eval / EvalWith / Query) × worker × goal grid. Run under -race
+// in CI.
 func TestSharedPlanCachePropertyMatchesIsolated(t *testing.T) {
 	prog, err := core.ParseProgram(serviceProgram)
 	if err != nil {
@@ -62,18 +64,18 @@ func TestSharedPlanCachePropertyMatchesIsolated(t *testing.T) {
 	const workers = 8
 	const iters = 6
 
-	// Oracle: isolated cache per (worker, iter, strategy) — one-shot runs
-	// that cannot share anything.
+	// Oracle: a plan built by eval.Prepare outside any cache per (worker,
+	// iter, strategy) — one-shot runs that cannot share anything.
 	type key struct{ w, i, strat int }
 	want := make(map[key]string)
 	for w := 0; w < workers; w++ {
 		for i := 0; i < iters; i++ {
 			for strat := 0; strat < 3; strat++ {
-				sess, err := core.NewSession(prog, core.SessionOptions{PlanCache: core.NewPlanCache(4)})
+				prep, err := eval.Prepare(prog, eval.Options{})
 				if err != nil {
 					t.Fatal(err)
 				}
-				res, err := runStrategy(sess, strat, w, i)
+				res, err := runStrategy(isolated{prep}, strat, w, i)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -82,10 +84,9 @@ func TestSharedPlanCachePropertyMatchesIsolated(t *testing.T) {
 		}
 	}
 
-	// Shared: every worker drives one Service (one shared plan cache, one
-	// session per program) concurrently.
-	svc := core.NewService(core.SessionOptions{PlanCache: core.NewPlanCache(64)})
-	shared, err := svc.Open(prog)
+	// Shared: every worker drives one session (the process-wide plan cache,
+	// one session per program) concurrently.
+	shared, err := core.NewSession(prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -117,9 +118,36 @@ func TestSharedPlanCachePropertyMatchesIsolated(t *testing.T) {
 	}
 }
 
+// evaluator is the part of core.Session the strategies drive.
+type evaluator interface {
+	Eval(context.Context, *core.Database) (*core.Database, core.EvalStats, error)
+	EvalWith(context.Context, *core.Database, int) (*core.Database, core.EvalStats, error)
+	Query(context.Context, *core.Database, core.Atom) ([][]core.Const, core.EvalStats, error)
+}
+
+// isolated is an evaluator over a plan no cache holds.
+type isolated struct{ prep *core.Prepared }
+
+func (e isolated) Eval(ctx context.Context, input *core.Database) (*core.Database, core.EvalStats, error) {
+	return e.EvalWith(ctx, input, 0)
+}
+
+func (e isolated) EvalWith(ctx context.Context, input *core.Database, maxDerived int) (*core.Database, core.EvalStats, error) {
+	out, _, st, err := e.prep.Run(ctx, input, nil, maxDerived)
+	return out, st, err
+}
+
+func (e isolated) Query(ctx context.Context, input *core.Database, query core.Atom) ([][]core.Const, core.EvalStats, error) {
+	out, st, err := e.Eval(ctx, input)
+	if err != nil {
+		return nil, st, err
+	}
+	return db.Select(out, query), st, nil
+}
+
 // runStrategy executes one (strategy, worker, iter) cell and returns a
 // deterministic string rendering of the result.
-func runStrategy(sess *core.Session, strat, w, i int) (string, error) {
+func runStrategy(sess evaluator, strat, w, i int) (string, error) {
 	ctx := context.Background()
 	input := serviceDB(12+i, w+1)
 	switch strat {
@@ -256,31 +284,38 @@ func TestSessionStatsAccountPreserve(t *testing.T) {
 	}
 }
 
-// TestServiceOpenDedups pins content-addressed session sharing: opening an
-// alpha-renamed copy returns the same session.
-func TestServiceOpenDedups(t *testing.T) {
-	svc := core.NewService()
-	p1, err := core.ParseProgram("T(x,y) :- E(x,y).\nT(x,z) :- E(x,y), T(y,z).")
+// TestSessionKeepsCallersProgram: a session over an alpha-renamed twin of a
+// program prepared before runs the twin's cached plan, yet its Program() and
+// Minimize output are written in its own caller's variables.
+func TestSessionKeepsCallersProgram(t *testing.T) {
+	first, err := core.ParseProgram("Kct(a,b) :- Kce(a,b), Kce(a,c).")
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, err := core.ParseProgram("T(a,b) :- E(a,b).\nT(a,c) :- E(a,b), T(b,c).")
+	renamed, err := core.ParseProgram("Kct(x,y) :- Kce(x,y), Kce(x,w).")
 	if err != nil {
 		t.Fatal(err)
 	}
-	s1, err := svc.Open(p1)
+	s1, err := core.NewSession(first)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, err := svc.Open(p2)
+	s2, err := core.NewSession(renamed)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s1 != s2 {
-		t.Fatal("alpha-renamed program did not share the session")
+	if s2.Prepared() != s1.Prepared() {
+		t.Fatal("the renamed twin did not share the cached plan")
 	}
-	if svc.Len() != 1 {
-		t.Fatalf("service has %d sessions, want 1", svc.Len())
+	if got, want := s2.Program().String(), renamed.String(); got != want {
+		t.Fatalf("Program() = %q, want the caller's %q", got, want)
+	}
+	min, _, err := s2.Minimize(context.Background(), core.MinimizeOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := strings.TrimSpace(min.String()), "Kct(x, y) :- Kce(x, y)."; got != want {
+		t.Fatalf("Minimize = %q, want %q", got, want)
 	}
 }
 
@@ -298,12 +333,11 @@ func TestSessionCompareConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	svc := core.NewService()
-	s1, err := svc.Open(p1)
+	s1, err := core.NewSession(p1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, err := svc.Open(p2)
+	s2, err := core.NewSession(p2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -343,19 +377,18 @@ func TestSessionCompareConcurrent(t *testing.T) {
 // fails with the evaluator's typed errors.
 func TestSessionExplain(t *testing.T) {
 	ctx := context.Background()
-	svc := core.NewService(core.SessionOptions{PlanCache: core.NewPlanCache(8)})
 	first, err := core.ParseProgram("T(a,b) :- E(a,b).\nT(a,c) :- E(a,b), T(b,c).\nIso(a) :- Src(a), !T(a,a).")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := svc.Open(first); err != nil {
+	if _, err := core.NewSession(first); err != nil {
 		t.Fatal(err)
 	}
 	renamed, err := core.ParseProgram("T(x,y) :- E(x,y).\nT(x,z) :- E(x,y), T(y,z).\nIso(x) :- Src(x), !T(x,x).")
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess, err := svc.Open(renamed)
+	sess, err := core.NewSession(renamed)
 	if err != nil {
 		t.Fatal(err)
 	}

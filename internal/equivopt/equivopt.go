@@ -255,10 +255,10 @@ func TryCandidate(ctx context.Context, p *ast.Program, ruleIdx int, c Candidate,
 }
 
 // sessions opens the containment and preservation sessions the Section X
-// pipeline runs over p, side by side in one lineage: they share its plan
-// cache, so the preservation session's Pⁿ is the plan the checker prepared.
+// pipeline runs over p, side by side in one lineage: they share its stats,
+// and the preservation session's Pⁿ is the plan the checker prepared.
 func sessions(p *ast.Program) (*chase.Checker, *preserve.Session, error) {
-	lin := eval.NewLineage(nil)
+	lin := eval.NewLineage()
 	ck, err := chase.NewCheckerIn(p, lin)
 	if err != nil {
 		return nil, nil, err

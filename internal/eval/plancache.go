@@ -41,9 +41,8 @@ type planEntry struct {
 // optimization pipelines while keeping a long-lived REPL's footprint flat.
 const DefaultPlanCacheSize = 256
 
-// DefaultPlanCache is the process-wide shared cache — one pool serving the
-// minimization loops, the containment sessions, the CLI/REPL and the
-// harness.
+// DefaultPlanCache is the process's one plan cache: every session lineage,
+// the server's sessions, the CLI/REPL and the harness prepare through it.
 var DefaultPlanCache = NewPlanCache(DefaultPlanCacheSize)
 
 // NewPlanCache returns a cache bounded to max entries (max ≤ 0 selects
@@ -150,33 +149,26 @@ func (pc *PlanCache) insert(e *planEntry) *Prepared {
 	return e.prep
 }
 
-// Lineage is the plumbing every session lineage shares: the plan cache the
-// lineage prepares through and one cumulative Stats. The containment and
-// preservation sessions embed it and differ only in what they memoize;
-// sessions opened in a lineage for another program (the minimizer's
-// rule-phase session, equivopt's per-weakening sessions) and sessions built
-// side by side over one program (core.Session) copy the Lineage value, so
-// work done while probing a candidate that is then discarded still shows up
-// in the totals. A Lineage is as single-threaded as the sessions sharing it.
+// Lineage is the plumbing every session lineage shares: one cumulative Stats
+// over plan lookups in DefaultPlanCache. The containment and preservation
+// sessions embed it and differ only in what they memoize; sessions opened in
+// a lineage for another program (the minimizer's rule-phase session,
+// equivopt's per-weakening sessions) and sessions built side by side over one
+// program (core.Session) copy the Lineage value, so work done while probing a
+// candidate that is then discarded still shows up in the totals. A Lineage is
+// as single-threaded as the sessions sharing it.
 type Lineage struct {
-	cache *PlanCache
 	stats *Stats
 }
 
-// NewLineage starts a lineage preparing through cache (nil selects
-// DefaultPlanCache) with zeroed counters.
-func NewLineage(cache *PlanCache) Lineage {
-	if cache == nil {
-		cache = DefaultPlanCache
-	}
-	return Lineage{cache: cache, stats: new(Stats)}
-}
+// NewLineage starts a lineage with zeroed counters.
+func NewLineage() Lineage { return Lineage{stats: new(Stats)} }
 
 // Prepare is the lineage's one counted plan lookup: it returns the plan
 // cached under canon (a program's canonical form) or caches the one build
 // produces, and records the hit or miss.
 func (l Lineage) Prepare(canon string, build func() (*Prepared, error)) (*Prepared, error) {
-	prep, hit, err := l.cache.GetOrBuildCanonical(canon, build)
+	prep, hit, err := DefaultPlanCache.GetOrBuildCanonical(canon, build)
 	if err != nil {
 		return nil, err
 	}

@@ -52,10 +52,6 @@ type Options struct {
 	// stratified extension uses it to reject deletions that would unbind a
 	// negated literal's variables.
 	Valid func(ast.Rule) bool
-	// PlanCache selects the plan cache the containment sessions prepare
-	// through; nil selects the process-wide cache. Servers and tests inject
-	// their own to isolate or partition cache footprints.
-	PlanCache *eval.PlanCache
 }
 
 // AtomRemoval records one Fig. 1/Fig. 2 atom deletion.
@@ -86,7 +82,7 @@ func (t Trace) RulesRemoved() int { return len(t.RuleRemovals) }
 // returned rule is uniformly equivalent to r and has no redundant atom.
 func Rule(ctx context.Context, r ast.Rule, opts Options) (ast.Rule, Trace, error) {
 	p := ast.NewProgram(r.Clone())
-	ck, err := chase.NewCheckerIn(p, eval.NewLineage(opts.PlanCache))
+	ck, err := chase.NewCheckerIn(p, eval.NewLineage())
 	if err != nil {
 		return ast.Rule{}, Trace{}, err
 	}
@@ -106,7 +102,7 @@ func Program(ctx context.Context, p *ast.Program, opts Options) (*ast.Program, T
 	if opts.Rand != nil {
 		shuffleProgram(q, opts.Rand)
 	}
-	ck, err := chase.NewCheckerIn(q, eval.NewLineage(opts.PlanCache))
+	ck, err := chase.NewCheckerIn(q, eval.NewLineage())
 	if err != nil {
 		return nil, Trace{}, err
 	}

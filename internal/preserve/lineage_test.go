@@ -75,13 +75,36 @@ func verdicts(t *testing.T, s *preserve.Session, tgds []ast.TGD) string {
 	return out
 }
 
+// apart renames every predicate of p and tgds to a name no other test uses,
+// so a session over the result shares no plan with one over p.
+func apart(p *ast.Program, tgds []ast.TGD) (*ast.Program, []ast.TGD) {
+	atoms := func(as []ast.Atom) []ast.Atom {
+		out := make([]ast.Atom, len(as))
+		for i, a := range as {
+			out[i] = a.Clone()
+			out[i].Pred = "Iso" + a.Pred
+		}
+		return out
+	}
+	q := ast.NewProgram()
+	for _, r := range p.Rules {
+		q.Rules = append(q.Rules, ast.Rule{Head: atoms([]ast.Atom{r.Head})[0], Body: atoms(r.Body), NegBody: atoms(r.NegBody)})
+	}
+	ts := make([]ast.TGD, len(tgds))
+	for i, t := range tgds {
+		ts[i] = ast.NewTGD(atoms(t.Lhs), atoms(t.Rhs))
+	}
+	return q, ts
+}
+
 // TestSessionAfterCheckerDeriveHitsPlanCache walks the equivopt pattern: a
 // containment checker and a preservation session side by side in one
 // lineage, and after each accepted weakening both are opened afresh over the
 // weakened program in the same lineage, the checker first. The new session's
 // Pⁿ must be the plan the new checker just registered — a plan-cache hit, no
 // miss — and the session must answer every preservation question as one
-// opened over an isolated cache does.
+// opened over the program with its predicates renamed apart does, which
+// prepares every plan it runs afresh.
 func TestSessionAfterCheckerDeriveHitsPlanCache(t *testing.T) {
 	steps := 0
 	for seed := int64(0); seed < 25; seed++ {
@@ -90,7 +113,7 @@ func TestSessionAfterCheckerDeriveHitsPlanCache(t *testing.T) {
 		if p.Validate() != nil {
 			continue
 		}
-		lin := eval.NewLineage(eval.NewPlanCache(0))
+		lin := eval.NewLineage()
 		ck, err := chase.NewCheckerIn(p, lin)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
@@ -119,11 +142,12 @@ func TestSessionAfterCheckerDeriveHitsPlanCache(t *testing.T) {
 				t.Fatalf("seed %d step %d: opening the session cost %d hits, %d misses; want Pⁿ as one hit",
 					seed, step, after.PrepareHits-before.PrepareHits, after.PrepareMisses-before.PrepareMisses)
 			}
-			fresh, err := preserve.NewSessionIn(cur, eval.NewLineage(eval.NewPlanCache(0)))
+			iso, isoTGDs := apart(cur, lineageTGDs)
+			fresh, err := preserve.NewSession(iso)
 			if err != nil {
 				t.Fatalf("seed %d step %d: %v", seed, step, err)
 			}
-			if got, want := verdicts(t, s, lineageTGDs), verdicts(t, fresh, lineageTGDs); got != want {
+			if got, want := verdicts(t, s, lineageTGDs), verdicts(t, fresh, isoTGDs); got != want {
 				t.Fatalf("seed %d step %d: the lineage's session disagrees with an isolated one\nlineage:  %s\nisolated: %s\nprogram:\n%s",
 					seed, step, got, want, cur)
 			}
@@ -135,12 +159,11 @@ func TestSessionAfterCheckerDeriveHitsPlanCache(t *testing.T) {
 	}
 }
 
-// TestDeriveConcurrentSessions runs independent weakening chains over one
-// shared plan cache — the only state sessions of different lineages share —
-// opening a session per program, so the race detector sees the cache's
-// synchronization under concurrent Lineage.Prepare lookups.
+// TestDeriveConcurrentSessions runs independent weakening chains over the
+// process-wide plan cache — the only state sessions of different lineages
+// share — opening a session per program, so the race detector sees the
+// cache's synchronization under concurrent Lineage.Prepare lookups.
 func TestDeriveConcurrentSessions(t *testing.T) {
-	shared := eval.NewPlanCache(0)
 	var wg sync.WaitGroup
 	errs := make([]error, 6)
 	for g := 0; g < 6; g++ {
@@ -152,7 +175,7 @@ func TestDeriveConcurrentSessions(t *testing.T) {
 			if p.Validate() != nil {
 				return
 			}
-			lin := eval.NewLineage(shared)
+			lin := eval.NewLineage()
 			budget := chase.Budget{MaxAtoms: 200, MaxRounds: 6}
 			for step := 0; step < 3; step++ {
 				s, err := preserve.NewSessionIn(p, lin)

@@ -1,3 +1,19 @@
+// Package preserve implements Section IX of the paper: the chase-style
+// procedure of Fig. 3 (after Klug and Price) for testing that a program P
+// preserves a set T of tgds non-recursively — i.e. ⟨d, Pⁿ(d)⟩ ∈ SAT(T) for
+// every d ∈ SAT(T) — and the Section X variant (condition 3′) testing that
+// the preliminary DB of P satisfies T for every EDB.
+//
+// One refinement over the paper's informal presentation: the paper
+// instantiates the tgd's left-hand side to *distinct* constants and then
+// unifies those ground atoms with rule heads, treating a failed unification
+// as an impossible combination. With a rule head containing repeated
+// variables (e.g. G(z, z) :- B(z)) that would be unsound: the distinct
+// constants fail to unify even though collapsed instances exist. This
+// implementation therefore unifies at the term level (computing a most
+// general unifier that may identify left-hand-side variables) and freezes
+// only the variables that remain — the canonical-DB homomorphism argument
+// in the paper's appendix is exactly the soundness proof for this variant.
 package preserve
 
 import (
@@ -38,11 +54,10 @@ func (c *Counterexample) String() string {
 //
 // A Session is not safe for concurrent use.
 type Session struct {
-	// Lineage is the plan cache the session prepares through and the
-	// cumulative stats, shared by value with the other sessions of the
-	// lineage exactly like chase.Checker's: plan lookups for the base program
-	// and depth entries, plus the chase rounds run and facts derived by
-	// combination checks.
+	// Lineage is the cumulative stats, shared by value with the other
+	// sessions of the lineage exactly like chase.Checker's: plan lookups for
+	// the base program and depth entries, plus the chase rounds run and facts
+	// derived by combination checks.
 	eval.Lineage
 	p    *ast.Program
 	prep *eval.Prepared
@@ -67,13 +82,11 @@ type depthEntry struct {
 // plan cache. Programs using negation are rejected (the Fig. 3 procedure is
 // defined for pure Datalog).
 func NewSession(p *ast.Program) (*Session, error) {
-	return NewSessionIn(p, eval.NewLineage(nil))
+	return NewSessionIn(p, eval.NewLineage())
 }
 
 // NewSessionIn is NewSession inside an existing lineage: the session
-// prepares through the lineage's plan cache and accumulates into its stats.
-// Tests, the harness and servers inject a lineage over their own cache to
-// isolate or partition cache footprints; equivopt.Optimize opens the session
+// accumulates into the lineage's stats. equivopt.Optimize opens the session
 // for each accepted weakening in the lineage its containment checker derives
 // in, so Pⁿ is the plan the checker just registered.
 func NewSessionIn(p *ast.Program, lin eval.Lineage) (*Session, error) {
@@ -418,7 +431,7 @@ func forEachCombination(idb map[string]bool, tau ast.TGD, opts map[string][]opti
 }
 
 func visitCombination(tau ast.TGD, intAtoms, extAtoms []ast.Atom, opts map[string][]option, choice []int, visit func(*combination) error) error {
-	u := newUnifier()
+	u := ast.NewUnifier()
 	type assigned struct {
 		body    []ast.Atom
 		trivial bool

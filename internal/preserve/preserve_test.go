@@ -246,7 +246,7 @@ func TestNegationRejected(t *testing.T) {
 }
 
 func TestUnifierBasics(t *testing.T) {
-	u := newUnifier()
+	u := ast.NewUnifier()
 	a := parser.MustParseAtom("G(x, y, 3)")
 	b := parser.MustParseAtom("G(u, u, 3)")
 	if !u.UnifyAtoms(a, b) {
@@ -257,17 +257,17 @@ func TestUnifierBasics(t *testing.T) {
 		t.Fatalf("x and y not identified: %v", ra)
 	}
 	// Constant clash.
-	u2 := newUnifier()
+	u2 := ast.NewUnifier()
 	if u2.UnifyAtoms(parser.MustParseAtom("G(3)"), parser.MustParseAtom("G(4)")) {
 		t.Fatal("unified clashing constants")
 	}
 	// Predicate mismatch.
-	u3 := newUnifier()
+	u3 := ast.NewUnifier()
 	if u3.UnifyAtoms(parser.MustParseAtom("G(x)"), parser.MustParseAtom("H(x)")) {
 		t.Fatal("unified different predicates")
 	}
 	// Transitive chains resolve.
-	u4 := newUnifier()
+	u4 := ast.NewUnifier()
 	if !u4.UnifyAtoms(parser.MustParseAtom("P(x, y)"), parser.MustParseAtom("P(y, 5)")) {
 		t.Fatal("chain unification failed")
 	}

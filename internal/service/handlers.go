@@ -364,13 +364,13 @@ func (s *Server) verbExplain(ctx context.Context, e *programEntry, req *struct {
 	return resp, nil
 }
 
-// verbStatz surfaces the plan cache the server's sessions prepare through
-// (injected or process-wide), the process-wide verdict store, and the
-// server's request counters — all read race-free.
+// verbStatz surfaces the process-wide plan cache and verdict store, the eval
+// counters summed over every program version's session, and the server's
+// request counters — all read race-free.
 func (s *Server) verbStatz(context.Context, *programEntry, *struct{}) (any, error) {
-	pc := s.svc.PlanCacheStats()
+	pc := core.PlanCacheStats()
 	vs := core.VerdictStats()
-	est, ereqs := s.svc.TotalStats()
+	est, ereqs := s.evalTotals()
 	return map[string]any{
 		"programs": s.programCount(),
 		"eval": map[string]any{

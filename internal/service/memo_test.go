@@ -732,20 +732,21 @@ func TestVerbPanicIsTyped500(t *testing.T) {
 		t.Fatal("the request after a panic needed a new connection: the panic cost the client its connection")
 	}
 
-	// A panic inside the evaluation itself: a program version with no session
-	// dies in Session.EvalWith — on the miss path, before anything is stored.
+	// A panic inside the evaluation itself: a program version whose session
+	// has no plan dies in Session.EvalWith — on the miss path, before anything
+	// is stored. The session itself is there for /statz to read.
 	e, err := s.known("authz")
 	if err != nil {
 		t.Fatal(err)
 	}
 	e.mu.Lock()
-	e.versions[99] = &programVersion{version: 99}
+	e.versions[99] = &programVersion{version: 99, session: new(core.Session)}
 	e.mu.Unlock()
 	slots, _ := memoSlots(t, s, "authz", "good")
 	errorsBefore := requestCounters(t, ts)["errors"].(float64)
 	code, resp, _ = do("/v1/programs/authz/eval", `{"tenant":"good","program_version":99}`)
 	if code != 500 || resp["error"] != "internal" {
-		t.Fatalf("eval of a program version with no session: %d %v, want the typed 500 internal", code, resp)
+		t.Fatalf("eval of a program version with no plan: %d %v, want the typed 500 internal", code, resp)
 	}
 	wantPanics(2)
 	if after := requestCounters(t, ts)["errors"].(float64); after != errorsBefore+1 {

@@ -1,9 +1,10 @@
 // Package service turns the library into a long-running multi-tenant query
 // server: named, versioned programs in an in-process registry, per-tenant
 // fact databases read through frozen copy-on-write snapshots, and HTTP/JSON
-// handlers for eval, minimize, compare, vet and explain. The process-wide
-// plan cache and verdict store are shared across all tenants — requests
-// against canonically equal programs reuse one prepared plan and memoized
+// handlers for eval, minimize, compare, vet and explain. Each program version
+// owns one core.Session, opened over the caller's program; the process-wide
+// plan cache and verdict store are shared across all of them — sessions over
+// canonically equal programs reuse one prepared plan and memoized
 // containment verdicts — while per-request budgets (derived-fact caps and
 // deadlines) keep any one tenant from monopolizing the process.
 //
@@ -51,11 +52,8 @@ import (
 	"repro/internal/parser"
 )
 
-// Server is the in-process service: a registry of named program entries on
-// top of a shared core.Service session registry.
+// Server is the in-process service: a registry of named program entries.
 type Server struct {
-	svc *core.Service
-
 	mu       sync.RWMutex
 	programs map[string]*programEntry
 
@@ -73,11 +71,8 @@ type Server struct {
 // and the 15 before it.
 const retainDBVersions = 16
 
-// New returns an empty server. Sessions prepare through the process-wide
-// plan cache unless opts injects another.
-func New(opts ...core.SessionOptions) *Server {
-	return &Server{svc: core.NewService(opts...), programs: make(map[string]*programEntry)}
-}
+// New returns an empty server.
+func New() *Server { return &Server{programs: make(map[string]*programEntry)} }
 
 // programEntry is one registered name: a shared symbol table, the version
 // chain of programs, and the per-tenant snapshot chains. An entry is in
@@ -166,6 +161,31 @@ func (s *Server) programCount() int {
 	return len(s.programs)
 }
 
+// evalTotals sums the evaluation statistics and accounted requests of every
+// program version's session: the eval counters /statz reports. Each session
+// is read under its own stats lock, so the sum is race-free though not an
+// atomic cross-session cut.
+func (s *Server) evalTotals() (core.EvalStats, uint64) {
+	s.mu.RLock()
+	entries := make([]*programEntry, 0, len(s.programs))
+	for _, e := range s.programs {
+		entries = append(entries, e)
+	}
+	s.mu.RUnlock()
+	var tot core.EvalStats
+	var n uint64
+	for _, e := range entries {
+		e.mu.RLock()
+		for _, pv := range e.versions {
+			st, evals := pv.session.Stats()
+			tot.Add(st)
+			n += evals
+		}
+		e.mu.RUnlock()
+	}
+	return tot, n
+}
+
 // RegisterProgram parses src under name's symbol table and registers it as
 // the next program version. The source must contain rules (and optionally
 // tgds) only: facts belong to tenant databases.
@@ -182,7 +202,7 @@ func (s *Server) RegisterProgram(name, src string) (version, rules, tgds int, er
 // entry its name resolves to. A rejected source inserts nothing: a fresh
 // entry enters the registry only holding its first accepted version.
 func (s *Server) register(e *programEntry, src string) (*programVersion, error) {
-	pv, err := e.addVersion(s.svc, src)
+	pv, err := e.addVersion(src)
 	if err != nil {
 		return nil, err
 	}
@@ -195,14 +215,14 @@ func (s *Server) register(e *programEntry, src string) (*programVersion, error) 
 	if cur != nil && cur != e {
 		// e was fresh and a concurrent first registration of its name won:
 		// the constants of src must come from the winner's table.
-		return cur.addVersion(s.svc, src)
+		return cur.addVersion(src)
 	}
 	return pv, nil
 }
 
 // addVersion parses src under the entry's symbol table, opens its session and
 // appends it as the entry's next version.
-func (e *programEntry) addVersion(svc *core.Service, src string) (*programVersion, error) {
+func (e *programEntry) addVersion(src string) (*programVersion, error) {
 	res, err := parser.ParseWithSymbols(src, e.syms)
 	if err != nil {
 		return nil, &RequestError{Status: 400, Code: "parse_error", Err: err}
@@ -214,7 +234,7 @@ func (e *programEntry) addVersion(svc *core.Service, src string) (*programVersio
 	if len(res.Program.Rules) == 0 {
 		return nil, &RequestError{Status: 400, Code: "empty_program", Err: fmt.Errorf("service: no rules in source")}
 	}
-	sess, err := svc.Open(res.Program)
+	sess, err := core.NewSession(res.Program)
 	if err != nil {
 		return nil, &RequestError{Status: 400, Code: "invalid_program", Err: err}
 	}

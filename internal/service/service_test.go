@@ -395,12 +395,10 @@ func TestServeBudgetAndDeadline(t *testing.T) {
 	}
 }
 
-// TestStatzReportsInjectedCache pins /statz to the plan cache the server's
-// sessions actually prepare through: a server constructed over an injected
-// cache must report that cache's counters, not the process-wide default's.
-func TestStatzReportsInjectedCache(t *testing.T) {
-	cache := core.NewPlanCache(16)
-	s := New(core.SessionOptions{PlanCache: cache})
+// TestStatzReportsPlanCache pins /statz's plan_cache to the process-wide
+// plan cache every session prepares through.
+func TestStatzReportsPlanCache(t *testing.T) {
+	s := New()
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
@@ -414,23 +412,46 @@ func TestStatzReportsInjectedCache(t *testing.T) {
 		t.Fatalf("minimize: %d %v", code, resp)
 	}
 
-	want := cache.Stats()
-	if want.Entries == 0 || want.Misses == 0 {
-		t.Fatalf("injected cache saw no traffic: %+v", want)
-	}
 	code, stz := get(t, ts, "/v1/statz")
 	if code != 200 {
 		t.Fatalf("statz: %d %v", code, stz)
 	}
+	want := core.PlanCacheStats()
+	if want.Entries == 0 || want.Misses == 0 {
+		t.Fatalf("plan cache saw no traffic: %+v", want)
+	}
 	pc := stz["plan_cache"].(map[string]any)
-	if got := int(pc["entries"].(float64)); got != want.Entries {
-		t.Fatalf("statz plan_cache entries = %d, want %d (the injected cache's)", got, want.Entries)
+	got := eval.CacheStats{Entries: int(pc["entries"].(float64)), Hits: uint64(pc["hits"].(float64)),
+		Misses: uint64(pc["misses"].(float64)), Evictions: uint64(pc["evictions"].(float64))}
+	if got != want {
+		t.Fatalf("statz plan_cache = %+v, want core.PlanCacheStats() %+v", got, want)
 	}
-	if got := uint64(pc["misses"].(float64)); got != want.Misses {
-		t.Fatalf("statz plan_cache misses = %d, want %d (the injected cache's)", got, want.Misses)
+}
+
+// TestMinimizeKeepsVersionsVariables: two names registered with
+// alpha-renamed twins share a cached plan, and each one's /minimize answers
+// in its own variables.
+func TestMinimizeKeepsVersionsVariables(t *testing.T) {
+	s := New()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	twins := []struct{ name, src, want string }{
+		{"a", "T(x,y) :- E(x,y), E(x,w).", "T(x, y) :- E(x, y)."},
+		{"b", "T(p,q) :- E(p,q), E(p,r).", "T(p, q) :- E(p, q)."},
 	}
-	if got := uint64(pc["hits"].(float64)); got != want.Hits {
-		t.Fatalf("statz plan_cache hits = %d, want %d (the injected cache's)", got, want.Hits)
+	for _, tw := range twins {
+		if code, resp := post(t, ts, "/v1/programs/"+tw.name, map[string]any{"source": tw.src}); code != 200 {
+			t.Fatalf("register %s: %d %v", tw.name, code, resp)
+		}
+	}
+	for _, tw := range twins {
+		code, resp := post(t, ts, "/v1/programs/"+tw.name+"/minimize", map[string]any{})
+		if code != 200 {
+			t.Fatalf("minimize %s: %d %v", tw.name, code, resp)
+		}
+		if got := strings.TrimSpace(resp["program"].(string)); got != tw.want {
+			t.Fatalf("minimize %s = %q, want %q", tw.name, got, tw.want)
+		}
 	}
 }
 
@@ -584,7 +605,7 @@ func TestServeExplainCanceled(t *testing.T) {
 	}
 	explain := map[string]any{"tenant": "t", "fact": "T(0, 220)"}
 	firings := func() int {
-		st, _ := s.svc.TotalStats()
+		st, _ := s.evalTotals()
 		return st.Firings
 	}
 
