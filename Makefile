@@ -7,7 +7,7 @@ BENCHTIME ?= 0.3s
 # staticcheck pin for lint-ci; bump deliberately, not implicitly.
 STATICCHECK_VERSION ?= 2025.1
 
-.PHONY: all build vet datalog-vet test race race-service race-ivm serve-smoke bench bench-all experiments examples guard-one-join guard-ctx-arg guard-no-batch-compact guard-delta-first guard-request-path guard-one-unfold guard-no-ablation-arm guard-no-transfer guard-one-plan guard-one-maintenance guard-one-graph guard-one-magic guard-one-cache lint lint-ci clean
+.PHONY: all build vet datalog-vet test fuzz-short race race-service race-ivm serve-smoke bench bench-all experiments examples guard-one-join guard-ctx-arg guard-no-batch-compact guard-delta-first guard-request-path guard-one-unfold guard-no-ablation-arm guard-no-transfer guard-one-plan guard-one-maintenance guard-one-graph guard-one-magic guard-one-cache lint lint-ci clean
 
 all: build vet test
 
@@ -26,6 +26,15 @@ datalog-vet:
 
 test:
 	$(GO) test ./...
+
+# fuzz-short runs each fuzz target of the two layers every program passes
+# through first for a few seconds: the parser (no panic, positions in source
+# order, print/parse round trip) and the canonical rendering (the address of
+# the plan cache and the verdict store; held byte for byte to a map-based
+# reference renderer).
+fuzz-short:
+	$(GO) test -run='^$$' -fuzz='^FuzzParse$$' -fuzztime=10s ./internal/parser
+	$(GO) test -run='^$$' -fuzz='^FuzzCanonicalRule$$' -fuzztime=10s ./internal/ast
 
 race:
 	$(GO) test -race ./...

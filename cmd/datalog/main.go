@@ -168,7 +168,9 @@ func printKernelStats(out io.Writer, prefix string, st eval.Stats) {
 }
 
 // load reads and parses the file named by rest[0] ("-" = stdin) and checks
-// that at least extraArgs further arguments are present.
+// that at least extraArgs further arguments are present. A predicate whose
+// facts disagree on its arity is an error wrapping eval.ErrArity: the store
+// would panic on building the file's database.
 func load(rest []string, extraArgs int) (*parser.Result, error) {
 	if len(rest) < 1+extraArgs {
 		return nil, fmt.Errorf("missing argument(s)")
@@ -177,7 +179,14 @@ func load(rest []string, extraArgs int) (*parser.Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return parser.Parse(src)
+	res, err := parser.Parse(src)
+	if err != nil {
+		return nil, err
+	}
+	if err := (eval.Delta{Assert: res.Facts}).CheckArities(); err != nil {
+		return nil, err
+	}
+	return res, nil
 }
 
 func loadProgram(name string) (*ast.Program, error) {

@@ -2,11 +2,13 @@ package main
 
 import (
 	"errors"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"repro/internal/ast"
 	"repro/internal/eval"
 )
 
@@ -179,6 +181,42 @@ func TestExplainCommand(t *testing.T) {
 	bad := writeFile(t, "arity.dl", "T(x, y) :- E(x, y).\nE(1, 2). T(1, 2, 3).\n")
 	if err := run([]string{"explain", bad, "T(1, 2)"}, &sb); !errors.Is(err, eval.ErrArity) {
 		t.Fatalf("explain over T/3 facts: %v, want an error wrapping eval.ErrArity", err)
+	}
+}
+
+// TestFactArityMismatchIsAnError pins that a source stating one fact
+// predicate at two arities is refused with an error wrapping eval.ErrArity —
+// by every command that loads a file and by the REPL's fact append — rather
+// than panicking in the store when its database is built.
+func TestFactArityMismatchIsAnError(t *testing.T) {
+	f := writeFile(t, "arity.dl", "A(1). A(1, 2). G(x) :- A(x).\n")
+	for _, args := range [][]string{
+		{"eval", f},
+		{"query", f, "G(x)"},
+		{"check", f},
+		{"explain", f, "G(1)"},
+	} {
+		var sb strings.Builder
+		if err := run(args, &sb); !errors.Is(err, eval.ErrArity) {
+			t.Errorf("%v: %v, want an error wrapping eval.ErrArity", args[0], err)
+		}
+	}
+
+	s := &session{program: ast.NewProgram(), syms: ast.NewSymbolTable(), out: io.Discard}
+	if err := s.addStatements("A(1)."); err != nil {
+		t.Fatal(err)
+	}
+	for _, src := range []string{"A(1, 2).", "B(1). B(1, 2)."} {
+		if err := s.addStatements(src); !errors.Is(err, eval.ErrArity) {
+			t.Errorf("repl append %q: %v, want an error wrapping eval.ErrArity", src, err)
+		}
+	}
+	if len(s.facts) != 1 {
+		t.Fatalf("a refused append kept facts: %v", s.facts)
+	}
+	out := runREPL(t, "A(1).", "A(1, 2).", "?- A(x).", ":quit")
+	if !strings.Contains(out, "arity mismatch") || !strings.Contains(out, "1 answer(s)") {
+		t.Fatalf("transcript:\n%s", out)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 
 	"repro/internal/ast"
@@ -89,6 +90,13 @@ func (s *session) addStatements(src string) error {
 	res, err := parser.ParseWithSymbols(src, s.syms)
 	if err != nil {
 		return err
+	}
+	// A fact contradicting the arity of one already added would panic the
+	// store the next time the session's database is built.
+	if len(res.Facts) > 0 {
+		if err := (eval.Delta{Assert: slices.Concat(s.facts, res.Facts)}).CheckArities(); err != nil {
+			return err
+		}
 	}
 	// Validate against the accumulated program (arity consistency).
 	trial := s.program.Clone()

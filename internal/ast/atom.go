@@ -42,6 +42,15 @@ func (a Atom) Clone() Atom {
 	return Atom{Pred: a.Pred, Args: args, Pos: a.Pos}
 }
 
+// cloneInto copies a with its arguments carved, capped, from the front of
+// terms, and returns the copy with the rest of terms.
+func (a Atom) cloneInto(terms []Term) (Atom, []Term) {
+	n := len(a.Args)
+	args := terms[:n:n]
+	copy(args, a.Args)
+	return Atom{Pred: a.Pred, Args: args, Pos: a.Pos}, terms[n:]
+}
+
 // Equal reports whether two atoms are syntactically identical.
 func (a Atom) Equal(b Atom) bool {
 	if a.Pred != b.Pred || len(a.Args) != len(b.Args) {

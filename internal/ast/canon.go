@@ -1,6 +1,7 @@
 package ast
 
 import (
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -19,47 +20,54 @@ import (
 // that differ only in ordering get distinct (but equally valid) plans, each
 // byte-identical to its own one-shot evaluation.
 
-// canonicalRule renders r with variables renamed to v0, v1, … in order of
-// first occurrence (head, then body, then negated body). The rendering is
+// AppendCanonical appends r's canonical form to dst and returns the
+// extended buffer: variables renamed to v0, v1, … in order of first
+// occurrence (head, then body, then negated body). The rendering is
 // injective on rules-up-to-renaming: predicates cannot contain the
 // separator characters, every atom is parenthesized, and constants render
-// through their numeric identity.
-func canonicalRule(sb *strings.Builder, r Rule) {
-	names := make(map[string]int)
-	writeAtom := func(a Atom) {
-		sb.WriteString(a.Pred)
-		sb.WriteByte('(')
-		for i, t := range a.Args {
-			if i > 0 {
-				sb.WriteByte(',')
-			}
-			if t.IsVar {
-				id, ok := names[t.Name]
-				if !ok {
-					id = len(names)
-					names[t.Name] = id
-				}
-				sb.WriteByte('v')
-				sb.WriteString(strconv.Itoa(id))
-			} else {
-				sb.WriteByte('#')
-				sb.WriteString(strconv.FormatInt(int64(t.Val), 10))
-			}
-		}
-		sb.WriteByte(')')
-	}
-	writeAtom(r.Head)
-	sb.WriteString(":-")
+// through their numeric identity. A key built into a reused buffer costs no
+// allocation: variables are numbered by a scan of a stack-backed slice.
+func (r Rule) AppendCanonical(dst []byte) []byte {
+	var stack [16]string
+	names := stack[:0]
+	dst, names = appendCanonicalAtom(dst, names, r.Head)
+	dst = append(dst, ":-"...)
 	for i, a := range r.Body {
 		if i > 0 {
-			sb.WriteByte(',')
+			dst = append(dst, ',')
 		}
-		writeAtom(a)
+		dst, names = appendCanonicalAtom(dst, names, a)
 	}
 	for _, a := range r.NegBody {
-		sb.WriteString(",!")
-		writeAtom(a)
+		dst = append(dst, ",!"...)
+		dst, names = appendCanonicalAtom(dst, names, a)
 	}
+	return dst
+}
+
+// appendCanonicalAtom appends a's canonical form, numbering each variable by
+// its index in names and appending the variables it sees first.
+func appendCanonicalAtom(dst []byte, names []string, a Atom) ([]byte, []string) {
+	dst = append(dst, a.Pred...)
+	dst = append(dst, '(')
+	for i, t := range a.Args {
+		if i > 0 {
+			dst = append(dst, ',')
+		}
+		if t.IsVar {
+			id := slices.Index(names, t.Name)
+			if id < 0 {
+				id = len(names)
+				names = append(names, t.Name)
+			}
+			dst = append(dst, 'v')
+			dst = strconv.AppendInt(dst, int64(id), 10)
+		} else {
+			dst = append(dst, '#')
+			dst = strconv.AppendInt(dst, int64(t.Val), 10)
+		}
+	}
+	return append(dst, ')'), names
 }
 
 // CanonicalString renders the rule in canonical form — variables normalized
@@ -67,9 +75,8 @@ func canonicalRule(sb *strings.Builder, r Rule) {
 // only those, share the string. The containment layer keys content-addressed
 // verdicts by it: r ⊑ᵘ P is invariant under renaming r's variables.
 func (r Rule) CanonicalString() string {
-	var sb strings.Builder
-	canonicalRule(&sb, r)
-	return sb.String()
+	var buf [128]byte
+	return string(r.AppendCanonical(buf[:0]))
 }
 
 // CanonicalString renders the program in canonical form: one rule per line,
@@ -78,19 +85,12 @@ func (r Rule) CanonicalString() string {
 func (p *Program) CanonicalString() string {
 	var sb strings.Builder
 	sb.Grow(64 * len(p.Rules))
+	var tmp [128]byte
 	for _, r := range p.Rules {
-		canonicalRule(&sb, r)
+		sb.Write(r.AppendCanonical(tmp[:0]))
 		sb.WriteByte('\n')
 	}
 	return sb.String()
-}
-
-// CanonicalHash returns a 64-bit FNV-1a hash of the canonical string — the
-// program's content address. Hash equality does not by itself guarantee
-// canonical equality; consumers that cannot tolerate a collision (the plan
-// cache) must compare CanonicalString on hash hits.
-func (p *Program) CanonicalHash() uint64 {
-	return HashString(p.CanonicalString())
 }
 
 // HashString is 64-bit FNV-1a, shared by the plan cache so its option

@@ -2,6 +2,9 @@ package ast
 
 import (
 	"fmt"
+	"math/rand"
+	"strconv"
+	"strings"
 	"testing"
 )
 
@@ -57,7 +60,7 @@ func TestCanonicalInjectivityCorpus(t *testing.T) {
 			t.Errorf("programs %d and %d share canonical form %q:\n%s\nvs\n%s", i, j, canon, corpus[j], p)
 		}
 		seen[canon] = i
-		h := p.CanonicalHash()
+		h := HashString(canon)
 		if j, dup := hashes[h]; dup {
 			t.Errorf("programs %d and %d collide on hash %x", i, j, h)
 		}
@@ -83,6 +86,49 @@ func TestCanonicalAlphaInvariance(t *testing.T) {
 			t.Errorf("program %d: alpha-renaming changed canonical form:\n%q\nvs\n%q", i, canon, got)
 		}
 	}
+}
+
+// mapCanonical is a reference rendering of the canonical form, written
+// the plain way: a strings.Builder and a map numbering the variables.
+// FuzzCanonicalRule holds AppendCanonical to it byte for byte.
+func mapCanonical(r Rule) string {
+	var sb strings.Builder
+	names := make(map[string]int)
+	writeAtom := func(a Atom) {
+		sb.WriteString(a.Pred)
+		sb.WriteByte('(')
+		for i, t := range a.Args {
+			if i > 0 {
+				sb.WriteByte(',')
+			}
+			if t.IsVar {
+				id, ok := names[t.Name]
+				if !ok {
+					id = len(names)
+					names[t.Name] = id
+				}
+				sb.WriteByte('v')
+				sb.WriteString(strconv.Itoa(id))
+			} else {
+				sb.WriteByte('#')
+				sb.WriteString(strconv.FormatInt(int64(t.Val), 10))
+			}
+		}
+		sb.WriteByte(')')
+	}
+	writeAtom(r.Head)
+	sb.WriteString(":-")
+	for i, a := range r.Body {
+		if i > 0 {
+			sb.WriteByte(',')
+		}
+		writeAtom(a)
+	}
+	for _, a := range r.NegBody {
+		sb.WriteString(",!")
+		writeAtom(a)
+	}
+	return sb.String()
 }
 
 // FuzzCanonicalRule fuzzes the per-rule canonical rendering over generated
@@ -111,7 +157,20 @@ func FuzzCanonicalRule(f *testing.F) {
 		for i := 0; i < int(nBody%4)+1; i++ {
 			r.Body = append(r.Body, mkAtom(fmt.Sprintf("B%d", i%2), uint8(i)))
 		}
+		if arity%2 == 1 {
+			r.NegBody = append(r.NegBody, mkAtom("N", nBody))
+		}
 		canon := r.CanonicalString()
+
+		// The canonical string addresses the plan cache and the verdict
+		// store: it must not move by a byte from the map-based rendering it
+		// replaced, alone or appended behind other bytes.
+		if want := mapCanonical(r); canon != want {
+			t.Fatalf("canonical form of %s:\n got %q\nwant %q", r, canon, want)
+		}
+		if got := string(r.AppendCanonical([]byte("prefix\n"))); got != "prefix\n"+canon {
+			t.Fatalf("AppendCanonical behind a prefix: %q", got)
+		}
 
 		// Alpha-invariance.
 		ren := r.Rename(func(v string) string { return v + "_r" })
@@ -131,4 +190,52 @@ func FuzzCanonicalRule(f *testing.F) {
 			t.Fatalf("changing head predicate did not change canonical form of %s", r)
 		}
 	})
+}
+
+// TestAppendCanonicalMatchesMapRendering holds AppendCanonical to the
+// map-based reference on random rules, on a rule with more variables than
+// its stack-backed name list holds, and at zero allocations into a buffer
+// with room.
+func TestAppendCanonicalMatchesMapRendering(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 500; i++ {
+		r := genRule(rng)
+		if got, want := r.CanonicalString(), mapCanonical(r); got != want {
+			t.Fatalf("canonical form of %s:\n got %q\nwant %q", r, got, want)
+		}
+	}
+	wide := Rule{Head: NewAtom("H", Var("a0"))}
+	for i := 0; i < 40; i++ {
+		wide.Body = append(wide.Body, NewAtom("B", Var(fmt.Sprintf("a%d", i)), Var(fmt.Sprintf("a%d", (i*7)%40)), IntTerm(int64(i))))
+	}
+	if got, want := wide.CanonicalString(), mapCanonical(wide); got != want {
+		t.Fatalf("canonical form of a 40-variable rule:\n got %q\nwant %q", got, want)
+	}
+	r := genRule(rng)
+	buf := make([]byte, 0, 1024)
+	if allocs := testing.AllocsPerRun(100, func() { buf = r.AppendCanonical(buf[:0]) }); allocs != 0 {
+		t.Fatalf("AppendCanonical into a buffer with room allocates %.0f times", allocs)
+	}
+}
+
+// TestProgramCanonicalStringAllocatesOnce pins the program key to one
+// allocation: each rule is rendered into a stack buffer and written into a
+// builder sized up front, whose buffer becomes the string without a copy.
+func TestProgramCanonicalStringAllocatesOnce(t *testing.T) {
+	x, y, z := Var("x"), Var("y"), Var("z")
+	p := NewProgram()
+	for i := 0; i < 8; i++ {
+		g := "G" + strconv.Itoa(i)
+		p.Rules = append(p.Rules, rule(NewAtom(g, x, z), NewAtom("A", x, y), NewAtom(g, y, z)))
+	}
+	var want strings.Builder
+	for _, r := range p.Rules {
+		want.WriteString(r.CanonicalString() + "\n")
+	}
+	if got := p.CanonicalString(); got != want.String() {
+		t.Fatalf("program key %q, want the rule keys one a line %q", got, want.String())
+	}
+	if allocs := testing.AllocsPerRun(100, func() { _ = p.CanonicalString() }); allocs != 1 {
+		t.Fatalf("Program.CanonicalString allocates %.0f times, want 1", allocs)
+	}
 }

@@ -17,11 +17,21 @@ func NewProgram(rules ...Rule) *Program {
 	return &Program{Rules: rules}
 }
 
-// Clone returns a deep copy of the program.
+// Clone returns a deep copy of the program in four allocations whatever its
+// size: the Program, its rules, one block for every body atom and one for
+// every term. Each rule's Body and NegBody and each atom's Args is a capped
+// slice of its block, so appending to one reallocates it and cannot
+// overwrite a neighbouring rule or atom.
 func (p *Program) Clone() *Program {
+	na, nt := 0, 0
+	for _, r := range p.Rules {
+		a, t := r.size()
+		na, nt = na+a, nt+t
+	}
 	rules := make([]Rule, len(p.Rules))
+	atoms, terms := make([]Atom, na), make([]Term, nt)
 	for i, r := range p.Rules {
-		rules[i] = r.Clone()
+		rules[i], atoms, terms = r.cloneInto(atoms, terms)
 	}
 	return &Program{Rules: rules}
 }

@@ -25,20 +25,50 @@ func NewRule(head Atom, body ...Atom) Rule {
 	return Rule{Head: head, Body: body}
 }
 
-// Clone returns a deep copy of the rule.
+// Clone returns a deep copy of the rule: its body atoms come from one
+// block and its terms from another (see cloneInto).
 func (r Rule) Clone() Rule {
-	body := make([]Atom, len(r.Body))
-	for i, a := range r.Body {
-		body[i] = a.Clone()
+	na, nt := r.size()
+	out, _, _ := r.cloneInto(make([]Atom, na), make([]Term, nt))
+	return out
+}
+
+// size counts the rule's body atoms (positive and negated) and its terms.
+func (r Rule) size() (atoms, terms int) {
+	atoms = len(r.Body) + len(r.NegBody)
+	terms = len(r.Head.Args)
+	for _, a := range r.Body {
+		terms += len(a.Args)
 	}
-	var neg []Atom
+	for _, a := range r.NegBody {
+		terms += len(a.Args)
+	}
+	return atoms, terms
+}
+
+// cloneInto deep-copies r into the front of the atoms and terms blocks and
+// returns the copy with what is left of each. Every slice it carves is
+// capped, so an append to one of the copy's slices reallocates instead of
+// overwriting its neighbour in the block.
+func (r Rule) cloneInto(atoms []Atom, terms []Term) (Rule, []Atom, []Term) {
+	out := Rule{Pos: r.Pos}
+	out.Head, terms = r.Head.cloneInto(terms)
+	out.Body, atoms, terms = cloneAtomsInto(r.Body, atoms, terms)
 	if len(r.NegBody) > 0 {
-		neg = make([]Atom, len(r.NegBody))
-		for i, a := range r.NegBody {
-			neg[i] = a.Clone()
-		}
+		out.NegBody, atoms, terms = cloneAtomsInto(r.NegBody, atoms, terms)
 	}
-	return Rule{Head: r.Head.Clone(), Body: body, NegBody: neg, Pos: r.Pos}
+	return out, atoms, terms
+}
+
+// cloneAtomsInto deep-copies src into the front of the atoms and terms
+// blocks (see Rule.cloneInto).
+func cloneAtomsInto(src, atoms []Atom, terms []Term) ([]Atom, []Atom, []Term) {
+	n := len(src)
+	out := atoms[:n:n]
+	for i, a := range src {
+		out[i], terms = a.cloneInto(terms)
+	}
+	return out, atoms[n:], terms
 }
 
 // Atoms is the rule's head, positive body and negated body, for walks that

@@ -155,17 +155,19 @@ type Checker struct {
 	// built in the same lineage.
 	eval.Lineage
 	prog *ast.Program
-	// progCanon is the program's canonical form — the session's content
-	// address into the plan and verdict caches. ruleCanon holds its
-	// per-rule lines (each newline-terminated; their concatenation is
-	// progCanon), so a masked test addresses its subprogram without
-	// re-rendering a rule.
-	progCanon string
-	ruleCanon []string
-	prep      *eval.Prepared
+	// canon is the program's canonical form — the session's content address
+	// into the plan and verdict caches — one newline-terminated line per
+	// rule; rule i's line ends at ends[i], so a masked test addresses its
+	// subprogram without re-rendering a rule.
+	canon string
+	ends  []int
+	prep  *eval.Prepared
 	// pv is the shared verdict table for this program content address,
 	// resolved once so each test keys only by the rule's canonical form.
 	pv *progVerdicts
+	// ruleKey and progKey are the scratch buffers a test appends its rule's
+	// key and, under a mask, its subprogram's key into.
+	ruleKey, progKey []byte
 	// cones memoizes, per head predicate, the mask of the rules outside its
 	// goal cone (nil when every rule is inside); coneBuf is the scratch a
 	// caller's mask is ORed into (coneMask).
@@ -204,29 +206,34 @@ func NewCheckerIn(p *ast.Program, lin eval.Lineage) (*Checker, error) {
 	if p.HasNegation() {
 		return nil, fmt.Errorf("chase: uniform containment is defined for pure Datalog; program or rule uses negation")
 	}
-	c := &Checker{
-		Lineage: lin,
-		// Keep the caller's rules (cloned against mutation) rather than the
-		// prepared program: a cache hit may return a plan for an
-		// alpha-renamed twin, and ContainsRuleMasked's mask indexes the rules
-		// the caller names.
-		prog:    p.Clone(),
-		cones:   make(map[string][]bool),
-		tgdMemo: make(map[string]*TGDs),
+	c := &Checker{Lineage: lin, ends: make([]int, len(p.Rules))}
+	buf := make([]byte, 0, 64*len(p.Rules))
+	for i, r := range p.Rules {
+		buf = append(r.AppendCanonical(buf), '\n')
+		c.ends[i] = len(buf)
 	}
-	c.ruleCanon = make([]string, len(c.prog.Rules))
-	for i, r := range c.prog.Rules {
-		c.ruleCanon[i] = r.CanonicalString() + "\n"
-	}
-	c.progCanon = joinCanon(c.ruleCanon, nil)
-	c.pv = defaultVerdicts.forProgram(c.progCanon)
-	prep, err := c.Prepare(c.progCanon, func() (*eval.Prepared, error) {
-		return eval.Prepare(p, eval.Options{})
+	c.canon = string(buf)
+	c.pv = defaultVerdicts.forProgram(buf)
+	c.progKey = buf[:0]
+	var built *eval.Prepared
+	prep, err := c.Prepare(c.canon, func() (_ *eval.Prepared, err error) {
+		built, err = eval.Prepare(p, eval.Options{})
+		return built, err
 	})
 	if err != nil {
 		return nil, err
 	}
 	c.prep = prep
+	// Keep the caller's rules rather than whatever program the plan was
+	// built from: a cache hit may return a plan for an alpha-renamed twin,
+	// and ContainsRuleMasked's mask indexes the rules the caller names. When
+	// the plan is the one built here, its program is already a private copy
+	// of p.
+	if prep == built {
+		c.prog = prep.Program()
+	} else {
+		c.prog = p.Clone()
+	}
 	return c, nil
 }
 
@@ -254,6 +261,9 @@ func (c *Checker) coneMask(pred string, skip []bool) []bool {
 		}
 		if !slices.Contains(out, true) {
 			out = nil
+		}
+		if c.cones == nil {
+			c.cones = make(map[string][]bool)
 		}
 		c.cones[pred] = out
 	}
@@ -298,9 +308,20 @@ func (c *Checker) ContainsRuleMasked(ctx context.Context, r ast.Rule, skip []boo
 		if len(skip) != len(c.prog.Rules) {
 			return false, fmt.Errorf("chase: mask of %d entries for %d rules", len(skip), len(c.prog.Rules))
 		}
-		pv = defaultVerdicts.forProgram(joinCanon(c.ruleCanon, skip))
+		c.progKey = c.progKey[:0]
+		for i, end := range c.ends {
+			if !skip[i] {
+				start := 0
+				if i > 0 {
+					start = c.ends[i-1]
+				}
+				c.progKey = append(c.progKey, c.canon[start:end]...)
+			}
+		}
+		pv = defaultVerdicts.forProgram(c.progKey)
 	}
-	ckey := r.CanonicalString()
+	c.ruleKey = r.AppendCanonical(c.ruleKey[:0])
+	ckey := c.ruleKey
 	if contained, hit := pv.get(ckey); hit {
 		c.Tally().VerdictsReused++
 		return contained, nil
@@ -366,26 +387,6 @@ func (c *Checker) Contains(ctx context.Context, p2 *ast.Program) (bool, int, err
 		}
 	}
 	return true, -1, nil
-}
-
-// joinCanon concatenates per-rule canonical lines (each newline-terminated)
-// into the program's canonical form, leaving out line i where skip[i] is set
-// (skip may be nil).
-func joinCanon(lines []string, skip []bool) string {
-	n := 0
-	for i, l := range lines {
-		if skip == nil || !skip[i] {
-			n += len(l)
-		}
-	}
-	var sb strings.Builder
-	sb.Grow(n)
-	for i, l := range lines {
-		if skip == nil || !skip[i] {
-			sb.WriteString(l)
-		}
-	}
-	return sb.String()
 }
 
 // UniformlyContainsRule decides r ⊑ᵘ p for a single rule r: whether every
@@ -588,6 +589,9 @@ func (c *Checker) lowered(tgds []ast.TGD) *TGDs {
 	ts, ok := c.tgdMemo[key]
 	if !ok {
 		ts = LowerTGDs(tgds)
+		if c.tgdMemo == nil {
+			c.tgdMemo = make(map[string]*TGDs)
+		}
 		c.tgdMemo[key] = ts
 	}
 	return ts
@@ -647,15 +651,14 @@ func (c *Checker) fullPrep(tgds []ast.TGD) (*eval.Prepared, error) {
 	}
 	combined := ast.NewProgram()
 	combined.Rules = append(combined.Rules, c.prog.Rules...)
-	lines := make([]string, 0, len(c.ruleCanon)+len(tgds))
-	lines = append(lines, c.ruleCanon...)
+	canon := []byte(c.canon)
 	for _, t := range tgds {
 		for _, r := range t.AsRules() {
 			combined.Rules = append(combined.Rules, r)
-			lines = append(lines, r.CanonicalString()+"\n")
+			canon = append(r.AppendCanonical(canon), '\n')
 		}
 	}
-	prep, err := c.Prepare(joinCanon(lines, nil), func() (*eval.Prepared, error) {
+	prep, err := c.Prepare(string(canon), func() (*eval.Prepared, error) {
 		return eval.Prepare(combined, eval.Options{})
 	})
 	if err != nil {

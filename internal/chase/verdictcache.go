@@ -16,7 +16,10 @@ import (
 //
 // The two-level shape is deliberate: a Checker resolves its program's inner
 // table once at construction, so the per-test key is just the rule's
-// canonical form instead of a program-sized concatenation.
+// canonical form instead of a program-sized concatenation. Both levels are
+// looked up by a key the Checker appends into a scratch buffer: m[string(b)]
+// does not allocate, so a string is made only when a table or a verdict is
+// stored.
 //
 // The outer store is bounded by generational rotation: when the live
 // generation fills, it becomes the previous generation and a fresh one
@@ -57,18 +60,18 @@ var defaultVerdicts = &verdictStore{max: defaultVerdictStoreSize, cur: make(map[
 
 // forProgram returns the (shared) verdict table for the program with the
 // given canonical form, creating it if needed.
-func (vs *verdictStore) forProgram(progCanon string) *progVerdicts {
+func (vs *verdictStore) forProgram(progCanon []byte) *progVerdicts {
 	vs.mu.Lock()
 	defer vs.mu.Unlock()
-	if pv, ok := vs.cur[progCanon]; ok {
+	if pv, ok := vs.cur[string(progCanon)]; ok {
 		return pv
 	}
-	if pv, ok := vs.prev[progCanon]; ok {
-		vs.insertLocked(progCanon, pv) // promote so reuse keeps it alive
+	if pv, ok := vs.prev[string(progCanon)]; ok {
+		vs.insertLocked(string(progCanon), pv) // promote so reuse keeps it alive
 		return pv
 	}
 	pv := &progVerdicts{store: vs, m: make(map[string]bool)}
-	vs.insertLocked(progCanon, pv)
+	vs.insertLocked(string(progCanon), pv)
 	return pv
 }
 
@@ -130,9 +133,9 @@ func (vs *verdictStore) stats() StoreStats {
 }
 
 // get returns the memoized verdict of ruleCanon and whether there is one.
-func (pv *progVerdicts) get(ruleCanon string) (contained, ok bool) {
+func (pv *progVerdicts) get(ruleCanon []byte) (contained, ok bool) {
 	pv.mu.Lock()
-	contained, ok = pv.m[ruleCanon]
+	contained, ok = pv.m[string(ruleCanon)]
 	pv.mu.Unlock()
 	if pv.store != nil {
 		pv.store.lookups.Add(1)
@@ -143,8 +146,8 @@ func (pv *progVerdicts) get(ruleCanon string) (contained, ok bool) {
 	return contained, ok
 }
 
-func (pv *progVerdicts) put(ruleCanon string, contained bool) {
+func (pv *progVerdicts) put(ruleCanon []byte, contained bool) {
 	pv.mu.Lock()
 	defer pv.mu.Unlock()
-	pv.m[ruleCanon] = contained
+	pv.m[string(ruleCanon)] = contained
 }

@@ -11,13 +11,24 @@
 // anonymous variable — fresh at every occurrence); integers and
 // quoted strings are constants (quoted strings are interned through a
 // SymbolTable, honouring the paper's "constants are integers" convention
-// internally). Comments run from '%' or "//" to end of line.
+// internally). Integers lie strictly between -2^40 and 2^40. Comments run
+// from '%' or "//" to end of line.
+//
+// The lexer reads the source in place: identifier and integer tokens are
+// substrings of it, and positions count lines and runes. Each distinct
+// identifier is interned once per parse — copied out of the source the first
+// time it is seen — so no predicate or variable name of a result points into
+// the source, and a parsed program, or a relation keyed by one of its
+// predicates, does not keep a whole request body alive. The Body, NegBody,
+// Lhs, Rhs and Args slices of a result are carved, capped, from two arenas
+// that grow by append: an append to a carved slice reallocates it.
 package parser
 
 import (
 	"fmt"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 
 	"repro/internal/ast"
 )
@@ -72,38 +83,53 @@ type token struct {
 	pos  ast.Pos
 }
 
+// lexer reads src by byte offset; line and col count lines and runes, so
+// a position is the same whatever the width of the runes before it.
 type lexer struct {
-	src  []rune
+	src  string
 	pos  int
 	line int
 	col  int
+	// idents interns identifiers: a predicate or variable name is cloned
+	// out of src the first time it is seen, so nothing the parse returns
+	// keeps src alive.
+	idents map[string]string
 }
 
 func newLexer(src string) *lexer {
-	return &lexer{src: []rune(src), line: 1, col: 1}
+	return &lexer{src: src, line: 1, col: 1}
 }
 
 func (l *lexer) errorf(pos ast.Pos, format string, args ...any) error {
 	return fmt.Errorf("%d:%d: %s", pos.Line, pos.Col, fmt.Sprintf(format, args...))
 }
 
-func (l *lexer) peek() rune {
-	if l.pos >= len(l.src) {
-		return 0
+// runeAt decodes the rune at byte offset i (0 past the end) and its width.
+func (l *lexer) runeAt(i int) (rune, int) {
+	if i >= len(l.src) {
+		return 0, 0
 	}
-	return l.src[l.pos]
+	if c := l.src[i]; c < utf8.RuneSelf {
+		return rune(c), 1
+	}
+	return utf8.DecodeRuneInString(l.src[i:])
 }
 
+func (l *lexer) peek() rune {
+	r, _ := l.runeAt(l.pos)
+	return r
+}
+
+// peek2 is the rune after the next one.
 func (l *lexer) peek2() rune {
-	if l.pos+1 >= len(l.src) {
-		return 0
-	}
-	return l.src[l.pos+1]
+	_, n := l.runeAt(l.pos)
+	r, _ := l.runeAt(l.pos + n)
+	return r
 }
 
 func (l *lexer) advance() rune {
-	r := l.src[l.pos]
-	l.pos++
+	r, n := l.runeAt(l.pos)
+	l.pos += n
 	if r == '\n' {
 		l.line++
 		l.col = 1
@@ -111,6 +137,19 @@ func (l *lexer) advance() rune {
 		l.col++
 	}
 	return r
+}
+
+// intern returns the interned copy of the identifier s.
+func (l *lexer) intern(s string) string {
+	if t, ok := l.idents[s]; ok {
+		return t
+	}
+	if l.idents == nil {
+		l.idents = make(map[string]string)
+	}
+	t := strings.Clone(s)
+	l.idents[t] = t
+	return t
 }
 
 func (l *lexer) skipSpaceAndComments() {
@@ -136,7 +175,7 @@ func (l *lexer) skipSpaceAndComments() {
 // next returns the next token.
 func (l *lexer) next() (token, error) {
 	l.skipSpaceAndComments()
-	pos := ast.Pos{Line: l.line, Col: l.col}
+	pos, start := ast.Pos{Line: l.line, Col: l.col}, l.pos
 	if l.pos >= len(l.src) {
 		return token{kind: tokEOF, pos: pos}, nil
 	}
@@ -174,10 +213,11 @@ func (l *lexer) next() (token, error) {
 		if !unicode.IsDigit(l.peek()) {
 			return token{}, l.errorf(pos, "expected '->' or digit after '-'")
 		}
-		text := "-" + l.lexDigits()
-		return token{kind: tokInt, text: text, pos: pos}, nil
+		l.lexDigits()
+		return token{kind: tokInt, text: l.src[start:l.pos], pos: pos}, nil
 	case unicode.IsDigit(r):
-		return token{kind: tokInt, text: l.lexDigits(), pos: pos}, nil
+		l.lexDigits()
+		return token{kind: tokInt, text: l.src[start:l.pos], pos: pos}, nil
 	case r == '"' || r == '\'':
 		quote := r
 		l.advance()
@@ -197,25 +237,22 @@ func (l *lexer) next() (token, error) {
 		}
 		return token{kind: tokString, text: sb.String(), pos: pos}, nil
 	case unicode.IsLetter(r) || r == '_':
-		var sb strings.Builder
 		for l.pos < len(l.src) {
 			c := l.peek()
-			if unicode.IsLetter(c) || unicode.IsDigit(c) || c == '_' || c == '\'' {
-				sb.WriteRune(l.advance())
-			} else {
+			if !unicode.IsLetter(c) && !unicode.IsDigit(c) && c != '_' && c != '\'' {
 				break
 			}
+			l.advance()
 		}
-		return token{kind: tokIdent, text: sb.String(), pos: pos}, nil
+		return token{kind: tokIdent, text: l.intern(l.src[start:l.pos]), pos: pos}, nil
 	default:
 		return token{}, l.errorf(pos, "unexpected character %q", r)
 	}
 }
 
-func (l *lexer) lexDigits() string {
-	var sb strings.Builder
+// lexDigits advances past a run of digits.
+func (l *lexer) lexDigits() {
 	for l.pos < len(l.src) && unicode.IsDigit(l.peek()) {
-		sb.WriteRune(l.advance())
+		l.advance()
 	}
-	return sb.String()
 }

@@ -3,6 +3,7 @@ package parser
 import (
 	"fmt"
 	"strconv"
+	"strings"
 	"unicode"
 	"unicode/utf8"
 
@@ -29,6 +30,22 @@ type parser struct {
 	syms *ast.SymbolTable
 	// anon numbers the anonymous variables ('_'), each occurrence fresh.
 	anon int
+	// atoms and terms are the arenas the Body, NegBody, Lhs, Rhs and Args
+	// slices of the result are carved from (carve); they grow by append, and
+	// a piece carved before a growth keeps the old backing array. neg holds
+	// a rule's negated atoms until its positive body is complete.
+	atoms, neg []ast.Atom
+	terms      []ast.Term
+}
+
+// carve returns what was appended to an arena since mark, nil if nothing,
+// capped so that an append to it reallocates instead of overwriting what
+// the arena hands out next.
+func carve[T any](arena []T, mark int) []T {
+	if len(arena) == mark {
+		return nil
+	}
+	return arena[mark:len(arena):len(arena)]
 }
 
 // Parse parses a full source text of rules, facts and tgds, validating the
@@ -70,6 +87,9 @@ func parse(src string, syms *ast.SymbolTable) (*Result, error) {
 		return nil, err
 	}
 	res := &Result{Program: ast.NewProgram(), Symbols: syms}
+	if n := strings.Count(src, ":-"); n > 0 {
+		res.Program.Rules = make([]ast.Rule, 0, n)
+	}
 	for p.tok.kind != tokEOF {
 		if err := p.statement(res); err != nil {
 			return nil, err
@@ -199,6 +219,7 @@ func (p *parser) unexpected(want string) error {
 
 // statement parses one of: fact, rule, tgd.
 func (p *parser) statement(res *Result) error {
+	termMark := len(p.terms)
 	first, err := p.atom()
 	if err != nil {
 		return err
@@ -214,6 +235,9 @@ func (p *parser) statement(res *Result) error {
 		}
 		res.Facts = append(res.Facts, first.MustGround(nil))
 		res.FactPos = append(res.FactPos, first.Pos)
+		// The ground atom owns a copy of the arguments: give their terms
+		// back to the arena, so a batch of facts reuses one atom's worth.
+		p.terms = p.terms[:termMark]
 		return nil
 
 	case tokImplies:
@@ -221,6 +245,8 @@ func (p *parser) statement(res *Result) error {
 			return err
 		}
 		rule := ast.Rule{Head: first, Pos: first.Pos}
+		mark := len(p.atoms)
+		p.neg = p.neg[:0]
 		for {
 			neg := false
 			if p.tok.kind == tokBang {
@@ -234,9 +260,9 @@ func (p *parser) statement(res *Result) error {
 				return err
 			}
 			if neg {
-				rule.NegBody = append(rule.NegBody, a)
+				p.neg = append(p.neg, a)
 			} else {
-				rule.Body = append(rule.Body, a)
+				p.atoms = append(p.atoms, a)
 			}
 			if p.tok.kind == tokComma {
 				if err := p.advance(); err != nil {
@@ -249,12 +275,17 @@ func (p *parser) statement(res *Result) error {
 		if _, err := p.expect(tokPeriod); err != nil {
 			return err
 		}
+		rule.Body = carve(p.atoms, mark)
+		mark = len(p.atoms)
+		p.atoms = append(p.atoms, p.neg...)
+		rule.NegBody = carve(p.atoms, mark)
 		res.Program.Rules = append(res.Program.Rules, rule)
 		return nil
 
 	case tokComma, tokArrow:
 		// A tgd: LHS conjunction -> RHS conjunction.
-		lhs := []ast.Atom{first}
+		mark := len(p.atoms)
+		p.atoms = append(p.atoms, first)
 		for p.tok.kind == tokComma {
 			if err := p.advance(); err != nil {
 				return err
@@ -263,18 +294,19 @@ func (p *parser) statement(res *Result) error {
 			if err != nil {
 				return err
 			}
-			lhs = append(lhs, a)
+			p.atoms = append(p.atoms, a)
 		}
 		if _, err := p.expect(tokArrow); err != nil {
 			return err
 		}
-		var rhs []ast.Atom
+		lhs := carve(p.atoms, mark)
+		mark = len(p.atoms)
 		for {
 			a, err := p.atom()
 			if err != nil {
 				return err
 			}
-			rhs = append(rhs, a)
+			p.atoms = append(p.atoms, a)
 			if p.tok.kind == tokComma {
 				if err := p.advance(); err != nil {
 					return err
@@ -286,7 +318,7 @@ func (p *parser) statement(res *Result) error {
 		if _, err := p.expect(tokPeriod); err != nil {
 			return err
 		}
-		res.TGDs = append(res.TGDs, ast.TGD{Lhs: lhs, Rhs: rhs})
+		res.TGDs = append(res.TGDs, ast.TGD{Lhs: lhs, Rhs: carve(p.atoms, mark)})
 		return nil
 
 	default:
@@ -306,13 +338,13 @@ func (p *parser) atom() (ast.Atom, error) {
 	if _, err := p.expect(tokLParen); err != nil {
 		return ast.Atom{}, err
 	}
-	var args []ast.Term
+	mark := len(p.terms)
 	for {
 		t, err := p.term()
 		if err != nil {
 			return ast.Atom{}, err
 		}
-		args = append(args, t)
+		p.terms = append(p.terms, t)
 		if p.tok.kind == tokComma {
 			if err := p.advance(); err != nil {
 				return ast.Atom{}, err
@@ -324,7 +356,7 @@ func (p *parser) atom() (ast.Atom, error) {
 	if _, err := p.expect(tokRParen); err != nil {
 		return ast.Atom{}, err
 	}
-	return ast.Atom{Pred: name.text, Args: args, Pos: name.pos}, nil
+	return ast.Atom{Pred: name.text, Args: carve(p.terms, mark), Pos: name.pos}, nil
 }
 
 func (p *parser) term() (ast.Term, error) {
@@ -341,13 +373,17 @@ func (p *parser) term() (ast.Term, error) {
 			// Anonymous variable: every occurrence is a fresh variable, so
 			// G(x, _) matches any second argument without joining.
 			p.anon++
-			return ast.Var(fmt.Sprintf("_%d", p.anon)), nil
+			return ast.Var("_" + strconv.Itoa(p.anon)), nil
 		}
 		return ast.Var(text), nil
 	case tokInt:
 		n, err := strconv.ParseInt(p.tok.text, 10, 64)
 		if err != nil {
 			return ast.Term{}, fmt.Errorf("%s: bad integer %q: %v", p.tok.pos, p.tok.text, err)
+		}
+		if !ast.IsInt(ast.Const(n)) {
+			// ast.Int panics outside the plain-integer range.
+			return ast.Term{}, fmt.Errorf("%s: integer %s out of range: a constant lies strictly between -2^40 and 2^40", p.tok.pos, p.tok.text)
 		}
 		if err := p.advance(); err != nil {
 			return ast.Term{}, err

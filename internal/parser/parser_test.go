@@ -315,3 +315,17 @@ func TestAnonymousVariables(t *testing.T) {
 		t.Fatal("anonymous head variable accepted")
 	}
 }
+
+// TestParseIntegerOutOfRange: an integer outside the plain-integer range of
+// ast.Int is a positioned parse error, not a panic (FuzzParse found the
+// panic; its input is kept under testdata/fuzz).
+func TestParseIntegerOutOfRange(t *testing.T) {
+	for _, src := range []string{"A(1099511627776).", "G(x) :- A(x, -1099511627776).", "A(1099700000000"} {
+		if _, err := Parse(src); err == nil || !strings.Contains(err.Error(), "out of range") {
+			t.Errorf("%q: %v, want an out-of-range error", src, err)
+		}
+	}
+	if _, err := Parse("A(1099511627775). A(-1099511627775)."); err != nil {
+		t.Fatalf("the largest plain integers: %v", err)
+	}
+}
