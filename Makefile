@@ -7,7 +7,7 @@ BENCHTIME ?= 0.3s
 # staticcheck pin for lint-ci; bump deliberately, not implicitly.
 STATICCHECK_VERSION ?= 2025.1
 
-.PHONY: all build vet datalog-vet test fuzz-short race race-service race-ivm serve-smoke bench bench-all experiments examples guard-one-join guard-ctx-arg guard-no-batch-compact guard-delta-first guard-request-path guard-one-unfold guard-no-ablation-arm guard-no-transfer guard-one-plan guard-one-maintenance guard-one-graph guard-one-magic guard-one-cache lint lint-ci clean
+.PHONY: all build vet datalog-vet test fuzz-short race race-service race-ivm serve-smoke bench bench-all experiments examples guard-one-join guard-ctx-arg guard-no-batch-compact guard-delta-first guard-request-path guard-one-unfold guard-no-ablation-arm guard-no-transfer guard-one-plan guard-one-maintenance guard-one-graph guard-one-magic guard-one-cache guard-one-minimize lint lint-ci clean
 
 all: build vet test
 
@@ -330,10 +330,29 @@ guard-one-cache:
 		echo "eval.NewLineage takes an argument again (make guard-one-cache): a lineage is its stats, the cache is eval.DefaultPlanCache" >&2; exit 1; \
 	fi
 
+# guard-one-minimize keeps one minimizer for every stratifiable program:
+# minimize.Program, Rule and IsMinimal take negated literals as deletion
+# candidates, and the containment checker (internal/chase) owns the negation
+# encoding its tests run on. The fork that encoded a stratified program,
+# minimized the encoding through an admissibility hook and decoded the result
+# stays deleted: none of its names, and no Valid field on minimize.Options,
+# may come back in non-test code, and no non-test code outside internal/chase
+# spells the encoding's neg@ prefix.
+guard-one-minimize:
+	@if grep -rnwE 'StratifiedProgram|MinimizeStratified|EncodeNegation|EncodeRuleNegation|DecodeRuleNegation|decodeNegation|mustDecodeRule' --include='*.go' internal cmd examples | grep -v '_test\.go:'; then \
+		echo "the encode → minimize → decode fork is back (make guard-one-minimize): minimize.Program takes stratified programs, the checker owns the encoding" >&2; exit 1; \
+	fi
+	@if grep -nE '^[[:space:]]+Valid[[:space:]]' internal/minimize/*.go | grep -v '_test\.go:'; then \
+		echo "minimize.Options has a Valid field again (make guard-one-minimize): ast.Rule.WellFormed is the one admissibility check" >&2; exit 1; \
+	fi
+	@if grep -rn --include='*.go' 'neg@' internal cmd examples | grep -v '_test\.go:' | grep -v '^internal/chase/'; then \
+		echo "the negation encoding's prefix outside internal/chase (make guard-one-minimize): the containment checker owns the encoding" >&2; exit 1; \
+	fi
+
 # lint runs the guards and go vet always, and staticcheck when the binary is
 # on PATH (the dev container does not bake it in; lint-ci installs the pinned
 # version).
-lint: guard-one-join guard-ctx-arg guard-no-batch-compact guard-delta-first guard-request-path guard-one-unfold guard-no-ablation-arm guard-no-transfer guard-one-plan guard-one-maintenance guard-one-graph guard-one-magic guard-one-cache
+lint: guard-one-join guard-ctx-arg guard-no-batch-compact guard-delta-first guard-request-path guard-one-unfold guard-no-ablation-arm guard-no-transfer guard-one-plan guard-one-maintenance guard-one-graph guard-one-magic guard-one-cache guard-one-minimize
 	$(GO) vet ./...
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \

@@ -1,11 +1,10 @@
 package main
 
 import (
-	"context"
 	"fmt"
+	"io"
 
 	"repro/internal/ast"
-	"repro/internal/chase"
 	"repro/internal/core"
 	"repro/internal/parser"
 )
@@ -26,17 +25,27 @@ func (c *cli) cmdMinimize(rest []string) error {
 		return err
 	}
 	fmt.Fprint(c.out, min.Format(res.Symbols))
-	fmt.Fprintf(c.out, "%% removed %d atoms, %d rules\n", trace.AtomsRemoved(), trace.RulesRemoved())
-	for _, ar := range trace.AtomRemovals {
-		fmt.Fprintf(c.out, "%%   atom %s from %s\n", ar.Atom.Format(res.Symbols), ar.Rule.Format(res.Symbols))
-	}
-	for _, r := range trace.RuleRemovals {
-		fmt.Fprintf(c.out, "%%   rule %s\n", r.Format(res.Symbols))
-	}
+	printTrace(c.out, trace, res.Symbols)
 	if c.verbose {
 		printSessionStats(c.out, trace.Stats)
 	}
 	return nil
+}
+
+// printTrace prints what a minimization removed, one atom or rule a line; a
+// removed negated literal keeps its '!'.
+func printTrace(out io.Writer, trace core.MinimizeTrace, syms *ast.SymbolTable) {
+	fmt.Fprintf(out, "%% removed %d atoms, %d rules\n", trace.AtomsRemoved(), trace.RulesRemoved())
+	for _, ar := range trace.AtomRemovals {
+		neg := ""
+		if ar.Negated {
+			neg = "!"
+		}
+		fmt.Fprintf(out, "%%   atom %s%s from %s\n", neg, ar.Atom.Format(syms), ar.Rule.Format(syms))
+	}
+	for _, r := range trace.RuleRemovals {
+		fmt.Fprintf(out, "%%   rule %s\n", r.Format(syms))
+	}
 }
 
 // cmdEquivOpt runs the Section XI optimization under plain equivalence.
@@ -57,7 +66,9 @@ func (c *cli) cmdEquivOpt(rest []string) error {
 	return nil
 }
 
-// cmdContains decides uniform containment in both directions.
+// cmdContains decides uniform containment in both directions: exactly on
+// pure programs, by the conservative encoding under negation, where a
+// containment not shown prints as unknown, never false.
 func (c *cli) cmdContains(rest []string) error {
 	if len(rest) < 2 {
 		return fmt.Errorf("usage: datalog contains <file1> <file2>")
@@ -70,25 +81,17 @@ func (c *cli) cmdContains(rest []string) error {
 	if err != nil {
 		return err
 	}
-	// One containment session per side: each Checker prepares its
-	// program once and reuses it for every frozen-rule test.
-	ck1, err := chase.NewChecker(p1)
+	negation := p1.HasNegation() || p2.HasNegation()
+	v12, _, err := containment(p1, p2, negation)
 	if err != nil {
 		return err
 	}
-	ok12, _, err := ck1.Contains(context.Background(), p2)
+	v21, _, err := containment(p2, p1, negation)
 	if err != nil {
 		return err
 	}
-	ck2, err := chase.NewChecker(p2)
-	if err != nil {
-		return err
-	}
-	ok21, _, err := ck2.Contains(context.Background(), p1)
-	if err != nil {
-		return err
-	}
-	fmt.Fprintf(c.out, "P2 ⊑ᵘ P1: %v\nP1 ⊑ᵘ P2: %v\nP1 ≡ᵘ P2: %v\n", ok12, ok21, ok12 && ok21)
+	fmt.Fprintf(c.out, "P2 ⊑ᵘ P1: %s\nP1 ⊑ᵘ P2: %s\nP1 ≡ᵘ P2: %s\n",
+		verdictText(v12), verdictText(v21), verdictText(equivalence(v12, v21)))
 	return nil
 }
 

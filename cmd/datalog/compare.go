@@ -35,14 +35,7 @@ func compareReport(out io.Writer, p1, p2 *ast.Program, verbose bool) error {
 	}
 	printContainment(out, "P2 ⊑ᵘ P1", v12, p2, w12)
 	printContainment(out, "P1 ⊑ᵘ P2", v21, p1, w21)
-	eq := chase.Unknown
-	switch {
-	case v12 == chase.Yes && v21 == chase.Yes:
-		eq = chase.Yes
-	case v12 == chase.No || v21 == chase.No:
-		eq = chase.No
-	}
-	fmt.Fprintf(out, "P1 ≡ᵘ P2: %s\n", verdictText(eq))
+	fmt.Fprintf(out, "P1 ≡ᵘ P2: %s\n", verdictText(equivalence(v12, v21)))
 
 	// Equivalence over EDBs is undecidable; sample it. Agreement on every
 	// sample is evidence, not proof — disagreement is a counterexample.
@@ -57,19 +50,20 @@ func compareReport(out io.Writer, p1, p2 *ast.Program, verbose bool) error {
 
 	for i, p := range []*ast.Program{p1, p2} {
 		name := fmt.Sprintf("P%d", i+1)
-		if p.HasNegation() {
-			continue
-		}
-		min, trace, err := minimize.Program(context.Background(), p, minimize.Options{})
+		_, trace, err := minimize.Program(context.Background(), p, minimize.Options{})
 		if err != nil {
 			return err
 		}
-		if trace.AtomsRemoved()+trace.RulesRemoved() == 0 {
-			fmt.Fprintf(out, "%s is minimal under uniform equivalence\n", name)
-		} else {
+		switch {
+		case trace.AtomsRemoved()+trace.RulesRemoved() > 0:
 			fmt.Fprintf(out, "%s is NOT minimal: Fig. 2 removes %d atom(s), %d rule(s)\n",
 				name, trace.AtomsRemoved(), trace.RulesRemoved())
-			_ = min
+		case p.HasNegation():
+			// The encoding misses deletions that need a case split on a
+			// negated literal, so nothing found proves nothing.
+			fmt.Fprintf(out, "%s: Fig. 2 removes nothing the negation encoding shows redundant\n", name)
+		default:
+			fmt.Fprintf(out, "%s is minimal under uniform equivalence\n", name)
 		}
 		if verbose {
 			fmt.Fprintf(out, "%s session: plan hits=%d misses=%d, verdicts reused=%d recomputed=%d\n",
@@ -97,6 +91,18 @@ func containment(a, b *ast.Program, negation bool) (chase.Verdict, int, error) {
 		return chase.No, w, err
 	}
 	return chase.Yes, w, err
+}
+
+// equivalence is P1 ≡ᵘ P2 from the two containment verdicts: No when
+// either direction is refuted, Yes when both hold, Unknown otherwise.
+func equivalence(v12, v21 chase.Verdict) chase.Verdict {
+	switch {
+	case v12 == chase.No || v21 == chase.No:
+		return chase.No
+	case v12 == chase.Yes && v21 == chase.Yes:
+		return chase.Yes
+	}
+	return chase.Unknown
 }
 
 // printContainment prints one containment line; a rule of p that is not

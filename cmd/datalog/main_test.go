@@ -109,6 +109,39 @@ func TestContainsCommand(t *testing.T) {
 	}
 }
 
+// TestContainsNegationUnknown: under negation `contains` runs the
+// conservative encoded test, so a containment it cannot show — here one
+// that holds by a case split on C — prints as unknown, never false; and
+// `compare` minimizes the stratified program too, without calling it
+// minimal, since the same case split would delete !C(x).
+func TestContainsNegationUnknown(t *testing.T) {
+	f1 := writeFile(t, "n1.dl", "A(x) :- B(x), !C(x).\nA(x) :- B(x), C(x).\n")
+	f2 := writeFile(t, "n2.dl", "A(x) :- B(x).\n")
+	out := runCLI(t, "contains", f1, f2)
+	if want := "P2 ⊑ᵘ P1: unknown\nP1 ⊑ᵘ P2: true\nP1 ≡ᵘ P2: unknown\n"; out != want {
+		t.Fatalf("contains output:\n%s\nwant:\n%s", out, want)
+	}
+	out = runCLI(t, "compare", f1, f2)
+	if !strings.Contains(out, "P1: Fig. 2 removes nothing the negation encoding shows redundant\n") ||
+		!strings.Contains(out, "P2 is minimal under uniform equivalence\n") {
+		t.Fatalf("compare output:\n%s", out)
+	}
+}
+
+// TestMinimizeNegatedLiteral: `minimize` takes a program with stratified
+// negation, and a removed negated literal is reported with its '!'.
+func TestMinimizeNegatedLiteral(t *testing.T) {
+	f := writeFile(t, "dup.dl", `
+Reach(x) :- Src(x).
+Unreach(x) :- Node(x), !Reach(x), !Reach(x).
+`)
+	out := runCLI(t, "minimize", f)
+	if !strings.Contains(out, "Unreach(x) :- Node(x), !Reach(x).\n") ||
+		!strings.Contains(out, "%   atom !Reach(x) from Unreach(x) :- Node(x), !Reach(x), !Reach(x).\n") {
+		t.Fatalf("minimize output:\n%s", out)
+	}
+}
+
 func TestPreserveCommand(t *testing.T) {
 	f := writeFile(t, "pres.dl", `
 G(x, z) :- A(x, z).

@@ -15,10 +15,11 @@ import (
 // from one run: the goal-directed evaluation of Corollary 2's test, whose
 // partial database the proof is read back from. On a negative answer the
 // certificate is nil and the frozen body itself is the counterexample
-// (see Certificate and TestChaseNoHasCanonicalWitness).
+// (see Certificate and TestChaseNoHasCanonicalWitness). Negation on either
+// side is refused with ErrNegation.
 func UniformlyContainsRuleCertified(p *ast.Program, r ast.Rule) (bool, *Certificate, *explain.Derivation, error) {
 	if p.HasNegation() || r.HasNegation() {
-		return false, nil, nil, fmt.Errorf("chase: uniform containment is defined for pure Datalog")
+		return false, nil, nil, ErrNegation
 	}
 	c, err := NewChecker(p)
 	if err != nil {

@@ -64,6 +64,13 @@ type Budget struct {
 	MaxRounds int
 }
 
+// ErrNegation is returned, possibly wrapped, by every exact test — the
+// uniform-containment one-shots, the certified test, SATContainsRule and the
+// [P, T] chase — when a program or rule uses negation. A Checker decides
+// such a program through an encoding that can prove a containment but not
+// refute one (StratifiedUniformlyContains), so none of them could answer No.
+var ErrNegation = errors.New("chase: uniform containment is defined for pure Datalog; program or rule uses negation")
+
 // DefaultBudget is generous enough for every example in the paper and every
 // workload in the experiment suite.
 var DefaultBudget = Budget{MaxAtoms: 100000, MaxRounds: 10000}
@@ -85,10 +92,14 @@ func (b Budget) OrDefault() Budget {
 // numbered in first-occurrence order, head first), but no binding map or
 // ground atom is built on the way: every containment test freezes its
 // candidate afresh, so the body goes straight from one buffer into the
-// database.
+// database. A negated literal !Q(t̄) freezes as a fact of the encoding's
+// extensional predicate neg@Q (see NewCheckerIn).
 func FreezeRule(r ast.Rule) (ast.GroundAtom, *db.Database) {
 	n := len(r.Head.Args)
 	for _, a := range r.Body {
+		n += len(a.Args)
+	}
+	for _, a := range r.NegBody {
 		n += len(a.Args)
 	}
 	// names[i] freezes to consts[i]; buf holds the head's arguments, then
@@ -120,6 +131,10 @@ func FreezeRule(r ast.Rule) (ast.GroundAtom, *db.Database) {
 		d.AddTuple(a.Pred, freeze(a, buf[off:]))
 		off += len(a.Args)
 	}
+	for _, a := range r.NegBody {
+		d.AddTuple(negPrefix+a.Pred, freeze(a, buf[off:]))
+		off += len(a.Args)
+	}
 	return head, d
 }
 
@@ -141,6 +156,12 @@ func FreezeRule(r ast.Rule) (ast.GroundAtom, *db.Database) {
 // every candidate P − S − {r} in one session. Its verdict is stored under
 // the subprogram's own content address: every verdict in the store was
 // computed by a run on its own program.
+//
+// A program with stratified negation is decided through its encoding (see
+// NewCheckerIn): a true answer is sound for stratified semantics, a false
+// one only means "not shown". The exact entry points — the one-shot tests,
+// the certified test and the [P, T] chase — refuse negation with
+// ErrNegation instead.
 //
 // Every test that can run a chase takes the caller's context first: internal
 // evaluations thread it to the emit path and every chase round checks it, so
@@ -173,8 +194,12 @@ type Checker struct {
 	// caller's mask is ORed into (coneMask).
 	cones   map[string][]bool
 	coneBuf []bool
-	// graph is the program's dependence graph, built with the first cone.
+	// graph is the dependence graph of the program the plan runs, built with
+	// the first cone.
 	graph *depgraph.Graph
+	// neg reports that the program has negation, so the plan runs its
+	// encoding and the exact tests refuse it.
+	neg bool
 	// noSyntactic disables the θ-subsumption fast path, forcing each fresh
 	// verdict through the chase (memoized verdicts are still reused).
 	// noTermination disables the termination classifier: no derived budgets,
@@ -193,22 +218,41 @@ type Checker struct {
 }
 
 // NewChecker prepares p as the containing program of a session, reusing a
-// cached plan for any canonically equal program seen before. Programs using
-// negation are rejected: the chase-based tests are defined for pure Datalog
-// (use StratifiedUniformlyContains for the encoded extension).
+// cached plan for any canonically equal program seen before. A program with
+// negation must be stratifiable; its session runs the encoding described
+// at NewCheckerIn.
 func NewChecker(p *ast.Program) (*Checker, error) {
 	return NewCheckerIn(p, eval.NewLineage())
 }
 
 // NewCheckerIn is NewChecker inside an existing lineage: the session
 // accumulates into the lineage's stats.
+//
+// A program with stratified negation is decided in the conservative style of
+// the extension the paper's conclusion announces (Section XII): its plan
+// runs the pure-Datalog encoding in which each negated literal !Q(t̄) is the
+// atom neg@Q(t̄) over a fresh extensional predicate, and FreezeRule freezes a
+// tested rule's negated literals the same way. A derivation in the encoding
+// relies only on negation checks the tested rule's own firing guarantees, so
+// a true answer holds for stratified semantics; containments that need
+// reasoning about negation (a Q ∨ ¬Q case split) are not found. The plan and
+// the verdicts live under the encoding's canonical form, never the
+// program's: the program's own address holds its stratified plan. A pure
+// program is neither encoded nor copied.
 func NewCheckerIn(p *ast.Program, lin eval.Lineage) (*Checker, error) {
+	run := p
 	if p.HasNegation() {
-		return nil, fmt.Errorf("chase: uniform containment is defined for pure Datalog; program or rule uses negation")
+		if err := depgraph.Build(p).Stratified(); err != nil {
+			return nil, err
+		}
+		var err error
+		if run, err = encodeNegation(p); err != nil {
+			return nil, err
+		}
 	}
-	c := &Checker{Lineage: lin, ends: make([]int, len(p.Rules))}
-	buf := make([]byte, 0, 64*len(p.Rules))
-	for i, r := range p.Rules {
+	c := &Checker{Lineage: lin, ends: make([]int, len(run.Rules)), neg: run != p}
+	buf := make([]byte, 0, 64*len(run.Rules))
+	for i, r := range run.Rules {
 		buf = append(r.AppendCanonical(buf), '\n')
 		c.ends[i] = len(buf)
 	}
@@ -217,7 +261,7 @@ func NewCheckerIn(p *ast.Program, lin eval.Lineage) (*Checker, error) {
 	c.progKey = buf[:0]
 	var built *eval.Prepared
 	prep, err := c.Prepare(c.canon, func() (_ *eval.Prepared, err error) {
-		built, err = eval.Prepare(p, eval.Options{})
+		built, err = eval.Prepare(run, eval.Options{})
 		return built, err
 	})
 	if err != nil {
@@ -226,15 +270,44 @@ func NewCheckerIn(p *ast.Program, lin eval.Lineage) (*Checker, error) {
 	c.prep = prep
 	// Keep the caller's rules rather than whatever program the plan was
 	// built from: a cache hit may return a plan for an alpha-renamed twin,
-	// and ContainsRuleMasked's mask indexes the rules the caller names. When
-	// the plan is the one built here, its program is already a private copy
-	// of p.
-	if prep == built {
+	// the plan of an encoding runs other rules, and ContainsRuleMasked's mask
+	// indexes the rules the caller names. When the plan is the one built
+	// here from p itself, its program is already a private copy of p.
+	if prep == built && !c.neg {
 		c.prog = prep.Program()
 	} else {
 		c.prog = p.Clone()
 	}
 	return c, nil
+}
+
+// negPrefix marks the encoded positive stand-ins for negated literals. The
+// '@' cannot appear in parsed predicate names, so encodings never collide
+// with user predicates.
+const negPrefix = "neg@"
+
+// encodeNegation is p with each rule's negated literals !Q(t̄) appended to
+// its positive body as atoms neg@Q(t̄), in order. A predicate that already
+// carries the prefix has no place in the encoding.
+func encodeNegation(p *ast.Program) (*ast.Program, error) {
+	out := ast.NewProgram()
+	out.Rules = make([]ast.Rule, len(p.Rules))
+	for i, r := range p.Rules {
+		for _, atoms := range r.Atoms() {
+			for _, a := range atoms {
+				if strings.HasPrefix(a.Pred, negPrefix) {
+					return nil, fmt.Errorf("minimize: predicate %s collides with the negation encoding", a.Pred)
+				}
+			}
+		}
+		body := append(make([]ast.Atom, 0, len(r.Body)+len(r.NegBody)), r.Body...)
+		for _, a := range r.NegBody {
+			a.Pred = negPrefix + a.Pred
+			body = append(body, a)
+		}
+		out.Rules[i] = ast.Rule{Head: r.Head, Body: body}
+	}
+	return out, nil
 }
 
 // Program returns the session's containing program. Callers must not
@@ -244,7 +317,7 @@ func (c *Checker) Program() *ast.Program { return c.prog }
 // coneMask is skip (nil or one entry per rule of Program()) with every rule
 // outside the goal cone of pred switched off as well. The goal cone of a
 // predicate (depgraph.Graph.Cone) is the rules whose head it depends on in
-// the program's dependence graph, its own rules included: a derivation of a
+// the dependence graph of the program the plan runs, its own rules included: a derivation of a
 // pred fact uses no other rule, so a goal run toward a pred atom reaches its
 // goal under the wider mask exactly when it does under skip. The cone is computed over the whole
 // program, so it holds the cone of every subprogram a mask selects. The
@@ -253,7 +326,7 @@ func (c *Checker) coneMask(pred string, skip []bool) []bool {
 	out, ok := c.cones[pred]
 	if !ok {
 		if c.graph == nil {
-			c.graph = depgraph.Build(c.prog)
+			c.graph = depgraph.Build(c.prep.Program())
 		}
 		out = c.graph.Cone(pred)
 		for i := range out {
@@ -299,9 +372,6 @@ func (c *Checker) ContainsRule(ctx context.Context, r ast.Rule) (bool, error) {
 func (c *Checker) ContainsRuleMasked(ctx context.Context, r ast.Rule, skip []bool) (bool, error) {
 	if err := eval.CtxErr(ctx); err != nil {
 		return false, err
-	}
-	if r.HasNegation() {
-		return false, fmt.Errorf("chase: uniform containment is defined for pure Datalog; program or rule uses negation")
 	}
 	pv := c.pv
 	if skip != nil {
@@ -391,11 +461,11 @@ func (c *Checker) Contains(ctx context.Context, p2 *ast.Program) (bool, int, err
 
 // UniformlyContainsRule decides r ⊑ᵘ p for a single rule r: whether every
 // model of p is a model of r (Corollary 2). The test is exact and always
-// terminates; rules or programs using negation are rejected. It is the
-// one-shot form of Checker.ContainsRule.
+// terminates; rules or programs using negation are refused with
+// ErrNegation. It is the one-shot form of Checker.ContainsRule.
 func UniformlyContainsRule(p *ast.Program, r ast.Rule) (bool, error) {
 	if p.HasNegation() || r.HasNegation() {
-		return false, fmt.Errorf("chase: uniform containment is defined for pure Datalog; program or rule uses negation")
+		return false, ErrNegation
 	}
 	c, err := NewChecker(p)
 	if err != nil {
@@ -408,8 +478,12 @@ func UniformlyContainsRule(p *ast.Program, r ast.Rule) (bool, error) {
 // input DB over both programs' predicates, P₂'s output is contained in
 // P₁'s. By Proposition 2 this is M(P₁) ⊆ M(P₂), checked rule by rule. On
 // failure the index of the first rule of p2 not uniformly contained in p1
-// is returned as witness (-1 on success).
+// is returned as witness (-1 on success). Programs using negation are
+// refused with ErrNegation.
 func UniformlyContains(p1, p2 *ast.Program) (bool, int, error) {
+	if p1.HasNegation() || p2.HasNegation() {
+		return false, 0, ErrNegation
+	}
 	if len(p2.Rules) == 0 {
 		return true, -1, nil
 	}
@@ -477,8 +551,12 @@ func (c *Checker) Apply(ctx context.Context, tgds []ast.TGD, d *db.Database, bud
 // completion and Unknown otherwise. The session's prepared program serves
 // every Datalog phase — one preparation for the whole chase, not one per
 // round — and pushes the goal into the evaluator's emit path, so a round
-// halts mid-join the moment the goal is derived.
+// halts mid-join the moment the goal is derived. A program with negation is
+// refused with ErrNegation.
 func (c *Checker) chaseToGoal(ctx context.Context, tgds []ast.TGD, d *db.Database, goal *ast.GroundAtom, budget Budget) (Result, Verdict, error) {
+	if c.neg {
+		return Result{}, Unknown, ErrNegation
+	}
 	var cl depgraph.Classification
 	if !c.noTermination {
 		cl = c.Classify(tgds)
@@ -687,10 +765,11 @@ func isBudgetErr(err error) bool { return errors.Is(err, eval.ErrBudget) }
 // answers are exact; Unknown means the budget ran out (possible only when T
 // has embedded tgds). The verdict is not memoized — it depends on the
 // budget. The chase runs every rule of P: a tgd can produce facts of any
-// predicate, so no goal cone of P alone bounds it.
+// predicate, so no goal cone of P alone bounds it. Negation on either side
+// is refused with ErrNegation.
 func (c *Checker) SATContainsRule(ctx context.Context, tgds []ast.TGD, r ast.Rule, budget Budget) (Verdict, error) {
-	if r.HasNegation() {
-		return Unknown, fmt.Errorf("chase: rule %s uses negation", r)
+	if c.neg || r.HasNegation() {
+		return Unknown, ErrNegation
 	}
 	// M(P) ⊆ M(r) already forces SAT(T) ∩ M(P) ⊆ M(r) whatever T is, so a
 	// syntactically forced uniform-containment verdict skips the [P, T]
@@ -708,8 +787,8 @@ func (c *Checker) SATContainsRule(ctx context.Context, tgds []ast.TGD, r ast.Rul
 
 // SATContainsRule is the one-shot form of Checker.SATContainsRule.
 func SATContainsRule(p1 *ast.Program, tgds []ast.TGD, r ast.Rule, budget Budget) (Verdict, error) {
-	if r.HasNegation() {
-		return Unknown, fmt.Errorf("chase: rule %s uses negation", r)
+	if p1.HasNegation() || r.HasNegation() {
+		return Unknown, ErrNegation
 	}
 	c, err := NewChecker(p1)
 	if err != nil {
@@ -767,72 +846,20 @@ type Certificate struct {
 }
 
 // StratifiedUniformlyContains extends the Section VI test P₂ ⊑ᵘ P₁ to
-// programs with stratified negation, in the conservative style of the
-// paper's announced extension (Section XII): negated literals are encoded as
-// positive atoms over fresh extensional predicates (EncodeNegation, the
-// encoding minimize.StratifiedProgram uses too), and the pure-Datalog test
-// runs on the encoding. Yes is sound for stratified semantics — the
-// witnessing derivation relies only on negation checks the contained rule's
-// own firing already guarantees — but the test is incomplete: containments
-// that need reasoning about negation (e.g. Q ∨ ¬Q case splits) are not
-// found, so a failed encoded test is Unknown, never No. With Unknown comes
-// the index of the first rule of p2 not shown contained (-1 with Yes).
+// programs with stratified negation: it is Checker.Contains, which decides a
+// program with negation through its encoding (NewCheckerIn). Yes is sound
+// for stratified semantics, but the test is incomplete — containments that
+// need reasoning about negation (e.g. Q ∨ ¬Q case splits) are not found — so
+// a failed test is Unknown, never No. With Unknown comes the index of the
+// first rule of p2 not shown contained (-1 with Yes).
 func StratifiedUniformlyContains(p1, p2 *ast.Program) (Verdict, int, error) {
-	c, err := NewChecker(EncodeNegation(p1))
+	c, err := NewChecker(p1)
 	if err != nil {
 		return Unknown, 0, err
 	}
-	ok, i, err := c.Contains(context.Background(), EncodeNegation(p2))
+	ok, i, err := c.Contains(context.Background(), p2)
 	if err != nil || !ok {
 		return Unknown, i, err
 	}
 	return Yes, -1, nil
-}
-
-// NegPrefix marks the encoded positive stand-ins for negated literals. The
-// '@' cannot appear in parsed predicate names, so encodings never collide
-// with user predicates.
-const NegPrefix = "neg@"
-
-// EncodeRuleNegation rewrites every negated literal !Q(t̄) of r into a
-// positive atom over the fresh extensional predicate neg@Q(t̄).
-func EncodeRuleNegation(r ast.Rule) ast.Rule {
-	enc := ast.Rule{Head: r.Head.Clone()}
-	for _, a := range r.Body {
-		enc.Body = append(enc.Body, a.Clone())
-	}
-	for _, a := range r.NegBody {
-		n := a.Clone()
-		n.Pred = NegPrefix + n.Pred
-		enc.Body = append(enc.Body, n)
-	}
-	return enc
-}
-
-// EncodeNegation is EncodeRuleNegation over every rule of p.
-func EncodeNegation(p *ast.Program) *ast.Program {
-	out := ast.NewProgram()
-	for _, r := range p.Rules {
-		out.Rules = append(out.Rules, EncodeRuleNegation(r))
-	}
-	return out
-}
-
-// DecodeRuleNegation inverts EncodeRuleNegation; an encoded predicate in the
-// head has no decoding.
-func DecodeRuleNegation(r ast.Rule) (ast.Rule, error) {
-	dec := ast.Rule{Head: r.Head.Clone()}
-	for _, a := range r.Body {
-		n := a.Clone()
-		if strings.HasPrefix(a.Pred, NegPrefix) {
-			n.Pred = strings.TrimPrefix(n.Pred, NegPrefix)
-			dec.NegBody = append(dec.NegBody, n)
-			continue
-		}
-		dec.Body = append(dec.Body, n)
-	}
-	if strings.HasPrefix(dec.Head.Pred, NegPrefix) {
-		return ast.Rule{}, fmt.Errorf("chase: encoded predicate %s in head", dec.Head.Pred)
-	}
-	return dec, nil
 }

@@ -1,10 +1,13 @@
 package chase
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"testing"
 
 	"repro/internal/ast"
+	"repro/internal/db"
 	"repro/internal/eval"
 	"repro/internal/parser"
 )
@@ -114,4 +117,40 @@ func p1d() *ast.Program {
 		G(x, z) :- A(x, z).
 		G(x, z) :- G(x, y), G(y, z).
 	`)
+}
+
+// TestExactTestsRefuseNegation: every exact entry point answers ErrNegation,
+// not a verdict, when either side has negation, while a Checker over the
+// same stratified program decides containment through the encoding.
+func TestExactTestsRefuseNegation(t *testing.T) {
+	neg := parser.MustParseProgram(`A(x) :- B(x), !C(x).`)
+	pure := parser.MustParseProgram(`A(x) :- B(x).`)
+	tgd := parser.MustParseTGD("B(x) -> D(x).")
+	ck, err := NewChecker(neg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ok, err := ck.ContainsRule(context.Background(), neg.Rules[0]); err != nil || !ok {
+		t.Fatalf("stratified session: %v %v, want true", ok, err)
+	}
+	pureCk, err := NewChecker(pure)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, e1 := UniformlyContainsRule(neg, pure.Rules[0])
+	_, e2 := UniformlyContainsRule(pure, neg.Rules[0])
+	_, _, e3 := UniformlyContains(pure, neg)
+	_, _, e4 := UniformlyContains(neg, ast.NewProgram())
+	_, e5 := UniformlyEquivalent(pure, neg)
+	_, _, _, e6 := UniformlyContainsRuleCertified(pure, neg.Rules[0])
+	_, e7 := SATContainsRule(neg, []ast.TGD{tgd}, pure.Rules[0], Budget{})
+	_, e8 := pureCk.SATContainsRule(context.Background(), []ast.TGD{tgd}, neg.Rules[0], Budget{})
+	_, e9 := ck.SATContainsRule(context.Background(), []ast.TGD{tgd}, pure.Rules[0], Budget{})
+	_, e10 := ck.Apply(context.Background(), []ast.TGD{tgd}, db.New(), Budget{})
+	_, e11 := SATModelsContained(neg, []ast.TGD{tgd}, pure, Budget{})
+	for i, err := range []error{e1, e2, e3, e4, e5, e6, e7, e8, e9, e10, e11} {
+		if !errors.Is(err, ErrNegation) {
+			t.Errorf("entry point %d: err = %v, want ErrNegation", i+1, err)
+		}
+	}
 }

@@ -13,7 +13,8 @@
 //     the decidable containment test of Section VI, as a reusable session
 //     or one-shot.
 //   - MinimizeRule / MinimizeProgram — the Figs. 1–2 minimization under
-//     uniform equivalence (Section VII).
+//     uniform equivalence (Section VII), for pure and stratified programs
+//     alike.
 //   - ChaseApply / SATModelsContained — the combined [P,T] chase of
 //     Section VIII.
 //   - PreserveCheck / PreserveCheckPreliminary — the Fig. 3 procedure and
@@ -132,10 +133,14 @@ type (
 // a context first — plus the one ctx-less spelling bench/ pins.
 type ContainmentChecker struct{ *chase.Checker }
 
-// ContainsRule decides r ⊑ᵘ P with no cancellation. Bench-pinned:
-// bench/optimize.go calls ck.ContainsRule(r), and bench/ may only change in a
-// [benchmark] PR; new code passes a context to the embedded Checker.
+// ContainsRule decides r ⊑ᵘ P with no cancellation; a rule with negation is
+// refused with chase.ErrNegation. Bench-pinned: bench/optimize.go calls
+// ck.ContainsRule(r), and bench/ may only change in a [benchmark] PR; new
+// code passes a context to the embedded Checker.
 func (c ContainmentChecker) ContainsRule(r Rule) (bool, error) {
+	if r.HasNegation() {
+		return false, chase.ErrNegation
+	}
 	return c.Checker.ContainsRule(context.Background(), r)
 }
 
@@ -220,8 +225,12 @@ func PlanCacheStats() eval.CacheStats {
 // decide r ⊑ᵘ P₁ and P₂ ⊑ᵘ P₁ reusing one prepared program, memoized
 // frozen bodies and memoized verdicts across calls;
 // Checker.ContainsRuleMasked tests against P₁ minus some of its rules on the
-// same plan.
+// same plan. The test is exact, so a p1 with negation is refused with
+// chase.ErrNegation (StratifiedUniformlyContains is the conservative test).
 func NewContainmentChecker(p1 *Program) (ContainmentChecker, error) {
+	if p1.HasNegation() {
+		return ContainmentChecker{}, chase.ErrNegation
+	}
 	ck, err := chase.NewChecker(p1)
 	return ContainmentChecker{ck}, err
 }
@@ -240,7 +249,8 @@ func PreliminaryDB(p *Program, edb *Database) *Database { return eval.Preliminar
 func IsModel(p *Program, d *Database) bool { return eval.IsModel(p, d) }
 
 // UniformlyContains decides P₂ ⊑ᵘ P₁ (Section VI); the int is the index of
-// the first offending rule of p2 on failure, -1 on success.
+// the first offending rule of p2 on failure, -1 on success. Negation on
+// either side is refused with chase.ErrNegation.
 func UniformlyContains(p1, p2 *Program) (bool, int, error) {
 	return chase.UniformlyContains(p1, p2)
 }
@@ -255,7 +265,9 @@ func MinimizeRule(r Rule, opts MinimizeOptions) (Rule, MinimizeTrace, error) {
 	return minimize.Rule(context.Background(), r, opts)
 }
 
-// MinimizeProgram minimizes a program under uniform equivalence (Fig. 2).
+// MinimizeProgram minimizes a program under uniform equivalence (Fig. 2). A
+// program with stratified negation is minimized through the negation
+// encoding of its containment tests (internal/chase).
 func MinimizeProgram(p *Program, opts MinimizeOptions) (*Program, MinimizeTrace, error) {
 	return minimize.Program(context.Background(), p, opts)
 }
@@ -306,12 +318,6 @@ func DirectAnswer(p *Program, edb *Database, query Atom, opts EvalOptions) ([][]
 }
 
 // --- Extensions beyond the paper's core (see DESIGN.md S16–S21) -----------
-
-// MinimizeStratified minimizes a program with stratified negation (the
-// Section XII extension) via the encoding documented in internal/minimize.
-func MinimizeStratified(p *Program, opts MinimizeOptions) (*Program, MinimizeTrace, error) {
-	return minimize.StratifiedProgram(context.Background(), p, opts)
-}
 
 // UniformlyContainsRuleCertified is UniformlyContainsRule returning a
 // machine-checkable derivation certificate on success.

@@ -240,7 +240,7 @@ func TestFacadeStratifiedAndDepth(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	min, trace, err := MinimizeStratified(p, MinimizeOptions{})
+	min, trace, err := MinimizeProgram(p, MinimizeOptions{})
 	if err != nil || trace.AtomsRemoved() != 1 {
 		t.Fatalf("stratified minimize: %v %v", trace, err)
 	}

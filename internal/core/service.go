@@ -142,7 +142,8 @@ func (s *Session) Explain(ctx context.Context, input *Database, goal GroundAtom)
 	return d, reached, err
 }
 
-// Minimize runs Fig. 2 minimization of the session program under ctx.
+// Minimize runs Fig. 2 minimization of the session program under ctx, with
+// or without stratified negation.
 func (s *Session) Minimize(ctx context.Context, opts MinimizeOptions) (*Program, MinimizeTrace, error) {
 	q, trace, err := minimize.Program(ctx, s.prog, opts)
 	s.account(trace.Stats)
@@ -161,8 +162,13 @@ func (s *Session) checker() (*chase.Checker, error) {
 	return s.ck, nil
 }
 
-// ContainsRule decides r ⊑ᵘ P for the session program P. Serialized.
+// ContainsRule decides r ⊑ᵘ P for the session program P. Serialized. The
+// test is exact, so negation on either side is refused with
+// chase.ErrNegation.
 func (s *Session) ContainsRule(ctx context.Context, r Rule) (bool, error) {
+	if s.prog.HasNegation() || r.HasNegation() {
+		return false, chase.ErrNegation
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	ck, err := s.checker()
@@ -176,7 +182,11 @@ func (s *Session) ContainsRule(ctx context.Context, r Rule) (bool, error) {
 
 // Contains decides P₂ ⊑ᵘ P for the session program P; the int is the index
 // of the first offending rule of p2 on failure, -1 on success. Serialized.
+// Negation on either side is refused with chase.ErrNegation.
 func (s *Session) Contains(ctx context.Context, p2 *Program) (bool, int, error) {
+	if s.prog.HasNegation() || p2.HasNegation() {
+		return false, -1, chase.ErrNegation
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	ck, err := s.checker()
@@ -191,7 +201,8 @@ func (s *Session) Contains(ctx context.Context, p2 *Program) (bool, int, error) 
 // Compare decides uniform equivalence of the two sessions' programs. The
 // two containment directions run strictly one after the other, each under
 // its own session's mutex — never nested — so concurrent Compare calls
-// over any session pairs cannot deadlock.
+// over any session pairs cannot deadlock. Negation on either side is refused
+// with chase.ErrNegation.
 func (s *Session) Compare(ctx context.Context, other *Session) (bool, error) {
 	ok, _, err := s.Contains(ctx, other.prog)
 	if err != nil || !ok {

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"repro/internal/ast"
+	"repro/internal/chase"
 	"repro/internal/core"
 	"repro/internal/db"
 	"repro/internal/eval"
@@ -429,5 +430,101 @@ func TestSessionExplain(t *testing.T) {
 	cancel()
 	if _, _, err := sess.Explain(gone, in, core.GroundAtom{Pred: "T", Args: []core.Const{intc(0), intc(6)}}); !errors.Is(err, core.ErrCanceled) {
 		t.Fatalf("canceled context: %v, want ErrCanceled", err)
+	}
+}
+
+// TestStratifiedPlanSeparation: a Session over a program with negation runs
+// the program's stratified plan, filed under the program's canonical form,
+// and a minimization of the same program runs the negation encoding, filed
+// under the encoding's. Whichever comes first, neither is handed the other's
+// plan: the session evaluates !Reach(x) as negation, and the minimizer keeps
+// !Reach(x), which Unreach needs.
+func TestStratifiedPlanSeparation(t *testing.T) {
+	for _, minimizeFirst := range []bool{false, true} {
+		// Fresh predicates for each order: the plan cache is process-wide.
+		src := fmt.Sprintf(`
+			%[1]sReach(x) :- %[1]sSrc(x).
+			%[1]sReach(y) :- %[1]sReach(x), %[1]sE(x, y).
+			%[1]sUnreach(x) :- %[1]sNode(x), !%[1]sReach(x).
+			%[1]sSrc(1). %[1]sE(1, 2). %[1]sNode(1). %[1]sNode(2). %[1]sNode(3).
+		`, fmt.Sprintf("Sep%v", minimizeFirst))
+		res, err := core.Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p := res.Program
+		unreach := p.Rules[2].Head.Pred
+		evalOnce := func() {
+			s, err := core.NewSession(p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out, _, err := s.Eval(context.Background(), core.FromFacts(res.Facts))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := db.Select(out, ast.NewAtom(unreach, ast.Var("x"))); len(got) != 1 || got[0][0] != ast.Int(3) {
+				t.Fatalf("minimize first %v: %s = %v, want [[3]]", minimizeFirst, unreach, got)
+			}
+		}
+		minimizeOnce := func() {
+			min, trace, err := core.MinimizeProgram(p, core.MinimizeOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if trace.AtomsRemoved()+trace.RulesRemoved() != 0 || !min.Equal(p) {
+				t.Fatalf("minimize first %v: a minimal program lost %d atom(s) and %d rule(s):\n%s",
+					minimizeFirst, trace.AtomsRemoved(), trace.RulesRemoved(), min)
+			}
+		}
+		if minimizeFirst {
+			minimizeOnce()
+			evalOnce()
+			minimizeOnce()
+		} else {
+			evalOnce()
+			minimizeOnce()
+			evalOnce()
+		}
+	}
+}
+
+// TestExactContainmentRefusesNegation: the facade's exact containment entry
+// points answer chase.ErrNegation, not a verdict, when either side has
+// negation — the encoding a Checker decides negation through cannot refute.
+func TestExactContainmentRefusesNegation(t *testing.T) {
+	neg, err := core.ParseProgram(`A(x) :- B(x), !C(x).`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pure, err := core.ParseProgram(`A(x) :- B(x).`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sn, err := core.NewSession(neg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sp, err := core.NewSession(pure)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	_, ckErr := core.NewContainmentChecker(neg)
+	ck, err := core.NewContainmentChecker(pure)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, ruleErr := ck.ContainsRule(neg.Rules[0])
+	_, err1 := sn.ContainsRule(ctx, pure.Rules[0])
+	_, err2 := sp.ContainsRule(ctx, neg.Rules[0])
+	_, _, err3 := sp.Contains(ctx, neg)
+	_, err4 := sp.Compare(ctx, sn)
+	_, err5 := sn.Compare(ctx, sp)
+	_, _, err6 := core.UniformlyContains(pure, neg)
+	for i, err := range []error{ckErr, ruleErr, err1, err2, err3, err4, err5, err6} {
+		if !errors.Is(err, chase.ErrNegation) {
+			t.Errorf("entry point %d: err = %v, want chase.ErrNegation", i, err)
+		}
 	}
 }

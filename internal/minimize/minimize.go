@@ -24,6 +24,13 @@
 // are considered. Options.Rand exposes that order for the ablation
 // experiments.
 //
+// A program with stratified negation — the extension the paper's conclusion
+// announces — goes through the same loops: its negated literals are deletion
+// candidates after its positive atoms, and its containment session decides
+// every candidate through the negation encoding (chase.NewCheckerIn), whose
+// positive answers are sound for stratified semantics. A deletion that would
+// need reasoning about negation is not found.
+//
 // Every entry point takes the caller's context first: it is threaded into
 // every containment chase, so a deadline aborts promptly with an error
 // wrapping eval.ErrCanceled. Cancellation leaves the shared plan and verdict
@@ -47,11 +54,6 @@ type Options struct {
 	// the order in which atoms and rules are considered"). Nil keeps source
 	// order, making the result deterministic.
 	Rand *rand.Rand
-	// Valid, when non-nil, is an extra admissibility predicate a shortened
-	// rule must pass before the containment test is even attempted. The
-	// stratified extension uses it to reject deletions that would unbind a
-	// negated literal's variables.
-	Valid func(ast.Rule) bool
 }
 
 // AtomRemoval records one Fig. 1/Fig. 2 atom deletion.
@@ -60,6 +62,8 @@ type AtomRemoval struct {
 	Rule ast.Rule
 	// Atom is the deleted body atom.
 	Atom ast.Atom
+	// Negated reports that Atom was a negated literal !Atom.
+	Negated bool
 }
 
 // Trace records what minimization removed.
@@ -130,13 +134,14 @@ func Program(ctx context.Context, p *ast.Program, opts Options) (*ast.Program, T
 
 // minimizeAtoms runs the first phase of Fig. 2 on every rule of p (which,
 // for a single-rule program, is exactly Fig. 1), rewriting p in place. Each
-// atom is considered once, and deleting atom α from rule r is accepted when
-// r̂ ⊑ᵘ P for the current program P. Every accepted deletion keeps
-// P ≡ᵘ P₀, the input, and by Prop. 2 that is M(P) = M(P₀), so r̂ ⊑ᵘ P and
-// r̂ ⊑ᵘ P₀ have one answer: every candidate is tested on ck, the session
-// over P₀, whatever was deleted before it. An accepted deletion changes p and
-// nothing else — no new plan, no new canonical form — and every verdict
-// lands in P₀'s table, decided by a run on P₀.
+// atom is considered once — the positive body first, then the negated
+// literals — and deleting atom α from rule r is accepted when r̂ ⊑ᵘ P for
+// the current program P. Every accepted deletion keeps P ≡ᵘ P₀, the input,
+// and by Prop. 2 that is M(P) = M(P₀), so r̂ ⊑ᵘ P and r̂ ⊑ᵘ P₀ have one
+// answer: every candidate is tested on ck, the session over P₀, whatever
+// was deleted before it. An accepted deletion changes p and nothing else —
+// no new plan, no new canonical form — and every verdict lands in P₀'s
+// table, decided by a run on P₀.
 func minimizeAtoms(ctx context.Context, p *ast.Program, ck *chase.Checker, opts Options) (Trace, error) {
 	var trace Trace
 	for i := range p.Rules {
@@ -148,16 +153,13 @@ func minimizeAtoms(ctx context.Context, p *ast.Program, ck *chase.Checker, opts 
 		// unconsidered, so k stays put; otherwise k advances. Every atom is
 		// therefore considered exactly once.
 		k := 0
-		for k < len(p.Rules[i].Body) {
+		for k < len(p.Rules[i].Body)+len(p.Rules[i].NegBody) {
 			r := p.Rules[i]
-			cand := withoutBodyAtom(r, k)
+			cand := withoutAtom(r, k)
 			if !cand.WellFormed() {
-				// Deleting the atom breaks range restriction, so the
-				// shortened rule is not even well-formed; keep the atom.
-				k++
-				continue
-			}
-			if opts.Valid != nil && !opts.Valid(cand) {
+				// Deleting the atom breaks range restriction or the safety
+				// of a negated literal, so the shortened rule is not even
+				// well-formed; keep the atom.
 				k++
 				continue
 			}
@@ -166,7 +168,13 @@ func minimizeAtoms(ctx context.Context, p *ast.Program, ck *chase.Checker, opts 
 				return trace, err
 			}
 			if ok {
-				trace.AtomRemovals = append(trace.AtomRemovals, AtomRemoval{Rule: r.Clone(), Atom: r.Body[k].Clone()})
+				rm := AtomRemoval{Rule: r.Clone(), Negated: k >= len(r.Body)}
+				if rm.Negated {
+					rm.Atom = r.NegBody[k-len(r.Body)].Clone()
+				} else {
+					rm.Atom = r.Body[k].Clone()
+				}
+				trace.AtomRemovals = append(trace.AtomRemovals, rm)
 				p.Rules[i] = cand
 			} else {
 				k++
@@ -239,8 +247,8 @@ func IsMinimal(ctx context.Context, p *ast.Program) (bool, error) {
 		return false, err
 	}
 	for _, r := range p.Rules {
-		for k := range r.Body {
-			cand := withoutBodyAtom(r, k)
+		for k := range len(r.Body) + len(r.NegBody) {
+			cand := withoutAtom(r, k)
 			if !cand.WellFormed() {
 				continue
 			}
@@ -260,15 +268,25 @@ func IsMinimal(ctx context.Context, p *ast.Program) (bool, error) {
 	return !slices.Contains(gone, true), nil
 }
 
-// withoutBodyAtom is ast.Rule.WithoutBodyAtom without the deep clone: the
-// candidate shares the rule's atoms (only the body slice is fresh), which is
-// safe because the minimization loops treat rules as immutable — candidates
-// are only validated, tested for containment, and installed wholesale.
-func withoutBodyAtom(r ast.Rule, k int) ast.Rule {
-	body := make([]ast.Atom, 0, len(r.Body)-1)
-	body = append(body, r.Body[:k]...)
-	body = append(body, r.Body[k+1:]...)
-	return ast.Rule{Head: r.Head, Body: body, NegBody: r.NegBody}
+// withoutAtom is r with its kth atom deleted, counting the positive body
+// first and the negated literals after it. Unlike ast.Rule.WithoutBodyAtom
+// it does not deep-clone: the candidate shares the rule's atoms (only the
+// shortened slice is fresh), which is safe because the minimization loops
+// treat rules as immutable — candidates are only validated, tested for
+// containment, and installed wholesale.
+func withoutAtom(r ast.Rule, k int) ast.Rule {
+	if k < len(r.Body) {
+		r.Body = without(r.Body, k)
+	} else {
+		r.NegBody = without(r.NegBody, k-len(r.Body))
+	}
+	return r
+}
+
+func without(atoms []ast.Atom, k int) []ast.Atom {
+	out := make([]ast.Atom, 0, len(atoms)-1)
+	out = append(out, atoms[:k]...)
+	return append(out, atoms[k+1:]...)
 }
 
 func shuffleProgram(p *ast.Program, rng *rand.Rand) {
@@ -277,8 +295,13 @@ func shuffleProgram(p *ast.Program, rng *rand.Rand) {
 	})
 }
 
+// shuffleBody shuffles the positive body and the negated literals, each
+// within itself.
 func shuffleBody(r *ast.Rule, rng *rand.Rand) {
 	rng.Shuffle(len(r.Body), func(i, j int) {
 		r.Body[i], r.Body[j] = r.Body[j], r.Body[i]
+	})
+	rng.Shuffle(len(r.NegBody), func(i, j int) {
+		r.NegBody[i], r.NegBody[j] = r.NegBody[j], r.NegBody[i]
 	})
 }

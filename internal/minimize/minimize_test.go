@@ -284,10 +284,16 @@ func TestRemoveRedundantRulesOnly(t *testing.T) {
 	}
 }
 
-func TestNegationRejected(t *testing.T) {
+// TestStratifiedMinimalUnchanged: Program takes a program with stratified
+// negation directly, and a minimal one comes back as it went in.
+func TestStratifiedMinimalUnchanged(t *testing.T) {
 	p := parser.MustParseProgram(`P(x) :- A(x), !B(x).`)
-	if _, _, err := Program(context.Background(), p, Options{}); err == nil {
-		t.Fatal("negation accepted by minimizer")
+	min, trace, err := Program(context.Background(), p, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if trace.AtomsRemoved()+trace.RulesRemoved() != 0 || !min.Equal(p) {
+		t.Fatalf("minimal stratified program changed: %+v\n%v", trace, min)
 	}
 }
 

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/ast"
+	"repro/internal/chase"
 	"repro/internal/core"
 	"repro/internal/db"
 	"repro/internal/eval"
@@ -138,8 +139,9 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 
 // writeError maps typed errors onto HTTP statuses and stable codes:
 // RequestError carries its own; a deadline maps to 504, cancellation to
-// 499, an exhausted derived-fact budget to 422, a fact batch or tenant
-// database contradicting a predicate's arity to 400. A 410 (a db_version pin
+// 499, an exhausted derived-fact budget to 422, an exact containment test
+// over a program with negation to 422, a fact batch or tenant database
+// contradicting a predicate's arity to 400. A 410 (a db_version pin
 // below the tenant's retention window) is counted in requests.gone_versions.
 func (s *Server) writeError(w http.ResponseWriter, err error) {
 	s.errors.Add(1)
@@ -159,6 +161,8 @@ func (s *Server) writeError(w http.ResponseWriter, err error) {
 		status, code = 499, "canceled"
 	case errors.Is(err, eval.ErrBudget):
 		status, code = http.StatusUnprocessableEntity, "budget_exhausted"
+	case errors.Is(err, chase.ErrNegation):
+		status, code = http.StatusUnprocessableEntity, "negation_unsupported"
 	case errors.Is(err, eval.ErrArity):
 		status, code = http.StatusBadRequest, "arity_mismatch"
 	}

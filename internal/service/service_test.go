@@ -455,6 +455,41 @@ func TestMinimizeKeepsVersionsVariables(t *testing.T) {
 	}
 }
 
+// TestStratifiedMinimizeAndCompare: /minimize takes a program with stratified
+// negation and answers what core.MinimizeProgram does, while /compare — an
+// exact test — answers 422 negation_unsupported when either version has
+// negation: stratified × stratified, and pure × stratified, a pair the
+// encoded test cannot refute (v1 contains v2 by a case split on C).
+func TestStratifiedMinimizeAndCompare(t *testing.T) {
+	s := New()
+	ts := httptest.NewServer(s.Handler())
+	defer ts.Close()
+	strat := "A(x) :- B(x), !C(x), !C(x).\nA(x) :- B(x), C(x).\n"
+	for _, src := range []string{strat, "A(x) :- B(x).\n"} {
+		if code, resp := post(t, ts, "/v1/programs/neg", map[string]any{"source": src}); code != 200 {
+			t.Fatalf("register: %d %v", code, resp)
+		}
+	}
+	code, resp := post(t, ts, "/v1/programs/neg/minimize", map[string]any{"program_version": 1})
+	if code != 200 {
+		t.Fatalf("minimize: %d %v", code, resp)
+	}
+	want, trace, err := core.MinimizeProgram(parser.MustParseProgram(strat), core.MinimizeOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp["program"] != want.String() || resp["atoms_removed"] != float64(trace.AtomsRemoved()) ||
+		resp["rules_removed"] != float64(trace.RulesRemoved()) || trace.AtomsRemoved() != 1 {
+		t.Fatalf("minimize = %v, want %q with %d atom(s) and %d rule(s) removed", resp, want, trace.AtomsRemoved(), trace.RulesRemoved())
+	}
+	for _, pair := range [][2]int{{1, 1}, {2, 1}, {1, 2}} {
+		code, resp := post(t, ts, "/v1/programs/neg/compare", map[string]any{"version_a": pair[0], "version_b": pair[1]})
+		if code != 422 || resp["error"] != "negation_unsupported" {
+			t.Fatalf("compare v%d v%d: %d %v, want 422 negation_unsupported", pair[0], pair[1], code, resp)
+		}
+	}
+}
+
 // TestServeErrors pins the 404/400 envelope.
 func TestServeErrors(t *testing.T) {
 	s := New()
