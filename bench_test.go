@@ -1,5 +1,6 @@
-// Benchmarks regenerating the experiment suite of DESIGN.md, one bench
-// family per experiment, plus the ablation benches for the design choices
+// Benchmarks timing the experiment suite of DESIGN.md, one bench family
+// per experiment table, each timing the ops its table defines (benchTable),
+// plus the kernel benches and the ablation benches for the design choices
 // DESIGN.md §5 calls out (the chase's termination ablation lives in
 // internal/chase, beside the switch it flips). Run with:
 //
@@ -13,7 +14,6 @@ import (
 	"testing"
 
 	"repro/internal/ast"
-	"repro/internal/chase"
 	"repro/internal/core"
 	"repro/internal/db"
 	"repro/internal/equivopt"
@@ -40,222 +40,39 @@ func BenchmarkE1_WorkedExamples(b *testing.B) {
 	}
 }
 
-// BenchmarkE2_UniformContainment measures the Section VI decision procedure
-// against growing layered programs.
-func BenchmarkE2_UniformContainment(b *testing.B) {
-	for _, n := range []int{2, 4, 8, 16, 24} {
-		p := workload.Layered(n)
-		b.Run(fmt.Sprintf("layers-%d", n), func(b *testing.B) {
+// benchTable times each op of an experiment table as a sub-benchmark of b,
+// which must be the table's Bench family: the rows BENCH_eval.json records
+// and EXPERIMENTS.md reads its time cells from. Building the table runs
+// every op once, so a timed iteration finds what that run cached; an op with
+// a Reset is restored before every iteration, outside the timer.
+func benchTable(b *testing.B, t harness.Table) {
+	if b.Name() != t.Bench {
+		b.Fatalf("%s times %s's ops, whose family is %s", b.Name(), t.ID, t.Bench)
+	}
+	for _, op := range t.Ops {
+		b.Run(op.Name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				ok, _, err := chase.UniformlyContains(p, p)
-				if err != nil || !ok {
-					b.Fatal(ok, err)
+				if op.Reset != nil {
+					b.StopTimer()
+					op.Reset()
+					b.StartTimer()
 				}
+				op.Run()
 			}
 		})
 	}
 }
 
-// BenchmarkE3_MinimizeRule measures Fig. 1 with k injected redundant atoms.
-func BenchmarkE3_MinimizeRule(b *testing.B) {
-	base := workload.TransitiveClosure().Rules[1]
-	for _, k := range []int{0, 1, 2, 4, 8} {
-		rng := rand.New(rand.NewSource(int64(k) + 1))
-		r := workload.InjectRedundantAtoms(base, k, rng)
-		b.Run(fmt.Sprintf("k-%d", k), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				_, trace, err := minimize.Rule(context.Background(), r, minimize.Options{})
-				if err != nil || trace.AtomsRemoved() != k {
-					b.Fatal(trace.AtomsRemoved(), err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkE4_MinimizeProgram measures Fig. 2 with injected redundant
-// rules.
-func BenchmarkE4_MinimizeProgram(b *testing.B) {
-	for _, k := range []int{0, 2, 4, 8} {
-		rng := rand.New(rand.NewSource(int64(k) + 11))
-		p := workload.InjectRedundantRules(workload.TransitiveClosure(), k, rng)
-		b.Run(fmt.Sprintf("rules-%d", k), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				min, _, err := minimize.Program(context.Background(), p, minimize.Options{})
-				if err != nil || len(min.Rules) != 2 {
-					b.Fatal(len(min.Rules), err)
-				}
-			}
-		})
-		if k == 8 {
-			b.Run("rules-8-cold", func(b *testing.B) { benchMinimizeCold(b, p) })
-		}
-	}
-}
-
-// coldCopies numbers benchMinimizeCold's renamed copies across its runs.
-var coldCopies int
-
-// BenchmarkE4_MinimizeProgram/rules-8-cold is what the warm rows above cannot
-// show: after their first iteration every plan and verdict comes out of the
-// process-wide caches, so they time lookups. Here each iteration minimizes a
-// copy with freshly renamed predicates — no canonical form repeats, in this
-// run or an earlier one of the process — so every Prepare misses the plan
-// cache, and every verdict and every lowering the Fig. 2 loop asks for is
-// paid.
-func benchMinimizeCold(b *testing.B, p *ast.Program) {
-	copies := make([]*ast.Program, b.N)
-	for i := range copies {
-		q := p.Clone()
-		coldCopies++
-		rename := func(a *ast.Atom) { a.Pred = fmt.Sprintf("%s_%d", a.Pred, coldCopies) }
-		for ri := range q.Rules {
-			rename(&q.Rules[ri].Head)
-			for k := range q.Rules[ri].Body {
-				rename(&q.Rules[ri].Body[k])
-			}
-		}
-		copies[i] = q
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for _, q := range copies {
-		min, _, err := minimize.Program(context.Background(), q, minimize.Options{})
-		if err != nil || len(min.Rules) != 2 {
-			b.Fatal(len(min.Rules), err)
-		}
-	}
-}
-
-// BenchmarkE5_EvalSpeedup compares evaluation of the bloated Example 11
-// program against its fully optimized form.
-func BenchmarkE5_EvalSpeedup(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	bloated := workload.TransitiveClosureGuarded()
-	bloated = bloated.ReplaceRule(1, workload.InjectRedundantAtoms(bloated.Rules[1], 2, rng))
-	min, _, err := minimize.Program(context.Background(), bloated, minimize.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	opt, _, err := equivopt.Optimize(context.Background(), min, equivopt.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	edbs := map[string]*db.Database{
-		"chain-48":  workload.Chain("A", 48),
-		"random-60": workload.RandomDigraph("A", 60, 120, 7),
-		"grid-8x8":  workload.Grid("A", 8, 8),
-	}
-	for name, edb := range edbs {
-		b.Run("bloated/"+name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, _, err := eval.Eval(bloated, edb, eval.Options{}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-		b.Run("optimized/"+name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, _, err := eval.Eval(opt, edb, eval.Options{}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkE6_NaiveVsSemiNaive compares the engine's semi-naive fixpoint with
-// the naive iteration of the one-step operator (harness.NaiveFixpoint).
-func BenchmarkE6_NaiveVsSemiNaive(b *testing.B) {
-	p := workload.TransitiveClosure()
-	for _, n := range []int{16, 32, 64} {
-		edb := workload.Chain("A", n)
-		b.Run(fmt.Sprintf("naive/chain-%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				harness.NaiveFixpoint(p, edb)
-			}
-		})
-		b.Run(fmt.Sprintf("seminaive/chain-%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, _, err := eval.Eval(p, edb, eval.Options{}); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkE7_EquivOpt measures the full Sections X–XI pipeline.
-func BenchmarkE7_EquivOpt(b *testing.B) {
-	cases := map[string]*ast.Program{
-		"ex11": workload.TransitiveClosureGuarded(),
-		"ex19": workload.Example19Program(),
-	}
-	for name, p := range cases {
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				_, removals, err := equivopt.Optimize(context.Background(), p, equivopt.Options{})
-				if err != nil || len(removals) == 0 {
-					b.Fatal(len(removals), err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkE8_MagicComposition measures query answering: direct, magic, and
-// magic over the minimized program.
-func BenchmarkE8_MagicComposition(b *testing.B) {
-	rng := rand.New(rand.NewSource(2))
-	p := workload.Ancestor()
-	bloated := p.ReplaceRule(1, workload.InjectRedundantAtoms(p.Rules[1], 2, rng))
-	minimized, _, err := minimize.Program(context.Background(), bloated, minimize.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	edb := workload.Chain("Par", 128)
-	query := ast.NewAtom("Anc", ast.IntTerm(122), ast.Var("y"))
-
-	b.Run("direct-bloated", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, _, err := magic.DirectAnswer(bloated, edb, query, eval.Options{}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("magic-bloated", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, _, err := magic.Answer(bloated, edb, query, eval.Options{}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("magic-minimized", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, _, err := magic.Answer(minimized, edb, query, eval.Options{}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkE9_EmbeddedChase measures the budgeted chase on the diverging
-// embedded-tgd instance.
-func BenchmarkE9_EmbeddedChase(b *testing.B) {
-	p := parser.MustParseProgram(`G(x, z) :- A(x, z).`)
-	T := []ast.TGD{parser.MustParseTGD("A(x, y) -> A(y, w).")}
-	r := parser.MustParseProgram(`Q(x) :- A(x, y), Z(x).`).Rules[0]
-	for _, budget := range []int{16, 64, 256} {
-		b.Run(fmt.Sprintf("budget-%d", budget), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				v, err := chase.SATContainsRule(p, T, r, chase.Budget{MaxAtoms: budget, MaxRounds: budget})
-				if err != nil || v != chase.Unknown {
-					b.Fatal(v, err)
-				}
-			}
-		})
-	}
-}
+func BenchmarkE2_UniformContainment(b *testing.B) { benchTable(b, harness.E2UniformContainment()) }
+func BenchmarkE3_MinimizeRule(b *testing.B)       { benchTable(b, harness.E3MinimizeRule()) }
+func BenchmarkE4_MinimizeProgram(b *testing.B)    { benchTable(b, harness.E4MinimizeProgram()) }
+func BenchmarkE5_EvalSpeedup(b *testing.B)        { benchTable(b, harness.E5EvalSpeedup()) }
+func BenchmarkE6_NaiveVsSemiNaive(b *testing.B)   { benchTable(b, harness.E6NaiveVsSemiNaive()) }
+func BenchmarkE7_EquivOpt(b *testing.B)           { benchTable(b, harness.E7EquivOpt()) }
+func BenchmarkE8_MagicComposition(b *testing.B)   { benchTable(b, harness.E8MagicComposition()) }
+func BenchmarkE9_EmbeddedChase(b *testing.B)      { benchTable(b, harness.E9EmbeddedChase()) }
+func BenchmarkE12_Incremental(b *testing.B)       { benchTable(b, harness.E12Incremental()) }
+func BenchmarkE14_SIPS(b *testing.B)              { benchTable(b, harness.E14SIPS()) }
 
 // BenchmarkAblation_DeletionOrder measures Fig. 2 under source order vs
 // shuffled consideration order (the paper: results may differ; cost may
@@ -331,26 +148,15 @@ func BenchmarkExplainProver(b *testing.B) {
 	}
 }
 
-// BenchmarkEngines compares the three query-answering strategies on a bound
-// ancestor query: full bottom-up + filter, magic sets, and tabled top-down.
+// BenchmarkEngines times E11's query engines and, beside them, the tabled
+// top-down engine on the chain n=96 query. The tabled engine is a test
+// oracle (internal/oracle/topdown), which nothing the harness links may
+// import, so its arm is built here.
 func BenchmarkEngines(b *testing.B) {
+	benchTable(b, harness.E11Engines())
 	p := workload.Ancestor()
 	edb := workload.Chain("Par", 96)
 	query := ast.NewAtom("Anc", ast.IntTerm(90), ast.Var("y"))
-	b.Run("bottom-up-filter", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, _, err := magic.DirectAnswer(p, edb, query, eval.Options{}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("magic", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, _, err := magic.Answer(p, edb, query, eval.Options{}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
 	b.Run("topdown-tabled", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			eng, err := topdown.New(p, edb)

@@ -1,7 +1,8 @@
-// Command benchjson converts `go test -bench -benchmem` output on stdin
-// into a JSON report, so the performance trajectory of the eval/chase hot
-// paths can be tracked as a checked-in artifact (see `make bench`, which
-// writes BENCH_eval.json).
+// Command benchjson converts `go test -bench -benchmem -count=N` output on
+// stdin into a JSON report (harness.Record), so the performance trajectory
+// of the eval/chase hot paths can be tracked as a checked-in artifact (see
+// `make bench`, which writes BENCH_eval.json). Each benchmark's N samples
+// fold into one row: the median with its quartiles.
 package main
 
 import (
@@ -12,30 +13,12 @@ import (
 	"io"
 	"os"
 	"runtime"
+	"slices"
 	"strconv"
 	"strings"
+
+	"repro/internal/harness"
 )
-
-// Result is one benchmark line.
-type Result struct {
-	Name        string  `json:"name"`
-	Runs        int64   `json:"runs"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	BytesPerOp  int64   `json:"bytes_per_op,omitempty"`
-	AllocsPerOp int64   `json:"allocs_per_op,omitempty"`
-	// Extra holds the metrics a benchmark reported itself (b.ReportMetric), by unit.
-	Extra map[string]float64 `json:"extra,omitempty"`
-}
-
-// Report is the full bench run.
-type Report struct {
-	Goos       string   `json:"goos,omitempty"`
-	Goarch     string   `json:"goarch,omitempty"`
-	CPU        string   `json:"cpu,omitempty"`
-	GoVersion  string   `json:"go_version"`
-	GoMaxProcs int      `json:"gomaxprocs"`
-	Benchmarks []Result `json:"benchmarks"`
-}
 
 func main() {
 	out := flag.String("o", "", "output file (default stdout)")
@@ -70,11 +53,13 @@ func main() {
 // parse reads `go test -bench` output. go test appends -GOMAXPROCS to every
 // benchmark name of a run, and nothing at GOMAXPROCS=1 — so a trailing -N is
 // that suffix only when every line carries the same one; otherwise it is a
-// benchmark's own parameter (layers-4, layers-8) and stays. Two lines with
-// the same name are an error: a report with colliding rows cannot be
-// compared across runs.
-func parse(r io.Reader) (Report, error) {
-	rep := Report{GoMaxProcs: 1}
+// benchmark's own parameter (layers-4, layers-8) and stays. Every name must
+// appear as often as every other, once per -count: a name seen more or fewer
+// times collides with another benchmark's, and a report with colliding rows
+// cannot be compared across runs.
+func parse(r io.Reader) (harness.Record, error) {
+	rep := harness.Record{GoMaxProcs: 1}
+	var samples []harness.Row
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<20), 1<<20)
 	for sc.Scan() {
@@ -87,40 +72,73 @@ func parse(r io.Reader) (Report, error) {
 		case strings.HasPrefix(line, "cpu:"):
 			rep.CPU = strings.TrimSpace(strings.TrimPrefix(line, "cpu:"))
 		case strings.HasPrefix(line, "Benchmark"):
-			if r, ok := parseLine(line); ok {
-				rep.Benchmarks = append(rep.Benchmarks, r)
+			if s, ok := parseLine(line); ok {
+				samples = append(samples, s)
 			}
 		}
 	}
 	if err := sc.Err(); err != nil {
 		return rep, err
 	}
-	if procs, ok := commonProcsSuffix(rep.Benchmarks); ok {
+	if procs, ok := commonProcsSuffix(samples); ok {
 		rep.GoMaxProcs = procs
-		for i := range rep.Benchmarks {
-			name := rep.Benchmarks[i].Name
-			rep.Benchmarks[i].Name = name[:strings.LastIndex(name, "-")]
+		for i := range samples {
+			samples[i].Name = samples[i].Name[:strings.LastIndex(samples[i].Name, "-")]
 		}
 	}
-	seen := make(map[string]bool, len(rep.Benchmarks))
-	for _, b := range rep.Benchmarks {
-		if seen[b.Name] {
-			return rep, fmt.Errorf("duplicate benchmark name %q", b.Name)
+	var names []string
+	byName := make(map[string][]harness.Row)
+	for _, s := range samples {
+		if byName[s.Name] == nil {
+			names = append(names, s.Name)
 		}
-		seen[b.Name] = true
+		byName[s.Name] = append(byName[s.Name], s)
+	}
+	for _, name := range names {
+		ss := byName[name]
+		if n := len(byName[names[0]]); len(ss) != n {
+			return rep, fmt.Errorf("benchmark name %q appears %d times, %q %d: two benchmarks share a name", name, len(ss), names[0], n)
+		}
+		rep.Benchmarks = append(rep.Benchmarks, fold(ss))
 	}
 	return rep, nil
 }
 
+// fold is one row for a benchmark's samples: the median of every figure,
+// and the quartiles of ns/op.
+func fold(ss []harness.Row) harness.Row {
+	// q is the p-quantile of f over ss, interpolated between nearest ranks.
+	q := func(p float64, f func(harness.Row) float64) float64 {
+		vs := make([]float64, len(ss))
+		for i, s := range ss {
+			vs[i] = f(s)
+		}
+		slices.Sort(vs)
+		lo := int(p * float64(len(vs)-1))
+		hi := min(lo+1, len(vs)-1)
+		return vs[lo] + (p*float64(len(vs)-1)-float64(lo))*(vs[hi]-vs[lo])
+	}
+	ns := func(r harness.Row) float64 { return r.NsPerOp }
+	row := harness.Row{Name: ss[0].Name, Samples: len(ss), NsPerOp: q(0.5, ns), NsQ1: q(0.25, ns), NsQ3: q(0.75, ns),
+		Runs:        int64(q(0.5, func(r harness.Row) float64 { return float64(r.Runs) })),
+		BytesPerOp:  int64(q(0.5, func(r harness.Row) float64 { return float64(r.BytesPerOp) })),
+		AllocsPerOp: int64(q(0.5, func(r harness.Row) float64 { return float64(r.AllocsPerOp) })),
+		Extra:       make(map[string]float64)}
+	for unit := range ss[0].Extra {
+		row.Extra[unit] = q(0.5, func(r harness.Row) float64 { return r.Extra[unit] })
+	}
+	return row
+}
+
 // commonProcsSuffix reports the -N suffix shared by every benchmark name.
-func commonProcsSuffix(bs []Result) (int, bool) {
+func commonProcsSuffix(ss []harness.Row) (int, bool) {
 	procs := 0
-	for _, b := range bs {
-		i := strings.LastIndex(b.Name, "-")
+	for _, s := range ss {
+		i := strings.LastIndex(s.Name, "-")
 		if i <= 0 {
 			return 0, false
 		}
-		n, err := strconv.Atoi(b.Name[i+1:])
+		n, err := strconv.Atoi(s.Name[i+1:])
 		if err != nil || n <= 0 || (procs != 0 && n != procs) {
 			return 0, false
 		}
@@ -131,16 +149,16 @@ func commonProcsSuffix(bs []Result) (int, bool) {
 
 // parseLine parses one `BenchmarkX-8  100  123 ns/op  45 B/op  6 allocs/op`
 // line, name verbatim.
-func parseLine(line string) (Result, bool) {
+func parseLine(line string) (harness.Row, bool) {
 	fields := strings.Fields(line)
 	if len(fields) < 4 {
-		return Result{}, false
+		return harness.Row{}, false
 	}
 	runs, err := strconv.ParseInt(fields[1], 10, 64)
 	if err != nil {
-		return Result{}, false
+		return harness.Row{}, false
 	}
-	r := Result{Name: fields[0], Runs: runs, Extra: make(map[string]float64)}
+	r := harness.Row{Name: fields[0], Runs: runs, Extra: make(map[string]float64)}
 	for i := 2; i+1 < len(fields); i += 2 {
 		val, unit := fields[i], fields[i+1]
 		switch unit {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -34,7 +35,7 @@ func TestParseProcsSuffix(t *testing.T) {
 		},
 		{
 			name:    "duplicate names are an error",
-			in:      line("BenchmarkE2/layers-4-2") + line("BenchmarkE2/layers-4-2"),
+			in:      line("BenchmarkE2/layers-4-2") + line("BenchmarkE2/layers-4-2") + line("BenchmarkE2/layers-8-2"),
 			wantErr: true,
 		},
 	} {
@@ -59,9 +60,35 @@ func TestParseProcsSuffix(t *testing.T) {
 			if strings.Join(names, " ") != strings.Join(tc.wantNames, " ") {
 				t.Errorf("names = %v, want %v", names, tc.wantNames)
 			}
-			if b := rep.Benchmarks[0]; b.Runs != 100 || b.NsPerOp != 123 || b.BytesPerOp != 45 || b.AllocsPerOp != 6 {
+			if b := rep.Benchmarks[0]; b.Samples != 1 || b.Runs != 100 || b.NsPerOp != 123 || b.BytesPerOp != 45 || b.AllocsPerOp != 6 {
 				t.Errorf("first line parsed as %+v", b)
 			}
 		})
+	}
+}
+
+// TestParseFoldsSamples: -count=N repeats every name N times; each name's
+// samples fold into one row, in first-appearance order, with the median and
+// quartiles of ns/op and the median of every other figure.
+func TestParseFoldsSamples(t *testing.T) {
+	var in strings.Builder
+	for _, ns := range []int{500, 100, 300, 200, 400} {
+		fmt.Fprintf(&in, "BenchmarkB-2  %d  %d ns/op  %d B/op  %d allocs/op  %d overdeleted/op\n", ns, ns, ns/100, ns/100, ns)
+		fmt.Fprintf(&in, "BenchmarkA-2  10  7 ns/op\n")
+	}
+	rep, err := parse(strings.NewReader(in.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Benchmarks) != 2 || rep.Benchmarks[0].Name != "BenchmarkB" || rep.Benchmarks[1].Name != "BenchmarkA" {
+		t.Fatalf("rows %+v", rep.Benchmarks)
+	}
+	b := rep.Benchmarks[0]
+	if b.Samples != 5 || b.Runs != 300 || b.NsPerOp != 300 || b.NsQ1 != 200 || b.NsQ3 != 400 ||
+		b.BytesPerOp != 3 || b.AllocsPerOp != 3 || b.Extra["overdeleted/op"] != 300 {
+		t.Errorf("folded row %+v", b)
+	}
+	if got := b.Cell(); got != "300ns ±33%" {
+		t.Errorf("Cell() = %q", got)
 	}
 }

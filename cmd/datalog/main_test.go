@@ -114,6 +114,19 @@ func TestContainsCommand(t *testing.T) {
 // that holds by a case split on C — prints as unknown, never false; and
 // `compare` minimizes the stratified program too, without calling it
 // minimal, since the same case split would delete !C(x).
+// TestContainsNegatedConeUnknown: P1 derives C and P2 does not, so on
+// d = {B(1)} P2 derives A(1) and P1 does not. The encoded test alone would
+// show A's rule contained; it is not shown because C's goal cone differs
+// between the programs.
+func TestContainsNegatedConeUnknown(t *testing.T) {
+	f1 := writeFile(t, "n1.dl", "A(x) :- B(x), !C(x).\nC(x) :- B(x).\n")
+	f2 := writeFile(t, "n2.dl", "A(x) :- B(x), !C(x).\n")
+	out := runCLI(t, "contains", f1, f2)
+	if want := "P2 ⊑ᵘ P1: unknown\nP1 ⊑ᵘ P2: unknown\nP1 ≡ᵘ P2: unknown\n"; out != want {
+		t.Fatalf("contains output:\n%s\nwant:\n%s", out, want)
+	}
+}
+
 func TestContainsNegationUnknown(t *testing.T) {
 	f1 := writeFile(t, "n1.dl", "A(x) :- B(x), !C(x).\nA(x) :- B(x), C(x).\n")
 	f2 := writeFile(t, "n2.dl", "A(x) :- B(x).\n")

@@ -214,7 +214,7 @@ commands:     :show                   print the session's program/facts/tgds
 		s.program = min
 		s.invalidate()
 		fmt.Fprint(s.out, min.Format(s.syms))
-		fmt.Fprintf(s.out, "%% removed %d atoms, %d rules\n", trace.AtomsRemoved(), trace.RulesRemoved())
+		printTrace(s.out, trace, s.syms)
 		return nil
 
 	case ":equivopt":

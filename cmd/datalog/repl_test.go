@@ -39,13 +39,29 @@ func TestReplMinimizeAndShow(t *testing.T) {
 		":show",
 		":quit",
 	)
-	if !strings.Contains(out, "removed 1 atoms") {
+	before, after, listed := strings.Cut(out, "%   atom A(x, w) from G(x, z) :- A(x, z), A(x, w).\n")
+	if !listed || !strings.Contains(before, "removed 1 atoms") {
 		t.Fatalf("transcript:\n%s", out)
 	}
-	// Input lines are not echoed, so the redundant atom must not appear
-	// anywhere in the transcript once minimization has removed it.
-	if strings.Contains(out, "A(x, w)") {
+	// Input lines are not echoed, so the redundant atom must appear nowhere
+	// but in its removal line once minimization has removed it.
+	if strings.Contains(before+after, "A(x, w)") {
 		t.Fatalf("redundant atom survived:\n%s", out)
+	}
+}
+
+// TestReplMinimizeListsNegatedRemoval: :minimize lists what it removed as
+// the minimize command does, a negated literal with its '!'.
+func TestReplMinimizeListsNegatedRemoval(t *testing.T) {
+	out := runREPL(t,
+		"Reach(x) :- Src(x).",
+		"Unreach(x) :- Node(x), !Reach(x), !Reach(x).",
+		":minimize",
+		":quit",
+	)
+	if !strings.Contains(out, "Unreach(x) :- Node(x), !Reach(x).\n") ||
+		!strings.Contains(out, "%   atom !Reach(x) from Unreach(x) :- Node(x), !Reach(x), !Reach(x).\n") {
+		t.Fatalf("transcript:\n%s", out)
 	}
 }
 

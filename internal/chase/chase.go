@@ -234,11 +234,12 @@ func NewChecker(p *ast.Program) (*Checker, error) {
 // atom neg@Q(t̄) over a fresh extensional predicate, and FreezeRule freezes a
 // tested rule's negated literals the same way. A derivation in the encoding
 // relies only on negation checks the tested rule's own firing guarantees, so
-// a true answer holds for stratified semantics; containments that need
-// reasoning about negation (a Q ∨ ¬Q case split) are not found. The plan and
-// the verdicts live under the encoding's canonical form, never the
-// program's: the program's own address holds its stratified plan. A pure
-// program is neither encoded nor copied.
+// a true answer holds for stratified semantics when the predicates the rule
+// negates are defined alike on both sides (see ContainsRule and Contains);
+// containments that need reasoning about negation (a Q ∨ ¬Q case split) are
+// not found. The plan and the verdicts live under the encoding's canonical
+// form, never the program's: the program's own address holds its
+// stratified plan. A pure program is neither encoded nor copied.
 func NewCheckerIn(p *ast.Program, lin eval.Lineage) (*Checker, error) {
 	run := p
 	if p.HasNegation() {
@@ -357,6 +358,12 @@ func (c *Checker) coneMask(pred string, skip []bool) []bool {
 // memoizing the verdict per rule in the program's content-addressed table —
 // the verdict is semantic, invariant under variable renaming on both sides,
 // so any session over a canonically equal program shares it.
+//
+// Under negation a true answer assumes that every predicate r negates has
+// the goal cone in r's own program that it has in P, so that it has the same
+// extent under both. Minimization meets this by construction: its candidate
+// differs from P in one rule or atom above the strata r negates. A caller
+// testing a rule of another program goes through Contains, which checks it.
 func (c *Checker) ContainsRule(ctx context.Context, r ast.Rule) (bool, error) {
 	return c.ContainsRuleMasked(ctx, r, nil)
 }
@@ -446,8 +453,27 @@ func (c *Checker) syntacticVerdict(r ast.Rule, skip []bool) (forced bool) {
 
 // Contains decides P₂ ⊑ᵘ P for the session program P, rule by rule, with
 // the same witness convention as UniformlyContains.
+//
+// Across programs a negated literal needs more than the encoding: r's
+// firing guarantees ¬Q(c̄) in P₂(d), and the test reads it as ¬Q(c̄) in
+// P(d). So a rule of p2 that negates a predicate Q is shown only when Q's
+// goal cone (depgraph.Graph.Cone) is the same set of canonical rules in P
+// and p2 — then Q has the same extent under both programs on every input —
+// and is otherwise not shown. A rule without negated literals is tested as
+// is.
 func (c *Checker) Contains(ctx context.Context, p2 *ast.Program) (bool, int, error) {
+	var g1, g2 *depgraph.Graph
 	for i, r := range p2.Rules {
+		if len(r.NegBody) > 0 {
+			if g1 == nil {
+				g1, g2 = depgraph.Build(c.prog), depgraph.Build(p2)
+			}
+			for _, a := range r.NegBody {
+				if coneRules(c.prog, g1, a.Pred) != coneRules(p2, g2, a.Pred) {
+					return false, i, nil
+				}
+			}
+		}
 		ok, err := c.ContainsRule(ctx, r)
 		if err != nil {
 			return false, i, err
@@ -457,6 +483,19 @@ func (c *Checker) Contains(ctx context.Context, p2 *ast.Program) (bool, int, err
 		}
 	}
 	return true, -1, nil
+}
+
+// coneRules renders the goal cone of pred in p (g is p's dependence graph)
+// as a set: its rules' canonical forms, sorted, one a line, without repeats.
+func coneRules(p *ast.Program, g *depgraph.Graph, pred string) string {
+	var rules []string
+	for i, in := range g.Cone(pred) {
+		if in {
+			rules = append(rules, p.Rules[i].CanonicalString())
+		}
+	}
+	slices.Sort(rules)
+	return strings.Join(slices.Compact(rules), "\n")
 }
 
 // UniformlyContainsRule decides r ⊑ᵘ p for a single rule r: whether every

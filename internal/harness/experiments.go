@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
+	"sync/atomic"
 
 	"repro/internal/ast"
 	"repro/internal/chase"
@@ -20,23 +21,61 @@ import (
 	"repro/internal/workload"
 )
 
+// Experiments lists every experiment, in order, by its table's id.
+var Experiments = []struct {
+	ID  string
+	Run func() Table
+}{
+	{"E1", E1WorkedExamples}, {"E2", E2UniformContainment}, {"E3", E3MinimizeRule},
+	{"E4", E4MinimizeProgram}, {"E5", E5EvalSpeedup}, {"E6", E6NaiveVsSemiNaive},
+	{"E7", E7EquivOpt}, {"E8", E8MagicComposition}, {"E9", E9EmbeddedChase},
+	{"E11", E11Engines}, {"E12", E12Incremental}, {"E14", E14SIPS},
+	{"E15", E15DerivationCounts},
+}
+
 // All runs every experiment and returns the tables in order.
 func All() []Table {
-	return []Table{
-		E1WorkedExamples(),
-		E2UniformContainment(),
-		E3MinimizeRule(),
-		E4MinimizeProgram(),
-		E5EvalSpeedup(),
-		E6NaiveVsSemiNaive(),
-		E7EquivOpt(),
-		E8MagicComposition(),
-		E9EmbeddedChase(),
-		E11Engines(),
-		E12Incremental(),
-		E14SIPS(),
-		E15DerivationCounts(),
+	tables := make([]Table, len(Experiments))
+	for i, e := range Experiments {
+		tables[i] = e.Run()
 	}
+	return tables
+}
+
+// freshCount numbers fresh's renamings.
+var freshCount atomic.Int64
+
+// fresh returns a renaming of the predicates of pure rules apart from
+// anything this process has seen before the call: rules renamed by it find
+// nothing in the process-wide plan and verdict caches but what other rules
+// renamed by it left there. A table whose columns count cache hits renames
+// its inputs by one such renaming, so they read what the table's rows do to
+// each other, whatever ran before the table.
+func fresh() func(rules ...ast.Rule) []ast.Rule {
+	suffix := fmt.Sprintf("_%d", freshCount.Add(1))
+	return func(rules ...ast.Rule) []ast.Rule {
+		out := ast.NewProgram(rules...).Clone().Rules
+		for i := range out {
+			out[i].Head.Pred += suffix
+			for k := range out[i].Body {
+				out[i].Body[k].Pred += suffix
+			}
+		}
+		return out
+	}
+}
+
+// must and must2 return a call's results and panic on its error: every
+// input of an experiment is fixed, so an error is a defect.
+func must[T any](v T, err error) T {
+	if err != nil {
+		panic(err)
+	}
+	return v
+}
+
+func must2[T, U any](v T, u U, err error) (T, U) {
+	return must(v, err), u
 }
 
 // check is one E1 assertion.
@@ -59,7 +98,7 @@ func ga(pred string, args ...int64) ast.GroundAtom {
 // asserts its stated outcome.
 func E1WorkedExamples() Table {
 	t := Table{ID: "E1", Title: "worked-example regression (paper Examples 2-19)",
-		Columns: []string{"example", "section", "claim", "result", "time"}}
+		Columns: []string{"example", "section", "claim", "result"}}
 
 	tc := workload.TransitiveClosure()
 	tcLinear := workload.TransitiveClosureLinear()
@@ -152,13 +191,11 @@ func E1WorkedExamples() Table {
 	}
 
 	for _, c := range checks {
-		var ok bool
-		d := timed(func() { ok = c.run() })
 		result := "PASS"
-		if !ok {
+		if !c.run() {
 			result = "FAIL"
 		}
-		t.AddRow(c.name, c.section, c.claim, result, ms(d))
+		t.AddRow(c.name, c.section, c.claim, result)
 	}
 	return t
 }
@@ -169,35 +206,29 @@ func E1WorkedExamples() Table {
 // unfolded top layer Pn(x,z) :- E,…,E — uniformly contained but subsumed by
 // no single rule, so it forces a real frozen-body chase whose goal-directed
 // evaluation rides the streaming pipeline. The streamed/materialized column
-// is the planner's per-stratum decision tally across the session.
+// is the planner's per-stratum decision tally across the session, run in
+// one renaming (fresh); the timed op, repeated, finds its plan and verdicts
+// cached.
 func E2UniformContainment() Table {
 	t := Table{ID: "E2", Title: "uniform-containment decision cost vs program size (Section VI)",
-		Columns: []string{"layers", "rules", "body atoms", "decision", "strata strm/mat", "time"}}
+		Bench:   "BenchmarkE2_UniformContainment",
+		Columns: []string{"layers", "rules", "body atoms", "decision", "strata strm/mat", "time (warm)"}}
+	rename := fresh()
 	for _, n := range []int{2, 4, 8, 16, 24} {
-		p := workload.Layered(n)
-		unfolded := unfoldedLayer(n)
+		rules := rename(append(workload.Layered(n).Rules, unfoldedLayer(n))...)
+		p, unfolded := ast.NewProgram(rules[:n]...), rules[n]
 		var ok bool
 		var st eval.Stats
-		d := timed(func() {
-			// Explicit session: the containing program is prepared once
-			// and every rule is tested against it.
-			ck, err := chase.NewChecker(p)
-			if err != nil {
-				panic(err)
-			}
-			ok, _, err = ck.Contains(context.Background(), p)
-			if err != nil {
-				panic(err)
-			}
-			chased, err := ck.ContainsRule(context.Background(), unfolded)
-			if err != nil {
-				panic(err)
-			}
-			ok = ok && chased
-			st = ck.Stats()
-		})
+		cell := t.Timed(Op{Name: fmt.Sprintf("layers-%d", n), Run: func() {
+			// One session: the containing program is prepared once and
+			// every rule is tested against it.
+			ck := must(chase.NewChecker(p))
+			self, _ := must2(ck.Contains(context.Background(), p))
+			chased := must(ck.ContainsRule(context.Background(), unfolded))
+			ok, st = self && chased, ck.Stats()
+		}})
 		t.AddRow(n, len(p.Rules), p.BodyAtomCount(), fmt.Sprint(ok),
-			fmt.Sprintf("%d/%d", st.StrataStreamed, st.StrataMaterialized), ms(d))
+			fmt.Sprintf("%d/%d", st.StrataStreamed, st.StrataMaterialized), cell)
 	}
 	return t
 }
@@ -219,57 +250,73 @@ func unfoldedLayer(n int) ast.Rule {
 }
 
 // E3MinimizeRule measures Fig. 1 on rules with k injected redundant atoms.
+// The cache columns count the table's rows run in order in one renaming
+// (fresh); the timed op, repeated, finds its plan and verdicts cached.
 func E3MinimizeRule() Table {
-	t := Table{ID: "E3", Title: "rule minimization (Fig. 1) vs injected redundancy",
-		Columns: []string{"injected k", "body before", "body after", "atoms removed", "plan hit/miss", "verdicts memo/syn/chase", "strata strm/mat", "time"}}
+	t := Table{ID: "E3", Title: "rule minimization (Fig. 1) vs injected redundancy", Bench: "BenchmarkE3_MinimizeRule",
+		Columns: []string{"injected k", "body before", "body after", "atoms removed", "plan hit/miss", "verdicts memo/syn/chase", "strata strm/mat", "time (warm)"}}
 	base := workload.TransitiveClosure().Rules[1]
+	rename := fresh()
 	for _, k := range []int{0, 1, 2, 4, 8} {
 		rng := rand.New(rand.NewSource(int64(k) + 1))
-		r := workload.InjectRedundantAtoms(base, k, rng)
+		r := rename(workload.InjectRedundantAtoms(base, k, rng))[0]
 		var min ast.Rule
 		var trace minimize.Trace
-		d := timed(func() {
-			var err error
-			min, trace, err = minimize.Rule(context.Background(), r, minimize.Options{})
-			if err != nil {
-				panic(err)
-			}
-		})
+		cell := t.Timed(Op{Name: fmt.Sprintf("k-%d", k), Run: func() {
+			min, trace = must2(minimize.Rule(context.Background(), r, minimize.Options{}))
+		}})
 		t.AddRow(k, len(r.Body), len(min.Body), trace.AtomsRemoved(),
 			fmt.Sprintf("%d/%d", trace.Stats.PrepareHits, trace.Stats.PrepareMisses),
 			fmt.Sprintf("%d/%d/%d", trace.Stats.VerdictsReused, trace.Stats.VerdictsSubsumed, trace.Stats.VerdictsRecomputed),
-			fmt.Sprintf("%d/%d", trace.Stats.StrataStreamed, trace.Stats.StrataMaterialized),
-			ms(d))
+			fmt.Sprintf("%d/%d", trace.Stats.StrataStreamed, trace.Stats.StrataMaterialized), cell)
 	}
 	return t
 }
 
 // E4MinimizeProgram measures Fig. 2 on programs with injected redundant
-// rules and atoms.
+// rules and atoms. The cache columns count the table's rows run in order in
+// one renaming (fresh). The warm op, repeated, finds every plan and verdict
+// cached; the cold op minimizes a copy renamed apart from everything before
+// it, so every plan and verdict the Fig. 2 loop asks for is paid.
 func E4MinimizeProgram() Table {
-	t := Table{ID: "E4", Title: "program minimization (Fig. 2) vs injected redundant rules",
-		Columns: []string{"injected rules", "rules before/after", "atoms before/after", "removed (rules/atoms)", "plan hit/miss", "verdicts memo/syn/chase", "time"}}
-	for _, k := range []int{0, 2, 4, 8} {
+	t := Table{ID: "E4", Title: "program minimization (Fig. 2) vs injected redundant rules", Bench: "BenchmarkE4_MinimizeProgram",
+		Columns: []string{"injected rules", "rules before/after", "atoms before/after", "removed (rules/atoms)", "plan hit/miss", "verdicts memo/syn/chase", "time (warm)", "time (cold)"}}
+	rename := fresh()
+	ks, inputs := []int{0, 2, 4, 8}, []*ast.Program{}
+	for _, k := range ks {
 		rng := rand.New(rand.NewSource(int64(k) + 11))
 		p := workload.InjectRedundantRules(workload.TransitiveClosure(), k, rng)
+		q := ast.NewProgram(rename(p.Rules...)...)
 		var min *ast.Program
 		var trace minimize.Trace
-		d := timed(func() {
-			var err error
-			min, trace, err = minimize.Program(context.Background(), p, minimize.Options{})
-			if err != nil {
-				panic(err)
-			}
-		})
+		warm := t.Timed(Op{Name: fmt.Sprintf("rules-%d", k), Run: func() {
+			min, trace = must2(minimize.Program(context.Background(), q, minimize.Options{}))
+		}})
 		t.AddRow(k,
 			fmt.Sprintf("%d/%d", len(p.Rules), len(min.Rules)),
 			fmt.Sprintf("%d/%d", p.BodyAtomCount(), min.BodyAtomCount()),
 			fmt.Sprintf("%d/%d", trace.RulesRemoved(), trace.AtomsRemoved()),
 			fmt.Sprintf("%d/%d", trace.Stats.PrepareHits, trace.Stats.PrepareMisses),
 			fmt.Sprintf("%d/%d/%d", trace.Stats.VerdictsReused, trace.Stats.VerdictsSubsumed, trace.Stats.VerdictsRecomputed),
-			ms(d))
+			warm)
+		inputs = append(inputs, p)
+	}
+	// The cold ops come after every warm one: the thousands of programs a
+	// cold row leaves in the caches would slow the warm rows after it.
+	for i, p := range inputs {
+		var q *ast.Program
+		t.Rows[i][7] = t.Timed(Op{Name: fmt.Sprintf("rules-%d-cold", ks[i]),
+			Reset: func() { q = ast.NewProgram(fresh()(p.Rules...)...) },
+			Run:   func() { must2(minimize.Program(context.Background(), q, minimize.Options{})) }})
 	}
 	return t
+}
+
+// edb is one named input database of a table; slug names it in the
+// table's sub-benchmarks.
+type edb struct {
+	name, slug string
+	d          *db.Database
 }
 
 // E5EvalSpeedup measures the paper's core claim: removing redundant parts
@@ -277,46 +324,25 @@ func E4MinimizeProgram() Table {
 // atoms plus the Example 11 guard; the optimized program is its Fig. 2 +
 // Section XI reduction.
 func E5EvalSpeedup() Table {
-	t := Table{ID: "E5", Title: "evaluation speedup from minimization (Sections I, V)",
-		Columns: []string{"EDB", "facts", "firings bloat", "firings opt", "time bloat", "time opt", "speedup"}}
+	t := Table{ID: "E5", Title: "evaluation speedup from minimization (Sections I, V)", Bench: "BenchmarkE5_EvalSpeedup",
+		Columns: []string{"EDB", "facts", "firings bloat", "firings opt", "time bloat", "time opt"}}
 
 	rng := rand.New(rand.NewSource(1))
 	bloated := workload.TransitiveClosureGuarded()
 	bloated = bloated.ReplaceRule(1, workload.InjectRedundantAtoms(bloated.Rules[1], 2, rng))
-	min, _, err := minimize.Program(context.Background(), bloated, minimize.Options{})
-	if err != nil {
-		panic(err)
-	}
-	opt, _, err := equivopt.Optimize(context.Background(), min, equivopt.Options{})
-	if err != nil {
-		panic(err)
-	}
+	min, _ := must2(minimize.Program(context.Background(), bloated, minimize.Options{}))
+	opt, _ := must2(equivopt.Optimize(context.Background(), min, equivopt.Options{}))
 
-	edbs := []struct {
-		name string
-		d    *db.Database
-	}{
-		{"chain n=48", workload.Chain("A", 48)},
-		{"random n=60 m=120", workload.RandomDigraph("A", 60, 120, 7)},
-		{"tree f=2 d=6", workload.Tree("A", 2, 6)},
-		{"grid 8x8", workload.Grid("A", 8, 8)},
-	}
-	for _, e := range edbs {
+	for _, e := range []edb{
+		{"chain n=48", "chain-48", workload.Chain("A", 48)},
+		{"random n=60 m=120", "random-60", workload.RandomDigraph("A", 60, 120, 7)},
+		{"tree f=2 d=6", "tree-2-6", workload.Tree("A", 2, 6)},
+		{"grid 8x8", "grid-8x8", workload.Grid("A", 8, 8)},
+	} {
 		var sBloat, sOpt eval.Stats
-		dBloat := timed(func() {
-			_, sBloat, err = eval.Eval(bloated, e.d, eval.Options{})
-			if err != nil {
-				panic(err)
-			}
-		})
-		dOpt := timed(func() {
-			_, sOpt, err = eval.Eval(opt, e.d, eval.Options{})
-			if err != nil {
-				panic(err)
-			}
-		})
-		t.AddRow(e.name, e.d.Len(), sBloat.Firings, sOpt.Firings, ms(dBloat), ms(dOpt),
-			ratio(float64(dBloat.Nanoseconds()), float64(dOpt.Nanoseconds())))
+		cBloat := t.Timed(Op{Name: "bloated/" + e.slug, Run: func() { _, sBloat = must2(eval.Eval(bloated, e.d, eval.Options{})) }})
+		cOpt := t.Timed(Op{Name: "optimized/" + e.slug, Run: func() { _, sOpt = must2(eval.Eval(opt, e.d, eval.Options{})) }})
+		t.AddRow(e.name, e.d.Len(), sBloat.Firings, sOpt.Firings, cBloat, cOpt)
 	}
 	return t
 }
@@ -325,10 +351,7 @@ func E5EvalSpeedup() Table {
 // one-step operator Pⁿ (Section IX) to everything derived so far until it
 // yields nothing new. It returns P(d) and the number of applications.
 func NaiveFixpoint(p *ast.Program, d *db.Database) (*db.Database, int) {
-	prep, err := eval.Prepare(p, eval.Options{})
-	if err != nil {
-		panic(err)
-	}
+	prep := must(eval.Prepare(p, eval.Options{}))
 	out := d.Clone()
 	for rounds := 1; ; rounds++ {
 		before := out.Len()
@@ -343,35 +366,24 @@ func NaiveFixpoint(p *ast.Program, d *db.Database) (*db.Database, int) {
 // engine computes the closure the naive iteration of Section III computes,
 // without re-deriving everything every round.
 func E6NaiveVsSemiNaive() Table {
-	t := Table{ID: "E6", Title: "naive vs semi-naive fixpoint (Section III substrate)",
-		Columns: []string{"EDB", "facts out", "rounds naive", "rounds semi", "firings semi", "time naive", "time semi", "speedup"}}
+	t := Table{ID: "E6", Title: "naive vs semi-naive fixpoint (Section III substrate)", Bench: "BenchmarkE6_NaiveVsSemiNaive",
+		Columns: []string{"EDB", "facts out", "rounds naive", "rounds semi", "firings semi", "time naive", "time semi"}}
 	p := workload.TransitiveClosure()
-	edbs := []struct {
-		name string
-		d    *db.Database
-	}{
-		{"chain n=24", workload.Chain("A", 24)},
-		{"chain n=48", workload.Chain("A", 48)},
-		{"cycle n=24", workload.Cycle("A", 24)},
-		{"random n=40 m=80", workload.RandomDigraph("A", 40, 80, 3)},
-	}
-	for _, e := range edbs {
-		var naive *db.Database
+	for _, e := range []edb{
+		{"chain n=24", "chain-24", workload.Chain("A", 24)},
+		{"chain n=48", "chain-48", workload.Chain("A", 48)},
+		{"cycle n=24", "cycle-24", workload.Cycle("A", 24)},
+		{"random n=40 m=80", "random-40", workload.RandomDigraph("A", 40, 80, 3)},
+	} {
+		var naive, semi *db.Database
 		var naiveRounds int
 		var sSemi eval.Stats
-		dNaive := timed(func() { naive, naiveRounds = NaiveFixpoint(p, e.d) })
-		dSemi := timed(func() {
-			out, s, err := eval.Eval(p, e.d, eval.Options{})
-			if err != nil {
-				panic(err)
-			}
-			if !out.Equal(naive) {
-				panic("E6: semi-naive output differs from the naive iteration")
-			}
-			sSemi = s
-		})
-		t.AddRow(e.name, naive.Len(), naiveRounds, sSemi.Rounds, sSemi.Firings, ms(dNaive), ms(dSemi),
-			ratio(float64(dNaive.Nanoseconds()), float64(dSemi.Nanoseconds())))
+		cNaive := t.Timed(Op{Name: "naive/" + e.slug, Run: func() { naive, naiveRounds = NaiveFixpoint(p, e.d) }})
+		cSemi := t.Timed(Op{Name: "seminaive/" + e.slug, Run: func() { semi, sSemi = must2(eval.Eval(p, e.d, eval.Options{})) }})
+		if !semi.Equal(naive) {
+			panic("E6: semi-naive output differs from the naive iteration")
+		}
+		t.AddRow(e.name, naive.Len(), naiveRounds, sSemi.Rounds, sSemi.Firings, cNaive, cSemi)
 	}
 	return t
 }
@@ -380,17 +392,17 @@ func E6NaiveVsSemiNaive() Table {
 // removals performed, and cost, including a negative control where the
 // pipeline must refuse.
 func E7EquivOpt() Table {
-	t := Table{ID: "E7", Title: "equivalence-optimization pipeline (Sections X-XI)",
+	t := Table{ID: "E7", Title: "equivalence-optimization pipeline (Sections X-XI)", Bench: "BenchmarkE7_EquivOpt",
 		Columns: []string{"program", "candidates", "atoms removed", "sound", "time"}}
 	cases := []struct {
-		name string
-		p    *ast.Program
+		name, slug string
+		p          *ast.Program
 		// mustRemove is the exact number of atoms that should go.
 		mustRemove int
 	}{
-		{"Ex.11 guarded TC", workload.TransitiveClosureGuarded(), 1},
-		{"Ex.19 program", workload.Example19Program(), 2},
-		{"negative control (B init)", parser.MustParseProgram(`
+		{"Ex.11 guarded TC", "ex11", workload.TransitiveClosureGuarded(), 1},
+		{"Ex.19 program", "ex19", workload.Example19Program(), 2},
+		{"negative control (B init)", "negative-control", parser.MustParseProgram(`
 			G(x, z) :- B(x, z).
 			G(x, z) :- G(x, y), G(y, z), A(y, w).`), 0},
 	}
@@ -401,19 +413,14 @@ func E7EquivOpt() Table {
 		}
 		var removals []equivopt.Removal
 		var opt *ast.Program
-		d := timed(func() {
-			var err error
-			opt, removals, err = equivopt.Optimize(context.Background(), c.p, equivopt.Options{})
-			if err != nil {
-				panic(err)
-			}
-		})
+		cell := t.Timed(Op{Name: c.slug, Run: func() {
+			opt, removals = must2(equivopt.Optimize(context.Background(), c.p, equivopt.Options{}))
+		}})
 		removed := 0
 		for _, r := range removals {
 			removed += len(r.Atoms)
 		}
-		sound := equivalentOnSamples(c.p, opt)
-		t.AddRow(c.name, nCands, fmt.Sprintf("%d (want %d)", removed, c.mustRemove), sound, ms(d))
+		t.AddRow(c.name, nCands, fmt.Sprintf("%d (want %d)", removed, c.mustRemove), equivalentOnSamples(c.p, opt), cell)
 	}
 	return t
 }
@@ -447,61 +454,40 @@ func equivalentOnSamples(p1, p2 *ast.Program) bool {
 // E8MagicComposition measures the composition claim from the introduction:
 // minimizing a program speeds up its magic-sets evaluation too.
 func E8MagicComposition() Table {
-	t := Table{ID: "E8", Title: "magic sets × minimization (Section I claim)",
+	t := Table{ID: "E8", Title: "magic sets × minimization (Section I claim)", Bench: "BenchmarkE8_MagicComposition",
 		Columns: []string{"chain n", "mode", "answers", "derived facts", "firings", "time"}}
 
 	rng := rand.New(rand.NewSource(2))
 	p := workload.Ancestor()
 	bloated := p.ReplaceRule(1, workload.InjectRedundantAtoms(p.Rules[1], 2, rng))
-	minimized, _, err := minimize.Program(context.Background(), bloated, minimize.Options{})
-	if err != nil {
-		panic(err)
-	}
+	minimized, _ := must2(minimize.Program(context.Background(), bloated, minimize.Options{}))
 
 	for _, n := range []int{128, 256} {
 		edb := workload.Chain("Par", n)
 		query := ast.NewAtom("Anc", ast.IntTerm(int64(n-6)), ast.Var("y"))
-		type mode struct {
-			name string
-			run  func() (int, magic.Stats)
-		}
-		modes := []mode{
-			{"direct full eval", func() (int, magic.Stats) {
-				ans, s, err := magic.DirectAnswer(bloated, edb, query, eval.Options{})
-				if err != nil {
-					panic(err)
-				}
-				return len(ans), s
-			}},
-			{"magic (bloated)", func() (int, magic.Stats) {
-				ans, s, err := magic.Answer(bloated, edb, query, eval.Options{})
-				if err != nil {
-					panic(err)
-				}
-				return len(ans), s
-			}},
-			{"magic (minimized)", func() (int, magic.Stats) {
-				ans, s, err := magic.Answer(minimized, edb, query, eval.Options{})
-				if err != nil {
-					panic(err)
-				}
-				return len(ans), s
-			}},
-		}
-		for _, m := range modes {
-			var nAns int
+		for _, m := range []struct {
+			name, slug string
+			answer     func(*ast.Program, *db.Database, ast.Atom, eval.Options) ([][]ast.Const, magic.Stats, error)
+			p          *ast.Program
+		}{
+			{"direct full eval", "direct-bloated", magic.DirectAnswer, bloated},
+			{"magic (bloated)", "magic-bloated", magic.Answer, bloated},
+			{"magic (minimized)", "magic-minimized", magic.Answer, minimized},
+		} {
+			var ans [][]ast.Const
 			var s magic.Stats
-			d := timed(func() { nAns, s = m.run() })
-			t.AddRow(n, m.name, nAns, s.DerivedFacts, s.Eval.Firings, ms(d))
+			cell := t.Timed(Op{Name: fmt.Sprintf("chain-%d/%s", n, m.slug), Run: func() { ans, s = must2(m.answer(m.p, edb, query, eval.Options{})) }})
+			t.AddRow(n, m.name, len(ans), s.DerivedFacts, s.Eval.Firings, cell)
 		}
 	}
 	return t
 }
 
 // E9EmbeddedChase profiles the budgeted chase on a diverging embedded-tgd
-// instance and a converging one (Sections VIII-IX).
+// instance and a converging one (Sections VIII-IX). The op is the verdict;
+// the chase atoms and rounds are those of the same chase run to its budget.
 func E9EmbeddedChase() Table {
-	t := Table{ID: "E9", Title: "embedded-tgd chase: verdict vs budget (Sections VIII-IX)",
+	t := Table{ID: "E9", Title: "embedded-tgd chase: verdict vs budget (Sections VIII-IX)", Bench: "BenchmarkE9_EmbeddedChase",
 		Columns: []string{"instance", "budget atoms", "verdict", "chase atoms", "rounds", "time"}}
 
 	// Diverging: B facts breed forever; the goal is unreachable.
@@ -517,114 +503,82 @@ func E9EmbeddedChase() Table {
 	for _, budget := range []int{16, 64, 256, 1024} {
 		b := chase.Budget{MaxAtoms: budget, MaxRounds: budget}
 		var v chase.Verdict
-		var res chase.Result
-		d := timed(func() {
-			var err error
-			v, err = chase.SATContainsRule(divergeP, divergeT, divergeRule, b)
-			if err != nil {
-				panic(err)
-			}
-			head, frozen := chase.FreezeRule(divergeRule)
-			_ = head
-			res, err = chase.Apply(divergeP, divergeT, frozen, b)
-			if err != nil {
-				panic(err)
-			}
-		})
-		t.AddRow("diverging", budget, v.String(), res.DB.Len(), res.Rounds, ms(d))
+		cell := t.Timed(Op{Name: fmt.Sprintf("budget-%d", budget), Run: func() { v = must(chase.SATContainsRule(divergeP, divergeT, divergeRule, b)) }})
+		_, frozen := chase.FreezeRule(divergeRule)
+		res := must(chase.Apply(divergeP, divergeT, frozen, b))
+		t.AddRow("diverging", budget, v.String(), res.DB.Len(), res.Rounds, cell)
 	}
 	for _, budget := range []int{16, 64} {
 		b := chase.Budget{MaxAtoms: budget, MaxRounds: budget}
 		var v chase.Verdict
-		d := timed(func() {
-			var err error
-			v, err = chase.SATContainsRule(convP, convT, convRule, b)
-			if err != nil {
-				panic(err)
-			}
-		})
-		t.AddRow("converging (Ex.11)", budget, v.String(), "-", "-", ms(d))
+		cell := t.Timed(Op{Name: fmt.Sprintf("converging/budget-%d", budget), Run: func() { v = must(chase.SATContainsRule(convP, convT, convRule, b)) }})
+		t.AddRow("converging (Ex.11)", budget, v.String(), "-", "-", cell)
 	}
 	return t
 }
 
 // E11Engines compares the two query-answering strategies on bound ancestor
-// queries: full bottom-up + filter and magic sets.
+// queries: full bottom-up + filter and magic sets. Its ops time the chain
+// n=96 rows under their engine's name alone; BenchmarkEngines adds the
+// tabled top-down engine beside them.
 func E11Engines() Table {
-	t := Table{ID: "E11", Title: "query engines on bound ancestor queries (extension)",
+	t := Table{ID: "E11", Title: "query engines on bound ancestor queries (extension)", Bench: "BenchmarkEngines",
 		Columns: []string{"chain n", "engine", "answers", "work (facts/answers)", "time"}}
 	p := workload.Ancestor()
-	for _, n := range []int{96, 192} {
+	for _, c := range []struct {
+		n      int
+		suffix string
+	}{{96, ""}, {192, "/chain-192"}} {
+		n := c.n
 		edb := workload.Chain("Par", n)
 		query := ast.NewAtom("Anc", ast.IntTerm(int64(n-6)), ast.Var("y"))
-
 		for _, e := range []struct {
-			name   string
-			answer func(*ast.Program, *db.Database, ast.Atom, eval.Options) ([][]ast.Const, magic.Stats, error)
+			name, slug string
+			answer     func(*ast.Program, *db.Database, ast.Atom, eval.Options) ([][]ast.Const, magic.Stats, error)
 		}{
-			{"bottom-up + filter", magic.DirectAnswer},
-			{"magic sets", magic.Answer},
+			{"bottom-up + filter", "bottom-up-filter", magic.DirectAnswer},
+			{"magic sets", "magic", magic.Answer},
 		} {
-			var nAns, work int
-			d := timed(func() {
-				ans, s, err := e.answer(p, edb, query, eval.Options{})
-				if err != nil {
-					panic(err)
-				}
-				nAns, work = len(ans), s.DerivedFacts
-			})
-			t.AddRow(n, e.name, nAns, work, ms(d))
+			var ans [][]ast.Const
+			var s magic.Stats
+			cell := t.Timed(Op{Name: e.slug + c.suffix, Run: func() { ans, s = must2(e.answer(p, edb, query, eval.Options{})) }})
+			t.AddRow(n, e.name, len(ans), s.DerivedFacts, cell)
 		}
 	}
 	return t
 }
 
 // E12Incremental measures insertion maintenance (one Apply on a maintained
-// view) against full re-evaluation.
+// view) against full re-evaluation. Before every Apply of the incremental
+// op, outside the timer, the view retracts the fact again: each Apply
+// starts from the base chain's view.
 func E12Incremental() Table {
-	t := Table{ID: "E12", Title: "incremental insertion maintenance vs full re-evaluation (extension)",
+	t := Table{ID: "E12", Title: "incremental insertion maintenance vs full re-evaluation (extension)", Bench: "BenchmarkE12_Incremental",
 		Columns: []string{"base chain n", "insertion", "mode", "firings", "time"}}
 	p := workload.TransitiveClosure()
 	for _, n := range []int{32, 64} {
 		base := workload.Chain("A", n)
-		prep, err := eval.Prepare(p, eval.Options{})
-		if err != nil {
-			panic(err)
-		}
-		cases := []struct {
-			name string
-			fact ast.GroundAtom
+		prep := must(eval.Prepare(p, eval.Options{}))
+		for _, c := range []struct {
+			name, slug string
+			fact       []ast.GroundAtom
 		}{
-			{"disconnected edge", ga("A", 500, 501)},
-			{"chain extension", ga("A", int64(n+1), int64(n+2))},
-			{"closing back-edge", ga("A", int64(n), 0)},
-		}
-		for _, c := range cases {
-			view, _, err := prep.Materialize(context.Background(), base, eval.MaintainOptions{})
-			if err != nil {
-				panic(err)
-			}
+			{"disconnected edge", "disconnected-edge", []ast.GroundAtom{ga("A", 500, 501)}},
+			{"chain extension", "chain-extension", []ast.GroundAtom{ga("A", int64(n+1), int64(n+2))}},
+			{"closing back-edge", "closing-back-edge", []ast.GroundAtom{ga("A", int64(n), 0)}},
+		} {
+			view, _ := must2(prep.Materialize(context.Background(), base, eval.MaintainOptions{}))
 			var sInc eval.Stats
-			dInc := timed(func() {
-				_, s, err := view.Apply(context.Background(), eval.Delta{Assert: []ast.GroundAtom{c.fact}})
-				if err != nil {
-					panic(err)
-				}
-				sInc = s
-			})
-			t.AddRow(n, c.name, "incremental", sInc.Firings, ms(dInc))
+			cell := t.Timed(Op{Name: fmt.Sprintf("chain-%d/%s/incremental", n, c.slug),
+				Reset: func() { must2(view.Apply(context.Background(), eval.Delta{Retract: c.fact})) },
+				Run:   func() { _, sInc = must2(view.Apply(context.Background(), eval.Delta{Assert: c.fact})) }})
+			t.AddRow(n, c.name, "incremental", sInc.Firings, cell)
 
 			full := base.Clone()
-			full.Add(c.fact)
+			full.Add(c.fact[0])
 			var sFull eval.Stats
-			dFull := timed(func() {
-				_, s, err := eval.Eval(p, full, eval.Options{})
-				if err != nil {
-					panic(err)
-				}
-				sFull = s
-			})
-			t.AddRow(n, c.name, "full re-eval", sFull.Firings, ms(dFull))
+			cell = t.Timed(Op{Name: fmt.Sprintf("chain-%d/%s/full-reeval", n, c.slug), Run: func() { _, sFull = must2(eval.Eval(p, full, eval.Options{})) }})
+			t.AddRow(n, c.name, "full re-eval", sFull.Firings, cell)
 		}
 	}
 	return t
@@ -634,7 +588,7 @@ func E12Incremental() Table {
 // written with the intentional atom first — the order that starves the
 // textbook left-to-right SIPS of bindings.
 func E14SIPS() Table {
-	t := Table{ID: "E14", Title: "SIPS strategies on an unfavourably ordered body (extension)",
+	t := Table{ID: "E14", Title: "SIPS strategies on an unfavourably ordered body (extension)", Bench: "BenchmarkE14_SIPS",
 		Columns: []string{"chain n", "SIPS", "answers", "derived facts", "time"}}
 	p := parser.MustParseProgram(`
 		Anc(x, y) :- Par(x, y).
@@ -650,15 +604,12 @@ func E14SIPS() Table {
 			{"left-to-right", magic.LeftToRight},
 			{"bound-first", magic.BoundFirst},
 		} {
-			var nAns, derived int
-			d := timed(func() {
-				ans, st, err := magic.AnswerWithOptions(p, edb, query, magic.Options{SIPS: strat.s}, eval.Options{})
-				if err != nil {
-					panic(err)
-				}
-				nAns, derived = len(ans), st.DerivedFacts
-			})
-			t.AddRow(n, strat.name, nAns, derived, ms(d))
+			var ans [][]ast.Const
+			var s magic.Stats
+			cell := t.Timed(Op{Name: fmt.Sprintf("chain-%d/%s", n, strat.name), Run: func() {
+				ans, s = must2(magic.AnswerWithOptions(p, edb, query, magic.Options{SIPS: strat.s}, eval.Options{}))
+			}})
+			t.AddRow(n, strat.name, len(ans), s.DerivedFacts, cell)
 		}
 	}
 	return t
@@ -675,10 +626,7 @@ func E15DerivationCounts() Table {
 		G(x, z) :- A(x, z).
 		G(x, z) :- G(x, y), G(y, z), G(x, w).
 	`)
-	min, _, err := minimize.Program(context.Background(), bloated, minimize.Options{})
-	if err != nil {
-		panic(err)
-	}
+	min, _ := must2(minimize.Program(context.Background(), bloated, minimize.Options{}))
 	edbs := []struct {
 		name string
 		d    *db.Database
@@ -688,14 +636,7 @@ func E15DerivationCounts() Table {
 		{"random n=12 m=18", workload.RandomDigraph("A", 12, 18, 9)},
 	}
 	for _, e := range edbs {
-		cpB, err := explain.NewProver(bloated, e.d)
-		if err != nil {
-			panic(err)
-		}
-		cpM, err := explain.NewProver(min, e.d)
-		if err != nil {
-			panic(err)
-		}
+		cpB, cpM := must(explain.NewProver(bloated, e.d)), must(explain.NewProver(min, e.d))
 		if !cpB.Output().Equal(cpM.Output()) {
 			panic("programs diverge semantically")
 		}

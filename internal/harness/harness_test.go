@@ -4,7 +4,6 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-	"time"
 )
 
 func TestE1AllPass(t *testing.T) {
@@ -96,33 +95,11 @@ func TestTableFormatting(t *testing.T) {
 }
 
 func TestHelpers(t *testing.T) {
-	if got := ms(1500 * time.Microsecond); got != "1.500ms" {
-		t.Fatalf("ms = %q", got)
-	}
 	if got := ratio(3, 2); got != "1.50x" {
 		t.Fatalf("ratio = %q", got)
 	}
 	if got := ratio(1, 0); got != "inf" {
 		t.Fatalf("ratio/0 = %q", got)
-	}
-}
-
-func TestCSVRendering(t *testing.T) {
-	tab := Table{ID: "T", Title: "demo", Columns: []string{"a", "b"}}
-	tab.AddRow("plain", `with "quote", comma`)
-	got := tab.CSV()
-	want := "a,b\nplain,\"with \"\"quote\"\", comma\"\n"
-	if got != want {
-		t.Fatalf("CSV = %q, want %q", got, want)
-	}
-}
-
-func TestMarkdownRendering(t *testing.T) {
-	tab := Table{ID: "T", Title: "demo", Columns: []string{"a", "b"}}
-	tab.AddRow("x|y", 2)
-	got := tab.Markdown()
-	if !strings.Contains(got, "### T — demo") || !strings.Contains(got, `| x\|y | 2 |`) {
-		t.Fatalf("Markdown:\n%s", got)
 	}
 }
 

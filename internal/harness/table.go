@@ -3,20 +3,49 @@
 // empirical section; these experiments operationalize its worked examples
 // and prose claims — see DESIGN.md §3 for the substitution rationale and
 // EXPERIMENTS.md for recorded paper-vs-measured outcomes.
+//
+// A table holds only what one run determines: verdicts, counts and shapes.
+// Its timed cells are ops, each the work of one sub-benchmark of the table's
+// Bench family; the root package's benchmarks time them, `make bench`
+// records the timings in BENCH_eval.json (a Record), and the experiments
+// command fills each timed cell from the row it names.
 package harness
 
 import (
 	"fmt"
 	"strings"
-	"time"
+	"unicode/utf8"
 )
 
 // Table is a titled grid of cells with a header row.
 type Table struct {
-	ID      string
-	Title   string
+	ID, Title string
+	// Bench is the benchmark family whose sub-benchmarks time Ops.
+	Bench   string
 	Columns []string
 	Rows    [][]string
+	Ops     []Op
+}
+
+// Op is one timed cell of a table: the work its sub-benchmark times.
+type Op struct {
+	// Name is the sub-benchmark's name under the table's Bench family.
+	Name string
+	Run  func()
+	// Reset, when set, restores what Run changes; it runs before every
+	// Run, outside the timer.
+	Reset func()
+}
+
+// Timed runs op once, for the row its results fill, registers it, and
+// returns the cell that names its benchmark row: Bench/Name.
+func (t *Table) Timed(op Op) string {
+	if op.Reset != nil {
+		op.Reset()
+	}
+	op.Run()
+	t.Ops = append(t.Ops, op)
+	return t.Bench + "/" + op.Name
 }
 
 // AddRow appends a row; cells beyond the column count are dropped, missing
@@ -35,26 +64,21 @@ func (t *Table) AddRow(cells ...any) {
 func (t Table) String() string {
 	widths := make([]int, len(t.Columns))
 	for i, c := range t.Columns {
-		widths[i] = len(c)
+		widths[i] = utf8.RuneCountInString(c)
 	}
 	for _, row := range t.Rows {
 		for i, cell := range row {
-			if len(cell) > widths[i] {
-				widths[i] = len(cell)
-			}
+			widths[i] = max(widths[i], utf8.RuneCountInString(cell))
 		}
 	}
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "%s — %s\n", t.ID, t.Title)
 	writeRow := func(cells []string) {
+		line := ""
 		for i, cell := range cells {
-			if i > 0 {
-				sb.WriteString("  ")
-			}
-			sb.WriteString(cell)
-			sb.WriteString(strings.Repeat(" ", widths[i]-len(cell)))
+			line += cell + strings.Repeat(" ", widths[i]-utf8.RuneCountInString(cell)+2)
 		}
-		sb.WriteString("\n")
+		sb.WriteString(strings.TrimRight(line, " ") + "\n")
 	}
 	writeRow(t.Columns)
 	total := 0
@@ -69,66 +93,10 @@ func (t Table) String() string {
 	return sb.String()
 }
 
-// ms formats a duration in milliseconds with three decimals.
-func ms(d time.Duration) string {
-	return fmt.Sprintf("%.3fms", float64(d.Microseconds())/1000)
-}
-
-// timed runs f and returns its wall-clock duration.
-func timed(f func()) time.Duration {
-	start := time.Now()
-	f()
-	return time.Since(start)
-}
-
 // ratio formats a/b with two decimals, guarding against division by zero.
 func ratio(a, b float64) string {
 	if b == 0 {
 		return "inf"
 	}
 	return fmt.Sprintf("%.2fx", a/b)
-}
-
-// CSV renders the table as RFC-4180-ish CSV (header row first); cells
-// containing commas or quotes are quoted.
-func (t Table) CSV() string {
-	var sb strings.Builder
-	writeCSVRow(&sb, t.Columns)
-	for _, row := range t.Rows {
-		writeCSVRow(&sb, row)
-	}
-	return sb.String()
-}
-
-func writeCSVRow(sb *strings.Builder, cells []string) {
-	for i, cell := range cells {
-		if i > 0 {
-			sb.WriteByte(',')
-		}
-		if strings.ContainsAny(cell, ",\"\n") {
-			sb.WriteByte('"')
-			sb.WriteString(strings.ReplaceAll(cell, `"`, `""`))
-			sb.WriteByte('"')
-		} else {
-			sb.WriteString(cell)
-		}
-	}
-	sb.WriteByte('\n')
-}
-
-// Markdown renders the table as a GitHub-flavoured markdown table with the
-// title as a heading.
-func (t Table) Markdown() string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "### %s — %s\n\n", t.ID, t.Title)
-	sb.WriteString("| " + strings.Join(t.Columns, " | ") + " |\n")
-	sb.WriteString("|" + strings.Repeat(" --- |", len(t.Columns)) + "\n")
-	for _, row := range t.Rows {
-		escaped := make([]string, len(row))
-		for i, cell := range row {
-			escaped[i] = strings.ReplaceAll(cell, "|", "\\|")
-		}
-		sb.WriteString("| " + strings.Join(escaped, " | ") + " |\n")
-	}
-	return sb.String()
 }

@@ -208,3 +208,25 @@ func TestDeriveConcurrentSessions(t *testing.T) {
 		}
 	}
 }
+
+// TestSessionKeepsCallersProgram: a session over an alpha-renamed twin of a
+// program prepared before runs on the twin's cached plan, yet its Program()
+// is written in its own caller's variables.
+func TestSessionKeepsCallersProgram(t *testing.T) {
+	first := parser.MustParseProgram("Pkt(a, b) :- Pke(a, b), Pke(a, c).")
+	renamed := parser.MustParseProgram("Pkt(x, y) :- Pke(x, y), Pke(x, w).")
+	if _, err := preserve.NewSession(first); err != nil {
+		t.Fatal(err)
+	}
+	lin := eval.NewLineage()
+	s, err := preserve.NewSessionIn(renamed, lin)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := lin.Stats(); st.PrepareHits != 1 || st.PrepareMisses != 0 {
+		t.Fatalf("the renamed twin did not hit the cached plan: %d hits, %d misses", st.PrepareHits, st.PrepareMisses)
+	}
+	if got, want := s.Program().String(), renamed.String(); got != want {
+		t.Fatalf("Program() = %q, want the caller's %q", got, want)
+	}
+}

@@ -103,7 +103,9 @@ func NewSessionIn(p *ast.Program, lin eval.Lineage) (*Session, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.p, s.prep = prep.Program(), prep
+	// Keep the caller's rules: a cache hit may return the plan of an
+	// alpha-renamed twin, whose program is written in other variables.
+	s.p, s.prep = p.Clone(), prep
 	return s, nil
 }
 
