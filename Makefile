@@ -10,7 +10,7 @@ BENCHTIME ?= 0.3s
 # staticcheck pin for lint-ci; bump deliberately, not implicitly.
 STATICCHECK_VERSION ?= 2025.1
 
-.PHONY: all build vet datalog-vet test fuzz-short race race-service race-ivm serve-smoke bench bench-all experiments examples guard-one-join guard-ctx-arg guard-no-batch-compact guard-delta-first guard-request-path guard-one-unfold guard-no-ablation-arm guard-no-transfer guard-one-plan guard-one-maintenance guard-one-graph guard-one-magic guard-one-cache guard-one-minimize guard-one-clock lint lint-ci clean
+.PHONY: all build vet datalog-vet test fuzz-short race race-service race-ivm serve-smoke bench bench-all experiments examples guard-one-join guard-ctx-arg guard-no-batch-compact guard-delta-first guard-request-path guard-one-unfold guard-no-ablation-arm guard-no-transfer guard-one-plan guard-one-maintenance guard-one-graph guard-one-magic guard-one-cache guard-one-minimize guard-one-clock guard-no-empty-options lint lint-ci clean
 
 all: build vet test
 
@@ -112,9 +112,9 @@ guard-one-join:
 # an argument: no SetContext, and no struct field of type context.Context in a
 # non-test file under internal/ other than the per-call roundEnv (rounds.go)
 # and the sink inside streamState (stream.go). The reference arms deleted
-# from eval.Options and MaintainOptions and the sharded round executor stay
-# deleted: none of their names may come back as an identifier in non-test
-# code. And the evaluator stays single-threaded per Run — concurrency belongs
+# from the evaluation and maintenance options and the sharded round executor
+# stay deleted: none of their names may come back as an identifier in
+# non-test code. And the evaluator stays single-threaded per Run — concurrency belongs
 # to its callers — so no non-test internal/eval file starts a goroutine or
 # sets GOMAXPROCS.
 guard-ctx-arg:
@@ -368,10 +368,28 @@ guard-one-clock:
 		echo "the harness stopwatch timed( is back (make guard-one-clock): a time cell is an Op, timed by go test -bench and read from BENCH_eval.json" >&2; exit 1; \
 	fi
 
+# guard-no-empty-options keeps options that choose nothing out of every layer
+# below the facade. No non-test file of internal/ or cmd/ declares an empty
+# …Options struct, except the two internal/core keeps because bench/
+# constructs them (core.EvalOptions, core.MaintainOptions, both ignored), and
+# eval.Options and eval.MaintainOptions stay deleted everywhere.
+EMPTY_OPTIONS_RE = ^[[:space:]]*(type[[:space:]]+)?[A-Za-z_][A-Za-z0-9_]*Options[[:space:]]+struct[[:space:]]*\{[[:space:]]*\}
+guard-no-empty-options:
+	@if grep -rnE '$(EMPTY_OPTIONS_RE)' --include='*.go' internal cmd | grep -v '_test\.go:' | grep -v '^internal/core/'; then \
+		echo "an empty options type below the facade (make guard-no-empty-options): a setting nothing can change is no parameter" >&2; exit 1; \
+	fi
+	@if grep -rnE '$(EMPTY_OPTIONS_RE)' --include='*.go' internal/core | grep -v '_test\.go:' | grep -vE ':[[:space:]]*(type[[:space:]]+)?(EvalOptions|MaintainOptions)[[:space:]]'; then \
+		echo "internal/core declares an empty options type beyond the two bench/ constructs (make guard-no-empty-options)" >&2; exit 1; \
+	fi
+	@if grep -rnE '\beval\.(Maintain)?Options\b' --include='*.go' . || \
+		grep -nE '^[[:space:]]*(type[[:space:]]+)?(Maintain)?Options[[:space:]]' internal/eval/*.go; then \
+		echo "eval.Options or eval.MaintainOptions is back (make guard-no-empty-options): evaluation and maintenance have no setting" >&2; exit 1; \
+	fi
+
 # lint runs the guards and go vet always, and staticcheck when the binary is
 # on PATH (the dev container does not bake it in; lint-ci installs the pinned
 # version).
-lint: guard-one-join guard-ctx-arg guard-no-batch-compact guard-delta-first guard-request-path guard-one-unfold guard-no-ablation-arm guard-no-transfer guard-one-plan guard-one-maintenance guard-one-graph guard-one-magic guard-one-cache guard-one-minimize guard-one-clock
+lint: guard-one-join guard-ctx-arg guard-no-batch-compact guard-delta-first guard-request-path guard-one-unfold guard-no-ablation-arm guard-no-transfer guard-one-plan guard-one-maintenance guard-one-graph guard-one-magic guard-one-cache guard-one-minimize guard-one-clock guard-no-empty-options
 	$(GO) vet ./...
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \

@@ -129,7 +129,7 @@ func BenchmarkExplainProver(b *testing.B) {
 		deepest := ast.NewGroundAtom("G", ast.Int(0), ast.Int(int64(n)))
 		b.Run(fmt.Sprintf("n=%d/eval", n), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, _, err := eval.Eval(p, edb, eval.Options{}); err != nil {
+				if _, _, err := eval.Eval(p, edb); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -231,7 +231,7 @@ func BenchmarkEvalShapes(b *testing.B) {
 	} {
 		b.Run(arm.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, _, err := eval.Eval(arm.p, arm.edb, eval.Options{}); err != nil {
+				if _, _, err := eval.Eval(arm.p, arm.edb); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -321,14 +321,14 @@ func BenchmarkStratifiedMagic(b *testing.B) {
 	q := ast.NewAtom("Dead", ast.Var("x"))
 	b.Run("stratified-magic", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, _, err := magic.Answer(p, edb, q, eval.Options{}); err != nil {
+			if _, _, err := magic.Answer(p, edb, q); err != nil {
 				b.Fatal(err)
 			}
 		}
 	})
 	b.Run("bottom-up", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, _, err := magic.DirectAnswer(p, edb, q, eval.Options{}); err != nil {
+			if _, _, err := magic.DirectAnswer(p, edb, q); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -400,11 +400,11 @@ func BenchmarkMaintain_DRed(b *testing.B) {
 		{"authz-batch", authz, org, orgChurn},
 	} {
 		b.Run(arm.name, func(b *testing.B) {
-			pr, err := eval.Prepare(arm.p, eval.Options{})
+			pr, err := eval.Prepare(arm.p)
 			if err != nil {
 				b.Fatal(err)
 			}
-			m, _, err := pr.Materialize(context.Background(), arm.edb, eval.MaintainOptions{})
+			m, _, err := pr.Materialize(context.Background(), arm.edb)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -19,7 +19,7 @@ func (c *cli) cmdEval(rest []string) error {
 	if err != nil {
 		return err
 	}
-	outDB, st, err := eval.Eval(res.Program, db.FromFacts(res.Facts), eval.Options{})
+	outDB, st, err := eval.Eval(res.Program, db.FromFacts(res.Facts))
 	if err != nil {
 		return err
 	}
@@ -41,7 +41,7 @@ func (c *cli) cmdQuery(rest []string) error {
 	if err != nil {
 		return fmt.Errorf("query atom: %w", err)
 	}
-	tuples, err := eval.Query(res.Program, db.FromFacts(res.Facts), q, eval.Options{})
+	tuples, err := eval.Query(res.Program, db.FromFacts(res.Facts), q)
 	if err != nil {
 		return err
 	}
@@ -60,7 +60,7 @@ func (c *cli) cmdCheck(rest []string) error {
 	if len(res.TGDs) == 0 {
 		return fmt.Errorf("check: the file declares no tgds")
 	}
-	prep, err := eval.DefaultPlanCache.Prepare(res.Program, eval.Options{})
+	prep, err := eval.DefaultPlanCache.Prepare(res.Program)
 	if err != nil {
 		return err
 	}

@@ -154,8 +154,8 @@ func sampleEquivalence(p1, p2 *ast.Program, trials int) (int, string) {
 	// Prepare each program once (through the shared plan cache); the
 	// per-trial work is then just the fixpoint itself, not re-planning the
 	// same two programs 40 times.
-	prep1, err1 := eval.DefaultPlanCache.Prepare(p1, eval.Options{})
-	prep2, err2 := eval.DefaultPlanCache.Prepare(p2, eval.Options{})
+	prep1, err1 := eval.DefaultPlanCache.Prepare(p1)
+	prep2, err2 := eval.DefaultPlanCache.Prepare(p2)
 	if err1 != nil || err2 != nil {
 		return 0, ""
 	}

@@ -179,6 +179,15 @@ Anc(x, z) :- Par(x, y), Anc(y, z).
 	if !strings.Contains(out, "m@Anc@bf") || !strings.Contains(out, "seed:") {
 		t.Fatalf("magic output:\n%s", out)
 	}
+	// A query whose arity differs from the program's is an error (exit 1),
+	// not a panic or a rewrite contradicting its own rules.
+	bad := writeFile(t, "f.dl", "A(x) :- B(x). B(1).\n")
+	for _, args := range [][]string{{"optimize", bad, "A(1,2)"}, {"magic", bad, "A(x, y)"}} {
+		var sb strings.Builder
+		if err := run(args, &sb); err == nil || !strings.Contains(err.Error(), "arity") {
+			t.Fatalf("%v: err = %v, want an arity error\n%s", args, err, sb.String())
+		}
+	}
 }
 
 func TestErrors(t *testing.T) {

@@ -35,7 +35,7 @@ type session struct {
 // earlier program) a lookup instead of a re-plan.
 func (s *session) prepared() (*eval.Prepared, error) {
 	if s.prep == nil {
-		pr, err := eval.DefaultPlanCache.Prepare(s.program, eval.Options{})
+		pr, err := eval.DefaultPlanCache.Prepare(s.program)
 		if err != nil {
 			return nil, err
 		}

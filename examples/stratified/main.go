@@ -61,7 +61,7 @@ func main() {
 
 	// Evaluate and report.
 	edb := db.FromFacts(res.Facts)
-	out, _, err := eval.Eval(min, edb, eval.Options{})
+	out, _, err := eval.Eval(min, edb)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -262,7 +262,7 @@ func NewCheckerIn(p *ast.Program, lin eval.Lineage) (*Checker, error) {
 	c.progKey = buf[:0]
 	var built *eval.Prepared
 	prep, err := c.Prepare(c.canon, func() (_ *eval.Prepared, err error) {
-		built, err = eval.Prepare(run, eval.Options{})
+		built, err = eval.Prepare(run)
 		return built, err
 	})
 	if err != nil {
@@ -776,7 +776,7 @@ func (c *Checker) fullPrep(tgds []ast.TGD) (*eval.Prepared, error) {
 		}
 	}
 	prep, err := c.Prepare(string(canon), func() (*eval.Prepared, error) {
-		return eval.Prepare(combined, eval.Options{})
+		return eval.Prepare(combined)
 	})
 	if err != nil {
 		return nil, err

@@ -130,7 +130,7 @@ func TestChaseNoHasCanonicalWitness(t *testing.T) {
 		}
 		r := p2.Rules[witness]
 		head, body := FreezeRule(r)
-		out, _, err := eval.Eval(p1, body, eval.Options{})
+		out, _, err := eval.Eval(p1, body)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -140,7 +140,7 @@ func TestChaseNoHasCanonicalWitness(t *testing.T) {
 		// And the rule itself derives it in one step — so the canonical DB
 		// truly separates the programs.
 		single := ast.NewProgram(r)
-		out2, _, err := eval.Eval(single, body, eval.Options{})
+		out2, _, err := eval.Eval(single, body)
 		if err != nil {
 			t.Fatal(err)
 		}

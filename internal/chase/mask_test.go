@@ -19,7 +19,7 @@ import (
 func groundTruth(t *testing.T, p *ast.Program, r ast.Rule) bool {
 	t.Helper()
 	head, body := FreezeRule(r)
-	prep, err := eval.Prepare(p, eval.Options{})
+	prep, err := eval.Prepare(p)
 	if err != nil {
 		t.Fatalf("prepare oracle: %v", err)
 	}

@@ -46,11 +46,11 @@ func TestQuickUniformContainmentSound(t *testing.T) {
 			// Sprinkle IDB facts (uniform semantics).
 			idbDB := workload.RandomDB(rng, workload.RandomProgram(rng, 1), 4, 2)
 			d.AddAll(idbDB)
-			o2, _, err := eval.Eval(p2, d, eval.Options{})
+			o2, _, err := eval.Eval(p2, d)
 			if err != nil {
 				continue
 			}
-			o1, _, err := eval.Eval(p1, d, eval.Options{})
+			o1, _, err := eval.Eval(p1, d)
 			if err != nil {
 				continue
 			}

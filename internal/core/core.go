@@ -76,8 +76,6 @@ type (
 	// ParseResult bundles the rules, facts, tgds and symbol table of a
 	// parsed source.
 	ParseResult = parser.Result
-	// EvalOptions configures bottom-up evaluation.
-	EvalOptions = eval.Options
 	// EvalStats reports evaluation work.
 	EvalStats = eval.Stats
 	// Budget bounds potentially diverging chases.
@@ -198,11 +196,15 @@ func NewDatabase() *Database { return db.New() }
 // FromFacts builds a database from facts.
 func FromFacts(facts []GroundAtom) *Database { return db.FromFacts(facts) }
 
+// EvalOptions is ignored: evaluation has no setting. It stays only because
+// bench/ constructs it, and only a change to the benchmark may edit bench/.
+type EvalOptions struct{}
+
 // Eval computes P(input), the least model of p containing input
 // (Section III). It is PrepareEval followed by one Prepared.Eval; callers
 // evaluating the same program repeatedly should prepare once.
-func Eval(p *Program, input *Database, opts EvalOptions) (*Database, EvalStats, error) {
-	return eval.Eval(p, input, opts)
+func Eval(p *Program, input *Database, _ EvalOptions) (*Database, EvalStats, error) {
+	return eval.Eval(p, input)
 }
 
 // PrepareEval validates p once and caches its evaluation plan (SCC
@@ -210,8 +212,8 @@ func Eval(p *Program, input *Database, opts EvalOptions) (*Database, EvalStats, 
 // any number of databases without re-planning and is safe for concurrent
 // use. Plans are served from the process-wide content-addressed cache, so
 // preparing a program canonically equal to one seen before is a lookup.
-func PrepareEval(p *Program, opts EvalOptions) (*Prepared, error) {
-	return eval.DefaultPlanCache.Prepare(p, opts)
+func PrepareEval(p *Program, _ EvalOptions) (*Prepared, error) {
+	return eval.DefaultPlanCache.Prepare(p)
 }
 
 // PlanCacheStats reports the process-wide plan cache's hit/miss/eviction
@@ -307,14 +309,14 @@ func MagicRewrite(p *Program, query Atom) (*MagicRewritten, error) {
 
 // MagicAnswer answers a query via the magic-sets rewriting, for pure and
 // stratified programs alike.
-func MagicAnswer(p *Program, edb *Database, query Atom, opts EvalOptions) ([][]Const, magic.Stats, error) {
-	return magic.Answer(p, edb, query, opts)
+func MagicAnswer(p *Program, edb *Database, query Atom, _ EvalOptions) ([][]Const, magic.Stats, error) {
+	return magic.Answer(p, edb, query)
 }
 
 // DirectAnswer answers a query by full evaluation plus filtering — the
 // baseline against which magic evaluation is compared.
-func DirectAnswer(p *Program, edb *Database, query Atom, opts EvalOptions) ([][]Const, magic.Stats, error) {
-	return magic.DirectAnswer(p, edb, query, opts)
+func DirectAnswer(p *Program, edb *Database, query Atom, _ EvalOptions) ([][]Const, magic.Stats, error) {
+	return magic.DirectAnswer(p, edb, query)
 }
 
 // --- Extensions beyond the paper's core (see DESIGN.md S16–S21) -----------
@@ -354,10 +356,11 @@ func RemoveUnfounded(p *Program) *Program {
 	return rewrite.RemoveUnfounded(p)
 }
 
-// PipelineOptions configures OptimizeForQuery.
+// PipelineOptions selects the passes OptimizeForQuery runs. Each pass is off
+// unless its field is set: the zero value runs none and returns a clone of
+// the program. DefaultPipeline sets every field.
 type PipelineOptions struct {
-	// Minimize runs Fig. 2 minimization (default on when zero-valued
-	// options are used via DefaultPipeline).
+	// Minimize runs Fig. 2 minimization.
 	Minimize bool
 	// EquivOpt runs the Section XI optimization under plain equivalence.
 	EquivOpt bool
@@ -366,9 +369,6 @@ type PipelineOptions struct {
 	// Magic applies the magic-sets rewriting for the query as the final
 	// step.
 	Magic bool
-	// MinimizeOptions and EquivOptions configure the respective passes.
-	MinimizeOptions MinimizeOptions
-	EquivOptions    EquivOptions
 }
 
 // DefaultPipeline enables every pass.
@@ -407,7 +407,7 @@ func OptimizeForQuery(p *Program, query Atom, opts PipelineOptions) (*PipelineRe
 		res.RulesRemoved += before - len(cur.Rules)
 	}
 	if opts.Minimize {
-		min, trace, err := minimize.Program(context.Background(), cur, opts.MinimizeOptions)
+		min, trace, err := minimize.Program(context.Background(), cur, minimize.Options{})
 		if err != nil {
 			return nil, err
 		}
@@ -416,7 +416,7 @@ func OptimizeForQuery(p *Program, query Atom, opts PipelineOptions) (*PipelineRe
 		res.AtomsRemoved += trace.AtomsRemoved()
 	}
 	if opts.EquivOpt {
-		opt, removals, err := equivopt.Optimize(context.Background(), cur, opts.EquivOptions)
+		opt, removals, err := equivopt.Optimize(context.Background(), cur, equivopt.Options{})
 		if err != nil {
 			return nil, err
 		}

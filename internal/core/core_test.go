@@ -323,6 +323,14 @@ func TestOptimizeForQuery(t *testing.T) {
 	if res2.Rewritten != nil || len(res2.Program.Rules) != 2 {
 		t.Fatalf("non-magic pipeline: %v", res2.Program)
 	}
+	// Zero options run no pass: a clone of the program comes back.
+	res3, err := OptimizeForQuery(p, query, PipelineOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res3.Rewritten != nil || res3.Program == p || res3.Program.String() != p.String() || res3.RulesRemoved != 0 || res3.AtomsRemoved != 0 {
+		t.Fatalf("zero-option pipeline: %+v\n%v", res3, res3.Program)
+	}
 }
 
 func TestFacadeStratifiedMagic(t *testing.T) {

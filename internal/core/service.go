@@ -80,7 +80,7 @@ type Session struct {
 
 // NewSession prepares p and returns a session handle over it.
 func NewSession(p *Program) (*Session, error) {
-	prep, err := PrepareEval(p, EvalOptions{})
+	prep, err := eval.DefaultPlanCache.Prepare(p)
 	if err != nil {
 		return nil, err
 	}

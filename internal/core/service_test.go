@@ -72,7 +72,7 @@ func TestSharedPlanCachePropertyMatchesIsolated(t *testing.T) {
 	for w := 0; w < workers; w++ {
 		for i := 0; i < iters; i++ {
 			for strat := 0; strat < 3; strat++ {
-				prep, err := eval.Prepare(prog, eval.Options{})
+				prep, err := eval.Prepare(prog)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -22,9 +22,10 @@ type DatabaseDelta = eval.Delta
 // canonical (predicate, arguments) order.
 type DatabaseDiff = eval.Diff
 
-// MaintainOptions configures a maintained view; it is empty, kept for the
-// signatures that take it (bench/ constructs the zero value).
-type MaintainOptions = eval.MaintainOptions
+// MaintainOptions is ignored: a maintained view has no setting. It stays
+// only because bench/ constructs it, and only a change to the benchmark may
+// edit bench/.
+type MaintainOptions struct{}
 
 // View is a maintained materialization of the session's program over one
 // input database. Apply is serialized on the view's own mutex; Output and
@@ -42,8 +43,8 @@ type View struct {
 // maintained view of the result. Every call returns an independent handle —
 // callers maintaining several inputs (tenants) hold one View each; the
 // session keeps no reference to it.
-func (s *Session) Materialize(ctx context.Context, input *Database, mo MaintainOptions) (*View, EvalStats, error) {
-	m, st, err := s.prep.Materialize(ctx, input, mo)
+func (s *Session) Materialize(ctx context.Context, input *Database, _ MaintainOptions) (*View, EvalStats, error) {
+	m, st, err := s.prep.Materialize(ctx, input)
 	s.account(st)
 	if err != nil {
 		return nil, st, err

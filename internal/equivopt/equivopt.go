@@ -28,20 +28,20 @@ import (
 	"repro/internal/preserve"
 )
 
+// maxRHS bounds the number of atoms a single candidate tgd may delete
+// (Example 19 needs 2).
+const maxRHS = 3
+
+// maxSweeps bounds full passes over the program.
+const maxSweeps = 4
+
 // Options configures the optimizer.
 type Options struct {
-	// MaxRHS bounds the number of atoms a single candidate tgd may delete.
-	// Default 3 (Example 19 needs 2).
-	MaxRHS int
 	// MaxLHS bounds the number of body atoms forming a candidate tgd's
 	// left-hand side. The Section XI heuristic uses 1 (the default); 2
 	// admits tgds like Example 15's G(x,y) ∧ G(y,z) → A(y,w), at the cost
 	// of more combinations in every downstream check.
 	MaxLHS int
-	// Budget bounds each chase-based sub-procedure.
-	Budget chase.Budget
-	// MaxSweeps bounds full passes over the program. Default 4.
-	MaxSweeps int
 	// PrelimDepth is the maximum unfolding depth probed for condition (3′)
 	// (Section X's generalized preliminary DB). Depth 1 — the plain
 	// initialization rules — is always tried first; deeper preliminary DBs
@@ -50,14 +50,8 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.MaxRHS == 0 {
-		o.MaxRHS = 3
-	}
 	if o.MaxLHS == 0 {
 		o.MaxLHS = 1
-	}
-	if o.MaxSweeps == 0 {
-		o.MaxSweeps = 4
 	}
 	if o.PrelimDepth == 0 {
 		o.PrelimDepth = 1
@@ -242,7 +236,8 @@ func cloneAtoms(body []ast.Atom, idx []int) []ast.Atom {
 // TryCandidate runs the Section X pipeline for one candidate on rule
 // ruleIdx of p. It returns the optimized program when all three conditions
 // hold, or nil when the candidate is rejected or Unknown. opts supplies
-// the chase budget and the preliminary-DB depth range for condition (3′).
+// the preliminary-DB depth range for conditions (2) and (3′); every chase
+// gets the zero chase.Budget, so the chase picks its own bound.
 // It is the one-shot form of the session-based pipeline Optimize drives:
 // callers probing many candidates against the same program should build
 // the sessions once.
@@ -278,7 +273,6 @@ func tryCandidate(ctx context.Context, ck *chase.Checker, ps *preserve.Session, 
 	if err := eval.CtxErr(ctx); err != nil {
 		return nil, err
 	}
-	budget := opts.Budget
 	// Build P2: p with the candidate atoms removed from the rule.
 	cand := p.Rules[ruleIdx]
 	del := append([]int(nil), c.AtomIndexes...)
@@ -293,7 +287,7 @@ func tryCandidate(ctx context.Context, ck *chase.Checker, ps *preserve.Session, 
 	T := []ast.TGD{c.TGD}
 
 	// (1) SAT(T) ∩ M(P1) ⊆ M(P2).
-	v, err := ck.SATModelsContained(ctx, T, p2, budget)
+	v, err := ck.SATModelsContained(ctx, T, p2, chase.Budget{})
 	if err != nil || v != chase.Yes {
 		return nil, err
 	}
@@ -301,7 +295,7 @@ func tryCandidate(ctx context.Context, ck *chase.Checker, ps *preserve.Session, 
 	// probe increasing depths like condition (3′) below.
 	ok2 := false
 	for depth := 1; depth <= opts.PrelimDepth && !ok2; depth++ {
-		v, _, err = ps.Check(ctx, T, preserve.Options{Depth: depth, Budget: budget})
+		v, _, err = ps.Check(ctx, T, preserve.Options{Depth: depth})
 		if err != nil {
 			return nil, err
 		}
@@ -313,7 +307,7 @@ func tryCandidate(ctx context.Context, ck *chase.Checker, ps *preserve.Session, 
 	// (3′) the preliminary DB of P1 satisfies T; probe increasing
 	// unfolding depths (Section X's closing remark).
 	for depth := 1; depth <= opts.PrelimDepth; depth++ {
-		v, _, err = ps.CheckPreliminary(ctx, T, preserve.Options{Depth: depth, Budget: budget})
+		v, _, err = ps.CheckPreliminary(ctx, T, preserve.Options{Depth: depth})
 		if err != nil {
 			return nil, err
 		}
@@ -350,12 +344,12 @@ func Optimize(ctx context.Context, p *ast.Program, opts Options) (*ast.Program, 
 		return nil, nil, err
 	}
 	var removals []Removal
-	for sweep := 0; sweep < opts.MaxSweeps; sweep++ {
+	for sweep := 0; sweep < maxSweeps; sweep++ {
 		progress := false
 		for i := 0; i < len(cur.Rules); i++ {
 			for {
 				applied := false
-				for _, c := range CandidatesLHS(cur.Rules[i], opts.MaxRHS, opts.MaxLHS) {
+				for _, c := range CandidatesLHS(cur.Rules[i], maxRHS, opts.MaxLHS) {
 					p2, err := tryCandidate(ctx, ck, ps, cur, i, c, opts)
 					if err != nil {
 						return nil, removals, err

@@ -43,7 +43,7 @@ func TestCancelCutsDuplicateHeavyPass(t *testing.T) {
 		"recursive": `G(x, z) :- A(x, z). G(x, z) :- A(x, y), G(y, z).`,
 	} {
 		t.Run(name, func(t *testing.T) {
-			pr, err := Prepare(parser.MustParseProgram(src), Options{})
+			pr, err := Prepare(parser.MustParseProgram(src))
 			if err != nil {
 				t.Fatal(err)
 			}

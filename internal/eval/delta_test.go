@@ -25,7 +25,7 @@ import (
 // changing the output, so only the count catches it.
 func checkFiringsExactlyOnce(t *testing.T, name string, p *ast.Program, input *db.Database) {
 	t.Helper()
-	pr, err := Prepare(p, Options{})
+	pr, err := Prepare(p)
 	if err != nil {
 		return // unstratifiable draw
 	}
@@ -124,7 +124,7 @@ func TestDeltaVariantsLeadWithDelta(t *testing.T) {
 		G(x, z) :- A(x, y), G(y, z), G(z, 3).
 		G(x, w) :- G(x, y), G(y, z), G(z, w).
 	`)
-	pr, err := Prepare(p, Options{})
+	pr, err := Prepare(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -206,7 +206,7 @@ func TestDeltaRoundLowersLazily(t *testing.T) {
 		G(x, z) :- A(x, y), G(y, z), B(z, z).
 		H(x) :- G(x, x).
 	`)
-	pr, err := Prepare(p, Options{})
+	pr, err := Prepare(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -253,7 +253,7 @@ func TestFirstRoundSkipsRulesThatCannotFire(t *testing.T) {
 		T(x, z) :- T(x, y), F(y, z).
 		T(x, y) :- F(x, y), E(y, y).
 	`)
-	pr, err := Prepare(p, Options{})
+	pr, err := Prepare(p)
 	if err != nil {
 		t.Fatal(err)
 	}

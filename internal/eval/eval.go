@@ -54,12 +54,6 @@ func CtxErr(ctx context.Context) error {
 // under a context (the chase's tgd phase) polls CtxErr at the same cadence.
 const CtxCheckEvery = 128
 
-// Options carries no setting: evaluation has none. A context, a goal and a
-// budget are per-call concerns and are arguments of Prepared.Run. The type stays so the exported signatures taking it keep
-// compiling; a field added here must join the plan cache's address
-// (TestPlanKeyCoversEveryOption).
-type Options struct{}
-
 // Eval computes P(input): the least DB containing input and closed under the
 // rules of p (Section III). The input database is not modified; the returned
 // database contains the input, matching the paper's convention that "the
@@ -68,18 +62,18 @@ type Options struct{}
 // Eval is the one-shot entry point: it is Prepare followed by a single
 // Prepared.Eval. Callers evaluating the same program repeatedly should
 // Prepare once and reuse the Prepared.
-func Eval(p *ast.Program, input *db.Database, opts Options) (*db.Database, Stats, error) {
-	pr, err := Prepare(p, opts)
+func Eval(p *ast.Program, input *db.Database) (*db.Database, Stats, error) {
+	pr, err := Prepare(p)
 	if err != nil {
 		return nil, Stats{}, err
 	}
 	return pr.Eval(input)
 }
 
-// MustEval is Eval with default options, panicking on error; intended for
-// tests and examples where the program is known valid.
+// MustEval is Eval panicking on error; intended for tests and examples where
+// the program is known valid.
 func MustEval(p *ast.Program, input *db.Database) *db.Database {
-	out, _, err := Eval(p, input, Options{})
+	out, _, err := Eval(p, input)
 	if err != nil {
 		panic(err)
 	}
@@ -139,8 +133,8 @@ func IsModel(p *ast.Program, d *db.Database) bool {
 // Query evaluates p on input and returns the tuples of the result matching
 // the query atom's pattern (constants filter; variables project). Tuples are
 // returned in the result database's deterministic fact order.
-func Query(p *ast.Program, input *db.Database, query ast.Atom, opts Options) ([][]ast.Const, error) {
-	out, _, err := Eval(p, input, opts)
+func Query(p *ast.Program, input *db.Database, query ast.Atom) ([][]ast.Const, error) {
+	out, _, err := Eval(p, input)
 	if err != nil {
 		return nil, err
 	}

@@ -137,7 +137,7 @@ func TestSemiNaiveFiringsNoWorse(t *testing.T) {
 	for i := 0; i < 30; i++ {
 		edb.Add(ga("A", int64(i), int64(i+1)))
 	}
-	_, sn, err := Eval(tcProgram(), edb, Options{})
+	_, sn, err := Eval(tcProgram(), edb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -187,7 +187,7 @@ func TestGroundFactRule(t *testing.T) {
 // evalBudget is Eval under a derived-fact budget, which is a Run argument.
 func evalBudget(t testing.TB, p *ast.Program, input *db.Database, budget int) (*db.Database, Stats, error) {
 	t.Helper()
-	pr, err := Prepare(p, Options{})
+	pr, err := Prepare(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -319,7 +319,7 @@ func TestUnstratifiableRejected(t *testing.T) {
 		P(x) :- A(x), !Q(x).
 		Q(x) :- A(x), !P(x).
 	`)
-	_, _, err := Eval(p, db.FromFacts([]ast.GroundAtom{ga("A", 1)}), Options{})
+	_, _, err := Eval(p, db.FromFacts([]ast.GroundAtom{ga("A", 1)}))
 	if err == nil {
 		t.Fatal("unstratifiable program evaluated")
 	}
@@ -327,7 +327,7 @@ func TestUnstratifiableRejected(t *testing.T) {
 
 func TestQuery(t *testing.T) {
 	edb := db.FromFacts([]ast.GroundAtom{ga("A", 1, 2), ga("A", 2, 3)})
-	tuples, err := Query(tcProgram(), edb, parser.MustParseAtom("G(1, y)"), Options{})
+	tuples, err := Query(tcProgram(), edb, parser.MustParseAtom("G(1, y)"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,7 +360,7 @@ func TestNoReorderSameResult(t *testing.T) {
 // panic at the first commit — for Run and for Materialize — and a batch
 // contradicting a view's relations, or itself, is refused the same way.
 func TestRunRejectsArityMismatch(t *testing.T) {
-	pr, err := Prepare(parser.MustParseProgram(`T(x, y) :- E(x, y).`), Options{})
+	pr, err := Prepare(parser.MustParseProgram(`T(x, y) :- E(x, y).`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -368,10 +368,10 @@ func TestRunRejectsArityMismatch(t *testing.T) {
 	if _, _, err := pr.Eval(bad); !errors.Is(err, ErrArity) {
 		t.Fatalf("Eval over T/3: err = %v, want ErrArity", err)
 	}
-	if _, _, err := pr.Materialize(context.Background(), bad, MaintainOptions{}); !errors.Is(err, ErrArity) {
+	if _, _, err := pr.Materialize(context.Background(), bad); !errors.Is(err, ErrArity) {
 		t.Fatalf("Materialize over T/3: err = %v, want ErrArity", err)
 	}
-	m, _, err := pr.Materialize(context.Background(), db.FromFacts([]ast.GroundAtom{ga("E", 1, 2)}), MaintainOptions{})
+	m, _, err := pr.Materialize(context.Background(), db.FromFacts([]ast.GroundAtom{ga("E", 1, 2)}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -398,7 +398,7 @@ func TestArityCheckFindsTheOneWrongRelation(t *testing.T) {
 	pr, err := Prepare(parser.MustParseProgram(`
 		T(x, y) :- E(x, y), !N(x).
 		U(x) :- T(x, x).
-	`), Options{})
+	`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -417,7 +417,7 @@ func TestEvalRejectsInvalidProgram(t *testing.T) {
 		ast.NewAtom("G", ast.Var("q")),
 		ast.NewAtom("A", ast.Var("x")),
 	))
-	if _, _, err := Eval(bad, db.New(), Options{}); err == nil {
+	if _, _, err := Eval(bad, db.New()); err == nil {
 		t.Fatal("invalid program evaluated")
 	}
 }
@@ -475,7 +475,7 @@ func TestQuickSCCOrderInvariance(t *testing.T) {
 			return true
 		}
 		d := workload.RandomDB(rng, p, 4, 4)
-		a, _, err := Eval(p, d, Options{})
+		a, _, err := Eval(p, d)
 		if err != nil {
 			return false
 		}
@@ -543,7 +543,7 @@ func TestWideRuleManyFreshSlots(t *testing.T) {
 		tuple[i] = ast.Int(int64(i))
 	}
 	in.AddTuple("Wide", tuple)
-	out, _, err := Eval(p, in, Options{})
+	out, _, err := Eval(p, in)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -138,11 +138,6 @@ type Diff struct {
 // Empty reports whether the diff is empty.
 func (d Diff) Empty() bool { return len(d.Added) == 0 && len(d.Removed) == 0 }
 
-// MaintainOptions configures a maintained view. There is nothing for a
-// caller to choose: how much of the algorithm runs follows from each unit's
-// shape.
-type MaintainOptions struct{}
-
 // Maintained is a materialized output kept incrementally consistent with
 // its input database under Apply batches.
 type Maintained struct {
@@ -264,7 +259,7 @@ func runChange(sp *streamPlan, d, src *db.Database, st *streamState, stats *Stat
 // Materialize evaluates the prepared program on input and wraps the result
 // as a maintained view. The input is not modified; the view keeps private
 // copy-on-write snapshots of both input and output.
-func (pr *Prepared) Materialize(ctx context.Context, input *db.Database, _ MaintainOptions) (*Maintained, Stats, error) {
+func (pr *Prepared) Materialize(ctx context.Context, input *db.Database) (*Maintained, Stats, error) {
 	out, _, stats, err := pr.Run(ctx, input, nil, 0)
 	if err != nil {
 		return nil, stats, err

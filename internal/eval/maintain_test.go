@@ -27,13 +27,13 @@ func canonFacts(d *db.Database) string {
 	return sb.String()
 }
 
-func mustMaterialize(t *testing.T, p *ast.Program, input *db.Database, mo MaintainOptions) *Maintained {
+func mustMaterialize(t *testing.T, p *ast.Program, input *db.Database) *Maintained {
 	t.Helper()
-	pr, err := Prepare(p, Options{})
+	pr, err := Prepare(p)
 	if err != nil {
 		t.Fatalf("prepare: %v", err)
 	}
-	m, _, err := pr.Materialize(context.Background(), input, mo)
+	m, _, err := pr.Materialize(context.Background(), input)
 	if err != nil {
 		t.Fatalf("materialize: %v", err)
 	}
@@ -53,7 +53,7 @@ func applyOrFatal(t *testing.T, m *Maintained, delta Delta) Diff {
 // facts, and return the maintained output with the Apply's stats.
 func insertInto(t *testing.T, p *ast.Program, base *db.Database, facts []ast.GroundAtom) (*db.Database, Stats) {
 	t.Helper()
-	m := mustMaterialize(t, p, base, MaintainOptions{})
+	m := mustMaterialize(t, p, base)
 	_, st, err := m.Apply(context.Background(), Delta{Assert: facts})
 	if err != nil {
 		t.Fatalf("apply: %v", err)
@@ -97,7 +97,7 @@ func TestIncrementalCheaperThanReEval(t *testing.T) {
 	_, incStats := insertInto(t, p, base, newFacts)
 	full := base.Clone()
 	full.Add(newFacts[0])
-	_, fullStats, err := Eval(p, full, Options{})
+	_, fullStats, err := Eval(p, full)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestQuickIncrementalAgreesWithFull(t *testing.T) {
 		inc, _ := insertInto(t, p, base, extra.Facts())
 		full := base.Clone()
 		full.AddAll(extra)
-		want, _, err := Eval(p, full, Options{})
+		want, _, err := Eval(p, full)
 		if err != nil {
 			return false
 		}
@@ -158,7 +158,7 @@ func TestMaintainCountingBasic(t *testing.T) {
 	input := db.New()
 	input.Add(ga("E", 1, 2))
 	input.Add(ga("E", 2, 3))
-	m := mustMaterialize(t, p, input, MaintainOptions{})
+	m := mustMaterialize(t, p, input)
 	if !m.Output().Has(ga("Q", 1, 3)) {
 		t.Fatal("missing Q(1,3) in the materialized view")
 	}
@@ -195,7 +195,7 @@ func TestMaintainCountingSharedSupport(t *testing.T) {
 	// P(5) has two derivations; retracting one support keeps it alive.
 	p := mustParseProgram(t, `P(y) :- A(y). P(y) :- B(y).`)
 	input := db.FromFacts([]ast.GroundAtom{ga("A", 5), ga("B", 5)})
-	m := mustMaterialize(t, p, input, MaintainOptions{})
+	m := mustMaterialize(t, p, input)
 	diff := applyOrFatal(t, m, Delta{Retract: []ast.GroundAtom{ga("A", 5)}})
 	if len(diff.Removed) != 1 || diff.Removed[0].Pred != "A" {
 		t.Fatalf("diff = %+v, want only A(5) removed", diff)
@@ -216,7 +216,7 @@ func TestMaintainExternalSupport(t *testing.T) {
 	// An input fact of a derived predicate is its own support.
 	p := mustParseProgram(t, `P(y) :- E(y).`)
 	input := db.FromFacts([]ast.GroundAtom{ga("E", 3), ga("P", 3), ga("P", 5)})
-	m := mustMaterialize(t, p, input, MaintainOptions{})
+	m := mustMaterialize(t, p, input)
 
 	// P(5) is input-only: retracting it removes it.
 	diff := applyOrFatal(t, m, Delta{Retract: []ast.GroundAtom{ga("P", 5)}})
@@ -251,7 +251,7 @@ func TestNonRecursiveSupportIgnoresStamps(t *testing.T) {
 		HasRole(u, r) :- Member(u, g), Grant(g, r).
 	`)
 	input := db.FromFacts([]ast.GroundAtom{ga("Direct", 1, 10), ga("Direct", 1, 20), ga("Grant", 10, 7), ga("Grant", 20, 7)})
-	m := mustMaterialize(t, p, input, MaintainOptions{})
+	m := mustMaterialize(t, p, input)
 	applyOrFatal(t, m, Delta{Retract: []ast.GroundAtom{ga("Direct", 1, 20)}})
 	applyOrFatal(t, m, Delta{Assert: []ast.GroundAtom{ga("Direct", 1, 20)}})
 
@@ -284,7 +284,7 @@ func TestNonRecursiveSupportIgnoresStamps(t *testing.T) {
 func TestMaintainDRedTransitiveClosure(t *testing.T) {
 	p := workload.TransitiveClosure()
 	input := workload.Chain("A", 8)
-	m := mustMaterialize(t, p, input, MaintainOptions{})
+	m := mustMaterialize(t, p, input)
 
 	// Cutting the chain in the middle halves the closure.
 	diff, stats, err := m.Apply(context.Background(), Delta{Retract: []ast.GroundAtom{ga("A", 4, 5)}})
@@ -320,7 +320,7 @@ func TestMaintainDRedRederivesAlternativePath(t *testing.T) {
 	input := db.FromFacts([]ast.GroundAtom{
 		ga("A", 0, 1), ga("A", 1, 3), ga("A", 0, 2), ga("A", 2, 3),
 	})
-	m := mustMaterialize(t, p, input, MaintainOptions{})
+	m := mustMaterialize(t, p, input)
 	diff, stats, err := m.Apply(context.Background(), Delta{Retract: []ast.GroundAtom{ga("A", 1, 3)}})
 	if err != nil {
 		t.Fatal(err)
@@ -356,7 +356,7 @@ func TestDRedOverdeletionIsLocal(t *testing.T) {
 			}
 		}
 	}
-	m := mustMaterialize(t, workload.TransitiveClosureLinear(), input, MaintainOptions{})
+	m := mustMaterialize(t, workload.TransitiveClosureLinear(), input)
 	view := m.Output().Len()
 	if view < n*n {
 		t.Fatalf("view has %d facts: the graph is not strongly connected", view)
@@ -378,7 +378,7 @@ func TestDRedOverdeletionIsLocal(t *testing.T) {
 
 	// K₁₂: every G(x, y) but the retracted edge's own keeps its edge, and
 	// every G(x, x) a two-step proof through a third node.
-	m = mustMaterialize(t, workload.TransitiveClosure(), workload.Complete("A", 12), MaintainOptions{})
+	m = mustMaterialize(t, workload.TransitiveClosure(), workload.Complete("A", 12))
 	diff, stats, err := m.Apply(context.Background(), Delta{Retract: []ast.GroundAtom{ga("A", 3, 7)}})
 	if err != nil || stats.Overdeleted != 1 || stats.Rederived != 1 || len(diff.Removed) != 1 {
 		t.Fatalf("K12: overdeleted/rederived = %d/%d, diff %+v, err %v; want 1/1 and only the edge removed", stats.Overdeleted, stats.Rederived, diff, err)
@@ -391,7 +391,7 @@ func TestDRedOverdeletionIsLocal(t *testing.T) {
 func TestMaintainDRedInputFactOfHead(t *testing.T) {
 	p := workload.TransitiveClosureLinear()
 	input := db.FromFacts([]ast.GroundAtom{ga("A", 1, 2), ga("A", 2, 3), ga("G", 1, 3), ga("G", 5, 6)})
-	m := mustMaterialize(t, p, input, MaintainOptions{})
+	m := mustMaterialize(t, p, input)
 
 	diff, stats, err := m.Apply(context.Background(), Delta{Retract: []ast.GroundAtom{ga("G", 1, 3)}})
 	if err != nil || !diff.Empty() || !m.Output().Has(ga("G", 1, 3)) {
@@ -419,7 +419,7 @@ func TestMaintainDRedInputFactOfHead(t *testing.T) {
 // cut batch introduced a predicate at an arity the next one contradicts.
 func TestMaintainApplyCancelledLeavesSetsReusable(t *testing.T) {
 	p := workload.TransitiveClosureLinear()
-	m := mustMaterialize(t, p, workload.Chain("A", 12), MaintainOptions{})
+	m := mustMaterialize(t, p, workload.Chain("A", 12))
 	before := canonFacts(m.Output())
 	cut := Delta{Retract: []ast.GroundAtom{ga("A", 5, 6)}, Assert: []ast.GroundAtom{ga("E", 1, 2)}}
 	for trip := 2; ; trip++ {
@@ -433,7 +433,7 @@ func TestMaintainApplyCancelledLeavesSetsReusable(t *testing.T) {
 		if !errors.Is(err, ErrCanceled) || canonFacts(m.Output()) != before {
 			t.Fatalf("trip %d: err %v, view changed %v", trip, err, canonFacts(m.Output()) != before)
 		}
-		m2 := mustMaterialize(t, p, m.Input(), MaintainOptions{})
+		m2 := mustMaterialize(t, p, m.Input())
 		m2.sets = m.sets // the cut Apply's leftovers, E/2 in the batch's scratch set included
 		applyOrFatal(t, m2, Delta{Retract: []ast.GroundAtom{ga("A", 3, 4)}, Assert: []ast.GroundAtom{ga("E", 1, 2, 3)}})
 		if got, want := canonFacts(m2.Output()), canonFacts(MustEval(p, m2.Input())); got != want {
@@ -500,7 +500,7 @@ func TestMaintainedStampsCertify(t *testing.T) {
 	input := db.FromFacts([]ast.GroundAtom{
 		ga("E", 1, 2), ga("E", 2, 3), ga("E", 1, 4), ga("E", 4, 2), ga("Mark", 2),
 	})
-	m := mustMaterialize(t, c.p, input, MaintainOptions{})
+	m := mustMaterialize(t, c.p, input)
 	if m.Output().Has(ga("R", 1, 3)) {
 		t.Fatal("R(1,3) derived through the marked node")
 	}
@@ -522,7 +522,7 @@ func TestMaintainDRedEnabledFiringIsNoSupport(t *testing.T) {
 	input := db.FromFacts([]ast.GroundAtom{
 		ga("E", 1, 6), ga("E", 6, 3), ga("E", 3, 5), ga("E", 1, 2), ga("E", 2, 7), ga("E", 7, 5), ga("Mark", 3),
 	})
-	m := mustMaterialize(t, p, input, MaintainOptions{})
+	m := mustMaterialize(t, p, input)
 	applyOrFatal(t, m, Delta{Retract: []ast.GroundAtom{ga("E", 1, 6), ga("E", 7, 5), ga("Mark", 3)}})
 	if got, want := canonFacts(m.Output()), canonFacts(MustEval(p, m.Input())); got != want {
 		t.Fatalf("maintained view diverged:\n%s\nwant:\n%s", got, want)
@@ -540,7 +540,7 @@ func TestMaintainStratifiedNegation(t *testing.T) {
 		ga("S", 0), ga("E", 0, 1),
 		ga("N", 0), ga("N", 1), ga("N", 2),
 	})
-	m := mustMaterialize(t, p, input, MaintainOptions{})
+	m := mustMaterialize(t, p, input)
 	if !m.Output().Has(ga("Dead", 2)) || m.Output().Has(ga("Dead", 1)) {
 		t.Fatalf("bad initial view:\n%s", canonFacts(m.Output()))
 	}
@@ -577,7 +577,7 @@ func TestMaintainStratifiedNegation(t *testing.T) {
 func TestMaintainBatchSemantics(t *testing.T) {
 	p := mustParseProgram(t, `P(x) :- E(x).`)
 	input := db.FromFacts([]ast.GroundAtom{ga("E", 1)})
-	m := mustMaterialize(t, p, input, MaintainOptions{})
+	m := mustMaterialize(t, p, input)
 
 	// No-ops: retract absent, assert present, retract a derived-only fact.
 	diff := applyOrFatal(t, m, Delta{
@@ -613,13 +613,13 @@ func TestMaintainViewsSharePlans(t *testing.T) {
 		H(x) :- G(x, x).
 		K(x) :- B(x).
 	`)
-	pr, err := Prepare(p, Options{})
+	pr, err := Prepare(p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	var views []*Maintained
 	for range 2 {
-		m, _, err := pr.Materialize(context.Background(), workload.Chain("A", 4), MaintainOptions{})
+		m, _, err := pr.Materialize(context.Background(), workload.Chain("A", 4))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -726,7 +726,7 @@ func runMaintainStream(t *testing.T, c maintCase, seed int64, domain, steps, max
 		ref.Add(g)
 		input.Add(g)
 	}
-	m := mustMaterialize(t, p, input, MaintainOptions{})
+	m := mustMaterialize(t, p, input)
 	checkSupport(t, m, -1)
 
 	for step := 0; step < len(c.script)+steps; step++ {
@@ -768,7 +768,7 @@ func runMaintainStream(t *testing.T, c maintCase, seed int64, domain, steps, max
 			ref.Add(g)
 		}
 
-		want, _, err := Eval(p, ref, Options{})
+		want, _, err := Eval(p, ref)
 		if err != nil {
 			t.Fatalf("step %d: full eval: %v", step, err)
 		}
@@ -964,7 +964,7 @@ func TestDeltaNet(t *testing.T) {
 // assert lands.
 func TestMaintainApplyCrossHalfArity(t *testing.T) {
 	p := mustParseProgram(t, `P(x, y) :- A(x, y).`)
-	m := mustMaterialize(t, p, db.FromFacts([]ast.GroundAtom{ga("A", 1, 2)}), MaintainOptions{})
+	m := mustMaterialize(t, p, db.FromFacts([]ast.GroundAtom{ga("A", 1, 2)}))
 	diff, _, err := m.Apply(context.Background(), Delta{
 		Assert:  []ast.GroundAtom{ga("E", 1, 2)},
 		Retract: []ast.GroundAtom{ga("E", 1, 2, 3)},
@@ -985,7 +985,7 @@ func TestMaintainApplyCopiesBatchNotRelation(t *testing.T) {
 	for i := int64(0); i < n; i++ {
 		input.Add(ga("A", i, i+1))
 	}
-	m := mustMaterialize(t, p, input, MaintainOptions{})
+	m := mustMaterialize(t, p, input)
 	total := 0
 	for b := int64(0); b < 10; b++ {
 		delta := Delta{
@@ -1006,7 +1006,7 @@ func TestMaintainApplyCopiesBatchNotRelation(t *testing.T) {
 	if total == 0 {
 		t.Fatal("TuplesCopied never moved: ten batches copied no tail")
 	}
-	if out, _, err := Eval(p, m.Input(), Options{}); err != nil || !out.Equal(m.Output()) {
+	if out, _, err := Eval(p, m.Input()); err != nil || !out.Equal(m.Output()) {
 		t.Fatalf("maintained view differs from a from-scratch evaluation (err %v)", err)
 	}
 }
@@ -1026,7 +1026,7 @@ func TestMaterializeSkipsDeadInputTuples(t *testing.T) {
 	if rel := w.Relation("P"); rel.Dead() != 1 {
 		t.Fatalf("dead = %d: the input no longer carries the dead copy this test is about", rel.Dead())
 	}
-	m := mustMaterialize(t, p, w, MaintainOptions{})
+	m := mustMaterialize(t, p, w)
 	diff, _, err := m.Apply(context.Background(), Delta{Retract: []ast.GroundAtom{ga("P", 3, 3)}})
 	if err != nil || len(diff.Removed) != 1 || m.Output().Has(ga("P", 3, 3)) {
 		t.Fatalf("retracting the only support of P(3, 3): diff %+v, err %v, still present %v", diff, err, m.Output().Has(ga("P", 3, 3)))
@@ -1048,7 +1048,7 @@ func TestMaintainFreezeSkipsUntouchedRelations(t *testing.T) {
 	for i, pred := range []string{"A", "B", "C", "D"} {
 		input.Add(ga(pred, int64(i), int64(i)+1))
 	}
-	m := mustMaterialize(t, p, input, MaintainOptions{})
+	m := mustMaterialize(t, p, input)
 
 	diff, stats, err := m.Apply(context.Background(), Delta{Assert: []ast.GroundAtom{ga("A", 10, 11)}})
 	if err != nil {

@@ -83,7 +83,7 @@ func checkMasked(t *testing.T, pr *Prepared, skip []bool, input *db.Database, go
 
 // mustPrepare is Prepare for programs a test knows valid.
 func mustPrepare(p *ast.Program) *Prepared {
-	pr, err := Prepare(p, Options{})
+	pr, err := Prepare(p)
 	if err != nil {
 		panic(err)
 	}

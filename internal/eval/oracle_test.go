@@ -119,7 +119,7 @@ func oracleNonRecursive(p *ast.Program, d *db.Database) *db.Database {
 // oracle's naive count. It returns the engine's output.
 func checkAgainstOracle(t testing.TB, p *ast.Program, input *db.Database) *db.Database {
 	t.Helper()
-	got, st, err := Eval(p, input, Options{})
+	got, st, err := Eval(p, input)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -68,10 +68,9 @@ func (pc *PlanCache) Stats() CacheStats {
 }
 
 // Prepare returns the cached plan for p or prepares, caches and returns a
-// fresh one. Options carries no setting, so the canonical program is the
-// whole address (TestPlanKeyCoversEveryOption).
-func (pc *PlanCache) Prepare(p *ast.Program, opts Options) (*Prepared, error) {
-	prep, _, err := pc.GetOrBuildCanonical(p.CanonicalString(), func() (*Prepared, error) { return Prepare(p, opts) })
+// fresh one. The canonical program is the whole address.
+func (pc *PlanCache) Prepare(p *ast.Program) (*Prepared, error) {
+	prep, _, err := pc.GetOrBuildCanonical(p.CanonicalString(), func() (*Prepared, error) { return Prepare(p) })
 	return prep, err
 }
 

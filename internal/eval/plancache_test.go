@@ -2,7 +2,6 @@ package eval
 
 import (
 	"fmt"
-	"reflect"
 	"sync"
 	"testing"
 
@@ -21,7 +20,7 @@ func cacheProgram(t *testing.T, i int) *ast.Program {
 
 // prepareHit is PlanCache.Prepare reporting whether the plan was cached.
 func prepareHit(pc *PlanCache, p *ast.Program) (*Prepared, bool, error) {
-	return pc.GetOrBuildCanonical(p.CanonicalString(), func() (*Prepared, error) { return Prepare(p, Options{}) })
+	return pc.GetOrBuildCanonical(p.CanonicalString(), func() (*Prepared, error) { return Prepare(p) })
 }
 
 // TestPlanCacheEvictionBound checks the LRU bound: a stream of distinct
@@ -93,7 +92,7 @@ func TestPlanCacheConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < perG; i++ {
 				p := progs[(g+i)%len(progs)]
-				if _, err := pc.Prepare(p, Options{}); err != nil {
+				if _, err := pc.Prepare(p); err != nil {
 					t.Error(err)
 					return
 				}
@@ -104,16 +103,5 @@ func TestPlanCacheConcurrent(t *testing.T) {
 	st := pc.Stats()
 	if st.Hits+st.Misses != 8*perG {
 		t.Fatalf("hits+misses = %d, want %d", st.Hits+st.Misses, 8*perG)
-	}
-}
-
-// TestPlanKeyCoversEveryOption: Options has no field, so the canonical
-// program is a plan's whole cache address. A field added to Options must come
-// back into that address (planEntry, GetOrBuildCanonical) — an unaddressed
-// field makes a shared cache hand one caller another caller's plan — and
-// this test with it.
-func TestPlanKeyCoversEveryOption(t *testing.T) {
-	if typ := reflect.TypeOf(Options{}); typ.NumField() != 0 {
-		t.Fatalf("Options has %d field(s), the plan cache addresses none of them: key plans by them too", typ.NumField())
 	}
 }

@@ -24,7 +24,7 @@ func TestGoalPrefixCutDeterministic(t *testing.T) {
 		}
 		input := workload.RandomDB(rng, p, 4, 4)
 
-		full, _, err := Eval(p, input, Options{})
+		full, _, err := Eval(p, input)
 		if err != nil {
 			continue
 		}
@@ -42,7 +42,7 @@ func TestGoalPrefixCutDeterministic(t *testing.T) {
 		}
 		goals = append(goals, ast.NewGroundAtom("P", ast.Int(9000), ast.Int(9000)))
 
-		prep, err := Prepare(p, Options{})
+		prep, err := Prepare(p)
 		if err != nil {
 			t.Fatalf("seed %d: prepare: %v", seed, err)
 		}

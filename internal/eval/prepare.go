@@ -192,13 +192,12 @@ type unit struct {
 // order.
 type roundSetup []*loweredRule
 
-// Prepare validates p and builds its evaluation schedule (Options carries no
-// setting): one unit per producer-first SCC group (Graph.RuleGroups),
+// Prepare validates p and builds its evaluation schedule: one unit per producer-first SCC group (Graph.RuleGroups),
 // negation or not — a stratifiable program has no negative edge inside a
 // component, so every predicate a unit negates is complete before the unit
 // runs. The program is cloned, so later mutation of p (the minimization
 // loops rewrite rules in place) cannot corrupt the prepared state.
-func Prepare(p *ast.Program, _ Options) (*Prepared, error) {
+func Prepare(p *ast.Program) (*Prepared, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}

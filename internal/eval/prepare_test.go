@@ -38,14 +38,14 @@ func TestQuickPreparedEqualsOneShot(t *testing.T) {
 			return true
 		}
 		d := workload.RandomDB(rng, p, 4, 4)
-		full, sFull, err := Eval(p, d, Options{})
+		full, sFull, err := Eval(p, d)
 		if err != nil {
 			return false
 		}
 		if want, naiveFirings := oracleEval(t, p, d); !full.Equal(want) || sFull.Firings > naiveFirings {
 			return false
 		}
-		pr, err := Prepare(p, Options{})
+		pr, err := Prepare(p)
 		if err != nil {
 			return false
 		}
@@ -91,12 +91,12 @@ func TestQuickGoalUnreachable(t *testing.T) {
 			return true
 		}
 		d := workload.RandomDB(rng, p, 4, 4)
-		full, sFull, err := Eval(p, d, Options{})
+		full, sFull, err := Eval(p, d)
 		if err != nil {
 			return false
 		}
 		goal := ast.NewGroundAtom("NoSuchPred", ast.Int(0))
-		pr, err := Prepare(p, Options{})
+		pr, err := Prepare(p)
 		if err != nil {
 			return false
 		}
@@ -120,7 +120,7 @@ func TestPreparedGoalStopsMidStratum(t *testing.T) {
 		H(x, z) :- G(x, z).`)
 	d := db.FromFacts([]ast.GroundAtom{ga("A", 1, 2)})
 	goal := ga("G", 1, 2)
-	pr, err := Prepare(p, Options{})
+	pr, err := Prepare(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestPreparedGoalAlreadyInInput(t *testing.T) {
 	p := parser.MustParseProgram(`G(x, z) :- A(x, z).`)
 	d := db.FromFacts([]ast.GroundAtom{ga("A", 1, 2), ga("G", 7, 7)})
 	goal := ga("G", 7, 7)
-	pr, err := Prepare(p, Options{})
+	pr, err := Prepare(p)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -25,11 +25,11 @@ func TestQuickMonotonicity(t *testing.T) {
 		big := small.Clone()
 		big.AddAll(workload.RandomDB(rng, p, 4, 3))
 
-		outSmall, _, err := Eval(p, small, Options{})
+		outSmall, _, err := Eval(p, small)
 		if err != nil {
 			return false
 		}
-		outBig, _, err := Eval(p, big, Options{})
+		outBig, _, err := Eval(p, big)
 		if err != nil {
 			return false
 		}
@@ -50,7 +50,7 @@ func TestQuickNaiveEqualsSemiNaive(t *testing.T) {
 			return true
 		}
 		d := workload.RandomDB(rng, p, 4, 4)
-		a, sa, err := Eval(p, d, Options{})
+		a, sa, err := Eval(p, d)
 		if err != nil {
 			return false
 		}
@@ -73,14 +73,14 @@ func TestQuickOutputIsLeastModel(t *testing.T) {
 			return true
 		}
 		d := workload.RandomDB(rng, p, 4, 3)
-		out, _, err := Eval(p, d, Options{})
+		out, _, err := Eval(p, d)
 		if err != nil {
 			return false
 		}
 		if !out.Contains(d) || !IsModel(p, out) {
 			return false
 		}
-		again, _, err := Eval(p, out, Options{})
+		again, _, err := Eval(p, out)
 		if err != nil {
 			return false
 		}
@@ -102,7 +102,7 @@ func TestQuickNonRecursiveSubsetOfFull(t *testing.T) {
 		}
 		d := workload.RandomDB(rng, p, 4, 3)
 		pn := NonRecursive(p, d)
-		full, _, err := Eval(p, d, Options{})
+		full, _, err := Eval(p, d)
 		if err != nil {
 			return false
 		}
@@ -124,7 +124,7 @@ func TestQuickPreliminaryBetweenInputAndOutput(t *testing.T) {
 		}
 		d := workload.RandomDB(rng, p, 4, 3)
 		prelim := PreliminaryDB(p, d)
-		full, _, err := Eval(p, d, Options{})
+		full, _, err := Eval(p, d)
 		if err != nil {
 			return false
 		}
@@ -151,7 +151,7 @@ func TestQuickReorderInvariance(t *testing.T) {
 			body := p.Rules[i].Body
 			rng.Shuffle(len(body), func(j, k int) { body[j], body[k] = body[k], body[j] })
 		}
-		got, _, err := Eval(p, d, Options{})
+		got, _, err := Eval(p, d)
 		return err == nil && got.Equal(want)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
@@ -170,7 +170,7 @@ func TestQuickCompiledEqualsGeneric(t *testing.T) {
 			continue
 		}
 		d := workload.RandomDB(rng, p, 4, 4)
-		if _, _, err := Eval(p, d, Options{}); err != nil {
+		if _, _, err := Eval(p, d); err != nil {
 			continue // unstratifiable
 		}
 		checkAgainstOracle(t, p, d)

@@ -50,7 +50,7 @@ func testByteIdentity(t *testing.T) {
 		}
 		input := workload.RandomDB(rng, p, 4, 4)
 		want, _ := oracleEval(t, p, input)
-		prep, err := Prepare(p, Options{})
+		prep, err := Prepare(p)
 		if err != nil {
 			t.Fatalf("seed %d: prepare: %v", seed, err)
 		}
@@ -82,7 +82,7 @@ func testTransitiveClosureIdentity(t *testing.T) {
 	p := workload.TransitiveClosure()
 	input := workload.RandomDigraph("A", 60, 150, 3)
 	want := MustEval(p, input).String()
-	prep, err := Prepare(p, Options{})
+	prep, err := Prepare(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +110,7 @@ func testGoalPrefixCut(t *testing.T) {
 			continue
 		}
 		input := workload.RandomDB(rng, p, 4, 4)
-		full, _, err := Eval(p, input, Options{})
+		full, _, err := Eval(p, input)
 		if err != nil {
 			continue
 		}
@@ -125,7 +125,7 @@ func testGoalPrefixCut(t *testing.T) {
 			goals = goals[:3]
 		}
 		goals = append(goals, ast.NewGroundAtom("P", ast.Int(9000), ast.Int(9000)))
-		prep, err := Prepare(p, Options{})
+		prep, err := Prepare(p)
 		if err != nil {
 			t.Fatalf("seed %d: prepare: %v", seed, err)
 		}
@@ -213,7 +213,7 @@ func testIncrementalRandomOracle(t *testing.T) {
 		extra := workload.RandomDB(rng, p, 4, 2)
 		full := base.Clone()
 		full.AddAll(extra)
-		want, _, err := Eval(p, full, Options{})
+		want, _, err := Eval(p, full)
 		if err != nil {
 			continue
 		}

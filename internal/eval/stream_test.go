@@ -27,7 +27,7 @@ func TestQuickStreamingEqualsMaterializing(t *testing.T) {
 			continue
 		}
 		input := workload.RandomDB(rng, p, 4, 4)
-		if _, _, err := Eval(p, input, Options{}); err != nil {
+		if _, _, err := Eval(p, input); err != nil {
 			continue // unstratifiable
 		}
 		full := checkAgainstOracle(t, p, input)
@@ -37,7 +37,7 @@ func TestQuickStreamingEqualsMaterializing(t *testing.T) {
 		if g, ok := pickDerivedGoal(input, full); ok {
 			goals = append(goals, g)
 		}
-		prep, err := Prepare(p, Options{})
+		prep, err := Prepare(p)
 		if err != nil {
 			t.Fatalf("seed %d: prepare: %v", seed, err)
 		}
@@ -68,7 +68,7 @@ func TestStreamingPlanSelection(t *testing.T) {
 	nonrec := workload.Layered(6)
 	input := workload.Chain("E", 8)
 
-	_, st, err := Eval(nonrec, input, Options{})
+	_, st, err := Eval(nonrec, input)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestStreamingPlanSelection(t *testing.T) {
 	}
 
 	tc := workload.TransitiveClosure()
-	_, st, err = Eval(tc, workload.Chain("A", 10), Options{})
+	_, st, err = Eval(tc, workload.Chain("A", 10))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestStreamingPlanSelection(t *testing.T) {
 func TestStreamingGoalEarlyStop(t *testing.T) {
 	p := workload.Layered(6)
 	input := workload.Chain("E", 8)
-	prep, err := Prepare(p, Options{})
+	prep, err := Prepare(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,7 +131,7 @@ func TestStreamingNegation(t *testing.T) {
 		ga("E", 1, 2), ga("E", 2, 2), ga("E", 3, 4), ga("S", 1), ga("S", 4),
 	})
 	checkAgainstOracle(t, p, in)
-	_, st, err := Eval(p, in, Options{})
+	_, st, err := Eval(p, in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -157,7 +157,7 @@ func TestNegationStratumSplitsIntoSCCUnits(t *testing.T) {
 		ga("Node", 1), ga("Node", 2), ga("Node", 4), ga("Node", 5),
 	})
 	checkAgainstOracle(t, p, in)
-	_, st, err := Eval(p, in, Options{})
+	_, st, err := Eval(p, in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +181,7 @@ func TestUnstratifiableErrorIsStable(t *testing.T) {
 	`)
 	const want = "depgraph: program is not stratifiable: negation through recursion between Q1 and P1"
 	for i := 0; i < 200; i++ {
-		if _, _, err := Eval(p, db.New(), Options{}); err == nil || err.Error() != want {
+		if _, _, err := Eval(p, db.New()); err == nil || err.Error() != want {
 			t.Fatalf("call %d: Eval error %v, want %q", i, err, want)
 		}
 	}
@@ -197,7 +197,7 @@ func TestStreamingNonRecursivePass(t *testing.T) {
 			continue
 		}
 		d := workload.RandomDB(rng, p, 4, 4)
-		prep, err := Prepare(p, Options{})
+		prep, err := Prepare(p)
 		if err != nil {
 			continue // unstratifiable
 		}
@@ -208,7 +208,7 @@ func TestStreamingNonRecursivePass(t *testing.T) {
 		if got := NonRecursive(p, d); !got.Equal(want) {
 			t.Fatalf("seed %d: NonRecursive differs:\n%s\nvs\n%s\nprogram:\n%s", seed, got, want, p)
 		}
-		full, _, err := Eval(p, d, Options{})
+		full, _, err := Eval(p, d)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -112,7 +112,7 @@ type Prover struct {
 // NewProver evaluates p on input (stratified semantics if negation is
 // present) and returns the reader over the result.
 func NewProver(p *ast.Program, input *db.Database) (*Prover, error) {
-	prep, err := eval.Prepare(p, eval.Options{})
+	prep, err := eval.Prepare(p)
 	if err != nil {
 		return nil, err
 	}

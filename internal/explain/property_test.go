@@ -111,7 +111,7 @@ func TestProofReadBackProperty(t *testing.T) {
 		for _, pred := range []string{"P", "R"} {
 			in.AddTuple(pred, []ast.Const{ast.Int(int64(rng.Intn(5))), ast.Int(int64(rng.Intn(5)))})
 		}
-		prep, err := eval.Prepare(p, eval.Options{})
+		prep, err := eval.Prepare(p)
 		if err != nil {
 			t.Fatalf("seed %d: %v\n%s", seed, err, p)
 		}

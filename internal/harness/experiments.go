@@ -340,8 +340,8 @@ func E5EvalSpeedup() Table {
 		{"grid 8x8", "grid-8x8", workload.Grid("A", 8, 8)},
 	} {
 		var sBloat, sOpt eval.Stats
-		cBloat := t.Timed(Op{Name: "bloated/" + e.slug, Run: func() { _, sBloat = must2(eval.Eval(bloated, e.d, eval.Options{})) }})
-		cOpt := t.Timed(Op{Name: "optimized/" + e.slug, Run: func() { _, sOpt = must2(eval.Eval(opt, e.d, eval.Options{})) }})
+		cBloat := t.Timed(Op{Name: "bloated/" + e.slug, Run: func() { _, sBloat = must2(eval.Eval(bloated, e.d)) }})
+		cOpt := t.Timed(Op{Name: "optimized/" + e.slug, Run: func() { _, sOpt = must2(eval.Eval(opt, e.d)) }})
 		t.AddRow(e.name, e.d.Len(), sBloat.Firings, sOpt.Firings, cBloat, cOpt)
 	}
 	return t
@@ -351,7 +351,7 @@ func E5EvalSpeedup() Table {
 // one-step operator Pⁿ (Section IX) to everything derived so far until it
 // yields nothing new. It returns P(d) and the number of applications.
 func NaiveFixpoint(p *ast.Program, d *db.Database) (*db.Database, int) {
-	prep := must(eval.Prepare(p, eval.Options{}))
+	prep := must(eval.Prepare(p))
 	out := d.Clone()
 	for rounds := 1; ; rounds++ {
 		before := out.Len()
@@ -379,7 +379,7 @@ func E6NaiveVsSemiNaive() Table {
 		var naiveRounds int
 		var sSemi eval.Stats
 		cNaive := t.Timed(Op{Name: "naive/" + e.slug, Run: func() { naive, naiveRounds = NaiveFixpoint(p, e.d) }})
-		cSemi := t.Timed(Op{Name: "seminaive/" + e.slug, Run: func() { semi, sSemi = must2(eval.Eval(p, e.d, eval.Options{})) }})
+		cSemi := t.Timed(Op{Name: "seminaive/" + e.slug, Run: func() { semi, sSemi = must2(eval.Eval(p, e.d)) }})
 		if !semi.Equal(naive) {
 			panic("E6: semi-naive output differs from the naive iteration")
 		}
@@ -467,7 +467,7 @@ func E8MagicComposition() Table {
 		query := ast.NewAtom("Anc", ast.IntTerm(int64(n-6)), ast.Var("y"))
 		for _, m := range []struct {
 			name, slug string
-			answer     func(*ast.Program, *db.Database, ast.Atom, eval.Options) ([][]ast.Const, magic.Stats, error)
+			answer     func(*ast.Program, *db.Database, ast.Atom) ([][]ast.Const, magic.Stats, error)
 			p          *ast.Program
 		}{
 			{"direct full eval", "direct-bloated", magic.DirectAnswer, bloated},
@@ -476,7 +476,7 @@ func E8MagicComposition() Table {
 		} {
 			var ans [][]ast.Const
 			var s magic.Stats
-			cell := t.Timed(Op{Name: fmt.Sprintf("chain-%d/%s", n, m.slug), Run: func() { ans, s = must2(m.answer(m.p, edb, query, eval.Options{})) }})
+			cell := t.Timed(Op{Name: fmt.Sprintf("chain-%d/%s", n, m.slug), Run: func() { ans, s = must2(m.answer(m.p, edb, query)) }})
 			t.AddRow(n, m.name, len(ans), s.DerivedFacts, s.Eval.Firings, cell)
 		}
 	}
@@ -534,14 +534,14 @@ func E11Engines() Table {
 		query := ast.NewAtom("Anc", ast.IntTerm(int64(n-6)), ast.Var("y"))
 		for _, e := range []struct {
 			name, slug string
-			answer     func(*ast.Program, *db.Database, ast.Atom, eval.Options) ([][]ast.Const, magic.Stats, error)
+			answer     func(*ast.Program, *db.Database, ast.Atom) ([][]ast.Const, magic.Stats, error)
 		}{
 			{"bottom-up + filter", "bottom-up-filter", magic.DirectAnswer},
 			{"magic sets", "magic", magic.Answer},
 		} {
 			var ans [][]ast.Const
 			var s magic.Stats
-			cell := t.Timed(Op{Name: e.slug + c.suffix, Run: func() { ans, s = must2(e.answer(p, edb, query, eval.Options{})) }})
+			cell := t.Timed(Op{Name: e.slug + c.suffix, Run: func() { ans, s = must2(e.answer(p, edb, query)) }})
 			t.AddRow(n, e.name, len(ans), s.DerivedFacts, cell)
 		}
 	}
@@ -558,7 +558,7 @@ func E12Incremental() Table {
 	p := workload.TransitiveClosure()
 	for _, n := range []int{32, 64} {
 		base := workload.Chain("A", n)
-		prep := must(eval.Prepare(p, eval.Options{}))
+		prep := must(eval.Prepare(p))
 		for _, c := range []struct {
 			name, slug string
 			fact       []ast.GroundAtom
@@ -567,7 +567,7 @@ func E12Incremental() Table {
 			{"chain extension", "chain-extension", []ast.GroundAtom{ga("A", int64(n+1), int64(n+2))}},
 			{"closing back-edge", "closing-back-edge", []ast.GroundAtom{ga("A", int64(n), 0)}},
 		} {
-			view, _ := must2(prep.Materialize(context.Background(), base, eval.MaintainOptions{}))
+			view, _ := must2(prep.Materialize(context.Background(), base))
 			var sInc eval.Stats
 			cell := t.Timed(Op{Name: fmt.Sprintf("chain-%d/%s/incremental", n, c.slug),
 				Reset: func() { must2(view.Apply(context.Background(), eval.Delta{Retract: c.fact})) },
@@ -577,7 +577,7 @@ func E12Incremental() Table {
 			full := base.Clone()
 			full.Add(c.fact[0])
 			var sFull eval.Stats
-			cell = t.Timed(Op{Name: fmt.Sprintf("chain-%d/%s/full-reeval", n, c.slug), Run: func() { _, sFull = must2(eval.Eval(p, full, eval.Options{})) }})
+			cell = t.Timed(Op{Name: fmt.Sprintf("chain-%d/%s/full-reeval", n, c.slug), Run: func() { _, sFull = must2(eval.Eval(p, full)) }})
 			t.AddRow(n, c.name, "full re-eval", sFull.Firings, cell)
 		}
 	}
@@ -607,7 +607,7 @@ func E14SIPS() Table {
 			var ans [][]ast.Const
 			var s magic.Stats
 			cell := t.Timed(Op{Name: fmt.Sprintf("chain-%d/%s", n, strat.name), Run: func() {
-				ans, s = must2(magic.AnswerWithOptions(p, edb, query, magic.Options{SIPS: strat.s}, eval.Options{}))
+				ans, s = must2(magic.AnswerWithOptions(p, edb, query, magic.Options{SIPS: strat.s}))
 			}})
 			t.AddRow(n, strat.name, len(ans), s.DerivedFacts, cell)
 		}

@@ -98,6 +98,14 @@ func rewrite(p *ast.Program, query ast.Atom, strategy SIPS) (*Rewritten, error) 
 	if !idb[query.Pred] {
 		return nil, fmt.Errorf("magic: query predicate %s is extensional; query the EDB directly", query.Pred)
 	}
+	for _, r := range p.Rules {
+		if r.Head.Pred == query.Pred {
+			if r.Head.Arity() != query.Arity() {
+				return nil, fmt.Errorf("magic: query %s has arity %d, but the program's %s has arity %d", query, query.Arity(), query.Pred, r.Head.Arity())
+			}
+			break
+		}
+	}
 
 	queryAd := AdornmentForQuery(query)
 	out := ast.NewProgram()
@@ -264,18 +272,18 @@ type Stats struct {
 // EDB plus the magic seed, and returns the query's answer tuples. It is the
 // end-to-end "magic set method" pipeline the paper's introduction refers
 // to.
-func Answer(p *ast.Program, edb *db.Database, query ast.Atom, opts eval.Options) ([][]ast.Const, Stats, error) {
+func Answer(p *ast.Program, edb *db.Database, query ast.Atom) ([][]ast.Const, Stats, error) {
 	rw, err := Rewrite(p, query)
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	return rw.answer(rw.seeded(edb), opts)
+	return rw.answer(rw.seeded(edb))
 }
 
 // DirectAnswer answers the query by full bottom-up evaluation followed by
 // filtering — the baseline the magic rewriting is compared against.
-func DirectAnswer(p *ast.Program, edb *db.Database, query ast.Atom, opts eval.Options) ([][]ast.Const, Stats, error) {
-	return (&Rewritten{Program: p, Query: query}).answer(edb, opts)
+func DirectAnswer(p *ast.Program, edb *db.Database, query ast.Atom) ([][]ast.Const, Stats, error) {
+	return (&Rewritten{Program: p, Query: query}).answer(edb)
 }
 
 // seeded returns the input of the rewritten program: edb plus the magic seed.
@@ -287,8 +295,8 @@ func (rw *Rewritten) seeded(edb *db.Database) *db.Database {
 
 // answer evaluates rw.Program over in and selects the tuples of rw.Query —
 // the tail every answering entry point shares.
-func (rw *Rewritten) answer(in *db.Database, opts eval.Options) ([][]ast.Const, Stats, error) {
-	out, st, err := eval.Eval(rw.Program, in, opts)
+func (rw *Rewritten) answer(in *db.Database) ([][]ast.Const, Stats, error) {
+	out, st, err := eval.Eval(rw.Program, in)
 	if err != nil {
 		return nil, Stats{}, err
 	}

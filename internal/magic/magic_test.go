@@ -3,11 +3,11 @@ package magic
 import (
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/ast"
 	"repro/internal/db"
-	"repro/internal/eval"
 	"repro/internal/parser"
 )
 
@@ -102,11 +102,11 @@ func TestMagicAnswersMatchDirectBoundQuery(t *testing.T) {
 	p := ancestor()
 	edb := chainEDB("Par", 20)
 	query := parser.MustParseAtom("Anc(3, y)")
-	magicAns, _, err := Answer(p, edb, query, eval.Options{})
+	magicAns, _, err := Answer(p, edb, query)
 	if err != nil {
 		t.Fatal(err)
 	}
-	directAns, _, err := DirectAnswer(p, edb, query, eval.Options{})
+	directAns, _, err := DirectAnswer(p, edb, query)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,11 +124,11 @@ func TestMagicDerivesFewerFacts(t *testing.T) {
 	p := ancestor()
 	edb := chainEDB("Par", 60)
 	query := parser.MustParseAtom("Anc(55, y)")
-	_, magicStats, err := Answer(p, edb, query, eval.Options{})
+	_, magicStats, err := Answer(p, edb, query)
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, directStats, err := DirectAnswer(p, edb, query, eval.Options{})
+	_, directStats, err := DirectAnswer(p, edb, query)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,11 +141,11 @@ func TestMagicFreeQueryStillCorrect(t *testing.T) {
 	p := ancestor()
 	edb := chainEDB("Par", 10)
 	query := parser.MustParseAtom("Anc(x, y)")
-	magicAns, _, err := Answer(p, edb, query, eval.Options{})
+	magicAns, _, err := Answer(p, edb, query)
 	if err != nil {
 		t.Fatal(err)
 	}
-	directAns, _, err := DirectAnswer(p, edb, query, eval.Options{})
+	directAns, _, err := DirectAnswer(p, edb, query)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,11 +170,11 @@ func TestMagicSameGeneration(t *testing.T) {
 		edb.Add(f)
 	}
 	query := parser.MustParseAtom("Sg(1, y)")
-	magicAns, _, err := Answer(p, edb, query, eval.Options{})
+	magicAns, _, err := Answer(p, edb, query)
 	if err != nil {
 		t.Fatal(err)
 	}
-	directAns, _, err := DirectAnswer(p, edb, query, eval.Options{})
+	directAns, _, err := DirectAnswer(p, edb, query)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,11 +197,11 @@ func TestMagicRandomGraphsAgree(t *testing.T) {
 		}
 		src := int64(rng.Intn(n))
 		query := ast.NewAtom("Anc", ast.IntTerm(src), ast.Var("y"))
-		magicAns, _, err := Answer(p, edb, query, eval.Options{})
+		magicAns, _, err := Answer(p, edb, query)
 		if err != nil {
 			t.Fatal(err)
 		}
-		directAns, _, err := DirectAnswer(p, edb, query, eval.Options{})
+		directAns, _, err := DirectAnswer(p, edb, query)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -215,11 +215,11 @@ func TestMagicSecondArgumentBound(t *testing.T) {
 	p := ancestor()
 	edb := chainEDB("Par", 15)
 	query := parser.MustParseAtom("Anc(x, 9)")
-	magicAns, _, err := Answer(p, edb, query, eval.Options{})
+	magicAns, _, err := Answer(p, edb, query)
 	if err != nil {
 		t.Fatal(err)
 	}
-	directAns, _, err := DirectAnswer(p, edb, query, eval.Options{})
+	directAns, _, err := DirectAnswer(p, edb, query)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,6 +239,9 @@ func TestRewriteErrors(t *testing.T) {
 	if _, err := Rewrite(unstratifiable, parser.MustParseAtom("P(x)")); err == nil {
 		t.Fatal("unstratifiable program accepted")
 	}
+	if _, err := Rewrite(parser.MustParseProgram(`A(x) :- B(x).`), parser.MustParseAtom("A(1, 2)")); err == nil || !strings.Contains(err.Error(), "arity 2") || !strings.Contains(err.Error(), "arity 1") {
+		t.Fatalf("arity-mismatched query: err = %v, want both arities named", err)
+	}
 }
 
 func TestMutuallyRecursiveAdornment(t *testing.T) {
@@ -251,11 +254,11 @@ func TestMutuallyRecursiveAdornment(t *testing.T) {
 	`)
 	edb := chainEDB("E", 12)
 	query := parser.MustParseAtom("Odd(0, y)")
-	magicAns, _, err := Answer(p, edb, query, eval.Options{})
+	magicAns, _, err := Answer(p, edb, query)
 	if err != nil {
 		t.Fatal(err)
 	}
-	directAns, _, err := DirectAnswer(p, edb, query, eval.Options{})
+	directAns, _, err := DirectAnswer(p, edb, query)
 	if err != nil {
 		t.Fatal(err)
 	}

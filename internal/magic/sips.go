@@ -3,7 +3,6 @@ package magic
 import (
 	"repro/internal/ast"
 	"repro/internal/db"
-	"repro/internal/eval"
 )
 
 // SIPS selects the sideways-information-passing strategy: the order in
@@ -81,10 +80,10 @@ func RewriteWithOptions(p *ast.Program, query ast.Atom, opts Options) (*Rewritte
 
 // AnswerWithOptions answers a query through the magic rewriting with an
 // explicit SIPS choice.
-func AnswerWithOptions(p *ast.Program, edb *db.Database, query ast.Atom, opts Options, evalOpts eval.Options) ([][]ast.Const, Stats, error) {
+func AnswerWithOptions(p *ast.Program, edb *db.Database, query ast.Atom, opts Options) ([][]ast.Const, Stats, error) {
 	rw, err := RewriteWithOptions(p, query, opts)
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	return rw.answer(rw.seeded(edb), evalOpts)
+	return rw.answer(rw.seeded(edb))
 }

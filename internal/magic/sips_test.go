@@ -21,7 +21,7 @@ func answerWith(t *testing.T, p *ast.Program, edb *db.Database, query ast.Atom, 
 	}
 	in := edb.Clone()
 	in.Add(rw.Seed)
-	out, _, err := eval.Eval(rw.Program, in, eval.Options{})
+	out, _, err := eval.Eval(rw.Program, in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,7 +52,7 @@ func TestSIPSAgreeOnAnswers(t *testing.T) {
 	query := parser.MustParseAtom("Anc(25, y)")
 	l2r, _ := answerWith(t, p, edb, query, LeftToRight)
 	bf, _ := answerWith(t, p, edb, query, BoundFirst)
-	direct, _, err := DirectAnswer(p, edb, query, eval.Options{})
+	direct, _, err := DirectAnswer(p, edb, query)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,11 +124,11 @@ func TestQuickRewriteValidAndAnswersAgree(t *testing.T) {
 		if err != nil || rw.Program.Validate() != nil {
 			return false
 		}
-		m, _, err := Answer(p, edb, query, eval.Options{})
+		m, _, err := Answer(p, edb, query)
 		if err != nil {
 			return false
 		}
-		d, _, err := DirectAnswer(p, edb, query, eval.Options{})
+		d, _, err := DirectAnswer(p, edb, query)
 		if err != nil {
 			return false
 		}

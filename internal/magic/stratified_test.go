@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/ast"
 	"repro/internal/db"
-	"repro/internal/eval"
 	"repro/internal/parser"
 )
 
@@ -37,11 +36,11 @@ func TestStratifiedMagicAgreesWithBottomUp(t *testing.T) {
 		edb := deadEDB(4+rng.Intn(6), rng)
 		for _, q := range []string{"Dead(x)", "Dead(3)"} {
 			query := parser.MustParseAtom(q)
-			got, _, err := Answer(p, edb, query, eval.Options{})
+			got, _, err := Answer(p, edb, query)
 			if err != nil {
 				t.Fatal(err)
 			}
-			want, _, err := DirectAnswer(p, edb, query, eval.Options{})
+			want, _, err := DirectAnswer(p, edb, query)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -59,11 +58,11 @@ func TestStratifiedMagicLowerStratumQuery(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	edb := deadEDB(8, rng)
 	query := parser.MustParseAtom("Reach(x)")
-	got, _, err := Answer(p, edb, query, eval.Options{})
+	got, _, err := Answer(p, edb, query)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _, err := DirectAnswer(p, edb, query, eval.Options{})
+	want, _, err := DirectAnswer(p, edb, query)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,11 +75,11 @@ func TestStratifiedMagicPureFallback(t *testing.T) {
 	p := ancestor()
 	edb := chainEDB("Par", 12)
 	query := parser.MustParseAtom("Anc(3, y)")
-	got, _, err := Answer(p, edb, query, eval.Options{})
+	got, _, err := Answer(p, edb, query)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want, _, err := Answer(p, edb, query, eval.Options{})
+	want, _, err := Answer(p, edb, query)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,7 +89,7 @@ func TestStratifiedMagicPureFallback(t *testing.T) {
 }
 
 func TestStratifiedMagicUnknownQueryPred(t *testing.T) {
-	if _, _, err := Answer(deadProgram(), db.New(), parser.MustParseAtom("Zzz(x)"), eval.Options{}); err == nil {
+	if _, _, err := Answer(deadProgram(), db.New(), parser.MustParseAtom("Zzz(x)")); err == nil {
 		t.Fatal("unknown predicate accepted")
 	}
 }

@@ -63,8 +63,8 @@ func TestStratifiedContainmentYesHolds(t *testing.T) {
 		yes++
 		for k := 0; k < dbs; k++ {
 			d := randomTwoConstantDB(rng, p1, p2)
-			out1, _, err1 := eval.Eval(p1, d, eval.Options{})
-			out2, _, err2 := eval.Eval(p2, d, eval.Options{})
+			out1, _, err1 := eval.Eval(p1, d)
+			out2, _, err2 := eval.Eval(p2, d)
 			if err1 != nil || err2 != nil {
 				t.Fatalf("seed %d: %v %v", seed, err1, err2)
 			}

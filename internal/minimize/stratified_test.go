@@ -150,11 +150,11 @@ func assertSameStratifiedSemantics(t *testing.T, p1, p2 *ast.Program, edbPreds [
 				d.AddTuple(pred, args)
 			}
 		}
-		o1, _, err := eval.Eval(p1, d, eval.Options{})
+		o1, _, err := eval.Eval(p1, d)
 		if err != nil {
 			t.Fatal(err)
 		}
-		o2, _, err := eval.Eval(p2, d, eval.Options{})
+		o2, _, err := eval.Eval(p2, d)
 		if err != nil {
 			t.Fatal(err)
 		}

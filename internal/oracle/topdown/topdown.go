@@ -100,7 +100,7 @@ func New(p *ast.Program, edb *db.Database) (*Engine, error) {
 		lower.Rules = append(lower.Rules, r.Clone())
 		materialized[r.Head.Pred] = true
 	}
-	base, _, err := eval.Eval(lower, edb, eval.Options{})
+	base, _, err := eval.Eval(lower, edb)
 	if err != nil {
 		return nil, err
 	}

@@ -81,11 +81,11 @@ func TestAgreesWithBottomUpAndMagic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		buAns, _, err := magic.DirectAnswer(p, edb, query, eval.Options{})
+		buAns, _, err := magic.DirectAnswer(p, edb, query)
 		if err != nil {
 			t.Fatal(err)
 		}
-		mAns, _, err := magic.Answer(p, edb, query, eval.Options{})
+		mAns, _, err := magic.Answer(p, edb, query)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -134,7 +134,7 @@ func TestSameGeneration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	directAns, _, err := magic.DirectAnswer(p, edb, query, eval.Options{})
+	directAns, _, err := magic.DirectAnswer(p, edb, query)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -197,7 +197,7 @@ func TestConstantsInRuleHeads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	directAns, _, err := magic.DirectAnswer(p, edb, parser.MustParseAtom("G(1, y)"), eval.Options{})
+	directAns, _, err := magic.DirectAnswer(p, edb, parser.MustParseAtom("G(1, y)"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -339,9 +339,9 @@ func TestEnginesAgreeOnRandomPrograms(t *testing.T) {
 				return ans, err
 			}
 		}
-		drop := func(f func(*ast.Program, *db.Database, ast.Atom, eval.Options) ([][]ast.Const, magic.Stats, error), p *ast.Program, q ast.Atom) func() ([][]ast.Const, error) {
+		drop := func(f func(*ast.Program, *db.Database, ast.Atom) ([][]ast.Const, magic.Stats, error), p *ast.Program, q ast.Atom) func() ([][]ast.Const, error) {
 			return func() ([][]ast.Const, error) {
-				ans, _, err := f(p, edb, q, eval.Options{})
+				ans, _, err := f(p, edb, q)
 				return ans, err
 			}
 		}
@@ -351,7 +351,7 @@ func TestEnginesAgreeOnRandomPrograms(t *testing.T) {
 			if !p.IDBPredicates()[q.Pred] {
 				continue
 			}
-			want := answers("bottom-up", p, q, func() ([][]ast.Const, error) { return eval.Query(p, edb, q, eval.Options{}) })
+			want := answers("bottom-up", p, q, func() ([][]ast.Const, error) { return eval.Query(p, edb, q) })
 			for name, f := range map[string]func() ([][]ast.Const, error){
 				"magic":  drop(magic.Answer, p, q),
 				"tabled": tabled(p, q),
@@ -375,7 +375,7 @@ func TestEnginesAgreeOnRandomPrograms(t *testing.T) {
 				ast.NewAtom("R", vars[0], ast.Var("z")), ast.NewAtom("A", ast.Var("z"), vars[1])))
 		}
 		q := randomQuery(rng, "R", domain)
-		want := answers("bottom-up", sp, q, func() ([][]ast.Const, error) { return eval.Query(sp, edb, q, eval.Options{}) })
+		want := answers("bottom-up", sp, q, func() ([][]ast.Const, error) { return eval.Query(sp, edb, q) })
 		if got := answers("stratified magic", sp, q, drop(magic.Answer, sp, q)); !sameTuples(got, want) {
 			t.Fatalf("seed %d: %v over\n%s%sstratified magic answers %v, bottom-up %v", seed, q, sp, edb, got, want)
 		}

@@ -112,7 +112,7 @@ func NewSessionIn(p *ast.Program, lin eval.Lineage) (*Session, error) {
 // prepare resolves p's plan through the lineage (a counted lookup).
 func (s *Session) prepare(p *ast.Program) (*eval.Prepared, error) {
 	return s.Prepare(p.CanonicalString(), func() (*eval.Prepared, error) {
-		return eval.Prepare(p, eval.Options{})
+		return eval.Prepare(p)
 	})
 }
 

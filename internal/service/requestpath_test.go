@@ -7,7 +7,6 @@ import (
 	"sync"
 	"testing"
 	"time"
-
 )
 
 // TestRejectedFirstRegistrationLeavesNoProgram: a name whose only

@@ -23,7 +23,7 @@ import (
 // newOracleSession prepares a program exactly as a one-shot library caller
 // would.
 func newOracleSession(p *ast.Program) (*eval.Prepared, error) {
-	return eval.Prepare(p, eval.Options{})
+	return eval.Prepare(p)
 }
 
 const authzProgram = `
