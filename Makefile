@@ -53,13 +53,16 @@ race-service:
 # race-ivm race-checks the incremental view maintenance stack: the DRed
 # maintenance engine, its randomized oracle grid, the stamp invariant its
 # support check rests on in recursive strata and the stamp-free check of
-# non-recursive ones, the scratch sets' Reset, the store's version chains
-# (dead bitmaps, shared bases, flatten: the seeded differential scripts of
-# versions_test.go, with goroutines probing frozen versions while the lineage
-# writes), the facade's View.Apply diffs (TestSessionMaterializeApply) and the
-# subscription fan-out in the service layer.
+# non-recursive ones, the support-check order memo two views share
+# (TestMaintainSharedOrderMemo), the scratch sets' Reset, the store's version
+# chains (dead bitmaps, shared bases, flatten: the seeded differential scripts
+# of versions_test.go, with goroutines probing frozen versions while the
+# lineage writes), the two seal passes (the radix canonical order and the
+# rank-renumbering flatten), the facade's View.Apply diffs
+# (TestSessionMaterializeApply) and the subscription fan-out in the service
+# layer.
 race-ivm:
-	$(GO) test -race -run 'TestMaintain|TestDRedOverdeletionIsLocal|TestMaintainedStampsCertify|TestNonRecursiveSupport|TestDeltaNet|TestReset|TestVersions|TestMutationCost|TestReadPaths|TestMaxGenerated|TestCompact|TestRemove|TestFreeze|TestSession|TestSubscri|TestFactsEnvelope' ./internal/eval ./internal/db ./internal/core ./internal/service
+	$(GO) test -race -run 'TestMaintain|TestDRedOverdeletionIsLocal|TestMaintainedStampsCertify|TestNonRecursiveSupport|TestDeltaNet|TestReset|TestVersions|TestMutationCost|TestReadPaths|TestMaxGenerated|TestCompact|TestRemove|TestFreeze|TestSession|TestSubscri|TestFactsEnvelope|TestSortedIDs|TestFlatten' ./internal/eval ./internal/db ./internal/core ./internal/service
 
 # serve-smoke boots `datalog serve` on an ephemeral port with a preloaded
 # program and drives a register/facts/eval/statz round-trip over HTTP.

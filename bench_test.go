@@ -335,15 +335,6 @@ func BenchmarkStratifiedMagic(b *testing.B) {
 	})
 }
 
-// authzProgram is the access-control program of the maintenance benches:
-// a recursive membership closure under two non-recursive strata.
-const authzProgram = `
-	Member(u, g) :- Direct(u, g).
-	Member(u, g) :- Member(u, h), Subgroup(h, g).
-	HasRole(u, r) :- Member(u, g), Grant(g, r).
-	CanRead(u, d) :- HasRole(u, r), Allows(r, d).
-`
-
 // BenchmarkMaintain_DRed measures delete-rederive on maintained views; one op
 // is a retract batch plus the batch re-asserting it, and overdeleted/op is
 // what the two over-deleted. scc-retract-reassert churns one edge of a random
@@ -351,9 +342,13 @@ const authzProgram = `
 // component has a firing through it; almost all keep an older proof);
 // chain-retract cuts a chain in the middle, where everything over-deleted
 // really goes — the support check can only cost there; authz-batch is a
-// recursive membership closure under two non-recursive strata, whose
-// deletions are over-deletions too: ≈ 244 an op, of which ≈ 65 are the
-// closure's (all there was when counting maintained the upper strata).
+// recursive membership closure (workload.Authz) under two non-recursive
+// strata, whose deletions are over-deletions too: ≈ 244 an op, of which ≈ 65
+// are the closure's (all there was when counting maintained the upper
+// strata). authz-grants is one op a batch of ivm-churn's authorization
+// stream at its sizes (workload.AuthzChurn: four toggles, a grant or an ACL
+// change in one toggle of four, each fanning out to thousands of CanRead
+// changes), the stream followed by its inverse so the view cycles.
 func BenchmarkMaintain_DRed(b *testing.B) {
 	rltc := workload.TransitiveClosureLinear()
 	edge := func(pred string, x, y int64) ast.GroundAtom {
@@ -368,7 +363,7 @@ func BenchmarkMaintain_DRed(b *testing.B) {
 		}
 	}
 	const chain = 600
-	authz := parser.MustParseProgram(authzProgram)
+	authz := workload.Authz()
 	rng := rand.New(rand.NewSource(11))
 	org := db.New()
 	var orgChurn []ast.GroundAtom // memberships and subgroup links, alternating
@@ -389,15 +384,37 @@ func BenchmarkMaintain_DRed(b *testing.B) {
 			org.Add(edge("Allows", 2000+r, 3000+rng.Int63n(60)))
 		}
 	}
+	// retractReassert is one op per fact: its retraction, then its return.
+	retractReassert := func(facts ...ast.GroundAtom) [][]eval.Delta {
+		ops := make([][]eval.Delta, len(facts))
+		for i := range facts {
+			f := facts[i : i+1]
+			ops[i] = []eval.Delta{{Retract: f}, {Assert: f}}
+		}
+		return ops
+	}
+	grantSizes := workload.AuthzSizes{Users: 2000, Groups: 48, Roles: 16, Docs: 240, DocsPerRole: 12}
+	grantTenant := workload.AuthzTenant(rand.New(rand.NewSource(11)), grantSizes)
+	stream := workload.AuthzChurn(rand.New(rand.NewSource(12)), grantTenant, grantSizes, 400)
+	// The stream, then each batch's inverse in reverse order: the view cycles.
+	var grantOps [][]eval.Delta
+	for i := range 2 * len(stream) {
+		bt := stream[i%len(stream)]
+		if i >= len(stream) {
+			bt = stream[2*len(stream)-1-i].Inverse()
+		}
+		grantOps = append(grantOps, []eval.Delta{{Assert: bt.Assert, Retract: bt.Retract}})
+	}
 	for _, arm := range []struct {
-		name  string
-		p     *ast.Program
-		edb   *db.Database
-		batch []ast.GroundAtom // op i retracts and re-asserts batch[i%len(batch)]
+		name string
+		p    *ast.Program
+		edb  *db.Database
+		ops  [][]eval.Delta // op i applies ops[i%len(ops)]
 	}{
-		{"scc-retract-reassert", rltc, scc, churn},
-		{"chain-retract", rltc, workload.Chain("A", chain), []ast.GroundAtom{edge("A", chain/2, chain/2+1)}},
-		{"authz-batch", authz, org, orgChurn},
+		{"scc-retract-reassert", rltc, scc, retractReassert(churn...)},
+		{"chain-retract", rltc, workload.Chain("A", chain), retractReassert(edge("A", chain/2, chain/2+1))},
+		{"authz-batch", authz, org, retractReassert(orgChurn...)},
+		{"authz-grants", authz, grantTenant, grantOps},
 	} {
 		b.Run(arm.name, func(b *testing.B) {
 			pr, err := eval.Prepare(arm.p)
@@ -412,8 +429,7 @@ func BenchmarkMaintain_DRed(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				f := arm.batch[i%len(arm.batch) : i%len(arm.batch)+1]
-				for _, delta := range []eval.Delta{{Retract: f}, {Assert: f}} {
+				for _, delta := range arm.ops[i%len(arm.ops)] {
 					_, stats, err := m.Apply(context.Background(), delta)
 					if err != nil {
 						b.Fatal(err)
@@ -441,34 +457,14 @@ func BenchmarkSmallTenantEvalVsApply(b *testing.B) {
 	edge := func(pred string, x, y int64) ast.GroundAtom {
 		return ast.NewGroundAtom(pred, ast.Int(x), ast.Int(y))
 	}
-	rng := rand.New(rand.NewSource(5))
-	const users, groups, roles, docs = 20, 5, 4, 16
-	authz := db.New()
-	for u := int64(0); u < users; u++ {
-		for k := 0; k <= rng.Intn(2); k++ {
-			authz.Add(edge("Direct", 100000+u, 1000+rng.Int63n(groups)))
-		}
-	}
-	for g := int64(1); g < groups; g++ {
-		authz.Add(edge("Subgroup", 1000+g, 1000+(g-1)/3))
-	}
-	for g := int64(0); g < groups; g++ {
-		for k := 0; k <= rng.Intn(2); k++ {
-			authz.Add(edge("Grant", 1000+g, 2000+rng.Int63n(roles)))
-		}
-	}
-	for r := int64(0); r < roles; r++ {
-		for k := 0; k < 4; k++ {
-			authz.Add(edge("Allows", 2000+r, 10000+rng.Int63n(docs)))
-		}
-	}
+	authz := workload.AuthzTenant(rand.New(rand.NewSource(5)), workload.AuthzSizes{Users: 20, Groups: 5, Roles: 4, Docs: 16, DocsPerRole: 4})
 	// present is a membership of the tenant, absent one it lacks.
 	present := ast.NewGroundAtom("Direct", authz.Relation("Direct").Tuple(0)...)
 	absent := edge("Direct", 100000, 1000)
 	for g := int64(1001); authz.Has(absent); g++ {
 		absent = edge("Direct", 100000, g)
 	}
-	smallTenantArms(b, "", authzProgram, authz, present, absent)
+	smallTenantArms(b, "", workload.Authz(), authz, present, absent)
 
 	const nodes = 20
 	reach := workload.RandomDigraph("Edge", nodes, 28, 5)
@@ -480,18 +476,18 @@ func BenchmarkSmallTenantEvalVsApply(b *testing.B) {
 	for y := int64(1); reach.Has(absent); y++ {
 		absent = edge("Edge", 0, y)
 	}
-	smallTenantArms(b, "reach-", `
+	smallTenantArms(b, "reach-", parser.MustParseProgram(`
 	Reach(x, y) :- Edge(x, y).
 	Reach(x, y) :- Edge(x, z), Reach(z, y).
 	Hot(x) :- Reach(x, y), Sink(y).
-`, reach, present, absent)
+`), reach, present, absent)
 }
 
 // smallTenantArms runs BenchmarkSmallTenantEvalVsApply's eval and apply arms
 // of one tenant: present is a fact of tenant, absent one it lacks.
-func smallTenantArms(b *testing.B, prefix, src string, tenant *db.Database, present, absent ast.GroundAtom) {
+func smallTenantArms(b *testing.B, prefix string, p *ast.Program, tenant *db.Database, present, absent ast.GroundAtom) {
 	ctx := context.Background()
-	sess, err := core.NewSession(parser.MustParseProgram(src))
+	sess, err := core.NewSession(p)
 	if err != nil {
 		b.Fatal(err)
 	}

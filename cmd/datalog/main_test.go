@@ -77,6 +77,16 @@ func TestQueryCommand(t *testing.T) {
 	if strings.Contains(out, "G(2, 3)") {
 		t.Fatalf("query not filtered:\n%s", out)
 	}
+	// A query whose arity contradicts the program is an error (exit 1), not an
+	// empty answer; a predicate nothing uses still answers empty.
+	bad := writeFile(t, "f.dl", "A(x) :- B(x). B(1).\n")
+	var sb strings.Builder
+	if err := run([]string{"query", bad, "A(1,2)"}, &sb); !errors.Is(err, eval.ErrArity) {
+		t.Fatalf("query A(1,2) over A/1: err = %v, want an error wrapping eval.ErrArity\n%s", err, sb.String())
+	}
+	if out := runCLI(t, "query", bad, "Nope(1, 2)"); out != "" {
+		t.Fatalf("query of an unknown predicate printed %q", out)
+	}
 }
 
 func TestMinimizeCommand(t *testing.T) {

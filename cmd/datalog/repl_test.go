@@ -120,6 +120,23 @@ func TestReplErrorsKeepSessionAlive(t *testing.T) {
 	}
 }
 
+// TestReplQueryArityMismatch: a query whose arity contradicts the program is
+// an error, not "0 answer(s)", and the session goes on.
+func TestReplQueryArityMismatch(t *testing.T) {
+	out := runREPL(t,
+		"A(x) :- B(x). B(1).",
+		"?- A(1,2).",
+		"?- A(x).",
+		":quit",
+	)
+	if !strings.Contains(out, "error: eval: arity mismatch") || strings.Contains(out, "0 answer(s)") {
+		t.Fatalf("arity mismatch not reported:\n%s", out)
+	}
+	if !strings.Contains(out, "1 answer(s)") {
+		t.Fatalf("session died after the error:\n%s", out)
+	}
+}
+
 func TestReplHelpAndEOF(t *testing.T) {
 	var sb strings.Builder
 	// EOF without :quit exits cleanly.

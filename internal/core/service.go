@@ -115,8 +115,13 @@ func (s *Session) EvalWith(ctx context.Context, input *Database, maxDerived int)
 }
 
 // Query evaluates under ctx and filters: the tuples of the query atom's
-// relation that match its constants. Safe for concurrent callers.
+// relation that match its constants. A query whose arity contradicts the
+// program or the input is an error wrapping eval.ErrArity, returned before
+// anything is evaluated. Safe for concurrent callers.
 func (s *Session) Query(ctx context.Context, input *Database, query Atom) ([][]Const, EvalStats, error) {
+	if err := s.prep.CheckAtom(input, query.Pred, len(query.Args)); err != nil {
+		return nil, EvalStats{}, err
+	}
 	out, st, err := s.Eval(ctx, input)
 	if err != nil {
 		return nil, st, err

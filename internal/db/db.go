@@ -6,7 +6,6 @@
 package db
 
 import (
-	"slices"
 	"sort"
 	"strings"
 
@@ -256,7 +255,11 @@ func (d *Database) Facts() []ast.GroundAtom {
 
 // SortedIDs appends to buf the ids of r's live tuples in canonical order —
 // ascending by arguments, compared constant by constant — and returns it.
-// The sort moves ids and compares in the arena: no tuple is materialized.
+// It is an LSD radix sort on keys extracted from the arena: columns last to
+// first, each a stable counting pass per key byte that varies among the ids
+// (a batch of small constants sorts in a pass or two a column). A key is the
+// constant with its sign bit flipped, so unsigned byte order is the signed
+// order of ast.Const. No tuple is materialized.
 func (r *Relation) SortedIDs(buf []int32) []int32 {
 	buf = buf[:0]
 	for i := 0; i < r.Len(); i++ {
@@ -264,10 +267,40 @@ func (r *Relation) SortedIDs(buf []int32) []int32 {
 			buf = append(buf, int32(i))
 		}
 	}
-	slices.SortFunc(buf, func(a, b int32) int {
-		return slices.Compare(r.Tuple(int(a)), r.Tuple(int(b)))
-	})
-	return buf
+	n := len(buf)
+	if n < 2 {
+		return buf
+	}
+	keys := make([]uint64, 2*n)
+	src, dst := buf, make([]int32, n)
+	ks, kd := keys[:n], keys[n:]
+	for col := r.arity - 1; col >= 0; col-- {
+		var varies uint64 // the key bits that differ from the first id's
+		for i, id := range src {
+			ks[i] = uint64(r.Tuple(int(id))[col]) ^ 1<<63
+			varies |= ks[i] ^ ks[0]
+		}
+		for shift := uint(0); varies>>shift != 0; shift += 8 {
+			if varies>>shift&0xff == 0 {
+				continue
+			}
+			var at [256]int
+			for _, k := range ks {
+				at[k>>shift&0xff]++
+			}
+			sum := 0
+			for b, c := range at {
+				at[b], sum = sum, sum+c
+			}
+			for i, k := range ks {
+				j := &at[k>>shift&0xff]
+				dst[*j], kd[*j] = src[i], k
+				*j++
+			}
+			src, dst, ks, kd = dst, src, kd, ks
+		}
+	}
+	return append(buf[:0], src...)
 }
 
 // SortedFacts returns every ground atom in canonical order: by predicate

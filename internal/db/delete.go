@@ -1,6 +1,10 @@
 package db
 
-import "repro/internal/ast"
+import (
+	"math/bits"
+
+	"repro/internal/ast"
+)
 
 // Fact-level deletion for incremental view maintenance (internal/eval's
 // Maintained views).
@@ -55,8 +59,12 @@ func (r *Relation) remove(id int32) {
 func (r *Relation) Dead() int { return r.ndead }
 
 // flatten rebuilds the relation as one flat segment holding the live tuples
-// in id order, renumbered densely: round stamps keep their values (dropping
-// elements preserves the non-decreasing order), and the dedup table and every column index either tier had are built
+// in id order, renumbered densely: a live id's new id is the id less the dead
+// ids below it (rank), so nothing of the relation's size is allocated beyond
+// one count per bitmap word. Each maximal run of live ids within one stamp
+// run is one copy of the arena; round stamps keep their values (dropping
+// elements preserves the non-decreasing order). The dedup table is refilled
+// from the old tables' words and every column index either tier had is built
 // afresh. The relation must be private. It returns the number of tuples
 // copied.
 func (r *Relation) flatten() int {
@@ -66,33 +74,41 @@ func (r *Relation) flatten() int {
 	live := r.Live()
 	data := make([]ast.Const, 0, live*r.arity)
 	var runs []run
-	tiers := [2]*segment{r.base, &r.seg}
-	// renum[id] is live id's new id: id less the dead ids below it. The
-	// stamps are copied run by run; a run of dead ids leaves nothing, and the
-	// base's last run merges with the tail's first when their rounds agree.
-	renum := make([]int32, r.Len())
 	nid := int32(0)
+	tiers := [2]*segment{r.base, &r.seg}
+	// The stamps are copied run by run; a run of dead ids leaves nothing, and
+	// the base's last run merges with the tail's first when their rounds agree.
 	for _, s := range tiers {
 		if s == nil {
 			continue
 		}
 		for k, ru := range s.runs {
-			end := int32(s.n)
+			end := int(s.off) + s.n
 			if k+1 < len(s.runs) {
-				end = s.runs[k+1].first
+				end = int(s.off + s.runs[k+1].first)
 			}
-			for id := s.off + ru.first; id < s.off+end; id++ {
-				if !r.Alive(int(id)) {
-					continue
-				}
+			for lo := r.firstAlive(int(s.off+ru.first), end, true); lo < end; {
+				hi := r.firstAlive(lo, end, false)
 				if n := len(runs); n == 0 || runs[n-1].round != ru.round {
 					runs = append(runs, run{nid, ru.round})
 				}
-				renum[id] = nid
-				data = append(data, s.tuple(int(id))...)
-				nid++
+				data = append(data, s.data[(lo-int(s.off))*r.arity:(hi-int(s.off))*r.arity]...)
+				nid += int32(hi - lo)
+				lo = r.firstAlive(hi, end, true)
 			}
 		}
+	}
+	// rank[w] is the number of dead ids in the bitmap words below w.
+	rank := make([]int32, len(r.dead))
+	for w := 1; w < len(r.dead); w++ {
+		rank[w] = rank[w-1] + int32(bits.OnesCount64(r.dead[w-1]))
+	}
+	renum := func(id int32) int32 {
+		if r.dead == nil {
+			return id
+		}
+		below := r.dead[id>>6] & (1<<(uint(id)&63) - 1)
+		return id - rank[id>>6] - int32(bits.OnesCount64(below))
 	}
 	// The dedup table is refilled from the old ones in slot order, base then
 	// tail: a word keeps its tag under the renumbered id, and a walk by slot
@@ -113,7 +129,7 @@ func (r *Relation) flatten() int {
 				continue
 			}
 			// Live tuples are pairwise distinct: the first free slot is the tuple's.
-			nw := slotWord(w, renum[slotID(w)])
+			nw := slotWord(w, renum(slotID(w)))
 			dedup[place(dedup, nw)] = nw
 		}
 		if set := s.indexes.Load(); set != nil {
@@ -131,6 +147,28 @@ func (r *Relation) flatten() int {
 	}
 	r.dead, r.ndead = nil, 0
 	return live
+}
+
+// firstAlive returns the first id in [i, end) whose Alive is alive, or end if
+// there is none: a scan of the dead bitmap a word at a time.
+func (r *Relation) firstAlive(i, end int, alive bool) int {
+	if r.dead == nil {
+		if alive {
+			return min(i, end)
+		}
+		return end
+	}
+	for i < end {
+		w := r.dead[i>>6]
+		if alive {
+			w = ^w
+		}
+		if w >>= uint(i) & 63; w != 0 {
+			return min(i+bits.TrailingZeros64(w), end)
+		}
+		i = (i | 63) + 1
+	}
+	return end
 }
 
 // writable returns pred's relation ready for a write: a relation shared with

@@ -132,11 +132,12 @@ func IsModel(p *ast.Program, d *db.Database) bool {
 
 // Query evaluates p on input and returns the tuples of the result matching
 // the query atom's pattern (constants filter; variables project). Tuples are
-// returned in the result database's deterministic fact order.
+// returned in the result database's deterministic fact order. A query whose
+// arity contradicts p or input is an error wrapping ErrArity.
 func Query(p *ast.Program, input *db.Database, query ast.Atom) ([][]ast.Const, error) {
-	out, _, err := Eval(p, input)
+	pr, err := Prepare(p)
 	if err != nil {
 		return nil, err
 	}
-	return db.Select(out, query), nil
+	return pr.Query(input, query)
 }

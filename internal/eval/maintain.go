@@ -48,7 +48,9 @@ import (
 // is found by the variant led by each changed atom it uses; every sink
 // records heads in a set, so a firing found twice counts once. The variants
 // are lowered once per schedule unit (maintPlan) and shared by every view of
-// the plan. Sinks only buffer — over-deleted, restored and staged facts land
+// the plan; the head-led ones the support check and restore run are ordered
+// per Apply from the view's live sizes, each order lowered once per plan
+// (ruleVariants.sizedRederive). Sinks only buffer — over-deleted, restored and staged facts land
 // in scratch sets and are committed after the run — so no pipeline reads a
 // database being written.
 //
@@ -182,8 +184,23 @@ type ruleVariants struct {
 	pos   []*streamPlan // pos[i]: body atom i leads
 	neg   []*streamPlan // neg[k]: negated literal k leads, as a positive atom
 	// rederive leads with the rule's own head: over a set of deleted facts
-	// it derives the ones the rule still supports.
+	// it derives the ones the rule still supports. It is in the static join
+	// order, on the shared slot numbering: the one proof read-back
+	// (Prepared.Firings) runs, so the proofs it reports do not depend on the
+	// sizes a view had when it last changed.
 	rederive *streamPlan
+	// sized is the same head-led rule (its body is the head, then the rule's
+	// body) memoized per join order: the support check and restore run it in
+	// the order a view's live sizes induce (sizedRederive), so the selective
+	// atom is probed first.
+	sized *ruleMemo
+}
+
+// sizedRederive returns the rule's rederive variant in the join order that
+// sizeOf induces, lowering it on the order's first use. Every view of the
+// plan shares the memo; its lock makes that safe.
+func (rv *ruleVariants) sizedRederive(sizeOf func(pred string) int) *streamPlan {
+	return rv.sized.under(orderPermSized(rv.sized.rule.Body, 0, sizeOf), false).plan
 }
 
 // maintPlan returns the unit's maintenance plan, lowering it on first use;
@@ -205,7 +222,8 @@ func (u *unit) maintPlan() *maintPlan {
 				return lowerRule(ast.Rule{Head: r.Head, Body: body, NegBody: r.NegBody}, vars, 0, false)
 			}
 			ahead := func(a ast.Atom) []ast.Atom { return append([]ast.Atom{a}, r.Body...) }
-			rv := ruleVariants{nVars: len(vars), rederive: ledBy(ahead(r.Head), 0)}
+			rv := ruleVariants{nVars: len(vars), rederive: ledBy(ahead(r.Head), 0),
+				sized: &ruleMemo{rule: ast.Rule{Head: r.Head, Body: ahead(r.Head), NegBody: r.NegBody}}}
 			for i := range r.Body {
 				rv.pos = append(rv.pos, ledBy(r.Body, i))
 			}
@@ -418,6 +436,24 @@ func (m *Maintained) dredUnit(ctx context.Context, mu *maintUnit, st *streamStat
 			cand.Add(g)
 		}
 	}
+	// rederive is rule ri's rederive variant to run over src, nil when src
+	// holds no fact of the rule's head: in the order the view's live sizes
+	// induce, chosen at its first use in this Apply. The head binds every
+	// column, so the order decides which body atom its bindings probe first.
+	var sized []*streamPlan
+	rederive := func(ri int, src *db.Database) *streamPlan {
+		rv := &mp.rules[ri]
+		if rel := src.Relation(rv.sized.rule.Head.Pred); rel == nil || rel.Live() == 0 {
+			return nil
+		}
+		if sized == nil {
+			sized = make([]*streamPlan, len(mp.rules))
+		}
+		if sized[ri] == nil {
+			sized[ri] = rv.sizedRederive(mu.u.liveSizes(cur, true))
+		}
+		return sized[ri]
+	}
 	// supported is the check, the sink of a rederive variant sp run over the
 	// candidates: ok gains the heads with a firing over facts of cur that was
 	// valid in old too and, in a recursive unit, whose premises are all stamped
@@ -452,8 +488,9 @@ func (m *Maintained) dredUnit(ctx context.Context, mu *maintUnit, st *streamStat
 			cand.AddTuple(pred, args)
 		})
 		for ri := range mp.rules {
-			sp = mp.rules[ri].rederive
-			runChange(sp, cur, cand, st, stats, supported)
+			if sp = rederive(ri, cand); sp != nil {
+				runChange(sp, cur, cand, st, stats, supported)
+			}
 		}
 		frontier.Reset() // the next pass's: what this one deletes
 		eachFact(cand, func(pred string, rel *db.Relation, id int32) {
@@ -482,7 +519,9 @@ func (m *Maintained) dredUnit(ctx context.Context, mu *maintUnit, st *streamStat
 	if !nonrec {
 		restored := m.scratch(1)
 		for ri := range mp.rules {
-			runChange(mp.rules[ri].rederive, cur, deleted, st, stats, &nonrecSink{out: restored})
+			if rd := rederive(ri, deleted); rd != nil {
+				runChange(rd, cur, deleted, st, stats, &nonrecSink{out: restored})
+			}
 		}
 		stats.Rederived += restored.Len()
 		cur.BeginRound()

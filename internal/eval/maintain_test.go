@@ -639,6 +639,124 @@ func TestMaintainViewsSharePlans(t *testing.T) {
 	}
 }
 
+// unitOf returns the schedule unit of pr whose heads include pred.
+func unitOf(pr *Prepared, pred string) *unit {
+	for _, u := range pr.units {
+		if u.dynamic[pred] {
+			return u
+		}
+	}
+	return nil
+}
+
+// TestMaintainSharedOrderMemo: two views of one plan, over tenants whose live
+// sizes order CanRead's support check differently (Allows the smaller
+// relation in one, HasRole in the other), apply their own streams at the same
+// time. Both orders land in the one memo the views share, and each view
+// equals a from-scratch evaluation after every batch.
+func TestMaintainSharedOrderMemo(t *testing.T) {
+	ctx := context.Background()
+	pr, err := Prepare(workload.Authz())
+	if err != nil {
+		t.Fatal(err)
+	}
+	type lane struct {
+		m       *Maintained
+		batches []workload.Batch
+	}
+	var lanes []lane
+	for i, sz := range []workload.AuthzSizes{
+		{Users: 300, Groups: 12, Roles: 6, Docs: 40, DocsPerRole: 3},
+		{Users: 10, Groups: 6, Roles: 4, Docs: 400, DocsPerRole: 100},
+	} {
+		tenant := workload.AuthzTenant(rand.New(rand.NewSource(int64(i+1))), sz)
+		m, _, err := pr.Materialize(ctx, tenant)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lanes = append(lanes, lane{m, workload.AuthzChurn(rand.New(rand.NewSource(int64(i+7))), tenant, sz, 40)})
+	}
+	done := make(chan struct{})
+	for i, l := range lanes {
+		go func() {
+			defer func() { done <- struct{}{} }()
+			for k, b := range l.batches {
+				if _, _, err := l.m.Apply(ctx, Delta{Assert: b.Assert, Retract: b.Retract}); err != nil {
+					t.Errorf("view %d, batch %d: %v", i, k, err)
+					return
+				}
+				if want, _, err := pr.Eval(l.m.Input()); err != nil || !want.Equal(l.m.Output()) {
+					t.Errorf("view %d, batch %d: maintained output differs from a from-scratch evaluation (err %v)", i, k, err)
+					return
+				}
+			}
+		}()
+	}
+	for range lanes {
+		<-done
+	}
+	memo := unitOf(pr, "CanRead").maintPlan().rules[0].sized
+	var leads []string
+	for _, lr := range memo.lowered {
+		leads = append(leads, lr.plan.ops[1].pred)
+	}
+	if !slices.Contains(leads, "Allows") || !slices.Contains(leads, "HasRole") {
+		t.Fatalf("the shared memo holds support-check orders probing %v first, want both Allows and HasRole", leads)
+	}
+}
+
+// TestMaintainFiringsKeepStaticOrder: the support check runs a size-ordered
+// rederive variant, proof read-back the static one. CanRead(1, 100) has three
+// firings, which HasRole's insertion order lists 20, 21, 22 and Allows's 22,
+// 21, 20; Allows is the smaller relation, so an Apply lowers the order that
+// probes it first — and Prepared.Firings enumerates the same sequence, in the
+// same slot order, before and after.
+func TestMaintainFiringsKeepStaticOrder(t *testing.T) {
+	in := db.New()
+	for u := int64(1); u <= 40; u++ {
+		in.Add(ga("Direct", u, 10))
+	}
+	for _, r := range []int64{20, 21, 22} {
+		in.Add(ga("Grant", 10, r))
+	}
+	for _, r := range []int64{22, 21, 20} {
+		in.Add(ga("Allows", r, 100))
+	}
+	pr, err := Prepare(workload.Authz())
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, _, err := pr.Materialize(context.Background(), in)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fact := ga("CanRead", 1, 100)
+	firings := func(out *db.Database) string {
+		var sb strings.Builder
+		var st Stats
+		pr.Firings(out, fact, out.Round(), &st, func(rule int, vals []ast.Const) bool {
+			fmt.Fprintf(&sb, "%d%v ", rule, vals)
+			return true
+		})
+		return sb.String()
+	}
+	before := m.Output()
+	want := firings(before)
+	if want != "3[1 20 100] 3[1 21 100] 3[1 22 100] " {
+		t.Fatalf("static read-back order %q", want)
+	}
+	applyOrFatal(t, m, Delta{Retract: []ast.GroundAtom{ga("Direct", 2, 10)}})
+	rv := unitOf(pr, "CanRead").maintPlan().rules[0]
+	if len(rv.sized.lowered) != 1 || rv.sized.lowered[0].plan.ops[1].pred != "Allows" || rv.rederive.ops[1].pred != "HasRole" {
+		t.Fatal("the Apply did not lower a support-check order probing Allows before HasRole")
+	}
+	for name, out := range map[string]*db.Database{"old output": before, "new output": m.Output()} {
+		if got := firings(out); got != want {
+			t.Fatalf("%s: read-back after the Apply %q, before %q", name, got, want)
+		}
+	}
+}
+
 // predSchema collects the predicates of a program with their arities, split
 // into extensional-or-any (all preds) for mutation sampling.
 func predSchema(p *ast.Program) (preds []string, arity map[string]int) {

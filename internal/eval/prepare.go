@@ -313,6 +313,11 @@ func (pr *Prepared) RunMasked(ctx context.Context, input *db.Database, goal *ast
 	if err := pr.checkInput(input); err != nil {
 		return nil, false, stats, err
 	}
+	if goal != nil {
+		if err := pr.CheckAtom(input, goal.Pred, len(goal.Args)); err != nil {
+			return nil, false, stats, err
+		}
+	}
 	d := input.Clone()
 	if goal != nil && d.Has(*goal) {
 		return d, true, stats, nil
@@ -344,9 +349,29 @@ func (pr *Prepared) checkInput(input *db.Database) error {
 	return nil
 }
 
+// CheckAtom is where a query or goal atom meets the plan: it rejects pred at
+// arity, before anything is evaluated, with an error wrapping ErrArity when
+// the program or input uses pred at another arity. A predicate neither knows
+// passes — its answer is empty.
+func (pr *Prepared) CheckAtom(input *db.Database, pred string, arity int) error {
+	for _, pa := range pr.arities {
+		if pa.pred == pred && pa.arity != arity {
+			return fmt.Errorf("%w: %s/%d, the program uses %s/%d", ErrArity, pred, arity, pred, pa.arity)
+		}
+	}
+	if rel := input.Relation(pred); rel != nil && rel.Arity() != arity {
+		return fmt.Errorf("%w: %s/%d, input relation %s has arity %d", ErrArity, pred, arity, pred, rel.Arity())
+	}
+	return nil
+}
+
 // Query evaluates the prepared program on input and returns the tuples
-// matching the query atom, like the package-level Query.
+// matching the query atom, like the package-level Query. A query whose arity
+// contradicts the program or the input is rejected first (CheckAtom).
 func (pr *Prepared) Query(input *db.Database, query ast.Atom) ([][]ast.Const, error) {
+	if err := pr.CheckAtom(input, query.Pred, len(query.Args)); err != nil {
+		return nil, err
+	}
 	out, _, err := pr.Eval(input)
 	if err != nil {
 		return nil, err

@@ -221,6 +221,9 @@ func (s *Server) verbEval(ctx context.Context, e *programEntry, req *struct {
 		if atom, err = e.parseAtom(req.Query); err != nil {
 			return nil, err
 		}
+		if err = pv.session.Prepared().CheckAtom(snap.DB(), atom.Pred, len(atom.Args)); err != nil {
+			return nil, err
+		}
 	}
 	// A snapshot the tenant has already evaluated is answered from that
 	// output, and st stays zero: stats are the work this request ran. Whatever

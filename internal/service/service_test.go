@@ -589,6 +589,21 @@ func TestServeArityMismatch(t *testing.T) {
 		t.Fatalf("eval after cross-half batch: %d %v", code, resp)
 	}
 
+	// A query or goal atom contradicting the program (T/2) or the input (E/2)
+	// is a 400 before any evaluation; a predicate neither knows answers empty.
+	for path, body := range map[string]map[string]any{
+		"/v1/programs/p/eval":    {"tenant": "t", "query": "T(1, 2, 3)"},
+		"/v1/programs/p/explain": {"tenant": "t", "fact": "E(1, 2, 3)"},
+	} {
+		code, resp := post(t, ts, path, body)
+		if code != 400 || resp["error"] != "arity_mismatch" {
+			t.Fatalf("%s %v: %d %v, want 400 arity_mismatch", path, body, code, resp)
+		}
+	}
+	if code, resp := post(t, ts, "/v1/programs/p/eval", map[string]any{"tenant": "t", "query": "Nope(1, 2, 3)"}); code != 200 || len(resp["rows"].([]any)) != 0 {
+		t.Fatalf("query of an unknown predicate: %d %v, want 200 with no rows", code, resp)
+	}
+
 	// T/3 loads fine (the tenant has no T yet) but contradicts the head T/2.
 	if code, resp := post(t, ts, "/v1/programs/p/facts", map[string]any{"tenant": "u", "assert": "T(1,2,3). E(1,2)."}); code != 200 {
 		t.Fatalf("facts: %d %v", code, resp)
