@@ -10,7 +10,7 @@ BENCHTIME ?= 0.3s
 # staticcheck pin for lint-ci; bump deliberately, not implicitly.
 STATICCHECK_VERSION ?= 2025.1
 
-.PHONY: all build vet datalog-vet test fuzz-short race race-service race-ivm serve-smoke bench bench-all experiments examples guard-one-join guard-ctx-arg guard-no-batch-compact guard-delta-first guard-request-path guard-one-unfold guard-no-ablation-arm guard-no-transfer guard-one-plan guard-one-maintenance guard-one-graph guard-one-magic guard-one-cache guard-one-minimize guard-one-clock guard-no-empty-options lint lint-ci clean
+.PHONY: all build vet datalog-vet test fuzz-short race race-service race-ivm serve-smoke bench bench-all experiments examples guard-one-join guard-ctx-arg guard-no-batch-compact guard-delta-first guard-request-path guard-one-unfold guard-no-ablation-arm guard-no-transfer guard-one-plan guard-one-maintenance guard-one-graph guard-one-magic guard-one-cache guard-one-minimize guard-one-clock guard-no-empty-options guard-one-facade lint lint-ci clean
 
 all: build vet test
 
@@ -90,8 +90,8 @@ experiments:
 # file outside it may import it, and internal/db exports no matcher for a
 # second join to grow back on. Inside the packages that once joined through
 # ast.Binding maps, a Binding may only report a result the kernel found:
-# internal/eval never names one, and the tgd, preservation and constraint
-# code never matches into one (MatchGround / Unify).
+# internal/eval never names one, and the tgd (violation checks included) and
+# preservation code never matches into one (MatchGround / Unify).
 ONE_JOIN_ROOTS = ./cmd/... ./examples/... ./internal/core ./internal/service ./internal/harness
 guard-one-join:
 	@if $(GO) list -deps $(ONE_JOIN_ROOTS) | grep '^repro/internal/oracle'; then \
@@ -107,7 +107,7 @@ guard-one-join:
 	@if grep -nE 'ast\.Binding|MustGround' internal/eval/*.go | grep -v '_test\.go:'; then \
 		echo "internal/eval: binding-map join outside tests (make guard-one-join)" >&2; exit 1; \
 	fi
-	@if grep -nE 'MatchGround|\.Unify\(' internal/chase/*.go internal/preserve/*.go internal/constraint/*.go | grep -v '_test\.go:'; then \
+	@if grep -nE 'MatchGround|\.Unify\(' internal/chase/*.go internal/preserve/*.go | grep -v '_test\.go:'; then \
 		echo "a join through an ast.Binding outside tests (make guard-one-join): lower the conjunction with eval.LowerConj" >&2; exit 1; \
 	fi
 
@@ -389,10 +389,30 @@ guard-no-empty-options:
 		echo "eval.Options or eval.MaintainOptions is back (make guard-no-empty-options): evaluation and maintenance have no setting" >&2; exit 1; \
 	fi
 
+# guard-one-facade keeps internal/core a facade of what its callers call:
+# every exported function declared in its non-test files is called as
+# core.<Name>( and every exported method as .<Name>( from a Go file outside
+# the package — the binaries, the server, the examples, the benchmark or the
+# root tests. A name only core's own tests reach forwards nothing; delete it
+# and let callers import the package that does the work.
+FACADE_SRC = $(filter-out %_test.go,$(wildcard internal/core/*.go))
+FACADE_CALLERS = bench examples cmd internal/service $(wildcard *_test.go)
+guard-one-facade:
+	@fail=0; \
+	for n in $$(sed -nE 's/^func ([A-Z][A-Za-z0-9_]*)[[(].*/\1/p' $(FACADE_SRC)); do \
+		grep -rqE --include='*.go' "\bcore\.$$n\(" $(FACADE_CALLERS) || { \
+			echo "internal/core: nothing outside the package calls core.$$n (make guard-one-facade): delete it, callers import the package behind it" >&2; fail=1; }; \
+	done; \
+	for n in $$(sed -nE 's/^func \([^)]*\) ([A-Z][A-Za-z0-9_]*)[[(].*/\1/p' $(FACADE_SRC)); do \
+		grep -rqE --include='*.go' "\.$$n\(" $(FACADE_CALLERS) || { \
+			echo "internal/core: nothing outside the package calls method $$n (make guard-one-facade): delete it" >&2; fail=1; }; \
+	done; \
+	exit $$fail
+
 # lint runs the guards and go vet always, and staticcheck when the binary is
 # on PATH (the dev container does not bake it in; lint-ci installs the pinned
 # version).
-lint: guard-one-join guard-ctx-arg guard-no-batch-compact guard-delta-first guard-request-path guard-one-unfold guard-no-ablation-arm guard-no-transfer guard-one-plan guard-one-maintenance guard-one-graph guard-one-magic guard-one-cache guard-one-minimize guard-one-clock guard-no-empty-options
+lint: guard-one-join guard-ctx-arg guard-no-batch-compact guard-delta-first guard-request-path guard-one-unfold guard-no-ablation-arm guard-no-transfer guard-one-plan guard-one-maintenance guard-one-graph guard-one-magic guard-one-cache guard-one-minimize guard-one-clock guard-no-empty-options guard-one-facade
 	$(GO) vet ./...
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		staticcheck ./...; \

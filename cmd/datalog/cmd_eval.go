@@ -4,7 +4,7 @@ import (
 	"fmt"
 
 	"repro/internal/ast"
-	"repro/internal/constraint"
+	"repro/internal/chase"
 	"repro/internal/db"
 	"repro/internal/eval"
 	"repro/internal/parser"
@@ -68,7 +68,7 @@ func (c *cli) cmdCheck(rest []string) error {
 	if err != nil {
 		return err
 	}
-	violations := constraint.Violations(outDB, res.TGDs, 20)
+	violations := chase.Violations(outDB, res.TGDs, 20)
 	if len(violations) == 0 {
 		fmt.Fprintln(c.out, "all constraints satisfied")
 		return nil

@@ -165,6 +165,21 @@ Unreach(x) :- Node(x), !Reach(x), !Reach(x).
 	}
 }
 
+// TestOptimizeStratified: `optimize` takes a program with stratified
+// negation — the Section XI pass, which needs pure Datalog, is skipped —
+// while `equivopt`, an explicit request for that pass, still refuses it.
+func TestOptimizeStratified(t *testing.T) {
+	f := writeFile(t, "neg.dl", "A(x) :- B(x), !C(x).\nC(x) :- D(x).\n")
+	out := runCLI(t, "optimize", f, "A(x)")
+	if want := "C(x) :- D(x).\nA@f(x) :- m@A@f(), B(x), !C(x).\n% removed 0 rules, 0 atoms; seed m@A@f(); query A@f(x)\n"; out != want {
+		t.Fatalf("optimize output:\n%s\nwant:\n%s", out, want)
+	}
+	var sb strings.Builder
+	if err := run([]string{"equivopt", f}, &sb); err == nil || !strings.Contains(err.Error(), "pure Datalog required") {
+		t.Fatalf("equivopt on negation: err = %v, want the pure-Datalog refusal", err)
+	}
+}
+
 func TestPreserveCommand(t *testing.T) {
 	f := writeFile(t, "pres.dl", `
 G(x, z) :- A(x, z).

@@ -297,7 +297,7 @@ func encodeNegation(p *ast.Program) (*ast.Program, error) {
 		for _, atoms := range r.Atoms() {
 			for _, a := range atoms {
 				if strings.HasPrefix(a.Pred, negPrefix) {
-					return nil, fmt.Errorf("minimize: predicate %s collides with the negation encoding", a.Pred)
+					return nil, fmt.Errorf("chase: predicate %s collides with the negation encoding", a.Pred)
 				}
 			}
 		}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"repro/internal/ast"
@@ -152,5 +153,20 @@ func TestExactTestsRefuseNegation(t *testing.T) {
 		if !errors.Is(err, ErrNegation) {
 			t.Errorf("entry point %d: err = %v, want ErrNegation", i+1, err)
 		}
+	}
+}
+
+// TestNegationEncodingCollision: a program with negation whose own predicate
+// carries the encoding's prefix — only a Go-built program can spell one, the
+// parser refuses '@' — is refused by NewChecker, which names the predicate.
+func TestNegationEncodingCollision(t *testing.T) {
+	p := ast.NewProgram(ast.Rule{
+		Head:    ast.NewAtom("A", ast.Var("x")),
+		Body:    []ast.Atom{ast.NewAtom(negPrefix+"Q", ast.Var("x"))},
+		NegBody: []ast.Atom{ast.NewAtom("C", ast.Var("x"))},
+	})
+	_, err := NewChecker(p)
+	if err == nil || !strings.HasPrefix(err.Error(), "chase: ") || !strings.Contains(err.Error(), negPrefix+"Q") {
+		t.Fatalf("NewChecker = %v, want a chase: error naming %sQ", err, negPrefix)
 	}
 }

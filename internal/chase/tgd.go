@@ -2,6 +2,8 @@ package chase
 
 import (
 	"context"
+	"fmt"
+	"strings"
 
 	"repro/internal/ast"
 	"repro/internal/db"
@@ -80,6 +82,48 @@ func (ts *TGDs) EachViolation(ctx context.Context, d *db.Database, st *eval.Stat
 		}
 	}
 	return true, nil
+}
+
+// Violation is one witnessed failure of a tgd in a database (Example 9): the
+// instantiation of its left-hand side for which no right-hand-side extension
+// exists.
+type Violation struct {
+	// TGD is the violated dependency.
+	TGD ast.TGD
+	// LHS is the instantiated left-hand side.
+	LHS []ast.GroundAtom
+	// Binding is the universal-variable instantiation θ.
+	Binding ast.Binding
+}
+
+// String renders the violation.
+func (v Violation) String() string {
+	parts := make([]string, len(v.LHS))
+	for i, g := range v.LHS {
+		parts[i] = g.String()
+	}
+	return fmt.Sprintf("%s violated at %s", v.TGD, strings.Join(parts, ", "))
+}
+
+// Violations returns every violation of the tgds in d, up to max (0 means
+// unlimited). Violations of the same tgd with different instantiations are
+// reported separately.
+func Violations(d *db.Database, tgds []ast.TGD, max int) []Violation {
+	var out []Violation
+	// A standalone check belongs to no lineage: its join counts are dropped.
+	LowerTGDs(tgds).EachViolation(context.Background(), d, new(eval.Stats), func(t int, vals []ast.Const) bool {
+		theta := make(ast.Binding, len(vals))
+		for i, v := range tgds[t].UniversalVars() {
+			theta[v] = vals[i]
+		}
+		lhs, err := ast.GroundAtoms(tgds[t].Lhs, theta)
+		if err != nil {
+			return true // unreachable: the match bound every variable
+		}
+		out = append(out, Violation{TGD: tgds[t].Clone(), LHS: lhs, Binding: theta})
+		return max <= 0 || len(out) < max
+	})
+	return out
 }
 
 func (ts *TGDs) satisfies(d *db.Database, st *eval.Stats) bool {

@@ -1,11 +1,10 @@
-package constraint
+package chase
 
 import (
 	"strings"
 	"testing"
 
 	"repro/internal/ast"
-	"repro/internal/chase"
 	"repro/internal/db"
 	"repro/internal/eval"
 	"repro/internal/parser"
@@ -67,38 +66,21 @@ func TestViolationsLimit(t *testing.T) {
 	}
 }
 
-func TestRepairFullTgd(t *testing.T) {
-	d := db.FromFacts([]ast.GroundAtom{ga("A", 1, 2), ga("A", 2, 3)})
-	sym := parser.MustParseTGD("A(x, y) -> A(y, x).")
-	res, err := Repair(d.Clone(), []ast.TGD{sym}, chase.Budget{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Complete {
-		t.Fatal("full-tgd repair did not complete")
-	}
-	if !Satisfies(res.DB, []ast.TGD{sym}) {
-		t.Fatal("repair left violations")
-	}
-	if !res.DB.Has(ga("A", 2, 1)) || !res.DB.Has(ga("A", 3, 2)) {
-		t.Fatalf("repair missing symmetric edges: %v", res.DB)
-	}
-}
-
-func TestRepairEmbeddedTgdAddsNulls(t *testing.T) {
-	// Terminating embedded tgd: every employee needs SOME manager record,
-	// but managers need nothing further — one null per employee suffices.
+// TestApplyTerminatingEmbeddedTgd: every employee needs SOME manager record,
+// but managers need nothing further — one null per employee completes the
+// pure-tgd chase, and the result satisfies the tgd.
+func TestApplyTerminatingEmbeddedTgd(t *testing.T) {
 	d := db.FromFacts([]ast.GroundAtom{ga("Emp", 7), ga("Emp", 8)})
 	works := parser.MustParseTGD("Emp(x) -> WorksFor(x, m).")
-	res, err := Repair(d.Clone(), []ast.TGD{works}, chase.Budget{})
+	res, err := Apply(ast.NewProgram(), []ast.TGD{works}, d, Budget{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.Complete {
-		t.Fatalf("embedded repair did not complete:\n%v", res.DB)
+		t.Fatalf("embedded chase did not complete:\n%v", res.DB)
 	}
 	if !Satisfies(res.DB, []ast.TGD{works}) {
-		t.Fatal("repair left violations")
+		t.Fatal("chase left violations")
 	}
 	foundNull := false
 	for _, f := range res.DB.Facts() {
@@ -108,21 +90,6 @@ func TestRepairEmbeddedTgdAddsNulls(t *testing.T) {
 	}
 	if !foundNull {
 		t.Fatalf("no null manager invented:\n%v", res.DB)
-	}
-}
-
-func TestRepairDivergingTgdHitsBudget(t *testing.T) {
-	// Emp(x) → WorksFor(x,m) ∧ Emp(m) forces an infinite manager chain:
-	// each invented null manager is itself an Emp and re-fires the tgd.
-	// The restricted chase cannot terminate; the budget must cut it off.
-	d := db.FromFacts([]ast.GroundAtom{ga("Emp", 7)})
-	works := parser.MustParseTGD("Emp(x) -> WorksFor(x, m), Emp(m).")
-	res, err := Repair(d.Clone(), []ast.TGD{works}, chase.Budget{MaxAtoms: 60, MaxRounds: 60})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Complete {
-		t.Fatalf("diverging repair reported complete:\n%v", res.DB)
 	}
 }
 

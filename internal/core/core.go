@@ -1,17 +1,18 @@
-// Package core is the public facade of the library: one import giving
-// access to the paper's contributions and every substrate they stand on.
+// Package core is the facade the binaries, the server, the examples and the
+// benchmark call: it forwards the entry points they use, and nothing else.
+// Callers still import the packages behind it (ast, db, chase, eval, …) for
+// everything the facade does not name; a name no caller outside the package
+// uses has no place here (make guard-one-facade).
 //
 // The library reproduces Yehoshua Sagiv, "Optimizing Datalog Programs"
 // (PODS 1987):
 //
-//   - Parse / ParseProgram / ParseTGD — the concrete Datalog syntax.
-//   - PrepareEval / Eval / NonRecursive / PreliminaryDB — bottom-up
-//     computation (Section III) and the auxiliary operators of
-//     Sections IX–X; PrepareEval caches a program's evaluation plan for
-//     repeated use.
-//   - NewContainmentChecker / UniformlyContains / UniformlyEquivalent —
-//     the decidable containment test of Section VI, as a reusable session
-//     or one-shot.
+//   - Parse / ParseProgram / ParseTGD / ParseLoose — the concrete Datalog
+//     syntax.
+//   - PrepareEval / Eval — bottom-up computation (Section III);
+//     PrepareEval caches a program's evaluation plan for repeated use.
+//   - NewContainmentChecker / UniformlyEquivalent — the decidable
+//     containment test of Section VI, as a reusable session or one-shot.
 //   - MinimizeRule / MinimizeProgram — the Figs. 1–2 minimization under
 //     uniform equivalence (Section VII), for pure and stratified programs
 //     alike.
@@ -21,9 +22,12 @@
 //     condition (3′) of Sections IX–X, at any unfolding depth.
 //   - EquivOptimize — the Section XI optimization under plain equivalence.
 //   - MagicRewrite / MagicAnswer — the magic-sets evaluation method the
-//     optimizations compose with.
-//   - Analyze / AnalyzeProgram — the multi-pass static analyzer behind
-//     `datalog vet` (safety, stratifiability, redundancy, tgd sanity).
+//     optimizations compose with; OptimizeForQuery composes them all.
+//   - Analyze / ClassifyTGDs — the multi-pass static analyzer behind
+//     `datalog vet` (safety, stratifiability, redundancy, tgd sanity) and
+//     the chase-termination ladder.
+//   - NewSession — a long-lived handle over one program version: its plan
+//     plus one lazily built containment checker (service.go).
 //
 // A minimal session:
 //
@@ -47,13 +51,11 @@ import (
 	"repro/internal/depgraph"
 	"repro/internal/equivopt"
 	"repro/internal/eval"
-	"repro/internal/explain"
 	"repro/internal/magic"
 	"repro/internal/minimize"
 	"repro/internal/parser"
 	"repro/internal/preserve"
 	"repro/internal/rewrite"
-	"repro/internal/unfold"
 )
 
 // Re-exported core types.
@@ -98,11 +100,6 @@ type (
 	// dependence-graph schedule, compiled rules and index plans are cached
 	// and every Prepared.Eval reuses them.
 	Prepared = eval.Prepared
-	// PreserveSession is a preservation-checking session over a fixed
-	// program, caching the prepared program and per-depth unfoldings. A
-	// weakened program gets a session of its own, which finds the plans
-	// both programs share by content address.
-	PreserveSession = preserve.Session
 	// PreserveOptions configures one preservation check (depth and chase
 	// budget) — the consolidated form of the former
 	// PreservesNonRecursively/…AtDepth entry-point pairs.
@@ -110,16 +107,6 @@ type (
 	// Diagnostic is one static-analysis finding: a stable code, a severity,
 	// a source position and a message (internal/analysis).
 	Diagnostic = analysis.Diagnostic
-	// DiagnosticRelatedPos points a diagnostic at a second source location.
-	DiagnosticRelatedPos = analysis.RelatedPos
-	// DiagnosticSeverity classifies a finding (Info / Warning / Error).
-	DiagnosticSeverity = analysis.Severity
-	// AnalysisPass is one static analysis over a shared fact context.
-	AnalysisPass = analysis.Pass
-	// TerminationClass is where a tgd set sits on the chase-termination
-	// ladder (weakly acyclic ⊂ jointly acyclic terminate; sticky and
-	// weakly sticky have decidable query answering but unbounded chases).
-	TerminationClass = depgraph.TerminationClass
 	// TGDClassification is the full termination analysis of a rule + tgd
 	// set: class, witnesses for the failed checks, and position ranks.
 	TGDClassification = depgraph.Classification
@@ -168,10 +155,6 @@ func ParseLoose(src string) (*ParseResult, error) { return parser.ParseLoose(src
 // diagnostics in source order. Pair it with ParseLoose so ill-formed
 // programs are diagnosed rather than rejected at parse time.
 func Analyze(res *ParseResult) []Diagnostic { return analysis.Analyze(res) }
-
-// AnalyzeProgram analyzes a programmatically built program (no facts or
-// tgds; diagnostics carry no positions).
-func AnalyzeProgram(p *Program) []Diagnostic { return analysis.AnalyzeProgram(p) }
 
 // AnalysisHasErrors reports whether any diagnostic has Error severity —
 // the condition under which `datalog vet` exits nonzero.
@@ -228,33 +211,13 @@ func PlanCacheStats() eval.CacheStats {
 // frozen bodies and memoized verdicts across calls;
 // Checker.ContainsRuleMasked tests against P₁ minus some of its rules on the
 // same plan. The test is exact, so a p1 with negation is refused with
-// chase.ErrNegation (StratifiedUniformlyContains is the conservative test).
+// chase.ErrNegation (chase.NewChecker decides it conservatively).
 func NewContainmentChecker(p1 *Program) (ContainmentChecker, error) {
 	if p1.HasNegation() {
 		return ContainmentChecker{}, chase.ErrNegation
 	}
 	ck, err := chase.NewChecker(p1)
 	return ContainmentChecker{ck}, err
-}
-
-// NewPreserveSession opens a preservation-checking session over p for
-// repeated Check / CheckPreliminary tests against different tgd sets.
-func NewPreserveSession(p *Program) (*PreserveSession, error) { return preserve.NewSession(p) }
-
-// NonRecursive computes Pⁿ(d), the one-step application of Section IX.
-func NonRecursive(p *Program, d *Database) *Database { return eval.NonRecursive(p, d) }
-
-// PreliminaryDB computes the preliminary DB ⟨d, Pⁱ(d)⟩ of Section X.
-func PreliminaryDB(p *Program, edb *Database) *Database { return eval.PreliminaryDB(p, edb) }
-
-// IsModel reports whether d is a model of p (Section IV).
-func IsModel(p *Program, d *Database) bool { return eval.IsModel(p, d) }
-
-// UniformlyContains decides P₂ ⊑ᵘ P₁ (Section VI); the int is the index of
-// the first offending rule of p2 on failure, -1 on success. Negation on
-// either side is refused with chase.ErrNegation.
-func UniformlyContains(p1, p2 *Program) (bool, int, error) {
-	return chase.UniformlyContains(p1, p2)
 }
 
 // UniformlyEquivalent decides P₁ ≡ᵘ P₂ (Section VI).
@@ -319,33 +282,6 @@ func DirectAnswer(p *Program, edb *Database, query Atom, _ EvalOptions) ([][]Con
 	return magic.DirectAnswer(p, edb, query)
 }
 
-// --- Extensions beyond the paper's core (see DESIGN.md S16–S21) -----------
-
-// UniformlyContainsRuleCertified is UniformlyContainsRule returning a
-// machine-checkable derivation certificate on success.
-func UniformlyContainsRuleCertified(p *Program, r Rule) (bool, *chase.Certificate, *explain.Derivation, error) {
-	return chase.UniformlyContainsRuleCertified(p, r)
-}
-
-// UnfoldToDepth expresses k rounds of p as a non-recursive EDB-bodied
-// program (Section X's remark; internal/unfold).
-func UnfoldToDepth(p *Program, k, maxRules int) (unfold.Result, error) {
-	return unfold.ToDepth(p, k, maxRules)
-}
-
-// NewProver evaluates p on input and returns the provenance reader over the
-// result: Prover.Explain for derivation trees, Prover.Justifications /
-// TotalJustifications / CountProofs for derivation counting. A server
-// explaining one fact goes through Session.Explain instead.
-func NewProver(p *Program, input *Database) (*explain.Prover, error) {
-	return explain.NewProver(p, input)
-}
-
-// UnfoldRuleAtom applies single-step rule unfolding (internal/rewrite).
-func UnfoldRuleAtom(p *Program, ruleIdx, atomIdx int) (*Program, error) {
-	return rewrite.UnfoldAtom(p, ruleIdx, atomIdx)
-}
-
 // RemoveUnreachable prunes rules that cannot contribute to queryPred.
 func RemoveUnreachable(p *Program, queryPred string) *Program {
 	return rewrite.RemoveUnreachable(p, queryPred)
@@ -395,7 +331,9 @@ type PipelineResult struct {
 // query: unfounded/unreachable pruning, Fig. 2 minimization, the
 // Section XI equivalence optimization, and the magic-sets rewriting — the
 // composition the paper's introduction motivates ("removing redundant
-// parts can only speed up the [magic set] computation").
+// parts can only speed up the [magic set] computation"). Every pass but
+// Section XI's takes stratified negation; on a program with a negated
+// literal that pass is skipped, not refused.
 func OptimizeForQuery(p *Program, query Atom, opts PipelineOptions) (*PipelineResult, error) {
 	cur := p.Clone()
 	res := &PipelineResult{}
@@ -415,7 +353,7 @@ func OptimizeForQuery(p *Program, query Atom, opts PipelineOptions) (*PipelineRe
 		res.RulesRemoved += trace.RulesRemoved()
 		res.AtomsRemoved += trace.AtomsRemoved()
 	}
-	if opts.EquivOpt {
+	if opts.EquivOpt && !cur.HasNegation() {
 		opt, removals, err := equivopt.Optimize(context.Background(), cur, equivopt.Options{})
 		if err != nil {
 			return nil, err
@@ -436,12 +374,4 @@ func OptimizeForQuery(p *Program, query Atom, opts PipelineOptions) (*PipelineRe
 	}
 	res.Program = cur
 	return res, nil
-}
-
-// StratifiedUniformlyContains is the conservative stratified-negation
-// extension of UniformlyContains (Section XII direction; see
-// internal/chase for the encoding and its soundness argument): Yes or
-// Unknown, never No.
-func StratifiedUniformlyContains(p1, p2 *Program) (Verdict, int, error) {
-	return chase.StratifiedUniformlyContains(p1, p2)
 }

@@ -2,9 +2,14 @@ package core
 
 import (
 	"context"
+	"fmt"
+	"math/rand"
+	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/ast"
+	"repro/internal/db"
 )
 
 // TestEndToEndPipeline exercises the whole facade on the paper's running
@@ -91,7 +96,11 @@ func TestFacadeUniformContainment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ok, _, err := UniformlyContains(p1, p2)
+	ck, err := NewContainmentChecker(p1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ok, _, err := ck.Contains(context.Background(), p2)
 	if err != nil || !ok {
 		t.Fatalf("containment: %v %v", ok, err)
 	}
@@ -131,44 +140,6 @@ func TestFacadeChaseAndPreservation(t *testing.T) {
 	}
 }
 
-func TestFacadeEvalHelpers(t *testing.T) {
-	res, err := Parse(`
-		G(x, z) :- A(x, z).
-		G(x, z) :- G(x, y), G(y, z).
-		A(1, 2). A(2, 3).
-	`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	edb := FromFacts(res.Facts)
-	prelim := PreliminaryDB(res.Program, edb)
-	if prelim.Len() != 4 {
-		t.Fatalf("preliminary DB: %v", prelim)
-	}
-	pn := NonRecursive(res.Program, prelim)
-	if !pn.Has(ast.NewGroundAtom("G", ast.Int(1), ast.Int(3))) {
-		t.Fatalf("Pⁿ: %v", pn)
-	}
-	out, _, err := Eval(res.Program, edb, EvalOptions{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !IsModel(res.Program, out) {
-		t.Fatal("output not a model")
-	}
-	rw, err := MagicRewrite(res.Program, ast.NewAtom("G", ast.IntTerm(1), ast.Var("y")))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rw.Query.Pred != "G@bf" {
-		t.Fatalf("magic rewrite: %v", rw.Query)
-	}
-	db2 := NewDatabase()
-	if db2.Len() != 0 {
-		t.Fatal("NewDatabase not empty")
-	}
-}
-
 func TestFacadeExtensions(t *testing.T) {
 	p, err := ParseProgram(`
 		G(x, z) :- A(x, z).
@@ -188,26 +159,19 @@ func TestFacadeExtensions(t *testing.T) {
 	if len(reach.Rules) != 2 {
 		t.Fatalf("RemoveUnreachable: %v", reach)
 	}
-	unf, err := UnfoldRuleAtom(pruned, 1, 1)
+	rw, err := MagicRewrite(pruned, ast.NewAtom("G", ast.IntTerm(1), ast.Var("y")))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(unf.Rules) != 3 {
-		t.Fatalf("UnfoldRuleAtom: %v", unf)
+	if rw.Query.Pred != "G@bf" {
+		t.Fatalf("magic rewrite: %v", rw.Query)
 	}
 
-	res, err := UnfoldToDepth(pruned, 2, 0)
-	if err != nil || !res.Complete {
-		t.Fatalf("UnfoldToDepth: %v %v", res, err)
-	}
-
-	ok, cert, deriv, err := UniformlyContainsRuleCertified(pruned, unf.Rules[1])
-	if err != nil || !ok || cert == nil || deriv == nil {
-		t.Fatalf("certified containment: %v %v", ok, err)
-	}
-
-	// Maintained view + prover round trip.
+	// Maintained view round trip.
 	edb := NewDatabase()
+	if edb.Len() != 0 {
+		t.Fatal("NewDatabase not empty")
+	}
 	edb.AddTuple("A", []Const{1, 2})
 	sess, err := NewSession(pruned)
 	if err != nil {
@@ -222,13 +186,6 @@ func TestFacadeExtensions(t *testing.T) {
 	}
 	if out2 := view.Output(); !out2.Has(GroundAtom{Pred: "G", Args: []Const{1, 3}}) {
 		t.Fatalf("view missed G(1,3): %v", out2)
-	}
-	prover, err := NewProver(pruned, edb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, okp := prover.Explain(GroundAtom{Pred: "G", Args: []Const{1, 2}}); !okp {
-		t.Fatal("prover failed")
 	}
 }
 
@@ -331,6 +288,68 @@ func TestOptimizeForQuery(t *testing.T) {
 	if res3.Rewritten != nil || res3.Program == p || res3.Program.String() != p.String() || res3.RulesRemoved != 0 || res3.AtomsRemoved != 0 {
 		t.Fatalf("zero-option pipeline: %+v\n%v", res3, res3.Program)
 	}
+}
+
+// TestOptimizeForQueryStratified: the pipeline takes a program with
+// stratified negation. Pruning, Fig. 2 and the magic rewrite run on it, the
+// Section XI pass is skipped, and the rewritten program evaluated with its
+// seed answers like direct evaluation on random EDBs.
+func TestOptimizeForQueryStratified(t *testing.T) {
+	p, err := ParseProgram(`
+		Reach(x, y) :- E(x, y).
+		Reach(x, z) :- Reach(x, y), E(y, z), E(y, w).
+		Blocked(x) :- Bad(x).
+		Safe(x, y) :- Reach(x, y), !Blocked(y).
+		Junk(x) :- Nope(x, y).
+	`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(7))
+	for _, query := range []Atom{
+		ast.NewAtom("Safe", ast.IntTerm(1), ast.Var("y")),
+		ast.NewAtom("Safe", ast.Var("x"), ast.Var("y")),
+	} {
+		res, err := OptimizeForQuery(p, query, DefaultPipeline())
+		if err != nil {
+			t.Fatalf("%v: %v", query, err)
+		}
+		if res.RulesRemoved != 1 || res.AtomsRemoved != 1 || res.Rewritten == nil {
+			t.Fatalf("%v: removed %d rules, %d atoms; rewritten %v", query, res.RulesRemoved, res.AtomsRemoved, res.Rewritten != nil)
+		}
+		for trial := 0; trial < 24; trial++ {
+			edb := NewDatabase()
+			for i := 0; i < 10; i++ {
+				edb.AddTuple("E", []Const{ast.Int(rng.Int63n(6)), ast.Int(rng.Int63n(6))})
+			}
+			for i := 0; i < 2; i++ {
+				edb.AddTuple("Bad", []Const{ast.Int(rng.Int63n(6))})
+			}
+			in := edb.Clone()
+			in.Add(res.Rewritten.Seed)
+			out, _, err := Eval(res.Program, in, EvalOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			direct, _, err := DirectAnswer(p, edb, query, EvalOptions{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got, want := answerKey(db.Select(out, res.Rewritten.Query)), answerKey(direct); got != want {
+				t.Fatalf("%v trial %d: pipeline answers %s, direct %s\nEDB %v", query, trial, got, want, edb)
+			}
+		}
+	}
+}
+
+// answerKey renders answer tuples as one sorted string.
+func answerKey(rows [][]Const) string {
+	out := make([]string, len(rows))
+	for i, row := range rows {
+		out[i] = fmt.Sprint(row)
+	}
+	sort.Strings(out)
+	return strings.Join(out, " ")
 }
 
 func TestFacadeStratifiedMagic(t *testing.T) {

@@ -49,10 +49,10 @@ func ExampleMinimizeRule() {
 	// removed: A(w, y)
 }
 
-// ExampleUniformlyContains reproduces Example 6: the right-linear
+// ExampleNewContainmentChecker reproduces Example 6: the right-linear
 // transitive closure is uniformly contained in the doubled one, but not
 // conversely.
-func ExampleUniformlyContains() {
+func ExampleNewContainmentChecker() {
 	p1, _ := core.ParseProgram(`
 		G(x, z) :- A(x, z).
 		G(x, z) :- G(x, y), G(y, z).
@@ -61,9 +61,11 @@ func ExampleUniformlyContains() {
 		G(x, z) :- A(x, z).
 		G(x, z) :- A(x, y), G(y, z).
 	`)
-	ok, _, _ := core.UniformlyContains(p1, p2)
+	ck1, _ := core.NewContainmentChecker(p1)
+	ok, _, _ := ck1.Contains(context.Background(), p2)
 	fmt.Println("P2 ⊑ᵘ P1:", ok)
-	ok, witness, _ := core.UniformlyContains(p2, p1)
+	ck2, _ := core.NewContainmentChecker(p2)
+	ok, witness, _ := ck2.Contains(context.Background(), p1)
 	fmt.Println("P1 ⊑ᵘ P2:", ok, "— failing rule index:", witness)
 	// Output:
 	// P2 ⊑ᵘ P1: true
@@ -109,8 +111,7 @@ func ExampleMagicAnswer() {
 }
 
 // ExamplePreserveCheck runs the Fig. 3 preservation procedure and the
-// condition (3′) preliminary-DB test through the consolidated entry points,
-// then opens a session on the program the Example 18 weakening leaves.
+// condition (3′) preliminary-DB test through the consolidated entry points.
 func ExamplePreserveCheck() {
 	p, _ := core.ParseProgram(`
 		G(x, z) :- A(x, z).
@@ -119,18 +120,9 @@ func ExamplePreserveCheck() {
 	tgd, _ := core.ParseTGD("G(y, z) -> A(y, w).")
 	v, _, _ := core.PreserveCheck(p, []core.TGD{tgd}, core.PreserveOptions{})
 	fmt.Println("preserves non-recursively:", v)
-
-	s, _ := core.NewPreserveSession(p)
-	v, _, _ = s.CheckPreliminary(context.Background(), []core.TGD{tgd}, core.PreserveOptions{Depth: 2})
+	v, _, _ = core.PreserveCheckPreliminary(p, []core.TGD{tgd}, core.PreserveOptions{Depth: 2})
 	fmt.Println("preliminary DB satisfies at depth 2:", v)
-
-	// Accepting the deletion the tgd justifies yields a one-rule weakening,
-	// a new program with a session of its own.
-	ws, _ := core.NewPreserveSession(p.ReplaceRule(1, p.Rules[1].WithoutBodyAtom(2)))
-	v, _, _ = ws.Check(context.Background(), []core.TGD{tgd}, core.PreserveOptions{})
-	fmt.Println("weakened program preserves:", v)
 	// Output:
 	// preserves non-recursively: yes
 	// preliminary DB satisfies at depth 2: yes
-	// weakened program preserves: yes
 }

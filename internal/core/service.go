@@ -9,21 +9,19 @@ import (
 	"repro/internal/eval"
 	"repro/internal/explain"
 	"repro/internal/minimize"
-	"repro/internal/preserve"
 )
 
 // This file is the session-oriented service layer of the facade: long-lived
 // handles over program versions, built for servers that answer many requests
-// against the same programs. A Session bundles the three per-program caches
-// the library maintains — the prepared evaluation plan, the
-// uniform-containment checker and the preservation session — behind one
-// concurrency contract:
+// against the same programs. A Session bundles the prepared evaluation plan
+// and one lazily built uniform-containment checker behind one concurrency
+// contract:
 //
-//   - Eval / EvalWith / Query / Explain are safe for any number of concurrent
-//     callers (the Prepared plan is immutable);
-//   - Minimize / ContainsRule / Contains / Preserve / PreservePreliminary
-//     serialize on the session mutex (checkers and preservation sessions
-//     are single-threaded state machines);
+//   - Eval / EvalWith / Query / Explain / Minimize are safe for any number
+//     of concurrent callers (the Prepared plan is immutable; Minimize builds
+//     its own checkers);
+//   - Contains serializes on the session mutex (a checker is a
+//     single-threaded state machine);
 //   - Compare takes the two sessions' mutexes strictly sequentially (one
 //     direction at a time, never nested), so any set of sessions can be
 //     cross-compared from any number of goroutines without lock-order
@@ -33,10 +31,6 @@ import (
 // cancelled request returns an error wrapping eval.ErrCanceled and never
 // publishes partial verdicts into the shared plan/verdict stores.
 
-// Snapshot is a frozen, immutable version of a database: readers may probe
-// and index it lock-free, writers stage successors via Thaw (copy-on-write).
-type Snapshot = db.Snapshot
-
 // VerdictStoreStats is a point-in-time snapshot of the process-wide verdict
 // store's size and hit counters.
 type VerdictStoreStats = chase.StoreStats
@@ -45,18 +39,8 @@ type VerdictStoreStats = chase.StoreStats
 // concurrently with running sessions.
 func VerdictStats() VerdictStoreStats { return chase.VerdictStoreStats() }
 
-// ErrCanceled is the sentinel wrapped by every cancellation error the
-// service layer returns; errors.Is(err, ErrCanceled) also implies
-// errors.Is against the context's own cause (context.DeadlineExceeded or
-// context.Canceled).
-var ErrCanceled = eval.ErrCanceled
-
-// ErrBudget is the sentinel returned when an evaluation exhausts its
-// MaxDerived budget.
-var ErrBudget = eval.ErrBudget
-
 // Session is a long-lived handle over one program version: the prepared
-// evaluation plan plus lazily built containment and preservation sessions.
+// evaluation plan plus one lazily built containment checker.
 // The plan comes from the process-wide plan cache, so sessions over
 // canonically equal programs share it, while each session keeps its caller's
 // program. See the file comment for the concurrency contract.
@@ -64,13 +48,11 @@ type Session struct {
 	prog *Program
 	prep *Prepared
 
-	mu sync.Mutex // serializes the single-threaded checker/preserve state
+	mu sync.Mutex // serializes the single-threaded checker
 	ck *chase.Checker
-	ps *PreserveSession
-	// lin is the one lineage both lazily built sessions live in; last is its
-	// cumulative Stats at the previous accounting, so each request folds only
-	// its own delta into the totals. Guarded by s.mu like the sessions.
-	lin  eval.Lineage
+	// last is the checker's cumulative Stats at the previous accounting, so
+	// each request folds only its own delta into the totals. Guarded by s.mu
+	// like the checker.
 	last EvalStats
 
 	statsMu sync.Mutex
@@ -87,7 +69,7 @@ func NewSession(p *Program) (*Session, error) {
 	// Keep the caller's rules (cloned against mutation) rather than the
 	// prepared program: a cache hit may return the plan of an alpha-renamed
 	// twin, whose variable names Minimize and Explain would otherwise print.
-	return &Session{prog: p.Clone(), prep: prep, lin: eval.NewLineage()}, nil
+	return &Session{prog: p.Clone(), prep: prep}, nil
 }
 
 // Program returns the session's program: a copy of the one it was opened
@@ -158,31 +140,13 @@ func (s *Session) Minimize(ctx context.Context, opts MinimizeOptions) (*Program,
 // checker lazily builds the containment session; callers hold s.mu.
 func (s *Session) checker() (*chase.Checker, error) {
 	if s.ck == nil {
-		ck, err := chase.NewCheckerIn(s.prog, s.lin)
+		ck, err := chase.NewChecker(s.prog)
 		if err != nil {
 			return nil, err
 		}
 		s.ck = ck
 	}
 	return s.ck, nil
-}
-
-// ContainsRule decides r ⊑ᵘ P for the session program P. Serialized. The
-// test is exact, so negation on either side is refused with
-// chase.ErrNegation.
-func (s *Session) ContainsRule(ctx context.Context, r Rule) (bool, error) {
-	if s.prog.HasNegation() || r.HasNegation() {
-		return false, chase.ErrNegation
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	ck, err := s.checker()
-	if err != nil {
-		return false, err
-	}
-	ok, err := ck.ContainsRule(ctx, r)
-	s.accountLineage()
-	return ok, err
 }
 
 // Contains decides P₂ ⊑ᵘ P for the session program P; the int is the index
@@ -199,7 +163,7 @@ func (s *Session) Contains(ctx context.Context, p2 *Program) (bool, int, error) 
 		return false, -1, err
 	}
 	ok, idx, err := ck.Contains(ctx, p2)
-	s.accountLineage()
+	s.accountChecker()
 	return ok, idx, err
 }
 
@@ -217,50 +181,10 @@ func (s *Session) Compare(ctx context.Context, other *Session) (bool, error) {
 	return ok, err
 }
 
-// preserveSession lazily builds the preservation session; callers hold s.mu.
-func (s *Session) preserveSession() (*PreserveSession, error) {
-	if s.ps == nil {
-		ps, err := preserve.NewSessionIn(s.prog, s.lin)
-		if err != nil {
-			return nil, err
-		}
-		s.ps = ps
-	}
-	return s.ps, nil
-}
-
-// Preserve runs the Fig. 3 preservation check of the session program
-// against tgds under ctx. Serialized.
-func (s *Session) Preserve(ctx context.Context, tgds []TGD, opts PreserveOptions) (Verdict, *PreserveCounterexample, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	ps, err := s.preserveSession()
-	if err != nil {
-		return Unknown, nil, err
-	}
-	v, cex, err := ps.Check(ctx, tgds, opts)
-	s.accountLineage()
-	return v, cex, err
-}
-
-// PreservePreliminary decides condition (3′) of Section X for the session
-// program under ctx. Serialized.
-func (s *Session) PreservePreliminary(ctx context.Context, tgds []TGD, opts PreserveOptions) (Verdict, *PreserveCounterexample, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	ps, err := s.preserveSession()
-	if err != nil {
-		return Unknown, nil, err
-	}
-	v, cex, err := ps.CheckPreliminary(ctx, tgds, opts)
-	s.accountLineage()
-	return v, cex, err
-}
-
-// accountLineage folds what the checker and preserve session did since the
-// last accounting into the session totals; the caller holds s.mu.
-func (s *Session) accountLineage() {
-	cur := s.lin.Stats()
+// accountChecker folds what the checker did since the last accounting into
+// the session totals; the caller holds s.mu.
+func (s *Session) accountChecker() {
+	cur := s.ck.Stats()
 	s.account(cur.Sub(s.last))
 	s.last = cur
 }

@@ -184,9 +184,10 @@ func runStrategy(sess evaluator, strat, w, i int) (string, error) {
 }
 
 // TestSessionDeadlineTypedErrors pins the cancellation contract on every
-// session verb: an already-expired deadline yields an error wrapping both
-// core.ErrCanceled and context.DeadlineExceeded, and the session keeps
-// serving correct results afterwards (the shared stores are not poisoned).
+// session verb that takes a context: an already-expired deadline yields an
+// error wrapping both eval.ErrCanceled and context.DeadlineExceeded, and the
+// session keeps serving correct results afterwards (the shared stores are
+// not poisoned).
 func TestSessionDeadlineTypedErrors(t *testing.T) {
 	prog, err := core.ParseProgram(serviceProgram)
 	if err != nil {
@@ -196,25 +197,32 @@ func TestSessionDeadlineTypedErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	other, err := core.NewSession(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
 	expired, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
 
 	input := serviceDB(16, 3)
-	if _, _, err := sess.Eval(expired, input); !errors.Is(err, core.ErrCanceled) || !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("Eval with expired deadline: err = %v, want ErrCanceled + DeadlineExceeded", err)
+	goal := core.GroundAtom{Pred: "T", Args: []core.Const{intc(0), intc(1)}}
+	verbs := map[string]func() error{
+		"Eval":     func() error { _, _, err := sess.Eval(expired, input); return err },
+		"EvalWith": func() error { _, _, err := sess.EvalWith(expired, input, 1<<20); return err },
+		"Query": func() error {
+			_, _, err := sess.Query(expired, input, ast.NewAtom("T", ast.Var("x"), ast.Var("y")))
+			return err
+		},
+		"Explain":     func() error { _, _, err := sess.Explain(expired, input, goal); return err },
+		"Materialize": func() error { _, _, err := sess.Materialize(expired, input, core.MaintainOptions{}); return err },
+		"Minimize":    func() error { _, _, err := sess.Minimize(expired, core.MinimizeOptions{}); return err },
+		"Contains":    func() error { _, _, err := sess.Contains(expired, prog); return err },
+		"Compare":     func() error { _, err := sess.Compare(expired, other); return err },
 	}
-	if _, _, err := sess.Minimize(expired, core.MinimizeOptions{}); !errors.Is(err, core.ErrCanceled) {
-		t.Fatalf("Minimize with expired deadline: err = %v, want ErrCanceled", err)
-	}
-	if _, err := sess.ContainsRule(expired, prog.Rules[0]); !errors.Is(err, core.ErrCanceled) {
-		t.Fatalf("ContainsRule with expired deadline: err = %v, want ErrCanceled", err)
-	}
-	tgd, err := core.ParseTGD("T(x,y), T(y,z) -> T(x,z).")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := sess.Preserve(expired, []core.TGD{tgd}, core.PreserveOptions{}); !errors.Is(err, core.ErrCanceled) {
-		t.Fatalf("Preserve with expired deadline: err = %v, want ErrCanceled", err)
+	for name, verb := range verbs {
+		if err := verb(); !errors.Is(err, eval.ErrCanceled) || !errors.Is(err, context.DeadlineExceeded) {
+			t.Errorf("%s with expired deadline: err = %v, want eval.ErrCanceled + DeadlineExceeded", name, err)
+		}
 	}
 
 	// The session still answers correctly after every cancellation.
@@ -229,59 +237,74 @@ func TestSessionDeadlineTypedErrors(t *testing.T) {
 	if factsKey(out) != factsKey(oracle) {
 		t.Fatal("post-cancellation Eval diverged from the one-shot oracle")
 	}
-	ok, err := sess.ContainsRule(context.Background(), prog.Rules[0])
+	ok, _, err := sess.Contains(context.Background(), prog)
 	if err != nil || !ok {
-		t.Fatalf("post-cancellation ContainsRule = %v, %v; want true", ok, err)
+		t.Fatalf("post-cancellation Contains = %v, %v; want true", ok, err)
+	}
+	eq, err := sess.Compare(context.Background(), other)
+	if err != nil || !eq {
+		t.Fatalf("post-cancellation Compare = %v, %v; want true", eq, err)
 	}
 
 	// A MaxDerived request still returns the typed budget error.
-	if _, _, err := sess.EvalWith(context.Background(), serviceDB(64, 1), 3); !errors.Is(err, core.ErrBudget) {
-		t.Fatalf("EvalWith: err = %v, want ErrBudget", err)
+	if _, _, err := sess.EvalWith(context.Background(), serviceDB(64, 1), 3); !errors.Is(err, eval.ErrBudget) {
+		t.Fatalf("EvalWith: err = %v, want eval.ErrBudget", err)
 	}
 }
 
-// TestSessionStatsAccountPreserve pins the accounting contract of the
-// preservation verbs: Preserve and PreservePreliminary fold their chase
-// rounds and plan-cache lookups into Session.Stats() like every other
-// session verb, so session totals do not undercount preservation work.
-func TestSessionStatsAccountPreserve(t *testing.T) {
-	prog, err := core.ParseProgram("T(x,y) :- E(x,y).\nT(x,z) :- E(x,y), T(y,z).")
+// TestSessionStatsAccountCompare pins the accounting contract of the
+// containment verbs: Compare folds the checker work of each direction into
+// the Stats() of the session that ran it, like every other session verb,
+// and a second Compare runs on the same checker — no new plan lookup.
+func TestSessionStatsAccountCompare(t *testing.T) {
+	// Fresh predicates: the verdict store is process-wide.
+	pre := fmt.Sprintf("Acc%d", time.Now().UnixNano())
+	p1, err := core.ParseProgram(strings.ReplaceAll("@T(x,z) :- @E(x,z).\n@T(x,z) :- @T(x,y), @T(y,z).", "@", pre))
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess, err := core.NewSession(prog)
+	p2, err := core.ParseProgram(strings.ReplaceAll("@T(x,z) :- @E(x,z).\n@T(x,z) :- @E(x,y), @T(y,z).", "@", pre))
 	if err != nil {
 		t.Fatal(err)
 	}
-	tgd, err := core.ParseTGD("T(x,y), T(y,z) -> T(x,z).")
+	s1, err := core.NewSession(p1)
 	if err != nil {
 		t.Fatal(err)
+	}
+	s2, err := core.NewSession(p2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lookups := func(st core.EvalStats) int { return st.PrepareHits + st.PrepareMisses }
+	verdicts := func(st core.EvalStats) int {
+		return st.VerdictsReused + st.VerdictsRecomputed + st.VerdictsSubsumed
 	}
 
-	before, evalsBefore := sess.Stats()
-	if _, _, err := sess.Preserve(context.Background(), []core.TGD{tgd}, core.PreserveOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	mid, evalsMid := sess.Stats()
-	if evalsMid != evalsBefore+1 {
-		t.Fatalf("Preserve accounted %d requests, want 1", evalsMid-evalsBefore)
-	}
-	if mid.Rounds <= before.Rounds {
-		t.Fatalf("Preserve accounted no chase rounds: %d -> %d", before.Rounds, mid.Rounds)
-	}
-	if mid.PrepareHits+mid.PrepareMisses <= before.PrepareHits+before.PrepareMisses {
-		t.Fatal("Preserve accounted no plan-cache lookups")
-	}
-
-	if _, _, err := sess.PreservePreliminary(context.Background(), []core.TGD{tgd}, core.PreserveOptions{}); err != nil {
-		t.Fatal(err)
-	}
-	after, evalsAfter := sess.Stats()
-	if evalsAfter != evalsMid+1 {
-		t.Fatalf("PreservePreliminary accounted %d requests, want 1", evalsAfter-evalsMid)
-	}
-	if after.Rounds <= mid.Rounds {
-		t.Fatalf("PreservePreliminary accounted no chase rounds: %d -> %d", mid.Rounds, after.Rounds)
+	before, reqsBefore := s1.Stats()
+	for i := 0; i < 2; i++ {
+		// P₂ ⊑ᵘ P₁ holds and P₁ ⊑ᵘ P₂ does not: both directions run.
+		if eq, err := s1.Compare(context.Background(), s2); err != nil || eq {
+			t.Fatalf("Compare #%d = %v, %v; want false", i+1, eq, err)
+		}
+		st, reqs := s1.Stats()
+		if reqs != reqsBefore+1 {
+			t.Fatalf("Compare #%d accounted %d requests on s1, want 1", i+1, reqs-reqsBefore)
+		}
+		if verdicts(st) <= verdicts(before) {
+			t.Fatalf("Compare #%d accounted no containment verdicts: %+v", i+1, st.ReuseStats)
+		}
+		// The first Compare builds the checker and chases, the second
+		// reuses the checker and its verdicts.
+		if i == 0 && st.Rounds <= before.Rounds {
+			t.Fatalf("the first Compare accounted no chase rounds: %+v", st.FixpointStats)
+		}
+		if built := lookups(st) > lookups(before); built != (i == 0) {
+			t.Fatalf("Compare #%d: plan lookups %d -> %d; the checker is built once, by the first", i+1, lookups(before), lookups(st))
+		}
+		if _, reqs2 := s2.Stats(); reqs2 != uint64(i+1) {
+			t.Fatalf("after Compare #%d s2 accounted %d requests, want %d", i+1, reqs2, i+1)
+		}
+		before, reqsBefore = st, reqs
 	}
 }
 
@@ -428,8 +451,8 @@ func TestSessionExplain(t *testing.T) {
 	}
 	gone, cancel := context.WithCancel(ctx)
 	cancel()
-	if _, _, err := sess.Explain(gone, in, core.GroundAtom{Pred: "T", Args: []core.Const{intc(0), intc(6)}}); !errors.Is(err, core.ErrCanceled) {
-		t.Fatalf("canceled context: %v, want ErrCanceled", err)
+	if _, _, err := sess.Explain(gone, in, core.GroundAtom{Pred: "T", Args: []core.Const{intc(0), intc(6)}}); !errors.Is(err, eval.ErrCanceled) {
+		t.Fatalf("canceled context: %v, want eval.ErrCanceled", err)
 	}
 }
 
@@ -489,9 +512,9 @@ func TestStratifiedPlanSeparation(t *testing.T) {
 	}
 }
 
-// TestExactContainmentRefusesNegation: the facade's exact containment entry
-// points answer chase.ErrNegation, not a verdict, when either side has
-// negation — the encoding a Checker decides negation through cannot refute.
+// TestExactContainmentRefusesNegation: the exact containment entry points
+// answer chase.ErrNegation, not a verdict, when either side has negation —
+// the encoding a Checker decides negation through cannot refute.
 func TestExactContainmentRefusesNegation(t *testing.T) {
 	neg, err := core.ParseProgram(`A(x) :- B(x), !C(x).`)
 	if err != nil {
@@ -516,13 +539,12 @@ func TestExactContainmentRefusesNegation(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, ruleErr := ck.ContainsRule(neg.Rules[0])
-	_, err1 := sn.ContainsRule(ctx, pure.Rules[0])
-	_, err2 := sp.ContainsRule(ctx, neg.Rules[0])
-	_, _, err3 := sp.Contains(ctx, neg)
-	_, err4 := sp.Compare(ctx, sn)
-	_, err5 := sn.Compare(ctx, sp)
-	_, _, err6 := core.UniformlyContains(pure, neg)
-	for i, err := range []error{ckErr, ruleErr, err1, err2, err3, err4, err5, err6} {
+	_, _, err1 := sn.Contains(ctx, pure)
+	_, _, err2 := sp.Contains(ctx, neg)
+	_, err3 := sp.Compare(ctx, sn)
+	_, err4 := sn.Compare(ctx, sp)
+	_, _, err5 := chase.UniformlyContains(pure, neg)
+	for i, err := range []error{ckErr, ruleErr, err1, err2, err3, err4, err5} {
 		if !errors.Is(err, chase.ErrNegation) {
 			t.Errorf("entry point %d: err = %v, want chase.ErrNegation", i, err)
 		}

@@ -28,15 +28,15 @@ type DatabaseDiff = eval.Diff
 type MaintainOptions struct{}
 
 // View is a maintained materialization of the session's program over one
-// input database. Apply is serialized on the view's own mutex; Output and
-// Input return frozen databases that remain valid (as that version) across
-// later Applies, so readers never block writers.
+// input database. Its mutex is the concurrency contract of Apply, Output and
+// Input: Apply is serialized on it, and Output and Input return frozen
+// databases that remain valid (as that version) across later Applies, so
+// readers never block writers.
 type View struct {
 	s *Session
 
-	mu      sync.Mutex
-	m       *eval.Maintained
-	version uint64
+	mu sync.Mutex
+	m  *eval.Maintained
 }
 
 // Materialize evaluates the session program over input and returns a
@@ -49,7 +49,7 @@ func (s *Session) Materialize(ctx context.Context, input *Database, _ MaintainOp
 	if err != nil {
 		return nil, st, err
 	}
-	return &View{s: s, m: m, version: 1}, st, nil
+	return &View{s: s, m: m}, st, nil
 }
 
 // Apply absorbs one mutation batch into the view's input, maintains the
@@ -61,11 +61,7 @@ func (v *View) Apply(ctx context.Context, delta DatabaseDelta) (DatabaseDiff, Ev
 	defer v.mu.Unlock()
 	diff, st, err := v.m.Apply(ctx, delta)
 	v.s.account(st)
-	if err != nil {
-		return DatabaseDiff{}, st, err
-	}
-	v.version++
-	return diff, st, nil
+	return diff, st, err
 }
 
 // Output returns the current materialized output as a frozen database.
@@ -81,14 +77,3 @@ func (v *View) Input() *Database {
 	defer v.mu.Unlock()
 	return v.m.Input()
 }
-
-// Version returns the view's version counter: 1 after Materialize,
-// incremented by every successfully applied batch.
-func (v *View) Version() uint64 {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	return v.version
-}
-
-// Session returns the session the view maintains a program of.
-func (v *View) Session() *Session { return v.s }

@@ -39,7 +39,6 @@ package depgraph
 import (
 	"fmt"
 	"slices"
-	"sort"
 	"strings"
 
 	"repro/internal/ast"
@@ -659,15 +658,4 @@ func FormatPositions(ps []Position) string {
 		parts[i] = p.String()
 	}
 	return strings.Join(parts, ", ")
-}
-
-// SortPositions orders positions by predicate then column (for callers
-// needing a canonical order rather than occurrence order).
-func SortPositions(ps []Position) {
-	sort.Slice(ps, func(i, j int) bool {
-		if ps[i].Pred != ps[j].Pred {
-			return ps[i].Pred < ps[j].Pred
-		}
-		return ps[i].Col < ps[j].Col
-	})
 }

@@ -233,22 +233,6 @@ func cloneAtoms(body []ast.Atom, idx []int) []ast.Atom {
 	return out
 }
 
-// TryCandidate runs the Section X pipeline for one candidate on rule
-// ruleIdx of p. It returns the optimized program when all three conditions
-// hold, or nil when the candidate is rejected or Unknown. opts supplies
-// the preliminary-DB depth range for conditions (2) and (3′); every chase
-// gets the zero chase.Budget, so the chase picks its own bound.
-// It is the one-shot form of the session-based pipeline Optimize drives:
-// callers probing many candidates against the same program should build
-// the sessions once.
-func TryCandidate(ctx context.Context, p *ast.Program, ruleIdx int, c Candidate, opts Options) (*ast.Program, error) {
-	ck, ps, err := sessions(p)
-	if err != nil {
-		return nil, err
-	}
-	return tryCandidate(ctx, ck, ps, p, ruleIdx, c, opts)
-}
-
 // sessions opens the containment and preservation sessions the Section X
 // pipeline runs over p, side by side in one lineage: they share its stats,
 // and the preservation session's Pⁿ is the plan the checker prepared.
@@ -267,9 +251,9 @@ func sessions(p *ast.Program) (*chase.Checker, *preserve.Session, error) {
 
 // tryCandidate is the Section X pipeline over pre-built sessions for p: ck
 // checks condition (1) through the prepared [P,T] chase, ps checks (2) and
-// (3′) through the prepared Pⁿ and its cached unfoldings.
+// (3′) through the prepared Pⁿ and its cached unfoldings. opts carries
+// its defaults already (Optimize fills them in).
 func tryCandidate(ctx context.Context, ck *chase.Checker, ps *preserve.Session, p *ast.Program, ruleIdx int, c Candidate, opts Options) (*ast.Program, error) {
-	opts = opts.withDefaults()
 	if err := eval.CtxErr(ctx); err != nil {
 		return nil, err
 	}
