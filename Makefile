@@ -34,10 +34,12 @@ test:
 # through first for a few seconds: the parser (no panic, positions in source
 # order, print/parse round trip) and the canonical rendering (the address of
 # the plan cache and the verdict store; held byte for byte to a map-based
-# reference renderer).
+# reference renderer), and the 2Q cache both memos are built on (random
+# lookups and stores replayed against a slice-based reference 2Q).
 fuzz-short:
 	$(GO) test -run='^$$' -fuzz='^FuzzParse$$' -fuzztime=10s ./internal/parser
 	$(GO) test -run='^$$' -fuzz='^FuzzCanonicalRule$$' -fuzztime=10s ./internal/ast
+	$(GO) test -run='^$$' -fuzz='^FuzzCache$$' -fuzztime=10s ./internal/twoq
 
 race:
 	$(GO) test -race ./...

@@ -156,8 +156,8 @@ func printSessionStats(out io.Writer, st eval.Stats) {
 	fmt.Fprintf(out, "%% plan cache: hits=%d misses=%d evictions=%d entries=%d\n",
 		cs.Hits, cs.Misses, cs.Evictions, cs.Entries)
 	vs := core.VerdictStats()
-	fmt.Fprintf(out, "%% verdict store: programs=%d verdicts=%d lookups=%d hits=%d rotations=%d\n",
-		vs.Programs, vs.Verdicts, vs.Lookups, vs.Hits, vs.Rotations)
+	fmt.Fprintf(out, "%% verdict store: programs=%d verdicts=%d lookups=%d hits=%d evictions=%d\n",
+		vs.Programs, vs.Verdicts, vs.Lookups, vs.Hits, vs.Evictions)
 }
 
 // printKernelStats renders the stream counter group — the line `eval

@@ -92,18 +92,3 @@ func (p *Program) CanonicalString() string {
 	}
 	return sb.String()
 }
-
-// HashString is 64-bit FNV-1a, shared by the plan cache so its option
-// fingerprints hash identically to program content.
-func HashString(s string) uint64 {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	for i := 0; i < len(s); i++ {
-		h ^= uint64(s[i])
-		h *= prime64
-	}
-	return h
-}

@@ -43,6 +43,22 @@ func TestStoredVerdictAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestVerdictTableLookupAllocatesNothing: finding a resident program table
+// by the byte key a Checker builds makes no string, whichever segment of the
+// store's 2Q policy holds the table.
+func TestVerdictTableLookupAllocatesNothing(t *testing.T) {
+	vs := newVerdictStore()
+	key := []byte("Kbg(x, z) :- Kba(x, z).\nKbh(x) :- Kbb(x), Kbc(x).\n")
+	pv := vs.forProgram(key)
+	if n := testing.AllocsPerRun(100, func() {
+		if vs.forProgram(key) != pv {
+			t.Fatal("a second lookup made a new table")
+		}
+	}); n != 0 {
+		t.Fatalf("a verdict-table lookup allocates %.0f times", n)
+	}
+}
+
 var sharesRuns int
 
 // TestCheckerSharesOwnPlanProgram: a Checker whose plan-cache lookup missed

@@ -272,7 +272,7 @@ func TestDeriveConcurrentSessions(t *testing.T) {
 func TestDeriveDoesNotInheritVerdicts(t *testing.T) {
 	saved := defaultVerdicts
 	t.Cleanup(func() { defaultVerdicts = saved })
-	defaultVerdicts = &verdictStore{max: defaultVerdictStoreSize, cur: make(map[string]*progVerdicts)}
+	defaultVerdicts = newVerdictStore()
 	p := parser.MustParseProgram(`
 		Dvg(x, z) :- Dva(x, z).
 		Dvh(x) :- Dvb(x), Dvc(x).

@@ -390,7 +390,7 @@ func (s *Server) verbStatz(context.Context, *programEntry, *struct{}) (any, erro
 		},
 		"verdict_store": map[string]any{
 			"programs": vs.Programs, "verdicts": vs.Verdicts,
-			"lookups": vs.Lookups, "hits": vs.Hits, "rotations": vs.Rotations,
+			"lookups": vs.Lookups, "hits": vs.Hits, "evictions": vs.Evictions,
 		},
 		"requests": map[string]any{
 			"total": s.requests.Load(), "errors": s.errors.Load(),

@@ -396,7 +396,7 @@ func TestServeBudgetAndDeadline(t *testing.T) {
 }
 
 // TestStatzReportsPlanCache pins /statz's plan_cache to the process-wide
-// plan cache every session prepares through.
+// plan cache every session prepares through, and verdict_store's keys.
 func TestStatzReportsPlanCache(t *testing.T) {
 	s := New()
 	ts := httptest.NewServer(s.Handler())
@@ -425,6 +425,15 @@ func TestStatzReportsPlanCache(t *testing.T) {
 		Misses: uint64(pc["misses"].(float64)), Evictions: uint64(pc["evictions"].(float64))}
 	if got != want {
 		t.Fatalf("statz plan_cache = %+v, want core.PlanCacheStats() %+v", got, want)
+	}
+	// The verdict store reports evictions, like the plan cache.
+	var keys []string
+	for k := range stz["verdict_store"].(map[string]any) {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	if want := []string{"evictions", "hits", "lookups", "programs", "verdicts"}; !reflect.DeepEqual(keys, want) {
+		t.Fatalf("statz verdict_store keys = %v, want %v", keys, want)
 	}
 }
 
