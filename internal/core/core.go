@@ -2,7 +2,7 @@
 // benchmark call: it forwards the entry points they use, and nothing else.
 // Callers still import the packages behind it (ast, db, chase, eval, …) for
 // everything the facade does not name; a name no caller outside the package
-// uses has no place here (make guard-one-facade).
+// uses has no place here (TestStructure/one-facade).
 //
 // The library reproduces Yehoshua Sagiv, "Optimizing Datalog Programs"
 // (PODS 1987):

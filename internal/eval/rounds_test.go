@@ -15,7 +15,7 @@ import (
 // early-stop partial databases and budget-exhausted runs included — is a
 // function of the program, the input and the call's arguments, byte for byte
 // (same facts in the same insertion order, which db.String exposes), whatever
-// GOMAXPROCS is: internal/eval starts no goroutine (make guard-ctx-arg). The
+// GOMAXPROCS is: internal/eval starts no goroutine (TestStructure/ctx-arg). The
 // TestSharded* names are the IDs of the grid that pinned the same properties
 // across the deleted sharded executor's shard counts; each test now pins its
 // property on the one executor, under both schedules of the old grid.

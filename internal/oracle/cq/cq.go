@@ -6,8 +6,8 @@
 // that fragment uniform containment coincides with CQ containment, so the
 // chase's verdicts and Fig. 1–2's minimized programs are tested against this
 // package. It searches with the binding-map matcher of package oracle and
-// shares no code with internal/eval. Only _test.go files may import it (make
-// guard-one-join).
+// shares no code with internal/eval. Only _test.go files may import it
+// (TestStructure/one-join).
 package cq
 
 import (

@@ -5,7 +5,7 @@
 // test for conjunctive queries (oracle/cq). The matcher uses internal/db's
 // exported API only and shares no code with the operator pipeline of
 // internal/eval, so the two cannot agree by sharing a bug. Only _test.go
-// files may import this package or anything below it (make guard-one-join).
+// files may import this package or anything below it (TestStructure/one-join).
 package oracle
 
 import (

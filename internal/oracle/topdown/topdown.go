@@ -11,7 +11,7 @@
 // It is a test oracle, not a shipped engine (E11 recorded it as never the
 // fastest arm): a second, independent way to answer a query that bottom-up
 // evaluation + db.Select and the magic rewritings are checked against. Only
-// _test.go files import it (make guard-one-join).
+// _test.go files import it (TestStructure/one-join).
 package topdown
 
 import (
