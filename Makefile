@@ -10,7 +10,7 @@ BENCHTIME ?= 0.3s
 # staticcheck pin for lint-ci; bump deliberately, not implicitly.
 STATICCHECK_VERSION ?= 2025.1
 
-.PHONY: all build vet datalog-vet test fuzz-short race race-service race-ivm serve-smoke bench bench-all experiments examples lint lint-ci clean
+.PHONY: all build vet datalog-vet test fuzz-short race race-service bench bench-all experiments examples lint lint-ci clean
 
 all: build vet test
 
@@ -44,32 +44,22 @@ fuzz-short:
 race:
 	$(GO) test -race ./...
 
-# race-service race-checks the multi-tenant service stack: the session
-# facade, the HTTP layer, the copy-on-freeze snapshots they evaluate, the
-# retention window that frees them (TestVersionRetentionBound: 10,000 batches
-# under pinned readers) and the self-locking symbol table every parse and
-# render of a program name shares.
+# race-service race-checks the multi-tenant service stack in full: the
+# session facade, the HTTP layer and its subscription fan-out, the
+# copy-on-freeze snapshots they evaluate, the retention window that frees
+# them (TestVersionRetentionBound: 10,000 batches under pinned readers), the
+# self-locking symbol table every parse and render of a program name shares,
+# and the store under incremental view maintenance — its version chains (dead
+# bitmaps, shared bases, flatten: the seeded differential scripts of
+# versions_test.go, with goroutines probing frozen versions while the lineage
+# writes), the two seal passes (the radix canonical order and the
+# rank-renumbering flatten) and the facade's View.Apply diffs
+# (TestSessionMaterializeApply). The DRed engine itself (its randomized
+# oracle grid, the stamp invariant, the shared support-check order memo, the
+# scratch sets' Reset) is internal/eval, which CI's hot-path race step runs
+# in full.
 race-service:
 	$(GO) test -race ./internal/ast ./internal/core ./internal/service ./internal/db
-
-# race-ivm race-checks the incremental view maintenance stack: the DRed
-# maintenance engine, its randomized oracle grid, the stamp invariant its
-# support check rests on in recursive strata and the stamp-free check of
-# non-recursive ones, the support-check order memo two views share
-# (TestMaintainSharedOrderMemo), the scratch sets' Reset, the store's version
-# chains (dead bitmaps, shared bases, flatten: the seeded differential scripts
-# of versions_test.go, with goroutines probing frozen versions while the
-# lineage writes), the two seal passes (the radix canonical order and the
-# rank-renumbering flatten), the facade's View.Apply diffs
-# (TestSessionMaterializeApply) and the subscription fan-out in the service
-# layer.
-race-ivm:
-	$(GO) test -race -run 'TestMaintain|TestDRedOverdeletionIsLocal|TestMaintainedStampsCertify|TestNonRecursiveSupport|TestDeltaNet|TestReset|TestVersions|TestMutationCost|TestReadPaths|TestMaxGenerated|TestCompact|TestRemove|TestFreeze|TestSession|TestSubscri|TestFactsEnvelope|TestSortedIDs|TestFlatten' ./internal/eval ./internal/db ./internal/core ./internal/service
-
-# serve-smoke boots `datalog serve` on an ephemeral port with a preloaded
-# program and drives a register/facts/eval/statz round-trip over HTTP.
-serve-smoke:
-	$(GO) test ./cmd/datalog -run 'TestServeCommand' -count=1 -v
 
 # bench runs the benchmark families of BENCH_PATTERN and records ns/op
 # (median and quartiles), B/op and allocs/op per benchmark in

@@ -35,7 +35,6 @@ func (s *syncBuffer) String() string {
 // TestServeCommand is the end-to-end smoke of `datalog serve`: boot the
 // server on an ephemeral port with a preloaded program, load facts for a
 // tenant, and run an eval round-trip plus the statz and healthz probes.
-// `make serve-smoke` runs exactly this test.
 func TestServeCommand(t *testing.T) {
 	dir := t.TempDir()
 	prog := filepath.Join(dir, "authz.dl")

@@ -161,12 +161,6 @@ func Analyze(res *parser.Result) []Diagnostic {
 	return Run(NewContext(res), Passes())
 }
 
-// AnalyzeProgram analyzes a programmatically built program (no facts, no
-// tgds, usually no positions).
-func AnalyzeProgram(p *ast.Program) []Diagnostic {
-	return Run(&Context{Program: p}, Passes())
-}
-
 // Run executes the given passes over one context and sorts the combined
 // findings.
 func Run(c *Context, passes []Pass) []Diagnostic {

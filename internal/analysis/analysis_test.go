@@ -229,7 +229,7 @@ func TestAnalyzeProgramWithoutPositions(t *testing.T) {
 		ast.NewRule(ast.NewAtom("P", ast.Var("x"), ast.Var("z")),
 			ast.NewAtom("E", ast.Var("x"), ast.Var("y"))),
 	)
-	ds := AnalyzeProgram(p)
+	ds := Run(&Context{Program: p}, Passes())
 	d := want(t, ds, CodeUnboundHead)
 	if d.Pos.IsValid() {
 		t.Fatalf("programmatic rule should have unknown position, got %v", d.Pos)

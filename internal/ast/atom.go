@@ -181,19 +181,6 @@ func undo(b Binding, added []string) {
 	}
 }
 
-// Unify attempts to unify the atom with a ground atom: it returns a binding
-// of the atom's variables witnessing a.Apply == g, or false when the
-// predicate, arity, constants, or repeated variables conflict. It is the
-// unification step used by the Fig. 3 preservation procedure when a ground
-// atom of an intentional predicate is unified with the head of a rule.
-func (a Atom) Unify(g GroundAtom) (Binding, bool) {
-	b := make(Binding)
-	if _, ok := a.MatchGround(g.Pred, g.Args, b); !ok {
-		return nil, false
-	}
-	return b, true
-}
-
 // String renders the atom without a symbol table.
 func (a Atom) String() string { return a.Format(nil) }
 
@@ -241,17 +228,6 @@ func VarsOfAtoms(atoms []Atom) []string {
 		}
 	}
 	return vars
-}
-
-// ConstsOfAtoms adds every constant appearing in the conjunction to set.
-func ConstsOfAtoms(atoms []Atom, set map[Const]bool) {
-	for _, a := range atoms {
-		for _, t := range a.Args {
-			if !t.IsVar {
-				set[t.Val] = true
-			}
-		}
-	}
 }
 
 // ApplyAtoms rewrites each atom of a conjunction under the substitution.

@@ -138,20 +138,6 @@ func TestMatchGround(t *testing.T) {
 	}
 }
 
-func TestUnify(t *testing.T) {
-	head := NewAtom("G", Var("x"), Var("z"), Var("z"))
-	g := NewGroundAtom("G", Int(1), Int(2), Int(2))
-	b, ok := head.Unify(g)
-	if !ok || b["x"] != Int(1) || b["z"] != Int(2) {
-		t.Fatalf("Unify = %v, %v", b, ok)
-	}
-	// Repeated head variable against distinct constants fails: this is the
-	// case the Fig. 3 procedure prunes as an impossible combination.
-	if _, ok := head.Unify(NewGroundAtom("G", Int(1), Int(2), Int(3))); ok {
-		t.Fatal("unified repeated variable with distinct constants")
-	}
-}
-
 func TestGroundAtomKey(t *testing.T) {
 	a := NewGroundAtom("G", Int(1), Int(2))
 	b := NewGroundAtom("G", Int(1), Int(2))
@@ -179,11 +165,6 @@ func TestVarsOfAtomsAndConsts(t *testing.T) {
 	want := []string{"x", "y", "w"}
 	if got := VarsOfAtoms(atoms); !reflect.DeepEqual(got, want) {
 		t.Fatalf("VarsOfAtoms = %v", got)
-	}
-	set := make(map[Const]bool)
-	ConstsOfAtoms(atoms, set)
-	if len(set) != 1 || !set[Int(3)] {
-		t.Fatalf("ConstsOfAtoms = %v", set)
 	}
 }
 

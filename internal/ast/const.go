@@ -114,9 +114,6 @@ func (g *ConstGen) Fresh() Const {
 	return c
 }
 
-// Issued reports how many constants the generator has handed out.
-func (g *ConstGen) Issued() int { return int(g.next - g.base) }
-
 // SymbolTable interns symbolic constant names (and remembers them for
 // printing). It is safe for concurrent use: a server shares one table between
 // every parse and every render under a program name, and the table — not its
@@ -171,13 +168,6 @@ func (t *SymbolTable) Name(c Const) (string, bool) {
 		return "", false
 	}
 	return t.names[i], true
-}
-
-// Len reports how many symbols have been interned.
-func (t *SymbolTable) Len() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return len(t.names)
 }
 
 // FormatConst renders c for display. Plain integers print as themselves;

@@ -94,8 +94,8 @@ func TestConstGen(t *testing.T) {
 	if !IsFrozen(a) || !IsFrozen(c) {
 		t.Fatal("frozen generator produced non-frozen constants")
 	}
-	if g.Issued() != 3 {
-		t.Fatalf("Issued = %d, want 3", g.Issued())
+	if issued := g.next - g.base; issued != 3 {
+		t.Fatalf("issued %d constants, want 3", issued)
 	}
 	ng := NewNullGen(5)
 	n := ng.Fresh()
@@ -129,8 +129,8 @@ func TestSymbolTable(t *testing.T) {
 	if _, ok := tab.Lookup("carol"); ok {
 		t.Fatal("Lookup found a never-interned name")
 	}
-	if tab.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", tab.Len())
+	if len(tab.names) != 2 {
+		t.Fatalf("%d names interned, want 2", len(tab.names))
 	}
 }
 
@@ -165,8 +165,8 @@ func TestSymbolTableConcurrentIntern(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if tab.Len() != names {
-		t.Fatalf("Len = %d, want %d", tab.Len(), names)
+	if len(tab.names) != names {
+		t.Fatalf("%d names interned, want %d", len(tab.names), names)
 	}
 	seen := make(map[Const]bool)
 	for i := 0; i < names; i++ {

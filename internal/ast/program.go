@@ -187,17 +187,6 @@ func (p *Program) InitRules() *Program {
 	return &Program{Rules: rules}
 }
 
-// Consts returns the set of constants appearing anywhere in the program.
-func (p *Program) Consts() map[Const]bool {
-	set := make(map[Const]bool)
-	for _, r := range p.Rules {
-		ConstsOfAtoms([]Atom{r.Head}, set)
-		ConstsOfAtoms(r.Body, set)
-		ConstsOfAtoms(r.NegBody, set)
-	}
-	return set
-}
-
 // BodyAtomCount returns the total number of positive body atoms across all
 // rules — the join count the paper's optimization reduces.
 func (p *Program) BodyAtomCount() int {
@@ -206,35 +195,6 @@ func (p *Program) BodyAtomCount() int {
 		n += len(r.Body)
 	}
 	return n
-}
-
-// TrivialRules returns, for each intentional predicate, the trivial rule
-// Q(x1,…,xn) :- Q(x1,…,xn) that Section IX augments programs with when
-// testing non-recursive preservation of tgds.
-func (p *Program) TrivialRules() []Rule {
-	idb := p.IDBPredicates()
-	arities := make(map[string]int)
-	for _, r := range p.Rules {
-		if idb[r.Head.Pred] {
-			arities[r.Head.Pred] = r.Head.Arity()
-		}
-	}
-	names := make([]string, 0, len(arities))
-	for name := range arities {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	rules := make([]Rule, 0, len(names))
-	for _, name := range names {
-		n := arities[name]
-		args := make([]Term, n)
-		for i := range args {
-			args[i] = Var(fmt.Sprintf("x%d", i+1))
-		}
-		at := Atom{Pred: name, Args: args}
-		rules = append(rules, Rule{Head: at.Clone(), Body: []Atom{at}})
-	}
-	return rules
 }
 
 // String renders the program one rule per line.

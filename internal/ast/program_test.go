@@ -103,21 +103,6 @@ func TestInitRules(t *testing.T) {
 	}
 }
 
-func TestTrivialRules(t *testing.T) {
-	p := tcProgram()
-	trs := p.TrivialRules()
-	if len(trs) != 1 {
-		t.Fatalf("TrivialRules = %v", trs)
-	}
-	r := trs[0]
-	if r.Head.Pred != "G" || len(r.Body) != 1 || !r.Head.Equal(r.Body[0]) {
-		t.Fatalf("trivial rule malformed: %v", r)
-	}
-	if err := r.Validate(); err != nil {
-		t.Fatalf("trivial rule invalid: %v", err)
-	}
-}
-
 func TestProgramCloneAndEqual(t *testing.T) {
 	p := tcProgram()
 	q := p.Clone()
@@ -138,10 +123,6 @@ func TestProgramConstsAndBodyAtomCount(t *testing.T) {
 		NewRule(NewAtom("G", Var("x"), IntTerm(3)), NewAtom("A", Var("x"), IntTerm(10))),
 		NewRule(atomGxz(), NewAtom("G", Var("x"), Var("y")), NewAtom("G", Var("y"), Var("z"))),
 	)
-	consts := p.Consts()
-	if len(consts) != 2 || !consts[Int(3)] || !consts[Int(10)] {
-		t.Fatalf("Consts = %v", consts)
-	}
 	if got := p.BodyAtomCount(); got != 3 {
 		t.Fatalf("BodyAtomCount = %d", got)
 	}

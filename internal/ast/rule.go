@@ -191,16 +191,6 @@ func (r Rule) WithoutBodyAtom(i int) Rule {
 	return out
 }
 
-// Apply rewrites the whole rule under a substitution.
-func (r Rule) Apply(s Subst) Rule {
-	return Rule{
-		Head:    r.Head.Apply(s),
-		Body:    ApplyAtoms(r.Body, s),
-		NegBody: ApplyAtoms(r.NegBody, s),
-		Pos:     r.Pos,
-	}
-}
-
 // Rename rewrites every variable name of the rule through f.
 func (r Rule) Rename(f func(string) string) Rule {
 	body := make([]Atom, len(r.Body))

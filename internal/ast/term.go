@@ -1,9 +1,6 @@
 package ast
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Term is an argument of an atom: either a variable or a constant. Function
 // symbols are not permitted in Datalog (Section II of the paper).
@@ -82,17 +79,6 @@ func (t Term) Apply(s Subst) Term {
 		return u
 	}
 	return t
-}
-
-// SortedVars returns the keys of a variable set in sorted order; it is a
-// convenience for deterministic iteration in tests and printers.
-func SortedVars(set map[string]bool) []string {
-	vars := make([]string, 0, len(set))
-	for v := range set {
-		vars = append(vars, v)
-	}
-	sort.Strings(vars)
-	return vars
 }
 
 // GroundAtom is an atom whose arguments are all constants: a fact of the

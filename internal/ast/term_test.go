@@ -1,9 +1,6 @@
 package ast
 
-import (
-	"reflect"
-	"testing"
-)
+import "testing"
 
 func TestTermString(t *testing.T) {
 	if got := Var("x").String(); got != "x" {
@@ -27,16 +24,6 @@ func TestBindingSubst(t *testing.T) {
 	s["x"] = IntTerm(9)
 	if b["x"] != Int(1) {
 		t.Fatal("Subst aliases the binding")
-	}
-}
-
-func TestSortedVars(t *testing.T) {
-	set := map[string]bool{"z": true, "a": true, "m": true}
-	if got := SortedVars(set); !reflect.DeepEqual(got, []string{"a", "m", "z"}) {
-		t.Fatalf("SortedVars = %v", got)
-	}
-	if got := SortedVars(nil); len(got) != 0 {
-		t.Fatalf("SortedVars(nil) = %v", got)
 	}
 }
 

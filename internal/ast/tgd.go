@@ -34,24 +34,6 @@ func (t TGD) Clone() TGD {
 	return TGD{Lhs: lhs, Rhs: rhs}
 }
 
-// Equal reports whether two tgds are syntactically identical.
-func (t TGD) Equal(u TGD) bool {
-	if len(t.Lhs) != len(u.Lhs) || len(t.Rhs) != len(u.Rhs) {
-		return false
-	}
-	for i := range t.Lhs {
-		if !t.Lhs[i].Equal(u.Lhs[i]) {
-			return false
-		}
-	}
-	for i := range t.Rhs {
-		if !t.Rhs[i].Equal(u.Rhs[i]) {
-			return false
-		}
-	}
-	return true
-}
-
 // Validate checks that both sides are non-empty conjunctions.
 func (t TGD) Validate() error {
 	if len(t.Lhs) == 0 {

@@ -208,13 +208,21 @@ type Checker struct {
 	// arms of this package's tests and ablation benchmark, which set them
 	// directly; nothing outside the package can.
 	noSyntactic, noTermination bool
-	// termMemo caches the termination classification per tgd-set key (the
-	// session program is fixed, so the key omits it); fullPreps caches the
-	// combined prepared program chaseFull evaluates full tgd sets with.
-	termMemo  map[string]depgraph.Classification
-	fullPreps map[string]*eval.Prepared
-	// tgdMemo caches LowerTGDs per tgd-set key.
-	tgdMemo map[string]*TGDs
+	// tgdMemos holds a tgdMemo per tgd set, keyed by tgdSetKey (the session
+	// program is fixed, so the key omits it).
+	tgdMemos map[string]*tgdMemo
+}
+
+// tgdMemo is what a Checker keeps of one tgd set, each part built when a
+// chase first needs it — the minimization loops re-chase one tgd set
+// against many candidate rules: the termination classification of running
+// the session program together with the set (depgraph.ClassifyTGDs), the
+// set lowered onto the join kernel (LowerTGDs), and for a full set the
+// combined prepared program P ∪ rules(T) chaseFull evaluates.
+type tgdMemo struct {
+	cl      *depgraph.Classification
+	lowered *TGDs
+	full    *eval.Prepared
 }
 
 // NewChecker prepares p as the containing program of a session, reusing a
@@ -596,18 +604,34 @@ func (c *Checker) chaseToGoal(ctx context.Context, tgds []ast.TGD, d *db.Databas
 	if c.neg {
 		return Result{}, Unknown, ErrNegation
 	}
+	key := tgdSetKey(tgds)
+	m := c.tgdMemos[key]
+	if m == nil {
+		m = &tgdMemo{}
+		if c.tgdMemos == nil {
+			c.tgdMemos = make(map[string]*tgdMemo)
+		}
+		c.tgdMemos[key] = m
+	}
 	var cl depgraph.Classification
 	if !c.noTermination {
-		cl = c.Classify(tgds)
+		if m.cl == nil {
+			m.cl = new(depgraph.Classification)
+			*m.cl = depgraph.ClassifyTGDs(c.prog.Rules, tgds)
+		}
+		cl = *m.cl
 		if cl.Full {
 			// Full tgds create no nulls, so [P, T](d) is the least fixpoint
 			// of P ∪ rules(T) and the round alternation collapses into one
 			// prepared evaluation.
-			return c.chaseFull(ctx, tgds, d, goal, budget, cl)
+			return c.chaseFull(ctx, tgds, m, d, goal, budget, cl)
 		}
 	}
 	budget = c.resolveBudget(d, budget, cl)
-	ts := c.lowered(tgds)
+	if m.lowered == nil {
+		m.lowered = LowerTGDs(tgds)
+	}
+	ts := m.lowered
 	cur := d.Clone()
 	_, maxNull := cur.MaxGeneratedIndexes()
 	nullGen := ast.NewNullGen(maxNull + 1)
@@ -681,39 +705,6 @@ func (c *Checker) resolveBudget(d *db.Database, budget Budget, cl depgraph.Class
 	return budget.OrDefault()
 }
 
-// Classify returns the chase-termination classification of running the
-// session program together with tgds (depgraph.ClassifyTGDs), memoized per
-// tgd set — the minimization loops re-chase one tgd set against many
-// candidate rules.
-func (c *Checker) Classify(tgds []ast.TGD) depgraph.Classification {
-	key := tgdSetKey(tgds)
-	if cl, ok := c.termMemo[key]; ok {
-		return cl
-	}
-	cl := depgraph.ClassifyTGDs(c.prog.Rules, tgds)
-	if c.termMemo == nil {
-		c.termMemo = make(map[string]depgraph.Classification)
-	}
-	c.termMemo[key] = cl
-	return cl
-}
-
-// lowered returns tgds lowered onto the join kernel (LowerTGDs), memoized
-// per tgd set like the classification: a [P, T] chase lowers T once, however
-// many rounds and candidate rules it is run for.
-func (c *Checker) lowered(tgds []ast.TGD) *TGDs {
-	key := tgdSetKey(tgds)
-	ts, ok := c.tgdMemo[key]
-	if !ok {
-		ts = LowerTGDs(tgds)
-		if c.tgdMemo == nil {
-			c.tgdMemo = make(map[string]*TGDs)
-		}
-		c.tgdMemo[key] = ts
-	}
-	return ts
-}
-
 func tgdSetKey(tgds []ast.TGD) string {
 	var sb strings.Builder
 	for _, t := range tgds {
@@ -729,11 +720,15 @@ func tgdSetKey(tgds []ast.TGD) string {
 // created and the fixpoint is exactly [P, T](d); closure under the combined
 // program subsumes tgd satisfaction, so Complete needs no separate
 // Satisfies sweep.
-func (c *Checker) chaseFull(ctx context.Context, tgds []ast.TGD, d *db.Database, goal *ast.GroundAtom, budget Budget, cl depgraph.Classification) (Result, Verdict, error) {
-	prep, err := c.fullPrep(tgds)
-	if err != nil {
-		return Result{}, Unknown, err
+func (c *Checker) chaseFull(ctx context.Context, tgds []ast.TGD, m *tgdMemo, d *db.Database, goal *ast.GroundAtom, budget Budget, cl depgraph.Classification) (Result, Verdict, error) {
+	if m.full == nil {
+		prep, err := c.fullPrep(tgds)
+		if err != nil {
+			return Result{}, Unknown, err
+		}
+		m.full = prep
 	}
+	prep := m.full
 	maxDerived := 0 // unbounded: a full set always terminates
 	if budget != (Budget{}) {
 		b := budget.OrDefault()
@@ -759,13 +754,9 @@ func (c *Checker) chaseFull(ctx context.Context, tgds []ast.TGD, d *db.Database,
 	return Result{DB: out, Complete: true, Rounds: 1, Class: cl.Class}, No, nil
 }
 
-// fullPrep returns the prepared combined program P ∪ rules(T) for a full
-// tgd set, through the session's plan cache and memoized per tgd set.
+// fullPrep prepares the combined program P ∪ rules(T) for a full tgd set,
+// through the session's plan cache.
 func (c *Checker) fullPrep(tgds []ast.TGD) (*eval.Prepared, error) {
-	key := tgdSetKey(tgds)
-	if p, ok := c.fullPreps[key]; ok {
-		return p, nil
-	}
 	combined := ast.NewProgram()
 	combined.Rules = append(combined.Rules, c.prog.Rules...)
 	canon := []byte(c.canon)
@@ -775,17 +766,9 @@ func (c *Checker) fullPrep(tgds []ast.TGD) (*eval.Prepared, error) {
 			canon = append(r.AppendCanonical(canon), '\n')
 		}
 	}
-	prep, err := c.Prepare(string(canon), func() (*eval.Prepared, error) {
+	return c.Prepare(string(canon), func() (*eval.Prepared, error) {
 		return eval.Prepare(combined)
 	})
-	if err != nil {
-		return nil, err
-	}
-	if c.fullPreps == nil {
-		c.fullPreps = make(map[string]*eval.Prepared)
-	}
-	c.fullPreps[key] = prep
-	return prep, nil
 }
 
 // isFixpoint reports whether cur is already the [P, T] fixpoint: closed
@@ -869,19 +852,6 @@ func SATModelsContained(p1 *ast.Program, tgds []ast.TGD, p2 *ast.Program, budget
 		return Unknown, err
 	}
 	return c.SATModelsContained(context.Background(), tgds, p2, budget)
-}
-
-// Certificate is a checkable witness of a positive uniform-containment
-// answer: the derivation of the frozen head of Rule from its frozen body
-// using only rules of the containing program — exactly the evidence
-// Corollary 2's test produces.
-type Certificate struct {
-	// Rule is the contained rule.
-	Rule ast.Rule
-	// Head is the frozen head that was derived.
-	Head ast.GroundAtom
-	// Body is the frozen body the derivation starts from.
-	Body *db.Database
 }
 
 // StratifiedUniformlyContains extends the Section VI test P₂ ⊑ᵘ P₁ to

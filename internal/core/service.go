@@ -72,10 +72,6 @@ func NewSession(p *Program) (*Session, error) {
 	return &Session{prog: p.Clone(), prep: prep}, nil
 }
 
-// Program returns the session's program: a copy of the one it was opened
-// with (callers must not mutate it).
-func (s *Session) Program() *Program { return s.prog }
-
 // Prepared returns the session's prepared plan for direct use.
 func (s *Session) Prepared() *Prepared { return s.prep }
 

@@ -1,6 +1,7 @@
 package db
 
 import (
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -371,4 +372,20 @@ func TestResetReusesStorage(t *testing.T) {
 		t.Fatal("a large relation kept its tables through Reset")
 	}
 	d.Freeze() // every relation, replaced ones included, is still on the dirty list
+}
+
+// MatchIDs returns the ids of tuples whose value at each position cols[i]
+// equals key[i]. cols must be sorted and contain no duplicates. With empty
+// cols it returns nil and the caller should scan all tuples. It allocates
+// the result slice; the join kernel uses Prober/LookupID instead.
+func (r *Relation) MatchIDs(cols []int, key []ast.Const) []int32 {
+	if len(cols) == 0 {
+		return nil
+	}
+	it := r.Prober(cols, math.MaxInt32).Seek(key)
+	var ids []int32
+	for id, ok := it.Next(); ok; id, ok = it.Next() {
+		ids = append(ids, id)
+	}
+	return ids
 }

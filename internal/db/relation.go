@@ -83,8 +83,8 @@ type segment struct {
 	// mask), so lookup is a linear scan.
 	indexes atomic.Pointer[indexSet]
 	// mu serializes index creation and lazy extension for out-of-band
-	// callers (MatchIDs on a stale relation); the evaluation hot path never
-	// takes it. It lives in the segment because versions sharing a base
+	// callers (a Prober bound to a stale index); the evaluation hot path
+	// never takes it. It lives in the segment because versions sharing a base
 	// build its indexes for each other.
 	mu sync.Mutex
 }
@@ -702,22 +702,6 @@ func (p Prober) Seek(key []ast.Const) TupleIter {
 		}
 	}
 	return it
-}
-
-// MatchIDs returns the ids of tuples whose value at each position cols[i]
-// equals key[i]. cols must be sorted and contain no duplicates. With empty
-// cols it returns nil and the caller should scan all tuples. It allocates
-// the result slice; the join kernel uses Prober/LookupID instead.
-func (r *Relation) MatchIDs(cols []int, key []ast.Const) []int32 {
-	if len(cols) == 0 {
-		return nil
-	}
-	it := r.Prober(cols, math.MaxInt32).Seek(key)
-	var ids []int32
-	for id, ok := it.Next(); ok; id, ok = it.Next() {
-		ids = append(ids, id)
-	}
-	return ids
 }
 
 // RoundWindow restricts a read to tuples whose round stamp falls within

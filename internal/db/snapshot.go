@@ -60,9 +60,6 @@ func (d *Database) Freeze() *Snapshot {
 	return &Snapshot{d: d}
 }
 
-// Frozen reports whether the database has been frozen by Freeze.
-func (d *Database) Frozen() bool { return d.frozen }
-
 // DB returns the frozen database for reading and evaluation input. Callers
 // must not mutate it (mutators panic); evaluation's own input.Clone() is a
 // shallow copy-on-write copy, so evaluating a snapshot is cheap and safe

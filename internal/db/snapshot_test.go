@@ -70,8 +70,8 @@ func TestFrozenStaleIndexConcurrentProbes(t *testing.T) {
 func TestFreezeMakesDatabaseImmutable(t *testing.T) {
 	d := snapDB(4)
 	s := d.Freeze()
-	if !d.Frozen() {
-		t.Fatal("Frozen() = false after Freeze")
+	if !d.frozen {
+		t.Fatal("not frozen after Freeze")
 	}
 	if s.Len() != d.Len() {
 		t.Fatalf("snapshot Len = %d, want %d", s.Len(), d.Len())

@@ -1,9 +1,9 @@
 // Package depgraph implements the dependence graph of Section III: a node
 // per predicate, and an edge from predicate Q to predicate R whenever Q
 // appears in the body of a rule whose head is R. On top of the graph it
-// provides strongly connected components, the paper's notions of recursive
-// program / predicate / rule and linear program, and — for the
-// stratified-negation extension announced in Section XII — stratification.
+// provides the paper's notion of a recursive predicate, witness cycles and —
+// for the stratified-negation extension announced in Section XII —
+// stratification.
 // The graph questions the rest of the tree asks about a program are answered
 // here too: the producer-first rule groups an evaluation runs, the rules in
 // a predicate's goal cone, and the predicates derivable from a seed set.
@@ -74,42 +74,6 @@ func (g *Graph) names(nodes []int) []string {
 	return out
 }
 
-// HasEdge reports whether the graph has an edge from body predicate `from`
-// to head predicate `to`.
-func (g *Graph) HasEdge(from, to string) bool {
-	i, ok := g.index[from]
-	if !ok {
-		return false
-	}
-	j, ok := g.index[to]
-	if !ok {
-		return false
-	}
-	for _, a := range g.adj[i] {
-		if a.to == j {
-			return true
-		}
-	}
-	return false
-}
-
-// SCCs returns the strongly connected components in the order Tarjan's
-// algorithm completes them: every edge stays inside its component or leads
-// to an earlier one, so the list is reverse topological — consumers before
-// their producers — and reversed it is the producer-first order RuleGroups
-// runs. Predicates within a component are sorted.
-func (g *Graph) SCCs() [][]string {
-	comp, n := g.adj.components()
-	comps := make([][]string, n)
-	for v, c := range comp {
-		comps[c] = append(comps[c], g.preds[v])
-	}
-	for _, c := range comps {
-		sort.Strings(c)
-	}
-	return comps
-}
-
 // RecursivePreds returns the predicates lying on a cycle of the dependence
 // graph (Section III: "a predicate Q is recursive if there is a path from Q
 // to itself"): those whose component holds an edge.
@@ -130,74 +94,6 @@ func (g *Graph) RecursivePreds() map[string]bool {
 		}
 	}
 	return rec
-}
-
-// IsRecursive reports whether the program's dependence graph has a cycle.
-func IsRecursive(p *ast.Program) bool {
-	return len(Build(p).RecursivePreds()) > 0
-}
-
-// RecursiveRuleIndexes returns the indices of the recursive rules of p: a
-// rule is recursive if the dependence graph has a cycle that includes the
-// head predicate and some body predicate (Section III) — equivalently, if
-// one of its edges stays inside a strongly connected component.
-func RecursiveRuleIndexes(p *ast.Program) []int {
-	g := Build(p)
-	comp, _ := g.adj.components()
-	rec := make([]bool, len(p.Rules))
-	for u, arcs := range g.adj {
-		for _, a := range arcs {
-			if comp[u] == comp[a.to] {
-				rec[a.label] = true
-			}
-		}
-	}
-	var out []int
-	for i, ok := range rec {
-		if ok {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// IsLinear reports whether p is a linear program: the body of each rule has
-// at most one recursive predicate (Section V).
-func IsLinear(p *ast.Program) bool {
-	rec := Build(p).RecursivePreds()
-	for _, r := range p.Rules {
-		n := 0
-		for _, a := range r.Body {
-			if rec[a.Pred] {
-				n++
-			}
-		}
-		for _, a := range r.NegBody {
-			if rec[a.Pred] {
-				n++
-			}
-		}
-		if n > 1 {
-			return false
-		}
-	}
-	return true
-}
-
-// NegativeCycle returns a cycle of predicates witnessing a stratification
-// failure: path[0] == path[len(path)-1], consecutive predicates are joined
-// by dependence edges (body → head), and the first edge is negative. It
-// returns ok=false when every negative edge leaves its strongly connected
-// component, i.e. the program is stratifiable. The witness is deterministic
-// (first-seen predicate order, shortest return path), so diagnostics built
-// from it are stable.
-func (g *Graph) NegativeCycle() (path []string, ok bool) {
-	comp, _ := g.adj.components()
-	nodes, _, ok := g.adj.cycle(comp, marked)
-	if !ok {
-		return nil, false
-	}
-	return g.names(nodes), true
 }
 
 // Cycle returns a shortest cycle closed by the dependence edge from → to:
@@ -221,8 +117,8 @@ func (g *Graph) Cycle(from, to string) (path []string, ok bool) {
 
 // Stratified is the one stratifiability decision: nil when every negative
 // edge leaves its strongly connected component, otherwise the error every
-// stratified entry point reports, naming the negative edge NegativeCycle
-// closes into its witness.
+// stratified entry point reports, naming the first negative edge, in
+// first-seen order, that lies inside a component.
 func (g *Graph) Stratified() error {
 	comp, _ := g.adj.components()
 	return g.stratified(comp)

@@ -17,27 +17,8 @@ func tc() *ast.Program {
 	)
 }
 
-func TestEdges(t *testing.T) {
-	g := Build(tc())
-	if !g.HasEdge("A", "G") {
-		t.Fatal("missing edge A->G")
-	}
-	if !g.HasEdge("G", "G") {
-		t.Fatal("missing self edge G->G")
-	}
-	if g.HasEdge("G", "A") {
-		t.Fatal("phantom edge G->A")
-	}
-	if g.HasEdge("Z", "G") || g.HasEdge("A", "Z") {
-		t.Fatal("edge involving unknown predicate")
-	}
-}
-
 func TestRecursive(t *testing.T) {
 	p := tc()
-	if !IsRecursive(p) {
-		t.Fatal("TC not recursive")
-	}
 	rec := Build(p).RecursivePreds()
 	if !rec["G"] || rec["A"] {
 		t.Fatalf("RecursivePreds = %v", rec)
@@ -47,8 +28,8 @@ func TestRecursive(t *testing.T) {
 		ast.NewRule(ast.NewAtom("G", ast.Var("x"), ast.Var("z")),
 			ast.NewAtom("A", ast.Var("x"), ast.Var("z"))),
 	)
-	if IsRecursive(nonrec) {
-		t.Fatal("non-recursive program reported recursive")
+	if rec := Build(nonrec).RecursivePreds(); len(rec) != 0 {
+		t.Fatalf("non-recursive program has recursive predicates %v", rec)
 	}
 }
 
@@ -58,57 +39,13 @@ func TestMutualRecursion(t *testing.T) {
 		ast.NewRule(ast.NewAtom("P", ast.Var("x")), ast.NewAtom("Q", ast.Var("x"))),
 		ast.NewRule(ast.NewAtom("Q", ast.Var("x")), ast.NewAtom("P", ast.Var("x"))),
 	)
-	rec := Build(p).RecursivePreds()
+	g := Build(p)
+	rec := g.RecursivePreds()
 	if !rec["P"] || !rec["Q"] {
 		t.Fatalf("RecursivePreds = %v", rec)
 	}
-	sccs := Build(p).SCCs()
-	found := false
-	for _, c := range sccs {
-		if reflect.DeepEqual(c, []string{"P", "Q"}) {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("SCCs = %v", sccs)
-	}
-}
-
-func TestRecursiveRuleIndexes(t *testing.T) {
-	p := tc()
-	if got := RecursiveRuleIndexes(p); !reflect.DeepEqual(got, []int{1}) {
-		t.Fatalf("RecursiveRuleIndexes = %v", got)
-	}
-	// Intentional but non-recursive predicate: rule through a recursive one
-	// is not itself recursive unless head is on the cycle.
-	p2 := ast.NewProgram(
-		ast.NewRule(ast.NewAtom("G", ast.Var("x"), ast.Var("z")),
-			ast.NewAtom("A", ast.Var("x"), ast.Var("z"))),
-		ast.NewRule(ast.NewAtom("G", ast.Var("x"), ast.Var("z")),
-			ast.NewAtom("G", ast.Var("x"), ast.Var("y")),
-			ast.NewAtom("A", ast.Var("y"), ast.Var("z"))),
-		ast.NewRule(ast.NewAtom("Top", ast.Var("x")),
-			ast.NewAtom("G", ast.Var("x"), ast.Var("x"))),
-	)
-	if got := RecursiveRuleIndexes(p2); !reflect.DeepEqual(got, []int{1}) {
-		t.Fatalf("RecursiveRuleIndexes = %v", got)
-	}
-}
-
-func TestIsLinear(t *testing.T) {
-	// TC with G(x,y),G(y,z) is not linear; with A(x,y),G(y,z) it is.
-	if IsLinear(tc()) {
-		t.Fatal("doubled TC reported linear")
-	}
-	linear := ast.NewProgram(
-		ast.NewRule(ast.NewAtom("G", ast.Var("x"), ast.Var("z")),
-			ast.NewAtom("A", ast.Var("x"), ast.Var("z"))),
-		ast.NewRule(ast.NewAtom("G", ast.Var("x"), ast.Var("z")),
-			ast.NewAtom("A", ast.Var("x"), ast.Var("y")),
-			ast.NewAtom("G", ast.Var("y"), ast.Var("z"))),
-	)
-	if !IsLinear(linear) {
-		t.Fatal("linear TC reported non-linear")
+	if cycle, ok := g.Cycle("P", "Q"); !ok || !reflect.DeepEqual(cycle, []string{"P", "Q", "P"}) {
+		t.Fatalf("Cycle(P, Q) = %v, %v", cycle, ok)
 	}
 }
 
@@ -180,9 +117,9 @@ func TestPredsAndSCCsDeterministic(t *testing.T) {
 	if len(preds) != 2 {
 		t.Fatalf("Preds = %v", preds)
 	}
-	a := Build(tc()).SCCs()
-	b := Build(tc()).SCCs()
+	a, _ := Build(tc()).RuleGroups()
+	b, _ := Build(tc()).RuleGroups()
 	if !reflect.DeepEqual(a, b) {
-		t.Fatal("SCCs not deterministic")
+		t.Fatal("components not deterministic")
 	}
 }

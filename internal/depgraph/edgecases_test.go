@@ -36,9 +36,9 @@ func TestMutualRecursionThroughNegation(t *testing.T) {
 	if _, err := Strata(p); err == nil {
 		t.Fatal("negation through recursion not rejected")
 	}
-	cycle, ok := g.NegativeCycle()
+	cycle, ok := g.Cycle("Q", "P")
 	if !ok {
-		t.Fatal("NegativeCycle found no witness")
+		t.Fatal("the negative edge Q → P closes no cycle")
 	}
 	if len(cycle) < 3 || cycle[0] != cycle[len(cycle)-1] {
 		t.Fatalf("witness %v is not a closed cycle", cycle)
@@ -65,9 +65,9 @@ func TestSelfNegation(t *testing.T) {
 	if _, err := Strata(p); err == nil {
 		t.Fatal("self-negation not rejected")
 	}
-	cycle, ok := g.NegativeCycle()
+	cycle, ok := g.Cycle("S", "S")
 	if !ok {
-		t.Fatal("NegativeCycle found no witness")
+		t.Fatal("the negative edge S → S closes no cycle")
 	}
 	if !reflect.DeepEqual(cycle, []string{"S", "S"}) {
 		t.Fatalf("witness = %v, want [S S]", cycle)
@@ -83,8 +83,8 @@ func TestPredBothEDBAndIDB(t *testing.T) {
 		rule(at("E", "x"), []ast.Atom{at("F", "x")}),
 	)
 	g := Build(p)
-	if !g.HasEdge("E", "P") || !g.HasEdge("F", "E") {
-		t.Fatal("missing edges through the EDB/IDB predicate")
+	if d := g.Derivable(map[string]bool{"F": true}); !d["E"] || !d["P"] {
+		t.Fatalf("Derivable from F = %v: missing edges through the EDB/IDB predicate", d)
 	}
 	if len(g.RecursivePreds()) != 0 {
 		t.Fatalf("RecursivePreds = %v, want none", g.RecursivePreds())
@@ -96,8 +96,8 @@ func TestPredBothEDBAndIDB(t *testing.T) {
 	if len(strata) != 1 {
 		t.Fatalf("strata = %v, want one stratum", strata)
 	}
-	if cycle, ok := g.NegativeCycle(); ok {
-		t.Fatalf("phantom negative cycle %v", cycle)
+	if err := g.Stratified(); err != nil {
+		t.Fatalf("phantom negative cycle: %v", err)
 	}
 }
 
@@ -108,26 +108,20 @@ func TestSingleRuleNonlinearRecursion(t *testing.T) {
 		rule(at("G", "x", "z"), []ast.Atom{at("G", "x", "y"), at("G", "y", "z")}),
 	)
 	g := Build(p)
-	if !g.HasEdge("G", "G") {
-		t.Fatal("missing self edge")
+	if cycle, ok := g.Cycle("G", "G"); !ok || !reflect.DeepEqual(cycle, []string{"G", "G"}) {
+		t.Fatalf("self edge: Cycle(G, G) = %v, %v", cycle, ok)
 	}
-	if !reflect.DeepEqual(g.SCCs(), [][]string{{"G"}}) {
-		t.Fatalf("SCCs = %v", g.SCCs())
+	if groups, err := g.RuleGroups(); err != nil || !reflect.DeepEqual(groups, [][]int{{0}}) {
+		t.Fatalf("RuleGroups = %v, %v", groups, err)
 	}
 	if !g.RecursivePreds()["G"] {
 		t.Fatal("G not recursive")
-	}
-	if got := RecursiveRuleIndexes(p); !reflect.DeepEqual(got, []int{0}) {
-		t.Fatalf("RecursiveRuleIndexes = %v, want [0]", got)
-	}
-	if IsLinear(p) {
-		t.Fatal("doubly recursive rule reported linear")
 	}
 }
 
 // Three independent P :- E, !Q / Q :- E, P cycles: stratification fails on
 // each, and every call names the same one — the first negative edge inside a
-// component in first-seen order, NegativeCycle's — through Strata and
+// component in first-seen order — through Strata and
 // Stratified alike.
 func TestStratifyErrorIsDeterministic(t *testing.T) {
 	p := ast.NewProgram()

@@ -382,17 +382,10 @@ func (g *PositionGraph) addDep(ref DepRef, lhs, rhs []ast.Atom) {
 	}
 }
 
-// Positions returns the graph's positions in first-seen order.
-func (g *PositionGraph) Positions() []Position {
-	out := make([]Position, len(g.nodes))
-	copy(out, g.nodes)
-	return out
-}
-
 // specialCycle returns the witness cycle of the first special edge lying
 // inside a strongly connected component, or nil when none does (weak
 // acyclicity). Deterministic: first-seen node order, first matching edge,
-// shortest return path — the NegativeCycle discipline, with edge origins
+// shortest return path — the Stratified discipline, with edge origins
 // carried along for diagnostics.
 func (g *PositionGraph) specialCycle(scc []int) *WACycle {
 	nodes, deps, ok := g.adj.cycle(scc, marked)
@@ -634,20 +627,6 @@ func (g *PositionGraph) Classify() Classification {
 // first-occurrence order throughout).
 func ClassifyTGDs(rules []ast.Rule, tgds []ast.TGD) Classification {
 	return NewPositionGraph(rules, tgds).Classify()
-}
-
-// FormatExistCycle renders a JA violation as "y@σ1 -> y'@σ2 -> …".
-func FormatExistCycle(cycle []ExistVar) string {
-	parts := make([]string, len(cycle))
-	for i, e := range cycle {
-		switch {
-		case e.Dep.TGD >= 0:
-			parts[i] = fmt.Sprintf("%s (tgd %d)", e.Var, e.Dep.TGD+1)
-		default:
-			parts[i] = fmt.Sprintf("%s (rule %d)", e.Var, e.Dep.Rule+1)
-		}
-	}
-	return strings.Join(parts, " -> ")
 }
 
 // FormatPositions renders positions comma-separated in a stable order

@@ -204,12 +204,8 @@ func TestPositionStringAndWitnessFormat(t *testing.T) {
 	if p.String() != "Edge[1]" {
 		t.Fatalf("Position.String = %q", p.String())
 	}
-	cyc := FormatExistCycle([]ExistVar{
-		{Dep: DepRef{Rule: -1, TGD: 0}, Var: "z"},
-		{Dep: DepRef{Rule: -1, TGD: 0}, Var: "z"},
-	})
-	if cyc != "z (tgd 1) -> z (tgd 1)" {
-		t.Fatalf("FormatExistCycle = %q", cyc)
+	if got := FormatPositions([]Position{p, {Pred: "Edge", Col: 1}}); got != "Edge[1], Edge[2]" {
+		t.Fatalf("FormatPositions = %q", got)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"repro/internal/ast"
@@ -94,21 +95,10 @@ func TestGraphKernelMatchesWarshall(t *testing.T) {
 			t.Fatalf("seed %d: %s\nprogram:\n%s", seed, fmt.Sprintf(format, args...), p)
 		}
 
-		// Components: exactly the mutual-reachability classes.
-		compOf := map[string]int{}
-		for i, comp := range g.SCCs() {
-			for _, pred := range comp {
-				compOf[pred] = i
-			}
-		}
-		if len(compOf) != len(c.preds) {
-			fail("SCCs cover %d predicates, the program has %d", len(compOf), len(c.preds))
-		}
+		// Components: exactly the mutual-reachability classes, each pair of
+		// a class closing a cycle.
 		for _, a := range c.preds {
 			for _, b := range c.preds {
-				if (compOf[a] == compOf[b]) != c.same(a, b) {
-					fail("%s and %s: same component %v, mutually reachable %v", a, b, compOf[a] == compOf[b], c.same(a, b))
-				}
 				cycle, ok := g.Cycle(a, b)
 				if ok != c.same(a, b) {
 					fail("Cycle(%s, %s) ok=%v", a, b, ok)
@@ -135,12 +125,13 @@ func TestGraphKernelMatchesWarshall(t *testing.T) {
 		if (err == nil) != stratifiable || (g.Stratified() == nil) != stratifiable {
 			fail("Strata err=%v, Stratified()=%v, want stratifiable=%v", err, g.Stratified(), stratifiable)
 		}
-		if cycle, ok := g.NegativeCycle(); ok == stratifiable || (ok && !c.negEdge[cycle[0]][cycle[1]]) {
-			fail("NegativeCycle = %v, %v", cycle, ok)
-		}
 		if !stratifiable {
 			if err.Error() != g.Stratified().Error() {
 				fail("Strata and Stratified disagree: %v / %v", err, g.Stratified())
+			}
+			edge := strings.TrimPrefix(err.Error(), "depgraph: program is not stratifiable: negation through recursion between ")
+			if a, b, _ := strings.Cut(edge, " and "); !c.negEdge[a][b] || !c.same(a, b) {
+				fail("%v names no negative edge inside a component", err)
 			}
 		} else {
 			// Least levels by iteration to stability: level(a) ≤ level(b)

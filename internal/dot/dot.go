@@ -1,5 +1,4 @@
-// Package dot renders the library's graph-shaped artifacts — dependence
-// graphs (Section III) and derivation trees (internal/explain) — in
+// Package dot renders the dependence graph of a program (Section III) in
 // Graphviz DOT format, for inspection of optimized programs.
 package dot
 
@@ -10,7 +9,6 @@ import (
 
 	"repro/internal/ast"
 	"repro/internal/depgraph"
-	"repro/internal/explain"
 )
 
 // quote escapes a DOT string literal.
@@ -86,34 +84,6 @@ func DependenceGraph(p *ast.Program) string {
 			fmt.Fprintf(&sb, "  %s -> %s;\n", quote(e.from), quote(e.to))
 		}
 	}
-	sb.WriteString("}\n")
-	return sb.String()
-}
-
-// DerivationTree renders a proof tree: fact nodes as ellipses, input facts
-// boxed, edges labelled with the rule index used.
-func DerivationTree(d *explain.Derivation, tab *ast.SymbolTable) string {
-	var sb strings.Builder
-	sb.WriteString("digraph derivation {\n")
-	sb.WriteString("  rankdir=BT;\n")
-	id := 0
-	var rec func(n *explain.Derivation) int
-	rec = func(n *explain.Derivation) int {
-		my := id
-		id++
-		label := n.Fact.Format(tab)
-		if n.IsInput() {
-			fmt.Fprintf(&sb, "  n%d [label=%s, shape=box];\n", my, quote(label))
-		} else {
-			fmt.Fprintf(&sb, "  n%d [label=%s];\n", my, quote(label))
-		}
-		for _, prem := range n.Premises {
-			child := rec(prem)
-			fmt.Fprintf(&sb, "  n%d -> n%d [label=%s];\n", child, my, quote(fmt.Sprintf("r%d", n.RuleIndex)))
-		}
-		return my
-	}
-	rec(d)
 	sb.WriteString("}\n")
 	return sb.String()
 }

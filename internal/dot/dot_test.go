@@ -4,8 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/ast"
-	"repro/internal/explain"
 	"repro/internal/parser"
 	"repro/internal/workload"
 )
@@ -38,27 +36,6 @@ func TestDependenceGraphNegation(t *testing.T) {
 	s := DependenceGraph(p)
 	if !strings.Contains(s, "style=dashed") {
 		t.Errorf("negative edge not dashed:\n%s", s)
-	}
-}
-
-func TestDerivationTree(t *testing.T) {
-	p := workload.TransitiveClosure()
-	in := workload.Chain("A", 3)
-	pr, err := explain.NewProver(p, in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, ok := pr.Explain(ast.GroundAtom{Pred: "G", Args: []ast.Const{ast.Int(0), ast.Int(3)}})
-	if !ok {
-		t.Fatal("G(0,3) missing")
-	}
-	s := DerivationTree(d, nil)
-	if !strings.Contains(s, "digraph derivation") || !strings.Contains(s, "shape=box") {
-		t.Errorf("derivation DOT malformed:\n%s", s)
-	}
-	// Node count equals tree size.
-	if got := strings.Count(s, "label="); got < d.Size() {
-		t.Errorf("%d labels for %d nodes:\n%s", got, d.Size(), s)
 	}
 }
 

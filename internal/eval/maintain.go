@@ -137,9 +137,6 @@ type Diff struct {
 	Removed []ast.GroundAtom
 }
 
-// Empty reports whether the diff is empty.
-func (d Diff) Empty() bool { return len(d.Added) == 0 && len(d.Removed) == 0 }
-
 // Maintained is a materialized output kept incrementally consistent with
 // its input database under Apply batches.
 type Maintained struct {
@@ -301,9 +298,6 @@ func (m *Maintained) Output() *db.Database { return m.snap.DB() }
 
 // Input returns the view's current input EDB as a frozen database.
 func (m *Maintained) Input() *db.Database { return m.in.DB() }
-
-// Program returns the maintained program.
-func (m *Maintained) Program() *ast.Program { return m.pr.Program() }
 
 // Apply absorbs one mutation batch: the input gains delta.Assert and loses
 // delta.Retract, the materialized output is maintained in place, and the

@@ -52,45 +52,6 @@ func TestJustificationCounts(t *testing.T) {
 	}
 }
 
-func TestCountProofs(t *testing.T) {
-	p := workload.TransitiveClosure()
-	in := workload.Chain("A", 4)
-	cp, err := explain.NewProver(p, in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Proof trees of G(0,n) under doubled TC follow the Catalan-like
-	// bracketing counts: G(0,1)=1, G(0,2)=1, G(0,3)=2, G(0,4)=5.
-	wants := map[int]int{1: 1, 2: 1, 3: 2, 4: 5}
-	for n, want := range wants {
-		got := cp.CountProofs(ast.NewGroundAtom("G", ast.Int(0), ast.Int(int64(n))), 0)
-		if got != want {
-			t.Fatalf("proofs of G(0,%d) = %d, want %d", n, got, want)
-		}
-	}
-	// Input facts count one proof; absent facts zero.
-	if cp.CountProofs(ast.NewGroundAtom("A", ast.Int(0), ast.Int(1)), 0) != 1 {
-		t.Fatal("input proof count wrong")
-	}
-	if cp.CountProofs(ast.NewGroundAtom("G", ast.Int(4), ast.Int(0)), 0) != 0 {
-		t.Fatal("absent proof count wrong")
-	}
-}
-
-func TestCountProofsCap(t *testing.T) {
-	// A cycle explodes the proof count; the cap must bound the traversal.
-	p := workload.TransitiveClosure()
-	in := workload.Cycle("A", 6)
-	cp, err := explain.NewProver(p, in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := cp.CountProofs(ast.NewGroundAtom("G", ast.Int(0), ast.Int(3)), 100)
-	if got != 100 {
-		t.Fatalf("capped count = %d, want 100", got)
-	}
-}
-
 // TestRedundancyMultipliesJustifications is the provenance rendition of
 // the paper's join-reduction claim: a redundant body atom multiplies the
 // justifications of the same facts, and Fig. 2 minimization removes

@@ -96,11 +96,11 @@ func (d *Derivation) String() string {
 }
 
 // Prover answers provenance questions about one evaluation: derivation trees
-// (Explain) and derivation counting (Justifications, TotalJustifications,
-// CountProofs) — the "how much duplicate work do redundant atoms cause"
-// measure behind the paper's join-reduction claim: a redundant body atom with
-// k matches multiplies a rule's derivations of the same fact by k. A Prover
-// is not safe for concurrent use.
+// (Explain) and derivation counting (TotalJustifications) — the "how much
+// duplicate work do redundant atoms cause" measure behind the paper's
+// join-reduction claim: a redundant body atom with k matches multiplies a
+// rule's derivations of the same fact by k. A Prover is not safe for
+// concurrent use.
 type Prover struct {
 	prog          *ast.Program
 	prep          *eval.Prepared
@@ -243,73 +243,10 @@ func Verify(p *ast.Program, input *db.Database, d *Derivation) error {
 	return nil
 }
 
-// Justifications returns how many distinct rule instantiations derive the
-// fact in the output (0 for pure input facts and absent facts); negated
-// literals are read against the output.
-func (pr *Prover) Justifications(fact ast.GroundAtom) int {
-	n := 0
-	pr.prep.Firings(pr.output, fact, pr.output.Round(), &pr.stats, func(int, []ast.Const) bool {
-		n++
-		return true
-	})
-	return n
-}
-
-// TotalJustifications is Justifications summed over every fact — the total
-// join output the evaluation must consider, duplicates included. Removing a
-// redundant atom shrinks exactly this number.
+// TotalJustifications counts, summed over every fact of the output, the
+// distinct rule instantiations that derive it — the total join output the
+// evaluation must consider, duplicates included. Removing a redundant atom
+// shrinks exactly this number.
 func (pr *Prover) TotalJustifications() int {
 	return pr.prep.FiringCount(pr.output)
-}
-
-// CountProofs counts the distinct proof trees of a fact, capped at max
-// (which guards against the exponential blowup cyclic databases cause; a
-// result of max means "at least max, or the search was truncated"). Input
-// facts count one proof. The count treats a fact used twice in one tree
-// independently, so a fact's proofs multiply through shared premises, and
-// cycles are cut by marking the path (a derivation may not use itself as
-// a premise). The traversal carries a work budget proportional to max, so
-// dense cyclic databases saturate quickly instead of exploring an
-// exponential DFS.
-func (pr *Prover) CountProofs(fact ast.GroundAtom, max int) int {
-	if max <= 0 {
-		max = 1 << 20
-	}
-	steps := 0
-	budget := 200 * max
-	onPath := db.New()
-	var count func(f ast.GroundAtom) int
-	count = func(f ast.GroundAtom) int {
-		steps++
-		if steps > budget {
-			return max // saturate: the caller reports "at least max"
-		}
-		if !onPath.Add(f) {
-			return 0 // cyclic support contributes no finite proof
-		}
-		total := 0
-		if pr.input.Has(f) {
-			total = 1
-		}
-		// count re-enters Firings from inside the callback: every call runs
-		// on its own pipeline state, so enumerations nest.
-		pr.prep.Firings(pr.output, f, pr.output.Round(), &pr.stats, func(rule int, vals []ast.Const) bool {
-			prod := 1
-			_, prems := pr.ground(rule, vals)
-			for _, prem := range prems {
-				prod *= count(prem)
-				if prod == 0 || prod >= max {
-					break
-				}
-			}
-			total = min(total+prod, max)
-			return total < max
-		})
-		onPath.Remove(f)
-		return total
-	}
-	if !pr.output.Has(fact) {
-		return 0
-	}
-	return min(count(fact), max)
 }

@@ -204,3 +204,15 @@ func TestDerivationAcyclic(t *testing.T) {
 		}
 	}
 }
+
+// Justifications returns how many distinct rule instantiations derive the
+// fact in the output (0 for pure input facts and absent facts); negated
+// literals are read against the output.
+func (pr *Prover) Justifications(fact ast.GroundAtom) int {
+	n := 0
+	pr.prep.Firings(pr.output, fact, pr.output.Round(), &pr.stats, func(int, []ast.Const) bool {
+		n++
+		return true
+	})
+	return n
+}

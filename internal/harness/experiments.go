@@ -32,15 +32,6 @@ var Experiments = []struct {
 	{"E15", E15DerivationCounts},
 }
 
-// All runs every experiment and returns the tables in order.
-func All() []Table {
-	tables := make([]Table, len(Experiments))
-	for i, e := range Experiments {
-		tables[i] = e.Run()
-	}
-	return tables
-}
-
 // freshCount numbers fresh's renamings.
 var freshCount atomic.Int64
 

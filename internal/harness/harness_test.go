@@ -22,12 +22,12 @@ func TestAllExperimentsRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("experiment suite in -short mode")
 	}
-	tables := All()
-	if len(tables) != 13 {
-		t.Fatalf("expected 13 tables, got %d", len(tables))
+	if len(Experiments) != 13 {
+		t.Fatalf("expected 13 tables, got %d", len(Experiments))
 	}
 	ids := map[string]bool{}
-	for _, tab := range tables {
+	for _, e := range Experiments {
+		tab := e.Run()
 		if len(tab.Rows) == 0 {
 			t.Errorf("%s has no rows", tab.ID)
 		}

@@ -40,7 +40,6 @@ package minimize
 import (
 	"context"
 	"math/rand"
-	"slices"
 
 	"repro/internal/ast"
 	"repro/internal/chase"
@@ -219,53 +218,6 @@ func splitRules(rules []ast.Rule, gone []bool) (*ast.Program, []ast.Rule) {
 		}
 	}
 	return out, removed
-}
-
-// RemoveRedundantRules removes only redundant rules (no atom minimization);
-// exposed for the ablation that demonstrates why Fig. 2 must delete atoms
-// first (Theorem 2's proof depends on it).
-func RemoveRedundantRules(ctx context.Context, p *ast.Program) (*ast.Program, Trace, error) {
-	ck, err := chase.NewChecker(p)
-	if err != nil {
-		return nil, Trace{}, err
-	}
-	gone, err := redundantRules(ctx, ck, false)
-	if err != nil {
-		return nil, Trace{}, err
-	}
-	out, removed := splitRules(p.Rules, gone)
-	return out, Trace{RuleRemovals: removed, Stats: ck.Stats()}, nil
-}
-
-// IsMinimal reports whether p has no atom and no rule deletable under
-// uniform equivalence — the property Theorem 2 guarantees for the output of
-// Program. Every atom test and, through masks, every rule test runs on one
-// containment session over p.
-func IsMinimal(ctx context.Context, p *ast.Program) (bool, error) {
-	ck, err := chase.NewChecker(p)
-	if err != nil {
-		return false, err
-	}
-	for _, r := range p.Rules {
-		for k := range len(r.Body) + len(r.NegBody) {
-			cand := withoutAtom(r, k)
-			if !cand.WellFormed() {
-				continue
-			}
-			ok, err := ck.ContainsRule(ctx, cand)
-			if err != nil {
-				return false, err
-			}
-			if ok {
-				return false, nil
-			}
-		}
-	}
-	gone, err := redundantRules(ctx, ck, true)
-	if err != nil {
-		return false, err
-	}
-	return !slices.Contains(gone, true), nil
 }
 
 // withoutAtom is r with its kth atom deleted, counting the positive body

@@ -3,6 +3,7 @@ package minimize
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/ast"
@@ -268,22 +269,6 @@ func TestUniformEquivalenceIsLocal(t *testing.T) {
 	}
 }
 
-func TestRemoveRedundantRulesOnly(t *testing.T) {
-	p := parser.MustParseProgram(`
-		G(x, z) :- A(x, z).
-		G(x, z) :- A(x, z), A(x, w).
-	`)
-	// Rule-only pass: the second rule is uniformly contained in the first,
-	// so it is removed even without atom minimization.
-	min, trace, err := RemoveRedundantRules(context.Background(), p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(min.Rules) != 1 || trace.RulesRemoved() != 1 {
-		t.Fatalf("rule-only pass failed:\n%v", min)
-	}
-}
-
 // TestStratifiedMinimalUnchanged: Program takes a program with stratified
 // negation directly, and a minimal one comes back as it went in.
 func TestStratifiedMinimalUnchanged(t *testing.T) {
@@ -314,4 +299,35 @@ func TestEmptyAndTinyPrograms(t *testing.T) {
 	if len(min.Rules) != 1 {
 		t.Fatalf("single necessary rule removed:\n%v", min)
 	}
+}
+
+// IsMinimal reports whether p has no atom and no rule deletable under
+// uniform equivalence — the property Theorem 2 guarantees for the output of
+// Program. Every atom test and, through masks, every rule test runs on one
+// containment session over p.
+func IsMinimal(ctx context.Context, p *ast.Program) (bool, error) {
+	ck, err := chase.NewChecker(p)
+	if err != nil {
+		return false, err
+	}
+	for _, r := range p.Rules {
+		for k := range len(r.Body) + len(r.NegBody) {
+			cand := withoutAtom(r, k)
+			if !cand.WellFormed() {
+				continue
+			}
+			ok, err := ck.ContainsRule(ctx, cand)
+			if err != nil {
+				return false, err
+			}
+			if ok {
+				return false, nil
+			}
+		}
+	}
+	gone, err := redundantRules(ctx, ck, true)
+	if err != nil {
+		return false, err
+	}
+	return !slices.Contains(gone, true), nil
 }

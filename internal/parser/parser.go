@@ -8,7 +8,6 @@ import (
 	"unicode/utf8"
 
 	"repro/internal/ast"
-	"repro/internal/db"
 )
 
 // Result is the outcome of parsing a source text: the rules, the ground
@@ -96,16 +95,6 @@ func parse(src string, syms *ast.SymbolTable) (*Result, error) {
 		}
 	}
 	return res, nil
-}
-
-// MustParse is Parse but panics on error; intended for tests and examples
-// with literal sources.
-func MustParse(src string) *Result {
-	res, err := Parse(src)
-	if err != nil {
-		panic(err)
-	}
-	return res
 }
 
 // ParseProgram parses a source containing only rules and returns the
@@ -403,25 +392,4 @@ func (p *parser) term() (ast.Term, error) {
 func isPredicateName(s string) bool {
 	r, _ := utf8.DecodeRuneInString(s)
 	return unicode.IsUpper(r)
-}
-
-// ParseDatabase parses a source containing only facts and returns them as
-// a database, interning quoted constants into syms (which may be nil for a
-// fresh table). Rules or tgds in the source are rejected — use Parse for
-// mixed sources.
-func ParseDatabase(src string, syms *ast.SymbolTable) (*db.Database, *ast.SymbolTable, error) {
-	if syms == nil {
-		syms = ast.NewSymbolTable()
-	}
-	res, err := ParseWithSymbols(src, syms)
-	if err != nil {
-		return nil, nil, err
-	}
-	if len(res.Program.Rules) > 0 {
-		return nil, nil, fmt.Errorf("parser: unexpected rule %s in database source", res.Program.Rules[0])
-	}
-	if len(res.TGDs) > 0 {
-		return nil, nil, fmt.Errorf("parser: unexpected tgd %s in database source", res.TGDs[0])
-	}
-	return db.FromFacts(res.Facts), syms, nil
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/ast"
+	"repro/internal/db"
 )
 
 func TestParseExample1(t *testing.T) {
@@ -232,10 +233,11 @@ func TestSharedSymbolTable(t *testing.T) {
 }
 
 func TestParseDatabase(t *testing.T) {
-	d, syms, err := ParseDatabase(`A(1, 2). Par("ann", "bob").`, nil)
+	res, err := Parse(`A(1, 2). Par("ann", "bob").`)
 	if err != nil {
 		t.Fatal(err)
 	}
+	d, syms := db.FromFacts(res.Facts), res.Symbols
 	if d.Len() != 2 {
 		t.Fatalf("database: %v", d)
 	}
@@ -247,19 +249,12 @@ func TestParseDatabase(t *testing.T) {
 		t.Fatalf("fact missing: %v", d)
 	}
 	// Database text round-trips through the parser.
-	d2, _, err := ParseDatabase(d.Format(syms), syms)
+	res2, err := ParseWithSymbols(d.Format(syms), syms)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !d.Equal(d2) {
+	if !d.Equal(db.FromFacts(res2.Facts)) || len(res2.Program.Rules)+len(res2.TGDs) != 0 {
 		t.Fatal("database text round trip failed")
-	}
-	// Rules and tgds rejected.
-	if _, _, err := ParseDatabase("G(x) :- A(x).", nil); err == nil {
-		t.Fatal("rule accepted")
-	}
-	if _, _, err := ParseDatabase("G(x) -> A(x).", nil); err == nil {
-		t.Fatal("tgd accepted")
 	}
 }
 
@@ -273,16 +268,12 @@ func TestMustHelpersPanic(t *testing.T) {
 		}()
 		f()
 	}
-	assertPanics("MustParse", func() { MustParse("G(x :-") })
 	assertPanics("MustParseProgram", func() { MustParseProgram("A(1).") })
 	assertPanics("MustParseTGD", func() { MustParseTGD("G(x) :- A(x).") })
 	assertPanics("MustParseAtom", func() { MustParseAtom("not an atom") })
 }
 
 func TestMustHelpersSucceed(t *testing.T) {
-	if MustParse("A(1).") == nil {
-		t.Fatal("MustParse nil")
-	}
 	if MustParseTGD("G(x) -> A(x).").IsFull() != true {
 		t.Fatal("MustParseTGD wrong")
 	}

@@ -116,9 +116,6 @@ func (s *Session) prepare(p *ast.Program) (*eval.Prepared, error) {
 	})
 }
 
-// Program returns the session's program.
-func (s *Session) Program() *ast.Program { return s.p }
-
 // combOpts lazily builds the Fig. 3 combination options for the session
 // program: per intentional predicate, the producing rules plus the trivial
 // "already in d" option.

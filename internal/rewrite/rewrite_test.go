@@ -1,7 +1,9 @@
 package rewrite
 
 import (
+	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"repro/internal/ast"
@@ -13,8 +15,8 @@ import (
 )
 
 // equivalentOnEDBs samples random EDBs and compares the two programs'
-// outputs restricted to the predicates of p1 (unfolding can drop a
-// predicate entirely).
+// outputs restricted to the predicates of p1 (pruning can drop a predicate
+// entirely).
 func equivalentOnEDBs(t *testing.T, p1, p2 *ast.Program, seed int64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -51,61 +53,6 @@ func equivalentOnEDBs(t *testing.T, p1, p2 *ast.Program, seed int64) {
 				t.Fatalf("trial %d: %v invented by transformation\n%s", trial, f, d)
 			}
 		}
-	}
-}
-
-func TestUnfoldAtomLinearTC(t *testing.T) {
-	// Unfolding G in the right-linear rule through both G-rules yields the
-	// classic two-step expansion.
-	p := workload.TransitiveClosureLinear()
-	out, err := UnfoldAtom(p, 1, 1) // G(y,z) inside A(x,y),G(y,z)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Expect: the base rule, plus G(x,z) :- A(x,y), A(y,z) and
-	// G(x,z) :- A(x,y), A(y,w), G(w,z).
-	if len(out.Rules) != 3 {
-		t.Fatalf("unfolded program:\n%v", out)
-	}
-	equivalentOnEDBs(t, p, out, 1)
-}
-
-func TestUnfoldAtomWithConstants(t *testing.T) {
-	p := parser.MustParseProgram(`
-		G(x, 3) :- A(x).
-		H(x, z) :- G(x, z), B(z).
-	`)
-	out, err := UnfoldAtom(p, 1, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// H's rule specializes to z=3.
-	found := false
-	for _, r := range out.Rules {
-		if r.Head.Pred == "H" && !r.Head.Args[1].IsVar && r.Head.Args[1].Val == ast.Int(3) {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("constant specialization missing:\n%v", out)
-	}
-	equivalentOnEDBs(t, p, out, 2)
-}
-
-func TestUnfoldAtomErrors(t *testing.T) {
-	p := workload.TransitiveClosureLinear()
-	if _, err := UnfoldAtom(p, 9, 0); err == nil {
-		t.Fatal("bad rule index accepted")
-	}
-	if _, err := UnfoldAtom(p, 1, 9); err == nil {
-		t.Fatal("bad atom index accepted")
-	}
-	if _, err := UnfoldAtom(p, 1, 0); err == nil {
-		t.Fatal("extensional atom unfolded") // A(x,y) at index 0
-	}
-	neg := parser.MustParseProgram(`P(x) :- A(x), !B(x).`)
-	if _, err := UnfoldAtom(neg, 0, 0); err == nil {
-		t.Fatal("negated rule unfolded")
 	}
 }
 
@@ -167,8 +114,8 @@ func TestRemoveUnfoundedKeepsNegation(t *testing.T) {
 }
 
 func TestTransformationsCompose(t *testing.T) {
-	// Unfold, prune, and check equivalence end to end on a program with
-	// both dead code and an unfoldable call.
+	// Prune, and check equivalence end to end on a program with both
+	// unfounded and unreachable rules.
 	p := parser.MustParseProgram(`
 		Base(x, y) :- E(x, y).
 		Path(x, z) :- Base(x, y), Path(y, z).
@@ -176,26 +123,11 @@ func TestTransformationsCompose(t *testing.T) {
 		Orphan(x) :- NoBase(x, y).
 		NoBase(x, y) :- NoBase(y, x).
 	`)
-	step1 := RemoveUnfounded(p)
-	step2 := RemoveUnreachable(step1, "Path")
-	out, err := UnfoldAtom(step2, indexOfRule(t, step2, "Path", 2), 0)
-	if err != nil {
-		t.Fatal(err)
+	out := RemoveUnreachable(RemoveUnfounded(p), "Path")
+	if len(out.Rules) != 3 {
+		t.Fatalf("dead rules kept:\n%v", out)
 	}
 	equivalentOnEDBs(t, RemoveUnreachable(p, "Path"), out, 4)
-}
-
-// indexOfRule finds the i-th rule (0-based among those with the head pred)
-// and returns its index; bodyLen disambiguates.
-func indexOfRule(t *testing.T, p *ast.Program, headPred string, bodyLen int) int {
-	t.Helper()
-	for i, r := range p.Rules {
-		if r.Head.Pred == headPred && len(r.Body) == bodyLen {
-			return i
-		}
-	}
-	t.Fatalf("no rule for %s with %d atoms in:\n%v", headPred, bodyLen, p)
-	return -1
 }
 
 // TestAddInputRulesSectionIV executes the paper's Section IV observation:
@@ -253,4 +185,42 @@ func TestAddInputRulesSectionIV(t *testing.T) {
 	if err != nil || ok {
 		t.Fatalf("chase converse on primed programs: %v %v", ok, err)
 	}
+}
+
+// AddInputRules implements the observation closing Section IV of the
+// paper: adding, for every intentional predicate B, a rule
+//
+//	B(x₁,…,xₙ) :- B@0(x₁,…,xₙ)
+//
+// over a fresh extensional predicate B@0 turns uniform containment into
+// plain containment — P₂ ⊑ᵘ P₁ iff P₂′ ⊑ P₁′ — because an EDB for the
+// primed program can smuggle arbitrary initial IDB relations in through
+// the B@0 relations. The '@' in the generated name cannot occur in parsed
+// predicates, so no collision is possible.
+func AddInputRules(p *ast.Program) *ast.Program {
+	out := p.Clone()
+	idb := p.IDBPredicates()
+	arity := map[string]int{}
+	for _, r := range p.Rules {
+		if idb[r.Head.Pred] {
+			arity[r.Head.Pred] = r.Head.Arity()
+		}
+	}
+	names := make([]string, 0, len(arity))
+	for name := range arity {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for _, name := range names {
+		n := arity[name]
+		args := make([]ast.Term, n)
+		for i := range args {
+			args[i] = ast.Var(fmt.Sprintf("x%d", i+1))
+		}
+		out.Rules = append(out.Rules, ast.Rule{
+			Head: ast.Atom{Pred: name, Args: args},
+			Body: []ast.Atom{{Pred: name + "@0", Args: append([]ast.Term(nil), args...)}},
+		})
+	}
+	return out
 }

@@ -29,7 +29,7 @@ var guards = []struct {
 	{"one-join", "the join kernel is the only join that ships: nothing shipped links internal/oracle, internal/db exports no matcher, and eval, chase and preserve join through no ast.Binding", []rule{
 		{linked("internal/oracle", in("cmd", "examples", "internal/core", "internal/service", "internal/harness")), []string{`internal/explain/planted.go: import _ "repro/internal/oracle/topdown"`}},
 		{forbid(names, `^import "repro/internal/oracle`, in("internal", "cmd", "examples").but("internal/oracle")), []string{`cmd/datalog/planted.go: import _ "repro/internal/oracle/cq"`}},
-		{forbid(decls, `^(Match\w*|Satisfiable|OrderForJoin\w*)\(`, in("internal/db")), []string{"internal/db/planted.go: func MatchAtom() {}"}},
+		{forbid(decls, `^(\w+\.)?(Match\w*|Satisfiable|OrderForJoin\w*)\(`, in("internal/db")), []string{"internal/db/planted.go: func MatchAtom() {}", "internal/db/planted.go: func (r *Relation) MatchAny() {}"}},
 		{forbid(decls, `.`, in("internal/db/match.go", "internal/topdown")), []string{"internal/db/match.go: func f() {}", "internal/topdown/planted.go: func f() {}"}},
 		{forbid(names, `^ast\.Binding|MustGround`, in("internal/eval")), []string{"internal/eval/planted.go: var _ ast.Binding"}},
 		{forbid(names, `MatchGround|^Unify$`, in("internal/chase", "internal/preserve")), []string{"internal/preserve/planted.go: var _ = b.Unify(a)"}},
@@ -111,6 +111,9 @@ var guards = []struct {
 	{"doc-names", "every backticked pkg.Name in README.md and TUTORIAL.md names a declaration of the module", []rule{
 		{resolves("README.md", "TUTORIAL.md"), []string{"TUTORIAL.md: `eval.Incremental` maintains a view"}},
 	}},
+	{"no-test-only-export", "below the facade a package exports only what shipped code or another package's tests use: each exported function or method under internal/ is referred to by non-test code or by a test file of another directory", []rule{
+		{used(in("internal")), []string{"internal/depgraph/planted.go: func Unused() {}\ninternal/depgraph/planted_test.go: var _ = Unused", "internal/explain/planted.go: func (p *Prover) Unused() int { return 0 }"}},
+	}},
 }
 
 type rule struct {
@@ -135,6 +138,10 @@ func TestStructure(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	// A test of another package is a user: shared test support stays exported.
+	if bad := used(in("internal"))(planted(t, tr, "internal/ast/planted.go: func Helper() {}\ninternal/eval/planted_test.go: var _ = ast.Helper", false)); len(bad) > 0 {
+		t.Errorf("no-test-only-export rejects a function another package's test uses: %q", bad)
 	}
 	for _, g := range guards {
 		t.Run(g.name, func(t *testing.T) {
@@ -193,6 +200,7 @@ const (
 	code                     // rendered calls, comparisons, assignments and go statements
 	callees                  // the rendered function of each call
 	decls                    // "F(params) results", "T.M(params) results", "T <type>", "T.field <type>", "T. <embedded>", "V <type>" and "V"
+	refs                     // rendered selectors and the identifiers that do not declare a function, type, value or field
 )
 
 func parseFile(name, src string) (*file, error) {
@@ -205,13 +213,18 @@ func parseFile(name, src string) (*file, error) {
 	}
 	f := &file{pkg: af.Name.Name, items: map[kind][]string{}}
 	add := func(k kind, s string) { f.items[k] = append(f.items[k], s) }
-	str, owner := types.ExprString, map[*ast.StructType]string{}
+	str, owner, declaring := types.ExprString, map[*ast.StructType]string{}, map[*ast.Ident]bool{}
 	ast.Inspect(af, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.Ident:
 			add(names, n.Name)
+			if !declaring[n] {
+				add(refs, n.Name)
+			}
 		case *ast.SelectorExpr:
 			add(names, str(n))
+			add(refs, str(n))
+			declaring[n.Sel] = true
 		case *ast.BasicLit:
 			add(names, n.Value)
 		case *ast.ImportSpec:
@@ -228,6 +241,7 @@ func parseFile(name, src string) (*file, error) {
 				add(code, str(lhs)+" "+n.Tok.String()+" "+str(n.Rhs[min(i, len(n.Rhs)-1)]))
 			}
 		case *ast.FuncDecl:
+			declaring[n.Name] = true
 			name := n.Name.Name
 			if n.Recv != nil {
 				recv, _, _ := strings.Cut(strings.TrimPrefix(str(n.Recv.List[0].Type), "*"), "[")
@@ -235,12 +249,14 @@ func parseFile(name, src string) (*file, error) {
 			}
 			add(decls, name+strings.TrimPrefix(str(n.Type), "func"))
 		case *ast.TypeSpec:
+			declaring[n.Name] = true
 			add(decls, n.Name.Name+" "+str(n.Type))
 			if st, ok := n.Type.(*ast.StructType); ok {
 				owner[st] = n.Name.Name
 			}
 		case *ast.ValueSpec:
 			for _, id := range n.Names { // "V <type>", or "V" when the type is left to the value
+				declaring[id] = true
 				add(decls, strings.TrimSuffix(id.Name+" "+str(cmp.Or[ast.Expr](n.Type, &ast.Ident{})), " "))
 			}
 		case *ast.StructType:
@@ -250,6 +266,7 @@ func parseFile(name, src string) (*file, error) {
 					ids = []*ast.Ident{{}}
 				}
 				for _, id := range ids {
+					declaring[id] = true
 					add(decls, owner[n]+"."+id.Name+" "+str(fld.Type))
 				}
 			}
@@ -364,6 +381,53 @@ func facade(s, callers scope) func(tree) []string {
 		return bad
 	}
 }
+
+// used rejects each exported function and method of the files of s that
+// neither non-test code nor a test file of another directory refers to: a
+// function F of package x as F in its own directory or as x.F, a method M as
+// .M under any receiver. Methods that satisfy a standard-library interface
+// are exempt.
+func used(s scope) func(tree) []string {
+	return func(tr tree) (bad []string) {
+		users := map[string][]string{} // "dir F", "x.F" or ".M" → the directory of each referring test file, "" for non-test code
+		for p, f := range tr {
+			from := ""
+			if !in()(p) {
+				from = path.Dir(p)
+			}
+			for _, r := range f.items[refs] {
+				if i := strings.LastIndex(r, "."); i < 0 {
+					users[path.Dir(p)+" "+r] = append(users[path.Dir(p)+" "+r], from)
+				} else {
+					users[r] = append(users[r], from)
+					users[r[i:]] = append(users[r[i:]], from)
+				}
+			}
+		}
+		for p, f := range tr {
+			for _, d := range f.items[decls] {
+				name := declName(d)
+				fn, keys := name, []string{f.pkg + "." + name, path.Dir(p) + " " + name}
+				if _, method, ok := strings.Cut(name, "."); ok {
+					fn, keys = method, []string{"." + method}
+				}
+				if !s(p) || !strings.HasPrefix(d, name+"(") || !token.IsExported(fn) || fn != name && stdMethods[fn] {
+					continue
+				}
+				if !slices.ContainsFunc(keys, func(k string) bool {
+					return slices.ContainsFunc(users[k], func(from string) bool { return from != path.Dir(p) })
+				}) {
+					bad = append(bad, p+": "+d)
+				}
+			}
+		}
+		return bad
+	}
+}
+
+// stdMethods are the method names through which the standard library calls
+// a type of the module.
+var stdMethods = map[string]bool{"String": true, "Error": true, "Unwrap": true, "Len": true, "Less": true, "Swap": true}
 
 // resolves rejects each backticked pkg.Name or pkg.Type.Member in docs that
 // names no declaration, or promoted field or method, of a non-test file of a
