@@ -32,12 +32,15 @@ test:
 
 # fuzz-short runs each fuzz target of the two layers every program passes
 # through first for a few seconds: the parser (no panic, positions in source
-# order, print/parse round trip) and the canonical rendering (the address of
+# order, print/parse round trip, and every result and error held to the
+# rune-at-a-time reference parser kept in its tests, for whole sources and
+# for the one-atom queries) and the canonical rendering (the address of
 # the plan cache and the verdict store; held byte for byte to a map-based
 # reference renderer), and the 2Q cache both memos are built on (random
 # lookups and stores replayed against a slice-based reference 2Q).
 fuzz-short:
 	$(GO) test -run='^$$' -fuzz='^FuzzParse$$' -fuzztime=10s ./internal/parser
+	$(GO) test -run='^$$' -fuzz='^FuzzParseAtom$$' -fuzztime=10s ./internal/parser
 	$(GO) test -run='^$$' -fuzz='^FuzzCanonicalRule$$' -fuzztime=10s ./internal/ast
 	$(GO) test -run='^$$' -fuzz='^FuzzCache$$' -fuzztime=10s ./internal/twoq
 

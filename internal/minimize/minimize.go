@@ -40,6 +40,7 @@ package minimize
 import (
 	"context"
 	"math/rand"
+	"slices"
 
 	"repro/internal/ast"
 	"repro/internal/chase"
@@ -101,8 +102,12 @@ func Rule(ctx context.Context, r ast.Rule, opts Options) (ast.Rule, Trace, error
 // redundant atoms are removed first, then all redundant rules. The result
 // is uniformly equivalent to p.
 func Program(ctx context.Context, p *ast.Program, opts Options) (*ast.Program, Trace, error) {
-	q := p.Clone()
+	// Neither phase writes a rule in place: the atom phase installs a fresh
+	// Body for each deletion and splitRules clones what it returns. Only
+	// Rand's shuffles reorder bodies in place, so only they need a deep copy.
+	q := &ast.Program{Rules: slices.Clone(p.Rules)}
 	if opts.Rand != nil {
+		q = p.Clone()
 		shuffleProgram(q, opts.Rand)
 	}
 	ck, err := chase.NewCheckerIn(q, eval.NewLineage())
@@ -121,7 +126,7 @@ func Program(ctx context.Context, p *ast.Program, opts Options) (*ast.Program, T
 			return nil, trace, err
 		}
 	}
-	gone, err := redundantRules(ctx, ck, false)
+	gone, err := redundantRules(ctx, ck)
 	if err != nil {
 		return nil, trace, err
 	}
@@ -186,9 +191,8 @@ func minimizeAtoms(ctx context.Context, p *ast.Program, ck *chase.Checker, opts 
 // redundantRules runs the second phase of Fig. 2 over ck's program P: each
 // rule r is considered once and deleted when r ⊑ᵘ P − S − {r}, S being the
 // rules deleted before it. Every test runs P's plan with S ∪ {r} masked, so
-// the phase prepares nothing. The returned mask marks the deleted rules; with
-// first set the phase stops at the first deletion.
-func redundantRules(ctx context.Context, ck *chase.Checker, first bool) ([]bool, error) {
+// the phase prepares nothing. The returned mask marks the deleted rules.
+func redundantRules(ctx context.Context, ck *chase.Checker) ([]bool, error) {
 	rules := ck.Program().Rules
 	skip := make([]bool, len(rules))
 	for i, r := range rules {
@@ -198,9 +202,6 @@ func redundantRules(ctx context.Context, ck *chase.Checker, first bool) ([]bool,
 			return nil, err
 		}
 		skip[i] = ok
-		if ok && first {
-			break
-		}
 	}
 	return skip, nil
 }

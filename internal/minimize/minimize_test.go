@@ -3,7 +3,6 @@ package minimize
 import (
 	"context"
 	"math/rand"
-	"slices"
 	"testing"
 
 	"repro/internal/ast"
@@ -190,6 +189,49 @@ func TestTheorem2ResultIsMinimal(t *testing.T) {
 	}
 }
 
+// TestProgramLeavesCallerUntouched: Program copies only the caller's rule
+// list when Rand is nil, so neither the minimization nor a later write to
+// or append on any Body, NegBody or Args slice of its result may change the
+// caller's program; with Rand set the input is shuffled in a deep copy.
+func TestProgramLeavesCallerUntouched(t *testing.T) {
+	src := `G(x, z) :- A(x, z), A(x, w), B(w).
+		G(x, z) :- G(x, y), G(y, z), A(y, y).
+		G(x, z) :- A(x, y), G(y, z).
+		H(x) :- G(x, y), !B(x), !B(x).
+		H(x) :- G(x, y), A(y, z), !B(x).`
+	for _, opts := range []Options{{}, {Rand: rand.New(rand.NewSource(3))}} {
+		p := parser.MustParseProgram(src)
+		before := p.String()
+		min, trace, err := Program(context.Background(), p, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if trace.AtomsRemoved() == 0 || trace.RulesRemoved() == 0 {
+			t.Fatalf("want atoms and rules removed, trace %+v", trace)
+		}
+		if got := p.String(); got != before {
+			t.Fatalf("Program changed its input:\n%s\nwas\n%s", got, before)
+		}
+		junk := ast.NewAtom("JUNK", ast.Var("j"), ast.Var("j"), ast.Var("j"))
+		for i := range min.Rules {
+			r := &min.Rules[i]
+			for _, atoms := range []*[]ast.Atom{&r.Body, &r.NegBody} {
+				_ = append(*atoms, junk)
+				for k := range *atoms {
+					_ = append((*atoms)[k].Args, ast.Var("j"))
+					(*atoms)[k].Args[0] = ast.Var("j")
+					(*atoms)[k] = junk
+				}
+			}
+			_ = append(r.Head.Args, ast.Var("j"))
+			r.Head.Args[0] = ast.Var("j")
+		}
+		if got := p.String(); got != before {
+			t.Fatalf("writing the result changed the input:\n%s\nwas\n%s", got, before)
+		}
+	}
+}
+
 func TestMinimizeIdempotent(t *testing.T) {
 	p := parser.MustParseProgram(`
 		G(x, z) :- A(x, z).
@@ -304,7 +346,8 @@ func TestEmptyAndTinyPrograms(t *testing.T) {
 // IsMinimal reports whether p has no atom and no rule deletable under
 // uniform equivalence — the property Theorem 2 guarantees for the output of
 // Program. Every atom test and, through masks, every rule test runs on one
-// containment session over p.
+// containment session over p. Rule i is tested against P − {r_i} with a
+// mask of its own, not through the rule phase, so a fault there shows.
 func IsMinimal(ctx context.Context, p *ast.Program) (bool, error) {
 	ck, err := chase.NewChecker(p)
 	if err != nil {
@@ -325,9 +368,14 @@ func IsMinimal(ctx context.Context, p *ast.Program) (bool, error) {
 			}
 		}
 	}
-	gone, err := redundantRules(ctx, ck, true)
-	if err != nil {
-		return false, err
+	rules := ck.Program().Rules
+	for i, r := range rules {
+		skip := make([]bool, len(rules))
+		skip[i] = true
+		ok, err := ck.ContainsRuleMasked(ctx, r, skip)
+		if err != nil || ok {
+			return false, err
+		}
 	}
-	return !slices.Contains(gone, true), nil
+	return true, nil
 }

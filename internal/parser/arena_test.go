@@ -3,6 +3,7 @@ package parser
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -236,21 +237,42 @@ func TestMultiBytePositions(t *testing.T) {
 }
 
 // TestParseAllocations pins the allocation count of parsing a fixed 8-rule
-// program: the lexer slices its source and interns each identifier once,
-// and the atoms and terms of the result come from two arenas.
+// program, and of the one-atom parse a query or an /eval request makes: the
+// lexer interns each identifier once into small blocks of names, and the
+// atoms and terms of the result come from two arenas sized once.
 func TestParseAllocations(t *testing.T) {
-	src := `
-		G(x, z) :- A(x, z).
-		G(x, z) :- G(x, y), G(y, z).
-		H(x) :- G(x, y), B(y), !C(x).
-		H(x) :- A(x, x).
-		K(x, y, z) :- A(x, y), A(y, z), B(z).
-		K(x, y, z) :- K(x, y, w), A(w, z).
-		L(x) :- K(x, x, x), H(x).
-		L(x) :- B(x), !H(x).
-	`
-	const want = 35
-	if n := testing.AllocsPerRun(50, func() { _, _ = Parse(src) }); n > want {
+	const want = 11
+	if n := testing.AllocsPerRun(50, func() { _, _ = Parse(eightRules) }); n > want {
 		t.Fatalf("Parse of an 8-rule program allocates %.0f times, want at most %d", n, want)
+	}
+	const wantAtom = 6
+	if n := testing.AllocsPerRun(50, func() { _, _ = ParseAtom("CanRead(17, d)") }); n > wantAtom {
+		t.Fatalf("ParseAtom allocates %.0f times, want at most %d", n, wantAtom)
+	}
+}
+
+// TestParseRetainsNoFactArena: a program parsed beside 10,000 facts keeps
+// nothing in proportion to them, the rule before the facts or after them.
+// The facts give their terms back and reserve no atoms; what the rule keeps
+// is its own atoms and terms and at most the capped arenas.
+func TestParseRetainsNoFactArena(t *testing.T) {
+	rule := "G(x, z) :- A(x, y), A(y, z).\n"
+	facts := factBlock(10000)
+	for _, src := range []string{rule + facts, facts + rule} {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		res, err := Parse(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		prog := res.Program
+		res = nil
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		if kept := int64(after.HeapAlloc) - int64(before.HeapAlloc); kept > 16<<10 {
+			t.Errorf("a 1-rule program parsed beside 10,000 facts keeps %d bytes, want at most 16 KiB", kept)
+		}
+		runtime.KeepAlive(prog)
 	}
 }

@@ -8,30 +8,18 @@ import (
 )
 
 // FuzzParse checks the parser's robustness (no panics on arbitrary input),
-// that every input that parses has its positions in source order, and the
-// printer round-trip on every input that parses. With `go test`
+// that it agrees with the oracle (diffOracle) on every input, that every
+// input that parses has its positions in source order, and the printer
+// round-trip on every input that parses. With `go test`
 // only the seed corpus runs; `go test -fuzz=FuzzParse` explores further.
 func FuzzParse(f *testing.F) {
-	for _, seed := range []string{
-		"G(x, z) :- A(x, z).",
-		"G(x, z) :- G(x, y), G(y, z).",
-		"A(1, 2). A(-3, 4).",
-		"G(x, z) -> A(x, w).",
-		"P(x) :- A(x), !B(x).",
-		`Par("ann", 'bob').`,
-		"% comment\nG(x) :- A(x). // trailing",
-		"G(x",
-		":-",
-		"G(x) :- .",
-		"G(x,) :- A(x).",
-		"G(x) :- A(x)",
-		"\"unterminated",
-		"G(x, 99999999999999999999999) :- A(x).",
-		"G(日本語) :- A(日本語).",
-	} {
+	for _, seed := range parseSeeds {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, src string) {
+		if diff := diffOracle(src); diff != "" {
+			t.Fatal(diff)
+		}
 		res, err := Parse(src)
 		if err != nil {
 			return // rejection is fine; panics are not

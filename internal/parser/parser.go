@@ -24,15 +24,17 @@ type Result struct {
 }
 
 type parser struct {
-	lex  *lexer
+	lex  lexer
 	tok  token
 	syms *ast.SymbolTable
 	// anon numbers the anonymous variables ('_'), each occurrence fresh.
 	anon int
+	// invalid records a rule that is not well-formed or gives a predicate
+	// another arity than an earlier rule atom did: Program.Validate rejects it.
+	invalid bool
 	// atoms and terms are the arenas the Body, NegBody, Lhs, Rhs and Args
-	// slices of the result are carved from (carve); they grow by append, and
-	// a piece carved before a growth keeps the old backing array. neg holds
-	// a rule's negated atoms until its positive body is complete.
+	// slices of the result are carved from (carve), sized once in parse.
+	// neg holds a rule's negated atoms until its positive body is complete.
 	atoms, neg []ast.Atom
 	terms      []ast.Term
 }
@@ -56,11 +58,8 @@ func Parse(src string) (*Result, error) {
 // ParseWithSymbols is Parse but interning quoted constants into the supplied
 // table, so that several sources can share a constant space.
 func ParseWithSymbols(src string, syms *ast.SymbolTable) (*Result, error) {
-	res, err := parse(src, syms)
+	res, err := parse(src, syms, true)
 	if err != nil {
-		return nil, err
-	}
-	if err := res.Program.Validate(); err != nil {
 		return nil, err
 	}
 	for _, t := range res.TGDs {
@@ -77,20 +76,35 @@ func ParseWithSymbols(src string, syms *ast.SymbolTable) (*Result, error) {
 // (internal/analysis), which re-reports those violations as positioned
 // diagnostics instead of a single error; everything else should use Parse.
 func ParseLoose(src string) (*Result, error) {
-	return parse(src, ast.NewSymbolTable())
+	return parse(src, ast.NewSymbolTable(), false)
 }
 
-func parse(src string, syms *ast.SymbolTable) (*Result, error) {
-	p := &parser{lex: newLexer(src), syms: syms}
+// parse reads src in one pass. With validate set it returns the error of
+// Program.Validate if the parse saw a rule that Validate rejects.
+func parse(src string, syms *ast.SymbolTable, validate bool) (*Result, error) {
+	p := parser{syms: syms}
+	p.lex.init(src)
 	if err := p.advance(); err != nil {
 		return nil, err
 	}
 	res := &Result{Program: ast.NewProgram(), Symbols: syms}
-	if n := strings.Count(src, ":-"); n > 0 {
+	if n := strings.Count(src, ":"); n > 0 {
 		res.Program.Rules = make([]ast.Rule, 0, n)
+	}
+	// With n rules and m tgds the arenas keep every atom but the heads, and
+	// two terms per rule or tgd more than it has commas. At most 64 atoms and
+	// 128 terms are reserved, so facts beside a rule keep nothing.
+	if n, m := cap(res.Program.Rules), strings.Count(src, ">"); n+m > 0 {
+		p.atoms = make([]ast.Atom, 0, min(max(strings.Count(src, "(")-n, 0), 64))
+		p.terms = make([]ast.Term, 0, min(strings.Count(src, ",")+2*(n+m), 128))
 	}
 	for p.tok.kind != tokEOF {
 		if err := p.statement(res); err != nil {
+			return nil, err
+		}
+	}
+	if validate && p.invalid {
+		if err := res.Program.Validate(); err != nil {
 			return nil, err
 		}
 	}
@@ -155,7 +169,8 @@ func ParseAtom(src string) (ast.Atom, error) {
 // into syms so they identify with constants from other sources parsed with
 // the same table.
 func ParseAtomWithSymbols(src string, syms *ast.SymbolTable) (ast.Atom, error) {
-	p := &parser{lex: newLexer(src), syms: syms}
+	p := parser{syms: syms}
+	p.lex.init(src)
 	if err := p.advance(); err != nil {
 		return ast.Atom{}, err
 	}
@@ -179,12 +194,7 @@ func MustParseAtom(src string) ast.Atom {
 }
 
 func (p *parser) advance() error {
-	tok, err := p.lex.next()
-	if err != nil {
-		return err
-	}
-	p.tok = tok
-	return nil
+	return p.lex.next(&p.tok)
 }
 
 func (p *parser) expect(kind tokenKind) (token, error) {
@@ -200,8 +210,12 @@ func (p *parser) expect(kind tokenKind) (token, error) {
 
 func (p *parser) unexpected(want string) error {
 	got := p.tok.kind.String()
-	if p.tok.text != "" {
-		got = fmt.Sprintf("%s %q", got, p.tok.text)
+	text := p.lex.src[p.tok.start:p.tok.end]
+	if p.tok.kind == tokString {
+		text = p.lex.str
+	}
+	if text != "" {
+		got = fmt.Sprintf("%s %q", got, text)
 	}
 	return fmt.Errorf("%s: expected %s, found %s", p.tok.pos, want, got)
 }
@@ -268,6 +282,15 @@ func (p *parser) statement(res *Result) error {
 		mark = len(p.atoms)
 		p.atoms = append(p.atoms, p.neg...)
 		rule.NegBody = carve(p.atoms, mark)
+		if !p.invalid {
+			ok := rule.WellFormed()
+			for _, atoms := range rule.Atoms() {
+				for _, a := range atoms {
+					ok = ok && p.lex.arityAgrees(a)
+				}
+			}
+			p.invalid = !ok
+		}
 		res.Program.Rules = append(res.Program.Rules, rule)
 		return nil
 
@@ -317,12 +340,13 @@ func (p *parser) statement(res *Result) error {
 
 // atom parses Pred(t1, ..., tn).
 func (p *parser) atom() (ast.Atom, error) {
+	pred := p.lex.tab[p.tok.id].name // before a new name can regrow the table
 	name, err := p.expect(tokIdent)
 	if err != nil {
 		return ast.Atom{}, err
 	}
-	if !isPredicateName(name.text) {
-		return ast.Atom{}, fmt.Errorf("%s: predicate name %q must begin with an upper-case letter", name.pos, name.text)
+	if !isPredicateName(pred) {
+		return ast.Atom{}, fmt.Errorf("%s: predicate name %q must begin with an upper-case letter", name.pos, pred)
 	}
 	if _, err := p.expect(tokLParen); err != nil {
 		return ast.Atom{}, err
@@ -345,13 +369,13 @@ func (p *parser) atom() (ast.Atom, error) {
 	if _, err := p.expect(tokRParen); err != nil {
 		return ast.Atom{}, err
 	}
-	return ast.Atom{Pred: name.text, Args: carve(p.terms, mark), Pos: name.pos}, nil
+	return ast.Atom{Pred: pred, Args: carve(p.terms, mark), Pos: name.pos}, nil
 }
 
 func (p *parser) term() (ast.Term, error) {
 	switch p.tok.kind {
 	case tokIdent:
-		text := p.tok.text
+		text := p.lex.tab[p.tok.id].name
 		if isPredicateName(text) {
 			return ast.Term{}, fmt.Errorf("%s: %q begins with an upper-case letter; variables are lower-case and constants are integers or quoted", p.tok.pos, text)
 		}
@@ -366,20 +390,21 @@ func (p *parser) term() (ast.Term, error) {
 		}
 		return ast.Var(text), nil
 	case tokInt:
-		n, err := strconv.ParseInt(p.tok.text, 10, 64)
+		text := p.lex.src[p.tok.start:p.tok.end]
+		n, err := strconv.ParseInt(text, 10, 64)
 		if err != nil {
-			return ast.Term{}, fmt.Errorf("%s: bad integer %q: %v", p.tok.pos, p.tok.text, err)
+			return ast.Term{}, fmt.Errorf("%s: bad integer %q: %v", p.tok.pos, text, err)
 		}
 		if !ast.IsInt(ast.Const(n)) {
 			// ast.Int panics outside the plain-integer range.
-			return ast.Term{}, fmt.Errorf("%s: integer %s out of range: a constant lies strictly between -2^40 and 2^40", p.tok.pos, p.tok.text)
+			return ast.Term{}, fmt.Errorf("%s: integer %s out of range: a constant lies strictly between -2^40 and 2^40", p.tok.pos, text)
 		}
 		if err := p.advance(); err != nil {
 			return ast.Term{}, err
 		}
 		return ast.IntTerm(n), nil
 	case tokString:
-		c := p.syms.Intern(p.tok.text)
+		c := p.syms.Intern(p.lex.str)
 		if err := p.advance(); err != nil {
 			return ast.Term{}, err
 		}
@@ -390,6 +415,9 @@ func (p *parser) term() (ast.Term, error) {
 }
 
 func isPredicateName(s string) bool {
+	if s != "" && s[0] < utf8.RuneSelf {
+		return 'A' <= s[0] && s[0] <= 'Z'
+	}
 	r, _ := utf8.DecodeRuneInString(s)
 	return unicode.IsUpper(r)
 }
