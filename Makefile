@@ -93,15 +93,16 @@ lint-ci:
 	$(GO) install honnef.co/go/tools/cmd/staticcheck@$(STATICCHECK_VERSION)
 	PATH="$$($(GO) env GOPATH)/bin:$$PATH" $(MAKE) lint
 
+# examples runs each shipped example and diffs its stdout against the golden
+# testdata/examples/<name>.out: an example that fails or prints anything else
+# fails the target.
+EXAMPLES = quickstart minimize equivalence magic stratified pointsto authz incremental
+
 examples:
-	$(GO) run ./examples/quickstart
-	$(GO) run ./examples/minimize
-	$(GO) run ./examples/equivalence
-	$(GO) run ./examples/magic
-	$(GO) run ./examples/stratified
-	$(GO) run ./examples/pointsto
-	$(GO) run ./examples/authz
-	$(GO) run ./examples/incremental
+	@tmp=$$(mktemp -d) && trap 'rm -rf "$$tmp"' EXIT && for e in $(EXAMPLES); do \
+		echo "examples/$$e"; \
+		$(GO) run ./examples/$$e > "$$tmp/$$e.out" && diff -u testdata/examples/$$e.out "$$tmp/$$e.out" || exit 1; \
+	done
 
 clean:
 	$(GO) clean ./...

@@ -501,11 +501,11 @@ func smallTenantArms(b *testing.B, prefix string, p *ast.Program, tenant *db.Dat
 		}
 	})
 	b.Run(prefix+"apply", func(b *testing.B) {
-		view, _, err := sess.Materialize(ctx, snap.DB(), core.MaintainOptions{})
+		view, _, err := sess.Materialize(ctx, snap.DB())
 		if err != nil {
 			b.Fatal(err)
 		}
-		swap := [2]core.DatabaseDelta{
+		swap := [2]eval.Delta{
 			{Assert: []ast.GroundAtom{absent}, Retract: []ast.GroundAtom{present}},
 			{Assert: []ast.GroundAtom{present}, Retract: []ast.GroundAtom{absent}},
 		}

@@ -1,12 +1,16 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"io"
 
 	"repro/internal/ast"
 	"repro/internal/core"
+	"repro/internal/equivopt"
+	"repro/internal/minimize"
 	"repro/internal/parser"
+	"repro/internal/preserve"
 )
 
 // This file holds the optimization family: the paper's program transforms
@@ -20,7 +24,7 @@ func (c *cli) cmdMinimize(rest []string) error {
 	if err != nil {
 		return err
 	}
-	min, trace, err := core.MinimizeProgram(res.Program, core.MinimizeOptions{})
+	min, trace, err := minimize.Program(context.Background(), res.Program, minimize.Options{})
 	if err != nil {
 		return err
 	}
@@ -34,7 +38,7 @@ func (c *cli) cmdMinimize(rest []string) error {
 
 // printTrace prints what a minimization removed, one atom or rule a line; a
 // removed negated literal keeps its '!'.
-func printTrace(out io.Writer, trace core.MinimizeTrace, syms *ast.SymbolTable) {
+func printTrace(out io.Writer, trace minimize.Trace, syms *ast.SymbolTable) {
 	fmt.Fprintf(out, "%% removed %d atoms, %d rules\n", trace.AtomsRemoved(), trace.RulesRemoved())
 	for _, ar := range trace.AtomRemovals {
 		neg := ""
@@ -54,7 +58,7 @@ func (c *cli) cmdEquivOpt(rest []string) error {
 	if err != nil {
 		return err
 	}
-	opt, removals, err := core.EquivOptimize(res.Program, core.EquivOptions{})
+	opt, removals, err := equivopt.Optimize(context.Background(), res.Program, equivopt.Options{})
 	if err != nil {
 		return err
 	}
@@ -105,7 +109,7 @@ func (c *cli) cmdPreserve(rest []string) error {
 	if len(res.TGDs) == 0 {
 		return fmt.Errorf("preserve: the file declares no tgds")
 	}
-	v, cex, err := core.PreserveCheck(res.Program, res.TGDs, core.PreserveOptions{})
+	v, cex, err := preserve.Check(res.Program, res.TGDs, preserve.Options{})
 	if err != nil {
 		return err
 	}
@@ -113,7 +117,7 @@ func (c *cli) cmdPreserve(rest []string) error {
 	if cex != nil {
 		fmt.Fprintf(c.out, "counterexample: %v\n", cex)
 	}
-	v, cex, err = core.PreserveCheckPreliminary(res.Program, res.TGDs, core.PreserveOptions{})
+	v, cex, err = preserve.CheckPreliminary(res.Program, res.TGDs, preserve.Options{})
 	if err != nil {
 		return err
 	}

@@ -81,7 +81,7 @@ func (c *cli) cmdMagic(rest []string) error {
 	if err != nil {
 		return fmt.Errorf("query atom: %w", err)
 	}
-	rw, err := core.MagicRewrite(res.Program, q)
+	rw, err := magic.Rewrite(res.Program, q)
 	if err != nil {
 		return err
 	}

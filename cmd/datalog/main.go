@@ -46,7 +46,7 @@ import (
 	"runtime/pprof"
 
 	"repro/internal/ast"
-	"repro/internal/core"
+	"repro/internal/chase"
 	"repro/internal/eval"
 	"repro/internal/parser"
 )
@@ -155,7 +155,7 @@ func printSessionStats(out io.Writer, st eval.Stats) {
 	cs := eval.DefaultPlanCache.Stats()
 	fmt.Fprintf(out, "%% plan cache: hits=%d misses=%d evictions=%d entries=%d\n",
 		cs.Hits, cs.Misses, cs.Evictions, cs.Entries)
-	vs := core.VerdictStats()
+	vs := chase.VerdictStoreStats()
 	fmt.Fprintf(out, "%% verdict store: programs=%d verdicts=%d lookups=%d hits=%d evictions=%d\n",
 		vs.Programs, vs.Verdicts, vs.Lookups, vs.Hits, vs.Evictions)
 }

@@ -13,8 +13,11 @@ import (
 	"repro/internal/core"
 	"repro/internal/db"
 	"repro/internal/dot"
+	"repro/internal/equivopt"
 	"repro/internal/eval"
+	"repro/internal/minimize"
 	"repro/internal/parser"
+	"repro/internal/preserve"
 )
 
 // session is the mutable state of an interactive datalog session.
@@ -207,7 +210,7 @@ commands:     :show                   print the session's program/facts/tgds
 		return nil
 
 	case ":minimize":
-		min, trace, err := core.MinimizeProgram(s.program, core.MinimizeOptions{})
+		min, trace, err := minimize.Program(context.Background(), s.program, minimize.Options{})
 		if err != nil {
 			return err
 		}
@@ -218,7 +221,7 @@ commands:     :show                   print the session's program/facts/tgds
 		return nil
 
 	case ":equivopt":
-		opt, removals, err := core.EquivOptimize(s.program, core.EquivOptions{})
+		opt, removals, err := equivopt.Optimize(context.Background(), s.program, equivopt.Options{})
 		if err != nil {
 			return err
 		}
@@ -232,12 +235,12 @@ commands:     :show                   print the session's program/facts/tgds
 		if len(s.tgds) == 0 {
 			return fmt.Errorf("no tgds in the session")
 		}
-		v, _, err := core.PreserveCheck(s.program, s.tgds, core.PreserveOptions{})
+		v, _, err := preserve.Check(s.program, s.tgds, preserve.Options{})
 		if err != nil {
 			return err
 		}
 		fmt.Fprintf(s.out, "preserves T non-recursively: %v\n", v)
-		v, _, err = core.PreserveCheckPreliminary(s.program, s.tgds, core.PreserveOptions{})
+		v, _, err = preserve.CheckPreliminary(s.program, s.tgds, preserve.Options{})
 		if err != nil {
 			return err
 		}

@@ -9,16 +9,20 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
 	"repro/internal/ast"
-	"repro/internal/core"
+	"repro/internal/db"
 	"repro/internal/explain"
+	"repro/internal/magic"
+	"repro/internal/minimize"
+	"repro/internal/parser"
 )
 
 func main() {
-	res, err := core.Parse(`
+	res, err := parser.Parse(`
 		% Group membership is transitive through subgroups.
 		Member(u, g) :- Direct(u, g).
 		Member(u, g) :- Member(u, h), Subgroup(h, g).
@@ -42,23 +46,23 @@ func main() {
 	}
 	p, syms := res.Program, res.Symbols
 
-	min, trace, err := core.MinimizeProgram(p, core.MinimizeOptions{})
+	min, trace, err := minimize.Program(context.Background(), p, minimize.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("Fig. 2 removed %d duplicate atom(s) from the policy\n\n", trace.AtomsRemoved())
 
-	edb := core.FromFacts(res.Facts)
+	edb := db.FromFacts(res.Facts)
 	ann, _ := syms.Lookup("ann")
 	query := ast.NewAtom("CanRead", ast.Con(ann), ast.Var("d"))
 
 	// Bottom-up + filter.
-	direct, directStats, err := core.DirectAnswer(min, edb, query, core.EvalOptions{})
+	direct, directStats, err := magic.DirectAnswer(min, edb, query)
 	if err != nil {
 		log.Fatal(err)
 	}
 	// Magic sets.
-	magicAns, magicStats, err := core.MagicAnswer(min, edb, query, core.EvalOptions{})
+	magicAns, magicStats, err := magic.Answer(min, edb, query)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -6,11 +6,17 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
+	"repro/internal/ast"
 	"repro/internal/chase"
-	"repro/internal/core"
+	"repro/internal/equivopt"
+	"repro/internal/eval"
+	"repro/internal/minimize"
+	"repro/internal/parser"
+	"repro/internal/preserve"
 	"repro/internal/workload"
 )
 
@@ -22,7 +28,7 @@ func main() {
 	fmt.Print(p1)
 
 	// The guard is NOT redundant under uniform equivalence...
-	min, trace, err := core.MinimizeProgram(p1, core.MinimizeOptions{})
+	min, trace, err := minimize.Program(context.Background(), p1, minimize.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -31,20 +37,20 @@ func main() {
 	_ = min
 
 	// ... but the Section X conditions hold for T = {G(x,z) -> A(x,w)}:
-	tgd, err := core.ParseTGD("G(x, z) -> A(x, w).")
+	tgd, err := parser.ParseTGD("G(x, z) -> A(x, w).")
 	if err != nil {
 		log.Fatal(err)
 	}
 	p2 := workload.TransitiveClosure()
-	v1, err := core.SATModelsContained(p1, []core.TGD{tgd}, p2, core.Budget{})
+	v1, err := chase.SATModelsContained(p1, []ast.TGD{tgd}, p2, chase.Budget{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	v2, _, err := core.PreserveCheck(p1, []core.TGD{tgd}, core.PreserveOptions{})
+	v2, _, err := preserve.Check(p1, []ast.TGD{tgd}, preserve.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
-	v3, _, err := core.PreserveCheckPreliminary(p1, []core.TGD{tgd}, core.PreserveOptions{})
+	v3, _, err := preserve.CheckPreliminary(p1, []ast.TGD{tgd}, preserve.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -54,7 +60,7 @@ func main() {
 	fmt.Printf("  (3') preliminary DB satisfies T:      %v\n", v3)
 
 	// The automated heuristic finds the tgd and applies the deletion.
-	opt, removals, err := core.EquivOptimize(p1, core.EquivOptions{})
+	opt, removals, err := equivopt.Optimize(context.Background(), p1, equivopt.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -68,8 +74,8 @@ func main() {
 	// Sanity: the two programs agree on a concrete EDB even though they are
 	// not uniformly equivalent.
 	edb := workload.Chain("A", 6)
-	o1, _, _ := core.Eval(p1, edb, core.EvalOptions{})
-	o2, _, _ := core.Eval(opt, edb, core.EvalOptions{})
+	o1, _, _ := eval.Eval(p1, edb)
+	o2, _, _ := eval.Eval(opt, edb)
 	fmt.Printf("\nsame output on a 6-chain: %v\n", o1.Equal(o2))
 	eq, _ := chase.UniformlyEquivalent(p1, opt)
 	fmt.Printf("uniformly equivalent: %v (as the paper predicts)\n", eq)
@@ -78,7 +84,7 @@ func main() {
 	fmt.Println("\nExample 19:")
 	p19 := workload.Example19Program()
 	fmt.Print(p19)
-	opt19, removals19, err := core.EquivOptimize(p19, core.EquivOptions{})
+	opt19, removals19, err := equivopt.Optimize(context.Background(), p19, equivopt.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -14,11 +14,13 @@ import (
 
 	"repro/internal/ast"
 	"repro/internal/core"
+	"repro/internal/eval"
+	"repro/internal/parser"
 	"repro/internal/workload"
 )
 
 func main() {
-	p, err := core.ParseProgram(`
+	p, err := parser.ParseProgram(`
 		Reach(x, y) :- Link(x, y).
 		Reach(x, z) :- Reach(x, y), Link(y, z).
 	`)
@@ -33,20 +35,20 @@ func main() {
 	}
 	ctx := context.Background()
 	edb := workload.Chain("Link", 30)
-	view, stats, err := sess.Materialize(ctx, edb, core.MaintainOptions{})
+	view, stats, err := sess.Materialize(ctx, edb)
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("initial view: %d facts (%d firings)\n", view.Output().Len(), stats.Firings)
 
 	// Stream in edges one at a time, maintaining the view incrementally.
-	inserts := []core.GroundAtom{
-		{Pred: "Link", Args: []core.Const{ast.Int(100), ast.Int(101)}}, // disconnected
-		{Pred: "Link", Args: []core.Const{ast.Int(30), ast.Int(100)}},  // bridge
-		{Pred: "Link", Args: []core.Const{ast.Int(101), ast.Int(0)}},   // closes a cycle
+	inserts := []ast.GroundAtom{
+		{Pred: "Link", Args: []ast.Const{ast.Int(100), ast.Int(101)}}, // disconnected
+		{Pred: "Link", Args: []ast.Const{ast.Int(30), ast.Int(100)}},  // bridge
+		{Pred: "Link", Args: []ast.Const{ast.Int(101), ast.Int(0)}},   // closes a cycle
 	}
 	for _, ins := range inserts {
-		diff, incStats, err := view.Apply(ctx, core.DatabaseDelta{Assert: []core.GroundAtom{ins}})
+		diff, incStats, err := view.Apply(ctx, eval.Delta{Assert: []ast.GroundAtom{ins}})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -59,7 +61,7 @@ func main() {
 	for _, ins := range inserts {
 		full.Add(ins)
 	}
-	fresh, freshStats, err := core.Eval(p, full, core.EvalOptions{})
+	fresh, freshStats, err := eval.Eval(p, full)
 	if err != nil {
 		log.Fatal(err)
 	}

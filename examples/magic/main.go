@@ -7,12 +7,14 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
 
 	"repro/internal/ast"
-	"repro/internal/core"
+	"repro/internal/magic"
+	"repro/internal/minimize"
 	"repro/internal/workload"
 )
 
@@ -25,7 +27,7 @@ func main() {
 	fmt.Println("bloated program:")
 	fmt.Print(bloated)
 
-	minimized, trace, err := core.MinimizeProgram(bloated, core.MinimizeOptions{})
+	minimized, trace, err := minimize.Program(context.Background(), bloated, minimize.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -39,7 +41,7 @@ func main() {
 	fmt.Printf("\nquery: %v over a %d-chain\n\n", query, n)
 
 	// The magic-sets rewriting itself.
-	rw, err := core.MagicRewrite(minimized, query)
+	rw, err := magic.Rewrite(minimized, query)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -55,19 +57,19 @@ func main() {
 	}
 	var results []result
 
-	directAns, directStats, err := core.DirectAnswer(bloated, edb, query, core.EvalOptions{})
+	directAns, directStats, err := magic.DirectAnswer(bloated, edb, query)
 	if err != nil {
 		log.Fatal(err)
 	}
 	results = append(results, result{"full evaluation (bloated)", len(directAns), directStats.DerivedFacts, directStats.Eval.Firings})
 
-	magicAns, magicStats, err := core.MagicAnswer(bloated, edb, query, core.EvalOptions{})
+	magicAns, magicStats, err := magic.Answer(bloated, edb, query)
 	if err != nil {
 		log.Fatal(err)
 	}
 	results = append(results, result{"magic (bloated)", len(magicAns), magicStats.DerivedFacts, magicStats.Eval.Firings})
 
-	minAns, minStats, err := core.MagicAnswer(minimized, edb, query, core.EvalOptions{})
+	minAns, minStats, err := magic.Answer(minimized, edb, query)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -5,21 +5,26 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
-	"repro/internal/core"
+	"repro/internal/chase"
+	"repro/internal/minimize"
+	"repro/internal/parser"
 )
 
 func main() {
+	ctx := context.Background()
+
 	// --- Fig. 1 on the Example 7 rule -----------------------------------
-	p1, err := core.ParseProgram(`
+	p1, err := parser.ParseProgram(`
 		G(x, y, z) :- G(x, w, z), A(w, y), A(w, z), A(z, z), A(z, y).
 	`)
 	if err != nil {
 		log.Fatal(err)
 	}
-	minRule, trace, err := core.MinimizeRule(p1.Rules[0], core.MinimizeOptions{})
+	minRule, trace, err := minimize.Rule(ctx, p1.Rules[0], minimize.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -31,7 +36,7 @@ func main() {
 	}
 
 	// --- Fig. 2 on a program with redundancy at both levels -------------
-	p2, err := core.ParseProgram(`
+	p2, err := parser.ParseProgram(`
 		G(x, z) :- A(x, z).
 		G(x, z) :- G(x, y), G(y, z).
 		G(x, z) :- A(x, y), G(y, z).       % redundant rule
@@ -40,7 +45,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	minProg, trace2, err := core.MinimizeProgram(p2, core.MinimizeOptions{})
+	minProg, trace2, err := minimize.Program(ctx, p2, minimize.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -52,7 +57,7 @@ func main() {
 	fmt.Printf("  removed %d atoms and %d rules\n", trace2.AtomsRemoved(), trace2.RulesRemoved())
 
 	// The result is uniformly equivalent to the original — verify it.
-	eq, err := core.UniformlyEquivalent(p2, minProg)
+	eq, err := chase.UniformlyEquivalent(p2, minProg)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -8,11 +8,15 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
 	"repro/internal/ast"
-	"repro/internal/core"
+	"repro/internal/db"
+	"repro/internal/eval"
+	"repro/internal/magic"
+	"repro/internal/minimize"
 	"repro/internal/parser"
 )
 
@@ -45,15 +49,15 @@ func main() {
 	fmt.Println("constraint rules (bloated):")
 	fmt.Print(p)
 
-	min, trace, err := core.MinimizeProgram(p, core.MinimizeOptions{})
+	min, trace, err := minimize.Program(context.Background(), p, minimize.Options{})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("\nFig. 2 removed %d redundant atom(s):\n", trace.AtomsRemoved())
 	fmt.Print(min)
 
-	edb := core.FromFacts(res.Facts)
-	out, stats, err := core.Eval(min, edb, core.EvalOptions{})
+	edb := db.FromFacts(res.Facts)
+	out, stats, err := eval.Eval(min, edb)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -67,11 +71,11 @@ func main() {
 	// Targeted query via magic sets: what does v4 point to? Only the
 	// relevant part of the heap model is explored.
 	query := ast.NewAtom("PointsTo", ast.IntTerm(4), ast.Var("x"))
-	magicAns, magicStats, err := core.MagicAnswer(min, edb, query, core.EvalOptions{})
+	magicAns, magicStats, err := magic.Answer(min, edb, query)
 	if err != nil {
 		log.Fatal(err)
 	}
-	directAns, directStats, err := core.DirectAnswer(min, edb, query, core.EvalOptions{})
+	directAns, directStats, err := magic.DirectAnswer(min, edb, query)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -9,12 +9,14 @@ import (
 	"log"
 
 	"repro/internal/ast"
-	"repro/internal/core"
+	"repro/internal/db"
+	"repro/internal/eval"
+	"repro/internal/parser"
 )
 
 func main() {
 	// Example 1's transitive-closure program over the Example 2 EDB.
-	res, err := core.Parse(`
+	res, err := parser.Parse(`
 		% G is the transitive closure of A.
 		G(x, z) :- A(x, z).
 		G(x, z) :- G(x, y), G(y, z).
@@ -25,8 +27,8 @@ func main() {
 		log.Fatal(err)
 	}
 
-	edb := core.FromFacts(res.Facts)
-	out, stats, err := core.Eval(res.Program, edb, core.EvalOptions{})
+	edb := db.FromFacts(res.Facts)
+	out, stats, err := eval.Eval(res.Program, edb)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -48,10 +50,10 @@ func main() {
 	}
 
 	// The paper's uniform semantics: feed an IDB fact as input (Example 3).
-	in2 := core.NewDatabase()
+	in2 := db.New()
 	in2.Add(ast.NewGroundAtom("A", ast.Int(1), ast.Int(2)))
 	in2.Add(ast.NewGroundAtom("G", ast.Int(2), ast.Int(5)))
-	out2, _, err := core.Eval(res.Program, in2, core.EvalOptions{})
+	out2, _, err := eval.Eval(res.Program, in2)
 	if err != nil {
 		log.Fatal(err)
 	}

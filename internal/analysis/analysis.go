@@ -11,7 +11,7 @@
 // emits diagnostics. Passes never mutate the program and are independent:
 // each tolerates input that other passes reject, so a single run reports
 // everything at once. The same machinery backs three surfaces: the
-// `datalog vet` subcommand, core.Analyze, and the θ-subsumption fast path
+// `datalog vet` subcommand, the server's /vet, and the θ-subsumption fast path
 // the containment sessions use to skip chases (internal/chase).
 package analysis
 
@@ -130,11 +130,10 @@ func (d Diagnostic) String() string {
 	return sb.String()
 }
 
-// Pass is one analysis: a name for -json output and debugging, a one-line
-// doc, and the run function.
+// Pass is one analysis: a name for -json output and debugging, and the run
+// function.
 type Pass struct {
 	Name string
-	Doc  string
 	Run  func(*Context) []Diagnostic
 }
 
@@ -142,15 +141,15 @@ type Pass struct {
 // per call; callers may filter it.
 func Passes() []Pass {
 	return []Pass{
-		{"safety", "range restriction and negated-atom safety (DL0001, DL0002)", runSafety},
-		{"stratify", "negation through recursion, with witness cycle (DL0005)", runStratify},
-		{"arity", "per-predicate arity and constant-type consistency (DL0003, DL0004)", runArity},
-		{"reachability", "underivable and unused predicates (DL0006, DL0007)", runReachability},
-		{"singleton", "variables occurring exactly once in a rule (DL0008)", runSingleton},
-		{"product", "cartesian-product joins between body atom groups (DL0009)", runProduct},
-		{"subsumption", "duplicate and θ-subsumed rules (DL0010, DL0011)", runSubsumption},
-		{"tgdcheck", "tgd sanity against Section XI candidate properties 1–3 (DL0012)", runTGDCheck},
-		{"termination", "chase-termination class of the rule + tgd set (DL0013–DL0016)", runTermination},
+		{"safety", runSafety},             // range restriction and negated-atom safety (DL0001, DL0002)
+		{"stratify", runStratify},         // negation through recursion, with witness cycle (DL0005)
+		{"arity", runArity},               // per-predicate arity and constant-type consistency (DL0003, DL0004)
+		{"reachability", runReachability}, // underivable and unused predicates (DL0006, DL0007)
+		{"singleton", runSingleton},       // variables occurring exactly once in a rule (DL0008)
+		{"product", runProduct},           // cartesian-product joins between body atom groups (DL0009)
+		{"subsumption", runSubsumption},   // duplicate and θ-subsumed rules (DL0010, DL0011)
+		{"tgdcheck", runTGDCheck},         // tgd sanity against Section XI candidate properties 1–3 (DL0012)
+		{"termination", runTermination},   // chase-termination class of the rule + tgd set (DL0013–DL0016)
 	}
 }
 

@@ -255,7 +255,7 @@ func TestPassesMetadata(t *testing.T) {
 	}
 	seen := map[string]bool{}
 	for _, p := range ps {
-		if p.Name == "" || p.Doc == "" || p.Run == nil || seen[p.Name] {
+		if p.Name == "" || p.Run == nil || seen[p.Name] {
 			t.Fatalf("bad pass metadata: %+v", p)
 		}
 		seen[p.Name] = true

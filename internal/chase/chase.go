@@ -65,10 +65,10 @@ type Budget struct {
 }
 
 // ErrNegation is returned, possibly wrapped, by every exact test — the
-// uniform-containment one-shots, the certified test, SATContainsRule and the
-// [P, T] chase — when a program or rule uses negation. A Checker decides
-// such a program through an encoding that can prove a containment but not
-// refute one (StratifiedUniformlyContains), so none of them could answer No.
+// uniform-containment one-shots, SATContainsRule and the [P, T] chase —
+// when a program or rule uses negation. A Checker decides such a program
+// through an encoding that can prove a containment but not refute one
+// (StratifiedUniformlyContains), so none of them could answer No.
 var ErrNegation = errors.New("chase: uniform containment is defined for pure Datalog; program or rule uses negation")
 
 // DefaultBudget is generous enough for every example in the paper and every
@@ -159,9 +159,8 @@ func FreezeRule(r ast.Rule) (ast.GroundAtom, *db.Database) {
 //
 // A program with stratified negation is decided through its encoding (see
 // NewCheckerIn): a true answer is sound for stratified semantics, a false
-// one only means "not shown". The exact entry points — the one-shot tests,
-// the certified test and the [P, T] chase — refuse negation with
-// ErrNegation instead.
+// one only means "not shown". The exact entry points — the one-shot tests
+// and the [P, T] chase — refuse negation with ErrNegation instead.
 //
 // Every test that can run a chase takes the caller's context first: internal
 // evaluations thread it to the emit path and every chase round checks it, so

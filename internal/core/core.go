@@ -1,44 +1,45 @@
-// Package core is the facade the binaries, the server, the examples and the
-// benchmark call: it forwards the entry points they use, and nothing else.
-// Callers still import the packages behind it (ast, db, chase, eval, …) for
-// everything the facade does not name; a name no caller outside the package
-// uses has no place here (TestStructure/one-facade).
+// Package core is what composes the library's packages, plus the surface the
+// repository benchmark pins. It reproduces Yehoshua Sagiv, "Optimizing
+// Datalog Programs" (PODS 1987); each procedure lives in, and is called
+// from, the package that owns it:
 //
-// The library reproduces Yehoshua Sagiv, "Optimizing Datalog Programs"
-// (PODS 1987):
-//
-//   - Parse / ParseProgram / ParseTGD / ParseLoose — the concrete Datalog
-//     syntax.
-//   - PrepareEval / Eval — bottom-up computation (Section III);
-//     PrepareEval caches a program's evaluation plan for repeated use.
-//   - NewContainmentChecker / UniformlyEquivalent — the decidable
-//     containment test of Section VI, as a reusable session or one-shot.
-//   - MinimizeRule / MinimizeProgram — the Figs. 1–2 minimization under
-//     uniform equivalence (Section VII), for pure and stratified programs
-//     alike.
-//   - ChaseApply / SATModelsContained — the combined [P,T] chase of
+//   - parser.Parse / parser.ParseProgram / parser.ParseTGD — the concrete
+//     Datalog syntax.
+//   - eval.Eval / eval.DefaultPlanCache.Prepare — bottom-up computation
+//     (Section III); Prepare caches a program's evaluation plan.
+//   - chase.NewChecker / chase.UniformlyEquivalent — the decidable
+//     containment test of Section VI (Cor. 2).
+//   - minimize.Rule / minimize.Program — the Figs. 1–2 minimization under
+//     uniform equivalence (Section VII), for pure and stratified programs.
+//   - chase.Apply / chase.SATModelsContained — the combined [P,T] chase of
 //     Section VIII.
-//   - PreserveCheck / PreserveCheckPreliminary — the Fig. 3 procedure and
+//   - preserve.Check / preserve.CheckPreliminary — the Fig. 3 procedure and
 //     condition (3′) of Sections IX–X, at any unfolding depth.
-//   - EquivOptimize — the Section XI optimization under plain equivalence.
-//   - MagicRewrite / MagicAnswer — the magic-sets evaluation method the
-//     optimizations compose with; OptimizeForQuery composes them all.
-//   - Analyze / ClassifyTGDs — the multi-pass static analyzer behind
-//     `datalog vet` (safety, stratifiability, redundancy, tgd sanity) and
-//     the chase-termination ladder.
-//   - NewSession — a long-lived handle over one program version: its plan
-//     plus one lazily built containment checker (service.go).
+//   - equivopt.Optimize — the Section XI optimization under plain
+//     equivalence.
+//   - magic.Rewrite / magic.Answer — the magic-sets evaluation method the
+//     optimizations compose with.
+//   - analysis.Analyze / depgraph.ClassifyTGDs — the static analyzer behind
+//     `datalog vet` and the chase-termination ladder.
+//
+// What core adds joins several of them: NewSession opens a Session (a
+// program's plan plus one lazily built containment checker, service.go) and
+// its maintained Views (view.go), and OptimizeForQuery runs pruning, Fig. 2,
+// Section XI and magic sets as one pipeline. Every other exported name
+// aliases or forwards to its owning package, or is one of the two ignored
+// options types, and is kept only because the benchmark under bench/ names
+// it; no other caller may (TestStructure/one-facade).
 //
 // A minimal session:
 //
-//	res, _ := core.Parse(`
+//	res, _ := parser.Parse(`
 //	    G(x, z) :- A(x, z).
 //	    G(x, z) :- G(x, y), G(y, z), A(y, w).
 //	    A(1, 2). A(2, 3).
 //	`)
-//	opt, removals, _ := core.EquivOptimize(res.Program, core.EquivOptions{})
-//	prep, _ := core.PrepareEval(opt, core.EvalOptions{})
-//	out, _, _ := prep.Eval(core.FromFacts(res.Facts))
+//	opt, _, _ := equivopt.Optimize(ctx, res.Program, equivopt.Options{})
+//	sess, _ := core.NewSession(opt)
+//	out, _, _ := sess.Eval(ctx, db.FromFacts(res.Facts))
 package core
 
 import (
@@ -58,16 +59,16 @@ import (
 	"repro/internal/rewrite"
 )
 
-// Re-exported core types.
+// The names from here to PipelineOptions are the surface bench/ pins: each
+// aliases or forwards to the package that owns it, and goes once bench/
+// calls that package instead.
+
+// Re-exported types.
 type (
 	// Program is a set of Datalog rules.
 	Program = ast.Program
-	// Rule is a single Horn clause.
-	Rule = ast.Rule
 	// Atom is an atomic formula.
 	Atom = ast.Atom
-	// TGD is a tuple-generating dependency.
-	TGD = ast.TGD
 	// GroundAtom is a fact.
 	GroundAtom = ast.GroundAtom
 	// Const is a constant value (integer, interned symbol, frozen constant,
@@ -75,9 +76,6 @@ type (
 	Const = ast.Const
 	// Database is a set of facts grouped into relations.
 	Database = db.Database
-	// ParseResult bundles the rules, facts, tgds and symbol table of a
-	// parsed source.
-	ParseResult = parser.Result
 	// EvalStats reports evaluation work.
 	EvalStats = eval.Stats
 	// Budget bounds potentially diverging chases.
@@ -86,30 +84,11 @@ type (
 	Verdict = chase.Verdict
 	// MinimizeOptions configures Figs. 1–2 minimization.
 	MinimizeOptions = minimize.Options
-	// MinimizeTrace records what minimization removed.
-	MinimizeTrace = minimize.Trace
 	// EquivOptions configures the Section XI equivalence optimizer.
 	EquivOptions = equivopt.Options
-	// EquivRemoval records one equivalence-preserving deletion.
-	EquivRemoval = equivopt.Removal
-	// MagicRewritten is the output of the magic-sets transformation.
-	MagicRewritten = magic.Rewritten
-	// PreserveCounterexample witnesses a preservation failure.
-	PreserveCounterexample = preserve.Counterexample
-	// Prepared is a program prepared once for repeated evaluation: the
-	// dependence-graph schedule, compiled rules and index plans are cached
-	// and every Prepared.Eval reuses them.
-	Prepared = eval.Prepared
 	// PreserveOptions configures one preservation check (depth and chase
-	// budget) — the consolidated form of the former
-	// PreservesNonRecursively/…AtDepth entry-point pairs.
+	// budget).
 	PreserveOptions = preserve.Options
-	// Diagnostic is one static-analysis finding: a stable code, a severity,
-	// a source position and a message (internal/analysis).
-	Diagnostic = analysis.Diagnostic
-	// TGDClassification is the full termination analysis of a rule + tgd
-	// set: class, witnesses for the failed checks, and position ranks.
-	TGDClassification = depgraph.Classification
 )
 
 // ContainmentChecker is a uniform-containment session over a fixed
@@ -120,9 +99,8 @@ type ContainmentChecker struct{ *chase.Checker }
 
 // ContainsRule decides r ⊑ᵘ P with no cancellation; a rule with negation is
 // refused with chase.ErrNegation. Bench-pinned: bench/optimize.go calls
-// ck.ContainsRule(r), and bench/ may only change in a [benchmark] PR; new
-// code passes a context to the embedded Checker.
-func (c ContainmentChecker) ContainsRule(r Rule) (bool, error) {
+// ck.ContainsRule(r); new code passes a context to the embedded Checker.
+func (c ContainmentChecker) ContainsRule(r ast.Rule) (bool, error) {
 	if r.HasNegation() {
 		return false, chase.ErrNegation
 	}
@@ -137,81 +115,46 @@ const (
 )
 
 // Parse parses a source of rules, facts and tgds.
-func Parse(src string) (*ParseResult, error) { return parser.Parse(src) }
+func Parse(src string) (*parser.Result, error) { return parser.Parse(src) }
 
 // ParseProgram parses a source containing only rules.
 func ParseProgram(src string) (*Program, error) { return parser.ParseProgram(src) }
 
-// ParseTGD parses a single tuple-generating dependency.
-func ParseTGD(src string) (TGD, error) { return parser.ParseTGD(src) }
-
-// ParseLoose parses a source without validating the program or its tgds,
-// so ill-formed input reaches Analyze instead of being rejected.
-func ParseLoose(src string) (*ParseResult, error) { return parser.ParseLoose(src) }
-
-// Analyze runs the full static-analysis pass list (safety, stratifiability,
-// arity/type consistency, reachability, style and θ-subsumption checks —
-// internal/analysis) over a parsed source and returns positioned
-// diagnostics in source order. Pair it with ParseLoose so ill-formed
-// programs are diagnosed rather than rejected at parse time.
-func Analyze(res *ParseResult) []Diagnostic { return analysis.Analyze(res) }
-
-// AnalysisHasErrors reports whether any diagnostic has Error severity —
-// the condition under which `datalog vet` exits nonzero.
-func AnalysisHasErrors(ds []Diagnostic) bool { return analysis.HasErrors(ds) }
+// Analyze runs the static-analysis passes of internal/analysis over a parsed
+// source and returns positioned diagnostics in source order.
+func Analyze(res *parser.Result) []analysis.Diagnostic { return analysis.Analyze(res) }
 
 // ClassifyTGDs runs the termination analysis of internal/depgraph over a
-// program's rules and a tgd set: it builds the position dependency graph
-// and walks the ladder weakly-acyclic → jointly-acyclic → sticky →
-// weakly-sticky, returning the strongest class that holds plus the
-// witnesses for the checks that failed. p may be nil (tgds alone).
-func ClassifyTGDs(p *Program, tgds []TGD) TGDClassification {
-	var rules []Rule
+// program's rules and a tgd set. p may be nil (tgds alone).
+func ClassifyTGDs(p *Program, tgds []ast.TGD) depgraph.Classification {
+	var rules []ast.Rule
 	if p != nil {
 		rules = p.Rules
 	}
 	return depgraph.ClassifyTGDs(rules, tgds)
 }
 
-// NewDatabase returns an empty database.
-func NewDatabase() *Database { return db.New() }
-
 // FromFacts builds a database from facts.
 func FromFacts(facts []GroundAtom) *Database { return db.FromFacts(facts) }
 
 // EvalOptions is ignored: evaluation has no setting. It stays only because
-// bench/ constructs it, and only a change to the benchmark may edit bench/.
+// bench/ constructs it.
 type EvalOptions struct{}
 
-// Eval computes P(input), the least model of p containing input
-// (Section III). It is PrepareEval followed by one Prepared.Eval; callers
-// evaluating the same program repeatedly should prepare once.
-func Eval(p *Program, input *Database, _ EvalOptions) (*Database, EvalStats, error) {
-	return eval.Eval(p, input)
-}
-
-// PrepareEval validates p once and caches its evaluation plan (SCC
-// schedule, compiled rules, index needs); the returned Prepared evaluates
-// any number of databases without re-planning and is safe for concurrent
-// use. Plans are served from the process-wide content-addressed cache, so
-// preparing a program canonically equal to one seen before is a lookup.
-func PrepareEval(p *Program, _ EvalOptions) (*Prepared, error) {
+// PrepareEval is eval.DefaultPlanCache.Prepare: p's plan from the
+// process-wide content-addressed plan cache.
+func PrepareEval(p *Program, _ EvalOptions) (*eval.Prepared, error) {
 	return eval.DefaultPlanCache.Prepare(p)
 }
 
-// PlanCacheStats reports the process-wide plan cache's hit/miss/eviction
-// counters and current size.
+// PlanCacheStats reports the process-wide plan cache's counters and size.
 func PlanCacheStats() eval.CacheStats {
 	return eval.DefaultPlanCache.Stats()
 }
 
 // NewContainmentChecker opens a uniform-containment session whose
-// containing program is p1: Checker.ContainsRule and Checker.Contains
-// decide r ⊑ᵘ P₁ and P₂ ⊑ᵘ P₁ reusing one prepared program, memoized
-// frozen bodies and memoized verdicts across calls;
-// Checker.ContainsRuleMasked tests against P₁ minus some of its rules on the
-// same plan. The test is exact, so a p1 with negation is refused with
-// chase.ErrNegation (chase.NewChecker decides it conservatively).
+// containing program is p1 (chase.NewChecker). The test is exact, so a p1
+// with negation is refused with chase.ErrNegation.
 func NewContainmentChecker(p1 *Program) (ContainmentChecker, error) {
 	if p1.HasNegation() {
 		return ContainmentChecker{}, chase.ErrNegation
@@ -225,59 +168,43 @@ func UniformlyEquivalent(p1, p2 *Program) (bool, error) {
 	return chase.UniformlyEquivalent(p1, p2)
 }
 
-// MinimizeRule minimizes one rule under uniform equivalence (Fig. 1).
-func MinimizeRule(r Rule, opts MinimizeOptions) (Rule, MinimizeTrace, error) {
-	return minimize.Rule(context.Background(), r, opts)
-}
-
-// MinimizeProgram minimizes a program under uniform equivalence (Fig. 2). A
-// program with stratified negation is minimized through the negation
-// encoding of its containment tests (internal/chase).
-func MinimizeProgram(p *Program, opts MinimizeOptions) (*Program, MinimizeTrace, error) {
+// MinimizeProgram minimizes a program under uniform equivalence (Fig. 2).
+func MinimizeProgram(p *Program, opts MinimizeOptions) (*Program, minimize.Trace, error) {
 	return minimize.Program(context.Background(), p, opts)
 }
 
 // ChaseApply computes [P, T](d), the combined program/tgd closure of
 // Section VIII, within the budget.
-func ChaseApply(p *Program, tgds []TGD, d *Database, budget Budget) (chase.Result, error) {
+func ChaseApply(p *Program, tgds []ast.TGD, d *Database, budget Budget) (chase.Result, error) {
 	return chase.Apply(p, tgds, d, budget)
 }
 
 // SATModelsContained decides SAT(T) ∩ M(P₁) ⊆ M(P₂) (Section VIII).
-func SATModelsContained(p1 *Program, tgds []TGD, p2 *Program, budget Budget) (Verdict, error) {
+func SATModelsContained(p1 *Program, tgds []ast.TGD, p2 *Program, budget Budget) (Verdict, error) {
 	return chase.SATModelsContained(p1, tgds, p2, budget)
 }
 
-// PreserveCheck runs the Fig. 3 preservation procedure of Section IX,
-// generalized by opts.Depth to k-round blocks (Section X's closing remark).
-func PreserveCheck(p *Program, tgds []TGD, opts PreserveOptions) (Verdict, *PreserveCounterexample, error) {
+// PreserveCheck runs the Fig. 3 preservation procedure of Section IX.
+func PreserveCheck(p *Program, tgds []ast.TGD, opts PreserveOptions) (Verdict, *preserve.Counterexample, error) {
 	return preserve.Check(p, tgds, opts)
 }
 
-// PreserveCheckPreliminary decides condition (3′) of Section X against the
-// depth-opts.Depth preliminary DB.
-func PreserveCheckPreliminary(p *Program, tgds []TGD, opts PreserveOptions) (Verdict, *PreserveCounterexample, error) {
-	return preserve.CheckPreliminary(p, tgds, opts)
-}
-
 // EquivOptimize runs the Section XI optimization under plain equivalence.
-func EquivOptimize(p *Program, opts EquivOptions) (*Program, []EquivRemoval, error) {
+func EquivOptimize(p *Program, opts EquivOptions) (*Program, []equivopt.Removal, error) {
 	return equivopt.Optimize(context.Background(), p, opts)
 }
 
 // MagicRewrite performs the magic-sets transformation for a query atom.
-func MagicRewrite(p *Program, query Atom) (*MagicRewritten, error) {
+func MagicRewrite(p *Program, query Atom) (*magic.Rewritten, error) {
 	return magic.Rewrite(p, query)
 }
 
-// MagicAnswer answers a query via the magic-sets rewriting, for pure and
-// stratified programs alike.
+// MagicAnswer answers a query via the magic-sets rewriting.
 func MagicAnswer(p *Program, edb *Database, query Atom, _ EvalOptions) ([][]Const, magic.Stats, error) {
 	return magic.Answer(p, edb, query)
 }
 
-// DirectAnswer answers a query by full evaluation plus filtering — the
-// baseline against which magic evaluation is compared.
+// DirectAnswer answers a query by full evaluation plus filtering.
 func DirectAnswer(p *Program, edb *Database, query Atom, _ EvalOptions) ([][]Const, magic.Stats, error) {
 	return magic.DirectAnswer(p, edb, query)
 }
@@ -319,7 +246,7 @@ type PipelineResult struct {
 	// Rewritten.Seed and read answers from Rewritten.Query.
 	Program *Program
 	// Rewritten is the magic transformation output (nil if Magic was off).
-	Rewritten *MagicRewritten
+	Rewritten *magic.Rewritten
 	// RulesRemoved counts rules dropped by pruning and minimization.
 	RulesRemoved int
 	// AtomsRemoved counts body atoms dropped by minimization and the

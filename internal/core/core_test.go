@@ -10,6 +10,8 @@ import (
 
 	"repro/internal/ast"
 	"repro/internal/db"
+	"repro/internal/eval"
+	"repro/internal/parser"
 )
 
 // TestEndToEndPipeline exercises the whole facade on the paper's running
@@ -49,11 +51,11 @@ func TestEndToEndPipeline(t *testing.T) {
 
 	// The optimized program computes the same transitive closure.
 	edb := FromFacts(res.Facts)
-	out1, _, err := Eval(p, edb, EvalOptions{})
+	out1, _, err := eval.Eval(p, edb)
 	if err != nil {
 		t.Fatal(err)
 	}
-	out2, _, err := Eval(opt, edb, EvalOptions{})
+	out2, _, err := eval.Eval(opt, edb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,11 +64,6 @@ func TestEndToEndPipeline(t *testing.T) {
 	}
 
 	// Magic query through the optimized program.
-	q, err := ParseTGD("G(x, z) -> A(x, w).")
-	if err != nil {
-		t.Fatal(err)
-	}
-	_ = q
 	query := ast.NewAtom("G", ast.IntTerm(1), ast.Var("y"))
 	magicAns, _, err := MagicAnswer(opt, edb, query, EvalOptions{})
 	if err != nil {
@@ -118,23 +115,16 @@ func TestFacadeChaseAndPreservation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tgd, err := ParseTGD("G(x, z) -> A(x, w).")
-	if err != nil {
-		t.Fatal(err)
-	}
-	v, cex, err := PreserveCheck(p, []TGD{tgd}, PreserveOptions{})
+	tgd := parser.MustParseTGD("G(x, z) -> A(x, w).")
+	v, cex, err := PreserveCheck(p, []ast.TGD{tgd}, PreserveOptions{})
 	if err != nil || v != Yes {
 		t.Fatalf("preservation: %v %v %v", v, cex, err)
-	}
-	v, cex, err = PreserveCheckPreliminary(p, []TGD{tgd}, PreserveOptions{})
-	if err != nil || v != Yes {
-		t.Fatalf("preliminary: %v %v %v", v, cex, err)
 	}
 	p2, _ := ParseProgram(`
 		G(x, z) :- A(x, z).
 		G(x, z) :- G(x, y), G(y, z).
 	`)
-	v, err = SATModelsContained(p, []TGD{tgd}, p2, Budget{})
+	v, err = SATModelsContained(p, []ast.TGD{tgd}, p2, Budget{})
 	if err != nil || v != Yes {
 		t.Fatalf("SAT containment: %v %v", v, err)
 	}
@@ -168,16 +158,13 @@ func TestFacadeExtensions(t *testing.T) {
 	}
 
 	// Maintained view round trip.
-	edb := NewDatabase()
-	if edb.Len() != 0 {
-		t.Fatal("NewDatabase not empty")
-	}
+	edb := db.New()
 	edb.AddTuple("A", []Const{1, 2})
 	sess, err := NewSession(pruned)
 	if err != nil {
 		t.Fatal(err)
 	}
-	view, _, err := sess.Materialize(context.Background(), edb, MaintainOptions{})
+	view, _, err := sess.Materialize(context.Background(), edb)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,12 +194,8 @@ func TestFacadeStratifiedAndDepth(t *testing.T) {
 		G(x, z) :- A(x, z).
 		H(x) :- G(x, y).
 	`)
-	tgd, _ := ParseTGD("G(x, z) -> H(x).")
-	v, _, err := PreserveCheckPreliminary(p2, []TGD{tgd}, PreserveOptions{Depth: 2})
-	if err != nil || v != Yes {
-		t.Fatalf("depth-2 prelim: %v %v", v, err)
-	}
-	v, _, err = PreserveCheck(p2, []TGD{tgd}, PreserveOptions{Depth: 2})
+	tgd := parser.MustParseTGD("G(x, z) -> H(x).")
+	v, _, err := PreserveCheck(p2, []ast.TGD{tgd}, PreserveOptions{Depth: 2})
 	if err != nil || v != Yes {
 		t.Fatalf("depth-2 preserve: %v %v", v, err)
 	}
@@ -244,13 +227,13 @@ func TestOptimizeForQuery(t *testing.T) {
 	}
 
 	// The optimized pipeline answers the query identically to direct eval.
-	edb := NewDatabase()
+	edb := db.New()
 	for i := int64(1); i <= 6; i++ {
 		edb.AddTuple("A", []Const{ast.Int(i), ast.Int(i + 1)})
 	}
 	in := edb.Clone()
 	in.Add(res.Rewritten.Seed)
-	out, _, err := Eval(res.Program, in, EvalOptions{})
+	out, _, err := eval.Eval(res.Program, in)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -318,7 +301,7 @@ func TestOptimizeForQueryStratified(t *testing.T) {
 			t.Fatalf("%v: removed %d rules, %d atoms; rewritten %v", query, res.RulesRemoved, res.AtomsRemoved, res.Rewritten != nil)
 		}
 		for trial := 0; trial < 24; trial++ {
-			edb := NewDatabase()
+			edb := db.New()
 			for i := 0; i < 10; i++ {
 				edb.AddTuple("E", []Const{ast.Int(rng.Int63n(6)), ast.Int(rng.Int63n(6))})
 			}
@@ -327,7 +310,7 @@ func TestOptimizeForQueryStratified(t *testing.T) {
 			}
 			in := edb.Clone()
 			in.Add(res.Rewritten.Seed)
-			out, _, err := Eval(res.Program, in, EvalOptions{})
+			out, _, err := eval.Eval(res.Program, in)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -7,47 +7,8 @@ import (
 
 	"repro/internal/ast"
 	"repro/internal/core"
+	"repro/internal/parser"
 )
-
-// ExampleEval reproduces the paper's Example 2: evaluating the transitive-
-// closure program bottom-up.
-func ExampleEval() {
-	res, err := core.Parse(`
-		G(x, z) :- A(x, z).
-		G(x, z) :- G(x, y), G(y, z).
-		A(1, 2). A(1, 4). A(4, 1).
-	`)
-	if err != nil {
-		log.Fatal(err)
-	}
-	out, _, err := core.Eval(res.Program, core.FromFacts(res.Facts), core.EvalOptions{})
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println(out.Len(), "facts")
-	fmt.Println(out.Has(ast.NewGroundAtom("G", ast.Int(4), ast.Int(2))))
-	// Output:
-	// 9 facts
-	// true
-}
-
-// ExampleMinimizeRule reproduces the paper's Examples 7–8: the Fig. 1
-// algorithm removes the redundant atom A(w,y).
-func ExampleMinimizeRule() {
-	p, err := core.ParseProgram(`G(x, y, z) :- G(x, w, z), A(w, y), A(w, z), A(z, z), A(z, y).`)
-	if err != nil {
-		log.Fatal(err)
-	}
-	min, trace, err := core.MinimizeRule(p.Rules[0], core.MinimizeOptions{})
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Println(min)
-	fmt.Println("removed:", trace.AtomRemovals[0].Atom)
-	// Output:
-	// G(x, y, z) :- G(x, w, z), A(w, z), A(z, z), A(z, y).
-	// removed: A(w, y)
-}
 
 // ExampleNewContainmentChecker reproduces Example 6: the right-linear
 // transitive closure is uniformly contained in the doubled one, but not
@@ -110,19 +71,15 @@ func ExampleMagicAnswer() {
 	// 2 answers; 5 facts derived
 }
 
-// ExamplePreserveCheck runs the Fig. 3 preservation procedure and the
-// condition (3′) preliminary-DB test through the consolidated entry points.
+// ExamplePreserveCheck runs the Fig. 3 preservation procedure.
 func ExamplePreserveCheck() {
 	p, _ := core.ParseProgram(`
 		G(x, z) :- A(x, z).
 		G(x, z) :- G(x, y), G(y, z), A(y, w).
 	`)
-	tgd, _ := core.ParseTGD("G(y, z) -> A(y, w).")
-	v, _, _ := core.PreserveCheck(p, []core.TGD{tgd}, core.PreserveOptions{})
+	tgd, _ := parser.ParseTGD("G(y, z) -> A(y, w).")
+	v, _, _ := core.PreserveCheck(p, []ast.TGD{tgd}, core.PreserveOptions{})
 	fmt.Println("preserves non-recursively:", v)
-	v, _, _ = core.PreserveCheckPreliminary(p, []core.TGD{tgd}, core.PreserveOptions{Depth: 2})
-	fmt.Println("preliminary DB satisfies at depth 2:", v)
 	// Output:
 	// preserves non-recursively: yes
-	// preliminary DB satisfies at depth 2: yes
 }

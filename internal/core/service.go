@@ -20,24 +20,14 @@ import (
 //   - Eval / EvalWith / Query / Explain / Minimize are safe for any number
 //     of concurrent callers (the Prepared plan is immutable; Minimize builds
 //     its own checkers);
-//   - Contains serializes on the session mutex (a checker is a
-//     single-threaded state machine);
 //   - Compare takes the two sessions' mutexes strictly sequentially (one
-//     direction at a time, never nested), so any set of sessions can be
-//     cross-compared from any number of goroutines without lock-order
-//     deadlocks.
+//     direction at a time, never nested; a checker is a single-threaded
+//     state machine), so any set of sessions can be cross-compared from any
+//     number of goroutines without lock-order deadlocks.
 //
 // Every method takes a context observed at round/combination boundaries; a
 // cancelled request returns an error wrapping eval.ErrCanceled and never
 // publishes partial verdicts into the shared plan/verdict stores.
-
-// VerdictStoreStats is a point-in-time snapshot of the process-wide verdict
-// store's size and hit counters.
-type VerdictStoreStats = chase.StoreStats
-
-// VerdictStats snapshots the process-wide verdict store. Safe to call
-// concurrently with running sessions.
-func VerdictStats() VerdictStoreStats { return chase.VerdictStoreStats() }
 
 // Session is a long-lived handle over one program version: the prepared
 // evaluation plan plus one lazily built containment checker.
@@ -46,7 +36,7 @@ func VerdictStats() VerdictStoreStats { return chase.VerdictStoreStats() }
 // program. See the file comment for the concurrency contract.
 type Session struct {
 	prog *Program
-	prep *Prepared
+	prep *eval.Prepared
 
 	mu sync.Mutex // serializes the single-threaded checker
 	ck *chase.Checker
@@ -73,7 +63,7 @@ func NewSession(p *Program) (*Session, error) {
 }
 
 // Prepared returns the session's prepared plan for direct use.
-func (s *Session) Prepared() *Prepared { return s.prep }
+func (s *Session) Prepared() *eval.Prepared { return s.prep }
 
 // Eval computes P(input) under ctx: EvalWith without a budget. Safe for
 // concurrent callers; input is not modified (evaluate frozen snapshots via
@@ -112,7 +102,8 @@ func (s *Session) Query(ctx context.Context, input *Database, query Atom) ([][]C
 // moment goal is derived — and the proof is read back from its round stamps
 // (internal/explain), so an explanation costs an evaluation cut short plus
 // one backwards join per node of the tree. Rule indexes and variable names
-// in the tree are those of Program(). Safe for concurrent callers.
+// in the tree are those of the program passed to NewSession. Safe for
+// concurrent callers.
 func (s *Session) Explain(ctx context.Context, input *Database, goal GroundAtom) (*explain.Derivation, bool, error) {
 	out, reached, st, err := s.prep.Run(ctx, input, &goal, 0)
 	var d *explain.Derivation
@@ -127,7 +118,7 @@ func (s *Session) Explain(ctx context.Context, input *Database, goal GroundAtom)
 
 // Minimize runs Fig. 2 minimization of the session program under ctx, with
 // or without stratified negation.
-func (s *Session) Minimize(ctx context.Context, opts MinimizeOptions) (*Program, MinimizeTrace, error) {
+func (s *Session) Minimize(ctx context.Context, opts MinimizeOptions) (*Program, minimize.Trace, error) {
 	q, trace, err := minimize.Program(ctx, s.prog, opts)
 	s.account(trace.Stats)
 	return q, trace, err
@@ -145,22 +136,21 @@ func (s *Session) checker() (*chase.Checker, error) {
 	return s.ck, nil
 }
 
-// Contains decides P₂ ⊑ᵘ P for the session program P; the int is the index
-// of the first offending rule of p2 on failure, -1 on success. Serialized.
+// contains decides P₂ ⊑ᵘ P for the session program P, serialized on s.mu.
 // Negation on either side is refused with chase.ErrNegation.
-func (s *Session) Contains(ctx context.Context, p2 *Program) (bool, int, error) {
+func (s *Session) contains(ctx context.Context, p2 *Program) (bool, error) {
 	if s.prog.HasNegation() || p2.HasNegation() {
-		return false, -1, chase.ErrNegation
+		return false, chase.ErrNegation
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	ck, err := s.checker()
 	if err != nil {
-		return false, -1, err
+		return false, err
 	}
-	ok, idx, err := ck.Contains(ctx, p2)
+	ok, _, err := ck.Contains(ctx, p2)
 	s.accountChecker()
-	return ok, idx, err
+	return ok, err
 }
 
 // Compare decides uniform equivalence of the two sessions' programs. The
@@ -169,12 +159,11 @@ func (s *Session) Contains(ctx context.Context, p2 *Program) (bool, int, error) 
 // over any session pairs cannot deadlock. Negation on either side is refused
 // with chase.ErrNegation.
 func (s *Session) Compare(ctx context.Context, other *Session) (bool, error) {
-	ok, _, err := s.Contains(ctx, other.prog)
+	ok, err := s.contains(ctx, other.prog)
 	if err != nil || !ok {
 		return false, err
 	}
-	ok, _, err = other.Contains(ctx, s.prog)
-	return ok, err
+	return other.contains(ctx, s.prog)
 }
 
 // accountChecker folds what the checker did since the last accounting into

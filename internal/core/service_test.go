@@ -30,7 +30,7 @@ const serviceProgram = `
 `
 
 func serviceDB(n, seed int) *core.Database {
-	d := core.NewDatabase()
+	d := db.New()
 	for i := 0; i < n; i++ {
 		d.AddTuple("E", []core.Const{intc(i), intc((i*7 + seed) % n)})
 	}
@@ -127,7 +127,7 @@ type evaluator interface {
 }
 
 // isolated is an evaluator over a plan no cache holds.
-type isolated struct{ prep *core.Prepared }
+type isolated struct{ prep *eval.Prepared }
 
 func (e isolated) Eval(ctx context.Context, input *core.Database) (*core.Database, core.EvalStats, error) {
 	return e.EvalWith(ctx, input, 0)
@@ -214,9 +214,8 @@ func TestSessionDeadlineTypedErrors(t *testing.T) {
 			return err
 		},
 		"Explain":     func() error { _, _, err := sess.Explain(expired, input, goal); return err },
-		"Materialize": func() error { _, _, err := sess.Materialize(expired, input, core.MaintainOptions{}); return err },
+		"Materialize": func() error { _, _, err := sess.Materialize(expired, input); return err },
 		"Minimize":    func() error { _, _, err := sess.Minimize(expired, core.MinimizeOptions{}); return err },
-		"Contains":    func() error { _, _, err := sess.Contains(expired, prog); return err },
 		"Compare":     func() error { _, err := sess.Compare(expired, other); return err },
 	}
 	for name, verb := range verbs {
@@ -230,16 +229,12 @@ func TestSessionDeadlineTypedErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oracle, _, err := core.Eval(prog, input, core.EvalOptions{})
+	oracle, _, err := eval.Eval(prog, input)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if factsKey(out) != factsKey(oracle) {
 		t.Fatal("post-cancellation Eval diverged from the one-shot oracle")
-	}
-	ok, _, err := sess.Contains(context.Background(), prog)
-	if err != nil || !ok {
-		t.Fatalf("post-cancellation Contains = %v, %v; want true", ok, err)
 	}
 	eq, err := sess.Compare(context.Background(), other)
 	if err != nil || !eq {
@@ -414,7 +409,7 @@ func TestSessionExplain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	in := core.NewDatabase()
+	in := db.New()
 	for i := 0; i < 6; i++ {
 		in.AddTuple("E", []core.Const{intc(i), intc(i + 1)})
 	}
@@ -537,12 +532,10 @@ func TestExactContainmentRefusesNegation(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, ruleErr := ck.ContainsRule(neg.Rules[0])
-	_, _, err1 := sn.Contains(ctx, pure)
-	_, _, err2 := sp.Contains(ctx, neg)
-	_, err3 := sp.Compare(ctx, sn)
-	_, err4 := sn.Compare(ctx, sp)
-	_, _, err5 := chase.UniformlyContains(pure, neg)
-	for i, err := range []error{ckErr, ruleErr, err1, err2, err3, err4, err5} {
+	_, err1 := sp.Compare(ctx, sn)
+	_, err2 := sn.Compare(ctx, sp)
+	_, _, err3 := chase.UniformlyContains(pure, neg)
+	for i, err := range []error{ckErr, ruleErr, err1, err2, err3} {
 		if !errors.Is(err, chase.ErrNegation) {
 			t.Errorf("entry point %d: err = %v, want chase.ErrNegation", i, err)
 		}

@@ -18,10 +18,6 @@ import (
 // fact both retracted and asserted in one batch nets to "present".
 type DatabaseDelta = eval.Delta
 
-// DatabaseDiff is the exact net output change of one applied delta, in
-// canonical (predicate, arguments) order.
-type DatabaseDiff = eval.Diff
-
 // MaintainOptions is ignored: a maintained view has no setting. It stays
 // only because bench/ constructs it, and only a change to the benchmark may
 // edit bench/.
@@ -42,8 +38,9 @@ type View struct {
 // Materialize evaluates the session program over input and returns a
 // maintained view of the result. Every call returns an independent handle —
 // callers maintaining several inputs (tenants) hold one View each; the
-// session keeps no reference to it.
-func (s *Session) Materialize(ctx context.Context, input *Database, _ MaintainOptions) (*View, EvalStats, error) {
+// session keeps no reference to it. The MaintainOptions are ignored; only
+// bench/ passes one.
+func (s *Session) Materialize(ctx context.Context, input *Database, _ ...MaintainOptions) (*View, EvalStats, error) {
 	m, st, err := s.prep.Materialize(ctx, input)
 	s.account(st)
 	if err != nil {
@@ -56,7 +53,7 @@ func (s *Session) Materialize(ctx context.Context, input *Database, _ MaintainOp
 // materialized output, and returns the exact net output diff in canonical
 // order. Serialized per view; a failed Apply (cancellation) leaves the view
 // on its previous version.
-func (v *View) Apply(ctx context.Context, delta DatabaseDelta) (DatabaseDiff, EvalStats, error) {
+func (v *View) Apply(ctx context.Context, delta DatabaseDelta) (eval.Diff, EvalStats, error) {
 	v.mu.Lock()
 	defer v.mu.Unlock()
 	diff, st, err := v.m.Apply(ctx, delta)

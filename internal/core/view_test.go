@@ -23,7 +23,7 @@ func TestSessionMaterializeApply(t *testing.T) {
 		{Pred: "A", Args: []core.Const{1, 2}},
 		{Pred: "A", Args: []core.Const{2, 3}},
 	})
-	view, _, err := sess.Materialize(context.Background(), input, core.MaintainOptions{})
+	view, _, err := sess.Materialize(context.Background(), input)
 	if err != nil {
 		t.Fatal(err)
 	}

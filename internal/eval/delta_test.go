@@ -113,6 +113,19 @@ func TestWideBodyDeltaRound(t *testing.T) {
 	}
 }
 
+// ruleOf is the index in u of the rule v applies: the rule whose memo
+// lowered v's plan, or -1.
+func ruleOf(u *unit, v variant) int {
+	for i, m := range u.rules {
+		for _, lr := range m.lowered {
+			if lr.plan == v.plan {
+				return i
+			}
+		}
+	}
+	return -1
+}
+
 // TestDeltaVariantsLeadWithDelta (white box): in every variant of a delta
 // round and of an insert round operator 0 is the delta atom and a scan —
 // constants of the lead select, they do not key — and it is the only
@@ -151,15 +164,19 @@ func TestDeltaVariantsLeadWithDelta(t *testing.T) {
 			t.Fatalf("%s: %d variants, want %d", c.name, len(variants), c.want)
 		}
 		for _, v := range variants {
-			body, led := u.rules[v.idx].rule.Body, v.win.led
+			idx := ruleOf(u, v)
+			if idx < 0 {
+				t.Fatalf("%s: variant plan %p is no rule's lowering", c.name, v.plan)
+			}
+			body, led := u.rules[idx].rule.Body, v.win.led
 			if len(led) != len(body) || len(v.plan.ops) != len(body) {
-				t.Fatalf("%s: rule %d: order %v over a body of %d atoms", c.name, v.idx, led, len(body))
+				t.Fatalf("%s: rule %d: order %v over a body of %d atoms", c.name, idx, led, len(body))
 			}
 			if op := v.plan.ops[0]; op.pred != body[led[0]].Pred || op.kind != opScan {
-				t.Errorf("%s: rule %d led by atom %d: operator 0 is kind %d over %s", c.name, v.idx, led[0], op.kind, op.pred)
+				t.Errorf("%s: rule %d led by atom %d: operator 0 is kind %d over %s", c.name, idx, led[0], op.kind, op.pred)
 			}
 			if !c.all && !u.dynamic[body[led[0]].Pred] {
-				t.Errorf("%s: rule %d is led by extensional atom %d", c.name, v.idx, led[0])
+				t.Errorf("%s: rule %d is led by extensional atom %d", c.name, idx, led[0])
 			}
 			for pos := range led {
 				want := db.RoundWindow{Min: 0, Max: 1}
@@ -169,7 +186,7 @@ func TestDeltaVariantsLeadWithDelta(t *testing.T) {
 					want.Max = 0
 				}
 				if got := v.win.window(pos); got != want {
-					t.Errorf("%s: rule %d led by atom %d: position %d (atom %d) reads %+v, want %+v", c.name, v.idx, led[0], pos, led[pos], got, want)
+					t.Errorf("%s: rule %d led by atom %d: position %d (atom %d) reads %+v, want %+v", c.name, idx, led[0], pos, led[pos], got, want)
 				}
 			}
 		}

@@ -470,7 +470,7 @@ func (env *roundEnv) firstVariants(u *unit, prev int32, variants []variant) []va
 			continue
 		}
 		lr := m.under(orderPermSized(m.rule.Body, -1, sizeOf), false)
-		variants = append(variants, variant{idx, lr.plan, fullSpan(prev)})
+		variants = append(variants, variant{lr.plan, fullSpan(prev)})
 	}
 	return variants
 }
@@ -529,7 +529,7 @@ func (env *roundEnv) deltaVariants(u *unit, all bool, min, max int32, variants [
 				lr = m.under(orderPermSized(m.rule.Body, i, u.liveSizes(d, true)), true)
 				env.led[off+i] = lr
 			}
-			variants = append(variants, variant{idx, lr.plan, span{led: lr.perm, min: min, max: max}})
+			variants = append(variants, variant{lr.plan, span{led: lr.perm, min: min, max: max}})
 		}
 		off += len(m.rule.Body)
 	}

@@ -15,11 +15,9 @@ import (
 // one pipeline into a fixpointSink, inserting as they emit. The evaluator is
 // single-threaded per run; concurrency belongs to its callers.
 
-// variant is one application of a rule in a round: idx is the rule's index
-// in its unit, plan the rule lowered under the variant's join order, win the
-// rounds each body position may read.
+// variant is one application of a rule in a round: plan is the rule lowered
+// under the variant's join order, win the rounds each body position may read.
 type variant struct {
-	idx  int
 	plan *streamPlan
 	win  span
 }

@@ -340,8 +340,8 @@ func TestMinimizeAgreesWithFig1(t *testing.T) {
 		if err != nil {
 			t.Fatalf("seed %d: %v: %v", seed, r, err)
 		}
-		if core := Minimize(r); len(fig1.Body) != len(core.Body) {
-			t.Fatalf("seed %d: %v: Fig. 1 keeps %v, the core is %v", seed, r, fig1, core)
+		if cqCore := Minimize(r); len(fig1.Body) != len(cqCore.Body) {
+			t.Fatalf("seed %d: %v: Fig. 1 keeps %v, the core is %v", seed, r, fig1, cqCore)
 		}
 		removedAtoms += len(r.Body) - len(fig1.Body)
 

@@ -11,11 +11,14 @@ import (
 	"runtime/debug"
 	"time"
 
+	"repro/internal/analysis"
 	"repro/internal/ast"
 	"repro/internal/chase"
-	"repro/internal/core"
 	"repro/internal/db"
+	"repro/internal/depgraph"
 	"repro/internal/eval"
+	"repro/internal/minimize"
+	"repro/internal/parser"
 )
 
 // Handler returns the server's HTTP mux (go 1.22 method+wildcard patterns):
@@ -231,7 +234,7 @@ func (s *Server) verbEval(ctx context.Context, e *programEntry, req *struct {
 	// database version, a budget it exceeds, a dead context — is evaluated.
 	maxDerived := max(req.Budget.MaxDerived, 0)
 	var out *db.Database
-	var st core.EvalStats
+	var st eval.Stats
 	if m := t.memoized(pv.version, dbv); m != nil && (maxDerived == 0 || m.derived <= maxDerived) && ctx.Err() == nil {
 		s.evalsMemoized.Add(1)
 		out = m.out
@@ -260,7 +263,7 @@ func (s *Server) verbMinimize(ctx context.Context, e *programEntry, req *struct 
 	}
 	ctx, cancel := req.Budget.ctx(ctx)
 	defer cancel()
-	q, trace, err := pv.session.Minimize(ctx, core.MinimizeOptions{})
+	q, trace, err := pv.session.Minimize(ctx, minimize.Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -306,11 +309,11 @@ func (s *Server) verbVet(_ context.Context, e *programEntry, req *struct {
 	}
 	// Vet re-parses the stored source loosely (its own symbol table) so
 	// ill-formedness reaches the analyzer instead of a parse rejection.
-	res, err := core.ParseLoose(pv.source)
+	res, err := parser.ParseLoose(pv.source)
 	if err != nil {
 		return nil, &RequestError{Status: 400, Code: "parse_error", Err: err}
 	}
-	diags := core.Analyze(res)
+	diags := analysis.Analyze(res)
 	type diagJSON struct {
 		Code     string `json:"code"`
 		Severity string `json:"severity"`
@@ -329,10 +332,10 @@ func (s *Server) verbVet(_ context.Context, e *programEntry, req *struct {
 	resp := map[string]any{
 		"program_version": pv.version,
 		"diagnostics":     out,
-		"errors":          core.AnalysisHasErrors(diags),
+		"errors":          analysis.HasErrors(diags),
 	}
 	if len(res.TGDs) > 0 {
-		resp["termination_class"] = core.ClassifyTGDs(res.Program, res.TGDs).Class.String()
+		resp["termination_class"] = depgraph.ClassifyTGDs(res.Program.Rules, res.TGDs).Class.String()
 	}
 	return resp, nil
 }
@@ -375,8 +378,8 @@ func (s *Server) verbExplain(ctx context.Context, e *programEntry, req *struct {
 // counters summed over every program version's session, and the server's
 // request counters — all read race-free.
 func (s *Server) verbStatz(context.Context, *programEntry, *struct{}) (any, error) {
-	pc := core.PlanCacheStats()
-	vs := core.VerdictStats()
+	pc := eval.DefaultPlanCache.Stats()
+	vs := chase.VerdictStoreStats()
 	est, ereqs := s.evalTotals()
 	return map[string]any{
 		"programs": s.programCount(),

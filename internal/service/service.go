@@ -49,6 +49,7 @@ import (
 	"repro/internal/ast"
 	"repro/internal/core"
 	"repro/internal/db"
+	"repro/internal/eval"
 	"repro/internal/parser"
 )
 
@@ -92,8 +93,8 @@ type programEntry struct {
 type programVersion struct {
 	version int
 	source  string
-	prog    *core.Program
-	tgds    []core.TGD
+	prog    *ast.Program
+	tgds    []ast.TGD
 	session *core.Session
 }
 
@@ -165,14 +166,14 @@ func (s *Server) programCount() int {
 // program version's session: the eval counters /statz reports. Each session
 // is read under its own stats lock, so the sum is race-free though not an
 // atomic cross-session cut.
-func (s *Server) evalTotals() (core.EvalStats, uint64) {
+func (s *Server) evalTotals() (eval.Stats, uint64) {
 	s.mu.RLock()
 	entries := make([]*programEntry, 0, len(s.programs))
 	for _, e := range s.programs {
 		entries = append(entries, e)
 	}
 	s.mu.RUnlock()
-	var tot core.EvalStats
+	var tot eval.Stats
 	var n uint64
 	for _, e := range entries {
 		e.mu.RLock()
@@ -271,7 +272,7 @@ func (s *Server) LoadFacts(name, tenant, src string) (version, size int, err err
 // MutateFacts applies one mutation batch — assertSrc's facts added,
 // retractSrc's facts removed — staging the result as the tenant's next
 // database version (copy-on-write over the frozen predecessor). Batch
-// semantics match core.DatabaseDelta: retracting an absent fact or
+// semantics match eval.Delta: retracting an absent fact or
 // asserting a present one is a no-op, and a fact in both halves nets to
 // "present". Every live view of the tenant is maintained under the same
 // lock and its diff fanned out to subscribers, so changefeed frame order is
@@ -307,7 +308,7 @@ func (e *programEntry) mutate(tenant, assertSrc, retractSrc string) (version, si
 	}
 	// The store panics on a tuple whose arity contradicts its relation, so a
 	// contradicting batch is refused whole, before the version chain moves.
-	delta := core.DatabaseDelta{Assert: asserts, Retract: retracts}
+	delta := eval.Delta{Assert: asserts, Retract: retracts}
 	if err := delta.CheckArities(w); err != nil {
 		return 0, 0, err
 	}

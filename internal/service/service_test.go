@@ -14,9 +14,9 @@ import (
 	"time"
 
 	"repro/internal/ast"
-	"repro/internal/core"
 	"repro/internal/db"
 	"repro/internal/eval"
+	"repro/internal/minimize"
 	"repro/internal/parser"
 )
 
@@ -416,7 +416,7 @@ func TestStatzReportsPlanCache(t *testing.T) {
 	if code != 200 {
 		t.Fatalf("statz: %d %v", code, stz)
 	}
-	want := core.PlanCacheStats()
+	want := eval.DefaultPlanCache.Stats()
 	if want.Entries == 0 || want.Misses == 0 {
 		t.Fatalf("plan cache saw no traffic: %+v", want)
 	}
@@ -424,7 +424,7 @@ func TestStatzReportsPlanCache(t *testing.T) {
 	got := eval.CacheStats{Entries: int(pc["entries"].(float64)), Hits: uint64(pc["hits"].(float64)),
 		Misses: uint64(pc["misses"].(float64)), Evictions: uint64(pc["evictions"].(float64))}
 	if got != want {
-		t.Fatalf("statz plan_cache = %+v, want core.PlanCacheStats() %+v", got, want)
+		t.Fatalf("statz plan_cache = %+v, want eval.DefaultPlanCache.Stats() %+v", got, want)
 	}
 	// The verdict store reports evictions, like the plan cache.
 	var keys []string
@@ -465,7 +465,7 @@ func TestMinimizeKeepsVersionsVariables(t *testing.T) {
 }
 
 // TestStratifiedMinimizeAndCompare: /minimize takes a program with stratified
-// negation and answers what core.MinimizeProgram does, while /compare — an
+// negation and answers what minimize.Program does, while /compare — an
 // exact test — answers 422 negation_unsupported when either version has
 // negation: stratified × stratified, and pure × stratified, a pair the
 // encoded test cannot refute (v1 contains v2 by a case split on C).
@@ -483,7 +483,7 @@ func TestStratifiedMinimizeAndCompare(t *testing.T) {
 	if code != 200 {
 		t.Fatalf("minimize: %d %v", code, resp)
 	}
-	want, trace, err := core.MinimizeProgram(parser.MustParseProgram(strat), core.MinimizeOptions{})
+	want, trace, err := minimize.Program(context.Background(), parser.MustParseProgram(strat), minimize.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/db"
+	"repro/internal/eval"
 )
 
 // Changefeed subscriptions: a tenant's materialized output, maintained
@@ -50,7 +51,7 @@ type viewFrame struct {
 type viewUpdate struct {
 	seq       uint64
 	dbVersion int
-	diff      core.DatabaseDiff
+	diff      eval.Diff
 	snapshot  *db.Database
 }
 
@@ -109,7 +110,7 @@ func (t *tenantState) dropSubLocked(lv *liveView, sub *subscriber) {
 // here — maintenance runs under the background context — so this is a
 // genuine error) tears down with view_error frames to its subscribers. A
 // subscriber with no buffer space left is dropped with slow_consumer.
-func (t *tenantState) broadcastLocked(dbVersion int, delta core.DatabaseDelta) {
+func (t *tenantState) broadcastLocked(dbVersion int, delta eval.Delta) {
 	for ver, lv := range t.views {
 		diff, _, err := lv.view.Apply(context.Background(), delta)
 		if err != nil {
@@ -170,7 +171,7 @@ func (e *programEntry) subscribe(ctx context.Context, tenant string, pv *program
 	if lv == nil {
 		// Under the request's context: a client that gives up must not leave
 		// an uncancellable evaluation running under the entry lock.
-		view, _, err := pv.session.Materialize(ctx, t.versions[t.latest].DB(), core.MaintainOptions{})
+		view, _, err := pv.session.Materialize(ctx, t.versions[t.latest].DB())
 		if err != nil {
 			return nil, err
 		}

@@ -11,8 +11,6 @@ import (
 	"sort"
 	"testing"
 	"time"
-
-	"repro/internal/core"
 )
 
 // feed is one NDJSON changefeed connection. A reader goroutine pumps
@@ -295,7 +293,7 @@ func TestSubscriptionSlowConsumerDrop(t *testing.T) {
 	}
 	e.mu.Lock()
 	ten := e.tenants["a"]
-	view, _, err := pv.session.Materialize(context.Background(), ten.versions[ten.latest].DB(), core.MaintainOptions{})
+	view, _, err := pv.session.Materialize(context.Background(), ten.versions[ten.latest].DB())
 	if err != nil {
 		e.mu.Unlock()
 		t.Fatal(err)

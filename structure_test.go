@@ -100,13 +100,15 @@ var guards = []struct {
 		{forbid(names, `^import "time"$`, in("internal/harness", "cmd/experiments")), []string{`cmd/experiments/planted.go: import "time"`}},
 		{forbid(callees|decls, `^timed($|\()`, in("internal/harness", "cmd/experiments").withTests()), []string{"internal/harness/planted_test.go: var _ = timed(f)"}},
 	}},
-	{"no-empty-options", "a setting nothing can change is no parameter: no empty …Options struct below the facade but core.EvalOptions and core.MaintainOptions, which bench/ constructs, and no eval.Options or eval.MaintainOptions", []rule{
+	{"no-empty-options", "a setting nothing can change is no parameter: no empty …Options struct below the facade but core.EvalOptions and core.MaintainOptions, which bench/ constructs and nothing else names, and no eval.Options or eval.MaintainOptions", []rule{
 		{forbid(decls, `^(\w*\.)?\w*Options struct\{\}$`, in("internal", "cmd"), "core.EvalOptions", "core.MaintainOptions"), []string{"internal/eval/planted.go: type RunOptions struct{}", "internal/core/planted.go: type ExplainOptions struct{}"}},
+		{forbid(names, `^core\.(Eval|Maintain)Options$`, in().withTests().but("bench", "internal/core")), []string{"examples/incremental/planted.go: var _ core.MaintainOptions"}},
 		{forbid(names, `^eval\.(Maintain)?Options$`, in().withTests()), []string{"cmd/datalog/planted_test.go: var _ eval.MaintainOptions"}},
 		{forbid(decls, `^(Maintain)?Options `, in("internal/eval").withTests()), []string{"internal/eval/planted.go: type Options struct{ Goal string }"}},
 	}},
-	{"one-facade", "internal/core forwards only what a caller calls: bench/, examples/, cmd/, internal/service or a root test calls each exported function as core.Name( and each exported method as .Name(", []rule{
-		{facade(in("internal/core"), in("bench", "examples", "cmd", "internal/service", ".").withTests()), []string{"internal/core/planted.go: func Unused() {}\nexamples/quickstart/planted.go: // see core.Unused() for history", "internal/core/planted.go: func (s *Session) Unused() {}"}},
+	{"one-facade", "internal/core keeps what composes packages and what bench/ pins: every exported function whose body is one call into another package, every type alias and every constant set to another package's is named by bench/ and by no other file outside internal/core; bench/, examples/, cmd/, internal/service or a root test calls each exported function as core.Name( and each exported method T.M as x.M( in a directory that names core.T or a function whose signature names T", []rule{
+		{facade(in("internal/core"), in("bench", "examples", "cmd", "internal/service", ".").withTests()), []string{"internal/core/planted.go: func Unused() {}\nexamples/quickstart/planted.go: // see core.Unused() for history", "internal/core/planted.go: func (s *Session) Unused() {}", "internal/core/planted.go: func (s *Session) Program() *Program { return s.prog }"}},
+		{pinned(in("internal/core"), in("bench").withTests(), in().withTests().but("bench", "internal/core")), []string{"internal/core/planted.go: type Rule = ast.Rule", "cmd/datalog/planted.go: var _ = core.MinimizeProgram"}},
 	}},
 	{"doc-names", "every backticked pkg.Name in README.md and TUTORIAL.md names a declaration of the module", []rule{
 		{resolves("README.md", "TUTORIAL.md"), []string{"TUTORIAL.md: `eval.Incremental` maintains a view"}},
@@ -190,17 +192,19 @@ type tree map[string]*file
 type file struct {
 	pkg, text string
 	items     map[kind][]string
+	imports   map[string]bool // the package names its imports bind
 }
 
 // A kind is a set of the item lists of a Go file.
 type kind int
 
 const (
-	names   kind = 1 << iota // identifiers, rendered selectors, literals and `import "path"`
-	code                     // rendered calls, comparisons, assignments and go statements
-	callees                  // the rendered function of each call
-	decls                    // "F(params) results", "T.M(params) results", "T <type>", "T.field <type>", "T. <embedded>", "V <type>" and "V"
-	refs                     // rendered selectors and the identifiers that do not declare a function, type, value or field
+	names    kind = 1 << iota // identifiers, rendered selectors, literals and `import "path"`
+	code                      // rendered calls, comparisons, assignments and go statements
+	callees                   // the rendered function of each call
+	decls                     // "F(params) results", "T.M(params) results", "T <type>", "T.field <type>", "T. <embedded>", "V <type>" and "V"
+	refs                      // rendered selectors and the identifiers that do not declare a function, type, value or field
+	forwards                  // the functions whose body is one call into an imported package, the type aliases and the constants set to an imported package's
 )
 
 func parseFile(name, src string) (*file, error) {
@@ -211,9 +215,19 @@ func parseFile(name, src string) (*file, error) {
 	if err != nil {
 		return nil, err
 	}
-	f := &file{pkg: af.Name.Name, items: map[kind][]string{}}
+	f := &file{pkg: af.Name.Name, items: map[kind][]string{}, imports: map[string]bool{}}
 	add := func(k kind, s string) { f.items[k] = append(f.items[k], s) }
 	str, owner, declaring := types.ExprString, map[*ast.StructType]string{}, map[*ast.Ident]bool{}
+	for _, im := range af.Imports {
+		f.imports[cmp.Or(im.Name, ast.NewIdent(path.Base(strings.Trim(im.Path.Value, `"`)))).Name] = true
+	}
+	intoImport := func(e ast.Expr) bool { // e is a selector rooted at an imported package
+		for sel, ok := e.(*ast.SelectorExpr); ok; sel, ok = e.(*ast.SelectorExpr) {
+			e = sel.X
+		}
+		id, ok := e.(*ast.Ident)
+		return ok && f.imports[id.Name]
+	}
 	ast.Inspect(af, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.Ident:
@@ -243,6 +257,18 @@ func parseFile(name, src string) (*file, error) {
 		case *ast.FuncDecl:
 			declaring[n.Name] = true
 			name := n.Name.Name
+			if n.Recv == nil && n.Body != nil && len(n.Body.List) == 1 {
+				var one ast.Expr
+				switch st := n.Body.List[0].(type) {
+				case *ast.ReturnStmt:
+					one = cmp.Or(st.Results...)
+				case *ast.ExprStmt:
+					one = st.X
+				}
+				if call, ok := one.(*ast.CallExpr); ok && intoImport(call.Fun) {
+					add(forwards, name)
+				}
+			}
 			if n.Recv != nil {
 				recv, _, _ := strings.Cut(strings.TrimPrefix(str(n.Recv.List[0].Type), "*"), "[")
 				name = recv + "." + name
@@ -251,8 +277,21 @@ func parseFile(name, src string) (*file, error) {
 		case *ast.TypeSpec:
 			declaring[n.Name] = true
 			add(decls, n.Name.Name+" "+str(n.Type))
+			if n.Assign.IsValid() {
+				add(forwards, n.Name.Name)
+			}
 			if st, ok := n.Type.(*ast.StructType); ok {
 				owner[st] = n.Name.Name
+			}
+		case *ast.GenDecl:
+			for _, spec := range n.Specs {
+				if vs, ok := spec.(*ast.ValueSpec); ok && n.Tok == token.CONST {
+					for i, v := range vs.Values {
+						if _, sel := v.(*ast.SelectorExpr); sel && intoImport(v) {
+							add(forwards, vs.Names[i].Name)
+						}
+					}
+				}
 			}
 		case *ast.ValueSpec:
 			for _, id := range n.Names { // "V <type>", or "V" when the type is left to the value
@@ -364,18 +403,61 @@ func linked(dir string, s scope) func(tree) []string {
 	}
 }
 
-// facade rejects each exported function of s that no file of callers calls
-// as core.Name(, and each exported method that none calls as .Name(.
+// facade rejects each exported function F of s that no file of callers calls
+// as core.F(, and each exported method T.M that no file of callers calls as
+// x.M(, x no imported package, in a directory that names core.T or a function
+// of s whose signature names T.
 func facade(s, callers scope) func(tree) []string {
 	return func(tr tree) (bad []string) {
-		for _, hit := range forbid(decls, `^(\w+\.)?[A-Z]\w*\(`, s)(tr) {
+		fns := forbid(decls, `^(\w+\.)?[A-Z]\w*\(`, s)(tr)
+		for _, hit := range fns {
 			name := declName(hit[strings.Index(hit, ": ")+2:])
-			call := `^core\.` + name + `$`
-			if _, method, ok := strings.Cut(name, "."); ok {
-				call = `\.` + method + `$`
+			recv, method, ok := strings.Cut(name, ".")
+			if !ok {
+				if len(forbid(callees, `^core\.`+name+`$`, callers)(tr)) == 0 {
+					bad = append(bad, hit)
+				}
+				continue
 			}
-			if len(forbid(callees, call, callers)(tr)) == 0 {
+			holders, mentions := []string{recv}, regexp.MustCompile(`\b`+recv+`\b`)
+			for _, fn := range fns {
+				if d := fn[strings.Index(fn, ": ")+2:]; !strings.Contains(declName(d), ".") && mentions.MatchString(d) {
+					holders = append(holders, declName(d))
+				}
+			}
+			dirs := map[string]bool{}
+			for _, h := range forbid(names, `^core\.(`+strings.Join(holders, "|")+`)$`, callers)(tr) {
+				dirs[path.Dir(h[:strings.Index(h, ": ")])] = true
+			}
+			if !slices.ContainsFunc(forbid(callees, `\.`+method+`$`, callers)(tr), func(c string) bool {
+				p, fun, _ := strings.Cut(c, ": ")
+				return dirs[path.Dir(p)] && !tr[p].imports[strings.TrimSuffix(fun, "."+method)]
+			}) {
 				bad = append(bad, hit)
+			}
+		}
+		return bad
+	}
+}
+
+// pinned rejects each exported forwards item of s that no file of users
+// names as pkg.Name, or that a file of others names so.
+func pinned(s, users, others scope) func(tree) []string {
+	return func(tr tree) (bad []string) {
+		named := map[string][2]bool{} // "pkg.Name" → named by users, by others
+		for p, f := range tr {
+			for _, n := range f.items[names] {
+				if u, o := users(p), others(p); u || o {
+					was := named[n]
+					named[n] = [2]bool{was[0] || u, was[1] || o}
+				}
+			}
+		}
+		for p, f := range tr {
+			for _, n := range f.items[forwards] {
+				if by := named[f.pkg+"."+n]; s(p) && token.IsExported(n) && (!by[0] || by[1]) {
+					bad = append(bad, fmt.Sprintf("%s: %s.%s: named by users %v, by others %v", p, f.pkg, n, by[0], by[1]))
+				}
 			}
 		}
 		return bad
