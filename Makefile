@@ -36,13 +36,16 @@ test:
 # rune-at-a-time reference parser kept in its tests, for whole sources and
 # for the one-atom queries) and the canonical rendering (the address of
 # the plan cache and the verdict store; held byte for byte to a map-based
-# reference renderer), and the 2Q cache both memos are built on (random
-# lookups and stores replayed against a slice-based reference 2Q).
+# reference renderer), the 2Q cache both memos are built on (random
+# lookups and stores replayed against a slice-based reference 2Q), and the
+# [P, T] chase loop (a drawn program, tgd set, start database and budget,
+# held to the reference loops kept in internal/chase/loop_test.go).
 fuzz-short:
 	$(GO) test -run='^$$' -fuzz='^FuzzParse$$' -fuzztime=10s ./internal/parser
 	$(GO) test -run='^$$' -fuzz='^FuzzParseAtom$$' -fuzztime=10s ./internal/parser
 	$(GO) test -run='^$$' -fuzz='^FuzzCanonicalRule$$' -fuzztime=10s ./internal/ast
 	$(GO) test -run='^$$' -fuzz='^FuzzCache$$' -fuzztime=10s ./internal/twoq
+	$(GO) test -run='^$$' -fuzz='^FuzzChase$$' -fuzztime=10s ./internal/chase
 
 race:
 	$(GO) test -race ./...

@@ -40,13 +40,9 @@ func main() {
 
 	// Point query: which nodes does 4 reach?
 	fmt.Println("\nnodes reachable from 4:")
-	b := ast.Binding{}
 	query := ast.NewAtom("G", ast.IntTerm(4), ast.Var("y"))
-	for _, f := range out.Facts() {
-		if _, ok := query.MatchGround(f.Pred, f.Args, b); ok {
-			fmt.Printf("  %v\n", f)
-			delete(b, "y")
-		}
+	for _, row := range db.Select(out, query) {
+		fmt.Printf("  %v\n", ast.NewGroundAtom(query.Pred, row...))
 	}
 
 	// The paper's uniform semantics: feed an IDB fact as input (Example 3).

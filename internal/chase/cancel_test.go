@@ -1,4 +1,4 @@
-package chase_test
+package chase
 
 import (
 	"context"
@@ -8,7 +8,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/chase"
 	"repro/internal/db"
 	"repro/internal/eval"
 	"repro/internal/parser"
@@ -69,8 +68,8 @@ func TestCancelMidFlightThroughArgument(t *testing.T) {
 	}
 	p, r := res.Program.WithoutRule(2), res.Program.Rules[2]
 	div, d := res.TGDs, db.FromFacts(res.Facts)
-	budget := chase.Budget{MaxAtoms: 600, MaxRounds: 600}
-	c, err := chase.NewChecker(p)
+	budget := Budget{MaxAtoms: 600, MaxRounds: 600}
+	c, err := NewChecker(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,11 +98,11 @@ func TestCancelMidFlightThroughArgument(t *testing.T) {
 	// A containment test that needs the chase (no rule of p subsumes r),
 	// cut inside its evaluation: poll 1 is the test's entry, poll 2 the
 	// evaluation's, poll 3 its first round.
-	published := chase.VerdictStoreStats().Verdicts
+	published := VerdictStoreStats().Verdicts
 	ctx = &tripCtx{Context: context.Background(), trip: 3}
 	_, err = c.ContainsRule(ctx, r)
 	wantCanceled(t, err, ctx)
-	if now := chase.VerdictStoreStats().Verdicts; now != published {
+	if now := VerdictStoreStats().Verdicts; now != published {
 		t.Fatalf("canceled containment test published %d verdicts", now-published)
 	}
 	before = c.Stats()
@@ -121,7 +120,7 @@ func TestCancelMidFlightThroughArgument(t *testing.T) {
 	ctx = &tripCtx{Context: context.Background(), trip: 3}
 	_, err = c.ContainsRuleMasked(ctx, r, skip)
 	wantCanceled(t, err, ctx)
-	fresh, err := chase.UniformlyContainsRule(p.WithoutRule(1), r)
+	fresh, err := UniformlyContainsRule(p.WithoutRule(1), r)
 	if err != nil {
 		t.Fatal(err)
 	}

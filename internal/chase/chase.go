@@ -202,8 +202,9 @@ type Checker struct {
 	// noSyntactic disables the θ-subsumption fast path, forcing each fresh
 	// verdict through the chase (memoized verdicts are still reused).
 	// noTermination disables the termination classifier: no derived budgets,
-	// no full-set fixpoint collapse, every chase pays the raw round
-	// alternation under the caller's (or default) budget. Both are the oracle
+	// and a full set is chased like an embedded one — lowered, alternating
+	// with the session program — rather than as the one phase of P ∪ rules(T);
+	// every chase runs under the caller's (or default) budget. Both are the oracle
 	// arms of this package's tests and ablation benchmark, which set them
 	// directly; nothing outside the package can.
 	noSyntactic, noTermination bool
@@ -212,16 +213,18 @@ type Checker struct {
 	tgdMemos map[string]*tgdMemo
 }
 
-// tgdMemo is what a Checker keeps of one tgd set, each part built when a
-// chase first needs it — the minimization loops re-chase one tgd set
-// against many candidate rules: the termination classification of running
-// the session program together with the set (depgraph.ClassifyTGDs), the
-// set lowered onto the join kernel (LowerTGDs), and for a full set the
-// combined prepared program P ∪ rules(T) chaseFull evaluates.
+// tgdMemo is what a Checker keeps of one tgd set, built when a chase first
+// needs it — the minimization loops re-chase one tgd set against many
+// candidate rules: the termination classification of running the session
+// program together with the set (depgraph.ClassifyTGDs), and the two halves
+// of its TGDs.Chase rounds. An embedded set's phase runs the session program
+// and its tgd round the set lowered onto the join kernel (LowerTGDs); a full
+// set's phase runs the combined program P ∪ rules(T) and its tgd round
+// nothing.
 type tgdMemo struct {
-	cl      *depgraph.Classification
+	cl      depgraph.Classification
+	phase   *eval.Prepared
 	lowered *TGDs
-	full    *eval.Prepared
 }
 
 // NewChecker prepares p as the containing program of a session, reusing a
@@ -560,8 +563,10 @@ type Result struct {
 	// stops early still reports Complete truthfully — true exactly when the
 	// partial database happens to be the fixpoint already.
 	Complete bool
-	// Rounds is the number of program/tgd alternations performed (1 for the
-	// single-fixpoint fast path full tgd sets take).
+	// Rounds is the number of rounds of TGDs.Chase — a Datalog phase, then
+	// a tgd round — whose phase ran to its end. A full set's chase is one
+	// round, its one phase over P ∪ rules(T), which counts even when the
+	// budget cuts it.
 	Rounds int
 	// Class is the termination classification of the rule + tgd set the
 	// chase ran under (depgraph.TermUnclassified when the analysis was
@@ -583,6 +588,62 @@ func Apply(p *ast.Program, tgds []ast.TGD, d *db.Database, budget Budget) (Resul
 	return c.Apply(context.Background(), tgds, d, budget)
 }
 
+// Chase runs the combined chase of Section VIII over the tgd set ts from d:
+// rounds that alternate a Datalog phase with a tgd round, until a round adds
+// nothing (No: the database is the fixpoint), the goal is derived (Yes) or
+// the budget runs out (Unknown). It is the one loop of the [P, T] chase and of
+// Fig. 3's preservation test, which differ in their phase alone.
+//
+// phase runs a round's Datalog step on the chase database, room being the
+// atoms the budget has left: it returns the database the round goes on with —
+// the tgd round adds to it in place — and whether the goal was reached; an
+// error wrapping eval.ErrBudget cuts the chase with Unknown. After each tgd
+// round a non-nil goal is looked up as well. budget is used as given, its
+// zero fields already filled by the caller. ctx is checked at the start of
+// every round (both halves also poll mid-way), and the tgd rounds' joins land
+// in st.
+//
+// The result is Complete only with No: what closure under the phase means
+// is the caller's to say. Rounds counts the rounds whose phase ran to its
+// end, and DB is d itself when none did.
+func (ts *TGDs) Chase(ctx context.Context, d *db.Database, goal *ast.GroundAtom, budget Budget, phase func(ctx context.Context, d *db.Database, room int) (*db.Database, bool, error), st *eval.Stats) (Result, Verdict, error) {
+	cur := d
+	_, maxNull := cur.MaxGeneratedIndexes()
+	nullGen := ast.NewNullGen(maxNull + 1)
+	for round := 0; round < budget.MaxRounds; round++ {
+		if err := eval.CtxErr(ctx); err != nil {
+			return Result{}, Unknown, err
+		}
+		out, reached, err := phase(ctx, cur, budget.MaxAtoms-cur.Len())
+		if err != nil {
+			if isBudgetErr(err) {
+				return Result{DB: cur, Rounds: round}, Unknown, nil
+			}
+			return Result{}, Unknown, err
+		}
+		cur = out
+		if reached {
+			return Result{DB: cur, Rounds: round + 1}, Yes, nil
+		}
+		// Tgd round: fire every violated instantiation found against the
+		// snapshot, re-checking before each firing (the restricted chase).
+		added, err := ts.applyRound(ctx, cur, nullGen, st)
+		if err != nil {
+			return Result{}, Unknown, err
+		}
+		if goal != nil && cur.Has(*goal) {
+			return Result{DB: cur, Rounds: round + 1}, Yes, nil
+		}
+		if added == 0 {
+			return Result{DB: cur, Complete: true, Rounds: round + 1}, No, nil
+		}
+		if cur.Len() > budget.MaxAtoms {
+			return Result{DB: cur, Rounds: round + 1}, Unknown, nil
+		}
+	}
+	return Result{DB: cur, Rounds: budget.MaxRounds}, Unknown, nil
+}
+
 // Apply is the session form of the package-level Apply, reusing the
 // prepared program across the chase's Datalog rounds.
 func (c *Checker) Apply(ctx context.Context, tgds []ast.TGD, d *db.Database, budget Budget) (Result, error) {
@@ -594,89 +655,75 @@ func (c *Checker) Apply(ctx context.Context, tgds []ast.TGD, d *db.Database, bud
 // goal is derived. It returns the chase result plus the goal verdict: Yes if
 // the goal was derived, No if the chase completed without deriving it,
 // Unknown if the budget ran out first. With a nil goal the verdict is No on
-// completion and Unknown otherwise. The session's prepared program serves
-// every Datalog phase — one preparation for the whole chase, not one per
-// round — and pushes the goal into the evaluator's emit path, so a round
-// halts mid-join the moment the goal is derived. A program with negation is
-// refused with ErrNegation.
+// completion and Unknown otherwise. It is TGDs.Chase with a Datalog phase
+// that runs one prepared program and pushes the goal into the evaluator's
+// emit path, so a round halts mid-join the moment the goal is derived: the
+// session's program for an embedded set, and for a full set the combined
+// program P ∪ rules(T) — full tgds create no nulls, so [P, T](d) is its least
+// fixpoint, one phase with no tgd round left to alternate with. A program
+// with negation is refused with ErrNegation.
 func (c *Checker) chaseToGoal(ctx context.Context, tgds []ast.TGD, d *db.Database, goal *ast.GroundAtom, budget Budget) (Result, Verdict, error) {
 	if c.neg {
 		return Result{}, Unknown, ErrNegation
 	}
-	key := tgdSetKey(tgds)
-	m := c.tgdMemos[key]
-	if m == nil {
-		m = &tgdMemo{}
-		if c.tgdMemos == nil {
-			c.tgdMemos = make(map[string]*tgdMemo)
-		}
-		c.tgdMemos[key] = m
+	m, err := c.memo(tgds)
+	if err != nil {
+		return Result{}, Unknown, err
 	}
-	var cl depgraph.Classification
-	if !c.noTermination {
-		if m.cl == nil {
-			m.cl = new(depgraph.Classification)
-			*m.cl = depgraph.ClassifyTGDs(c.prog.Rules, tgds)
+	prep, ts := m.phase, m.lowered
+	budget = c.resolveBudget(d, budget, m.cl)
+	res, v, err := ts.Chase(ctx, d, goal, budget, func(ctx context.Context, cur *db.Database, room int) (*db.Database, bool, error) {
+		if room <= 0 {
+			return nil, false, eval.ErrBudget
 		}
-		cl = *m.cl
-		if cl.Full {
-			// Full tgds create no nulls, so [P, T](d) is the least fixpoint
-			// of P ∪ rules(T) and the round alternation collapses into one
-			// prepared evaluation.
-			return c.chaseFull(ctx, tgds, m, d, goal, budget, cl)
-		}
-	}
-	budget = c.resolveBudget(d, budget, cl)
-	if m.lowered == nil {
-		m.lowered = LowerTGDs(tgds)
-	}
-	ts := m.lowered
-	cur := d.Clone()
-	_, maxNull := cur.MaxGeneratedIndexes()
-	nullGen := ast.NewNullGen(maxNull + 1)
-
-	for round := 0; round < budget.MaxRounds; round++ {
-		// Chase-round cancellation check, mirroring the evaluator's own
-		// round-boundary discipline; both phases below also poll mid-round.
-		if err := eval.CtxErr(ctx); err != nil {
-			return Result{}, Unknown, err
-		}
-		// Datalog saturation phase, cut short if the goal shows up.
-		remaining := budget.MaxAtoms - cur.Len()
-		if remaining <= 0 {
-			return Result{DB: cur, Complete: false, Rounds: round, Class: cl.Class}, Unknown, nil
-		}
-		out, reached, est, err := c.prep.Run(ctx, cur, goal, remaining)
+		out, reached, est, err := prep.Run(ctx, cur, goal, room)
 		c.Tally().Add(est)
-		if err != nil {
-			if isBudgetErr(err) {
-				return Result{DB: cur, Complete: false, Rounds: round, Class: cl.Class}, Unknown, nil
-			}
-			return Result{}, Unknown, err
-		}
-		cur = out
-		if reached {
-			return Result{DB: cur, Complete: c.isFixpoint(cur, ts), Rounds: round + 1, Class: cl.Class}, Yes, nil
-		}
-
-		// Tgd phase: fire every violated instantiation found against the
-		// snapshot, re-checking before each firing (the restricted chase).
-		added, err := ts.ApplyRound(ctx, cur, nullGen, c.Tally())
-		if err != nil {
-			return Result{}, Unknown, err
-		}
-		if goal != nil && cur.Has(*goal) {
-			return Result{DB: cur, Complete: c.isFixpoint(cur, ts), Rounds: round + 1, Class: cl.Class}, Yes, nil
-		}
-		if added == 0 {
-			return Result{DB: cur, Complete: true, Rounds: round + 1, Class: cl.Class}, No, nil
-		}
-		if cur.Len() > budget.MaxAtoms {
-			return Result{DB: cur, Complete: false, Rounds: round + 1, Class: cl.Class}, Unknown, nil
-		}
+		return out, reached, err
+	}, c.Tally())
+	if err != nil {
+		return Result{}, Unknown, err
 	}
-	return Result{DB: cur, Complete: false, Rounds: budget.MaxRounds, Class: cl.Class}, Unknown, nil
+	if res.DB == d {
+		res.DB = d.Clone() // no phase ran: the result is not the caller's database
+	}
+	switch {
+	case v == Yes:
+		// A chase that found its goal stops with a partial database; this
+		// makes the reported Complete flag truthful rather than a blanket
+		// false.
+		res.Complete = prep.IsClosed(res.DB) && ts.satisfies(res.DB, c.Tally())
+	case v == Unknown && m.cl.Full && d.Len() < budget.MaxAtoms:
+		res.Rounds = 1 // a full set's one phase is its round, even when the budget cuts it
+	}
+	res.Class = m.cl.Class
+	return res, v, nil
 }
+
+// memo returns the session's tgdMemo for tgds, built on first use.
+func (c *Checker) memo(tgds []ast.TGD) (*tgdMemo, error) {
+	key := tgdSetKey(tgds)
+	if m := c.tgdMemos[key]; m != nil {
+		return m, nil
+	}
+	m := &tgdMemo{phase: c.prep, lowered: noTGDs}
+	if !c.noTermination {
+		m.cl = depgraph.ClassifyTGDs(c.prog.Rules, tgds)
+	}
+	if !m.cl.Full {
+		m.lowered = LowerTGDs(tgds)
+	} else if err := c.prepareFull(m, tgds); err != nil {
+		return nil, err
+	}
+	if c.tgdMemos == nil {
+		c.tgdMemos = make(map[string]*tgdMemo)
+	}
+	c.tgdMemos[key] = m
+	return m, nil
+}
+
+// noTGDs is the empty lowered set: the tgd round of a full set's chase,
+// whose tgds run as rules in its Datalog phase.
+var noTGDs = LowerTGDs(nil)
 
 // termBudgetCap mirrors the saturation cap of depgraph.DerivedBudget when
 // folding the input database size into a derived atom bound.
@@ -687,10 +734,15 @@ const termBudgetCap = 1 << 60
 // divergence — but the zero Budget{} of a set classified chase-terminating
 // is replaced by the provable bound DerivedBudget computes (plus the input
 // database's own atoms), so the chase runs to true fixpoint and Unknown can
-// no longer mean "budget too small". Each resolution is counted in the
-// session stats as budget-free or budget-bounded.
+// no longer mean "budget too small". A full set's chase is one round, which
+// always ends, so its zero Budget{} bounds nothing. Each resolution is
+// counted in the session stats as budget-free or budget-bounded.
 func (c *Checker) resolveBudget(d *db.Database, budget Budget, cl depgraph.Classification) Budget {
-	if budget == (Budget{}) && cl.Class.ChaseTerminates() {
+	switch {
+	case budget == (Budget{}) && cl.Full:
+		c.Tally().ChasesBudgetFree++
+		return Budget{MaxAtoms: termBudgetCap, MaxRounds: 1}
+	case budget == (Budget{}) && cl.Class.ChaseTerminates():
 		atoms, rounds := cl.DerivedBudget(len(d.Consts()))
 		if atoms > termBudgetCap-d.Len() {
 			atoms = termBudgetCap
@@ -701,7 +753,10 @@ func (c *Checker) resolveBudget(d *db.Database, budget Budget, cl depgraph.Class
 		return Budget{MaxAtoms: atoms, MaxRounds: rounds}
 	}
 	c.Tally().ChasesBudgetBounded++
-	return budget.OrDefault()
+	if budget = budget.OrDefault(); cl.Full {
+		budget.MaxRounds = 1
+	}
+	return budget
 }
 
 func tgdSetKey(tgds []ast.TGD) string {
@@ -713,49 +768,9 @@ func tgdSetKey(tgds []ast.TGD) string {
 	return sb.String()
 }
 
-// chaseFull runs the combined chase of a full tgd set as a single Datalog
-// fixpoint over P ∪ rules(T), with the goal pushed into the evaluator's
-// emit path. Full tgds have no existential variables, so no nulls are ever
-// created and the fixpoint is exactly [P, T](d); closure under the combined
-// program subsumes tgd satisfaction, so Complete needs no separate
-// Satisfies sweep.
-func (c *Checker) chaseFull(ctx context.Context, tgds []ast.TGD, m *tgdMemo, d *db.Database, goal *ast.GroundAtom, budget Budget, cl depgraph.Classification) (Result, Verdict, error) {
-	if m.full == nil {
-		prep, err := c.fullPrep(tgds)
-		if err != nil {
-			return Result{}, Unknown, err
-		}
-		m.full = prep
-	}
-	prep := m.full
-	maxDerived := 0 // unbounded: a full set always terminates
-	if budget != (Budget{}) {
-		b := budget.OrDefault()
-		maxDerived = b.MaxAtoms - d.Len()
-		if maxDerived <= 0 {
-			return Result{DB: d.Clone(), Complete: false, Rounds: 0, Class: cl.Class}, Unknown, nil
-		}
-		c.Tally().ChasesBudgetBounded++
-	} else {
-		c.Tally().ChasesBudgetFree++
-	}
-	out, reached, est, err := prep.Run(ctx, d, goal, maxDerived)
-	c.Tally().Add(est)
-	if err != nil {
-		if isBudgetErr(err) {
-			return Result{DB: d.Clone(), Complete: false, Rounds: 1, Class: cl.Class}, Unknown, nil
-		}
-		return Result{}, Unknown, err
-	}
-	if reached {
-		return Result{DB: out, Complete: prep.IsClosed(out), Rounds: 1, Class: cl.Class}, Yes, nil
-	}
-	return Result{DB: out, Complete: true, Rounds: 1, Class: cl.Class}, No, nil
-}
-
-// fullPrep prepares the combined program P ∪ rules(T) for a full tgd set,
-// through the session's plan cache.
-func (c *Checker) fullPrep(tgds []ast.TGD) (*eval.Prepared, error) {
+// prepareFull sets m's phase to the combined program P ∪ rules(T) of a full
+// tgd set, prepared through the session's plan cache.
+func (c *Checker) prepareFull(m *tgdMemo, tgds []ast.TGD) (err error) {
 	combined := ast.NewProgram()
 	combined.Rules = append(combined.Rules, c.prog.Rules...)
 	canon := []byte(c.canon)
@@ -765,17 +780,10 @@ func (c *Checker) fullPrep(tgds []ast.TGD) (*eval.Prepared, error) {
 			canon = append(r.AppendCanonical(canon), '\n')
 		}
 	}
-	return c.Prepare(string(canon), func() (*eval.Prepared, error) {
+	m.phase, err = c.Prepare(string(canon), func() (*eval.Prepared, error) {
 		return eval.Prepare(combined)
 	})
-}
-
-// isFixpoint reports whether cur is already the [P, T] fixpoint: closed
-// under the session program's rules and satisfying every tgd. A chase that
-// found its goal stops with a partial database; this is what makes the
-// reported Complete flag truthful rather than a blanket false.
-func (c *Checker) isFixpoint(cur *db.Database, ts *TGDs) bool {
-	return c.prep.IsClosed(cur) && ts.satisfies(cur, c.Tally())
+	return err
 }
 
 func isBudgetErr(err error) bool { return errors.Is(err, eval.ErrBudget) }
@@ -820,8 +828,12 @@ func SATContainsRule(p1 *ast.Program, tgds []ast.TGD, r ast.Rule, budget Budget)
 
 // SATModelsContained decides SAT(T) ∩ M(P) ⊆ M(p2) for the session program
 // P, rule by rule. A single refuted rule refutes the whole containment;
-// otherwise any budget-limited rule makes the answer Unknown.
+// otherwise any budget-limited rule makes the answer Unknown. Negation on
+// either side is refused with ErrNegation, even when p2 has no rules.
 func (c *Checker) SATModelsContained(ctx context.Context, tgds []ast.TGD, p2 *ast.Program, budget Budget) (Verdict, error) {
+	if c.neg || p2.HasNegation() {
+		return Unknown, ErrNegation
+	}
 	sawUnknown := false
 	for _, r := range p2.Rules {
 		v, err := c.SATContainsRule(ctx, tgds, r, budget)
@@ -843,7 +855,10 @@ func (c *Checker) SATModelsContained(ctx context.Context, tgds []ast.TGD, p2 *as
 
 // SATModelsContained is the one-shot form of Checker.SATModelsContained.
 func SATModelsContained(p1 *ast.Program, tgds []ast.TGD, p2 *ast.Program, budget Budget) (Verdict, error) {
-	if len(p2.Rules) == 0 {
+	switch {
+	case p1.HasNegation() || p2.HasNegation():
+		return Unknown, ErrNegation
+	case len(p2.Rules) == 0:
 		return Yes, nil
 	}
 	c, err := NewChecker(p1)

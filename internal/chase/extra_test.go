@@ -148,7 +148,9 @@ func TestExactTestsRefuseNegation(t *testing.T) {
 	_, e8 := ck.SATContainsRule(context.Background(), []ast.TGD{tgd}, pure.Rules[0], Budget{})
 	_, e9 := ck.Apply(context.Background(), []ast.TGD{tgd}, db.New(), Budget{})
 	_, e10 := SATModelsContained(neg, []ast.TGD{tgd}, pure, Budget{})
-	for i, err := range []error{e1, e2, e3, e4, e5, e6, e7, e8, e9, e10} {
+	_, e11 := SATModelsContained(neg, []ast.TGD{tgd}, ast.NewProgram(), Budget{})
+	_, e12 := ck.SATModelsContained(context.Background(), []ast.TGD{tgd}, ast.NewProgram(), Budget{})
+	for i, err := range []error{e1, e2, e3, e4, e5, e6, e7, e8, e9, e10, e11, e12} {
 		if !errors.Is(err, ErrNegation) {
 			t.Errorf("entry point %d: err = %v, want ErrNegation", i+1, err)
 		}

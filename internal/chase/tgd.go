@@ -137,15 +137,16 @@ func Satisfies(d *db.Database, tgds []ast.TGD) bool {
 	return LowerTGDs(tgds).satisfies(d, new(eval.Stats))
 }
 
-// ApplyRound applies every tgd of the set once to each violated
+// applyRound applies every tgd of the set once to each violated
 // instantiation of its universally quantified variables (Section VIII: an
 // instantiation θ fires when the LHS grounds into d and no extension of θ
 // grounds the RHS into d; existential variables then take fresh nulls). It
-// mutates d and returns the number of facts added. It is one round of the
-// restricted chase; the Fig. 3 preservation procedure interleaves it with
-// Pⁿ(d) computations. A canceled ctx ends the round with an error wrapping
-// eval.ErrCanceled and d part-way through it: the caller discards d.
-func (ts *TGDs) ApplyRound(ctx context.Context, d *db.Database, nullGen *ast.ConstGen, st *eval.Stats) (int, error) {
+// mutates d and returns the number of facts added. It is the tgd round of
+// TGDs.Chase — the restricted chase's half of every [P, T] round and of
+// every Fig. 3 round — and nothing else calls it. A canceled ctx ends the
+// round with an error wrapping eval.ErrCanceled and d part-way through it:
+// the caller discards d.
+func (ts *TGDs) applyRound(ctx context.Context, d *db.Database, nullGen *ast.ConstGen, st *eval.Stats) (int, error) {
 	added := 0
 	var pending, buf []ast.Const // pending triggers, nUniv constants each
 	for i := range ts.plans {

@@ -1,4 +1,4 @@
-package chase_test
+package chase
 
 import (
 	"context"
@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"repro/internal/ast"
-	"repro/internal/chase"
 	"repro/internal/db"
 	"repro/internal/eval"
 	"repro/internal/oracle"
@@ -126,7 +125,7 @@ func loweredViolations(t *testing.T, d *db.Database, tgds []ast.TGD) []violation
 	t.Helper()
 	var out []violation
 	var st eval.Stats
-	done, err := chase.LowerTGDs(tgds).EachViolation(context.Background(), d, &st, func(i int, theta []ast.Const) bool {
+	done, err := LowerTGDs(tgds).EachViolation(context.Background(), d, &st, func(i int, theta []ast.Const) bool {
 		out = append(out, violation{tgd: i, theta: slices.Clone(theta)})
 		return true
 	})
@@ -155,7 +154,7 @@ func TestTGDStepsMatchOracle(t *testing.T) {
 		if !slices.EqualFunc(got, want, func(a, b violation) bool { return a.tgd == b.tgd && slices.Equal(a.theta, b.theta) }) {
 			t.Fatalf("seed %d: violations of %v over\n%s\nlowered %v\noracle  %v", seed, checked, d, got, want)
 		}
-		if sat := chase.Satisfies(d, checked); sat != (len(want) == 0) {
+		if sat := Satisfies(d, checked); sat != (len(want) == 0) {
 			t.Fatalf("seed %d: Satisfies = %v with %d oracle violations of %v", seed, sat, len(want), checked)
 		}
 
@@ -166,10 +165,10 @@ func TestTGDStepsMatchOracle(t *testing.T) {
 		ref, low := d.Clone(), d.Clone()
 		_, maxNull := d.MaxGeneratedIndexes()
 		refGen, lowGen := ast.NewNullGen(maxNull+1), ast.NewNullGen(maxNull+1)
-		ts := chase.LowerTGDs(fired)
+		ts := LowerTGDs(fired)
 		for round := 0; round < 3; round++ {
 			wantAdded := refApplyRound(fired, ref, refGen)
-			gotAdded, err := ts.ApplyRound(context.Background(), low, lowGen, &st)
+			gotAdded, err := ts.applyRound(context.Background(), low, lowGen, &st)
 			if err != nil || gotAdded != wantAdded || low.String() != ref.String() {
 				t.Fatalf("seed %d round %d: %v over\n%s\nlowered added %d (%v):\n%s\noracle added %d:\n%s",
 					seed, round, fired, d, gotAdded, err, low, wantAdded, ref)
@@ -200,7 +199,7 @@ func TestTGDRoundHonorsContext(t *testing.T) {
 	cancel()
 	var st eval.Stats
 	work := d.Clone()
-	added, err := chase.LowerTGDs(tgds).ApplyRound(expired, work, ast.NewNullGen(0), &st)
+	added, err := LowerTGDs(tgds).applyRound(expired, work, ast.NewNullGen(0), &st)
 	if !errors.Is(err, eval.ErrCanceled) || !errors.Is(err, context.Canceled) || added != 0 || work.Len() != d.Len() {
 		t.Fatalf("expired context: added %d (db %d → %d), err %v", added, d.Len(), work.Len(), err)
 	}
@@ -209,12 +208,12 @@ func TestTGDRoundHonorsContext(t *testing.T) {
 		t.Fatalf("expired context: %d rows enumerated, cadence is %d", st.Firings, eval.CtxCheckEvery)
 	}
 
-	c, err := chase.NewChecker(ast.NewProgram())
+	c, err := NewChecker(ast.NewProgram())
 	if err != nil {
 		t.Fatal(err)
 	}
 	polls := &tripCtx{Context: context.Background(), trip: math.MaxInt}
-	full, err := c.Apply(polls, tgds, d, chase.Budget{MaxAtoms: 1 << 20, MaxRounds: 8})
+	full, err := c.Apply(polls, tgds, d, Budget{MaxAtoms: 1 << 20, MaxRounds: 8})
 	if err != nil || !full.Complete {
 		t.Fatalf("live chase: %+v, %v", full, err)
 	}
@@ -222,12 +221,12 @@ func TestTGDRoundHonorsContext(t *testing.T) {
 		t.Fatalf("live chase polled %d times: the tgd phase does not poll", polls.calls)
 	}
 	mid := &tripCtx{Context: context.Background(), trip: polls.calls / 2}
-	if _, err := c.Apply(mid, tgds, d, chase.Budget{MaxAtoms: 1 << 20, MaxRounds: 8}); err == nil {
+	if _, err := c.Apply(mid, tgds, d, Budget{MaxAtoms: 1 << 20, MaxRounds: 8}); err == nil {
 		t.Fatal("mid-phase cancellation went unnoticed")
 	} else {
 		wantCanceled(t, err, mid)
 	}
-	again, err := c.Apply(context.Background(), tgds, d, chase.Budget{MaxAtoms: 1 << 20, MaxRounds: 8})
+	again, err := c.Apply(context.Background(), tgds, d, Budget{MaxAtoms: 1 << 20, MaxRounds: 8})
 	if err != nil || !again.Complete || again.DB.String() != full.DB.String() {
 		t.Fatalf("after a canceled chase the session answers differently: %v", err)
 	}

@@ -25,9 +25,10 @@ type Stats struct {
 type FixpointStats struct {
 	// Rounds is the number of fixpoint iterations (including the final empty
 	// one that detects convergence; a unit with no rule that can fire runs
-	// none). Session totals sum the rounds of every
-	// internal evaluation plus, for preservation sessions, one per
-	// chase-and-check round of the Fig. 3 combination loop.
+	// none). Session totals sum the rounds of every internal evaluation — a
+	// [P, T] chase's Datalog phases among them — plus, for preservation
+	// sessions, one per round Fig. 3 runs on chase.TGDs.Chase, whose phase
+	// is one Pⁿ step rather than a fixpoint.
 	Rounds int `json:"rounds"`
 	// Firings is the number of successful body instantiations, i.e. the
 	// joins' output size (including duplicates that derived a known fact).

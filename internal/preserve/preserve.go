@@ -238,11 +238,12 @@ func (s *Session) CheckPreliminary(ctx context.Context, tgds []ast.TGD, opts Opt
 	if err != nil {
 		return chase.Unknown, nil, err
 	}
+	noTGDs := chase.LowerTGDs(nil) // d is any EDB: no tgd is applied to it
 	for _, tau := range tgds {
 		if err := eval.CtxErr(ctx); err != nil {
 			return chase.Unknown, nil, err
 		}
-		v, cex, err := checkTGD(ctx, e.prep, e.idb, nil, tau, chase.Budget{}, e.opts, s.Tally())
+		v, cex, err := checkTGD(ctx, e.prep, e.idb, noTGDs, tau, chase.Budget{}, e.opts, s.Tally())
 		if err != nil {
 			return chase.Unknown, nil, err
 		}
@@ -338,21 +339,36 @@ func combinationOptions(p *ast.Program, idb map[string]bool) map[string][]option
 }
 
 // checkTGD enumerates all combinations for tau against the prepared
-// program and runs the interleaved chase-and-check loop on each; with nil
-// tgds (the preliminary-DB variant) the first check decides each.
+// program and runs the interleaved loop of Section IX on each: TGDs.Chase
+// from the combination's d, whose phase checks whether the instantiated LHS
+// exhibits a violation in ⟨d, Pⁿ(d)⟩ and leaves d as it is, so a tgd round
+// applies T to d (inferences implied by d ∈ SAT(T)) before the next check. A
+// violation is genuine only once d has reached its T-fixpoint. With the
+// empty set (the preliminary-DB variant) no tgd round adds anything and the
+// first check decides.
 func checkTGD(ctx context.Context, prep *eval.Prepared, idb map[string]bool, tgds *chase.TGDs, tau ast.TGD, budget chase.Budget, opts map[string][]option, st *eval.Stats) (chase.Verdict, *Counterexample, error) {
+	budget = budget.OrDefault()
 	sawUnknown := false
 	err := forEachCombination(idb, tau, opts, func(c *combination) error {
 		if err := eval.CtxErr(ctx); err != nil {
 			return err
 		}
-		v, cex, err := runCombination(ctx, prep, tgds, tau, c, budget, st)
+		frame := make([]ast.Const, len(c.rhs.Vars()))
+		n := c.d.Len()
+		res, v, err := tgds.Chase(ctx, c.d, nil, budget, func(_ context.Context, d *db.Database, _ int) (*db.Database, bool, error) {
+			st.Rounds++
+			full := d.Clone()
+			st.Added += full.AddAll(prep.NonRecursive(d))
+			satisfied := !c.rhs.Each(full, frame, st, func() bool { return false }) // the first row satisfies the RHS
+			return d, satisfied, nil
+		}, st)
+		st.Added += c.d.Len() - n // the facts the tgd rounds added to d
 		if err != nil {
 			return err
 		}
 		switch v {
 		case chase.No:
-			return &foundViolation{cex}
+			return &foundViolation{&Counterexample{TGD: tau, DB: res.DB, LHS: c.lhs}}
 		case chase.Unknown:
 			sawUnknown = true
 		}
@@ -508,41 +524,4 @@ func visitCombination(tau ast.TGD, intAtoms, extAtoms []ast.Atom, opts map[strin
 
 	rhs := eval.LowerConj(ast.ApplyAtoms(rhsAtoms, theta.Subst()), nil)
 	return visit(&combination{d: d, lhs: lhs, rhs: rhs})
-}
-
-// runCombination executes the interleaved loop of Section IX on one
-// combination: check whether the instantiated LHS exhibits a violation in
-// ⟨d, Pⁿ(d)⟩; if it does, apply one round of T to d (inferences implied by
-// d ∈ SAT(T)) and re-check; conclude a genuine violation only when d has
-// reached its T-fixpoint. With nil tgds (the preliminary-DB variant) none
-// are applied and the first check decides.
-func runCombination(ctx context.Context, prep *eval.Prepared, tgds *chase.TGDs, tau ast.TGD, c *combination, budget chase.Budget, st *eval.Stats) (chase.Verdict, *Counterexample, error) {
-	budget = budget.OrDefault()
-	_, maxNull := c.d.MaxGeneratedIndexes()
-	nullGen := ast.NewNullGen(maxNull + 1)
-	d := c.d
-	frame := make([]ast.Const, len(c.rhs.Vars()))
-	for round := 0; round < budget.MaxRounds; round++ {
-		st.Rounds++
-		full := d.Clone()
-		st.Added += full.AddAll(prep.NonRecursive(d))
-		if !c.rhs.Each(full, frame, st, func() bool { return false }) {
-			return chase.Yes, nil, nil // the first row satisfies the RHS
-		}
-		if tgds == nil {
-			return chase.No, &Counterexample{TGD: tau, DB: d.Clone(), LHS: c.lhs}, nil
-		}
-		added, err := tgds.ApplyRound(ctx, d, nullGen, st)
-		if err != nil {
-			return chase.Unknown, nil, err
-		}
-		st.Added += added
-		if added == 0 {
-			return chase.No, &Counterexample{TGD: tau, DB: d.Clone(), LHS: c.lhs}, nil
-		}
-		if d.Len() > budget.MaxAtoms {
-			return chase.Unknown, nil, nil
-		}
-	}
-	return chase.Unknown, nil, nil
 }

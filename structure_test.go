@@ -110,11 +110,16 @@ var guards = []struct {
 		{facade(in("internal/core"), in("bench", "examples", "cmd", "internal/service", ".").withTests()), []string{"internal/core/planted.go: func Unused() {}\nexamples/quickstart/planted.go: // see core.Unused() for history", "internal/core/planted.go: func (s *Session) Unused() {}", "internal/core/planted.go: func (s *Session) Program() *Program { return s.prog }"}},
 		{pinned(in("internal/core"), in("bench").withTests(), in().withTests().but("bench", "internal/core")), []string{"internal/core/planted.go: type Rule = ast.Rule", "cmd/datalog/planted.go: var _ = core.MinimizeProgram"}},
 	}},
-	{"doc-names", "every backticked pkg.Name in README.md and TUTORIAL.md names a declaration of the module", []rule{
-		{resolves("README.md", "TUTORIAL.md"), []string{"TUTORIAL.md: `eval.Incremental` maintains a view"}},
+	{"one-chase", "the [P, T] chase and Fig. 3 run one loop, chase.TGDs.Chase: shipped code has one call of the tgd round and one null generator, both in internal/chase, and the deleted loops chaseFull and runCombination stay deleted", []rule{
+		{once(callees, in("internal/chase"), `\.applyRound$`, `NewNullGen$`), []string{"internal/chase/planted.go: func f() { ts.applyRound(ctx, d, g, st) }", "internal/chase/planted.go: var g = ast.NewNullGen(0)"}},
+		{forbid(callees, `(?i)\.applyRound$|NewNullGen$`, in().but("internal/chase", "internal/ast")), []string{"internal/preserve/planted.go: func f() { ts.ApplyRound(ctx, d, g, st) }", "internal/preserve/planted.go: var g = ast.NewNullGen(0)"}},
+		{forbid(decls, `^(\w+\.)?(chaseFull|runCombination)\(`, in()), []string{"internal/preserve/planted.go: func runCombination() {}", "internal/chase/planted.go: func (c *Checker) chaseFull() {}"}},
 	}},
-	{"no-test-only-export", "below the facade a package exports only what shipped code or another package's tests use: each exported function or method under internal/ is referred to by non-test code or by a test file of another directory", []rule{
-		{used(in("internal")), []string{"internal/depgraph/planted.go: func Unused() {}\ninternal/depgraph/planted_test.go: var _ = Unused", "internal/explain/planted.go: func (p *Prover) Unused() int { return 0 }"}},
+	{"doc-names", "every backticked pkg.Name in README.md, TUTORIAL.md and DESIGN.md names a declaration of the module", []rule{
+		{resolves("README.md", "TUTORIAL.md", "DESIGN.md"), []string{"TUTORIAL.md: `eval.Incremental` maintains a view"}},
+	}},
+	{"no-test-only-export", "below the facade a package exports only what shipped code or another package's tests use: each exported function under internal/ is referred to, and each exported method T.M called as x.M( in a file that can hold a T, by non-test code or by a test file of another directory", []rule{
+		{used(in("internal")), []string{"internal/depgraph/planted.go: func Unused() {}\ninternal/depgraph/planted_test.go: var _ = Unused", "internal/explain/planted.go: func (p *Prover) Unused() int { return 0 }", "internal/explain/planted.go: func (p *Prover) Program() *ast.Program { return nil }"}},
 	}},
 }
 
@@ -129,7 +134,7 @@ func TestStructure(t *testing.T) {
 		if err != nil || d.IsDir() && p != "." && (d.Name() == "testdata" || d.Name()[0] == '.') {
 			return cmp.Or(err, fs.SkipDir)
 		}
-		if strings.HasSuffix(p, ".go") && p != "structure_test.go" || p == "README.md" || p == "TUTORIAL.md" { // this file's plants would trip its own rules
+		if strings.HasSuffix(p, ".go") && p != "structure_test.go" || p == "README.md" || p == "TUTORIAL.md" || p == "DESIGN.md" { // this file's plants would trip its own rules
 			data, err := os.ReadFile(p)
 			if err == nil {
 				tr[p], err = parseFile(p, string(data))
@@ -144,6 +149,10 @@ func TestStructure(t *testing.T) {
 	// A test of another package is a user: shared test support stays exported.
 	if bad := used(in("internal"))(planted(t, tr, "internal/ast/planted.go: func Helper() {}\ninternal/eval/planted_test.go: var _ = ast.Helper", false)); len(bad) > 0 {
 		t.Errorf("no-test-only-export rejects a function another package's test uses: %q", bad)
+	}
+	// A method promoted through an embedded field is called on the outer type.
+	if bad := used(in("internal"))(planted(t, tr, "internal/eval/planted.go: func (l Lineage) Promoted() int { return 0 }\ninternal/minimize/planted.go: func f(c *chase.Checker) int { return c.Promoted() }", false)); len(bad) > 0 {
+		t.Errorf("no-test-only-export rejects a method called through an embedding type: %q", bad)
 	}
 	for _, g := range guards {
 		t.Run(g.name, func(t *testing.T) {
@@ -202,7 +211,7 @@ const (
 	names    kind = 1 << iota // identifiers, rendered selectors, literals and `import "path"`
 	code                      // rendered calls, comparisons, assignments and go statements
 	callees                   // the rendered function of each call
-	decls                     // "F(params) results", "T.M(params) results", "T <type>", "T.field <type>", "T. <embedded>", "V <type>" and "V"
+	decls                     // "F(params) results", "T.M(params) results", "T <type>", "T.field <type>", "T. <embedded>", "V <type>", "V = <value>" and "V"
 	refs                      // rendered selectors and the identifiers that do not declare a function, type, value or field
 	forwards                  // the functions whose body is one call into an imported package, the type aliases and the constants set to an imported package's
 )
@@ -294,9 +303,14 @@ func parseFile(name, src string) (*file, error) {
 				}
 			}
 		case *ast.ValueSpec:
-			for _, id := range n.Names { // "V <type>", or "V" when the type is left to the value
+			for _, id := range n.Names { // "V <type>", or "V = <value>" / "V" when the type is left to the value
 				declaring[id] = true
-				add(decls, strings.TrimSuffix(id.Name+" "+str(cmp.Or[ast.Expr](n.Type, &ast.Ident{})), " "))
+				switch i := slices.Index(n.Names, id); {
+				case n.Type == nil && i < len(n.Values):
+					add(decls, id.Name+" = "+str(n.Values[i]))
+				default:
+					add(decls, strings.TrimSuffix(id.Name+" "+str(cmp.Or[ast.Expr](n.Type, &ast.Ident{})), " "))
+				}
 			}
 		case *ast.StructType:
 			for _, fld := range n.Fields.List {
@@ -466,38 +480,45 @@ func pinned(s, users, others scope) func(tree) []string {
 
 // used rejects each exported function and method of the files of s that
 // neither non-test code nor a test file of another directory refers to: a
-// function F of package x as F in its own directory or as x.F, a method M as
-// .M under any receiver. Methods that satisfy a standard-library interface
-// are exempt.
+// function F of package x as F in its own directory or as x.F, a method T.M
+// as a call x.M(, x no imported package, in a file that holds a T (held).
+// Methods that satisfy a standard-library interface are exempt.
 func used(s scope) func(tree) []string {
 	return func(tr tree) (bad []string) {
-		users := map[string][]string{} // "dir F", "x.F" or ".M" → the directory of each referring test file, "" for non-test code
+		type user struct {
+			file, dir string
+			test      bool
+		}
+		users := map[string][]user{} // "dir F" or "x.F" → each file referring to it, ".M" → each file calling it
 		for p, f := range tr {
-			from := ""
-			if !in()(p) {
-				from = path.Dir(p)
-			}
+			u := user{p, path.Dir(p), !in()(p)}
 			for _, r := range f.items[refs] {
-				if i := strings.LastIndex(r, "."); i < 0 {
-					users[path.Dir(p)+" "+r] = append(users[path.Dir(p)+" "+r], from)
-				} else {
-					users[r] = append(users[r], from)
-					users[r[i:]] = append(users[r[i:]], from)
+				if !strings.Contains(r, ".") {
+					r = u.dir + " " + r
+				}
+				users[r] = append(users[r], u)
+			}
+			for _, c := range f.items[callees] {
+				if i := strings.LastIndex(c, "."); i > 0 && !f.imports[c[:i]] {
+					users[c[i:]] = append(users[c[i:]], u)
 				}
 			}
 		}
+		holds := held(tr)
 		for p, f := range tr {
 			for _, d := range f.items[decls] {
 				name := declName(d)
-				fn, keys := name, []string{f.pkg + "." + name, path.Dir(p) + " " + name}
-				if _, method, ok := strings.Cut(name, "."); ok {
-					fn, keys = method, []string{"." + method}
+				fn, keys, typ := name, []string{f.pkg + "." + name, path.Dir(p) + " " + name}, ""
+				if recv, method, ok := strings.Cut(name, "."); ok {
+					fn, keys, typ = method, []string{"." + method}, f.pkg+"."+recv
 				}
 				if !s(p) || !strings.HasPrefix(d, name+"(") || !token.IsExported(fn) || fn != name && stdMethods[fn] {
 					continue
 				}
 				if !slices.ContainsFunc(keys, func(k string) bool {
-					return slices.ContainsFunc(users[k], func(from string) bool { return from != path.Dir(p) })
+					return slices.ContainsFunc(users[k], func(u user) bool {
+						return (!u.test || u.dir != path.Dir(p)) && (typ == "" || holds[u.file][typ])
+					})
 				}) {
 					bad = append(bad, p+": "+d)
 				}
@@ -505,6 +526,81 @@ func used(s scope) func(tree) []string {
 		}
 		return bad
 	}
+}
+
+// held returns, per Go file, the types "pkg.T" whose values its code can
+// reach: every type and variable of its package (its test files' included),
+// every name it refers to —
+// as pkg.T, or bare for its own package's — and then, to a fixed point,
+// every type named in the declaration of a function or variable it holds, or
+// of a method or field it selects on a type it holds, and every type
+// embedded in one it holds. A struct's or interface's own fields are reached
+// only by selection.
+func held(tr tree) map[string]map[string]bool {
+	mentions := map[string][]string{} // "pkg.F", "pkg.V", "pkg.T.M", "pkg.T.f" → the names its declaration mentions; "pkg.T" → the types T embeds
+	members := map[string][]string{}  // ".M" → each "pkg.T" with a method or field M
+	scope := map[string][]string{}    // "dir pkg" → the package's types and variables
+	ident := regexp.MustCompile(`\b[A-Za-z_]\w*(\.[A-Za-z_]\w*)?`)
+	for p, f := range tr {
+		for _, d := range f.items[decls] {
+			name := declName(d)
+			sig := strings.TrimPrefix(d, name)
+			if recv, member, ok := strings.Cut(name, "."); ok && member != "" {
+				members["."+member] = append(members["."+member], f.pkg+"."+recv)
+			} else if !ok && strings.HasPrefix(sig, " ") {
+				scope[path.Dir(p)+" "+f.pkg] = append(scope[path.Dir(p)+" "+f.pkg], f.pkg+"."+name)
+			}
+			if strings.HasPrefix(sig, " struct{") || strings.HasPrefix(sig, " interface{") {
+				continue
+			}
+			key := f.pkg + "." + strings.TrimSuffix(name, ".") // "T." embeds: its mentions are T's
+			for _, id := range ident.FindAllString(sig, -1) {
+				if !strings.Contains(id, ".") {
+					id = f.pkg + "." + id
+				}
+				mentions[key] = append(mentions[key], id)
+			}
+		}
+	}
+	out := map[string]map[string]bool{}
+	for p, f := range tr {
+		if f.pkg == "" {
+			continue
+		}
+		holds, grew := map[string]bool{}, true
+		hold := func(keys ...string) {
+			for _, k := range keys {
+				if !holds[k] {
+					holds[k], grew = true, true
+				}
+			}
+		}
+		hold(scope[path.Dir(p)+" "+f.pkg]...)
+		var selected []string
+		for _, r := range f.items[refs] {
+			if i := strings.LastIndex(r, "."); i >= 0 {
+				hold(r)
+				selected = append(selected, r[i:])
+			} else {
+				hold(f.pkg + "." + r)
+			}
+		}
+		for grew {
+			grew = false
+			for t := range holds {
+				hold(mentions[t]...)
+			}
+			for _, m := range selected {
+				for _, t := range members[m] {
+					if holds[t] {
+						hold(mentions[t+m]...)
+					}
+				}
+			}
+		}
+		out[p] = holds
+	}
+	return out
 }
 
 // stdMethods are the method names through which the standard library calls
