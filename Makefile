@@ -10,7 +10,7 @@ BENCHTIME ?= 0.3s
 # staticcheck pin for lint-ci; bump deliberately, not implicitly.
 STATICCHECK_VERSION ?= 2025.1
 
-.PHONY: all build vet datalog-vet test fuzz-short race race-service bench bench-all experiments examples lint lint-ci clean
+.PHONY: all build vet datalog-vet test fuzz-short race race-service bench bench-shapes bench-all experiments examples lint lint-ci clean
 
 all: build vet test
 
@@ -74,6 +74,13 @@ race-service:
 # an unexported switch, so it lives in internal/chase.
 bench:
 	$(GO) test -run='^$$' -bench='$(BENCH_PATTERN)' -benchmem -benchtime=$(BENCHTIME) -count=5 -timeout=60m . ./internal/chase | tee /dev/stderr | $(GO) run ./cmd/benchjson -o BENCH_eval.json
+
+# bench-shapes runs BenchmarkEvalShapes alone: each fixpoint shape one-shot
+# (a fresh plan per Eval) and warm (one plan, Run per iteration, its head
+# relations sized from the previous run), so the cold/warm pair can be
+# re-measured without the full bench.
+bench-shapes:
+	$(GO) test -run='^$$' -bench='^BenchmarkEvalShapes$$' -benchmem -count=5 .
 
 bench-all:
 	$(GO) test -bench=. -benchmem .

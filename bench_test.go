@@ -171,7 +171,10 @@ func BenchmarkEngines(b *testing.B) {
 }
 
 // BenchmarkEvalShapes records the kernel on six fixpoint shapes, one
-// one-shot Eval per iteration:
+// one-shot Eval per iteration, and — in the warm/<shape> rows — one Run per
+// iteration of a plan prepared once over a frozen input, the repeat
+// evaluation a session or a server tenant makes, whose head relations start
+// at the sizes the plan's previous run recorded:
 //
 //   - large-tc: right-linear transitive closure (the paper's Example 4) of a
 //     10,000-node sparse random digraph — a deep recursion (~90 rounds) of
@@ -232,6 +235,23 @@ func BenchmarkEvalShapes(b *testing.B) {
 		b.Run(arm.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				if _, _, err := eval.Eval(arm.p, arm.edb); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+		b.Run("warm/"+arm.name, func(b *testing.B) {
+			pr, err := eval.Prepare(arm.p)
+			if err != nil {
+				b.Fatal(err)
+			}
+			input := arm.edb.Clone()
+			input.Freeze()
+			if _, _, _, err := pr.Run(context.Background(), input, nil, 0); err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, _, _, err := pr.Run(context.Background(), input, nil, 0); err != nil {
 					b.Fatal(err)
 				}
 			}

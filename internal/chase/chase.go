@@ -18,6 +18,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"strconv"
 	"strings"
 
 	"repro/internal/ast"
@@ -208,9 +209,11 @@ type Checker struct {
 	// arms of this package's tests and ablation benchmark, which set them
 	// directly; nothing outside the package can.
 	noSyntactic, noTermination bool
-	// tgdMemos holds a tgdMemo per tgd set, keyed by tgdSetKey (the session
-	// program is fixed, so the key omits it).
+	// tgdMemos holds a tgdMemo per tgd set, keyed by appendTGDSetKey (the
+	// session program is fixed, so the key omits it); tgdKey is the scratch
+	// buffer a lookup renders the key into.
 	tgdMemos map[string]*tgdMemo
+	tgdKey   []byte
 }
 
 // tgdMemo is what a Checker keeps of one tgd set, built when a chase first
@@ -600,8 +603,8 @@ func Apply(p *ast.Program, tgds []ast.TGD, d *db.Database, budget Budget) (Resul
 // error wrapping eval.ErrBudget cuts the chase with Unknown. After each tgd
 // round a non-nil goal is looked up as well. budget is used as given, its
 // zero fields already filled by the caller. ctx is checked at the start of
-// every round (both halves also poll mid-way), and the tgd rounds' joins land
-// in st.
+// every round (both halves also poll mid-way), and the tgd rounds' joins and
+// the facts they add land in st (Firings, Added).
 //
 // The result is Complete only with No: what closure under the phase means
 // is the caller's to say. Rounds counts the rounds whose phase ran to its
@@ -628,6 +631,7 @@ func (ts *TGDs) Chase(ctx context.Context, d *db.Database, goal *ast.GroundAtom,
 		// Tgd round: fire every violated instantiation found against the
 		// snapshot, re-checking before each firing (the restricted chase).
 		added, err := ts.applyRound(ctx, cur, nullGen, st)
+		st.Added += added
 		if err != nil {
 			return Result{}, Unknown, err
 		}
@@ -699,12 +703,15 @@ func (c *Checker) chaseToGoal(ctx context.Context, tgds []ast.TGD, d *db.Databas
 	return res, v, nil
 }
 
-// memo returns the session's tgdMemo for tgds, built on first use.
+// memo returns the session's tgdMemo for tgds, built on first use. The
+// set's key is rendered into the session's scratch buffer; only a miss
+// makes a string of it.
 func (c *Checker) memo(tgds []ast.TGD) (*tgdMemo, error) {
-	key := tgdSetKey(tgds)
-	if m := c.tgdMemos[key]; m != nil {
+	c.tgdKey = appendTGDSetKey(c.tgdKey[:0], tgds)
+	if m := c.tgdMemos[string(c.tgdKey)]; m != nil {
 		return m, nil
 	}
+	key := string(c.tgdKey)
 	m := &tgdMemo{phase: c.prep, lowered: noTGDs}
 	if !c.noTermination {
 		m.cl = depgraph.ClassifyTGDs(c.prog.Rules, tgds)
@@ -759,13 +766,41 @@ func (c *Checker) resolveBudget(d *db.Database, budget Budget, cl depgraph.Class
 	return budget
 }
 
-func tgdSetKey(tgds []ast.TGD) string {
-	var sb strings.Builder
+// appendTGDSetKey appends the memo key of a tgd set to dst: each tgd as
+// TGD.String renders it, newline-terminated.
+func appendTGDSetKey(dst []byte, tgds []ast.TGD) []byte {
 	for _, t := range tgds {
-		sb.WriteString(t.String())
-		sb.WriteByte('\n')
+		dst = append(appendAtoms(dst, t.Lhs), " -> "...)
+		dst = append(appendAtoms(dst, t.Rhs), ".\n"...)
 	}
-	return sb.String()
+	return dst
+}
+
+// appendAtoms appends a conjunction as ast.FormatAtoms renders it without a
+// symbol table; an integer, the only constant a tgd usually holds, is
+// rendered in place.
+func appendAtoms(dst []byte, atoms []ast.Atom) []byte {
+	for i, a := range atoms {
+		if i > 0 {
+			dst = append(dst, ", "...)
+		}
+		dst = append(append(dst, a.Pred...), '(')
+		for j, t := range a.Args {
+			if j > 0 {
+				dst = append(dst, ", "...)
+			}
+			switch {
+			case t.IsVar:
+				dst = append(dst, t.Name...)
+			case ast.IsInt(t.Val):
+				dst = strconv.AppendInt(dst, int64(t.Val), 10)
+			default:
+				dst = append(dst, ast.FormatConst(t.Val, nil)...)
+			}
+		}
+		dst = append(dst, ')')
+	}
+	return dst
 }
 
 // prepareFull sets m's phase to the combined program P ∪ rules(T) of a full

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"testing"
 
+	"repro/internal/ast"
 	"repro/internal/parser"
 )
 
@@ -92,5 +93,25 @@ func TestCheckerSharesOwnPlanProgram(t *testing.T) {
 	}
 	if ck2.Program() == ck2.prep.Program() || !ck2.Program().Equal(twin) || ck2.Program() == twin {
 		t.Fatalf("the twin's Checker holds %s, want a private copy of %s", ck2.Program(), twin)
+	}
+}
+
+// TestTGDSetKeyIsTheSetsText: the memo key a Checker renders into its
+// scratch buffer is the set's text, each tgd as TGD.String prints it on its
+// own line, whatever constants the tgds hold.
+func TestTGDSetKeyIsTheSetsText(t *testing.T) {
+	sym := ast.NewSymbolTable().Intern("s")
+	tgds := []ast.TGD{
+		parser.MustParseTGD("A(x, -3), B(x, 0) -> C(x, y), A(y, 12)."),
+		ast.NewTGD(
+			[]ast.Atom{ast.NewAtom("A", ast.Var("x"), ast.Con(ast.NullConst(2)))},
+			[]ast.Atom{ast.NewAtom("B", ast.Con(sym), ast.Con(ast.FrozenConst(1)))}),
+	}
+	want := ""
+	for _, tgd := range tgds {
+		want += tgd.String() + "\n"
+	}
+	if got := string(appendTGDSetKey([]byte("stale"), tgds)[len("stale"):]); got != want {
+		t.Fatalf("key %q, want %q", got, want)
 	}
 }

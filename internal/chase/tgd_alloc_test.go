@@ -3,10 +3,12 @@
 package chase_test
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/ast"
 	"repro/internal/chase"
+	"repro/internal/parser"
 	"repro/internal/workload"
 )
 
@@ -31,5 +33,32 @@ func TestSatisfiesAllocsIndependentOfTriggers(t *testing.T) {
 	small, large := allocs(16), allocs(16000)
 	if large > small+2 {
 		t.Fatalf("Satisfies allocates %.0f times over 16 triggers and %.0f over 16,000: O(n), want O(1)", small, large)
+	}
+}
+
+// TestSATContainsRuleAllocs pins what a full-set SATContainsRule on a warm
+// Checker allocates: the tgd set's memo is looked up by its key rendered into
+// the Checker's scratch buffer, which allocates nothing, where rendering the
+// set into a fresh string cost 18 more allocations, 86 in all.
+func TestSATContainsRuleAllocs(t *testing.T) {
+	p := parser.MustParseProgram("G(x, z) :- A(x, z).\nG(x, z) :- A(x, y), G(y, z).")
+	tgds := []ast.TGD{
+		parser.MustParseTGD("A(x, y) -> B(y, x)."),
+		parser.MustParseTGD("B(x, y), B(y, z) -> C(x, z)."),
+	}
+	r := parser.MustParseProgram("G(x, z) :- A(x, y), B(z, y).").Rules[0]
+	c, err := chase.NewChecker(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sat := func() {
+		if v, err := c.SATContainsRule(context.Background(), tgds, r, chase.Budget{}); err != nil || v != chase.No {
+			t.Fatalf("SATContainsRule = %v, %v; want no", v, err)
+		}
+	}
+	sat()
+	const want = 74
+	if n := testing.AllocsPerRun(50, sat); n > want {
+		t.Fatalf("a full-set SATContainsRule allocates %.0f times, want at most %d", n, want)
 	}
 }

@@ -36,6 +36,9 @@ type Database struct {
 	// place that replaces an entry of rels — drops the memo.
 	lastPred string
 	last     *Relation
+	// reserved holds the room, in tuples, the first insert of a predicate
+	// with no relation yet creates its relation with (Reserve).
+	reserved map[string]int
 }
 
 // New returns an empty database.
@@ -76,7 +79,7 @@ const resetKeep = 256
 func (d *Database) Reset() {
 	for pred, r := range d.rels {
 		if r.Len() > resetKeep {
-			d.rels[pred] = newRelation(r.arity)
+			d.rels[pred] = newRelation(r.arity, 0)
 			continue
 		}
 		s := &r.seg
@@ -86,6 +89,36 @@ func (d *Database) Reset() {
 		r.dead, r.ndead = nil, 0
 	}
 	d.round, d.size, d.copied, d.last = 0, 0, 0, nil
+}
+
+// Reserve sizes pred's relation for n tuples. When pred has no relation
+// yet, the insert that creates it gives its arena and dedup table room for n
+// tuples at once, so the first n inserts neither copy the arena nor regrow
+// the table; the reservation itself creates no relation. Reserve(pred, 0)
+// withdraws a reservation not used yet, and gives back the slack of pred's
+// relation when it is private and flat and its arena has room for more than
+// twice its tuples — what a reservation far above the tuples inserted
+// leaves: the arena is copied down to its tuples and the dedup table refilled
+// at their size. That copy is no write-path copy and is not counted in
+// TuplesCopied.
+func (d *Database) Reserve(pred string, n int) {
+	if d.frozen {
+		panic("db: Reserve on a frozen database")
+	}
+	switch r := d.rels[pred]; {
+	case r != nil && n == 0:
+		r.release()
+	case r == nil && n > 0:
+		if d.reserved == nil {
+			d.reserved = make(map[string]int)
+		}
+		d.reserved[pred] = n
+	case r == nil:
+		delete(d.reserved, pred)
+	}
+	if len(d.reserved) == 0 {
+		d.reserved = nil // a database kept after its reservations are used keeps no map
+	}
 }
 
 // Add inserts a ground atom, returning true if it was new. Newly created
@@ -105,7 +138,8 @@ func (d *Database) AddTuple(pred string, args []ast.Const) bool {
 	if r == nil || pred != d.lastPred {
 		var ok bool
 		if r, ok = d.rels[pred]; !ok {
-			r = newRelation(len(args))
+			r = newRelation(len(args), d.reserved[pred])
+			delete(d.reserved, pred)
 			d.rels[pred] = r
 			d.dirty = append(d.dirty, pred)
 		} else if r.Len() == 0 {

@@ -389,3 +389,57 @@ func (r *Relation) MatchIDs(cols []int, key []ast.Const) []int32 {
 	}
 	return ids
 }
+
+// TestReserve: a reservation makes no relation; the insert that creates the
+// relation gives it an arena and dedup table of the reserved size, which
+// that many inserts neither copy nor regrow; withdrawing the reservation
+// gives back the room a relation ended far below, and a predicate that
+// already has a relation is not resized upwards.
+func TestReserve(t *testing.T) {
+	d := New()
+	d.Reserve("B", 1000)
+	if d.RelationCount() != 0 || d.Relation("B") != nil {
+		t.Fatal("a reservation created a relation")
+	}
+	d.AddTuple("B", []ast.Const{ast.Int(0), ast.Int(0)})
+	r := d.Relation("B")
+	data, dedup := &r.seg.data[:1][0], &r.seg.dedup[0]
+	if cap(r.seg.data) < 2000 || len(r.seg.dedup) != dedupSize(1000) {
+		t.Fatalf("created under a reservation of 1,000: arena room %d, dedup %d slots", cap(r.seg.data), len(r.seg.dedup))
+	}
+	for i := int64(1); i < 1000; i++ {
+		d.AddTuple("B", []ast.Const{ast.Int(i), ast.Int(-i)})
+	}
+	if &r.seg.data[0] != data || &r.seg.dedup[0] != dedup {
+		t.Fatal("1,000 inserts under a reservation of 1,000 moved the arena or the dedup table")
+	}
+	d.Reserve("B", 0)
+	if &r.seg.data[0] != data {
+		t.Fatal("withdrawing a reservation its relation filled copied the relation")
+	}
+
+	// A reservation far above what is inserted is given back.
+	d.Reserve("C", 1000)
+	d.Reserve("D", 1000)
+	d.AddTuple("C", []ast.Const{ast.Int(1)})
+	d.AddTuple("C", []ast.Const{ast.Int(2)})
+	d.Reserve("C", 0)
+	d.Reserve("D", 0)
+	if d.reserved != nil {
+		t.Fatalf("every reservation used or withdrawn, the database still holds %v", d.reserved)
+	}
+	if r := d.Relation("C"); cap(r.seg.data) > 2*r.Len() || len(r.seg.dedup) != dedupSize(2) || !d.HasTuple("C", []ast.Const{ast.Int(2)}) {
+		t.Fatalf("after the withdrawal C's arena has room for %d, its dedup %d slots", cap(r.seg.data), len(r.seg.dedup))
+	}
+	d.AddTuple("D", []ast.Const{ast.Int(1)})
+	if r := d.Relation("D"); cap(r.seg.data) > 8 {
+		t.Fatalf("a withdrawn reservation still sized D: room for %d", cap(r.seg.data))
+	}
+	d.Freeze()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Reserve on a frozen database did not panic")
+		}
+	}()
+	d.Reserve("E", 10)
+}

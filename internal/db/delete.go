@@ -114,11 +114,7 @@ func (r *Relation) flatten() int {
 	// tail: a word keeps its tag under the renumbered id, and a walk by slot
 	// visits the new table near-sequentially where a walk by id probes it at
 	// random.
-	size := 16
-	for 4*(live+1) > 3*size {
-		size *= 2
-	}
-	dedup := make([]uint64, size)
+	dedup := make([]uint64, dedupSize(live+1))
 	var indexed [][]int
 	for _, s := range tiers {
 		if s == nil {

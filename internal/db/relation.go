@@ -124,10 +124,42 @@ type colIndex struct {
 	built int
 }
 
-func newRelation(arity int) *Relation {
+// newRelation returns an empty relation whose arena and dedup table have
+// room for n tuples: n inserts neither copy the arena nor regrow the table.
+func newRelation(arity, n int) *Relation {
 	r := &Relation{arity: arity}
 	r.seg.arity = arity
+	if n > 0 {
+		r.seg.data = make([]ast.Const, 0, n*arity)
+		r.seg.dedup = make([]uint64, dedupSize(n))
+	}
 	return r
+}
+
+// dedupSize is the size of the smallest dedup table (16 slots at least) that
+// holds n tuples without regrowing: every insert claims at most one slot, and
+// insert regrows a table past three quarters full.
+func dedupSize(n int) int {
+	size := 16
+	for 4*n > 3*size {
+		size *= 2
+	}
+	return size
+}
+
+// release gives back the room a private flat relation was created with
+// beyond its tuples, once its arena has room for more than twice as many:
+// the arena is copied down to its length and the dedup table refilled, from
+// its words, at the size its tuples need.
+func (r *Relation) release() {
+	s := &r.seg
+	if r.shared || r.base != nil || cap(s.data) <= 2*len(s.data) {
+		return
+	}
+	s.data = slices.Clone(s.data)
+	if size := dedupSize(s.n); size < len(s.dedup) {
+		s.dedup, _ = regrow(s.dedup, nil, size, false)
+	}
 }
 
 // Arity returns the number of columns.
@@ -287,11 +319,13 @@ func place(table []uint64, w uint64) uint64 {
 	return j
 }
 
-// regrow returns table's words in a table twice its size (16 slots at
-// least). A column index sets withTails, and its tails move with their
+// regrow returns table's words in a table of size slots, a power of two
+// with room for them: twice the table's size (16 slots at least) when an
+// insert outgrows it, less when a relation gives back a reservation
+// (release). A column index sets withTails, and its tails move with their
 // words; the dedup table has no tails and gets nil back.
-func regrow(table []uint64, tails []int32, withTails bool) ([]uint64, []int32) {
-	grown := make([]uint64, max(2*len(table), 16))
+func regrow(table []uint64, tails []int32, size int, withTails bool) ([]uint64, []int32) {
+	grown := make([]uint64, size)
 	var moved []int32
 	if withTails {
 		moved = make([]int32, len(grown))
@@ -365,7 +399,7 @@ func (r *Relation) insert(args []ast.Const, round int32) bool {
 	s := &r.seg
 	// Every insert claims at most one slot, so the tuple count bounds the load.
 	if 4*(s.n+1) > 3*len(s.dedup) {
-		s.dedup, _ = regrow(s.dedup, nil, false)
+		s.dedup, _ = regrow(s.dedup, nil, max(2*len(s.dedup), 16), false)
 	}
 	mask := uint64(len(s.dedup) - 1)
 	i := home(h, mask)
@@ -463,7 +497,7 @@ func ColMask(cols []int) uint64 {
 func (ix *colIndex) extend(s *segment) {
 	for ix.built < s.n {
 		if 4*(ix.keys+1) > 3*len(ix.slots) {
-			ix.slots, ix.tails = regrow(ix.slots, ix.tails, true)
+			ix.slots, ix.tails = regrow(ix.slots, ix.tails, max(2*len(ix.slots), 16), true)
 		}
 		id := s.off + int32(ix.built)
 		h := s.hashProj(id, ix.cols)

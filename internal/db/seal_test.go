@@ -111,7 +111,7 @@ func TestFlattenMatchesRebuild(t *testing.T) {
 			d.EnsureIndex("e", cols)
 		}
 		rel := d.Relation("e")
-		ref := newRelation(arity)
+		ref := newRelation(arity, 0)
 		for id := 0; id < rel.Len(); id++ {
 			if rel.Alive(id) {
 				ref.insert(rel.Tuple(id), rel.RoundOf(id))

@@ -3,6 +3,7 @@
 package eval
 
 import (
+	"context"
 	"testing"
 
 	"repro/internal/ast"
@@ -25,5 +26,24 @@ func TestConjEachAllocatesNothing(t *testing.T) {
 	}
 	if frame[1] != ast.Int(4) || frame[2] != ast.Int(5) {
 		t.Fatalf("frame after the run = %v", frame)
+	}
+}
+
+// TestSizedRunAllocatesOutputOnce: a plan's repeat run on an input of the
+// size its last run saw creates its output relation once, at the recorded
+// size: the arena and dedup table are two allocations where growing them
+// from empty takes dozens.
+func TestSizedRunAllocatesOutputOnce(t *testing.T) {
+	pr := mustPrepare(mustParseProgram(t, "B(x, y) :- A(x, y)."))
+	input := workload.Chain("A", 10000)
+	input.Freeze()
+	run := func() {
+		if _, _, _, err := pr.Run(context.Background(), input, nil, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run()
+	if n := testing.AllocsPerRun(20, run); n > 16 {
+		t.Fatalf("a repeat run deriving 10,000 facts allocates %.0f times, want at most 16", n)
 	}
 }

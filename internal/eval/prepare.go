@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/ast"
 	"repro/internal/db"
@@ -41,6 +42,10 @@ type Prepared struct {
 	// arities is every predicate of prog with the arity its atoms use, in
 	// first-occurrence order: what Run checks an input's relations against.
 	arities []predArity
+	// sizes records, per head predicate, the tuples its relation ended
+	// with in the plan's last completed run with no goal and no mask — what
+	// the next such run reserves for it (Run).
+	sizes []outSize
 
 	// One-step application of the whole program in the static join order,
 	// built on first use by NonRecursive / IsClosed.
@@ -70,6 +75,13 @@ type loweredRule struct {
 	perm  []int
 	scan0 bool
 	plan  *streamPlan
+}
+
+// outSize is one head predicate's entry in a plan's size record. Runs of
+// one plan on any number of goroutines read and write it, hence the atomic.
+type outSize struct {
+	pred string
+	n    atomic.Int64
 }
 
 // predArity is one predicate of a program and the arity its atoms use.
@@ -210,6 +222,15 @@ func Prepare(p *ast.Program) (*Prepared, error) {
 	for _, group := range groups {
 		pr.units = append(pr.units, newUnit(pr.memos, group))
 	}
+	heads := prog.IDBPredicates()
+	pr.sizes = make([]outSize, len(heads))
+	k := 0
+	for _, pa := range pr.arities { // first-occurrence order, not the map's
+		if heads[pa.pred] {
+			pr.sizes[k].pred = pa.pred
+			k++
+		}
+	}
 	return pr, nil
 }
 
@@ -322,6 +343,14 @@ func (pr *Prepared) RunMasked(ctx context.Context, input *db.Database, goal *ast
 	if goal != nil && d.Has(*goal) {
 		return d, true, stats, nil
 	}
+	// A run with no goal and no mask computes the whole of P(input), as the
+	// plan's last such run did on an input that is, in the traffic that
+	// repeats a plan, about the same size: its head relations start at the
+	// sizes that run recorded.
+	sized := goal == nil && skip == nil
+	if sized {
+		pr.reserve(d, maxDerived)
+	}
 	env := &roundEnv{
 		ctx: ctx, d: d, stats: &stats,
 		baseLen: input.Len(), maxDerived: maxDerived, goal: goal, skip: skip,
@@ -334,7 +363,43 @@ func (pr *Prepared) RunMasked(ctx context.Context, input *db.Database, goal *ast
 			return nil, false, stats, err
 		}
 	}
+	if sized {
+		pr.record(d)
+	}
 	return d, false, stats, nil
+}
+
+// reserve sizes, in d, each head relation d does not hold yet for the
+// tuples the plan's size record has for it, at most maxDerived when that
+// is set: the relation is created at that size by its first insert
+// (db.Database.Reserve).
+func (pr *Prepared) reserve(d *db.Database, maxDerived int) {
+	for i := range pr.sizes {
+		s := &pr.sizes[i]
+		n := int(s.n.Load())
+		if n == 0 || d.Relation(s.pred) != nil {
+			continue
+		}
+		if maxDerived > 0 {
+			n = min(n, maxDerived)
+		}
+		d.Reserve(s.pred, n)
+	}
+}
+
+// record stores, in the plan's size record, the tuples each head relation
+// of a completed run ended with, and withdraws the run's reservations: a
+// relation that ended far below its reservation gives the slack back.
+func (pr *Prepared) record(d *db.Database) {
+	for i := range pr.sizes {
+		s := &pr.sizes[i]
+		n := 0
+		if rel := d.Relation(s.pred); rel != nil {
+			n = rel.Len()
+		}
+		d.Reserve(s.pred, 0)
+		s.n.Store(int64(n))
+	}
 }
 
 // checkInput rejects an input relation whose arity contradicts an atom of the

@@ -130,6 +130,14 @@ func TestQuickParseResultNoAliasing(t *testing.T) {
 			atoms[i].Args[0] = ast.Var("junk")
 			check(atoms, i, "write to an atom's arguments")
 		}
+		res, _, _, _ := parse()
+		facts := fmt.Sprint(res.Facts)
+		for i := range res.Facts {
+			_ = append(res.Facts[i].Args, 99, 99)
+			if got := fmt.Sprint(res.Facts); got != facts {
+				t.Fatalf("append to fact %d's arguments: facts became %s, were %s\n%s", i, got, facts, src)
+			}
+		}
 		return !t.Failed()
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -249,6 +257,35 @@ func TestParseAllocations(t *testing.T) {
 	if n := testing.AllocsPerRun(50, func() { _, _ = ParseAtom("CanRead(17, d)") }); n > wantAtom {
 		t.Fatalf("ParseAtom allocates %.0f times, want at most %d", n, wantAtom)
 	}
+	// The facts' arguments are carved from chunks of one arena, not
+	// allocated one fact at a time.
+	const wantFacts = 64
+	facts := factBlock(1000)
+	if n := testing.AllocsPerRun(20, func() { _, _ = Parse(facts) }); n > wantFacts {
+		t.Fatalf("Parse of 1,000 facts allocates %.0f times, want at most %d", n, wantFacts)
+	}
+}
+
+// TestParseFactPinsOneChunk: one fact kept from a parse of 10,000 keeps at
+// most its chunk of the facts' arena alive, not the arena.
+func TestParseFactPinsOneChunk(t *testing.T) {
+	facts := factBlock(10000)
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	res, err := Parse(facts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	kept := res.Facts[5000]
+	res = nil
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	if n := int64(after.HeapAlloc) - int64(before.HeapAlloc); n > 8<<10 {
+		t.Errorf("one fact of 10,000 keeps %d bytes, want at most 8 KiB", n)
+	}
+	runtime.KeepAlive(kept)
+	runtime.KeepAlive(facts) // the source is not what the fact keeps
 }
 
 // TestParseRetainsNoFactArena: a program parsed beside 10,000 facts keeps

@@ -37,6 +37,29 @@ type parser struct {
 	// neg holds a rule's negated atoms until its positive body is complete.
 	atoms, neg []ast.Atom
 	terms      []ast.Term
+	// consts is the current chunk of the arena the facts' ground arguments
+	// are carved from (groundArgs).
+	consts []ast.Const
+}
+
+// factChunk bounds the constants of one chunk of the facts' arena, so that a
+// fact a caller keeps pins at most that much of the parse: 2 KiB.
+const factChunk = 256
+
+// groundArgs copies a ground atom's arguments into the facts' arena and
+// returns them carved, capped, so that an append to one fact's arguments
+// reallocates instead of overwriting the next fact's. Chunks start small
+// and double up to factChunk constants, so a source of a few facts
+// reserves little.
+func (p *parser) groundArgs(args []ast.Term) []ast.Const {
+	if cap(p.consts)-len(p.consts) < len(args) {
+		p.consts = make([]ast.Const, 0, max(len(args), min(2*cap(p.consts), factChunk), 8))
+	}
+	mark := len(p.consts)
+	for _, t := range args {
+		p.consts = append(p.consts, t.Val)
+	}
+	return p.consts[mark:len(p.consts):len(p.consts)]
 }
 
 // carve returns what was appended to an arena since mark, nil if nothing,
@@ -236,7 +259,7 @@ func (p *parser) statement(res *Result) error {
 		if !first.IsGround() {
 			return fmt.Errorf("%s: fact %s has variables; a rule needs a body", first.Pos, first)
 		}
-		res.Facts = append(res.Facts, first.MustGround(nil))
+		res.Facts = append(res.Facts, ast.GroundAtom{Pred: first.Pred, Args: p.groundArgs(first.Args)})
 		res.FactPos = append(res.FactPos, first.Pos)
 		// The ground atom owns a copy of the arguments: give their terms
 		// back to the arena, so a batch of facts reuses one atom's worth.

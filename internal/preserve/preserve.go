@@ -354,7 +354,6 @@ func checkTGD(ctx context.Context, prep *eval.Prepared, idb map[string]bool, tgd
 			return err
 		}
 		frame := make([]ast.Const, len(c.rhs.Vars()))
-		n := c.d.Len()
 		res, v, err := tgds.Chase(ctx, c.d, nil, budget, func(_ context.Context, d *db.Database, _ int) (*db.Database, bool, error) {
 			st.Rounds++
 			full := d.Clone()
@@ -362,7 +361,6 @@ func checkTGD(ctx context.Context, prep *eval.Prepared, idb map[string]bool, tgd
 			satisfied := !c.rhs.Each(full, frame, st, func() bool { return false }) // the first row satisfies the RHS
 			return d, satisfied, nil
 		}, st)
-		st.Added += c.d.Len() - n // the facts the tgd rounds added to d
 		if err != nil {
 			return err
 		}
