@@ -10,7 +10,7 @@ BENCHTIME ?= 0.3s
 # staticcheck pin for lint-ci; bump deliberately, not implicitly.
 STATICCHECK_VERSION ?= 2025.1
 
-.PHONY: all build vet datalog-vet test fuzz-short race race-service bench bench-shapes bench-all experiments examples lint lint-ci clean
+.PHONY: all build vet datalog-vet test fuzz-short race race-service bench bench-shapes bench-maintain bench-all experiments examples lint lint-ci clean
 
 all: build vet test
 
@@ -81,6 +81,12 @@ bench:
 # re-measured without the full bench.
 bench-shapes:
 	$(GO) test -run='^$$' -bench='^BenchmarkEvalShapes$$' -benchmem -count=5 .
+
+# bench-maintain runs BenchmarkMaintain_DRed alone: delete-rederive on four
+# maintained-view scripts, ns/op, allocs/op and overdeleted/op per arm, so a
+# change to view maintenance can be priced without the full bench.
+bench-maintain:
+	$(GO) test -run='^$$' -bench='^BenchmarkMaintain_DRed$$' -benchmem -count=5 .
 
 bench-all:
 	$(GO) test -bench=. -benchmem .

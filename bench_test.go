@@ -355,21 +355,18 @@ func BenchmarkStratifiedMagic(b *testing.B) {
 	})
 }
 
-// BenchmarkMaintain_DRed measures delete-rederive on maintained views; one op
-// is a retract batch plus the batch re-asserting it, and overdeleted/op is
-// what the two over-deleted. scc-retract-reassert churns one edge of a random
-// digraph's giant strongly connected component (every closure fact of the
-// component has a firing through it; almost all keep an older proof);
-// chain-retract cuts a chain in the middle, where everything over-deleted
-// really goes — the support check can only cost there; authz-batch is a
-// recursive membership closure (workload.Authz) under two non-recursive
-// strata, whose deletions are over-deletions too: ≈ 244 an op, of which ≈ 65
-// are the closure's (all there was when counting maintained the upper
-// strata). authz-grants is one op a batch of ivm-churn's authorization
-// stream at its sizes (workload.AuthzChurn: four toggles, a grant or an ACL
-// change in one toggle of four, each fanning out to thousands of CanRead
-// changes), the stream followed by its inverse so the view cycles.
-func BenchmarkMaintain_DRed(b *testing.B) {
+// maintArm is one script of BenchmarkMaintain_DRed: a program, its input and
+// the ops an iteration cycles through (op i applies ops[i%len(ops)]).
+type maintArm struct {
+	name string
+	p    *ast.Program
+	edb  *db.Database
+	ops  [][]eval.Delta
+}
+
+// maintArms builds BenchmarkMaintain_DRed's scripts, which
+// TestMaintainDecisionsPinned and TestMaintainBatchAllocs replay too.
+func maintArms() []maintArm {
 	rltc := workload.TransitiveClosureLinear()
 	edge := func(pred string, x, y int64) ast.GroundAtom {
 		return ast.NewGroundAtom(pred, ast.Int(x), ast.Int(y))
@@ -425,17 +422,30 @@ func BenchmarkMaintain_DRed(b *testing.B) {
 		}
 		grantOps = append(grantOps, []eval.Delta{{Assert: bt.Assert, Retract: bt.Retract}})
 	}
-	for _, arm := range []struct {
-		name string
-		p    *ast.Program
-		edb  *db.Database
-		ops  [][]eval.Delta // op i applies ops[i%len(ops)]
-	}{
+	return []maintArm{
 		{"scc-retract-reassert", rltc, scc, retractReassert(churn...)},
 		{"chain-retract", rltc, workload.Chain("A", chain), retractReassert(edge("A", chain/2, chain/2+1))},
 		{"authz-batch", authz, org, retractReassert(orgChurn...)},
 		{"authz-grants", authz, grantTenant, grantOps},
-	} {
+	}
+}
+
+// BenchmarkMaintain_DRed measures delete-rederive on maintained views; one op
+// is a retract batch plus the batch re-asserting it, and overdeleted/op is
+// what the two over-deleted. scc-retract-reassert churns one edge of a random
+// digraph's giant strongly connected component (every closure fact of the
+// component has a firing through it; almost all keep an older proof);
+// chain-retract cuts a chain in the middle, where everything over-deleted
+// really goes — the support check can only cost there; authz-batch is a
+// recursive membership closure (workload.Authz) under two non-recursive
+// strata, whose deletions are over-deletions too: ≈ 244 an op, of which ≈ 65
+// are the closure's (all there was when counting maintained the upper
+// strata). authz-grants is one op a batch of ivm-churn's authorization
+// stream at its sizes (workload.AuthzChurn: four toggles, a grant or an ACL
+// change in one toggle of four, each fanning out to thousands of CanRead
+// changes), the stream followed by its inverse so the view cycles.
+func BenchmarkMaintain_DRed(b *testing.B) {
+	for _, arm := range maintArms() {
 		b.Run(arm.name, func(b *testing.B) {
 			pr, err := eval.Prepare(arm.p)
 			if err != nil {

@@ -6,6 +6,7 @@
 package db
 
 import (
+	"slices"
 	"sort"
 	"strings"
 
@@ -30,10 +31,12 @@ type Database struct {
 	dirty []string
 	// copied counts the tuples copy-on-write and flatten copied (TuplesCopied).
 	copied int
-	// lastPred / last memoize AddTuple's resolution of its predicate: a rule
-	// application emits one head predicate, so the string-keyed map lookup is
-	// paid once per run of emissions, not once per emission. writable — the one
-	// place that replaces an entry of rels — drops the memo.
+	// lastPred / last memoize AddTuple's and RemoveTuple's resolution of their
+	// predicate: a rule application emits one head predicate, and a
+	// maintenance pass removes one predicate's facts after another, so the
+	// string-keyed map lookup is paid once per run of writes, not once per
+	// write. writable — the one place that replaces an entry of rels — drops
+	// the memo.
 	lastPred string
 	last     *Relation
 	// reserved holds the room, in tuples, the first insert of a predicate
@@ -96,11 +99,11 @@ func (d *Database) Reset() {
 // tuples at once, so the first n inserts neither copy the arena nor regrow
 // the table; the reservation itself creates no relation. Reserve(pred, 0)
 // withdraws a reservation not used yet, and gives back the slack of pred's
-// relation when it is private and flat and its arena has room for more than
-// twice its tuples — what a reservation far above the tuples inserted
-// leaves: the arena is copied down to its tuples and the dedup table refilled
-// at their size. That copy is no write-path copy and is not counted in
-// TuplesCopied.
+// relation when it is private and flat — what a reservation above the tuples
+// inserted, or an append past it, leaves: an arena with room for more than
+// 1/flattenShare above its tuples is copied down to them and an oversized
+// dedup table refilled at their size. That copy is no write-path copy and is
+// not counted in TuplesCopied.
 func (d *Database) Reserve(pred string, n int) {
 	if d.frozen {
 		panic("db: Reserve on a frozen database")
@@ -293,7 +296,9 @@ func (d *Database) Facts() []ast.GroundAtom {
 // first, each a stable counting pass per key byte that varies among the ids
 // (a batch of small constants sorts in a pass or two a column). A key is the
 // constant with its sign bit flipped, so unsigned byte order is the signed
-// order of ast.Const. No tuple is materialized.
+// order of ast.Const. No tuple is materialized. Ids already in canonical
+// order — what a set committed in that order holds — cost one comparison per
+// adjacent pair and no pass.
 func (r *Relation) SortedIDs(buf []int32) []int32 {
 	buf = buf[:0]
 	for i := 0; i < r.Len(); i++ {
@@ -301,8 +306,11 @@ func (r *Relation) SortedIDs(buf []int32) []int32 {
 			buf = append(buf, int32(i))
 		}
 	}
-	n := len(buf)
-	if n < 2 {
+	n, k := len(buf), 1
+	for k < n && slices.Compare(r.Tuple(int(buf[k-1])), r.Tuple(int(buf[k]))) < 0 {
+		k++
+	}
+	if k >= n {
 		return buf
 	}
 	keys := make([]uint64, 2*n)

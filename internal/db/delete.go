@@ -195,16 +195,20 @@ func (d *Database) RemoveTuple(pred string, args []ast.Const) bool {
 	if d.frozen {
 		panic("db: write to a frozen database (stage changes through Snapshot.Thaw)")
 	}
-	r, ok := d.rels[pred]
-	if !ok || r.arity != len(args) {
+	r := d.last
+	if r == nil || pred != d.lastPred {
+		r = d.rels[pred]
+	}
+	if r == nil || r.arity != len(args) {
 		return false
 	}
 	id, present := r.lookupID(args)
 	if !present {
 		return false // before writable: an absent tuple must not cost a shared relation its copy
 	}
-	d.writable(pred, r).remove(id) // a successor keeps every id
-	d.size--
+	r = d.writable(pred, r)
+	r.remove(id) // a successor keeps every id
+	d.lastPred, d.last, d.size = pred, r, d.size-1
 	return true
 }
 

@@ -147,16 +147,20 @@ func dedupSize(n int) int {
 	return size
 }
 
-// release gives back the room a private flat relation was created with
-// beyond its tuples, once its arena has room for more than twice as many:
-// the arena is copied down to its length and the dedup table refilled, from
-// its words, at the size its tuples need.
+// release gives back the room a private flat relation holds beyond its
+// tuples — a reservation above them, or the growth of an append past one:
+// an arena with room for more than 1/flattenShare above its length is copied
+// down to it, and a dedup table larger than its tuples need is refilled, from
+// its words, at the size they need. A relation that filled its reservation
+// exactly is not touched.
 func (r *Relation) release() {
 	s := &r.seg
-	if r.shared || r.base != nil || cap(s.data) <= 2*len(s.data) {
+	if r.shared || r.base != nil {
 		return
 	}
-	s.data = slices.Clone(s.data)
+	if (cap(s.data)-len(s.data))*flattenShare > len(s.data) {
+		s.data = slices.Clone(s.data)
+	}
 	if size := dedupSize(s.n); size < len(s.dedup) {
 		s.dedup, _ = regrow(s.dedup, nil, size, false)
 	}
@@ -378,9 +382,10 @@ func (r *Relation) lookupID(args []ast.Const) (int32, bool) {
 }
 
 // LookupID returns the id of the tuple equal to args, if present. It is the
-// zero-allocation fully-bound probe used by the join kernel.
+// zero-allocation fully-bound probe used by the join kernel. A nil relation
+// (a predicate with no relation) holds nothing.
 func (r *Relation) LookupID(args []ast.Const) (int32, bool) {
-	if len(args) != r.arity {
+	if r == nil || len(args) != r.arity {
 		return 0, false
 	}
 	return r.lookupID(args)

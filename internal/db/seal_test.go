@@ -95,6 +95,55 @@ func TestSortedIDsCanonical(t *testing.T) {
 	}
 }
 
+// TestSortedIDsPresorted: ids already in canonical order come back as they
+// are, without the radix passes (no key buffer is allocated); any other order
+// is sorted. The dead ids of the last case sit out of order among live ones.
+func TestSortedIDsPresorted(t *testing.T) {
+	ints := func(vs ...int64) [][]ast.Const {
+		var ts [][]ast.Const
+		for _, v := range vs {
+			ts = append(ts, []ast.Const{ast.Const(v), ast.Const(-v)})
+		}
+		return ts
+	}
+	for _, c := range []struct {
+		name   string
+		tuples [][]ast.Const
+		dead   []int
+		sorted bool
+	}{
+		{"sorted", ints(-5, -1, 0, 2, 3, 9, 40), nil, true},
+		{"reversed", ints(40, 9, 3, 2, 0, -1, -5), nil, false},
+		{"last-inverted", ints(-5, -1, 0, 2, 3, 40, 9), nil, false},
+		{"single", ints(7), nil, true},
+		{"dead-ids", ints(1, 50, 2, -9, 3, 4), []int{1, 3}, true},
+		{"dead-ids-unsorted", ints(1, 50, 4, -9, 3, 2), []int{1, 3}, false},
+	} {
+		d := New()
+		for _, tu := range c.tuples {
+			d.AddTuple("e", tu)
+		}
+		rel := d.Relation("e")
+		for _, id := range c.dead {
+			d.RemoveTuple("e", rel.Tuple(id))
+		}
+		var want []int32
+		for id := 0; id < rel.Len(); id++ {
+			if rel.Alive(id) {
+				want = append(want, int32(id))
+			}
+		}
+		slices.SortFunc(want, func(a, b int32) int { return slices.Compare(rel.Tuple(int(a)), rel.Tuple(int(b))) })
+		buf := make([]int32, 0, rel.Len())
+		if got := rel.SortedIDs(buf); !slices.Equal(got, want) {
+			t.Fatalf("%s: SortedIDs = %v, want %v", c.name, got, want)
+		}
+		if allocs := testing.AllocsPerRun(5, func() { rel.SortedIDs(buf) }); (allocs == 0) != c.sorted {
+			t.Errorf("%s: %.0f allocations, want none exactly when the ids are in order (%v)", c.name, allocs, c.sorted)
+		}
+	}
+}
+
 // TestFlattenMatchesRebuild checks a flatten of random two-tier relations
 // with dead ids and column indexes against the relation its live tuples make
 // when inserted afresh in id order with their stamps: the order Facts reads,

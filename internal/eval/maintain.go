@@ -46,12 +46,12 @@ import (
 // set of changed facts, the rest of the body and every negated literal read
 // one database. A firing valid in that database that touches the change set
 // is found by the variant led by each changed atom it uses; every sink
-// records heads in a set, so a firing found twice counts once. The variants
-// are lowered once per schedule unit (maintPlan) and shared by every view of
-// the plan; the head-led ones the support check and restore run are ordered
-// per Apply from the view's live sizes, each order lowered once per plan
-// (ruleVariants.sizedRederive). Sinks only buffer — over-deleted, restored and staged facts land
-// in scratch sets and are committed after the run — so no pipeline reads a
+// records heads in a set, or marks them by id, so a firing found twice counts
+// once. The variants are lowered once per schedule unit (maintPlan) and
+// shared by every view of the plan; the head-led ones the support check and
+// restore run are ordered per Apply from the view's live sizes, each order
+// lowered once per plan (ruleVariants.sizedRederive). Sinks only buffer, and
+// what they buffer is committed after the run, so no pipeline reads a
 // database being written.
 //
 // Units run in producer-first order, and each is handed the exact net diff
@@ -145,7 +145,7 @@ type Maintained struct {
 	snap  *db.Snapshot // current maintained output P(input)
 	units []maintUnit
 	owner map[string]int  // head predicate → unit index
-	sets  [4]*db.Database // scratch
+	sets  [3]*db.Database // scratch
 }
 
 // scratch returns the i-th of the working sets the view keeps from batch to
@@ -159,6 +159,17 @@ func (m *Maintained) scratch(i int) *db.Database {
 	return m.sets[i]
 }
 
+// flags returns, per head mp.heads[h], a cleared flag per id of scratch set
+// d's relation of it (d.Len(): a scratch set has no dead ids), kept in the
+// pooled state, not on the view: a pass marks by id what it would probe.
+func (st *streamState) flags(mp *maintPlan, d *db.Database) [][]bool {
+	st.marks = append(st.marks, make([][]bool, max(0, len(mp.heads)-len(st.marks)))...)
+	for h := range mp.heads {
+		st.marks[h] = append(st.marks[h][:0], make([]bool, d.Len())...)
+	}
+	return st.marks
+}
+
 // maintUnit is one schedule unit of a view: its head predicates are
 // u.dynamic.
 type maintUnit struct {
@@ -169,6 +180,7 @@ type maintUnit struct {
 // maintPlan is a unit's rules lowered for view maintenance, built once per
 // unit and immutable afterwards.
 type maintPlan struct {
+	heads []string // the unit's head predicates, sorted: what flags index
 	rules []ruleVariants
 }
 
@@ -205,6 +217,10 @@ func (rv *ruleVariants) sizedRederive(sizeOf func(pred string) int) *streamPlan 
 func (u *unit) maintPlan() *maintPlan {
 	u.maintOnce.Do(func() {
 		mp := &maintPlan{rules: make([]ruleVariants, len(u.rules))}
+		for pred := range u.dynamic {
+			mp.heads = append(mp.heads, pred)
+		}
+		slices.Sort(mp.heads)
 		for ri, m := range u.rules {
 			r := m.rule
 			vars := ast.VarsOfAtoms(r.Body)
@@ -254,21 +270,15 @@ func (mp *maintPlan) changed(d, posDelta, negDelta *db.Database, st *streamState
 		rv := &mp.rules[ri]
 		if posDelta != nil && posDelta.Len() > 0 {
 			for _, sp := range rv.pos {
-				runChange(sp, d, posDelta, st, stats, sink)
+				sp.run(d, changeSpan(posDelta, d.Round()), st, stats, sink)
 			}
 		}
 		if negDelta != nil && negDelta.Len() > 0 {
 			for _, sp := range rv.neg {
-				runChange(sp, d, negDelta, st, stats, sink)
+				sp.run(d, changeSpan(negDelta, d.Round()), st, stats, sink)
 			}
 		}
 	}
-}
-
-// runChange runs one variant with operator 0 over src and the rest of the
-// rule over all of d.
-func runChange(sp *streamPlan, d, src *db.Database, st *streamState, stats *Stats, sink streamSink) {
-	sp.run(d, changeSpan(src, d.Round()), st, stats, sink)
 }
 
 // Materialize evaluates the prepared program on input and wraps the result
@@ -323,26 +333,19 @@ func (m *Maintained) Apply(ctx context.Context, delta Delta) (Diff, Stats, error
 	slices.SortFunc(asserts, compareFacts)
 	slices.SortFunc(retracts, compareFacts)
 
-	input := m.in.Thaw()
-	for _, g := range retracts {
-		input.Remove(g)
-	}
-	for _, g := range asserts {
-		input.Add(g)
-	}
-
-	cur := m.snap.Thaw()
+	input, cur := m.in.Thaw(), m.snap.Thaw()
 	deltaMin := cur.BeginRound()
 	addedDB, remDB := db.New(), db.New()
-
 	// Extensional-only predicates (no unit owns them) pass through: their
 	// output facts are exactly their input facts.
 	for _, g := range retracts {
+		input.Remove(g)
 		if _, owned := m.owner[g.Pred]; !owned && cur.Remove(g) {
 			remDB.Add(g)
 		}
 	}
 	for _, g := range asserts {
+		input.Add(g)
 		if _, owned := m.owner[g.Pred]; !owned && cur.Add(g) {
 			addedDB.Add(g)
 		}
@@ -351,9 +354,6 @@ func (m *Maintained) Apply(ctx context.Context, delta Delta) (Diff, Stats, error
 	st := getStreamState()
 	defer putStreamState(st)
 	for i := range m.units {
-		if err := CtxErr(ctx); err != nil {
-			return Diff{}, stats, err
-		}
 		if err := m.dredUnit(ctx, &m.units[i], st, old, cur, input, asserts, retracts, addedDB, remDB, deltaMin, &stats); err != nil {
 			return Diff{}, stats, err
 		}
@@ -421,10 +421,10 @@ func (m *Maintained) dredUnit(ctx context.Context, mu *maintUnit, st *streamStat
 	// a fact an earlier pass deleted — and is deleted unless it is an input fact
 	// or supported. Propagation joins the frozen old output along every firing:
 	// a survivor is checked again the pass after a premise certifying it went.
-	// A non-recursive unit's deletions are no premise of its firings: they join
-	// no frontier, so its first pass is its last.
-	deleted, frontier, cand, ok := m.scratch(0), m.scratch(1), m.scratch(2), m.scratch(3)
-	frontier.AddAll(remDB)
+	// The first pass's frontier is the lower units' deletions, read in place,
+	// a later pass's what the pass before deleted (next). A non-recursive unit's
+	// deletions are no premise of its firings: its first pass is its last.
+	deleted, next, cand := m.scratch(0), m.scratch(1), m.scratch(2)
 	for _, g := range retracts {
 		if heads[g.Pred] {
 			cand.Add(g)
@@ -449,13 +449,14 @@ func (m *Maintained) dredUnit(ctx context.Context, mu *maintUnit, st *streamStat
 		return sized[ri]
 	}
 	// supported is the check, the sink of a rederive variant sp run over the
-	// candidates: ok gains the heads with a firing over facts of cur that was
-	// valid in old too and, in a recursive unit, whose premises are all stamped
-	// strictly below the head's own stamp. A non-recursive unit's premises are
-	// final, so any such firing is well-founded. A firing a removed negated
-	// fact has only now enabled is not re-checked when a premise of it goes, so
-	// it is left for staging to find.
+	// candidates: it marks in ok, by the id operator 0 scans, the heads with a
+	// firing over facts of cur that was valid in old too and, in a recursive
+	// unit, whose premises are all stamped strictly below the head's own stamp.
+	// A non-recursive unit's premises are final, so any such firing is
+	// well-founded. A firing a removed negated fact has only now enabled is not
+	// re-checked when a premise of it goes, so it is left for staging to find.
 	var sp *streamPlan
+	var ok []bool // the marks of sp's head
 	supported := sinkFunc(func(pred string, args []ast.Const) {
 		if !nonrec {
 			rel := cur.Relation(pred)
@@ -471,35 +472,43 @@ func (m *Maintained) dredUnit(ctx context.Context, mu *maintUnit, st *streamStat
 				return
 			}
 		}
-		ok.AddTuple(pred, args)
+		ok[st.cur[0]] = true
 		st.cut = true // one supporting firing is enough
 	})
-	for negDelta := addedDB; ; negDelta = nil {
+	for frontier, negDelta := remDB, addedDB; ; frontier, negDelta = next, nil {
 		if err := CtxErr(ctx); err != nil {
 			return err
 		}
 		mp.changed(old, frontier, negDelta, st, stats, func(pred string, args []ast.Const) {
 			cand.AddTuple(pred, args)
 		})
+		marks := st.flags(mp, cand)
 		for ri := range mp.rules {
 			if sp = rederive(ri, cand); sp != nil {
-				runChange(sp, cur, cand, st, stats, supported)
+				ok = marks[slices.Index(mp.heads, sp.head.pred)]
+				sp.run(cur, changeSpan(cand, cur.Round()), st, stats, supported)
 			}
 		}
-		frontier.Reset() // the next pass's: what this one deletes
-		eachFact(cand, func(pred string, rel *db.Relation, id int32) {
-			if t := rel.Tuple(int(id)); !ok.HasTuple(pred, t) && !input.HasTuple(pred, t) && cur.RemoveTuple(pred, t) {
-				deleted.AddTuple(pred, t)
-				if !nonrec {
-					frontier.AddTuple(pred, t)
+		next.Reset()
+		for h, pred := range mp.heads {
+			rel, in := cand.Relation(pred), input.Relation(pred)
+			for i := 0; rel != nil && i < rel.Len(); i++ {
+				if marks[h][i] {
+					continue
+				}
+				t := rel.Tuple(i)
+				if _, kept := in.LookupID(t); !kept && cur.RemoveTuple(pred, t) {
+					deleted.AddTuple(pred, t)
+					if !nonrec {
+						next.AddTuple(pred, t)
+					}
 				}
 			}
-		})
-		if frontier.Len() == 0 {
+		}
+		if next.Len() == 0 {
 			break
 		}
 		cand.Reset()
-		ok.Reset()
 	}
 
 	// Restore the over-deleted facts the surviving view derives in one step
@@ -508,13 +517,12 @@ func (m *Maintained) dredUnit(ctx context.Context, mu *maintUnit, st *streamStat
 	// stamps, so the delta windows reach them. A non-recursive unit deleted
 	// only facts with no firing in cur: it has none to restore.
 	stats.Overdeleted += deleted.Len()
-	survivors := cur.Len()
 	commit := func(pred string, rel *db.Relation, id int32) { cur.AddTuple(pred, rel.Tuple(int(id))) }
 	if !nonrec {
 		restored := m.scratch(1)
 		for ri := range mp.rules {
 			if rd := rederive(ri, deleted); rd != nil {
-				runChange(rd, cur, deleted, st, stats, &nonrecSink{out: restored})
+				rd.run(cur, changeSpan(deleted, cur.Round()), st, stats, &nonrecSink{out: restored})
 			}
 		}
 		stats.Rederived += restored.Len()
@@ -553,25 +561,31 @@ func (m *Maintained) dredUnit(ctx context.Context, mu *maintUnit, st *streamStat
 	}
 
 	// Net unit diff: everything stamped in this Apply that the old output
-	// lacked entered the view — the old facts among them are the over-deleted
-	// ones that came back; over-deleted facts that never came back — all of
-	// them, if cur has not grown since — left it.
-	for pred := range heads {
-		rel := cur.Relation(pred)
+	// lacked entered the view. An over-deleted fact is stamped in this Apply
+	// exactly when it came back: the scan marks it back, by its id in
+	// deleted, and the over-deleted facts left unmarked left the view.
+	back := st.flags(mp, deleted)
+	for h, pred := range mp.heads {
+		rel, del := cur.Relation(pred), deleted.Relation(pred)
 		if rel == nil {
-			continue
+			continue // no fact of pred was ever in the view, so none was deleted
 		}
 		for i := rel.LenAt(deltaMin - 1); i < rel.Len(); i++ {
-			if t := rel.Tuple(i); rel.Alive(i) && !deleted.HasTuple(pred, t) {
-				addedDB.AddTuple(pred, t)
+			if !rel.Alive(i) {
+				continue
+			}
+			if id, came := del.LookupID(rel.Tuple(i)); came {
+				back[h][id] = true
+			} else {
+				addedDB.AddTuple(pred, rel.Tuple(i))
+			}
+		}
+		for i := 0; del != nil && i < del.Len(); i++ {
+			if !back[h][i] {
+				remDB.AddTuple(pred, del.Tuple(i))
 			}
 		}
 	}
-	eachFact(deleted, func(pred string, rel *db.Relation, id int32) {
-		if t := rel.Tuple(int(id)); cur.Len() == survivors || !cur.HasTuple(pred, t) {
-			remDB.AddTuple(pred, t)
-		}
-	})
 	return nil
 }
 
@@ -607,25 +621,8 @@ func insertLoop(ctx context.Context, d *db.Database, u *unit, deltaMin int32, st
 	}
 }
 
-// eachFact calls f on every fact of the scratch set d, predicates by name
-// and a relation's tuples in id (insertion) order, handing f the tuple's id
-// so it reads the arena directly.
-func eachFact(d *db.Database, f func(pred string, rel *db.Relation, id int32)) {
-	if d.Len() == 0 {
-		return
-	}
-	for _, pred := range d.Preds() {
-		rel := d.Relation(pred)
-		for i := 0; i < rel.Len(); i++ {
-			if rel.Alive(i) {
-				f(pred, rel, int32(i))
-			}
-		}
-	}
-}
-
-// eachSorted is eachFact in canonical order: a relation's tuples ascending by
-// arguments, by sorting ids against the arena.
+// eachSorted calls f on every fact of the scratch set d in canonical order,
+// predicates by name and a relation's ids sorted against the arena.
 func eachSorted(d *db.Database, f func(pred string, rel *db.Relation, id int32)) {
 	if d.Len() == 0 {
 		return

@@ -389,7 +389,8 @@ func (pr *Prepared) reserve(d *db.Database, maxDerived int) {
 
 // record stores, in the plan's size record, the tuples each head relation
 // of a completed run ended with, and withdraws the run's reservations: a
-// relation that ended far below its reservation gives the slack back.
+// relation that ended below its reservation, or grew past it, gives the
+// slack back.
 func (pr *Prepared) record(d *db.Database) {
 	for i := range pr.sizes {
 		s := &pr.sizes[i]

@@ -263,6 +263,7 @@ type streamState struct {
 	out     []ast.Const
 	fix     fixpointSink
 	one     *db.Database // Firings' one-fact change set
+	marks   [][]bool     // Maintained's flags by id
 	// cut, set by a sink, skips the rest of operator 0's current tuple: the
 	// pipeline goes on with the next tuple at position 0 (a semi-join on the
 	// lead).
