@@ -11,64 +11,63 @@ import (
 )
 
 // This file holds the evaluation family: commands that run the program's
-// fixpoint over the facts in the file.
+// fixpoint over the source's facts, each on the plan eval.DefaultPlanCache
+// holds for the program.
 
-// cmdEval evaluates the file's facts and prints the full output database.
-func (c *cli) cmdEval(rest []string) error {
-	res, err := load(rest, 0)
+// evalSource evaluates the source's program over its facts.
+func evalSource(src *parser.Result) (*db.Database, eval.Stats, error) {
+	prep, err := eval.DefaultPlanCache.Prepare(src.Program)
+	if err != nil {
+		return nil, eval.Stats{}, err
+	}
+	return prep.Eval(db.FromFacts(src.Facts))
+}
+
+// cmdEval prints the full output database; with -stats, the output's size
+// and the run's counters.
+func (c *cli) cmdEval(src *parser.Result, _ []string) error {
+	out, st, err := evalSource(src)
 	if err != nil {
 		return err
 	}
-	outDB, st, err := eval.Eval(res.Program, db.FromFacts(res.Facts))
-	if err != nil {
-		return err
-	}
-	fmt.Fprint(c.out, outDB.Format(res.Symbols))
+	fmt.Fprint(c.out, out.Format(src.Symbols))
 	if c.stats {
-		fmt.Fprintf(c.out, "%% rounds=%d firings=%d added=%d\n", st.Rounds, st.Firings, st.Added)
+		fmt.Fprintf(c.out, "%% rounds=%d firings=%d added=%d facts=%d\n", st.Rounds, st.Firings, st.Added, out.Len())
 		printKernelStats(c.out, "", st)
 	}
 	return nil
 }
 
-// cmdQuery evaluates and prints the tuples matching a query atom.
-func (c *cli) cmdQuery(rest []string) error {
-	res, err := load(rest, 1)
-	if err != nil {
-		return err
-	}
-	q, err := parser.ParseAtomWithSymbols(rest[1], res.Symbols)
+// cmdQuery prints the output tuples matching the query atom args[0].
+func (c *cli) cmdQuery(src *parser.Result, args []string) error {
+	q, err := parser.ParseAtomWithSymbols(args[0], src.Symbols)
 	if err != nil {
 		return fmt.Errorf("query atom: %w", err)
 	}
-	tuples, err := eval.Query(res.Program, db.FromFacts(res.Facts), q)
+	prep, err := eval.DefaultPlanCache.Prepare(src.Program)
+	if err != nil {
+		return err
+	}
+	tuples, err := prep.Query(db.FromFacts(src.Facts), q)
 	if err != nil {
 		return err
 	}
 	for _, t := range tuples {
-		fmt.Fprintln(c.out, ast.GroundAtom{Pred: q.Pred, Args: t}.Format(res.Symbols))
+		fmt.Fprintln(c.out, ast.GroundAtom{Pred: q.Pred, Args: t}.Format(src.Symbols))
 	}
 	return nil
 }
 
-// cmdCheck evaluates the file and verifies its tgds against the output.
-func (c *cli) cmdCheck(rest []string) error {
-	res, err := load(rest, 0)
+// cmdCheck evaluates the source and verifies its tgds against the output.
+func (c *cli) cmdCheck(src *parser.Result, _ []string) error {
+	if len(src.TGDs) == 0 {
+		return fmt.Errorf("check: the source declares no tgds")
+	}
+	out, _, err := evalSource(src)
 	if err != nil {
 		return err
 	}
-	if len(res.TGDs) == 0 {
-		return fmt.Errorf("check: the file declares no tgds")
-	}
-	prep, err := eval.DefaultPlanCache.Prepare(res.Program)
-	if err != nil {
-		return err
-	}
-	outDB, _, err := prep.Eval(db.FromFacts(res.Facts))
-	if err != nil {
-		return err
-	}
-	violations := chase.Violations(outDB, res.TGDs, 20)
+	violations := chase.Violations(out, src.TGDs, 20)
 	if len(violations) == 0 {
 		fmt.Fprintln(c.out, "all constraints satisfied")
 		return nil

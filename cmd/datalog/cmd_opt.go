@@ -16,20 +16,17 @@ import (
 // This file holds the optimization family: the paper's program transforms
 // (Fig. 2 minimization, Section XI equivalence-preserving optimization, the
 // full query pipeline) and the containment/preservation decision procedures
-// they rest on.
+// they rest on. A transform leaves its result in the source it ran on.
 
 // cmdMinimize runs Fig. 2 minimization under uniform equivalence.
-func (c *cli) cmdMinimize(rest []string) error {
-	res, err := load(rest, 0)
+func (c *cli) cmdMinimize(src *parser.Result, _ []string) error {
+	min, trace, err := minimize.Program(context.Background(), src.Program, minimize.Options{})
 	if err != nil {
 		return err
 	}
-	min, trace, err := minimize.Program(context.Background(), res.Program, minimize.Options{})
-	if err != nil {
-		return err
-	}
-	fmt.Fprint(c.out, min.Format(res.Symbols))
-	printTrace(c.out, trace, res.Symbols)
+	src.Program = min
+	fmt.Fprint(c.out, min.Format(src.Symbols))
+	printTrace(c.out, trace, src.Symbols)
 	if c.verbose {
 		printSessionStats(c.out, trace.Stats)
 	}
@@ -53,19 +50,16 @@ func printTrace(out io.Writer, trace minimize.Trace, syms *ast.SymbolTable) {
 }
 
 // cmdEquivOpt runs the Section XI optimization under plain equivalence.
-func (c *cli) cmdEquivOpt(rest []string) error {
-	res, err := load(rest, 0)
+func (c *cli) cmdEquivOpt(src *parser.Result, _ []string) error {
+	opt, removals, err := equivopt.Optimize(context.Background(), src.Program, equivopt.Options{})
 	if err != nil {
 		return err
 	}
-	opt, removals, err := equivopt.Optimize(context.Background(), res.Program, equivopt.Options{})
-	if err != nil {
-		return err
-	}
-	fmt.Fprint(c.out, opt.Format(res.Symbols))
+	src.Program = opt
+	fmt.Fprint(c.out, opt.Format(src.Symbols))
 	fmt.Fprintf(c.out, "%% %d removals under plain equivalence\n", len(removals))
 	for _, r := range removals {
-		fmt.Fprintf(c.out, "%%   removed %s via tgd %s\n", ast.FormatAtoms(r.Atoms, res.Symbols), r.TGD.Format(res.Symbols))
+		fmt.Fprintf(c.out, "%%   removed %s via tgd %s\n", ast.FormatAtoms(r.Atoms, src.Symbols), r.TGD.Format(src.Symbols))
 	}
 	return nil
 }
@@ -74,14 +68,7 @@ func (c *cli) cmdEquivOpt(rest []string) error {
 // pure programs, by the conservative encoding under negation, where a
 // containment not shown prints as unknown, never false.
 func (c *cli) cmdContains(rest []string) error {
-	if len(rest) < 2 {
-		return fmt.Errorf("usage: datalog contains <file1> <file2>")
-	}
-	p1, err := loadProgram(rest[0])
-	if err != nil {
-		return err
-	}
-	p2, err := loadProgram(rest[1])
+	p1, p2, err := loadPair("contains", rest)
 	if err != nil {
 		return err
 	}
@@ -100,16 +87,12 @@ func (c *cli) cmdContains(rest []string) error {
 }
 
 // cmdPreserve runs the Fig. 3 preservation check and the preliminary-DB
-// condition (3′) for the file's tgds.
-func (c *cli) cmdPreserve(rest []string) error {
-	res, err := load(rest, 0)
-	if err != nil {
-		return err
+// condition (3′) for the source's tgds.
+func (c *cli) cmdPreserve(src *parser.Result, _ []string) error {
+	if len(src.TGDs) == 0 {
+		return fmt.Errorf("preserve: the source declares no tgds")
 	}
-	if len(res.TGDs) == 0 {
-		return fmt.Errorf("preserve: the file declares no tgds")
-	}
-	v, cex, err := preserve.Check(res.Program, res.TGDs, preserve.Options{})
+	v, cex, err := preserve.Check(src.Program, src.TGDs, preserve.Options{})
 	if err != nil {
 		return err
 	}
@@ -117,7 +100,7 @@ func (c *cli) cmdPreserve(rest []string) error {
 	if cex != nil {
 		fmt.Fprintf(c.out, "counterexample: %v\n", cex)
 	}
-	v, cex, err = preserve.CheckPreliminary(res.Program, res.TGDs, preserve.Options{})
+	v, cex, err = preserve.CheckPreliminary(src.Program, src.TGDs, preserve.Options{})
 	if err != nil {
 		return err
 	}
@@ -130,22 +113,18 @@ func (c *cli) cmdPreserve(rest []string) error {
 
 // cmdOptimize runs the full query pipeline: prune, minimize, equivopt,
 // magic rewriting.
-func (c *cli) cmdOptimize(rest []string) error {
-	res, err := load(rest, 1)
-	if err != nil {
-		return err
-	}
-	q, err := parser.ParseAtomWithSymbols(rest[1], res.Symbols)
+func (c *cli) cmdOptimize(src *parser.Result, args []string) error {
+	q, err := parser.ParseAtomWithSymbols(args[0], src.Symbols)
 	if err != nil {
 		return fmt.Errorf("query atom: %w", err)
 	}
-	pres, err := core.OptimizeForQuery(res.Program, q, core.DefaultPipeline())
+	pres, err := core.OptimizeForQuery(src.Program, q, core.DefaultPipeline())
 	if err != nil {
 		return err
 	}
-	fmt.Fprint(c.out, pres.Program.Format(res.Symbols))
+	fmt.Fprint(c.out, pres.Program.Format(src.Symbols))
 	fmt.Fprintf(c.out, "%% removed %d rules, %d atoms; seed %s; query %s\n",
 		pres.RulesRemoved, pres.AtomsRemoved,
-		pres.Rewritten.Seed.Format(res.Symbols), pres.Rewritten.Query.Format(res.Symbols))
+		pres.Rewritten.Seed.Format(src.Symbols), pres.Rewritten.Query.Format(src.Symbols))
 	return nil
 }

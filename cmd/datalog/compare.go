@@ -10,16 +10,22 @@ import (
 	"repro/internal/chase"
 	"repro/internal/eval"
 	"repro/internal/minimize"
+	"repro/internal/parser"
 	"repro/internal/workload"
 )
 
-// compareReport prints the full comparison story for two programs: uniform
-// containment both ways (with the failing rule as witness), a sampled
-// plain-equivalence check over random EDBs (equivalence itself being
-// undecidable), and each program's distance from its Fig. 2 minimal form.
-// verbose additionally reports each minimization session's cache counters
+// cmdCompare prints the full comparison story for the programs of two files:
+// uniform containment both ways (with the failing rule as witness), a
+// sampled plain-equivalence check over random EDBs (equivalence itself
+// being undecidable), and each program's distance from its Fig. 2 minimal
+// form. -v additionally reports each minimization session's cache counters
 // and the process-wide plan cache state.
-func compareReport(out io.Writer, p1, p2 *ast.Program, verbose bool) error {
+func (c *cli) cmdCompare(rest []string) error {
+	p1, p2, err := loadPair("compare", rest)
+	if err != nil {
+		return err
+	}
+	out := c.out
 	negation := p1.HasNegation() || p2.HasNegation()
 	if negation {
 		fmt.Fprintln(out, "note: stratified negation present; using the conservative encoding")
@@ -65,18 +71,38 @@ func compareReport(out io.Writer, p1, p2 *ast.Program, verbose bool) error {
 		default:
 			fmt.Fprintf(out, "%s is minimal under uniform equivalence\n", name)
 		}
-		if verbose {
+		if c.verbose {
 			fmt.Fprintf(out, "%s session: plan hits=%d misses=%d, verdicts reused=%d recomputed=%d\n",
 				name, trace.Stats.PrepareHits, trace.Stats.PrepareMisses,
 				trace.Stats.VerdictsReused, trace.Stats.VerdictsRecomputed)
 		}
 	}
-	if verbose {
+	if c.verbose {
 		cs := eval.DefaultPlanCache.Stats()
 		fmt.Fprintf(out, "plan cache: hits=%d misses=%d evictions=%d entries=%d\n",
 			cs.Hits, cs.Misses, cs.Evictions, cs.Entries)
 	}
 	return nil
+}
+
+// loadPair parses the programs of the two files a comparison names.
+func loadPair(cmd string, rest []string) (p1, p2 *ast.Program, err error) {
+	if len(rest) < 2 {
+		return nil, nil, fmt.Errorf("usage: datalog %s <file1> <file2>", cmd)
+	}
+	var ps [2]*ast.Program
+	for i := range ps {
+		src, err := read(rest[i])
+		if err != nil {
+			return nil, nil, err
+		}
+		res, err := parser.Parse(src)
+		if err != nil {
+			return nil, nil, err
+		}
+		ps[i] = res.Program
+	}
+	return ps[0], ps[1], nil
 }
 
 // containment decides P_b ⊑ᵘ P_a: exactly (Yes or No) on pure Datalog, by

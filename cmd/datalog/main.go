@@ -31,11 +31,15 @@
 //	-addr     listen address for serve (default 127.0.0.1:8371)
 //	-cpuprofile  write a CPU profile of the subcommand to the named file
 //
-// The command implementations live in sibling files by family: cmd_show.go
-// (parse/fmt/graph/magic/explain), cmd_eval.go (eval/query/check),
-// cmd_opt.go (minimize/equivopt/contains/preserve/optimize), compare.go,
-// vet.go, repl.go and serve.go. They all hang off the cli struct below,
-// which carries the parsed global flags and the output writer.
+// Each subcommand that reads one source file is a function of the parsed
+// source (*parser.Result) and the arguments after the file: cmd_show.go
+// (parse/fmt/graph/magic/explain), cmd_eval.go (eval/query/check) and
+// cmd_opt.go (minimize/equivopt/preserve/optimize). The REPL (repl.go)
+// keeps a *parser.Result as its session and calls the same functions over
+// it. contains (cmd_opt.go), compare.go, vet.go and serve.go read their own
+// arguments. All hang off the cli struct below, which carries the parsed
+// global flags and the output writer; the commands table maps each name to
+// its function.
 package main
 
 import (
@@ -44,8 +48,8 @@ import (
 	"io"
 	"os"
 	"runtime/pprof"
+	"strings"
 
-	"repro/internal/ast"
 	"repro/internal/chase"
 	"repro/internal/eval"
 	"repro/internal/parser"
@@ -67,6 +71,34 @@ type cli struct {
 	addr    string
 }
 
+// commands is what run dispatches. A source command reads one file, which
+// run loads, and takes nargs arguments after it; the REPL calls the same
+// functions over its session. The others read their arguments as given.
+var commands = []struct {
+	name   string
+	nargs  int
+	source func(*cli, *parser.Result, []string) error
+	args   func(*cli, []string) error
+}{
+	{name: "parse", source: (*cli).cmdFmt},
+	{name: "fmt", source: (*cli).cmdFmt},
+	{name: "eval", source: (*cli).cmdEval},
+	{name: "query", nargs: 1, source: (*cli).cmdQuery},
+	{name: "check", source: (*cli).cmdCheck},
+	{name: "minimize", source: (*cli).cmdMinimize},
+	{name: "equivopt", source: (*cli).cmdEquivOpt},
+	{name: "preserve", source: (*cli).cmdPreserve},
+	{name: "optimize", nargs: 1, source: (*cli).cmdOptimize},
+	{name: "explain", nargs: 1, source: (*cli).cmdExplain},
+	{name: "graph", source: (*cli).cmdGraph},
+	{name: "magic", nargs: 1, source: (*cli).cmdMagic},
+	{name: "contains", args: (*cli).cmdContains},
+	{name: "compare", args: (*cli).cmdCompare},
+	{name: "vet", args: (*cli).cmdVet},
+	{name: "repl", args: func(c *cli, _ []string) error { return repl(os.Stdin, c.out) }},
+	{name: "serve", args: (*cli).cmdServe},
+}
+
 func run(args []string, out io.Writer) error {
 	fs := flag.NewFlagSet("datalog", flag.ContinueOnError)
 	stats := fs.Bool("stats", false, "print evaluation statistics")
@@ -80,10 +112,12 @@ func run(args []string, out io.Writer) error {
 	}
 	rest := fs.Args()
 	if len(rest) == 0 {
-		return fmt.Errorf("usage: datalog <parse|eval|query|optimize|minimize|equivopt|contains|compare|check|preserve|magic|explain|graph|fmt|vet|repl|serve> ...")
+		names := make([]string, len(commands))
+		for i, cmd := range commands {
+			names[i] = cmd.name
+		}
+		return fmt.Errorf("usage: datalog <%s> ...", strings.Join(names, "|"))
 	}
-	cmd, rest := rest[0], rest[1:]
-
 	c := &cli{out: out, stats: *stats, verbose: *verbose, jsonOut: *jsonOut, addr: *addr}
 
 	if *cpuprofile != "" {
@@ -97,53 +131,20 @@ func run(args []string, out io.Writer) error {
 		}
 		defer pprof.StopCPUProfile()
 	}
-	switch cmd {
-	case "fmt", "parse":
-		return c.cmdFmt(rest)
-	case "eval":
-		return c.cmdEval(rest)
-	case "query":
-		return c.cmdQuery(rest)
-	case "check":
-		return c.cmdCheck(rest)
-	case "minimize":
-		return c.cmdMinimize(rest)
-	case "equivopt":
-		return c.cmdEquivOpt(rest)
-	case "contains":
-		return c.cmdContains(rest)
-	case "compare":
-		if len(rest) < 2 {
-			return fmt.Errorf("usage: datalog compare <file1> <file2>")
+	for _, cmd := range commands {
+		if cmd.name != rest[0] {
+			continue
 		}
-		p1, err := loadProgram(rest[0])
+		if cmd.args != nil {
+			return cmd.args(c, rest[1:])
+		}
+		src, err := load(rest[1:], cmd.nargs)
 		if err != nil {
 			return err
 		}
-		p2, err := loadProgram(rest[1])
-		if err != nil {
-			return err
-		}
-		return compareReport(c.out, p1, p2, c.verbose)
-	case "preserve":
-		return c.cmdPreserve(rest)
-	case "optimize":
-		return c.cmdOptimize(rest)
-	case "explain":
-		return c.cmdExplain(rest)
-	case "graph":
-		return c.cmdGraph(rest)
-	case "magic":
-		return c.cmdMagic(rest)
-	case "vet":
-		return vet(rest, c.jsonOut, c.out)
-	case "repl":
-		return repl(os.Stdin, c.out)
-	case "serve":
-		return c.cmdServe(rest)
-	default:
-		return fmt.Errorf("unknown command %q", cmd)
+		return cmd.source(c, src, rest[2:])
 	}
+	return fmt.Errorf("unknown command %q", rest[0])
 }
 
 // printSessionStats renders a containment session's cache counters plus the
@@ -187,18 +188,6 @@ func load(rest []string, extraArgs int) (*parser.Result, error) {
 		return nil, err
 	}
 	return res, nil
-}
-
-func loadProgram(name string) (*ast.Program, error) {
-	src, err := read(name)
-	if err != nil {
-		return nil, err
-	}
-	res, err := parser.Parse(src)
-	if err != nil {
-		return nil, err
-	}
-	return res.Program, nil
 }
 
 func read(name string) (string, error) {

@@ -8,7 +8,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/ast"
 	"repro/internal/eval"
 )
 
@@ -282,7 +281,7 @@ func TestFactArityMismatchIsAnError(t *testing.T) {
 		}
 	}
 
-	s := &session{program: ast.NewProgram(), syms: ast.NewSymbolTable(), out: io.Discard}
+	s := &session{Result: emptySource(), c: &cli{out: io.Discard}}
 	if err := s.addStatements("A(1)."); err != nil {
 		t.Fatal(err)
 	}
@@ -291,8 +290,8 @@ func TestFactArityMismatchIsAnError(t *testing.T) {
 			t.Errorf("repl append %q: %v, want an error wrapping eval.ErrArity", src, err)
 		}
 	}
-	if len(s.facts) != 1 {
-		t.Fatalf("a refused append kept facts: %v", s.facts)
+	if len(s.Facts) != 1 {
+		t.Fatalf("a refused append kept facts: %v", s.Facts)
 	}
 	out := runREPL(t, "A(1).", "A(1, 2).", "?- A(x).", ":quit")
 	if !strings.Contains(out, "arity mismatch") || !strings.Contains(out, "1 answer(s)") {

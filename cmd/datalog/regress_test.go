@@ -8,7 +8,7 @@ import (
 	"testing"
 )
 
-var update = flag.Bool("update", false, "rewrite the golden files under testdata/golden")
+var update = flag.Bool("update", false, "rewrite the golden files under testdata/golden and the REPL transcript under testdata/repl")
 
 // goldenCases maps a golden file to the CLI invocation that regenerates it.
 var goldenCases = []struct {

@@ -2,7 +2,7 @@ package main
 
 import (
 	"bufio"
-	"context"
+	"bytes"
 	"fmt"
 	"io"
 	"os"
@@ -10,53 +10,30 @@ import (
 	"strings"
 
 	"repro/internal/ast"
-	"repro/internal/core"
-	"repro/internal/db"
-	"repro/internal/dot"
-	"repro/internal/equivopt"
 	"repro/internal/eval"
-	"repro/internal/minimize"
 	"repro/internal/parser"
-	"repro/internal/preserve"
 )
 
-// session is the mutable state of an interactive datalog session.
+// session is the state of an interactive datalog session: the source its
+// statements have built (it keeps no fact positions). Its colon commands
+// call the subcommands' functions over it (`:show` is fmt's, `?-` query's),
+// with -stats set.
 type session struct {
-	program *ast.Program
-	facts   []ast.GroundAtom
-	tgds    []ast.TGD
-	syms    *ast.SymbolTable
-	out     io.Writer
-	// prep caches the prepared form of program so that consecutive queries
-	// (?-, :eval, :stats) reuse one schedule/compile; any mutation of the
-	// program clears it via invalidate.
-	prep *eval.Prepared
+	*parser.Result
+	c *cli
 }
 
-// prepared returns the session's prepared program, building it on first use
-// after a mutation. The shared plan cache makes an undo (or re-entering an
-// earlier program) a lookup instead of a re-plan.
-func (s *session) prepared() (*eval.Prepared, error) {
-	if s.prep == nil {
-		pr, err := eval.DefaultPlanCache.Prepare(s.program)
-		if err != nil {
-			return nil, err
-		}
-		s.prep = pr
-	}
-	return s.prep, nil
+// emptySource is the source of a new or reset session.
+func emptySource() *parser.Result {
+	return &parser.Result{Program: ast.NewProgram(), Symbols: ast.NewSymbolTable()}
 }
-
-// invalidate drops the cached prepared program; called whenever the
-// session's program changes.
-func (s *session) invalidate() { s.prep = nil }
 
 // repl runs the interactive loop: plain lines are parsed as rules, facts or
 // tgds and added to the session; lines starting with "?-" are queries;
 // lines starting with ':' are commands (:help lists them). Errors are
 // reported and the loop continues.
 func repl(in io.Reader, out io.Writer) error {
-	s := &session{program: ast.NewProgram(), syms: ast.NewSymbolTable(), out: out}
+	s := &session{Result: emptySource(), c: &cli{out: out, stats: true}}
 	fmt.Fprintln(out, "datalog repl — :help for commands, :quit to exit")
 	sc := bufio.NewScanner(in)
 	for {
@@ -81,7 +58,7 @@ func repl(in io.Reader, out io.Writer) error {
 func (s *session) handle(line string) error {
 	switch {
 	case strings.HasPrefix(line, "?-"):
-		return s.query(strings.TrimSpace(strings.TrimPrefix(line, "?-")))
+		return s.query(strings.TrimSpace(line[len("?-"):]))
 	case strings.HasPrefix(line, ":"):
 		return s.command(line)
 	default:
@@ -89,59 +66,48 @@ func (s *session) handle(line string) error {
 	}
 }
 
-func (s *session) addStatements(src string) error {
-	res, err := parser.ParseWithSymbols(src, s.syms)
+func (s *session) addStatements(text string) error {
+	res, err := parser.ParseWithSymbols(text, s.Symbols)
 	if err != nil {
 		return err
 	}
 	// A fact contradicting the arity of one already added would panic the
 	// store the next time the session's database is built.
 	if len(res.Facts) > 0 {
-		if err := (eval.Delta{Assert: slices.Concat(s.facts, res.Facts)}).CheckArities(); err != nil {
+		if err := (eval.Delta{Assert: slices.Concat(s.Facts, res.Facts)}).CheckArities(); err != nil {
 			return err
 		}
 	}
 	// Validate against the accumulated program (arity consistency).
-	trial := s.program.Clone()
+	trial := s.Program.Clone()
 	trial.Rules = append(trial.Rules, res.Program.Rules...)
 	if err := trial.Validate(); err != nil {
 		return err
 	}
-	s.program = trial
-	s.invalidate()
-	s.facts = append(s.facts, res.Facts...)
-	s.tgds = append(s.tgds, res.TGDs...)
+	s.Program = trial
+	s.Facts = append(s.Facts, res.Facts...)
+	s.TGDs = append(s.TGDs, res.TGDs...)
 	n := len(res.Program.Rules) + len(res.Facts) + len(res.TGDs)
-	fmt.Fprintf(s.out, "added %d statement(s)\n", n)
+	fmt.Fprintf(s.c.out, "added %d statement(s)\n", n)
 	return nil
 }
 
-func (s *session) query(atomSrc string) error {
-	atomSrc = strings.TrimSuffix(atomSrc, ".")
-	q, err := parser.ParseAtomWithSymbols(atomSrc, s.syms)
-	if err != nil {
+// query runs the query subcommand's body and counts the answers it printed.
+func (s *session) query(atom string) error {
+	var buf bytes.Buffer
+	if err := (&cli{out: &buf}).cmdQuery(s.Result, []string{atom}); err != nil {
 		return err
 	}
-	prep, err := s.prepared()
-	if err != nil {
-		return err
-	}
-	tuples, err := prep.Query(db.FromFacts(s.facts), q)
-	if err != nil {
-		return err
-	}
-	for _, t := range tuples {
-		fmt.Fprintln(s.out, ast.GroundAtom{Pred: q.Pred, Args: t}.Format(s.syms))
-	}
-	fmt.Fprintf(s.out, "%d answer(s)\n", len(tuples))
+	fmt.Fprintf(s.c.out, "%s%d answer(s)\n", buf.Bytes(), bytes.Count(buf.Bytes(), []byte("\n")))
 	return nil
 }
 
 func (s *session) command(line string) error {
-	fields := strings.Fields(line)
-	switch fields[0] {
+	name := strings.Fields(line)[0]
+	arg := strings.TrimSpace(line[len(name):])
+	switch name {
 	case ":help":
-		fmt.Fprint(s.out, `statements:   G(x, z) :- A(x, z).     add a rule
+		fmt.Fprint(s.c.out, `statements:   G(x, z) :- A(x, z).     add a rule
               A(1, 2).                add a fact
               G(x, z) -> A(x, w).     add a tgd
 queries:      ?- G(1, y).             evaluate and print answers
@@ -161,34 +127,28 @@ commands:     :show                   print the session's program/facts/tgds
 		return nil
 
 	case ":show":
-		fmt.Fprint(s.out, s.program.Format(s.syms))
-		for _, f := range s.facts {
-			fmt.Fprintf(s.out, "%s.\n", f.Format(s.syms))
-		}
-		for _, t := range s.tgds {
-			fmt.Fprintf(s.out, "%s\n", t.Format(s.syms))
-		}
-		return nil
-
+		return s.c.cmdFmt(s.Result, nil)
 	case ":eval":
-		prep, err := s.prepared()
-		if err != nil {
-			return err
+		return s.c.cmdEval(s.Result, nil)
+	case ":minimize":
+		return s.c.cmdMinimize(s.Result, nil)
+	case ":equivopt":
+		return s.c.cmdEquivOpt(s.Result, nil)
+	case ":preserve":
+		return s.c.cmdPreserve(s.Result, nil)
+	case ":graph":
+		return s.c.cmdGraph(s.Result, nil)
+	case ":explain":
+		if arg == "" {
+			return fmt.Errorf("usage: :explain Fact(…)")
 		}
-		out, st, err := prep.Eval(db.FromFacts(s.facts))
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(s.out, out.Format(s.syms))
-		fmt.Fprintf(s.out, "%% %d facts, %d rounds\n", out.Len(), st.Rounds)
-		return nil
+		return s.c.cmdExplain(s.Result, []string{arg})
 
 	case ":retract":
-		if len(fields) < 2 {
+		if arg == "" {
 			return fmt.Errorf(":retract needs a ground fact, e.g. :retract A(1, 2)")
 		}
-		src := strings.TrimSuffix(strings.TrimSpace(strings.TrimPrefix(line, ":retract")), ".")
-		atom, err := parser.ParseAtomWithSymbols(src, s.syms)
+		atom, err := parser.ParseAtomWithSymbols(arg, s.Symbols)
 		if err != nil {
 			return err
 		}
@@ -196,125 +156,47 @@ commands:     :show                   print the session's program/facts/tgds
 		if err != nil {
 			return fmt.Errorf(":retract needs a ground fact: %w", err)
 		}
-		kept := s.facts[:0]
-		removed := 0
-		for _, f := range s.facts {
-			if f.Pred == g.Pred && f.Equal(g) {
-				removed++
-				continue
+		kept := s.Facts[:0]
+		for _, f := range s.Facts {
+			if f.Pred != g.Pred || !f.Equal(g) {
+				kept = append(kept, f)
 			}
-			kept = append(kept, f)
 		}
-		s.facts = kept
-		fmt.Fprintf(s.out, "retracted %d fact(s)\n", removed)
-		return nil
-
-	case ":minimize":
-		min, trace, err := minimize.Program(context.Background(), s.program, minimize.Options{})
-		if err != nil {
-			return err
-		}
-		s.program = min
-		s.invalidate()
-		fmt.Fprint(s.out, min.Format(s.syms))
-		printTrace(s.out, trace, s.syms)
-		return nil
-
-	case ":equivopt":
-		opt, removals, err := equivopt.Optimize(context.Background(), s.program, equivopt.Options{})
-		if err != nil {
-			return err
-		}
-		s.program = opt
-		s.invalidate()
-		fmt.Fprint(s.out, opt.Format(s.syms))
-		fmt.Fprintf(s.out, "%% %d removals under plain equivalence\n", len(removals))
-		return nil
-
-	case ":preserve":
-		if len(s.tgds) == 0 {
-			return fmt.Errorf("no tgds in the session")
-		}
-		v, _, err := preserve.Check(s.program, s.tgds, preserve.Options{})
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(s.out, "preserves T non-recursively: %v\n", v)
-		v, _, err = preserve.CheckPreliminary(s.program, s.tgds, preserve.Options{})
-		if err != nil {
-			return err
-		}
-		fmt.Fprintf(s.out, "preliminary DB satisfies T: %v\n", v)
-		return nil
-
-	case ":explain":
-		if len(fields) < 2 {
-			return fmt.Errorf("usage: :explain Fact(…)")
-		}
-		goal, err := parser.ParseAtomWithSymbols(strings.TrimSuffix(strings.Join(fields[1:], " "), "."), s.syms)
-		if err != nil {
-			return err
-		}
-		if !goal.IsGround() {
-			return fmt.Errorf("goal must be ground")
-		}
-		sess, err := core.NewSession(s.program)
-		if err != nil {
-			return err
-		}
-		d, ok, err := sess.Explain(context.Background(), db.FromFacts(s.facts), goal.MustGround(nil))
-		if err != nil {
-			return err
-		}
-		if !ok {
-			return fmt.Errorf("%s is not derivable", goal)
-		}
-		fmt.Fprint(s.out, d.Format(s.program, s.syms))
-		return nil
-
-	case ":graph":
-		fmt.Fprint(s.out, dot.DependenceGraph(s.program))
+		fmt.Fprintf(s.c.out, "retracted %d fact(s)\n", len(s.Facts)-len(kept))
+		s.Facts = kept
 		return nil
 
 	case ":stats":
-		prep, err := s.prepared()
-		if err != nil {
-			return err
-		}
-		out, _, err := prep.Eval(db.FromFacts(s.facts))
+		out, _, err := evalSource(s.Result)
 		if err != nil {
 			return err
 		}
 		sum := out.Summarize()
-		fmt.Fprintf(s.out, "rules: %d (%d body atoms), tgds: %d, input facts: %d\n",
-			len(s.program.Rules), s.program.BodyAtomCount(), len(s.tgds), len(s.facts))
-		fmt.Fprintf(s.out, "output: %d facts over %d predicates, %d constants\n",
+		fmt.Fprintf(s.c.out, "rules: %d (%d body atoms), tgds: %d, input facts: %d\n",
+			len(s.Program.Rules), s.Program.BodyAtomCount(), len(s.TGDs), len(s.Facts))
+		fmt.Fprintf(s.c.out, "output: %d facts over %d predicates, %d constants\n",
 			sum.Facts, len(sum.Predicates), sum.Constants)
 		for _, pred := range out.Preds() {
-			fmt.Fprintf(s.out, "  %s: %d\n", pred, sum.Predicates[pred])
+			fmt.Fprintf(s.c.out, "  %s: %d\n", pred, sum.Predicates[pred])
 		}
 		return nil
 
 	case ":load":
-		if len(fields) < 2 {
+		if arg == "" {
 			return fmt.Errorf("usage: :load <file>")
 		}
-		src, err := os.ReadFile(fields[1])
+		text, err := os.ReadFile(strings.Fields(arg)[0])
 		if err != nil {
 			return err
 		}
-		return s.addStatements(string(src))
+		return s.addStatements(string(text))
 
 	case ":reset":
-		s.program = ast.NewProgram()
-		s.invalidate()
-		s.facts = nil
-		s.tgds = nil
-		s.syms = ast.NewSymbolTable()
-		fmt.Fprintln(s.out, "session cleared")
+		s.Result = emptySource()
+		fmt.Fprintln(s.c.out, "session cleared")
 		return nil
 
 	default:
-		return fmt.Errorf("unknown command %s (:help lists commands)", fields[0])
+		return fmt.Errorf("unknown command %s (:help lists commands)", name)
 	}
 }

@@ -2,34 +2,34 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
-	"strconv"
-	"strings"
 
 	"repro/internal/analysis"
 	"repro/internal/ast"
 	"repro/internal/parser"
 )
 
-// vet runs the static analyzer over each file and prints its findings,
+// cmdVet runs the static analyzer over each file and prints its findings,
 // human-readable by default or as a JSON array with -json. It returns an
 // error (so the process exits 1) iff any finding has error severity.
-func vet(files []string, jsonOut bool, out io.Writer) error {
+func (c *cli) cmdVet(files []string) error {
+	out := c.out
 	if len(files) == 0 {
 		return fmt.Errorf("usage: datalog vet [-json] <file...>")
 	}
 	var all []vetFinding
-	errors := 0
+	nerr := 0
 	for _, name := range files {
 		for _, d := range vetFile(name) {
 			all = append(all, vetFinding{File: name, Diagnostic: d})
 			if d.Severity == analysis.Error {
-				errors++
+				nerr++
 			}
 		}
 	}
-	if jsonOut {
+	if c.jsonOut {
 		if err := writeVetJSON(out, all); err != nil {
 			return err
 		}
@@ -41,56 +41,28 @@ func vet(files []string, jsonOut bool, out io.Writer) error {
 			}
 		}
 	}
-	if errors > 0 {
-		return fmt.Errorf("vet: %d error finding(s)", errors)
+	if nerr > 0 {
+		return fmt.Errorf("vet: %d error finding(s)", nerr)
 	}
 	return nil
 }
 
-// vetFile analyzes one file. A source that does not parse yields a single
-// DL0000 diagnostic carrying the parser's position when the error message
-// has a "line:col: " prefix.
+// vetFile analyzes one file. A source that cannot be read or does not parse
+// yields a single DL0000 diagnostic, at the syntax error's position.
 func vetFile(name string) []analysis.Diagnostic {
 	src, err := read(name)
-	if err != nil {
-		return []analysis.Diagnostic{{
-			Code:     analysis.CodeParse,
-			Severity: analysis.Error,
-			Message:  err.Error(),
-			Pass:     "parse",
-		}}
+	if err == nil {
+		var res *parser.Result
+		if res, err = parser.ParseLoose(src); err == nil {
+			return analysis.Analyze(res)
+		}
 	}
-	res, err := parser.ParseLoose(src)
-	if err != nil {
-		pos, msg := splitParseError(err.Error())
-		return []analysis.Diagnostic{{
-			Code:     analysis.CodeParse,
-			Severity: analysis.Error,
-			Pos:      pos,
-			Message:  msg,
-			Pass:     "parse",
-		}}
+	d := analysis.Diagnostic{Code: analysis.CodeParse, Severity: analysis.Error, Message: err.Error(), Pass: "parse"}
+	var syntax *parser.Error
+	if errors.As(err, &syntax) {
+		d.Pos, d.Message = syntax.Pos, syntax.Msg
 	}
-	return analysis.Analyze(res)
-}
-
-// splitParseError extracts a leading "line:col: " position from a parser
-// error message; absent one, the position stays unknown.
-func splitParseError(msg string) (ast.Pos, string) {
-	head, rest, ok := strings.Cut(msg, ": ")
-	if !ok {
-		return ast.Pos{}, msg
-	}
-	ls, cs, ok := strings.Cut(head, ":")
-	if !ok {
-		return ast.Pos{}, msg
-	}
-	line, err1 := strconv.Atoi(ls)
-	col, err2 := strconv.Atoi(cs)
-	if err1 != nil || err2 != nil || line <= 0 || col <= 0 {
-		return ast.Pos{}, msg
-	}
-	return ast.Pos{Line: line, Col: col}, rest
+	return []analysis.Diagnostic{d}
 }
 
 // vetFinding is one diagnostic tagged with the file it came from.

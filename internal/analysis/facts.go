@@ -130,11 +130,6 @@ func (c *Context) Graph() *depgraph.Graph {
 
 // PredUse aggregates how one predicate is used across the source.
 type PredUse struct {
-	Name string
-	// FirstPos is the position of the predicate's first occurrence (any
-	// site kind); Arity the arity it had there.
-	FirstPos ast.Pos
-	Arity    int
 	// HeadRules indexes the rules with this head predicate.
 	HeadRules []int
 	// BodyUses / NegUses / TGDUses count occurrences in positive rule
@@ -156,7 +151,7 @@ func (c *Context) Preds() map[string]*PredUse {
 	for _, s := range c.Sites() {
 		u, ok := c.preds[s.Atom.Pred]
 		if !ok {
-			u = &PredUse{Name: s.Atom.Pred, FirstPos: s.Pos, Arity: len(s.Atom.Args)}
+			u = &PredUse{}
 			c.preds[s.Atom.Pred] = u
 			c.order = append(c.order, s.Atom.Pred)
 		}

@@ -91,20 +91,19 @@ func NullIndex(c Const) int {
 // ConstGen hands out fresh constants from one of the generated ranges. The
 // zero value is not useful; use NewFrozenGen or NewNullGen.
 type ConstGen struct {
-	base Const
 	next Const
 }
 
 // NewFrozenGen returns a generator of fresh frozen constants starting at
 // index start.
 func NewFrozenGen(start int) *ConstGen {
-	return &ConstGen{base: frozenBase, next: frozenBase + Const(start)}
+	return &ConstGen{next: frozenBase + Const(start)}
 }
 
 // NewNullGen returns a generator of fresh labeled nulls starting at index
 // start.
 func NewNullGen(start int) *ConstGen {
-	return &ConstGen{base: nullBase, next: nullBase + Const(start)}
+	return &ConstGen{next: nullBase + Const(start)}
 }
 
 // Fresh returns the next unused constant from the generator's range.

@@ -94,7 +94,7 @@ func TestConstGen(t *testing.T) {
 	if !IsFrozen(a) || !IsFrozen(c) {
 		t.Fatal("frozen generator produced non-frozen constants")
 	}
-	if issued := g.next - g.base; issued != 3 {
+	if issued := g.next - frozenBase; issued != 3 {
 		t.Fatalf("issued %d constants, want 3", issued)
 	}
 	ng := NewNullGen(5)

@@ -140,7 +140,6 @@ type Diff struct {
 // Maintained is a materialized output kept incrementally consistent with
 // its input database under Apply batches.
 type Maintained struct {
-	pr    *Prepared
 	in    *db.Snapshot // current input EDB
 	snap  *db.Snapshot // current maintained output P(input)
 	units []maintUnit
@@ -289,7 +288,7 @@ func (pr *Prepared) Materialize(ctx context.Context, input *db.Database) (*Maint
 	if err != nil {
 		return nil, stats, err
 	}
-	m := &Maintained{pr: pr, owner: make(map[string]int)}
+	m := &Maintained{owner: make(map[string]int)}
 	for ui, u := range pr.units {
 		for pred := range u.dynamic {
 			m.owner[pred] = ui

@@ -29,6 +29,14 @@ func canonFacts(d *db.Database) string {
 
 func mustMaterialize(t *testing.T, p *ast.Program, input *db.Database) *Maintained {
 	t.Helper()
+	m, _ := mustMaterializePlan(t, p, input)
+	return m
+}
+
+// mustMaterializePlan is mustMaterialize that also returns the plan the view
+// was built from, for checks (checkStamps) that read the view's own rules.
+func mustMaterializePlan(t *testing.T, p *ast.Program, input *db.Database) (*Maintained, *Prepared) {
+	t.Helper()
 	pr, err := Prepare(p)
 	if err != nil {
 		t.Fatalf("prepare: %v", err)
@@ -37,7 +45,7 @@ func mustMaterialize(t *testing.T, p *ast.Program, input *db.Database) *Maintain
 	if err != nil {
 		t.Fatalf("materialize: %v", err)
 	}
-	return m
+	return m, pr
 }
 
 func applyOrFatal(t *testing.T, m *Maintained, delta Delta) Diff {
@@ -391,7 +399,7 @@ func TestDRedOverdeletionIsLocal(t *testing.T) {
 func TestMaintainDRedInputFactOfHead(t *testing.T) {
 	p := workload.TransitiveClosureLinear()
 	input := db.FromFacts([]ast.GroundAtom{ga("A", 1, 2), ga("A", 2, 3), ga("G", 1, 3), ga("G", 5, 6)})
-	m := mustMaterialize(t, p, input)
+	m, pr := mustMaterializePlan(t, p, input)
 
 	diff, stats, err := m.Apply(context.Background(), Delta{Retract: []ast.GroundAtom{ga("G", 1, 3)}})
 	if err != nil || len(diff.Added)+len(diff.Removed) != 0 || !m.Output().Has(ga("G", 1, 3)) {
@@ -402,7 +410,7 @@ func TestMaintainDRedInputFactOfHead(t *testing.T) {
 	if stats.Overdeleted != 1 || stats.Rederived != 1 {
 		t.Fatalf("overdeleted/rederived = %d/%d, want 1/1", stats.Overdeleted, stats.Rederived)
 	}
-	checkStamps(t, m, 0)
+	checkStamps(t, m, pr, 0)
 
 	applyOrFatal(t, m, Delta{Assert: []ast.GroundAtom{ga("G", 1, 3)}})
 	diff = applyOrFatal(t, m, Delta{Retract: []ast.GroundAtom{ga("G", 1, 3), ga("A", 2, 3), ga("G", 5, 6)}})
@@ -410,7 +418,7 @@ func TestMaintainDRedInputFactOfHead(t *testing.T) {
 	if !slices.EqualFunc(diff.Removed, want, func(a, b ast.GroundAtom) bool { return compareFacts(a, b) == 0 }) || len(diff.Added) != 0 {
 		t.Fatalf("derivation lost in the same batch: diff %+v, want %v removed", diff, want)
 	}
-	checkStamps(t, m, 1)
+	checkStamps(t, m, pr, 1)
 }
 
 // TestMaintainApplyCancelledLeavesSetsReusable: the working sets live as long
@@ -446,9 +454,9 @@ func TestMaintainApplyCancelledLeavesSetsReusable(t *testing.T) {
 // of a recursive unit that is not an input fact has a firing, valid in the
 // output, whose premises of the unit's own predicates are stamped strictly
 // below it.
-func checkStamps(t *testing.T, m *Maintained, step int) {
+func checkStamps(t *testing.T, m *Maintained, pr *Prepared, step int) {
 	t.Helper()
-	out, in, rules := m.Output(), m.Input(), m.pr.Program().Rules
+	out, in, rules := m.Output(), m.Input(), pr.Program().Rules
 	stampOf := func(g ast.GroundAtom) int32 {
 		id, ok := out.Relation(g.Pred).LookupID(g.Args)
 		if !ok {
@@ -469,7 +477,7 @@ func checkStamps(t *testing.T, m *Maintained, step int) {
 				}
 				certified := false
 				var stats Stats
-				m.pr.Firings(out, f, out.Round(), &stats, func(rule int, vals []ast.Const) bool {
+				pr.Firings(out, f, out.Round(), &stats, func(rule int, vals []ast.Const) bool {
 					b := make(ast.Binding)
 					for k, v := range ast.VarsOfAtoms(rules[rule].Body) {
 						b[v] = vals[k]
@@ -500,16 +508,16 @@ func TestMaintainedStampsCertify(t *testing.T) {
 	input := db.FromFacts([]ast.GroundAtom{
 		ga("E", 1, 2), ga("E", 2, 3), ga("E", 1, 4), ga("E", 4, 2), ga("Mark", 2),
 	})
-	m := mustMaterialize(t, c.p, input)
+	m, pr := mustMaterializePlan(t, c.p, input)
 	if m.Output().Has(ga("R", 1, 3)) {
 		t.Fatal("R(1,3) derived through the marked node")
 	}
-	checkStamps(t, m, -1)
+	checkStamps(t, m, pr, -1)
 	_, stats, err := m.Apply(context.Background(), Delta{Retract: []ast.GroundAtom{ga("E", 1, 2), ga("Mark", 2)}})
 	if err != nil || stats.Rederived != 1 || !m.Output().Has(ga("R", 1, 3)) {
 		t.Fatalf("rederived %d, R(1,3) present %v, err %v", stats.Rederived, m.Output().Has(ga("R", 1, 3)), err)
 	}
-	checkStamps(t, m, 0)
+	checkStamps(t, m, pr, 0)
 }
 
 // TestMaintainDRedEnabledFiringIsNoSupport: R(1,5) loses its path through 7
@@ -522,12 +530,12 @@ func TestMaintainDRedEnabledFiringIsNoSupport(t *testing.T) {
 	input := db.FromFacts([]ast.GroundAtom{
 		ga("E", 1, 6), ga("E", 6, 3), ga("E", 3, 5), ga("E", 1, 2), ga("E", 2, 7), ga("E", 7, 5), ga("Mark", 3),
 	})
-	m := mustMaterialize(t, p, input)
+	m, pr := mustMaterializePlan(t, p, input)
 	applyOrFatal(t, m, Delta{Retract: []ast.GroundAtom{ga("E", 1, 6), ga("E", 7, 5), ga("Mark", 3)}})
 	if got, want := canonFacts(m.Output()), canonFacts(MustEval(p, m.Input())); got != want {
 		t.Fatalf("maintained view diverged:\n%s\nwant:\n%s", got, want)
 	}
-	checkStamps(t, m, 0)
+	checkStamps(t, m, pr, 0)
 }
 
 func TestMaintainStratifiedNegation(t *testing.T) {
@@ -844,7 +852,7 @@ func runMaintainStream(t *testing.T, c maintCase, seed int64, domain, steps, max
 		ref.Add(g)
 		input.Add(g)
 	}
-	m := mustMaterialize(t, p, input)
+	m, pr := mustMaterializePlan(t, p, input)
 	checkSupport(t, m, -1)
 
 	for step := 0; step < len(c.script)+steps; step++ {
@@ -898,7 +906,7 @@ func runMaintainStream(t *testing.T, c maintCase, seed int64, domain, steps, max
 			t.Fatalf("step %d: maintained input diverged\ngot:\n%s\nwant:\n%s", step, got, wantS)
 		}
 		checkSupport(t, m, step)
-		checkStamps(t, m, step)
+		checkStamps(t, m, pr, step)
 
 		// Diff exactness: prev + Added - Removed == new, with Added fresh and
 		// Removed previously present.

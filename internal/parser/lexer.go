@@ -25,7 +25,6 @@
 package parser
 
 import (
-	"fmt"
 	"strings"
 	"unicode"
 	"unicode/utf8"
@@ -112,10 +111,6 @@ func (l *lexer) init(src string) {
 		slots *= 2
 	}
 	*l = lexer{src: src, line: 1, col: 1, tab: make([]ident, slots)}
-}
-
-func (l *lexer) errorf(pos ast.Pos, format string, args ...any) error {
-	return fmt.Errorf("%d:%d: %s", pos.Line, pos.Col, fmt.Sprintf(format, args...))
 }
 
 // peek decodes the rune at the current offset (0 past the end).
@@ -214,7 +209,7 @@ func (l *lexer) next(t *token) error {
 		l.pos++
 	case c == ':':
 		if l.pos++; l.peek() != '-' {
-			return l.errorf(t.pos, "expected ':-' but found ':%c'", l.peek())
+			return errorf(t.pos, "expected ':-' but found ':%c'", l.peek())
 		}
 		t.kind, l.pos = tokImplies, l.pos+1
 	case c == '-' && strings.HasPrefix(l.src[l.pos:], "->"):
@@ -222,7 +217,7 @@ func (l *lexer) next(t *token) error {
 	case c == '-':
 		// Negative integer literal.
 		if l.pos++; !unicode.IsDigit(l.peek()) {
-			return l.errorf(t.pos, "expected '->' or digit after '-'")
+			return errorf(t.pos, "expected '->' or digit after '-'")
 		}
 		t.kind = tokInt
 		l.lexWord(&digitBytes, unicode.IsDigit)
@@ -232,9 +227,9 @@ func (l *lexer) next(t *token) error {
 		for l.pos++; ; {
 			r, n := utf8.DecodeRuneInString(l.src[l.pos:])
 			if n == 0 {
-				return l.errorf(t.pos, "unterminated string literal")
+				return errorf(t.pos, "unterminated string literal")
 			} else if r == '\n' {
-				return l.errorf(t.pos, "newline in string literal")
+				return errorf(t.pos, "newline in string literal")
 			} else if l.pos, l.col = l.pos+n, l.col-(n-1); r == rune(c) {
 				break
 			}
@@ -248,7 +243,7 @@ func (l *lexer) next(t *token) error {
 		t.kind = tokInt
 		l.lexWord(&digitBytes, unicode.IsDigit)
 	default:
-		return l.errorf(t.pos, "unexpected character %q", l.peek())
+		return errorf(t.pos, "unexpected character %q", l.peek())
 	}
 	l.col += l.pos - t.start
 	t.end = l.pos

@@ -23,6 +23,20 @@ type Result struct {
 	Symbols *ast.SymbolTable
 }
 
+// Error is a syntax error in a source: where it is and what is wrong.
+type Error struct {
+	Pos ast.Pos
+	Msg string
+}
+
+// Error renders "line:col: msg".
+func (e *Error) Error() string { return e.Pos.String() + ": " + e.Msg }
+
+// errorf returns the syntax error at pos.
+func errorf(pos ast.Pos, format string, args ...any) error {
+	return &Error{Pos: pos, Msg: fmt.Sprintf(format, args...)}
+}
+
 type parser struct {
 	lex  lexer
 	tok  token
@@ -240,7 +254,7 @@ func (p *parser) unexpected(want string) error {
 	if text != "" {
 		got = fmt.Sprintf("%s %q", got, text)
 	}
-	return fmt.Errorf("%s: expected %s, found %s", p.tok.pos, want, got)
+	return errorf(p.tok.pos, "expected %s, found %s", want, got)
 }
 
 // statement parses one of: fact, rule, tgd.
@@ -257,7 +271,7 @@ func (p *parser) statement(res *Result) error {
 			return err
 		}
 		if !first.IsGround() {
-			return fmt.Errorf("%s: fact %s has variables; a rule needs a body", first.Pos, first)
+			return errorf(first.Pos, "fact %s has variables; a rule needs a body", first)
 		}
 		res.Facts = append(res.Facts, ast.GroundAtom{Pred: first.Pred, Args: p.groundArgs(first.Args)})
 		res.FactPos = append(res.FactPos, first.Pos)
@@ -369,7 +383,7 @@ func (p *parser) atom() (ast.Atom, error) {
 		return ast.Atom{}, err
 	}
 	if !isPredicateName(pred) {
-		return ast.Atom{}, fmt.Errorf("%s: predicate name %q must begin with an upper-case letter", name.pos, pred)
+		return ast.Atom{}, errorf(name.pos, "predicate name %q must begin with an upper-case letter", pred)
 	}
 	if _, err := p.expect(tokLParen); err != nil {
 		return ast.Atom{}, err
@@ -400,7 +414,7 @@ func (p *parser) term() (ast.Term, error) {
 	case tokIdent:
 		text := p.lex.tab[p.tok.id].name
 		if isPredicateName(text) {
-			return ast.Term{}, fmt.Errorf("%s: %q begins with an upper-case letter; variables are lower-case and constants are integers or quoted", p.tok.pos, text)
+			return ast.Term{}, errorf(p.tok.pos, "%q begins with an upper-case letter; variables are lower-case and constants are integers or quoted", text)
 		}
 		if err := p.advance(); err != nil {
 			return ast.Term{}, err
@@ -416,11 +430,11 @@ func (p *parser) term() (ast.Term, error) {
 		text := p.lex.src[p.tok.start:p.tok.end]
 		n, err := strconv.ParseInt(text, 10, 64)
 		if err != nil {
-			return ast.Term{}, fmt.Errorf("%s: bad integer %q: %v", p.tok.pos, text, err)
+			return ast.Term{}, errorf(p.tok.pos, "bad integer %q: %v", text, err)
 		}
 		if !ast.IsInt(ast.Const(n)) {
 			// ast.Int panics outside the plain-integer range.
-			return ast.Term{}, fmt.Errorf("%s: integer %s out of range: a constant lies strictly between -2^40 and 2^40", p.tok.pos, text)
+			return ast.Term{}, errorf(p.tok.pos, "integer %s out of range: a constant lies strictly between -2^40 and 2^40", text)
 		}
 		if err := p.advance(); err != nil {
 			return ast.Term{}, err

@@ -283,10 +283,3 @@ func RandomDB(rng *rand.Rand, p *ast.Program, domain, factsPerPred int) *db.Data
 	}
 	return d
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
