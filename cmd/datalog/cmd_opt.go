@@ -6,6 +6,7 @@ import (
 	"io"
 
 	"repro/internal/ast"
+	"repro/internal/chase"
 	"repro/internal/core"
 	"repro/internal/equivopt"
 	"repro/internal/minimize"
@@ -72,17 +73,16 @@ func (c *cli) cmdContains(rest []string) error {
 	if err != nil {
 		return err
 	}
-	negation := p1.HasNegation() || p2.HasNegation()
-	v12, _, err := containment(p1, p2, negation)
+	v12, _, err := chase.UniformlyContains(p1, p2)
 	if err != nil {
 		return err
 	}
-	v21, _, err := containment(p2, p1, negation)
+	v21, _, err := chase.UniformlyContains(p2, p1)
 	if err != nil {
 		return err
 	}
 	fmt.Fprintf(c.out, "P2 ⊑ᵘ P1: %s\nP1 ⊑ᵘ P2: %s\nP1 ≡ᵘ P2: %s\n",
-		verdictText(v12), verdictText(v21), verdictText(equivalence(v12, v21)))
+		verdictText(v12), verdictText(v21), verdictText(v12.And(v21)))
 	return nil
 }
 

@@ -31,17 +31,17 @@ func (c *cli) cmdCompare(rest []string) error {
 		fmt.Fprintln(out, "note: stratified negation present; using the conservative encoding")
 	}
 
-	v12, w12, err := containment(p1, p2, negation)
+	v12, w12, err := chase.UniformlyContains(p1, p2)
 	if err != nil {
 		return err
 	}
-	v21, w21, err := containment(p2, p1, negation)
+	v21, w21, err := chase.UniformlyContains(p2, p1)
 	if err != nil {
 		return err
 	}
 	printContainment(out, "P2 ⊑ᵘ P1", v12, p2, w12)
 	printContainment(out, "P1 ⊑ᵘ P2", v21, p1, w21)
-	fmt.Fprintf(out, "P1 ≡ᵘ P2: %s\n", verdictText(equivalence(v12, v21)))
+	fmt.Fprintf(out, "P1 ≡ᵘ P2: %s\n", verdictText(v12.And(v21)))
 
 	// Equivalence over EDBs is undecidable; sample it. Agreement on every
 	// sample is evidence, not proof — disagreement is a counterexample.
@@ -103,32 +103,6 @@ func loadPair(cmd string, rest []string) (p1, p2 *ast.Program, err error) {
 		ps[i] = res.Program
 	}
 	return ps[0], ps[1], nil
-}
-
-// containment decides P_b ⊑ᵘ P_a: exactly (Yes or No) on pure Datalog, by
-// the conservative encoding (Yes or Unknown) under negation. The int is the
-// first rule of b not shown contained.
-func containment(a, b *ast.Program, negation bool) (chase.Verdict, int, error) {
-	if negation {
-		return chase.StratifiedUniformlyContains(a, b)
-	}
-	ok, w, err := chase.UniformlyContains(a, b)
-	if !ok {
-		return chase.No, w, err
-	}
-	return chase.Yes, w, err
-}
-
-// equivalence is P1 ≡ᵘ P2 from the two containment verdicts: No when
-// either direction is refuted, Yes when both hold, Unknown otherwise.
-func equivalence(v12, v21 chase.Verdict) chase.Verdict {
-	switch {
-	case v12 == chase.No || v21 == chase.No:
-		return chase.No
-	case v12 == chase.Yes && v21 == chase.Yes:
-		return chase.Yes
-	}
-	return chase.Unknown
 }
 
 // printContainment prints one containment line; a rule of p that is not

@@ -8,7 +8,9 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/ast"
 	"repro/internal/eval"
+	"repro/internal/parser"
 )
 
 func writeFile(t *testing.T, name, content string) string {
@@ -118,11 +120,6 @@ func TestContainsCommand(t *testing.T) {
 	}
 }
 
-// TestContainsNegationUnknown: under negation `contains` runs the
-// conservative encoded test, so a containment it cannot show — here one
-// that holds by a case split on C — prints as unknown, never false; and
-// `compare` minimizes the stratified program too, without calling it
-// minimal, since the same case split would delete !C(x).
 // TestContainsNegatedConeUnknown: P1 derives C and P2 does not, so on
 // d = {B(1)} P2 derives A(1) and P1 does not. The encoded test alone would
 // show A's rule contained; it is not shown because C's goal cone differs
@@ -136,6 +133,11 @@ func TestContainsNegatedConeUnknown(t *testing.T) {
 	}
 }
 
+// TestContainsNegationUnknown: under negation `contains` runs the
+// conservative encoded test, so a containment it cannot show — here one
+// that holds by a case split on C — prints as unknown, never false; and
+// `compare` minimizes the stratified program too, without calling it
+// minimal, since the same case split would delete !C(x).
 func TestContainsNegationUnknown(t *testing.T) {
 	f1 := writeFile(t, "n1.dl", "A(x) :- B(x), !C(x).\nA(x) :- B(x), C(x).\n")
 	f2 := writeFile(t, "n2.dl", "A(x) :- B(x).\n")
@@ -238,6 +240,26 @@ func TestErrors(t *testing.T) {
 	}
 	if err := run([]string{"preserve", f2}, &sb); err == nil {
 		t.Fatal("preserve without tgds accepted")
+	}
+}
+
+// TestAtomTrailingText: a query or goal atom is one atom, optionally ended
+// by a period; text after the period is a syntax error at its position, and
+// nothing is answered.
+func TestAtomTrailingText(t *testing.T) {
+	for _, args := range [][]string{
+		{"query", testdataPath("tc.dl"), "G(1, y). Bogus("},
+		{"explain", testdataPath("tc.dl"), "G(1, 2). Bogus("},
+	} {
+		var sb strings.Builder
+		err := run(args, &sb)
+		var pe *parser.Error
+		if !errors.As(err, &pe) || pe.Pos != (ast.Pos{Line: 1, Col: 10}) {
+			t.Errorf("%v: err = %v, want a parser.Error at 1:10", args, err)
+		}
+		if sb.Len() > 0 {
+			t.Errorf("%v printed %q", args, sb.String())
+		}
 	}
 }
 

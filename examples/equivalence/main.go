@@ -78,7 +78,7 @@ func main() {
 	o2, _, _ := eval.Eval(opt, edb)
 	fmt.Printf("\nsame output on a 6-chain: %v\n", o1.Equal(o2))
 	eq, _ := chase.UniformlyEquivalent(p1, opt)
-	fmt.Printf("uniformly equivalent: %v (as the paper predicts)\n", eq)
+	fmt.Printf("uniformly equivalent: %v (as the paper predicts)\n", eq == chase.Yes)
 
 	// Example 19, with a two-atom deletion.
 	fmt.Println("\nExample 19:")

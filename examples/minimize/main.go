@@ -61,7 +61,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("  uniformly equivalent to the original: %v\n", eq)
+	fmt.Printf("  uniformly equivalent to the original: %v\n", eq == chase.Yes)
 }
 
 func indent(s string) string {

@@ -104,11 +104,7 @@ func TestUniformContainmentIsSATWithEmptyT(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := No
-		if plain {
-			want = Yes
-		}
-		if v != want {
+		if v != plain {
 			t.Fatalf("trial %d: SAT(∅) verdict %v, uniform %v", trial, v, plain)
 		}
 	}

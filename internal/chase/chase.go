@@ -4,7 +4,9 @@
 //   - uniform containment of pure Datalog programs (Section VI): P₂ ⊑ᵘ P₁
 //     iff for every rule h :- b of P₂, the frozen head h·θ belongs to
 //     P₁(b·θ), where θ maps the rule's variables to distinct fresh
-//     constants (Corollary 2). This test always terminates.
+//     constants (Corollary 2). This test always terminates. A program with
+//     stratified negation is tested through an encoding (Section XII) that
+//     can prove a containment but not refute one.
 //   - the combined application [P, T] of a program and a set of tgds
 //     (Section VIII), which underlies the relative test
 //     SAT(T) ∩ M(P₁) ⊆ M(P₂). With embedded tgds the chase may not
@@ -32,8 +34,9 @@ import (
 type Verdict int
 
 const (
-	// Unknown means the test did not resolve: a budget was exhausted, or an
-	// incomplete test (StratifiedUniformlyContains) found no proof.
+	// Unknown means the test did not resolve: a budget was exhausted, or a
+	// containment test under negation, which can prove but not refute
+	// (Checker.Contains), found no proof.
 	Unknown Verdict = iota
 	// Yes means the property was proved.
 	Yes
@@ -41,6 +44,15 @@ const (
 	// reached its fixpoint without establishing the goal).
 	No
 )
+
+// And is the verdict of a conjunction of two tested properties: No if
+// either is refuted, Yes if both are proved, Unknown otherwise.
+func (v Verdict) And(w Verdict) Verdict {
+	if v == Yes || w == No {
+		return w
+	}
+	return v
+}
 
 // String renders the verdict.
 func (v Verdict) String() string {
@@ -65,11 +77,12 @@ type Budget struct {
 	MaxRounds int
 }
 
-// ErrNegation is returned, possibly wrapped, by every exact test — the
-// uniform-containment one-shots, SATContainsRule and the [P, T] chase —
-// when a program or rule uses negation. A Checker decides such a program
-// through an encoding that can prove a containment but not refute one
-// (StratifiedUniformlyContains), so none of them could answer No.
+// ErrNegation is returned, possibly wrapped, by the tests of Section VIII —
+// SATContainsRule, SATModelsContained and the [P, T] chase — when a program
+// or rule uses negation. Uniform containment is not refused: a Checker
+// decides a program with negation through an encoding that can prove a
+// containment but not refute one, so Checker.Contains answers Yes or
+// Unknown there.
 var ErrNegation = errors.New("chase: uniform containment is defined for pure Datalog; program or rule uses negation")
 
 // DefaultBudget is generous enough for every example in the paper and every
@@ -160,8 +173,9 @@ func FreezeRule(r ast.Rule) (ast.GroundAtom, *db.Database) {
 //
 // A program with stratified negation is decided through its encoding (see
 // NewCheckerIn): a true answer is sound for stratified semantics, a false
-// one only means "not shown". The exact entry points — the one-shot tests
-// and the [P, T] chase — refuse negation with ErrNegation instead.
+// one only means "not shown", and Contains reports it as Unknown. The
+// [P, T] chase and the tests built on it refuse negation with ErrNegation
+// instead.
 //
 // Every test that can run a chase takes the caller's context first: internal
 // evaluations thread it to the emit path and every chase round checks it, so
@@ -198,7 +212,8 @@ type Checker struct {
 	// the first cone.
 	graph *depgraph.Graph
 	// neg reports that the program has negation, so the plan runs its
-	// encoding and the exact tests refuse it.
+	// encoding, Contains reports a miss as Unknown and the [P, T] tests
+	// refuse it.
 	neg bool
 	// noSyntactic disables the θ-subsumption fast path, forcing each fresh
 	// verdict through the chase (memoized verdicts are still reused).
@@ -464,8 +479,12 @@ func (c *Checker) syntacticVerdict(r ast.Rule, skip []bool) (forced bool) {
 	return false
 }
 
-// Contains decides P₂ ⊑ᵘ P for the session program P, rule by rule, with
-// the same witness convention as UniformlyContains.
+// Contains decides P₂ ⊑ᵘ P for the session program P, rule by rule: Yes
+// with witness -1, or the verdict with the index of the first rule of p2 not
+// shown contained. It is the one place that decides what such a miss means.
+// Without negation on either side the test is exact (Proposition 2,
+// Corollary 2) and the miss is No. Otherwise the encoding (NewCheckerIn)
+// can prove a containment but not refute one, and the miss is Unknown.
 //
 // Across programs a negated literal needs more than the encoding: r's
 // firing guarantees ¬Q(c̄) in P₂(d), and the test reads it as ¬Q(c̄) in
@@ -474,7 +493,11 @@ func (c *Checker) syntacticVerdict(r ast.Rule, skip []bool) (forced bool) {
 // and p2 — then Q has the same extent under both programs on every input —
 // and is otherwise not shown. A rule without negated literals is tested as
 // is.
-func (c *Checker) Contains(ctx context.Context, p2 *ast.Program) (bool, int, error) {
+func (c *Checker) Contains(ctx context.Context, p2 *ast.Program) (Verdict, int, error) {
+	miss := No
+	if c.neg || p2.HasNegation() {
+		miss = Unknown
+	}
 	var g1, g2 *depgraph.Graph
 	for i, r := range p2.Rules {
 		if len(r.NegBody) > 0 {
@@ -483,19 +506,19 @@ func (c *Checker) Contains(ctx context.Context, p2 *ast.Program) (bool, int, err
 			}
 			for _, a := range r.NegBody {
 				if coneRules(c.prog, g1, a.Pred) != coneRules(p2, g2, a.Pred) {
-					return false, i, nil
+					return miss, i, nil
 				}
 			}
 		}
 		ok, err := c.ContainsRule(ctx, r)
 		if err != nil {
-			return false, i, err
+			return Unknown, i, err
 		}
 		if !ok {
-			return false, i, nil
+			return miss, i, nil
 		}
 	}
-	return true, -1, nil
+	return Yes, -1, nil
 }
 
 // coneRules renders the goal cone of pred in p (g is p's dependence graph)
@@ -511,49 +534,28 @@ func coneRules(p *ast.Program, g *depgraph.Graph, pred string) string {
 	return strings.Join(slices.Compact(rules), "\n")
 }
 
-// UniformlyContainsRule decides r ⊑ᵘ p for a single rule r: whether every
-// model of p is a model of r (Corollary 2). The test is exact and always
-// terminates; rules or programs using negation are refused with
-// ErrNegation. It is the one-shot form of Checker.ContainsRule.
-func UniformlyContainsRule(p *ast.Program, r ast.Rule) (bool, error) {
-	if p.HasNegation() || r.HasNegation() {
-		return false, ErrNegation
-	}
-	c, err := NewChecker(p)
-	if err != nil {
-		return false, err
-	}
-	return c.ContainsRule(context.Background(), r)
-}
-
 // UniformlyContains decides P₂ ⊑ᵘ P₁ (p1 uniformly contains p2): for every
 // input DB over both programs' predicates, P₂'s output is contained in
-// P₁'s. By Proposition 2 this is M(P₁) ⊆ M(P₂), checked rule by rule. On
-// failure the index of the first rule of p2 not uniformly contained in p1
-// is returned as witness (-1 on success). Programs using negation are
-// refused with ErrNegation.
-func UniformlyContains(p1, p2 *ast.Program) (bool, int, error) {
-	if p1.HasNegation() || p2.HasNegation() {
-		return false, 0, ErrNegation
-	}
-	if len(p2.Rules) == 0 {
-		return true, -1, nil
-	}
+// P₁'s. By Proposition 2 this is M(P₁) ⊆ M(P₂), checked rule by rule. It is
+// the one-shot form of Checker.Contains, whose verdict and witness it
+// returns: exact on pure Datalog, Yes or Unknown under stratified negation.
+func UniformlyContains(p1, p2 *ast.Program) (Verdict, int, error) {
 	c, err := NewChecker(p1)
 	if err != nil {
-		return false, 0, err
+		return Unknown, 0, err
 	}
 	return c.Contains(context.Background(), p2)
 }
 
-// UniformlyEquivalent decides P₁ ≡ᵘ P₂.
-func UniformlyEquivalent(p1, p2 *ast.Program) (bool, error) {
-	ok, _, err := UniformlyContains(p1, p2)
-	if err != nil || !ok {
-		return false, err
+// UniformlyEquivalent decides P₁ ≡ᵘ P₂, both directions of UniformlyContains
+// joined by Verdict.And; a refuted first direction skips the second.
+func UniformlyEquivalent(p1, p2 *ast.Program) (Verdict, error) {
+	v, _, err := UniformlyContains(p1, p2)
+	if err != nil || v == No {
+		return v, err
 	}
-	ok, _, err = UniformlyContains(p2, p1)
-	return ok, err
+	w, _, err := UniformlyContains(p2, p1)
+	return v.And(w), err
 }
 
 // Result carries the outcome of a combined [P, T] chase.
@@ -869,23 +871,15 @@ func (c *Checker) SATModelsContained(ctx context.Context, tgds []ast.TGD, p2 *as
 	if c.neg || p2.HasNegation() {
 		return Unknown, ErrNegation
 	}
-	sawUnknown := false
+	verdict := Yes
 	for _, r := range p2.Rules {
 		v, err := c.SATContainsRule(ctx, tgds, r, budget)
-		if err != nil {
-			return Unknown, err
+		if err != nil || v == No {
+			return v, err
 		}
-		switch v {
-		case No:
-			return No, nil
-		case Unknown:
-			sawUnknown = true
-		}
+		verdict = verdict.And(v)
 	}
-	if sawUnknown {
-		return Unknown, nil
-	}
-	return Yes, nil
+	return verdict, nil
 }
 
 // SATModelsContained is the one-shot form of Checker.SATModelsContained.
@@ -901,23 +895,4 @@ func SATModelsContained(p1 *ast.Program, tgds []ast.TGD, p2 *ast.Program, budget
 		return Unknown, err
 	}
 	return c.SATModelsContained(context.Background(), tgds, p2, budget)
-}
-
-// StratifiedUniformlyContains extends the Section VI test P₂ ⊑ᵘ P₁ to
-// programs with stratified negation: it is Checker.Contains, which decides a
-// program with negation through its encoding (NewCheckerIn). Yes is sound
-// for stratified semantics, but the test is incomplete — containments that
-// need reasoning about negation (e.g. Q ∨ ¬Q case splits) are not found — so
-// a failed test is Unknown, never No. With Unknown comes the index of the
-// first rule of p2 not shown contained (-1 with Yes).
-func StratifiedUniformlyContains(p1, p2 *ast.Program) (Verdict, int, error) {
-	c, err := NewChecker(p1)
-	if err != nil {
-		return Unknown, 0, err
-	}
-	ok, i, err := c.Contains(context.Background(), p2)
-	if err != nil || !ok {
-		return Unknown, i, err
-	}
-	return Yes, -1, nil
 }

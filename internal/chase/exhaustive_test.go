@@ -72,7 +72,7 @@ func TestProposition2Exhaustive(t *testing.T) {
 		t.Run(pr.name, func(t *testing.T) {
 			p1 := parser.MustParseProgram(pr.p1)
 			p2 := parser.MustParseProgram(pr.p2)
-			ok, _, err := UniformlyContains(p1, p2)
+			v, _, err := UniformlyContains(p1, p2)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -92,7 +92,7 @@ func TestProposition2Exhaustive(t *testing.T) {
 				checked++
 				o1 := eval.MustEval(p1, d)
 				o2 := eval.MustEval(p2, d)
-				if ok {
+				if v == Yes {
 					// (b) output containment on every DB.
 					if !o1.Contains(o2) {
 						t.Fatalf("chase said P2 ⊑ᵘ P1 but P2(d) ⊄ P1(d) on\n%s", d)
@@ -121,12 +121,15 @@ func TestChaseNoHasCanonicalWitness(t *testing.T) {
 		if p1.Validate() != nil || p2.Validate() != nil {
 			continue
 		}
-		ok, witness, err := UniformlyContains(p1, p2)
+		v, witness, err := UniformlyContains(p1, p2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ok {
+		if v == Yes {
 			continue
+		}
+		if v != No {
+			t.Fatalf("trial %d: pure pair answered %v", trial, v)
 		}
 		r := p2.Rules[witness]
 		head, body := FreezeRule(r)

@@ -17,8 +17,8 @@ func TestQuickUniformContainmentReflexive(t *testing.T) {
 		if p.Validate() != nil {
 			return true
 		}
-		ok, _, err := UniformlyContains(p, p)
-		return err == nil && ok
+		v, _, err := UniformlyContains(p, p)
+		return err == nil && v == Yes
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)
@@ -36,8 +36,8 @@ func TestQuickUniformContainmentSound(t *testing.T) {
 		if p1.Validate() != nil || p2.Validate() != nil {
 			return true
 		}
-		ok, _, err := UniformlyContains(p1, p2)
-		if err != nil || !ok {
+		v, _, err := UniformlyContains(p1, p2)
+		if err != nil || v != Yes {
 			return err == nil // nothing to verify on a "no"
 		}
 		// Verify on random DBs that may include IDB facts.
@@ -76,16 +76,16 @@ func TestQuickUniformContainmentTransitive(t *testing.T) {
 		if p1.Validate() != nil || p2.Validate() != nil || p3.Validate() != nil {
 			return true
 		}
-		ok12, _, err1 := UniformlyContains(p2, p1) // p1 ⊑ᵘ p2
-		ok23, _, err2 := UniformlyContains(p3, p2) // p2 ⊑ᵘ p3
+		v12, _, err1 := UniformlyContains(p2, p1) // p1 ⊑ᵘ p2
+		v23, _, err2 := UniformlyContains(p3, p2) // p2 ⊑ᵘ p3
 		if err1 != nil || err2 != nil {
 			return false
 		}
-		if !ok12 || !ok23 {
+		if v12 != Yes || v23 != Yes {
 			return true
 		}
-		ok13, _, err := UniformlyContains(p3, p1)
-		return err == nil && ok13
+		v13, _, err := UniformlyContains(p3, p1)
+		return err == nil && v13 == Yes
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
@@ -102,8 +102,8 @@ func TestQuickSupersetRulesContain(t *testing.T) {
 			return true
 		}
 		sub := p.WithoutRule(rng.Intn(len(p.Rules)))
-		ok, _, err := UniformlyContains(p, sub)
-		return err == nil && ok
+		v, _, err := UniformlyContains(p, sub)
+		return err == nil && v == Yes
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Error(err)

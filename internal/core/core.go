@@ -7,8 +7,9 @@
 //     Datalog syntax.
 //   - eval.Eval / eval.DefaultPlanCache.Prepare — bottom-up computation
 //     (Section III); Prepare caches a program's evaluation plan.
-//   - chase.NewChecker / chase.UniformlyEquivalent — the decidable
-//     containment test of Section VI (Cor. 2).
+//   - chase.NewChecker / chase.UniformlyContains — the containment test of
+//     Section VI (Cor. 2), exact on pure Datalog and Yes or Unknown under
+//     stratified negation.
 //   - minimize.Rule / minimize.Program — the Figs. 1–2 minimization under
 //     uniform equivalence (Section VII), for pure and stratified programs.
 //   - chase.Apply / chase.SATModelsContained — the combined [P,T] chase of
@@ -153,8 +154,9 @@ func PlanCacheStats() eval.CacheStats {
 }
 
 // NewContainmentChecker opens a uniform-containment session whose
-// containing program is p1 (chase.NewChecker). The test is exact, so a p1
-// with negation is refused with chase.ErrNegation.
+// containing program is p1 (chase.NewChecker). ContainsRule answers a bool,
+// which cannot say Unknown, so a p1 with negation is refused with
+// chase.ErrNegation.
 func NewContainmentChecker(p1 *Program) (ContainmentChecker, error) {
 	if p1.HasNegation() {
 		return ContainmentChecker{}, chase.ErrNegation
@@ -163,9 +165,14 @@ func NewContainmentChecker(p1 *Program) (ContainmentChecker, error) {
 	return ContainmentChecker{ck}, err
 }
 
-// UniformlyEquivalent decides P₁ ≡ᵘ P₂ (Section VI).
+// UniformlyEquivalent decides P₁ ≡ᵘ P₂ (Section VI). A bool cannot say
+// Unknown, so a program with negation is refused with chase.ErrNegation.
 func UniformlyEquivalent(p1, p2 *Program) (bool, error) {
-	return chase.UniformlyEquivalent(p1, p2)
+	if p1.HasNegation() || p2.HasNegation() {
+		return false, chase.ErrNegation
+	}
+	v, err := chase.UniformlyEquivalent(p1, p2)
+	return v == chase.Yes, err
 }
 
 // MinimizeProgram minimizes a program under uniform equivalence (Fig. 2).

@@ -97,9 +97,9 @@ func TestFacadeUniformContainment(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ok, _, err := ck.Contains(context.Background(), p2)
-	if err != nil || !ok {
-		t.Fatalf("containment: %v %v", ok, err)
+	v, _, err := ck.Contains(context.Background(), p2)
+	if err != nil || v != Yes {
+		t.Fatalf("containment: %v %v", v, err)
 	}
 	eq, err := UniformlyEquivalent(p1, p2)
 	if err != nil || eq {

@@ -23,11 +23,11 @@ func ExampleNewContainmentChecker() {
 		G(x, z) :- A(x, y), G(y, z).
 	`)
 	ck1, _ := core.NewContainmentChecker(p1)
-	ok, _, _ := ck1.Contains(context.Background(), p2)
-	fmt.Println("P2 ⊑ᵘ P1:", ok)
+	v, _, _ := ck1.Contains(context.Background(), p2)
+	fmt.Println("P2 ⊑ᵘ P1:", v == core.Yes)
 	ck2, _ := core.NewContainmentChecker(p2)
-	ok, witness, _ := ck2.Contains(context.Background(), p1)
-	fmt.Println("P1 ⊑ᵘ P2:", ok, "— failing rule index:", witness)
+	v, witness, _ := ck2.Contains(context.Background(), p1)
+	fmt.Println("P1 ⊑ᵘ P2:", v == core.Yes, "— failing rule index:", witness)
 	// Output:
 	// P2 ⊑ᵘ P1: true
 	// P1 ⊑ᵘ P2: false — failing rule index: 1

@@ -137,33 +137,33 @@ func (s *Session) checker() (*chase.Checker, error) {
 }
 
 // contains decides P₂ ⊑ᵘ P for the session program P, serialized on s.mu.
-// Negation on either side is refused with chase.ErrNegation.
-func (s *Session) contains(ctx context.Context, p2 *Program) (bool, error) {
-	if s.prog.HasNegation() || p2.HasNegation() {
-		return false, chase.ErrNegation
-	}
+func (s *Session) contains(ctx context.Context, p2 *Program) (chase.Verdict, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	ck, err := s.checker()
 	if err != nil {
-		return false, err
+		return chase.Unknown, err
 	}
-	ok, _, err := ck.Contains(ctx, p2)
+	v, _, err := ck.Contains(ctx, p2)
 	s.accountChecker()
-	return ok, err
+	return v, err
 }
 
 // Compare decides uniform equivalence of the two sessions' programs. The
 // two containment directions run strictly one after the other, each under
 // its own session's mutex — never nested — so concurrent Compare calls
-// over any session pairs cannot deadlock. Negation on either side is refused
-// with chase.ErrNegation.
+// over any session pairs cannot deadlock. A bool cannot say Unknown, so
+// negation on either side is refused with chase.ErrNegation.
 func (s *Session) Compare(ctx context.Context, other *Session) (bool, error) {
-	ok, err := s.contains(ctx, other.prog)
-	if err != nil || !ok {
+	if s.prog.HasNegation() || other.prog.HasNegation() {
+		return false, chase.ErrNegation
+	}
+	v, err := s.contains(ctx, other.prog)
+	if err != nil || v == chase.No {
 		return false, err
 	}
-	return other.contains(ctx, s.prog)
+	w, err := other.contains(ctx, s.prog)
+	return v.And(w) == chase.Yes, err
 }
 
 // accountChecker folds what the checker did since the last accounting into

@@ -505,9 +505,11 @@ func TestStratifiedPlanSeparation(t *testing.T) {
 	}
 }
 
-// TestExactContainmentRefusesNegation: the exact containment entry points
-// answer chase.ErrNegation, not a verdict, when either side has negation —
-// the encoding a Checker decides negation through cannot refute.
+// TestExactContainmentRefusesNegation: the containment entry points that
+// answer a bool (or a wire verdict) that cannot say Unknown answer
+// chase.ErrNegation when either side has negation — the encoding a Checker
+// decides negation through cannot refute — while chase.UniformlyContains
+// answers the same pair with a Verdict: Yes or Unknown, never No.
 func TestExactContainmentRefusesNegation(t *testing.T) {
 	neg, err := core.ParseProgram(`A(x) :- B(x), !C(x).`)
 	if err != nil {
@@ -534,10 +536,16 @@ func TestExactContainmentRefusesNegation(t *testing.T) {
 	_, ruleErr := ck.ContainsRule(neg.Rules[0])
 	_, err1 := sp.Compare(ctx, sn)
 	_, err2 := sn.Compare(ctx, sp)
-	_, _, err3 := chase.UniformlyContains(pure, neg)
+	_, err3 := core.UniformlyEquivalent(pure, neg)
 	for i, err := range []error{ckErr, ruleErr, err1, err2, err3} {
 		if !errors.Is(err, chase.ErrNegation) {
 			t.Errorf("entry point %d: err = %v, want chase.ErrNegation", i, err)
+		}
+	}
+	for i, pair := range [][2]*core.Program{{pure, neg}, {neg, pure}} {
+		want := []chase.Verdict{chase.Yes, chase.Unknown}[i]
+		if v, _, err := chase.UniformlyContains(pair[0], pair[1]); err != nil || v != want {
+			t.Errorf("containment %d: %v, %v; want %v", i, v, err, want)
 		}
 	}
 }

@@ -102,7 +102,7 @@ func TestOptimizeExample18(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if eq {
+	if eq != chase.No {
 		t.Fatal("Example 18 programs should NOT be uniformly equivalent")
 	}
 }

@@ -53,7 +53,7 @@ func TestStratifiedContainmentYesHolds(t *testing.T) {
 			continue
 		}
 		tests++
-		v, _, err := chase.StratifiedUniformlyContains(p1, p2)
+		v, _, err := chase.UniformlyContains(p1, p2)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

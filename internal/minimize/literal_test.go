@@ -14,7 +14,7 @@ import (
 
 // literalFig2 is Figs. 1–2 as the paper states them, with none of the
 // sessions Program runs on: every candidate is decided by a one-shot
-// chase.UniformlyContainsRule against the current program — r̂ ⊑ᵘ P after
+// chase.UniformlyContains (containsRule) against the current program — r̂ ⊑ᵘ P after
 // each accepted atom deletion, r ⊑ᵘ P − {r} after each accepted rule
 // deletion. The rng draws are Program's, in Program's order. A candidate is
 // tested only when it is well-formed and so is its negation decoding
@@ -38,7 +38,7 @@ func literalFig2(p *ast.Program, opts Options) (*ast.Program, Trace, error) {
 				k++
 				continue
 			}
-			ok, err := chase.UniformlyContainsRule(q, cand)
+			ok, err := containsRule(q, cand)
 			if err != nil {
 				return nil, trace, err
 			}
@@ -52,7 +52,7 @@ func literalFig2(p *ast.Program, opts Options) (*ast.Program, Trace, error) {
 	}
 	for i := 0; i < len(q.Rules); {
 		rest := q.WithoutRule(i)
-		ok, err := chase.UniformlyContainsRule(rest, q.Rules[i])
+		ok, err := containsRule(rest, q.Rules[i])
 		if err != nil {
 			return nil, trace, err
 		}
@@ -66,6 +66,17 @@ func literalFig2(p *ast.Program, opts Options) (*ast.Program, Trace, error) {
 	return q, trace, nil
 }
 
+// containsRule decides r ⊑ᵘ p by a one-shot chase.UniformlyContains of the
+// one-rule program. The programs literalFig2 tests are pure, so the verdict
+// is Yes or No; Unknown is an error.
+func containsRule(p *ast.Program, r ast.Rule) (bool, error) {
+	v, _, err := chase.UniformlyContains(p, ast.NewProgram(r))
+	if err == nil && v == chase.Unknown {
+		err = fmt.Errorf("%s ⊑ᵘ program: unknown on a pure pair", r)
+	}
+	return v == chase.Yes, err
+}
+
 // literalIsMinimal is Thm. 2's property tested literally: no well-formed
 // single-atom deletion r̂ (whose decoding is well-formed too, as in
 // literalFig2) has r̂ ⊑ᵘ P, and no rule has r ⊑ᵘ P − {r}.
@@ -76,11 +87,11 @@ func literalIsMinimal(p *ast.Program) (bool, error) {
 			if dec, _ := decodeRuleNeg(cand); !cand.WellFormed() || !dec.WellFormed() {
 				continue
 			}
-			if ok, err := chase.UniformlyContainsRule(p, cand); err != nil || ok {
+			if ok, err := containsRule(p, cand); err != nil || ok {
 				return false, err
 			}
 		}
-		if ok, err := chase.UniformlyContainsRule(p.WithoutRule(i), r); err != nil || ok {
+		if ok, err := containsRule(p.WithoutRule(i), r); err != nil || ok {
 			return false, err
 		}
 	}

@@ -34,7 +34,7 @@ func TestExample8MinimizeRule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !eq {
+	if eq != chase.Yes {
 		t.Fatal("minimized rule not uniformly equivalent to original")
 	}
 }
@@ -136,7 +136,7 @@ func TestRedundantRuleRemoved(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !eq {
+	if eq != chase.Yes {
 		t.Fatal("minimized program not uniformly equivalent")
 	}
 }
@@ -183,7 +183,7 @@ func TestTheorem2ResultIsMinimal(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !eq {
+		if eq != chase.Yes {
 			t.Fatalf("result not uniformly equivalent for:\n%s", src)
 		}
 	}
@@ -278,7 +278,7 @@ func TestRandomOrderStillMinimalAndEquivalent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !eq {
+		if eq != chase.Yes {
 			t.Fatalf("seed %d: result not uniformly equivalent", seed)
 		}
 	}
@@ -302,7 +302,7 @@ func TestUniformEquivalenceIsLocal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !eq {
+	if eq != chase.Yes {
 		t.Fatal("local substitution broke uniform equivalence")
 	}
 	// The redundant atom is gone from the recursive rule.

@@ -26,6 +26,7 @@ var parseSeeds = []string{
 	"\"unterminated",
 	"G(x, 99999999999999999999999) :- A(x).",
 	"G(日本語) :- A(日本語).",
+	"G(1, y). Bogus(",
 }
 
 // malformedSources reach every error of the lexer and the parser, and every
@@ -190,6 +191,7 @@ func FuzzParseAtom(f *testing.F) {
 	for _, seed := range []string{
 		"CanRead(17, d)", "G(x, 'a', \"bob\")", "G(x) extra", "G(x).", "G(日本, \"ñ\")",
 		"G(_, _)", "G(-3, 1099511627776)", "g(x)", "G(x", "G(x) :- A(x).", "",
+		"G(1, y). Bogus(", "G(x). G(y).", "G(x). \"open", "G(x). % comment",
 	} {
 		f.Add(seed)
 	}

@@ -362,7 +362,12 @@ func oracleParseAtomWithSymbols(src string, syms *ast.SymbolTable) (ast.Atom, er
 	if err != nil {
 		return ast.Atom{}, err
 	}
-	if p.tok.kind != otokEOF && p.tok.kind != otokPeriod {
+	if p.tok.kind == otokPeriod {
+		if err := p.advance(); err != nil {
+			return ast.Atom{}, err
+		}
+	}
+	if p.tok.kind != otokEOF {
 		return ast.Atom{}, p.unexpected("end of atom")
 	}
 	return a, nil

@@ -202,9 +202,9 @@ func ParseAtom(src string) (ast.Atom, error) {
 	return ParseAtomWithSymbols(src, ast.NewSymbolTable())
 }
 
-// ParseAtomWithSymbols parses a single atom, interning quoted constants
-// into syms so they identify with constants from other sources parsed with
-// the same table.
+// ParseAtomWithSymbols parses a single atom, optionally followed by a
+// period and nothing else, interning quoted constants into syms so they
+// identify with constants from other sources parsed with the same table.
 func ParseAtomWithSymbols(src string, syms *ast.SymbolTable) (ast.Atom, error) {
 	p := parser{syms: syms}
 	p.lex.init(src)
@@ -215,7 +215,12 @@ func ParseAtomWithSymbols(src string, syms *ast.SymbolTable) (ast.Atom, error) {
 	if err != nil {
 		return ast.Atom{}, err
 	}
-	if p.tok.kind != tokEOF && p.tok.kind != tokPeriod {
+	if p.tok.kind == tokPeriod {
+		if err := p.advance(); err != nil {
+			return ast.Atom{}, err
+		}
+	}
+	if p.tok.kind != tokEOF {
 		return ast.Atom{}, p.unexpected("end of atom")
 	}
 	return a, nil

@@ -182,7 +182,7 @@ func (s *Session) Check(ctx context.Context, tgds []ast.TGD, opts Options) (chas
 		}
 		prep, idb, combo, complete = e.prep, e.idb, e.opts, e.complete
 	}
-	sawUnknown := false
+	verdict := chase.Yes
 	lowered := chase.LowerTGDs(tgds) // once per check, not per combination per round
 	for _, tau := range tgds {
 		if err := eval.CtxErr(ctx); err != nil {
@@ -192,20 +192,15 @@ func (s *Session) Check(ctx context.Context, tgds []ast.TGD, opts Options) (chas
 		if err != nil {
 			return chase.Unknown, nil, err
 		}
-		switch v {
-		case chase.No:
+		if v == chase.No {
 			if !complete {
 				return chase.Unknown, cex, nil
 			}
 			return chase.No, cex, nil
-		case chase.Unknown:
-			sawUnknown = true
 		}
+		verdict = verdict.And(v)
 	}
-	if sawUnknown {
-		return chase.Unknown, nil, nil
-	}
-	return chase.Yes, nil, nil
+	return verdict, nil, nil
 }
 
 // CheckPreliminary decides condition (3′) of Section X: for every EDB d,
@@ -348,7 +343,7 @@ func combinationOptions(p *ast.Program, idb map[string]bool) map[string][]option
 // first check decides.
 func checkTGD(ctx context.Context, prep *eval.Prepared, idb map[string]bool, tgds *chase.TGDs, tau ast.TGD, budget chase.Budget, opts map[string][]option, st *eval.Stats) (chase.Verdict, *Counterexample, error) {
 	budget = budget.OrDefault()
-	sawUnknown := false
+	verdict := chase.Yes
 	err := forEachCombination(idb, tau, opts, func(c *combination) error {
 		if err := eval.CtxErr(ctx); err != nil {
 			return err
@@ -364,12 +359,10 @@ func checkTGD(ctx context.Context, prep *eval.Prepared, idb map[string]bool, tgd
 		if err != nil {
 			return err
 		}
-		switch v {
-		case chase.No:
+		if v == chase.No {
 			return &foundViolation{&Counterexample{TGD: tau, DB: res.DB, LHS: c.lhs}}
-		case chase.Unknown:
-			sawUnknown = true
 		}
+		verdict = verdict.And(v)
 		return nil
 	})
 	if err != nil {
@@ -379,10 +372,7 @@ func checkTGD(ctx context.Context, prep *eval.Prepared, idb map[string]bool, tgd
 		}
 		return chase.Unknown, nil, err
 	}
-	if sawUnknown {
-		return chase.Unknown, nil, nil
-	}
-	return chase.Yes, nil, nil
+	return verdict, nil, nil
 }
 
 // foundViolation threads a counterexample out of the combination walk.

@@ -177,13 +177,13 @@ func TestAddInputRulesSectionIV(t *testing.T) {
 	// chase's UNIFORM verdict: since the primed programs have input rules
 	// for every IDB predicate, uniform and plain containment coincide, so
 	// the chase on the primed pair answers the plain question exactly.
-	ok, _, err := chase.UniformlyContains(p1p, p2p)
-	if err != nil || !ok {
-		t.Fatalf("chase on primed programs: %v %v", ok, err)
+	v, _, err := chase.UniformlyContains(p1p, p2p)
+	if err != nil || v != chase.Yes {
+		t.Fatalf("chase on primed programs: %v %v", v, err)
 	}
-	ok, _, err = chase.UniformlyContains(p2p, p1p)
-	if err != nil || ok {
-		t.Fatalf("chase converse on primed programs: %v %v", ok, err)
+	v, _, err = chase.UniformlyContains(p2p, p1p)
+	if err != nil || v != chase.No {
+		t.Fatalf("chase converse on primed programs: %v %v", v, err)
 	}
 }
 

@@ -96,6 +96,11 @@ var guards = []struct {
 		{forbid(decls, `^\w*\.Valid `, in("internal/minimize")), []string{"internal/minimize/planted.go: type Options struct{ Valid func() bool }"}},
 		{forbid(names, `neg@`, in("internal", "cmd", "examples").but("internal/chase")), []string{`internal/minimize/planted.go: const prefix = "neg@"`}},
 	}},
+	{"one-verdict", "Checker.Contains alone decides whether a containment miss is No or Unknown, and Verdict.And alone combines two verdicts: no shipped function outside internal/chase takes a negation switch to choose a containment entry, the deleted entries StratifiedUniformlyContains and UniformlyContainsRule stay deleted, and no shipped code keeps a sawUnknown-style flag or spells a conjunction of verdicts by hand", []rule{
+		{forbid(decls, `^(\w+\.)?\w+\(.*\b(neg|negation|negated|stratified) bool\b`, in("internal", "cmd", "examples").but("internal/chase")), []string{"cmd/datalog/planted.go: func containment(a, b *ast.Program, negation bool) (chase.Verdict, int, error) { if negation { return chase.UniformlyContains(a, b) }; return chase.No, 0, nil }"}},
+		{forbid(names, `^(chase\.)?(StratifiedUniformlyContains|UniformlyContainsRule)$`, in().withTests()), []string{"internal/chase/planted.go: func StratifiedUniformlyContains() {}", "cmd/datalog/planted_test.go: var _ = chase.UniformlyContainsRule"}},
+		{forbid(code, `(?i)^\w*unknown\w* :?= (true|false)$|== (chase\.)?No \|\| \w+ == (chase\.)?No$|== (chase\.)?Yes && \w+ == (chase\.)?Yes$`, in()), []string{"internal/preserve/planted.go: func f(vs []chase.Verdict) chase.Verdict { sawUnknown := false; for _, v := range vs { if v == chase.Unknown { sawUnknown = true } }; if sawUnknown { return chase.Unknown }; return chase.Yes }", "cmd/datalog/planted.go: func equivalence(v12, v21 chase.Verdict) chase.Verdict { switch { case v12 == chase.No || v21 == chase.No: return chase.No; case v12 == chase.Yes && v21 == chase.Yes: return chase.Yes }; return chase.Unknown }"}},
+	}},
 	{"one-clock", "a time cell is an Op, timed by go test -bench and read from BENCH_eval.json: internal/harness and cmd/experiments import no time and have no timed( stopwatch", []rule{
 		{forbid(names, `^import "time"$`, in("internal/harness", "cmd/experiments")), []string{`cmd/experiments/planted.go: import "time"`}},
 		{forbid(callees|decls, `^timed($|\()`, in("internal/harness", "cmd/experiments").withTests()), []string{"internal/harness/planted_test.go: var _ = timed(f)"}},
