@@ -23,6 +23,14 @@ var goldenCases = []struct {
 	{"ex19.equivopt.golden", []string{"equivopt", testdataPath("ex19.dl")}},
 	{"ancestor.magic.golden", []string{"magic", testdataPath("ancestor.dl"), `Anc("ann", y)`}},
 	{"dead.magic.golden", []string{"magic", testdataPath("dead.dl"), "Dead(3)"}},
+	{"ex11.preserve.golden", []string{"preserve", testdataPath("ex11.dl")}},
+	{"chain.preserve.golden", []string{"preserve", testdataPath("preserve/chain.dl")}},
+	{"term_diverge.preserve.golden", []string{"preserve", testdataPath("vet/term_diverge.dl")}},
+	{"term_ja.preserve.golden", []string{"preserve", testdataPath("vet/term_ja.dl")}},
+	{"term_sticky.preserve.golden", []string{"preserve", testdataPath("vet/term_sticky.dl")}},
+	{"term_wa.preserve.golden", []string{"preserve", testdataPath("vet/term_wa.dl")}},
+	{"term_ws.preserve.golden", []string{"preserve", testdataPath("vet/term_ws.dl")}},
+	{"tgd.preserve.golden", []string{"preserve", testdataPath("vet/tgd.dl")}},
 }
 
 // TestGoldenFiles compares CLI output byte-for-byte against the stored

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"repro/internal/ast"
+	"repro/internal/equivopt"
 )
 
 // runSafety checks range restriction (every head variable bound by the
@@ -408,8 +409,9 @@ func subsumptionBuckets(rules []ast.Rule) [][]int {
 }
 
 // runTGDCheck measures each tgd against Section XI's candidate properties
-// (DL0012). The optimizer derives candidate tgds from a rule body: the LHS
-// atoms are body atoms of the head's predicate (property 1), and a
+// (DL0012), decided by equivopt.Properties — the test the optimizer's
+// candidates pass. The optimizer derives candidate tgds from a rule body: the
+// LHS atoms are body atoms of the head's predicate (property 1), and a
 // variable appearing only in the RHS must not occur in the head (property
 // 3) nor anywhere in the body outside the RHS atoms (property 2). A tgd in
 // a source file that anchors into some rule body but violates a property
@@ -431,8 +433,17 @@ func runTGDCheck(c *Context) []Diagnostic {
 			if !ok {
 				continue
 			}
-			anchored, anchorRule = true, ri
-			problems = tgdProblems(t, r, lhsIdx, rhsIdx)
+			anchored, anchorRule, problems = true, ri, nil
+			equivopt.Properties(r, lhsIdx, rhsIdx, func(property int, culprit string) {
+				msg := fmt.Sprintf("existential variable (matching %s) occurs in the head", culprit)
+				switch property {
+				case 1:
+					msg = fmt.Sprintf("LHS atom %s is not a %s atom (the head predicate)", culprit, r.Head.Pred)
+				case 2:
+					msg = fmt.Sprintf("existential variable (matching %s) occurs in the body outside the RHS atoms", culprit)
+				}
+				problems = append(problems, fmt.Sprintf("property %d: %s", property, msg))
+			})
 			if len(problems) == 0 {
 				break // a clean anchor wins; no finding for this tgd
 			}
@@ -498,51 +509,4 @@ func anchor(t ast.TGD, r ast.Rule, theta ast.Subst) (lhsIdx, rhsIdx []int, ok bo
 		return nil, nil, false
 	}
 	return choice[:len(t.Lhs)], choice[len(t.Lhs):], true
-}
-
-// tgdProblems evaluates Section XI properties 1–3 for a tgd anchored at
-// body atoms lhsIdx/rhsIdx of r, returning a description per violated
-// property.
-func tgdProblems(t ast.TGD, r ast.Rule, lhsIdx, rhsIdx []int) []string {
-	var problems []string
-	for _, i := range lhsIdx {
-		if r.Body[i].Pred != r.Head.Pred {
-			problems = append(problems, fmt.Sprintf("property 1: LHS atom %s is not a %s atom (the head predicate)", r.Body[i], r.Head.Pred))
-			break
-		}
-	}
-	lhsVars := make(map[string]bool)
-	for _, i := range lhsIdx {
-		r.Body[i].CollectVars(lhsVars)
-	}
-	headVars := make(map[string]bool)
-	r.Head.CollectVars(headVars)
-	inRHS := make(map[int]bool)
-	for _, i := range rhsIdx {
-		inRHS[i] = true
-	}
-	prop2 := false
-	prop3 := false
-	for _, i := range rhsIdx {
-		for _, v := range r.Body[i].Vars() {
-			if lhsVars[v] {
-				continue
-			}
-			if headVars[v] && !prop3 {
-				prop3 = true
-				problems = append(problems, fmt.Sprintf("property 3: existential variable (matching %s) occurs in the head", v))
-			}
-			if prop2 {
-				continue
-			}
-			for j, b := range r.Body {
-				if !inRHS[j] && b.HasVar(v) {
-					prop2 = true
-					problems = append(problems, fmt.Sprintf("property 2: existential variable (matching %s) occurs in the body outside the RHS atoms", v))
-					break
-				}
-			}
-		}
-	}
-	return problems
 }

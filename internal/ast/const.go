@@ -95,9 +95,9 @@ type ConstGen struct {
 }
 
 // NewFrozenGen returns a generator of fresh frozen constants starting at
-// index start.
-func NewFrozenGen(start int) *ConstGen {
-	return &ConstGen{next: frozenBase + Const(start)}
+// index 0.
+func NewFrozenGen() *ConstGen {
+	return &ConstGen{next: frozenBase}
 }
 
 // NewNullGen returns a generator of fresh labeled nulls starting at index

@@ -86,7 +86,7 @@ func TestFrozenAndNullIndexRoundTrip(t *testing.T) {
 }
 
 func TestConstGen(t *testing.T) {
-	g := NewFrozenGen(0)
+	g := NewFrozenGen()
 	a, b, c := g.Fresh(), g.Fresh(), g.Fresh()
 	if a == b || b == c || a == c {
 		t.Fatalf("Fresh returned duplicates: %d %d %d", a, b, c)

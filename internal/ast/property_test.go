@@ -151,7 +151,7 @@ func TestQuickFreezeOneToOne(t *testing.T) {
 		if len(r.Head.Vars()) > 0 && len(VarsOfAtoms(r.Body)) == 0 {
 			return true
 		}
-		gen := NewFrozenGen(0)
+		gen := NewFrozenGen()
 		theta := FreezeVars(r.Vars(), gen)
 		seen := map[Const]bool{}
 		for _, c := range theta {

@@ -128,7 +128,7 @@ func TestRenameApart(t *testing.T) {
 }
 
 func TestFreeze(t *testing.T) {
-	gen := NewFrozenGen(0)
+	gen := NewFrozenGen()
 	r := tcProgram().Rules[1]
 	head, body, theta := r.Freeze(gen)
 	if len(body) != 2 {

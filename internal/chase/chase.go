@@ -121,7 +121,7 @@ func FreezeRule(r ast.Rule) (ast.GroundAtom, *db.Database) {
 	names := make([]string, 0, n)
 	consts := make([]ast.Const, 0, n)
 	buf := make([]ast.Const, n)
-	gen := ast.NewFrozenGen(0)
+	gen := ast.NewFrozenGen()
 	freeze := func(a ast.Atom, args []ast.Const) []ast.Const {
 		for j, t := range a.Args {
 			if !t.IsVar {

@@ -127,7 +127,7 @@ func TestFreezeRule(t *testing.T) {
 	} {
 		r := parser.MustParseProgram(src).Rules[0]
 		head, d := FreezeRule(r)
-		wantHead, body, _ := r.Freeze(ast.NewFrozenGen(0))
+		wantHead, body, _ := r.Freeze(ast.NewFrozenGen())
 		if !head.Equal(wantHead) || d.String() != db.FromFacts(body).String() {
 			t.Fatalf("%s: FreezeRule gave %v / %s, Rule.Freeze %v / %v", src, head, d, wantHead, body)
 		}

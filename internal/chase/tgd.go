@@ -92,8 +92,6 @@ type Violation struct {
 	TGD ast.TGD
 	// LHS is the instantiated left-hand side.
 	LHS []ast.GroundAtom
-	// Binding is the universal-variable instantiation θ.
-	Binding ast.Binding
 }
 
 // String renders the violation.
@@ -120,7 +118,7 @@ func Violations(d *db.Database, tgds []ast.TGD, max int) []Violation {
 		if err != nil {
 			return true // unreachable: the match bound every variable
 		}
-		out = append(out, Violation{TGD: tgds[t].Clone(), LHS: lhs, Binding: theta})
+		out = append(out, Violation{TGD: tgds[t].Clone(), LHS: lhs})
 		return max <= 0 || len(out) < max
 	})
 	return out

@@ -41,7 +41,7 @@ func TestExample9(t *testing.T) {
 	vs := Violations(d, []ast.TGD{bad}, 0)
 	found := false
 	for _, v := range vs {
-		if v.Binding["x"] == ast.Int(4) && v.Binding["y"] == ast.Int(2) {
+		if len(v.LHS) == 1 && v.LHS[0].Equal(ast.NewGroundAtom("G", ast.Int(4), ast.Int(2))) {
 			found = true
 		}
 	}

@@ -11,15 +11,17 @@
 //
 // which together imply P₂ ⊑ P₁; the converse P₁ ⊑ P₂ holds a priori since
 // P₂'s rule bodies are subsets of P₁'s. Candidate tgds come from the
-// Section XI syntactic heuristic (properties 1–3). Every sub-procedure may
-// diverge on embedded tgds, so the pipeline takes a budget and simply skips
-// candidates that come back Unknown — the paper's "spend a predetermined
-// amount of time".
+// Section XI syntactic heuristic (Candidates), whose properties 1–3 are
+// decided by Properties — the one test datalog vet reports too. Every
+// sub-procedure may diverge on embedded tgds, so the pipeline takes a budget
+// and simply skips candidates that come back Unknown — the paper's "spend a
+// predetermined amount of time".
 package equivopt
 
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/ast"
@@ -79,39 +81,18 @@ type Removal struct {
 	TGD ast.TGD
 }
 
-// Candidates generates the candidate tgds for rule r following the three
-// syntactic properties of Section XI:
-//
-//  1. the LHS consists of body atoms whose predicate equals the head's
-//     (the paper's heuristic uses a single atom; see CandidatesLHS);
-//  2. a variable appearing only in the RHS must have all its body
-//     occurrences inside the RHS;
-//  3. variables appearing only in the RHS must not occur in the head.
-//
-// The RHS is the candidate set of atoms to delete (size 1..maxRHS, never
-// including any LHS atom).
-func Candidates(r ast.Rule, maxRHS int) []Candidate {
-	return CandidatesLHS(r, maxRHS, 1)
-}
-
-// CandidatesLHS is Candidates with a configurable LHS size: maxLHS = 2
-// additionally proposes tgds with two head-predicate atoms on the left,
-// like Example 15's G(x,y) ∧ G(y,z) → A(y,w).
-func CandidatesLHS(r ast.Rule, maxRHS, maxLHS int) []Candidate {
+// Candidates generates the candidate tgds for rule r by the Section XI
+// heuristic: the LHS is 1..maxLHS body atoms of the head's predicate (the
+// paper's heuristic uses one; maxLHS = 2 also proposes tgds like Example
+// 15's G(x,y) ∧ G(y,z) → A(y,w)), the RHS is 1..maxRHS of the other body
+// atoms — the candidate set of atoms to delete — and a candidate is kept
+// when it fails none of the properties Properties decides and deleting its
+// RHS leaves a well-formed rule.
+func Candidates(r ast.Rule, maxLHS int) []Candidate {
 	var headPredIdx []int
 	for i, a := range r.Body {
 		if a.Pred == r.Head.Pred {
 			headPredIdx = append(headPredIdx, i)
-		}
-	}
-	headVars := make(map[string]bool)
-	r.Head.CollectVars(headVars)
-
-	// occurrences[v] = body atom indexes containing v.
-	occurrences := make(map[string][]int)
-	for i, a := range r.Body {
-		for _, v := range a.Vars() {
-			occurrences[v] = append(occurrences[v], i)
 		}
 	}
 
@@ -120,15 +101,12 @@ func CandidatesLHS(r ast.Rule, maxRHS, maxLHS int) []Candidate {
 	n := len(r.Body)
 
 	// Enumerate LHS subsets of head-predicate atoms, size 1..maxLHS.
-	lhsSubsets := enumerateSubsets(len(headPredIdx), maxLHS)
-	for _, lsub := range lhsSubsets {
+	for _, lsub := range enumerateSubsets(len(headPredIdx), maxLHS) {
 		lhs := make([]int, len(lsub))
 		inLHS := make(map[int]bool, len(lsub))
-		lhsVars := make(map[string]bool)
 		for k, j := range lsub {
 			lhs[k] = headPredIdx[j]
 			inLHS[headPredIdx[j]] = true
-			r.Body[headPredIdx[j]].CollectVars(lhsVars)
 		}
 		var rest []int
 		for i := 0; i < n; i++ {
@@ -136,15 +114,14 @@ func CandidatesLHS(r ast.Rule, maxRHS, maxLHS int) []Candidate {
 				rest = append(rest, i)
 			}
 		}
-		subsets := enumerateSubsets(len(rest), maxRHS)
-		for _, sub := range subsets {
+		for _, sub := range enumerateSubsets(len(rest), maxRHS) {
 			rhs := make([]int, len(sub))
-			inRHS := make(map[int]bool, len(sub))
 			for k, j := range sub {
 				rhs[k] = rest[j]
-				inRHS[rest[j]] = true
 			}
-			if !checkProperties(r, rhs, inRHS, lhsVars, headVars, occurrences) {
+			ok := true
+			Properties(r, lhs, rhs, func(int, string) { ok = false })
+			if !ok {
 				continue
 			}
 			// Deleting the RHS atoms must leave a well-formed rule.
@@ -174,28 +151,53 @@ func CandidatesLHS(r ast.Rule, maxRHS, maxLHS int) []Candidate {
 	return out
 }
 
-// checkProperties enforces Section XI properties 2 and 3 for the candidate
-// with the given LHS variable set and RHS atom set.
-func checkProperties(r ast.Rule, rhs []int, inRHS map[int]bool, lhsVars, headVars map[string]bool, occurrences map[string][]int) bool {
+// Properties decides Section XI's candidate properties for the tgd whose
+// left-hand side is r's body atoms at lhs and whose right-hand side is
+// those at rhs:
+//
+//  1. every LHS atom has the head's predicate;
+//  2. a variable appearing only in the RHS (existential in the tgd) has all
+//     its body occurrences inside the RHS;
+//  3. a variable appearing only in the RHS does not occur in the head.
+//
+// It calls fail once for each property that does not hold, with the first
+// culprit: the LHS atom of another predicate (property 1), the RHS-only
+// variable (2 and 3). Property 1 comes first, then 2 and 3 in the order the
+// RHS atoms' variables break them. Candidates keeps the tgds with no
+// failure; datalog vet reports the failures of a declared tgd (DL0012).
+func Properties(r ast.Rule, lhs, rhs []int, fail func(property int, culprit string)) {
+	for _, i := range lhs {
+		if r.Body[i].Pred != r.Head.Pred {
+			fail(1, r.Body[i].String())
+			break
+		}
+	}
+	universal := make(map[string]bool)
+	for _, i := range lhs {
+		r.Body[i].CollectVars(universal)
+	}
+	var failed [4]bool
 	for _, i := range rhs {
 		for _, v := range r.Body[i].Vars() {
-			if lhsVars[v] {
-				continue // appears in the LHS: universally quantified
+			if universal[v] {
+				continue
 			}
-			// v appears only in the RHS of the tgd (it is existential
-			// there): it must not occur in the head (prop. 3), and all of
-			// its body occurrences must lie inside the RHS (prop. 2).
-			if headVars[v] {
-				return false
+			if !failed[3] && r.Head.HasVar(v) {
+				failed[3] = true
+				fail(3, v)
 			}
-			for _, occ := range occurrences[v] {
-				if !inRHS[occ] {
-					return false
+			if failed[2] {
+				continue
+			}
+			for j, b := range r.Body {
+				if !slices.Contains(rhs, j) && b.HasVar(v) {
+					failed[2] = true
+					fail(2, v)
+					break
 				}
 			}
 		}
 	}
-	return true
 }
 
 // enumerateSubsets returns all non-empty subsets of {0..n-1} of size ≤ max,
@@ -333,7 +335,7 @@ func Optimize(ctx context.Context, p *ast.Program, opts Options) (*ast.Program, 
 		for i := 0; i < len(cur.Rules); i++ {
 			for {
 				applied := false
-				for _, c := range CandidatesLHS(cur.Rules[i], maxRHS, opts.MaxLHS) {
+				for _, c := range Candidates(cur.Rules[i], opts.MaxLHS) {
 					p2, err := tryCandidate(ctx, ck, ps, cur, i, c, opts)
 					if err != nil {
 						return nil, removals, err

@@ -2,6 +2,7 @@ package equivopt
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -18,7 +19,7 @@ func TestCandidatesExample18(t *testing.T) {
 	// excluded by property 2? No: w appears only in A(y,w), which IS the
 	// RHS, so both LHS choices qualify).
 	r := parser.MustParseProgram(`G(x, z) :- G(x, y), G(y, z), A(y, w).`).Rules[0]
-	cands := Candidates(r, 3)
+	cands := Candidates(r, 1)
 	var found bool
 	for _, c := range cands {
 		if c.TGD.String() == "G(y, z) -> A(y, w)." {
@@ -37,7 +38,7 @@ func TestCandidatesProperties(t *testing.T) {
 	// Property 3: a candidate must not delete atoms holding head variables
 	// that appear nowhere else.
 	r := parser.MustParseProgram(`G(x, z) :- G(x, y), B(y, z).`).Rules[0]
-	for _, c := range Candidates(r, 3) {
+	for _, c := range Candidates(r, 1) {
 		for _, a := range c.TGD.Rhs {
 			if a.HasVar("z") {
 				t.Fatalf("candidate deletes the only binding of head variable z: %v", c.TGD)
@@ -48,17 +49,19 @@ func TestCandidatesProperties(t *testing.T) {
 	// Property 2: if w occurs in two atoms, a candidate whose RHS contains
 	// only one of them is rejected.
 	r2 := parser.MustParseProgram(`G(x, z) :- G(x, z), A(z, w), B(w).`).Rules[0]
+	var pairFound bool
 	for _, c := range Candidates(r2, 1) {
+		w := 0
 		for _, a := range c.TGD.Rhs {
 			if a.HasVar("w") {
-				t.Fatalf("single-atom RHS with split variable w accepted: %v", c.TGD)
+				w++
 			}
 		}
-	}
-	// With MaxRHS ≥ 2 the pair {A(z,w), B(w)} is allowed.
-	var pairFound bool
-	for _, c := range Candidates(r2, 2) {
-		if len(c.TGD.Rhs) == 2 {
+		if w == 1 {
+			t.Fatalf("RHS with split variable w accepted: %v", c.TGD)
+		}
+		// The pair {A(z,w), B(w)} is allowed.
+		if w == 2 {
 			pairFound = true
 		}
 	}
@@ -67,10 +70,35 @@ func TestCandidatesProperties(t *testing.T) {
 	}
 }
 
+// TestPropertiesNamesEachFailure: Properties reports each broken property
+// once, with its first culprit — property 1 first, then 2 and 3 in the
+// order the RHS atoms' variables break them.
+func TestPropertiesNamesEachFailure(t *testing.T) {
+	r := parser.MustParseProgram(`G(x, w) :- A(x, y), G(y, z), B(z, w), C(z, v), D(v).`).Rules[0]
+	for _, c := range []struct {
+		lhs, rhs []int
+		want     string
+	}{
+		{[]int{1}, []int{3, 4}, ""},
+		{[]int{1}, []int{2}, "3 w;"},
+		{[]int{0}, []int{3}, "1 A(x, y);2 z;"},
+		{[]int{0}, []int{2}, "1 A(x, y);2 z;3 w;"},
+		{[]int{1}, []int{2, 3}, "3 w;2 v;"},
+	} {
+		got := ""
+		Properties(r, c.lhs, c.rhs, func(property int, culprit string) {
+			got += fmt.Sprintf("%d %s;", property, culprit)
+		})
+		if got != c.want {
+			t.Errorf("Properties(%v, %v) = %q, want %q", c.lhs, c.rhs, got, c.want)
+		}
+	}
+}
+
 func TestCandidatesRequireHeadPredicateLHS(t *testing.T) {
 	// No body atom shares the head predicate: no candidates (property 1).
 	r := parser.MustParseProgram(`H(x, z) :- A(x, y), B(y, z), C(y).`).Rules[0]
-	if cands := Candidates(r, 3); len(cands) != 0 {
+	if cands := Candidates(r, 1); len(cands) != 0 {
 		t.Fatalf("candidates without head-predicate LHS: %v", cands)
 	}
 }
@@ -273,8 +301,8 @@ func TestTwoAtomLHSCandidates(t *testing.T) {
 	// the left (C(y) relates to the JOIN point y, visible only when both
 	// atoms are present), as in Example 15's shape.
 	r := parser.MustParseProgram(`G(x, z) :- G(x, y), G(y, z), C(y).`).Rules[0]
-	single := CandidatesLHS(r, 3, 1)
-	double := CandidatesLHS(r, 3, 2)
+	single := Candidates(r, 1)
+	double := Candidates(r, 2)
 	if len(double) <= len(single) {
 		t.Fatalf("maxLHS=2 added no candidates: %d vs %d", len(double), len(single))
 	}

@@ -399,7 +399,7 @@ func E7EquivOpt() Table {
 	for _, c := range cases {
 		nCands := 0
 		for _, r := range c.p.Rules {
-			nCands += len(equivopt.Candidates(r, 3))
+			nCands += len(equivopt.Candidates(r, 1))
 		}
 		var removals []equivopt.Removal
 		var opt *ast.Program

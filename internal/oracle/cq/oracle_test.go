@@ -25,7 +25,7 @@ func Homomorphism(from, to ast.Rule) (ast.Subst, bool) {
 	// Freeze `to` into its canonical database; a homomorphism is then a match
 	// of from's head onto the frozen head, extended to a match of from's body
 	// into the frozen body.
-	head, body, theta := to.Freeze(ast.NewFrozenGen(0))
+	head, body, theta := to.Freeze(ast.NewFrozenGen())
 	b := ast.Binding{}
 	if _, ok := from.Head.MatchGround(head.Pred, head.Args, b); !ok {
 		return nil, false

@@ -24,15 +24,11 @@ import (
 // included.
 
 func (s *Session) refCheck(ctx context.Context, tgds []ast.TGD, opts Options) (chase.Verdict, *Counterexample, error) {
-	prep, idb, combo := s.prep, s.idb, s.combOpts()
-	complete := true
-	if opts.Depth > 1 {
-		e, err := s.partialEntry(opts.Depth)
-		if err != nil {
-			return chase.Unknown, nil, err
-		}
-		prep, idb, combo, complete = e.prep, e.idb, e.opts, e.complete
+	e, err := s.entry(entryKey{depth: opts.Depth})
+	if err != nil {
+		return chase.Unknown, nil, err
 	}
+	prep, idb, combo, complete := e.prep, s.idb, e.opts, e.complete
 	sawUnknown := false
 	for _, tau := range tgds {
 		if err := eval.CtxErr(ctx); err != nil {
@@ -59,11 +55,7 @@ func (s *Session) refCheck(ctx context.Context, tgds []ast.TGD, opts Options) (c
 }
 
 func (s *Session) refCheckPreliminary(ctx context.Context, tgds []ast.TGD, opts Options) (chase.Verdict, *Counterexample, error) {
-	depth := opts.Depth
-	if depth < 1 {
-		depth = 1
-	}
-	e, err := s.prelimEntry(depth)
+	e, err := s.entry(entryKey{prelim: true, depth: opts.Depth})
 	if err != nil {
 		return chase.Unknown, nil, err
 	}
@@ -71,7 +63,7 @@ func (s *Session) refCheckPreliminary(ctx context.Context, tgds []ast.TGD, opts 
 		if err := eval.CtxErr(ctx); err != nil {
 			return chase.Unknown, nil, err
 		}
-		v, cex, err := refCheckTGD(ctx, e.prep, e.idb, nil, tau, chase.Budget{}, e.opts, s.Tally())
+		v, cex, err := refCheckTGD(ctx, e.prep, s.idb, nil, tau, chase.Budget{}, e.opts, s.Tally())
 		if err != nil {
 			return chase.Unknown, nil, err
 		}

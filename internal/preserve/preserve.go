@@ -45,12 +45,12 @@ func (c *Counterexample) String() string {
 }
 
 // Session holds one program prepared for repeated Fig. 3 / Section X
-// preservation checks. The prepared one-step evaluator Pⁿ, the per-depth
-// unfoldings, and the per-depth combination options are all computed once
-// and reused across tgds and candidate probes — the Section XI optimizer
-// asks the same program about many candidate tgds at many depths. A session
-// is for one program: the optimizer opens a fresh one, in the same lineage,
-// for each weakening it accepts.
+// preservation checks. The prepared one-step evaluator Pⁿ and one depth
+// entry per (condition, depth) probed are computed once and reused across
+// tgds and candidate probes — the Section XI optimizer asks the same program
+// about many candidate tgds at many depths. A session is for one program:
+// the optimizer opens a fresh one, in the same lineage, for each weakening
+// it accepts.
 //
 // A Session is not safe for concurrent use.
 type Session struct {
@@ -59,21 +59,29 @@ type Session struct {
 	// the base program and depth entries, plus the chase rounds run and facts
 	// derived by combination checks.
 	eval.Lineage
-	p    *ast.Program
-	prep *eval.Prepared
-	idb  map[string]bool
-	opts map[string][]option // combinationOptions(p, idb), lazily built
-
-	prelim  map[int]*depthEntry // CheckPreliminary entries, by depth
-	partial map[int]*depthEntry // Check (depth ≥ 2) entries, by depth
+	p       *ast.Program
+	prep    *eval.Prepared
+	idb     map[string]bool
+	entries map[entryKey]*depthEntry
 }
 
-// depthEntry is one prepared depth-k variant: the (unfolded or
-// initialization) program, its prepared evaluator, the idb/option tables
-// the combination walk needs, and whether the unfolding was complete.
+// entryKey names one depth entry: which condition it decides at which
+// depth (≥ 1).
+type entryKey struct {
+	prelim bool // condition (3′) of Section X; false is Fig. 3
+	depth  int
+}
+
+// depthEntry is one prepared variant of the session's program: the program
+// the combinations run (P itself for Fig. 3 at depth 1, its partial
+// unfolding deeper; the initialization rules or the depth-k unfolding for
+// (3′)), its prepared evaluator, the combination options drawn from it, and
+// whether the unfolding was complete. Every entry's intentional predicates
+// are the session's: an unfolding keeps P's heads, and an intentional atom
+// the initialization rules cannot produce makes a (3′) combination
+// impossible.
 type depthEntry struct {
 	prep     *eval.Prepared
-	idb      map[string]bool
 	opts     map[string][]option
 	complete bool
 }
@@ -96,8 +104,7 @@ func NewSessionIn(p *ast.Program, lin eval.Lineage) (*Session, error) {
 	s := &Session{
 		Lineage: lin,
 		idb:     p.IDBPredicates(),
-		prelim:  make(map[int]*depthEntry),
-		partial: make(map[int]*depthEntry),
+		entries: make(map[entryKey]*depthEntry),
 	}
 	prep, err := s.prepare(p)
 	if err != nil {
@@ -114,16 +121,6 @@ func (s *Session) prepare(p *ast.Program) (*eval.Prepared, error) {
 	return s.Prepare(p.CanonicalString(), func() (*eval.Prepared, error) {
 		return eval.Prepare(p)
 	})
-}
-
-// combOpts lazily builds the Fig. 3 combination options for the session
-// program: per intentional predicate, the producing rules plus the trivial
-// "already in d" option.
-func (s *Session) combOpts() map[string][]option {
-	if s.opts == nil {
-		s.opts = combinationOptions(s.p, s.idb)
-	}
-	return s.opts
 }
 
 // Options configures one preservation check — the consolidated form of the
@@ -169,38 +166,7 @@ func Check(p *ast.Program, tgds []ast.TGD, opts Options) (chase.Verdict, *Counte
 // tgd round, so a deadline aborts the combination walk promptly with an error
 // wrapping eval.ErrCanceled; cancellation never publishes a partial verdict.
 func (s *Session) Check(ctx context.Context, tgds []ast.TGD, opts Options) (chase.Verdict, *Counterexample, error) {
-	// Options for each intentional LHS atom: every rule of p with the
-	// right head predicate, plus the trivial rule Q(x̄) :- Q(x̄)
-	// (Section IX augments the program with trivial rules so that the
-	// combinations also cover "this atom was already in d").
-	prep, idb, combo := s.prep, s.idb, s.combOpts()
-	complete := true
-	if opts.Depth > 1 {
-		e, err := s.partialEntry(opts.Depth)
-		if err != nil {
-			return chase.Unknown, nil, err
-		}
-		prep, idb, combo, complete = e.prep, e.idb, e.opts, e.complete
-	}
-	verdict := chase.Yes
-	lowered := chase.LowerTGDs(tgds) // once per check, not per combination per round
-	for _, tau := range tgds {
-		if err := eval.CtxErr(ctx); err != nil {
-			return chase.Unknown, nil, err
-		}
-		v, cex, err := checkTGD(ctx, prep, idb, lowered, tau, opts.Budget, combo, s.Tally())
-		if err != nil {
-			return chase.Unknown, nil, err
-		}
-		if v == chase.No {
-			if !complete {
-				return chase.Unknown, cex, nil
-			}
-			return chase.No, cex, nil
-		}
-		verdict = verdict.And(v)
-	}
-	return verdict, nil, nil
+	return s.check(ctx, entryKey{depth: opts.Depth}, tgds, chase.LowerTGDs(tgds), opts.Budget)
 }
 
 // CheckPreliminary decides condition (3′) of Section X: for every EDB d,
@@ -223,94 +189,91 @@ func CheckPreliminary(p *ast.Program, tgds []ast.TGD, opts Options) (chase.Verdi
 // CheckPreliminary is the session form of the package-level
 // CheckPreliminary; the depth-k unfolded preliminary program is prepared
 // once per session and reused across candidate tgds; ctx cancels it like
-// Check.
+// Check. The first modification is the empty tgd set the loop applies to d
+// (with nothing to apply the first check decides, so the budget is moot).
 func (s *Session) CheckPreliminary(ctx context.Context, tgds []ast.TGD, opts Options) (chase.Verdict, *Counterexample, error) {
-	depth := opts.Depth
-	if depth < 1 {
-		depth = 1
-	}
-	e, err := s.prelimEntry(depth)
+	return s.check(ctx, entryKey{prelim: true, depth: opts.Depth}, tgds, chase.LowerTGDs(nil), chase.Budget{})
+}
+
+// check runs the Section IX loop for each tgd of T over entry k; between
+// checks the loop applies the set applied to each combination's d — T
+// itself for Fig. 3, nothing for (3′). A No from a truncated unfolding is
+// demoted to Unknown.
+func (s *Session) check(ctx context.Context, k entryKey, tgds []ast.TGD, applied *chase.TGDs, budget chase.Budget) (chase.Verdict, *Counterexample, error) {
+	e, err := s.entry(k)
 	if err != nil {
 		return chase.Unknown, nil, err
 	}
-	noTGDs := chase.LowerTGDs(nil) // d is any EDB: no tgd is applied to it
+	verdict := chase.Yes
 	for _, tau := range tgds {
 		if err := eval.CtxErr(ctx); err != nil {
 			return chase.Unknown, nil, err
 		}
-		v, cex, err := checkTGD(ctx, e.prep, e.idb, noTGDs, tau, chase.Budget{}, e.opts, s.Tally())
+		v, cex, err := checkTGD(ctx, e.prep, s.idb, applied, tau, budget, e.opts, s.Tally())
 		if err != nil {
 			return chase.Unknown, nil, err
 		}
 		if v == chase.No {
 			if !e.complete {
-				// The unfolding was truncated; the violation may be an
-				// artifact of the missing derivations.
+				// The violation may be an artifact of the missing derivations.
 				return chase.Unknown, cex, nil
 			}
 			return chase.No, cex, nil
 		}
+		verdict = verdict.And(v)
 	}
-	return chase.Yes, nil, nil
+	return verdict, nil, nil
 }
 
-// prelimEntry returns (building on first use) the prepared depth-k
-// preliminary-DB variant: depth 1 is the initialization program Pⁱ, deeper
-// entries unfold p to derivation depth k (Section X's closing remark).
-func (s *Session) prelimEntry(depth int) (*depthEntry, error) {
-	if e, ok := s.prelim[depth]; ok {
+// entry returns (building on first use) the depth entry of k.
+func (s *Session) entry(k entryKey) (*depthEntry, error) {
+	k.depth = max(k.depth, 1)
+	if e, ok := s.entries[k]; ok {
 		return e, nil
 	}
-	var init *ast.Program
-	complete := true
-	if depth <= 1 {
-		init = s.p.InitRules()
-	} else {
-		res, err := unfold.ToDepth(s.p, depth, 0)
-		if err != nil {
+	res, err := s.unfolding(k)
+	if err != nil {
+		return nil, err
+	}
+	q, prep := res.Program, s.prep
+	if q != s.p { // Fig. 3 at depth 1 runs on the session's plan: no lookup
+		if prep, err = s.prepare(q); err != nil {
 			return nil, err
 		}
-		init, complete = res.Program, res.Complete
 	}
-	prep, err := s.prepare(init)
-	if err != nil {
-		return nil, err
-	}
-	e := &depthEntry{prep: prep, idb: s.idb, opts: prelimOptions(init), complete: complete}
-	s.prelim[depth] = e
-	return e, nil
-}
-
-// prelimOptions builds the combination options of a preliminary program:
-// producing rules only, no trivial options (an EDB has no ground atoms of
-// intentional predicates).
-func prelimOptions(init *ast.Program) map[string][]option {
+	// Options for each intentional LHS atom: every rule of q with the right
+	// head predicate, plus for Fig. 3 the trivial rule Q(x̄) :- Q(x̄) (Section
+	// IX augments the program with trivial rules so that the combinations
+	// also cover "this atom was already in d"; the second modification drops
+	// them for (3′): an EDB has no ground atoms of intentional predicates).
 	opts := make(map[string][]option)
-	for _, r := range init.Rules {
+	for _, r := range q.Rules {
 		opts[r.Head.Pred] = append(opts[r.Head.Pred], option{rule: r})
 	}
-	return opts
+	if !k.prelim {
+		for pred := range s.idb {
+			opts[pred] = append(opts[pred], option{trivial: true})
+		}
+	}
+	e := &depthEntry{prep: prep, opts: opts, complete: res.Complete}
+	s.entries[k] = e
+	return e, nil
 }
 
-// partialEntry returns (building on first use) the prepared depth-k
-// partially unfolded variant Q with Qⁿ(d) = k rounds of P.
-func (s *Session) partialEntry(depth int) (*depthEntry, error) {
-	if e, ok := s.partial[depth]; ok {
-		return e, nil
+// unfolding returns the program entry k runs. Fig. 3 at depth 1 runs the
+// session's own program; deeper, the partial unfolding Q with Qⁿ(d) = k
+// rounds of P. Condition (3′) runs the initialization rules Pⁱ at depth 1
+// and the depth-k unfolding deeper (Section X's closing remark).
+func (s *Session) unfolding(k entryKey) (unfold.Result, error) {
+	switch {
+	case !k.prelim && k.depth == 1:
+		return unfold.Result{Program: s.p, Complete: true}, nil
+	case !k.prelim:
+		return unfold.Partial(s.p, k.depth)
+	case k.depth == 1:
+		return unfold.Result{Program: s.p.InitRules(), Complete: true}, nil
 	}
-	res, err := unfold.Partial(s.p, depth, 0)
-	if err != nil {
-		return nil, err
-	}
-	q := res.Program
-	prep, err := s.prepare(q)
-	if err != nil {
-		return nil, err
-	}
-	idb := q.IDBPredicates()
-	e := &depthEntry{prep: prep, idb: idb, opts: combinationOptions(q, idb), complete: res.Complete}
-	s.partial[depth] = e
-	return e, nil
+	return unfold.ToDepth(s.p, k.depth)
 }
 
 // option is one way to account for an intentional LHS atom: a producing
@@ -318,19 +281,6 @@ func (s *Session) partialEntry(depth int) (*depthEntry, error) {
 type option struct {
 	rule    ast.Rule
 	trivial bool
-}
-
-// combinationOptions returns, per intentional predicate, the rules of p
-// with that head plus the trivial option.
-func combinationOptions(p *ast.Program, idb map[string]bool) map[string][]option {
-	opts := make(map[string][]option)
-	for _, r := range p.Rules {
-		opts[r.Head.Pred] = append(opts[r.Head.Pred], option{rule: r})
-	}
-	for pred := range idb {
-		opts[pred] = append(opts[pred], option{trivial: true})
-	}
-	return opts
 }
 
 // checkTGD enumerates all combinations for tau against the prepared
@@ -489,7 +439,7 @@ func visitCombination(tau ast.TGD, intAtoms, extAtoms []ast.Atom, opts map[strin
 		collect(asgs[i].body)
 	}
 
-	gen := ast.NewFrozenGen(0)
+	gen := ast.NewFrozenGen()
 	theta := ast.FreezeVars(freezeList, gen)
 
 	d := db.New()

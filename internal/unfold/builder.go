@@ -30,7 +30,6 @@ type node struct {
 // builder is the state of one unfolding run; it owns its intern table.
 type builder struct {
 	kind     int
-	maxRules int
 	idb      map[string]bool
 	nodes    []node
 	keys     map[string]struct{}
@@ -40,10 +39,9 @@ type builder struct {
 	counter  int // rename-apart tag for candidate substitution
 }
 
-func newBuilder(p *ast.Program, depth, maxRules, kind int) *builder {
+func newBuilder(p *ast.Program, depth, kind int) *builder {
 	return &builder{
 		kind:     kind,
-		maxRules: maxRules,
 		idb:      p.IDBPredicates(),
 		keys:     make(map[string]struct{}),
 		byPred:   make(map[string][]int32),
@@ -117,7 +115,7 @@ func (b *builder) add(r ast.Rule, layer int32) {
 	b.byPred[pred] = append(b.byPred[pred], int32(len(b.nodes)))
 	b.nodes = append(b.nodes, node{rule: canon, key: key, height: layer})
 	b.perLayer[layer]++
-	if len(b.nodes) > b.maxRules {
+	if len(b.nodes) > maxRules {
 		b.overCap = true
 	}
 }

@@ -38,7 +38,7 @@ func renamedPermuted(p *ast.Program, rng *rand.Rand) *ast.Program {
 func TestCompleteUnfoldingIsContentAddressed(t *testing.T) {
 	kinds := []struct {
 		name  string
-		build func(*ast.Program, int, int) (unfold.Result, error)
+		build func(*ast.Program, int) (unfold.Result, error)
 	}{
 		{"ToDepth", unfold.ToDepth},
 		{"Partial", unfold.Partial},
@@ -64,11 +64,11 @@ func TestCompleteUnfoldingIsContentAddressed(t *testing.T) {
 		twin := renamedPermuted(p, rng)
 		for _, kind := range kinds {
 			for depth := 1; depth <= 3; depth++ {
-				res, err := kind.build(p, depth, 0)
+				res, err := kind.build(p, depth)
 				if err != nil {
 					t.Fatal(err)
 				}
-				got, err := kind.build(twin, depth, 0)
+				got, err := kind.build(twin, depth)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -16,7 +16,7 @@ import (
 
 func TestDepth1IsInitRules(t *testing.T) {
 	p := workload.TransitiveClosure()
-	res, err := unfold.ToDepth(p, 1, 0)
+	res, err := unfold.ToDepth(p, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +32,7 @@ func TestDepth1IsInitRules(t *testing.T) {
 
 func TestUnfoldedBodiesAreExtensional(t *testing.T) {
 	p := workload.TransitiveClosure()
-	res, err := unfold.ToDepth(p, 3, 0)
+	res, err := unfold.ToDepth(p, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestUnfoldingMatchesKRounds(t *testing.T) {
 			n := 3 + rng.Intn(5)
 			edb := workload.RandomDigraph(edbPred, n, 2*n, int64(trial))
 			for k := 1; k <= 3; k++ {
-				res, err := unfold.ToDepth(p, k, 0)
+				res, err := unfold.ToDepth(p, k)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -111,7 +111,7 @@ func TestUnfoldWithConstantsInHeads(t *testing.T) {
 		G(x, 3) :- A(x).
 		H(x, z) :- G(x, z), B(z).
 	`)
-	res, err := unfold.ToDepth(p, 2, 0)
+	res, err := unfold.ToDepth(p, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,23 +137,24 @@ func TestUnfoldWithConstantsInHeads(t *testing.T) {
 }
 
 func TestTruncationReported(t *testing.T) {
-	// Doubling TC explodes; a tiny cap must report incompleteness.
+	// Doubling TC explodes: its depth-7 unfolding passes the rule cap and
+	// must report incompleteness.
 	p := workload.TransitiveClosure()
-	res, err := unfold.ToDepth(p, 6, 4)
+	res, err := unfold.ToDepth(p, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Complete {
-		t.Fatal("tiny cap reported complete")
+		t.Fatalf("a capped unfolding of %d rules reported complete", len(res.Program.Rules))
 	}
 }
 
 func TestErrors(t *testing.T) {
-	if _, err := unfold.ToDepth(workload.TransitiveClosure(), 0, 0); err == nil {
+	if _, err := unfold.ToDepth(workload.TransitiveClosure(), 0); err == nil {
 		t.Fatal("depth 0 accepted")
 	}
 	neg := parser.MustParseProgram(`P(x) :- A(x), !B(x).`)
-	if _, err := unfold.ToDepth(neg, 2, 0); err == nil {
+	if _, err := unfold.ToDepth(neg, 2); err == nil {
 		t.Fatal("negation accepted")
 	}
 }

@@ -58,6 +58,11 @@ var guards = []struct {
 		{forbid(names, `^(Patch|PatchDelete|Patchable|ErrUnpatchable|cloneFor\w*|expandFrontier|edgeSeen)$`, in("internal/unfold")), []string{"internal/unfold/planted.go: func (u *Unfolding) Patch() {}"}},
 		{forbid(decls, `^\w+\.Derive\(`, in("internal/preserve")), []string{"internal/preserve/planted.go: func (s *Session) Derive() {}"}},
 	}},
+	{"one-preservation", "Sections IX–XI are decided once each: internal/preserve calls checkTGD once, from the one loop over its keyed depth cache; equivopt.Properties alone decides Section XI's properties for the optimizer and datalog vet; and the unfolding cap is internal/unfold's constant, no caller's parameter", []rule{
+		{once(callees, in("internal/preserve"), `^checkTGD$`), []string{"internal/preserve/planted.go: func (s *Session) f() { checkTGD(ctx, e.prep, s.idb, nil, tau, chase.Budget{}, e.opts, s.Tally()) }"}},
+		{forbid(decls, `^(\w+\.)?(prelimEntry|partialEntry|prelimOptions|combOpts|checkProperties|tgdProblems)\(`, in("internal")), []string{"internal/preserve/planted.go: func (s *Session) prelimEntry(depth int) (*depthEntry, error) { return nil, nil }", "internal/analysis/planted.go: func tgdProblems(t ast.TGD, r ast.Rule, lhsIdx, rhsIdx []int) []string { return nil }"}},
+		{forbid(decls, `^(ToDepth|Partial)\([^)]*,[^)]*,`, in("internal/unfold")), []string{"internal/unfold/planted.go: func ToDepth(p *ast.Program, k, maxRules int) (Result, error) { return Result{}, nil }", "internal/unfold/planted.go: func Partial(p *ast.Program, k int, maxRules int) (Result, error) { return Result{}, nil }"}},
+	}},
 	{"no-ablation-arm", "paths that lost their own benchmark stay deleted: internal/cq, supplementary magic, an exported Checker.Disable switch and minimize's noFastPath", []rule{
 		{forbid(decls, `.`, in("internal/cq").withTests()), []string{"internal/cq/planted.go: func Contains() {}"}},
 		{forbid(names, `Supplementary|sup@`, in("internal/magic")), []string{"internal/magic/planted.go: func RewriteSupplementary() {}", `internal/magic/planted.go: const prefix = "sup@"`}},
