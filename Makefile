@@ -30,22 +30,25 @@ datalog-vet:
 test:
 	$(GO) test ./...
 
-# fuzz-short runs each fuzz target of the two layers every program passes
-# through first for a few seconds: the parser (no panic, positions in source
+# fuzz-short runs each fuzz target for a few seconds: the two layers every
+# program passes through first — the parser (no panic, positions in source
 # order, print/parse round trip, and every result and error held to the
 # rune-at-a-time reference parser kept in its tests, for whole sources and
 # for the one-atom queries) and the canonical rendering (the address of
 # the plan cache and the verdict store; held byte for byte to a map-based
-# reference renderer), the 2Q cache both memos are built on (random
-# lookups and stores replayed against a slice-based reference 2Q), and the
+# reference renderer) —, the 2Q cache both memos are built on (random
+# lookups and stores replayed against a slice-based reference 2Q), the
 # [P, T] chase loop (a drawn program, tgd set, start database and budget,
-# held to the reference loops kept in internal/chase/loop_test.go).
+# held to the reference loops kept in internal/chase/loop_test.go), and the
+# maintained view (a drawn oracle program, seed and batch bound: every
+# Apply's output, input, stamps, support and Diff held to re-evaluation).
 fuzz-short:
 	$(GO) test -run='^$$' -fuzz='^FuzzParse$$' -fuzztime=10s ./internal/parser
 	$(GO) test -run='^$$' -fuzz='^FuzzParseAtom$$' -fuzztime=10s ./internal/parser
 	$(GO) test -run='^$$' -fuzz='^FuzzCanonicalRule$$' -fuzztime=10s ./internal/ast
 	$(GO) test -run='^$$' -fuzz='^FuzzCache$$' -fuzztime=10s ./internal/twoq
 	$(GO) test -run='^$$' -fuzz='^FuzzChase$$' -fuzztime=10s ./internal/chase
+	$(GO) test -run='^$$' -fuzz='^FuzzMaintain$$' -fuzztime=10s ./internal/eval
 
 race:
 	$(GO) test -race ./...
@@ -82,11 +85,14 @@ bench:
 bench-shapes:
 	$(GO) test -run='^$$' -bench='^BenchmarkEvalShapes$$' -benchmem -count=5 .
 
-# bench-maintain runs BenchmarkMaintain_DRed alone: delete-rederive on four
-# maintained-view scripts, ns/op, allocs/op and overdeleted/op per arm, so a
-# change to view maintenance can be priced without the full bench.
+# bench-maintain runs the view-maintenance families alone —
+# BenchmarkMaintain_DRed (delete-rederive on four maintained-view scripts:
+# ns/op, allocs/op and overdeleted/op per arm) and
+# BenchmarkSmallTenantEvalVsApply — so a change to view maintenance can be
+# priced without the full bench, and replaces their rows, and only theirs, in
+# BENCH_eval.json (benchjson -merge).
 bench-maintain:
-	$(GO) test -run='^$$' -bench='^BenchmarkMaintain_DRed$$' -benchmem -count=5 .
+	$(GO) test -run='^$$' -bench='^(BenchmarkMaintain_DRed|BenchmarkSmallTenantEvalVsApply)$$' -benchmem -benchtime=$(BENCHTIME) -count=5 . | tee /dev/stderr | $(GO) run ./cmd/benchjson -merge -o BENCH_eval.json
 
 bench-all:
 	$(GO) test -bench=. -benchmem .

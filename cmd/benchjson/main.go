@@ -2,7 +2,9 @@
 // stdin into a JSON report (harness.Record), so the performance trajectory
 // of the eval/chase hot paths can be tracked as a checked-in artifact (see
 // `make bench`, which writes BENCH_eval.json). Each benchmark's N samples
-// fold into one row: the median with its quartiles.
+// fold into one row: the median with its quartiles. With -merge the record
+// at -o is kept and only the rows parsed replace theirs, a new one appended
+// (`make bench-maintain` re-records its families this way).
 package main
 
 import (
@@ -22,16 +24,20 @@ import (
 
 func main() {
 	out := flag.String("o", "", "output file (default stdout)")
+	merge := flag.Bool("merge", false, "replace only the parsed rows of the record at -o")
 	flag.Parse()
 
 	rep, err := parse(os.Stdin)
+	// benchjson runs in the same `make bench` invocation as the benchmarks,
+	// so its toolchain is theirs.
+	rep.GoVersion = runtime.Version()
+	if err == nil && *merge {
+		rep, err = mergeInto(*out, rep)
+	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
 	}
-	// benchjson runs in the same `make bench` invocation as the benchmarks,
-	// so its toolchain is theirs.
-	rep.GoVersion = runtime.Version()
 
 	enc, err := json.MarshalIndent(rep, "", "  ")
 	if err != nil {
@@ -48,6 +54,34 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Fprintf(os.Stderr, "benchjson: wrote %d benchmarks to %s\n", len(rep.Benchmarks), *out)
+}
+
+// mergeInto returns the record stored at path with each row of rep in place
+// of the row of its name, or appended when it has none; every other row, and
+// the record's header, stay as stored. rep must come from runs at the
+// record's GOMAXPROCS and toolchain, or its rows would not compare with the
+// others.
+func mergeInto(path string, rep harness.Record) (harness.Record, error) {
+	var rec harness.Record
+	data, err := os.ReadFile(path)
+	if err == nil {
+		err = json.Unmarshal(data, &rec)
+	}
+	switch {
+	case err != nil:
+		return rec, fmt.Errorf("-merge: %w", err)
+	case rec.GoMaxProcs != rep.GoMaxProcs || rec.GoVersion != rep.GoVersion:
+		return rec, fmt.Errorf("-merge: the rows ran at GOMAXPROCS %d under %s, %s holds %d under %s",
+			rep.GoMaxProcs, rep.GoVersion, path, rec.GoMaxProcs, rec.GoVersion)
+	}
+	for _, row := range rep.Benchmarks {
+		if i := slices.IndexFunc(rec.Benchmarks, func(r harness.Row) bool { return r.Name == row.Name }); i >= 0 {
+			rec.Benchmarks[i] = row
+		} else {
+			rec.Benchmarks = append(rec.Benchmarks, row)
+		}
+	}
+	return rec, nil
 }
 
 // parse reads `go test -bench` output. go test appends -GOMAXPROCS to every

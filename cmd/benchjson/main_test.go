@@ -1,9 +1,15 @@
 package main
 
 import (
+	"encoding/json"
 	"fmt"
+	"os"
+	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
+
+	"repro/internal/harness"
 )
 
 func TestParseProcsSuffix(t *testing.T) {
@@ -90,5 +96,58 @@ func TestParseFoldsSamples(t *testing.T) {
 	}
 	if got := b.Cell(); got != "300ns ±33%" {
 		t.Errorf("Cell() = %q", got)
+	}
+}
+
+// TestMergeReplacesOnlyParsedRows: -merge keeps the stored record — its
+// header and every row it was not handed, byte for byte — puts each parsed
+// row in place of the row of its name, appends a new name, and refuses rows
+// measured at another GOMAXPROCS.
+func TestMergeReplacesOnlyParsedRows(t *testing.T) {
+	stored := harness.Record{Goos: "linux", CPU: "stored cpu", GoVersion: runtime.Version(), GoMaxProcs: 2, Benchmarks: []harness.Row{
+		{Name: "BenchmarkA", Samples: 5, Runs: 10, NsPerOp: 1.5, NsQ1: 1, NsQ3: 2, AllocsPerOp: 3, Extra: map[string]float64{"x/op": 0.25}},
+		{Name: "BenchmarkB", Samples: 5, Runs: 20, NsPerOp: 900, NsQ1: 800, NsQ3: 1000},
+		{Name: "BenchmarkC", Samples: 5, Runs: 30, NsPerOp: 7, NsQ1: 7, NsQ3: 7},
+	}}
+	path := filepath.Join(t.TempDir(), "BENCH.json")
+	data, err := json.MarshalIndent(stored, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	rep, err := parse(strings.NewReader("cpu: other cpu\nBenchmarkB-2  40  500 ns/op  8 B/op  1 allocs/op\nBenchmarkD-2  50  60 ns/op\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep.GoVersion = runtime.Version()
+	merged, err := mergeInto(path, rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc := func(v any) string {
+		b, err := json.MarshalIndent(v, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	var names []string
+	for _, r := range merged.Benchmarks {
+		names = append(names, r.Name)
+	}
+	if got := strings.Join(names, " "); got != "BenchmarkA BenchmarkB BenchmarkC BenchmarkD" {
+		t.Fatalf("rows %s", got)
+	}
+	if merged.CPU != "stored cpu" || enc(merged.Benchmarks[0]) != enc(stored.Benchmarks[0]) || enc(merged.Benchmarks[2]) != enc(stored.Benchmarks[2]) {
+		t.Errorf("the header or an unparsed row changed: %s", enc(merged))
+	}
+	if b := merged.Benchmarks[1]; b.Runs != 40 || b.NsPerOp != 500 || b.AllocsPerOp != 1 {
+		t.Errorf("BenchmarkB not replaced: %+v", b)
+	}
+	rep.GoMaxProcs = 4
+	if _, err := mergeInto(path, rep); err == nil {
+		t.Error("rows at GOMAXPROCS 4 merged into a record at 2")
 	}
 }

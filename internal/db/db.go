@@ -278,43 +278,33 @@ func (d *Database) Facts() []ast.GroundAtom {
 	for _, p := range d.Preds() {
 		r := d.rels[p]
 		for i := 0; i < r.Len(); i++ {
-			if !r.Alive(i) {
-				continue
+			if r.Alive(i) {
+				out = append(out, ast.GroundAtom{Pred: p, Args: slices.Clone(r.Tuple(i))})
 			}
-			t := r.Tuple(i)
-			args := make([]ast.Const, len(t))
-			copy(args, t)
-			out = append(out, ast.GroundAtom{Pred: p, Args: args})
 		}
 	}
 	return out
 }
 
-// SortedIDs appends to buf the ids of r's live tuples in canonical order —
-// ascending by arguments, compared constant by constant — and returns it.
-// It is an LSD radix sort on keys extracted from the arena: columns last to
-// first, each a stable counting pass per key byte that varies among the ids
-// (a batch of small constants sorts in a pass or two a column). A key is the
-// constant with its sign bit flipped, so unsigned byte order is the signed
-// order of ast.Const. No tuple is materialized. Ids already in canonical
-// order — what a set committed in that order holds — cost one comparison per
-// adjacent pair and no pass.
-func (r *Relation) SortedIDs(buf []int32) []int32 {
-	buf = buf[:0]
-	for i := 0; i < r.Len(); i++ {
-		if r.Alive(i) {
-			buf = append(buf, int32(i))
-		}
-	}
-	n, k := len(buf), 1
-	for k < n && slices.Compare(r.Tuple(int(buf[k-1])), r.Tuple(int(buf[k]))) < 0 {
+// SortIDs sorts ids, live ids of r, into canonical order — ascending by
+// arguments, compared constant by constant — in place. It is an LSD radix
+// sort on keys extracted from the arena: columns last to first, each a stable
+// counting pass per key byte that varies among the ids (a batch of small
+// constants sorts in a pass or two a column). A key is the constant with its
+// sign bit flipped, so unsigned byte order is the signed order of ast.Const.
+// No tuple is materialized. Ids already in canonical order — what a set
+// committed in that order holds — cost one comparison per adjacent pair and
+// no pass.
+func (r *Relation) SortIDs(ids []int32) {
+	n, k := len(ids), 1
+	for k < n && slices.Compare(r.Tuple(int(ids[k-1])), r.Tuple(int(ids[k]))) < 0 {
 		k++
 	}
 	if k >= n {
-		return buf
+		return
 	}
 	keys := make([]uint64, 2*n)
-	src, dst := buf, make([]int32, n)
+	src, dst := ids, make([]int32, n)
 	ks, kd := keys[:n], keys[n:]
 	for col := r.arity - 1; col >= 0; col-- {
 		var varies uint64 // the key bits that differ from the first id's
@@ -342,26 +332,7 @@ func (r *Relation) SortedIDs(buf []int32) []int32 {
 			src, dst, ks, kd = dst, src, kd, ks
 		}
 	}
-	return append(buf[:0], src...)
-}
-
-// SortedFacts returns every ground atom in canonical order: by predicate
-// name, then by arguments (SortedIDs). The atoms of one relation share one
-// backing array.
-func (d *Database) SortedFacts() []ast.GroundAtom {
-	out := make([]ast.GroundAtom, 0, d.size)
-	var ids []int32
-	for _, p := range d.Preds() {
-		r := d.rels[p]
-		ids = r.SortedIDs(ids)
-		args := make([]ast.Const, 0, len(ids)*r.arity)
-		for _, id := range ids {
-			n := len(args)
-			args = append(args, r.Tuple(int(id))...)
-			out = append(out, ast.GroundAtom{Pred: p, Args: args[n:len(args):len(args)]})
-		}
-	}
-	return out
+	copy(ids, src)
 }
 
 // Consts returns the set of constants appearing in the database.

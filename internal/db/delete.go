@@ -64,9 +64,11 @@ func (r *Relation) Dead() int { return r.ndead }
 // one count per bitmap word. Each maximal run of live ids within one stamp
 // run is one copy of the arena; round stamps keep their values (dropping
 // elements preserves the non-decreasing order). The dedup table is refilled
-// from the old tables' words and every column index either tier had is built
-// afresh. The relation must be private. It returns the number of tuples
-// copied.
+// from the old tables' words. Every column index either tier had is rebuilt
+// in id order, so its chains probe as before, at its final size — a live
+// tuple's key is a key of its tier's index, so the tiers' key counts bound
+// it — and the rebuilt set is published once. The relation must be private.
+// It returns the number of tuples copied.
 func (r *Relation) flatten() int {
 	if r.shared {
 		panic("db: flatten of a shared relation")
@@ -115,7 +117,7 @@ func (r *Relation) flatten() int {
 	// visits the new table near-sequentially where a walk by id probes it at
 	// random.
 	dedup := make([]uint64, dedupSize(live+1))
-	var indexed [][]int
+	var set indexSet // one index per mask, keys the tiers' key counts summed
 	for _, s := range tiers {
 		if s == nil {
 			continue
@@ -128,19 +130,25 @@ func (r *Relation) flatten() int {
 			nw := slotWord(w, renum(slotID(w)))
 			dedup[place(dedup, nw)] = nw
 		}
-		if set := s.indexes.Load(); set != nil {
-			for _, ix := range set.idxs {
-				indexed = append(indexed, ix.cols)
+		if old := s.indexes.Load(); old != nil {
+			for _, ix := range old.idxs {
+				if nix := set.find(ColMask(ix.cols)); nix != nil {
+					nix.keys += ix.keys
+				} else {
+					set.masks, set.idxs = append(set.masks, ColMask(ix.cols)), append(set.idxs, &colIndex{cols: ix.cols, keys: ix.keys})
+				}
 			}
 		}
 	}
 	r.base = nil
 	s := &r.seg
 	s.off, s.n, s.data, s.runs, s.dedup = 0, live, data, runs, dedup
-	s.indexes.Store(nil)
-	for _, cols := range indexed {
-		s.ensureIndexLocked(ColMask(cols), cols, false) // a repeat finds it built
+	for _, ix := range set.idxs {
+		size := dedupSize(min(ix.keys, live))
+		ix.slots, ix.tails, ix.next, ix.keys = make([]uint64, size), make([]int32, size), make([]int32, 0, live), 0
+		ix.extend(s)
 	}
+	s.indexes.Store(&set)
 	r.dead, r.ndead = nil, 0
 	return live
 }
@@ -192,6 +200,18 @@ func (d *Database) Remove(g ast.GroundAtom) bool {
 
 // RemoveTuple deletes args as a tuple of pred, returning true if present.
 func (d *Database) RemoveTuple(pred string, args []ast.Const) bool {
+	id, present := d.rels[pred].LookupID(args)
+	if !present {
+		id = -1 // an absent tuple must not cost a shared relation its copy
+	}
+	return d.RemoveID(pred, id)
+}
+
+// RemoveID deletes pred's tuple id, returning true if it was live. Ids are a
+// relation's until a freeze flattens it: a copy-on-write successor keeps
+// every id of the version it was thawed from, so an id read from a snapshot
+// removes the same tuple from the database thawed from it.
+func (d *Database) RemoveID(pred string, id int32) bool {
 	if d.frozen {
 		panic("db: write to a frozen database (stage changes through Snapshot.Thaw)")
 	}
@@ -199,15 +219,11 @@ func (d *Database) RemoveTuple(pred string, args []ast.Const) bool {
 	if r == nil || pred != d.lastPred {
 		r = d.rels[pred]
 	}
-	if r == nil || r.arity != len(args) {
+	if r == nil || id < 0 || int(id) >= r.Len() || !r.Alive(int(id)) {
 		return false
 	}
-	id, present := r.lookupID(args)
-	if !present {
-		return false // before writable: an absent tuple must not cost a shared relation its copy
-	}
 	r = d.writable(pred, r)
-	r.remove(id) // a successor keeps every id
+	r.remove(id)
 	d.lastPred, d.last, d.size = pred, r, d.size-1
 	return true
 }

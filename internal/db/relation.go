@@ -95,7 +95,11 @@ type indexSet struct {
 	idxs  []*colIndex
 }
 
+// find returns the index under mask, or nil; s may be nil.
 func (s *indexSet) find(mask uint64) *colIndex {
+	if s == nil {
+		return nil
+	}
 	for i, m := range s.masks {
 		if m == mask {
 			return s.idxs[i]
@@ -269,12 +273,7 @@ func (s *segment) hashProj(id int32, cols []int) uint64 {
 
 func (s *segment) tupleEqual(id int32, args []ast.Const) bool {
 	base := int(id-s.off) * s.arity
-	for j, v := range args {
-		if s.data[base+j] != v {
-			return false
-		}
-	}
-	return true
+	return slices.Equal(s.data[base:base+len(args)], args)
 }
 
 func (s *segment) projEqual(id int32, cols []int, key []ast.Const) bool {
@@ -440,9 +439,7 @@ func (r *Relation) insert(args []ast.Const, round int32) bool {
 // chase, equivopt) from rebuilding them on the first probe of every copy.
 func (s *segment) cloneInto(dst *segment) {
 	dst.arity, dst.off, dst.n = s.arity, s.off, s.n
-	dst.data = append([]ast.Const(nil), s.data...)
-	dst.runs = append([]run(nil), s.runs...)
-	dst.dedup = append([]uint64(nil), s.dedup...)
+	dst.data, dst.runs, dst.dedup = slices.Clone(s.data), slices.Clone(s.runs), slices.Clone(s.dedup)
 	if set := s.indexes.Load(); set != nil {
 		ns := &indexSet{masks: append([]uint64(nil), set.masks...)}
 		ns.idxs = make([]*colIndex, len(set.idxs))
@@ -479,14 +476,9 @@ func (r *Relation) successor() (*Relation, int) {
 }
 
 func (ix *colIndex) clone() *colIndex {
-	return &colIndex{
-		cols:  append([]int(nil), ix.cols...),
-		slots: append([]uint64(nil), ix.slots...),
-		tails: append([]int32(nil), ix.tails...),
-		keys:  ix.keys,
-		next:  append([]int32(nil), ix.next...),
-		built: ix.built,
-	}
+	c := *ix // cols never change: the copy shares them
+	c.slots, c.tails, c.next = slices.Clone(ix.slots), slices.Clone(ix.tails), slices.Clone(ix.next)
+	return &c
 }
 
 // ColMask packs a column set into a bitmask identifying an index.
@@ -620,50 +612,35 @@ func (s *segment) ensureIndexLocked(mask uint64, cols []int, shared bool) *colIn
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	set := s.indexes.Load()
-	var ix *colIndex
-	if set != nil {
-		ix = set.find(mask)
-	}
-	if ix == nil {
-		cc := make([]int, len(cols))
-		copy(cc, cols)
-		ix = &colIndex{cols: cc}
+	ix := set.find(mask)
+	switch {
+	case ix == nil:
+		ix = &colIndex{cols: slices.Clone(cols)}
+	case ix.built == s.n:
+		return ix
+	case !shared:
 		ix.extend(s)
-		ns := &indexSet{}
-		if set != nil {
-			ns.masks = append(ns.masks, set.masks...)
-			ns.idxs = append(ns.idxs, set.idxs...)
-		}
-		ns.masks = append(ns.masks, mask)
-		ns.idxs = append(ns.idxs, ix)
-		s.indexes.Store(ns)
 		return ix
-	}
-	if ix.built == s.n {
-		return ix
-	}
-	if shared {
+	default:
 		// Copy-on-extend: a published index on a shared segment is probed
 		// lock-free by any number of snapshot readers, so it must stay
 		// immutable. Extend a private clone and republish the index set;
 		// readers holding the old set keep a consistent (merely shorter)
 		// view, and the segment never grows again once shared, so this
 		// happens at most once per stale index.
-		nix := ix.clone()
-		nix.extend(s)
-		ns := &indexSet{
-			masks: append([]uint64(nil), set.masks...),
-			idxs:  append([]*colIndex(nil), set.idxs...),
-		}
-		for i, m := range ns.masks {
-			if m == mask {
-				ns.idxs[i] = nix
-			}
-		}
-		s.indexes.Store(ns)
-		return nix
+		ix = ix.clone()
 	}
 	ix.extend(s)
+	ns := &indexSet{}
+	if set != nil {
+		ns.masks, ns.idxs = slices.Clone(set.masks), slices.Clone(set.idxs)
+	}
+	if i := slices.Index(ns.masks, mask); i >= 0 {
+		ns.idxs[i] = ix
+	} else {
+		ns.masks, ns.idxs = append(ns.masks, mask), append(ns.idxs, ix)
+	}
+	s.indexes.Store(ns)
 	return ix
 }
 
@@ -673,10 +650,7 @@ func (s *segment) ensureIndexLocked(mask uint64, cols []int, shared bool) *colIn
 // round stamps are non-decreasing) it is a lock-free read; otherwise the
 // index is built or extended under the segment lock first.
 func (s *segment) indexFor(mask uint64, cols []int, maxRound int32, shared bool) *colIndex {
-	var ix *colIndex
-	if set := s.indexes.Load(); set != nil {
-		ix = set.find(mask)
-	}
+	ix := s.indexes.Load().find(mask)
 	if ix == nil || ix.built < s.lenAt(maxRound) {
 		ix = s.ensureIndexLocked(mask, cols, shared)
 	}

@@ -11,54 +11,32 @@ import (
 	"repro/internal/db"
 )
 
-// Fact-level incremental view maintenance: a Maintained view keeps
-// out = P(input) up to date under mixed assert/retract batches without
-// re-evaluating from scratch.
+// Fact-level incremental view maintenance (DESIGN.md §6.7): a Maintained
+// view keeps out = P(input) up to date under mixed assert/retract batches.
 //
 // One algorithm maintains every schedule unit: DRed (delete-rederive). A head
 // fact becomes a candidate once it lost its place in the input or a
 // derivation of it (against the old frozen output) lost a support — a
 // removed positive premise, an added negated fact or a fact an earlier pass
 // deleted — and is over-deleted unless it is an input fact or keeps a
-// supporting firing (supported, in dredUnit). The over-deleted facts the
-// surviving view derives in one step are restored, and the ordinary
-// semi-naive insertion loop closes over the asserted side.
+// supporting firing. How much of that runs follows from the unit's shape,
+// the planner's streamable flag. A recursive unit reads its own heads: a
+// firing supports a fact only if the round stamps certify it ("Stamps"
+// below), over-deletion repeats over each pass's deletions, the over-deleted
+// facts the surviving view derives in one step are restored, and the
+// semi-naive insertion loop closes over the asserted side. A non-recursive
+// unit's premises come from lower units, already final: any firing valid in
+// the new state supports a fact, one pass over-deletes, a deleted fact has no
+// firing left to restore it, and staging — the firings a removed negated
+// fact enabled or a lower addition leads — is its whole insertion side.
 //
-// How much of that runs follows from the unit's shape, the planner's
-// streamable flag:
-//
-//   - A recursive unit reads its own heads. A firing supports a fact only if
-//     the round stamps certify it: every premise survives and is stamped
-//     strictly below the fact ("Stamps" below). Over-deletion repeats over
-//     each pass's deletions until a pass deletes nothing; then restore runs.
-//   - A non-recursive unit reads none of its heads, so every premise comes
-//     from a lower unit that is already final. Any firing valid in the new
-//     state supports the fact: no stamp walk. The unit's deletions are no
-//     premise of its own firings: over-deletion is one pass. A deleted fact
-//     has no firing valid in the new state: nothing is restored. The only
-//     firings that can bring it back are those a removed negated fact
-//     enabled, and staging finds them. Staging also runs the variants led by
-//     the lower additions, so it is the unit's whole insertion side: there
-//     is no insertion loop.
-//
-// Every enumeration above is the operator pipeline (stream.go) running an
-// ordinary rule variant under a change-set span: operator 0 scans a small
-// set of changed facts, the rest of the body and every negated literal read
-// one database. A firing valid in that database that touches the change set
-// is found by the variant led by each changed atom it uses; every sink
-// records heads in a set, or marks them by id, so a firing found twice counts
-// once. The variants are lowered once per schedule unit (maintPlan) and
-// shared by every view of the plan; the head-led ones the support check and
-// restore run are ordered per Apply from the view's live sizes, each order
-// lowered once per plan (ruleVariants.sizedRederive). Sinks only buffer, and
-// what they buffer is committed after the run, so no pipeline reads a
-// database being written.
-//
-// Units run in producer-first order, and each is handed the exact net diff
-// of everything below it, which is what makes stratified negation work: an
-// assertion below can retract facts above (candidates driven by the negated
-// atom's delta) and a retraction below can assert facts above (staged
-// firings driven by the negated atom's removal).
+// Every enumeration is the operator pipeline (stream.go) running a rule
+// variant, lowered once per unit (maintPlan), under a change-set span:
+// operator 0 scans ids of a relation the Apply holds (maintSets), the rest
+// of the body and every negated literal read one database. Sinks only record
+// ids or stage facts, committed after the run, so no pipeline reads a
+// database being written. Units run in producer-first order, each handed the
+// exact net diff below it, which is what makes stratified negation work.
 //
 // Stamps: every fact of a recursive unit that is not an input fact has a
 // firing, valid in the output, whose premises of the unit's own predicates
@@ -70,14 +48,12 @@ import (
 // may be newer than the fact (a later batch brought it back): the check bounds
 // every premise, so the fact is then deleted and returns restamped.
 //
-// Determinism: retraction-side work is sequential, and every batch of
-// staged facts is committed in canonical (predicate, arguments) order; the
-// insertion side reuses the shared round executor (rounds.go) through
-// insertLoop, so it fires in the evaluator's order.
-//
-// A Maintained view is not safe for concurrent use; callers serialize
-// Apply (core.Session wraps views behind its own lock). A failed Apply
-// (context cancellation) leaves the view on its previous snapshot.
+// Determinism: retraction-side work is sequential, every commit is in
+// canonical (predicate, arguments) order, and the insertion side is the
+// shared round executor (rounds.go), so a view is a function of its batches.
+// A Maintained view is not safe for concurrent use; callers serialize Apply
+// (core.Session wraps views behind its own lock). A failed Apply (context
+// cancellation) leaves the view on its previous snapshot.
 
 // Delta is one batch of fact-level input mutations, set-semantics:
 // retracting an absent fact and asserting a present one are no-ops, and a
@@ -140,46 +116,128 @@ type Diff struct {
 // Maintained is a materialized output kept incrementally consistent with
 // its input database under Apply batches.
 type Maintained struct {
-	in    *db.Snapshot // current input EDB
-	snap  *db.Snapshot // current maintained output P(input)
-	units []maintUnit
-	owner map[string]int  // head predicate → unit index
-	sets  [3]*db.Database // scratch
+	in     *db.Snapshot   // current input EDB
+	snap   *db.Snapshot   // current maintained output P(input)
+	units  []*unit        // the plan's schedule
+	owner  map[string]int // head predicate → unit index
+	staged *db.Database   // the one scratch set, emptied before each use: Delta.Net's seen set, then staged facts
 }
 
-// scratch returns the i-th of the working sets the view keeps from batch to
-// batch (it has one writer), emptied — on the way in, so a cancelled Apply
-// leaves nothing to clean up.
-func (m *Maintained) scratch(i int) *db.Database {
-	if m.sets[i] == nil {
-		m.sets[i] = db.New()
+// maintSets are an Apply's change sets, pooled (an idle view holds none):
+// the net diff so far (rem: ids in old that left the view, add: ids in cur
+// that entered it) and the running unit's candidates (then restored facts),
+// marks (supported candidates, then deleted facts that came back) and
+// deletions (all, and the last pass's), ids in old — and in cur, until
+// Freeze renumbers it: a thawed relation's successor keeps its base's ids.
+type maintSets struct {
+	rem, add, cand, mark, deleted, next changes
+	ids                                 []int32 // a staged relation's ids
+}
+
+// changes is a change set: per predicate preds[i], ids of its relation in d.
+type changes struct {
+	d     *db.Database
+	preds []string
+	sets  []idSet
+}
+
+// reset empties c over d and returns it; a pooled set keeps its room.
+func (c *changes) reset(d *db.Database) *changes {
+	for i := range c.sets {
+		c.sets[i].clear()
 	}
-	m.sets[i].Reset()
-	return m.sets[i]
+	c.d, c.preds, c.sets = d, c.preds[:0], c.sets[:0]
+	return c
 }
 
-// flags returns, per head mp.heads[h], a cleared flag per id of scratch set
-// d's relation of it (d.Len(): a scratch set has no dead ids), kept in the
-// pooled state, not on the view: a pass marks by id what it would probe.
-func (st *streamState) flags(mp *maintPlan, d *db.Database) [][]bool {
-	st.marks = append(st.marks, make([][]bool, max(0, len(mp.heads)-len(st.marks)))...)
-	for h := range mp.heads {
-		st.marks[h] = append(st.marks[h][:0], make([]bool, d.Len())...)
+// at returns pred's set, adding it (a pooled set past len(sets) is empty).
+func (c *changes) at(pred string) *idSet {
+	i := slices.Index(c.preds, pred)
+	if i < 0 {
+		i, c.preds, c.sets = len(c.preds), append(c.preds, pred), slices.Grow(c.sets, 1)[:len(c.sets)+1]
 	}
-	return st.marks
+	return &c.sets[i]
 }
 
-// maintUnit is one schedule unit of a view: its head predicates are
-// u.dynamic.
-type maintUnit struct {
-	u    *unit
-	plan *maintPlan
+// of returns pred's ids.
+func (c *changes) of(pred string) []int32 {
+	if i := slices.Index(c.preds, pred); i >= 0 {
+		return c.sets[i].ids
+	}
+	return nil
+}
+
+// run runs sp, a variant led by a changed atom, over d with operator 0
+// scanning the set's ids of that atom's predicate.
+func (c *changes) run(sp *streamPlan, d *db.Database, st *streamState, stats *Stats, sink streamSink) {
+	if ids := c.of(sp.ops[0].pred); len(ids) > 0 {
+		sp.run(d, span{max: d.Round(), lead: c.d.Relation(sp.ops[0].pred), ids: ids}, st, stats, sink)
+	}
+}
+
+// facts is the set's facts in canonical order: predicates by name and a
+// relation's ids sorted against its arena, its arguments in one array.
+func (c *changes) facts() []ast.GroundAtom {
+	n := 0
+	for i := range c.sets {
+		n += len(c.sets[i].ids)
+	}
+	out, preds := make([]ast.GroundAtom, 0, n), slices.Clone(c.preds)
+	slices.Sort(preds)
+	for _, pred := range preds {
+		rel, ids := c.d.Relation(pred), c.of(pred)
+		rel.SortIDs(ids)
+		args := make([]ast.Const, 0, len(ids)*rel.Arity())
+		for _, id := range ids {
+			args = append(args, rel.Tuple(int(id))...)
+			out = append(out, ast.GroundAtom{Pred: pred, Args: args[len(args)-rel.Arity() : len(args) : len(args)]})
+		}
+	}
+	return out
+}
+
+// idSet is a set of ids: in the order they joined, and a bit per id, so a
+// repeat costs a bit test, not a hash. clear goes by the ids: a batch pays
+// for what it touched, not for the bits a larger one grew.
+type idSet struct {
+	ids  []int32
+	bits []uint64
+}
+
+func (s *idSet) add(id int32) {
+	w, b := int(id>>6), uint64(1)<<(id&63)
+	if w >= len(s.bits) {
+		s.bits = append(s.bits, make([]uint64, w+1-len(s.bits))...)
+	}
+	if s.bits[w]&b == 0 {
+		s.bits[w] |= b
+		s.ids = append(s.ids, id)
+	}
+}
+
+func (s *idSet) has(id int32) bool {
+	return int(id>>6) < len(s.bits) && s.bits[id>>6]&(1<<(id&63)) != 0
+}
+
+func (s *idSet) clear() {
+	for _, id := range s.ids {
+		s.bits[id>>6] = 0
+	}
+	s.ids = s.ids[:0]
+}
+
+// commit adds rel's tuples ids to cur's pred in canonical order.
+func commit(cur *db.Database, pred string, rel *db.Relation, ids []int32) {
+	rel.SortIDs(ids)
+	for _, id := range ids {
+		cur.AddTuple(pred, rel.Tuple(int(id)))
+	}
 }
 
 // maintPlan is a unit's rules lowered for view maintenance, built once per
 // unit and immutable afterwards.
 type maintPlan struct {
-	heads []string // the unit's head predicates, sorted: what flags index
+	heads []string // the unit's head predicates, sorted: the order commits run in
 	rules []ruleVariants
 }
 
@@ -208,7 +266,7 @@ type ruleVariants struct {
 // sizeOf induces, lowering it on the order's first use. Every view of the
 // plan shares the memo; its lock makes that safe.
 func (rv *ruleVariants) sizedRederive(sizeOf func(pred string) int) *streamPlan {
-	return rv.sized.under(orderPermSized(rv.sized.rule.Body, 0, sizeOf), false).plan
+	return rv.sized.under(orderPermSized(rv.sized.rule.Body, 0, sizeOf), true).plan
 }
 
 // maintPlan returns the unit's maintenance plan, lowering it on first use;
@@ -223,15 +281,15 @@ func (u *unit) maintPlan() *maintPlan {
 		for ri, m := range u.rules {
 			r := m.rule
 			vars := ast.VarsOfAtoms(r.Body)
-			// ledBy is r over atoms with atom lead as operator 0 and the rest in
-			// the greedy join order under its bindings (orderPermSized, the
-			// order a delta variant runs); negated literals stay negated.
+			// ledBy is r over atoms with atom lead as operator 0, a scan, and the
+			// rest in the greedy join order under its bindings (orderPermSized,
+			// the order a delta variant runs); negated literals stay negated.
 			ledBy := func(atoms []ast.Atom, lead int) *streamPlan {
 				body := make([]ast.Atom, 0, len(atoms))
 				for _, i := range orderPermSized(atoms, lead, nil) {
 					body = append(body, atoms[i])
 				}
-				return lowerRule(ast.Rule{Head: r.Head, Body: body, NegBody: r.NegBody}, vars, 0, false)
+				return lowerRule(ast.Rule{Head: r.Head, Body: body, NegBody: r.NegBody}, vars, 0, true)
 			}
 			ahead := func(a ast.Atom) []ast.Atom { return append([]ast.Atom{a}, r.Body...) }
 			rv := ruleVariants{nVars: len(vars), rederive: ledBy(ahead(r.Head), 0),
@@ -249,35 +307,84 @@ func (u *unit) maintPlan() *maintPlan {
 	return u.maint
 }
 
-// sinkFunc adapts a buffering callback to the pipeline's sink: maintenance
-// sinks record heads in scratch sets the pipeline does not read, report no
-// additions and never halt.
-type sinkFunc func(pred string, args []ast.Const)
-
-func (f sinkFunc) emit(pred string, args []ast.Const) (bool, bool) {
-	f(pred, args)
-	return false, false
-}
-
 // changed hands sink, at least once each, the heads of the rule firings
-// valid against d that touch the change sets: those using a posDelta fact
-// for a positive body atom, and those whose negated literal grounds to a
-// negDelta fact (absent from d, so the negation holds there). Either set may
-// be nil.
-func (mp *maintPlan) changed(d, posDelta, negDelta *db.Database, st *streamState, stats *Stats, sink sinkFunc) {
+// valid against d that touch the change sets: those using a pos fact for a
+// positive body atom, and those whose negated literal grounds to a neg fact
+// (absent from d, so the negation holds there). Either set may be empty.
+func (mp *maintPlan) changed(d *db.Database, pos, neg *changes, st *streamState, stats *Stats, sink streamSink) {
 	for ri := range mp.rules {
-		rv := &mp.rules[ri]
-		if posDelta != nil && posDelta.Len() > 0 {
-			for _, sp := range rv.pos {
-				sp.run(d, changeSpan(posDelta, d.Round()), st, stats, sink)
-			}
+		for _, sp := range mp.rules[ri].pos {
+			pos.run(sp, d, st, stats, sink)
 		}
-		if negDelta != nil && negDelta.Len() > 0 {
-			for _, sp := range rv.neg {
-				sp.run(d, changeSpan(negDelta, d.Round()), st, stats, sink)
-			}
+		for _, sp := range mp.rules[ri].neg {
+			neg.run(sp, d, st, stats, sink)
 		}
 	}
+}
+
+// dred is one unit's run of an Apply and the sink of each of its
+// enumerations, what saying which: a unit allocates one sink for all.
+type dred struct {
+	what             int // candidates, support, restore or stage
+	st               *streamState
+	ms               *maintSets
+	old, cur, staged *db.Database
+	nonrec           bool
+	sp               *streamPlan // the rederive variant support runs
+	mark             *idSet      // what support and restore mark
+	pred             string      // the last candidate's predicate and its relation in old
+	rel              *db.Relation
+}
+
+const (
+	candidates = iota // a head, valid in old, is a candidate by its id there
+	support           // the support check marks operator 0's fact, the head
+	restore           // operator 0's fact, the head, is restored
+	stage             // a head cur lacks is staged
+)
+
+// emit is the sinks. The support check runs a rederive variant sp over the
+// candidates in cur and marks, by the id operator 0 scans, the heads with a
+// firing over facts of cur that was valid in old too and, in a recursive
+// unit, whose premises are all stamped strictly below the head. A
+// non-recursive unit's premises are final, so any such firing is
+// well-founded. A firing a removed negated fact has only now enabled is not
+// re-checked when a premise of it goes, so it is left for staging to find.
+// One supporting firing is enough, and one firing restores a fact: both cut.
+func (s *dred) emit(pred string, args []ast.Const) (bool, bool) {
+	st, sp := s.st, s.sp
+	switch s.what {
+	case candidates:
+		if pred != s.pred {
+			s.pred, s.rel = pred, s.old.Relation(pred)
+		}
+		if id, ok := s.rel.LookupID(args); ok {
+			s.ms.cand.at(pred).add(id)
+		}
+	case support:
+		if !s.nonrec {
+			stamp := st.rels[0].RoundOf(int(st.cur[0]))
+			for pos := 1; pos < len(sp.ops); pos++ {
+				if st.rels[pos].RoundOf(int(st.cur[pos])) >= stamp {
+					return false, false
+				}
+			}
+		}
+		for i := range sp.neg {
+			if n := &sp.neg[i]; s.old.HasTuple(n.pred, n.ground(st.key, st.vals)) {
+				return false, false
+			}
+		}
+		fallthrough
+	case restore:
+		s.mark.add(st.cur[0])
+		st.cut = true
+	case stage:
+		if !s.cur.HasTuple(pred, args) {
+			s.staged.AddTuple(pred, args)
+		}
+	}
+	return false, false
 }
 
 // Materialize evaluates the prepared program on input and wraps the result
@@ -288,12 +395,11 @@ func (pr *Prepared) Materialize(ctx context.Context, input *db.Database) (*Maint
 	if err != nil {
 		return nil, stats, err
 	}
-	m := &Maintained{owner: make(map[string]int)}
+	m := &Maintained{units: pr.units, owner: make(map[string]int), staged: db.New()}
 	for ui, u := range pr.units {
 		for pred := range u.dynamic {
 			m.owner[pred] = ui
 		}
-		m.units = append(m.units, maintUnit{u: u, plan: u.maintPlan()})
 	}
 	m.in = input.Clone().Freeze()
 	m.snap = out.Freeze()
@@ -323,7 +429,8 @@ func (m *Maintained) Apply(ctx context.Context, delta Delta) (Diff, Stats, error
 		return Diff{}, stats, err
 	}
 
-	net := delta.net(m.in.DB(), m.scratch(0))
+	m.staged.Reset()
+	net := delta.net(m.in.DB(), m.staged)
 	if net.Empty() {
 		return Diff{}, stats, nil
 	}
@@ -334,29 +441,32 @@ func (m *Maintained) Apply(ctx context.Context, delta Delta) (Diff, Stats, error
 
 	input, cur := m.in.Thaw(), m.snap.Thaw()
 	deltaMin := cur.BeginRound()
-	addedDB, remDB := db.New(), db.New()
+	st := getStreamState()
+	defer putStreamState(st)
+	rem, add := st.maint.rem.reset(old), st.maint.add.reset(cur)
 	// Extensional-only predicates (no unit owns them) pass through: their
 	// output facts are exactly their input facts.
 	for _, g := range retracts {
 		input.Remove(g)
-		if _, owned := m.owner[g.Pred]; !owned && cur.Remove(g) {
-			remDB.Add(g)
+		if _, owned := m.owner[g.Pred]; !owned {
+			if id, ok := old.Relation(g.Pred).LookupID(g.Args); ok && cur.RemoveID(g.Pred, id) {
+				rem.at(g.Pred).add(id)
+			}
 		}
 	}
 	for _, g := range asserts {
 		input.Add(g)
 		if _, owned := m.owner[g.Pred]; !owned && cur.Add(g) {
-			addedDB.Add(g)
+			add.at(g.Pred).add(int32(cur.Relation(g.Pred).Len() - 1))
 		}
 	}
 
-	st := getStreamState()
-	defer putStreamState(st)
-	for i := range m.units {
-		if err := m.dredUnit(ctx, &m.units[i], st, old, cur, input, asserts, retracts, addedDB, remDB, deltaMin, &stats); err != nil {
+	for _, u := range m.units {
+		if err := m.dredUnit(ctx, u, st, old, cur, input, asserts, retracts, deltaMin, &stats); err != nil {
 			return Diff{}, stats, err
 		}
 	}
+	out := Diff{Added: add.facts(), Removed: rem.facts()} // before Freeze renumbers cur
 
 	// The dirty-set freeze only seals relations the batch actually wrote;
 	// count both sides so maintenance stats prove how much re-freeze work the
@@ -368,7 +478,7 @@ func (m *Maintained) Apply(ctx context.Context, delta Delta) (Diff, Stats, error
 	m.in = input.Freeze()
 	m.snap = cur.Freeze()
 	stats.TuplesCopied += input.TuplesCopied() + cur.TuplesCopied()
-	return Diff{Added: addedDB.SortedFacts(), Removed: remDB.SortedFacts()}, stats, nil
+	return out, stats, nil
 }
 
 // ErrArity is wrapped by the errors that reject a fact or an input relation
@@ -410,178 +520,149 @@ func (d Delta) CheckArities(dbs ...*db.Database) error {
 
 // dredUnit maintains one unit by delete-rederive. old is the pre-Apply output
 // (frozen), cur the in-progress successor with every lower unit already
-// final; addedDB/remDB hold the exact net diff of the units below (plus the
-// extensional passthrough) and gain this unit's net diff before returning.
-func (m *Maintained) dredUnit(ctx context.Context, mu *maintUnit, st *streamState, old, cur, input *db.Database, asserts, retracts []ast.GroundAtom, addedDB, remDB *db.Database, deltaMin int32, stats *Stats) error {
-	heads, mp, nonrec := mu.u.dynamic, mu.plan, mu.u.streamable
-	// Over-delete: a head fact is a candidate once it lost its place in the
-	// input or a derivation (against the old output) lost a support — a removed
-	// positive atom, an added negated atom (lower additions, first pass only) or
-	// a fact an earlier pass deleted — and is deleted unless it is an input fact
-	// or supported. Propagation joins the frozen old output along every firing:
-	// a survivor is checked again the pass after a premise certifying it went.
-	// The first pass's frontier is the lower units' deletions, read in place,
-	// a later pass's what the pass before deleted (next). A non-recursive unit's
-	// deletions are no premise of its firings: its first pass is its last.
-	deleted, next, cand := m.scratch(0), m.scratch(1), m.scratch(2)
+// final; st.maint's rem and add hold the exact net diff of the units below
+// (plus the extensional passthrough) and gain this unit's before returning.
+func (m *Maintained) dredUnit(ctx context.Context, u *unit, st *streamState, old, cur, input *db.Database, asserts, retracts []ast.GroundAtom, deltaMin int32, stats *Stats) error {
+	mp, nonrec, ms := u.maintPlan(), u.streamable, &st.maint
+	ms.cand.reset(cur)
+	ms.mark.reset(nil)
+	ms.deleted.reset(old)
+	s := &dred{what: candidates, st: st, ms: ms, old: old, cur: cur, staged: m.staged, nonrec: nonrec}
+	// Over-delete: the candidates are the retracted heads and the heads of the
+	// firings of old that lost a support — a lower unit's deletion or addition
+	// (under negation) in the first pass, what the pass before deleted (next)
+	// in a later one, so a survivor is checked again the pass after a premise
+	// certifying it went — and each is deleted unless it is an input fact or
+	// supported. A non-recursive unit's first pass is its last.
 	for _, g := range retracts {
-		if heads[g.Pred] {
-			cand.Add(g)
+		if u.dynamic[g.Pred] {
+			s.emit(g.Pred, g.Args)
 		}
 	}
-	// rederive is rule ri's rederive variant to run over src, nil when src
-	// holds no fact of the rule's head: in the order the view's live sizes
+	// sized is rule ri's rederive variant in the order the view's live sizes
 	// induce, chosen at its first use in this Apply. The head binds every
 	// column, so the order decides which body atom its bindings probe first.
-	var sized []*streamPlan
-	rederive := func(ri int, src *db.Database) *streamPlan {
-		rv := &mp.rules[ri]
-		if rel := src.Relation(rv.sized.rule.Head.Pred); rel == nil || rel.Live() == 0 {
-			return nil
+	var plans []*streamPlan
+	sized := func(ri int) *streamPlan {
+		if plans == nil {
+			plans = make([]*streamPlan, len(mp.rules))
 		}
-		if sized == nil {
-			sized = make([]*streamPlan, len(mp.rules))
+		if plans[ri] == nil {
+			plans[ri] = mp.rules[ri].sizedRederive(u.liveSizes(cur, true))
 		}
-		if sized[ri] == nil {
-			sized[ri] = rv.sizedRederive(mu.u.liveSizes(cur, true))
-		}
-		return sized[ri]
+		return plans[ri]
 	}
-	// supported is the check, the sink of a rederive variant sp run over the
-	// candidates: it marks in ok, by the id operator 0 scans, the heads with a
-	// firing over facts of cur that was valid in old too and, in a recursive
-	// unit, whose premises are all stamped strictly below the head's own stamp.
-	// A non-recursive unit's premises are final, so any such firing is
-	// well-founded. A firing a removed negated fact has only now enabled is not
-	// re-checked when a premise of it goes, so it is left for staging to find.
-	var sp *streamPlan
-	var ok []bool // the marks of sp's head
-	supported := sinkFunc(func(pred string, args []ast.Const) {
-		if !nonrec {
-			rel := cur.Relation(pred)
-			id, alive := rel.LookupID(args)
-			for pos := 1; pos < len(sp.ops); pos++ {
-				if !alive || st.rels[pos].RoundOf(int(st.cur[pos])) >= rel.RoundOf(int(id)) {
-					return
-				}
-			}
-		}
-		for i := range sp.neg {
-			if n := &sp.neg[i]; old.HasTuple(n.pred, n.ground(st.key, st.vals)) {
-				return
-			}
-		}
-		ok[st.cur[0]] = true
-		st.cut = true // one supporting firing is enough
-	})
-	for frontier, negDelta := remDB, addedDB; ; frontier, negDelta = next, nil {
+	none := new(changes)
+	for frontier, neg := &ms.rem, &ms.add; ; frontier, neg = &ms.next, none {
 		if err := CtxErr(ctx); err != nil {
 			return err
 		}
-		mp.changed(old, frontier, negDelta, st, stats, func(pred string, args []ast.Const) {
-			cand.AddTuple(pred, args)
-		})
-		marks := st.flags(mp, cand)
+		s.what = candidates
+		mp.changed(old, frontier, neg, st, stats, s)
+		// The support check reads the candidates in cur: operator 0 skips the
+		// ones an earlier pass deleted.
 		for ri := range mp.rules {
-			if sp = rederive(ri, cand); sp != nil {
-				ok = marks[slices.Index(mp.heads, sp.head.pred)]
-				sp.run(cur, changeSpan(cand, cur.Round()), st, stats, supported)
+			if head := mp.rules[ri].sized.rule.Head.Pred; len(ms.cand.of(head)) > 0 {
+				s.what, s.sp, s.mark = support, sized(ri), ms.mark.at(head)
+				ms.cand.run(s.sp, cur, st, stats, s)
 			}
 		}
-		next.Reset()
-		for h, pred := range mp.heads {
-			rel, in := cand.Relation(pred), input.Relation(pred)
-			for i := 0; rel != nil && i < rel.Len(); i++ {
-				if marks[h][i] {
+		ms.next.reset(old)
+		for i, pred := range ms.cand.preds {
+			rel, in, ok := old.Relation(pred), input.Relation(pred), ms.mark.at(pred)
+			deleted, next := ms.deleted.at(pred), ms.next.at(pred)
+			for _, id := range ms.cand.sets[i].ids {
+				if ok.has(id) {
 					continue
 				}
-				t := rel.Tuple(i)
-				if _, kept := in.LookupID(t); !kept && cur.RemoveTuple(pred, t) {
-					deleted.AddTuple(pred, t)
-					if !nonrec {
-						next.AddTuple(pred, t)
-					}
+				if _, kept := in.LookupID(rel.Tuple(int(id))); !kept && cur.RemoveID(pred, id) {
+					deleted.add(id)
+					next.add(id)
+					stats.Overdeleted++
 				}
 			}
 		}
-		if next.Len() == 0 {
+		ms.cand.reset(cur)
+		ms.mark.reset(nil)
+		if nonrec || !slices.ContainsFunc(ms.next.sets, func(n idSet) bool { return len(n.ids) > 0 }) {
 			break
 		}
-		cand.Reset()
 	}
 
 	// Restore the over-deleted facts the surviving view derives in one step
-	// (each rule's rederive variant, one pass over the deleted set). The rest
-	// come back in the insertion loop below: restored facts carry fresh round
-	// stamps, so the delta windows reach them. A non-recursive unit deleted
-	// only facts with no firing in cur: it has none to restore.
-	stats.Overdeleted += deleted.Len()
-	commit := func(pred string, rel *db.Relation, id int32) { cur.AddTuple(pred, rel.Tuple(int(id))) }
+	// (each rederive variant over the deleted ids, read in old, where they are
+	// alive); the insertion loop brings back the rest, as restored facts carry
+	// fresh stamps. A non-recursive unit deleted only facts with no firing.
 	if !nonrec {
-		restored := m.scratch(1)
 		for ri := range mp.rules {
-			if rd := rederive(ri, deleted); rd != nil {
-				rd.run(cur, changeSpan(deleted, cur.Round()), st, stats, &nonrecSink{out: restored})
+			if head := mp.rules[ri].sized.rule.Head.Pred; len(ms.deleted.of(head)) > 0 {
+				s.what, s.mark = restore, ms.cand.at(head)
+				ms.deleted.run(sized(ri), cur, st, stats, s)
 			}
 		}
-		stats.Rederived += restored.Len()
 		cur.BeginRound()
-		eachSorted(restored, commit)
+		for _, pred := range mp.heads {
+			stats.Rederived += len(ms.cand.of(pred))
+			commit(cur, pred, old.Relation(pred), ms.cand.of(pred))
+		}
 	}
 	cur.BeginRound() // a staged fact may rest on a restored one
 
-	// Insertion side: stage input asserts of this unit's heads and the
-	// firings a removed negated fact enabled, then close semi-naively over
-	// everything stamped in this Apply — lower-unit additions, restored
-	// facts and the staged batch alike — through the shared round executor.
-	// A non-recursive unit stages its lower additions' firings too: every new
-	// firing of it touches the diff below and none feeds another, so staging
-	// is its whole insertion side.
-	staged := m.scratch(2)
+	// Insertion side: stage input asserts of the unit's heads and the firings
+	// a removed negated fact enabled — and in a non-recursive unit those the
+	// lower additions lead, its whole insertion side — then close semi-naively
+	// over everything stamped in this Apply. Staged facts have no id until
+	// committed, so they are the one set kept as a database.
+	s.what = stage
+	s.staged.Reset()
 	for _, g := range asserts {
-		if heads[g.Pred] && !cur.Has(g) {
-			staged.Add(g)
+		if u.dynamic[g.Pred] && !cur.Has(g) {
+			s.staged.Add(g)
 		}
 	}
-	var gained *db.Database
+	gained := none
 	if nonrec {
-		gained = addedDB
+		gained = &ms.add
 	}
-	mp.changed(cur, gained, remDB, st, stats, func(pred string, args []ast.Const) {
-		if !cur.HasTuple(pred, args) {
-			staged.AddTuple(pred, args)
+	mp.changed(cur, gained, &ms.rem, st, stats, s)
+	for _, pred := range mp.heads {
+		if rel := s.staged.Relation(pred); rel != nil {
+			ms.ids = ms.ids[:0]
+			for id := range int32(rel.Len()) {
+				ms.ids = append(ms.ids, id)
+			}
+			commit(cur, pred, rel, ms.ids)
 		}
-	})
-	eachSorted(staged, commit)
+	}
 	if !nonrec {
-		if err := insertLoop(ctx, cur, mu.u, deltaMin, stats); err != nil {
+		if err := insertLoop(ctx, cur, u, deltaMin, stats); err != nil {
 			return err
 		}
 	}
 
-	// Net unit diff: everything stamped in this Apply that the old output
-	// lacked entered the view. An over-deleted fact is stamped in this Apply
-	// exactly when it came back: the scan marks it back, by its id in
-	// deleted, and the over-deleted facts left unmarked left the view.
-	back := st.flags(mp, deleted)
-	for h, pred := range mp.heads {
-		rel, del := cur.Relation(pred), deleted.Relation(pred)
+	// Net unit diff: what this Apply stamped entered the view unless old has it
+	// — an over-deleted fact that came back, under a fresh id: the scan marks
+	// its old id back — and the deleted facts left unmarked left the view.
+	for _, pred := range mp.heads {
+		rel, was, deleted, back := cur.Relation(pred), old.Relation(pred), ms.deleted.of(pred), ms.mark.at(pred)
 		if rel == nil {
 			continue // no fact of pred was ever in the view, so none was deleted
 		}
-		for i := rel.LenAt(deltaMin - 1); i < rel.Len(); i++ {
-			if !rel.Alive(i) {
+		for id := rel.LenAt(deltaMin - 1); id < rel.Len(); id++ {
+			if !rel.Alive(id) {
 				continue
 			}
-			if id, came := del.LookupID(rel.Tuple(i)); came {
-				back[h][id] = true
-			} else {
-				addedDB.AddTuple(pred, rel.Tuple(i))
+			if len(deleted) > 0 {
+				if oid, came := was.LookupID(rel.Tuple(id)); came {
+					back.add(oid)
+					continue
+				}
 			}
+			ms.add.at(pred).add(int32(id))
 		}
-		for i := 0; del != nil && i < del.Len(); i++ {
-			if !back[h][i] {
-				remDB.AddTuple(pred, del.Tuple(i))
+		for _, id := range deleted {
+			if !back.has(id) {
+				ms.rem.at(pred).add(id)
 			}
 		}
 	}
@@ -617,21 +698,5 @@ func insertLoop(ctx context.Context, d *db.Database, u *unit, deltaMin int32, st
 			return nil
 		}
 		deltaMin = round
-	}
-}
-
-// eachSorted calls f on every fact of the scratch set d in canonical order,
-// predicates by name and a relation's ids sorted against the arena.
-func eachSorted(d *db.Database, f func(pred string, rel *db.Relation, id int32)) {
-	if d.Len() == 0 {
-		return
-	}
-	var ids []int32
-	for _, pred := range d.Preds() {
-		rel := d.Relation(pred)
-		ids = rel.SortedIDs(ids)
-		for _, id := range ids {
-			f(pred, rel, id)
-		}
 	}
 }

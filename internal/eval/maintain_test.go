@@ -20,11 +20,18 @@ import (
 // byte-identity form the maintenance oracle compares.
 func canonFacts(d *db.Database) string {
 	var sb strings.Builder
-	for _, g := range d.SortedFacts() {
+	for _, g := range sortedFacts(d) {
 		sb.WriteString(g.String())
 		sb.WriteString("\n")
 	}
 	return sb.String()
+}
+
+// sortedFacts is d's facts in canonical (predicate, arguments) order.
+func sortedFacts(d *db.Database) []ast.GroundAtom {
+	facts := d.Facts()
+	slices.SortFunc(facts, compareFacts)
+	return facts
 }
 
 func mustMaterialize(t *testing.T, p *ast.Program, input *db.Database) *Maintained {
@@ -442,7 +449,7 @@ func TestMaintainApplyCancelledLeavesSetsReusable(t *testing.T) {
 			t.Fatalf("trip %d: err %v, view changed %v", trip, err, canonFacts(m.Output()) != before)
 		}
 		m2 := mustMaterialize(t, p, m.Input())
-		m2.sets = m.sets // the cut Apply's leftovers, E/2 in the batch's scratch set included
+		m2.staged = m.staged // the cut Apply's leftovers, E/2 in the batch's scratch set included
 		applyOrFatal(t, m2, Delta{Retract: []ast.GroundAtom{ga("A", 3, 4)}, Assert: []ast.GroundAtom{ga("E", 1, 2, 3)}})
 		if got, want := canonFacts(m2.Output()), canonFacts(MustEval(p, m2.Input())); got != want {
 			t.Fatalf("trip %d: the Apply after a cut one diverged:\n%s\nwant:\n%s", trip, got, want)
@@ -464,11 +471,11 @@ func checkStamps(t *testing.T, m *Maintained, pr *Prepared, step int) {
 		}
 		return out.Relation(g.Pred).RoundOf(int(id))
 	}
-	for _, mu := range m.units {
-		if mu.u.streamable {
+	for _, u := range m.units {
+		if u.streamable {
 			continue
 		}
-		for pred := range mu.u.dynamic {
+		for pred := range u.dynamic {
 			rel := out.Relation(pred)
 			for i := 0; rel != nil && i < rel.Len(); i++ {
 				f := ast.GroundAtom{Pred: pred, Args: rel.Tuple(i)}
@@ -484,7 +491,7 @@ func checkStamps(t *testing.T, m *Maintained, pr *Prepared, step int) {
 					}
 					certified = true
 					for _, a := range rules[rule].Body {
-						if mu.u.dynamic[a.Pred] && stampOf(a.MustGround(b)) >= rel.RoundOf(i) {
+						if u.dynamic[a.Pred] && stampOf(a.MustGround(b)) >= rel.RoundOf(i) {
 							certified = false
 						}
 					}
@@ -633,7 +640,7 @@ func TestMaintainViewsSharePlans(t *testing.T) {
 		}
 		views = append(views, m)
 	}
-	planOf := func(m *Maintained, head string) *maintPlan { return m.units[m.owner[head]].plan }
+	planOf := func(m *Maintained, head string) *maintPlan { return m.units[m.owner[head]].maintPlan() }
 	for _, head := range []string{"G", "H"} {
 		base := planOf(views[0], head)
 		if base == nil || len(base.rules) == 0 || base.rules[0].rederive == nil {
@@ -796,12 +803,12 @@ func predSchema(p *ast.Program) (preds []string, arity map[string]int) {
 func checkSupport(t *testing.T, m *Maintained, step int) {
 	t.Helper()
 	out, in := m.Output(), m.Input()
-	for _, mu := range m.units {
+	for _, u := range m.units {
 		derived := make(map[string]bool)
-		for _, rm := range mu.u.rules {
+		for _, rm := range u.rules {
 			oracleFire(out, rm.rule, db.AllRounds, func(h ast.GroundAtom) { derived[h.Key()] = true })
 		}
-		for pred := range mu.u.dynamic {
+		for pred := range u.dynamic {
 			rel := out.Relation(pred)
 			for i := 0; rel != nil && i < rel.Len(); i++ {
 				if g := (ast.GroundAtom{Pred: pred, Args: rel.Tuple(i)}); rel.Alive(i) && !in.Has(g) && !derived[g.Key()] {
@@ -957,20 +964,8 @@ func runMaintainStream(t *testing.T, c maintCase, seed int64, domain, steps, max
 // a batch where one firing is reachable from two changed facts, and the fact
 // it derives keeps another support.
 func TestMaintainOracleGrid(t *testing.T) {
-	grid := []struct {
-		procs, scale int
-		arm          string
-		firstSeed    int64
-	}{
-		{1, 1, "dredfalse", 0},
-		{1, 1, "dredtrue", 100},
-		{4, 4, "dredfalse", 0},
-		{4, 4, "dredtrue", 100},
-		{2, 1, "dredfalse", 200},
-		{1, 4, "dredtrue", 200},
-	}
 	for name, c := range maintPrograms(t) {
-		for _, cfg := range grid {
+		for _, cfg := range oracleGrid {
 			t.Run(fmt.Sprintf("%s/w%d_s%d_%s", name, cfg.procs, cfg.scale, cfg.arm), func(t *testing.T) {
 				withProcs(t, cfg.procs)
 				// Small batches carry the long random tails: delete-rederive goes
@@ -987,8 +982,46 @@ func TestMaintainOracleGrid(t *testing.T) {
 	}
 }
 
+// oracleGrid is TestMaintainOracleGrid's rows: GOMAXPROCS, batch scale (a
+// random batch holds up to 5·scale facts), arm name and first seed.
+var oracleGrid = []struct {
+	procs, scale int
+	arm          string
+	firstSeed    int64
+}{
+	{1, 1, "dredfalse", 0},
+	{1, 1, "dredtrue", 100},
+	{4, 4, "dredfalse", 0},
+	{4, 4, "dredtrue", 100},
+	{2, 1, "dredfalse", 200},
+	{1, 4, "dredtrue", 200},
+}
+
+// FuzzMaintain is the maintenance oracle under fuzzed inputs: a program of
+// maintPrograms (by index in name order), a seed and a batch bound choose
+// the random stream runMaintainStream replays, checking every Apply's output
+// and input against Eval, the stamps and support of the view, and the Diff's
+// exactness and canonical order. The seed corpus is TestMaintainOracleGrid's
+// rows, each program under each row's first seed and batch bound.
+func FuzzMaintain(f *testing.F) {
+	progs := maintPrograms(f)
+	names := make([]string, 0, len(progs))
+	for name := range progs {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	for row := range names {
+		for _, cfg := range oracleGrid {
+			f.Add(uint8(row), cfg.firstSeed, uint8(5*cfg.scale))
+		}
+	}
+	f.Fuzz(func(t *testing.T, row uint8, seed int64, batch uint8) {
+		runMaintainStream(t, progs[names[int(row)%len(names)]], seed, 9, 10, 1+int(batch)%20)
+	})
+}
+
 // maintPrograms is the maintenance oracle's programs, by row name.
-func maintPrograms(t *testing.T) map[string]maintCase {
+func maintPrograms(t testing.TB) map[string]maintCase {
 	stratified := mustParseProgram(t, `
 		Reach(x) :- S(x).
 		Reach(y) :- Reach(x), E(x, y).

@@ -12,7 +12,7 @@ import (
 	"repro/internal/workload"
 )
 
-func mustParseProgram(t *testing.T, src string) *ast.Program {
+func mustParseProgram(t testing.TB, src string) *ast.Program {
 	t.Helper()
 	res, err := parser.Parse(src)
 	if err != nil {
@@ -133,7 +133,7 @@ func TestPreparedDeriveChainPure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	goals := append(full.SortedFacts(), ga("G", 3, 0))
+	goals := append(sortedFacts(full), ga("G", 3, 0))
 	skip := maskOf(len(p.Rules))
 	for i := len(p.Rules) - 1; i > 0; i-- {
 		skip[i] = true
@@ -193,7 +193,7 @@ func TestDeriveScheduleMatchesFresh(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		facts := full.SortedFacts()
+		facts := sortedFacts(full)
 		var goals []ast.GroundAtom
 		for k := 0; k < 4 && len(facts) > 0; k++ {
 			goals = append(goals, facts[rng.Intn(len(facts))])

@@ -158,13 +158,13 @@ func checkGoalPrefix(t testing.TB, partial, full *db.Database, goal ast.GroundAt
 			t.Fatalf("goal %v: relation %s has %d tuples, more than the full run", goal, pred, pr.Len())
 		}
 		for i := 0; i < pr.Len(); i++ {
-			if !constsEqual(pr.Tuple(i), fr.Tuple(i)) {
+			if !slices.Equal(pr.Tuple(i), fr.Tuple(i)) {
 				t.Fatalf("goal %v: relation %s is not a prefix of the full run at tuple %d\npartial:\n%s\nfull:\n%s", goal, pred, i, partial, full)
 			}
 		}
 	}
 	rel := partial.Relation(goal.Pred)
-	if rel == nil || rel.Len() == 0 || !constsEqual(rel.Tuple(rel.Len()-1), goal.Args) {
+	if rel == nil || rel.Len() == 0 || !slices.Equal(rel.Tuple(rel.Len()-1), goal.Args) {
 		t.Fatalf("goal %v is not the last fact the cut run inserted into %s:\n%s", goal, goal.Pred, partial)
 	}
 }

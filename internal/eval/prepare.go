@@ -47,10 +47,10 @@ type Prepared struct {
 	// the next such run reserves for it (Run).
 	sizes []outSize
 
-	// One-step application of the whole program in the static join order,
-	// built on first use by NonRecursive / IsClosed.
+	// One-step application of the whole program: each rule in its static
+	// join order, built on first use by NonRecursive / IsClosed.
 	nonrecOnce sync.Once
-	nonrec     roundSetup
+	nonrec     []*loweredRule
 }
 
 // ruleMemo is the compile memo of one rule: its lowered pipeline per join
@@ -198,11 +198,6 @@ type unit struct {
 	maintOnce sync.Once
 	maint     *maintPlan
 }
-
-// roundSetup is what a one-step pass runs: each rule of a unit (or of the
-// program) in its static join order, an assembly of memo entries in rule
-// order.
-type roundSetup []*loweredRule
 
 // Prepare validates p and builds its evaluation schedule: one unit per producer-first SCC group (Graph.RuleGroups),
 // negation or not — a stratifiable program has no negative edge inside a
@@ -445,26 +440,6 @@ func (pr *Prepared) Query(input *db.Database, query ast.Atom) ([][]ast.Const, er
 	return db.Select(out, query), nil
 }
 
-// applyOnce runs each of the setup's rules once over all of d — a full span,
-// so every firing valid in d reaches sink exactly once — until sink halts.
-func (rs roundSetup) applyOnce(d *db.Database, st *streamState, stats *Stats, sink streamSink) {
-	win := fullSpan(d.Round())
-	for _, lr := range rs {
-		if !lr.plan.run(d, win, st, stats, sink) {
-			return
-		}
-	}
-}
-
-// staticSetup is the rules of memos, each in its static join order.
-func staticSetup(memos []*ruleMemo) roundSetup {
-	rs := make(roundSetup, len(memos))
-	for i, m := range memos {
-		rs[i] = m.static()
-	}
-	return rs
-}
-
 // onePass applies every rule of the program once to d — no derivation feeds
 // back, so each rule is one full-span pipeline run whatever recursion the
 // program has — in the static join order (no live cardinalities exist for a
@@ -472,15 +447,22 @@ func staticSetup(memos []*ruleMemo) roundSetup {
 // gains the hash indexes the joins probe but no facts. The returned stats
 // are the pass's own.
 func (pr *Prepared) onePass(d *db.Database, sink streamSink) Stats {
-	pr.nonrecOnce.Do(func() { pr.nonrec = staticSetup(pr.memos) })
-	rs := pr.nonrec
-	for _, lr := range rs {
+	pr.nonrecOnce.Do(func() {
+		for _, m := range pr.memos {
+			pr.nonrec = append(pr.nonrec, m.static())
+		}
+	})
+	for _, lr := range pr.nonrec {
 		lr.plan.ensureIndexes(d)
 	}
 	st := getStreamState()
 	defer putStreamState(st)
 	var stats Stats
-	rs.applyOnce(d, st, &stats, sink)
+	for _, lr := range pr.nonrec { // a full span: every firing valid in d reaches sink once
+		if !lr.plan.run(d, fullSpan(d.Round()), st, &stats, sink) {
+			break
+		}
+	}
 	return stats
 }
 

@@ -11,8 +11,8 @@ import (
 // derivation order and nothing has to track provenance while it is computed:
 // a proof is read back afterwards, one fact at a time, by running the rules
 // deriving that fact backwards from it — each rule's head-led variant, the
-// one view maintenance rederives with (maintPlan), over a one-fact change
-// set — with the body confined to the rounds a premise may come from. A
+// one view maintenance rederives with (maintPlan), with operator 0 on the
+// fact's id — with the body confined to the rounds a premise may come from. A
 // maintained output keeps that order per unit (maintain.go, "Stamps"): a
 // premise from a unit below may be newer than the fact it derives.
 
@@ -26,19 +26,20 @@ func (f yieldSink) emit(string, []ast.Const) (bool, bool) { return false, !f() }
 // facts stamped ≤ maxRound: rule is the index into Program().Rules, vals the
 // values of ast.VarsOfAtoms(rule.Body) in that order (the frame's; copy to
 // keep). out is a database this plan evaluated — a goal-cut partial one
-// included; negated literals are checked against it like everywhere else.
+// included — and fact one of its facts (a fact out lacks gets no firing);
+// negated literals are checked against it like everywhere else.
 // Rules run in program order and a rule's firings in pipeline order, each
 // once; yield returning false ends the enumeration. maxRound = out.Round()
 // admits every firing; one below fact's own stamp admits exactly those whose
 // premises are strictly older, of which a derived fact has at least one.
 func (pr *Prepared) Firings(out *db.Database, fact ast.GroundAtom, maxRound int32, stats *Stats, yield func(rule int, vals []ast.Const) bool) {
+	rel := out.Relation(fact.Pred)
+	id, ok := rel.LookupID(fact.Args)
+	if !ok {
+		return
+	}
 	st := getStreamState()
 	defer putStreamState(st)
-	if st.one == nil || st.one.Relation(fact.Pred) == nil {
-		st.one = db.New() // one predicate per set: its relation is reused fact after fact
-	}
-	st.one.Reset()
-	st.one.Add(fact)
 	for _, u := range pr.units {
 		if !u.dynamic[fact.Pred] {
 			continue
@@ -46,7 +47,7 @@ func (pr *Prepared) Firings(out *db.Database, fact ast.GroundAtom, maxRound int3
 		for ri, rv := range u.maintPlan().rules {
 			sp, rule := rv.rederive, u.idxs[ri]
 			sink := yieldSink(func() bool { return yield(rule, st.vals[:rv.nVars]) })
-			if !sp.run(out, changeSpan(st.one, maxRound), st, stats, sink) {
+			if !sp.run(out, span{max: maxRound, lead: rel, ids: []int32{id}}, st, stats, sink) {
 				return
 			}
 		}

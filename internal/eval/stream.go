@@ -204,25 +204,21 @@ func lowerRule(r ast.Rule, vars []string, nBound int, scanFirst bool) *streamPla
 // the rest at anything up to max: every new combination has a unique least
 // delta atom, so nothing is derived twice, and only position 0 ever has a
 // lower bound. min == max is the ordinary semi-naive round; a wider delta is
-// the first round of a maintenance batch. A non-nil src makes a change-set
-// span: operator 0 scans every tuple of src — a small database of changed
-// facts — instead of d, and the window applies to the later operators only
-// (view maintenance runs rule variants led by the changed atom under full
-// windows this way; proof read-back runs the head-led variant over one fact
-// under the rounds below it).
+// the first round of a maintenance batch. A non-nil ids makes a change-set
+// span: operator 0 scans the ids of lead — a few changed tuples of a
+// relation the caller holds — instead of d, and the window applies to the
+// later operators only (view maintenance runs rule variants led by the
+// changed atom under full windows this way; proof read-back runs the
+// head-led variant over one fact under the rounds below it). A plan run
+// under one is lowered with its operator 0 a scan (lowerRule's scanFirst).
 type span struct {
 	led      []int
 	min, max int32
-	src      *db.Database
+	lead     *db.Relation
+	ids      []int32
 }
 
 func fullSpan(maxRound int32) span { return span{max: maxRound} }
-
-// changeSpan is the change-set span: operator 0 over src, the later
-// operators over rounds [0, maxRound].
-func changeSpan(src *db.Database, maxRound int32) span {
-	return span{max: maxRound, src: src}
-}
 
 func (s span) window(pos int) db.RoundWindow {
 	switch {
@@ -257,13 +253,13 @@ type streamState struct {
 	flats   []db.FlatIter
 	iters   []db.TupleIter
 	next    []int   // scan cursor / lookup-consumed flag
+	ids     []int32 // a change-set span's ids: operator 0's scan walks them
 	cur     []int32 // id of the tuple currently bound at each position
 	lo, hi  []int   // the position's window as an id-range; lo > 0 at a delta scan only
 	key     []ast.Const
 	out     []ast.Const
 	fix     fixpointSink
-	one     *db.Database // Firings' one-fact change set
-	marks   [][]bool     // Maintained's flags by id
+	maint   maintSets // Maintained's id sets
 	// cut, set by a sink, skips the rest of operator 0's current tuple: the
 	// pipeline goes on with the next tuple at position 0 (a semi-join on the
 	// lead).
@@ -304,7 +300,7 @@ func (s *fixpointSink) emit(pred string, args []ast.Const) (bool, bool) {
 	if !s.d.AddTuple(pred, args) {
 		return false, false
 	}
-	if s.goal != nil && pred == s.goal.Pred && constsEqual(args, s.goal.Args) {
+	if s.goal != nil && pred == s.goal.Pred && slices.Equal(args, s.goal.Args) {
 		s.goalHit = true
 		s.stop = true
 	}
@@ -352,11 +348,14 @@ var streamStatePool = sync.Pool{New: func() any { return new(streamState) }}
 // state.
 func getStreamState() *streamState { return streamStatePool.Get().(*streamState) }
 
-// putStreamState drops the state's relation pointers (so a pooled state
-// does not pin a dead database in memory) and returns it to the pool.
+// putStreamState drops the state's relation and database pointers (so a
+// pooled state does not pin a dead database in memory) and returns it to the
+// pool.
 func putStreamState(st *streamState) {
 	clear(st.rels)
-	st.fix = fixpointSink{}
+	st.fix, st.ids = fixpointSink{}, nil
+	ms := &st.maint
+	ms.rem.d, ms.add.d, ms.cand.d, ms.deleted.d, ms.next.d = nil, nil, nil, nil, nil
 	streamStatePool.Put(st)
 }
 
@@ -400,8 +399,8 @@ func (op *streamOp) buildKey(dst []ast.Const, vals []ast.Const) []ast.Const {
 }
 
 // run drives the pipeline against d with each operator confined to its
-// window of win (operator 0 reads all of win.src instead when the span has
-// one), handing every head instantiation to sink; it reports false
+// window of win (operator 0 scans win.ids of win.lead instead when the span
+// has them), handing every head instantiation to sink; it reports false
 // when the sink halted the pass. Windows are resolved to id-ranges once, up
 // front: a scan walks [lo, hi), a probe binds its index at the window's upper
 // round, a lookup checks its id is below hi (only a delta-led plan's scan has
@@ -409,21 +408,18 @@ func (op *streamOp) buildKey(dst []ast.Const, vals []ast.Const) []ast.Const {
 // so a delta variant over an empty delta costs a few LenAt calls.
 func (sp *streamPlan) run(d *db.Database, win span, st *streamState, stats *Stats, sink streamSink) bool {
 	st.ensure(sp)
-	st.cut = false
+	st.cut, st.ids = false, win.ids
 	nOps := len(sp.ops)
 	for i := range sp.ops {
 		op := &sp.ops[i]
-		from, w := d, win.window(i)
-		if i == 0 && win.src != nil {
-			from, w = win.src, db.AllRounds
+		rel, w, lo, hi := d.Relation(op.pred), win.window(i), 0, len(win.ids)
+		if i == 0 && win.ids != nil {
+			rel = win.lead
+		} else if rel != nil {
+			lo, hi = idRange(rel, w)
 		}
-		rel := from.Relation(op.pred)
-		if rel == nil || rel.Arity() != op.arity {
+		if rel == nil || rel.Arity() != op.arity || lo >= hi {
 			return true // this body atom can never match
-		}
-		lo, hi := idRange(rel, w)
-		if lo >= hi {
-			return true
 		}
 		st.rels[i], st.lo[i], st.hi[i] = rel, lo, hi
 		if op.kind == opProbe {
@@ -493,6 +489,9 @@ func (sp *streamPlan) advance(pos int, st *streamState, stats *Stats) bool {
 			}
 			id = st.next[pos]
 			st.next[pos]++
+			if pos == 0 && st.ids != nil {
+				id = int(st.ids[id])
+			}
 			if !rel.Alive(id) {
 				continue
 			}
@@ -573,16 +572,4 @@ func (a *compiledAtom) ground(dst, vals []ast.Const) []ast.Const {
 		}
 	}
 	return args
-}
-
-func constsEqual(a, b []ast.Const) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
